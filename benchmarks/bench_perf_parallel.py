@@ -1,22 +1,19 @@
-"""PERF — partitioned substrate route throughput vs the classic scheduler.
+"""PERF — route throughput of the lane scheduler across partition counts.
 
-The same 1000-node route workload as ``bench_perf_overlay`` (the recorded
-``BENCH_overlay.json`` baseline: 15485.5 route steps/s), replayed on the
-partitioned substrate at 1, 2, 4 and 8 lanes, serially and with the thread
-executor. The serial sharded configurations are where the speedup lives —
-per-lane heaps are smaller (``log n`` shrinks), the delivery fast path
-skips Timer/callsite minting, and per-lane staging buffers replace
-labelled counter updates on every send/deliver. The thread executor is an
+A 1000-node overlay route workload replayed at 1, 2, 4 and 8 lanes,
+serially and with the thread executor. The one-lane serial row — what a
+default deployment runs — is the baseline, measured in the same run; every
+other row is reported as a ratio to it. The thread executor is an
 architectural validation of the horizon exchange, not a speedup, and is
 reported as such (Python threads share one core's interpreter lock).
 
 Every configuration must route the exact same number of steps — the cheap
 in-benchmark determinism check; the real equivalence proof lives in
-``tests/parallel/``.
+``tests/parallel/``. There is no throughput gate: a ratio against a number
+recorded in a different run says nothing about this one.
 
-Acceptance gate: best serial configuration with >= 2 partitions beats
-``REQUIRED_SPEEDUP`` x the recorded classic baseline. Results land in
-``results/bench_perf_parallel.txt`` and ``results/BENCH_parallel.json``.
+Results land in ``results/bench_perf_parallel.txt`` and
+``results/BENCH_parallel.json``.
 
 Run: ``PYTHONPATH=src python -m pytest benchmarks/bench_perf_parallel.py -q -s``
 """
@@ -36,15 +33,9 @@ BASELINE_PATH = RESULTS_DIR / "BENCH_parallel.json"
 NODES = 1000
 ROUTES = 400
 REPEATS = 2
-#: the BENCH_overlay.json route row at 1000 nodes when this bench landed —
-#: pinned (not re-read) so re-running the overlay bench on a faster machine
-#: cannot silently move this gate
-CLASSIC_BASELINE_STEPS_PER_S = 15485.5
-REQUIRED_SPEEDUP = 1.5
 
-#: (label, partitions, parallel); partitions=None is the classic Scheduler
+#: (label, partitions, parallel); the first row is the same-run baseline
 CONFIGS = [
-    ("classic", None, False),
     ("part-1", 1, False),
     ("part-2", 2, False),
     ("part-4", 4, False),
@@ -53,12 +44,9 @@ CONFIGS = [
 ]
 
 
-def build_overlay(n, partitions=None, parallel=False, seed=3):
-    if partitions is None:
-        net = Network(latency_model=FixedLatency(1.0), seed=seed)
-    else:
-        net = Network(latency_model=FixedLatency(1.0), seed=seed,
-                      partitions=partitions, parallel=parallel)
+def build_overlay(n, partitions=1, parallel=False, seed=3):
+    net = Network(latency_model=FixedLatency(1.0), seed=seed,
+                  partitions=partitions, parallel=parallel)
     sci = SCINet(net, incremental=True)
     for i in range(n):
         sci.create_node(f"h{i % 64}", range_name=f"r{i}")
@@ -80,9 +68,7 @@ def measure_route(partitions, parallel, n=NODES, routes=ROUTES):
             origin.route(key, "probe", {})
         net.run_until_idle()
         elapsed = time.perf_counter() - start
-        close = getattr(net.scheduler, "close", None)
-        if close is not None:
-            close()
+        net.scheduler.close()
         run = {
             "steps": sci.total_routed(),
             "steps_per_s": sci.total_routed() / elapsed if elapsed else 0.0,
@@ -95,16 +81,15 @@ def measure_route(partitions, parallel, n=NODES, routes=ROUTES):
 
 class TestReportParallelPerf:
     def test_report_route_throughput(self, report):
-        baseline = _load_baseline()
+        baseline = {"schema": "sci.bench.parallel/2", "route_parallel": []}
         report("")
-        report(f"PERF  partitioned-substrate route throughput "
+        report(f"PERF  lane-scheduler route throughput "
                f"({NODES} nodes, {ROUTES} routes, best of {REPEATS})")
-        report(f"{'config':>15} | {'steps/s':>10} {'vs recorded':>11} "
-               f"{'vs classic':>10}")
+        report(f"{'config':>15} | {'steps/s':>10} {'vs part-1':>10}")
         rows = {}
         for label, partitions, parallel in CONFIGS:
             rows[label] = measure_route(partitions, parallel)
-        classic = rows["classic"]
+        single = rows[CONFIGS[0][0]]
         steps = {row["steps"] for row in rows.values()}
         assert len(steps) == 1, (
             f"configurations disagreed on routed steps: {steps} — the "
@@ -114,10 +99,9 @@ class TestReportParallelPerf:
             f"configurations disagreed on deliveries: {delivered}")
         for (label, partitions, parallel) in CONFIGS:
             row = rows[label]
-            vs_recorded = row["steps_per_s"] / CLASSIC_BASELINE_STEPS_PER_S
-            vs_classic = row["steps_per_s"] / classic["steps_per_s"]
+            vs_single = row["steps_per_s"] / single["steps_per_s"]
             report(f"{label:>15} | {row['steps_per_s']:>10.0f} "
-                   f"{vs_recorded:>10.2f}x {vs_classic:>9.2f}x")
+                   f"{vs_single:>9.2f}x")
             baseline["route_parallel"].append({
                 "config": label,
                 "partitions": partitions,
@@ -126,52 +110,13 @@ class TestReportParallelPerf:
                 "routes": ROUTES,
                 "steps": row["steps"],
                 "steps_per_s": round(row["steps_per_s"], 1),
-                "speedup_vs_recorded_baseline": round(vs_recorded, 3),
-                "speedup_vs_classic_same_run": round(vs_classic, 3),
+                "ratio_vs_single_lane_same_run": round(vs_single, 3),
             })
-        serial_sharded = [rows[label]["steps_per_s"]
-                          for label, partitions, parallel in CONFIGS
-                          if partitions is not None and partitions >= 2
-                          and not parallel]
-        best = max(serial_sharded)
-        need = REQUIRED_SPEEDUP * CLASSIC_BASELINE_STEPS_PER_S
-        report(f"  gate: best sharded serial {best:.0f} steps/s vs "
-               f"{need:.0f} required "
-               f"({REQUIRED_SPEEDUP}x the recorded classic baseline "
-               f"{CLASSIC_BASELINE_STEPS_PER_S:.1f}/s)")
-        assert best >= need, (
-            f"partitioned substrate reached {best:.0f} steps/s; the gate is "
-            f">= {need:.0f} (={REQUIRED_SPEEDUP}x recorded classic "
-            f"baseline {CLASSIC_BASELINE_STEPS_PER_S}/s at {NODES} nodes)")
-        baseline["gate"] = {
-            "required_speedup": REQUIRED_SPEEDUP,
-            "recorded_classic_steps_per_s": CLASSIC_BASELINE_STEPS_PER_S,
-            "required_steps_per_s": round(need, 1),
-            "best_sharded_serial_steps_per_s": round(best, 1),
-            "passed": True,
-        }
         _save_baseline(baseline)
-
-
-def _load_baseline():
-    if BASELINE_PATH.exists():
-        with open(BASELINE_PATH, encoding="utf-8") as handle:
-            document = json.load(handle)
-        return {"schema": "sci.bench.parallel/1",
-                "route_parallel": [], "gate": None,
-                "previous": {"route_parallel": document.get("route_parallel"),
-                             "gate": document.get("gate")}}
-    return {"schema": "sci.bench.parallel/1",
-            "route_parallel": [], "gate": None}
 
 
 def _save_baseline(document):
     RESULTS_DIR.mkdir(exist_ok=True)
-    merged = {"schema": document["schema"]}
-    previous = document.pop("previous", {})
-    merged["route_parallel"] = (document["route_parallel"]
-                                or previous.get("route_parallel") or [])
-    merged["gate"] = document["gate"] or previous.get("gate")
     with open(BASELINE_PATH, "w", encoding="utf-8") as handle:
-        json.dump(merged, handle, indent=2, sort_keys=True)
+        json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -53,7 +53,7 @@ SCALES = [
     (1_000_000, 200, 200),
 ]
 
-#: (label, shards, partitions); partitions=None is the classic Scheduler
+#: (label, shards, partitions); partitions=None is the default single lane
 CONFIGS = [
     ("classic", 1, None),
     ("shard4-part4", 4, 4),

@@ -17,10 +17,10 @@ structural properties a refactor could silently regress:
   (exactly N-1 ``o-bcast`` messages per full announce, zero duplicates),
   the flood ablation still suppresses the duplicate storm it creates, and
   the routing tables' memoised known-node views serve reads from cache;
-* the partitioned substrate still produces the bit-identical canonical
-  event log at 2 partitions (serial and threaded) that ``tests/parallel``
-  proves at full scale, and sharded route throughput has not fallen off a
-  cliff relative to the classic scheduler;
+* the lane scheduler still produces the bit-identical canonical event log
+  at 2 partitions (serial and threaded) that ``tests/parallel`` proves at
+  full scale, and sharded route throughput has not fallen off a cliff
+  relative to one lane measured in the same run;
 * the operator-graph engine delivers entry-identical logs to the indexed
   path (single and sharded, with continuous queries) and actually shares
   nodes under a look-alike subscription pool (reuse ratio gated) — a
@@ -60,7 +60,7 @@ MAX_RESIDUAL_SUBSCRIPTIONS = 0.05
 OVERLAY_NODES = 64
 #: catastrophic-regression guard, not a speedup gate (the benchmark's is
 #: stricter): the best sharded serial config may not fall below this
-#: fraction of the classic scheduler's throughput at smoke scale
+#: fraction of the one-lane throughput of the same run at smoke scale
 MIN_SHARDED_THROUGHPUT_RATIO = 0.6
 SUBSTRATE_NODES = 400
 SUBSTRATE_ROUTES = 200
@@ -224,24 +224,24 @@ def main() -> int:
     print(f"smoke-perf: sharded route throughput at {SUBSTRATE_NODES} "
           "nodes...")
     from benchmarks.bench_perf_parallel import measure_route  # noqa: E402
-    classic_run = measure_route(None, False, n=SUBSTRATE_NODES,
-                                routes=SUBSTRATE_ROUTES)
+    single_run = measure_route(1, False, n=SUBSTRATE_NODES,
+                               routes=SUBSTRATE_ROUTES)
     sharded_runs = {p: measure_route(p, False, n=SUBSTRATE_NODES,
                                      routes=SUBSTRATE_ROUTES)
                     for p in (2, 4)}
-    ok &= check(all(run["steps"] == classic_run["steps"]
+    ok &= check(all(run["steps"] == single_run["steps"]
                     for run in sharded_runs.values()),
                 f"every configuration routed the same "
-                f"{classic_run['steps']} steps")
+                f"{single_run['steps']} steps")
     best_partitions, best = max(sharded_runs.items(),
                                 key=lambda item: item[1]["steps_per_s"])
-    ratio = best["steps_per_s"] / classic_run["steps_per_s"]
+    ratio = best["steps_per_s"] / single_run["steps_per_s"]
     ok &= check(ratio >= MIN_SHARDED_THROUGHPUT_RATIO,
                 f"sharded throughput ratio {ratio:.2f} at "
                 f"{best_partitions} partitions "
                 f"(>= {MIN_SHARDED_THROUGHPUT_RATIO}; "
                 f"{best['steps_per_s']:.0f} vs "
-                f"{classic_run['steps_per_s']:.0f} steps/s)")
+                f"{single_run['steps_per_s']:.0f} steps/s on one lane)")
 
     print("smoke-perf: sharded mediator delivery equivalence...")
     from tests.shard.scenarios import run_scenario as run_shard_scenario  # noqa: E402

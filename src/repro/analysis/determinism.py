@@ -20,7 +20,7 @@ hash-ordering decide the order messages hit the wire. Three checks:
     from configuration, so two runs draw identical streams.
 
 ``determinism.partition-crossing``
-    The partitioned substrate (:mod:`repro.net.partition`) keeps runs
+    The lane scheduler (:mod:`repro.net.sim`) keeps runs
     bit-identical across partition counts only because every cross-
     partition event flows through the transport's horizon exchange. Code
     outside the substrate boundary that calls ``schedule_delivery``
@@ -54,18 +54,17 @@ CHECK_SET_ITERATION = "determinism.set-iteration"
 CHECK_POPITEM = "determinism.popitem"
 CHECK_PARTITION_CROSSING = "determinism.partition-crossing"
 
-#: modules that measure *host* time on purpose (instrumentation, not logic).
-#: repro.net.partition self-profiles its lane loops exactly like sim does.
+#: modules that measure *host* time on purpose (instrumentation, not logic):
+#: the one run loop self-profiles its callbacks.
 WALL_CLOCK_ALLOWED_MODULES = frozenset({
     "repro.net.sim",
-    "repro.net.partition",
     "repro.obs.profiling",
 })
 
 #: the substrate boundary: only these modules may schedule deliveries or
 #: touch lane internals — everything else must send through the transport
 PARTITION_BOUNDARY_MODULES = frozenset({
-    "repro.net.partition",
+    "repro.net.sim",
     "repro.net.transport",
 })
 

@@ -1,4 +1,4 @@
-"""LaneSan: runtime lane-ownership sanitizer for the partitioned substrate.
+"""LaneSan: runtime lane-ownership sanitizer for the lane scheduler.
 
 The dynamic half of the race detector (the static half is
 :mod:`repro.analysis.races`). The partitioned scheduler's equivalence
@@ -19,15 +19,14 @@ with a same-round write to any field by another lane.
 
 Control-lane and external accesses (lane index < 0, or outside the run
 loop) are exempt: control events are global barriers, so they cannot be
-concurrent with lane execution. On the classic single-queue
-:class:`~repro.net.sim.Scheduler` there are no lanes at all, so the
-sanitizer is inert and the wrappers only cost a dictionary-subclass
-dispatch — everything stays deterministic either way, because recording
-never changes container semantics or ordering.
+concurrent with lane execution. With the default single lane every
+access is recorded but no pair can conflict. Everything stays
+deterministic either way, because recording never changes container
+semantics or ordering.
 
 Typical use::
 
-    network = Network(scheduler, partitions=4, parallel=True, sanitize=True)
+    network = Network(partitions=4, parallel=True, sanitize=True)
     ... run the workload ...
     network.sanitizer.assert_clean()      # raises LaneRaceError with both
                                           # stack sites on any conflict

@@ -66,9 +66,8 @@ CHECK_CROSS_LANE = "races.cross-lane-send"
 #: modules implement lane ownership and synchronise explicitly, so every
 #: races check is off inside them.
 RACES_BOUNDARY_MODULES = frozenset({
-    "repro.net.partition",
-    "repro.net.transport",
     "repro.net.sim",
+    "repro.net.transport",
     "repro.net.stats",
     "repro.net.eventlog",
 })

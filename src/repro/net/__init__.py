@@ -5,14 +5,12 @@ combination of distributed events and point to point communication)". We
 reproduce that over a simulated network so every experiment is deterministic:
 components are :class:`Process` objects attached to :class:`Host` machines,
 all interaction is message passing through a :class:`Network`, and time is
-driven by a :class:`Scheduler` — or, at scale, by a
-:class:`PartitionedScheduler` that shards hosts across per-partition event
-queues while keeping the observable event log (:class:`EventLog`)
-bit-identical across partition counts and executors.
+driven by a :class:`Scheduler` that shards hosts across per-partition event
+queues (one by default) while keeping the observable event log
+(:class:`EventLog`) bit-identical across partition counts and executors.
 """
 
-from repro.net.sim import Scheduler, Timer
-from repro.net.partition import CausalityError, PartitionedScheduler
+from repro.net.sim import CausalityError, Scheduler, Timer
 from repro.net.eventlog import EventLog
 from repro.net.message import Message, BROADCAST
 from repro.net.transport import (
@@ -30,7 +28,6 @@ from repro.net.stats import LaneStatsBuffer, MessageStats, summarize
 __all__ = [
     "Scheduler",
     "Timer",
-    "PartitionedScheduler",
     "CausalityError",
     "EventLog",
     "Message",

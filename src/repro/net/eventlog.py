@@ -17,10 +17,10 @@ Payloads are digested (canonical JSON -> blake2b) rather than embedded, so
 logs stay comparably small at storm scale while still catching any payload
 divergence.
 
-The log is buffer-agnostic: standalone it appends to one internal list (the
-classic :class:`~repro.net.sim.Scheduler` path); bound to a
-:class:`~repro.net.partition.PartitionedScheduler` it writes into per-lane
-buffers (each lane/thread appends only to its own) and concatenates them
+The log is buffer-agnostic: standalone it appends to one internal list;
+bound to a :class:`~repro.net.sim.Scheduler` (what a
+:class:`~repro.net.transport.Network` does) it writes into per-lane buffers
+(each lane/thread appends only to its own) and concatenates them
 control-lane-first at read time. :meth:`per_host` then buckets by host and
 stable-sorts by time — same-instant entries for one host keep their
 execution order, which the substrate guarantees is partition-invariant.

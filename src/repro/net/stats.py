@@ -19,7 +19,7 @@ import math
 from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, Reservoir
 
 #: canonical metric names backing the facade
 SENT = "net.messages.sent"
@@ -89,10 +89,11 @@ class MessageStats:
             self._dropped.inc(buffer.dropped)
         if buffer.undeliverable:
             self._undeliverable.inc(buffer.undeliverable)
-        if buffer.lat_count:
-            self._latency.merge_summary(buffer.lat_count, buffer.lat_sum,
-                                        buffer.lat_min, buffer.lat_max,
-                                        buffer.samples)
+        latency = buffer.latency
+        if latency.count:
+            self._latency.merge_summary(latency.count, latency.total,
+                                        latency.min, latency.max,
+                                        latency.samples)
         buffer.reset()
 
     def reset(self) -> None:
@@ -159,7 +160,7 @@ class MessageStats:
 
 
 class LaneStatsBuffer:
-    """Per-partition staging for :class:`MessageStats`.
+    """Per-lane staging for :class:`MessageStats`.
 
     Lane callbacks record here with plain dict/float updates — no label
     validation, no registry lookups, no shared mutable state between
@@ -168,29 +169,24 @@ class LaneStatsBuffer:
     registry totals are identical for every partition count and executor.
     This is also the transport's per-delivery fast path: the staging
     update is several times cheaper than a labelled counter ``inc``.
+
+    Latencies go through a seeded :class:`~repro.obs.metrics.Reservoir`,
+    so the slice handed to the registry is a uniform sample of the whole
+    flush window (count/sum/min/max stay exact), however long the run.
     """
 
-    __slots__ = ("sent", "delivered", "dropped", "undeliverable",
-                 "lat_count", "lat_sum", "lat_min", "lat_max", "samples",
-                 "sample_cap")
+    __slots__ = ("sent", "delivered", "dropped", "undeliverable", "latency")
 
-    def __init__(self, sample_cap: int = 512):
-        self.sample_cap = sample_cap
-        self.sent: Dict[str, int] = {}
-        self.delivered: Dict[str, int] = {}
-        self.samples: List[float] = []
+    def __init__(self, sample_cap: int = 512, seed: int = 0):
+        self.latency = Reservoir(sample_cap, seed)
         self.reset()
 
     def reset(self) -> None:
-        self.sent = {}
-        self.delivered = {}
+        self.sent: Dict[str, int] = {}
+        self.delivered: Dict[str, int] = {}
         self.dropped = 0
         self.undeliverable = 0
-        self.lat_count = 0
-        self.lat_sum = 0.0
-        self.lat_min = math.inf
-        self.lat_max = -math.inf
-        self.samples = []
+        self.latency.reset()
 
     # mirror of the MessageStats recording API, so call sites can treat
     # "the stats sink for the current context" polymorphically
@@ -200,14 +196,7 @@ class LaneStatsBuffer:
 
     def record_delivery(self, host_id: str, latency: float) -> None:
         self.delivered[host_id] = self.delivered.get(host_id, 0) + 1
-        self.lat_count += 1
-        self.lat_sum += latency
-        if latency < self.lat_min:
-            self.lat_min = latency
-        if latency > self.lat_max:
-            self.lat_max = latency
-        if len(self.samples) < self.sample_cap:
-            self.samples.append(latency)
+        self.latency.observe(latency)
 
     def record_drop(self) -> None:
         self.dropped += 1
@@ -218,7 +207,7 @@ class LaneStatsBuffer:
     @property
     def empty(self) -> bool:
         return not (self.sent or self.delivered or self.dropped
-                    or self.undeliverable or self.lat_count)
+                    or self.undeliverable)
 
 
 def percentile(samples: Sequence[float], fraction: float) -> float:

@@ -26,7 +26,6 @@ from repro.core.errors import TransportError
 from repro.core.ids import GUID, GuidFactory
 from repro.net.eventlog import EventLog
 from repro.net.message import BROADCAST, Message
-from repro.net.partition import PartitionedScheduler
 from repro.net.sim import Scheduler
 from repro.net.stats import LaneStatsBuffer, MessageStats
 from repro.obs.hub import Observability
@@ -296,55 +295,46 @@ class Network:
         seed: int = 0,
         partitions: Optional[int] = None,
         parallel: bool = False,
-        host_rng_streams: Optional[bool] = None,
         event_log: Optional[EventLog] = None,
         sanitize: bool = False,
     ):
         if not 0.0 <= drop_rate < 1.0:
             raise ValueError(f"drop_rate out of range: {drop_rate}")
         self.latency_model = latency_model or CampusLatency()
-        if partitions is not None:
-            # NOTE: substrate partitions (execution shards) are unrelated to
+        if scheduler is None:
+            # NOTE: scheduler partitions (execution shards) are unrelated to
             # set_partitions() below, which models network splits (failures)
-            if scheduler is not None:
-                raise TransportError(
-                    "pass either scheduler= or partitions=, not both")
-            scheduler = PartitionedScheduler(
-                partitions=partitions,
+            scheduler = Scheduler(
+                partitions=1 if partitions is None else partitions,
                 lookahead=self.latency_model.min_latency(),
                 parallel=parallel)
-        self.scheduler = scheduler or Scheduler()
-        psched = self.scheduler if isinstance(self.scheduler,
-                                              PartitionedScheduler) else None
-        self._psched = psched
+        elif partitions is not None:
+            raise TransportError(
+                "pass either scheduler= or partitions=, not both")
+        self.scheduler = scheduler
+        if scheduler.bound_network is not None:
+            raise TransportError(
+                "a Scheduler can drive only one Network "
+                "(its lanes stage that network's stats)")
+        scheduler.bound_network = self
         self.drop_rate = drop_rate
         self.seed = seed
-        self.rng = random.Random(seed)
-        if host_rng_streams is None:
-            # partitioned runs need latency/drop draws decoupled from global
-            # interleaving; the classic single-queue default stays untouched
-            host_rng_streams = psched is not None
-        self._host_rngs: Optional[Dict[str, random.Random]] = (
-            {} if host_rng_streams else None)
+        #: each source host draws latency/drop from its own stream, so the
+        #: draw sequence depends only on that host's send history —
+        #: partition-invariant by the scheduler's ordering argument
+        self._host_rngs: Dict[str, random.Random] = {}
         self.guids = GuidFactory(seed=seed ^ 0x5C1)
         #: the deployment-wide observability bundle (metrics/tracer/profiler)
-        self.obs = Observability(self.scheduler)
+        self.obs = Observability(scheduler)
         self.stats = MessageStats(registry=self.obs.metrics)
         #: optional canonical observable log (see repro.net.eventlog)
         self.event_log = event_log
         if event_log is not None:
-            self.scheduler.event_log = event_log
-            if psched is not None:
-                event_log.bind(psched)
-        if psched is not None:
-            if psched.bound_network is not None:
-                raise TransportError(
-                    "a PartitionedScheduler can drive only one Network "
-                    "(its lanes stage that network's stats)")
-            psched.bound_network = self
-            for lane in psched.contexts():
-                lane.stats = LaneStatsBuffer()
-            psched.on_quiesce(self._flush_lane_stats)
+            scheduler.event_log = event_log
+            event_log.bind(scheduler)
+        for lane in scheduler.contexts():
+            lane.stats = LaneStatsBuffer(seed=lane.index + 1)
+        scheduler.on_quiesce(self._flush_lane_stats)
         self._hosts: Dict[str, Host] = {}
         self._processes: Dict[GUID, Process] = {}
         #: host id -> processes living there (insertion-ordered), so the
@@ -366,9 +356,8 @@ class Network:
                 self._processes_by_host, "net.processes_by_host")
             self._partition_of = self.sanitizer.wrap_dict(
                 self._partition_of, "net.partition_of")
-            if self._host_rngs is not None:
-                self._host_rngs = self.sanitizer.wrap_dict(
-                    self._host_rngs, "net.host_rngs")
+            self._host_rngs = self.sanitizer.wrap_dict(
+                self._host_rngs, "net.host_rngs")
             self.obs.tracer.sanitize(self.sanitizer)
 
     # -- topology ------------------------------------------------------------
@@ -378,14 +367,9 @@ class Network:
             raise TransportError(f"duplicate host: {host_id}")
         host = Host(host_id, position)
         self._hosts[host_id] = host
-        if self._psched is not None:
-            self._psched.register_host(host_id)
-        if self._host_rngs is not None:
-            # each source host draws latency/drop from its own stream, so
-            # the draw sequence depends only on that host's send history —
-            # partition-invariant by the substrate's ordering argument
-            self._host_rngs[host_id] = random.Random(
-                (self.seed << 32) ^ zlib.crc32(host_id.encode("utf-8")))
+        self.scheduler.register_host(host_id)
+        self._host_rngs[host_id] = random.Random(
+            (self.seed << 32) ^ zlib.crc32(host_id.encode("utf-8")))
         return host
 
     def host(self, host_id: str) -> Host:
@@ -447,22 +431,17 @@ class Network:
     def _stat(self):
         """The stats sink for the current execution context.
 
-        On a partitioned scheduler, lane callbacks record into their lane's
-        staging buffer (cheap, race-free); everything else — the classic
-        scheduler, external/setup code — records into the registry-backed
+        Callbacks record into their lane's staging buffer (cheap,
+        race-free); external/setup code records into the registry-backed
         stats directly. Buffers merge at quiesce in canonical lane order.
         """
-        psched = self._psched
-        if psched is None:
-            return self.stats
-        lane = psched.current_context
+        lane = self.scheduler.current_context
         return self.stats if lane is None else lane.stats
 
     def _flush_lane_stats(self) -> None:
-        for lane in self._psched.contexts():
-            buffer = lane.stats
-            if buffer is not None and not buffer.empty:
-                self.stats.merge_buffer(buffer)
+        for lane in self.scheduler.contexts():
+            if not lane.stats.empty:
+                self.stats.merge_buffer(lane.stats)
 
     def send(self, message: Message) -> None:
         """Queue a message for delivery (or loss) per the failure model."""
@@ -529,19 +508,14 @@ class Network:
         ):
             self._stat().record_drop()
             return
-        rng = (self.rng if self._host_rngs is None
-               else self._host_rngs[source_host.host_id])
+        rng = self._host_rngs[source_host.host_id]
         latency = self.latency_model.latency(source_host, destination_host, rng)
         if self.drop_rate and rng.random() < self.drop_rate:
             self._stat().record_drop()
             return
-        if self._psched is None:
-            self.scheduler.schedule(latency, self._deliver, message,
-                                    recipient.guid)
-        else:
-            self._psched.schedule_delivery(
-                source_host.host_id, recipient.host_id, latency,
-                self._deliver, message, recipient.guid)
+        self.scheduler.schedule_delivery(
+            source_host.host_id, recipient.host_id, latency,
+            self._deliver, message, recipient.guid)
 
     def _deliver(self, message: Message, recipient_guid: GUID) -> None:
         recipient = self._processes.get(recipient_guid)

@@ -35,9 +35,9 @@ def run_overlay_instrumented(n: int, messages: int = MESSAGES,
                              partitions: Optional[int] = None) -> Dict[str, Any]:
     """Route a uniform workload over an N-range SCINET; return a run record.
 
-    ``partitions`` runs the same workload on the partitioned scheduler
-    (one lane per partition) instead of the classic single-heap one; the
-    run record must come out identical either way.
+    ``partitions`` runs the same workload on that many scheduler lanes
+    instead of the default one; the run record must come out identical
+    either way.
     """
     net = Network(latency_model=FixedLatency(1.0), seed=seed,
                   partitions=partitions)
@@ -62,9 +62,7 @@ def run_overlay_instrumented(n: int, messages: int = MESSAGES,
         net.scheduler.run_for(40)
         target.on_delivery.remove(on_delivery)
     record = _run_record("overlay", n, messages, seed, net)
-    close = getattr(net.scheduler, "close", None)
-    if close is not None:
-        close()
+    net.scheduler.close()
     return record
 
 

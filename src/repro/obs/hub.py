@@ -28,15 +28,12 @@ class Observability:
         self.tracer = Tracer(clock=lambda: scheduler.now,
                              max_traces=max_traces)
         self.profiler = SchedulerProfiler()
-        # Attach to the scheduler unless another deployment got there first
-        # (two Networks may share one Scheduler in mixed benchmarks).
-        if profile_scheduler and getattr(scheduler, "profiler", None) is None:
+        # Attach to the scheduler unless someone installed a profiler first.
+        if profile_scheduler and scheduler.profiler is None:
             scheduler.profiler = self.profiler
-        # A partitioned scheduler supplies per-lane ambient stacks so that
-        # parallel lanes cannot interleave trace context (duck-typed).
-        ambient = getattr(scheduler, "ambient_stack", None)
-        if ambient is not None:
-            self.tracer.stack_provider = ambient
+        # Per-lane ambient stacks, so that parallel lanes cannot interleave
+        # trace context.
+        self.tracer.stack_provider = scheduler.ambient_stack
 
     def __repr__(self) -> str:
         return (f"Observability(metrics={len(self.metrics)}, "

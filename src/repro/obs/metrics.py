@@ -164,13 +164,23 @@ class _Metric:
         self.max_series = max_series
         self.overflowed = 0
 
+    def _label_key(self, labels: Mapping[str, object]) -> Tuple[str, ...]:
+        """Validate a label mapping and return its label-value tuple."""
+        names = self.label_names
+        # as many labels as declared and every declared one present means
+        # exactly the declared set: mapping keys are distinct
+        if len(labels) == len(names):
+            try:
+                return tuple([str(labels[name]) for name in names])
+            except KeyError:
+                pass
+        raise MetricError(
+            f"{self.name}: expected labels {names}, "
+            f"got {tuple(sorted(labels))}")
+
     def _key(self, labels: Mapping[str, object], store: Dict) -> Tuple[str, ...]:
-        """Validate a label mapping and return the series key for it."""
-        if set(labels) != set(self.label_names):
-            raise MetricError(
-                f"{self.name}: expected labels {self.label_names}, "
-                f"got {tuple(sorted(labels))}")
-        key = tuple(str(labels[name]) for name in self.label_names)
+        """The series key for a label mapping, under the cardinality cap."""
+        key = self._label_key(labels)
         if key not in store and len(store) >= self.max_series:
             self.overflowed += 1
             return OVERFLOW_KEY
@@ -200,8 +210,7 @@ class Counter(_Metric):
         self._values[key] = self._values.get(key, 0.0) + amount
 
     def value(self, **labels: object) -> float:
-        key = tuple(str(labels[name]) for name in self.label_names)
-        return self._values.get(key, 0.0)
+        return self._values.get(self._label_key(labels), 0.0)
 
     def total(self) -> float:
         return sum(self._values.values())
@@ -242,8 +251,7 @@ class Gauge(_Metric):
         self.inc(-amount, **labels)
 
     def value(self, **labels: object) -> float:
-        key = tuple(str(labels[name]) for name in self.label_names)
-        return self._values.get(key, 0.0)
+        return self._values.get(self._label_key(labels), 0.0)
 
     def items(self) -> Dict[Tuple[str, ...], float]:
         return dict(self._values)
@@ -266,18 +274,14 @@ class Histogram(_Metric):
         self._series: Dict[Tuple[str, ...], Reservoir] = {}
 
     def observe(self, value: float, **labels: object) -> None:
+        self.series(**labels).observe(value)
+
+    def series(self, **labels: object) -> Reservoir:
+        """The reservoir for a label set, minted (under the cap) on first use."""
         key = self._key(labels, self._series)
         reservoir = self._series.get(key)
         if reservoir is None:
             # deterministic per-series seed: same run, same quantiles
-            seed = zlib.crc32(("/".join((self.name,) + key)).encode())
-            reservoir = self._series[key] = Reservoir(self.reservoir_size, seed)
-        reservoir.observe(value)
-
-    def series(self, **labels: object) -> Reservoir:
-        key = tuple(str(labels[name]) for name in self.label_names)
-        reservoir = self._series.get(key)
-        if reservoir is None:
             seed = zlib.crc32(("/".join((self.name,) + key)).encode())
             reservoir = self._series[key] = Reservoir(self.reservoir_size, seed)
         return reservoir

@@ -3,7 +3,7 @@
 Every construct below bypasses the horizon exchange that keeps runs
 bit-identical across partition counts — exactly what
 ``determinism.partition-crossing`` exists to flag outside the
-``repro.net.partition`` / ``repro.net.transport`` boundary.
+``repro.net.sim`` / ``repro.net.transport`` boundary.
 """
 
 

@@ -34,24 +34,28 @@ def test_fixture_findings_exact():
 
 def test_boundary_modules_are_exempt():
     text = PART_FIXTURE.read_text(encoding="utf-8")
-    for module in ("repro.net.partition", "repro.net.transport"):
+    for module in ("repro.net.sim", "repro.net.transport"):
         path = "src/" + module.replace(".", "/") + ".py"
         assert module in PARTITION_BOUNDARY_MODULES
         assert _check(text, path) == [], (
             f"boundary module {module} must host the fast path un-flagged")
 
 
-def test_wall_clock_allowed_in_partition_module():
-    """The lane loop self-profiles with perf_counter exactly like sim.py;
-    the allowlist covers it, while RNG use would still be flagged."""
+def test_wall_clock_allowed_only_in_run_loop_module():
+    """The lane loop in sim.py self-profiles with perf_counter; the
+    allowlist covers that module alone (RNG use is still flagged there),
+    not its neighbours in ``repro.net``."""
     text = (
         "import time\n"
         "import random\n"
         "def slice_profile():\n"
         "    return time.perf_counter() + random.random()\n"
     )
-    findings = _check(text, "src/repro/net/partition.py")
+    findings = _check(text, "src/repro/net/sim.py")
     assert [f.check for f in findings] == ["determinism.unseeded-random"]
+    findings = _check(text, "src/repro/net/transport.py")
+    assert sorted(f.check for f in findings) == [
+        "determinism.unseeded-random", "determinism.wall-clock"]
 
 
 def test_pragma_suppresses_partition_crossing():

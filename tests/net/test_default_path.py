@@ -1,0 +1,154 @@
+"""The default deployment runs on the lane scheduler's per-message fast path.
+
+``Network()`` with no arguments builds the one-lane scheduler, so every
+send is a bare heap tuple (no ``Timer``, no closure) and every timer label
+is formatted on first read. These tests pin that the fast path is what a
+default deployment executes, that lazy labels equal the eager ones, and
+that a default ``SCI()`` is deterministic and partition-invariant.
+"""
+
+import itertools
+
+import pytest
+
+from repro import SCI
+from repro.composition import graph as graph_module
+from repro.composition import manager as manager_module
+from repro.core import api
+from repro.events import event as event_module
+from repro.events import subscription as subscription_module
+from repro.net import message as message_module
+from repro.net.eventlog import EventLog
+from repro.net.sim import Scheduler, Timer, callsite
+from repro.net.transport import FixedLatency, FunctionProcess, Network
+from repro.query import model as query_module
+
+
+def test_default_send_is_a_bare_heap_tuple():
+    net = Network(latency_model=FixedLatency(1.0))
+    assert isinstance(net.scheduler, Scheduler)
+    assert net.scheduler.partitions == 1
+    net.add_host("a")
+    net.add_host("b")
+    got = []
+    sender = FunctionProcess(net.guids.mint(), "a", net, got.append)
+    receiver = FunctionProcess(net.guids.mint(), "b", net, got.append)
+    sender.send(receiver.guid, "ping", {})
+    entries = [entry for lane in net.scheduler.contexts()
+               for entry in lane.heap]
+    assert len(entries) == 1
+    when, _rank, _seq, _owner, timer, fn, args = entries[0]
+    assert when == 1.0
+    assert timer is None, "a delivery must not mint a Timer"
+    assert fn == net._deliver and args[0].kind == "ping"
+    assert net.scheduler.pending == 1
+    net.run_until_idle()
+    assert [message.kind for message in got] == ["ping"]
+    # the lane staged the counts and merged them at quiesce
+    assert net.stats.sent == net.stats.delivered == 1
+
+
+class _Worker:
+    def tick(self, *args, **kwargs):
+        pass
+
+
+def _plain(*args, **kwargs):
+    pass
+
+
+def test_timer_site_is_lazy_and_equals_callsite():
+    sched = Scheduler()
+    worker = _Worker()
+    cases = [
+        (sched.schedule(1.0, worker.tick), worker.tick),
+        (sched.schedule(1.0, _plain), _plain),
+        (sched.schedule(1.0, worker.tick, 1, flag=True), worker.tick),
+        (sched.schedule(1.0, _plain, flag=True), _plain),
+    ]
+    for timer, fn in cases:
+        assert timer._site is None, "label formatted before anyone read it"
+        assert timer.site == callsite(fn)
+        assert timer._site == callsite(fn)
+
+
+def test_periodic_rearm_keeps_its_label():
+    sched = Scheduler()
+    worker = _Worker()
+    recorded = []
+
+    class Recorder:
+        def record(self, site, lag, wall):
+            recorded.append(site)
+
+    sched.profiler = Recorder()
+    handle = sched.schedule_periodic(2.0, worker.tick)
+    assert handle.site == "_Worker.tick[periodic]"
+    sched.run_until(7.0)
+    assert recorded == ["_Worker.tick[periodic]"] * 3
+    handle.cancel()
+    sched.run_until_idle()
+    assert sched.pending == 0
+
+
+def test_timer_carries_arguments_without_a_closure():
+    sched = Scheduler()
+    seen = []
+    sched.schedule(1.0, seen.append, "x")
+    (entry,) = [entry for lane in sched.contexts() for entry in lane.heap]
+    assert isinstance(entry[4], Timer)
+    assert entry[5] == seen.append and entry[6] == ("x",)
+    sched.schedule(2.0, lambda *, tag: seen.append(tag), tag="y")
+    sched.run_until_idle()
+    assert seen == ["x", "y"]
+
+
+# -- default SCI(): deterministic and partition-invariant ---------------------
+
+_COUNTERS = [
+    (event_module, "_event_seq"),
+    (subscription_module, "_subscription_ids"),
+    (query_module, "_query_counter"),
+    (manager_module, "_config_ids"),
+    (graph_module, "_plan_ids"),
+    (message_module, "_message_ids"),
+]
+
+
+def _sci_digest(monkeypatch, partitions=None):
+    """Event-log digest of a small facade-driven run. The process-global id
+    counters ride inside payloads, so each run starts them afresh."""
+    for module, name in _COUNTERS:
+        monkeypatch.setattr(module, name, itertools.count(1))
+    log = EventLog()
+    extra = {} if partitions is None else {"partitions": partitions}
+    monkeypatch.setattr(
+        api, "Network",
+        lambda **kwargs: Network(event_log=log, **extra, **kwargs))
+    sci = SCI()
+    sci.create_range("livingstone", places=["livingstone"], hosts=["lab-pc"])
+    sci.add_door_sensors("livingstone")
+    sci.add_person("bob", room="corridor")
+    app = sci.create_application("whereIsBob", host="lab-pc")
+    sci.run(5)
+    query = sci.query("bob").subscribe("location", "topological",
+                                       subject="bob").build()
+    app.submit_query(query)
+    sci.run(5)
+    sci.walk("bob", "L10.01")
+    sci.run(30)
+    assert app.last_event_value() == "L10.01"
+    assert sci.scheduler.partitions == (partitions or 1)
+    sci.scheduler.close()
+    return log.digest(), len(log)
+
+
+def test_default_sci_is_repeatable(monkeypatch):
+    first = _sci_digest(monkeypatch)
+    assert first[1] > 50
+    assert _sci_digest(monkeypatch) == first
+
+
+@pytest.mark.parametrize("partitions", [2, 4])
+def test_default_sci_matches_partitioned(monkeypatch, partitions):
+    assert _sci_digest(monkeypatch, partitions) == _sci_digest(monkeypatch)

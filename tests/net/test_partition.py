@@ -12,15 +12,14 @@ import zlib
 
 import pytest
 
-from repro.net.partition import CausalityError, PartitionedScheduler
-from repro.net.sim import Scheduler
+from repro.net.sim import CausalityError, Scheduler
 from repro.net.transport import FixedLatency, Network, TransportError
 
 POOL = tuple(f"host-{i}" for i in range(16))
 
 
 def make_sched(partitions, lookahead=1.0, parallel=False):
-    sched = PartitionedScheduler(partitions=partitions, lookahead=lookahead,
+    sched = Scheduler(partitions=partitions, lookahead=lookahead,
                                  parallel=parallel)
     for host in POOL:
         sched.register_host(host)
@@ -36,17 +35,17 @@ def hosts_on_lane(sched, lane_index):
 
 def test_partition_count_validation():
     with pytest.raises(ValueError):
-        PartitionedScheduler(partitions=0)
+        Scheduler(partitions=0)
     with pytest.raises(ValueError):
-        PartitionedScheduler(partitions=2)  # no lookahead
+        Scheduler(partitions=2)  # no lookahead
     with pytest.raises(ValueError):
-        PartitionedScheduler(partitions=2, lookahead=0.0)
+        Scheduler(partitions=2, lookahead=0.0)
     # single lane needs no lookahead: there is nothing to overtake
-    assert PartitionedScheduler(partitions=1).partitions == 1
+    assert Scheduler(partitions=1).partitions == 1
 
 
 def test_parallel_with_one_lane_degenerates_to_serial():
-    assert PartitionedScheduler(partitions=1, parallel=True).parallel is False
+    assert Scheduler(partitions=1, parallel=True).parallel is False
 
 
 def test_lane_assignment_is_consistent_hash():
@@ -68,7 +67,7 @@ def test_every_lane_is_populated():
 
 def test_network_builds_substrate_with_model_lookahead():
     net = Network(latency_model=FixedLatency(2.5), partitions=4)
-    assert isinstance(net.scheduler, PartitionedScheduler)
+    assert isinstance(net.scheduler, Scheduler)
     assert net.scheduler.partitions == 4
     assert net.scheduler.lookahead == 2.5
 

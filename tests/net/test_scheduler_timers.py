@@ -5,25 +5,25 @@ pop and cancel instead of scanning the heap; these tests pin the exactness
 of that bookkeeping through every path a cancellation can take: before the
 fire, after the fire, twice, from inside another callback, from inside the
 timer's *own* callback, and through a periodic re-arm chain. Parametrised
-over the classic single-heap :class:`~repro.net.sim.Scheduler` and the
-:class:`~repro.net.partition.PartitionedScheduler` (single-lane and
-sharded), which reuse :class:`~repro.net.sim.Timer` via its duck-typed
-``_scheduler`` back-reference — the lanes must keep the same contract.
+over :class:`~repro.net.sim.Scheduler` (single-lane and sharded) and the
+test-side single-heap reference ("classic"), which reuses
+:class:`~repro.net.sim.Timer` via its duck-typed ``_scheduler``
+back-reference and must keep the same contract.
 """
 
 import pytest
 
-from repro.net.partition import PartitionedScheduler
 from repro.net.sim import Scheduler
+from tests.parallel.single_heap import SingleHeapScheduler
 
 
 @pytest.fixture(params=["classic", "partitioned-1", "partitioned-4"])
 def sched(request):
     if request.param == "classic":
-        return Scheduler()
+        return SingleHeapScheduler()
     if request.param == "partitioned-1":
-        return PartitionedScheduler(partitions=1)
-    return PartitionedScheduler(partitions=4, lookahead=1.0)
+        return Scheduler(partitions=1)
+    return Scheduler(partitions=4, lookahead=1.0)
 
 
 def test_pending_is_exact_through_schedule_cancel_run(sched):

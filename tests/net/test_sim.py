@@ -127,7 +127,8 @@ class TestPendingCounter:
 
     @staticmethod
     def heap_scan(sched):
-        return sum(1 for _, _, timer in sched._heap if not timer.cancelled)
+        return sum(1 for lane in sched.contexts() for entry in lane.heap
+                   if not entry[4].cancelled)
 
     def test_counter_matches_heap_scan_under_churn(self):
         import random

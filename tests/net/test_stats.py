@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.net.stats import MessageStats, percentile, summarize
+from repro.net.stats import (LaneStatsBuffer, MessageStats, percentile,
+                             summarize)
 
 
 class TestMessageStats:
@@ -67,6 +68,33 @@ class TestBoundedLatencyMemory:
         stats.record_delivery("host-a", 1.5)
         assert registry.get("net.messages.sent").value(kind="query") == 1
         assert "net.delivery.latency" in registry
+
+
+class TestLaneStaging:
+    def test_flush_window_sample_is_not_head_biased(self):
+        """One long flush window whose latency steps up halfway: the slice
+        handed to the registry must represent the whole window, not its
+        first ``sample_cap`` deliveries."""
+        buffer = LaneStatsBuffer(seed=1)
+        for index in range(5000):
+            buffer.record_delivery("host", 1.0 if index < 2500 else 3.0)
+        stats = MessageStats()
+        stats.merge_buffer(buffer)
+        summary = stats.latency_summary()
+        assert summary["p90"] == 3.0
+        # the exact aggregates do not depend on the sample
+        assert summary["count"] == stats.delivered == 5000
+        assert summary["sum"] == pytest.approx(2500 * 1.0 + 2500 * 3.0)
+        assert (summary["min"], summary["max"]) == (1.0, 3.0)
+        assert buffer.empty and buffer.latency.count == 0
+
+    def test_staged_sample_is_reproducible(self):
+        def staged():
+            buffer = LaneStatsBuffer(seed=4)
+            for index in range(3000):
+                buffer.record_delivery("host", float(index % 89))
+            return buffer.latency.samples
+        assert staged() == staged()
 
 
 class TestPercentile:

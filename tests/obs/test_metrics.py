@@ -82,6 +82,61 @@ class TestCardinality:
         assert hist.overflowed == 4
 
 
+class TestReadPathValidation:
+    """Reads and bulk merges validate labels and respect the cap exactly
+    like ``inc``/``observe`` — the merge path is what every quiesce runs."""
+
+    def test_counter_value_wrong_label_is_metric_error(self):
+        counter = Counter("c", labels=("kind",))
+        counter.inc(kind="query")
+        with pytest.raises(MetricError):
+            counter.value()
+        with pytest.raises(MetricError):
+            counter.value(host="a")
+        with pytest.raises(MetricError):
+            counter.value(kind="query", host="a")
+        assert counter.value(kind="never-seen") == 0.0
+        assert counter.overflowed == 0 and len(counter.items()) == 1
+
+    def test_gauge_value_wrong_label_is_metric_error(self):
+        gauge = Gauge("g", labels=("shard",))
+        gauge.set(3, shard=1)
+        with pytest.raises(MetricError):
+            gauge.value()
+        with pytest.raises(MetricError):
+            gauge.value(lane=1)
+        assert gauge.value(shard=1) == 3
+
+    def test_histogram_series_wrong_label_is_metric_error(self):
+        hist = Histogram("h", labels=("id",))
+        with pytest.raises(MetricError):
+            hist.series()
+        with pytest.raises(MetricError):
+            hist.series(host="a")
+        assert hist.items() == {}
+
+    def test_histogram_series_respects_the_cap(self):
+        hist = Histogram("h", labels=("id",), max_series=2, reservoir_size=8)
+        for index in range(6):
+            hist.series(id=f"s{index}")
+        assert len(hist.items()) == 3  # 2 real + 1 overflow
+        assert hist.overflowed == 4
+        assert hist.series(id="s5") is hist.items()[OVERFLOW_KEY]
+        assert hist.series(id="s0") is hist.items()[("s0",)]
+
+    def test_merge_summary_validates_and_respects_the_cap(self):
+        hist = Histogram("h", labels=("id",), max_series=1, reservoir_size=8)
+        with pytest.raises(MetricError):
+            hist.merge_summary(2, 3.0, 1.0, 2.0, [1.0, 2.0])
+        with pytest.raises(MetricError):
+            hist.merge_summary(2, 3.0, 1.0, 2.0, [1.0, 2.0], host="a")
+        hist.merge_summary(2, 3.0, 1.0, 2.0, [1.0, 2.0], id="a")
+        hist.merge_summary(3, 9.0, 2.0, 4.0, [2.0, 3.0, 4.0], id="b")
+        assert hist.overflowed == 1
+        assert hist.count == 5 and hist.sum == 12.0
+        assert hist.items()[OVERFLOW_KEY].count == 3
+
+
 class TestReservoir:
     def test_memory_stays_bounded_counts_exact(self):
         reservoir = Reservoir(capacity=64)

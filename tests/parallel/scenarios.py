@@ -6,10 +6,11 @@ a pub/sub publish storm fanning out through an Event Mediator, overlay
 routing probes, host-lane timers scheduled from inside delivery callbacks,
 and a chaos episode (loss + host outage + network split) driven through
 control-lane barriers. Latencies are jittered (:class:`CampusLatency`), so
-same-time cross-origin collisions — the one case where the classic global
-heap and the canonical ``(when, origin_rank, origin_seq)`` order may
-legitimately differ — have measure zero, and the classic scheduler is
-comparable too, not just partition counts against each other.
+same-time cross-origin collisions — the one case where a global
+``(time, sequence)`` heap and the canonical ``(when, origin_rank,
+origin_seq)`` order may legitimately differ — have measure zero, and the
+single-heap reference (:mod:`tests.parallel.single_heap`) is comparable
+too, not just partition counts against each other.
 
 Two global counters would otherwise leak process history into payload
 digests when several configurations run in one pytest process:
@@ -34,6 +35,7 @@ from repro.faults.injector import FaultInjector
 from repro.net.eventlog import EventLog
 from repro.net.transport import CampusLatency, Network, Process
 from repro.overlay.scinet import SCINet
+from tests.parallel.single_heap import SingleHeapScheduler
 
 HOSTS = tuple(f"h{i}" for i in range(8))
 NODES = 18
@@ -104,11 +106,9 @@ def run_scenario(partitions: Optional[int] = None, parallel: bool = False,
                  seed: int = 11, sanitize: bool = False) -> Dict[str, object]:
     """Run the mixed scenario on one substrate configuration.
 
-    ``partitions=None`` uses the classic single-heap Scheduler; an integer
-    builds a :class:`~repro.net.partition.PartitionedScheduler` (optionally
-    with the thread executor). ``host_rng_streams`` is forced on for every
-    configuration so the classic run draws latency/drop from the same
-    per-host streams the partitioned runs use. ``sanitize=True`` runs under
+    ``partitions=None`` plugs in the single-heap reference scheduler; an
+    integer builds a :class:`~repro.net.sim.Scheduler` with that many lanes
+    (optionally with the thread executor). ``sanitize=True`` runs under
     the LaneSan race detector; the result then carries the conflict list
     under ``race_conflicts``.
     """
@@ -116,9 +116,8 @@ def run_scenario(partitions: Optional[int] = None, parallel: bool = False,
     log = EventLog()
     latency = CampusLatency(local=0.05, remote=1.0, jitter=0.5)
     if partitions is None:
-        net = Network(latency_model=latency, seed=seed,
-                      host_rng_streams=True, event_log=log,
-                      sanitize=sanitize)
+        net = Network(scheduler=SingleHeapScheduler(), latency_model=latency,
+                      seed=seed, event_log=log, sanitize=sanitize)
     else:
         net = Network(latency_model=latency, seed=seed, partitions=partitions,
                       parallel=parallel, event_log=log, sanitize=sanitize)
@@ -181,6 +180,8 @@ def run_scenario(partitions: Optional[int] = None, parallel: bool = False,
         "received": [sub.received for sub in subscribers],
         "routed": sci.total_routed(),
         "final_time": net.scheduler.now,
+        "profile": {stats.site: stats.count
+                    for stats in net.obs.profiler.sites()},
     }
     if net.sanitizer is not None:
         result["race_conflicts"] = net.sanitizer.conflicts()

@@ -1,17 +1,17 @@
 """Differential harness: the substrate's equivalence theorem, executed.
 
-The partitioned scheduler's contract is that the observable event log —
-message deliveries and timer firings per host, in ``(time, execution)``
-order — is bit-identical for a fixed seed across partition counts and
-executors. ``partitioned(1)`` is the reference (one lane, unbounded
-horizon — literally the classic semantics); every other configuration
-must match it entry for entry, not merely digest for digest, so a
-failure pinpoints the first diverging host and record.
+The scheduler's contract is that the observable event log — message
+deliveries and timer firings per host, in ``(time, execution)`` order —
+is bit-identical for a fixed seed across partition counts and executors.
+``partitions=1`` is the reference (one lane, unbounded horizon — what a
+default deployment runs); every other configuration must match it entry
+for entry, not merely digest for digest, so a failure pinpoints the first
+diverging host and record.
 
-The classic :class:`~repro.net.sim.Scheduler` is compared too: on the
-jittered-latency scenario, same-time cross-origin collisions (the only
-orderings where the global-heap and canonical-key orders may differ) have
-measure zero, so classic output must also be identical.
+The single-heap reference (:mod:`tests.parallel.single_heap`) is compared
+too: on the jittered-latency scenario, same-time cross-origin collisions
+(the only orderings where the global-heap and canonical-key orders may
+differ) have measure zero, so its output must also be identical.
 """
 
 import pytest

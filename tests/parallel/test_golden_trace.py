@@ -25,6 +25,22 @@ from tests.parallel.scenarios import run_scenario
 GOLDEN_DIGEST = "0ad2b786f40e4f14995d7bdce5d93b4a"
 GOLDEN_ENTRIES = 181
 
+#: the scheduler profiler's ``{site: events fired}`` table of the same run,
+#: minted on the closure-carrying timers that preceded lazy site labels —
+#: attribution must not move when the label is formatted on first read
+GOLDEN_PROFILE = {
+    "FaultInjector._end_loss": 1,
+    "FaultInjector._end_outage": 1,
+    "FaultInjector._end_partition": 1,
+    "FaultInjector.host_outage": 1,
+    "FaultInjector.loss_episode": 1,
+    "FaultInjector.partition_episode": 1,
+    "Network._deliver": 123,
+    "OverlayNode.route": 12,
+    "StormPublisher.publish": 24,
+    "StormSubscriber._echo": 24,
+}
+
 CONFIGURATIONS = [
     pytest.param(1, False, id="partitions=1"),
     pytest.param(2, False, id="partitions=2"),
@@ -44,11 +60,12 @@ def test_golden_trace(partitions, parallel):
         f"partitions={partitions} parallel={parallel} produced digest "
         f"{result['digest']} — observable behaviour changed; if intended, "
         "re-mint the constants (see module docstring)")
+    assert result["profile"] == GOLDEN_PROFILE
 
 
 def test_golden_trace_classic_scheduler():
-    """The classic single-heap scheduler reproduces the same golden log on
-    this jittered scenario (see test_differential for why ties are the
+    """The single-heap reference scheduler reproduces the same golden log
+    on this jittered scenario (see test_differential for why ties are the
     only configurations where it could differ)."""
     result = run_scenario(partitions=None)
     assert result["entries"] == GOLDEN_ENTRIES

@@ -110,7 +110,9 @@ def test_differential_scenario_clean_under_lanesan(partitions, parallel):
     assert result["per_host"] == reference["per_host"]
 
 
-def test_classic_scheduler_is_inert():
+def test_default_network_records_without_conflicts():
+    """The default Network runs on one lane: the sanitizer sees every
+    access (the lane path is live, not bypassed) and no pair can conflict."""
     net = Network(latency_model=FixedLatency(1.0), seed=7, sanitize=True)
     net.add_host("h0")
     net.add_host("h1")
@@ -118,8 +120,8 @@ def test_classic_scheduler_is_inert():
     poker = Poker(net.guids.mint(), "h1", net, victim.guid)
     net.scheduler.schedule_at(1.0, lambda: poker.send(poker.guid, "poke", {}))
     net.run_until_idle()
-    # no lanes on the classic scheduler: nothing to record, never a conflict
-    assert net.sanitizer.records == 0
+    assert net.scheduler.partitions == 1
+    assert net.sanitizer.records > 0
     assert net.sanitizer.conflicts() == []
 
 

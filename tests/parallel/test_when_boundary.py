@@ -7,7 +7,7 @@ here — the two are same-sim-time work items, and partitioned schedulers
 may legitimately run them in either order. The When boundary is inclusive
 precisely so the order cannot matter: at ``now == T`` the trigger path
 refuses exactly where the sweep would drop, so every configuration
-(classic scheduler and every partition count) reports the same single
+(the single-heap reference and every partition count) reports the same single
 "query expired while parked" failure and zero executions.
 """
 
@@ -27,6 +27,7 @@ from repro.query.model import QueryBuilder
 from repro.server.context_server import ContextServer
 from repro.server.deployment import standard_templates
 from repro.server.range import RangeDefinition
+from tests.parallel.single_heap import SingleHeapScheduler
 
 PARTITION_COUNTS = (2, 4, 8)
 #: the until() instant — deliberately a multiple of the 10-unit sweep
@@ -38,7 +39,8 @@ def run_boundary_scenario(partitions, fix_time=EXPIRY, seed=11):
     """One mini deployment; returns the observable outcome of the race."""
     subscription_module._subscription_ids = itertools.count(1)
     if partitions is None:
-        net = Network(latency_model=FixedLatency(1.0), seed=seed)
+        net = Network(scheduler=SingleHeapScheduler(),
+                      latency_model=FixedLatency(1.0), seed=seed)
     else:
         net = Network(latency_model=FixedLatency(1.0), seed=seed,
                       partitions=partitions)

@@ -4,9 +4,10 @@ Hypothesis draws whole workloads — host counts, relay topologies, hop
 delays, timer arm/cancel interleavings, a jittered latency model and a
 partition count — and asserts that the canonical per-host event log of a
 ``partitions=k`` run (serial *and* thread-pool parallel) is identical to
-the ``partitions=1`` single-queue reference, and that the classic global-
-heap :class:`~repro.net.sim.Scheduler` agrees too (jittered latencies make
-the same-time cross-origin ties where it could differ measure-zero).
+the ``partitions=1`` single-queue reference, and that the global
+``(time, sequence)`` heap of :mod:`tests.parallel.single_heap` agrees too
+(jittered latencies make the same-time cross-origin ties where it could
+differ measure-zero).
 
 This generalises ``tests/parallel/test_differential.py`` from one curated
 scenario to the space of random relay workloads; shrinking hands back the
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.net.eventlog import EventLog
 from repro.net.transport import Network, Process, UniformLatency
+from tests.parallel.single_heap import SingleHeapScheduler
 
 HOST_POOL = tuple(f"m{i}" for i in range(6))
 
@@ -70,8 +72,8 @@ def run_workload(workload: dict, partitions: Optional[int],
     latency = UniformLatency(workload["lat_low"],
                              workload["lat_low"] + workload["lat_spread"])
     if partitions is None:
-        net = Network(latency_model=latency, seed=workload["seed"],
-                      host_rng_streams=True, event_log=log)
+        net = Network(scheduler=SingleHeapScheduler(), latency_model=latency,
+                      seed=workload["seed"], event_log=log)
     else:
         net = Network(latency_model=latency, seed=workload["seed"],
                       partitions=partitions, parallel=parallel, event_log=log)

@@ -38,6 +38,7 @@ from repro.events.filters import (AndFilter, AttributeFilter, MatchAll,
 from repro.events.mediator import EventMediator
 from repro.events.sharding import ShardedEventMediator
 from repro.net.transport import FixedLatency, Network, Process
+from tests.parallel.single_heap import SingleHeapScheduler
 
 HOSTS = ("s0", "s1", "s2", "s3")
 TYPES = ("temperature", "presence", "co2")
@@ -111,14 +112,16 @@ def run_scenario(shards: int = 1, partitions: Optional[int] = None,
     """Run the scenario; ``shards=1`` is the plain-mediator reference.
 
     ``rebalance`` grows and then drains a shard between storms (a no-op
-    for the plain mediator). ``partitions`` runs the whole thing on the
-    partitioned scheduler — publishes and mutations are all scheduled
-    from external context, i.e. on the control lane, where routing into
-    host lanes and mutating router structures are both legal.
+    for the plain mediator). ``partitions=None`` runs on the single-heap
+    reference scheduler; an integer runs the whole thing on that many
+    lanes — publishes and mutations are all scheduled from external
+    context, i.e. on the control lane, where routing into host lanes and
+    mutating router structures are both legal.
     """
     subscription_module._subscription_ids = itertools.count(1)
     if partitions is None:
-        net = Network(latency_model=FixedLatency(1.0), seed=seed)
+        net = Network(scheduler=SingleHeapScheduler(),
+                      latency_model=FixedLatency(1.0), seed=seed)
     else:
         net = Network(latency_model=FixedLatency(1.0), seed=seed,
                       partitions=partitions)
