@@ -1,19 +1,22 @@
-"""PERF — Indexed hot-path dispatch vs the pre-index linear scans.
+"""PERF — hot-path dispatch and resolution as the tables grow.
 
-Two hot paths, each measured before/after:
+Two hot paths, each swept over a scale range:
 
 * **Publish fan-out** — a mediator holding N subscriptions with selective
   (type, subject) filters plus a small residual fraction of Or-filters.
-  The naive path evaluates every filter per publish (O(N)); the indexed
-  path looks up dict buckets (O(matching + residual)).
+  The operator graph looks candidate filter roots up in dict buckets, so a
+  publish costs O(matching + residual), not O(N).
 * **Query resolution** — a resolver over N source profiles spread across
-  many offered types. The naive path rescans every profile per candidate
-  step; the indexed path reads one type bucket from a version-cached index.
+  many offered types; each candidate step reads one type bucket from a
+  version-cached profile index.
 
-Scales run 100 -> 10k. Results land in ``results/bench_perf_dispatch.txt``
-(human-readable) and ``results/BENCH_dispatch.json`` (machine baseline for
-future PRs' perf trajectory). The acceptance gate asserts >= 5x publish
-fan-out throughput at 10k subscriptions.
+Publish scales run 100 -> 100k, resolve scales 100 -> 10k. Results land in
+``results/bench_perf_dispatch.txt`` (human-readable) and
+``results/BENCH_dispatch.json`` (machine baseline for future PRs' perf
+trajectory). There is one engine, so nothing is raced: the gates are
+structural — the index must serve hits, and a publish may visit at most
+``MAX_SCAN_FRACTION`` of the filters a linear scan would (equivalence with
+that scan is proven in ``tests/opgraph`` and ``tests/properties``).
 
 Run: ``PYTHONPATH=src python -m pytest benchmarks/bench_perf_dispatch.py -q -s``
 """
@@ -37,26 +40,24 @@ from repro.net.transport import FixedLatency, Network
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 BASELINE_PATH = RESULTS_DIR / "BENCH_dispatch.json"
 
-PUBLISH_SCALES = (100, 1_000, 10_000)
-#: one decade past the old ceiling — indexed path only (the naive path
-#: at 100k filter evaluations per publish has nothing left to prove)
-PUBLISH_CEILING = 100_000
+PUBLISH_SCALES = (100, 1_000, 10_000, 100_000)
 RESOLVE_SCALES = (100, 1_000, 10_000)
 #: fraction of subscriptions with non-analysable filters (stress residual)
 RESIDUAL_FRACTION = 0.01
-#: required speedup at the top publish scale (the PR's acceptance gate)
-REQUIRED_SPEEDUP = 5.0
+#: a publish may visit at most this share of the N filters a linear scan
+#: would; broken filter analysis sends every root to the residual list and
+#: the share to 1.0
+MAX_SCAN_FRACTION = 0.25
 
 
 # -- publish fan-out -----------------------------------------------------------
 
-def build_mediator(n_subscriptions, indexed):
+def build_mediator(n_subscriptions):
     """A mediator with N subscriptions: selective filters + tiny residual."""
     net = Network(latency_model=FixedLatency(0.5), seed=3)
     net.add_host("bench")
     guids = GuidFactory(seed=13)
-    mediator = EventMediator(guids.mint(), "bench", net, "bench",
-                             indexed=indexed)
+    mediator = EventMediator(guids.mint(), "bench", net, "bench")
     sink = guids.mint()  # deliveries to an absent process are dropped on arrival
     n_subjects = 100
     n_types = max(10, n_subscriptions // n_subjects)
@@ -75,8 +76,8 @@ def build_mediator(n_subscriptions, indexed):
     return net, mediator, n_types, n_subjects
 
 
-def measure_publish(n_subscriptions, indexed, publishes):
-    net, mediator, n_types, n_subjects = build_mediator(n_subscriptions, indexed)
+def measure_publish(n_subscriptions, publishes):
+    net, mediator, n_types, n_subjects = build_mediator(n_subscriptions)
     source = GuidFactory(seed=23).mint()
     combos = n_types * n_subjects
     events = []
@@ -102,7 +103,7 @@ def measure_publish(n_subscriptions, indexed, publishes):
 
 # -- query resolution ----------------------------------------------------------
 
-def build_resolver(n_profiles, indexed, cached=True):
+def build_resolver(n_profiles, cached=True):
     """A resolver over N single-output source profiles across many types."""
     registry = TypeRegistry()
     n_types = max(10, n_profiles // 50)
@@ -118,14 +119,13 @@ def build_resolver(n_profiles, indexed, cached=True):
         registry,
         live_profiles=lambda: profiles,
         templates=TemplateRegistry(),
-        indexed=indexed,
         feed_version=(lambda: 0) if cached else None,
     )
     return resolver, n_types
 
 
-def measure_resolve(n_profiles, indexed, resolves):
-    resolver, n_types = build_resolver(n_profiles, indexed)
+def measure_resolve(n_profiles, resolves):
+    resolver, n_types = build_resolver(n_profiles)
     latencies = []
     for i in range(resolves):
         wanted = TypeSpec(f"sense-{i % n_types}", "raw", f"s{i % n_profiles}")
@@ -147,90 +147,53 @@ class TestReportDispatchPerf:
     def test_report_publish_fanout(self, report):
         baseline = _load_baseline()
         report("")
-        report("PERF  publish fan-out: indexed dispatch vs linear scan "
+        report("PERF  publish fan-out through the operator graph "
                f"({int(RESIDUAL_FRACTION * 100)}% residual filters)")
-        report(f"{'subs':>6} | {'naive ev/s':>12} {'indexed ev/s':>13} "
-               f"{'speedup':>8} | {'hits':>8} {'residual':>9}")
+        report(f"{'subs':>6} | {'ev/s':>9} | {'hits':>8} {'residual':>9} "
+               f"{'scanned':>8}")
         for scale in PUBLISH_SCALES:
             publishes = max(50, min(2_000, 200_000 // scale))
-            naive = measure_publish(scale, indexed=False, publishes=publishes)
-            indexed = measure_publish(scale, indexed=True, publishes=publishes)
-            assert naive["delivered"] == indexed["delivered"] > 0
-            speedup = indexed["eps"] / naive["eps"]
-            hits = indexed["metrics"].counter(
+            row = measure_publish(scale, publishes=publishes)
+            assert row["delivered"] > 0
+            hits = row["metrics"].counter(
                 "mediator.index.hits", labels=("range",)).total()
-            residual = indexed["metrics"].counter(
+            residual = row["metrics"].counter(
                 "mediator.index.residual_scans", labels=("range",)).total()
-            report(f"{scale:>6} | {naive['eps']:>12.0f} {indexed['eps']:>13.0f} "
-                   f"{speedup:>7.1f}x | {hits:>8.0f} {residual:>9.0f}")
+            scan_fraction = (hits + residual) / (publishes * scale)
+            report(f"{scale:>6} | {row['eps']:>9.0f} | {hits:>8.0f} "
+                   f"{residual:>9.0f} {scan_fraction:>8.4f}")
             baseline["publish"].append({
                 "subscriptions": scale,
                 "publishes": publishes,
-                "naive_eps": round(naive["eps"], 1),
-                "indexed_eps": round(indexed["eps"], 1),
-                "speedup": round(speedup, 2),
+                "eps": round(row["eps"], 1),
                 "index_hits": hits,
                 "residual_scans": residual,
+                "scan_fraction": round(scan_fraction, 5),
             })
             assert hits > 0
-            if scale == max(PUBLISH_SCALES):
-                assert speedup >= REQUIRED_SPEEDUP, (
-                    f"indexed dispatch only {speedup:.1f}x faster at "
-                    f"{scale} subscriptions (need >= {REQUIRED_SPEEDUP}x)")
-                naive_ceiling_eps = naive["eps"]
-        # decade extension: the indexed path a full order of magnitude past
-        # the old 10k ceiling must still beat the naive path at 10k
-        publishes = 50
-        indexed = measure_publish(PUBLISH_CEILING, indexed=True,
-                                  publishes=publishes)
-        assert indexed["delivered"] > 0
-        report(f"{PUBLISH_CEILING:>6} | {'(skipped)':>12} "
-               f"{indexed['eps']:>13.0f} {'':>8} | "
-               f"{indexed['metrics'].counter('mediator.index.hits', labels=('range',)).total():>8.0f} "
-               f"{indexed['metrics'].counter('mediator.index.residual_scans', labels=('range',)).total():>9.0f}")
-        baseline["publish"].append({
-            "subscriptions": PUBLISH_CEILING,
-            "publishes": publishes,
-            "naive_eps": None,
-            "indexed_eps": round(indexed["eps"], 1),
-            "speedup": None,
-            "index_hits": indexed["metrics"].counter(
-                "mediator.index.hits", labels=("range",)).total(),
-            "residual_scans": indexed["metrics"].counter(
-                "mediator.index.residual_scans", labels=("range",)).total(),
-        })
-        assert indexed["eps"] >= naive_ceiling_eps, (
-            f"indexed dispatch at {PUBLISH_CEILING} subscriptions "
-            f"({indexed['eps']:.0f} ev/s) fell below the naive path at "
-            f"{max(PUBLISH_SCALES)} ({naive_ceiling_eps:.0f} ev/s)")
+            assert scan_fraction <= MAX_SCAN_FRACTION, (
+                f"a publish visited {scan_fraction:.3f} of the filters at "
+                f"{scale} subscriptions (gate <= {MAX_SCAN_FRACTION})")
         _save_baseline(baseline)
 
     def test_report_resolve_latency(self, report):
         baseline = _load_baseline()
         report("")
-        report("PERF  resolve latency: profile index vs full profile scan")
-        report(f"{'profiles':>9} | {'naive p50':>10} {'p95':>8} | "
-               f"{'indexed p50':>11} {'p95':>8} | {'speedup':>8}")
+        report("PERF  resolve latency over the profile index")
+        report(f"{'profiles':>9} | {'p50':>10} {'p95':>10} | {'rebuilds':>8}")
         for scale in RESOLVE_SCALES:
             resolves = max(10, min(200, 20_000 // scale))
-            naive = measure_resolve(scale, indexed=False, resolves=resolves)
-            indexed = measure_resolve(scale, indexed=True, resolves=resolves)
-            speedup = (naive["p50_ms"] / indexed["p50_ms"]
-                       if indexed["p50_ms"] else float("inf"))
-            report(f"{scale:>9} | {naive['p50_ms']:>8.3f}ms "
-                   f"{naive['p95_ms']:>6.3f}ms | {indexed['p50_ms']:>9.3f}ms "
-                   f"{indexed['p95_ms']:>6.3f}ms | {speedup:>7.1f}x")
+            row = measure_resolve(scale, resolves=resolves)
+            report(f"{scale:>9} | {row['p50_ms']:>8.3f}ms "
+                   f"{row['p95_ms']:>8.3f}ms | {row['rebuilds']:>8}")
             baseline["resolve"].append({
                 "profiles": scale,
                 "resolves": resolves,
-                "naive_p50_ms": round(naive["p50_ms"], 4),
-                "naive_p95_ms": round(naive["p95_ms"], 4),
-                "indexed_p50_ms": round(indexed["p50_ms"], 4),
-                "indexed_p95_ms": round(indexed["p95_ms"], 4),
-                "speedup_p50": round(speedup, 2),
+                "p50_ms": round(row["p50_ms"], 4),
+                "p95_ms": round(row["p95_ms"], 4),
             })
             # a version-stable feed must build the index exactly once
-            assert indexed["rebuilds"] == 1
+            assert row["rebuilds"] == 1
         _save_baseline(baseline)
 
 
@@ -239,10 +202,10 @@ def _load_baseline():
         with open(BASELINE_PATH, encoding="utf-8") as handle:
             document = json.load(handle)
         # re-runs replace their own section, keeping the other's last values
-        return {"schema": "sci.bench.dispatch/1",
+        return {"schema": "sci.bench.dispatch/2",
                 "publish": [], "resolve": [],
                 "previous": {k: document.get(k) for k in ("publish", "resolve")}}
-    return {"schema": "sci.bench.dispatch/1", "publish": [], "resolve": []}
+    return {"schema": "sci.bench.dispatch/2", "publish": [], "resolve": []}
 
 
 def _save_baseline(document):
@@ -259,8 +222,8 @@ def _save_baseline(document):
 # -- microbenchmarks (pytest-benchmark, optional) ------------------------------
 
 @pytest.mark.parametrize("scale", [1_000, 10_000])
-def test_bench_indexed_publish(benchmark, scale):
-    net, mediator, n_types, n_subjects = build_mediator(scale, indexed=True)
+def test_bench_publish(benchmark, scale):
+    net, mediator, n_types, n_subjects = build_mediator(scale)
     source = GuidFactory(seed=23).mint()
     event = ContextEvent(TypeSpec("t1", "raw", "s1"), 1, source, 0.0)
     benchmark(mediator.publish, event)

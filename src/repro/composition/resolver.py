@@ -80,8 +80,8 @@ class QueryResolver:
     Context Server wires registrar + template version counters here). While
     the token is stable, queries reuse the built index; without a version
     feed the index is rebuilt once per ``resolve`` call, which is still
-    never worse than the pre-index full scan. ``indexed=False`` keeps the
-    original linear scan alive for benchmarking.
+    never worse than a full scan of the profiles (that scan is the
+    equivalence reference in ``tests/composition/reference_scan.py``).
     """
 
     def __init__(
@@ -91,7 +91,6 @@ class QueryResolver:
         templates: Optional[TemplateRegistry] = None,
         bindings_of: Optional[Callable[[str], Optional[Dict[str, object]]]] = None,
         feed_version: Optional[Callable[[], object]] = None,
-        indexed: bool = True,
         shards: int = 1,
         metrics=None,
         range_name: str = "",
@@ -101,7 +100,6 @@ class QueryResolver:
         self.templates = templates or TemplateRegistry()
         self.bindings_of = bindings_of or (lambda _hex: None)
         self.feed_version = feed_version
-        self.indexed = indexed
         self._converter_counter = itertools.count(1)
         self.resolutions = 0
         self.backtracks = 0
@@ -111,8 +109,6 @@ class QueryResolver:
         self._index_token: object = _NEVER_BUILT
         self._shard_index = None
         if shards > 1:
-            if not indexed:
-                raise ValueError("sharded candidate search requires indexed=True")
             if feed_version is None:
                 raise ValueError(
                     "sharded candidate search needs a feed_version callable "
@@ -274,8 +270,6 @@ class QueryResolver:
         exclude: FrozenSet[str],
         predicate: Optional[Callable[[Profile], bool]],
     ) -> List[_Candidate]:
-        if not self.indexed:
-            return self._candidates_naive(wanted, chain, exclude, predicate)
         if self._shard_index is not None:
             entries, rebuilt = self._shard_index.providers(
                 wanted.type_name, self.live_profiles, self.templates,
@@ -319,43 +313,6 @@ class QueryResolver:
             found.append(_Candidate(profile, entry.offered, tuple(conversion),
                                     entry.origin, entry.entity_hex,
                                     entry.template_name))
-        found.sort(key=_Candidate.score)
-        return found
-
-    def _candidates_naive(
-        self,
-        wanted: TypeSpec,
-        chain: Tuple[str, ...],
-        exclude: FrozenSet[str],
-        predicate: Optional[Callable[[Profile], bool]],
-    ) -> List[_Candidate]:
-        """The pre-index full scan; the benchmark/equivalence baseline."""
-        found: List[_Candidate] = []
-
-        def consider(profile: Profile, origin: str,
-                     entity_hex: Optional[str], template_name: Optional[str]) -> None:
-            if profile.name in chain:
-                return  # would create a cycle through this provider kind
-            if predicate is not None and not predicate(profile):
-                return
-            for offered in profile.outputs:
-                conversion = self.registry.conversion_path(offered, wanted)
-                if conversion is None:
-                    continue
-                found.append(_Candidate(profile, offered, tuple(conversion),
-                                        origin, entity_hex, template_name))
-                break  # one matching output per profile suffices
-
-        for profile in self.live_profiles():
-            key = profile.entity_id.hex
-            if key in exclude:
-                continue
-            consider(profile, "live", key, None)
-        for template in self.templates.all_templates():
-            if template.name in exclude:
-                continue
-            consider(template.prototype, "template", None, template.name)
-
         found.sort(key=_Candidate.score)
         return found
 

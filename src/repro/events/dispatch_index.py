@@ -1,6 +1,6 @@
 """Content-keyed dispatch index for the Event Mediator's hot path.
 
-The naive mediator evaluates every subscription filter against every
+A naive mediator evaluates every subscription filter against every
 published event — O(subscriptions) per publish, the scaling wall that
 content-based pub/sub systems avoid with predicate indexing (compare the
 content-keyed lookup structures in P2P context lookup services). This module
@@ -41,17 +41,16 @@ Analysis rules (documented in DESIGN.md):
   unknown filter classes — yields no constraints and falls to the residual
   list.
 
-Entries are keyed by a monotonically increasing integer id (subscription or
-bridge id). Each id lives in exactly one bucket, so concatenating bucket
-hits and sorting by id reproduces the exact iteration order of the naive
+Entries are keyed by a monotonically increasing integer id (operator-graph
+node or bridge id). Each id lives in exactly one bucket, so concatenating
+bucket hits and sorting by id reproduces the exact iteration order of the naive
 linear scan over an insertion-ordered dict — which is what lets the
 property suite assert byte-identical delivery order.
 
-Filter analysis is memoised per index on the filter's **canonical key**
-(:meth:`~repro.events.filters.EventFilter.canonical_key`): a workload that
-files thousands of spec-identical subscriptions — the template-pool shape
-the operator-graph engine dedups — analyses each distinct filter shape once,
-regardless of construction order.
+The index keeps no memo of its analyses: the operator graph deduplicates
+spec-identical filters on their canonical key *before* filing a leaf here,
+so each distinct filter shape reaches :meth:`DispatchIndex.add` once per
+node lifetime.
 """
 
 from __future__ import annotations
@@ -141,18 +140,15 @@ def analyse_filter(event_filter: EventFilter) -> FilterConstraints:
 class DispatchIndex:
     """Bucketed filter index with incremental add/remove.
 
-    Used twice by the mediator: once over subscriptions, once over bridges.
+    Used twice per mediator: by its operator graph over the deduplicated
+    filter leaves, and by the mediator itself over bridges.
     ``candidates(event)`` returns ids in ascending order, which — ids being
     minted by monotonically increasing counters — is exactly the insertion
     order a naive scan over the mediator's dict would visit.
     """
 
-    #: constraint-memo bound: dedup helps while distinct filter shapes are
-    #: few; a pathological stream of unique shapes must not grow unbounded
-    CONSTRAINTS_CACHE_CAP = 8192
-
     __slots__ = ("_by_type_subject", "_by_type", "_by_subject", "_by_source",
-                 "_residual", "_bucket_of", "_constraints_cache")
+                 "_residual", "_bucket_of")
 
     def __init__(self):
         self._by_type_subject: Dict[Tuple[str, object], Dict[int, None]] = {}
@@ -162,24 +158,6 @@ class DispatchIndex:
         self._residual: Dict[int, None] = {}
         #: id -> (bucket dict, key) for O(1) removal; key is None for residual
         self._bucket_of: Dict[int, Tuple[Dict, object]] = {}
-        #: filter canonical key -> FilterConstraints (analysis is pure)
-        self._constraints_cache: Dict[str, FilterConstraints] = {}
-
-    def analyse(self, event_filter: EventFilter) -> FilterConstraints:
-        """Memoised :func:`analyse_filter`, keyed on the canonical form.
-
-        Spec-identical filters (whatever their construction order) share
-        one analysis; :class:`FilterConstraints` is frozen, so sharing the
-        instance is safe.
-        """
-        key = event_filter.canonical_key()
-        constraints = self._constraints_cache.get(key)
-        if constraints is None:
-            if len(self._constraints_cache) >= self.CONSTRAINTS_CACHE_CAP:
-                self._constraints_cache.clear()
-            constraints = analyse_filter(event_filter)
-            self._constraints_cache[key] = constraints
-        return constraints
 
     def __len__(self) -> int:
         return len(self._bucket_of)
@@ -197,7 +175,7 @@ class DispatchIndex:
         """File ``entry_id`` in the most selective bucket its filter allows."""
         if entry_id in self._bucket_of:
             self.remove(entry_id)
-        constraints = self.analyse(event_filter)
+        constraints = analyse_filter(event_filter)
         if constraints.type_name is not None and constraints.has_subject:
             store = self._by_type_subject
             key: object = (constraints.type_name, constraints.subject)

@@ -32,26 +32,23 @@ Bridges republish matching events to a peer mediator in another range; a
 ``bridged`` marker stops an event from being re-bridged, so two mediators
 bridging each other do not loop.
 
-Dispatch is driven by a :class:`~repro.events.dispatch_index.DispatchIndex`:
-subscriptions and bridges whose filters carry exact type/subject/source
-constraints live in dict buckets, everything else in a small residual list,
-so a publish costs O(matching + residual) instead of O(all subscriptions).
-``indexed=False`` keeps the original linear scan alive for benchmarking and
-for the equivalence property suite; both paths must deliver identical
-(subscription, event) sequences.
-
-``engine`` selects among three dispatch engines: ``"classic"`` (the naive
-linear scan, == ``indexed=False``), ``"indexed"`` (the dispatch index,
-the default) and ``"opgraph"`` — subscriptions compile into a shared
-incremental operator DAG (:mod:`repro.query.opgraph`) where structurally
-identical filters/queries share one node, so ten thousand look-alike
-subscriptions cost one predicate evaluation per publish plus fan-out.
-The opgraph engine additionally accepts continuous *queries* (windowed
-aggregates, joins, qualitative selectors) through the ``query`` entry of
-the subscribe payload; retained replay, one-time arbitration and
-``reliable=True`` sequencing compose unchanged for plain filter
-subscriptions, and delivery order stays entry-identical to the classic
-scan (proven by ``tests/opgraph``).
+Dispatch has one engine: every subscription compiles into the mediator's
+shared incremental operator DAG (:mod:`repro.query.opgraph`), where
+structurally identical filters/queries share one node, so ten thousand
+look-alike subscriptions cost one predicate evaluation per publish plus
+fan-out. The graph finds its candidate filter roots, and the mediator its
+candidate bridges, through a
+:class:`~repro.events.dispatch_index.DispatchIndex`: filters carrying exact
+type/subject/source constraints live in dict buckets, everything else in a
+small residual list, so a publish costs O(matching + residual) instead of
+O(all subscriptions). Besides plain filters the graph accepts continuous
+*queries* (windowed aggregates, joins, qualitative selectors) through the
+``query`` entry of the subscribe payload; retained replay, one-time
+arbitration and ``reliable=True`` sequencing compose unchanged for plain
+filter subscriptions. Delivery order is entry-identical to a linear scan
+over the subscription table in insertion order — that scan lives in
+``tests/events/reference_scan.py`` and the differential and property suites
+hold the mediator to it.
 """
 
 from __future__ import annotations
@@ -66,10 +63,10 @@ from repro.net.message import Message
 from repro.net.rpc import RequestManager
 from repro.net.transport import Network, Process
 from repro.events.event import ContextEvent
-from repro.events.dispatch_index import DispatchIndex, analyse_filter
+from repro.events.dispatch_index import DispatchIndex, FilterConstraints, analyse_filter
 from repro.events.filters import EventFilter, filter_from_spec
 from repro.events.subscription import Subscription
-from repro.query.opgraph.compile import analyse_opspec, compile_query
+from repro.query.opgraph.compile import compile_query
 from repro.query.opgraph.engine import OperatorGraph
 from repro.query.opgraph.specs import filter_op
 
@@ -84,9 +81,6 @@ DEFAULT_RETAINED_CAP = 4096
 DEFAULT_ACK_TIMEOUT = 6.0
 DEFAULT_DELIVERY_RETRIES = 6
 DELIVERY_BACKOFF = 1.5
-
-#: recognised dispatch engines (see module docstring)
-ENGINES = ("classic", "indexed", "opgraph")
 
 
 @dataclass
@@ -111,28 +105,18 @@ class EventMediator(Process):
     def __init__(self, guid: GUID, host_id: str, network: Network,
                  range_name: str = "",
                  retained_cap: int = DEFAULT_RETAINED_CAP,
-                 indexed: bool = True,
                  reliable: bool = False,
                  ack_timeout: float = DEFAULT_ACK_TIMEOUT,
                  delivery_retries: int = DEFAULT_DELIVERY_RETRIES,
-                 engine: Optional[str] = None,
                  ledger=None):
         super().__init__(guid, host_id, network, name=f"mediator:{range_name or guid}")
         if retained_cap < 1:
             raise ValueError(f"retained_cap must be >= 1, got {retained_cap}")
-        if engine is None:
-            engine = "indexed" if indexed else "classic"
-        elif engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}, expected one of {ENGINES}")
         self.range_name = range_name
         self.retained_cap = retained_cap
-        self.engine = engine
         #: context-ledger chain this mediator appends to (a shard holds its
         #: own rank so chains never cross scheduler lanes); None disables
         self._ledger = ledger
-        #: the opgraph engine keeps the index for bridges and retained
-        #: replay; only "classic" opts into the naive linear scan
-        self.indexed = engine != "classic"
         self.reliable = reliable
         self.requests = RequestManager(
             self, default_timeout=ack_timeout, max_retries=delivery_retries,
@@ -140,7 +124,6 @@ class EventMediator(Process):
         self._subscriptions: Dict[int, Subscription] = {}
         self._bridges: Dict[int, Bridge] = {}
         self._next_bridge_id = 1
-        self._sub_index = DispatchIndex()
         self._bridge_index = DispatchIndex()
         #: reverse maps so teardown by owner/subscriber is O(own subs), not O(S)
         self._subs_by_owner: Dict[object, Dict[int, None]] = {}
@@ -194,26 +177,26 @@ class EventMediator(Process):
             labels=("range",))
         self.resyncs_served = 0
         self.deliveries_exhausted = 0
-        self._opgraph: Optional[OperatorGraph] = None
-        if engine == "opgraph":
-            self._opgraph = OperatorGraph(
-                self._graph_deliver, label=self.range_name or "-",
-                nodes_gauge=metrics.gauge(
-                    "mediator.opgraph.nodes",
-                    "live deduplicated operator-graph nodes",
-                    labels=("range",)),
-                reuse_counter=metrics.counter(
-                    "mediator.opgraph.reuse_hits",
-                    "operator materialisations served by an existing node",
-                    labels=("range",)),
-                evals_counter=metrics.counter(
-                    "mediator.opgraph.evals",
-                    "incremental operator evaluations on the publish path",
-                    labels=("range",)),
-                fanout_counter=metrics.counter(
-                    "mediator.opgraph.fanout",
-                    "operator-graph result deliveries fanned out to sinks",
-                    labels=("range",)))
+        self._opgraph = OperatorGraph(
+            self._graph_deliver, label=self.range_name or "-",
+            nodes_gauge=metrics.gauge(
+                "mediator.opgraph.nodes",
+                "live deduplicated operator-graph nodes",
+                labels=("range",)),
+            reuse_counter=metrics.counter(
+                "mediator.opgraph.reuse_hits",
+                "operator materialisations served by an existing node",
+                labels=("range",)),
+            evals_counter=metrics.counter(
+                "mediator.opgraph.evals",
+                "incremental operator evaluations on the publish path",
+                labels=("range",)),
+            fanout_counter=metrics.counter(
+                "mediator.opgraph.fanout",
+                "operator-graph result deliveries fanned out to sinks",
+                labels=("range",)),
+            index_hits_counter=self._index_hits_counter,
+            index_residual_counter=self._index_residual_counter)
 
     # -- direct API (used by co-located Context Server and by tests) ---------
 
@@ -232,13 +215,11 @@ class EventMediator(Process):
         paper's Figure-3 graph must produce a first path without waiting for
         Bob or John to move).
 
-        ``query`` (opgraph engine only) attaches a continuous-query plan —
-        windowed aggregates, joins, qualitative selectors — instead of the
-        plain filter; query subscriptions receive derived results, so
-        retained replay does not apply to them.
+        ``query`` attaches a continuous-query plan — windowed aggregates,
+        joins, qualitative selectors — instead of the plain filter; query
+        subscriptions receive derived results, so retained replay does not
+        apply to them.
         """
-        if query is not None and self._opgraph is None:
-            raise ValueError("continuous queries require engine='opgraph'")
         subscription = Subscription(
             subscriber=subscriber,
             filter=event_filter,
@@ -257,41 +238,49 @@ class EventMediator(Process):
                 "owner": None if owner is None else str(owner),
                 "query": query,
             })
-        if self._opgraph is not None:
-            plan = (compile_query(query) if query is not None
-                    else filter_op(event_filter))
-            self._opgraph.attach(subscription.sub_id, plan)
-            constraints = analyse_opspec(plan)
-        else:
-            constraints = self._sub_index.add(subscription.sub_id, event_filter)
-        if owner is not None:
-            self._reverse_add(self._subs_by_owner, owner, subscription.sub_id)
-        self._reverse_add(self._subs_by_subscriber, subscriber, subscription.sub_id)
+        constraints = self._attach(subscription)
         if replay_retained and query is None:
             self._replay_retained(subscription, constraints)
             if not subscription.active:
                 self._drop_subscription(subscription)
         return subscription
 
+    def _attach(self, subscription: Subscription) -> FilterConstraints:
+        """File a stored subscription in the graph and the reverse maps;
+        returns its plan's constraints."""
+        plan = (compile_query(subscription.query)
+                if subscription.query is not None
+                else filter_op(subscription.filter))
+        constraints = self._opgraph.attach(subscription.sub_id, plan)
+        if subscription.owner is not None:
+            self._reverse_add(self._subs_by_owner, subscription.owner,
+                              subscription.sub_id)
+        self._reverse_add(self._subs_by_subscriber, subscription.subscriber,
+                          subscription.sub_id)
+        return constraints
+
     def _replay_retained(self, subscription: Subscription, constraints) -> None:
         """Deliver retained events matching a fresh subscription.
 
         A type-constrained filter only ever matches events of that type, so
-        the per-type retained index bounds the scan; per-type insertion order
-        equals the global insertion order restricted to that type, keeping
-        replay order identical to the pre-index full scan.
+        the per-type retained index bounds the scan.
         """
-        if self.indexed and constraints.type_name is not None:
-            keys = list(self._retained_by_type.get(constraints.type_name, ()))
-            events = [self._retained[key] for key in keys if key in self._retained]
-            self._index_hits_counter.inc(len(events), range=self.range_name or "-")
-        else:
-            events = list(self._retained.values())
-            self._index_residual_counter.inc(len(events),
-                                             range=self.range_name or "-")
+        type_name = constraints.type_name
+        events = self._replay_events(type_name)
+        counter = (self._index_residual_counter if type_name is None
+                   else self._index_hits_counter)
+        counter.inc(len(events), range=self.range_name or "-")
         for event in events:
             if subscription.active and subscription.filter.matches(event):
                 self._deliver(subscription, event)
+
+    def _replay_events(self, type_name: Optional[str]) -> List[ContextEvent]:
+        """Retained events of one type (``None``: all), in replay order.
+
+        Per-type insertion order equals the global insertion order
+        restricted to that type, so narrowing by type never reorders.
+        """
+        return [event for _, _, event in self.retained_entries(type_name)]
 
     def remove_subscription(self, sub_id: int) -> bool:
         subscription = self._subscriptions.get(sub_id)
@@ -333,9 +322,7 @@ class EventMediator(Process):
             self._ledger.append(self.now, "unsubscribe",
                                 {"sub_id": subscription.sub_id})
         self._subscriptions.pop(subscription.sub_id, None)
-        self._sub_index.remove(subscription.sub_id)
-        if self._opgraph is not None:
-            self._opgraph.detach(subscription.sub_id)
+        self._opgraph.detach(subscription.sub_id)
         if subscription.owner is not None:
             self._reverse_remove(self._subs_by_owner, subscription.owner,
                                  subscription.sub_id)
@@ -396,42 +383,13 @@ class EventMediator(Process):
     def _fan_out(self, event: ContextEvent, bridged: bool) -> int:
         if self.retain_events:
             self._store_retained(event)
-        if self._opgraph is not None:
-            delivered = self._opgraph.publish(event)
-            if not bridged:
-                self._forward_bridges_indexed(event)
-            return delivered
-        if not self.indexed:
-            return self._fan_out_naive(event, bridged)
-        label = self.range_name or "-"
-        sub_ids, hits, residual = self._sub_index.candidates(event)
-        delivered = 0
-        for sub_id in sub_ids:
-            subscription = self._subscriptions.get(sub_id)
-            if subscription is None or not subscription.active:
-                continue
-            if subscription.filter.matches(event):
-                self._deliver(subscription, event)
-                delivered += 1
-                if not subscription.active:
-                    self._drop_subscription(subscription)
+        delivered = self._opgraph.publish(event)
         if not bridged:
-            bridge_ids, bridge_hits, bridge_residual = \
-                self._bridge_index.candidates(event)
-            hits += bridge_hits
-            residual += bridge_residual
-            for bridge_id in bridge_ids:
-                bridge = self._bridges.get(bridge_id)
-                if bridge is not None and bridge.filter.matches(event):
-                    self._forward(bridge, event)
-        if hits:
-            self._index_hits_counter.inc(hits, range=label)
-        if residual:
-            self._index_residual_counter.inc(residual, range=label)
+            self._forward_bridges(event)
         return delivered
 
-    def _forward_bridges_indexed(self, event: ContextEvent) -> None:
-        """Bridge forwarding through the bridge index (opgraph path)."""
+    def _forward_bridges(self, event: ContextEvent) -> None:
+        """Forward ``event`` to every bridge the bridge index turns up."""
         bridge_ids, hits, residual = self._bridge_index.candidates(event)
         for bridge_id in bridge_ids:
             bridge = self._bridges.get(bridge_id)
@@ -451,23 +409,6 @@ class EventMediator(Process):
         self._deliver(subscription, event)
         if not subscription.active:  # one-time: consumed by this delivery
             self._drop_subscription(subscription)
-
-    def _fan_out_naive(self, event: ContextEvent, bridged: bool) -> int:
-        """The pre-index linear scan; the benchmark/property baseline."""
-        delivered = 0
-        for subscription in list(self._subscriptions.values()):
-            if not subscription.active:
-                continue
-            if subscription.filter.matches(event):
-                self._deliver(subscription, event)
-                delivered += 1
-                if not subscription.active:
-                    self._drop_subscription(subscription)
-        if not bridged:
-            for bridge in list(self._bridges.values()):
-                if bridge.filter.matches(event):
-                    self._forward(bridge, event)
-        return delivered
 
     def _forward(self, bridge: Bridge, event: ContextEvent) -> None:
         bridge.forwarded += 1
@@ -603,12 +544,10 @@ class EventMediator(Process):
         """
         sub_id = message.payload.get("sub_id")
         subscription = self._subscriptions.get(sub_id)
-        if subscription is None or not subscription.active:
-            self.reply(message, "resync-ack", {"ok": False, "sub_id": sub_id})
-            return
-        if subscription.query is not None:
-            # query subscriptions receive derived results; replaying raw
-            # retained events would mis-deliver, so resync cannot help them
+        # query subscriptions receive derived results: replaying raw retained
+        # events would mis-deliver, so resync cannot help them either
+        if (subscription is None or not subscription.active
+                or subscription.query is not None):
             self.reply(message, "resync-ack", {"ok": False, "sub_id": sub_id})
             return
         baseline = subscription.seq
@@ -634,10 +573,15 @@ class EventMediator(Process):
         return len(self._retained)
 
     def index_stats(self) -> Dict[str, int]:
-        """Sizes the smoke gate and benchmarks assert on."""
+        """Sizes the smoke gate and benchmarks assert on.
+
+        The subscription entries count the graph's deduplicated filter
+        roots: look-alike subscriptions share one.
+        """
+        graph = self._opgraph.stats()
         return {
-            "indexed_subscriptions": self._sub_index.indexed_size,
-            "residual_subscriptions": self._sub_index.residual_size,
+            "indexed_subscriptions": graph["indexed_roots"],
+            "residual_subscriptions": graph["residual_roots"],
             "indexed_bridges": self._bridge_index.indexed_size,
             "residual_bridges": self._bridge_index.residual_size,
             "retained": len(self._retained),
@@ -645,9 +589,7 @@ class EventMediator(Process):
         }
 
     def opgraph_stats(self) -> Dict[str, float]:
-        """Operator-graph node/reuse/eval counters (opgraph engine only)."""
-        if self._opgraph is None:
-            return {}
+        """Operator-graph node/reuse/eval counters."""
         return self._opgraph.stats()
 
     def subscriptions_for(self, subscriber: GUID) -> List[Subscription]:
@@ -662,9 +604,9 @@ class EventMediator(Process):
         """All subscriptions this mediator answers for (incl. shards)."""
         return self.subscriptions()
 
-    def all_retained_entries(self) -> List[tuple]:
+    def all_retained_entries(self, type_name: Optional[str] = None) -> List[tuple]:
         """All ``(first_seq, key, event)`` entries (merged across shards)."""
-        return self.retained_entries()
+        return self.retained_entries(type_name)
 
     def ledgers(self) -> List:
         """Every context-ledger chain this mediator family appends to."""
@@ -688,46 +630,27 @@ class EventMediator(Process):
     # objects wholesale — a released subscription keeps its sub_id, seq and
     # delivery count, so migration can neither lose nor duplicate it.
 
-    def adopt_subscription(self, subscription: Subscription) -> None:
-        """Install an existing subscription (sub_id preserved, no replay)."""
-        self._subscriptions[subscription.sub_id] = subscription
-        if self._opgraph is not None:
-            plan = (compile_query(subscription.query)
-                    if subscription.query is not None
-                    else filter_op(subscription.filter))
-            self._opgraph.attach(subscription.sub_id, plan)
-        else:
-            self._sub_index.add(subscription.sub_id, subscription.filter)
-        if subscription.owner is not None:
-            self._reverse_add(self._subs_by_owner, subscription.owner,
-                              subscription.sub_id)
-        self._reverse_add(self._subs_by_subscriber, subscription.subscriber,
-                          subscription.sub_id)
+    def adopt_subscription(self, subscription: Subscription, states: Dict[str, dict]) -> None:
+        """Install an existing subscription (sub_id preserved, no replay).
 
-    def release_subscription(self, sub_id: int) -> Optional[Subscription]:
-        """Remove a subscription *without* deactivating it (for migration)."""
-        subscription = self._subscriptions.get(sub_id)
-        if subscription is None:
-            return None
+        ``states`` is what :meth:`release_subscription` returned for it;
+        the install is first-wins against nodes this graph already touched.
+        """
+        self._subscriptions[subscription.sub_id] = subscription
+        self._attach(subscription)
+        self._opgraph.import_state(states)
+
+    def release_subscription(self, subscription: Subscription) -> Dict[str, dict]:
+        """Remove a subscription *without* deactivating it (for migration).
+
+        Returns the stateful operator-node blobs backing its plan, taken
+        before the detach that may reclaim those nodes.
+        """
+        states = self._opgraph.export_state_for(subscription.sub_id)
         # record=False: the adopting shard keeps the subscription alive, so
         # the ledger must not see a migration as an unsubscribe
         self._drop_subscription(subscription, record=False)
-        return subscription
-
-    def opgraph_export_for(self, sub_id: int) -> Dict[str, dict]:
-        """Stateful operator-node blobs backing one subscription's plan.
-
-        Must be called *before* :meth:`release_subscription` — releasing the
-        last subscription of a plan reclaims its nodes and their state.
-        """
-        if self._opgraph is None:
-            return {}
-        return self._opgraph.export_state_for(sub_id)
-
-    def opgraph_import(self, states: Dict[str, dict]) -> None:
-        """First-wins install of migrated operator state (after adopt)."""
-        if self._opgraph is not None and states:
-            self._opgraph.import_state(states)
+        return states
 
     def retained_entries(self, type_name: Optional[str] = None) -> List[tuple]:
         """``(first_retained_seq, key, event)`` tuples, local store order."""

@@ -26,10 +26,16 @@ Mediator is the next ceiling. This module partitions it:
   stale shard to the current owner. Retired shards stay attached to
   drain exactly that in-flight traffic.
 
-Equivalence (proven by ``tests/shard`` and the Hypothesis property): for a
-fixed seed, per-subscription delivery logs are entry-for-entry identical to
-a single unsharded mediator, under the harness's FIFO deterministic latency
-and seq-ordered publishes. Retained replay across shards is merged on the
+Router and shards each own an operator graph; a shard-homed plan is pinned
+to one ``(type, subject)`` key, so its stateful nodes (windows, joins,
+selectors) live on exactly one shard and move with the subscription on
+rebalance.
+
+Equivalence (proven by ``tests/shard``, ``tests/opgraph`` and the Hypothesis
+property): for a fixed seed, per-subscription delivery logs are
+entry-for-entry identical to a single unsharded mediator and to the linear
+reference scan, under the harness's FIFO deterministic latency and
+seq-ordered publishes. Retained replay across shards is merged on the
 first-retained seq stamp (see ``EventMediator._retained_first``), which
 reproduces the single store's insertion order under the same assumptions.
 
@@ -63,6 +69,12 @@ from repro.query.opgraph.compile import analyse_opspec, compile_query
 from repro.server.shard import ShardRing
 
 logger = logging.getLogger(__name__)
+
+
+def _in_first_retained_order(entries: List[tuple]) -> List[ContextEvent]:
+    """Events of ``(first_seq, key, event)`` entries, oldest stamp first."""
+    entries.sort(key=lambda entry: entry[0])
+    return [event for _, _, event in entries]
 
 
 def _bump(store: Dict, key, delta: int) -> None:
@@ -139,16 +151,10 @@ class MediatorShard(EventMediator):
                  sub_interest: _InterestSet, bridge_interest: _InterestSet,
                  cs_label: str,
                  retained_cap: int = DEFAULT_RETAINED_CAP,
-                 indexed: bool = True,
                  reliable: bool = False,
-                 ack_timeout: float = DEFAULT_ACK_TIMEOUT,
-                 delivery_retries: int = DEFAULT_DELIVERY_RETRIES,
-                 engine: Optional[str] = None,
                  ledger=None):
         super().__init__(guid, host_id, network, range_name,
-                         retained_cap=retained_cap, indexed=indexed,
-                         reliable=reliable, ack_timeout=ack_timeout,
-                         delivery_retries=delivery_retries, engine=engine,
+                         retained_cap=retained_cap, reliable=reliable,
                          ledger=ledger)
         self.shard_id = shard_id
         self._router_guid = router_guid
@@ -194,24 +200,14 @@ class MediatorShard(EventMediator):
                 self.send(self._router_guid, "shard-event", payload)
         return delivered
 
-    def _replay_retained(self, subscription: Subscription, constraints) -> None:
+    def _replay_events(self, type_name: Optional[str]) -> List[ContextEvent]:
         """Replay in first-retained order, not local store order.
 
         After a migration, adopted entries sit at the tail of the local
         store regardless of age; sorting on the first-retained seq stamp
         restores the order a never-rebalanced store would replay in.
         """
-        label = self.range_name or "-"
-        if self.indexed and constraints.type_name is not None:
-            entries = self.retained_entries(constraints.type_name)
-            self._index_hits_counter.inc(len(entries), range=label)
-        else:
-            entries = self.retained_entries()
-            self._index_residual_counter.inc(len(entries), range=label)
-        entries.sort(key=lambda entry: entry[0])
-        for _, _, event in entries:
-            if subscription.active and subscription.filter.matches(event):
-                self._deliver(subscription, event)
+        return _in_first_retained_order(self.retained_entries(type_name))
 
 
 class ShardedEventMediator(EventMediator):
@@ -230,17 +226,14 @@ class ShardedEventMediator(EventMediator):
                  shard_hosts: Optional[List[str]] = None,
                  guid_factory: Optional[GuidFactory] = None,
                  retained_cap: int = DEFAULT_RETAINED_CAP,
-                 indexed: bool = True,
                  reliable: bool = False,
                  ack_timeout: float = DEFAULT_ACK_TIMEOUT,
                  delivery_retries: int = DEFAULT_DELIVERY_RETRIES,
-                 engine: Optional[str] = None,
                  ledger=None):
         super().__init__(guid, host_id, network, range_name,
-                         retained_cap=retained_cap, indexed=indexed,
-                         reliable=reliable, ack_timeout=ack_timeout,
-                         delivery_retries=delivery_retries, engine=engine,
-                         ledger=ledger)
+                         retained_cap=retained_cap, reliable=reliable,
+                         ack_timeout=ack_timeout,
+                         delivery_retries=delivery_retries, ledger=ledger)
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         #: the router never retains: the owner shard does
@@ -330,8 +323,7 @@ class ShardedEventMediator(EventMediator):
             shard_guids=self._shard_guids, sub_interest=self._sub_interest,
             bridge_interest=self._bridge_interest,
             cs_label=self.range_name or "-",
-            retained_cap=self.retained_cap, indexed=self.indexed,
-            reliable=self.reliable, engine=self.engine,
+            retained_cap=self.retained_cap, reliable=self.reliable,
             ledger=shard_ledger)
         self._shards[shard_id] = shard
         self._shard_guids[shard_id] = shard.guid
@@ -363,32 +355,30 @@ class ShardedEventMediator(EventMediator):
         self._retired[shard_id] = shard
 
     @staticmethod
-    def _constraints_for(subscription: Subscription) -> FilterConstraints:
+    def _placement(event_filter: EventFilter,
+                   query: Optional[dict]) -> FilterConstraints:
         """Placement facts for a subscription, query-plan aware."""
-        if subscription.query is not None:
-            return analyse_opspec(compile_query(subscription.query))
-        return analyse_filter(subscription.filter)
+        if query is not None:
+            return analyse_opspec(compile_query(query))
+        return analyse_filter(event_filter)
 
     def _rebalance_from(self, shard: MediatorShard):
         """Move every entry ``shard`` no longer owns to the current owner.
 
         Operator state (windows, join tables, selector candidates) moves
         with the subscription: a shard-homed plan is pinned to one
-        ``(type, subject)`` key, so the releasing shard held the only copy —
-        exported *before* release reclaims the nodes, imported first-wins
-        after the adopting shard materialises them.
+        ``(type, subject)`` key, so the releasing shard held the only copy.
         """
         moved_subs = moved_retained = 0
         for subscription in shard.subscriptions():
-            constraints = self._constraints_for(subscription)
+            constraints = self._placement(subscription.filter,
+                                          subscription.query)
             owner = self._ring.owner((constraints.type_name,
                                       constraints.subject))
             if owner == shard.shard_id:
                 continue
-            states = shard.opgraph_export_for(subscription.sub_id)
-            shard.release_subscription(subscription.sub_id)
-            self._shards[owner].adopt_subscription(subscription)
-            self._shards[owner].opgraph_import(states)
+            self._shards[owner].adopt_subscription(
+                subscription, shard.release_subscription(subscription))
             self._sub_home[subscription.sub_id] = owner
             moved_subs += 1
         for first_seq, key, event in shard.retained_entries():
@@ -427,10 +417,7 @@ class ShardedEventMediator(EventMediator):
         replay_retained: bool = True,
         query: Optional[dict] = None,
     ) -> Subscription:
-        if query is not None:
-            constraints = analyse_opspec(compile_query(query))
-        else:
-            constraints = analyse_filter(event_filter)
+        constraints = self._placement(event_filter, query)
         if constraints.type_name is not None and constraints.has_subject:
             shard_id = self._ring.owner((constraints.type_name,
                                          constraints.subject))
@@ -527,23 +514,9 @@ class ShardedEventMediator(EventMediator):
 
     # -- retained state -------------------------------------------------------
 
-    def _replay_retained(self, subscription: Subscription, constraints) -> None:
+    def _replay_events(self, type_name: Optional[str]) -> List[ContextEvent]:
         """Merge every shard's retained slice in first-retained order."""
-        type_name = (constraints.type_name
-                     if self.indexed and constraints.type_name is not None
-                     else None)
-        entries = []
-        for shard_id in list(self._shards):
-            entries.extend(self._shards[shard_id].retained_entries(type_name))
-        entries.sort(key=lambda entry: entry[0])
-        label = self.range_name or "-"
-        if type_name is not None:
-            self._index_hits_counter.inc(len(entries), range=label)
-        else:
-            self._index_residual_counter.inc(len(entries), range=label)
-        for _, _, event in entries:
-            if subscription.active and subscription.filter.matches(event):
-                self._deliver(subscription, event)
+        return _in_first_retained_order(self.all_retained_entries(type_name))
 
     def retained_event(self, type_name: str, representation: str,
                        subject: object) -> Optional[ContextEvent]:
@@ -600,10 +573,10 @@ class ShardedEventMediator(EventMediator):
             found.extend(shard.subscriptions())
         return found
 
-    def all_retained_entries(self) -> List[tuple]:
+    def all_retained_entries(self, type_name: Optional[str] = None) -> List[tuple]:
         entries: List[tuple] = []
         for shard in self._shards.values():
-            entries.extend(shard.retained_entries())
+            entries.extend(shard.retained_entries(type_name))
         return entries
 
     def ledgers(self) -> List:
@@ -624,8 +597,6 @@ class ShardedEventMediator(EventMediator):
     def opgraph_stats(self) -> Dict[str, float]:
         """Router + shard operator-graph counters, summed (ratio re-derived)."""
         stats = super().opgraph_stats()
-        if not stats:
-            return stats
         for shard in self._shards.values():
             for key, value in shard.opgraph_stats().items():
                 if key != "reuse_ratio":

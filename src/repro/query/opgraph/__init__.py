@@ -1,4 +1,4 @@
-"""Shared operator-graph continuous queries (the ``engine="opgraph"`` path).
+"""The shared operator graph: the Event Mediator's one dispatch engine.
 
 :mod:`repro.query.opgraph.specs` is the canonical plan algebra
 (filter / join-on-subject / tumbling window / qualitative select),
@@ -11,7 +11,6 @@ mediator evaluates once per publish.
 from repro.query.opgraph.compile import (
     analyse_opspec,
     compile_query,
-    query_from_payload,
 )
 from repro.query.opgraph.engine import OperatorGraph
 from repro.query.opgraph.specs import (
@@ -31,7 +30,6 @@ __all__ = [
     "compile_query",
     "filter_op",
     "join_op",
-    "query_from_payload",
     "select_op",
     "window_op",
 ]

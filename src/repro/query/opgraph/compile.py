@@ -29,7 +29,7 @@ exactly when it is for plain filters.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Sequence
 
 from repro.events.dispatch_index import FilterConstraints, analyse_filter
 from repro.events.filters import filter_from_spec
@@ -95,26 +95,23 @@ def _merge(left: FilterConstraints,
     )
 
 
-def analyse_opspec(plan: OpSpec) -> FilterConstraints:
-    """Sound equality constraints on every raw event reaching ``plan``.
+def combine_constraints(op: str, inputs: Sequence[FilterConstraints]) -> FilterConstraints:
+    """Constraints of a non-leaf operator, from those of its inputs.
 
     Unary operators (window/select) pass their input's constraints through
     untouched — they consume exactly the events their input produces. A
     join consumes events from both operands, so only constraints the two
     operands agree on survive.
     """
+    if op == "join":
+        return _merge(inputs[0], inputs[1])
+    return inputs[0]
+
+
+def analyse_opspec(plan: OpSpec) -> FilterConstraints:
+    """Sound equality constraints on every raw event reaching ``plan``."""
     if plan.op == "filter":
         assert plan.filter is not None
         return analyse_filter(plan.filter)
-    if plan.op == "join":
-        return _merge(analyse_opspec(plan.inputs[0]),
-                      analyse_opspec(plan.inputs[1]))
-    return analyse_opspec(plan.inputs[0])
-
-
-def query_from_payload(payload: Dict[str, Any]) -> Optional[OpSpec]:
-    """Compile the optional ``query`` entry of a subscribe payload."""
-    spec = payload.get("query")
-    if spec is None:
-        return None
-    return compile_query(spec)
+    return combine_constraints(
+        plan.op, [analyse_opspec(source) for source in plan.inputs])

@@ -1,14 +1,15 @@
-"""The shared incremental operator graph behind ``engine="opgraph"``.
+"""The shared incremental operator graph: the mediator's dispatch engine.
 
-One :class:`OperatorGraph` per mediator. Subscriptions attach a compiled
-plan (:class:`~repro.query.opgraph.specs.OpSpec`); the graph materialises
+One :class:`OperatorGraph` per mediator (and per mediator shard).
+Subscriptions attach a compiled plan
+(:class:`~repro.query.opgraph.specs.OpSpec`); the graph materialises
 one node per **canonical key**, so the ten-thousandth "location of anyone
 on floor 3" subscription adds a sink entry to an existing node instead of
 a ten-thousandth predicate evaluation per publish. Each publish then costs
 one top-down incremental evaluation — candidate filter roots found through
-the same :class:`~repro.events.dispatch_index.DispatchIndex` machinery the
-indexed mediator uses, but over *nodes* instead of subscriptions — plus
-pure fan-out of results to sinks.
+a :class:`~repro.events.dispatch_index.DispatchIndex` over *nodes*, the
+same structure the mediator keeps over its bridges — plus pure fan-out of
+results to sinks.
 
 Invariants the tests lean on:
 
@@ -17,12 +18,13 @@ Invariants the tests lean on:
   identical walk, so counts return to zero exactly when the last plan
   using a node detaches, and the node (plus its dispatch-index root entry
   and window registration) is reclaimed.
-* **Delivery order matches the classic mediator.** Emissions are buffered
+* **Delivery order matches a linear scan.** Emissions are buffered
   per publish and stable-sorted by ``sub_id`` before the deliver callback
   runs. Plain filter plans produce at most one emission per (publish,
-  subscription); ascending ``sub_id`` is exactly the order the naive
-  insertion-ordered scan delivers in — the differential harness and the
-  Hypothesis property assert entry-identical logs.
+  subscription); ascending ``sub_id`` is exactly the order a scan over the
+  insertion-ordered subscription table delivers in — the differential
+  harness and the Hypothesis property assert entry-identical logs against
+  that scan (``tests/events/reference_scan.py``).
 * **Windows close on the event clock.** Tumbling windows align to the
   absolute sim-time grid (window *k* = ``[k·width, (k+1)·width)``); every
   publish first advances all window nodes to the event's timestamp, so a
@@ -44,8 +46,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.ids import GUID
 from repro.core.types import TypeSpec
-from repro.events.dispatch_index import DispatchIndex
+from repro.events.dispatch_index import DispatchIndex, FilterConstraints
 from repro.events.event import ContextEvent
+from repro.query.opgraph.compile import combine_constraints
 from repro.query.opgraph.specs import OpSpec
 
 #: deliver callback: (sub_id, event) -> None
@@ -61,7 +64,7 @@ class _Node:
     """One materialised operator; shared by every plan with its key."""
 
     __slots__ = ("key", "node_id", "spec", "refs", "parents", "children",
-                 "sinks", "touched")
+                 "sinks", "touched", "constraints")
 
     #: stateful nodes participate in export_state/import_state
     stateful = False
@@ -327,13 +330,16 @@ class OperatorGraph:
 
     def __init__(self, deliver: DeliverFn, label: str = "-",
                  nodes_gauge=None, reuse_counter=None, evals_counter=None,
-                 fanout_counter=None):
+                 fanout_counter=None, index_hits_counter=None,
+                 index_residual_counter=None):
         self._deliver = deliver
         self._label = label
         self._nodes_gauge = nodes_gauge
         self._reuse_counter = reuse_counter
         self._evals_counter = evals_counter
         self._fanout_counter = fanout_counter
+        self._index_hits_counter = index_hits_counter
+        self._index_residual_counter = index_residual_counter
         #: canonical key -> live node (the dedup table)
         self._nodes: Dict[str, _Node] = {}
         #: node_id -> filter leaf, for dispatch-index candidate lookups
@@ -353,15 +359,19 @@ class OperatorGraph:
 
     # -- attach / detach ------------------------------------------------------
 
-    def attach(self, sub_id: int, plan: OpSpec) -> None:
-        """Materialise ``plan`` (sharing existing nodes) and add the sink."""
+    def attach(self, sub_id: int, plan: OpSpec) -> FilterConstraints:
+        """Materialise ``plan`` (sharing existing nodes) and add the sink.
+
+        Returns the plan's constraints — what
+        :func:`~repro.query.opgraph.compile.analyse_opspec` would compute,
+        read off the node instead of analysed again.
+        """
         if sub_id in self._plans:
             self.detach(sub_id)
         node = self._materialise(plan)
         node.sinks[sub_id] = None
         self._plans[sub_id] = plan
-        if self._nodes_gauge is not None:
-            self._nodes_gauge.set(len(self._nodes), range=self._label)
+        return node.constraints
 
     def detach(self, sub_id: int) -> bool:
         """Drop the sink and release one walk's worth of refcounts."""
@@ -374,9 +384,11 @@ class OperatorGraph:
             node.refs -= 1
             if node.refs == 0:
                 self._reclaim(node)
+        return True
+
+    def _node_count_changed(self) -> None:
         if self._nodes_gauge is not None:
             self._nodes_gauge.set(len(self._nodes), range=self._label)
-        return True
 
     def _materialise(self, spec: OpSpec) -> _Node:
         key = spec.canonical_key()
@@ -399,17 +411,24 @@ class OperatorGraph:
         self._nodes[key] = node
         for port, child in enumerate(children):
             child.parents.append((node, port))
+        # equality facts about every raw event that can reach the node,
+        # analysed this once
         if isinstance(node, _FilterNode):
             self._roots[node.node_id] = node
             assert spec.filter is not None
-            self._root_index.add(node.node_id, spec.filter)
-        elif isinstance(node, _WindowNode):
-            self._windows[key] = node
+            node.constraints = self._root_index.add(node.node_id, spec.filter)
+        else:
+            node.constraints = combine_constraints(
+                spec.op, [child.constraints for child in children])
+            if isinstance(node, _WindowNode):
+                self._windows[key] = node
         self.nodes_created += 1
+        self._node_count_changed()
         return node
 
     def _reclaim(self, node: _Node) -> None:
         del self._nodes[node.key]
+        self._node_count_changed()
         for child in node.children:
             child.parents = [(parent, port)
                              for parent, port in child.parents
@@ -429,7 +448,11 @@ class OperatorGraph:
         for window in list(self._windows.values()):
             for closed in window.roll(now):
                 self._emit(window, closed, batch)
-        node_ids, _, _ = self._root_index.candidates(event)
+        node_ids, hits, residual = self._root_index.candidates(event)
+        if hits and self._index_hits_counter is not None:
+            self._index_hits_counter.inc(hits, range=self._label)
+        if residual and self._index_residual_counter is not None:
+            self._index_residual_counter.inc(residual, range=self._label)
         evals = 0
         for node_id in node_ids:
             root = self._roots.get(node_id)
@@ -509,5 +532,7 @@ class OperatorGraph:
             "fanout": self.fanout,
             "attached": len(self._plans),
             "filter_roots": len(self._roots),
+            "indexed_roots": self._root_index.indexed_size,
+            "residual_roots": self._root_index.residual_size,
             "window_nodes": len(self._windows),
         }

@@ -69,12 +69,18 @@ class OpSpec:
     inputs: Tuple["OpSpec", ...] = ()
     filter: Optional[EventFilter] = field(default=None, compare=False)
     where: Optional[EventFilter] = field(default=None, compare=False)
+    #: the canonical key, built once here: attach and detach look nodes up
+    #: by it along every walk of the plan
+    _key: str = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        params = ",".join(f"{name}={value}" for name, value in self.params)
+        inputs = ";".join(node._key for node in self.inputs)
+        object.__setattr__(self, "_key", f"{self.op}({params})[{inputs}]")
 
     def canonical_key(self) -> str:
         """Structural hash key; equal keys mean interchangeable nodes."""
-        params = ",".join(f"{name}={value}" for name, value in self.params)
-        inputs = ";".join(node.canonical_key() for node in self.inputs)
-        return f"{self.op}({params})[{inputs}]"
+        return self._key
 
     def walk(self):
         """Yield this node then every upstream node, depth-first."""

@@ -17,6 +17,7 @@ from repro.apps.workload import OpenLoopWorkload, WorkloadConfig, ZipfSampler
 from repro.core.ids import GuidFactory
 from repro.events.mediator import EventMediator
 from repro.net.transport import FixedLatency, Network
+from tests.events.reference_scan import ReferenceScanMediator
 
 
 def make_workload(**overrides):
@@ -131,12 +132,11 @@ class TestTemplatePool:
 
 
 class TestTemplateWorkloadEndToEnd:
-    def _run(self, engine):
+    def _run(self, mediator_class=EventMediator):
         net = Network(latency_model=FixedLatency(0.5), seed=3)
         net.add_host("h0")
         guids = GuidFactory(seed=29)
-        mediator = EventMediator(guids.mint(), "h0", net, range_name="wl",
-                                 engine=engine)
+        mediator = mediator_class(guids.mint(), "h0", net, range_name="wl")
         config = WorkloadConfig(
             entities=200, duration=20.0, publish_rate=20.0, publishers=2,
             trackers=60, tracker_templates=8, monitors=2, types=8, floors=4,
@@ -147,21 +147,22 @@ class TestTemplateWorkloadEndToEnd:
         return mediator, workload
 
     def test_template_mode_install_and_churn(self):
-        mediator, workload = self._run("indexed")
+        mediator, workload = self._run()
         assert mediator.subscription_count == 62  # 60 trackers + 2 monitors
         assert workload.churned_subs == 5
         assert workload.published() > 0
         assert len(workload.latencies()) > 0
 
     def test_opgraph_dedups_template_pool(self):
-        mediator, workload = self._run("opgraph")
+        mediator, workload = self._run()
         stats = mediator.opgraph_stats()
         # ≤ 8 template shapes + 2 monitors live as nodes for 62 subs
         assert stats["nodes"] <= 10
         assert stats["reuse_ratio"] > 0.7
 
     def test_engines_deliver_identical_volumes(self):
-        _, indexed = self._run("indexed")
-        _, opgraph = self._run("opgraph")
-        assert indexed.published() == opgraph.published()
-        assert indexed.latencies() == opgraph.latencies()
+        """The operator graph against the test-side linear scan."""
+        _, scan = self._run(ReferenceScanMediator)
+        _, graph = self._run()
+        assert scan.published() == graph.published()
+        assert scan.latencies() == graph.latencies()

@@ -9,6 +9,7 @@ from repro.composition.resolver import QueryResolver
 from repro.composition.templates import TemplateRegistry
 from repro.entities.profile import EntityClass, Profile
 from repro.server.deployment import standard_templates
+from tests.composition.reference_scan import ReferenceScanResolver
 
 
 GUIDS = GuidFactory(seed=11)
@@ -195,9 +196,10 @@ class TestProfileIndex:
     def test_indexed_and_naive_find_identical_plans(self, registry, guids,
                                                     building, world):
         profiles, templates, indexed_resolver, bindings = world
-        naive = QueryResolver(registry, live_profiles=lambda: list(profiles),
-                              templates=standard_templates(guids, building),
-                              bindings_of=bindings.get, indexed=False)
+        naive = ReferenceScanResolver(
+            registry, live_profiles=lambda: list(profiles),
+            templates=standard_templates(guids, building),
+            bindings_of=bindings.get)
         def shape(plan):
             # drop the globally unique "plan-N" id; compare structure only
             return plan.describe().split(":", 1)[1]

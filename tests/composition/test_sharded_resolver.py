@@ -182,11 +182,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             QueryResolver(registry, live_profiles=list, shards=2)
 
-    def test_sharded_requires_indexed(self, registry):
-        with pytest.raises(ValueError):
-            QueryResolver(registry, live_profiles=list, indexed=False,
-                          feed_version=lambda: (0, 0), shards=2)
-
     def test_unknown_types_replicated_to_every_slice(self, registry):
         index = ShardedProfileIndex(registry, shards=3)
         mystery = sensor_profile("mystery", "unregistered-type", "raw")

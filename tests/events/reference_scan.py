@@ -1,0 +1,49 @@
+"""The linear-scan mediator, kept as the dispatch equivalence reference.
+
+Every publish evaluates every live subscription's filter, in subscription
+table (insertion) order, then every bridge's; retained replay scans the
+whole retained store. This was ``EventMediator(engine="classic")`` before
+the operator graph became the only dispatch engine in ``src/``; the
+differential suites (``tests/opgraph``, ``tests/shard``, ``tests/parallel``)
+and the Hypothesis property (``tests/properties/test_prop_dispatch.py``)
+hold the production mediator to it entry for entry.
+
+Only *matching* is swapped. Subscription bookkeeping, delivery, reliable
+sequencing, one-time arbitration, the retained store and the wire protocol
+are the production mediator's own, so a divergence can only come from how
+candidates are found and ordered. Continuous queries have no scan
+equivalent: a ``query=`` subscription is filed like any other but never
+matched here.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional
+
+from repro.events.event import ContextEvent
+from repro.events.mediator import EventMediator
+
+
+class ReferenceScanMediator(EventMediator):
+    """:class:`EventMediator` with matching done by exhaustive scan."""
+
+    def _fan_out(self, event: ContextEvent, bridged: bool) -> int:
+        if self.retain_events:
+            self._store_retained(event)
+        delivered = 0
+        for subscription in list(self._subscriptions.values()):
+            if not subscription.active or subscription.query is not None:
+                continue
+            if subscription.filter.matches(event):
+                self._deliver(subscription, event)
+                delivered += 1
+                if not subscription.active:
+                    self._drop_subscription(subscription)
+        if not bridged:
+            for bridge in list(self._bridges.values()):
+                if bridge.filter.matches(event):
+                    self._forward(bridge, event)
+        return delivered
+
+    def _replay_events(self, type_name: Optional[str]) -> List[ContextEvent]:
+        return list(self._retained.values())

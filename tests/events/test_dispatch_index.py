@@ -17,6 +17,7 @@ from repro.events.filters import (
 )
 from repro.events.mediator import EventMediator
 from repro.net.transport import FunctionProcess
+from tests.events.reference_scan import ReferenceScanMediator
 
 
 class TestFilterAnalysis:
@@ -137,9 +138,9 @@ class TestMediatorIndexMaintenance:
                  OrFilter([TypeFilter("presence"), SubjectFilter("bob")]),
                  MatchAll()]
         results = []
-        for indexed in (True, False):
-            med = EventMediator(guids.mint(), "host-a", network,
-                                f"r-{indexed}", indexed=indexed)
+        for mediator_class in (EventMediator, ReferenceScanMediator):
+            med = mediator_class(guids.mint(), "host-a", network,
+                                 f"r-{mediator_class.__name__}")
             inboxes = []
             for spec in specs:
                 process, inbox = sink(network, guids)
@@ -157,7 +158,8 @@ class TestMediatorIndexMaintenance:
                                   one_time=True)
         assert publish(mediator) == 1
         assert mediator.subscription_count == 0
-        assert len(mediator._sub_index) == 0
+        assert mediator.index_stats()["indexed_subscriptions"] == 0
+        assert mediator.opgraph_stats()["nodes"] == 0
         assert publish(mediator) == 0
 
     def test_remove_owner_uses_reverse_map(self, network, guids, mediator):

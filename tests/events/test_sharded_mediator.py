@@ -56,6 +56,31 @@ class TestPlacement:
         assert sub.sub_id in [s.sub_id for s in mediator.subscriptions()]
         assert mediator.subscription_count == 1
 
+    def test_stats_sum_router_and_shards(self, network, mediator, sink):
+        process, _ = sink
+        mediator.add_subscription(process.guid, exact("bob"))    # shard-homed
+        mediator.add_subscription(process.guid, exact("bob"))    # look-alike
+        mediator.add_subscription(process.guid, exact("john"))   # shard-homed
+        mediator.add_subscription(process.guid, MatchAll())      # routed
+        publish(mediator)
+        network.scheduler.run_until_idle()
+        index = mediator.index_stats()
+        # three distinct filter roots: two exact on shards, one residual
+        # on the router; the look-alike shares its twin's node
+        assert index["indexed_subscriptions"] == 2
+        assert index["residual_subscriptions"] == 1
+        assert index["routed_subscriptions"] == 1
+        graph = mediator.opgraph_stats()
+        assert graph["attached"] == 4
+        assert graph["nodes"] == 3
+        assert graph["reuse_hits"] == 1
+        assert graph["reuse_ratio"] == pytest.approx(0.25)
+        metrics = network.obs.metrics
+        assert metrics.counter("mediator.index.hits",
+                               labels=("range",)).total() >= 1
+        assert metrics.counter("mediator.index.residual_scans",
+                               labels=("range",)).total() >= 1
+
     def test_exact_delivery_through_owner_shard(self, network, mediator, sink):
         process, inbox = sink
         mediator.add_subscription(process.guid, exact("bob"))

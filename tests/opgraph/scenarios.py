@@ -1,17 +1,18 @@
 """Fixed-seed workload for the operator-graph equivalence suite.
 
-One scenario run against every dispatch engine (``classic``, ``indexed``,
-``opgraph``) and against the sharded mediator with per-shard opgraph
-engines, logging every delivery per subscription. The opgraph engine's
-contract is that per-subscription delivery logs are **entry-identical** —
-same events, same values, same order — to the classic linear scan for
-every filter shape the mediator distinguishes, including heavy dedup
-pressure (many spec-identical filters built in different construction
-orders), one-time arbitration, retained replay, churn and shard rebalance.
+One scenario run against the mediator, against the linear reference scan
+(:mod:`tests.events.reference_scan`) and against the sharded mediator with
+per-shard graphs, logging every delivery per subscription. The operator
+graph's contract is that per-subscription delivery logs are
+**entry-identical** — same events, same values, same order — to the
+reference scan for every filter shape the mediator distinguishes,
+including heavy dedup pressure (many spec-identical filters built in
+different construction orders), one-time arbitration, retained replay,
+churn and shard rebalance.
 
 ``queries=True`` additionally attaches continuous-query subscriptions
-(window / select / join) — only meaningful for opgraph runs, where the
-single-mediator and sharded logs must agree with each other.
+(window / select / join) — the reference scan has no equivalent for those,
+so there the single-mediator and sharded logs must agree with each other.
 
 Global counters (``ContextEvent.seq``, ``Subscription.sub_id``) are reset
 or pre-minted exactly as in ``tests/shard/scenarios.py`` so runs in one
@@ -32,6 +33,7 @@ from repro.events.filters import (AndFilter, AttributeFilter, MatchAll,
 from repro.events.mediator import EventMediator
 from repro.events.sharding import ShardedEventMediator
 from repro.net.transport import FixedLatency, Network, Process
+from tests.events.reference_scan import ReferenceScanMediator
 
 HOSTS = ("q0", "q1", "q2", "q3")
 TYPES = ("temperature", "presence", "co2")
@@ -93,13 +95,14 @@ def _mint_events(source_guids: GuidFactory) -> List[List[dict]]:
     return storms
 
 
-def run_scenario(engine: str = "indexed", shards: int = 1,
+def run_scenario(reference: bool = False, shards: int = 1,
                  queries: bool = False, rebalance: bool = True,
                  seed: int = 23) -> Dict[str, object]:
     """Run the scenario; returns per-subscription delivery logs.
 
-    ``shards=1`` uses a plain :class:`EventMediator`; more shards use the
-    sharded router with the same engine on router and shards. Storm event
+    ``shards=1`` uses a plain :class:`EventMediator` — or, with
+    ``reference=True``, the linear reference scan; more shards use the
+    sharded router. Storm event
     *timestamps* (0..89) are what window operators see; storms are
     *scheduled* at STORMS offsets with drained gaps so control-plane
     mutations land at legal points.
@@ -112,10 +115,11 @@ def run_scenario(engine: str = "indexed", shards: int = 1,
     if shards > 1:
         mediator = ShardedEventMediator(
             guids.mint(), HOSTS[0], net, range_name="opg", shards=shards,
-            shard_hosts=list(HOSTS), guid_factory=guids, engine=engine)
+            shard_hosts=list(HOSTS), guid_factory=guids)
     else:
-        mediator = EventMediator(guids.mint(), HOSTS[0], net,
-                                 range_name="opg", engine=engine)
+        mediator_class = ReferenceScanMediator if reference else EventMediator
+        mediator = mediator_class(guids.mint(), HOSTS[0], net,
+                                  range_name="opg")
     publisher = Publisher(guids.mint(), HOSTS[1], net, mediator)
 
     sinks: Dict[str, LoggingSink] = {}

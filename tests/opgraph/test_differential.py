@@ -1,7 +1,8 @@
-"""Differential equivalence: opgraph vs classic/indexed, single vs sharded.
+"""Differential equivalence: mediator vs reference scan, single vs sharded.
 
-The operator-graph engine is only allowed to land if its observable
-delivery behaviour is *entry-identical* to the engines it replaces, and if
+The operator graph is the mediator's only dispatch engine on the strength
+of this suite: its observable delivery behaviour is *entry-identical* to
+the linear reference scan (``tests/events/reference_scan.py``), and
 per-shard graphs (with rebalance migrating live operator state) agree with
 one single-mediator graph.
 """
@@ -19,18 +20,17 @@ def _filter_logs(result):
             if not label.startswith("query:")}
 
 
-def test_three_engines_identical_logs():
-    classic = run_scenario(engine="classic")
-    indexed = run_scenario(engine="indexed")
-    opgraph = run_scenario(engine="opgraph")
-    assert classic["logs"] == indexed["logs"]
-    assert classic["logs"] == opgraph["logs"]
-    assert classic["delivered"] == opgraph["delivered"]
-    assert classic["acks"] == opgraph["acks"]
+def test_mediator_matches_reference_scan():
+    reference = run_scenario(reference=True)
+    mediator = run_scenario()
+    assert reference["logs"] == mediator["logs"]
+    assert reference["delivered"] == mediator["delivered"]
+    assert reference["acks"] == mediator["acks"]
+    assert reference["subscription_count"] == mediator["subscription_count"]
 
 
 def test_opgraph_dedups_lookalike_filters():
-    result = run_scenario(engine="opgraph")
+    result = run_scenario()
     stats = result["opgraph"]
     # six spec-identical look-alikes share one node: ≥5 reuse hits
     assert stats["reuse_hits"] >= 5
@@ -40,28 +40,28 @@ def test_opgraph_dedups_lookalike_filters():
 
 @pytest.mark.parametrize("shards", [2, 3])
 def test_sharded_opgraph_matches_single(shards):
-    single = run_scenario(engine="opgraph", shards=1, queries=True)
-    sharded = run_scenario(engine="opgraph", shards=shards, queries=True)
+    single = run_scenario(shards=1, queries=True)
+    sharded = run_scenario(shards=shards, queries=True)
     assert single["logs"] == sharded["logs"]
     assert single["subscription_count"] == sharded["subscription_count"]
 
 
 def test_sharded_opgraph_rebalance_preserves_logs():
-    quiet = run_scenario(engine="opgraph", shards=3, queries=True,
-                         rebalance=False)
-    churned = run_scenario(engine="opgraph", shards=3, queries=True,
-                           rebalance=True)
+    quiet = run_scenario(shards=3, queries=True, rebalance=False)
+    churned = run_scenario(shards=3, queries=True, rebalance=True)
     assert quiet["logs"] == churned["logs"]
 
 
-def test_sharded_opgraph_matches_sharded_indexed_on_filters():
-    indexed = run_scenario(engine="indexed", shards=2)
-    opgraph = run_scenario(engine="opgraph", shards=2)
-    assert _filter_logs(indexed) == _filter_logs(opgraph)
+def test_sharded_matches_reference_scan_on_filters():
+    """Plain-filter logs of a sharded run carrying queries still equal the
+    scan's: query plans sharing the graphs never disturb filter delivery."""
+    reference = run_scenario(reference=True, queries=True)
+    sharded = run_scenario(shards=2, queries=True)
+    assert _filter_logs(reference) == _filter_logs(sharded)
 
 
 @pytest.mark.parametrize("seed", [7, 1234])
 def test_equivalence_holds_across_seeds(seed):
-    classic = run_scenario(engine="classic", seed=seed)
-    opgraph = run_scenario(engine="opgraph", seed=seed)
-    assert classic["logs"] == opgraph["logs"]
+    reference = run_scenario(reference=True, seed=seed)
+    mediator = run_scenario(seed=seed)
+    assert reference["logs"] == mediator["logs"]

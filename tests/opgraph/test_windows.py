@@ -41,8 +41,7 @@ def rig():
     net.add_host("w0")
     net.add_host("w1")
     guids = GuidFactory(seed=17)
-    mediator = EventMediator(guids.mint(), "w0", net, range_name="win",
-                             engine="opgraph")
+    mediator = EventMediator(guids.mint(), "w0", net, range_name="win")
     return net, guids, mediator
 
 
@@ -135,7 +134,7 @@ def test_window_state_survives_rebalance_handoff():
     guids = GuidFactory(seed=17)
     mediator = ShardedEventMediator(
         guids.mint(), "w0", net, range_name="win", shards=2,
-        shard_hosts=["w0", "w1", "w2"], guid_factory=guids, engine="opgraph")
+        shard_hosts=["w0", "w1", "w2"], guid_factory=guids)
     sink = Sink(guids.mint(), "w2", net)
     # pinned to (temperature, room-0): shard-homed, migrates on rebalance
     query = {"op": "window", "agg": "count", "width": 10.0,

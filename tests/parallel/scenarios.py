@@ -35,6 +35,7 @@ from repro.faults.injector import FaultInjector
 from repro.net.eventlog import EventLog
 from repro.net.transport import CampusLatency, Network, Process
 from repro.overlay.scinet import SCINet
+from tests.events.reference_scan import ReferenceScanMediator
 from tests.parallel.single_heap import SingleHeapScheduler
 
 HOSTS = tuple(f"h{i}" for i in range(8))
@@ -103,14 +104,18 @@ def _mint_events(guids) -> List[dict]:
 
 
 def run_scenario(partitions: Optional[int] = None, parallel: bool = False,
-                 seed: int = 11, sanitize: bool = False) -> Dict[str, object]:
+                 seed: int = 11, sanitize: bool = False,
+                 reference_scan: bool = False) -> Dict[str, object]:
     """Run the mixed scenario on one substrate configuration.
 
     ``partitions=None`` plugs in the single-heap reference scheduler; an
     integer builds a :class:`~repro.net.sim.Scheduler` with that many lanes
     (optionally with the thread executor). ``sanitize=True`` runs under
     the LaneSan race detector; the result then carries the conflict list
-    under ``race_conflicts``.
+    under ``race_conflicts``. ``reference_scan=True`` swaps the
+    storm's mediator for the linear reference scan
+    (:mod:`tests.events.reference_scan`): the event log must not be able
+    to tell the two ways of matching apart.
     """
     subscription_module._subscription_ids = itertools.count(1)
     log = EventLog()
@@ -130,7 +135,8 @@ def run_scenario(partitions: Optional[int] = None, parallel: bool = False,
              for i in range(NODES)]
 
     # -- pub/sub: mediator + publisher + subscribers with mixed filters
-    mediator = EventMediator(net.guids.mint(), "h0", net, range_name="storm")
+    mediator_class = ReferenceScanMediator if reference_scan else EventMediator
+    mediator = mediator_class(net.guids.mint(), "h0", net, range_name="storm")
     publisher = StormPublisher(net.guids.mint(), "h1", net, mediator.guid)
     subscribers = []
     filters = [TypeFilter("temperature"), TypeFilter("presence"),

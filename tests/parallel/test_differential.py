@@ -61,6 +61,12 @@ def test_classic_scheduler_matches_single_lane(reference):
     _assert_equivalent(run_scenario(partitions=None), reference)
 
 
+def test_reference_scan_mediator_matches_single_lane(reference):
+    """Dispatch by operator graph and by linear scan leave the same log."""
+    _assert_equivalent(run_scenario(partitions=1, reference_scan=True),
+                       reference)
+
+
 def test_scenario_is_not_trivial(reference):
     """Guard the harness itself: the scenario must actually exercise
     deliveries, timers, drops and multi-hop routing — an accidental

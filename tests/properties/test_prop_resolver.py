@@ -8,6 +8,7 @@ from repro.core.ids import GuidFactory
 from repro.core.types import TypeRegistry, TypeSpec
 from repro.composition.resolver import QueryResolver
 from repro.entities.profile import EntityClass, Profile
+from tests.composition.reference_scan import ReferenceScanResolver
 
 TYPE_NAMES = ["alpha", "beta", "gamma"]
 REPRESENTATIONS = ["r1", "r2", "r3"]
@@ -95,6 +96,26 @@ class TestResolverProperties:
                 plan.nodes[plan.output_key].profile.name
 
         assert structure() == structure()
+
+    @given(pools(), wanted_specs())
+    @settings(max_examples=150, deadline=None)
+    def test_indexed_plans_identical_to_full_scan(self, pool, wanted):
+        """The profile index is a pure pre-filter: same plan, same failure."""
+        profiles, edges = pool
+        registry = build_registry(edges)
+
+        def shape(resolver):
+            try:
+                plan = resolver.resolve(wanted)
+            except NoProviderError:
+                return None
+            # drop the globally unique "plan-N" id; compare structure only
+            return plan.describe().split(":", 1)[1]
+
+        indexed = QueryResolver(registry, live_profiles=lambda: profiles)
+        scan = ReferenceScanResolver(registry,
+                                     live_profiles=lambda: profiles)
+        assert shape(indexed) == shape(scan)
 
     @given(pools(), wanted_specs(), st.data())
     @settings(max_examples=100, deadline=None)

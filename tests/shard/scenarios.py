@@ -1,7 +1,8 @@
 """Fixed-seed pub/sub workload for the sharding equivalence suite.
 
-One scenario exercised against a single :class:`EventMediator` and
-against :class:`ShardedEventMediator` at several shard counts (and on the
+One scenario exercised against the single linear reference scan
+(:mod:`tests.events.reference_scan`), a single :class:`EventMediator` and
+:class:`ShardedEventMediator` at several shard counts (and on the
 partitioned scheduler), logging every delivery **per subscription**. The
 sharded mediator's contract is that per-subscription delivery logs are
 identical entry for entry — same events, same values, same order — for
@@ -38,6 +39,7 @@ from repro.events.filters import (AndFilter, AttributeFilter, MatchAll,
 from repro.events.mediator import EventMediator
 from repro.events.sharding import ShardedEventMediator
 from repro.net.transport import FixedLatency, Network, Process
+from tests.events.reference_scan import ReferenceScanMediator
 from tests.parallel.single_heap import SingleHeapScheduler
 
 HOSTS = ("s0", "s1", "s2", "s3")
@@ -108,8 +110,11 @@ def _mint_events(source_guids: GuidFactory) -> List[List[dict]]:
 
 
 def run_scenario(shards: int = 1, partitions: Optional[int] = None,
-                 rebalance: bool = True, seed: int = 23) -> Dict[str, object]:
-    """Run the scenario; ``shards=1`` is the plain-mediator reference.
+                 rebalance: bool = True, seed: int = 23,
+                 reference: bool = False) -> Dict[str, object]:
+    """Run the scenario; ``shards=1`` is one plain mediator — with
+    ``reference=True`` the linear reference scan every other
+    configuration is compared against.
 
     ``rebalance`` grows and then drains a shard between storms (a no-op
     for the plain mediator). ``partitions=None`` runs on the single-heap
@@ -133,8 +138,9 @@ def run_scenario(shards: int = 1, partitions: Optional[int] = None,
             guids.mint(), HOSTS[0], net, range_name="diff", shards=shards,
             shard_hosts=list(HOSTS), guid_factory=guids)
     else:
-        mediator = EventMediator(guids.mint(), HOSTS[0], net,
-                                 range_name="diff")
+        mediator_class = ReferenceScanMediator if reference else EventMediator
+        mediator = mediator_class(guids.mint(), HOSTS[0], net,
+                                  range_name="diff")
     publisher = Publisher(guids.mint(), HOSTS[1], net, mediator)
 
     sinks: Dict[str, LoggingSink] = {}

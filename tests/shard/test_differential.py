@@ -2,10 +2,11 @@
 
 The sharded mediator's contract is that per-subscription delivery logs —
 the events each subscription observes, with values, in order — are
-identical to the plain :class:`EventMediator`'s for a fixed seed, at any
+identical to one unsharded mediator's for a fixed seed, at any
 shard count, through mid-run churn, retained replay to late joiners, and
 a grow-then-drain rebalance with a deliberately stale publish address.
-The plain mediator is the reference; every sharded configuration must
+The linear reference scan (``tests/events/reference_scan.py``) is the
+reference; the plain mediator and every sharded configuration must
 match it entry for entry, not merely count for count, so a failure
 pinpoints the first diverging subscription and record.
 
@@ -23,8 +24,8 @@ SHARD_COUNTS = (2, 3, 4, 8)
 
 @pytest.fixture(scope="module")
 def reference():
-    """The plain single-mediator run every configuration must match."""
-    return run_scenario(shards=1)
+    """The single reference-scan run every configuration must match."""
+    return run_scenario(shards=1, reference=True)
 
 
 def _assert_equivalent(result, reference):
@@ -36,6 +37,10 @@ def _assert_equivalent(result, reference):
             f"subscription {label} observed a different delivery log")
     for key in ("delivered", "acks", "subscription_count"):
         assert result[key] == reference[key], f"diverged on {key}"
+
+
+def test_plain_mediator_matches_reference_scan(reference):
+    _assert_equivalent(run_scenario(shards=1), reference)
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
