@@ -1,11 +1,10 @@
 """PERF — route throughput of the lane scheduler across partition counts.
 
-A 1000-node overlay route workload replayed at 1, 2, 4 and 8 lanes,
-serially and with the thread executor. The one-lane serial row — what a
-default deployment runs — is the baseline, measured in the same run; every
-other row is reported as a ratio to it. The thread executor is an
-architectural validation of the horizon exchange, not a speedup, and is
-reported as such (Python threads share one core's interpreter lock).
+A 1000-node overlay route workload replayed at 1, 2, 4 and 8 lanes. The
+one-lane row — what a default deployment runs — is the baseline, measured
+in the same run; every other row is reported as a ratio to it. Lanes run
+one after another on one thread, so the ratio prices the horizon rounds,
+it does not promise a speedup.
 
 Every configuration must route the exact same number of steps — the cheap
 in-benchmark determinism check; the real equivalence proof lives in
@@ -34,30 +33,29 @@ NODES = 1000
 ROUTES = 400
 REPEATS = 2
 
-#: (label, partitions, parallel); the first row is the same-run baseline
+#: (label, partitions); the first row is the same-run baseline
 CONFIGS = [
-    ("part-1", 1, False),
-    ("part-2", 2, False),
-    ("part-4", 4, False),
-    ("part-8", 8, False),
-    ("part-4-threads", 4, True),
+    ("part-1", 1),
+    ("part-2", 2),
+    ("part-4", 4),
+    ("part-8", 8),
 ]
 
 
-def build_overlay(n, partitions=1, parallel=False, seed=3):
+def build_overlay(n, partitions=1, seed=3):
     net = Network(latency_model=FixedLatency(1.0), seed=seed,
-                  partitions=partitions, parallel=parallel)
-    sci = SCINet(net, incremental=True)
+                  partitions=partitions)
+    sci = SCINet(net)
     for i in range(n):
         sci.create_node(f"h{i % 64}", range_name=f"r{i}")
     return net, sci
 
 
-def measure_route(partitions, parallel, n=NODES, routes=ROUTES):
+def measure_route(partitions, n=NODES, routes=ROUTES):
     """Best-of-``REPEATS`` route throughput for one configuration."""
     best = None
     for _ in range(REPEATS):
-        net, sci = build_overlay(n, partitions=partitions, parallel=parallel)
+        net, sci = build_overlay(n, partitions=partitions)
         net.run_until_idle()
         nodes = sci.nodes()
         rng = random.Random(7)
@@ -68,7 +66,6 @@ def measure_route(partitions, parallel, n=NODES, routes=ROUTES):
             origin.route(key, "probe", {})
         net.run_until_idle()
         elapsed = time.perf_counter() - start
-        net.scheduler.close()
         run = {
             "steps": sci.total_routed(),
             "steps_per_s": sci.total_routed() / elapsed if elapsed else 0.0,
@@ -87,8 +84,8 @@ class TestReportParallelPerf:
                f"({NODES} nodes, {ROUTES} routes, best of {REPEATS})")
         report(f"{'config':>15} | {'steps/s':>10} {'vs part-1':>10}")
         rows = {}
-        for label, partitions, parallel in CONFIGS:
-            rows[label] = measure_route(partitions, parallel)
+        for label, partitions in CONFIGS:
+            rows[label] = measure_route(partitions)
         single = rows[CONFIGS[0][0]]
         steps = {row["steps"] for row in rows.values()}
         assert len(steps) == 1, (
@@ -97,7 +94,7 @@ class TestReportParallelPerf:
         delivered = {row["delivered"] for row in rows.values()}
         assert len(delivered) == 1, (
             f"configurations disagreed on deliveries: {delivered}")
-        for (label, partitions, parallel) in CONFIGS:
+        for label, partitions in CONFIGS:
             row = rows[label]
             vs_single = row["steps_per_s"] / single["steps_per_s"]
             report(f"{label:>15} | {row['steps_per_s']:>10.0f} "
@@ -105,7 +102,6 @@ class TestReportParallelPerf:
             baseline["route_parallel"].append({
                 "config": label,
                 "partitions": partitions,
-                "parallel": parallel,
                 "nodes": NODES,
                 "routes": ROUTES,
                 "steps": row["steps"],

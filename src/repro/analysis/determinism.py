@@ -71,7 +71,6 @@ PARTITION_BOUNDARY_MODULES = frozenset({
 #: attribute names that are lane/partition internals of the substrate
 _PARTITION_INTERNALS = frozenset({
     "_lanes", "_rank_lane", "_origin_seq", "_round_horizon",
-    "_in_parallel_round",
 })
 
 #: functions of the ``time`` module that read the host clock

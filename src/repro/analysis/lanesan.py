@@ -3,9 +3,13 @@
 The dynamic half of the race detector (the static half is
 :mod:`repro.analysis.races`). The partitioned scheduler's equivalence
 guarantee rests on lane ownership: within one horizon round, a lane may
-touch only state it owns — everything shared crosses rounds through the
-outbox exchange, the stats staging buffer, or a control-lane barrier.
-LaneSan checks that claim on a live run instead of trusting it.
+touch only state it owns — everything shared crosses rounds through a
+message delivery, the stats staging buffer, or a control-lane barrier.
+Lanes run one after another, so a violation is not a data race; it is
+behaviour that depends on the partition count, because which hosts share a
+lane decides whether the two accesses are ordered by the canonical key or
+by lane index. LaneSan checks the claim on a live run instead of trusting
+it.
 
 Enable it per network — ``Network(..., sanitize=True)`` — and the
 transport wraps its lane-shared registries (host table, process table,
@@ -18,15 +22,15 @@ exact pattern the horizon barrier exists to prevent. Iteration and
 with a same-round write to any field by another lane.
 
 Control-lane and external accesses (lane index < 0, or outside the run
-loop) are exempt: control events are global barriers, so they cannot be
-concurrent with lane execution. With the default single lane every
+loop) are exempt: control events are global barriers, ordered against
+every lane in every partitioning. With the default single lane every
 access is recorded but no pair can conflict. Everything stays
 deterministic either way, because recording never changes container
 semantics or ordering.
 
 Typical use::
 
-    network = Network(partitions=4, parallel=True, sanitize=True)
+    network = Network(partitions=4, sanitize=True)
     ... run the workload ...
     network.sanitizer.assert_clean()      # raises LaneRaceError with both
                                           # stack sites on any conflict
@@ -35,7 +39,6 @@ Typical use::
 from __future__ import annotations
 
 import sys
-import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -105,15 +108,13 @@ class LaneSan:
     """Collects lane-tagged accesses and reports same-round conflicts.
 
     One instance per sanitized :class:`~repro.net.transport.Network`.
-    Recording is thread-safe (the parallel executor runs lanes on a
-    pool); the buffer only ever holds one round of accesses — when a
-    record arrives from a later round the previous round is reduced to
-    conflicts and dropped, so memory stays bounded by per-round traffic.
+    The buffer only ever holds one round of accesses — when a record
+    arrives from a later round the previous round is reduced to conflicts
+    and dropped, so memory stays bounded by per-round traffic.
     """
 
     def __init__(self, scheduler: Any):
         self._scheduler = scheduler
-        self._lock = threading.Lock()
         self._round = -1
         #: (label, field) -> lane -> _FieldLog, for the buffered round
         self._accesses: Dict[Tuple[str, str], Dict[int, _FieldLog]] = {}
@@ -138,20 +139,19 @@ class LaneSan:
             return  # control lane / external: barrier-ordered by design
         round_index = getattr(scheduler, "round_index", 0)
         site = _call_site()
-        with self._lock:
-            self.records += 1
-            if round_index != self._round:
-                self._flush_locked()
-                self._round = round_index
-            log = self._accesses.setdefault(
-                (label, fieldname), {}).setdefault(lane, _FieldLog())
-            if write:
-                if log.write_site is None:
-                    log.write_site = site
-            elif log.read_site is None:
-                log.read_site = site
+        self.records += 1
+        if round_index != self._round:
+            self._flush()
+            self._round = round_index
+        log = self._accesses.setdefault(
+            (label, fieldname), {}).setdefault(lane, _FieldLog())
+        if write:
+            if log.write_site is None:
+                log.write_site = site
+        elif log.read_site is None:
+            log.read_site = site
 
-    def _flush_locked(self) -> None:
+    def _flush(self) -> None:
         """Reduce the buffered round to conflicts, then drop it."""
         star_logs: Dict[str, Dict[int, _FieldLog]] = {}
         for (label, fieldname), lanes in self._accesses.items():
@@ -200,9 +200,8 @@ class LaneSan:
 
     def conflicts(self) -> List[Conflict]:
         """All conflicts seen so far (flushes the in-flight round)."""
-        with self._lock:
-            self._flush_locked()
-            return list(self._conflicts)
+        self._flush()
+        return list(self._conflicts)
 
     def report(self) -> str:
         found = self.conflicts()

@@ -2,7 +2,7 @@
 
 The equivalence proofs in ``tests/parallel/`` and ``tests/shard/`` assume
 that no lane mutates state owned by another lane outside the sanctioned
-staging APIs (per-lane outboxes, the lane stats buffer, control-lane
+staging APIs (message delivery, the lane stats buffer, control-lane
 barriers). This family makes that ownership discipline checkable: it builds
 a per-module call graph, classifies each function by the execution context
 it can run under, and flags writes that escape a lane.
@@ -20,14 +20,15 @@ parked at a horizon barrier.
 
 **Checks.** All three are errors and all are scoped to non-substrate
 modules (the substrate itself — :data:`RACES_BOUNDARY_MODULES` — owns the
-lane machinery and synchronises by design):
+lane machinery and orders its own accesses by design):
 
 ``races.module-state-write``
     A lane-reachable function writes module-level mutable state: rebinding
     a ``global``, mutating a module-level container in place, or drawing
     from a module-level ``itertools.count``. Two lanes running the same
-    handler in one round race on the module object; per-instance or
-    per-lane state is the fix.
+    handler in one round see each other's writes in lane order, which
+    changes with the partition count; per-instance or per-lane state is
+    the fix.
 
 ``races.unstaged-mutation``
     A lane-reachable function mutates the shared ``Network``/``Scheduler``
@@ -63,7 +64,7 @@ CHECK_UNSTAGED = "races.unstaged-mutation"
 CHECK_CROSS_LANE = "races.cross-lane-send"
 
 #: the substrate boundary plus its staging/bookkeeping helpers: these
-#: modules implement lane ownership and synchronise explicitly, so every
+#: modules implement lane ownership and order their own accesses, so every
 #: races check is off inside them.
 RACES_BOUNDARY_MODULES = frozenset({
     "repro.net.sim",
@@ -85,7 +86,6 @@ CONTROL_CONTEXT_MODULES = frozenset({
 #: family's partition-crossing lint, which this check subsumes)
 _PARTITION_INTERNALS = frozenset({
     "_lanes", "_rank_lane", "_origin_seq", "_round_horizon",
-    "_in_parallel_round",
 })
 
 #: scheduling entry points whose callable arguments become lane roots

@@ -612,13 +612,8 @@ class EventMediator(Process):
         """Every context-ledger chain this mediator family appends to."""
         return [self._ledger] if self._ledger is not None else []
 
-    def subscription_ids_of(self, owner: object) -> List[int]:
-        """Sub ids established for ``owner`` (empty for unhashable owners)."""
-        try:
-            bucket = self._subs_by_owner.get(owner)
-        except TypeError:
-            return []
-        return list(bucket) if bucket else []
+    def has_subscription(self, sub_id: int) -> bool:
+        return sub_id in self._subscriptions
 
     def retained_event(self, type_name: str, representation: str, subject: object) -> Optional[ContextEvent]:
         return self._retained.get((type_name, representation, subject))

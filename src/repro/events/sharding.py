@@ -1,7 +1,7 @@
 """Sharded Event Mediator — K worker shards behind one router facade.
 
-PR 6 parallelised the simulation substrate; the single sequential Event
-Mediator is the next ceiling. This module partitions it:
+The single sequential Event Mediator is the dispatch ceiling of a range.
+This module partitions it:
 
 * **Ownership.** Each ``(type_name, subject)`` key is owned by exactly one
   :class:`MediatorShard`, decided by a consistent-hash
@@ -216,8 +216,8 @@ class ShardedEventMediator(EventMediator):
     Drop-in for the Context Server: ``add_subscription``, ``publish``,
     ``retained_event``, teardown helpers and every protocol verb behave
     identically from the caller's point of view; internally exact-key work
-    is spread over ``shards`` workers (optionally on distinct hosts, so a
-    partitioned scheduler can run them on parallel lanes).
+    is spread over ``shards`` workers (optionally on distinct hosts, which
+    a partitioned scheduler places on their own lanes).
     """
 
     def __init__(self, guid: GUID, host_id: str, network: Network,
@@ -245,8 +245,6 @@ class ShardedEventMediator(EventMediator):
         self._shards: Dict[int, MediatorShard] = {}
         self._retired: Dict[int, MediatorShard] = {}
         self._shard_guids: Dict[int, GUID] = {}
-        #: sub_id -> owning shard id, for shard-homed subscriptions
-        self._sub_home: Dict[int, int] = {}
         #: constraints of router-homed (routed) subscriptions / bridges
         self._routed_constraints: Dict[int, FilterConstraints] = {}
         self._bridge_constraints: Dict[int, FilterConstraints] = {}
@@ -379,7 +377,6 @@ class ShardedEventMediator(EventMediator):
                 continue
             self._shards[owner].adopt_subscription(
                 subscription, shard.release_subscription(subscription))
-            self._sub_home[subscription.sub_id] = owner
             moved_subs += 1
         for first_seq, key, event in shard.retained_entries():
             owner = self._ring.owner((key[0], key[2]))
@@ -421,12 +418,9 @@ class ShardedEventMediator(EventMediator):
         if constraints.type_name is not None and constraints.has_subject:
             shard_id = self._ring.owner((constraints.type_name,
                                          constraints.subject))
-            subscription = self._shards[shard_id].add_subscription(
+            return self._shards[shard_id].add_subscription(
                 subscriber, event_filter, one_time=one_time, owner=owner,
                 replay_retained=replay_retained, query=query)
-            if subscription.active:
-                self._sub_home[subscription.sub_id] = shard_id
-            return subscription
         subscription = super().add_subscription(
             subscriber, event_filter, one_time=one_time, owner=owner,
             replay_retained=replay_retained, query=query)
@@ -442,27 +436,31 @@ class ShardedEventMediator(EventMediator):
         if constraints is not None:
             self._sub_interest.remove(constraints)
 
+    def _home_of(self, sub_id: int) -> Optional[MediatorShard]:
+        """The shard holding ``sub_id``; None when it is router-homed or
+        gone. The shards' own tables are the only record, so a one-time
+        subscription consumed on its shard leaves nothing behind here."""
+        for shards in (self._shards, self._retired):
+            for shard in shards.values():
+                if shard.has_subscription(sub_id):
+                    return shard
+        return None
+
     def remove_subscription(self, sub_id: int) -> bool:
-        home = self._sub_home.pop(sub_id, None)
-        if home is not None:
-            shard = self._shards.get(home) or self._retired.get(home)
-            return shard.remove_subscription(sub_id) if shard else False
+        shard = self._home_of(sub_id)
+        if shard is not None:
+            return shard.remove_subscription(sub_id)
         return super().remove_subscription(sub_id)
 
     def remove_subscriptions_of(self, owner: object) -> int:
         removed = super().remove_subscriptions_of(owner)
         for shard in list(self._shards.values()):
-            doomed = shard.subscription_ids_of(owner)
-            for sub_id in doomed:
-                self._sub_home.pop(sub_id, None)
             removed += shard.remove_subscriptions_of(owner)
         return removed
 
     def remove_subscriber(self, subscriber: GUID) -> int:
         removed = super().remove_subscriber(subscriber)
         for shard in list(self._shards.values()):
-            for subscription in shard.subscriptions_for(subscriber):
-                self._sub_home.pop(subscription.sub_id, None)
             removed += shard.remove_subscriber(subscriber)
         return removed
 
@@ -534,13 +532,9 @@ class ShardedEventMediator(EventMediator):
         subscription live on the owner shard. Relay the request and the ack.
         """
         sub_id = message.payload.get("sub_id")
-        home = self._sub_home.get(sub_id)
-        if home is None:
-            super()._handle_resync(message)
-            return
-        shard = self._shards.get(home) or self._retired.get(home)
+        shard = self._home_of(sub_id)
         if shard is None:
-            self.reply(message, "resync-ack", {"ok": False, "sub_id": sub_id})
+            super()._handle_resync(message)
             return
         self.requests.request(
             shard.guid, "resync", {"sub_id": sub_id},

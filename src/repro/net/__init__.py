@@ -7,7 +7,7 @@ components are :class:`Process` objects attached to :class:`Host` machines,
 all interaction is message passing through a :class:`Network`, and time is
 driven by a :class:`Scheduler` that shards hosts across per-partition event
 queues (one by default) while keeping the observable event log
-(:class:`EventLog`) bit-identical across partition counts and executors.
+(:class:`EventLog`) bit-identical across partition counts.
 """
 
 from repro.net.sim import CausalityError, Scheduler, Timer

@@ -5,8 +5,8 @@ substrate promises to keep invariant: message deliveries and owner-
 attributable timer firings. Entries deliberately exclude everything that is
 interleaving-dependent but behaviourally unobservable — ``msg_id`` values
 (a global counter whose numbers depend on allocation order), trace/span
-ids, wall-clock — so the log is bit-identical across partition counts and
-executors whenever the *model* behaved identically.
+ids, wall-clock — so the log is bit-identical across partition counts
+whenever the *model* behaved identically.
 
 Entry shapes::
 
@@ -20,7 +20,7 @@ divergence.
 The log is buffer-agnostic: standalone it appends to one internal list;
 bound to a :class:`~repro.net.sim.Scheduler` (what a
 :class:`~repro.net.transport.Network` does) it writes into per-lane buffers
-(each lane/thread appends only to its own) and concatenates them
+(each lane appends only to its own) and concatenates them
 control-lane-first at read time. :meth:`per_host` then buckets by host and
 stable-sorts by time — same-instant entries for one host keep their
 execution order, which the substrate guarantees is partition-invariant.

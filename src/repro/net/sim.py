@@ -9,11 +9,12 @@ conservative lookahead (the minimum cross-host link latency). Within a
 round every lane may run all its events strictly below
 ``min(lane head times) + lookahead``, because any message one of those
 events sends arrives at least a full lookahead later — i.e. at or beyond
-the horizon, where the receiving lane has not yet advanced. Cross-partition
-messages created during a parallel round are staged in per-lane outboxes
-and exchanged at the round barrier; the serial executor pushes them
-directly, which is safe for the same reason. The default is one lane with
-an unbounded horizon — a single heap popped in key order.
+the horizon, where the receiving lane has not yet advanced — so a
+cross-partition message is pushed straight onto the receiving lane's heap.
+One thread runs the lanes of a round one after another; lanes exist because
+a partition-invariant event order is the determinism proof, not to buy
+wall-clock. The default is one lane with an unbounded horizon — a single
+heap popped in key order.
 
 Determinism is the load-bearing property. Every event carries a canonical
 key ``(when, origin_rank, origin_seq)``:
@@ -29,8 +30,8 @@ Both components depend only on the originating host's own execution
 history, which (by induction) is identical for every partition count — so
 the key is partition-invariant, and each lane popping its heap in key
 order yields the same per-host event sequence whether there is one lane or
-eight, serial or parallel. The differential harness under
-``tests/parallel/`` asserts exactly this.
+eight. The differential harness under ``tests/parallel/`` asserts exactly
+this.
 
 Events created outside any host context — test drivers, the chaos
 injector — go to a **control lane** executed as a global barrier: every
@@ -48,9 +49,7 @@ never be injected below the current round horizon.
 from __future__ import annotations
 
 import heapq
-import threading
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional
@@ -162,12 +161,12 @@ class _Lane:
     Besides the heap, a lane carries the per-context ambient state that a
     single global scheduler would keep as singletons: the tracer frame
     stack, the event-log buffer and the transport's stats staging buffer.
-    Parallel rounds give each lane its own thread, so this is what makes
-    the observability layer race-free without locks on every record.
+    Staging per lane and merging in canonical lane order is what makes the
+    recorded totals and traces independent of the partition count.
     """
 
     __slots__ = ("index", "heap", "now", "_live", "current_rank",
-                 "trace_stack", "log_buffer", "stats", "outbox", "processed")
+                 "trace_stack", "log_buffer", "stats", "processed")
 
     def __init__(self, index: int):
         self.index = index
@@ -180,7 +179,6 @@ class _Lane:
         self.trace_stack: List[Any] = []
         self.log_buffer: List[tuple] = []
         self.stats: Any = None
-        self.outbox: List[tuple] = []
         self.processed = 0
 
 
@@ -198,12 +196,8 @@ class Scheduler:
 
     ``partitions=1`` (the default) is a single lane with an unbounded
     horizon — one heap, popped in key order, same-instant events of one
-    origin firing in schedule order. ``parallel=True`` (with
-    ``partitions > 1``) runs each round's lane slices on a thread pool; a
-    per-callback lock keeps shared model state (directories, registries
-    crossing hosts) safe, so the parallel executor is an architectural
-    validation of the exchange protocol rather than a single-machine
-    speedup.
+    origin firing in schedule order. With more lanes, each round runs the
+    lanes' slices one after another on the calling thread.
 
     ``lookahead`` must be a positive lower bound on cross-host delivery
     latency whenever ``partitions > 1`` — the transport derives it from
@@ -220,8 +214,7 @@ class Scheduler:
     the per-message fast path.
     """
 
-    def __init__(self, partitions: int = 1, lookahead: float = 0.0,
-                 parallel: bool = False):
+    def __init__(self, partitions: int = 1, lookahead: float = 0.0):
         if partitions < 1:
             raise ValueError(f"partitions must be >= 1: {partitions}")
         if partitions > 1 and lookahead <= 0.0:
@@ -230,14 +223,10 @@ class Scheduler:
                 f"cross-host latency), got {lookahead!r}")
         self.partitions = partitions
         self.lookahead = lookahead
-        self.parallel = bool(parallel) and partitions > 1
         self._lanes = [_Lane(index) for index in range(partitions)]
         self._control = _Lane(-1)
-        self._tls = threading.local()
-        # present from the start on the constructing thread: setup code
-        # reads ``now`` thousands of times before the first event runs, and
-        # a missing thread-local attribute is the slow path of getattr
-        self._tls.lane = None
+        #: the lane whose slice is executing (None outside the run loop)
+        self._current_lane: Optional[_Lane] = None
         self._now = 0.0
         self._host_rank: Dict[str, int] = {}
         self._rank_lane: List[_Lane] = []
@@ -245,12 +234,9 @@ class Scheduler:
         self._external_seq = 0
         self._external_stack: List[Any] = []
         self._round_horizon = _INF
-        self._in_parallel_round = False
         self._round_index = 0
         self._events_processed = 0
         self._quiesce_callbacks: List[Callable[[], None]] = []
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._callback_lock = threading.Lock() if self.parallel else None
         #: optional :class:`repro.obs.profiling.SchedulerProfiler` (duck-typed
         #: ``record(site, lag, wall)``); None keeps the hot loop hook-free
         self.profiler = None
@@ -297,13 +283,13 @@ class Scheduler:
     @property
     def now(self) -> float:
         """Lane-local clock inside a callback, global clock outside."""
-        lane = getattr(self._tls, "lane", None)
+        lane = self._current_lane
         return self._now if lane is None else lane.now
 
     @property
     def current_context(self) -> Optional[_Lane]:
-        """The lane executing on this thread (None outside the run loop)."""
-        return getattr(self._tls, "lane", None)
+        """The executing lane (None outside the run loop)."""
+        return self._current_lane
 
     @property
     def round_index(self) -> int:
@@ -338,7 +324,7 @@ class Scheduler:
         (keyed by the host's rank); from control or external context it
         goes to the control lane and runs as a global barrier.
         """
-        lane = getattr(self._tls, "lane", None)
+        lane = self._current_lane
         base = self._now if lane is None else lane.now
         if when < base:
             raise ValueError(f"cannot schedule in the past: {when} < {base}")
@@ -399,7 +385,7 @@ class Scheduler:
         """
         src_rank = self._host_rank[source_host]
         tgt_rank = self._host_rank[target_host]
-        lane = getattr(self._tls, "lane", None)
+        lane = self._current_lane
         if lane is None:
             base = self._now
         else:
@@ -420,10 +406,6 @@ class Scheduler:
                     f"cross-partition delivery at t={when:.6f} below the "
                     f"round horizon {self._round_horizon:.6f}; the latency "
                     "model broke its min_latency() promise")
-            if self._in_parallel_round:
-                # staged: merged into the target heap at the round barrier
-                lane.outbox.append((target, entry))
-                return
         heapq.heappush(target.heap, entry)
         target._live += 1
 
@@ -467,14 +449,10 @@ class Scheduler:
                     horizon = t_ctl
                 self._round_horizon = horizon
                 try:
-                    if self.parallel:
-                        processed += self._run_parallel_round(horizon, stop,
-                                                              budget)
-                    else:
-                        for lane in lanes:
-                            if lane.heap:
-                                processed += self._run_lane_slice(
-                                    lane, horizon, stop, budget)
+                    for lane in lanes:
+                        if lane.heap:
+                            processed += self._run_lane_slice(
+                                lane, horizon, stop, budget)
                 finally:
                     self._round_horizon = _INF
             if processed >= max_events:
@@ -512,15 +490,14 @@ class Scheduler:
     def _run_lane_slice(self, lane: _Lane, horizon: float, stop: float,
                         budget: int) -> int:
         """Run up to ``budget`` events of ``lane`` strictly below ``horizon``
-        (and not beyond ``stop``), in canonical key order. Called serially,
-        as one thread of a parallel round, or for one control event."""
+        (and not beyond ``stop``), in canonical key order. Called once per
+        lane per round, or for one control event."""
         heap = lane.heap
         profiler = self.profiler
-        lock = self._callback_lock
         log = self.event_log
         heappop = heapq.heappop
         count = 0
-        self._tls.lane = lane
+        self._current_lane = lane
         try:
             while heap and count < budget:
                 entry = heap[0]
@@ -542,63 +519,22 @@ class Scheduler:
                 lane.now = when
                 lane.current_rank = entry[3]
                 fn = entry[5]
-                if lock is not None:
-                    # parallel round: one callback at a time — shared model
-                    # state (directories, cross-host registries) stays safe
-                    lock.acquire()
-                try:
-                    if profiler is None:
-                        fn(*entry[6])
+                if profiler is None:
+                    fn(*entry[6])
+                else:
+                    started = perf_counter()
+                    fn(*entry[6])
+                    wall = perf_counter() - started
+                    if timer is None:
+                        profiler.record(_DELIVERY_SITE, 0.0, wall)
                     else:
-                        started = perf_counter()
-                        fn(*entry[6])
-                        wall = perf_counter() - started
-                        if timer is None:
-                            profiler.record(_DELIVERY_SITE, 0.0, wall)
-                        else:
-                            profiler.record(timer.site,
-                                            when - timer.created_at, wall)
-                finally:
-                    if lock is not None:
-                        lock.release()
+                        profiler.record(timer.site,
+                                        when - timer.created_at, wall)
                 count += 1
         finally:
-            self._tls.lane = None
+            self._current_lane = None
         lane.processed += count
         return count
-
-    def _run_parallel_round(self, horizon: float, stop: float,
-                            budget: int) -> int:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.partitions, thread_name_prefix="repro-lane")
-        self._in_parallel_round = True
-        total = 0
-        error: Optional[BaseException] = None
-        try:
-            futures = [self._pool.submit(self._run_lane_slice, lane, horizon,
-                                         stop, budget)
-                       for lane in self._lanes if lane.heap]
-            for future in futures:
-                try:
-                    total += future.result()
-                except BaseException as exc:  # noqa: BLE001 - re-raised below
-                    if error is None:
-                        error = exc
-        finally:
-            self._in_parallel_round = False
-        # horizon exchange: merge staged cross-partition events, in lane
-        # order (order is cosmetic — canonical keys are unique, so heap
-        # order never depends on insertion order)
-        for lane in self._lanes:
-            if lane.outbox:
-                for target, entry in lane.outbox:
-                    heapq.heappush(target.heap, entry)
-                    target._live += 1
-                lane.outbox.clear()
-        if error is not None:
-            raise error
-        return total
 
     # -- introspection and hooks ---------------------------------------------
 
@@ -622,27 +558,21 @@ class Scheduler:
 
     def ambient_stack(self) -> List[Any]:
         """The tracer frame stack for the current execution context — one
-        per lane so parallel rounds cannot interleave ambient trace state
+        per lane plus one for code outside the run loop, so ambient trace
+        context never leaks from one context into another's callbacks
         (see :attr:`repro.obs.tracing.Tracer.stack_provider`)."""
-        lane = getattr(self._tls, "lane", None)
+        lane = self._current_lane
         return self._external_stack if lane is None else lane.trace_stack
 
     def current_log_buffer(self) -> List[tuple]:
         """The event-log staging buffer for the current context."""
-        lane = getattr(self._tls, "lane", None)
+        lane = self._current_lane
         return self._control.log_buffer if lane is None else lane.log_buffer
 
     def log_buffers(self) -> List[List[tuple]]:
         """All staging buffers in canonical merge order (control first)."""
         return [lane.log_buffer for lane in self.contexts()]
 
-    def close(self) -> None:
-        """Shut down the parallel executor (idempotent; serial is a no-op)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
     def __repr__(self) -> str:
         return (f"Scheduler(partitions={self.partitions}, "
-                f"parallel={self.parallel}, now={self._now:.3f}, "
-                f"pending={self.pending})")
+                f"now={self._now:.3f}, pending={self.pending})")

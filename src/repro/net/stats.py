@@ -166,7 +166,7 @@ class LaneStatsBuffer:
     validation, no registry lookups, no shared mutable state between
     lanes — and the owning :class:`~repro.net.transport.Network` merges
     every buffer in canonical lane order when the scheduler quiesces, so
-    registry totals are identical for every partition count and executor.
+    registry totals are identical for every partition count.
     This is also the transport's per-delivery fast path: the staging
     update is several times cheaper than a labelled counter ``inc``.
 

@@ -294,7 +294,6 @@ class Network:
         drop_rate: float = 0.0,
         seed: int = 0,
         partitions: Optional[int] = None,
-        parallel: bool = False,
         event_log: Optional[EventLog] = None,
         sanitize: bool = False,
     ):
@@ -306,8 +305,7 @@ class Network:
             # set_partitions() below, which models network splits (failures)
             scheduler = Scheduler(
                 partitions=1 if partitions is None else partitions,
-                lookahead=self.latency_model.min_latency(),
-                parallel=parallel)
+                lookahead=self.latency_model.min_latency())
         elif partitions is not None:
             raise TransportError(
                 "pass either scheduler= or partitions=, not both")

@@ -61,9 +61,7 @@ def run_overlay_instrumented(n: int, messages: int = MESSAGES,
         nodes[rng.randrange(n)].route(key, "probe", {})
         net.scheduler.run_for(40)
         target.on_delivery.remove(on_delivery)
-    record = _run_record("overlay", n, messages, seed, net)
-    net.scheduler.close()
-    return record
+    return _run_record("overlay", n, messages, seed, net)
 
 
 def run_hierarchy_instrumented(n: int, messages: int = MESSAGES,

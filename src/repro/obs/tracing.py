@@ -180,8 +180,8 @@ class Tracer:
         self._stack: List[_Frame] = []
         #: optional callable returning the ambient frame stack for the
         #: current execution context. A Network's Observability sets this
-        #: (to the scheduler's per-lane stacks) so parallel lanes cannot
-        #: interleave ambient context; None keeps the single built-in stack.
+        #: (to the scheduler's per-lane stacks) so ambient context never
+        #: crosses lanes; None keeps the single built-in stack.
         self.stack_provider: Optional[Callable[[], List[_Frame]]] = None
         #: trace id -> spans, in insertion order (dicts preserve it)
         self._traces: Dict[str, List[Span]] = {}

@@ -11,12 +11,12 @@ Nodes also answer DHT verbs (the range directory's storage), apply
 broadcast announcements (directory replication) and count per-node routed
 load for the hotspot analysis.
 
-Dissemination has two modes. The default is a deterministic distribution
-tree: each forwarder owns a clockwise ring arc and delegates disjoint
-sub-arcs to the known nodes inside it, so a full-overlay announce costs
-exactly N-1 messages (see DESIGN.md, "Overlay fast paths"). The original
-dedup-flood survives behind ``broadcast(..., flood=True)`` as the ablation
-and equivalence baseline.
+Dissemination is a deterministic distribution tree: each forwarder owns a
+clockwise ring arc and delegates disjoint sub-arcs to the known nodes
+inside it, so a full-overlay announce costs exactly N-1 messages (see
+DESIGN.md, "Overlay fast paths"). A per-node dedup set still drops any
+broadcast id seen before, so a duplicate arrival is counted, never applied
+twice.
 """
 
 from __future__ import annotations
@@ -261,9 +261,6 @@ class OverlayNode(Process):
         self.delivered = 0
         #: callbacks on delivered application payloads: (kind, body, hops)
         self.on_delivery: List[Callable[[str, Dict[str, Any], int], None]] = []
-        #: default dissemination mode; the management plane sets this from
-        #: SCINet(flood=...) — True re-enables the dedup flood everywhere
-        self.flood_broadcasts = False
         # hot-path metric handles, resolved once at attach time instead of
         # by name + label on every routed/delivered message
         metrics = network.obs.metrics
@@ -316,12 +313,8 @@ class OverlayNode(Process):
                 "hops": 0,
             })
 
-    def broadcast(self, kind: str, body: Dict[str, Any],
-                  flood: Optional[bool] = None) -> None:
-        """Announce over the overlay: distribution tree by default, or the
-        dedup flood when ``flood`` (or the node default) says so."""
-        if flood is None:
-            flood = self.flood_broadcasts
+    def broadcast(self, kind: str, body: Dict[str, Any]) -> None:
+        """Announce over the overlay's distribution tree."""
         # a per-node sequence (not the timestamp) keeps ids unique when one
         # node originates two same-kind broadcasts in the same tick — e.g.
         # a survivor retracting two ranges after a correlated crash
@@ -329,10 +322,7 @@ class OverlayNode(Process):
         bcast_id = f"{self.guid.hex[:12]}:{self._bcast_seq}:{kind}"
         payload = {"bcast_id": bcast_id, "kind": kind, "body": body, "hops": 0}
         self._apply_broadcast(payload)
-        if flood:
-            self._forward_broadcast(payload)
-        else:
-            self._forward_tree(payload, self.guid.hex)
+        self._forward_tree(payload, self.guid.hex)
 
     def dht_put(self, name: str, value: Any) -> None:
         self.route(GUID.from_name(name), "dht-put", {"name": name, "value": value})
@@ -472,15 +462,6 @@ class OverlayNode(Process):
         for callback in self.on_delivery:
             callback(kind, body, payload["hops"])
 
-    def _forward_broadcast(self, payload: Dict[str, Any]) -> None:
-        onward = dict(payload)
-        onward["hops"] += 1
-        targets = self.table.known_nodes()
-        for node in targets:
-            self.send(node, "o-bcast", onward)
-        if targets:
-            self._bcast_sent.inc(len(targets), mode="flood")
-
     def _forward_tree(self, payload: Dict[str, Any], until_hex: str) -> None:
         """Forward within this node's clockwise arc ``(self, until)``.
 
@@ -528,11 +509,7 @@ class OverlayNode(Process):
                 self._bcast_dup.inc()
                 return
             self._apply_broadcast(message.payload)
-            until_hex = message.payload.get("until")
-            if until_hex is None:
-                self._forward_broadcast(message.payload)
-            else:
-                self._forward_tree(message.payload, until_hex)
+            self._forward_tree(message.payload, message.payload["until"])
         elif message.kind == "o-delivery":
             with self.network.obs.tracer.span_if_active(
                     "overlay.deliver", node=self.name,

@@ -12,27 +12,21 @@ newcomer (what a full Pastry join protocol converges to);
 data plane — routing, DHT, directory replication — is entirely
 message-based through :class:`~repro.overlay.node.OverlayNode`.
 
-Two membership strategies coexist (``incremental=...``):
-
-* **Incremental** (default): a sorted GUID ring is maintained with bisect;
-  a join seeds the newcomer from its two ring flankers' tables, announces
-  it to the nodes it learned of, and recomputes exact leaf lists — straight
-  from the ring, in O(LEAF_HALF) each — for only the <= 2*LEAF_HALF ring
-  neighbours whose leaf sets can change. Departures repair the same
-  bounded neighbourhood. Per-membership-change work is O(log N)-ish
-  instead of the naive path's O(N log N) *per node*.
-* **Naive** (``incremental=False``): the seed behaviour — full-mesh table
-  seeding plus :meth:`_refresh_leaf_sets`, which re-sorts the entire
-  membership for every node on every change. Kept as the ablation and the
-  ground truth the incremental tests cross-check against.
+Membership is incremental: a sorted GUID ring is maintained with bisect; a
+join seeds the newcomer from its two ring flankers' tables, announces it to
+the nodes it learned of, and recomputes exact leaf lists — straight from
+the ring, in O(LEAF_HALF) each — for only the <= 2*LEAF_HALF ring
+neighbours whose leaf sets can change. Departures repair the same bounded
+neighbourhood, so per-membership-change work is O(log N)-ish. The seed
+behaviour — full-mesh table seeding plus re-sorting the entire membership
+for every node on every change, O(N log N) *per node* — is the test-side
+ground truth in ``tests/overlay/reference_membership.py``.
 
 Range discovery: when a range joins, its node broadcasts an
 ``announce-range`` carrying the places it governs; every node replicates the
 directory, giving Context Servers the synchronous ``peer_lookup`` they need
 when deciding whether to forward a query (Section 5's lobby -> Level 10
-hand-over). ``flood=True`` makes every node broadcast via the dedup flood
-instead of the default distribution tree (see
-:meth:`repro.overlay.node.OverlayNode.broadcast`).
+hand-over).
 """
 
 from __future__ import annotations
@@ -53,13 +47,10 @@ class SCINet:
     """Manager for one overlay (one "group" of ranges)."""
 
     def __init__(self, network: Network, group_name: str = "scinet",
-                 incremental: bool = True, flood: bool = False,
                  failure_detection: bool = False,
                  fd_interval: float = 5.0, fd_timeout: float = 15.0):
         self.network = network
         self.group_name = group_name
-        self.incremental = incremental
-        self.flood = flood
         #: heartbeat failure detection on every member (opt-in: the periodic
         #: probes keep the scheduler busy, so idle-driven workloads must not
         #: enable it). With it off, failures are removed only by the oracle
@@ -68,8 +59,8 @@ class SCINet:
         self.fd_interval = fd_interval
         self.fd_timeout = fd_timeout
         self._nodes: Dict[str, OverlayNode] = {}
-        #: members sorted by GUID value — the ring the incremental path
-        #: derives exact leaf sets from (maintained in both modes)
+        #: members sorted by GUID value — the ring exact leaf sets are
+        #: derived from
         self._ring: List[GUID] = []
         self.fd_removals = 0
         self._fd_removals_counter = network.obs.metrics.counter(
@@ -84,23 +75,7 @@ class SCINet:
         """Add ``node`` to the overlay and announce its range's places."""
         if node.guid.hex in self._nodes:
             raise RoutingError(f"node already in {self.group_name}: {node.guid}")
-        node.flood_broadcasts = self.flood
-        if self.incremental:
-            self._join_incremental(node)
-        else:
-            # Seed the newcomer's table with current members and tell members
-            # about the newcomer (management plane; see module docstring).
-            for member in self._nodes.values():
-                node.table.add(member.guid)
-                member.table.add(node.guid)
-                # Directory state transfer: a newcomer must know the places
-                # existing ranges announced before it joined (Section 5's
-                # forwarding works regardless of which range booted first).
-                for place, cs_hex in member.directory.items():
-                    node.directory.setdefault(place, cs_hex)
-            self._nodes[node.guid.hex] = node
-            bisect.insort(self._ring, node.guid)
-            self._refresh_leaf_sets()
+        self._add_member(node)
         if self.failure_detection:
             node.enable_failure_detector(self.fd_interval, self.fd_timeout,
                                          self._node_suspected)
@@ -115,7 +90,7 @@ class SCINet:
                     node.range_name or node.guid, len(self._nodes))
         return node
 
-    def _join_incremental(self, node: OverlayNode) -> None:
+    def _add_member(self, node: OverlayNode) -> None:
         """Pastry-style join: seed from the ring flankers, announce to the
         learned set, repair leaf sets only around the insertion point."""
         guid = node.guid
@@ -132,7 +107,9 @@ class SCINet:
                     if known != guid:
                         node.table.add(known)
                 # directory transfer from the replicated cache — any single
-                # quiesced member carries the full directory
+                # quiesced member carries the full directory, so a newcomer
+                # knows the places announced before it joined (Section 5's
+                # forwarding works regardless of which range booted first)
                 for place, cs_hex in member.directory.items():
                     node.directory.setdefault(place, cs_hex)
         self._ring.insert(index, guid)
@@ -223,12 +200,9 @@ class SCINet:
         self._ring.pop(index)
         for member in self._nodes.values():
             member.table.remove(node.guid)
-        if self.incremental:
-            # only the departed node's ring neighbourhood can have held it
-            # in a leaf set; restore their exact lists from the ring
-            self._recompute_leaves(range(index - LEAF_HALF, index + LEAF_HALF))
-        else:
-            self._refresh_leaf_sets()
+        # only the departed node's ring neighbourhood can have held it
+        # in a leaf set; restore their exact lists from the ring
+        self._recompute_leaves(range(index - LEAF_HALF, index + LEAF_HALF))
 
     def _recompute_leaves(self, indices: Iterable[int]) -> None:
         """Install exact, ring-derived leaf lists for the given ring
@@ -248,11 +222,6 @@ class SCINet:
             right = [ring[(i + 1 + j) % members] for j in range(count)]
             left = [ring[(i - 1 - j) % members] for j in range(count)]
             self._nodes[owner.hex].table.set_leaf_lists(right, left)
-
-    def _refresh_leaf_sets(self) -> None:
-        members = [node.guid for node in self._nodes.values()]
-        for node in self._nodes.values():
-            node.table.set_leaves(members)
 
     # -- introspection ----------------------------------------------------------------
 

@@ -21,6 +21,6 @@ class Rogue:
         sched._origin_seq[3] += 1
 
     def race_the_barrier(self, sched):
-        if sched._in_parallel_round:
+        if sched._lanes:
             return sched._round_horizon
         return None

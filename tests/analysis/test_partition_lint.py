@@ -27,7 +27,7 @@ def test_fixture_findings_exact():
         ("determinism.partition-crossing", 15),  # _lanes
         ("determinism.partition-crossing", 18),  # _rank_lane
         ("determinism.partition-crossing", 21),  # _origin_seq
-        ("determinism.partition-crossing", 24),  # _in_parallel_round
+        ("determinism.partition-crossing", 24),  # _lanes
         ("determinism.partition-crossing", 25),  # _round_horizon
     ]
 

@@ -172,6 +172,31 @@ class TestTeardown:
         assert mediator.remove_subscriptions_of("cfg-1") == 2
         assert mediator.subscription_count == 0
 
+    def test_consumed_one_time_subscriptions_leave_nothing_on_the_router(
+            self, network, mediator, sink):
+        # a shard-homed one-time subscription is consumed on its shard,
+        # where the router never sees it go: the router must keep no
+        # per-subscription record that only an explicit removal clears
+        process, inbox = sink
+
+        def table_sizes():
+            return {name: len(value) for name, value in vars(mediator).items()
+                    if isinstance(value, (dict, list, set))}
+
+        def cycle(subject):
+            mediator.add_subscription(process.guid, exact(subject),
+                                      one_time=True)
+            publish(mediator, subject=subject)
+            network.scheduler.run_until_idle()
+
+        cycle("warm-up")
+        baseline = table_sizes()
+        for i in range(50):
+            cycle(f"person-{i}")
+        assert len(inbox) == 51
+        assert mediator.subscription_count == 0
+        assert table_sizes() == baseline
+
 
 class TestRebalance:
     def test_add_shard_preserves_every_subscription(self, network, mediator,

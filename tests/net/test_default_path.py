@@ -7,6 +7,7 @@ default deployment executes, that lazy labels equal the eager ones, and
 that a default ``SCI()`` is deterministic and partition-invariant.
 """
 
+import inspect
 import itertools
 
 import pytest
@@ -18,9 +19,12 @@ from repro.core import api
 from repro.events import event as event_module
 from repro.events import subscription as subscription_module
 from repro.net import message as message_module
+from repro.net import sim as sim_module
 from repro.net.eventlog import EventLog
 from repro.net.sim import Scheduler, Timer, callsite
 from repro.net.transport import FixedLatency, FunctionProcess, Network
+from repro.overlay.node import OverlayNode
+from repro.overlay.scinet import SCINet
 from repro.query import model as query_module
 
 
@@ -46,6 +50,15 @@ def test_default_send_is_a_bare_heap_tuple():
     assert [message.kind for message in got] == ["ping"]
     # the lane staged the counts and merged them at quiesce
     assert net.stats.sent == net.stats.delivered == 1
+
+
+def test_one_execution_mode_no_selecting_options():
+    """There is one executor and one overlay path: nothing to select."""
+    for target in (Scheduler, Network, SCINet, OverlayNode.broadcast):
+        options = set(inspect.signature(target).parameters)
+        assert not options & {"parallel", "incremental", "flood"}, target
+    source = inspect.getsource(sim_module)
+    assert "threading" not in source and "concurrent.futures" not in source
 
 
 class _Worker:
@@ -139,7 +152,6 @@ def _sci_digest(monkeypatch, partitions=None):
     sci.run(30)
     assert app.last_event_value() == "L10.01"
     assert sci.scheduler.partitions == (partitions or 1)
-    sci.scheduler.close()
     return log.digest(), len(log)
 
 

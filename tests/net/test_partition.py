@@ -3,9 +3,9 @@
 The equivalence suites (``tests/parallel``, the Hypothesis property) prove
 whole-run invariance; these tests pin the individual mechanisms that
 invariance is built from — consistent lane assignment, lookahead
-validation, the causality guards, control-lane barrier semantics,
-lane-local clocks and the horizon-exchange outbox — so a regression fails
-here with a mechanism's name on it rather than as a digest mismatch.
+validation, the causality guards, control-lane barrier semantics and
+lane-local clocks — so a regression fails here with a mechanism's name on
+it rather than as a digest mismatch.
 """
 
 import zlib
@@ -18,9 +18,8 @@ from repro.net.transport import FixedLatency, Network, TransportError
 POOL = tuple(f"host-{i}" for i in range(16))
 
 
-def make_sched(partitions, lookahead=1.0, parallel=False):
-    sched = Scheduler(partitions=partitions, lookahead=lookahead,
-                                 parallel=parallel)
+def make_sched(partitions, lookahead=1.0):
+    sched = Scheduler(partitions=partitions, lookahead=lookahead)
     for host in POOL:
         sched.register_host(host)
     return sched
@@ -42,10 +41,6 @@ def test_partition_count_validation():
         Scheduler(partitions=2, lookahead=0.0)
     # single lane needs no lookahead: there is nothing to overtake
     assert Scheduler(partitions=1).partitions == 1
-
-
-def test_parallel_with_one_lane_degenerates_to_serial():
-    assert Scheduler(partitions=1, parallel=True).parallel is False
 
 
 def test_lane_assignment_is_consistent_hash():
@@ -203,48 +198,6 @@ def test_runaway_guard():
     sched.schedule(1.0, rearm)
     with pytest.raises(RuntimeError, match="runaway"):
         sched.run_until_idle(max_events=50)
-
-
-# -- the parallel executor ----------------------------------------------------
-
-
-def _ping_pong(sched, rounds=20):
-    """Cross-lane ping-pong: every delivery re-sends to the other lane."""
-    per_host = {host: [] for host in POOL}
-    a = hosts_on_lane(sched, 0)[0]
-    b = hosts_on_lane(sched, sched.partitions - 1)[0]
-
-    def volley(host, peer, n):
-        per_host[host].append((sched.now, n))
-        if n < rounds:
-            sched.schedule_delivery(host, peer, 1.0, volley, peer, host, n + 1)
-
-    sched.schedule_delivery(a, a, 1.0, volley, a, b, 0)
-    sched.schedule_delivery(b, b, 1.0, volley, b, a, 0)
-    sched.run_until_idle()
-    return per_host
-
-
-def test_parallel_round_matches_serial():
-    serial = _ping_pong(make_sched(4, parallel=False))
-    threaded_sched = make_sched(4, parallel=True)
-    threaded = _ping_pong(threaded_sched)
-    assert threaded == serial
-    threaded_sched.close()
-    threaded_sched.close()  # idempotent
-
-
-def test_parallel_round_propagates_callback_errors():
-    sched = make_sched(2, parallel=True)
-    host = hosts_on_lane(sched, 0)[0]
-
-    def boom():
-        raise RuntimeError("lane callback failed")
-
-    sched.schedule_delivery(host, host, 1.0, boom)
-    with pytest.raises(RuntimeError, match="lane callback failed"):
-        sched.run_until_idle()
-    sched.close()
 
 
 def test_pending_sums_all_lanes():

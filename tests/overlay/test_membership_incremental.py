@@ -15,11 +15,12 @@ from repro.core.ids import GUID
 from repro.net.transport import FixedLatency, Network
 from repro.overlay.node import LEAF_HALF, RoutingTable
 from repro.overlay.scinet import SCINet
+from tests.overlay.reference_membership import ReferenceSCINet
 
 
-def fresh_scinet(seed=5, **kwargs):
+def fresh_scinet(seed=5, scinet=SCINet):
     net = Network(latency_model=FixedLatency(1.0), seed=seed)
-    return net, SCINet(net, **kwargs)
+    return net, scinet(net)
 
 
 def assert_leaves_match_ground_truth(sci):
@@ -72,8 +73,8 @@ class TestIncrementalLeafSets:
             assert_leaves_match_ground_truth(sci)
 
     def test_incremental_and_naive_agree_on_leaves(self):
-        worlds = [fresh_scinet(seed=9, incremental=True),
-                  fresh_scinet(seed=9, incremental=False)]
+        worlds = [fresh_scinet(seed=9),
+                  fresh_scinet(seed=9, scinet=ReferenceSCINet)]
         for _, sci in worlds:
             for i in range(20):
                 sci.create_node(f"h{i % 4}")
@@ -166,15 +167,16 @@ class TestTreeBroadcast:
         assert dup.total() == 0
 
     def test_flood_reaches_everyone_with_duplicates(self):
-        net, sci = fresh_scinet()
+        # the test-side flood reference: reaches everyone, and the dedup
+        # set still in src/ absorbs the duplicate arrivals it creates
+        net, sci = fresh_scinet(scinet=ReferenceSCINet)
         for i in range(32):
             sci.create_node(f"h{i % 4}")
         net.run_until_idle()
         sent = net.stats.by_kind.get("o-bcast", 0)
         sci.nodes()[7].broadcast("announce-range",
                                  {"range": "x", "cs": "cs-x",
-                                  "places": ["room-x"]},
-                                 flood=True)
+                                  "places": ["room-x"]})
         net.run_until_idle()
         assert net.stats.by_kind["o-bcast"] - sent > 31
         assert all(n.lookup_place("room-x") == "cs-x" for n in sci.nodes())
@@ -192,16 +194,3 @@ class TestTreeBroadcast:
         assert sent.value(mode="tree") > 0
         assert sent.value(mode="flood") == 0
 
-    def test_flood_default_follows_scinet_flag(self):
-        net, sci = fresh_scinet(flood=True)
-        for i in range(12):
-            sci.create_node(f"h{i % 4}", range_name=f"r{i}",
-                            places=[f"place-{i}"])
-        net.run_until_idle()
-        sent = net.obs.metrics.counter("overlay.bcast.sent",
-                                       labels=("mode",))
-        assert sent.value(mode="flood") > 0
-        assert sent.value(mode="tree") == 0
-        # flood mode still replicates the full directory everywhere
-        for node in sci.nodes():
-            assert len(node.directory) == 12

@@ -103,17 +103,17 @@ def _mint_events(guids) -> List[dict]:
     return events
 
 
-def run_scenario(partitions: Optional[int] = None, parallel: bool = False,
-                 seed: int = 11, sanitize: bool = False,
+def run_scenario(partitions: Optional[int] = None, seed: int = 11,
+                 sanitize: bool = False,
                  reference_scan: bool = False) -> Dict[str, object]:
     """Run the mixed scenario on one substrate configuration.
 
     ``partitions=None`` plugs in the single-heap reference scheduler; an
-    integer builds a :class:`~repro.net.sim.Scheduler` with that many lanes
-    (optionally with the thread executor). ``sanitize=True`` runs under
-    the LaneSan race detector; the result then carries the conflict list
-    under ``race_conflicts``. ``reference_scan=True`` swaps the
-    storm's mediator for the linear reference scan
+    integer builds a :class:`~repro.net.sim.Scheduler` with that many
+    lanes. ``sanitize=True`` runs under the LaneSan race detector; the
+    result then carries the conflict list under ``race_conflicts``.
+    ``reference_scan=True`` swaps the storm's mediator for the linear
+    reference scan
     (:mod:`tests.events.reference_scan`): the event log must not be able
     to tell the two ways of matching apart.
     """
@@ -125,12 +125,12 @@ def run_scenario(partitions: Optional[int] = None, parallel: bool = False,
                       seed=seed, event_log=log, sanitize=sanitize)
     else:
         net = Network(latency_model=latency, seed=seed, partitions=partitions,
-                      parallel=parallel, event_log=log, sanitize=sanitize)
+                      event_log=log, sanitize=sanitize)
     for host in HOSTS:
         net.add_host(host)
 
     # -- overlay: a time-zero burst of incremental join traffic
-    sci = SCINet(net, incremental=True)
+    sci = SCINet(net)
     nodes = [sci.create_node(HOSTS[i % len(HOSTS)], range_name=f"r{i}")
              for i in range(NODES)]
 
@@ -191,7 +191,4 @@ def run_scenario(partitions: Optional[int] = None, parallel: bool = False,
     }
     if net.sanitizer is not None:
         result["race_conflicts"] = net.sanitizer.conflicts()
-    close = getattr(net.scheduler, "close", None)
-    if close is not None:
-        close()
     return result

@@ -42,22 +42,19 @@ GOLDEN_PROFILE = {
 }
 
 CONFIGURATIONS = [
-    pytest.param(1, False, id="partitions=1"),
-    pytest.param(2, False, id="partitions=2"),
-    pytest.param(4, False, id="partitions=4"),
-    pytest.param(8, False, id="partitions=8"),
-    pytest.param(2, True, id="partitions=2-parallel"),
-    pytest.param(4, True, id="partitions=4-parallel"),
-    pytest.param(8, True, id="partitions=8-parallel"),
+    pytest.param(1, id="partitions=1"),
+    pytest.param(2, id="partitions=2"),
+    pytest.param(4, id="partitions=4"),
+    pytest.param(8, id="partitions=8"),
 ]
 
 
-@pytest.mark.parametrize("partitions,parallel", CONFIGURATIONS)
-def test_golden_trace(partitions, parallel):
-    result = run_scenario(partitions=partitions, parallel=parallel)
+@pytest.mark.parametrize("partitions", CONFIGURATIONS)
+def test_golden_trace(partitions):
+    result = run_scenario(partitions=partitions)
     assert result["entries"] == GOLDEN_ENTRIES
     assert result["digest"] == GOLDEN_DIGEST, (
-        f"partitions={partitions} parallel={parallel} produced digest "
+        f"partitions={partitions} produced digest "
         f"{result['digest']} — observable behaviour changed; if intended, "
         "re-mint the constants (see module docstring)")
     assert result["profile"] == GOLDEN_PROFILE

@@ -75,7 +75,7 @@ def run_boundary_scenario(partitions, fix_time=EXPIRY, seed=11):
                               "bob", "L10.01")
     net.scheduler.run_until(EXPIRY + 10)
 
-    outcome = {
+    return {
         "parked_before": parked_before,
         "parked_after": len(server.parked_queries()),
         "executed": server.queries_executed,
@@ -83,10 +83,6 @@ def run_boundary_scenario(partitions, fix_time=EXPIRY, seed=11):
         "acks": sorted(ack["status"] for ack in app.query_acks.values()),
         "results": [(r.get("ok"), r.get("error")) for r in app.results],
     }
-    close = getattr(net.scheduler, "close", None)
-    if close is not None:
-        close()
-    return outcome
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,10 @@
 """Property: tree and flood dissemination replicate identical directories.
 
 For arbitrary interleavings of join/leave/fail/announce, the four worlds —
-{incremental, naive membership} x {tree, flood broadcast} — must quiesce to
-the *same* replicated range directory on *every* surviving node. The worlds
+{incremental, full-refresh membership} x {tree, flood broadcast} — must
+quiesce to the *same* replicated range directory on *every* surviving node.
+The production overlay is the incremental/tree world; the other three swap
+in the references of :mod:`tests.overlay.reference_membership`. The worlds
 share a network seed, so GUID minting (and hence ring structure) is
 identical and node-by-node comparison is exact.
 """
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.net.transport import FixedLatency, Network
 from repro.overlay.scinet import SCINet
+from tests.overlay.reference_membership import ReferenceSCINet
 
 #: (op, selector) — selector picks the target node modulo current size
 operations = st.lists(
@@ -20,16 +23,19 @@ operations = st.lists(
     max_size=24)
 
 MODES = (
-    {"incremental": True, "flood": False},   # the fast paths (defaults)
-    {"incremental": True, "flood": True},
-    {"incremental": False, "flood": False},
-    {"incremental": False, "flood": True},   # the seed behaviour
+    {"full_refresh": False, "flood": False},  # production: src/ as shipped
+    {"full_refresh": False, "flood": True},
+    {"full_refresh": True, "flood": False},
+    {"full_refresh": True, "flood": True},    # the seed behaviour
 )
 
 
-def run_world(ops, incremental, flood):
+def run_world(ops, full_refresh=False, flood=False):
     net = Network(latency_model=FixedLatency(1.0), seed=17)
-    sci = SCINet(net, incremental=incremental, flood=flood)
+    if full_refresh or flood:
+        sci = ReferenceSCINet(net, full_refresh=full_refresh, flood=flood)
+    else:
+        sci = SCINet(net)
     serial = 0
     for _ in range(3):  # a non-trivial starting overlay
         sci.create_node(f"h{serial % 8}", range_name=f"r{serial}",
@@ -86,7 +92,7 @@ class TestBroadcastEquivalence:
     @settings(max_examples=25, deadline=None)
     def test_tree_leaf_sets_match_ground_truth_under_churn(self, ops):
         from repro.overlay.node import RoutingTable
-        sci = run_world(ops, incremental=True, flood=False)
+        sci = run_world(ops)
         members = [node.guid for node in sci.nodes()]
         for node in sci.nodes():
             expected = RoutingTable(node.guid)

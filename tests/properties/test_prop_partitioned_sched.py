@@ -3,11 +3,10 @@
 Hypothesis draws whole workloads — host counts, relay topologies, hop
 delays, timer arm/cancel interleavings, a jittered latency model and a
 partition count — and asserts that the canonical per-host event log of a
-``partitions=k`` run (serial *and* thread-pool parallel) is identical to
-the ``partitions=1`` single-queue reference, and that the global
-``(time, sequence)`` heap of :mod:`tests.parallel.single_heap` agrees too
-(jittered latencies make the same-time cross-origin ties where it could
-differ measure-zero).
+``partitions=k`` run is identical to the ``partitions=1`` single-queue
+reference, and that the global ``(time, sequence)`` heap of
+:mod:`tests.parallel.single_heap` agrees too (jittered latencies make the
+same-time cross-origin ties where it could differ measure-zero).
 
 This generalises ``tests/parallel/test_differential.py`` from one curated
 scenario to the space of random relay workloads; shrinking hands back the
@@ -66,8 +65,8 @@ class RelayProcess(Process):
         self.ticks += 1
 
 
-def run_workload(workload: dict, partitions: Optional[int],
-                 parallel: bool = False) -> Dict[str, object]:
+def run_workload(workload: dict,
+                 partitions: Optional[int]) -> Dict[str, object]:
     log = EventLog()
     latency = UniformLatency(workload["lat_low"],
                              workload["lat_low"] + workload["lat_spread"])
@@ -76,7 +75,7 @@ def run_workload(workload: dict, partitions: Optional[int],
                       seed=workload["seed"], event_log=log)
     else:
         net = Network(latency_model=latency, seed=workload["seed"],
-                      partitions=partitions, parallel=parallel, event_log=log)
+                      partitions=partitions, event_log=log)
     hosts = HOST_POOL[:workload["n_hosts"]]
     for host in hosts:
         net.add_host(host)
@@ -90,7 +89,7 @@ def run_workload(workload: dict, partitions: Optional[int],
         net.scheduler.schedule_at(start, first.on_message_self, {
             "path": path, "delay": delay, "timer": timer})
     net.run_until_idle()
-    result = {
+    return {
         "per_host": log.per_host(),
         "digest": log.digest(),
         "hops": [proc.hops_seen for proc in procs],
@@ -99,10 +98,6 @@ def run_workload(workload: dict, partitions: Optional[int],
         "delivered": net.stats.delivered,
         "pending": net.scheduler.pending,
     }
-    close = getattr(net.scheduler, "close", None)
-    if close is not None:
-        close()
-    return result
 
 
 # injecting the first hop goes through a tiny shim so the origin's reaction
@@ -144,17 +139,6 @@ def test_partitioned_matches_single_queue(workload):
         assert sharded[key] == reference[key], f"diverged on {key}"
     # all events drained: a live pending count would mean _live leaked
     assert reference["pending"] == 0
-
-
-@given(workload=workloads)
-@settings(max_examples=15, deadline=None)
-def test_parallel_executor_matches_single_queue(workload):
-    reference = run_workload(workload, partitions=1)
-    threaded = run_workload(workload, partitions=workload["partitions"],
-                            parallel=True)
-    assert threaded["per_host"] == reference["per_host"]
-    assert threaded["digest"] == reference["digest"]
-    assert threaded["hops"] == reference["hops"]
 
 
 @given(workload=workloads)

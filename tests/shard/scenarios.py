@@ -223,13 +223,9 @@ def run_scenario(shards: int = 1, partitions: Optional[int] = None,
         schedule(65.0, lambda: publisher.publish(extra["event"]))
 
     net.run_until_idle()
-    result = {
+    return {
         "logs": {label: list(sink.log) for label, sink in sinks.items()},
         "delivered": sum(len(sink.log) for sink in sinks.values()),
         "acks": publisher.acks,
         "subscription_count": mediator.subscription_count,
     }
-    close = getattr(net.scheduler, "close", None)
-    if close is not None:
-        close()
-    return result
