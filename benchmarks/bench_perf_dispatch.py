@@ -8,7 +8,11 @@ Two hot paths, each swept over a scale range:
   publish costs O(matching + residual), not O(N).
 * **Query resolution** — a resolver over N source profiles spread across
   many offered types; each candidate step reads one type bucket from a
-  version-cached profile index.
+  profile index that is built once and then follows membership by delta.
+  The *stable* rows resolve over a fixed population (their p95 at small
+  resolve counts is the one index build); the *churned* rows put one
+  arrival or departure between every two resolves and time only the
+  resolves after the build — the tail a live range sees.
 
 Publish scales run 100 -> 100k, resolve scales 100 -> 10k. Results land in
 ``results/bench_perf_dispatch.txt`` (human-readable) and
@@ -16,7 +20,8 @@ Publish scales run 100 -> 100k, resolve scales 100 -> 10k. Results land in
 trajectory). There is one engine, so nothing is raced: the gates are
 structural — the index must serve hits, and a publish may visit at most
 ``MAX_SCAN_FRACTION`` of the filters a linear scan would (equivalence with
-that scan is proven in ``tests/opgraph`` and ``tests/properties``).
+that scan is proven in ``tests/opgraph`` and ``tests/properties``), and
+the profile index must be built exactly once, churn or no churn.
 
 Run: ``PYTHONPATH=src python -m pytest benchmarks/bench_perf_dispatch.py -q -s``
 """
@@ -42,6 +47,8 @@ BASELINE_PATH = RESULTS_DIR / "BENCH_dispatch.json"
 
 PUBLISH_SCALES = (100, 1_000, 10_000, 100_000)
 RESOLVE_SCALES = (100, 1_000, 10_000)
+#: resolves per churned row: enough that p95 has ten samples beyond it
+CHURNED_RESOLVES = 200
 #: fraction of subscriptions with non-analysable filters (stress residual)
 RESIDUAL_FRACTION = 0.01
 #: a publish may visit at most this share of the N filters a linear scan
@@ -103,42 +110,102 @@ def measure_publish(n_subscriptions, publishes):
 
 # -- query resolution ----------------------------------------------------------
 
+class _Population:
+    """N single-output source profiles across many types, as a live feed.
+
+    The feed token is the registrar-shaped ``(registrations, templates)``
+    pair, bumped once per arrival or departure, so reported deltas chain.
+    """
+
+    def __init__(self, n_profiles):
+        self.registry = TypeRegistry()
+        self.n_types = max(10, n_profiles // 50)
+        for i in range(self.n_types):
+            self.registry.define(f"sense-{i}")
+        self._guids = GuidFactory(seed=31)
+        self.profiles = [self._mint(i) for i in range(n_profiles)]
+        self.registrations = n_profiles
+
+    def _mint(self, index):
+        return Profile(self._guids.mint(), f"src-{index}", EntityClass.DEVICE,
+                       outputs=[TypeSpec(f"sense-{index % self.n_types}",
+                                         "raw", f"s{index}")])
+
+    def wanted(self, index):
+        return TypeSpec(f"sense-{index % self.n_types}", "raw", f"s{index}")
+
+    def version(self):
+        return (self.registrations, 0)
+
+    def arrive(self, resolver, index):
+        arrived = self._mint(index)
+        self.profiles.append(arrived)
+        self.registrations += 1
+        resolver.note_profile_added(arrived)
+
+    def depart(self, resolver, position):
+        departed = self.profiles.pop(position)
+        self.registrations += 1
+        resolver.note_profile_removed(departed.entity_id.hex)
+
+    def resolver(self, feed_version):
+        return QueryResolver(self.registry,
+                             live_profiles=lambda: self.profiles,
+                             templates=TemplateRegistry(),
+                             feed_version=feed_version)
+
+
 def build_resolver(n_profiles, cached=True):
-    """A resolver over N single-output source profiles across many types."""
-    registry = TypeRegistry()
-    n_types = max(10, n_profiles // 50)
-    for i in range(n_types):
-        registry.define(f"sense-{i}")
-    guids = GuidFactory(seed=31)
-    profiles = [
-        Profile(guids.mint(), f"src-{i}", EntityClass.DEVICE,
-                outputs=[TypeSpec(f"sense-{i % n_types}", "raw", f"s{i}")])
-        for i in range(n_profiles)
-    ]
-    resolver = QueryResolver(
-        registry,
-        live_profiles=lambda: profiles,
-        templates=TemplateRegistry(),
-        feed_version=(lambda: 0) if cached else None,
-    )
-    return resolver, n_types
+    """A resolver over a fixed population (stable feed version)."""
+    population = _Population(n_profiles)
+    return (population.resolver((lambda: 0) if cached else None),
+            population.n_types)
+
+
+def _timed_resolve(resolver, wanted):
+    start = time.perf_counter()
+    resolver.resolve(wanted)
+    return (time.perf_counter() - start) * 1000.0
+
+
+def _latency_row(resolver, latencies, **extra):
+    ordered = sorted(latencies)
+    return dict(extra,
+                resolves=len(ordered),
+                p50_ms=ordered[len(ordered) // 2],
+                p95_ms=ordered[min(len(ordered) - 1,
+                                   int(len(ordered) * 0.95))],
+                rebuilds=resolver.index_rebuilds)
 
 
 def measure_resolve(n_profiles, resolves):
-    resolver, n_types = build_resolver(n_profiles)
+    population = _Population(n_profiles)
+    resolver = population.resolver(lambda: 0)
+    return _latency_row(resolver, [
+        _timed_resolve(resolver, population.wanted(i % n_profiles))
+        for i in range(resolves)])
+
+
+def measure_resolve_churned(n_profiles, resolves):
+    """Resolve latency with one arrival or departure between resolves.
+
+    The index build is timed on its own (``build_ms``, the first resolve);
+    the percentiles are over the resolves that follow it. Departures come
+    out of the upper half of the population, wanted subjects out of the
+    lower half, so every resolve has its provider.
+    """
+    population = _Population(n_profiles)
+    resolver = population.resolver(population.version)
+    build_ms = _timed_resolve(resolver, population.wanted(0))
     latencies = []
     for i in range(resolves):
-        wanted = TypeSpec(f"sense-{i % n_types}", "raw", f"s{i % n_profiles}")
-        start = time.perf_counter()
-        resolver.resolve(wanted)
-        latencies.append((time.perf_counter() - start) * 1000.0)
-    ordered = sorted(latencies)
-    return {
-        "resolves": resolves,
-        "p50_ms": ordered[len(ordered) // 2],
-        "p95_ms": ordered[min(len(ordered) - 1, int(len(ordered) * 0.95))],
-        "rebuilds": resolver.index_rebuilds,
-    }
+        if i % 2:
+            population.depart(resolver, n_profiles // 2)
+        else:
+            population.arrive(resolver, n_profiles + i)
+        latencies.append(_timed_resolve(
+            resolver, population.wanted(i % (n_profiles // 2))))
+    return _latency_row(resolver, latencies, build_ms=build_ms)
 
 
 # -- the report ----------------------------------------------------------------
@@ -194,7 +261,32 @@ class TestReportDispatchPerf:
             })
             # a version-stable feed must build the index exactly once
             assert row["rebuilds"] == 1
+        report("")
+        report("PERF  resolve latency under churn (one arrival or departure "
+               "between resolves; percentiles exclude the build)")
+        report(f"{'profiles':>9} | {'build':>10} | {'p50':>10} {'p95':>10} "
+               f"| {'rebuilds':>8}")
+        for scale in RESOLVE_SCALES:
+            row = measure_resolve_churned(scale, resolves=CHURNED_RESOLVES)
+            report(f"{scale:>9} | {row['build_ms']:>8.1f}ms | "
+                   f"{row['p50_ms']:>8.3f}ms {row['p95_ms']:>8.3f}ms | "
+                   f"{row['rebuilds']:>8}")
+            baseline["resolve_churned"].append({
+                "profiles": scale,
+                "resolves": row["resolves"],
+                "build_ms": round(row["build_ms"], 2),
+                "p50_ms": round(row["p50_ms"], 4),
+                "p95_ms": round(row["p95_ms"], 4),
+                "rebuilds": row["rebuilds"],
+            })
+            # membership changes are deltas: the one build is the first
+            assert row["rebuilds"] == 1, (
+                f"{row['rebuilds']} index builds over {row['resolves']} "
+                f"churned resolves at {scale} profiles (gate == 1)")
         _save_baseline(baseline)
+
+
+SECTIONS = ("publish", "resolve", "resolve_churned")
 
 
 def _load_baseline():
@@ -203,16 +295,17 @@ def _load_baseline():
             document = json.load(handle)
         # re-runs replace their own section, keeping the other's last values
         return {"schema": "sci.bench.dispatch/2",
-                "publish": [], "resolve": [],
-                "previous": {k: document.get(k) for k in ("publish", "resolve")}}
-    return {"schema": "sci.bench.dispatch/2", "publish": [], "resolve": []}
+                **{section: [] for section in SECTIONS},
+                "previous": {k: document.get(k) for k in SECTIONS}}
+    return {"schema": "sci.bench.dispatch/2",
+            **{section: [] for section in SECTIONS}}
 
 
 def _save_baseline(document):
     RESULTS_DIR.mkdir(exist_ok=True)
     merged = {"schema": document["schema"]}
     previous = document.pop("previous", {})
-    for section in ("publish", "resolve"):
+    for section in SECTIONS:
         merged[section] = document[section] or previous.get(section) or []
     with open(BASELINE_PATH, "w", encoding="utf-8") as handle:
         json.dump(merged, handle, indent=2, sort_keys=True)

@@ -10,6 +10,11 @@ structural properties a refactor could silently regress:
   here long before production-scale latencies would reveal it;
 * the resolver's profile index is built once under a stable feed version and
   serves every candidate lookup (``resolver.index.*`` via its counters);
+* a Context Server's query path scans no population: over registration
+  churn the provider index is built exactly once (arrivals, departures and
+  re-registrations arrive as deltas), and profile/advertisement queries
+  answered from the Registrar's What index are digest-equal to the
+  test-side linear scan (``tests/server/reference_scan.py``);
 * the registrar sweeps leases through the expiry heap (pops observed, no
   full-scan fallback to reintroduce);
 * the overlay disseminates announcements over the distribution tree
@@ -64,7 +69,7 @@ MIN_SHARDED_THROUGHPUT_RATIO = 0.6
 SUBSTRATE_NODES = 400
 SUBSTRATE_ROUTES = 200
 #: catastrophic-regression guard for the sharded Context Server at smoke
-#: scale (the bench_perf_shard gate at 10^6 entities is the strict one):
+#: scale (bench_perf_shard reports the same ratio at 10^6 entities):
 #: the sharded open-loop run may not fall below this fraction of the
 #: classic mediator's wall-clock throughput
 MIN_SHARD_WORKLOAD_RATIO = 0.6
@@ -78,12 +83,104 @@ MIN_OPGRAPH_REUSE = 0.9
 SCAN_TRACKERS = 250
 #: routing-table memo reads served per rebuild, summed over all nodes
 MIN_CACHE_HIT_RATIO = 2
+#: population and churn steps of the Context Server query-path row
+QUERY_PATH_PROFILES = 2_000
+QUERY_PATH_CHURN = 50
 
 
 def check(condition, label):
     status = "ok" if condition else "FAIL"
     print(f"smoke-perf: {status} — {label}")
     return bool(condition)
+
+
+def query_path_under_churn(profiles=QUERY_PATH_PROFILES,
+                           churn=QUERY_PATH_CHURN):
+    """One range, ``profiles`` registrations, ``churn`` membership changes.
+
+    Every change is followed by a resolve and by a profile and an
+    advertisement query through ``execute_query``; the answers a client
+    receives are digested next to what the reference scan selects.
+    """
+    from hashlib import blake2b
+    from repro.core.types import standard_registry
+    from repro.entities.advertisement import Advertisement
+    from repro.entities.profile import EntityClass, Profile
+    from repro.location.building import livingstone_tower
+    from repro.net.transport import FunctionProcess
+    from repro.query.model import QueryBuilder
+    from repro.server.context_server import ContextServer
+    from repro.server.range import RangeDefinition
+    from repro.server.registrar import RegistrationRecord
+    from tests.server.reference_scan import scan_matching
+
+    net = Network(latency_model=FixedLatency(0.5), seed=13)
+    net.add_host("h")
+    guids = GuidFactory(seed=43)
+    server = ContextServer(
+        guids.mint(), "h", net,
+        definition=RangeDefinition("smoke", places=["livingstone"],
+                                   hosts=["h"]),
+        building=livingstone_tower(), registry=standard_registry(),
+        guid_factory=guids)
+    registrar = server.registrar
+    answers = []
+    client = FunctionProcess(guids.mint(), "h", net, answers.append)
+
+    def record(guid, index, device):
+        printer = index % 4 == 0
+        return RegistrationRecord(
+            profile=Profile(
+                guid, f"unit-{index % (profiles // 2)}", EntityClass.DEVICE,
+                outputs=[TypeSpec("printer-status" if printer
+                                  else "temperature", "record")],
+                attributes={"device": device} if printer else {}),
+            kind="ce",
+            advertisements=([Advertisement("print-service", ["print"])]
+                            if printer else []))
+
+    members = []
+    for index in range(profiles):
+        members.append(registrar.register_record(
+            record(guids.mint(), index, "printer")))
+    wanted = TypeSpec("printer-status", "record")
+    server.resolver.resolve(wanted)
+    queries = [QueryBuilder("smoke").profiles_of_type("printer").build(),
+               QueryBuilder("smoke").profile_of("unit-8").build(),
+               QueryBuilder("smoke").advertisement("print").build()]
+    indexed, scanned = blake2b(digest_size=16), blake2b(digest_size=16)
+    answered = 0
+    for step in range(churn):
+        if step % 3 == 0:
+            members.append(registrar.register_record(
+                record(guids.mint(), 4 * step, "printer")))
+        elif step % 3 == 1:
+            registrar.remove(members.pop(8 * step).entity_hex, "smoke",
+                             notify_entity=False)
+        else:  # an existing printer registers again as a plotter
+            old = members[8 * step]
+            members[8 * step] = registrar.register_record(
+                record(old.profile.entity_id, 8 * step, "plotter"))
+        server.resolver.resolve(wanted)
+        for query in queries:
+            del answers[:]
+            server.execute_query(query, client.guid.hex)
+            net.scheduler.run_for(1)
+            result = answers[-1].payload
+            got = ([item["entity_id"] for item in result["profiles"]]
+                   if "profiles" in result else
+                   [item["entity"] for item in result["candidates"]])
+            expected = [member.entity_hex
+                        for member in scan_matching(registrar, query.what)
+                        if "profiles" in result or member.advertisements]
+            indexed.update(repr(got).encode())
+            scanned.update(repr(expected).encode())
+            answered += len(got)
+    return {"rebuilds": server.resolver.index_rebuilds,
+            "deltas": server.resolver.index_deltas,
+            "answered": answered,
+            "indexed_digest": indexed.hexdigest(),
+            "scanned_digest": scanned.hexdigest()}
 
 
 def main() -> int:
@@ -122,6 +219,20 @@ def main() -> int:
     ok &= check(resolver.index_hits >= 10,
                 f"candidate lookups served from the index "
                 f"({resolver.index_hits} hits)")
+
+    print(f"smoke-perf: Context Server query path at {QUERY_PATH_PROFILES} "
+          f"profiles, {QUERY_PATH_CHURN} churn steps...")
+    query_path = query_path_under_churn()
+    ok &= check(query_path["rebuilds"] == 1,
+                f"provider index built once over {QUERY_PATH_CHURN} "
+                f"membership changes ({query_path['rebuilds']} rebuilds, "
+                f"{query_path['deltas']} deltas reported)")
+    ok &= check(query_path["answered"] > 0
+                and query_path["indexed_digest"]
+                == query_path["scanned_digest"],
+                f"What-index answers digest-equal to the reference scan "
+                f"({query_path['answered']} records answered, digest "
+                f"{query_path['indexed_digest'][:12]}…)")
 
     print("smoke-perf: registrar lease sweep...")
     net = Network(latency_model=FixedLatency(0.5), seed=7)

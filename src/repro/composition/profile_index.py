@@ -1,44 +1,49 @@
 """Offered-output-type index over CE profiles for the Query Resolver.
 
-The naive ``_candidates`` step rescans every live profile and template for
-every ``_satisfy`` call — and backward chaining calls ``_satisfy`` once per
-input edge, so one resolve is O(plan_edges x profiles). This index buckets
-each (profile, offered output) pair under the offered type name *and all of
-its is_a ancestors*, because :meth:`TypeRegistry.conversion_path` lets a
-subtype stand in for its parent (``gps-position`` satisfies a wanted
-``location``). A candidate query for ``wanted`` then reads exactly the
-``wanted.type_name`` bucket.
+Backward chaining calls the candidate step once per input edge, so one
+resolve is O(plan_edges x candidates). This index buckets each (profile,
+offered output) pair under the offered type name *and all of its is_a
+ancestors*, because :meth:`TypeRegistry.conversion_path` lets a subtype
+stand in for its parent (``gps-position`` satisfies a wanted ``location``).
+A candidate query for ``wanted`` then reads exactly the ``wanted.type_name``
+bucket.
 
 Soundness: the bucket is a pre-filter only. Representation bridging, subject
 compatibility and converter search still run per entry via
-``conversion_path``, so results are identical to the full scan — entries are
-stored in enumeration order (live profiles first, templates after, outputs
-in profile order), which makes the candidate list a subsequence of the naive
-scan's and keeps the final score-sort stable-tie-identical.
+``conversion_path``, so results are identical to the full scan (the
+reference in ``tests/composition/reference_scan.py``). Outputs whose type
+the registry does not know cannot be filed under ancestors; they go to a
+residual list scanned on every query, which reproduces the scan's behaviour
+(``conversion_path`` raising for unknown types at query time) exactly.
 
-Outputs whose type the registry does not know cannot be filed under
-ancestors; they go to a residual list scanned on every query, which
-reproduces the naive behaviour (``conversion_path`` raising for unknown
-types at query time) exactly.
+**Kept by delta.** The index carries the feed token it was last made
+current for. A lookup under a different token rebuilds it from the feed; a
+single arrival or departure that the owner *reports* (:meth:`apply`)
+patches it in place instead, in O(outputs x ancestors). Delta soundness is
+the version-chain rule: the feed token is the pair ``(registrations_version,
+templates_version)`` and the registrar bumps the registrations component by
+exactly one per membership change, so a delta carrying token T applies only
+if the index stands at T's immediate predecessor. Any gap — a bump nobody
+reported, a template registration, never built — leaves the token stale and
+the next lookup rebuilds. Nothing can be silently stale.
 
-Buckets are insertion-ordered dicts keyed by a monotone entry token, with a
-reverse map from entity hex to its tokens. That makes single-profile deltas
-(``add_profile`` / ``remove_entity``) O(outputs x ancestors) instead of a
-full rebuild — the sharded resolver's arrival/departure fast path. Delta
-adds append after whatever is already filed; candidate correctness is
-order-insensitive because per-profile outputs stay adjacent (first-match
-rule) and the resolver sorts candidates by a total-order score.
+Buckets are insertion-ordered dicts keyed by a monotone entry id, with a
+reverse map from entity hex to its entry ids. Delta adds append after whatever
+is already filed; candidate correctness is order-insensitive because
+per-profile outputs stay adjacent (first-match rule) and the resolver sorts
+candidates by a total-order score.
 
 ``owns`` optionally restricts which bucket type names this index files
-under (sharded deployments pass the ring-ownership predicate); residual
-entries are always kept, since every query must scan them.
+under (one slice of a :class:`~repro.composition.shard_index.
+ShardedProfileIndex` passes the ring-ownership predicate); residual entries
+are always kept, since every query must scan them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import SCIError
 from repro.core.types import TypeRegistry, TypeSpec
@@ -61,107 +66,130 @@ class ProviderEntry:
 #: reverse-map marker: the entry is filed on the residual list
 _RESIDUAL = None
 
+#: sentinel token: the index has never been built
+NEVER_BUILT = object()
+
+
+def _predecessor(token: object) -> object:
+    """The feed token immediately before ``token``.
+
+    Deltas need the ``(registrations_version, templates_version)`` token
+    shape; anything else cannot chain.
+    """
+    try:
+        registrations, templates_version = token
+        return (registrations - 1, templates_version)
+    except (TypeError, ValueError):
+        raise TypeError(
+            "provider-index deltas need a (registrations_version, "
+            f"templates_version) feed token, got {token!r}") from None
+
 
 class ProfileIndex:
-    """Type-keyed provider buckets, rebuilt only when the feed changes.
-
-    The owner (the resolver) decides *when* to rebuild — typically gated on
-    registrar/template version counters so registrations, departures and
-    lease expiries invalidate the index instead of every query paying a
-    rebuild. Between rebuilds, single-entity deltas can be applied in place.
-    """
+    """Type-keyed provider buckets, current for one feed token."""
 
     def __init__(self, registry: TypeRegistry,
                  owns: Optional[Callable[[str], bool]] = None):
         self.registry = registry
         self.owns = owns
-        self._tokens = itertools.count(1)
+        self.token: object = NEVER_BUILT
+        self._entry_ids = itertools.count(1)
         self._buckets: Dict[str, Dict[int, ProviderEntry]] = {}
         self._residual: Dict[int, ProviderEntry] = {}
-        #: entity hex -> entry token -> bucket names filed under
+        #: entity hex -> entry id -> bucket names filed under
         #: (the _RESIDUAL marker stands for the residual list)
         self._by_entity: Dict[str, Dict[int, List[Optional[str]]]] = {}
-        self.entries = 0
+
+    # -- queries --------------------------------------------------------------
+
+    def providers(self, type_name: str,
+                  live_profiles: Callable[[], List[Profile]],
+                  templates: TemplateRegistry,
+                  token: object) -> Tuple[List[ProviderEntry], bool]:
+        """Entries whose offered output could satisfy ``type_name``.
+
+        Rebuilds from the feed first when ``token`` is not the one the index
+        stands at; returns ``(entries, rebuilt)`` so the resolver can count
+        builds. Bucketed entries first, then the residual list.
+        """
+        rebuilt = self.token != token
+        if rebuilt:
+            self.rebuild(live_profiles(), templates)
+            self.token = token
+        bucket = self._buckets.get(type_name)
+        found = list(bucket.values()) if bucket else []
+        if self._residual:
+            found.extend(self._residual.values())
+        return found, rebuilt
+
+    # -- deltas ---------------------------------------------------------------
+
+    def apply(self, token: object, added: Optional[Profile] = None,
+              removed: Optional[str] = None) -> bool:
+        """One reported membership change: unfile ``removed``, file ``added``.
+
+        Both may be None for changes that bump the feed version but leave
+        the provider table alone (context-aware applications) — the token
+        still advances so later deltas keep chaining. Returns False when the
+        index is not at ``token``'s predecessor; it then catches up by
+        rebuilding on the next lookup.
+        """
+        if self.token != _predecessor(token):
+            return False
+        if removed is not None:
+            self.remove_entity(removed)
+        if added is not None:
+            self.add_profile(added)
+        self.token = token
+        return True
 
     def rebuild(self, live_profiles: List[Profile],
                 templates: TemplateRegistry) -> None:
         self._buckets = {}
         self._residual = {}
         self._by_entity = {}
-        self.entries = 0
         for profile in live_profiles:
-            self.add_profile(profile, "live", profile.entity_id.hex, None)
+            self.add_profile(profile)
         for template in templates.all_templates():
-            self.add_profile(template.prototype, "template", None, template.name)
+            self.add_profile(template.prototype, template.name)
 
-    def add_profile(self, profile: Profile, origin: str = "live",
-                    entity_hex: Optional[str] = None,
-                    template_name: Optional[str] = None) -> int:
-        """File one profile's outputs; returns the number of entries filed.
-
-        Usable both from :meth:`rebuild` and as a live delta when a single
-        entity registers — new entries land after existing ones, which the
-        resolver's score-sort makes order-equivalent to a full rebuild.
-        """
-        if origin == "live" and entity_hex is None:
-            entity_hex = profile.entity_id.hex
-        filed_count = 0
+    def add_profile(self, profile: Profile,
+                    template_name: Optional[str] = None) -> None:
+        """File one profile's outputs: a live entity's, or a template's."""
+        if template_name is None:
+            origin, entity_hex = "live", profile.entity_id.hex
+        else:
+            origin, entity_hex = "template", None
+        owns = self.owns
         for position, offered in enumerate(profile.outputs):
             entry = ProviderEntry(profile, offered, position, origin,
                                   entity_hex, template_name)
-            token = next(self._tokens)
-            filed: List[Optional[str]] = []
+            entry_id = next(self._entry_ids)
             try:
                 ancestors = self.registry.ancestors(offered.type_name)
             except SCIError:
-                self._residual[token] = entry
-                filed.append(_RESIDUAL)
+                self._residual[entry_id] = entry
+                filed: List[Optional[str]] = [_RESIDUAL]
             else:
-                for type_name in ancestors:
-                    if self.owns is not None and not self.owns(type_name):
-                        continue
-                    self._buckets.setdefault(type_name, {})[token] = entry
-                    filed.append(type_name)
-            if not filed:
-                continue  # every bucket belongs to another shard
-            self.entries += 1
-            filed_count += 1
-            if entity_hex is not None:
-                self._by_entity.setdefault(entity_hex, {})[token] = filed
-        return filed_count
+                filed = (ancestors if owns is None else
+                         [name for name in ancestors if owns(name)])
+                for type_name in filed:
+                    self._buckets.setdefault(type_name, {})[entry_id] = entry
+            if filed and entity_hex is not None:
+                self._by_entity.setdefault(entity_hex, {})[entry_id] = filed
 
-    def remove_entity(self, entity_hex: str) -> int:
-        """Unfile every entry of a departed entity; returns entries removed."""
-        tokens = self._by_entity.pop(entity_hex, None)
-        if not tokens:
-            return 0
-        removed = 0
-        for token, filed in tokens.items():
-            removed += 1
-            self.entries -= 1
+    def remove_entity(self, entity_hex: str) -> None:
+        """Unfile every entry of a departed entity."""
+        entries = self._by_entity.pop(entity_hex, None)
+        if not entries:
+            return
+        for entry_id, filed in entries.items():
             for type_name in filed:
                 if type_name is _RESIDUAL:
-                    self._residual.pop(token, None)
+                    self._residual.pop(entry_id, None)
                     continue
                 bucket = self._buckets.get(type_name)
                 if bucket is not None:
-                    bucket.pop(token, None)
+                    bucket.pop(entry_id, None)
                     if not bucket:
                         del self._buckets[type_name]
-        return removed
-
-    def providers(self, type_name: str) -> List[ProviderEntry]:
-        """Entries whose offered output could satisfy ``type_name``.
-
-        Bucketed entries first (enumeration order), then the residual list —
-        the same relative order the naive scan visits them in.
-        """
-        bucket = self._buckets.get(type_name)
-        found = list(bucket.values()) if bucket else []
-        if self._residual:
-            found.extend(self._residual.values())
-        return found
-
-    @property
-    def residual_size(self) -> int:
-        return len(self._residual)

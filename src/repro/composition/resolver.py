@@ -40,9 +40,6 @@ logger = logging.getLogger(__name__)
 #: hard bound on provider chain depth — a cycle guard of last resort
 MAX_DEPTH = 12
 
-#: sentinel: the profile index has not been built yet
-_NEVER_BUILT = object()
-
 
 @dataclass
 class _Candidate:
@@ -61,7 +58,8 @@ class _Candidate:
             0 if self.origin == "live" else 1,    # reuse before spawning
             len(self.profile.inputs),             # shallower graphs first
             self.profile.quality.get("accuracy", float("inf")),
-            self.profile.name,                    # determinism
+            self.profile.name,                    # determinism...
+            self.entity_hex or self.template_name,  # ...among namesakes too
         )
 
 
@@ -74,14 +72,18 @@ class QueryResolver:
     so two queries cannot bind one CE to different subjects.
 
     Candidate search runs over a :class:`ProfileIndex` keyed by offered
-    output type. ``feed_version`` is the invalidation signal: a callable
-    returning a token that changes whenever the profile feed changes
-    (registrations, departures, lease expiries, template additions — the
-    Context Server wires registrar + template version counters here). While
-    the token is stable, queries reuse the built index; without a version
-    feed the index is rebuilt once per ``resolve`` call, which is still
-    never worse than a full scan of the profiles (that scan is the
-    equivalence reference in ``tests/composition/reference_scan.py``).
+    output type (``shards > 1``: K ring-partitioned slices of one).
+    ``feed_version`` is the invalidation signal: a callable returning a
+    token that changes whenever the profile feed changes (registrations,
+    departures, lease expiries, template additions — the Context Server
+    wires ``(registrar.version, templates.version)`` here). While the token
+    is stable, queries reuse the built index; membership changes reported
+    through ``note_profile_*`` patch it in place and advance its token, and
+    any change nobody reported leaves the token stale, so the next lookup
+    rebuilds. Without a version feed the index is rebuilt once per
+    ``resolve`` call, which is still never worse than a full scan of the
+    profiles (that scan is the equivalence reference in
+    ``tests/composition/reference_scan.py``).
     """
 
     def __init__(
@@ -100,14 +102,19 @@ class QueryResolver:
         self.templates = templates or TemplateRegistry()
         self.bindings_of = bindings_of or (lambda _hex: None)
         self.feed_version = feed_version
+        #: without a version feed the resolution counter is the token, i.e.
+        #: one rebuild per top-level ``resolve`` — for callers handing in a
+        #: mutable profile list
+        self._feed_token = feed_version or (lambda: self.resolutions)
         self._converter_counter = itertools.count(1)
         self.resolutions = 0
         self.backtracks = 0
+        #: full or slice builds of the provider index actually performed
         self.index_rebuilds = 0
         self.index_hits = 0
-        self._index = ProfileIndex(registry)
-        self._index_token: object = _NEVER_BUILT
-        self._shard_index = None
+        #: membership changes reported through ``note_profile_*``
+        self.index_deltas = 0
+        self.shard_count = shards
         if shards > 1:
             if feed_version is None:
                 raise ValueError(
@@ -116,9 +123,25 @@ class QueryResolver:
             # imported lazily: shard_index pulls in repro.server (for the
             # ring), which imports this module back through the manager
             from repro.composition.shard_index import ShardedProfileIndex
-            self._shard_index = ShardedProfileIndex(registry, shards)
-        self._metrics = metrics
+            self._provider_index = ShardedProfileIndex(registry, shards)
+        else:
+            self._provider_index = ProfileIndex(registry)
         self._range_label = range_name or "-"
+        self._hits_counter = self._rebuilds_counter = None
+        self._deltas_counter = None
+        if metrics is not None:
+            self._hits_counter = metrics.counter(
+                "resolver.index.hits",
+                "candidate lookups served from the profile index",
+                labels=("range",))
+            self._rebuilds_counter = metrics.counter(
+                "resolver.index.rebuilds",
+                "full or per-slice builds of the profile index",
+                labels=("range",))
+            self._deltas_counter = metrics.counter(
+                "resolver.index.deltas",
+                "membership changes applied to the profile index in place",
+                labels=("range",))
 
     # -- public API ---------------------------------------------------------------
 
@@ -145,40 +168,34 @@ class QueryResolver:
         logger.debug("resolved %s ->\n%s", wanted, plan.describe())
         return plan
 
-    @property
-    def shard_count(self) -> int:
-        return self._shard_index.shard_count if self._shard_index else 1
-
     def note_profile_added(self, profile: Optional[Profile]) -> int:
-        """Arrival delta for the sharded index; no-op when unsharded.
+        """Arrival delta: file ``profile`` instead of rebuilding.
 
         Call *after* the feed version has been bumped for this arrival.
         ``profile`` is None for arrivals that contribute no providers
         (context-aware applications) — the version chain still advances.
-        Returns the number of shard slices patched in place.
+        Returns the number of index slices patched in place.
         """
-        if self._shard_index is None:
-            return 0
-        applied = self._shard_index.apply_add(profile, self.feed_version())
-        if self._metrics is not None:
-            self._metrics.counter(
-                "resolver.shard.deltas",
-                "single-profile deltas applied in place of slice rebuilds",
-                labels=("range",)).inc(range=self._range_label)
-        return applied
+        return self._note_delta(added=profile)
 
     def note_profile_removed(self, entity_hex: Optional[str]) -> int:
-        """Departure delta for the sharded index; no-op when unsharded."""
-        if self._shard_index is None:
-            return 0
-        applied = self._shard_index.apply_remove(entity_hex,
-                                                 self.feed_version())
-        if self._metrics is not None:
-            self._metrics.counter(
-                "resolver.shard.deltas",
-                "single-profile deltas applied in place of slice rebuilds",
-                labels=("range",)).inc(range=self._range_label)
-        return applied
+        """Departure delta: unfile an entity's entries."""
+        return self._note_delta(removed=entity_hex)
+
+    def note_profile_replaced(self, entity_hex: Optional[str],
+                              profile: Optional[Profile]) -> int:
+        """Re-registration delta: one version bump, old entries out, new in."""
+        return self._note_delta(added=profile, removed=entity_hex)
+
+    def _note_delta(self, added: Optional[Profile] = None,
+                    removed: Optional[str] = None) -> int:
+        if self.feed_version is None:
+            return 0  # no chain to advance: every resolve rebuilds anyway
+        self.index_deltas += 1
+        if self._deltas_counter is not None:
+            self._deltas_counter.inc(range=self._range_label)
+        return int(self._provider_index.apply(self.feed_version(),
+                                              added, removed))
 
     # -- search --------------------------------------------------------------------
 
@@ -243,26 +260,6 @@ class QueryResolver:
             raise NoProviderError(wanted, chain)
         return wired
 
-    def _ensure_index(self) -> None:
-        """Rebuild the profile index only when the feed version moved.
-
-        Without a ``feed_version`` wire the resolution counter is the token,
-        i.e. one rebuild per top-level ``resolve`` — backwards compatible
-        with callers handing in a mutable profile list.
-        """
-        token = (self.feed_version() if self.feed_version is not None
-                 else self.resolutions)
-        if token == self._index_token:
-            return
-        self._index.rebuild(self.live_profiles(), self.templates)
-        self._index_token = token
-        self.index_rebuilds += 1
-        if self._metrics is not None:
-            self._metrics.counter(
-                "resolver.index.rebuilds",
-                "profile index rebuilds triggered by feed changes",
-                labels=("range",)).inc(range=self._range_label)
-
     def _candidates(
         self,
         wanted: TypeSpec,
@@ -270,26 +267,16 @@ class QueryResolver:
         exclude: FrozenSet[str],
         predicate: Optional[Callable[[Profile], bool]],
     ) -> List[_Candidate]:
-        if self._shard_index is not None:
-            entries, rebuilt = self._shard_index.providers(
-                wanted.type_name, self.live_profiles, self.templates,
-                self.feed_version())
-            if rebuilt:
-                self.index_rebuilds += 1
-                if self._metrics is not None:
-                    self._metrics.counter(
-                        "resolver.shard.rebuilds",
-                        "per-shard provider slice rebuilds on stale tokens",
-                        labels=("range",)).inc(range=self._range_label)
-        else:
-            self._ensure_index()
-            entries = self._index.providers(wanted.type_name)
+        entries, rebuilt = self._provider_index.providers(
+            wanted.type_name, self.live_profiles, self.templates,
+            self._feed_token())
+        if rebuilt:
+            self.index_rebuilds += 1
+            if self._rebuilds_counter is not None:
+                self._rebuilds_counter.inc(range=self._range_label)
         self.index_hits += 1
-        if self._metrics is not None:
-            self._metrics.counter(
-                "resolver.index.hits",
-                "candidate lookups served from the profile index",
-                labels=("range",)).inc(range=self._range_label)
+        if self._hits_counter is not None:
+            self._hits_counter.inc(range=self._range_label)
         found: List[_Candidate] = []
         taken: Set[Tuple[str, Optional[str]]] = set()
         for entry in entries:

@@ -1,159 +1,61 @@
-"""Sharded provider index: K ProfileIndex partitions over a consistent ring.
+"""Sharded provider index: K ProfileIndex slices over a consistent ring.
 
-The resolver's single :class:`~repro.composition.profile_index.ProfileIndex`
-rebuilds the *whole* provider table whenever the profile feed version moves.
-At registration-churn rates that matters: with N live profiles a churning
-range pays O(N) per arrival. Sharding splits the table by **offered type
-name** — ring key ``(type_name, None)`` — so
-
-* a candidate query for ``wanted`` touches exactly one shard (plus that
-  shard's residual list), and a stale shard rebuilds only its ~1/K slice of
-  the buckets;
-* single-entity arrivals/departures are applied as in-place deltas to the
-  shards that are provably current, so steady-state churn costs
-  O(outputs x ancestors) instead of O(N).
-
-Delta soundness is the version-chain rule: the feed token is the pair
-``(registrations_version, templates_version)``, and the registrar bumps the
-registrations component by exactly one per arrival/departure. A delta
-carrying token T applies to a shard only if that shard's token is the
-immediate predecessor of T (same templates component, registrations one
-behind). Any gap — missed delta, template registration, never built — makes
-the shard token mismatch, and the lazy rebuild path catches it up on the
-next query. Nothing can be silently stale.
+``resolver_shards > 1`` splits the provider table by **offered type name**
+— ring key ``(type_name, None)`` — so a candidate query for ``wanted``
+touches exactly one slice, and a stale slice rebuilds only its ~1/K of the
+buckets. Each slice is a :class:`~repro.composition.profile_index.
+ProfileIndex` restricted to the type names it owns, with its own feed token:
+the version-chain rule, lazy rebuild and in-place deltas are that class's,
+applied per slice. A reported delta goes to every slice (a profile's outputs
+and their ancestors may land anywhere on the ring); slices that are not at
+the predecessor token skip it and catch up by rebuilding when next queried.
 
 Residual entries (offered types the registry does not know) are filed on
-*every* shard, because every query must scan them; they are few by
+*every* slice, because every query must scan them; they are few by
 construction.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from repro.composition.profile_index import ProfileIndex, ProviderEntry
+from repro.composition.profile_index import (NEVER_BUILT, ProfileIndex,
+                                             ProviderEntry)
 from repro.composition.templates import TemplateRegistry
 from repro.core.types import TypeRegistry
 from repro.entities.profile import Profile
 from repro.server.shard import ShardRing
 
-#: sentinel: this shard's slice has never been built
-_NEVER_BUILT = object()
-
 
 class ShardedProfileIndex:
-    """Ring-partitioned provider buckets with per-shard version tokens."""
+    """Ring-partitioned provider buckets with per-slice version tokens."""
 
     def __init__(self, registry: TypeRegistry, shards: int):
         if shards < 1:
             raise ValueError(f"need at least one shard, got {shards}")
-        self.registry = registry
         self.ring = ShardRing(tuple(range(shards)))
-        self._shards: Dict[int, ProfileIndex] = {}
-        self._shard_tokens: Dict[int, object] = {}
-        for shard_id in range(shards):
-            self._shards[shard_id] = ProfileIndex(
-                registry, owns=self._ownership(shard_id))
-            self._shard_tokens[shard_id] = _NEVER_BUILT
-        self.rebuilds = 0
-        self.deltas = 0
+        self._slices = [ProfileIndex(registry, owns=self._ownership(shard_id))
+                        for shard_id in range(shards)]
 
     def _ownership(self, shard_id: int) -> Callable[[str], bool]:
-        def owns(type_name: str, _shard_id: int = shard_id) -> bool:
-            return self.ring.owner((type_name, None)) == _shard_id
+        def owns(type_name: str) -> bool:
+            return self.ring.owner((type_name, None)) == shard_id
         return owns
-
-    # -- queries --------------------------------------------------------------
-
-    def shard_for(self, type_name: str) -> int:
-        return self.ring.owner((type_name, None))
 
     def providers(self, type_name: str,
                   live_profiles: Callable[[], List[Profile]],
                   templates: TemplateRegistry,
                   token: object) -> Tuple[List[ProviderEntry], bool]:
-        """Provider entries for ``type_name`` from the owning shard.
+        """Provider entries for ``type_name`` from the owning slice."""
+        owner = self._slices[self.ring.owner((type_name, None))]
+        return owner.providers(type_name, live_profiles, templates, token)
 
-        Rebuilds that shard's slice first when its token is stale; returns
-        ``(entries, rebuilt)`` so the resolver can count slice rebuilds.
-        """
-        shard_id = self.ring.owner((type_name, None))
-        index = self._shards[shard_id]
-        rebuilt = False
-        if self._shard_tokens[shard_id] != token:
-            index.rebuild(live_profiles(), templates)
-            self._shard_tokens[shard_id] = token
-            self.rebuilds += 1
-            rebuilt = True
-        return index.providers(type_name), rebuilt
-
-    # -- deltas ---------------------------------------------------------------
-
-    @staticmethod
-    def _predecessor(token: object) -> object:
-        """The feed token immediately before ``token``.
-
-        Sharded mode requires the ``(registrations_version,
-        templates_version)`` token shape; anything else cannot chain deltas.
-        """
-        try:
-            registrations, templates_version = token
-            return (registrations - 1, templates_version)
-        except (TypeError, ValueError):
-            raise TypeError(
-                "sharded index needs a (registrations_version, "
-                f"templates_version) feed token, got {token!r}") from None
-
-    def apply_add(self, profile: Optional[Profile], token: object) -> int:
-        """Register-delta: file ``profile`` on every provably-current shard.
-
-        ``profile`` may be None for arrivals that bump the feed version but
-        add nothing to the provider table (context-aware applications) — the
-        token still advances so later deltas keep chaining. Returns the
-        number of shards the delta applied to; the rest catch up lazily.
-        """
-        expected = self._predecessor(token)
-        applied = 0
-        for shard_id, index in self._shards.items():
-            if self._shard_tokens[shard_id] != expected:
-                continue
-            if profile is not None:
-                index.add_profile(profile, "live", profile.entity_id.hex, None)
-            self._shard_tokens[shard_id] = token
-            applied += 1
-        self.deltas += 1
-        return applied
-
-    def apply_remove(self, entity_hex: Optional[str], token: object) -> int:
-        """Departure-delta: unfile an entity on every provably-current shard."""
-        expected = self._predecessor(token)
-        applied = 0
-        for shard_id, index in self._shards.items():
-            if self._shard_tokens[shard_id] != expected:
-                continue
-            if entity_hex is not None:
-                index.remove_entity(entity_hex)
-            self._shard_tokens[shard_id] = token
-            applied += 1
-        self.deltas += 1
-        return applied
-
-    # -- introspection --------------------------------------------------------
-
-    @property
-    def shard_count(self) -> int:
-        return len(self._shards)
+    def apply(self, token: object, added: Optional[Profile] = None,
+              removed: Optional[str] = None) -> int:
+        """Offer one delta to every slice; returns how many took it."""
+        return sum(index.apply(token, added, removed)
+                   for index in self._slices)
 
     def built_shards(self) -> List[int]:
-        return [shard_id for shard_id, token in self._shard_tokens.items()
-                if token is not _NEVER_BUILT]
-
-    @property
-    def entries(self) -> int:
-        return sum(index.entries for index in self._shards.values())
-
-    @property
-    def residual_size(self) -> int:
-        # residuals are replicated on every shard; report one copy's worth
-        # (max, since lazily-built shards may not hold them yet)
-        return max(index.residual_size for index in self._shards.values())
+        return [shard_id for shard_id, index in enumerate(self._slices)
+                if index.token is not NEVER_BUILT]

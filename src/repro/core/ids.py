@@ -28,6 +28,26 @@ _BITS_PER_DIGIT = 4
 #: Number of hex digits in a GUID's canonical rendering.
 GUID_DIGITS = GUID_BITS // _BITS_PER_DIGIT
 
+_HEX_FORMAT = f"0{GUID_DIGITS}x"
+
+
+class _LazyHex:
+    """``GUID.hex``: rendered on first use, then read from the instance.
+
+    A non-data descriptor, so the instance attribute it leaves behind
+    shadows it on every later access. It is not a dataclass field:
+    equality, ordering and hashing never see it. (``object.__setattr__``
+    because the dataclass is frozen, and rather than through ``__dict__``,
+    which would materialise a dict per GUID.)
+    """
+
+    def __get__(self, guid, owner=None):
+        if guid is None:
+            return self
+        text = format(guid.value, _HEX_FORMAT)
+        object.__setattr__(guid, "hex", text)
+        return text
+
 
 @dataclass(frozen=True, order=True)
 class GUID:
@@ -73,10 +93,8 @@ class GUID:
         high = mix(acc ^ 0x9E3779B97F4A7C15)
         return cls((high << 64) | low)
 
-    @property
-    def hex(self) -> str:
-        """Canonical fixed-width lowercase hex rendering."""
-        return format(self.value, f"0{GUID_DIGITS}x")
+    #: canonical fixed-width lowercase hex rendering (a ``str``)
+    hex = _LazyHex()
 
     def digit(self, index: int) -> int:
         """Return hex digit ``index`` (0 = most significant)."""

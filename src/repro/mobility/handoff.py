@@ -48,12 +48,15 @@ class HandoffCoordinator:
         def replay() -> None:
             profile = target.profiles.get(entity_hex)
             if profile is not None:
-                merged = dict(attributes)
-                merged.update(profile.attributes)  # fresh values win
-                profile.attributes.update(merged)
+                # fresh values win; the rest goes through the Profile
+                # Manager so the ledger and the What index see it
+                carried = {key: value for key, value in attributes.items()
+                           if key not in profile.attributes}
+                if carried:
+                    target.profiles.update_attributes(entity_hex, carried)
                 self.replays += 1
                 logger.debug("handoff: replayed %d attribute(s) for %s into %s",
-                             len(attributes), profile.name,
+                             len(carried), profile.name,
                              target.definition.name)
                 return
             if target.scheduler.now < deadline:

@@ -185,12 +185,9 @@ _declare("config.graph.reuse_hits", "counter",
 _declare("resolver.index.hits", "counter",
          "candidate lookups served from the profile index", labels=("range",))
 _declare("resolver.index.rebuilds", "counter",
-         "profile index rebuilds triggered by feed changes", labels=("range",))
-_declare("resolver.shard.rebuilds", "counter",
-         "per-shard provider slice rebuilds on stale tokens",
-         labels=("range",))
-_declare("resolver.shard.deltas", "counter",
-         "single-profile deltas applied in place of slice rebuilds",
+         "full or per-slice builds of the profile index", labels=("range",))
+_declare("resolver.index.deltas", "counter",
+         "membership changes applied to the profile index in place",
          labels=("range",))
 
 # -- open-loop workload harness -----------------------------------------------

@@ -50,7 +50,7 @@ from repro.location.language import LocationExpr, parse_location
 from repro.location.service import EntityFix, LocationService
 from repro.net.message import Message
 from repro.net.transport import Network, Process
-from repro.query.model import Query, QueryMode, WhatClause
+from repro.query.model import Query, QueryMode
 from repro.query.selection import Candidate
 from repro.server.profile_manager import ProfileManager
 from repro.server.range import RangeDefinition
@@ -164,8 +164,9 @@ class ContextServer(Process):
             live_profiles=self._resolver_profiles,
             templates=self.templates,
             bindings_of=lambda entity_hex: self.configurations.bindings_of(entity_hex),
-            # invalidate the provider index only when membership or the
-            # template set changes (registration, departure, lease expiry)
+            # the provider index follows membership by delta (the hooks
+            # below report every bump) and rebuilds on any other change of
+            # this token: a template registration, an unreported bump
             feed_version=lambda: (self.registrar.version,
                                   self.templates.version),
             shards=resolver_shards,
@@ -190,6 +191,8 @@ class ContextServer(Process):
         # -- wiring ------------------------------------------------------------
         self.registrar.on_arrival = self._entity_arrived
         self.registrar.on_departure = self._entity_departed
+        self.registrar.on_replacement = self._entity_replaced
+        self.profiles.on_device_change = self.registrar.retag
         # the Location Service consumes every location and door-presence
         # event in the range ("each range monitors internal activity")
         self.mediator.add_subscription(self.location.guid,
@@ -217,7 +220,7 @@ class ContextServer(Process):
     def _resolver_profiles(self) -> List[Profile]:
         """Profiles of live CEs only (CAAs do not provide context)."""
         return [record.profile for record in self.registrar.records()
-                if record.kind in ("ce", "infrastructure")]
+                if _provides(record)]
 
     def _record_spawned(self, entity: ContextEntity) -> None:
         """A manager-spawned CE joins the range's books (no lease)."""
@@ -230,17 +233,29 @@ class ContextServer(Process):
             lease_expiry=None,
         )
         self.registrar.register_record(record, notify=False)
-        # notify=False skips on_arrival, so patch the sharded provider
-        # index here (the version was bumped by register_record)
+        # notify=False skips on_arrival, so patch the provider index here
+        # (the version was bumped by register_record)
         self.resolver.note_profile_added(record.profile)
         self.profiles.add(entity.profile, entity.advertisements)
 
     def _entity_arrived(self, record: RegistrationRecord) -> None:
         # CAAs provide no context: a None delta advances the version chain
-        # of the sharded provider index without filing anything
+        # of the provider index without filing anything
         self.resolver.note_profile_added(
-            record.profile if record.kind in ("ce", "infrastructure")
-            else None)
+            record.profile if _provides(record) else None)
+        self._admit(record)
+
+    def _entity_replaced(self, previous: RegistrationRecord,
+                         record: RegistrationRecord) -> None:
+        """A registered component registered again: swap its books."""
+        self.resolver.note_profile_replaced(
+            previous.entity_hex if _provides(previous) else None,
+            record.profile if _provides(record) else None)
+        if previous.profile.name != record.profile.name:
+            self.location.forget(previous.profile.name)
+        self._admit(record)
+
+    def _admit(self, record: RegistrationRecord) -> None:
         self.profiles.add(record.profile, record.advertisements)
         home = record.profile.attributes.get("room")
         if home and record.profile.entity_class != EntityClass.SOFTWARE:
@@ -253,7 +268,7 @@ class ContextServer(Process):
     def _entity_departed(self, record: RegistrationRecord, reason: str) -> None:
         entity_hex = record.entity_hex
         self.resolver.note_profile_removed(
-            entity_hex if record.kind in ("ce", "infrastructure") else None)
+            entity_hex if _provides(record) else None)
         self.profiles.remove(entity_hex)
         self.location.forget(record.profile.name)
         self.mediator.remove_subscriber(record.profile.entity_id)
@@ -502,15 +517,12 @@ class ContextServer(Process):
     def _matching_records(self, query: Query) -> List[RegistrationRecord]:
         where_rooms = self._where_rooms(query)
         matches = []
-        for record in self.registrar.records():
-            if not _what_matches(query.what, record):
-                continue
+        for record in self.registrar.matching(query.what):  # in result order
             if where_rooms is not None:
                 room = self._room_of(record)
                 if room is not None and room not in where_rooms:
                     continue
             matches.append(record)
-        matches.sort(key=lambda record: record.profile.name)
         return matches
 
     def _where_rooms(self, query: Query) -> Optional[Set[str]]:
@@ -553,10 +565,8 @@ class ContextServer(Process):
         where_rooms = self._where_rooms(query)
         reference_room = self._reference_room(query)
         candidates = []
-        for record in self.registrar.records():
+        for record in self.registrar.matching(query.what):  # in result order
             if not record.advertisements:
-                continue
-            if not _what_matches(query.what, record):
                 continue
             room = self._room_of(record)
             if where_rooms is not None and room is not None and room not in where_rooms:
@@ -576,7 +586,6 @@ class ContextServer(Process):
                 payload={"advertisements": [ad.to_wire()
                                             for ad in record.advertisements]},
             ))
-        candidates.sort(key=lambda candidate: candidate.name)
         return candidates
 
     def _reference_room(self, query: Query) -> Optional[str]:
@@ -742,20 +751,9 @@ class ContextServer(Process):
 
 # ---------------------------------------------------------------------- helpers
 
-def _what_matches(what: WhatClause, record: RegistrationRecord) -> bool:
-    profile = record.profile
-    if what.kind == "named":
-        return what.value in (profile.name, profile.entity_id.hex)
-    if what.kind == "entity-type":
-        if profile.attributes.get("device") == what.value:
-            return True
-        if profile.entity_class.value == what.value:
-            return True
-        return any(ad.service_name == what.value
-                   or ad.service_name == f"{what.value}-service"
-                   for ad in record.advertisements)
-    # pattern: does the profile output something of the wanted type name?
-    return profile.provides_type(what.pattern.type_name)
+def _provides(record: RegistrationRecord) -> bool:
+    """Whether a registration can provide context (CAAs only consume it)."""
+    return record.kind in ("ce", "infrastructure")
 
 
 def _places_in(expr: LocationExpr) -> List[str]:

@@ -35,6 +35,11 @@ class ProfileManager(Process):
                          name=f"profiles:{range_name or guid}")
         self._profiles: Dict[str, Profile] = {}
         self._advertisements: Dict[str, List[Advertisement]] = {}
+        #: name -> entity hex -> profile, for ``profile-request`` by name
+        self._by_name: Dict[str, Dict[str, Profile]] = {}
+        #: installed by the Context Server: ``device`` is the one attribute
+        #: the Registrar's What index files on, so it re-files on change
+        self.on_device_change: Callable[[str], None] = lambda entity_hex: None
         #: the range's root context ledger (rank 0); None disables recording
         self._ledger = ledger
         self.updates = 0
@@ -46,8 +51,13 @@ class ProfileManager(Process):
 
     def add(self, profile: Profile,
             advertisements: Optional[List[Advertisement]] = None) -> None:
-        self._profiles[profile.entity_id.hex] = profile
-        self._advertisements[profile.entity_id.hex] = list(advertisements or [])
+        entity_hex = profile.entity_id.hex
+        previous = self._profiles.get(entity_hex)
+        if previous is not None and previous.name != profile.name:
+            self._forget_name(previous)  # a re-registration renamed it
+        self._profiles[entity_hex] = profile
+        self._advertisements[entity_hex] = list(advertisements or [])
+        self._by_name.setdefault(profile.name, {})[entity_hex] = profile
         self.updates += 1
         self.version += 1
         if self._ledger is not None:
@@ -58,24 +68,30 @@ class ProfileManager(Process):
                                    for ad in advertisements or []],
             })
 
+    def _forget_name(self, profile: Profile) -> None:
+        namesakes = self._by_name[profile.name]
+        del namesakes[profile.entity_id.hex]
+        if not namesakes:
+            del self._by_name[profile.name]
+
     def remove(self, entity_hex: str) -> bool:
         self._advertisements.pop(entity_hex, None)
-        removed = self._profiles.pop(entity_hex, None) is not None
-        if removed:
-            self.version += 1
-            if self._ledger is not None:
-                self._ledger.append(self.now, "profile-remove",
-                                    {"entity": entity_hex})
-        return removed
+        profile = self._profiles.pop(entity_hex, None)
+        if profile is None:
+            return False
+        self._forget_name(profile)
+        self.version += 1
+        if self._ledger is not None:
+            self._ledger.append(self.now, "profile-remove",
+                                {"entity": entity_hex})
+        return True
 
     def get(self, entity_hex: str) -> Optional[Profile]:
         return self._profiles.get(entity_hex)
 
     def by_name(self, name: str) -> Optional[Profile]:
-        for profile in self._profiles.values():
-            if profile.name == name:
-                return profile
-        return None
+        """The first-stored profile of that name (a re-add keeps its place)."""
+        return next(iter(self._by_name.get(name, {}).values()), None)
 
     def advertisements_of(self, entity_hex: str) -> List[Advertisement]:
         return list(self._advertisements.get(entity_hex, []))
@@ -99,6 +115,8 @@ class ProfileManager(Process):
         if profile is None:
             return False
         profile.attributes.update(attributes)
+        if "device" in attributes:
+            self.on_device_change(entity_hex)
         self.updates += 1
         if self._ledger is not None:
             self._ledger.append(self.now, "profile-update", {

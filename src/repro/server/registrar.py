@@ -9,6 +9,14 @@ by heartbeats (:class:`~repro.entities.entity.BaseComponent` sends them at a
 third of the lease); a missed lease means the entity crashed or left without
 deregistering, and the Registrar evicts it — which is what ultimately
 triggers configuration repair.
+
+Beside the records the Registrar keeps the **What index**: the three
+selections a query's What clause can make (Section 4.1: a named entity, an
+entity type, information fitting a pattern) are answered from name, tag and
+offered-type buckets that every write files into and every removal unfiles
+from, so profile and advertisement queries read their matches instead of
+testing every registration (that scan is the equivalence reference in
+``tests/server/reference_scan.py``).
 """
 
 from __future__ import annotations
@@ -17,13 +25,14 @@ import heapq
 import itertools
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.ids import GUID
 from repro.entities.advertisement import Advertisement
 from repro.entities.profile import Profile
 from repro.net.message import Message
 from repro.net.transport import Network, Process
+from repro.query.model import WhatClause
 
 logger = logging.getLogger(__name__)
 
@@ -38,10 +47,34 @@ class RegistrationRecord:
     host_id: str = ""
     registered_at: float = 0.0
     lease_expiry: Optional[float] = None   # None = infrastructure, no lease
+    #: set by the Registrar that holds the record: its place in registration
+    #: order, and the entity-type tags it is filed under
+    order: int = field(default=0, repr=False, compare=False)
+    tags: Tuple[str, ...] = field(default=(), repr=False, compare=False)
 
     @property
     def entity_hex(self) -> str:
         return self.profile.entity_id.hex
+
+    def entity_type_tags(self) -> Tuple[str, ...]:
+        """What an ``entity-type`` What clause may call this component."""
+        profile = self.profile
+        tags: Set[str] = {profile.entity_class.value}
+        device = profile.attributes.get("device")
+        if isinstance(device, str):
+            tags.add(device)
+        for ad in self.advertisements:
+            tags.add(ad.service_name)
+            if ad.service_name.endswith("-service"):
+                tags.add(ad.service_name[:-len("-service")])
+        return tuple(tags)
+
+
+_Bucket = Dict[str, RegistrationRecord]
+
+
+def _name_then_order(record: RegistrationRecord) -> Tuple[str, int]:
+    return record.profile.name, record.order
 
 
 class Registrar(Process):
@@ -61,6 +94,12 @@ class Registrar(Process):
         self.event_mediator = event_mediator
         self.lease_duration = lease_duration
         self._records: Dict[str, RegistrationRecord] = {}
+        #: the What index: key -> {entity hex: record}, buckets made on first
+        #: filing and dropped when emptied
+        self._by_name: Dict[str, _Bucket] = {}
+        self._by_tag: Dict[str, _Bucket] = {}
+        self._by_offered_type: Dict[str, _Bucket] = {}
+        self._order = itertools.count()
         #: lazy-deletion expiry heap (deadline, seq, entity_hex) — the same
         #: trick the Scheduler uses for cancelled timers. Invariant: every
         #: leased record has a heap entry whose deadline equals its current
@@ -74,6 +113,9 @@ class Registrar(Process):
         self.on_arrival: Callable[[RegistrationRecord], None] = lambda record: None
         self.on_departure: Callable[[RegistrationRecord, str], None] = (
             lambda record, reason: None)
+        self.on_replacement: Callable[
+            [RegistrationRecord, RegistrationRecord], None] = (
+                lambda previous, record: None)
         #: the range's root context ledger (rank 0); None disables recording
         self._ledger = ledger
         self.registrations = 0
@@ -100,16 +142,29 @@ class Registrar(Process):
     def population(self) -> int:
         return len(self._records)
 
+    def matching(self, what: WhatClause) -> List[RegistrationRecord]:
+        """Records a What clause selects, by name then registration order.
+
+        A re-registered entity keeps its place among equal names; one that
+        left and came back goes last.
+        """
+        if what.kind == "named":
+            found = dict(self._by_name.get(what.value, ()))
+            by_hex = self._records.get(what.value)
+            if by_hex is not None:
+                found[what.value] = by_hex
+        elif what.kind == "entity-type":
+            found = self._by_tag.get(what.value, {})
+        else:  # pattern: does the profile output the wanted type name?
+            found = self._by_offered_type.get(what.pattern.type_name, {})
+        return sorted(found.values(), key=_name_then_order)
+
     def register_record(self, record: RegistrationRecord,
                         notify: bool = True) -> RegistrationRecord:
         """Insert a record directly (infrastructure-spawned CEs, handoffs)."""
-        self._records[record.entity_hex] = record
-        self.registrations += 1
-        self.version += 1
-        self._track_lease(record)
-        self._log_register(record)
+        previous = self._store(record)
         if notify:
-            self.on_arrival(record)
+            self._announce(record, previous)
         return record
 
     def remove(self, entity_hex: str, reason: str, notify_entity: bool = True) -> bool:
@@ -117,6 +172,7 @@ class Registrar(Process):
         if record is None:
             return False
         # any heap entries for this record become stale and are skipped on pop
+        self._unfile(record)
         self.version += 1
         if self._ledger is not None:
             self._ledger.append(self.now, "depart",
@@ -125,6 +181,67 @@ class Registrar(Process):
             self.send(record.profile.entity_id, "deregistered", {"reason": reason})
         self.on_departure(record, reason)
         return True
+
+    def retag(self, entity_hex: str) -> None:
+        """Re-file a record whose ``device`` attribute changed."""
+        record = self._records.get(entity_hex)
+        if record is not None:
+            self._unfile(record)
+            self._file(record)
+
+    # -- the one write path -----------------------------------------------------
+
+    def _store(self, record: RegistrationRecord) -> Optional[RegistrationRecord]:
+        """File a (re-)registration; returns the record it replaced, if any.
+
+        One version bump either way: a re-registration is a replace, and
+        whoever is told about it applies remove+add under that one bump.
+        """
+        previous = self._records.get(record.entity_hex)
+        if previous is None:
+            record.order = next(self._order)
+        else:
+            self._unfile(previous)
+            record.order = previous.order
+        self._records[record.entity_hex] = record
+        self._file(record)
+        self.registrations += 1
+        self.version += 1
+        self._track_lease(record)
+        self._log_register(record)
+        return previous
+
+    def _announce(self, record: RegistrationRecord,
+                  previous: Optional[RegistrationRecord]) -> None:
+        if previous is None:
+            self.on_arrival(record)
+        else:
+            self.on_replacement(previous, record)
+
+    def _filings(self, record: RegistrationRecord
+                 ) -> Iterator[Tuple[Dict[str, _Bucket], str]]:
+        yield self._by_name, record.profile.name
+        for tag in record.tags:
+            yield self._by_tag, tag
+        for output in record.profile.outputs:
+            yield self._by_offered_type, output.type_name
+
+    def _file(self, record: RegistrationRecord) -> None:
+        record.tags = record.entity_type_tags()
+        entity_hex = record.entity_hex
+        for index, key in self._filings(record):
+            bucket = index.get(key)
+            if bucket is None:
+                bucket = index[key] = {}
+            bucket[entity_hex] = record
+
+    def _unfile(self, record: RegistrationRecord) -> None:
+        entity_hex = record.entity_hex
+        for index, key in self._filings(record):
+            bucket = index.get(key)
+            if bucket is not None and bucket.pop(entity_hex, None) is not None:
+                if not bucket:
+                    del index[key]
 
     def _track_lease(self, record: RegistrationRecord) -> None:
         if record.lease_expiry is not None:
@@ -180,12 +297,7 @@ class Registrar(Process):
             registered_at=self.now,
             lease_expiry=self.now + self.lease_duration,
         )
-        fresh = record.entity_hex not in self._records
-        self._records[record.entity_hex] = record
-        self.registrations += 1
-        self.version += 1
-        self._track_lease(record)
-        self._log_register(record)
+        previous = self._store(record)
         self.reply(message, "register-ack", {
             "ok": True,
             "range": self.range_name,
@@ -193,8 +305,7 @@ class Registrar(Process):
             "event_mediator": self.event_mediator.hex,
             "lease": self.lease_duration,
         })
-        if fresh:
-            self.on_arrival(record)
+        self._announce(record, previous)
 
     def _handle_deregister(self, message: Message) -> None:
         entity_hex = message.payload.get("entity", message.sender.hex)

@@ -1,4 +1,4 @@
-"""Sharded provider index: equivalence, delta fast path, version chaining."""
+"""The provider index at K >= 1: equivalence, delta fast path, version chaining."""
 
 import pytest
 
@@ -104,14 +104,16 @@ class TestEquivalence:
         feed = _Feed(guids, building)
         resolver = feed.resolver(registry, shards=4)
         resolver.resolve(TypeSpec("temperature", "celsius"))
-        assert len(resolver._shard_index.built_shards()) == 1
+        assert len(resolver._provider_index.built_shards()) == 1
 
 
 class TestDeltaFastPath:
+    SHARDS = 3
+
     def test_arrival_patches_built_shards_without_rebuild(self, registry,
                                                           guids, building):
         feed = _Feed(guids, building)
-        resolver = feed.resolver(registry, shards=3)
+        resolver = feed.resolver(registry, shards=self.SHARDS)
         with pytest.raises(NoProviderError):
             resolver.resolve(TypeSpec("occupancy", "count"))
         rebuilds = resolver.index_rebuilds
@@ -128,7 +130,7 @@ class TestDeltaFastPath:
         fresh = sensor_profile("counter", "occupancy", "count")
         feed.profiles.append(fresh)
         feed.registrations += 1
-        resolver = feed.resolver(registry, shards=3)
+        resolver = feed.resolver(registry, shards=self.SHARDS)
         resolver.resolve(TypeSpec("occupancy", "count"))
         rebuilds = resolver.index_rebuilds
         feed.deregister(fresh)
@@ -140,7 +142,7 @@ class TestDeltaFastPath:
     def test_none_delta_advances_chain(self, registry, guids, building):
         """A CAA arrival bumps the version but files nothing."""
         feed = _Feed(guids, building)
-        resolver = feed.resolver(registry, shards=3)
+        resolver = feed.resolver(registry, shards=self.SHARDS)
         resolver.resolve(TypeSpec("temperature", "celsius"))
         rebuilds = resolver.index_rebuilds
         feed.registrations += 1  # a CAA registered
@@ -152,7 +154,7 @@ class TestDeltaFastPath:
                                                       building):
         """A version change without a delta must never be masked."""
         feed = _Feed(guids, building)
-        resolver = feed.resolver(registry, shards=3)
+        resolver = feed.resolver(registry, shards=self.SHARDS)
         with pytest.raises(NoProviderError):
             resolver.resolve(TypeSpec("occupancy", "count"))
         # the feed changes WITHOUT a delta call (e.g. a re-registration)...
@@ -163,8 +165,45 @@ class TestDeltaFastPath:
         feed.register(other)
         resolver.note_profile_added(other)
         # the rebuild path still surfaces the profile the delta skipped
+        rebuilds = resolver.index_rebuilds
         plan = resolver.resolve(TypeSpec("occupancy", "count"))
         assert plan.nodes[plan.output_key].profile.name == "counter"
+        assert resolver.index_rebuilds == rebuilds + 1
+
+    def test_replacement_is_one_bump(self, registry, guids, building):
+        """A re-registration unfiles the old outputs and files the new."""
+        feed = _Feed(guids, building)
+        old = sensor_profile("counter", "occupancy", "count")
+        feed.profiles.append(old)
+        feed.registrations += 1
+        resolver = feed.resolver(registry, shards=self.SHARDS)
+        resolver.resolve(TypeSpec("occupancy", "count"))
+        with pytest.raises(NoProviderError):
+            resolver.resolve(TypeSpec("network-signal", "dbm"))
+        rebuilds = resolver.index_rebuilds
+        new = Profile(old.entity_id, old.name, old.entity_class,
+                      outputs=[TypeSpec("network-signal", "dbm")])
+        feed.profiles[feed.profiles.index(old)] = new
+        feed.registrations += 1
+        resolver.note_profile_replaced(old.entity_id.hex, new)
+        plan = resolver.resolve(TypeSpec("network-signal", "dbm"))
+        assert plan.nodes[plan.output_key].profile is new
+        with pytest.raises(NoProviderError):
+            resolver.resolve(TypeSpec("occupancy", "count"))
+        assert resolver.index_rebuilds == rebuilds
+
+    def test_template_registration_is_a_gap(self, registry, guids, building):
+        """The templates component of the token moved: rebuild, not delta."""
+        feed = _Feed(guids, building)
+        resolver = feed.resolver(registry, shards=self.SHARDS)
+        resolver.resolve(TypeSpec("temperature", "celsius"))
+        rebuilds = resolver.index_rebuilds
+        feed.templates.version += 1
+        other = sensor_profile("door-9")
+        feed.register(other)
+        assert resolver.note_profile_added(other) == 0
+        resolver.resolve(TypeSpec("temperature", "celsius"))
+        assert resolver.index_rebuilds == rebuilds + 1
 
     def test_bad_token_shape_rejected(self, registry, guids, building):
         feed = _Feed(guids, building)
@@ -172,15 +211,35 @@ class TestDeltaFastPath:
                                  live_profiles=lambda: list(feed.profiles),
                                  templates=feed.templates,
                                  feed_version=lambda: 7,  # not a pair
-                                 shards=2)
+                                 shards=self.SHARDS)
         with pytest.raises(TypeError):
             resolver.note_profile_added(None)
 
 
+class TestDeltaFastPathUnsharded(TestDeltaFastPath):
+    """The default deployment's index (K=1) keeps the same chain."""
+
+    SHARDS = 1
+
+
 class TestConstruction:
-    def test_sharded_requires_feed_version(self, registry):
+    def test_sharded_requires_feed_version(self, registry, guids, building):
+        """Slices only pay off by chaining deltas, so K > 1 insists on a
+        feed; K = 1 without one is the rebuild-per-resolve contract, where
+        deltas have no chain to advance and are ignored."""
         with pytest.raises(ValueError):
             QueryResolver(registry, live_profiles=list, shards=2)
+        feed = _Feed(guids, building)
+        resolver = QueryResolver(registry,
+                                 live_profiles=lambda: list(feed.profiles),
+                                 templates=feed.templates)
+        resolver.resolve(TypeSpec("temperature", "celsius"))
+        fresh = sensor_profile("counter", "occupancy", "count")
+        feed.register(fresh)
+        assert resolver.note_profile_added(fresh) == 0
+        plan = resolver.resolve(TypeSpec("occupancy", "count"))
+        assert plan.nodes[plan.output_key].profile.name == "counter"
+        assert resolver.index_rebuilds == 2
 
     def test_unknown_types_replicated_to_every_slice(self, registry):
         index = ShardedProfileIndex(registry, shards=3)

@@ -4,6 +4,8 @@ import pytest
 
 from repro import SCI
 from repro.core.api import SCIConfig
+from repro.ledger.replay import (live_snapshot, projection_snapshot,
+                                 snapshot_digest)
 
 
 @pytest.fixture
@@ -35,6 +37,22 @@ class TestHandoff:
         assert profile.attributes.get("preferred_printer") == "P1"
         assert sci.handoff.handoffs >= 1
         assert sci.handoff.replays >= 1
+
+    def test_replay_goes_through_the_profile_manager(self, deployment):
+        """Carried attributes are ledgered like any other profile update."""
+        sci, app = deployment
+        sci.teleport("bob", "lobby")
+        sci.run(10)
+        sci.range("lobby").profiles.update_attributes(
+            app.guid.hex, {"preferred_printer": "P1"})
+        level10 = sci.range("level10")
+        updates = level10.profiles.updates
+        sci.teleport("bob", "L10.01")
+        sci.run(15)
+        assert level10.profiles.updates == updates + 2  # add + replay
+        assert (snapshot_digest(projection_snapshot(
+                    level10.ledger_projection()))
+                == snapshot_digest(live_snapshot(level10)))
 
     def test_fresh_values_win_over_carried(self, deployment):
         sci, app = deployment

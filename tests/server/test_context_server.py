@@ -2,9 +2,14 @@
 
 import pytest
 
+from repro.core.errors import NoProviderError
 from repro.core.types import TypeSpec
 from repro.entities.devices import PrinterCE
-from repro.query.model import QueryBuilder
+from repro.entities.profile import EntityClass, Profile
+from repro.ledger.replay import (live_snapshot, projection_snapshot,
+                                 snapshot_digest)
+from repro.net.transport import FunctionProcess
+from repro.query.model import QueryBuilder, WhatClause
 from repro.server.deployment import deploy_printers
 
 
@@ -273,3 +278,42 @@ class TestDepartures:
         network.scheduler.run_for(10)
         assert server.profiles.get(printer.guid.hex) is None
         assert server.location.locate("P9") is None
+
+
+class TestReRegistration:
+    """A registered component registering again is a replace, not a gap."""
+
+    def _register(self, network, server, component, outputs):
+        profile = Profile(component.guid, "flex", EntityClass.DEVICE,
+                          outputs=outputs)
+        component.send(server.registrar.guid, "register",
+                       {"kind": "ce", "profile": profile.to_wire()})
+        network.scheduler.run_for(5)
+        return server.registrar.record(component.guid.hex)
+
+    def test_changed_output_follows_without_rebuild(self, network, guids,
+                                                    deployed_range):
+        server, _ = deployed_range
+        component = FunctionProcess(guids.mint(), "host-b", network,
+                                    lambda message: None)
+        occupancy = TypeSpec("occupancy", "count")
+        signal = TypeSpec("network-signal", "dbm")
+        first = self._register(network, server, component, [occupancy])
+        plan = server.resolver.resolve(occupancy)
+        assert plan.nodes[plan.output_key].profile is first.profile
+        rebuilds = server.resolver.index_rebuilds
+
+        second = self._register(network, server, component, [signal])
+        assert second is not first
+        plan = server.resolver.resolve(signal)
+        assert plan.nodes[plan.output_key].profile is second.profile
+        with pytest.raises(NoProviderError):
+            server.resolver.resolve(occupancy)
+        assert server.resolver.index_rebuilds == rebuilds
+        matching = server.registrar.matching
+        assert matching(WhatClause.for_pattern("network-signal")) == [second]
+        assert matching(WhatClause.for_pattern("occupancy")) == []
+        # the Profile Manager swapped too, and the ledger tells the same story
+        assert server.profiles.get(component.guid.hex) is second.profile
+        assert (snapshot_digest(projection_snapshot(server.ledger_projection()))
+                == snapshot_digest(live_snapshot(server)))

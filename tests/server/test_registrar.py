@@ -3,9 +3,12 @@
 import pytest
 
 from repro.core.types import TypeSpec
-from repro.entities.profile import Profile
+from repro.entities.advertisement import Advertisement
+from repro.entities.profile import EntityClass, Profile
 from repro.net.transport import FunctionProcess
+from repro.query.model import WhatClause
 from repro.server.registrar import RegistrationRecord, Registrar
+from tests.server.reference_scan import scan_matching
 
 
 @pytest.fixture
@@ -167,3 +170,123 @@ class TestExpiryHeap:
                        {"entity": profile.entity_id.hex})
         network.scheduler.run_for(5)
         assert registrar.version == before + 2
+
+
+def _record(guids, name, outputs=(), entity_class=EntityClass.DEVICE,
+            services=(), **attributes):
+    profile = Profile(guids.mint(), name, entity_class,
+                      outputs=[TypeSpec(type_name, "raw")
+                               for type_name in outputs],
+                      attributes=attributes)
+    return RegistrationRecord(
+        profile=profile, kind="ce",
+        advertisements=[Advertisement(service) for service in services])
+
+
+WHATS = ([WhatClause.entity_type(tag) for tag in
+          ("device", "software", "printer", "print", "print-service",
+           "scanner", "nothing")]
+         + [WhatClause.for_pattern(type_name) for type_name in
+            ("temperature", "presence", "location")]
+         + [WhatClause.named(name) for name in ("p", "q", "thermo", "ghost")])
+
+
+def assert_index_equals_scan(registrar, extra=()):
+    for what in list(WHATS) + list(extra):
+        indexed = [record.entity_hex for record in registrar.matching(what)]
+        scanned = [record.entity_hex
+                   for record in scan_matching(registrar, what)]
+        assert indexed == scanned, str(what)
+
+
+class TestWhatIndex:
+    """``matching`` selects what the reference scan selects, in its order."""
+
+    @pytest.fixture
+    def population(self, guids, registrar):
+        records = [
+            _record(guids, "p", ["presence"], services=["print-service"],
+                    device="printer"),
+            _record(guids, "thermo", ["temperature", "presence"]),
+            _record(guids, "p", services=["print"], device="scanner"),
+            _record(guids, "q", ["location"], EntityClass.SOFTWARE),
+            _record(guids, "p", ["temperature"], device="printer"),
+        ]
+        for record in records:
+            registrar.register_record(record)
+        return records
+
+    def test_three_kinds_match_the_scan(self, registrar, population):
+        assert_index_equals_scan(registrar, [
+            WhatClause.named(record.entity_hex) for record in population])
+        printers = registrar.matching(WhatClause.entity_type("printer"))
+        assert printers == [population[0], population[4]]
+        # a "-service" advertisement answers to its bare name too
+        assert registrar.matching(WhatClause.entity_type("print")) == [
+            population[0], population[2]]
+
+    def test_reregistered_keeps_place_returned_goes_last(self, guids,
+                                                         registrar,
+                                                         population):
+        first, _, second, _, third = population
+        named_p = WhatClause.named("p")
+        assert registrar.matching(named_p) == [first, second, third]
+        # same hex again: replaced in place among its namesakes
+        again = RegistrationRecord(profile=Profile(
+            first.profile.entity_id, "p", EntityClass.DEVICE,
+            outputs=[TypeSpec("location", "raw")]), kind="ce")
+        registrar.register_record(again)
+        assert registrar.matching(named_p) == [again, second, third]
+        assert_index_equals_scan(registrar)
+        # left and came back: last among its namesakes
+        registrar.remove(second.entity_hex, "test", notify_entity=False)
+        registrar.register_record(second)
+        assert registrar.matching(named_p) == [again, third, second]
+        assert_index_equals_scan(registrar)
+
+    def test_replacement_refiles_every_bucket(self, registrar, population):
+        first = population[0]
+        again = RegistrationRecord(profile=Profile(
+            first.profile.entity_id, "renamed", EntityClass.SOFTWARE,
+            outputs=[TypeSpec("location", "raw")]), kind="ce")
+        registrar.register_record(again)
+        assert first not in registrar.matching(WhatClause.named("p"))
+        assert first not in registrar.matching(
+            WhatClause.for_pattern("presence"))
+        assert registrar.matching(WhatClause.named("renamed")) == [again]
+        assert again in registrar.matching(WhatClause.for_pattern("location"))
+        assert_index_equals_scan(registrar, [WhatClause.named("renamed")])
+
+    def test_retag_follows_the_device_attribute(self, registrar, population):
+        scanner = population[2]
+        scanner.profile.attributes["device"] = "printer"
+        registrar.retag(scanner.entity_hex)
+        assert scanner in registrar.matching(WhatClause.entity_type("printer"))
+        assert registrar.matching(WhatClause.entity_type("scanner")) == []
+        assert_index_equals_scan(registrar)
+
+    def test_removal_unfiles_and_drops_empty_buckets(self, registrar,
+                                                     population):
+        for record in population:
+            registrar.remove(record.entity_hex, "test", notify_entity=False)
+            assert_index_equals_scan(registrar)
+        assert registrar._by_name == {}
+        assert registrar._by_tag == {}
+        assert registrar._by_offered_type == {}
+
+    def test_replacement_notifies_its_own_hook(self, network, guids,
+                                               registrar):
+        arrivals, replacements = [], []
+        registrar.on_arrival = arrivals.append
+        registrar.on_replacement = (
+            lambda previous, record: replacements.append((previous, record)))
+        component, profile, _ = register(network, guids, registrar)
+        before = registrar.version
+        component.send(registrar.guid, "register",
+                       {"kind": "ce", "profile": profile.to_wire()})
+        network.scheduler.run_for(5)
+        assert registrar.version == before + 1  # one bump for the replace
+        assert len(arrivals) == 1
+        [(previous, record)] = replacements
+        assert previous is arrivals[0]
+        assert record is registrar.record(profile.entity_id.hex)

@@ -82,7 +82,7 @@ class TestShardedServer:
                  .subscribe("location", "topological", subject="bob").build())
         sharded_app.submit_query(query)
         network.scheduler.run_for(10)
-        deltas = server.resolver._shard_index.deltas
+        deltas = server.resolver.index_deltas
         # a CAA registering is a None-delta on every built slice
         extra = ContextAwareApplication(
             Profile(server.guids.mint(), "extra-app", EntityClass.SOFTWARE),
@@ -90,7 +90,7 @@ class TestShardedServer:
         extra.start()
         network.scheduler.run_for(10)
         assert extra.registered
-        assert server.resolver._shard_index.deltas > deltas
+        assert server.resolver.index_deltas > deltas
 
     def test_departure_cleans_sharded_state(self, network, sharded_range,
                                             sharded_app):
