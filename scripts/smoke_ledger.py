@@ -76,10 +76,14 @@ def main() -> int:
     sci, server, app, captured, victim_hex = run_scenario()
     entries = server.ledger_entries()
     kinds = {entry.kind for entry in entries}
-    ok &= check(len(entries) > 0 and {"register", "delivery", "depart",
-                                      "lease-renew"} <= kinds,
+    expired = any(entry.kind == "depart"
+                  and entry.payload == {"entity": victim_hex,
+                                        "reason": "lease-expired"}
+                  for entry in entries)
+    ok &= check({"register", "delivery", "depart"} <= kinds and expired,
                 f"scenario is non-trivial ({len(entries)} entries, "
-                f"{len(kinds)} kinds)")
+                f"{len(kinds)} kinds, the crash recorded as a lease-expired "
+                f"depart)")
 
     live = live_snapshot(server)
     projected = projection_snapshot(server.ledger_projection())

@@ -7,6 +7,9 @@ re-checks the hotspot and log-growth claims offline. Exits non-zero on any
 failure, so CI can gate on it. Usage::
 
     PYTHONPATH=src python scripts/smoke_obs.py [output-dir]
+
+The artefact carries wall times, so the default output directory is
+git-ignored: a smoke run leaves ``git status`` clean.
 """
 
 import pathlib
@@ -31,7 +34,7 @@ MESSAGES = 120
 
 def main() -> int:
     out_dir = pathlib.Path(sys.argv[1] if len(sys.argv) > 1
-                           else "benchmarks/results")
+                           else "benchmarks/results/smoke")
     path = out_dir / "smoke_obs.metrics.json"
 
     print(f"smoke-obs: running fig1 at N={SIZES} with {MESSAGES} messages...")

@@ -15,7 +15,10 @@ The registration handshake implements Figure 5:
 3. the component registers its profile with the Registrar;
 4. the ``register-ack`` returns the Context Server address (CAAs submit
    queries there) and the Event Mediator address (CEs publish there), plus a
-   lease the component keeps alive with heartbeats.
+   lease. The component does not renew it itself: on the ack it joins the
+   lease group of the Range Service whose offer it accepted, which renews
+   every member on its machine in one heartbeat, and leaves the group when
+   it stops, is evicted or is handed to another range.
 
 Concrete subclasses override the hooks at the bottom of each class
 (:meth:`ContextEntity.on_event`, :meth:`ContextEntity.handle_service`,
@@ -36,15 +39,13 @@ from repro.events.event import ContextEvent
 from repro.events.stream import StreamReassembler
 from repro.net.message import BROADCAST, Message
 from repro.net.rpc import RequestManager
-from repro.net.sim import Timer
 from repro.net.transport import Network, Process
 
 logger = logging.getLogger(__name__)
 
 #: retransmission budgets for the component-side RPCs that must survive a
-#: lossy network: the Figure-5 registration and the lease heartbeats
+#: lossy network
 REGISTER_RETRIES = 2
-HEARTBEAT_RETRIES = 1
 RESYNC_RETRIES = 2
 PUBLISH_RETRIES = 4
 PUBLISH_ACK_TIMEOUT = 5.0
@@ -67,8 +68,8 @@ class BaseComponent(Process):
         self.context_server: Optional[GUID] = None
         self.event_mediator: Optional[GUID] = None
         self.range_name: Optional[str] = None
-        self.lease_duration: Optional[float] = None
-        self._heartbeat_timer: Optional[Timer] = None
+        #: the Range Service renewing this component's lease, while registered
+        self._lease_group = None
         self._params: Dict[str, Any] = {}
         #: restores publish order over sequenced (reliable-mediator) streams;
         #: unsequenced deliveries pass straight through
@@ -94,8 +95,6 @@ class BaseComponent(Process):
     def crash(self) -> None:
         """Vanish without deregistering — the failure-injection path."""
         self.registered = False
-        if self._heartbeat_timer is not None:
-            self._heartbeat_timer.cancel()
         self.streams.reset()
         self.requests.cancel_all()
         self.detach()
@@ -124,9 +123,9 @@ class BaseComponent(Process):
         self.event_mediator = None
         self.range_name = None
         self.streams.reset()
-        if self._heartbeat_timer is not None:
-            self._heartbeat_timer.cancel()
-            self._heartbeat_timer = None
+        if self._lease_group is not None:
+            self._lease_group.leave(self)
+            self._lease_group = None
 
     # -- registration protocol ----------------------------------------------------
 
@@ -146,9 +145,9 @@ class BaseComponent(Process):
                 self.send(self.registrar, "deregister", {"entity": self.guid.hex})
             self._teardown_registration()
         registrar = GUID.from_hex(message.payload["registrar"])
-        self._register_with(registrar)
+        self._register_with(registrar, message.sender)
 
-    def _register_with(self, registrar: GUID) -> None:
+    def _register_with(self, registrar: GUID, range_service: GUID) -> None:
         self.registrar = registrar
         self.requests.request(
             registrar,
@@ -158,25 +157,29 @@ class BaseComponent(Process):
                 "profile": self.profile.to_wire(),
                 "advertisements": [ad.to_wire() for ad in self.advertisements],
             },
-            on_reply=self._handle_register_ack,
+            on_reply=lambda reply: self._handle_register_ack(reply,
+                                                             range_service),
             on_timeout=self._handle_register_timeout,
             retries=REGISTER_RETRIES,
         )
 
-    def _handle_register_ack(self, reply: Message) -> None:
+    def _handle_register_ack(self, reply: Message, range_service: GUID) -> None:
         if not reply.payload.get("ok", False):
             logger.warning("%s registration refused: %s", self.name,
                            reply.payload.get("error"))
             return
         self.registered = True
+        # two ranges may offer on one machine: the later ack wins whole
+        self.registrar = reply.sender
         self.context_server = GUID.from_hex(reply.payload["context_server"])
         self.event_mediator = GUID.from_hex(reply.payload["event_mediator"])
         self.range_name = reply.payload.get("range")
-        self.lease_duration = reply.payload.get("lease")
-        if self.lease_duration:
-            interval = self.lease_duration / 3.0
-            self._heartbeat_timer = self.scheduler.schedule_periodic(
-                interval, self._send_heartbeat)
+        # a same-machine call: the offering daemon is a process on this host
+        if self._lease_group is not None:
+            self._lease_group.leave(self)
+        self._lease_group = self.network.process(range_service)
+        if self._lease_group is not None:
+            self._lease_group.join(self, reply.payload["lease"])
         logger.debug("%s registered in range %s", self.name, self.range_name)
         self.on_registered()
 
@@ -184,30 +187,17 @@ class BaseComponent(Process):
         logger.warning("%s registration timed out", self.name)
         self.registrar = None
 
-    def _send_heartbeat(self) -> None:
-        """Renew the lease; a heartbeat lost to the network is retransmitted.
-
-        The first-ack window stays well above a campus round trip but under
-        the heartbeat interval, so one transport-level loss no longer costs
-        a whole renewal period — a third of the entire lease.
-        """
-        if not (self.registered and self.registrar is not None):
-            return
-        interval = (self.lease_duration or 30.0) / 3.0
-        self.requests.request(
-            self.registrar, "heartbeat", {"entity": self.guid.hex},
-            timeout=max(interval * 0.45, 3.5),
-            retries=HEARTBEAT_RETRIES,
-        )
-
     def _handle_deregistered(self, message: Message) -> None:
         """The Registrar evicted us (lease expiry or range departure).
 
-        Only the *current* registrar's notice counts: after a handoff, the
-        old range's eviction may still be in flight and must not tear down
-        the new registration.
+        Only a notice from the registrar this component is registered with
+        counts. After a handoff the old range's eviction may still be in
+        flight; and one eviction can produce two notices (``lease-expired``
+        plus the ``not-registered`` answer to a renewal that was in flight),
+        the second of which must not clear ``registrar`` under a
+        re-registration that has already begun.
         """
-        if self.registrar is not None and message.sender != self.registrar:
+        if not (self.registered and message.sender == self.registrar):
             return
         self._teardown_registration()
         self.on_deregistered(message.payload.get("reason", ""))

@@ -26,8 +26,9 @@ from hashlib import blake2b
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
-#: artefact format marker; bump on incompatible changes
-LEDGER_SCHEMA = "sci.ledger/1"
+#: artefact format marker; bump on incompatible changes (any other version is
+#: refused: /1 files carry lease renewals the projector has no rule for)
+LEDGER_SCHEMA = "sci.ledger/2"
 
 #: the chain anchor every rank starts from
 GENESIS_HASH = "0" * 32
@@ -36,7 +37,6 @@ GENESIS_HASH = "0" * 32
 #: replay projector both dispatch on it)
 ENTRY_KINDS = (
     "register",        # registrar: a component (re-)registered
-    "lease-renew",     # registrar: heartbeat renewed a lease
     "depart",          # registrar: deregistration / eviction / expulsion
     "profile-add",     # profile manager: profile (re-)stored
     "profile-remove",  # profile manager: profile dropped

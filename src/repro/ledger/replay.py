@@ -8,9 +8,12 @@ this, snapshot-for-snapshot, across shard and partition counts.
 
 Authority split — who rebuilds what:
 
-* ``register`` / ``lease-renew`` / ``depart`` (Registrar's chain) rebuild
-  the **membership view**: who is in the range, their kind, host and
-  current lease. Profile *contents* are deliberately out of scope here —
+* ``register`` / ``depart`` (Registrar's chain) rebuild the **membership
+  view**: who is in the range, their kind, host and when they registered.
+  Lease renewals are not lifecycle events and are not recorded: a lease
+  that ran out shows as ``depart`` with ``reason: lease-expired``, and the
+  moving expiry deadline is the live Registrar's business, outside the
+  audited view. Profile *contents* are deliberately out of scope here —
   attributes mutate after registration.
 * ``profile-add`` / ``profile-remove`` / ``profile-update`` (Profile
   Manager's chain) rebuild the **profile view** independently, so
@@ -99,13 +102,7 @@ class ReplayProjector:
             "kind": payload["kind"],
             "host": payload["host"],
             "registered_at": payload["registered_at"],
-            "lease_expiry": payload["lease_expiry"],
         }
-
-    def _apply_lease_renew(self, payload: Dict[str, Any]) -> None:
-        record = self.state.records.get(payload["entity"])
-        if record is not None:
-            record["lease_expiry"] = payload["lease_expiry"]
 
     def _apply_depart(self, payload: Dict[str, Any]) -> None:
         self.state.records.pop(payload["entity"], None)
@@ -165,7 +162,6 @@ class ReplayProjector:
 
     _PROJECTORS = {
         "register": _apply_register,
-        "lease-renew": _apply_lease_renew,
         "depart": _apply_depart,
         "profile-add": _apply_profile_add,
         "profile-remove": _apply_profile_remove,
@@ -190,7 +186,6 @@ def snapshot_registrar(registrar) -> Dict[str, Dict[str, Any]]:
             "kind": record.kind,
             "host": record.host_id,
             "registered_at": record.registered_at,
-            "lease_expiry": record.lease_expiry,
         }
         for record in registrar.records()
     }

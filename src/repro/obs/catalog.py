@@ -138,6 +138,11 @@ _declare("hierarchy.queue.delay", "histogram",
 
 _declare("registrar.expiry.pops", "counter",
          "expiry-heap entries popped during lease sweeps", labels=("range",))
+_declare("registrar.lease.renewals", "counter",
+         "leases renewed by Range Service heartbeats", labels=("range",))
+_declare("registrar.lease.unknown", "counter",
+         "heartbeat-listed entities this Registrar does not hold",
+         labels=("range",))
 _declare("cs.query.routed", "counter",
          "queries routed per range and outcome", labels=("range", "status"))
 

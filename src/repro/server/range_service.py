@@ -9,17 +9,31 @@ A starting component broadcasts ``component-up`` on its machine; the RS on
 that machine answers with ``range-offer`` naming the Registrar. The RS also
 re-offers on demand (``probe``), which the mobility layer uses when a device
 host physically enters the range.
+
+The daemon is also its machine's liveness. A component that registers through
+one of its offers joins its **lease group** (a same-machine call, not a
+message), and every third of a lease the RS sends the Registrar one acked
+``heartbeat`` listing the members still attached on this machine; components
+run no timer of their own. A member that crashed says nothing: it is gone
+from the process table, stops being listed and its lease runs out. One that
+stops, is evicted or moves to another range leaves the group itself.
 """
 
 from __future__ import annotations
 
 import logging
+from typing import Dict, Optional
 
 from repro.core.ids import GUID
 from repro.net.message import Message
+from repro.net.rpc import RequestManager
+from repro.net.sim import Timer
 from repro.net.transport import Network, Process
 
 logger = logging.getLogger(__name__)
+
+#: a renewal the network ate costs one retry, not a third of every lease here
+HEARTBEAT_RETRIES = 1
 
 
 class RangeService(Process):
@@ -33,6 +47,11 @@ class RangeService(Process):
         self.registrar = registrar
         self.offers_made = 0
         self.enabled = True
+        self.requests = RequestManager(self)
+        #: the lease group: entity hex -> component registered via this daemon
+        self._members: Dict[str, Process] = {}
+        self._interval = 0.0
+        self._renewal: Optional[Timer] = None
 
     def offer_to(self, component: GUID) -> None:
         """Tell one component where the Registrar is."""
@@ -59,7 +78,42 @@ class RangeService(Process):
                 offered += 1
         return offered
 
+    # -- the lease group -------------------------------------------------------
+
+    def join(self, component: Process, lease: float) -> None:
+        """Renew ``component``'s lease from now on; the first member starts
+        the timer."""
+        self._members[component.guid.hex] = component
+        if self._renewal is None:
+            self._interval = lease / 3.0
+            self._renewal = self.scheduler.schedule_periodic(
+                self._interval, self._renew_leases)
+
+    def leave(self, component: Process) -> None:
+        self._members.pop(component.guid.hex, None)
+
+    def _renew_leases(self) -> None:
+        """One heartbeat for the whole machine; an empty one stops the timer.
+
+        The first-ack window stays well above a campus round trip but under
+        the renewal interval, so one transport-level loss costs a
+        retransmission, not a whole renewal period.
+        """
+        attached = self.network.process
+        self._members = {entity_hex: member
+                         for entity_hex, member in self._members.items()
+                         if attached(member.guid) is member}
+        if not self._members:
+            self._renewal.cancel()
+            self._renewal = None
+            return
+        self.requests.request(
+            self.registrar, "heartbeat", {"entities": list(self._members)},
+            timeout=max(self._interval * 0.45, 3.5), retries=HEARTBEAT_RETRIES)
+
     def on_message(self, message: Message) -> None:
+        if self.requests.dispatch_reply(message):
+            return
         if message.kind == "component-up":
             self.offer_to(message.sender)
         elif message.kind == "probe":

@@ -5,10 +5,13 @@ the current Range." and "All CE's are registered within a range when they
 arrive and deregistered upon departure."
 
 Accuracy under failure is achieved with leases: a registration is kept alive
-by heartbeats (:class:`~repro.entities.entity.BaseComponent` sends them at a
-third of the lease); a missed lease means the entity crashed or left without
-deregistering, and the Registrar evicts it — which is what ultimately
-triggers configuration repair.
+by heartbeats, one per machine — each
+:class:`~repro.server.range_service.RangeService` lists, at a third of the
+lease, the components it registered that are still running on its host. A
+missed lease means the entity crashed or left without deregistering, and the
+Registrar evicts it — which is what ultimately triggers configuration
+repair. The ledger records the lifecycle (``register``, ``depart`` with its
+reason), not the renewals in between.
 
 Beside the records the Registrar keeps the **What index**: the three
 selections a query's What clause can make (Section 4.1: a named entity, an
@@ -124,6 +127,14 @@ class Registrar(Process):
         self._expiry_pops_counter = network.obs.metrics.counter(
             "registrar.expiry.pops",
             "expiry-heap entries popped during lease sweeps",
+            labels=("range",))
+        self._renewals_counter = network.obs.metrics.counter(
+            "registrar.lease.renewals",
+            "leases renewed by Range Service heartbeats",
+            labels=("range",))
+        self._unknown_counter = network.obs.metrics.counter(
+            "registrar.lease.unknown",
+            "heartbeat-listed entities this Registrar does not hold",
             labels=("range",))
         self._sweeper = self.scheduler.schedule_periodic(sweep_interval,
                                                          self._sweep_leases)
@@ -259,7 +270,6 @@ class Registrar(Process):
             "kind": record.kind,
             "host": record.host_id,
             "registered_at": record.registered_at,
-            "lease_expiry": record.lease_expiry,
             "profile": record.profile.to_wire(),
             "advertisements": [ad.to_wire() for ad in record.advertisements],
         })
@@ -313,25 +323,30 @@ class Registrar(Process):
         self.reply(message, "deregister-ack", {"ok": removed})
 
     def _handle_heartbeat(self, message: Message) -> None:
-        entity_hex = message.payload.get("entity", message.sender.hex)
-        record = self._records.get(entity_hex)
-        if record is None:
-            # Entity thinks it is registered but was evicted; tell it so.
-            self.send(message.sender, "deregistered", {"reason": "not-registered"})
-            self.reply(message, "heartbeat-ack", {"ok": False})
-            return
-        if record.lease_expiry is not None:
-            record.lease_expiry = self.now + self.lease_duration
-            self._track_lease(record)
-            if self._ledger is not None:
-                self._ledger.append(self.now, "lease-renew", {
-                    "entity": entity_hex,
-                    "lease_expiry": record.lease_expiry,
-                })
+        """A Range Service renews every lease it lists, at once.
+
+        A listed entity this Registrar does not hold thinks it is registered
+        (it received this range's ``register-ack``) but was evicted: tell it.
+        """
+        expiry = self.now + self.lease_duration
+        renewed = unknown = 0
+        for entity_hex in message.payload.get("entities", ()):
+            record = self._records.get(entity_hex)
+            if record is None:
+                unknown += 1
+                self.send(GUID.from_hex(entity_hex), "deregistered",
+                          {"reason": "not-registered"})
+            elif record.lease_expiry is not None:
+                record.lease_expiry = expiry
+                self._track_lease(record)
+                renewed += 1
+        self._renewals_counter.inc(renewed, range=self.range_name or "-")
+        if unknown:
+            self._unknown_counter.inc(unknown, range=self.range_name or "-")
         # the ack lets the sender retransmit a heartbeat the network ate
-        # instead of losing a third of its lease (renewal is idempotent and
-        # duplicates are suppressed transport-side anyway)
-        self.reply(message, "heartbeat-ack", {"ok": True})
+        # instead of losing a third of every lease on its machine (renewal
+        # is idempotent and duplicates are suppressed transport-side anyway)
+        self.reply(message, "heartbeat-ack", {"ok": not unknown})
 
     # -- lease sweeping -----------------------------------------------------------------
 

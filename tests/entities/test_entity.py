@@ -79,6 +79,79 @@ class TestRegistrationHandshake:
         assert ce.event_mediator == server.mediator.guid
 
 
+class ReannouncingCE(ContextEntity):
+    """A component that announces itself again when the range lets it go."""
+
+    def __init__(self, profile, host_id, network):
+        super().__init__(profile, host_id, network)
+        self.reasons = []
+
+    def on_deregistered(self, reason):
+        self.reasons.append(reason)
+        self.start()
+
+
+def make_reannouncing(guids, network, name):
+    return ReannouncingCE(Profile(entity_id=guids.mint(), name=name),
+                          "host-b", network)
+
+
+class TestEviction:
+    def test_partitioned_machine_is_evicted_and_told_so_after_healing(
+            self, network, guids, deployed_range):
+        server, _ = deployed_range
+        registrar = server.registrar
+        ces = [make_reannouncing(guids, network, f"ce-{i}") for i in range(3)]
+        for ce in ces:
+            ce.start()
+        network.scheduler.run_for(10)
+        network.set_partitions([["host-a"], ["host-b"]])
+        network.scheduler.run_for(45)  # lease 30 + sweep: the notices are lost
+        assert not any(registrar.registered(ce.guid.hex) for ce in ces)
+        assert all(ce.registered and not ce.reasons for ce in ces)
+        network.heal_partitions()
+        # the machine's next heartbeat still lists them; the Registrar
+        # answers each with not-registered and they announce themselves again
+        network.scheduler.run_for(20)
+        assert all(ce.reasons == ["not-registered"] for ce in ces)
+        assert all(ce.registered and registrar.registered(ce.guid.hex)
+                   for ce in ces)
+        network.scheduler.run_for(120)  # and the new leases are kept alive
+        assert all(registrar.registered(ce.guid.hex) for ce in ces)
+
+    def test_duplicate_notice_does_not_break_a_reregistration(
+            self, network, guids, deployed_range):
+        """One eviction can produce two notices (lease-expired, then the
+        not-registered answer to a renewal that was in flight). The second
+        used to reach the component mid-handshake, clear its registrar and
+        leave it registered with nobody renewing it."""
+        server, _ = deployed_range
+        registrar = server.registrar
+        ce = make_reannouncing(guids, network, "ce")
+        ce.start()
+        network.scheduler.run_for(10)
+        registrar.remove(ce.guid.hex, "lease-expired")  # the first notice
+        # the duplicate lands after the offer (t+3) and before the ack (t+5)
+        network.scheduler.schedule(3.0, registrar.send, ce.guid, "deregistered",
+                                   {"reason": "not-registered"})
+        network.scheduler.run_for(10)
+        assert ce.reasons == ["lease-expired"]
+        assert ce.registered and ce.registrar == registrar.guid
+        network.scheduler.run_for(120)  # several leases: it is being renewed
+        assert registrar.registered(ce.guid.hex)
+        assert registrar.evictions == 0
+
+    def test_notice_from_a_stranger_is_ignored(self, network, guids,
+                                               deployed_range):
+        server, _ = deployed_range
+        ce = make_reannouncing(guids, network, "ce")
+        ce.start()
+        network.scheduler.run_for(10)
+        server.mediator.send(ce.guid, "deregistered", {"reason": "spoofed"})
+        network.scheduler.run_for(5)
+        assert ce.registered and not ce.reasons
+
+
 class TestParams:
     def test_set_known_param(self, network, guids):
         ce = make_ce(guids, network, params={"subject": "who"})

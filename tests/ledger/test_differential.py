@@ -62,9 +62,11 @@ def test_scenario_is_not_trivial(scenario):
     assert any(facts["delivered"] > 0
                for facts in final["subscriptions"].values()), \
         "no delivery ever happened"
-    # the crash + lease-expiry path actually ran
-    kinds = {entry.kind for entry in scenario["server"].ledger_entries()}
-    assert "depart" in kinds and "lease-renew" in kinds
+    # the crash + lease-expiry path actually ran, and is on the record
+    assert any(entry.kind == "depart"
+               and entry.payload == {"entity": scenario["victim_hex"],
+                                     "reason": "lease-expired"}
+               for entry in scenario["server"].ledger_entries())
 
 
 def test_projection_matches_live_at_every_checkpoint(scenario):

@@ -19,7 +19,8 @@ from repro.ledger.ledger import (
 def build_chain():
     ledger = ContextLedger("cs:test")
     ledger.append(1.0, "register", {"entity": "aa", "name": "A"})
-    ledger.append(2.0, "lease-renew", {"entity": "aa", "lease_expiry": 32.0})
+    ledger.append(2.0, "profile-update", {"entity": "aa",
+                                          "attributes": {"room": "L10.01"}})
     ledger.append(3.0, "depart", {"entity": "aa", "reason": "deregistered"})
     return ledger
 
@@ -44,8 +45,10 @@ class TestChain:
         assert ledger.verify() == 0
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(LedgerError, match="unknown entry kind"):
-            ContextLedger("cs:test").append(0.0, "gossip", {})
+        # renewals are not lifecycle events: their kind left the closed set
+        for kind in ("gossip", "lease-renew"):
+            with pytest.raises(LedgerError, match="unknown entry kind"):
+                ContextLedger("cs:test").append(0.0, kind, {})
 
     def test_ref_is_hash_stable(self):
         entry = build_chain().entry(1)
@@ -55,7 +58,8 @@ class TestChain:
     def test_tampered_payload_detected(self):
         ledger = build_chain()
         ledger._entries[1] = dataclasses.replace(
-            ledger.entry(1), payload={"entity": "aa", "lease_expiry": 9e9})
+            ledger.entry(1), payload={"entity": "aa",
+                                      "attributes": {"room": "vault"}})
         with pytest.raises(LedgerError, match="hash mismatch"):
             ledger.verify()
 
@@ -74,7 +78,7 @@ class TestChain:
 
     def test_upto_filters_by_time(self):
         assert [e.kind for e in build_chain().entries(upto=2.0)] == \
-            ["register", "lease-renew"]
+            ["register", "profile-update"]
 
     def test_group_commit_seal_points_never_change_the_chain(self):
         # appends are hashed lazily in batch; reading the head mid-stream
@@ -83,8 +87,8 @@ class TestChain:
         staged = ContextLedger("cs:test")
         staged.append(1.0, "register", {"entity": "aa", "name": "A"})
         assert staged.head == eager[0].entry_hash
-        staged.append(2.0, "lease-renew", {"entity": "aa",
-                                           "lease_expiry": 32.0})
+        staged.append(2.0, "profile-update", {"entity": "aa",
+                                              "attributes": {"room": "L10.01"}})
         assert len(staged) == 2  # counts unsealed bodies too
         staged.append(3.0, "depart", {"entity": "aa", "reason": "deregistered"})
         assert staged.entries() == eager
@@ -162,7 +166,7 @@ class TestArtefact:
 
     def test_edited_payload_rejected(self, tmp_path):
         path, records = self._exported(tmp_path)
-        records[1]["payload"]["lease_expiry"] = 1e9
+        records[1]["payload"]["attributes"]["room"] = "vault"
         self._rewrite(path, records)
         with pytest.raises(LedgerError, match="does not recompute"):
             load_ledger_jsonl(path)
@@ -175,8 +179,10 @@ class TestArtefact:
             load_ledger_jsonl(path)
 
     def test_schema_marker_required(self, tmp_path):
+        # /1 files carry lease-renew entries and a lease_expiry field the
+        # projector no longer has a rule for: refused, never mis-projected
         path, records = self._exported(tmp_path)
-        records[0]["schema"] = "sci.ledger/0"
+        records[0]["schema"] = "sci.ledger/1"
         self._rewrite(path, records)
         with pytest.raises(LedgerError, match="schema"):
             load_ledger_jsonl(path)

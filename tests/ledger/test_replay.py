@@ -17,12 +17,15 @@ def build_ledger():
     ledger = ContextLedger("cs:replay")
     ledger.append(1.0, "register", {
         "entity": "aa", "name": "S1", "kind": "ce", "host": "h1",
-        "registered_at": 1.0, "lease_expiry": 31.0,
+        "registered_at": 1.0,
         "profile": _profile_wire("aa", "S1"), "advertisements": []})
     ledger.append(2.0, "profile-add", {
         "entity": "aa", "profile": _profile_wire("aa", "S1", room="L10.01"),
         "advertisements": []})
-    ledger.append(3.0, "lease-renew", {"entity": "aa", "lease_expiry": 41.0})
+    ledger.append(3.0, "register", {
+        "entity": "bb", "name": "S2", "kind": "ce", "host": "h1",
+        "registered_at": 3.0,
+        "profile": _profile_wire("bb", "S2"), "advertisements": []})
     ledger.append(4.0, "profile-update",
                   {"entity": "aa", "attributes": {"room": "L10.02"}})
     ledger.append(5.0, "subscribe", {
@@ -42,8 +45,10 @@ def build_ledger():
 class TestProjection:
     def test_membership_and_lease(self):
         state = ReplayProjector.from_entries(build_ledger().entries()).state
-        assert state.records["aa"]["lease_expiry"] == 41.0
-        assert state.records["aa"]["host"] == "h1"
+        # the lifecycle is audited, the moving lease deadline is not
+        assert state.records["aa"] == {"name": "S1", "kind": "ce",
+                                       "host": "h1", "registered_at": 1.0}
+        assert set(state.records) == {"aa", "bb"}
         assert state.entries_applied == 8
 
     def test_profile_update_patches_attributes(self):
@@ -80,7 +85,10 @@ class TestProjection:
         ledger.append(10.0, "retain-evict",
                       {"key": ["location", "topological", "bob"]})
         ledger.append(11.0, "profile-remove", {"entity": "aa"})
-        ledger.append(12.0, "depart", {"entity": "aa", "reason": "lease"})
+        ledger.append(12.0, "depart", {"entity": "aa",
+                                       "reason": "deregistered"})
+        ledger.append(13.0, "depart", {"entity": "bb",
+                                       "reason": "lease-expired"})
         state = ReplayProjector.from_entries(ledger.entries()).state
         assert state.subscriptions == {}
         assert state.retained == {}
@@ -89,8 +97,8 @@ class TestProjection:
 
     def test_stragglers_for_unknown_targets_ignored(self):
         ledger = ContextLedger("cs:replay")
-        ledger.append(1.0, "lease-renew", {"entity": "zz",
-                                           "lease_expiry": 9.0})
+        ledger.append(1.0, "depart", {"entity": "zz",
+                                      "reason": "lease-expired"})
         ledger.append(2.0, "delivery", {"sub_id": 99, "event_seq": 1,
                                         "type": "t", "subject": "s"})
         ledger.append(3.0, "profile-update", {"entity": "zz",

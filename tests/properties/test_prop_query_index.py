@@ -132,10 +132,10 @@ class _World:
                            {"entity": component.guid.hex})
         elif kind == "expire":
             self.run(0.6 * LEASE)
-            for index in sorted(op[1]):
-                component = self.components[index]
-                component.send(registrar.guid, "heartbeat",
-                               {"entity": component.guid.hex})
+            # one machine-level heartbeat, as the Range Service sends it
+            self.components[0].send(registrar.guid, "heartbeat", {
+                "entities": [self.components[index].guid.hex
+                             for index in sorted(op[1])]})
             self.run(LEASE)  # the others' leases lapse and a sweep runs
         elif kind == "spawn":
             server._record_spawned(ContextEntity(

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.entities.entity import ContextAwareApplication, ContextEntity
+from repro.entities.profile import Profile
 from repro.net.message import BROADCAST
 from repro.net.transport import FunctionProcess
 from repro.server.range_service import RangeService
+from repro.server.registrar import Registrar
 
 
 @pytest.fixture
@@ -58,11 +61,130 @@ class TestOffers:
 
     def test_offer_to_host_targets_components_only(self, network, guids, service):
         rs, _ = service
-        from repro.entities.entity import ContextAwareApplication
-        from repro.entities.profile import Profile
         app = ContextAwareApplication(Profile(guids.mint(), "app"),
                                       "host-a", network)
         FunctionProcess(guids.mint(), "host-a", network, lambda m: None)
         offered = rs.offer_to_host()
         assert offered == 1  # the CAA, not the anonymous process
         assert rs.offers_made == 1
+
+
+# -- the lease group: one heartbeat per machine --------------------------------
+
+LEASE, SWEEP = 12.0, 2.0
+
+
+@pytest.fixture
+def machine(network, guids):
+    """A Registrar on host-a and the Range Service of host-b, with spies on
+    what the Registrar is sent and whom it lets go."""
+    registrar = Registrar(guids.mint(), "host-a", network, "test-range",
+                          context_server=guids.mint(),
+                          event_mediator=guids.mint(),
+                          lease_duration=LEASE, sweep_interval=SWEEP)
+    rs = RangeService(guids.mint(), "host-b", network, "test-range",
+                      registrar.guid)
+    heartbeats, departures = [], []
+    handle = registrar._handle_heartbeat
+
+    def spy(message):
+        heartbeats.append((registrar.now, message.sender,
+                           set(message.payload["entities"])))
+        handle(message)
+
+    registrar._handle_heartbeat = spy
+    registrar.on_departure = lambda record, reason: departures.append(
+        (registrar.now, record.entity_hex, reason))
+    return registrar, rs, heartbeats, departures
+
+
+def start_ce(network, guids, name, host="host-b"):
+    ce = ContextEntity(Profile(guids.mint(), name), host, network)
+    ce.start()
+    return ce
+
+
+class TestLeaseGroup:
+    def test_one_heartbeat_lists_the_whole_machine(self, network, guids,
+                                                   machine):
+        registrar, rs, heartbeats, departures = machine
+        ces = [start_ce(network, guids, f"ce-{i}") for i in range(3)]
+        network.scheduler.run_for(10 * LEASE)
+        assert all(ce.registered for ce in ces) and not departures
+        # one renewal per interval for the machine, not one per component
+        assert 28 <= len(heartbeats) <= 30
+        assert all(sender == rs.guid and listed == {ce.guid.hex for ce in ces}
+                   for _, sender, listed in heartbeats)
+
+    def test_crashed_member_alone_expires_within_a_lease(self, network, guids,
+                                                         machine):
+        registrar, rs, heartbeats, departures = machine
+        victim, *others = [start_ce(network, guids, f"ce-{i}")
+                           for i in range(3)]
+        network.scheduler.run_for(2 * LEASE)
+        victim.crash()
+        network.scheduler.run_for(10 * LEASE)
+        last_listed = max(at for at, _, listed in heartbeats
+                          if victim.guid.hex in listed)
+        assert [(hex_, reason) for _, hex_, reason in departures] == \
+            [(victim.guid.hex, "lease-expired")]
+        assert departures[0][0] <= last_listed + LEASE + SWEEP
+        survivors = {ce.guid.hex for ce in others}
+        assert all(listed == survivors for at, _, listed in heartbeats
+                   if at > last_listed)
+        assert all(registrar.registered(hex_) for hex_ in survivors)
+
+    def test_empty_group_stops_the_timer_and_a_join_restarts_it(
+            self, network, guids, machine):
+        registrar, rs, heartbeats, _ = machine
+        ce = start_ce(network, guids, "only")
+        network.scheduler.run_for(LEASE)
+        assert rs._renewal is not None and heartbeats
+        ce.stop()
+        network.scheduler.run_for(LEASE / 3)  # the next tick finds nobody
+        assert rs._renewal is None
+        quiet = len(heartbeats)
+        network.scheduler.run_for(3 * LEASE)
+        assert len(heartbeats) == quiet
+        newcomer = start_ce(network, guids, "newcomer")
+        network.scheduler.run_for(LEASE)
+        assert rs._renewal is not None
+        assert heartbeats[-1][2] == {newcomer.guid.hex}
+
+    def test_crashed_last_member_also_stops_the_timer(self, network, guids,
+                                                      machine):
+        _, rs, heartbeats, _ = machine
+        ce = start_ce(network, guids, "only")
+        network.scheduler.run_for(LEASE)
+        ce.crash()  # says nothing: the daemon finds it gone at its next tick
+        network.scheduler.run_for(LEASE)
+        assert rs._renewal is None
+        assert all(listed for _, _, listed in heartbeats)  # never an empty list
+
+    def test_handed_off_member_is_never_listed_in_the_old_range_again(
+            self, network, guids, machine):
+        registrar, rs, heartbeats, departures = machine
+        mover = start_ce(network, guids, "mover")
+        stayer = start_ce(network, guids, "stayer")
+        network.scheduler.run_for(LEASE)
+        # another range admits the machine: its own daemon offers, the
+        # component takes the offer and leaves the old range (Section 3.4)
+        other = Registrar(guids.mint(), "host-a", network, "other-range",
+                          context_server=guids.mint(),
+                          event_mediator=guids.mint(),
+                          lease_duration=LEASE, sweep_interval=SWEEP)
+        other_rs = RangeService(guids.mint(), "host-b", network,
+                                "other-range", other.guid)
+        other_rs.offer_to(mover.guid)
+        network.scheduler.run_for(1)  # the offer lands; the old range is left
+        assert set(rs._members) == {stayer.guid.hex}
+        in_flight_until = network.scheduler.now + 1
+        network.scheduler.run_for(10 * LEASE)
+        assert mover.range_name == "other-range"
+        assert mover.registrar == other.guid and other.registered(mover.guid.hex)
+        assert all(mover.guid.hex not in listed for at, _, listed in heartbeats
+                   if at > in_flight_until)
+        assert heartbeats[-1][2] == {stayer.guid.hex}
+        assert [(hex_, reason) for _, hex_, reason in departures] == \
+            [(mover.guid.hex, "deregistered")]
+        assert other.evictions == 0 and registrar.evictions == 0

@@ -90,7 +90,7 @@ class TestLeases:
         component, profile, _ = register(network, guids, registrar)
         for _ in range(10):
             component.send(registrar.guid, "heartbeat",
-                           {"entity": profile.entity_id.hex})
+                           {"entities": [profile.entity_id.hex]})
             network.scheduler.run_for(4)
         assert registrar.registered(profile.entity_id.hex)
 
@@ -104,10 +104,37 @@ class TestLeases:
         component, profile, replies = register(network, guids, registrar)
         network.scheduler.run_for(20)  # evicted
         component.send(registrar.guid, "heartbeat",
-                       {"entity": profile.entity_id.hex})
+                       {"entities": [profile.entity_id.hex]})
         network.scheduler.run_for(5)
         notices = [m for m in replies if m.kind == "deregistered"]
         assert any(m.payload["reason"] == "not-registered" for m in notices)
+
+    def test_one_heartbeat_renews_a_machine_and_names_the_unknown(
+            self, network, guids, registrar):
+        # the Range Service's list form: one expiry for the batch, one ack,
+        # and a listed entity the Registrar does not hold is told so itself
+        _, held, _ = register(network, guids, registrar, name="held")
+        _, other, _ = register(network, guids, registrar, name="other")
+        evicted_inbox = []
+        evicted = FunctionProcess(guids.mint(), "host-b", network,
+                                  evicted_inbox.append)
+        inbox = []
+        daemon = FunctionProcess(guids.mint(), "host-b", network, inbox.append)
+        daemon.send(registrar.guid, "heartbeat", {"entities": [
+            held.entity_id.hex, evicted.guid.hex, other.entity_id.hex]})
+        network.scheduler.run_for(3)
+        assert [(m.kind, m.payload) for m in inbox] == \
+            [("heartbeat-ack", {"ok": False})]
+        assert [(m.kind, m.payload) for m in evicted_inbox] == \
+            [("deregistered", {"reason": "not-registered"})]
+        expiries = {registrar.record(p.entity_id.hex).lease_expiry
+                    for p in (held, other)}
+        assert len(expiries) == 1 and expiries.pop() > 15.0
+        metrics = network.obs.metrics
+        assert metrics.counter("registrar.lease.renewals", "",
+                               labels=("range",)).value(range="test-range") == 2
+        assert metrics.counter("registrar.lease.unknown", "",
+                               labels=("range",)).value(range="test-range") == 1
 
     def test_infrastructure_records_have_no_lease(self, network, guids, registrar):
         profile = Profile(guids.mint(), "infra-ce")
@@ -128,7 +155,7 @@ class TestExpiryHeap:
         component, profile, _ = register(network, guids, registrar)
         for _ in range(5):
             component.send(registrar.guid, "heartbeat",
-                           {"entity": profile.entity_id.hex})
+                           {"entities": [profile.entity_id.hex]})
             network.scheduler.run_for(4)
         # renewals pushed entries whose deadlines have passed; sweeps popped
         # and discarded them without evicting the (still live) record
@@ -140,10 +167,11 @@ class TestExpiryHeap:
         component, profile, _ = register(network, guids, registrar)
         for _ in range(30):
             component.send(registrar.guid, "heartbeat",
-                           {"entity": profile.entity_id.hex})
+                           {"entities": [profile.entity_id.hex]})
             network.scheduler.run_for(4)
         # lazy deletion must not let superseded entries pile up: at steady
         # state only entries newer than the last sweep survive
+        assert registrar.registered(profile.entity_id.hex)
         assert len(registrar._expiry_heap) <= 5
 
     def test_departed_record_entries_skipped(self, network, guids, registrar):
