@@ -36,6 +36,7 @@ Exits non-zero on any failure, so CI can gate on it. Usage::
     PYTHONPATH=src python scripts/smoke_perf.py
 """
 
+import gc
 import pathlib
 import sys
 
@@ -352,24 +353,31 @@ def main() -> int:
     print(f"smoke-perf: sharded open-loop throughput at "
           f"{SHARD_WORKLOAD_ENTITIES} entities...")
     from benchmarks.bench_perf_shard import measure as measure_workload  # noqa: E402
-    classic_wl = measure_workload(SHARD_WORKLOAD_ENTITIES, 20, 20,
-                                  shards=1, partitions=None,
-                                  duration=60.0, publish_rate=50.0,
-                                  trackers=2_000)
-    sharded_wl = measure_workload(SHARD_WORKLOAD_ENTITIES, 20, 20,
-                                  shards=4, partitions=4,
-                                  duration=60.0, publish_rate=50.0,
-                                  trackers=2_000)
-    ok &= check(sharded_wl["published"] == classic_wl["published"]
-                and sharded_wl["delivered"] == classic_wl["delivered"],
+    # one wall-clock shot of each side reads 0.55-0.75 from run to run on a
+    # 2-core box: three interleaved pairs, gate on the median ratio. What the
+    # earlier stages left alive is frozen out of the collector's sight first,
+    # or every full collection inside a timed run walks it (median 0.59-0.69
+    # without, 0.63-0.71 with, eight runs each)
+    gc.collect()
+    gc.freeze()
+    pairs = [[measure_workload(SHARD_WORKLOAD_ENTITIES, 20, 20,
+                               shards=shards, partitions=partitions,
+                               duration=60.0, publish_rate=50.0,
+                               trackers=2_000)
+              for shards, partitions in ((1, None), (4, 4))]
+             for _ in range(3)]
+    gc.unfreeze()
+    ok &= check(all(sharded["published"] == classic["published"]
+                    and sharded["delivered"] == classic["delivered"]
+                    for classic, sharded in pairs),
                 f"sharded run published/delivered the classic counts "
-                f"({classic_wl['published']}/{classic_wl['delivered']})")
-    wl_ratio = classic_wl["wall_s"] / sharded_wl["wall_s"]
-    ok &= check(wl_ratio >= MIN_SHARD_WORKLOAD_RATIO,
-                f"sharded workload throughput ratio {wl_ratio:.2f} "
-                f"(>= {MIN_SHARD_WORKLOAD_RATIO}; "
-                f"{sharded_wl['wall_s']:.2f}s vs {classic_wl['wall_s']:.2f}s "
-                "wall)")
+                f"({pairs[0][0]['published']}/{pairs[0][0]['delivered']})")
+    ratios = sorted(classic["wall_s"] / sharded["wall_s"]
+                    for classic, sharded in pairs)
+    ok &= check(ratios[1] >= MIN_SHARD_WORKLOAD_RATIO,
+                f"sharded workload throughput ratio {ratios[1]:.2f} "
+                f"(>= {MIN_SHARD_WORKLOAD_RATIO}; median of 3 interleaved "
+                f"pairs: {', '.join(f'{ratio:.2f}' for ratio in ratios)})")
 
     print("smoke-perf: operator-graph delivery equivalence...")
     from tests.opgraph.scenarios import run_scenario as run_opgraph_scenario  # noqa: E402

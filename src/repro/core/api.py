@@ -153,7 +153,7 @@ class SCI:
         server.peer_lookup = node.lookup_place
         self.ranges[name] = server
         if self._monitor is not None:
-            self._monitor.ranges.append(server)
+            self._monitor.add_range(server)
         return server
 
     def range(self, name: str) -> ContextServer:

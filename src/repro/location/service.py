@@ -125,13 +125,11 @@ class LocationService(Process):
 
     def _rooms_within(self, inner: LocationExpr, owner: Optional[str]) -> List[str]:
         if inner.kind == "room":
-            place = inner.name
-            if not self.building.hierarchy.known(place):
-                raise LocationError(f"unknown place: {place!r}")
-            return [
-                name for name in self.building.room_names()
-                if self.building.hierarchy.contains(place, name)
-            ]
+            # raises LocationError for a place the hierarchy does not know
+            within = {inner.name,
+                      *self.building.hierarchy.descendants(inner.name)}
+            return [name for name in self.building.room_names()
+                    if name in within]
         return self.resolve_rooms(inner, owner)
 
     def place_matches(self, expr: LocationExpr, room: str,

@@ -82,7 +82,10 @@ class SymbolicHierarchy:
 
     def contains(self, outer: str, inner: str) -> bool:
         """True when ``inner`` is ``outer`` or lies beneath it."""
-        return outer in self.ancestors(inner)
+        self._require(inner)
+        while inner is not None and inner != outer:
+            inner = self._parent[inner]
+        return inner is not None
 
     def common_ancestor(self, first: str, second: str) -> str:
         """Lowest common ancestor — the basis of symbolic distance."""

@@ -7,6 +7,10 @@ building; crossing a sensed door fires that door's
 device positions through :meth:`World.device_positions`. Movement is
 scheduled on the simulation clock, so an entity's walk produces door events
 at the times its legs actually cross each door.
+
+:class:`World` is the only writer of an entity's ``room`` and ``position``,
+and every write fires ``on_move``: that is what lets the boundary monitor
+(:mod:`repro.mobility.detection`) look only at entities that moved.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class PhysicalEntity:
-    """A person or thing with a position in the world."""
+    """A person or thing with a position in the world. Only :class:`World`
+    writes ``room`` and ``position``: no ``on_move`` listener hears of others."""
 
     key: str
     room: str
@@ -40,6 +45,8 @@ class PhysicalEntity:
     #: strictly increasing token; a new move cancels scheduled steps of the old
     move_token: int = 0
     moving: bool = False
+    #: position in the world's insertion order (set by :class:`World`)
+    order: int = 0
 
 
 class World:
@@ -55,6 +62,8 @@ class World:
         self.on_room_change: List[Callable[[PhysicalEntity, str, str], None]] = []
         #: callbacks (entity, room) when a walk completes
         self.on_arrival: List[Callable[[PhysicalEntity, str], None]] = []
+        #: callbacks (entity) on every position write, new entities included
+        self.on_move: List[Callable[[PhysicalEntity], None]] = []
 
     # -- population -----------------------------------------------------------------
 
@@ -66,13 +75,11 @@ class World:
         if speed <= 0:
             raise SCIError(f"non-positive speed: {speed}")
         self.building.room(room)  # validate
-        entity = PhysicalEntity(
+        return self._insert(PhysicalEntity(
             key=key, room=room,
             position=self.building.room_centroid(room),
             has_tag=has_tag, device_host=device_host, speed=speed,
-        )
-        self._entities[key] = entity
-        return entity
+        ))
 
     def add_outdoor_entity(self, key: str, position: Point,
                            has_tag: bool = True,
@@ -81,11 +88,15 @@ class World:
         """An entity outside every room (Bob on the train)."""
         if key in self._entities:
             raise SCIError(f"duplicate world entity: {key!r}")
-        entity = PhysicalEntity(
+        return self._insert(PhysicalEntity(
             key=key, room="", position=position,
             has_tag=has_tag, device_host=device_host, speed=speed,
-        )
-        self._entities[key] = entity
+        ))
+
+    def _insert(self, entity: PhysicalEntity) -> PhysicalEntity:
+        entity.order = len(self._entities)
+        self._entities[entity.key] = entity
+        self._fire_move(entity)
         return entity
 
     def entity(self, key: str) -> PhysicalEntity:
@@ -114,15 +125,27 @@ class World:
     def teleport(self, key: str, room: str) -> PhysicalEntity:
         """Place an entity in a room with no walking and no door events
         (arriving from outside the instrumented area)."""
-        entity = self.entity(key)
         self.building.room(room)
+        return self._place(self.entity(key), room,
+                           self.building.room_centroid(room))
+
+    def leave_building(self, key: str, position: Point) -> PhysicalEntity:
+        """Put an entity outside every room, with no walking and no door
+        events — the inverse of :meth:`add_outdoor_entity`'s arrival."""
+        if self.building.room_at(position) is not None:
+            raise LocationError(f"{position} is inside the building")
+        return self._place(self.entity(key), "", position)
+
+    def _place(self, entity: PhysicalEntity, room: str,
+               position: Point) -> PhysicalEntity:
         entity.move_token += 1  # cancel any walk in progress
         entity.moving = False
         old_room = entity.room
         entity.room = room
-        entity.position = self.building.room_centroid(room)
+        entity.position = position
         if old_room != room:
             self._fire_room_change(entity, old_room, room)
+        self._fire_move(entity)
         return entity
 
     def walk_to(self, key: str, target_room: str) -> float:
@@ -175,12 +198,14 @@ class World:
             if sensor is not None and sensor.registered:
                 sensor.detect(entity.key, from_room, to_room)
         self._fire_room_change(entity, from_room, to_room)
+        self._fire_move(entity)
 
     def _reach_centre(self, entity: PhysicalEntity, token: int,
                       room: str, final: bool) -> None:
         if entity.move_token != token:
             return
         entity.position = self.building.room_centroid(room)
+        self._fire_move(entity)
         if final:
             entity.moving = False
             for callback in list(self.on_arrival):
@@ -189,6 +214,11 @@ class World:
     def _fire_room_change(self, entity: PhysicalEntity,
                           old_room: str, new_room: str) -> None:
         logger.debug("world: %s %s -> %s at t=%.2f", entity.key,
-                     old_room or "<outside>", new_room, self.scheduler.now)
+                     old_room or "<outside>", new_room or "<outside>",
+                     self.scheduler.now)
         for callback in list(self.on_room_change):
             callback(entity, old_room, new_room)
+
+    def _fire_move(self, entity: PhysicalEntity) -> None:
+        for callback in list(self.on_move):
+            callback(entity)

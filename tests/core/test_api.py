@@ -55,8 +55,16 @@ class TestDeployment:
     def test_late_range_joins_running_monitor(self, sci):
         sci.create_range("a", places=["L10"])
         monitor = sci.start_boundary_monitor()
+        # in the lobby (the one room under L1) before any range governs it
+        sci.add_person("eve", room="lobby", device_host="eve-pda")
+        app = sci.create_application("app:eve", host="eve-pda", owner="eve")
+        sci.run(5)
+        assert monitor.range_of("eve") is None and not app.registered
         sci.create_range("b", places=["L1"])
         assert len(monitor.ranges) == 2
+        sci.run(5)  # eve never moved: the new range itself must claim her
+        assert monitor.range_of("eve") == "b"
+        assert app.registered and app.range_name == "b"
 
 
 class TestPeopleAndTime:

@@ -60,6 +60,18 @@ class TestWhereEvaluation:
         rooms = service.resolve_rooms(parse_location("within(room:L10)"))
         assert "L10.01" in rooms and "lobby" not in rooms
 
+    def test_within_equals_the_per_room_containment_scan(self, service):
+        building = service.building
+        for place in building.hierarchy.all_places():
+            scanned = [room for room in building.room_names()
+                       if building.hierarchy.contains(place, room)]
+            assert service.resolve_rooms(
+                parse_location(f"within(room:{place})")) == scanned
+        assert service.resolve_rooms(
+            parse_location("within(room:lobby)")) == ["lobby"]
+        with pytest.raises(LocationError):
+            service.resolve_rooms(parse_location("within(room:ghost)"))
+
     def test_entity_expr_uses_fix(self, service):
         service.update("bob", room="L10.03")
         assert service.resolve_rooms(parse_location("entity:bob")) == ["L10.03"]

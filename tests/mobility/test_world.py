@@ -97,6 +97,43 @@ class TestMovement:
         world.teleport("bob", "L10.05")
         assert changes == [("lobby", "L10.05")]  # one jump, no door sequence
 
+    def test_leave_building_cancels_the_walk_and_reports(self, world):
+        changes, moves = [], []
+        world.on_room_change.append(
+            lambda entity, old, new: changes.append((old, new)))
+        world.add_entity("bob", "lobby")
+        world.on_move.append(lambda entity: moves.append(entity.position))
+        world.walk_to("bob", "L10.01")
+        world.scheduler.run_for(1)  # still short of the first door
+        outside = Point(-40, -40)
+        entity = world.leave_building("bob", outside)
+        assert (entity.room, entity.position, entity.moving) == ("", outside, False)
+        world.scheduler.run_for(60)  # the rest of the walk never happens
+        assert entity.room == "" and entity.position == outside
+        assert changes == [("lobby", "")]
+        assert moves == [outside]
+        with pytest.raises(LocationError):
+            world.leave_building("bob", Point(5, 5))  # inside the lobby
+
+    def test_every_position_write_fires_on_move(self, world):
+        moves = []
+        world.on_move.append(
+            lambda entity: moves.append((entity.key, entity.position)))
+        world.add_outdoor_entity("eve", Point(-10, -10))
+        bob = world.add_entity("bob", "lobby")
+        assert bob.order == 1
+        world.teleport("bob", "corridor")
+        eta = world.walk_to("bob", "L10.01")
+        world.scheduler.run_until(eta + 1)
+        building = world.building
+        assert moves == [
+            ("eve", Point(-10, -10)),
+            ("bob", building.room_centroid("lobby")),
+            ("bob", building.room_centroid("corridor")),
+            ("bob", building.door_position("door:corridor--L10.01")),
+            ("bob", building.room_centroid("L10.01")),
+        ]
+
     def test_walk_respects_locked_doors(self, world):
         world.building.topology.door("door:corridor--L10.05").lock({"staff"})
         world.add_entity("bob", "corridor")
