@@ -24,9 +24,8 @@ from repro import SCI
 from repro.core.api import SCIConfig
 
 
-def populated_range(entity_count, seed=0, partitions=None):
-    net = Network(latency_model=FixedLatency(1.0), seed=seed,
-                  partitions=partitions)
+def populated_range(entity_count, seed=0):
+    net = Network(latency_model=FixedLatency(1.0), seed=seed)
     net.add_host("cs-host")
     net.add_host("client")
     guids = GuidFactory(seed=seed)
@@ -79,28 +78,6 @@ class TestReportScalability:
             # the plan wires all sensors (multi-source), but no backtracking
             # explosion occurs
             assert resolver.backtracks <= count
-
-    def test_report_partitioned_substrate_matches(self, report):
-        """C2a on the partitioned scheduler: resolution and composition
-        must produce the same plan and the same backtrack count as the
-        classic run — the substrate is an execution detail."""
-        report("")
-        report("C2a  partitioned-substrate adoption (2 lanes)")
-        for count in (10, 50):
-            net, server, app = populated_range(count)
-            _latency, config = query_latency(net, server, app)
-            classic = (config.plan.node_count(),
-                       server.configurations.resolver.backtracks)
-            net, server, app = populated_range(count, partitions=2)
-            _latency, config = query_latency(net, server, app)
-            sharded = (config.plan.node_count(),
-                       server.configurations.resolver.backtracks)
-            close = getattr(net.scheduler, "close", None)
-            if close is not None:
-                close()
-            report(f"    {count} entities: plan nodes {sharded[0]}, "
-                   f"backtracks {sharded[1]} (= classic)")
-            assert sharded == classic
 
     def test_report_ranges_sweep(self, report):
         report("")

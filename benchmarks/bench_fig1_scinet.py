@@ -30,10 +30,9 @@ ARTIFACT_PATH = (pathlib.Path(__file__).parent / "results"
                  / "bench_fig1_scinet.metrics.json")
 
 
-def run_overlay(n, messages=MESSAGES, seed=0, partitions=None):
+def run_overlay(n, messages=MESSAGES, seed=0):
     """Headline numbers for one overlay run (metrics-derived)."""
-    return dict(run_overlay_instrumented(n, messages, seed,
-                                         partitions=partitions)["summary"])
+    return dict(run_overlay_instrumented(n, messages, seed)["summary"])
 
 
 def run_hierarchy(n, messages=MESSAGES, seed=0):
@@ -72,21 +71,6 @@ class TestReportFigure1:
                f"{small['hops']:.2f} -> {large['hops']:.2f}")
         # 16x more nodes -> ~log16(16)=1 extra hop, not 16x
         assert large["hops"] < small["hops"] + 2.5
-
-    def test_report_partitioned_substrate_matches(self, report):
-        """The Figure-1 overlay workload on the partitioned scheduler:
-        every headline number must come out identical to the classic
-        run — the substrate changes execution, never observable routing."""
-        report("")
-        report("F1  partitioned-substrate adoption (4 lanes)")
-        for n in (8, 32):
-            classic = run_overlay(n)
-            partitioned = run_overlay(n, partitions=4)
-            report(f"    N={n}: hops {partitioned['hops']:.2f} "
-                   f"latency {partitioned['latency']:.2f} "
-                   f"hotspot {partitioned['hotspot']:.2f} (= classic)")
-            assert partitioned == classic, (
-                f"partitioned run diverged at N={n}")
 
     def test_report_metrics_artifact(self, report):
         """Emit the full-run metrics artefact and re-check the claims from

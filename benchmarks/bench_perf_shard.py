@@ -5,14 +5,14 @@ The :mod:`repro.apps.workload` generator drives a Poisson arrival stream
 popularity over the entity population) into one mediator + resolver pair,
 with 20k exact ``(type, subject)`` trackers, a handful of routed type
 monitors, and registration/lease + subscription churn and resolver
-queries mixed in on the control lane. Each scale row grows the entity
+queries mixed in as control events. Each scale row grows the entity
 population a decade — 10^4, 10^5, 10^6 — and scales the churn/query op
 count with it (more entities, more lease expiries per unit time).
 
 Configurations: ``classic`` is the single ``EventMediator`` and the K=1
-provider index; ``shardK-partK`` splits mediator and resolver into K
-consistent-hash shards and runs them on a K-lane partitioned scheduler.
-What sharding buys is algorithmic, not thread parallelism: exact-key
+provider index; ``shardK`` splits mediator and resolver into K
+consistent-hash shards, one host each.
+What sharding buys is algorithmic, not parallelism: exact-key
 dispatch skips the router and fire-and-forget internal forwards carry no
 acks. The provider index is kept by delta at every K (one index, K slices
 of it), so registration churn no longer separates the configurations — the
@@ -37,7 +37,6 @@ Run: ``PYTHONPATH=src python -m pytest benchmarks/bench_perf_shard.py -q -s``
 import json
 import pathlib
 import time
-import zlib
 
 from repro.apps.workload import OpenLoopWorkload, ProviderFeed, WorkloadConfig
 from repro.core.ids import GuidFactory
@@ -56,40 +55,24 @@ SCALES = [
     (1_000_000, 200, 200),
 ]
 
-#: (label, shards, partitions); partitions=None is the default single lane
+#: (label, shards)
 CONFIGS = [
-    ("classic", 1, None),
-    ("shard4-part4", 4, 4),
-    ("shard8-part8", 8, 8),
+    ("classic", 1),
+    ("shard4", 4),
+    ("shard8", 8),
 ]
 
 
-def hosts_for(partitions):
-    """One host name per lane (lane placement is ``crc32(host) % lanes``)."""
-    if not partitions:
-        return ["wl-host-0"]
-    found = {}
-    index = 0
-    while len(found) < partitions:
-        name = f"wl-host-{index}"
-        found.setdefault(zlib.crc32(name.encode("utf-8")) % partitions, name)
-        index += 1
-    return [found[lane] for lane in range(partitions)]
-
-
-def measure(entities, churn_ops, query_ops, shards, partitions,
+def measure(entities, churn_ops, query_ops, shards,
             duration=300.0, publish_rate=100.0, trackers=20_000):
     """One full open-loop run; returns the workload report plus internals."""
     config = WorkloadConfig(entities=entities, duration=duration,
                             publish_rate=publish_rate, trackers=trackers,
                             monitors=4, publishers=4, churn_ops=churn_ops,
                             query_ops=query_ops, seed=1)
-    if partitions is None:
-        net = Network(latency_model=FixedLatency(1.0))
-    else:
-        net = Network(latency_model=FixedLatency(1.0), partitions=partitions)
+    net = Network(latency_model=FixedLatency(1.0))
     guids = GuidFactory(seed=5)
-    hosts = hosts_for(partitions)
+    hosts = [f"wl-host-{index}" for index in range(shards)]
     for host in hosts:
         net.ensure_host(host)
     feed = ProviderFeed(TypeRegistry(), config)
@@ -128,9 +111,8 @@ class TestReportShardPerf:
                f"{'rebuilds':>8} {'vs classic':>10}")
         for entities, churn_ops, query_ops in SCALES:
             rows = {}
-            for label, shards, partitions in CONFIGS:
-                rows[label] = measure(entities, churn_ops, query_ops,
-                                      shards, partitions)
+            for label, shards in CONFIGS:
+                rows[label] = measure(entities, churn_ops, query_ops, shards)
             classic = rows["classic"]
             published = {row["published"] for row in rows.values()}
             assert len(published) == 1, (
@@ -142,7 +124,7 @@ class TestReportShardPerf:
                 f"configurations disagreed on delivered counts at "
                 f"{entities} entities: {delivered} — sharding changed "
                 "observable delivery; see tests/shard/")
-            for label, shards, partitions in CONFIGS:
+            for label, shards in CONFIGS:
                 row = rows[label]
                 speedup = classic["wall_s"] / row["wall_s"]
                 allowed = shards * (1 + row["chain_gaps"])
@@ -160,7 +142,6 @@ class TestReportShardPerf:
                 baseline["open_loop"].append({
                     "config": label,
                     "shards": shards,
-                    "partitions": partitions,
                     "entities": entities,
                     "churn_ops": churn_ops,
                     "query_ops": query_ops,

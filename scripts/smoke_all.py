@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Run every smoke gate in sequence: perf, observability, chaos, analysis.
+"""Run every smoke gate in sequence: perf, observability, chaos, ledger,
+analysis.
 
 Each gate is an independent module with a ``main() -> int``; this runner
 executes them all (no fail-fast, so one broken gate does not hide another)

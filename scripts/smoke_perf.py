@@ -20,10 +20,9 @@ structural properties a refactor could silently regress:
 * the overlay disseminates announcements over the distribution tree
   (exactly N-1 ``o-bcast`` messages per full announce, zero duplicates)
   and the routing tables' memoised known-node views serve reads from cache;
-* the lane scheduler still produces the bit-identical canonical event log
-  at 2 partitions that ``tests/parallel`` proves at full scale, and sharded
-  route throughput has not fallen off a cliff relative to one lane measured
-  in the same run;
+* the scheduler's canonical key order still leaves the bit-identical
+  canonical event log the single-heap reference does — what
+  ``tests/parallel`` proves entry for entry;
 * the mediator delivers entry-identical logs to the test-side linear
   reference scan (``tests/events/reference_scan.py``), sharded graphs agree
   with a single one on continuous queries, and look-alike subscriptions
@@ -63,12 +62,6 @@ MAX_SCAN_FRACTION = 0.25
 #: workload's filters are 99% exact-match conjunctions
 MAX_RESIDUAL_SUBSCRIPTIONS = 0.05
 OVERLAY_NODES = 64
-#: catastrophic-regression guard, not a speedup gate (the benchmark's is
-#: stricter): the best sharded config may not fall below this
-#: fraction of the one-lane throughput of the same run at smoke scale
-MIN_SHARDED_THROUGHPUT_RATIO = 0.6
-SUBSTRATE_NODES = 400
-SUBSTRATE_ROUTES = 200
 #: catastrophic-regression guard for the sharded Context Server at smoke
 #: scale (bench_perf_shard reports the same ratio at 10^6 entities):
 #: the sharded open-loop run may not fall below this fraction of the
@@ -293,48 +286,19 @@ def main() -> int:
                 f"known-node views served from the memo "
                 f"({hits} hits vs {builds} builds)")
 
-    print("smoke-perf: partitioned substrate equivalence...")
+    print("smoke-perf: scheduler order equivalence...")
     from tests.parallel.scenarios import run_scenario  # noqa: E402
-    reference = run_scenario(partitions=1)
-    sharded = run_scenario(partitions=2)
-    ok &= check(sharded["digest"] == reference["digest"]
-                and sharded["per_host"] == reference["per_host"],
-                f"2-partition log bit-identical to single-queue "
-                f"({reference['entries']} entries, "
+    production = run_scenario()
+    reference = run_scenario(reference_heap=True)
+    ok &= check(production["digest"] == reference["digest"]
+                and production["per_host"] == reference["per_host"],
+                f"canonical-key log bit-identical to the single-heap "
+                f"reference ({reference['entries']} entries, "
                 f"digest {reference['digest'][:12]}…)")
-    ok &= check(sharded["delivered"] == reference["delivered"]
-                and sharded["by_kind"] == reference["by_kind"],
-                f"merged lane stats equal the single-queue totals "
+    ok &= check(production["delivered"] == reference["delivered"]
+                and production["by_kind"] == reference["by_kind"],
+                f"staged stats equal the reference totals "
                 f"({reference['delivered']} delivered)")
-
-    print("smoke-perf: substrate under the LaneSan race sanitizer...")
-    sanitized = run_scenario(partitions=2, sanitize=True)
-    ok &= check(sanitized["race_conflicts"] == [],
-                "LaneSan found no lane-ownership conflicts (2 partitions)")
-    ok &= check(sanitized["digest"] == reference["digest"],
-                "sanitized run digest identical (observation-only overlay)")
-
-    print(f"smoke-perf: sharded route throughput at {SUBSTRATE_NODES} "
-          "nodes...")
-    from benchmarks.bench_perf_parallel import measure_route  # noqa: E402
-    single_run = measure_route(1, n=SUBSTRATE_NODES,
-                               routes=SUBSTRATE_ROUTES)
-    sharded_runs = {p: measure_route(p, n=SUBSTRATE_NODES,
-                                     routes=SUBSTRATE_ROUTES)
-                    for p in (2, 4)}
-    ok &= check(all(run["steps"] == single_run["steps"]
-                    for run in sharded_runs.values()),
-                f"every configuration routed the same "
-                f"{single_run['steps']} steps")
-    best_partitions, best = max(sharded_runs.items(),
-                                key=lambda item: item[1]["steps_per_s"])
-    ratio = best["steps_per_s"] / single_run["steps_per_s"]
-    ok &= check(ratio >= MIN_SHARDED_THROUGHPUT_RATIO,
-                f"sharded throughput ratio {ratio:.2f} at "
-                f"{best_partitions} partitions "
-                f"(>= {MIN_SHARDED_THROUGHPUT_RATIO}; "
-                f"{best['steps_per_s']:.0f} vs "
-                f"{single_run['steps_per_s']:.0f} steps/s on one lane)")
 
     print("smoke-perf: sharded mediator delivery equivalence...")
     from tests.shard.scenarios import run_scenario as run_shard_scenario  # noqa: E402
@@ -361,10 +325,9 @@ def main() -> int:
     gc.collect()
     gc.freeze()
     pairs = [[measure_workload(SHARD_WORKLOAD_ENTITIES, 20, 20,
-                               shards=shards, partitions=partitions,
-                               duration=60.0, publish_rate=50.0,
-                               trackers=2_000)
-              for shards, partitions in ((1, None), (4, 4))]
+                               shards=shards, duration=60.0,
+                               publish_rate=50.0, trackers=2_000)
+              for shards in (1, 4)]
              for _ in range(3)]
     gc.unfreeze()
     ok &= check(all(sharded["published"] == classic["published"]

@@ -19,16 +19,6 @@ hash-ordering decide the order messages hit the wire. Three checks:
     simulation must be a ``random.Random(seed)`` instance whose seed derives
     from configuration, so two runs draw identical streams.
 
-``determinism.partition-crossing``
-    The lane scheduler (:mod:`repro.net.sim`) keeps runs
-    bit-identical across partition counts only because every cross-
-    partition event flows through the transport's horizon exchange. Code
-    outside the substrate boundary that calls ``schedule_delivery``
-    directly, or reaches into lane internals (``_lanes``,
-    ``_rank_lane``, ...), can inject events whose order depends on the
-    partition layout — so both are flagged everywhere except
-    :data:`PARTITION_BOUNDARY_MODULES`.
-
 ``determinism.set-iteration`` / ``determinism.popitem``
     Ordering hazards on message paths: iterating a ``set`` (literal,
     ``set(...)``/``frozenset(...)`` call, set comprehension, or a local name
@@ -52,25 +42,12 @@ CHECK_WALL_CLOCK = "determinism.wall-clock"
 CHECK_UNSEEDED_RANDOM = "determinism.unseeded-random"
 CHECK_SET_ITERATION = "determinism.set-iteration"
 CHECK_POPITEM = "determinism.popitem"
-CHECK_PARTITION_CROSSING = "determinism.partition-crossing"
 
 #: modules that measure *host* time on purpose (instrumentation, not logic):
 #: the one run loop self-profiles its callbacks.
 WALL_CLOCK_ALLOWED_MODULES = frozenset({
     "repro.net.sim",
     "repro.obs.profiling",
-})
-
-#: the substrate boundary: only these modules may schedule deliveries or
-#: touch lane internals — everything else must send through the transport
-PARTITION_BOUNDARY_MODULES = frozenset({
-    "repro.net.sim",
-    "repro.net.transport",
-})
-
-#: attribute names that are lane/partition internals of the substrate
-_PARTITION_INTERNALS = frozenset({
-    "_lanes", "_rank_lane", "_origin_seq", "_round_horizon",
 })
 
 #: functions of the ``time`` module that read the host clock
@@ -203,8 +180,6 @@ class DeterminismChecker:
         else:
             findings.extend(self._random_only(source, imports))
         findings.extend(self._ordering_hazards(source))
-        if source.module not in PARTITION_BOUNDARY_MODULES:
-            findings.extend(self._partition_crossings(source))
         return findings
 
     # -- clocks and RNGs ------------------------------------------------------
@@ -289,30 +264,6 @@ class DeterminismChecker:
             if module == "random" and base.attr in ("Random", "SystemRandom"):
                 return "random", base.attr if base.attr == "SystemRandom" else None
         return None
-
-    # -- partition boundary ---------------------------------------------------
-
-    def _partition_crossings(self, source: SourceFile) -> List[Finding]:
-        """Flag direct substrate access outside the boundary modules."""
-        findings: List[Finding] = []
-        for node in ast.walk(source.tree):
-            if isinstance(node, ast.Call) and \
-                    isinstance(node.func, ast.Attribute) and \
-                    node.func.attr == "schedule_delivery":
-                findings.append(self._finding(
-                    CHECK_PARTITION_CROSSING, source, node,
-                    "schedule_delivery() called outside the transport: "
-                    "cross-partition events must flow through Network.send "
-                    "so the horizon exchange orders them partition-"
-                    "invariantly"))
-            elif isinstance(node, ast.Attribute) and \
-                    node.attr in _PARTITION_INTERNALS:
-                findings.append(self._finding(
-                    CHECK_PARTITION_CROSSING, source, node,
-                    f"access to partition internal {node.attr!r} outside "
-                    f"the substrate boundary: injecting or reordering lane "
-                    f"events bypasses the horizon exchange"))
-        return findings
 
     # -- ordering hazards -----------------------------------------------------
 

@@ -9,7 +9,7 @@ entries, or whose family matches an entry exactly (``allow(determinism)``
 suppresses every ``determinism.*`` check on that line). A whole file can
 opt out of a check with a module-top pragma::
 
-    # sci: allow-file(races.module-state-write)
+    # sci: allow-file(determinism.wall-clock)
 
 which must appear before the first real statement (docstring and imports
 aside, a buried allow-file is ignored — suppression scope should be visible

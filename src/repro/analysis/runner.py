@@ -19,13 +19,12 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.analysis.catalog_lint import CatalogChecker
 from repro.analysis.determinism import DeterminismChecker
 from repro.analysis.findings import Finding, Severity, sort_findings
-from repro.analysis.races import RaceChecker
 from repro.analysis.source import SourceFile, load_sources
 from repro.analysis.verbs import VerbChecker, VerbModel, build_model
 
 CHECK_PARSE = "analysis.parse-error"
 
-FAMILIES = ("determinism", "verbs", "catalog", "races")
+FAMILIES = ("determinism", "verbs", "catalog")
 
 
 @dataclass
@@ -77,10 +76,6 @@ def run_analysis(paths: Sequence[str],
     if "catalog" in families:
         findings.extend(
             CatalogChecker(check_orphans=check_orphans).check(sources))
-    if "races" in families:
-        race_checker = RaceChecker()
-        for source in sources:
-            findings.extend(race_checker.check(source))
 
     by_path = {source.path: source for source in sources}
     for finding in sort_findings(findings):

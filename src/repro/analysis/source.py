@@ -114,7 +114,7 @@ def iter_python_files(root: pathlib.Path) -> Iterable[pathlib.Path]:
 #: parsed-file memo shared by every run in this process, keyed by resolved
 #: path; an entry is reused only while the file's (mtime_ns, size) signature
 #: is unchanged. Checkers never mutate a SourceFile, so sharing is safe, and
-#: the four families plus repeated runs (gate + protocol check) each parse a
+#: the three families plus repeated runs (gate + protocol check) each parse a
 #: given file exactly once.
 _PARSE_CACHE: Dict[str, Tuple[Tuple[int, int], SourceFile]] = {}
 

@@ -6,8 +6,8 @@ fast the middleware drains them, which is what exposes queueing collapse at
 scale. The shape is configurable and everything is seeded:
 
 * **arrival process** — Poisson (exponential inter-arrival) or jittered
-  uniform, split across N publisher processes so partitioned runs keep
-  each publisher's stream on its own lane; an optional **diurnal profile**
+  uniform, split across N publisher processes, each self-clocking its
+  own stream as its host; an optional **diurnal profile**
   (``rate_profile``) modulates the Poisson rate piecewise-constantly over
   equal slices of the arrival window (morning ramp, midday peak, night
   trough), sampled exactly by unit-exponential area integration;
@@ -25,8 +25,8 @@ scale. The shape is configurable and everything is seeded:
   worst case for per-subscription dispatch;
 * **churn** — subscription churn and registration/lease churn (profile
   arrivals/departures driving the resolver's delta protocol) scheduled at
-  seeded times on the control lane, where shared-structure mutation is
-  legal under the sharding concurrency contract;
+  seeded times as control events, where shared-structure mutation is
+  legal under the sharding ownership contract;
 * **queries** — resolver resolutions over the provider population, mixed
   into the run at seeded times.
 
@@ -201,7 +201,7 @@ class ProviderFeed:
 
 
 class _Publisher(Process):
-    """One open-loop source: self-clocked arrivals on its own lane."""
+    """One open-loop source: self-clocked arrivals, keyed by its host."""
 
     def __init__(self, guid: GUID, host_id: str, network: Network,
                  workload: "OpenLoopWorkload", index: int):
@@ -375,9 +375,9 @@ class OpenLoopWorkload:
         start = self.network.scheduler.now
         self.start = start
         self.deadline = start + config.duration
-        # churn and queries run on the control lane (scheduled from external
+        # churn and queries are control events (scheduled from external
         # context), where mutating shared mediator/resolver structures is
-        # legal under the sharding concurrency contract
+        # legal under the sharding ownership contract
         for when in self._op_times(self._churn_rng, config.churn_ops):
             self.network.scheduler.schedule_at(start + when, self._churn_op)
         if self.resolver is not None:
@@ -430,7 +430,7 @@ class OpenLoopWorkload:
             owner="wl-tracker", replay_retained=False)
         self._tracker_subs.append(subscription.sub_id)
 
-    # -- control-lane operations ----------------------------------------------
+    # -- control-event operations ---------------------------------------------
 
     def _churn_op(self) -> None:
         """One churn step: rotate a tracker and (if fed) a registration."""
@@ -478,8 +478,9 @@ class OpenLoopWorkload:
         belong in benchmark harnesses, not simulated code).
 
         The kick is a self-addressed message sent from external context: it
-        lands on the publisher's own lane, so the publisher's entire arrival
-        stream self-schedules there instead of on the control lane.
+        is delivered as the publisher's host, so the publisher's entire
+        arrival stream self-schedules under that host's origin rank instead
+        of as control events.
         """
         for publisher in self.publishers:
             self.network.send(Message(sender=publisher.guid,

@@ -115,7 +115,7 @@ class EventMediator(Process):
         self.range_name = range_name
         self.retained_cap = retained_cap
         #: context-ledger chain this mediator appends to (a shard holds its
-        #: own rank so chains never cross scheduler lanes); None disables
+        #: own rank: one chain per writer); None disables
         self._ledger = ledger
         self.reliable = reliable
         self.requests = RequestManager(

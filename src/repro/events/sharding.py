@@ -39,11 +39,11 @@ seq-ordered publishes. Retained replay across shards is merged on the
 first-retained seq stamp (see ``EventMediator._retained_first``), which
 reproduces the single store's insertion order under the same assumptions.
 
-Concurrency contract: ring, shard table and interest summaries are shared
+Ownership contract: ring, shard table and interest summaries are shared
 objects mutated only by control-plane calls (subscribe/unsubscribe/bridge/
-rebalance) on the router. Under a partitioned scheduler those calls must
-run from the control lane / a quiesced barrier, or on the router's own
-lane — the same discipline ``tests/parallel`` applies to topology changes.
+rebalance) on the router. Those calls run from external/control context
+(a quiesced scheduler, or a control event) or in the router's own
+handlers; shards only read them.
 """
 
 from __future__ import annotations
@@ -102,14 +102,6 @@ class _InterestSet:
         self.subjects: Dict[object, int] = {}
         self.sources: Dict[str, int] = {}
         self.residual = 0
-
-    def sanitize(self, sanitizer, label: str) -> None:
-        """Swap the summary buckets for LaneSan ownership-asserting views:
-        shards read these from lane context while only control-plane calls
-        may write, and the sanitizer checks exactly that."""
-        self.types = sanitizer.wrap_dict(self.types, f"{label}.types")
-        self.subjects = sanitizer.wrap_dict(self.subjects, f"{label}.subjects")
-        self.sources = sanitizer.wrap_dict(self.sources, f"{label}.sources")
 
     def add(self, constraints: FilterConstraints) -> None:
         self._apply(constraints, 1)
@@ -216,8 +208,7 @@ class ShardedEventMediator(EventMediator):
     Drop-in for the Context Server: ``add_subscription``, ``publish``,
     ``retained_event``, teardown helpers and every protocol verb behave
     identically from the caller's point of view; internally exact-key work
-    is spread over ``shards`` workers (optionally on distinct hosts, which
-    a partitioned scheduler places on their own lanes).
+    is spread over ``shards`` workers (optionally on distinct hosts).
     """
 
     def __init__(self, guid: GUID, host_id: str, network: Network,
@@ -250,10 +241,6 @@ class ShardedEventMediator(EventMediator):
         self._bridge_constraints: Dict[int, FilterConstraints] = {}
         self._sub_interest = _InterestSet()
         self._bridge_interest = _InterestSet()
-        sanitizer = getattr(network, "sanitizer", None)
-        if sanitizer is not None:
-            self._sub_interest.sanitize(sanitizer, "shard.sub_interest")
-            self._bridge_interest.sanitize(sanitizer, "shard.bridge_interest")
         self._next_shard_id = 0
         #: every shard chain ever minted, retired shards included — their
         #: entries stay part of the family's merged history
@@ -300,15 +287,15 @@ class ShardedEventMediator(EventMediator):
     def add_shard(self, host_id: Optional[str] = None) -> int:
         """Grow the worker set by one shard and rebalance onto it.
 
-        Control-plane only: call from a quiesced scheduler or the router's
-        own lane (see module docstring).
+        Control-plane only: call from external/control context or the
+        router's own handlers (see module docstring).
         """
         shard_id = self._next_shard_id
         self._next_shard_id += 1
         host = host_id or self._hosts[shard_id % len(self._hosts)]
         self.network.ensure_host(host)
         # rank 0 is the router's (and the CS's) chain; shard ranks are
-        # 1-based so every writer appends to a chain only its own lane owns
+        # 1-based so every writer appends to a chain only it writes
         shard_ledger = (self._ledger.child(shard_id + 1)
                         if self._ledger is not None else None)
         if shard_ledger is not None:

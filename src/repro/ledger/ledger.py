@@ -5,13 +5,12 @@ snippet 1): immutable append-only source ledgers, hash-stable entry
 references ``(ledger_id, entry_id, entry_hash)``, and the determinism
 contract *same inputs ⇒ identical projection*.
 
-One :class:`ContextLedger` is one chain. A sharded Context Server keeps a
-family of chains — a rank-0 root ledger for the Registrar, Profile
-Manager, router and query lifecycle (all on the CS host's scheduler lane)
-plus one child per mediator shard (each appended to only from its own
-lane, so chains never interleave across partitions). The merged view
-orders entries by ``(sim_time, shard_rank, seq)``; chain verification is
-always per-chain.
+One :class:`ContextLedger` is one chain, and there is one chain per
+writer. A sharded Context Server keeps a family of chains — a rank-0 root
+ledger for the Registrar, Profile Manager, router and query lifecycle (all
+on the CS host) plus one child per mediator shard, appended to by that
+shard alone. The merged view orders entries by ``(sim_time, shard_rank,
+seq)``; chain verification is always per-chain.
 
 Payloads must be JSON-serialisable: the hash is computed over the
 canonical JSON encoding, so the chain commits to exactly what the JSONL

@@ -4,7 +4,7 @@ The determinism contract (Brain_Garden HO2): projecting the same entry
 prefix always yields the same state, and that state equals what the live
 mutable components hold at the moment the prefix ends. The differential
 harness (``tests/ledger``) and the Hypothesis property assert exactly
-this, snapshot-for-snapshot, across shard and partition counts.
+this, snapshot-for-snapshot, across shard counts.
 
 Authority split — who rebuilds what:
 

@@ -5,12 +5,12 @@ combination of distributed events and point to point communication)". We
 reproduce that over a simulated network so every experiment is deterministic:
 components are :class:`Process` objects attached to :class:`Host` machines,
 all interaction is message passing through a :class:`Network`, and time is
-driven by a :class:`Scheduler` that shards hosts across per-partition event
-queues (one by default) while keeping the observable event log
-(:class:`EventLog`) bit-identical across partition counts.
+driven by a :class:`Scheduler` — one heap popped in a canonical key order,
+so the observable event log (:class:`EventLog`) is bit-identical from run
+to run.
 """
 
-from repro.net.sim import CausalityError, Scheduler, Timer
+from repro.net.sim import Scheduler, Timer
 from repro.net.eventlog import EventLog
 from repro.net.message import Message, BROADCAST
 from repro.net.transport import (
@@ -23,12 +23,11 @@ from repro.net.transport import (
     CampusLatency,
 )
 from repro.net.rpc import RequestManager, PendingRequest
-from repro.net.stats import LaneStatsBuffer, MessageStats, summarize
+from repro.net.stats import MessageStats, StatsBuffer, summarize
 
 __all__ = [
     "Scheduler",
     "Timer",
-    "CausalityError",
     "EventLog",
     "Message",
     "BROADCAST",
@@ -41,7 +40,7 @@ __all__ = [
     "CampusLatency",
     "RequestManager",
     "PendingRequest",
-    "LaneStatsBuffer",
     "MessageStats",
+    "StatsBuffer",
     "summarize",
 ]

@@ -1,20 +1,7 @@
 """The discrete-event scheduler that drives all simulated time.
 
 Every latency, lease, heartbeat and movement step in the reproduction is a
-callback scheduled here. The event population is sharded across
-per-partition queues ("lanes"): every host is consistently assigned to one
-lane (``crc32(host_id) % partitions``), each lane owns the events that
-execute on its hosts, and lanes advance in **horizon rounds** bounded by a
-conservative lookahead (the minimum cross-host link latency). Within a
-round every lane may run all its events strictly below
-``min(lane head times) + lookahead``, because any message one of those
-events sends arrives at least a full lookahead later — i.e. at or beyond
-the horizon, where the receiving lane has not yet advanced — so a
-cross-partition message is pushed straight onto the receiving lane's heap.
-One thread runs the lanes of a round one after another; lanes exist because
-a partition-invariant event order is the determinism proof, not to buy
-wall-clock. The default is one lane with an unbounded horizon — a single
-heap popped in key order.
+callback scheduled here: one binary heap, popped in key order by one loop.
 
 Determinism is the load-bearing property. Every event carries a canonical
 key ``(when, origin_rank, origin_seq)``:
@@ -27,29 +14,24 @@ key ``(when, origin_rank, origin_seq)``:
   origin creates.
 
 Both components depend only on the originating host's own execution
-history, which (by induction) is identical for every partition count — so
-the key is partition-invariant, and each lane popping its heap in key
-order yields the same per-host event sequence whether there is one lane or
-eight. The differential harness under ``tests/parallel/`` asserts exactly
-this.
+history, never on a global insertion counter — so which of two
+same-instant events fires first is a function of who created them and of
+how much each creator had done before, not of how unrelated hosts' calls
+happened to interleave. Same-instant events of one origin fire in the
+order it scheduled them. The reference heap under ``tests/parallel/``
+(plain ``(time, insertion)`` order) is held equal to this one on jittered
+workloads, where cross-origin ties have measure zero.
 
-Events created outside any host context — test drivers, the chaos
-injector — go to a **control lane** executed as a global barrier: every
-lane has quiesced strictly below the control event's time before it runs,
-so it may mutate any host's state (fail a host, change drop rates)
-without racing a lane. Control events sort before host events at time
-ties in every partitioning.
-
-Two runtime guards turn ordering mistakes into errors instead of silent
-divergence (:class:`CausalityError`): a host may only send while its own
-lane (or the control lane) is executing, and a cross-partition event may
-never be injected below the current round horizon.
+Events created outside any host context — setup code, test drivers, the
+chaos injector — carry :data:`EXTERNAL_RANK`, which sorts before every
+host rank: a control event at time ``t`` runs before every host event at
+``t``, whatever it does (fail a host, change drop rates, send on a host's
+behalf) is seen by all of them, and what it schedules is control again.
 """
 
 from __future__ import annotations
 
 import heapq
-import zlib
 from functools import partial
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional
@@ -89,8 +71,8 @@ class Timer:
 
     Cancellation is lazy: the heap entry stays put and is skipped when
     popped, which is O(1) and keeps the heap simple. ``_scheduler`` is the
-    lane whose heap holds the timer, set only while it is live there; it
-    lets :meth:`cancel` keep the pending-event counter exact without
+    scheduler whose heap holds the timer, set only while it is live there;
+    it lets :meth:`cancel` keep the pending-event counter exact without
     scanning the heap.
 
     ``site`` and ``created_at`` feed the optional scheduler profiler: which
@@ -105,7 +87,7 @@ class Timer:
                  "_scheduler")
 
     def __init__(self, when: float, fn: Callable, site: Optional[str] = None,
-                 created_at: float = 0.0, scheduler: "Optional[_Lane]" = None):
+                 created_at: float = 0.0, scheduler: Any = None):
         self.when = when
         self.fn = fn
         self.cancelled = False
@@ -134,56 +116,17 @@ class Timer:
             self._scheduler = None
 
 
-_INF = float("inf")
-
 #: origin rank for events created outside any host context (setup code, the
 #: chaos injector, test drivers). Sorts before every host rank, so control
-#: events win time ties in every partitioning.
+#: events win time ties.
 EXTERNAL_RANK = -1
 
-#: profiler site label for fast-lane deliveries (no Timer handle to carry one)
+#: profiler site label for deliveries (no Timer handle to carry one)
 _DELIVERY_SITE = "Network._deliver"
 
 
-class CausalityError(RuntimeError):
-    """A cross-partition event was injected outside the horizon exchange.
-
-    Raised when code tries to smuggle work across partitions in a way that
-    would be ordered differently under a different partition count: a send
-    issued from a lane that does not own the sending host, or a cross-lane
-    event below the current round horizon (a lookahead violation).
-    """
-
-
-class _Lane:
-    """One event queue: a shard of hosts, or the control lane (index -1).
-
-    Besides the heap, a lane carries the per-context ambient state that a
-    single global scheduler would keep as singletons: the tracer frame
-    stack, the event-log buffer and the transport's stats staging buffer.
-    Staging per lane and merging in canonical lane order is what makes the
-    recorded totals and traces independent of the partition count.
-    """
-
-    __slots__ = ("index", "heap", "now", "_live", "current_rank",
-                 "trace_stack", "log_buffer", "stats", "processed")
-
-    def __init__(self, index: int):
-        self.index = index
-        self.heap: List[tuple] = []
-        self.now = 0.0
-        #: live (non-cancelled) entries; Timer.cancel decrements this via
-        #: its ``_scheduler`` reference
-        self._live = 0
-        self.current_rank = EXTERNAL_RANK
-        self.trace_stack: List[Any] = []
-        self.log_buffer: List[tuple] = []
-        self.stats: Any = None
-        self.processed = 0
-
-
 class Scheduler:
-    """A deterministic discrete-event loop over per-partition event queues.
+    """A deterministic discrete-event loop over one heap.
 
     >>> sched = Scheduler()
     >>> fired = []
@@ -194,48 +137,37 @@ class Scheduler:
     >>> fired
     ['early', 'late']
 
-    ``partitions=1`` (the default) is a single lane with an unbounded
-    horizon — one heap, popped in key order, same-instant events of one
-    origin firing in schedule order. With more lanes, each round runs the
-    lanes' slices one after another on the calling thread.
-
-    ``lookahead`` must be a positive lower bound on cross-host delivery
-    latency whenever ``partitions > 1`` — the transport derives it from
-    the latency model's :meth:`~repro.net.transport.LatencyModel.min_latency`.
-
     Heap entries are ``(when, origin_rank, origin_seq, owner_rank, timer,
-    fn, args)``. ``(when, origin_rank, origin_seq)`` is the canonical,
-    partition-invariant ordering key (unique, so comparison never reaches
-    the callable); ``owner_rank`` is the host whose state the callback
-    touches and becomes the executing context's current rank. Timers carry
-    their callable and positional arguments in the entry (no closure);
+    fn, args)``. ``(when, origin_rank, origin_seq)`` is the canonical
+    ordering key (unique, so comparison never reaches the callable);
+    ``owner_rank`` is the host whose state the callback touches and becomes
+    the origin of whatever the callback schedules. Timers carry their
+    callable and positional arguments in the entry (no closure);
     deliveries scheduled through :meth:`schedule_delivery` carry
     ``timer=None`` as well — no handle, no callsite formatting — which is
     the per-message fast path.
     """
 
-    def __init__(self, partitions: int = 1, lookahead: float = 0.0):
-        if partitions < 1:
-            raise ValueError(f"partitions must be >= 1: {partitions}")
-        if partitions > 1 and lookahead <= 0.0:
-            raise ValueError(
-                "partitioned execution needs a positive lookahead (minimum "
-                f"cross-host latency), got {lookahead!r}")
-        self.partitions = partitions
-        self.lookahead = lookahead
-        self._lanes = [_Lane(index) for index in range(partitions)]
-        self._control = _Lane(-1)
-        #: the lane whose slice is executing (None outside the run loop)
-        self._current_lane: Optional[_Lane] = None
-        self._now = 0.0
+    def __init__(self):
+        self._heap: List[tuple] = []
+        #: live (non-cancelled) entries; Timer.cancel decrements this via
+        #: its ``_scheduler`` reference
+        self._live = 0
+        #: simulated time: the firing event's inside a callback, the end of
+        #: the last ``run_*`` call outside
+        self.now = 0.0
+        #: True while the run loop executes (callbacks see True)
+        self.running = False
+        #: the host whose callback is executing; EXTERNAL_RANK outside the
+        #: run loop and inside control events
+        self._current_rank = EXTERNAL_RANK
         self._host_rank: Dict[str, int] = {}
-        self._rank_lane: List[_Lane] = []
-        self._origin_seq: List[int] = []
-        self._external_seq = 0
+        #: next ``origin_seq`` per origin, indexed by ``rank + 1`` (slot 0
+        #: is EXTERNAL_RANK's)
+        self._origin_seq: List[int] = [0]
         self._external_stack: List[Any] = []
-        self._round_horizon = _INF
-        self._round_index = 0
-        self._events_processed = 0
+        self._loop_stack: List[Any] = []
+        self.events_processed = 0
         self._quiesce_callbacks: List[Callable[[], None]] = []
         #: optional :class:`repro.obs.profiling.SchedulerProfiler` (duck-typed
         #: ``record(site, lag, wall)``); None keeps the hot loop hook-free
@@ -244,72 +176,32 @@ class Scheduler:
         #: firings with a resolvable owner host are recorded as canonical
         #: observables (the transport records deliveries itself)
         self.event_log = None
-        #: the Network this scheduler is bound to (at most one; the lanes'
-        #: staging buffers flush into that network's stats)
+        #: the Network this scheduler is bound to (at most one; its stats
+        #: staging buffer flushes when this scheduler quiesces)
         self.bound_network = None
 
-    # -- topology ------------------------------------------------------------
-
     def register_host(self, host_id: str) -> int:
-        """Assign ``host_id`` to a lane; returns its dense origin rank.
+        """The dense origin rank of ``host_id`` (idempotent).
 
-        Assignment is consistent — ``crc32(host_id) % partitions`` — so a
-        host lands on the same lane in every run, and ranks follow
-        registration order, which callers keep deterministic (hosts are
-        added during setup).
+        Ranks follow registration order, which callers keep deterministic
+        (hosts are added during setup).
         """
         rank = self._host_rank.get(host_id)
-        if rank is not None:
-            return rank
-        rank = len(self._rank_lane)
-        self._host_rank[host_id] = rank
-        lane = self._lanes[zlib.crc32(host_id.encode("utf-8")) % self.partitions]
-        self._rank_lane.append(lane)
-        self._origin_seq.append(0)
+        if rank is None:
+            rank = self._host_rank[host_id] = len(self._origin_seq) - 1
+            self._origin_seq.append(0)
         return rank
 
-    def lane_of(self, host_id: str) -> int:
-        """The lane index ``host_id`` is sharded onto."""
-        return self._rank_lane[self._host_rank[host_id]].index
-
-    def contexts(self) -> List[_Lane]:
-        """Control lane first, then host lanes — the canonical merge order
-        for log buffers and stats staging (control events run before host
-        events at time ties, so their records must concatenate first)."""
-        return [self._control] + self._lanes
-
-    # -- time and context ----------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Lane-local clock inside a callback, global clock outside."""
-        lane = self._current_lane
-        return self._now if lane is None else lane.now
-
-    @property
-    def current_context(self) -> Optional[_Lane]:
-        """The executing lane (None outside the run loop)."""
-        return self._current_lane
-
-    @property
-    def round_index(self) -> int:
-        """Monotone count of horizon rounds and control barriers executed.
-
-        Two accesses with different round indices are separated by a
-        global barrier; the LaneSan sanitizer uses this to scope its
-        same-round conflict window."""
-        return self._round_index
-
-    def _next_seq(self, rank: int) -> int:
-        if rank < 0:
-            seq = self._external_seq
-            self._external_seq = seq + 1
-        else:
-            seq = self._origin_seq[rank]
-            self._origin_seq[rank] = seq + 1
-        return seq
-
     # -- scheduling ----------------------------------------------------------
+
+    def _push(self, when: float, rank: int, owner_rank: int,
+              timer: Optional[Timer], fn: Callable, args: tuple) -> None:
+        """Queue one entry, drawing ``origin_seq`` from ``rank``'s counter."""
+        seq = self._origin_seq[rank + 1]
+        self._origin_seq[rank + 1] = seq + 1
+        heapq.heappush(self._heap,
+                       (when, rank, seq, owner_rank, timer, fn, args))
+        self._live += 1
 
     def schedule(self, delay: float, fn: Callable, *args, **kwargs) -> Timer:
         """Run ``fn(*args, **kwargs)`` after ``delay`` simulated time units."""
@@ -320,27 +212,20 @@ class Scheduler:
     def schedule_at(self, when: float, fn: Callable, *args, **kwargs) -> Timer:
         """Run ``fn(*args, **kwargs)`` at absolute simulated time ``when``.
 
-        From inside a host callback the timer stays on that host's lane
-        (keyed by the host's rank); from control or external context it
-        goes to the control lane and runs as a global barrier.
+        From inside a host callback the timer is keyed by (and runs as)
+        that host; from control or external context it is a control event.
         """
-        lane = self._current_lane
-        base = self._now if lane is None else lane.now
-        if when < base:
-            raise ValueError(f"cannot schedule in the past: {when} < {base}")
-        if lane is None or lane.index < 0 or lane.current_rank < 0:
-            rank, target = EXTERNAL_RANK, self._control
-        else:
-            rank, target = lane.current_rank, lane
+        if when < self.now:
+            raise ValueError(
+                f"cannot schedule in the past: {when} < {self.now}")
         # the handle keeps the *original* callable: site and owner are
         # attributed to it, not to the keyword-binding partial
-        timer = Timer(when, fn, created_at=base, scheduler=target)
+        timer = Timer(when, fn, created_at=self.now, scheduler=self)
         if self.event_log is not None:
             timer.owner = timer_owner(fn)
-        heapq.heappush(target.heap,
-                       (when, rank, self._next_seq(rank), rank, timer,
-                        partial(fn, **kwargs) if kwargs else fn, args))
-        target._live += 1
+        rank = self._current_rank
+        self._push(when, rank, rank, timer,
+                   partial(fn, **kwargs) if kwargs else fn, args)
         return timer
 
     def call_soon(self, fn: Callable, *args, **kwargs) -> Timer:
@@ -349,133 +234,94 @@ class Scheduler:
 
     def schedule_periodic(self, interval: float, fn: Callable) -> Timer:
         """Run ``fn()`` every ``interval`` units until the returned timer is
-        cancelled. The handle returned stays valid across re-arms."""
+        cancelled. The one handle is re-queued for every tick, so cancelling
+        it takes the armed tick out of :attr:`pending` at once."""
         if interval <= 0:
             raise ValueError(f"non-positive interval: {interval}")
-        site = f"{callsite(fn)}[periodic]"
-        handle = Timer(self.now + interval, fn, site=site,
-                       created_at=self.now)
+        handle = Timer(self.now + interval, fn,
+                       site=f"{callsite(fn)}[periodic]", created_at=self.now,
+                       scheduler=self)
+        rank = self._current_rank
 
         def tick():
-            if handle.cancelled:
-                return
             fn()
             if not handle.cancelled:
-                inner = self.schedule(interval, tick)
-                inner.site = site
-                handle.when = inner.when
+                handle.created_at = self.now
+                handle.when = self.now + interval
+                handle._scheduler = self
+                self._push(handle.when, rank, rank, handle, tick, ())
 
-        inner = self.schedule(interval, tick)
-        inner.site = site
-        handle.when = inner.when
+        self._push(handle.when, rank, rank, handle, tick, ())
         return handle
 
     def schedule_delivery(self, source_host: str, target_host: str,
                           delay: float, fn: Callable, *args) -> None:
-        """Transport fast path: run ``fn(*args)`` on the target host's lane.
+        """Transport fast path: run ``fn(*args)`` as the target host.
 
         The canonical key uses the *sender's* rank and counter — both
-        functions of the sender's own execution history, hence partition-
-        invariant. No Timer handle is minted (deliveries are never
-        cancelled), so the entry is a bare heap tuple.
-
-        Raises :class:`CausalityError` when the sending host does not
-        belong to the executing lane, or when a cross-lane delivery would
-        land below the current round horizon (a lookahead violation).
+        functions of the sender's own execution history. No Timer handle
+        is minted (deliveries are never cancelled), so the entry is a bare
+        heap tuple.
         """
-        src_rank = self._host_rank[source_host]
-        tgt_rank = self._host_rank[target_host]
-        lane = self._current_lane
-        if lane is None:
-            base = self._now
-        else:
-            base = lane.now
-            if lane.index >= 0 and self._rank_lane[src_rank] is not lane:
-                raise CausalityError(
-                    f"send from host {source_host!r} (lane "
-                    f"{self._rank_lane[src_rank].index}) issued while lane "
-                    f"{lane.index} was executing; cross-partition sends must "
-                    "go through the horizon exchange")
-        when = base + delay
-        target = self._rank_lane[tgt_rank]
-        entry = (when, src_rank, self._next_seq(src_rank), tgt_rank, None,
-                 fn, args)
-        if lane is not None and lane.index >= 0 and target is not lane:
-            if when < self._round_horizon:
-                raise CausalityError(
-                    f"cross-partition delivery at t={when:.6f} below the "
-                    f"round horizon {self._round_horizon:.6f}; the latency "
-                    "model broke its min_latency() promise")
-        heapq.heappush(target.heap, entry)
-        target._live += 1
+        self._push(self.now + delay, self._host_rank[source_host],
+                   self._host_rank[target_host], None, fn, args)
 
     # -- running -------------------------------------------------------------
 
     def run_until_idle(self, max_time: Optional[float] = None,
                        max_events: int = 10_000_000) -> float:
-        """Drain all lanes in horizon rounds; returns the final time.
+        """Fire queued events in canonical key order; returns the final time.
 
         ``max_time`` bounds how far the clock may advance (events beyond it
         stay queued); ``max_events`` is a runaway guard. Quiesce callbacks
-        (stats staging flushes) run just before returning, so observers
+        (the stats staging flush) run just before returning, so observers
         see merged totals.
         """
+        heap = self._heap
+        profiler = self.profiler
+        log = self.event_log
+        heappop = heapq.heappop
+        stop = float("inf") if max_time is None else max_time
         processed = 0
-        lanes = self._lanes
-        control = self._control
-        single = self.partitions == 1
-        stop = _INF if max_time is None else max_time
-        while True:
-            t_ctl = control.heap[0][0] if control.heap else _INF
-            t_lanes = _INF
-            for lane in lanes:
-                if lane.heap and lane.heap[0][0] < t_lanes:
-                    t_lanes = lane.heap[0][0]
-            t_min = t_ctl if t_ctl < t_lanes else t_lanes
-            if t_min == _INF or t_min > stop:
-                break
-            self._round_index += 1
-            budget = max_events - processed
-            if t_ctl <= t_lanes:
-                # control events are global barriers: every lane has
-                # quiesced strictly below t_ctl, so the callback may touch
-                # any host's state. One at a time — what it sends or
-                # schedules onto a lane may be due before the next one.
-                processed += self._run_lane_slice(
-                    control, _INF, t_lanes if t_lanes < stop else stop, 1)
-            else:
-                horizon = _INF if single else t_lanes + self.lookahead
-                if t_ctl < horizon:
-                    horizon = t_ctl
-                self._round_horizon = horizon
-                try:
-                    for lane in lanes:
-                        if lane.heap:
-                            processed += self._run_lane_slice(
-                                lane, horizon, stop, budget)
-                finally:
-                    self._round_horizon = _INF
-            if processed >= max_events:
-                raise RuntimeError(
-                    f"scheduler exceeded {max_events} events; runaway loop?")
-        self._events_processed += processed
-        final = self._now
-        for lane in lanes:
-            if lane.now > final:
-                final = lane.now
-        if control.now > final:
-            final = control.now
-        if max_time is not None and final < max_time:
-            final = max_time  # time passes even when nothing is scheduled
-        self._now = final
-        # remaining events are all beyond `final`, so raising every lane
-        # clock to it keeps per-lane time monotone across run_* calls
-        for lane in lanes:
-            lane.now = final
-        control.now = final
+        self.running = True
+        try:
+            while heap and heap[0][0] <= stop:
+                when, _, _, owner_rank, timer, fn, args = heappop(heap)
+                if timer is not None:
+                    if timer.cancelled:
+                        continue
+                    # it fires now: a late cancel() on the handle must not
+                    # decrement the live counter
+                    timer._scheduler = None
+                    if log is not None and timer.owner is not None:
+                        log.record_timer(timer.owner, when, timer.site)
+                self._live -= 1
+                self.now = when
+                self._current_rank = owner_rank
+                if profiler is None:
+                    fn(*args)
+                else:
+                    started = perf_counter()
+                    fn(*args)
+                    wall = perf_counter() - started
+                    if timer is None:
+                        profiler.record(_DELIVERY_SITE, 0.0, wall)
+                    else:
+                        profiler.record(timer.site,
+                                        when - timer.created_at, wall)
+                processed += 1
+                if processed >= max_events:
+                    raise RuntimeError(
+                        f"scheduler exceeded {max_events} events; runaway loop?")
+        finally:
+            self.running = False
+            self._current_rank = EXTERNAL_RANK
+            self.events_processed += processed
+        if max_time is not None and self.now < max_time:
+            self.now = max_time  # time passes even when nothing is scheduled
         for callback in self._quiesce_callbacks:
             callback()
-        return final
+        return self.now
 
     def run_for(self, duration: float) -> float:
         """Advance the clock ``duration`` units, firing due events."""
@@ -487,92 +333,26 @@ class Scheduler:
             raise ValueError(f"cannot run backwards: {when} < {self.now}")
         return self.run_until_idle(max_time=when)
 
-    def _run_lane_slice(self, lane: _Lane, horizon: float, stop: float,
-                        budget: int) -> int:
-        """Run up to ``budget`` events of ``lane`` strictly below ``horizon``
-        (and not beyond ``stop``), in canonical key order. Called once per
-        lane per round, or for one control event."""
-        heap = lane.heap
-        profiler = self.profiler
-        log = self.event_log
-        heappop = heapq.heappop
-        count = 0
-        self._current_lane = lane
-        try:
-            while heap and count < budget:
-                entry = heap[0]
-                when = entry[0]
-                if when >= horizon or when > stop:
-                    break
-                heappop(heap)
-                timer = entry[4]
-                if timer is not None:
-                    if timer.cancelled:
-                        continue
-                    # it fires now: a late cancel() on the handle must not
-                    # decrement the live counter
-                    timer._scheduler = None
-                    if log is not None and timer.owner is not None:
-                        lane.log_buffer.append(
-                            (when, timer.owner, "timer", timer.site))
-                lane._live -= 1
-                lane.now = when
-                lane.current_rank = entry[3]
-                fn = entry[5]
-                if profiler is None:
-                    fn(*entry[6])
-                else:
-                    started = perf_counter()
-                    fn(*entry[6])
-                    wall = perf_counter() - started
-                    if timer is None:
-                        profiler.record(_DELIVERY_SITE, 0.0, wall)
-                    else:
-                        profiler.record(timer.site,
-                                        when - timer.created_at, wall)
-                count += 1
-        finally:
-            self._current_lane = None
-        lane.processed += count
-        return count
-
     # -- introspection and hooks ---------------------------------------------
 
     @property
     def pending(self) -> int:
-        """Live (non-cancelled) events queued across all lanes (O(lanes))."""
-        total = self._control._live
-        for lane in self._lanes:
-            total += lane._live
-        return total
-
-    @property
-    def events_processed(self) -> int:
-        return self._events_processed
+        """Live (non-cancelled) events queued, O(1)."""
+        return self._live
 
     def on_quiesce(self, callback: Callable[[], None]) -> None:
         """Run ``callback`` at the end of every ``run_*`` drain (after the
-        last event, before returning). The transport uses this to merge
-        per-lane stats staging buffers deterministically."""
+        last event, before returning). The transport uses this to fold its
+        stats staging buffer into the registry."""
         self._quiesce_callbacks.append(callback)
 
     def ambient_stack(self) -> List[Any]:
-        """The tracer frame stack for the current execution context — one
-        per lane plus one for code outside the run loop, so ambient trace
-        context never leaks from one context into another's callbacks
-        (see :attr:`repro.obs.tracing.Tracer.stack_provider`)."""
-        lane = self._current_lane
-        return self._external_stack if lane is None else lane.trace_stack
-
-    def current_log_buffer(self) -> List[tuple]:
-        """The event-log staging buffer for the current context."""
-        lane = self._current_lane
-        return self._control.log_buffer if lane is None else lane.log_buffer
-
-    def log_buffers(self) -> List[List[tuple]]:
-        """All staging buffers in canonical merge order (control first)."""
-        return [lane.log_buffer for lane in self.contexts()]
+        """The tracer frame stack for the current execution context: one
+        for callbacks, one for code outside the run loop, so a span left
+        open around a ``run_*`` call never becomes the parent of what the
+        callbacks trace (see
+        :attr:`repro.obs.tracing.Tracer.stack_provider`)."""
+        return self._loop_stack if self.running else self._external_stack
 
     def __repr__(self) -> str:
-        return (f"Scheduler(partitions={self.partitions}, "
-                f"now={self._now:.3f}, pending={self.pending})")
+        return f"Scheduler(now={self.now:.3f}, pending={self.pending})"

@@ -71,14 +71,14 @@ class MessageStats:
     def record_undeliverable(self) -> None:
         self._undeliverable.inc()
 
-    def merge_buffer(self, buffer: "LaneStatsBuffer") -> None:
-        """Fold one partition's staging buffer into the registry series.
+    def merge_buffer(self, buffer: "StatsBuffer") -> None:
+        """Fold the staging buffer into the registry series.
 
         Counts, sums and min/max merge exactly; the latency reservoir
         receives the buffer's bounded sample slice (see
         :meth:`repro.obs.metrics.Reservoir.merge_summary`), so the
         *quantile sample* — never the totals — is the one statistic whose
-        composition depends on the partition layout. The buffer is reset
+        composition depends on where the flushes fell. The buffer is reset
         for reuse.
         """
         for kind, count in buffer.sent.items():
@@ -159,16 +159,15 @@ class MessageStats:
         return self.max_host_load / mean if mean else 0.0
 
 
-class LaneStatsBuffer:
-    """Per-lane staging for :class:`MessageStats`.
+class StatsBuffer:
+    """Staging for :class:`MessageStats` — the transport's per-delivery
+    fast path.
 
-    Lane callbacks record here with plain dict/float updates — no label
-    validation, no registry lookups, no shared mutable state between
-    lanes — and the owning :class:`~repro.net.transport.Network` merges
-    every buffer in canonical lane order when the scheduler quiesces, so
-    registry totals are identical for every partition count.
-    This is also the transport's per-delivery fast path: the staging
-    update is several times cheaper than a labelled counter ``inc``.
+    Scheduler callbacks record here with plain dict/float updates — no
+    label validation, no registry lookups — and the owning
+    :class:`~repro.net.transport.Network` folds the buffer into the
+    registry when the scheduler quiesces: the staging update is several
+    times cheaper than a labelled counter ``inc``.
 
     Latencies go through a seeded :class:`~repro.obs.metrics.Reservoir`,
     so the slice handed to the registry is a uniform sample of the whole

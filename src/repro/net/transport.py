@@ -27,7 +27,7 @@ from repro.core.ids import GUID, GuidFactory
 from repro.net.eventlog import EventLog
 from repro.net.message import BROADCAST, Message
 from repro.net.sim import Scheduler
-from repro.net.stats import LaneStatsBuffer, MessageStats
+from repro.net.stats import MessageStats, StatsBuffer
 from repro.obs.hub import Observability
 
 logger = logging.getLogger(__name__)
@@ -56,15 +56,6 @@ class LatencyModel:
     def latency(self, source: Host, destination: Host, rng: random.Random) -> float:
         raise NotImplementedError
 
-    def min_latency(self) -> float:
-        """Lower bound on *cross-host* latency — the partitioned
-        substrate's conservative lookahead. Same-host deliveries are
-        exempt (a host never crosses partitions to reach itself), so a
-        model may return more than its same-host floor. The default 0.0
-        makes ``partitions > 1`` an explicit error until a model opts in.
-        """
-        return 0.0
-
 
 class FixedLatency(LatencyModel):
     """Constant latency; the ablation baseline (latency model "off")."""
@@ -75,9 +66,6 @@ class FixedLatency(LatencyModel):
         self.value = value
 
     def latency(self, source: Host, destination: Host, rng: random.Random) -> float:
-        return self.value
-
-    def min_latency(self) -> float:
         return self.value
 
 
@@ -93,9 +81,6 @@ class UniformLatency(LatencyModel):
     def latency(self, source: Host, destination: Host, rng: random.Random) -> float:
         return rng.uniform(self.low, self.high)
 
-    def min_latency(self) -> float:
-        return self.low
-
 
 class DistanceLatency(LatencyModel):
     """Base latency plus a per-metre term from host positions."""
@@ -110,9 +95,6 @@ class DistanceLatency(LatencyModel):
         dx = source.position[0] - destination.position[0]
         dy = source.position[1] - destination.position[1]
         return self.base + self.per_unit * math.hypot(dx, dy)
-
-    def min_latency(self) -> float:
-        return self.base
 
 
 class CampusLatency(LatencyModel):
@@ -132,11 +114,6 @@ class CampusLatency(LatencyModel):
         if source.host_id == destination.host_id:
             return self.local
         return self.remote + rng.uniform(0.0, self.jitter)
-
-    def min_latency(self) -> float:
-        # cross-host traffic always takes the remote branch; the cheaper
-        # `local` floor applies only same-host, which never crosses lanes
-        return self.remote
 
 
 # -- processes ---------------------------------------------------------------
@@ -293,33 +270,22 @@ class Network:
         latency_model: Optional[LatencyModel] = None,
         drop_rate: float = 0.0,
         seed: int = 0,
-        partitions: Optional[int] = None,
         event_log: Optional[EventLog] = None,
-        sanitize: bool = False,
     ):
         if not 0.0 <= drop_rate < 1.0:
             raise ValueError(f"drop_rate out of range: {drop_rate}")
         self.latency_model = latency_model or CampusLatency()
-        if scheduler is None:
-            # NOTE: scheduler partitions (execution shards) are unrelated to
-            # set_partitions() below, which models network splits (failures)
-            scheduler = Scheduler(
-                partitions=1 if partitions is None else partitions,
-                lookahead=self.latency_model.min_latency())
-        elif partitions is not None:
-            raise TransportError(
-                "pass either scheduler= or partitions=, not both")
-        self.scheduler = scheduler
+        self.scheduler = scheduler = scheduler or Scheduler()
         if scheduler.bound_network is not None:
             raise TransportError(
                 "a Scheduler can drive only one Network "
-                "(its lanes stage that network's stats)")
+                "(it flushes that network's stats staging when it quiesces)")
         scheduler.bound_network = self
         self.drop_rate = drop_rate
         self.seed = seed
         #: each source host draws latency/drop from its own stream, so the
-        #: draw sequence depends only on that host's send history —
-        #: partition-invariant by the scheduler's ordering argument
+        #: draw sequence depends only on that host's send history, not on
+        #: how other hosts' sends interleave with it
         self._host_rngs: Dict[str, random.Random] = {}
         self.guids = GuidFactory(seed=seed ^ 0x5C1)
         #: the deployment-wide observability bundle (metrics/tracer/profiler)
@@ -329,10 +295,9 @@ class Network:
         self.event_log = event_log
         if event_log is not None:
             scheduler.event_log = event_log
-            event_log.bind(scheduler)
-        for lane in scheduler.contexts():
-            lane.stats = LaneStatsBuffer(seed=lane.index + 1)
-        scheduler.on_quiesce(self._flush_lane_stats)
+        #: what callbacks record into; folded into ``stats`` at quiesce
+        self._staged = StatsBuffer()
+        scheduler.on_quiesce(self._flush_staged_stats)
         self._hosts: Dict[str, Host] = {}
         self._processes: Dict[GUID, Process] = {}
         #: host id -> processes living there (insertion-ordered), so the
@@ -340,23 +305,6 @@ class Network:
         #: rather than a scan over every process in the deployment
         self._processes_by_host: Dict[str, Dict[GUID, Process]] = {}
         self._partition_of: Dict[str, int] = {}
-        #: opt-in LaneSan runtime race detector (see repro.analysis.lanesan):
-        #: the lane-shared registries become ownership-asserting views that
-        #: record (structure, field, lane, round) on every access
-        self.sanitizer = None
-        if sanitize:
-            from repro.analysis.lanesan import LaneSan
-            self.sanitizer = LaneSan(self.scheduler)
-            self._hosts = self.sanitizer.wrap_dict(self._hosts, "net.hosts")
-            self._processes = self.sanitizer.wrap_dict(
-                self._processes, "net.processes")
-            self._processes_by_host = self.sanitizer.wrap_dict(
-                self._processes_by_host, "net.processes_by_host")
-            self._partition_of = self.sanitizer.wrap_dict(
-                self._partition_of, "net.partition_of")
-            self._host_rngs = self.sanitizer.wrap_dict(
-                self._host_rngs, "net.host_rngs")
-            self.obs.tracer.sanitize(self.sanitizer)
 
     # -- topology ------------------------------------------------------------
 
@@ -429,17 +377,15 @@ class Network:
     def _stat(self):
         """The stats sink for the current execution context.
 
-        Callbacks record into their lane's staging buffer (cheap,
-        race-free); external/setup code records into the registry-backed
-        stats directly. Buffers merge at quiesce in canonical lane order.
+        Callbacks record into the staging buffer (cheap); external/setup
+        code records into the registry-backed stats directly, so a count
+        is readable without a ``run_*`` call in between.
         """
-        lane = self.scheduler.current_context
-        return self.stats if lane is None else lane.stats
+        return self._staged if self.scheduler.running else self.stats
 
-    def _flush_lane_stats(self) -> None:
-        for lane in self.scheduler.contexts():
-            if not lane.stats.empty:
-                self.stats.merge_buffer(lane.stats)
+    def _flush_staged_stats(self) -> None:
+        if not self._staged.empty:
+            self.stats.merge_buffer(self._staged)
 
     def send(self, message: Message) -> None:
         """Queue a message for delivery (or loss) per the failure model."""

@@ -31,16 +31,9 @@ FIG1_HOPS = "fig1.route.hops"
 
 
 def run_overlay_instrumented(n: int, messages: int = MESSAGES,
-                             seed: int = 0,
-                             partitions: Optional[int] = None) -> Dict[str, Any]:
-    """Route a uniform workload over an N-range SCINET; return a run record.
-
-    ``partitions`` runs the same workload on that many scheduler lanes
-    instead of the default one; the run record must come out identical
-    either way.
-    """
-    net = Network(latency_model=FixedLatency(1.0), seed=seed,
-                  partitions=partitions)
+                             seed: int = 0) -> Dict[str, Any]:
+    """Route a uniform workload over an N-range SCINET; return a run record."""
+    net = Network(latency_model=FixedLatency(1.0), seed=seed)
     sci = SCINet(net)
     nodes = [sci.create_node(f"h{i}", range_name=f"r{i}") for i in range(n)]
     latency = net.obs.metrics.histogram(

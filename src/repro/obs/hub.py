@@ -31,8 +31,8 @@ class Observability:
         # Attach to the scheduler unless someone installed a profiler first.
         if profile_scheduler and scheduler.profiler is None:
             scheduler.profiler = self.profiler
-        # Per-lane ambient stacks, so trace context never leaks between
-        # lanes or in from code outside the run loop.
+        # One ambient stack for callbacks, one for code outside the run
+        # loop, so trace context never leaks in from around a run call.
         self.tracer.stack_provider = scheduler.ambient_stack
 
     def __repr__(self) -> str:

@@ -120,7 +120,7 @@ class Reservoir:
         unretained remainder (the batch saw more observations than it kept)
         adjusts the exact aggregates only, slightly underweighting the
         batch in the sample set but keeping count/sum/min/max exact. Used
-        by the transport's per-partition staging buffers.
+        by the transport's stats staging buffer.
         """
         if count <= 0:
             return

@@ -180,27 +180,14 @@ class Tracer:
         self._stack: List[_Frame] = []
         #: optional callable returning the ambient frame stack for the
         #: current execution context. A Network's Observability sets this
-        #: (to the scheduler's per-lane stacks) so ambient context never
-        #: crosses lanes; None keeps the single built-in stack.
+        #: (to the scheduler's in-loop/external stacks) so context around
+        #: a run call never leaks into the callbacks; None keeps the single
+        #: built-in stack.
         self.stack_provider: Optional[Callable[[], List[_Frame]]] = None
         #: trace id -> spans, in insertion order (dicts preserve it)
         self._traces: Dict[str, List[Span]] = {}
-        #: tracked explicitly so the record hot path never takes len() of
-        #: the store (which a LaneSan wrapper would count as a whole-
-        #: structure read, aliasing unrelated same-round trace creations)
-        self._trace_count = 0
         self.dropped_spans = 0
         self.evicted_traces = 0
-
-    def sanitize(self, sanitizer: Any, label: str = "obs.traces") -> None:
-        """Swap the trace store for a LaneSan ownership-asserting view.
-
-        Spans record from the lane executing the traced callback; a trace
-        continued on another lane (context rides on messages) must reach it
-        through the transport, i.e. in a later round — the wrapper turns a
-        violation of that into a reported conflict.
-        """
-        self._traces = sanitizer.wrap_dict(self._traces, label)
 
     def _ambient(self) -> List[_Frame]:
         """The context stack for the current execution context."""
@@ -339,13 +326,11 @@ class Tracer:
     def _record(self, span: Span) -> None:
         spans = self._traces.get(span.trace_id)
         if spans is None:
-            while self._trace_count >= self.max_traces:
+            while len(self._traces) >= self.max_traces:
                 oldest = next(iter(self._traces))
                 del self._traces[oldest]
-                self._trace_count -= 1
                 self.evicted_traces += 1
             spans = self._traces[span.trace_id] = []
-            self._trace_count += 1
         if len(spans) >= self.max_spans_per_trace:
             self.dropped_spans += 1
             return
@@ -369,7 +354,6 @@ class Tracer:
 
     def clear(self) -> None:
         self._traces.clear()
-        self._trace_count = 0
         self._ambient().clear()
 
     def __repr__(self) -> str:

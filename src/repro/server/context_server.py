@@ -102,7 +102,7 @@ class ContextServer(Process):
         self.templates = templates or TemplateRegistry()
 
         # -- context ledger (ROADMAP item 4) ----------------------------------
-        # rank 0 is the CS-lane chain (registrar, profiles, router, query
+        # rank 0 is the CS's own chain (registrar, profiles, router, query
         # lifecycle); each mediator shard appends to its own child chain.
         self.ledger: Optional[ContextLedger] = None
         if ledger:
@@ -418,7 +418,8 @@ class ContextServer(Process):
         for parked in triggered:
             # An entry event landing on the expiry instant must resolve the
             # same way whether the trigger or the 10-unit sweep runs first
-            # (they race at equal sim-times under partitioned schedulers).
+            # (at equal sim-times who goes first is the scheduler's tie
+            # rule, not the model's).
             # With inclusive expiry the answer is always "expired": the
             # trigger path refuses exactly where the sweep would drop it.
             if parked.query.when.expired(self.now):

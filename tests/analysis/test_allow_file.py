@@ -12,22 +12,22 @@ from repro.analysis.runner import run_analysis
 from repro.analysis.source import SourceFile
 
 VIOLATIONS = textwrap.dedent('''\
-    # sci: allow-file(races.module-state-write)
+    # sci: allow-file(determinism.wall-clock)
     """Module docstring."""
 
-    PENDING = []
+    import time
 
 
     class Host:
         def on_message(self, message):
-            PENDING.append(message)
+            self.seen = time.time()
 
         def _handle_kick(self, message):
-            PENDING.append(message)
+            self.kicked = time.monotonic()
 ''')
 
 
-def _run(tmp_path, text, select=("races",)):
+def _run(tmp_path, text, select=("determinism",)):
     path = tmp_path / "mod.py"
     path.write_text(text, encoding="utf-8")
     return run_analysis([str(path)], select=list(select))
@@ -38,8 +38,8 @@ def test_allow_file_suppresses_whole_file(tmp_path):
     assert report.active == []
     # suppressed-but-visible: both findings survive into the summary
     assert [(f.check, f.line) for f in report.suppressed] == [
-        ("races.module-state-write", 9),
-        ("races.module-state-write", 12),
+        ("determinism.wall-clock", 9),
+        ("determinism.wall-clock", 12),
     ]
 
 
@@ -60,8 +60,8 @@ def test_buried_allow_file_is_ignored(tmp_path):
 
 
 def test_family_wide_allow_file(tmp_path):
-    text = VIOLATIONS.replace("allow-file(races.module-state-write)",
-                              "allow-file(races)")
+    text = VIOLATIONS.replace("allow-file(determinism.wall-clock)",
+                              "allow-file(determinism)")
     report = _run(tmp_path, text)
     assert report.active == []
     assert len(report.suppressed) == 2
@@ -69,16 +69,16 @@ def test_family_wide_allow_file(tmp_path):
 
 def test_allow_file_does_not_leak_to_other_checks(tmp_path):
     text = VIOLATIONS.replace(
-        "PENDING.append(message)",
-        "PENDING.append(message)\n        import time; time.time()", 1)
-    report = _run(tmp_path, text, select=("races", "determinism"))
+        "self.seen = time.time()",
+        "self.seen = time.time()\n        import random; random.random()", 1)
+    report = _run(tmp_path, text)
     checks = {f.check for f in report.active}
-    assert "determinism.wall-clock" in checks
-    assert "races.module-state-write" not in checks
+    assert "determinism.unseeded-random" in checks
+    assert "determinism.wall-clock" not in checks
 
 
 def test_source_file_exposes_file_allows():
     source = SourceFile.from_text(VIOLATIONS, "src/repro/x.py")
-    assert source.file_allows == frozenset({"races.module-state-write"})
-    assert source.allowed_at(9, "races.module-state-write")
-    assert not source.allowed_at(9, "races.cross-lane-send")
+    assert source.file_allows == frozenset({"determinism.wall-clock"})
+    assert source.allowed_at(9, "determinism.wall-clock")
+    assert not source.allowed_at(9, "determinism.unseeded-random")

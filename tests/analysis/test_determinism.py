@@ -49,6 +49,26 @@ def test_allowlisted_modules_skip_wall_clock_but_not_random():
     assert checks == ["determinism.unseeded-random"]
 
 
+def test_wall_clock_allowed_only_in_run_loop_module():
+    """The run loop in sim.py self-profiles with perf_counter; the
+    allowlist covers that module alone (RNG use is still flagged there),
+    not its neighbours in ``repro.net``."""
+    text = (
+        "import time\n"
+        "import random\n"
+        "def slice_profile():\n"
+        "    return time.perf_counter() + random.random()\n"
+    )
+
+    def checks(module_path):
+        source = SourceFile.from_text(text, module_path)
+        return sorted(f.check for f in DeterminismChecker().check(source))
+
+    assert checks("src/repro/net/sim.py") == ["determinism.unseeded-random"]
+    assert checks("src/repro/net/transport.py") == [
+        "determinism.unseeded-random", "determinism.wall-clock"]
+
+
 def test_from_import_aliases_are_tracked():
     text = (
         "from time import perf_counter as pc\n"

@@ -4,6 +4,8 @@ PROTOCOL.md, and the CLI reports violations with a non-zero exit."""
 import json
 import pathlib
 
+import pytest
+
 import repro
 from repro.analysis.__main__ import main
 from repro.analysis.runner import run_analysis
@@ -40,6 +42,15 @@ def test_cli_exit_codes_and_json(capsys, tmp_path):
     assert payload["files"] == 1
     assert payload["counts"]["determinism.wall-clock"] == 2
     assert all(f["severity"] == "error" for f in payload["findings"])
+
+
+def test_cli_rejects_a_family_that_left(capsys):
+    """``races`` went with the lanes it policed: selecting it is a usage
+    error (argparse choice), not an empty clean run."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([str(SRC), "--select", "races"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'races'" in capsys.readouterr().err
 
 
 def test_cli_check_protocol_detects_drift(capsys, tmp_path):

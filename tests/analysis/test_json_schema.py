@@ -12,7 +12,9 @@ from repro.analysis.__main__ import main
 from repro.analysis.runner import FAMILIES
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
-RACE_FIXTURE = FIXTURES / "race_violations.py"
+#: one fixture with active findings, one whose findings are all suppressed
+FIXTURE_ARGS = (str(FIXTURES / "det_violations.py"),
+                str(FIXTURES / "pragma_ok.py"), "--select", "determinism")
 
 FINDING_KEYS = {"check", "severity", "path", "line", "message", "suppressed"}
 
@@ -23,16 +25,14 @@ def _run_json(capsys, *argv):
 
 
 def test_top_level_shape(capsys):
-    rc, payload = _run_json(capsys, str(RACE_FIXTURE), "--select", "races",
-                            "--format", "json")
+    rc, payload = _run_json(capsys, *FIXTURE_ARGS, "--format", "json")
     assert rc == 1
     assert set(payload) == {"files", "findings", "suppressed", "counts"}
-    assert payload["files"] == 1
+    assert payload["files"] == 2
 
 
 def test_finding_shape_and_flags(capsys):
-    _, payload = _run_json(capsys, str(RACE_FIXTURE), "--select", "races",
-                           "--format", "json")
+    _, payload = _run_json(capsys, *FIXTURE_ARGS, "--format", "json")
     assert payload["findings"], "fixture must produce findings"
     assert payload["suppressed"], "fixture must produce a suppressed finding"
     for finding in payload["findings"]:
@@ -48,8 +48,7 @@ def test_finding_shape_and_flags(capsys):
 
 
 def test_counts_match_findings(capsys):
-    _, payload = _run_json(capsys, str(RACE_FIXTURE), "--select", "races",
-                           "--format", "json")
+    _, payload = _run_json(capsys, *FIXTURE_ARGS, "--format", "json")
     recount = {}
     for finding in payload["findings"]:
         recount[finding["check"]] = recount.get(finding["check"], 0) + 1

@@ -1,5 +1,5 @@
 """Parse-once guarantee: one ``ast.parse`` per file per process, shared by
-all four checker families and across runs, invalidated by modification."""
+all three checker families and across runs, invalidated by modification."""
 
 import pathlib
 
@@ -25,7 +25,7 @@ def test_one_parse_per_file_across_all_families(tmp_path):
     before = PARSE_STATS["parsed"]
     report = run_analysis([str(root)], check_orphans=False)
     assert len(report.sources) == 3
-    assert len(FAMILIES) == 4
+    assert len(FAMILIES) == 3
     assert PARSE_STATS["parsed"] - before == 3, (
         "every family must share the same parsed SourceFile")
 

@@ -1,18 +1,21 @@
-"""The default deployment runs on the lane scheduler's per-message fast path.
+"""The default deployment runs on the scheduler's per-message fast path.
 
-``Network()`` with no arguments builds the one-lane scheduler, so every
+``Network()`` with no arguments builds the one scheduler there is, so every
 send is a bare heap tuple (no ``Timer``, no closure) and every timer label
 is formatted on first read. These tests pin that the fast path is what a
-default deployment executes, that lazy labels equal the eager ones, and
-that a default ``SCI()`` is deterministic and partition-invariant.
+default deployment executes, that lazy labels equal the eager ones, that a
+default ``SCI()`` is deterministic, and that nothing selects another way
+to run.
 """
 
+import importlib
 import inspect
 import itertools
 
 import pytest
 
 from repro import SCI
+from repro.analysis import runner as analysis_runner
 from repro.composition import graph as graph_module
 from repro.composition import manager as manager_module
 from repro.core import api
@@ -22,7 +25,9 @@ from repro.net import message as message_module
 from repro.net import sim as sim_module
 from repro.net.eventlog import EventLog
 from repro.net.sim import Scheduler, Timer, callsite
-from repro.net.transport import FixedLatency, FunctionProcess, Network
+from repro.net.transport import (FixedLatency, FunctionProcess, LatencyModel,
+                                 Network)
+from repro.obs.experiments import run_overlay_instrumented
 from repro.overlay.node import OverlayNode
 from repro.overlay.scinet import SCINet
 from repro.query import model as query_module
@@ -31,24 +36,21 @@ from repro.query import model as query_module
 def test_default_send_is_a_bare_heap_tuple():
     net = Network(latency_model=FixedLatency(1.0))
     assert isinstance(net.scheduler, Scheduler)
-    assert net.scheduler.partitions == 1
     net.add_host("a")
     net.add_host("b")
     got = []
     sender = FunctionProcess(net.guids.mint(), "a", net, got.append)
     receiver = FunctionProcess(net.guids.mint(), "b", net, got.append)
     sender.send(receiver.guid, "ping", {})
-    entries = [entry for lane in net.scheduler.contexts()
-               for entry in lane.heap]
-    assert len(entries) == 1
-    when, _rank, _seq, _owner, timer, fn, args = entries[0]
+    (entry,) = net.scheduler._heap
+    when, _rank, _seq, _owner, timer, fn, args = entry
     assert when == 1.0
     assert timer is None, "a delivery must not mint a Timer"
     assert fn == net._deliver and args[0].kind == "ping"
     assert net.scheduler.pending == 1
     net.run_until_idle()
     assert [message.kind for message in got] == ["ping"]
-    # the lane staged the counts and merged them at quiesce
+    # the callback's counts were staged and folded in at quiesce
     assert net.stats.sent == net.stats.delivered == 1
 
 
@@ -59,6 +61,26 @@ def test_one_execution_mode_no_selecting_options():
         assert not options & {"parallel", "incremental", "flood"}, target
     source = inspect.getsource(sim_module)
     assert "threading" not in source and "concurrent.futures" not in source
+
+
+def test_one_heap_no_lane_options():
+    """There is one heap: no lanes to count, no lookahead to promise, no
+    race detector for a concurrency that cannot occur."""
+    for target in (Scheduler, Network, run_overlay_instrumented):
+        options = set(inspect.signature(target).parameters)
+        assert not options & {"partitions", "lookahead", "sanitize"}, target
+    assert not inspect.signature(Scheduler).parameters
+    with pytest.raises(TypeError):
+        Network(partitions=1)
+    for name in ("CausalityError", "_Lane"):
+        assert not hasattr(sim_module, name)
+    for name in ("_lanes", "_rank_lane", "lane_of", "round_index"):
+        assert not hasattr(Scheduler(), name)
+    assert not hasattr(LatencyModel, "min_latency")
+    assert analysis_runner.FAMILIES == ("determinism", "verbs", "catalog")
+    for module in ("repro.analysis.lanesan", "repro.analysis.races"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
 
 
 class _Worker:
@@ -108,7 +130,7 @@ def test_timer_carries_arguments_without_a_closure():
     sched = Scheduler()
     seen = []
     sched.schedule(1.0, seen.append, "x")
-    (entry,) = [entry for lane in sched.contexts() for entry in lane.heap]
+    (entry,) = sched._heap
     assert isinstance(entry[4], Timer)
     assert entry[5] == seen.append and entry[6] == ("x",)
     sched.schedule(2.0, lambda *, tag: seen.append(tag), tag="y")
@@ -116,7 +138,7 @@ def test_timer_carries_arguments_without_a_closure():
     assert seen == ["x", "y"]
 
 
-# -- default SCI(): deterministic and partition-invariant ---------------------
+# -- default SCI(): deterministic ----------------------------------------------
 
 _COUNTERS = [
     (event_module, "_event_seq"),
@@ -128,16 +150,14 @@ _COUNTERS = [
 ]
 
 
-def _sci_digest(monkeypatch, partitions=None):
+def _sci_digest(monkeypatch):
     """Event-log digest of a small facade-driven run. The process-global id
     counters ride inside payloads, so each run starts them afresh."""
     for module, name in _COUNTERS:
         monkeypatch.setattr(module, name, itertools.count(1))
     log = EventLog()
-    extra = {} if partitions is None else {"partitions": partitions}
     monkeypatch.setattr(
-        api, "Network",
-        lambda **kwargs: Network(event_log=log, **extra, **kwargs))
+        api, "Network", lambda **kwargs: Network(event_log=log, **kwargs))
     sci = SCI()
     sci.create_range("livingstone", places=["livingstone"], hosts=["lab-pc"])
     sci.add_door_sensors("livingstone")
@@ -151,7 +171,6 @@ def _sci_digest(monkeypatch, partitions=None):
     sci.walk("bob", "L10.01")
     sci.run(30)
     assert app.last_event_value() == "L10.01"
-    assert sci.scheduler.partitions == (partitions or 1)
     return log.digest(), len(log)
 
 
@@ -159,8 +178,3 @@ def test_default_sci_is_repeatable(monkeypatch):
     first = _sci_digest(monkeypatch)
     assert first[1] > 50
     assert _sci_digest(monkeypatch) == first
-
-
-@pytest.mark.parametrize("partitions", [2, 4])
-def test_default_sci_matches_partitioned(monkeypatch, partitions):
-    assert _sci_digest(monkeypatch, partitions) == _sci_digest(monkeypatch)

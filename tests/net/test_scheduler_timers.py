@@ -1,12 +1,12 @@
-"""Timer lifecycle edge cases against every scheduler implementation.
+"""Timer lifecycle edge cases against both scheduler implementations.
 
 The ``pending`` counter (``_live``) is maintained incrementally on push,
 pop and cancel instead of scanning the heap; these tests pin the exactness
 of that bookkeeping through every path a cancellation can take: before the
 fire, after the fire, twice, from inside another callback, from inside the
 timer's *own* callback, and through a periodic re-arm chain. Parametrised
-over :class:`~repro.net.sim.Scheduler` (single-lane and sharded) and the
-test-side single-heap reference ("classic"), which reuses
+over :class:`~repro.net.sim.Scheduler` ("production") and the test-side
+single-heap reference ("classic"), which reuses
 :class:`~repro.net.sim.Timer` via its duck-typed ``_scheduler``
 back-reference and must keep the same contract.
 """
@@ -17,13 +17,9 @@ from repro.net.sim import Scheduler
 from tests.parallel.single_heap import SingleHeapScheduler
 
 
-@pytest.fixture(params=["classic", "partitioned-1", "partitioned-4"])
+@pytest.fixture(params=["classic", "production"])
 def sched(request):
-    if request.param == "classic":
-        return SingleHeapScheduler()
-    if request.param == "partitioned-1":
-        return Scheduler(partitions=1)
-    return Scheduler(partitions=4, lookahead=1.0)
+    return SingleHeapScheduler() if request.param == "classic" else Scheduler()
 
 
 def test_pending_is_exact_through_schedule_cancel_run(sched):
@@ -108,6 +104,17 @@ def test_periodic_cancel_stops_the_rearm_chain(sched):
     # cancelling the dead chain again stays a no-op
     handle.cancel()
     assert sched.pending == 0
+
+
+def test_periodic_cancel_between_ticks_drops_the_armed_tick(sched):
+    ticks = []
+    handle = sched.schedule_periodic(5.0, lambda: ticks.append(sched.now))
+    sched.run_until(12.0)
+    assert sched.pending == 1
+    handle.cancel()
+    assert sched.pending == 0
+    assert sched.run_until_idle() == 12.0
+    assert ticks == [5.0, 10.0]
 
 
 def test_same_instant_events_fire_in_schedule_order(sched):

@@ -127,8 +127,7 @@ class TestPendingCounter:
 
     @staticmethod
     def heap_scan(sched):
-        return sum(1 for lane in sched.contexts() for entry in lane.heap
-                   if not entry[4].cancelled)
+        return sum(1 for entry in sched._heap if not entry[4].cancelled)
 
     def test_counter_matches_heap_scan_under_churn(self):
         import random
@@ -171,6 +170,7 @@ class TestPendingCounter:
         sched.run_until(3.0)
         assert sched.pending == self.heap_scan(sched)
         handle.cancel()
+        assert sched.pending == self.heap_scan(sched) == 0
         sched.run_until_idle()
         assert sched.pending == self.heap_scan(sched) == 0
 
@@ -191,6 +191,35 @@ class TestPeriodic:
         handle.cancel()
         sched.run_until(10.0)
         assert len(ticks) == 3
+
+    def test_cancel_leaves_no_dead_tick_behind(self):
+        """Cancelling between ticks takes the armed tick out at once: it
+        is not pending, an idle scheduler does not advance to it, and it
+        is not counted as an event."""
+        sched = Scheduler()
+        ticks = []
+        handle = sched.schedule_periodic(5.0, lambda: ticks.append(sched.now))
+        sched.run_until(12.0)
+        assert ticks == [5.0, 10.0] and sched.pending == 1
+        handle.cancel()
+        assert sched.pending == 0
+        assert sched.run_until_idle() == 12.0
+        assert sched.events_processed == 2
+
+    def test_cancel_from_inside_the_callback_stops_the_chain(self):
+        sched = Scheduler()
+        ticks = []
+        holder = {}
+
+        def tick():
+            ticks.append(sched.now)
+            if len(ticks) == 2:
+                holder["handle"].cancel()
+
+        holder["handle"] = sched.schedule_periodic(1.0, tick)
+        sched.run_until_idle()
+        assert ticks == [1.0, 2.0]
+        assert sched.pending == 0
 
     def test_non_positive_interval_rejected(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.stats import (LaneStatsBuffer, MessageStats, percentile,
+from repro.net.stats import (StatsBuffer, MessageStats, percentile,
                              summarize)
 
 
@@ -75,7 +75,7 @@ class TestLaneStaging:
         """One long flush window whose latency steps up halfway: the slice
         handed to the registry must represent the whole window, not its
         first ``sample_cap`` deliveries."""
-        buffer = LaneStatsBuffer(seed=1)
+        buffer = StatsBuffer(seed=1)
         for index in range(5000):
             buffer.record_delivery("host", 1.0 if index < 2500 else 3.0)
         stats = MessageStats()
@@ -90,7 +90,7 @@ class TestLaneStaging:
 
     def test_staged_sample_is_reproducible(self):
         def staged():
-            buffer = LaneStatsBuffer(seed=4)
+            buffer = StatsBuffer(seed=4)
             for index in range(3000):
                 buffer.record_delivery("host", float(index % 89))
             return buffer.latency.samples

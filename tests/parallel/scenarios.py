@@ -1,16 +1,16 @@
-"""Fixed-seed mixed workload for the partitioned-substrate equivalence suite.
+"""Fixed-seed mixed workload for the scheduler equivalence suite.
 
 One scenario exercising every mechanism whose ordering the substrate must
-keep invariant: incremental overlay joins (a time-zero message burst),
+keep repeatable: incremental overlay joins (a time-zero message burst),
 a pub/sub publish storm fanning out through an Event Mediator, overlay
-routing probes, host-lane timers scheduled from inside delivery callbacks,
+routing probes, host timers scheduled from inside delivery callbacks,
 and a chaos episode (loss + host outage + network split) driven through
-control-lane barriers. Latencies are jittered (:class:`CampusLatency`), so
+control events. Latencies are jittered (:class:`CampusLatency`), so
 same-time cross-origin collisions — the one case where a global
 ``(time, sequence)`` heap and the canonical ``(when, origin_rank,
 origin_seq)`` order may legitimately differ — have measure zero, and the
-single-heap reference (:mod:`tests.parallel.single_heap`) is comparable
-too, not just partition counts against each other.
+single-heap reference (:mod:`tests.parallel.single_heap`) must leave the
+same log as the production scheduler.
 
 Two global counters would otherwise leak process history into payload
 digests when several configurations run in one pytest process:
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.ids import GUID
 from repro.core.types import TypeSpec
@@ -64,9 +64,9 @@ class StormPublisher(Process):
 
 
 class StormSubscriber(Process):
-    """Counts deliveries; every second one arms a lane timer that echoes a
+    """Counts deliveries; every second one arms a host timer that echoes a
     probe back — covering timers scheduled *from inside* host callbacks and
-    the cross-partition sends those timers make."""
+    the cross-host sends those timers make."""
 
     def __init__(self, guid, host_id, network, publisher_guid):
         super().__init__(guid, host_id, network, name=f"sub@{host_id}")
@@ -103,29 +103,22 @@ def _mint_events(guids) -> List[dict]:
     return events
 
 
-def run_scenario(partitions: Optional[int] = None, seed: int = 11,
-                 sanitize: bool = False,
+def run_scenario(reference_heap: bool = False, seed: int = 11,
                  reference_scan: bool = False) -> Dict[str, object]:
-    """Run the mixed scenario on one substrate configuration.
+    """Run the mixed scenario on the production scheduler, or on a reference.
 
-    ``partitions=None`` plugs in the single-heap reference scheduler; an
-    integer builds a :class:`~repro.net.sim.Scheduler` with that many
-    lanes. ``sanitize=True`` runs under the LaneSan race detector; the
-    result then carries the conflict list under ``race_conflicts``.
-    ``reference_scan=True`` swaps the storm's mediator for the linear
-    reference scan
-    (:mod:`tests.events.reference_scan`): the event log must not be able
-    to tell the two ways of matching apart.
+    ``reference_heap=True`` plugs in the single-heap reference scheduler
+    (:mod:`tests.parallel.single_heap`); ``reference_scan=True`` swaps the
+    storm's mediator for the linear reference scan
+    (:mod:`tests.events.reference_scan`). The event log must not be able
+    to tell either reference from production.
     """
     subscription_module._subscription_ids = itertools.count(1)
     log = EventLog()
-    latency = CampusLatency(local=0.05, remote=1.0, jitter=0.5)
-    if partitions is None:
-        net = Network(scheduler=SingleHeapScheduler(), latency_model=latency,
-                      seed=seed, event_log=log, sanitize=sanitize)
-    else:
-        net = Network(latency_model=latency, seed=seed, partitions=partitions,
-                      event_log=log, sanitize=sanitize)
+    net = Network(
+        scheduler=SingleHeapScheduler() if reference_heap else None,
+        latency_model=CampusLatency(local=0.05, remote=1.0, jitter=0.5),
+        seed=seed, event_log=log)
     for host in HOSTS:
         net.add_host(host)
 
@@ -161,7 +154,7 @@ def run_scenario(partitions: Optional[int] = None, seed: int = 11,
         net.scheduler.schedule_at(58.0 + 2.1 * j, origin.route, key, "probe",
                                   {"probe": j})
 
-    # -- chaos: loss, an outage and a network split, all control barriers
+    # -- chaos: loss, an outage and a network split, all control events
     injector = FaultInjector(net, seed=seed ^ 0xC4A)
     net.scheduler.schedule_at(65.2, injector.loss_episode, 0.3, 16.0)
     net.scheduler.schedule_at(72.9, injector.host_outage, "h3", 11.0)
@@ -170,7 +163,7 @@ def run_scenario(partitions: Optional[int] = None, seed: int = 11,
         [["h0", "h1", "h2", "h3"], ["h4", "h5", "h6", "h7"]], 8.0)
 
     net.run_until_idle()
-    result = {
+    return {
         "log": log,
         "digest": log.digest(),
         "per_host": log.per_host(),
@@ -189,6 +182,3 @@ def run_scenario(partitions: Optional[int] = None, seed: int = 11,
         "profile": {stats.site: stats.count
                     for stats in net.obs.profiler.sites()},
     }
-    if net.sanitizer is not None:
-        result["race_conflicts"] = net.sanitizer.conflicts()
-    return result

@@ -3,16 +3,14 @@
 One global binary heap keyed by ``(time, sequence)``: the monotonically
 increasing sequence number makes same-instant events fire in schedule
 order, whoever scheduled them. This was ``repro.net.sim.Scheduler`` before
-the lane scheduler became the only one in ``src/``; the differential
-suites plug it in through ``Network(scheduler=SingleHeapScheduler())`` to
-show that the canonical ``(when, origin_rank, origin_seq)`` order of the
-lanes yields the same per-host observables as the plain global order
-(under jittered latencies, where cross-origin same-time ties have measure
-zero).
+events carried a canonical key; the differential suites plug it in through
+``Network(scheduler=SingleHeapScheduler())`` to show that the canonical
+``(when, origin_rank, origin_seq)`` order yields the same per-host
+observables as the plain global order (under jittered latencies, where
+cross-origin same-time ties have measure zero).
 
-It speaks the transport-facing half of the lane API as one lane that is
-its own execution context: ``contexts()`` is ``[self]``, the staging
-buffer, trace stack and log buffer hang off the scheduler itself.
+It speaks the transport-facing half of the scheduler API (``running``,
+``register_host``, ``on_quiesce``, ``ambient_stack``) with one trace stack.
 """
 
 import heapq
@@ -23,24 +21,18 @@ from repro.net.sim import Timer, timer_owner
 
 
 class SingleHeapScheduler:
-    index = 0
-    partitions = 1
-
     def __init__(self):
         self.now = 0.0
         self._heap: List[tuple] = []
         self._sequence = itertools.count()
         self._live = 0
-        self._running = False
+        self.running = False
         self._quiesce_callbacks: List[Callable[[], None]] = []
         self.events_processed = 0
-        self.round_index = 0
         self.profiler = None
         self.event_log = None
         self.bound_network = None
-        self.stats = None
         self.trace_stack: list = []
-        self.log_buffer: List[tuple] = []
 
     # -- scheduling ---------------------------------------------------------
 
@@ -68,14 +60,19 @@ class SingleHeapScheduler:
             raise ValueError(f"non-positive interval: {interval}")
         handle = Timer(self.now + interval, fn, created_at=self.now)
 
+        def arm():
+            handle.when = self.now + interval
+            handle._scheduler = self
+            heapq.heappush(self._heap, (handle.when, next(self._sequence),
+                                        handle, tick))
+            self._live += 1
+
         def tick():
-            if handle.cancelled:
-                return
             fn()
             if not handle.cancelled:
-                handle.when = self.schedule(interval, tick).when
+                arm()
 
-        handle.when = self.schedule(interval, tick).when
+        arm()
         return handle
 
     def schedule_delivery(self, source_host: str, target_host: str,
@@ -89,7 +86,7 @@ class SingleHeapScheduler:
     def run_until_idle(self, max_time: Optional[float] = None,
                        max_events: int = 10_000_000) -> float:
         processed = 0
-        self._running = True
+        self.running = True
         try:
             while self._heap:
                 when, _seq, timer, bound = self._heap[0]
@@ -101,8 +98,8 @@ class SingleHeapScheduler:
                         continue
                     timer._scheduler = None
                     if self.event_log is not None and timer.owner is not None:
-                        self.log_buffer.append(
-                            (when, timer.owner, "timer", timer.site))
+                        self.event_log.record_timer(timer.owner, when,
+                                                    timer.site)
                 self._live -= 1
                 self.now = when
                 bound()
@@ -111,7 +108,7 @@ class SingleHeapScheduler:
                     raise RuntimeError(
                         f"scheduler exceeded {max_events} events; runaway loop?")
         finally:
-            self._running = False
+            self.running = False
             self.events_processed += processed
         if max_time is not None and self.now < max_time:
             self.now = max_time  # time passes even when nothing is scheduled
@@ -131,26 +128,13 @@ class SingleHeapScheduler:
     def pending(self) -> int:
         return self._live
 
-    # -- the transport-facing lane API, for one lane --------------------------
+    # -- the transport-facing half of the scheduler API -----------------------
 
     def register_host(self, host_id: str) -> int:
         return 0
-
-    def contexts(self) -> list:
-        return [self]
-
-    @property
-    def current_context(self):
-        return self if self._running else None
 
     def on_quiesce(self, callback: Callable[[], None]) -> None:
         self._quiesce_callbacks.append(callback)
 
     def ambient_stack(self) -> list:
         return self.trace_stack
-
-    def current_log_buffer(self) -> List[tuple]:
-        return self.log_buffer
-
-    def log_buffers(self) -> List[List[tuple]]:
-        return [self.log_buffer]

@@ -2,29 +2,27 @@
 
 The scheduler's contract is that the observable event log — message
 deliveries and timer firings per host, in ``(time, execution)`` order —
-is bit-identical for a fixed seed across partition counts.
-``partitions=1`` is the reference (one lane, unbounded horizon — what a
-default deployment runs); every other configuration must match it entry
-for entry, not merely digest for digest, so a failure pinpoints the first
-diverging host and record.
+is a function of the seed alone. The production run is the fixture; the
+references must match it entry for entry, not merely digest for digest,
+so a failure pinpoints the first diverging host and record.
 
-The single-heap reference (:mod:`tests.parallel.single_heap`) is compared
-too: on the jittered-latency scenario, same-time cross-origin collisions
-(the only orderings where the global-heap and canonical-key orders may
-differ) have measure zero, so its output must also be identical.
+The single-heap reference (:mod:`tests.parallel.single_heap`): on the
+jittered-latency scenario, same-time cross-origin collisions (the only
+orderings where the global-heap and canonical-key orders may differ) have
+measure zero, so its output must be identical. The reference-scan
+mediator: how a publish is matched must not show in the log.
 """
 
 import pytest
 
 from tests.parallel.scenarios import run_scenario
 
-PARTITION_COUNTS = (2, 4, 8)
-
 
 @pytest.fixture(scope="module")
 def reference():
-    """The single-lane partitioned run every configuration must match."""
-    return run_scenario(partitions=1)
+    """The production run (one heap, canonical key) both references must
+    match."""
+    return run_scenario()
 
 
 def _assert_equivalent(result, reference):
@@ -46,19 +44,13 @@ def _assert_equivalent(result, reference):
         assert result[key] == reference[key], f"model diverged on {key}"
 
 
-@pytest.mark.parametrize("partitions", PARTITION_COUNTS)
-def test_partitioned_serial_matches_single_lane(partitions, reference):
-    _assert_equivalent(run_scenario(partitions=partitions), reference)
-
-
 def test_classic_scheduler_matches_single_lane(reference):
-    _assert_equivalent(run_scenario(partitions=None), reference)
+    _assert_equivalent(run_scenario(reference_heap=True), reference)
 
 
 def test_reference_scan_mediator_matches_single_lane(reference):
     """Dispatch by operator graph and by linear scan leave the same log."""
-    _assert_equivalent(run_scenario(partitions=1, reference_scan=True),
-                       reference)
+    _assert_equivalent(run_scenario(reference_scan=True), reference)
 
 
 def test_scenario_is_not_trivial(reference):

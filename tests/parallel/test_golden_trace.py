@@ -1,11 +1,11 @@
-"""Golden-trace determinism regression for the partitioned substrate.
+"""Golden-trace determinism regression for the scheduler and transport.
 
-The differential harness proves configurations agree with *each other
-within one run of the suite*; this test pins the canonical log to a
-digest minted when the substrate landed, so an accidental semantic
-change — a reordered heap key, a latency draw moved to a different RNG
-stream, an extra observable — fails loudly even if it shifts every
-configuration identically.
+The differential harness proves production and the references agree with
+*each other within one run of the suite*; this test pins the canonical
+log to a digest minted when the canonical key landed, so an accidental
+semantic change — a reordered heap key, a latency draw moved to a
+different RNG stream, an extra observable — fails loudly even if it
+shifts all of them identically.
 
 If a PR changes observable behaviour *on purpose* (new message kinds in
 the scenario's path, a latency model change), re-mint the constants:
@@ -16,12 +16,10 @@ run_scenario; r = run_scenario(); print(r['digest'], r['entries'])"
 and say so in the PR — this file changing is the signal reviewers key on.
 """
 
-import pytest
-
 from tests.parallel.scenarios import run_scenario
 
 #: blake2b-128 of the canonical per-host event log of
-#: ``run_scenario(seed=11)`` — identical for every configuration below
+#: ``run_scenario(seed=11)`` — production and the reference heap alike
 GOLDEN_DIGEST = "0ad2b786f40e4f14995d7bdce5d93b4a"
 GOLDEN_ENTRIES = 181
 
@@ -41,22 +39,12 @@ GOLDEN_PROFILE = {
     "StormSubscriber._echo": 24,
 }
 
-CONFIGURATIONS = [
-    pytest.param(1, id="partitions=1"),
-    pytest.param(2, id="partitions=2"),
-    pytest.param(4, id="partitions=4"),
-    pytest.param(8, id="partitions=8"),
-]
-
-
-@pytest.mark.parametrize("partitions", CONFIGURATIONS)
-def test_golden_trace(partitions):
-    result = run_scenario(partitions=partitions)
+def test_golden_trace():
+    result = run_scenario()
     assert result["entries"] == GOLDEN_ENTRIES
     assert result["digest"] == GOLDEN_DIGEST, (
-        f"partitions={partitions} produced digest "
-        f"{result['digest']} — observable behaviour changed; if intended, "
-        "re-mint the constants (see module docstring)")
+        f"digest {result['digest']} — observable behaviour changed; if "
+        "intended, re-mint the constants (see module docstring)")
     assert result["profile"] == GOLDEN_PROFILE
 
 
@@ -64,6 +52,6 @@ def test_golden_trace_classic_scheduler():
     """The single-heap reference scheduler reproduces the same golden log
     on this jittered scenario (see test_differential for why ties are the
     only configurations where it could differ)."""
-    result = run_scenario(partitions=None)
+    result = run_scenario(reference_heap=True)
     assert result["entries"] == GOLDEN_ENTRIES
     assert result["digest"] == GOLDEN_DIGEST

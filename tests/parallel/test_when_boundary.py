@@ -1,14 +1,15 @@
-"""The enters-trigger vs expiry-sweep race, pinned across substrates.
+"""The enters-trigger vs expiry-sweep race, pinned across schedulers.
 
 A parked ``enters(...) until(T)`` query has two ways to leave the parked
 list: the triggering entry event, or the Context Server's 10-unit expiry
 sweep. When the entry lands exactly at ``T`` — which is also a sweep tick
-here — the two are same-sim-time work items, and partitioned schedulers
-may legitimately run them in either order. The When boundary is inclusive
+here — the two are same-sim-time work items, and which runs first is the
+scheduler's tie rule (the canonical key and the reference heap's
+insertion order need not agree). The When boundary is inclusive
 precisely so the order cannot matter: at ``now == T`` the trigger path
-refuses exactly where the sweep would drop, so every configuration
-(the single-heap reference and every partition count) reports the same single
-"query expired while parked" failure and zero executions.
+refuses exactly where the sweep would drop, so the production scheduler
+and the single-heap reference report the same single "query expired while
+parked" failure and zero executions.
 """
 
 import itertools
@@ -29,21 +30,16 @@ from repro.server.deployment import standard_templates
 from repro.server.range import RangeDefinition
 from tests.parallel.single_heap import SingleHeapScheduler
 
-PARTITION_COUNTS = (2, 4, 8)
 #: the until() instant — deliberately a multiple of the 10-unit sweep
 #: period, so the sweep timer and the entry fix collide at equal sim-time
 EXPIRY = 30.0
 
 
-def run_boundary_scenario(partitions, fix_time=EXPIRY, seed=11):
+def run_boundary_scenario(reference_heap=False, fix_time=EXPIRY, seed=11):
     """One mini deployment; returns the observable outcome of the race."""
     subscription_module._subscription_ids = itertools.count(1)
-    if partitions is None:
-        net = Network(scheduler=SingleHeapScheduler(),
-                      latency_model=FixedLatency(1.0), seed=seed)
-    else:
-        net = Network(latency_model=FixedLatency(1.0), seed=seed,
-                      partitions=partitions)
+    net = Network(scheduler=SingleHeapScheduler() if reference_heap else None,
+                  latency_model=FixedLatency(1.0), seed=seed)
     net.add_host("host-a")
     net.add_host("host-b")
     guids = GuidFactory(seed=7)
@@ -87,8 +83,8 @@ def run_boundary_scenario(partitions, fix_time=EXPIRY, seed=11):
 
 @pytest.fixture(scope="module")
 def reference():
-    """The single-lane partitioned outcome every substrate must match."""
-    return run_boundary_scenario(partitions=1)
+    """The production scheduler's outcome the reference heap must match."""
+    return run_boundary_scenario()
 
 
 def test_boundary_expires_instead_of_executing(reference):
@@ -100,19 +96,14 @@ def test_boundary_expires_instead_of_executing(reference):
     assert all(ok is not True for ok, _ in reference["results"])
 
 
-@pytest.mark.parametrize("partitions", PARTITION_COUNTS)
-def test_boundary_outcome_is_partition_invariant(partitions, reference):
-    assert run_boundary_scenario(partitions=partitions) == reference
-
-
 def test_classic_scheduler_matches_single_lane(reference):
-    assert run_boundary_scenario(partitions=None) == reference
+    assert run_boundary_scenario(reference_heap=True) == reference
 
 
 def test_trigger_before_expiry_still_wins():
     """Off the boundary the race disappears: the entry fix at T-0.5
     executes the query before any sweep can see it as expired."""
-    outcome = run_boundary_scenario(partitions=2, fix_time=EXPIRY - 0.5)
+    outcome = run_boundary_scenario(fix_time=EXPIRY - 0.5)
     assert outcome["failed"] == 0
     assert outcome["executed"] == 1
     assert any(ok for ok, _ in outcome["results"])

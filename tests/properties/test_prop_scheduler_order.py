@@ -1,19 +1,18 @@
-"""Property: partitioned execution ≡ the single-queue order, per host.
+"""Property: the canonical key order ≡ the plain insertion order, per host.
 
 Hypothesis draws whole workloads — host counts, relay topologies, hop
-delays, timer arm/cancel interleavings, a jittered latency model and a
-partition count — and asserts that the canonical per-host event log of a
-``partitions=k`` run is identical to the ``partitions=1`` single-queue
-reference, and that the global ``(time, sequence)`` heap of
-:mod:`tests.parallel.single_heap` agrees too (jittered latencies make the
-same-time cross-origin ties where it could differ measure-zero).
+delays, timer arm/cancel interleavings and a jittered latency model — and
+asserts that the canonical per-host event log of the production scheduler
+is identical to that of the global ``(time, sequence)`` heap of
+:mod:`tests.parallel.single_heap` (jittered latencies make the same-time
+cross-origin ties where the two could differ measure-zero).
 
 This generalises ``tests/parallel/test_differential.py`` from one curated
 scenario to the space of random relay workloads; shrinking hands back the
 smallest message pattern that breaks the equivalence.
 """
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +27,7 @@ HOST_POOL = tuple(f"m{i}" for i in range(6))
 class RelayProcess(Process):
     """Forwards a "hop" message along the path carried in its payload.
 
-    Each hop may also arm a lane timer; a process holding a previous timer
+    Each hop may also arm a host timer; a process holding a previous timer
     handle cancels it on the next arming — under drawn delays that cancel
     can land before or after the old timer fired, covering both branches
     of lazy cancellation inside the property.
@@ -65,17 +64,13 @@ class RelayProcess(Process):
         self.ticks += 1
 
 
-def run_workload(workload: dict,
-                 partitions: Optional[int]) -> Dict[str, object]:
+def run_workload(workload: dict, reference_heap: bool) -> Dict[str, object]:
     log = EventLog()
-    latency = UniformLatency(workload["lat_low"],
-                             workload["lat_low"] + workload["lat_spread"])
-    if partitions is None:
-        net = Network(scheduler=SingleHeapScheduler(), latency_model=latency,
-                      seed=workload["seed"], event_log=log)
-    else:
-        net = Network(latency_model=latency, seed=workload["seed"],
-                      partitions=partitions, event_log=log)
+    net = Network(
+        scheduler=SingleHeapScheduler() if reference_heap else None,
+        latency_model=UniformLatency(
+            workload["lat_low"], workload["lat_low"] + workload["lat_spread"]),
+        seed=workload["seed"], event_log=log)
     hosts = HOST_POOL[:workload["n_hosts"]]
     for host in hosts:
         net.add_host(host)
@@ -114,7 +109,6 @@ workloads = st.fixed_dictionaries({
     "seed": st.integers(0, 2**16),
     "n_procs": st.integers(3, 10),
     "n_hosts": st.integers(2, len(HOST_POOL)),
-    "partitions": st.sampled_from([2, 3, 4, 8]),
     "lat_low": st.floats(0.5, 1.5),
     "lat_spread": st.floats(0.1, 1.0),
     "messages": st.lists(
@@ -131,20 +125,11 @@ workloads = st.fixed_dictionaries({
 
 @given(workload=workloads)
 @settings(max_examples=30, deadline=None)
-def test_partitioned_matches_single_queue(workload):
-    reference = run_workload(workload, partitions=1)
-    sharded = run_workload(workload, partitions=workload["partitions"])
-    assert sharded["per_host"] == reference["per_host"]
+def test_production_matches_reference_heap(workload):
+    production = run_workload(workload, reference_heap=False)
+    reference = run_workload(workload, reference_heap=True)
+    assert production["per_host"] == reference["per_host"]
     for key in ("digest", "hops", "ticks", "sent", "delivered", "pending"):
-        assert sharded[key] == reference[key], f"diverged on {key}"
+        assert production[key] == reference[key], f"diverged on {key}"
     # all events drained: a live pending count would mean _live leaked
-    assert reference["pending"] == 0
-
-
-@given(workload=workloads)
-@settings(max_examples=15, deadline=None)
-def test_classic_scheduler_matches_single_queue(workload):
-    reference = run_workload(workload, partitions=1)
-    classic = run_workload(workload, partitions=None)
-    assert classic["per_host"] == reference["per_host"]
-    assert classic["digest"] == reference["digest"]
+    assert production["pending"] == 0

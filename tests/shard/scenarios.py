@@ -2,8 +2,9 @@
 
 One scenario exercised against the single linear reference scan
 (:mod:`tests.events.reference_scan`), a single :class:`EventMediator` and
-:class:`ShardedEventMediator` at several shard counts (and on the
-partitioned scheduler), logging every delivery **per subscription**. The
+:class:`ShardedEventMediator` at several shard counts (on the reference
+heap and on the production scheduler), logging every delivery **per
+subscription**. The
 sharded mediator's contract is that per-subscription delivery logs are
 identical entry for entry — same events, same values, same order — for
 every filter shape: exact ``(type, subject)`` trackers, type monitors,
@@ -17,7 +18,7 @@ exact-key churn may happen mid-storm. Routed filters fan out on the
 router one extra hop later in the sharded configuration — delivery *time*
 shifts, delivery *content and order* must not — so routed-table mutations
 and shard rebalances are scheduled at drained boundaries between storms,
-which is also the sharding concurrency contract's legal mutation point.
+which is also the sharding ownership contract's legal mutation point.
 
 Two global counters would otherwise leak process history across the
 configurations run in one pytest process: ``ContextEvent.seq`` (events
@@ -28,7 +29,7 @@ per run).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.ids import GUID, GuidFactory
 from repro.core.types import TypeSpec
@@ -109,7 +110,7 @@ def _mint_events(source_guids: GuidFactory) -> List[List[dict]]:
     return storms
 
 
-def run_scenario(shards: int = 1, partitions: Optional[int] = None,
+def run_scenario(shards: int = 1, reference_heap: bool = True,
                  rebalance: bool = True, seed: int = 23,
                  reference: bool = False) -> Dict[str, object]:
     """Run the scenario; ``shards=1`` is one plain mediator — with
@@ -117,19 +118,16 @@ def run_scenario(shards: int = 1, partitions: Optional[int] = None,
     configuration is compared against.
 
     ``rebalance`` grows and then drains a shard between storms (a no-op
-    for the plain mediator). ``partitions=None`` runs on the single-heap
-    reference scheduler; an integer runs the whole thing on that many
-    lanes — publishes and mutations are all scheduled from external
-    context, i.e. on the control lane, where routing into host lanes and
-    mutating router structures are both legal.
+    for the plain mediator). By default the run is on the single-heap
+    reference scheduler (insertion order at the ties the fixed latency
+    makes everywhere); ``reference_heap=False`` runs it on the production
+    scheduler, whose canonical key breaks those ties by origin —
+    publishes and mutations are all scheduled from external context, i.e.
+    as control events, where mutating router structures is legal.
     """
     subscription_module._subscription_ids = itertools.count(1)
-    if partitions is None:
-        net = Network(scheduler=SingleHeapScheduler(),
-                      latency_model=FixedLatency(1.0), seed=seed)
-    else:
-        net = Network(latency_model=FixedLatency(1.0), seed=seed,
-                      partitions=partitions)
+    net = Network(scheduler=SingleHeapScheduler() if reference_heap else None,
+                  latency_model=FixedLatency(1.0), seed=seed)
     for host in HOSTS:
         net.add_host(host)
     guids = GuidFactory(seed=seed ^ 0x51)
