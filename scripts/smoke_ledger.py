@@ -11,6 +11,10 @@ then expires (the PR-4 failure-detection path). The gate asserts:
   checkpoint captured by a scheduler callback;
 * **chain integrity**: every per-shard hash chain verifies end-to-end
   and the per-chain totals add up to the merged stream;
+* **one book**: one ``register`` entry per registration the Registrar
+  counted, one ``depart`` per departure it announced, and no kind outside
+  ``ENTRY_KINDS``; entries and canonical bytes (what ``verify`` re-hashes)
+  are printed per kind;
 * **artefact round-trip**: the exported JSONL validates, reloads, and
   projects to the same digest as the live books;
 * **time travel**: historical membership flips across the crash (the
@@ -22,6 +26,7 @@ Exits non-zero on any failure, so CI can gate on it. Usage::
     PYTHONPATH=src python scripts/smoke_ledger.py
 """
 
+import collections
 import pathlib
 import sys
 import tempfile
@@ -31,7 +36,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
 from repro import SCI  # noqa: E402
 from repro.core.api import SCIConfig  # noqa: E402
-from repro.ledger.ledger import load_ledger_jsonl, write_ledger_jsonl  # noqa: E402
+from repro.ledger.ledger import (ENTRY_KINDS, _canonical,  # noqa: E402
+                                 load_ledger_jsonl, write_ledger_jsonl)
 from repro.ledger.replay import (ReplayProjector, live_snapshot,  # noqa: E402
                                  projection_snapshot, snapshot_digest)
 
@@ -49,6 +55,14 @@ def check(condition, label):
 def run_scenario():
     sci = SCI(config=SCIConfig(seed=SEED, lease_duration=15.0))
     server = sci.create_range("level10", places=["L10"], hosts=["lab-pc"])
+    departures = []
+    announce = server.registrar.on_departure
+
+    def departed(record, reason):
+        departures.append(record.entity_hex)
+        announce(record, reason)
+
+    server.registrar.on_departure = departed
     sci.add_door_sensors("level10")
     sci.add_person("bob", room="corridor")
     app = sci.create_application("pathApp", host="lab-pc")
@@ -67,13 +81,30 @@ def run_scenario():
     sci.scheduler.schedule_at(CRASH_AT, sci.injector.crash, victim)
     sci.walk("bob", "L10.01")
     sci.run_until(55)
-    return sci, server, app, captured, victim.guid.hex
+    return sci, server, app, captured, victim.guid.hex, departures
+
+
+def print_kind_table(entries):
+    """Entries and canonical bytes per kind: what every audit re-hashes."""
+    counts, sizes = collections.Counter(), collections.Counter()
+    for entry in entries:
+        counts[entry.kind] += 1
+        sizes[entry.kind] += len(_canonical(
+            [entry.shard_rank, entry.seq, entry.sim_time, entry.kind,
+             entry.payload]))
+    total = sum(sizes.values())
+    print(f"smoke-ledger: {'kind':<15}{'entries':>8}{'bytes':>9}{'share':>7}")
+    for kind in ENTRY_KINDS:
+        print(f"smoke-ledger: {kind:<15}{counts[kind]:>8}{sizes[kind]:>9}"
+              f"{sizes[kind] / total:>7.1%}")
+    print(f"smoke-ledger: {'total':<15}{len(entries):>8}{total:>9}")
+    return counts
 
 
 def main() -> int:
     ok = True
     print("smoke-ledger: seeded crash scenario with mid-run checkpoint...")
-    sci, server, app, captured, victim_hex = run_scenario()
+    sci, server, app, captured, victim_hex, departures = run_scenario()
     entries = server.ledger_entries()
     kinds = {entry.kind for entry in entries}
     expired = any(entry.kind == "depart"
@@ -84,6 +115,15 @@ def main() -> int:
                 f"scenario is non-trivial ({len(entries)} entries, "
                 f"{len(kinds)} kinds, the crash recorded as a lease-expired "
                 f"depart)")
+
+    counts = print_kind_table(entries)
+    ok &= check(counts["register"] == server.registrar.registrations
+                and counts["depart"] == len(departures) > 0
+                and set(counts) <= set(ENTRY_KINDS),
+                f"one book: {counts['register']} register entries for "
+                f"{server.registrar.registrations} registrations, "
+                f"{counts['depart']} depart for {len(departures)} "
+                f"departures, every kind within the {len(ENTRY_KINDS)}")
 
     live = live_snapshot(server)
     projected = projection_snapshot(server.ledger_projection())

@@ -26,8 +26,10 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
 #: artefact format marker; bump on incompatible changes (any other version is
-#: refused: /1 files carry lease renewals the projector has no rule for)
-LEDGER_SCHEMA = "sci.ledger/2"
+#: refused: /1 files carry lease renewals and /2 files a second, Profile
+#: Manager copy of every arrival and departure, kinds the projector has no
+#: rule for)
+LEDGER_SCHEMA = "sci.ledger/3"
 
 #: the chain anchor every rank starts from
 GENESIS_HASH = "0" * 32
@@ -37,8 +39,6 @@ GENESIS_HASH = "0" * 32
 ENTRY_KINDS = (
     "register",        # registrar: a component (re-)registered
     "depart",          # registrar: deregistration / eviction / expulsion
-    "profile-add",     # profile manager: profile (re-)stored
-    "profile-remove",  # profile manager: profile dropped
     "profile-update",  # profile manager: attribute patch applied
     "subscribe",       # mediator: subscription established
     "unsubscribe",     # mediator: subscription torn down

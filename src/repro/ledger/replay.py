@@ -8,17 +8,16 @@ this, snapshot-for-snapshot, across shard counts.
 
 Authority split — who rebuilds what:
 
-* ``register`` / ``depart`` (Registrar's chain) rebuild the **membership
-  view**: who is in the range, their kind, host and when they registered.
-  Lease renewals are not lifecycle events and are not recorded: a lease
-  that ran out shows as ``depart`` with ``reason: lease-expired``, and the
-  moving expiry deadline is the live Registrar's business, outside the
-  audited view. Profile *contents* are deliberately out of scope here —
-  attributes mutate after registration.
-* ``profile-add`` / ``profile-remove`` / ``profile-update`` (Profile
-  Manager's chain) rebuild the **profile view** independently, so
-  attribute patches replay without any aliasing between the registrar's
-  records and the profile store.
+* ``register`` / ``depart`` (the Registrar's entries) rebuild the
+  **membership view** — who is in the range, their kind, host and when
+  they registered — *and* the **profile view**: a range has one membership
+  book, so the profile and advertisements a ``register`` entry froze are
+  the projected copy, and ``depart`` clears both. Lease renewals are not
+  lifecycle events and are not recorded: a lease that ran out shows as
+  ``depart`` with ``reason: lease-expired``, and the moving expiry deadline
+  is the live Registrar's business, outside the audited view.
+* ``profile-update`` (the one fact the Profile Manager originates) patches
+  the attributes of the projected copy, never the entry it was copied from.
 * ``subscribe`` / ``unsubscribe`` / ``delivery`` / ``retain`` /
   ``retain-evict`` (mediator chains) rebuild subscriptions, per-
   subscription delivery counts and the retained store. Shard migration is
@@ -103,13 +102,6 @@ class ReplayProjector:
             "host": payload["host"],
             "registered_at": payload["registered_at"],
         }
-
-    def _apply_depart(self, payload: Dict[str, Any]) -> None:
-        self.state.records.pop(payload["entity"], None)
-
-    # -- profile-manager chain ------------------------------------------------
-
-    def _apply_profile_add(self, payload: Dict[str, Any]) -> None:
         # deep-copied: profile-update patches the projected wire in place,
         # and the original dict belongs to an already-hashed ledger entry
         self.state.profiles[payload["entity"]] = {
@@ -117,8 +109,11 @@ class ReplayProjector:
             "advertisements": list(payload["advertisements"]),
         }
 
-    def _apply_profile_remove(self, payload: Dict[str, Any]) -> None:
+    def _apply_depart(self, payload: Dict[str, Any]) -> None:
+        self.state.records.pop(payload["entity"], None)
         self.state.profiles.pop(payload["entity"], None)
+
+    # -- profile manager ------------------------------------------------------
 
     def _apply_profile_update(self, payload: Dict[str, Any]) -> None:
         stored = self.state.profiles.get(payload["entity"])
@@ -163,8 +158,6 @@ class ReplayProjector:
     _PROJECTORS = {
         "register": _apply_register,
         "depart": _apply_depart,
-        "profile-add": _apply_profile_add,
-        "profile-remove": _apply_profile_remove,
         "profile-update": _apply_profile_update,
         "subscribe": _apply_subscribe,
         "unsubscribe": _apply_unsubscribe,

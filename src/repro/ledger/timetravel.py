@@ -12,7 +12,7 @@ projected profiles.
 merged entry stream and links the binding back to the exact hash-stable
 entry references that produced it — the query's own lifecycle entries
 plus, for every bound entity, the ``register`` entry that made it
-eligible.
+eligible (the same entry the projected profile was copied from).
 """
 
 from __future__ import annotations
@@ -71,16 +71,12 @@ class AsOfView:
         """Profiles of context-providing entities live at this instant.
 
         Mirrors ``ContextServer._resolver_profiles``: CAAs provide no
-        context, so only ``ce`` / ``infrastructure`` records qualify.
+        context, so only ``ce`` / ``infrastructure`` records qualify (every
+        projected record has its profile: ``register`` fills both views).
         """
-        profiles = []
-        for entity_hex, record in self.state.records.items():
-            if record["kind"] not in ("ce", "infrastructure"):
-                continue
-            stored = self.state.profiles.get(entity_hex)
-            if stored is not None:
-                profiles.append(Profile.from_wire(stored["profile"]))
-        return profiles
+        return [Profile.from_wire(self.state.profiles[entity_hex]["profile"])
+                for entity_hex, record in self.state.records.items()
+                if record["kind"] in ("ce", "infrastructure")]
 
     def providers_of(self, type_name: str) -> List[str]:
         """Entity hexes that offered ``type_name`` at this instant."""

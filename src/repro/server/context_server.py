@@ -118,6 +118,9 @@ class ContextServer(Process):
             "cs.ledger.asof_reads",
             "historical as-of views answered from the ledger",
             labels=("range",))
+        self._routed_counter = network.obs.metrics.counter(
+            "cs.query.routed", "queries routed per range and outcome",
+            labels=("range", "status"))
 
         # -- Context Utilities (Section 3.1's core set) -----------------------
         # the range mediator runs in reliable (ack/retry + sequenced) mode
@@ -148,7 +151,7 @@ class ContextServer(Process):
                                    lease_duration=lease_duration,
                                    ledger=self.ledger)
         self.profiles = ProfileManager(self.guids.mint(), host_id, network,
-                                       definition.name,
+                                       self.registrar, definition.name,
                                        ledger=self.ledger)
         self.location = LocationService(self.guids.mint(), host_id, network,
                                         building, definition.name)
@@ -192,7 +195,6 @@ class ContextServer(Process):
         self.registrar.on_arrival = self._entity_arrived
         self.registrar.on_departure = self._entity_departed
         self.registrar.on_replacement = self._entity_replaced
-        self.profiles.on_device_change = self.registrar.retag
         # the Location Service consumes every location and door-presence
         # event in the range ("each range monitors internal activity")
         self.mediator.add_subscription(self.location.guid,
@@ -236,7 +238,6 @@ class ContextServer(Process):
         # notify=False skips on_arrival, so patch the provider index here
         # (the version was bumped by register_record)
         self.resolver.note_profile_added(record.profile)
-        self.profiles.add(entity.profile, entity.advertisements)
 
     def _entity_arrived(self, record: RegistrationRecord) -> None:
         # CAAs provide no context: a None delta advances the version chain
@@ -256,7 +257,6 @@ class ContextServer(Process):
         self._admit(record)
 
     def _admit(self, record: RegistrationRecord) -> None:
-        self.profiles.add(record.profile, record.advertisements)
         home = record.profile.attributes.get("room")
         if home and record.profile.entity_class != EntityClass.SOFTWARE:
             try:
@@ -269,7 +269,6 @@ class ContextServer(Process):
         entity_hex = record.entity_hex
         self.resolver.note_profile_removed(
             entity_hex if _provides(record) else None)
-        self.profiles.remove(entity_hex)
         self.location.forget(record.profile.name)
         self.mediator.remove_subscriber(record.profile.entity_id)
         affected = self.configurations.handle_entity_departure(entity_hex)
@@ -333,10 +332,7 @@ class ContextServer(Process):
         Returns ``(status, error)`` with error None on success.
         """
         status, error = self._route_query(query, subscriber_hex)
-        self.network.obs.metrics.counter(
-            "cs.query.routed", "queries routed per range and outcome",
-            labels=("range", "status")).inc(
-                range=self.definition.name, status=status)
+        self._routed_counter.inc(range=self.definition.name, status=status)
         self._log_query(query.query_id, "routed", status=status,
                         mode=query.mode.value, when=str(query.when),
                         subscriber=subscriber_hex,

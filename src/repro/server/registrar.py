@@ -11,7 +11,9 @@ lease, the components it registered that are still running on its host. A
 missed lease means the entity crashed or left without deregistering, and the
 Registrar evicts it — which is what ultimately triggers configuration
 repair. The ledger records the lifecycle (``register``, ``depart`` with its
-reason), not the renewals in between.
+reason), not the renewals in between. The records are the range's one
+membership book: the Profile Manager serves and patches the profiles they
+hold instead of keeping copies.
 
 Beside the records the Registrar keeps the **What index**: the three
 selections a query's What clause can make (Section 4.1: a named entity, an
@@ -152,6 +154,11 @@ class Registrar(Process):
 
     def population(self) -> int:
         return len(self._records)
+
+    def named(self, name: str) -> Optional[RegistrationRecord]:
+        """The earliest-registered record of that name (``matching`` order)."""
+        bucket = self._by_name.get(name)
+        return min(bucket.values(), key=_name_then_order) if bucket else None
 
     def matching(self, what: WhatClause) -> List[RegistrationRecord]:
         """Records a What clause selects, by name then registration order.
@@ -295,7 +302,7 @@ class Registrar(Process):
             profile = Profile.from_wire(message.payload["profile"])
             advertisements = [Advertisement.from_wire(item)
                               for item in message.payload.get("advertisements", [])]
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             self.reply(message, "register-ack", {"ok": False, "error": str(exc)})
             return
         sender = self.network.process(message.sender)
@@ -334,7 +341,11 @@ class Registrar(Process):
             record = self._records.get(entity_hex)
             if record is None:
                 unknown += 1
-                self.send(GUID.from_hex(entity_hex), "deregistered",
+                try:
+                    address = GUID.from_hex(entity_hex)
+                except (TypeError, ValueError):
+                    continue  # counted; an id that does not parse names nobody
+                self.send(address, "deregistered",
                           {"reason": "not-registered"})
             elif record.lease_expiry is not None:
                 record.lease_expiry = expiry

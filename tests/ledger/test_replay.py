@@ -18,9 +18,7 @@ def build_ledger():
     ledger.append(1.0, "register", {
         "entity": "aa", "name": "S1", "kind": "ce", "host": "h1",
         "registered_at": 1.0,
-        "profile": _profile_wire("aa", "S1"), "advertisements": []})
-    ledger.append(2.0, "profile-add", {
-        "entity": "aa", "profile": _profile_wire("aa", "S1", room="L10.01"),
+        "profile": _profile_wire("aa", "S1", room="L10.01"),
         "advertisements": []})
     ledger.append(3.0, "register", {
         "entity": "bb", "name": "S2", "kind": "ce", "host": "h1",
@@ -49,21 +47,38 @@ class TestProjection:
         assert state.records["aa"] == {"name": "S1", "kind": "ce",
                                        "host": "h1", "registered_at": 1.0}
         assert set(state.records) == {"aa", "bb"}
-        assert state.entries_applied == 8
+        assert state.entries_applied == 7
 
     def test_profile_update_patches_attributes(self):
         state = ReplayProjector.from_entries(build_ledger().entries()).state
         assert state.profiles["aa"]["profile"]["attributes"] == \
             {"room": "L10.02"}
 
+    def test_register_is_the_profile_in_force(self):
+        # one book: the membership entry carries the profile view too, and
+        # a re-registration replaces the patched copy wholesale
+        ledger = build_ledger()
+        state = ReplayProjector.from_entries(ledger.entries()).state
+        assert set(state.profiles) == set(state.records) == {"aa", "bb"}
+        ledger.append(9.0, "register", {
+            "entity": "aa", "name": "S1", "kind": "ce", "host": "h2",
+            "registered_at": 9.0,
+            "profile": _profile_wire("aa", "S1", floor=10),
+            "advertisements": [{"service_name": "s", "operations": [],
+                                "attributes": {}}]})
+        state = ReplayProjector.from_entries(ledger.entries()).state
+        assert state.profiles["aa"]["profile"]["attributes"] == {"floor": 10}
+        assert len(state.profiles["aa"]["advertisements"]) == 1
+        assert state.records["aa"]["host"] == "h2"
+
     def test_projection_never_mutates_entry_payloads(self):
         # the update must patch a copy: the original wire belongs to an
         # already-hashed entry, so in-place patching would break verify()
         ledger = build_ledger()
         ReplayProjector.from_entries(ledger.entries())
-        assert ledger.entry(1).payload["profile"]["attributes"] == \
+        assert ledger.entry(0).payload["profile"]["attributes"] == \
             {"room": "L10.01"}
-        assert ledger.verify() == 8
+        assert ledger.verify() == 7
 
     def test_subscription_and_delivery_count(self):
         state = ReplayProjector.from_entries(build_ledger().entries()).state
@@ -84,7 +99,6 @@ class TestProjection:
         ledger.append(9.0, "unsubscribe", {"sub_id": 7})
         ledger.append(10.0, "retain-evict",
                       {"key": ["location", "topological", "bob"]})
-        ledger.append(11.0, "profile-remove", {"entity": "aa"})
         ledger.append(12.0, "depart", {"entity": "aa",
                                        "reason": "deregistered"})
         ledger.append(13.0, "depart", {"entity": "bb",

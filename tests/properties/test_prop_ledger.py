@@ -1,13 +1,14 @@
 """The ledger determinism contract, fuzzed: projection == live, always.
 
 Hypothesis draws arbitrary op traces — register / re-register / depart,
-profile add / patch / remove, subscribe (any filter shape, one-time or
-not), unsubscribe, publish — and runs them against live components
-(Registrar, ProfileManager, a mediator at shard counts 1..3) wired to
-one ledger family. After EVERY op the projection of the entries appended
-so far must equal the live books snapshot-for-snapshot. A tight retained
-cap keeps evictions in play, and one-time subscriptions exercise the
-delivery-then-unsubscribe path the mediator logs on its own.
+profile patch (aimed at whoever is registered at that point), subscribe
+(any filter shape, one-time or not), unsubscribe, publish — and runs them
+against live components (Registrar, the ProfileManager over it, a mediator
+at shard counts 1..3) wired to one ledger family. After EVERY op the
+projection of the entries appended so far must equal the live books
+snapshot-for-snapshot. A tight retained cap keeps evictions in play, and
+one-time subscriptions exercise the delivery-then-unsubscribe path the
+mediator logs on its own.
 """
 
 import itertools
@@ -40,8 +41,8 @@ ENTITIES = 4
 @st.composite
 def operations(draw):
     op = draw(st.sampled_from(
-        ["register", "depart", "profile-add", "profile-update",
-         "profile-remove", "subscribe", "unsubscribe", "publish"]))
+        ["register", "depart", "profile-update", "subscribe", "unsubscribe",
+         "publish"]))
     i = draw(st.integers(0, ENTITIES - 1))
     if op == "profile-update":
         return (op, i, draw(st.sampled_from(["room", "floor"])),
@@ -104,12 +105,13 @@ class TestProjectionEqualsLive:
         registrar = Registrar(guids.mint(), "h", net, "prop",
                               context_server=sink.guid,
                               event_mediator=sink.guid, ledger=ledger)
-        profiles = ProfileManager(guids.mint(), "h", net, "prop",
+        profiles = ProfileManager(guids.mint(), "h", net, registrar, "prop",
                                   ledger=ledger)
         publisher = FunctionProcess(guids.mint(), "h", net, lambda _m: None)
         subscriber = FunctionProcess(guids.mint(), "h", net, lambda _m: None)
         entity_ids = [GUID((i + 1) << 64) for i in range(ENTITIES)]
         seqs = itertools.count(1000)
+        generations = itertools.count()
         sub_ids = []
 
         for op in ops:
@@ -119,7 +121,8 @@ class TestProjectionEqualsLive:
                 profile = Profile(entity_ids[i], f"e{i}", EntityClass.DEVICE,
                                   outputs=[TypeSpec.of("location",
                                                        "topological",
-                                                       f"e{i}")])
+                                                       f"e{i}")],
+                                  attributes={"gen": next(generations)})
                 registrar.register_record(RegistrationRecord(
                     profile=profile, kind="ce", host_id="h",
                     registered_at=net.scheduler.now,
@@ -127,16 +130,14 @@ class TestProjectionEqualsLive:
             elif kind == "depart":
                 registrar.remove(entity_ids[op[1]].hex, "prop-op",
                                  notify_entity=False)
-            elif kind == "profile-add":
-                i = op[1]
-                profiles.add(Profile(entity_ids[i], f"e{i}",
-                                     EntityClass.DEVICE,
-                                     attributes={"gen": i}))
             elif kind == "profile-update":
-                profiles.update_attributes(entity_ids[op[1]].hex,
-                                           {op[2]: op[3]})
-            elif kind == "profile-remove":
-                profiles.remove(entity_ids[op[1]].hex)
+                members = registrar.records()
+                if members:
+                    target = members[op[1] % len(members)].entity_hex
+                    assert profiles.update_attributes(target, {op[2]: op[3]})
+                else:
+                    assert not profiles.update_attributes(
+                        entity_ids[op[1]].hex, {op[2]: op[3]})
             elif kind == "subscribe":
                 _, shape, type_name, subject, one_time = op
                 subscription = mediator.add_subscription(

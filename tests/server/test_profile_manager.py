@@ -1,4 +1,4 @@
-"""Profile Manager: storage, search, remote access."""
+"""Profile Manager: access, search and update over the Registrar's records."""
 
 import pytest
 
@@ -7,18 +7,28 @@ from repro.entities.advertisement import Advertisement
 from repro.entities.profile import EntityClass, Profile
 from repro.net.transport import FunctionProcess
 from repro.server.profile_manager import ProfileManager
+from repro.server.registrar import RegistrationRecord, Registrar
 
 
 @pytest.fixture
-def manager(network, guids):
-    pm = ProfileManager(guids.mint(), "host-a", network, "test-range")
+def registrar(network, guids):
+    return Registrar(guids.mint(), "host-a", network, "test-range",
+                     context_server=guids.mint(), event_mediator=guids.mint())
+
+
+@pytest.fixture
+def manager(network, guids, registrar):
+    pm = ProfileManager(guids.mint(), "host-a", network, registrar,
+                        "test-range")
     printer = Profile(guids.mint(), "P1", EntityClass.DEVICE,
                       outputs=[TypeSpec("printer-status", "record")],
                       attributes={"room": "L10.03", "device": "printer"})
-    pm.add(printer, [Advertisement("print-service", ["print"])])
+    registrar.register_record(RegistrationRecord(
+        profile=printer, kind="ce",
+        advertisements=[Advertisement("print-service", ["print"])]))
     sensor = Profile(guids.mint(), "door-1", EntityClass.DEVICE,
                      outputs=[TypeSpec("presence", "tag-read")])
-    pm.add(sensor, [])
+    registrar.register_record(RegistrationRecord(profile=sensor, kind="ce"))
     return pm, printer, sensor
 
 
@@ -32,11 +42,15 @@ class TestStorage:
         assert pm.by_name("P1") is printer
         assert pm.by_name("nope") is None
 
-    def test_remove(self, manager):
+    def test_remove(self, manager, registrar):
+        """A departed component is no longer served."""
         pm, printer, _ = manager
-        assert pm.remove(printer.entity_id.hex)
+        assert registrar.remove(printer.entity_id.hex, "deregistered")
         assert pm.get(printer.entity_id.hex) is None
-        assert not pm.remove(printer.entity_id.hex)
+        assert pm.by_name("P1") is None
+        assert pm.advertisements_of(printer.entity_id.hex) == []
+        assert pm.population() == 1
+        assert not pm.update_attributes(printer.entity_id.hex, {"a": 1})
 
     def test_population(self, manager):
         pm, _, _ = manager
@@ -90,3 +104,16 @@ class TestRemoteAccess:
         network.scheduler.run_for(5)
         assert replies[0].payload["ok"] is True
         assert printer.attributes["paper"] == "A4"
+
+    def test_profile_update_with_bad_attributes_refused(self, network, guids,
+                                                        manager):
+        # one bad message must not end the run for every host
+        pm, printer, _ = manager
+        replies = []
+        asker = FunctionProcess(guids.mint(), "host-b", network, replies.append)
+        asker.send(pm.guid, "profile-update",
+                   {"entity": printer.entity_id.hex, "attributes": "paper"})
+        network.scheduler.run_for(5)
+        assert [(m.kind, m.payload) for m in replies] == \
+            [("profile-update-ack", {"ok": False})]
+        assert "paper" not in printer.attributes and pm.updates == 0

@@ -67,6 +67,22 @@ class TestRegistration:
         network.scheduler.run_for(5)
         assert replies[0].payload["ok"] is False
 
+    def test_profile_that_is_not_an_object_refused(self, network, guids,
+                                                   registrar):
+        # one bad message must not end the run for every host
+        replies = []
+        component = FunctionProcess(guids.mint(), "host-b", network,
+                                    replies.append)
+        component.send(registrar.guid, "register", {"profile": "P1"})
+        component.send(registrar.guid, "register",
+                       {"profile": Profile(guids.mint(), "x").to_wire(),
+                        "advertisements": ["print-service"]})
+        network.scheduler.run_for(5)
+        assert [(m.kind, m.payload["ok"]) for m in replies] == \
+            [("register-ack", False)] * 2
+        assert all(m.payload["error"] for m in replies)
+        assert registrar.population() == 0
+
     def test_deregister_removes_and_notifies_callback(self, network, guids,
                                                       registrar):
         departures = []
@@ -135,6 +151,24 @@ class TestLeases:
                                labels=("range",)).value(range="test-range") == 2
         assert metrics.counter("registrar.lease.unknown", "",
                                labels=("range",)).value(range="test-range") == 1
+
+    def test_unparseable_id_in_a_heartbeat_is_counted_not_raised(
+            self, network, guids, registrar):
+        # it cannot be told ``deregistered`` (it has no address), but it is
+        # unknown like any other, and the ids around it are still renewed
+        _, held, _ = register(network, guids, registrar, name="held")
+        before = registrar.record(held.entity_id.hex).lease_expiry
+        inbox = []
+        daemon = FunctionProcess(guids.mint(), "host-b", network, inbox.append)
+        daemon.send(registrar.guid, "heartbeat",
+                    {"entities": ["not-hex", 7, held.entity_id.hex]})
+        network.scheduler.run_for(3)
+        assert [(m.kind, m.payload) for m in inbox] == \
+            [("heartbeat-ack", {"ok": False})]
+        assert registrar.record(held.entity_id.hex).lease_expiry > before
+        assert network.obs.metrics.counter(
+            "registrar.lease.unknown", "",
+            labels=("range",)).value(range="test-range") == 2
 
     def test_infrastructure_records_have_no_lease(self, network, guids, registrar):
         profile = Profile(guids.mint(), "infra-ce")
