@@ -3,7 +3,10 @@
 Reproduced series: announce->registered latency for components starting on
 machines of a range whose jurisdiction spans M machines, M in {1, 5, 25}.
 Expected shape: flat — discovery is machine-local (the Range Service answers
-on the same host) plus one registrar round trip, independent of M.
+on the same host) plus one registrar round trip, independent of M. And flat
+in the machine's population: the announce is delivered to the Range Service,
+not to the components already there, so a handshake is four *deliveries*
+with 0, 15 or 63 neighbours (before the listener table: 4 / 19 / 67).
 """
 
 import pytest
@@ -78,6 +81,23 @@ class TestReportFigure5:
         assert kinds["range-offer"] == 1
         assert kinds["register"] == 1
         assert kinds["register-ack"] == 1
+        assert net.stats.delivered == 4  # sent and *delivered*: nobody else heard
+
+    def test_report_deliveries_flat_in_machine_population(self, report):
+        """Four deliveries per handshake however many components already
+        live on the machine (a copy per neighbour would make it 4 + n)."""
+        report("")
+        report("F5  deliveries per handshake vs components already on the machine")
+        report(f"{'neighbours':>11} | {'delivered':>9}")
+        for neighbours in (0, 15, 63):
+            net, guids, server, machines = build_range(2)
+            for _ in range(neighbours):
+                discovery_latency(net, guids, machines[1])
+            net.stats.reset()
+            discovery_latency(net, guids, machines[1])
+            report(f"{neighbours:>11} | {net.stats.delivered:>9}")
+            assert net.stats.delivered == 4
+            assert net.stats.registry.get("net.messages.unheard").total() == 0
 
 
 class TestBenchFigure5:

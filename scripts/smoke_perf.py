@@ -15,6 +15,10 @@ structural properties a refactor could silently regress:
   re-registrations arrive as deltas), and profile/advertisement queries
   answered from the Registrar's What index are digest-equal to the
   test-side linear scan (``tests/server/reference_scan.py``);
+* a registration storm delivers each ``component-up`` to the Range Services
+  listening on the announcer's machine and to nobody else: four deliveries
+  per Figure-5 handshake however crowded the machine, and no announce
+  unheard — a change that silently re-floods the machine fails here;
 * the registrar sweeps leases through the expiry heap (pops observed, no
   full-scan fallback to reintroduce);
 * the overlay disseminates announcements over the distribution tree
@@ -80,6 +84,9 @@ MIN_CACHE_HIT_RATIO = 2
 #: population and churn steps of the Context Server query-path row
 QUERY_PATH_PROFILES = 2_000
 QUERY_PATH_CHURN = 50
+#: machines of the registration storm's range, and components started on each
+STORM_MACHINES = 4
+STORM_PER_MACHINE = 24
 
 
 def check(condition, label):
@@ -177,6 +184,55 @@ def query_path_under_churn(profiles=QUERY_PATH_PROFILES,
             "scanned_digest": scanned.hexdigest()}
 
 
+def registration_storm(machines=STORM_MACHINES, per_machine=STORM_PER_MACHINE):
+    """One range over ``machines`` machines; ``per_machine`` components
+    start on each, a machine at a time, so every later announce finds its
+    machine more crowded. Counts what was delivered, by kind."""
+    from collections import Counter
+    from repro.core.types import standard_registry
+    from repro.entities.entity import ContextEntity
+    from repro.entities.profile import Profile
+    from repro.location.building import livingstone_tower
+    from repro.net.eventlog import EventLog
+    from repro.server.context_server import ContextServer
+    from repro.server.range import RangeDefinition
+
+    log = EventLog()
+    net = Network(latency_model=FixedLatency(0.5), seed=17, event_log=log)
+    hosts = [f"storm-{index}" for index in range(machines)]
+    for host in hosts:
+        net.add_host(host)
+    guids = GuidFactory(seed=47)
+    # a lease no renewal falls inside: handshake traffic only
+    server = ContextServer(
+        guids.mint(), hosts[0], net,
+        definition=RangeDefinition("storm", places=["livingstone"],
+                                   hosts=hosts),
+        building=livingstone_tower(), registry=standard_registry(),
+        guid_factory=guids, lease_duration=1e9)
+    listening = {host: int(service.enabled)
+                 for host, service in server.range_services.items()}
+    components, expected_heard = [], 0
+    for host in hosts:
+        for index in range(per_machine):
+            component = ContextEntity(
+                Profile(guids.mint(), f"ce-{index}@{host}",
+                        outputs=[TypeSpec("temperature", "celsius")]),
+                host, net)
+            component.start()
+            components.append(component)
+            expected_heard += listening[host]
+        net.scheduler.run_for(5)
+    delivered = Counter(entry[3] for entry in log.entries()
+                        if entry[2] == "deliver")
+    return {"registered": sum(c.registered for c in components),
+            "announces": len(components),
+            "expected_heard": expected_heard,
+            "delivered": delivered,
+            "delivered_total": net.stats.delivered,
+            "unheard": net.obs.metrics.get("net.messages.unheard").total()}
+
+
 def main() -> int:
     ok = True
 
@@ -227,6 +283,23 @@ def main() -> int:
                 f"What-index answers digest-equal to the reference scan "
                 f"({query_path['answered']} records answered, digest "
                 f"{query_path['indexed_digest'][:12]}…)")
+
+    print(f"smoke-perf: registration storm, {STORM_MACHINES} machines x "
+          f"{STORM_PER_MACHINE} components...")
+    storm = registration_storm()
+    ok &= check(storm["registered"] == storm["announces"],
+                f"every component registered ({storm['registered']} of "
+                f"{storm['announces']})")
+    ok &= check(storm["delivered"]["component-up"] == storm["expected_heard"],
+                f"component-up delivered to listening daemons only "
+                f"({storm['delivered']['component-up']} deliveries == "
+                f"{storm['expected_heard']} announce x daemon pairs)")
+    ok &= check(storm["unheard"] == 0,
+                f"no announce unheard ({storm['unheard']:.0f})")
+    ok &= check(storm["delivered_total"] == 4 * storm["registered"],
+                f"four deliveries per handshake "
+                f"({storm['delivered_total']} / {storm['registered']} = "
+                f"{storm['delivered_total'] / max(storm['registered'], 1):.2f})")
 
     print("smoke-perf: registrar lease sweep...")
     net = Network(latency_model=FixedLatency(0.5), seed=7)

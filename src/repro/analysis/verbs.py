@@ -23,6 +23,10 @@ across the whole tree, transitively: a ``ShardedEventMediator(EventMediator)``
 handler counts because ``EventMediator.on_message`` dispatches). Plain
 ``_handle_*`` helpers in other classes are ordinary methods, not handlers.
 
+*announcements* — a verb sent to ``BROADCAST`` reaches only the processes
+whose class names it in ``listens_for = ("verb", ...)``, so for such a verb
+those declarations, not ``kind`` comparisons, are its handlers.
+
 *declared endpoints* — a module may declare verbs it handles as external
 API by naming them in double backticks in its module docstring (e.g. the
 mediator declares ``subscribe``; tests and applications send it even though
@@ -74,6 +78,12 @@ class VerbModel:
     replies: Dict[str, List[Site]] = field(default_factory=dict)
     handlers: Dict[str, List[Site]] = field(default_factory=dict)
     declared: Dict[str, List[Site]] = field(default_factory=dict)
+    #: verbs sent to ``BROADCAST``; verbs some class ``listens_for``
+    announces: Dict[str, List[Site]] = field(default_factory=dict)
+    listeners: Dict[str, List[Site]] = field(default_factory=dict)
+
+    def handled_by(self, verb: str) -> Dict[str, List[Site]]:
+        return self.listeners if verb in self.announces else self.handlers
 
     def verbs(self) -> List[str]:
         """Verbs that exist on the wire: sent, replied or handled somewhere.
@@ -193,6 +203,9 @@ def _extract_from_source(source: SourceFile, model: VerbModel,
                     table = model.replies if node.func.attr == "reply" \
                         else model.sends
                     _add(table, verb, site(line))
+                    if node.args and isinstance(node.args[0], ast.Name) \
+                            and node.args[0].id == "BROADCAST":
+                        _add(model.announces, verb, site(line))
             elif isinstance(node.func, ast.Name) and \
                     node.func.id == "Message":
                 verb, line = _message_kind_literal(node)
@@ -202,6 +215,11 @@ def _extract_from_source(source: SourceFile, model: VerbModel,
             _extract_compare(node, model, site)
         elif isinstance(node, ast.Assign):
             _extract_handler_dict(node, model, site)
+            if any(getattr(target, "id", "") == "listens_for"
+                   for target in node.targets):
+                for element in getattr(node.value, "elts", ()):
+                    if isinstance(element, ast.Constant):
+                        _add(model.listeners, element.value, site(node.lineno))
         elif isinstance(node, ast.ClassDef) and node.name in dispatching:
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
@@ -266,7 +284,8 @@ class VerbChecker:
             model = build_model(sources)
         findings: List[Finding] = []
         for verb, sites in sorted(model.sends.items()):
-            if verb in model.handlers or verb in model.declared:
+            if verb in model.handled_by(verb) or (
+                    verb in model.declared and verb not in model.announces):
                 continue
             for s in sites:
                 findings.append(Finding(
@@ -300,7 +319,9 @@ hand; CI checks this file against the tree (`--check-protocol`).
 Roles: a **request** verb needs a `kind`-handler at the receiver; a
 **reply** verb is consumed by RPC correlation (`reply_to`) and needs none;
 an **external api** verb is declared in its module's docstring and is sent
-by applications or tests rather than library components.
+by applications or tests rather than library components. A verb sent to
+`BROADCAST` is a link-local announcement: its handlers are the processes
+that name it in `listens_for`, the only ones the transport delivers it to.
 """
 
 
@@ -314,7 +335,7 @@ def render_protocol(model: VerbModel) -> str:
              "| --- | --- | --- | --- |"]
     for verb in model.verbs():
         senders = model.sends.get(verb, []) + model.replies.get(verb, [])
-        handlers = model.handlers.get(verb, [])
+        handlers = model.handled_by(verb).get(verb, [])
         lines.append(f"| `{verb}` | {model.role(verb)} | "
                      f"{_modules(senders)} | {_modules(handlers)} |")
     return "\n".join(lines) + "\n"

@@ -94,9 +94,11 @@ class EventFilter:
         up to And/Or child order, nesting and duplication."""
         key = self._canonical_key
         if key is None:
-            key = spec_key(self.canonical_spec())
-            self._canonical_key = key
+            key = self._canonical_key = self._render_key()
         return key
+
+    def _render_key(self) -> str:
+        return spec_key(self.canonical_spec())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventFilter):
@@ -214,62 +216,64 @@ class AttributeFilter(EventFilter):
         return {"op": "attr", "key": self.key, "cmp": self.op, "constant": self.constant}
 
 
-def _canonical_parts(composite: "EventFilter") -> List[Dict[str, Any]]:
-    """Flatten same-op nesting, canonicalise children, sort and dedupe.
+def _canonical_children(composite: "EventFilter") -> List["EventFilter"]:
+    """Flatten same-op nesting, sort children by canonical key and dedupe.
 
     ``And(And(a, b), c)`` and ``And(c, b, a)`` both normalise to the same
     sorted child list; duplicate children (idempotence) collapse to one.
     """
-    specs: List[Dict[str, Any]] = []
+    unique: Dict[str, EventFilter] = {}
 
     def flatten(node: EventFilter) -> None:
         if type(node) is type(composite):
             for part in node.parts:  # type: ignore[attr-defined]
                 flatten(part)
         else:
-            specs.append(node.canonical_spec())
+            unique[node.canonical_key()] = node
 
     flatten(composite)
-    unique = {spec_key(spec): spec for spec in specs}
     return [unique[key] for key in sorted(unique)]
 
 
-class AndFilter(EventFilter):
+class _Junction(EventFilter):
+    """And/Or over ``parts``; subclasses name the ``op`` and how it matches."""
+
+    op: str
+
     def __init__(self, parts: List[EventFilter]):
         if not parts:
-            raise FilterError("empty AND filter")
+            raise FilterError(f"empty {self.op.upper()} filter")
         self.parts = list(parts)
+
+    def to_spec(self) -> Dict[str, Any]:
+        return {"op": self.op, "parts": [part.to_spec() for part in self.parts]}
+
+    def canonical_spec(self) -> Dict[str, Any]:
+        parts = [child.canonical_spec() for child in _canonical_children(self)]
+        if len(parts) == 1:
+            return parts[0]
+        return {"op": self.op, "parts": parts}
+
+    def _render_key(self) -> str:
+        # == spec_key(canonical_spec()), composed from the children's cached keys
+        keys = [child.canonical_key() for child in _canonical_children(self)]
+        if len(keys) == 1:
+            return keys[0]
+        return "{op=s:" + self.op + ",parts=[" + ",".join(keys) + "]}"
+
+
+class AndFilter(_Junction):
+    op = "and"
 
     def matches(self, event: ContextEvent) -> bool:
         return all(part.matches(event) for part in self.parts)
 
-    def to_spec(self) -> Dict[str, Any]:
-        return {"op": "and", "parts": [part.to_spec() for part in self.parts]}
 
-    def canonical_spec(self) -> Dict[str, Any]:
-        parts = _canonical_parts(self)
-        if len(parts) == 1:
-            return parts[0]
-        return {"op": "and", "parts": parts}
-
-
-class OrFilter(EventFilter):
-    def __init__(self, parts: List[EventFilter]):
-        if not parts:
-            raise FilterError("empty OR filter")
-        self.parts = list(parts)
+class OrFilter(_Junction):
+    op = "or"
 
     def matches(self, event: ContextEvent) -> bool:
         return any(part.matches(event) for part in self.parts)
-
-    def to_spec(self) -> Dict[str, Any]:
-        return {"op": "or", "parts": [part.to_spec() for part in self.parts]}
-
-    def canonical_spec(self) -> Dict[str, Any]:
-        parts = _canonical_parts(self)
-        if len(parts) == 1:
-            return parts[0]
-        return {"op": "or", "parts": parts}
 
 
 class NotFilter(EventFilter):
@@ -284,6 +288,9 @@ class NotFilter(EventFilter):
 
     def canonical_spec(self) -> Dict[str, Any]:
         return {"op": "not", "inner": self.inner.canonical_spec()}
+
+    def _render_key(self) -> str:
+        return "{inner=" + self.inner.canonical_key() + ",op=s:not}"
 
 
 def filter_from_spec(spec: Dict[str, Any]) -> EventFilter:

@@ -371,7 +371,7 @@ class EventMediator(Process):
         self._published_counter.inc(range=self.range_name or "-")
         # span only when this publication is part of a traced operation
         # (query replay, bridged delivery...); background sensor chatter
-        # stays span-free so it cannot flood the trace store
+        # stays span-free so it cannot swamp the trace store
         with self.network.obs.tracer.span_if_active(
                 "mediator.publish", range=self.range_name,
                 type=event.type_name, bridged=bridged) as span:

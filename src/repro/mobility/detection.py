@@ -19,7 +19,8 @@ this replaced is ``tests/mobility/reference_scan.py``. On a transition it:
   (its Range Service offers registration to the components on the machine —
   the CAPA lobby scenario), and
 * asks the old range's Context Server to **expel** the components that
-  registered from that host (plus runs handoff, if configured).
+  registered from that host (plus runs handoff, if configured) and to
+  **release** the host: the Range Service it deployed there is switched off.
 """
 
 from __future__ import annotations
@@ -143,6 +144,7 @@ class BoundaryMonitor:
                     self.handoff.carry(record, previous, current)
             for record in departing:
                 previous.expel_entity(record.entity_hex, reason="left-range")
+            previous.release_host(entity.device_host)
         if current is not None:
             current.admit_host(entity.device_host)
 

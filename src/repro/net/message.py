@@ -15,7 +15,7 @@ from typing import Any, Dict, Optional
 
 from repro.core.ids import GUID
 
-#: Sentinel recipient meaning "every process on the destination host".
+#: Sentinel recipient: the processes on the sender's host that listen for the kind.
 BROADCAST = GUID((1 << 128) - 1)
 
 _message_ids = itertools.count(1)

@@ -76,9 +76,8 @@ class RequestManager:
         self.max_retries = max_retries
         self.backoff_factor = backoff_factor
         self.jitter = jitter
-        # jitter stream seeded from the owner's GUID: deterministic per
-        # process, and independent of the network's latency/drop stream
-        self._rng = random.Random(owner.guid.value & 0xFFFFFFFFFFFF)
+        #: the jitter stream; the first retransmission creates it
+        self._rng: Optional[random.Random] = None
         self._pending: Dict[int, PendingRequest] = {}
         self.timeouts = 0
         self.completed = 0
@@ -190,6 +189,10 @@ class RequestManager:
         window = pending.base_timeout * (
             self.backoff_factor ** (pending.attempts - 1))
         if self.jitter:
+            if self._rng is None:
+                # seeded from the owner's GUID: deterministic per process,
+                # and independent of the network's latency/drop stream
+                self._rng = random.Random(self.owner.guid.value & 0xFFFFFFFFFFFF)
             window *= 1.0 + self.jitter * self._rng.random()
         pending.timer = self.owner.scheduler.schedule(
             window, self._expire, pending)

@@ -26,9 +26,10 @@ SENT = "net.messages.sent"
 DELIVERED = "net.messages.delivered"
 DROPPED = "net.messages.dropped"
 UNDELIVERABLE = "net.messages.undeliverable"
+UNHEARD = "net.messages.unheard"
 LATENCY = "net.delivery.latency"
 
-_NET_METRICS = (SENT, DELIVERED, DROPPED, UNDELIVERABLE, LATENCY)
+_NET_METRICS = (SENT, DELIVERED, DROPPED, UNDELIVERABLE, UNHEARD, LATENCY)
 
 
 class MessageStats:
@@ -52,6 +53,9 @@ class MessageStats:
             DROPPED, "messages lost to failure, partition or drop rate")
         self._undeliverable = self.registry.counter(
             UNDELIVERABLE, "messages to unknown/departed recipients")
+        self._unheard = self.registry.counter(
+            UNHEARD, "link-local announcements no process on the machine "
+            "listened for", labels=("kind",))
         self._latency = self.registry.histogram(
             LATENCY, "end-to-end delivery latency (simulated time units)",
             reservoir_size=latency_reservoir)
@@ -70,6 +74,9 @@ class MessageStats:
 
     def record_undeliverable(self) -> None:
         self._undeliverable.inc()
+
+    def record_unheard(self, kind: str) -> None:  # rare: not staged
+        self._unheard.inc(kind=kind)
 
     def merge_buffer(self, buffer: "StatsBuffer") -> None:
         """Fold the staging buffer into the registry series.

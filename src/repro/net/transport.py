@@ -139,6 +139,8 @@ class Process:
 
     #: bound on remembered (sender, msg_id) arrivals per process
     DEDUP_CACHE = 1024
+    #: the link-local announcement kinds (sent to ``BROADCAST``) it hears
+    listens_for: Tuple[str, ...] = ()
 
     def __init__(self, guid: GUID, host_id: str, network: "Network", name: str = ""):
         self.guid = guid
@@ -300,10 +302,11 @@ class Network:
         scheduler.on_quiesce(self._flush_staged_stats)
         self._hosts: Dict[str, Host] = {}
         self._processes: Dict[GUID, Process] = {}
-        #: host id -> processes living there (insertion-ordered), so the
-        #: per-host lookup in link-local broadcast is O(processes on host)
-        #: rather than a scan over every process in the deployment
+        #: host id -> processes living there, in attach order
         self._processes_by_host: Dict[str, Dict[GUID, Process]] = {}
+        #: (host id, announcement kind) -> the processes there that declared
+        #: it, in attach order: the only recipients a broadcast has
+        self._listeners: Dict[Tuple[str, str], Dict[GUID, Process]] = {}
         self._partition_of: Dict[str, int] = {}
 
     # -- topology ------------------------------------------------------------
@@ -358,6 +361,7 @@ class Network:
         self.host(process.host_id)  # must exist
         self._processes[process.guid] = process
         self._processes_by_host.setdefault(process.host_id, {})[process.guid] = process
+        self.listen(process)
 
     def detach(self, guid: GUID) -> None:
         process = self._processes.pop(guid, None)
@@ -365,6 +369,18 @@ class Network:
             on_host = self._processes_by_host.get(process.host_id)
             if on_host is not None:
                 on_host.pop(guid, None)
+            self.listen(process, False)
+
+    def listen(self, process: Process, on: bool = True) -> None:
+        """File ``process`` under each kind it ``listens_for``, or unfile it
+        (``on=False``: detached, or a daemon switched off). An entry holds
+        attached processes only, in attach order."""
+        on_host = self._processes_by_host.get(process.host_id, {})
+        for kind in process.listens_for:
+            heard = self._listeners.get((process.host_id, kind), {})
+            self._listeners[process.host_id, kind] = {
+                guid: other for guid, other in on_host.items()
+                if (on if other is process else guid in heard)}
 
     def process(self, guid: GUID) -> Optional[Process]:
         return self._processes.get(guid)
@@ -416,18 +432,22 @@ class Network:
         self._dispatch(message, source_host, recipient)
 
     def _broadcast(self, message: Message, source_host: Optional[Host]) -> None:
-        """Deliver to every other process on the sender's host.
+        """Deliver to the processes on the sender's host that listen for
+        this kind, the sender excepted.
 
         This models the paper's Figure-5 bootstrap: the Range Service
         "listens for CAAs or CEs starting up" on its machine — a link-local
-        announcement, not a network-wide flood.
+        announcement heard by whoever declared it, not a copy per process.
         """
         if source_host is None:
             self._stat().record_undeliverable()
             return
-        for process in self.processes_on(source_host.host_id):
-            if process.guid == message.sender:
-                continue
+        heard = self._listeners.get((source_host.host_id, message.kind), {})
+        recipients = [process for process in heard.values()
+                      if process.guid != message.sender]
+        if not recipients:
+            self.stats.record_unheard(message.kind)
+        for process in recipients:
             copy = Message(
                 sender=message.sender,
                 recipient=process.guid,

@@ -53,6 +53,9 @@ _declare("net.messages.dropped", "counter",
          "messages lost to failure, partition or drop rate")
 _declare("net.messages.undeliverable", "counter",
          "messages to unknown/departed recipients")
+_declare("net.messages.unheard", "counter",
+         "link-local announcements no process on the machine listened for",
+         labels=("kind",))
 _declare("net.delivery.latency", "histogram",
          "end-to-end delivery latency (simulated time units)")
 _declare("net.dedup.suppressed", "counter",

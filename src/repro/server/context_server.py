@@ -688,7 +688,15 @@ class ContextServer(Process):
             service = RangeService(self.guids.mint(), host_id, self.network,
                                    self.definition.name, self.registrar.guid)
             self.range_services[host_id] = service
+        else:
+            service.enabled = True  # back after release_host: same daemon
         return service.offer_to_host()
+
+    def release_host(self, host_id: str) -> None:
+        """A mobile machine left the range: the daemon :meth:`admit_host`
+        put there is switched off (the static jurisdiction keeps its own)."""
+        if host_id not in self.definition.hosts and host_id in self.range_services:
+            self.range_services[host_id].enabled = False
 
     def expel_entity(self, entity_hex: str, reason: str = "left-range") -> bool:
         """Deregister an entity that physically left the range."""

@@ -39,6 +39,8 @@ HEARTBEAT_RETRIES = 1
 class RangeService(Process):
     """One discovery daemon on one machine of a range's jurisdiction."""
 
+    listens_for = ("component-up",)
+
     def __init__(self, guid: GUID, host_id: str, network: Network,
                  range_name: str, registrar: GUID):
         super().__init__(guid, host_id, network,
@@ -46,12 +48,23 @@ class RangeService(Process):
         self.range_name = range_name
         self.registrar = registrar
         self.offers_made = 0
-        self.enabled = True
+        self._enabled = True
         self.requests = RequestManager(self)
         #: the lease group: entity hex -> component registered via this daemon
         self._members: Dict[str, Process] = {}
         self._interval = 0.0
         self._renewal: Optional[Timer] = None
+
+    @property
+    def enabled(self) -> bool:
+        """Off (its machine left the range), the daemon hears and offers
+        nothing; it stays attached, so a heartbeat-ack in flight still lands."""
+        return self._enabled
+
+    @enabled.setter
+    def enabled(self, on: bool) -> None:
+        self._enabled = on
+        self.network.listen(self, on)
 
     def offer_to(self, component: GUID) -> None:
         """Tell one component where the Registrar is."""
@@ -114,9 +127,7 @@ class RangeService(Process):
     def on_message(self, message: Message) -> None:
         if self.requests.dispatch_reply(message):
             return
-        if message.kind == "component-up":
-            self.offer_to(message.sender)
-        elif message.kind == "probe":
+        if message.kind in ("component-up", "probe"):
             self.offer_to(message.sender)
         else:
             logger.debug("%s ignoring %s", self.name, message)

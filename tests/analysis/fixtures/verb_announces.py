@@ -1,0 +1,33 @@
+"""Verb fixture: link-local announcements are handled by declaration.
+
+A verb sent to ``BROADCAST`` reaches only the processes whose class names it
+in ``listens_for`` — a ``kind ==`` branch somewhere does not receive it.
+Never imported; AST only.
+"""
+
+BROADCAST = object()
+
+
+class Announcer:
+    def start(self):
+        self.send(BROADCAST, "vy-heard", {})       # Daemon declares it: fine
+        self.send(BROADCAST, "vy-unheard", {})     # line 14: unhandled-send
+
+    def poke(self, peer):
+        self.send(peer, "vy-direct", {})           # a plain handler will do
+
+
+class Daemon:
+    listens_for = ("vy-heard",)
+
+    def on_message(self, message):
+        if message.kind == "vy-heard":
+            return "offer"
+        if message.kind == "vy-direct":
+            return "direct"
+
+
+class Bystander:
+    def on_message(self, message):
+        if message.kind == "vy-unheard":           # never delivered here
+            return "would have"

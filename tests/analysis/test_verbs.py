@@ -8,6 +8,7 @@ from repro.analysis.verbs import (VerbChecker, build_model, protocol_drift,
                                   render_protocol)
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "verb_violations.py"
+ANNOUNCES = pathlib.Path(__file__).parent / "fixtures" / "verb_announces.py"
 
 
 def _sources():
@@ -57,3 +58,21 @@ def test_protocol_render_and_drift():
     assert not protocol_drift(model, rendered)
     assert protocol_drift(model, rendered + "edited\n")
     assert protocol_drift(model, "")
+
+
+def test_an_announce_is_handled_by_whoever_declares_it():
+    sources, errors = load_sources([str(ANNOUNCES)])
+    assert errors == []
+    model = build_model(sources)
+    assert set(model.announces) == {"vy-heard", "vy-unheard"}
+    assert set(model.listeners) == {"vy-heard"}
+    # a kind == branch does not receive a link-local announcement
+    assert "vy-unheard" in model.handlers
+    findings = VerbChecker().check(sources, model)
+    assert [(f.check, f.line) for f in findings] == [
+        ("verbs.unhandled-send", 14)]
+    rows = {line.split("`")[1]: line for line in
+            render_protocol(model).splitlines() if line.startswith("| `")}
+    module = "tests.analysis.fixtures.verb_announces"
+    assert rows["vy-heard"].endswith(f"| {module} | {module} |")
+    assert rows["vy-unheard"].endswith(f"| {module} | — |")

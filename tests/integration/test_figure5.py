@@ -100,6 +100,30 @@ class TestAddressHandout:
         assert max(latencies) - min(latencies) < 1e-9  # identical handshakes
 
 
+class TestHandshakeCost:
+    def test_seventeenth_component_costs_four_deliveries(self, multi_machine):
+        """Announce, offer, register, ack — however crowded the machine:
+        the announce reaches the Range Service, not the sixteen neighbours."""
+        net, guids, server, machines = multi_machine
+
+        def component(index):
+            ce = ContextEntity(
+                Profile(guids.mint(), f"ce-{index}",
+                        outputs=[TypeSpec("temperature", "celsius")]),
+                machines[1], net)
+            ce.start()
+            return ce
+
+        neighbours = [component(index) for index in range(16)]
+        net.scheduler.run_for(5)  # settled, and short of the first heartbeat
+        assert all(ce.registered for ce in neighbours)
+        delivered = net.stats.delivered
+        newcomer = component(16)
+        net.scheduler.run_for(5)
+        assert newcomer.registered
+        assert net.stats.delivered - delivered == 4
+
+
 class TestLateServer:
     def test_component_before_server_registers_after_probe(self):
         """A component that boots before its range exists can probe later."""

@@ -6,6 +6,8 @@ at-least-once retransmission at the sender plus ``(sender, msg_id)`` dedup
 at the receiver yields exactly-once observable delivery.
 """
 
+import random
+
 import pytest
 
 from repro.faults.injector import FaultInjector
@@ -133,6 +135,41 @@ class TestRetryRecovery:
         network.scheduler.run_until_idle()
         assert asker.requests.retries == 0
         assert len(asker.timeouts) == 1
+
+
+class TestJitterStream:
+    def test_windows_match_the_eager_stream(self, network, lossy_pair):
+        """The jitter stream is created by the first retransmission, from
+        the seed the constructor used to use: three forced retransmissions
+        keep the windows of an eagerly seeded ``random.Random``."""
+        echo, asker = lossy_pair
+        asker.requests = RequestManager(asker, default_timeout=3.0,
+                                        max_retries=3)
+        assert asker.requests._rng is None
+        asker.ask(echo.guid, {"q": 0})
+        network.scheduler.run_until_idle()
+        assert asker.requests._rng is None  # answered: no stream needed
+
+        network.fail_host("host-a")
+        sent_at = []
+        send = network.send
+
+        def recording(message):
+            sent_at.append(network.scheduler.now)
+            send(message)
+
+        network.send = recording
+        start = network.scheduler.now
+        asker.ask(echo.guid, {"q": 1})
+        network.scheduler.run_until_idle()
+
+        eager = random.Random(asker.guid.value & 0xFFFFFFFFFFFF)
+        expected = [start, start + 3.0]
+        for attempt in (2, 3, 4):
+            window = 3.0 * 2.0 ** (attempt - 1) * (1.0 + 0.25 * eager.random())
+            expected.append(expected[-1] + window)
+        assert asker.requests.retries == 3
+        assert sent_at + asker.timeouts == pytest.approx(expected, abs=1e-12)
 
 
 class TestReceiverDedup:

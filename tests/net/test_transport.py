@@ -69,16 +69,19 @@ class TestDelivery:
         assert inbox_b == []
 
     def test_broadcast_reaches_same_host_only(self, network, guids):
-        a, b, inbox_a2, inbox_b = [None] * 4
+        class Listener(FunctionProcess):
+            listens_for = ("announce",)
+
         sender = FunctionProcess(guids.mint(), "host-a", network,
                                  lambda m: None, name="sender")
-        local = []
-        remote = []
-        FunctionProcess(guids.mint(), "host-a", network, local.append)
-        FunctionProcess(guids.mint(), "host-b", network, remote.append)
+        local, bystander, remote = [], [], []
+        Listener(guids.mint(), "host-a", network, local.append)
+        FunctionProcess(guids.mint(), "host-a", network, bystander.append)
+        Listener(guids.mint(), "host-b", network, remote.append)
         sender.send(BROADCAST, "announce")
         network.scheduler.run_until_idle()
         assert len(local) == 1
+        assert bystander == []  # same machine, declared nothing
         assert remote == []
 
     def test_stats_by_kind(self, network, guids):
