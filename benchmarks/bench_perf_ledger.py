@@ -3,7 +3,7 @@
 The same :mod:`repro.apps.workload` stream the sharding benchmark uses —
 Poisson publishes, Zipf-1.1 subjects, 20k exact trackers, churn and
 query ops — runs twice per scale row on the classic mediator: once with
-the range's context ledger recording every subscribe/retain/delivery
+the range's context ledger recording every subscribe and publish
 (``ledger=on``) and once with recording disabled (``ledger=off``, the
 ``SCIConfig(ledger=False)`` ablation). Both runs share seeds, so they
 must publish AND deliver identical event counts; the only difference is
@@ -123,17 +123,19 @@ class TestReportLedgerPerf:
         report(f"  gate: ledgered wall {gate_overhead:.3f}x bare at "
                f"{SCALES[-1][0]} entities; required <= "
                f"{MAX_OVERHEAD:.2f}x")
-        assert gate_overhead is not None and gate_overhead <= MAX_OVERHEAD, (
-            f"ledger append overhead reached {gate_overhead:.3f}x bare "
-            f"wall time at {SCALES[-1][0]} entities; the gate is <= "
-            f"{MAX_OVERHEAD}x")
+        # recorded before it is asserted: the artefact holds the rows the
+        # table holds, whichever way this (wall-time, noise-bound) gate reads
         baseline["gate"] = {
             "max_overhead": MAX_OVERHEAD,
             "top_entities": SCALES[-1][0],
             "overhead": round(gate_overhead, 4),
-            "passed": True,
+            "passed": gate_overhead <= MAX_OVERHEAD,
         }
         _save_baseline(baseline)
+        assert gate_overhead <= MAX_OVERHEAD, (
+            f"ledger append overhead reached {gate_overhead:.3f}x bare "
+            f"wall time at {SCALES[-1][0]} entities; the gate is <= "
+            f"{MAX_OVERHEAD}x")
 
 
 def _load_baseline():

@@ -1,8 +1,9 @@
 """Shared infrastructure for the benchmark harness.
 
 Every ``test_report_*`` benchmark prints the series/rows it reproduces AND
-appends them to ``benchmarks/results/<module>.txt``, so EXPERIMENTS.md can
-cite concrete, regenerable numbers. Run with::
+records them in ``benchmarks/results/<module>.txt``, so EXPERIMENTS.md can
+cite concrete, regenerable numbers. A module's file holds one session's
+rows: its first write of a session truncates, later ones append. Run with::
 
     pytest benchmarks/ --benchmark-only            # timing tables
     pytest benchmarks/ -s                          # also show report rows
@@ -15,8 +16,14 @@ import pytest
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
+@pytest.fixture(scope="session")
+def written_results():
+    """Result files this session has already written to."""
+    return set()
+
+
 @pytest.fixture
-def report(request):
+def report(request, written_results):
     """A callable that prints a line and records it to the module's result file."""
     RESULTS_DIR.mkdir(exist_ok=True)
     module = request.module.__name__
@@ -29,5 +36,9 @@ def report(request):
 
     yield emit
     if lines:
-        with open(path, "a", encoding="utf-8") as handle:
+        # a re-run replaces the last session's table instead of stacking a
+        # second reading of the same gate under it
+        mode = "a" if path in written_results else "w"
+        written_results.add(path)
+        with open(path, mode, encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")

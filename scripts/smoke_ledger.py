@@ -15,6 +15,10 @@ then expires (the PR-4 failure-detection path). The gate asserts:
   counted, one ``depart`` per departure it announced, and no kind outside
   ``ENTRY_KINDS``; entries and canonical bytes (what ``verify`` re-hashes)
   are printed per kind;
+* **one entry per publish**: no more ``publish`` entries than the mediator
+  counted publishes, and the ``deliveries`` lists of the ``publish`` and
+  ``replay`` entries add up to the deliveries it counted — an entry per
+  recipient cannot come back unnoticed;
 * **artefact round-trip**: the exported JSONL validates, reloads, and
   projects to the same digest as the live books;
 * **time travel**: historical membership flips across the crash (the
@@ -111,7 +115,7 @@ def main() -> int:
                   and entry.payload == {"entity": victim_hex,
                                         "reason": "lease-expired"}
                   for entry in entries)
-    ok &= check({"register", "delivery", "depart"} <= kinds and expired,
+    ok &= check({"register", "publish", "depart"} <= kinds and expired,
                 f"scenario is non-trivial ({len(entries)} entries, "
                 f"{len(kinds)} kinds, the crash recorded as a lease-expired "
                 f"depart)")
@@ -124,6 +128,17 @@ def main() -> int:
                 f"{server.registrar.registrations} registrations, "
                 f"{counts['depart']} depart for {len(departures)} "
                 f"departures, every kind within the {len(ENTRY_KINDS)}")
+
+    metrics = sci.network.obs.metrics
+    published = int(metrics.get("mediator.events.published").total())
+    delivered = int(metrics.get("mediator.events.delivered").total())
+    listed = sum(len(entry.payload["deliveries"]) for entry in entries
+                 if entry.kind in ("publish", "replay"))
+    ok &= check(0 < counts["publish"] <= published
+                and listed == delivered > 0,
+                f"one entry per publish: {counts['publish']} publish entries "
+                f"for {published} publishes, {listed} listed deliveries for "
+                f"{delivered} delivered")
 
     live = live_snapshot(server)
     projected = projection_snapshot(server.ledger_projection())

@@ -117,6 +117,10 @@ class EventMediator(Process):
         #: context-ledger chain this mediator appends to (a shard holds its
         #: own rank: one chain per writer); None disables
         self._ledger = ledger
+        #: ``[sub_id, event_seq]`` of every delivery the fan-out or replay
+        #: in progress has made; None between them (neither re-enters:
+        #: delivering only ``send``s/``request``s)
+        self._served: Optional[list] = None
         self.reliable = reliable
         self.requests = RequestManager(
             self, default_timeout=ack_timeout, max_retries=delivery_retries,
@@ -270,9 +274,15 @@ class EventMediator(Process):
         counter = (self._index_residual_counter if type_name is None
                    else self._index_hits_counter)
         counter.inc(len(events), range=self.range_name or "-")
-        for event in events:
-            if subscription.active and subscription.filter.matches(event):
-                self._deliver(subscription, event)
+        self._served = served = []
+        try:
+            for event in events:
+                if subscription.active and subscription.filter.matches(event):
+                    self._deliver(subscription, event)
+        finally:
+            self._served = None
+        if served and self._ledger is not None:
+            self._ledger.append(self.now, "replay", {"deliveries": served})
 
     def _replay_events(self, type_name: Optional[str]) -> List[ContextEvent]:
         """Retained events of one type (``None``: all), in replay order.
@@ -381,9 +391,23 @@ class EventMediator(Process):
         return delivered
 
     def _fan_out(self, event: ContextEvent, bridged: bool) -> int:
+        # the ledger records the publish, not each recipient: one entry,
+        # appended once it is complete (a sealed entry is never mutated)
+        entry = {}
         if self.retain_events:
-            self._store_retained(event)
-        delivered = self._opgraph.publish(event)
+            key = self._store_retained(event)
+            if self._ledger is not None:
+                entry = {"key": list(key),
+                         "first_seq": self._retained_first[key],
+                         "event": event.to_wire()}
+        self._served = served = []
+        try:
+            delivered = self._opgraph.publish(event)
+        finally:
+            self._served = None
+        if self._ledger is not None and (entry or served):
+            entry["deliveries"] = served
+            self._ledger.append(self.now, "publish", entry)
         if not bridged:
             self._forward_bridges(event)
         return delivered
@@ -420,7 +444,8 @@ class EventMediator(Process):
         else:
             self.send(bridge.peer, "publish", payload)
 
-    def _store_retained(self, event: ContextEvent) -> None:
+    def _store_retained(self, event: ContextEvent) -> tuple:
+        """Store ``event`` under its key (evicting at the cap); the key."""
         key = (event.type_name, event.representation, event.subject)
         if key not in self._retained and len(self._retained) >= self.retained_cap:
             oldest_key = next(iter(self._retained))
@@ -439,24 +464,14 @@ class EventMediator(Process):
         self._retained[key] = event
         self._retained_by_type.setdefault(event.type_name, {})[key] = None
         self._retained_first.setdefault(key, event.seq)
-        if self._ledger is not None:
-            self._ledger.append(self.now, "retain", {
-                "key": list(key),
-                "first_seq": self._retained_first[key],
-                "event": event.to_wire(),
-            })
+        return key
 
     def _deliver(self, subscription: Subscription, event: ContextEvent) -> None:
         subscription.record_delivery()
         self.deliveries += 1
         self._deliveries_counter.inc(range=self.range_name or "-")
-        if self._ledger is not None:
-            self._ledger.append(self.now, "delivery", {
-                "sub_id": subscription.sub_id,
-                "event_seq": event.seq,
-                "type": event.type_name,
-                "subject": event.subject,
-            })
+        if self._served is not None:
+            self._served.append([subscription.sub_id, event.seq])
         with self.network.obs.tracer.span_if_active(
                 "mediator.deliver", range=self.range_name,
                 type=event.type_name, sub_id=subscription.sub_id):

@@ -20,16 +20,17 @@ export round-trips.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from hashlib import blake2b
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Deque, Dict, Iterable, List, Optional, Union
 
 #: artefact format marker; bump on incompatible changes (any other version is
-#: refused: /1 files carry lease renewals and /2 files a second, Profile
-#: Manager copy of every arrival and departure, kinds the projector has no
-#: rule for)
-LEDGER_SCHEMA = "sci.ledger/3"
+#: refused: /1 files carry lease renewals, /2 files a second, Profile Manager
+#: copy of every arrival and departure, and /3 files one entry per delivered
+#: recipient, kinds the projector has no rule for)
+LEDGER_SCHEMA = "sci.ledger/4"
 
 #: the chain anchor every rank starts from
 GENESIS_HASH = "0" * 32
@@ -42,9 +43,9 @@ ENTRY_KINDS = (
     "profile-update",  # profile manager: attribute patch applied
     "subscribe",       # mediator: subscription established
     "unsubscribe",     # mediator: subscription torn down
-    "retain",          # mediator: retained entry stored/updated
+    "publish",         # mediator: one fan-out: entry retained, subs served
+    "replay",          # mediator: retained events replayed to one sub
     "retain-evict",    # mediator: retained entry dropped by the cap
-    "delivery",        # mediator: one event delivered to one subscription
     "query",           # context server: query lifecycle step
 )
 
@@ -53,16 +54,20 @@ class LedgerError(ValueError):
     """A broken chain, an invalid entry, or a malformed JSONL artefact."""
 
 
-def _canonical(payload: Any) -> str:
-    """The canonical JSON encoding the hash commits to."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      default=repr)
+#: the canonical JSON encoding the hash commits to. No ``default``: a value
+#: without a JSON form cannot be carried by the artefact, and hashing its
+#: ``repr`` would tie the chain to one process's set order and addresses
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def entry_hash(prev_hash: str, shard_rank: int, seq: int, sim_time: float,
                kind: str, payload: Dict[str, Any]) -> str:
     """blake2b over the previous hash plus the entry's canonical body."""
-    body = _canonical([shard_rank, seq, sim_time, kind, payload])
+    try:
+        body = _canonical([shard_rank, seq, sim_time, kind, payload])
+    except (TypeError, ValueError) as exc:
+        raise LedgerError(f"{kind!r} entry {shard_rank}:{seq}: payload is "
+                          f"not JSON ({exc})") from exc
     return blake2b((prev_hash + body).encode("utf-8"),
                    digest_size=16).hexdigest()
 
@@ -127,7 +132,7 @@ class ContextLedger:
         self.range_name = range_name
         self._entries: List[LedgerEntry] = []
         #: appended but not yet hashed: (sim_time, kind, payload) bodies
-        self._unsealed: List[tuple] = []
+        self._unsealed: Deque[tuple] = deque()
         self._metrics = metrics
         self._appends_counter = None
         if metrics is not None:
@@ -156,11 +161,11 @@ class ContextLedger:
 
     def _seal(self) -> None:
         """Extend the hash chain over every body appended since last seal."""
-        if not self._unsealed:
-            return
-        bodies, self._unsealed = self._unsealed, []
         prev = self._entries[-1].entry_hash if self._entries else GENESIS_HASH
-        for sim_time, kind, payload in bodies:
+        while self._unsealed:
+            # popped only once hashed: a body that cannot be stays at the
+            # front and fails this read and every later one
+            sim_time, kind, payload = self._unsealed[0]
             seq = len(self._entries)
             entry = LedgerEntry(
                 ledger_id=self.ledger_id,
@@ -175,6 +180,7 @@ class ContextLedger:
             )
             self._entries.append(entry)
             prev = entry.entry_hash
+            self._unsealed.popleft()
 
     def child(self, shard_rank: int) -> "ContextLedger":
         """A sibling chain for one mediator shard (same ledger id)."""

@@ -16,13 +16,20 @@ Authority split — who rebuilds what:
   lifecycle events and are not recorded: a lease that ran out shows as
   ``depart`` with ``reason: lease-expired``, and the moving expiry deadline
   is the live Registrar's business, outside the audited view.
-* ``profile-update`` (the one fact the Profile Manager originates) patches
-  the attributes of the projected copy, never the entry it was copied from.
-* ``subscribe`` / ``unsubscribe`` / ``delivery`` / ``retain`` /
+* ``profile-update`` (the one fact the Profile Manager originates) replaces
+  the projected wire with a patched copy, never the entry it came from.
+* ``subscribe`` / ``unsubscribe`` / ``publish`` / ``replay`` /
   ``retain-evict`` (mediator chains) rebuild subscriptions, per-
-  subscription delivery counts and the retained store. Shard migration is
-  invisible by construction: adopt/release during rebalance is never
-  logged, and the retained view keys on ``(type, representation,
+  subscription delivery counts and the retained store. A ``publish`` entry
+  is one fan-out: the retained entry it stored (absent on the sharded
+  router, which retains nothing) and the ``[sub_id, event_seq]`` pair of
+  every subscription it served, appended when the fan-out completed — so a
+  one-time subscription it consumed has its ``unsubscribe`` *before* it, at
+  the same sim-time, and a pair naming a subscription the books no longer
+  hold is ignored. ``replay`` is the same list for deliveries made outside
+  a publish (retained replay to a fresh subscription, ``resync``). Shard
+  migration is invisible by construction: adopt/release during rebalance
+  is never logged, and the retained view keys on ``(type, representation,
   subject)`` with the first-retained seq stamp, which is invariant under
   ownership moves.
 
@@ -35,7 +42,6 @@ server is up.
 
 from __future__ import annotations
 
-import copy
 from hashlib import blake2b
 from typing import Any, Dict, Iterable, List, Optional
 
@@ -102,10 +108,10 @@ class ReplayProjector:
             "host": payload["host"],
             "registered_at": payload["registered_at"],
         }
-        # deep-copied: profile-update patches the projected wire in place,
-        # and the original dict belongs to an already-hashed ledger entry
+        # by reference: the wire belongs to an already-hashed entry, so
+        # profile-update replaces it (copy on write) and reads copy it
         self.state.profiles[payload["entity"]] = {
-            "profile": copy.deepcopy(payload["profile"]),
+            "profile": payload["profile"],
             "advertisements": list(payload["advertisements"]),
         }
 
@@ -118,7 +124,9 @@ class ReplayProjector:
     def _apply_profile_update(self, payload: Dict[str, Any]) -> None:
         stored = self.state.profiles.get(payload["entity"])
         if stored is not None:
-            stored["profile"]["attributes"].update(payload["attributes"])
+            wire = stored["profile"]
+            stored["profile"] = dict(wire, attributes={
+                **wire["attributes"], **payload["attributes"]})
 
     # -- mediator chains ------------------------------------------------------
 
@@ -135,17 +143,20 @@ class ReplayProjector:
     def _apply_unsubscribe(self, payload: Dict[str, Any]) -> None:
         self.state.subscriptions.pop(payload["sub_id"], None)
 
-    def _apply_delivery(self, payload: Dict[str, Any]) -> None:
-        subscription = self.state.subscriptions.get(payload["sub_id"])
-        if subscription is not None:
-            subscription["delivered"] += 1
+    def _apply_publish(self, payload: Dict[str, Any]) -> None:
+        if "key" in payload:  # a router's fan-out retains nothing
+            self.state.retained[tuple(payload["key"])] = {
+                "first_seq": payload["first_seq"],
+                "event": payload["event"],
+            }
+        self._apply_replay(payload)
 
-    def _apply_retain(self, payload: Dict[str, Any]) -> None:
-        key = tuple(payload["key"])
-        self.state.retained[key] = {
-            "first_seq": payload["first_seq"],
-            "event": payload["event"],
-        }
+    def _apply_replay(self, payload: Dict[str, Any]) -> None:
+        subscriptions = self.state.subscriptions
+        for sub_id, _event_seq in payload["deliveries"]:
+            subscription = subscriptions.get(sub_id)
+            if subscription is not None:  # consumed one-time: already gone
+                subscription["delivered"] += 1
 
     def _apply_retain_evict(self, payload: Dict[str, Any]) -> None:
         self.state.retained.pop(tuple(payload["key"]), None)
@@ -161,8 +172,8 @@ class ReplayProjector:
         "profile-update": _apply_profile_update,
         "subscribe": _apply_subscribe,
         "unsubscribe": _apply_unsubscribe,
-        "delivery": _apply_delivery,
-        "retain": _apply_retain,
+        "publish": _apply_publish,
+        "replay": _apply_replay,
         "retain-evict": _apply_retain_evict,
         "query": _apply_query,
     }

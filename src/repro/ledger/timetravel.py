@@ -17,6 +17,7 @@ eligible (the same entry the projected profile was copied from).
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Dict, List, Optional
 
 from repro.composition.resolver import QueryResolver
@@ -57,14 +58,16 @@ class AsOfView:
 
     # -- profiles -------------------------------------------------------------
 
+    # the projected wire may be a hashed entry's own dict: hand out copies
+
     def profile(self, entity_hex: str) -> Optional[Dict[str, Any]]:
         stored = self.state.profiles.get(entity_hex)
-        return stored["profile"] if stored is not None else None
+        return None if stored is None else copy.deepcopy(stored["profile"])
 
     def profile_by_name(self, name: str) -> Optional[Dict[str, Any]]:
         for stored in self.state.profiles.values():
             if stored["profile"]["name"] == name:
-                return stored["profile"]
+                return copy.deepcopy(stored["profile"])
         return None
 
     def _live_profiles(self) -> List[Profile]:

@@ -13,7 +13,8 @@ sequencing, one-time arbitration, the retained store and the wire protocol
 are the production mediator's own, so a divergence can only come from how
 candidates are found and ordered. Continuous queries have no scan
 equivalent: a ``query=`` subscription is filed like any other but never
-matched here.
+matched here. It keeps no ledger of its publishes: the ``publish`` entry is
+written by the production ``_fan_out`` this class replaces.
 """
 
 from __future__ import annotations

@@ -45,8 +45,9 @@ class TestChain:
         assert ledger.verify() == 0
 
     def test_unknown_kind_rejected(self):
-        # renewals are not lifecycle events: their kind left the closed set
-        for kind in ("gossip", "lease-renew"):
+        # renewals are not lifecycle events, and a publish is one entry, not
+        # one per recipient: their kinds left the closed set
+        for kind in ("gossip", "lease-renew", "retain", "delivery"):
             with pytest.raises(LedgerError, match="unknown entry kind"):
                 ContextLedger("cs:test").append(0.0, kind, {})
 
@@ -76,6 +77,33 @@ class TestChain:
         with pytest.raises(LedgerError, match="carries seq"):
             ledger.verify()
 
+    def test_non_json_payload_refused_at_seal(self):
+        # hashed through repr() these sealed "fine": a set in this process's
+        # iteration order, an object by its address, so two runs of one seed
+        # disagreed on the head and the artefact writer died on a TypeError
+        for value in ({"alpha", "beta", "gamma"}, object()):
+            ledger = build_chain()
+            ledger.append(4.0, "query", {"query_id": "q", "bound": value})
+            assert len(ledger) == 4
+            for _ in range(2):  # it stays unsealed: every read refuses
+                with pytest.raises(LedgerError,
+                                   match=r"'query' entry 0:3.*not JSON"):
+                    ledger.head
+            assert len(ledger._entries) == 3
+
+    def test_canonical_encoding_is_pinned(self):
+        # one shared encoder, no per-call JSONEncoder: sort_keys, compact
+        # separators and float repr must stay byte-identical or every
+        # archived /4 chain stops verifying
+        ledger = build_chain()
+        ledger.append(3.5, "publish", {
+            "key": ["location", "topological", "bob"], "first_seq": 12,
+            "event": {"value": "L10.01", "timestamp": 0.1, "seq": 12},
+            "deliveries": [[7, 12], [9, 12]]})
+        ledger.append(4.0, "replay", {"deliveries": [[11, 12]]})
+        assert ledger.head == "02cb97ab8bb8b170c48c915cea10fd26"
+        assert ledger.verify() == 5
+
     def test_upto_filters_by_time(self):
         assert [e.kind for e in build_chain().entries(upto=2.0)] == \
             ["register", "profile-update"]
@@ -100,11 +128,10 @@ class TestFamilyMerge:
         root = ContextLedger("cs:test")
         shard = root.child(1)
         root.append(1.0, "register", {"entity": "aa", "name": "A"})
-        shard.append(1.0, "retain",
+        shard.append(1.0, "publish",
                      {"key": ["t", "raw", "s"], "first_seq": 1,
-                      "event": {"type": "t"}})
-        shard.append(1.5, "delivery", {"sub_id": 1, "event_seq": 1,
-                                       "type": "t", "subject": "s"})
+                      "event": {"type": "t"}, "deliveries": []})
+        shard.append(1.5, "replay", {"deliveries": [[1, 1]]})
         root.append(2.0, "depart", {"entity": "aa", "reason": "x"})
         return root, shard
 
@@ -124,7 +151,7 @@ class TestFamilyMerge:
     def test_upto_applies_to_the_family(self):
         root, shard = self._family()
         assert [e.kind for e in merge_entries([root, shard], upto=1.0)] == \
-            ["register", "retain"]
+            ["register", "publish"]
 
 
 class TestArtefact:
@@ -139,8 +166,7 @@ class TestArtefact:
         root = ContextLedger("cs:test")
         shard = root.child(1)
         root.append(1.0, "register", {"entity": "aa", "name": "A"})
-        shard.append(0.5, "delivery", {"sub_id": 1, "event_seq": 1,
-                                       "type": "t", "subject": "s"})
+        shard.append(0.5, "publish", {"deliveries": [[1, 1]]})
         path = tmp_path / "family.jsonl"
         write_ledger_jsonl([root, shard], path)
         records = load_ledger_jsonl(path)
@@ -179,13 +205,16 @@ class TestArtefact:
             load_ledger_jsonl(path)
 
     def test_schema_marker_required(self, tmp_path):
-        # /1 files carry lease-renew entries and a lease_expiry field the
-        # projector no longer has a rule for: refused, never mis-projected
+        # /1 files carry lease-renew entries, /2 a second membership book,
+        # /3 an entry per delivered recipient; the projector has no rule
+        # for any of them: refused by version, never mis-projected
         path, records = self._exported(tmp_path)
-        records[0]["schema"] = "sci.ledger/1"
-        self._rewrite(path, records)
-        with pytest.raises(LedgerError, match="schema"):
-            load_ledger_jsonl(path)
+        for version in ("1", "2", "3"):
+            records[0]["schema"] = f"sci.ledger/{version}"
+            self._rewrite(path, records)
+            with pytest.raises(LedgerError,
+                               match="schema must be 'sci.ledger/4'"):
+                load_ledger_jsonl(path)
 
     def test_bool_shard_rejected(self, tmp_path):
         # True == 1 in Python; the validator must still refuse it

@@ -1,0 +1,229 @@
+"""The ledger records the publish, not each recipient.
+
+One fan-out is one ``publish`` entry — what it retained and the
+``[sub_id, event_seq]`` pair of everybody it served, appended when the
+fan-out completes; deliveries made outside a publish (retained replay to
+a fresh subscription, a served ``resync``) are one ``replay`` entry per
+replay. A change that silently goes back to an entry per recipient, or
+that appends the entry before the fan-out is over, fails here.
+"""
+
+import itertools
+
+import pytest
+
+from repro.core.ids import GuidFactory
+from repro.core.types import TypeSpec
+from repro.events import subscription as subscription_module
+from repro.events.event import ContextEvent
+from repro.events.filters import (AndFilter, NotFilter, SubjectFilter,
+                                  TypeFilter)
+from repro.events.mediator import EventMediator
+from repro.events.sharding import ShardedEventMediator
+from repro.ledger.ledger import ContextLedger, merge_entries
+from repro.ledger.replay import (ReplayProjector, projection_snapshot,
+                                 snapshot_retained, snapshot_subscriptions)
+from repro.net.transport import FixedLatency, FunctionProcess, Network
+
+
+@pytest.fixture
+def rig():
+    subscription_module._subscription_ids = itertools.count(1)
+    net = Network(latency_model=FixedLatency(1.0), seed=3)
+    net.add_host("h")
+    guids = GuidFactory(seed=4)
+    sink = FunctionProcess(guids.mint(), "h", net, lambda _m: None)
+    return net, guids, sink
+
+
+def plain(rig, retained_cap=8):
+    net, guids, _ = rig
+    return EventMediator(guids.mint(), "h", net, "r",
+                         retained_cap=retained_cap,
+                         ledger=ContextLedger("cs:fold"))
+
+
+def sharded(rig, shards=3):
+    net, guids, _ = rig
+    return ShardedEventMediator(guids.mint(), "h", net, "r", shards=shards,
+                                guid_factory=guids,
+                                ledger=ContextLedger("cs:fold"))
+
+
+def event(mediator, seq, subject="bob", type_name="location"):
+    return ContextEvent(TypeSpec(type_name, "topological", subject),
+                        f"room-{seq}", mediator.guid, 0.0, seq=seq)
+
+
+def kinds(chain, since=0):
+    return [entry.kind for entry in chain.entries()[since:]]
+
+
+def assert_projects_to_live(mediator):
+    projected = projection_snapshot(ReplayProjector.from_entries(
+        merge_entries(mediator.ledgers())).state)
+    assert projected["subscriptions"] == snapshot_subscriptions(mediator)
+    assert projected["retained"] == snapshot_retained(mediator)
+
+
+def test_k_matches_are_one_entry_with_k_pairs_in_delivery_order(rig):
+    _, _, sink = rig
+    mediator = plain(rig)
+    chain = mediator.ledgers()[0]
+    subs = [mediator.add_subscription(sink.guid, TypeFilter("location"))
+            for _ in range(3)]
+    mediator.add_subscription(sink.guid, TypeFilter("temperature"))
+    mark = len(chain)
+    assert mediator.publish(event(mediator, 41)) == 3
+    assert mediator.publish(event(mediator, 42)) == 3
+    first, second = chain.entries()[mark:]
+    assert first.kind == second.kind == "publish"
+    assert first.payload == {
+        "key": ["location", "topological", "bob"], "first_seq": 41,
+        "event": event(mediator, 41).to_wire(),
+        "deliveries": [[sub.sub_id, 41] for sub in subs]}
+    # an in-place update keeps the stamp of the event that created the entry
+    assert second.payload["first_seq"] == 41
+    assert second.payload["event"]["seq"] == 42
+    assert second.payload["deliveries"] == [[sub.sub_id, 42] for sub in subs]
+    assert_projects_to_live(mediator)
+
+
+def test_publish_at_the_cap_is_evict_then_publish(rig):
+    mediator = plain(rig, retained_cap=2)
+    chain = mediator.ledgers()[0]
+    for seq, subject in enumerate(("bob", "ada"), start=1):
+        mediator.publish(event(mediator, seq, subject))
+    mark = len(chain)
+    mediator.publish(event(mediator, 3, "eve"))
+    evict, publish = chain.entries()[mark:]
+    assert (evict.kind, evict.payload) == \
+        ("retain-evict", {"key": ["location", "topological", "bob"]})
+    assert publish.kind == "publish" and publish.payload["first_seq"] == 3
+    assert_projects_to_live(mediator)
+
+
+def test_consumed_one_time_subscription_projects_at_that_instant(rig):
+    # the publish entry is appended when the fan-out completes, so the
+    # unsubscribe of a one-time subscription it consumed comes first, at
+    # the same sim-time; as_of(T) cannot separate entries of one instant,
+    # and with all of them applied the projection is the live books
+    _, _, sink = rig
+    mediator = plain(rig)
+    chain = mediator.ledgers()[0]
+    once = mediator.add_subscription(sink.guid, TypeFilter("location"),
+                                     one_time=True)
+    kept = mediator.add_subscription(sink.guid, TypeFilter("location"))
+    mark = len(chain)
+    assert mediator.publish(event(mediator, 7)) == 2
+    instant = chain.entries()[mark:]
+    assert [entry.kind for entry in instant] == ["unsubscribe", "publish"]
+    assert len({entry.sim_time for entry in instant}) == 1
+    assert instant[0].payload == {"sub_id": once.sub_id}
+    assert instant[1].payload["deliveries"] == \
+        [[once.sub_id, 7], [kept.sub_id, 7]]
+    assert not mediator.has_subscription(once.sub_id)
+    assert_projects_to_live(mediator)
+    assert projection_snapshot(ReplayProjector.from_entries(
+        chain.entries(upto=instant[0].sim_time)).state)["subscriptions"] == \
+        snapshot_subscriptions(mediator)
+
+
+def test_retained_replay_to_a_fresh_subscription_is_one_entry(rig):
+    _, _, sink = rig
+    mediator = plain(rig)
+    chain = mediator.ledgers()[0]
+    for seq, subject in enumerate(("bob", "ada", "eve"), start=1):
+        mediator.publish(event(mediator, seq, subject))
+    mediator.publish(event(mediator, 4, "bob", type_name="temperature"))
+    mark = len(chain)
+    late = mediator.add_subscription(sink.guid, TypeFilter("location"))
+    assert late.delivered == 3
+    assert kinds(chain, mark) == ["subscribe", "replay"]
+    assert chain.entries()[-1].payload == \
+        {"deliveries": [[late.sub_id, seq] for seq in (1, 2, 3)]}
+    # nothing retained matches: no replay, no entry
+    mark = len(chain)
+    mediator.add_subscription(sink.guid, TypeFilter("humidity"))
+    assert kinds(chain, mark) == ["subscribe"]
+    # a one-time late joiner is consumed by the first replayed event
+    mark = len(chain)
+    once = mediator.add_subscription(sink.guid, TypeFilter("location"),
+                                     one_time=True)
+    assert kinds(chain, mark) == ["subscribe", "replay", "unsubscribe"]
+    assert chain.entries()[-2].payload == {"deliveries": [[once.sub_id, 1]]}
+    assert_projects_to_live(mediator)
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_a_served_resync_is_one_replay_entry(rig, shards):
+    net, _, sink = rig
+    mediator = plain(rig) if shards == 1 else sharded(rig, shards)
+    sub = mediator.add_subscription(sink.guid, SubjectFilter("bob"))
+    exact = mediator.add_subscription(
+        sink.guid, AndFilter([TypeFilter("location"), SubjectFilter("bob")]))
+    for seq, type_name in enumerate(("location", "temperature"), start=1):
+        sink.send(mediator.guid, "publish",
+                  {"event": event(mediator, seq, "bob", type_name).to_wire(),
+                   "ack": False})
+    net.scheduler.run_for(5.0)
+    assert (sub.delivered, exact.delivered) == (2, 1)
+    before = sum(len(chain) for chain in mediator.ledgers())
+    for sub_id in (sub.sub_id, exact.sub_id, 999):  # the last: refused
+        sink.send(mediator.guid, "resync", {"sub_id": sub_id})
+    net.scheduler.run_for(5.0)
+    assert (sub.delivered, exact.delivered) == (4, 2)
+    added = merge_entries(mediator.ledgers())[before:]
+    assert sorted((entry.kind, entry.payload["deliveries"])
+                  for entry in added) == [
+        ("replay", [[sub.sub_id, 1], [sub.sub_id, 2]]),
+        ("replay", [[exact.sub_id, 1]])]
+    assert_projects_to_live(mediator)
+
+
+def test_sharded_publish_writes_one_entry_per_writer_it_touches(rig):
+    net, _, sink = rig
+    mediator = sharded(rig, shards=3)
+    router_chain, *shard_chains = mediator.ledgers()
+    owner = mediator.shard_id_for("location", "bob")
+    exact = mediator.add_subscription(
+        sink.guid, AndFilter([TypeFilter("location"), SubjectFilter("bob")]))
+    routed = mediator.add_subscription(sink.guid, TypeFilter("location"))
+    marks = [len(chain) for chain in mediator.ledgers()]
+    mediator.publish(event(mediator, 5))
+    net.scheduler.run_for(5.0)
+    assert (exact.delivered, routed.delivered) == (1, 1)
+    grown = [kinds(chain, mark)
+             for chain, mark in zip(mediator.ledgers(), marks)]
+    assert grown == [["publish"]] + [
+        ["publish"] if shard_id == owner else []
+        for shard_id in range(3)]
+    # the owner retains and serves its exact subscription; the router
+    # retains nothing and serves the routed one
+    assert shard_chains[owner].entries()[-1].payload == {
+        "key": ["location", "topological", "bob"], "first_seq": 5,
+        "event": event(mediator, 5).to_wire(),
+        "deliveries": [[exact.sub_id, 5]]}
+    assert router_chain.entries()[-1].payload == \
+        {"deliveries": [[routed.sub_id, 5]]}
+    assert_projects_to_live(mediator)
+
+
+def test_router_fan_out_nobody_matches_appends_nothing(rig):
+    # a residual routed filter makes every shard forward to the router;
+    # a fan-out there that neither retains nor delivers is not a decision
+    net, _, sink = rig
+    mediator = sharded(rig, shards=2)
+    router_chain, *shard_chains = mediator.ledgers()
+    mediator.add_subscription(sink.guid, NotFilter(TypeFilter("location")))
+    mark = len(router_chain)
+    mediator.publish(event(mediator, 9))
+    net.scheduler.run_for(5.0)
+    assert mediator.network.obs.metrics.get(
+        "cs.shard.dispatched").by_label() == {"r": 1}
+    assert kinds(router_chain, mark) == []
+    owner = mediator.shard_id_for("location", "bob")
+    assert [kinds(chain) for chain in shard_chains] == [
+        ["publish"] if shard_id == owner else [] for shard_id in range(2)]
+    assert shard_chains[owner].entries()[-1].payload["deliveries"] == []
+    assert_projects_to_live(mediator)

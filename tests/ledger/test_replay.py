@@ -4,6 +4,7 @@ from repro.ledger.ledger import (ContextLedger, load_ledger_jsonl,
                                  write_ledger_jsonl)
 from repro.ledger.replay import (ReplayProjector, projection_snapshot,
                                  snapshot_digest)
+from repro.ledger.timetravel import AsOfView
 
 
 def _profile_wire(entity_hex, name, **attributes):
@@ -30,11 +31,11 @@ def build_ledger():
         "sub_id": 7, "subscriber": "bb", "filter": {"kind": "type",
                                                     "type": "location"},
         "one_time": False, "owner": "app", "query": "q-1"})
-    ledger.append(6.0, "retain", {
+    ledger.append(6.0, "publish", {
         "key": ["location", "topological", "bob"], "first_seq": 12,
-        "event": {"type": "location", "value": "L10.01"}})
-    ledger.append(7.0, "delivery", {"sub_id": 7, "event_seq": 12,
-                                    "type": "location", "subject": "bob"})
+        "event": {"type": "location", "value": "L10.01"},
+        "deliveries": [[7, 12]]})
+    ledger.append(7.0, "replay", {"deliveries": [[7, 12], [7, 13]]})
     ledger.append(8.0, "query", {"query_id": "q-1", "event": "routed",
                                  "status": "executed"})
     return ledger
@@ -75,15 +76,53 @@ class TestProjection:
         # the update must patch a copy: the original wire belongs to an
         # already-hashed entry, so in-place patching would break verify()
         ledger = build_ledger()
-        ReplayProjector.from_entries(ledger.entries())
+        projector = ReplayProjector.from_entries(ledger.entries())
         assert ledger.entry(0).payload["profile"]["attributes"] == \
             {"room": "L10.01"}
         assert ledger.verify() == 7
+        # the read side: the projection holds entry dicts by reference (copy
+        # on write), so what a view hands out must be a copy — scribbling
+        # on it reaches neither the chain nor the next read
+        view = AsOfView(projector.state, registry=None, time=8.0)
+        for wire in (view.profile("bb"), view.profile_by_name("S2"),
+                     view.profile("aa")):
+            wire["attributes"]["room"] = "vault"
+            wire["outputs"].append("scribble")
+        assert ledger.verify() == 7
+        assert view.profile("bb")["attributes"] == {}
+        assert view.profile("aa") == _profile_wire("aa", "S1", room="L10.02")
 
     def test_subscription_and_delivery_count(self):
         state = ReplayProjector.from_entries(build_ledger().entries()).state
-        assert state.subscriptions[7]["delivered"] == 1
+        # one from the publish that served it, two from the replay
+        assert state.subscriptions[7]["delivered"] == 3
         assert state.subscriptions[7]["owner"] == "app"
+
+    def test_router_publish_retains_nothing(self):
+        # the sharded router's fan-out has no retained part: counts only
+        ledger = build_ledger()
+        ledger.append(9.0, "publish", {"deliveries": [[7, 14]]})
+        state = ReplayProjector.from_entries(ledger.entries()).state
+        assert state.subscriptions[7]["delivered"] == 4
+        assert list(state.retained) == [("location", "topological", "bob")]
+
+    def test_consumed_one_time_subscription_precedes_its_publish(self):
+        # the entry is appended when the fan-out completes, so a one-time
+        # subscription it consumed is already unsubscribed, at the same
+        # sim-time; the pair naming it is ignored and the other one counts
+        ledger = build_ledger()
+        ledger.append(9.0, "subscribe", {
+            "sub_id": 8, "subscriber": "bb", "filter": {"kind": "all"},
+            "one_time": True, "owner": None, "query": None})
+        ledger.append(10.0, "unsubscribe", {"sub_id": 8})
+        ledger.append(10.0, "publish", {
+            "key": ["location", "topological", "ada"], "first_seq": 15,
+            "event": {"type": "location", "value": "L10.02"},
+            "deliveries": [[8, 15], [7, 15]]})
+        state = ReplayProjector.from_entries(ledger.entries()).state
+        assert set(state.subscriptions) == {7}
+        assert state.subscriptions[7]["delivered"] == 4
+        assert len(state.retained) == 2
 
     def test_retained_store(self):
         state = ReplayProjector.from_entries(build_ledger().entries()).state
@@ -113,8 +152,8 @@ class TestProjection:
         ledger = ContextLedger("cs:replay")
         ledger.append(1.0, "depart", {"entity": "zz",
                                       "reason": "lease-expired"})
-        ledger.append(2.0, "delivery", {"sub_id": 99, "event_seq": 1,
-                                        "type": "t", "subject": "s"})
+        ledger.append(2.0, "publish", {"deliveries": [[99, 1]]})
+        ledger.append(2.5, "replay", {"deliveries": [[99, 1]]})
         ledger.append(3.0, "profile-update", {"entity": "zz",
                                               "attributes": {"a": 1}})
         state = ReplayProjector.from_entries(ledger.entries()).state

@@ -2,13 +2,14 @@
 
 Hypothesis draws arbitrary op traces — register / re-register / depart,
 profile patch (aimed at whoever is registered at that point), subscribe
-(any filter shape, one-time or not), unsubscribe, publish — and runs them
-against live components (Registrar, the ProfileManager over it, a mediator
+(any filter shape, one-time or not), unsubscribe, publish, resync — and runs
+them against live components (Registrar, the ProfileManager over it, a mediator
 at shard counts 1..3) wired to one ledger family. After EVERY op the
 projection of the entries appended so far must equal the live books
-snapshot-for-snapshot. A tight retained cap keeps evictions in play, and
-one-time subscriptions exercise the delivery-then-unsubscribe path the
-mediator logs on its own.
+snapshot-for-snapshot. A tight retained cap keeps evictions in play,
+one-time subscriptions exercise the unsubscribe-then-publish order the
+mediator logs on its own, and a resync (proxied to the owner shard when
+there is one) replays the retained store under a single ``replay`` entry.
 """
 
 import itertools
@@ -42,7 +43,7 @@ ENTITIES = 4
 def operations(draw):
     op = draw(st.sampled_from(
         ["register", "depart", "profile-update", "subscribe", "unsubscribe",
-         "publish"]))
+         "publish", "resync"]))
     i = draw(st.integers(0, ENTITIES - 1))
     if op == "profile-update":
         return (op, i, draw(st.sampled_from(["room", "floor"])),
@@ -148,6 +149,10 @@ class TestProjectionEqualsLive:
                 if sub_ids:
                     mediator.remove_subscription(
                         sub_ids[op[1] % len(sub_ids)])
+            elif kind == "resync":
+                if sub_ids:  # may name a subscription already gone: refused
+                    subscriber.send(mediator.guid, "resync",
+                                    {"sub_id": sub_ids[op[1] % len(sub_ids)]})
             elif kind == "publish":
                 _, type_name, subject, value = op
                 wire = ContextEvent(
@@ -159,7 +164,8 @@ class TestProjectionEqualsLive:
             # a bounded drain window, not run_until_idle: the registrar's
             # periodic lease sweep keeps the scheduler non-idle forever.
             # publisher -> router -> shard -> subscriber is 3 hops at
-            # FixedLatency(1.0), so 5 units flushes every in-flight message
+            # FixedLatency(1.0) and a proxied resync's ack is the 4th, so
+            # 5 units flushes every in-flight message
             net.scheduler.run_for(5.0)
             live = _live(registrar, profiles, mediator)
             assert _projected(mediator) == live

@@ -93,8 +93,9 @@ def test_device_patch_refiles_the_what_index(network, guids, deployed_range):
 
 def test_vocabulary_is_nine_kinds_and_older_artefacts_are_refused(tmp_path):
     assert len(ENTRY_KINDS) == 9
-    assert not {"profile-add", "profile-remove"} & set(ENTRY_KINDS)
-    assert LEDGER_SCHEMA == "sci.ledger/3"
+    assert not {"profile-add", "profile-remove", "retain",
+                "delivery"} & set(ENTRY_KINDS)
+    assert LEDGER_SCHEMA == "sci.ledger/4"
     with pytest.raises(LedgerError, match="unknown entry kind"):
         ContextLedger("cs:x").append(0.0, "profile-add", {"entity": "aa"})
 
@@ -104,10 +105,12 @@ def test_vocabulary_is_nine_kinds_and_older_artefacts_are_refused(tmp_path):
     write_ledger_jsonl([ledger], path)
     assert len(load_ledger_jsonl(path)) == 1
     record = json.loads(path.read_text())
-    record["schema"] = "sci.ledger/2"  # the chain itself is still intact
-    path.write_text(json.dumps(record) + "\n")
-    with pytest.raises(LedgerError, match="schema must be 'sci.ledger/3'"):
-        load_ledger_jsonl(path)
+    for older in ("sci.ledger/2", "sci.ledger/3"):
+        record["schema"] = older  # the chain itself is still intact
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(LedgerError,
+                           match="schema must be 'sci.ledger/4'"):
+            load_ledger_jsonl(path)
 
 
 def test_explain_still_hands_out_a_register_ref_that_recomputes(
