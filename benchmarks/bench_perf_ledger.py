@@ -1,8 +1,8 @@
 """PERF — context-ledger append overhead on the open-loop hot path.
 
-The same :mod:`repro.apps.workload` stream the sharding benchmark uses —
-Poisson publishes, Zipf-1.1 subjects, 20k exact trackers, churn and
-query ops — runs twice per scale row on the classic mediator: once with
+The :mod:`repro.apps.workload` open-loop stream — Poisson publishes,
+Zipf-1.1 subjects, 20k exact trackers, churn and query ops — runs twice
+per scale row on one Event Mediator: once with
 the range's context ledger recording every subscribe and publish
 (``ledger=on``) and once with recording disabled (``ledger=off``, the
 ``SCIConfig(ledger=False)`` ablation). Both runs share seeds, so they

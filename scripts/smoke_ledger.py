@@ -9,7 +9,7 @@ then expires (the PR-4 failure-detection path). The gate asserts:
   live registrar / profile / retained / subscription books digest-for-
   digest, and the ``as_of(T)`` prefix oracle matches a mid-run live
   checkpoint captured by a scheduler callback;
-* **chain integrity**: every per-shard hash chain verifies end-to-end
+* **chain integrity**: every range's hash chain verifies end-to-end
   and the per-chain totals add up to the merged stream;
 * **one book**: one ``register`` entry per registration the Registrar
   counted, one ``depart`` per departure it announced, and no kind outside

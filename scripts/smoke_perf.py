@@ -28,9 +28,8 @@ structural properties a refactor could silently regress:
   canonical event log the single-heap reference does — what
   ``tests/parallel`` proves entry for entry;
 * the mediator delivers entry-identical logs to the test-side linear
-  reference scan (``tests/events/reference_scan.py``), sharded graphs agree
-  with a single one on continuous queries, and look-alike subscriptions
-  actually share nodes (reuse ratio gated) — a change that silently broke
+  reference scan (``tests/events/reference_scan.py``), and look-alike
+  subscriptions actually share nodes (reuse ratio gated) — a change that silently broke
   canonicalisation would instantiate one node per subscription and fail
   here at smoke scale.
 
@@ -39,7 +38,6 @@ Exits non-zero on any failure, so CI can gate on it. Usage::
     PYTHONPATH=src python scripts/smoke_perf.py
 """
 
-import gc
 import pathlib
 import sys
 
@@ -66,12 +64,6 @@ MAX_SCAN_FRACTION = 0.25
 #: workload's filters are 99% exact-match conjunctions
 MAX_RESIDUAL_SUBSCRIPTIONS = 0.05
 OVERLAY_NODES = 64
-#: catastrophic-regression guard for the sharded Context Server at smoke
-#: scale (bench_perf_shard reports the same ratio at 10^6 entities):
-#: the sharded open-loop run may not fall below this fraction of the
-#: classic mediator's wall-clock throughput
-MIN_SHARD_WORKLOAD_RATIO = 0.6
-SHARD_WORKLOAD_ENTITIES = 5_000
 #: look-alike trackers for the opgraph smoke run; with a 64-template pool
 #: nearly every materialisation must be served by an existing node
 OPGRAPH_TRACKERS = 2_000
@@ -373,48 +365,6 @@ def main() -> int:
                 f"staged stats equal the reference totals "
                 f"({reference['delivered']} delivered)")
 
-    print("smoke-perf: sharded mediator delivery equivalence...")
-    from tests.shard.scenarios import run_scenario as run_shard_scenario  # noqa: E402
-    plain = run_shard_scenario(shards=1, reference=True)
-    shard3 = run_shard_scenario(shards=3)
-    ok &= check(shard3["logs"] == plain["logs"],
-                f"3-shard per-subscription logs entry-identical to the "
-                f"reference scan "
-                f"({plain['delivered']} deliveries over "
-                f"{len(plain['logs'])} subscriptions)")
-    ok &= check(shard3["acks"] == plain["acks"]
-                and shard3["subscription_count"] == plain["subscription_count"],
-                f"acks and surviving subscriptions equal "
-                f"({plain['acks']} acks, {plain['subscription_count']} subs)")
-
-    print(f"smoke-perf: sharded open-loop throughput at "
-          f"{SHARD_WORKLOAD_ENTITIES} entities...")
-    from benchmarks.bench_perf_shard import measure as measure_workload  # noqa: E402
-    # one wall-clock shot of each side reads 0.55-0.75 from run to run on a
-    # 2-core box: three interleaved pairs, gate on the median ratio. What the
-    # earlier stages left alive is frozen out of the collector's sight first,
-    # or every full collection inside a timed run walks it (median 0.59-0.69
-    # without, 0.63-0.71 with, eight runs each)
-    gc.collect()
-    gc.freeze()
-    pairs = [[measure_workload(SHARD_WORKLOAD_ENTITIES, 20, 20,
-                               shards=shards, duration=60.0,
-                               publish_rate=50.0, trackers=2_000)
-              for shards in (1, 4)]
-             for _ in range(3)]
-    gc.unfreeze()
-    ok &= check(all(sharded["published"] == classic["published"]
-                    and sharded["delivered"] == classic["delivered"]
-                    for classic, sharded in pairs),
-                f"sharded run published/delivered the classic counts "
-                f"({pairs[0][0]['published']}/{pairs[0][0]['delivered']})")
-    ratios = sorted(classic["wall_s"] / sharded["wall_s"]
-                    for classic, sharded in pairs)
-    ok &= check(ratios[1] >= MIN_SHARD_WORKLOAD_RATIO,
-                f"sharded workload throughput ratio {ratios[1]:.2f} "
-                f"(>= {MIN_SHARD_WORKLOAD_RATIO}; median of 3 interleaved "
-                f"pairs: {', '.join(f'{ratio:.2f}' for ratio in ratios)})")
-
     print("smoke-perf: operator-graph delivery equivalence...")
     from tests.opgraph.scenarios import run_scenario as run_opgraph_scenario  # noqa: E402
     scan_run = run_opgraph_scenario(reference=True)
@@ -423,11 +373,6 @@ def main() -> int:
                 f"per-subscription logs entry-identical to the reference "
                 f"scan ({scan_run['delivered']} deliveries over "
                 f"{len(scan_run['logs'])} subscriptions)")
-    single_opg = run_opgraph_scenario(queries=True)
-    shard_opg = run_opgraph_scenario(shards=3, queries=True)
-    ok &= check(shard_opg["logs"] == single_opg["logs"],
-                "3-shard opgraph logs (incl. window/join/select queries) "
-                "entry-identical to single graph")
 
     print(f"smoke-perf: operator-graph reuse at {OPGRAPH_TRACKERS} "
           "look-alike trackers...")

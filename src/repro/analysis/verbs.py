@@ -19,8 +19,9 @@ comparisons, string keys of handler dicts (an assignment to a name
 containing ``handler``), and ``_handle_<verb>`` methods of classes that
 dispatch dynamically via ``getattr(self, f"_handle_{{...}}")`` — including
 classes that *inherit* such a dispatcher (resolved by base-class name
-across the whole tree, transitively: a ``ShardedEventMediator(EventMediator)``
-handler counts because ``EventMediator.on_message`` dispatches). Plain
+across the whole tree, transitively: a ``_handle_*`` method of a subclass
+such as ``ReferenceScanMediator(EventMediator)`` counts because
+``EventMediator.on_message`` dispatches). Plain
 ``_handle_*`` helpers in other classes are ordinary methods, not handlers.
 
 *announcements* — a verb sent to ``BROADCAST`` reaches only the processes

@@ -5,7 +5,7 @@ Context Aware Printing Application, plus a scripted builder for the full
 Bob/John scenario of Figure 7. :mod:`repro.apps.pathfinder` is the Figure-3
 floor-map application that displays the live path between two people.
 :mod:`repro.apps.workload` is the open-loop traffic generator the scale
-benchmarks drive the (sharded) Context Server internals with.
+benchmarks drive the Event Mediator and Query Resolver with.
 """
 
 from repro.apps.capa import CAPAApp, CAPAScenario, build_capa_scenario

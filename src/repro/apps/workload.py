@@ -25,16 +25,9 @@ scale. The shape is configurable and everything is seeded:
   worst case for per-subscription dispatch;
 * **churn** — subscription churn and registration/lease churn (profile
   arrivals/departures driving the resolver's delta protocol) scheduled at
-  seeded times as control events, where shared-structure mutation is
-  legal under the sharding ownership contract;
+  seeded times as control events;
 * **queries** — resolver resolutions over the provider population, mixed
   into the run at seeded times.
-
-Publishers address the owner shard directly when the mediator exposes
-``shard_guid_for`` (ownership is a pure function of the key, so any client
-can compute it — that is the point of consistent hashing); otherwise all
-publishes go to the single mediator. Message counts per delivered event are
-identical either way, which keeps classic-vs-sharded comparisons fair.
 
 Latency is measured in *simulated* time from ``ContextEvent.timestamp`` to
 sink arrival; throughput is measured in *wall-clock* time by the caller
@@ -188,14 +181,13 @@ class ProviderFeed:
         self.registrations += 1
         return profile
 
-    def resolver(self, shards: int = 1, metrics=None,
+    def resolver(self, metrics=None,
                  range_name: str = "workload") -> QueryResolver:
         return QueryResolver(
             self.registry,
             live_profiles=lambda: list(self.profiles),
             templates=self.templates,
             feed_version=self.version,
-            shards=shards,
             metrics=metrics,
             range_name=range_name)
 
@@ -226,9 +218,8 @@ class _Publisher(Process):
                      config.subject_of(entity)),
             self.published, self.guid, self.now,
             {"floor": config.floor_of(entity)})
-        target = workload.route(config.type_of(entity),
-                                config.subject_of(entity))
-        self.send(target, "publish", {"event": event.to_wire(), "ack": False})
+        self.send(workload.mediator.guid, "publish",
+                  {"event": event.to_wire(), "ack": False})
         self.published += 1
         self.scheduler.schedule(workload.interarrival(self.rng, self.now),
                                 self._fire)
@@ -269,9 +260,6 @@ class OpenLoopWorkload:
         self.hosts = list(hosts) if hosts else [mediator.host_id]
         self.guids = GuidFactory(seed=guid_seed)
         self.sampler = ZipfSampler(config.entities, config.zipf_s)
-        shard_route = getattr(mediator, "shard_guid_for", None)
-        self.route = (shard_route if shard_route is not None
-                      else lambda _type, _subject: mediator.guid)
         self.publishers: List[_Publisher] = []
         self.sinks: List[_Sink] = []
         self.start = 0.0
@@ -376,8 +364,7 @@ class OpenLoopWorkload:
         self.start = start
         self.deadline = start + config.duration
         # churn and queries are control events (scheduled from external
-        # context), where mutating shared mediator/resolver structures is
-        # legal under the sharding ownership contract
+        # context), not messages
         for when in self._op_times(self._churn_rng, config.churn_ops):
             self.network.scheduler.schedule_at(start + when, self._churn_op)
         if self.resolver is not None:
@@ -405,10 +392,7 @@ class OpenLoopWorkload:
     def _add_tracker(self, entity: int, index: int) -> None:
         config = self.config
         sink = self.sinks[index % len(self.sinks)]
-        # no retained replay: trackers follow fresh updates. (Replay sets
-        # also stop being count-comparable across configurations once the
-        # retained cap evicts — global oldest-first vs per-shard
-        # oldest-first keep different survivors.)
+        # no retained replay: trackers follow fresh updates
         subscription = self.mediator.add_subscription(
             sink.guid,
             AndFilter([TypeFilter(config.type_of(entity)),
@@ -546,5 +530,3 @@ def _percentile(sorted_values: List[float], q: float) -> float:
         return 0.0
     index = int(q * (len(sorted_values) - 1))
     return sorted_values[index]
-
-

@@ -290,7 +290,7 @@ class ConfigurationManager:
             )
         self._claims[entity_hex] = (held, count + 1)
 
-    def _release_claims(self, config: Configuration) -> None:
+    def _drop_claims(self, config: Configuration) -> None:
         for entity_hex in config.node_guids.values():
             claim = self._claims.get(entity_hex)
             if claim is None:
@@ -322,7 +322,7 @@ class ConfigurationManager:
 
     def _dismantle(self, config: Configuration) -> None:
         self.mediator.remove_subscriptions_of(config.config_id)
-        self._release_claims(config)
+        self._drop_claims(config)
         for guid in config.spawned:
             process = self.network.process(guid)
             if process is not None and hasattr(process, "stop"):

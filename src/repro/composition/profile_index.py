@@ -32,11 +32,6 @@ reverse map from entity hex to its entry ids. Delta adds append after whatever
 is already filed; candidate correctness is order-insensitive because
 per-profile outputs stay adjacent (first-match rule) and the resolver sorts
 candidates by a total-order score.
-
-``owns`` optionally restricts which bucket type names this index files
-under (one slice of a :class:`~repro.composition.shard_index.
-ShardedProfileIndex` passes the ring-ownership predicate); residual entries
-are always kept, since every query must scan them.
 """
 
 from __future__ import annotations
@@ -88,10 +83,8 @@ def _predecessor(token: object) -> object:
 class ProfileIndex:
     """Type-keyed provider buckets, current for one feed token."""
 
-    def __init__(self, registry: TypeRegistry,
-                 owns: Optional[Callable[[str], bool]] = None):
+    def __init__(self, registry: TypeRegistry):
         self.registry = registry
-        self.owns = owns
         self.token: object = NEVER_BUILT
         self._entry_ids = itertools.count(1)
         self._buckets: Dict[str, Dict[int, ProviderEntry]] = {}
@@ -160,22 +153,20 @@ class ProfileIndex:
             origin, entity_hex = "live", profile.entity_id.hex
         else:
             origin, entity_hex = "template", None
-        owns = self.owns
         for position, offered in enumerate(profile.outputs):
             entry = ProviderEntry(profile, offered, position, origin,
                                   entity_hex, template_name)
             entry_id = next(self._entry_ids)
             try:
-                ancestors = self.registry.ancestors(offered.type_name)
+                filed: List[Optional[str]] = self.registry.ancestors(
+                    offered.type_name)
             except SCIError:
                 self._residual[entry_id] = entry
-                filed: List[Optional[str]] = [_RESIDUAL]
+                filed = [_RESIDUAL]
             else:
-                filed = (ancestors if owns is None else
-                         [name for name in ancestors if owns(name)])
                 for type_name in filed:
                     self._buckets.setdefault(type_name, {})[entry_id] = entry
-            if filed and entity_hex is not None:
+            if entity_hex is not None:
                 self._by_entity.setdefault(entity_hex, {})[entry_id] = filed
 
     def remove_entity(self, entity_hex: str) -> None:

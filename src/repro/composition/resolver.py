@@ -72,7 +72,7 @@ class QueryResolver:
     so two queries cannot bind one CE to different subjects.
 
     Candidate search runs over a :class:`ProfileIndex` keyed by offered
-    output type (``shards > 1``: K ring-partitioned slices of one).
+    output type.
     ``feed_version`` is the invalidation signal: a callable returning a
     token that changes whenever the profile feed changes (registrations,
     departures, lease expiries, template additions — the Context Server
@@ -93,7 +93,6 @@ class QueryResolver:
         templates: Optional[TemplateRegistry] = None,
         bindings_of: Optional[Callable[[str], Optional[Dict[str, object]]]] = None,
         feed_version: Optional[Callable[[], object]] = None,
-        shards: int = 1,
         metrics=None,
         range_name: str = "",
     ):
@@ -109,23 +108,12 @@ class QueryResolver:
         self._converter_counter = itertools.count(1)
         self.resolutions = 0
         self.backtracks = 0
-        #: full or slice builds of the provider index actually performed
+        #: builds of the provider index actually performed
         self.index_rebuilds = 0
         self.index_hits = 0
         #: membership changes reported through ``note_profile_*``
         self.index_deltas = 0
-        self.shard_count = shards
-        if shards > 1:
-            if feed_version is None:
-                raise ValueError(
-                    "sharded candidate search needs a feed_version callable "
-                    "returning (registrations_version, templates_version)")
-            # imported lazily: shard_index pulls in repro.server (for the
-            # ring), which imports this module back through the manager
-            from repro.composition.shard_index import ShardedProfileIndex
-            self._provider_index = ShardedProfileIndex(registry, shards)
-        else:
-            self._provider_index = ProfileIndex(registry)
+        self._provider_index = ProfileIndex(registry)
         self._range_label = range_name or "-"
         self._hits_counter = self._rebuilds_counter = None
         self._deltas_counter = None
@@ -136,7 +124,7 @@ class QueryResolver:
                 labels=("range",))
             self._rebuilds_counter = metrics.counter(
                 "resolver.index.rebuilds",
-                "full or per-slice builds of the profile index",
+                "builds of the profile index from the feed",
                 labels=("range",))
             self._deltas_counter = metrics.counter(
                 "resolver.index.deltas",
@@ -174,7 +162,8 @@ class QueryResolver:
         Call *after* the feed version has been bumped for this arrival.
         ``profile`` is None for arrivals that contribute no providers
         (context-aware applications) — the version chain still advances.
-        Returns the number of index slices patched in place.
+        Returns 1 when the index was patched in place, 0 when it is not
+        current and will rebuild at the next lookup.
         """
         return self._note_delta(added=profile)
 

@@ -16,6 +16,12 @@ mediator exactly like local components do):
 ``bridge-remove``      {"bridge_id"} -> ``bridge-ack``
 ``resync``             {"sub_id"} -> ``resync-ack`` (reliable mode)
 
+A malformed request — a missing field, a filter or query spec that does
+not compile, an id that does not parse — is answered with its ack carrying
+``{"ok": False, "error": ...}`` (a ``publish`` sent with ``"ack": False``
+is dropped) and changes nothing: no subscription is stored and no ledger
+entry is written.
+
 Reliable mode (``reliable=True``): every delivery carries a
 per-subscription sequence number and is sent as an acknowledged request —
 the subscriber replies ``event-ack``, unanswered deliveries are
@@ -63,12 +69,12 @@ from repro.net.message import Message
 from repro.net.rpc import RequestManager
 from repro.net.transport import Network, Process
 from repro.events.event import ContextEvent
-from repro.events.dispatch_index import DispatchIndex, FilterConstraints, analyse_filter
-from repro.events.filters import EventFilter, filter_from_spec
+from repro.events.dispatch_index import DispatchIndex, analyse_filter
+from repro.events.filters import EventFilter, FilterError, filter_from_spec
 from repro.events.subscription import Subscription
 from repro.query.opgraph.compile import compile_query
 from repro.query.opgraph.engine import OperatorGraph
-from repro.query.opgraph.specs import filter_op
+from repro.query.opgraph.specs import OpSpecError, filter_op
 
 logger = logging.getLogger(__name__)
 
@@ -81,6 +87,9 @@ DEFAULT_RETAINED_CAP = 4096
 DEFAULT_ACK_TIMEOUT = 6.0
 DEFAULT_DELIVERY_RETRIES = 6
 DELIVERY_BACKOFF = 1.5
+
+#: what parsing a request payload raises when the payload is malformed
+_MALFORMED = (KeyError, TypeError, ValueError, FilterError, OpSpecError)
 
 
 @dataclass
@@ -96,12 +105,6 @@ class Bridge:
 class EventMediator(Process):
     """Pub/sub hub for one range."""
 
-    #: whether :meth:`_fan_out` stores published events in the retained
-    #: store. The sharded router (:mod:`repro.events.sharding`) turns this
-    #: off — retention is owned by the shard that owns the event's key, and
-    #: the router only re-dispatches events a shard forwarded to it.
-    retain_events = True
-
     def __init__(self, guid: GUID, host_id: str, network: Network,
                  range_name: str = "",
                  retained_cap: int = DEFAULT_RETAINED_CAP,
@@ -114,8 +117,7 @@ class EventMediator(Process):
             raise ValueError(f"retained_cap must be >= 1, got {retained_cap}")
         self.range_name = range_name
         self.retained_cap = retained_cap
-        #: context-ledger chain this mediator appends to (a shard holds its
-        #: own rank: one chain per writer); None disables
+        #: context-ledger chain this mediator appends to; None disables
         self._ledger = ledger
         #: ``[sub_id, event_seq]`` of every delivery the fan-out or replay
         #: in progress has made; None between them (neither re-enters:
@@ -146,9 +148,8 @@ class EventMediator(Process):
         #: type-constrained subscription scans only that type's entries
         self._retained_by_type: Dict[str, Dict[tuple, None]] = {}
         #: key -> seq of the event that *first* created the entry (kept
-        #: across in-place updates). A global stamp of retention order, so
-        #: retained stores split across shards can be merged back into the
-        #: order a single mediator would have replayed them in.
+        #: across in-place updates): the retention-order stamp a ``publish``
+        #: ledger entry carries as ``first_seq``
         self._retained_first: Dict[tuple, int] = {}
         # hot-path counter handles, resolved once (registry lookup is not free)
         metrics = network.obs.metrics
@@ -223,7 +224,13 @@ class EventMediator(Process):
         joins, qualitative selectors — instead of the plain filter; query
         subscriptions receive derived results, so retained replay does not
         apply to them.
+
+        The plan is compiled before anything is stored: a filter or query
+        that does not compile raises :class:`FilterError` /
+        :class:`OpSpecError` with no subscription stored or ledgered.
         """
+        plan = (compile_query(query) if query is not None
+                else filter_op(event_filter))
         subscription = Subscription(
             subscriber=subscriber,
             filter=event_filter,
@@ -242,26 +249,16 @@ class EventMediator(Process):
                 "owner": None if owner is None else str(owner),
                 "query": query,
             })
-        constraints = self._attach(subscription)
+        constraints = self._opgraph.attach(subscription.sub_id, plan)
+        if owner is not None:
+            self._reverse_add(self._subs_by_owner, owner, subscription.sub_id)
+        self._reverse_add(self._subs_by_subscriber, subscriber,
+                          subscription.sub_id)
         if replay_retained and query is None:
             self._replay_retained(subscription, constraints)
             if not subscription.active:
                 self._drop_subscription(subscription)
         return subscription
-
-    def _attach(self, subscription: Subscription) -> FilterConstraints:
-        """File a stored subscription in the graph and the reverse maps;
-        returns its plan's constraints."""
-        plan = (compile_query(subscription.query)
-                if subscription.query is not None
-                else filter_op(subscription.filter))
-        constraints = self._opgraph.attach(subscription.sub_id, plan)
-        if subscription.owner is not None:
-            self._reverse_add(self._subs_by_owner, subscription.owner,
-                              subscription.sub_id)
-        self._reverse_add(self._subs_by_subscriber, subscription.subscriber,
-                          subscription.sub_id)
-        return constraints
 
     def _replay_retained(self, subscription: Subscription, constraints) -> None:
         """Deliver retained events matching a fresh subscription.
@@ -290,7 +287,7 @@ class EventMediator(Process):
         Per-type insertion order equals the global insertion order
         restricted to that type, so narrowing by type never reorders.
         """
-        return [event for _, _, event in self.retained_entries(type_name)]
+        return [event for _, _, event in self.all_retained_entries(type_name)]
 
     def remove_subscription(self, sub_id: int) -> bool:
         subscription = self._subscriptions.get(sub_id)
@@ -319,16 +316,9 @@ class EventMediator(Process):
             self._drop_subscription(subscription)
         return len(doomed)
 
-    def _drop_subscription(self, subscription: Subscription,
-                           record: bool = True) -> None:
-        """Remove one subscription from the store, index and reverse maps.
-
-        ``record=False`` keeps the drop out of the ledger — shard
-        migration releases a subscription on one shard only to adopt it
-        on another, and the ledger must see the subscription as
-        continuously alive through the move.
-        """
-        if record and self._ledger is not None:
+    def _drop_subscription(self, subscription: Subscription) -> None:
+        """Remove one subscription from the store, index and reverse maps."""
+        if self._ledger is not None:
             self._ledger.append(self.now, "unsubscribe",
                                 {"sub_id": subscription.sub_id})
         self._subscriptions.pop(subscription.sub_id, None)
@@ -393,19 +383,17 @@ class EventMediator(Process):
     def _fan_out(self, event: ContextEvent, bridged: bool) -> int:
         # the ledger records the publish, not each recipient: one entry,
         # appended once it is complete (a sealed entry is never mutated)
-        entry = {}
-        if self.retain_events:
-            key = self._store_retained(event)
-            if self._ledger is not None:
-                entry = {"key": list(key),
-                         "first_seq": self._retained_first[key],
-                         "event": event.to_wire()}
+        key = self._store_retained(event)
+        if self._ledger is not None:
+            entry = {"key": list(key),
+                     "first_seq": self._retained_first[key],
+                     "event": event.to_wire()}
         self._served = served = []
         try:
             delivered = self._opgraph.publish(event)
         finally:
             self._served = None
-        if self._ledger is not None and (entry or served):
+        if self._ledger is not None:
             entry["deliveries"] = served
             self._ledger.append(self.now, "publish", entry)
         if not bridged:
@@ -509,43 +497,82 @@ class EventMediator(Process):
             return
         handler(message)
 
+    def _reject(self, message: Message, ack_kind: str,
+                error: Exception) -> None:
+        """Answer a malformed request with an error ack instead of raising
+        out of the scheduler (the Registrar's ``register-ack`` convention)."""
+        logger.info("%s: malformed %s: %r", self.name, message.kind, error)
+        self.reply(message, ack_kind, {"ok": False, "error": str(error)})
+
     def _handle_publish(self, message: Message) -> None:
-        event = ContextEvent.from_wire(message.payload["event"])
-        delivered = self.publish(event, bridged=bool(message.payload.get("bridged")))
-        # publishers that request-with-retries consume this ack; open-loop
+        # publishers that request-with-retries consume the ack; open-loop
         # fire-and-forget publishers opt out with ``"ack": False`` to halve
         # their message footprint
-        if message.payload.get("ack", True):
+        ack = message.payload.get("ack", True)
+        try:
+            event = ContextEvent.from_wire(message.payload["event"])
+        except _MALFORMED as exc:
+            if ack:
+                self._reject(message, "publish-ack", exc)
+            return
+        delivered = self.publish(event, bridged=bool(message.payload.get("bridged")))
+        if ack:
             self.reply(message, "publish-ack", {"delivered": delivered})
 
     def _handle_subscribe(self, message: Message) -> None:
-        event_filter = filter_from_spec(message.payload["filter"])
-        subscriber = GUID.from_hex(message.payload["subscriber"])
-        subscription = self.add_subscription(
-            subscriber=subscriber,
-            event_filter=event_filter,
-            one_time=bool(message.payload.get("one_time")),
-            owner=message.payload.get("owner"),
-            replay_retained=bool(message.payload.get("replay", True)),
-            query=message.payload.get("query"),
-        )
+        payload = message.payload
+        try:
+            subscriber = GUID.from_hex(payload["subscriber"])
+            event_filter = filter_from_spec(payload["filter"])
+        except _MALFORMED as exc:
+            self._reject(message, "subscribe-ack", exc)
+            return
+        try:
+            subscription = self.add_subscription(
+                subscriber=subscriber,
+                event_filter=event_filter,
+                one_time=bool(payload.get("one_time")),
+                owner=payload.get("owner"),
+                replay_retained=bool(payload.get("replay", True)),
+                query=payload.get("query"),
+            )
+        except (FilterError, OpSpecError) as exc:  # the query did not compile
+            self._reject(message, "subscribe-ack", exc)
+            return
         self.reply(message, "subscribe-ack", {"sub_id": subscription.sub_id})
 
     def _handle_unsubscribe(self, message: Message) -> None:
-        removed = self.remove_subscription(message.payload["sub_id"])
+        try:
+            removed = self.remove_subscription(message.payload["sub_id"])
+        except _MALFORMED as exc:
+            self._reject(message, "unsubscribe-ack", exc)
+            return
         self.reply(message, "unsubscribe-ack", {"removed": removed})
 
     def _handle_unsubscribe_owner(self, message: Message) -> None:
-        count = self.remove_subscriptions_of(message.payload["owner"])
+        try:
+            count = self.remove_subscriptions_of(message.payload["owner"])
+        except _MALFORMED as exc:
+            self._reject(message, "unsubscribe-owner-ack", exc)
+            return
         self.reply(message, "unsubscribe-owner-ack", {"removed": count})
 
     def _handle_bridge_add(self, message: Message) -> None:
-        peer = GUID.from_hex(message.payload["peer"])
-        bridge = self.add_bridge(peer, filter_from_spec(message.payload["filter"]))
+        try:
+            peer = GUID.from_hex(message.payload["peer"])
+            event_filter = filter_from_spec(message.payload["filter"])
+        except _MALFORMED as exc:
+            self._reject(message, "bridge-ack", exc)
+            return
+        bridge = self.add_bridge(peer, event_filter)
         self.reply(message, "bridge-ack", {"bridge_id": bridge.bridge_id})
 
     def _handle_bridge_remove(self, message: Message) -> None:
-        removed = self.remove_bridge(message.payload["bridge_id"])
+        try:
+            removed = self.remove_bridge(message.payload["bridge_id"])
+        except _MALFORMED as exc:
+            self._reject(message, "bridge-ack", exc)
+            return
         self.reply(message, "bridge-ack", {"removed": removed})
 
     def _handle_resync(self, message: Message) -> None:
@@ -558,7 +585,10 @@ class EventMediator(Process):
         already saw (stale seqs are dropped by its reassembler).
         """
         sub_id = message.payload.get("sub_id")
-        subscription = self._subscriptions.get(sub_id)
+        try:
+            subscription = self._subscriptions.get(sub_id)
+        except TypeError:  # an unhashable id names no subscription
+            subscription = None
         # query subscriptions receive derived results: replaying raw retained
         # events would mis-deliver, so resync cannot help them either
         if (subscription is None or not subscription.active
@@ -615,16 +645,16 @@ class EventMediator(Process):
         """Every live subscription, in insertion order."""
         return list(self._subscriptions.values())
 
-    def all_subscriptions(self) -> List[Subscription]:
-        """All subscriptions this mediator answers for (incl. shards)."""
-        return self.subscriptions()
-
     def all_retained_entries(self, type_name: Optional[str] = None) -> List[tuple]:
-        """All ``(first_seq, key, event)`` entries (merged across shards)."""
-        return self.retained_entries(type_name)
+        """``(first_retained_seq, key, event)`` tuples in store order (of one
+        type when ``type_name`` is given)."""
+        keys = (list(self._retained) if type_name is None
+                else list(self._retained_by_type.get(type_name, ())))
+        return [(self._retained_first[key], key, self._retained[key])
+                for key in keys]
 
     def ledgers(self) -> List:
-        """Every context-ledger chain this mediator family appends to."""
+        """The context-ledger chain this mediator appends to, if any."""
         return [self._ledger] if self._ledger is not None else []
 
     def has_subscription(self, sub_id: int) -> bool:
@@ -632,66 +662,3 @@ class EventMediator(Process):
 
     def retained_event(self, type_name: str, representation: str, subject: object) -> Optional[ContextEvent]:
         return self._retained.get((type_name, representation, subject))
-
-    # -- shard migration surface ----------------------------------------------
-    #
-    # The sharded mediator (:mod:`repro.events.sharding`) moves live state
-    # between worker shards on rebalance. Adopt/release transfer existing
-    # objects wholesale — a released subscription keeps its sub_id, seq and
-    # delivery count, so migration can neither lose nor duplicate it.
-
-    def adopt_subscription(self, subscription: Subscription, states: Dict[str, dict]) -> None:
-        """Install an existing subscription (sub_id preserved, no replay).
-
-        ``states`` is what :meth:`release_subscription` returned for it;
-        the install is first-wins against nodes this graph already touched.
-        """
-        self._subscriptions[subscription.sub_id] = subscription
-        self._attach(subscription)
-        self._opgraph.import_state(states)
-
-    def release_subscription(self, subscription: Subscription) -> Dict[str, dict]:
-        """Remove a subscription *without* deactivating it (for migration).
-
-        Returns the stateful operator-node blobs backing its plan, taken
-        before the detach that may reclaim those nodes.
-        """
-        states = self._opgraph.export_state_for(subscription.sub_id)
-        # record=False: the adopting shard keeps the subscription alive, so
-        # the ledger must not see a migration as an unsubscribe
-        self._drop_subscription(subscription, record=False)
-        return states
-
-    def retained_entries(self, type_name: Optional[str] = None) -> List[tuple]:
-        """``(first_retained_seq, key, event)`` tuples, local store order."""
-        if type_name is not None:
-            keys = [key for key in self._retained_by_type.get(type_name, ())
-                    if key in self._retained]
-        else:
-            keys = list(self._retained)
-        return [(self._retained_first.get(key, 0), key, self._retained[key])
-                for key in keys]
-
-    def adopt_retained(self, key: tuple, event: ContextEvent,
-                       first_seq: int) -> None:
-        """Install a migrated retained entry, preserving its first-seq stamp.
-
-        The cap is not enforced here — a migration batch may transiently
-        overfill the store; the next :meth:`_store_retained` evicts back
-        down oldest-first.
-        """
-        self._retained[key] = event
-        self._retained_by_type.setdefault(key[0], {})[key] = None
-        self._retained_first[key] = first_seq
-
-    def release_retained(self, key: tuple) -> Optional[tuple]:
-        """Drop one retained entry; returns ``(first_seq, event)`` or None."""
-        event = self._retained.pop(key, None)
-        if event is None:
-            return None
-        by_type = self._retained_by_type.get(key[0])
-        if by_type is not None:
-            by_type.pop(key, None)
-            if not by_type:
-                del self._retained_by_type[key[0]]
-        return (self._retained_first.pop(key, 0), event)

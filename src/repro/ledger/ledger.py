@@ -5,12 +5,16 @@ snippet 1): immutable append-only source ledgers, hash-stable entry
 references ``(ledger_id, entry_id, entry_hash)``, and the determinism
 contract *same inputs ⇒ identical projection*.
 
-One :class:`ContextLedger` is one chain, and there is one chain per
-writer. A sharded Context Server keeps a family of chains — a rank-0 root
-ledger for the Registrar, Profile Manager, router and query lifecycle (all
-on the CS host) plus one child per mediator shard, appended to by that
-shard alone. The merged view orders entries by ``(sim_time, shard_rank,
-seq)``; chain verification is always per-chain.
+One :class:`ContextLedger` is one chain. A Context Server keeps one per
+range, appended to by its Registrar, Profile Manager, Event Mediator and
+query lifecycle. Several chains (every range of a deployment, say) merge
+into one view ordered by ``(sim_time, shard_rank, seq)``; verification is
+always per-chain.
+
+The hashed body is ``[shard_rank, seq, sim_time, kind, payload]`` and each
+JSONL line carries a ``"shard"`` field. A Context Server's chain is rank 0;
+the rank stays in the format because dropping it would change every entry
+hash, and only a schema bump may do that.
 
 Payloads must be JSON-serialisable: the hash is computed over the
 canonical JSON encoding, so the chain commits to exactly what the JSONL
@@ -87,7 +91,7 @@ class LedgerEntry:
 
     @property
     def entry_id(self) -> str:
-        """Stable position within the ledger family: ``rank:seq``."""
+        """Stable position within the ledger: ``rank:seq``."""
         return f"{self.shard_rank}:{self.seq}"
 
     def ref(self) -> Dict[str, str]:
@@ -113,10 +117,6 @@ class LedgerEntry:
 class ContextLedger:
     """One append-only chain of :class:`LedgerEntry` records.
 
-    ``child(rank)`` mints sibling chains sharing the ledger id — one per
-    mediator shard — whose entries interleave with the root's only in the
-    merged view, never in the chains themselves.
-
     Appends are group-committed: :meth:`append` records the entry body in
     O(1) and the hash chain is sealed in batch on the first read
     (:attr:`head`, :meth:`entries`, :meth:`verify`). The chain is a pure
@@ -133,7 +133,6 @@ class ContextLedger:
         self._entries: List[LedgerEntry] = []
         #: appended but not yet hashed: (sim_time, kind, payload) bodies
         self._unsealed: Deque[tuple] = deque()
-        self._metrics = metrics
         self._appends_counter = None
         if metrics is not None:
             self._appends_counter = metrics.counter(
@@ -182,12 +181,6 @@ class ContextLedger:
             prev = entry.entry_hash
             self._unsealed.popleft()
 
-    def child(self, shard_rank: int) -> "ContextLedger":
-        """A sibling chain for one mediator shard (same ledger id)."""
-        return ContextLedger(self.ledger_id, shard_rank=shard_rank,
-                             metrics=self._metrics,
-                             range_name=self.range_name)
-
     # -- read path ------------------------------------------------------------
 
     def entries(self, upto: Optional[float] = None) -> List[LedgerEntry]:
@@ -226,12 +219,10 @@ class ContextLedger:
 
 def merge_entries(ledgers: Iterable[ContextLedger],
                   upto: Optional[float] = None) -> List[LedgerEntry]:
-    """The family-wide total order: sorted by ``(sim_time, rank, seq)``.
+    """The total order over several chains: ``(sim_time, rank, seq)``.
 
     Chains are append-ordered in both time and seq, so this sort is a
-    stable k-way merge; ties at one sim-time are broken by rank (the root
-    ledger first), which is deterministic because distinct writers never
-    share a rank.
+    stable k-way merge; ties at one sim-time are broken by rank, then seq.
     """
     merged: List[LedgerEntry] = []
     for ledger in ledgers:
@@ -246,9 +237,9 @@ def merge_entries(ledgers: Iterable[ContextLedger],
 
 def write_ledger_jsonl(ledgers: Iterable[ContextLedger],
                        path: Union[str, Path]) -> int:
-    """Write a ledger family as one validated JSONL artefact.
+    """Write one or more chains as one validated JSONL artefact.
 
-    One line per entry, whole-family merge order. Returns the line count.
+    One line per entry, in :func:`merge_entries` order. Returns the line count.
     """
     records = [entry.to_record() for entry in merge_entries(ledgers)]
     for index, record in enumerate(records):

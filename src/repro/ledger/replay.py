@@ -4,7 +4,7 @@ The determinism contract (Brain_Garden HO2): projecting the same entry
 prefix always yields the same state, and that state equals what the live
 mutable components hold at the moment the prefix ends. The differential
 harness (``tests/ledger``) and the Hypothesis property assert exactly
-this, snapshot-for-snapshot, across shard counts.
+this, snapshot-for-snapshot.
 
 Authority split — who rebuilds what:
 
@@ -21,17 +21,15 @@ Authority split — who rebuilds what:
 * ``subscribe`` / ``unsubscribe`` / ``publish`` / ``replay`` /
   ``retain-evict`` (mediator chains) rebuild subscriptions, per-
   subscription delivery counts and the retained store. A ``publish`` entry
-  is one fan-out: the retained entry it stored (absent on the sharded
-  router, which retains nothing) and the ``[sub_id, event_seq]`` pair of
-  every subscription it served, appended when the fan-out completed — so a
-  one-time subscription it consumed has its ``unsubscribe`` *before* it, at
-  the same sim-time, and a pair naming a subscription the books no longer
-  hold is ignored. ``replay`` is the same list for deliveries made outside
-  a publish (retained replay to a fresh subscription, ``resync``). Shard
-  migration is invisible by construction: adopt/release during rebalance
-  is never logged, and the retained view keys on ``(type, representation,
-  subject)`` with the first-retained seq stamp, which is invariant under
-  ownership moves.
+  is one fan-out: the retained entry it stored (``key``, ``first_seq`` and
+  ``event``) and the ``[sub_id, event_seq]`` pair of every subscription it
+  served, appended when the fan-out completed — so a one-time subscription
+  it consumed has its ``unsubscribe`` *before* it, at the same sim-time,
+  and a pair naming a subscription the books no longer hold is ignored.
+  ``replay`` is the same list for deliveries made outside a publish
+  (retained replay to a fresh subscription, ``resync``). The retained view
+  keys on ``(type, representation, subject)`` and orders by ``first_seq``,
+  the seq of the event that first created the entry.
 
 Crash recovery: :meth:`ReplayProjector.from_records` replays an exported
 JSONL artefact (``load_ledger_jsonl``), so a range whose server died can
@@ -82,7 +80,7 @@ class ReplayProjector:
     def from_records(cls, records: Iterable[Dict[str, Any]]) -> "ReplayProjector":
         """Replay exported JSONL records (``load_ledger_jsonl`` output).
 
-        Records must already be in merged ``(time, shard, seq)`` order,
+        Records must already be in ``(time, shard, seq)`` order,
         which is how :func:`~repro.ledger.ledger.write_ledger_jsonl` lays
         them out.
         """
@@ -144,7 +142,7 @@ class ReplayProjector:
         self.state.subscriptions.pop(payload["sub_id"], None)
 
     def _apply_publish(self, payload: Dict[str, Any]) -> None:
-        if "key" in payload:  # a router's fan-out retains nothing
+        if "key" in payload:  # a /4 artefact may hold retention-less fan-outs
             self.state.retained[tuple(payload["key"])] = {
                 "first_seq": payload["first_seq"],
                 "event": payload["event"],
@@ -210,7 +208,7 @@ def snapshot_profiles(profile_manager) -> Dict[str, Dict[str, Any]]:
 
 
 def snapshot_retained(mediator) -> List[List[Any]]:
-    """Merged retained store in first-retained order (shard-invariant)."""
+    """Retained store in first-retained order."""
     entries = mediator.all_retained_entries()
     entries.sort(key=lambda entry: entry[0])
     return [[first_seq, list(key), event.to_wire()]
@@ -218,9 +216,9 @@ def snapshot_retained(mediator) -> List[List[Any]]:
 
 
 def snapshot_subscriptions(mediator) -> Dict[str, Dict[str, Any]]:
-    """Every live subscription (router + shards) in the projection shape."""
+    """Every live subscription in the projection shape."""
     out: Dict[str, Dict[str, Any]] = {}
-    for subscription in mediator.all_subscriptions():
+    for subscription in mediator.subscriptions():
         out[str(subscription.sub_id)] = {
             "subscriber": subscription.subscriber.hex,
             "filter": subscription.filter.to_spec(),

@@ -116,7 +116,7 @@ def explain_query(entries: List[LedgerEntry],
                   query_id: str) -> Optional[Dict[str, Any]]:
     """The audit trail of one query, as hash-stable entry references.
 
-    ``entries`` is the merged family stream (``merge_entries`` order).
+    ``entries`` is the range's entry stream (``merge_entries`` order).
     Returns None when the query never touched this ledger; otherwise a
     document with the query's lifecycle steps, its final bindings, and
     for each bound entity the ``register`` entry in force at execution

@@ -144,7 +144,7 @@ class BoundaryMonitor:
                     self.handoff.carry(record, previous, current)
             for record in departing:
                 previous.expel_entity(record.entity_hex, reason="left-range")
-            previous.release_host(entity.device_host)
+            previous.retire_host(entity.device_host)
         if current is not None:
             current.admit_host(entity.device_host)
 

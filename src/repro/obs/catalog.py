@@ -149,27 +149,6 @@ _declare("registrar.lease.unknown", "counter",
 _declare("cs.query.routed", "counter",
          "queries routed per range and outcome", labels=("range", "status"))
 
-# -- sharded context server ---------------------------------------------------
-
-_declare("cs.shard.routed", "counter",
-         "publishes routed by the mediator router to an owner shard",
-         labels=("range",))
-_declare("cs.shard.dispatched", "counter",
-         "shard-event forwards dispatched to routed subscriptions",
-         labels=("range",))
-_declare("cs.shard.forwarded", "counter",
-         "events a shard forwarded to the router for routed subscriptions",
-         labels=("range",))
-_declare("cs.shard.handoffs", "counter",
-         "in-flight publishes handed off after an ownership change",
-         labels=("range",))
-_declare("cs.shard.moved_subs", "counter",
-         "subscriptions migrated between shards on rebalance",
-         labels=("range",))
-_declare("cs.shard.moved_retained", "counter",
-         "retained events migrated between shards on rebalance",
-         labels=("range",))
-
 # -- context ledger -----------------------------------------------------------
 
 _declare("cs.ledger.appends", "counter",
@@ -193,7 +172,7 @@ _declare("config.graph.reuse_hits", "counter",
 _declare("resolver.index.hits", "counter",
          "candidate lookups served from the profile index", labels=("range",))
 _declare("resolver.index.rebuilds", "counter",
-         "full or per-slice builds of the profile index", labels=("range",))
+         "builds of the profile index from the feed", labels=("range",))
 _declare("resolver.index.deltas", "counter",
          "membership changes applied to the profile index in place",
          labels=("range",))

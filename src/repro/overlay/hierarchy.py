@@ -9,8 +9,10 @@ between leaves climb to the lowest common ancestor and descend — every
 cross-subtree message transits interior nodes, concentrating load at the
 root. Each node applies a service time per message (a server's processing
 capacity), so under load the root's queue — and end-to-end latency — grows.
-Overlay nodes in the benchmark are given the same service time for a fair
-comparison.
+Overlay nodes get no service time: the Figure-1 runners send one probe at
+a time, so no queue forms at either, overlay latency is its hop count, and
+the comparison the benchmark makes is per-node *load*, not latency under
+load.
 """
 
 from __future__ import annotations

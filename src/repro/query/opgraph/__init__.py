@@ -3,15 +3,12 @@
 :mod:`repro.query.opgraph.specs` is the canonical plan algebra
 (filter / join-on-subject / tumbling window / qualitative select),
 :mod:`repro.query.opgraph.compile` turns wire-level query dicts into plans
-and extends the dispatch index's static analysis to whole plans, and
+(refusing malformed ones with :class:`OpSpecError`), and
 :mod:`repro.query.opgraph.engine` is the deduplicated incremental DAG the
 mediator evaluates once per publish.
 """
 
-from repro.query.opgraph.compile import (
-    analyse_opspec,
-    compile_query,
-)
+from repro.query.opgraph.compile import compile_query
 from repro.query.opgraph.engine import OperatorGraph
 from repro.query.opgraph.specs import (
     OpSpec,
@@ -26,7 +23,6 @@ __all__ = [
     "OpSpec",
     "OpSpecError",
     "OperatorGraph",
-    "analyse_opspec",
     "compile_query",
     "filter_op",
     "join_op",

@@ -20,18 +20,16 @@ query. Compilation canonicalises every embedded filter (via
 differ only in And/Or construction order compile to spec-identical plans
 and share one DAG instance in the engine.
 
-:func:`analyse_opspec` extends the dispatch index's static analysis to
-whole plans so the sharded router can place query subscriptions: a plan's
-constraints are facts about **every raw event that can feed any of its
-leaves** — the intersection across leaves — making shard placement sound
-exactly when it is for plain filters.
+A missing or ill-typed field raises :class:`OpSpecError` naming the spec,
+never a bare ``KeyError``/``TypeError``, so a subscribe carrying a bad query
+is refused before the mediator stores anything.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Sequence
 
-from repro.events.dispatch_index import FilterConstraints, analyse_filter
+from repro.events.dispatch_index import FilterConstraints
 from repro.events.filters import filter_from_spec
 from repro.query.opgraph.specs import (
     OpSpec,
@@ -50,33 +48,43 @@ _FILTER_OPS = frozenset({"all", "type", "subject", "source", "attr",
 def compile_query(spec: Dict[str, Any]) -> OpSpec:
     """Build the canonical plan for a wire-level query spec."""
     try:
-        op = spec["op"]
-    except (KeyError, TypeError):
-        raise OpSpecError(f"malformed query spec: {spec!r}") from None
+        return _compile(spec)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise OpSpecError(f"malformed query spec {spec!r}: {exc!r}") from None
+
+
+def _compile(spec: Dict[str, Any]) -> OpSpec:
+    op = spec["op"]
     if op in _FILTER_OPS:
         return filter_op(filter_from_spec(spec))
     if op == "filter":
         return filter_op(filter_from_spec(spec["filter"]))
     if op == "join":
-        return join_op(compile_query(spec["left"]),
-                       compile_query(spec["right"]))
+        return join_op(_compile(spec["left"]), _compile(spec["right"]))
     if op == "window":
         return window_op(
-            compile_query(spec["source"]),
+            _compile(spec["source"]),
             agg=spec["agg"],
             width=spec["width"],
-            key=spec.get("key", "value"),
+            key=_text(spec.get("key", "value")),
             emit_empty=spec.get("emit_empty", False),
         )
     if op == "select":
         where_spec = spec.get("where")
         return select_op(
-            compile_query(spec["source"]),
+            _compile(spec["source"]),
             mode=spec["mode"],
-            key=spec["key"],
+            key=_text(spec["key"]),
             where=None if where_spec is None else filter_from_spec(where_spec),
         )
     raise OpSpecError(f"unknown query op: {op!r}")
+
+
+def _text(value: Any) -> str:
+    """An attribute key: nodes look it up per event, so it must be a str."""
+    if not isinstance(value, str):
+        raise TypeError(f"attribute key must be a string, got {value!r}")
+    return value
 
 
 def _merge(left: FilterConstraints,
@@ -106,12 +114,3 @@ def combine_constraints(op: str, inputs: Sequence[FilterConstraints]) -> FilterC
     if op == "join":
         return _merge(inputs[0], inputs[1])
     return inputs[0]
-
-
-def analyse_opspec(plan: OpSpec) -> FilterConstraints:
-    """Sound equality constraints on every raw event reaching ``plan``."""
-    if plan.op == "filter":
-        assert plan.filter is not None
-        return analyse_filter(plan.filter)
-    return combine_constraints(
-        plan.op, [analyse_opspec(source) for source in plan.inputs])

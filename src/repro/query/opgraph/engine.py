@@ -1,7 +1,6 @@
 """The shared incremental operator graph: the mediator's dispatch engine.
 
-One :class:`OperatorGraph` per mediator (and per mediator shard).
-Subscriptions attach a compiled plan
+One :class:`OperatorGraph` per mediator. Subscriptions attach a compiled plan
 (:class:`~repro.query.opgraph.specs.OpSpec`); the graph materialises
 one node per **canonical key**, so the ten-thousandth "location of anyone
 on floor 3" subscription adds a sink entry to an existing node instead of
@@ -32,17 +31,11 @@ Invariants the tests lean on:
   — deterministically, with no timers to race messages. An event exactly
   on a boundary closes the old window *before* it is added, landing in
   the new one.
-* **Stateful nodes migrate whole.** A node whose plan is pinned to one
-  ``(type, subject)`` key only ever sees events of that key (the sharded
-  router sends each key's publishes to one owner shard), so
-  ``export_state_for``/``import_state`` can move window/join/select state
-  with a rebalanced subscription; import is first-wins — a node that has
-  already seen traffic or an earlier import keeps what it has.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.ids import GUID
 from repro.core.types import TypeSpec
@@ -64,10 +57,7 @@ class _Node:
     """One materialised operator; shared by every plan with its key."""
 
     __slots__ = ("key", "node_id", "spec", "refs", "parents", "children",
-                 "sinks", "touched", "constraints")
-
-    #: stateful nodes participate in export_state/import_state
-    stateful = False
+                 "sinks", "constraints")
 
     def __init__(self, key: str, node_id: int, spec: OpSpec):
         self.key = key
@@ -80,16 +70,9 @@ class _Node:
         self.children: List["_Node"] = []
         #: sub_id -> None; subscriptions whose plan terminates here
         self.sinks: Dict[int, None] = {}
-        self.touched = False
 
     def process(self, event: ContextEvent, port: int,
                 emit: Callable[[ContextEvent], None]) -> None:
-        raise NotImplementedError
-
-    def export_state(self) -> Dict[str, Any]:
-        raise NotImplementedError
-
-    def import_state(self, state: Dict[str, Any]) -> None:
         raise NotImplementedError
 
 
@@ -103,7 +86,6 @@ class _JoinNode(_Node):
     """Join-on-subject: latest event per subject from each side."""
 
     __slots__ = ("_left", "_right")
-    stateful = True
 
     def __init__(self, key: str, node_id: int, spec: OpSpec):
         super().__init__(key, node_id, spec)
@@ -116,7 +98,6 @@ class _JoinNode(_Node):
             hash(subject)
         except TypeError:
             return  # unjoinable subject: no pairing possible
-        self.touched = True
         mine = self._left if port == 0 else self._right
         other = self._right if port == 0 else self._left
         mine[subject] = event
@@ -133,26 +114,12 @@ class _JoinNode(_Node):
              "left_timestamp": left.timestamp,
              "right_timestamp": right.timestamp}))
 
-    def export_state(self):
-        return {"left": [item.to_wire() for item in self._left.values()],
-                "right": [item.to_wire() for item in self._right.values()]}
-
-    def import_state(self, state):
-        self.touched = True
-        for wire in state["left"]:
-            event = ContextEvent.from_wire(wire)
-            self._left[event.subject] = event
-        for wire in state["right"]:
-            event = ContextEvent.from_wire(wire)
-            self._right[event.subject] = event
-
 
 class _WindowNode(_Node):
     """Tumbling count/avg aggregate on the absolute sim-time grid."""
 
     __slots__ = ("agg", "width", "value_key", "emit_empty",
                  "_index", "_count", "_sum", "_source")
-    stateful = True
 
     def __init__(self, key: str, node_id: int, spec: OpSpec):
         super().__init__(key, node_id, spec)
@@ -161,7 +128,7 @@ class _WindowNode(_Node):
         self.width = float(params["width"].split(":", 1)[1])
         self.value_key = params["key"]
         self.emit_empty = params["emit_empty"] == "True"
-        self._index: Optional[int] = None  # open window; None until touched
+        self._index: Optional[int] = None  # open window; None before any event
         self._count = 0
         self._sum = 0.0
         self._source: Optional[GUID] = None
@@ -199,7 +166,6 @@ class _WindowNode(_Node):
         # the graph already rolled to the publish timestamp before any root
         # fired, so a boundary event's old window is closed by now and the
         # event lands in the fresh one
-        self.touched = True
         self._source = event.source
         if self._index is None:
             self._index = int(event.timestamp // self.width)
@@ -215,18 +181,6 @@ class _WindowNode(_Node):
             self._sum += sample
         # non-numeric / missing samples contribute nothing to an average
 
-    def export_state(self):
-        return {"index": self._index, "count": self._count, "sum": self._sum,
-                "source": None if self._source is None else self._source.hex}
-
-    def import_state(self, state):
-        self.touched = True
-        self._index = state["index"]
-        self._count = state["count"]
-        self._sum = state["sum"]
-        if state["source"] is not None:
-            self._source = GUID.from_hex(state["source"])
-
 
 class _SelectNode(_Node):
     """Qualitative min/max-by-attribute selector over latest-per-subject.
@@ -239,7 +193,6 @@ class _SelectNode(_Node):
     """
 
     __slots__ = ("mode", "select_key", "where", "_candidates", "_winner")
-    stateful = True
 
     def __init__(self, key: str, node_id: int, spec: OpSpec):
         super().__init__(key, node_id, spec)
@@ -258,7 +211,6 @@ class _SelectNode(_Node):
             hash(subject)
         except TypeError:
             return  # cannot track an unhashable contender
-        self.touched = True
         if self.select_key == "value":
             ranked: object = event.value
         else:
@@ -296,25 +248,6 @@ class _SelectNode(_Node):
         if signature != self._winner:
             self._winner = signature
             emit(best[2])
-
-    def export_state(self):
-        return {
-            "events": [event.to_wire()
-                       for _, event in self._candidates.values()],
-            "winner": self._winner,
-        }
-
-    def import_state(self, state):
-        self.touched = True
-        for wire in state["events"]:
-            event = ContextEvent.from_wire(wire)
-            if self.select_key == "value":
-                ranked: object = event.value
-            else:
-                ranked = event.attributes.get(self.select_key)
-            self._candidates[event.subject] = (ranked, event)
-        winner = state["winner"]
-        self._winner = None if winner is None else tuple(winner)
 
 
 _NODE_CLASSES = {
@@ -362,9 +295,9 @@ class OperatorGraph:
     def attach(self, sub_id: int, plan: OpSpec) -> FilterConstraints:
         """Materialise ``plan`` (sharing existing nodes) and add the sink.
 
-        Returns the plan's constraints — what
-        :func:`~repro.query.opgraph.compile.analyse_opspec` would compute,
-        read off the node instead of analysed again.
+        Returns the plan's constraints: the equality facts every raw event
+        reaching the plan's output satisfies (a window passes its input's
+        through, a join merges both sides'), read off the node.
         """
         if sub_id in self._plans:
             self.detach(sub_id)
@@ -485,27 +418,6 @@ class OperatorGraph:
             parent.process(event, port,
                            lambda out, parent=parent: self._emit(parent, out,
                                                                  batch))
-
-    # -- migration ------------------------------------------------------------
-
-    def export_state_for(self, sub_id: int) -> Dict[str, Dict[str, Any]]:
-        """State blobs of every touched stateful node in one plan."""
-        plan = self._plans.get(sub_id)
-        if plan is None:
-            return {}
-        states: Dict[str, Dict[str, Any]] = {}
-        for spec in plan.walk():
-            node = self._nodes.get(spec.canonical_key())
-            if node is not None and node.stateful and node.touched:
-                states.setdefault(node.key, node.export_state())
-        return states
-
-    def import_state(self, states: Dict[str, Dict[str, Any]]) -> None:
-        """First-wins install of migrated state into untouched nodes."""
-        for key, state in states.items():
-            node = self._nodes.get(key)
-            if node is not None and node.stateful and not node.touched:
-                node.import_state(state)
 
     # -- introspection --------------------------------------------------------
 

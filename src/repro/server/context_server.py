@@ -89,9 +89,6 @@ class ContextServer(Process):
         lease_duration: float = 30.0,
         max_repairs_per_config: Optional[int] = None,
         reliable_events: bool = True,
-        mediator_shards: int = 1,
-        resolver_shards: int = 1,
-        shard_hosts: Optional[List[str]] = None,
         ledger: bool = True,
     ):
         super().__init__(guid, host_id, network, name=f"cs:{definition.name}")
@@ -101,9 +98,9 @@ class ContextServer(Process):
         self.guids = guid_factory
         self.templates = templates or TemplateRegistry()
 
-        # -- context ledger (ROADMAP item 4) ----------------------------------
-        # rank 0 is the CS's own chain (registrar, profiles, router, query
-        # lifecycle); each mediator shard appends to its own child chain.
+        # -- context ledger ---------------------------------------------------
+        # one chain per range: registrar, profile manager, mediator and the
+        # query lifecycle all append to it
         self.ledger: Optional[ContextLedger] = None
         if ledger:
             self.ledger = ContextLedger(
@@ -125,25 +122,11 @@ class ContextServer(Process):
         # -- Context Utilities (Section 3.1's core set) -----------------------
         # the range mediator runs in reliable (ack/retry + sequenced) mode
         # by default; ``reliable_events=False`` is the fire-and-forget
-        # ablation matching the seed behaviour. ``mediator_shards > 1``
-        # partitions the mediator into worker shards behind a router with
-        # the same observable delivery behaviour (see repro.events.sharding).
-        if mediator_shards > 1:
-            # imported lazily: repro.events.sharding imports repro.server
-            # modules, so a module-top import here would be a cycle
-            from repro.events.sharding import ShardedEventMediator
-            self.mediator: EventMediator = ShardedEventMediator(
-                self.guids.mint(), host_id, network, definition.name,
-                shards=mediator_shards,
-                shard_hosts=shard_hosts,
-                guid_factory=self.guids,
-                reliable=reliable_events,
-                ledger=self.ledger)
-        else:
-            self.mediator = EventMediator(self.guids.mint(), host_id, network,
-                                          definition.name,
-                                          reliable=reliable_events,
-                                          ledger=self.ledger)
+        # ablation matching the seed behaviour.
+        self.mediator = EventMediator(self.guids.mint(), host_id, network,
+                                      definition.name,
+                                      reliable=reliable_events,
+                                      ledger=self.ledger)
         self.registrar = Registrar(self.guids.mint(), host_id, network,
                                    definition.name,
                                    context_server=self.guid,
@@ -172,7 +155,6 @@ class ContextServer(Process):
             # this token: a template registration, an unreported bump
             feed_version=lambda: (self.registrar.version,
                                   self.templates.version),
-            shards=resolver_shards,
             metrics=network.obs.metrics,
             range_name=definition.name,
         )
@@ -689,10 +671,10 @@ class ContextServer(Process):
                                    self.definition.name, self.registrar.guid)
             self.range_services[host_id] = service
         else:
-            service.enabled = True  # back after release_host: same daemon
+            service.enabled = True  # back after retire_host: same daemon
         return service.offer_to_host()
 
-    def release_host(self, host_id: str) -> None:
+    def retire_host(self, host_id: str) -> None:
         """A mobile machine left the range: the daemon :meth:`admit_host`
         put there is switched off (the static jurisdiction keeps its own)."""
         if host_id not in self.definition.hosts and host_id in self.range_services:
@@ -708,24 +690,18 @@ class ContextServer(Process):
     # ---------------------------------------------------------------- ledger
 
     def _log_query(self, query_id: str, event: str, **fields) -> None:
-        """One query-lifecycle entry on the rank-0 chain."""
+        """One query-lifecycle entry on the range's chain."""
         if self.ledger is not None:
             self.ledger.append(self.now, "query",
                                dict({"query_id": query_id, "event": event},
                                     **fields))
 
     def ledgers(self) -> List[ContextLedger]:
-        """Every chain of this range's ledger family (root + shards)."""
-        if self.ledger is None:
-            return []
-        chains = [self.ledger]
-        for chain in self.mediator.ledgers():
-            if chain is not self.ledger:
-                chains.append(chain)
-        return chains
+        """This range's ledger chain, as a list (empty when disabled)."""
+        return [self.ledger] if self.ledger is not None else []
 
     def ledger_entries(self, upto: Optional[float] = None) -> List[LedgerEntry]:
-        """The family-wide merged entry stream (time <= ``upto`` if given)."""
+        """The range's entry stream (time <= ``upto`` if given)."""
         return merge_entries(self.ledgers(), upto)
 
     def ledger_projection(self, upto: Optional[float] = None) -> ProjectedState:

@@ -260,3 +260,159 @@ class TestProfileIndex:
         plan = resolver.resolve(TypeSpec("location", "geometric", "bob"))
         assert any(node.profile.name in ("gps", "wlan")
                    for node in plan.nodes.values())
+
+    def test_without_feed_deltas_are_ignored(self, registry, guids, building):
+        """Without a feed every resolve rebuilds, so a delta has no chain to
+        advance: it is ignored and the next resolve still sees the arrival."""
+        feed = _Feed(guids, building)
+        resolver = QueryResolver(registry,
+                                 live_profiles=lambda: list(feed.profiles),
+                                 templates=feed.templates)
+        resolver.resolve(TypeSpec("temperature", "celsius"))
+        fresh = sensor_profile("counter", "occupancy", "count")
+        feed.register(fresh)
+        assert resolver.note_profile_added(fresh) == 0
+        plan = resolver.resolve(TypeSpec("occupancy", "count"))
+        assert plan.nodes[plan.output_key].profile.name == "counter"
+        assert resolver.index_rebuilds == 2
+
+
+class _Feed:
+    """A mutable profile feed with the CS's (registrations, templates) token."""
+
+    def __init__(self, guids, building):
+        self.profiles = [
+            sensor_profile("door-1"),
+            sensor_profile("door-2"),
+            sensor_profile("wlan", "location", "geometric"),
+            sensor_profile("thermo-celsius", "temperature", "celsius",
+                           subject="L10.01", room="L10.01"),
+        ]
+        self.templates = standard_templates(guids, building)
+        self.registrations = len(self.profiles)
+
+    def version(self):
+        return (self.registrations, self.templates.version)
+
+    def resolver(self, registry):
+        return QueryResolver(registry,
+                             live_profiles=lambda: list(self.profiles),
+                             templates=self.templates,
+                             feed_version=self.version)
+
+    def register(self, profile):
+        """What the registrar does: bump version, then notify."""
+        self.profiles.append(profile)
+        self.registrations += 1
+
+    def deregister(self, profile):
+        self.profiles.remove(profile)
+        self.registrations += 1
+
+
+class TestDeltaFastPath:
+    """The provider index is kept by delta along the feed's version chain."""
+
+    def test_arrival_patches_index_without_rebuild(self, registry, guids,
+                                                   building):
+        feed = _Feed(guids, building)
+        resolver = feed.resolver(registry)
+        with pytest.raises(NoProviderError):
+            resolver.resolve(TypeSpec("occupancy", "count"))
+        rebuilds = resolver.index_rebuilds
+        fresh = sensor_profile("counter", "occupancy", "count")
+        feed.register(fresh)
+        assert resolver.note_profile_added(fresh) == 1
+        plan = resolver.resolve(TypeSpec("occupancy", "count"))
+        assert plan.nodes[plan.output_key].profile.name == "counter"
+        assert resolver.index_rebuilds == rebuilds  # delta, not rebuild
+
+    def test_departure_unfiles_without_rebuild(self, registry, guids,
+                                               building):
+        feed = _Feed(guids, building)
+        fresh = sensor_profile("counter", "occupancy", "count")
+        feed.profiles.append(fresh)
+        feed.registrations += 1
+        resolver = feed.resolver(registry)
+        resolver.resolve(TypeSpec("occupancy", "count"))
+        rebuilds = resolver.index_rebuilds
+        feed.deregister(fresh)
+        resolver.note_profile_removed(fresh.entity_id.hex)
+        with pytest.raises(NoProviderError):
+            resolver.resolve(TypeSpec("occupancy", "count"))
+        assert resolver.index_rebuilds == rebuilds
+
+    def test_none_delta_advances_chain(self, registry, guids, building):
+        """A CAA arrival bumps the version but files nothing."""
+        feed = _Feed(guids, building)
+        resolver = feed.resolver(registry)
+        resolver.resolve(TypeSpec("temperature", "celsius"))
+        rebuilds = resolver.index_rebuilds
+        feed.registrations += 1  # a CAA registered
+        resolver.note_profile_added(None)
+        resolver.resolve(TypeSpec("temperature", "celsius"))
+        assert resolver.index_rebuilds == rebuilds
+
+    def test_missed_bump_forces_rebuild_not_staleness(self, registry, guids,
+                                                      building):
+        """A version change without a delta must never be masked."""
+        feed = _Feed(guids, building)
+        resolver = feed.resolver(registry)
+        with pytest.raises(NoProviderError):
+            resolver.resolve(TypeSpec("occupancy", "count"))
+        # the feed changes WITHOUT a delta call (e.g. a re-registration)...
+        fresh = sensor_profile("counter", "occupancy", "count")
+        feed.register(fresh)
+        # ...then a later delta arrives; it must not chain over the gap
+        other = sensor_profile("door-9")
+        feed.register(other)
+        resolver.note_profile_added(other)
+        # the rebuild path still surfaces the profile the delta skipped
+        rebuilds = resolver.index_rebuilds
+        plan = resolver.resolve(TypeSpec("occupancy", "count"))
+        assert plan.nodes[plan.output_key].profile.name == "counter"
+        assert resolver.index_rebuilds == rebuilds + 1
+
+    def test_replacement_is_one_bump(self, registry, guids, building):
+        """A re-registration unfiles the old outputs and files the new."""
+        feed = _Feed(guids, building)
+        old = sensor_profile("counter", "occupancy", "count")
+        feed.profiles.append(old)
+        feed.registrations += 1
+        resolver = feed.resolver(registry)
+        resolver.resolve(TypeSpec("occupancy", "count"))
+        with pytest.raises(NoProviderError):
+            resolver.resolve(TypeSpec("network-signal", "dbm"))
+        rebuilds = resolver.index_rebuilds
+        new = Profile(old.entity_id, old.name, old.entity_class,
+                      outputs=[TypeSpec("network-signal", "dbm")])
+        feed.profiles[feed.profiles.index(old)] = new
+        feed.registrations += 1
+        resolver.note_profile_replaced(old.entity_id.hex, new)
+        plan = resolver.resolve(TypeSpec("network-signal", "dbm"))
+        assert plan.nodes[plan.output_key].profile is new
+        with pytest.raises(NoProviderError):
+            resolver.resolve(TypeSpec("occupancy", "count"))
+        assert resolver.index_rebuilds == rebuilds
+
+    def test_template_registration_is_a_gap(self, registry, guids, building):
+        """The templates component of the token moved: rebuild, not delta."""
+        feed = _Feed(guids, building)
+        resolver = feed.resolver(registry)
+        resolver.resolve(TypeSpec("temperature", "celsius"))
+        rebuilds = resolver.index_rebuilds
+        feed.templates.version += 1
+        other = sensor_profile("door-9")
+        feed.register(other)
+        assert resolver.note_profile_added(other) == 0
+        resolver.resolve(TypeSpec("temperature", "celsius"))
+        assert resolver.index_rebuilds == rebuilds + 1
+
+    def test_bad_token_shape_rejected(self, registry, guids, building):
+        feed = _Feed(guids, building)
+        resolver = QueryResolver(registry,
+                                 live_profiles=lambda: list(feed.profiles),
+                                 templates=feed.templates,
+                                 feed_version=lambda: 7)  # not a pair
+        with pytest.raises(TypeError):
+            resolver.note_profile_added(None)

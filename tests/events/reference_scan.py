@@ -4,8 +4,8 @@ Every publish evaluates every live subscription's filter, in subscription
 table (insertion) order, then every bridge's; retained replay scans the
 whole retained store. This was ``EventMediator(engine="classic")`` before
 the operator graph became the only dispatch engine in ``src/``; the
-differential suites (``tests/opgraph``, ``tests/shard``, ``tests/parallel``)
-and the Hypothesis property (``tests/properties/test_prop_dispatch.py``)
+differential suites (``tests/opgraph``, ``tests/parallel``) and the
+Hypothesis property (``tests/properties/test_prop_dispatch.py``)
 hold the production mediator to it entry for entry.
 
 Only *matching* is swapped. Subscription bookkeeping, delivery, reliable
@@ -29,8 +29,7 @@ class ReferenceScanMediator(EventMediator):
     """:class:`EventMediator` with matching done by exhaustive scan."""
 
     def _fan_out(self, event: ContextEvent, bridged: bool) -> int:
-        if self.retain_events:
-            self._store_retained(event)
+        self._store_retained(event)
         delivered = 0
         for subscription in list(self._subscriptions.values()):
             if not subscription.active or subscription.query is not None:

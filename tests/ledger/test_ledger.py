@@ -126,7 +126,7 @@ class TestChain:
 class TestFamilyMerge:
     def _family(self):
         root = ContextLedger("cs:test")
-        shard = root.child(1)
+        shard = ContextLedger("cs:test", shard_rank=1)
         root.append(1.0, "register", {"entity": "aa", "name": "A"})
         shard.append(1.0, "publish",
                      {"key": ["t", "raw", "s"], "first_seq": 1,
@@ -135,12 +135,16 @@ class TestFamilyMerge:
         root.append(2.0, "depart", {"entity": "aa", "reason": "x"})
         return root, shard
 
-    def test_child_shares_ledger_id(self):
+    def test_rank_is_part_of_the_chain(self):
+        """The rank is hashed: one body on two ranks makes two chains."""
         root = ContextLedger("cs:test")
-        child = root.child(3)
-        assert child.ledger_id == "cs:test"
-        assert child.shard_rank == 3
-        assert child.head == GENESIS_HASH
+        ranked = ContextLedger("cs:test", shard_rank=3)
+        assert ranked.head == GENESIS_HASH
+        for chain in (root, ranked):
+            chain.append(1.0, "register", {"entity": "aa", "name": "A"})
+        assert ranked.entry(0).entry_id == "3:0"
+        assert ranked.head != root.head
+        assert ranked.verify() == root.verify() == 1
 
     def test_total_order_breaks_ties_by_rank(self):
         root, shard = self._family()
@@ -164,7 +168,7 @@ class TestArtefact:
 
     def test_family_lands_in_merge_order(self, tmp_path):
         root = ContextLedger("cs:test")
-        shard = root.child(1)
+        shard = ContextLedger("cs:test", shard_rank=1)
         root.append(1.0, "register", {"entity": "aa", "name": "A"})
         shard.append(0.5, "publish", {"deliveries": [[1, 1]]})
         path = tmp_path / "family.jsonl"

@@ -16,11 +16,9 @@ from repro.core.ids import GuidFactory
 from repro.core.types import TypeSpec
 from repro.events import subscription as subscription_module
 from repro.events.event import ContextEvent
-from repro.events.filters import (AndFilter, NotFilter, SubjectFilter,
-                                  TypeFilter)
+from repro.events.filters import AndFilter, SubjectFilter, TypeFilter
 from repro.events.mediator import EventMediator
-from repro.events.sharding import ShardedEventMediator
-from repro.ledger.ledger import ContextLedger, merge_entries
+from repro.ledger.ledger import ContextLedger
 from repro.ledger.replay import (ReplayProjector, projection_snapshot,
                                  snapshot_retained, snapshot_subscriptions)
 from repro.net.transport import FixedLatency, FunctionProcess, Network
@@ -43,13 +41,6 @@ def plain(rig, retained_cap=8):
                          ledger=ContextLedger("cs:fold"))
 
 
-def sharded(rig, shards=3):
-    net, guids, _ = rig
-    return ShardedEventMediator(guids.mint(), "h", net, "r", shards=shards,
-                                guid_factory=guids,
-                                ledger=ContextLedger("cs:fold"))
-
-
 def event(mediator, seq, subject="bob", type_name="location"):
     return ContextEvent(TypeSpec(type_name, "topological", subject),
                         f"room-{seq}", mediator.guid, 0.0, seq=seq)
@@ -61,7 +52,7 @@ def kinds(chain, since=0):
 
 def assert_projects_to_live(mediator):
     projected = projection_snapshot(ReplayProjector.from_entries(
-        merge_entries(mediator.ledgers())).state)
+        mediator.ledgers()[0].entries()).state)
     assert projected["subscriptions"] == snapshot_subscriptions(mediator)
     assert projected["retained"] == snapshot_retained(mediator)
 
@@ -155,10 +146,10 @@ def test_retained_replay_to_a_fresh_subscription_is_one_entry(rig):
     assert_projects_to_live(mediator)
 
 
-@pytest.mark.parametrize("shards", [1, 2])
-def test_a_served_resync_is_one_replay_entry(rig, shards):
+def test_a_served_resync_is_one_replay_entry(rig):
     net, _, sink = rig
-    mediator = plain(rig) if shards == 1 else sharded(rig, shards)
+    mediator = plain(rig)
+    chain = mediator.ledgers()[0]
     sub = mediator.add_subscription(sink.guid, SubjectFilter("bob"))
     exact = mediator.add_subscription(
         sink.guid, AndFilter([TypeFilter("location"), SubjectFilter("bob")]))
@@ -168,62 +159,13 @@ def test_a_served_resync_is_one_replay_entry(rig, shards):
                    "ack": False})
     net.scheduler.run_for(5.0)
     assert (sub.delivered, exact.delivered) == (2, 1)
-    before = sum(len(chain) for chain in mediator.ledgers())
+    before = len(chain)
     for sub_id in (sub.sub_id, exact.sub_id, 999):  # the last: refused
         sink.send(mediator.guid, "resync", {"sub_id": sub_id})
     net.scheduler.run_for(5.0)
     assert (sub.delivered, exact.delivered) == (4, 2)
-    added = merge_entries(mediator.ledgers())[before:]
-    assert sorted((entry.kind, entry.payload["deliveries"])
-                  for entry in added) == [
+    assert [(entry.kind, entry.payload["deliveries"])
+            for entry in chain.entries()[before:]] == [
         ("replay", [[sub.sub_id, 1], [sub.sub_id, 2]]),
         ("replay", [[exact.sub_id, 1]])]
-    assert_projects_to_live(mediator)
-
-
-def test_sharded_publish_writes_one_entry_per_writer_it_touches(rig):
-    net, _, sink = rig
-    mediator = sharded(rig, shards=3)
-    router_chain, *shard_chains = mediator.ledgers()
-    owner = mediator.shard_id_for("location", "bob")
-    exact = mediator.add_subscription(
-        sink.guid, AndFilter([TypeFilter("location"), SubjectFilter("bob")]))
-    routed = mediator.add_subscription(sink.guid, TypeFilter("location"))
-    marks = [len(chain) for chain in mediator.ledgers()]
-    mediator.publish(event(mediator, 5))
-    net.scheduler.run_for(5.0)
-    assert (exact.delivered, routed.delivered) == (1, 1)
-    grown = [kinds(chain, mark)
-             for chain, mark in zip(mediator.ledgers(), marks)]
-    assert grown == [["publish"]] + [
-        ["publish"] if shard_id == owner else []
-        for shard_id in range(3)]
-    # the owner retains and serves its exact subscription; the router
-    # retains nothing and serves the routed one
-    assert shard_chains[owner].entries()[-1].payload == {
-        "key": ["location", "topological", "bob"], "first_seq": 5,
-        "event": event(mediator, 5).to_wire(),
-        "deliveries": [[exact.sub_id, 5]]}
-    assert router_chain.entries()[-1].payload == \
-        {"deliveries": [[routed.sub_id, 5]]}
-    assert_projects_to_live(mediator)
-
-
-def test_router_fan_out_nobody_matches_appends_nothing(rig):
-    # a residual routed filter makes every shard forward to the router;
-    # a fan-out there that neither retains nor delivers is not a decision
-    net, _, sink = rig
-    mediator = sharded(rig, shards=2)
-    router_chain, *shard_chains = mediator.ledgers()
-    mediator.add_subscription(sink.guid, NotFilter(TypeFilter("location")))
-    mark = len(router_chain)
-    mediator.publish(event(mediator, 9))
-    net.scheduler.run_for(5.0)
-    assert mediator.network.obs.metrics.get(
-        "cs.shard.dispatched").by_label() == {"r": 1}
-    assert kinds(router_chain, mark) == []
-    owner = mediator.shard_id_for("location", "bob")
-    assert [kinds(chain) for chain in shard_chains] == [
-        ["publish"] if shard_id == owner else [] for shard_id in range(2)]
-    assert shard_chains[owner].entries()[-1].payload["deliveries"] == []
     assert_projects_to_live(mediator)

@@ -99,7 +99,8 @@ class TestProjection:
         assert state.subscriptions[7]["owner"] == "app"
 
     def test_router_publish_retains_nothing(self):
-        # the sharded router's fan-out has no retained part: counts only
+        # a publish entry without a retained part (a fan-out that retained
+        # nothing, as the /4 format allows) only counts its deliveries
         ledger = build_ledger()
         ledger.append(9.0, "publish", {"deliveries": [[7, 14]]})
         state = ReplayProjector.from_entries(ledger.entries()).state

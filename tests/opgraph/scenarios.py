@@ -1,22 +1,21 @@
 """Fixed-seed workload for the operator-graph equivalence suite.
 
-One scenario run against the mediator, against the linear reference scan
-(:mod:`tests.events.reference_scan`) and against the sharded mediator with
-per-shard graphs, logging every delivery per subscription. The operator
+One scenario run against the mediator and against the linear reference
+scan (:mod:`tests.events.reference_scan`), logging every delivery per
+subscription. The operator
 graph's contract is that per-subscription delivery logs are
 **entry-identical** — same events, same values, same order — to the
 reference scan for every filter shape the mediator distinguishes,
 including heavy dedup pressure (many spec-identical filters built in
 different construction orders), one-time arbitration, retained replay,
-churn and shard rebalance.
+and churn.
 
 ``queries=True`` additionally attaches continuous-query subscriptions
 (window / select / join) — the reference scan has no equivalent for those,
-so there the single-mediator and sharded logs must agree with each other.
+so there only the plain-filter logs are compared.
 
 Global counters (``ContextEvent.seq``, ``Subscription.sub_id``) are reset
-or pre-minted exactly as in ``tests/shard/scenarios.py`` so runs in one
-pytest process stay comparable.
+or pre-minted so runs in one pytest process stay comparable.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from repro.events.event import ContextEvent
 from repro.events.filters import (AndFilter, AttributeFilter, MatchAll,
                                   SourceFilter, SubjectFilter, TypeFilter)
 from repro.events.mediator import EventMediator
-from repro.events.sharding import ShardedEventMediator
 from repro.net.transport import FixedLatency, Network, Process
 from tests.events.reference_scan import ReferenceScanMediator
 
@@ -43,18 +41,15 @@ EVENTS_PER_STORM = 30
 
 
 class Publisher(Process):
-    """Sends pre-minted events, resolving the owner shard at send time."""
+    """Sends pre-minted events to the mediator."""
 
     def __init__(self, guid, host_id, network, mediator):
         super().__init__(guid, host_id, network, name="opg-publisher")
-        route = getattr(mediator, "shard_guid_for", None)
-        self.route = (route if route is not None
-                      else lambda _type, _subject: mediator.guid)
+        self.mediator = mediator.guid
         self.acks = 0
 
     def publish(self, wire_event: dict) -> None:
-        self.send(self.route(wire_event["type"], wire_event["subject"]),
-                  "publish", {"event": wire_event})
+        self.send(self.mediator, "publish", {"event": wire_event})
 
     def on_message(self, message) -> None:
         if message.kind == "publish-ack":
@@ -95,14 +90,12 @@ def _mint_events(source_guids: GuidFactory) -> List[List[dict]]:
     return storms
 
 
-def run_scenario(reference: bool = False, shards: int = 1,
-                 queries: bool = False, rebalance: bool = True,
+def run_scenario(reference: bool = False, queries: bool = False,
                  seed: int = 23) -> Dict[str, object]:
     """Run the scenario; returns per-subscription delivery logs.
 
-    ``shards=1`` uses a plain :class:`EventMediator` — or, with
-    ``reference=True``, the linear reference scan; more shards use the
-    sharded router. Storm event
+    The mediator is a plain :class:`EventMediator` — or, with
+    ``reference=True``, the linear reference scan. Storm event
     *timestamps* (0..89) are what window operators see; storms are
     *scheduled* at STORMS offsets with drained gaps so control-plane
     mutations land at legal points.
@@ -112,14 +105,8 @@ def run_scenario(reference: bool = False, shards: int = 1,
     for host in HOSTS:
         net.add_host(host)
     guids = GuidFactory(seed=seed ^ 0x51)
-    if shards > 1:
-        mediator = ShardedEventMediator(
-            guids.mint(), HOSTS[0], net, range_name="opg", shards=shards,
-            shard_hosts=list(HOSTS), guid_factory=guids)
-    else:
-        mediator_class = ReferenceScanMediator if reference else EventMediator
-        mediator = mediator_class(guids.mint(), HOSTS[0], net,
-                                  range_name="opg")
+    mediator_class = ReferenceScanMediator if reference else EventMediator
+    mediator = mediator_class(guids.mint(), HOSTS[0], net, range_name="opg")
     publisher = Publisher(guids.mint(), HOSTS[1], net, mediator)
 
     sinks: Dict[str, LoggingSink] = {}
@@ -213,17 +200,7 @@ def run_scenario(reference: bool = False, shards: int = 1,
                                      TypeFilter("presence"), HOSTS[1],
                                      replay=True))
 
-    # drained boundary 2: grow then drain a shard (window/join/select state
-    # must survive the rebalance handoff); no-op for the plain mediator
-    if shards > 1 and rebalance:
-        schedule(62.0, lambda: mediator.add_shard())
-        schedule(64.0, lambda: mediator.remove_shard(
-            min(mediator.shard_ids())))
-
-    # final event lands on the window queries' own (type, subject) key so
-    # the owning shard's graph rolls every pending window closed — the
-    # single mediator's graph rolls on all publishes, a shard's only on
-    # the events it owns, and log equality needs both to finish flushed
+    # a final event past the last storm rolls every pending window closed
     extra = ContextEvent(
         TypeSpec("temperature", "raw", "room-1"), value=999,
         source=source_guids.mint(), timestamp=105.0, seq=9999).to_wire()

@@ -1,27 +1,28 @@
-"""The operator graph is what a default deployment runs.
+"""The operator graph is what a default deployment runs, on one server.
 
-Two guards on the engine collapse. A range mediator built with no dispatch
-argument at all — the only kind there is — takes a continuous-query
-subscription over the wire and delivers its aggregates, unsharded and
-across a shard rebalance. And the constructors that used to select an
-engine carry no such parameter, so the switch cannot quietly come back.
+Two guards on the engine and server collapses. A range mediator built with
+no dispatch argument at all — the only kind there is — takes a
+continuous-query subscription over the wire and delivers its aggregates.
+And the constructors that used to select an engine, an index or a shard
+count carry no such parameter, and the sharded modules are gone, so
+neither switch can quietly come back.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import inspect
 
 import pytest
 
 from repro import SCI, SCIConfig
+from repro.composition.profile_index import ProfileIndex
 from repro.composition.resolver import QueryResolver
 from repro.core.types import TypeSpec
 from repro.events.event import ContextEvent
 from repro.events.mediator import EventMediator
-from repro.events.sharding import MediatorShard, ShardedEventMediator
 from repro.net.transport import Process
 from repro.server.context_server import ContextServer
-from repro.server.range import RangeDefinition
 
 WINDOW_QUERY = {
     "op": "window", "agg": "count", "width": 10.0,
@@ -65,7 +66,7 @@ class WireClient(Process):
                                     wire["timestamp"]))
 
 
-def _drive(network, mediator, guids, rebalance=None):
+def _drive(network, mediator, guids):
     network.ensure_host("wire-host")
     client = WireClient(guids.mint(), "wire-host", network, mediator.guid)
     client.subscribe(WINDOW_QUERY)
@@ -74,9 +75,6 @@ def _drive(network, mediator, guids, rebalance=None):
     client.publish(1.0)
     client.publish(2.0)
     network.scheduler.run_for(5)
-    if rebalance is not None:
-        rebalance()
-        network.scheduler.run_for(5)
     client.publish(3.0)
     network.scheduler.run_for(5)
     client.publish(15.0)  # first event past the window's end closes it
@@ -99,32 +97,21 @@ def test_default_range_mediator_delivers_window_query_over_the_wire():
     assert len(client.aggregates) == 1
 
 
-def test_sharded_range_mediator_keeps_window_query_across_rebalance(
-        network, guids, building, registry):
-    definition = RangeDefinition("livingstone", places=["livingstone"],
-                                 hosts=["host-a", "host-b"])
-    server = ContextServer(guids.mint(), "host-a", network,
-                           definition=definition, building=building,
-                           registry=registry, guid_factory=guids,
-                           mediator_shards=3)
-    mediator = server.mediator
-    assert isinstance(mediator, ShardedEventMediator)
-
-    def rebalance():
-        # grow, then drain the shard holding the window: its open state
-        # must move with the subscription
-        home = mediator.shard_id_for("temperature", "room-0")
-        mediator.add_shard()
-        mediator.remove_shard(home)
-
-    client = _drive(network, mediator, guids, rebalance)
-    # two events before the rebalance, one after: no loss, no duplication
-    assert client.aggregates == [("opgraph-window-count", 3, 10.0)]
-    assert mediator.opgraph_stats()["window_nodes"] == 1
+#: constructor parameters that once selected an engine, an index or a
+#: shard count
+GONE_SWITCHES = {"engine", "indexed", "shards", "owns", "mediator_shards",
+                 "resolver_shards", "shard_hosts"}
 
 
-@pytest.mark.parametrize("constructor", [EventMediator, MediatorShard,
-                                         ShardedEventMediator, QueryResolver])
+@pytest.mark.parametrize("constructor", [EventMediator, QueryResolver,
+                                         ProfileIndex, ContextServer])
 def test_no_engine_switch_on_constructors(constructor):
     parameters = inspect.signature(constructor).parameters
-    assert not {"engine", "indexed"} & set(parameters)
+    assert not GONE_SWITCHES & set(parameters)
+
+
+@pytest.mark.parametrize("module", ["repro.events.sharding",
+                                    "repro.server.shard",
+                                    "repro.composition.shard_index"])
+def test_sharded_modules_are_gone(module):
+    assert importlib.util.find_spec(module) is None

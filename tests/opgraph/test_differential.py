@@ -1,10 +1,9 @@
-"""Differential equivalence: mediator vs reference scan, single vs sharded.
+"""Differential equivalence: mediator vs reference scan.
 
 The operator graph is the mediator's only dispatch engine on the strength
 of this suite: its observable delivery behaviour is *entry-identical* to
-the linear reference scan (``tests/events/reference_scan.py``), and
-per-shard graphs (with rebalance migrating live operator state) agree with
-one single-mediator graph.
+the linear reference scan (``tests/events/reference_scan.py``), with or
+without continuous queries sharing the graph.
 """
 
 from __future__ import annotations
@@ -38,26 +37,16 @@ def test_opgraph_dedups_lookalike_filters():
     assert stats["reuse_ratio"] > 0.0
 
 
-@pytest.mark.parametrize("shards", [2, 3])
-def test_sharded_opgraph_matches_single(shards):
-    single = run_scenario(shards=1, queries=True)
-    sharded = run_scenario(shards=shards, queries=True)
-    assert single["logs"] == sharded["logs"]
-    assert single["subscription_count"] == sharded["subscription_count"]
-
-
-def test_sharded_opgraph_rebalance_preserves_logs():
-    quiet = run_scenario(shards=3, queries=True, rebalance=False)
-    churned = run_scenario(shards=3, queries=True, rebalance=True)
-    assert quiet["logs"] == churned["logs"]
-
-
-def test_sharded_matches_reference_scan_on_filters():
-    """Plain-filter logs of a sharded run carrying queries still equal the
-    scan's: query plans sharing the graphs never disturb filter delivery."""
+def test_queries_never_disturb_filter_delivery():
+    """Plain-filter logs of a run carrying window, select and join queries
+    still equal the scan's: query plans sharing the graph never disturb
+    filter delivery."""
     reference = run_scenario(reference=True, queries=True)
-    sharded = run_scenario(shards=2, queries=True)
-    assert _filter_logs(reference) == _filter_logs(sharded)
+    mediator = run_scenario(queries=True)
+    assert _filter_logs(reference) == _filter_logs(mediator)
+    queries = {label: log for label, log in mediator["logs"].items()
+               if label.startswith("query:")}
+    assert len(queries) == 4 and all(queries.values())
 
 
 @pytest.mark.parametrize("seed", [7, 1234])

@@ -15,9 +15,8 @@ from repro.core.types import TypeSpec
 from repro.events.event import ContextEvent
 from repro.events.filters import (AndFilter, AttributeFilter, SubjectFilter,
                                   TypeFilter)
-from repro.query.opgraph import (OperatorGraph, OpSpecError, analyse_opspec,
-                                 compile_query, filter_op, join_op, select_op,
-                                 window_op)
+from repro.query.opgraph import (OperatorGraph, OpSpecError, compile_query,
+                                 filter_op, join_op, select_op, window_op)
 
 GUIDS = GuidFactory(seed=99)
 SOURCE = GUIDS.mint()
@@ -219,48 +218,32 @@ def test_compile_rejects_unknown_op():
         compile_query("not a dict")
 
 
-def test_analyse_opspec_passthrough_and_join_merge():
+@pytest.mark.parametrize("spec", [
+    {"op": "window", "agg": "avg"},                      # no source
+    {"op": "window", "agg": "avg", "width": "wide",
+     "source": {"op": "all"}},                           # width not a number
+    {"op": "window", "agg": "count", "width": 5.0, "key": ["floor"],
+     "source": {"op": "all"}},                           # key not a string
+    {"op": "select", "mode": "min", "source": {"op": "all"}},  # no key
+    {"op": "join", "left": {"op": "all"}},               # no right side
+    {"op": "filter"},                                    # no filter
+    {"op": "type"},                                      # bare filter, no type
+    {"op": "window", "agg": "count", "width": 5.0,
+     "source": {"op": "window"}},                        # nested, no fields
+])
+def test_compile_malformed_field_is_an_opspec_error(spec):
+    with pytest.raises(OpSpecError):
+        compile_query(spec)
+
+
+def test_attach_constraints_passthrough_and_join_merge(graph):
     exact = filter_op(AndFilter([TypeFilter("t"), SubjectFilter("room-1")]))
-    windowed = window_op(exact, agg="count", width=5.0)
-    constraints = analyse_opspec(windowed)
-    assert constraints.type_name == "t"
+    constraints = graph.attach(1, window_op(exact, agg="count", width=5.0))
+    assert constraints.type_name == "t"  # a window passes its input's through
     assert constraints.subject == "room-1"
-    merged = analyse_opspec(join_op(exact, filter_op(TypeFilter("t"))))
+    merged = graph.attach(2, join_op(exact, filter_op(TypeFilter("t"))))
     assert merged.type_name == "t"  # both sides agree on the type
     assert not merged.has_subject  # only one side pins the subject
-    disjoint = analyse_opspec(
-        join_op(filter_op(TypeFilter("a")), filter_op(TypeFilter("b"))))
+    disjoint = graph.attach(
+        3, join_op(filter_op(TypeFilter("a")), filter_op(TypeFilter("b"))))
     assert disjoint.type_name is None
-
-
-# -- state migration -----------------------------------------------------------
-
-
-def test_export_import_moves_window_state(graph):
-    plan = window_op(filter_op(TypeFilter("t")), agg="count", width=10.0)
-    graph.attach(1, plan)
-    graph.publish(make_event("t", timestamp=1.0))
-    graph.publish(make_event("t", timestamp=2.0))
-    states = graph.export_state_for(1)
-    assert states
-
-    target_log = []
-    target = OperatorGraph(lambda s, e: target_log.append((s, e)))
-    target.attach(1, plan)
-    target.import_state(states)
-    # the ts=11 publish first rolls the migrated [0,10) window closed with
-    # its two samples; the new event then opens [10,20)
-    target.publish(make_event("t", timestamp=11.0))
-    target.publish(make_event("t", timestamp=21.0))
-    assert [e.value for _, e in target_log] == [2, 1]
-
-
-def test_import_is_first_wins(graph):
-    plan = window_op(filter_op(TypeFilter("t")), agg="count", width=10.0)
-    graph.attach(1, plan)
-    graph.publish(make_event("t", timestamp=1.0))  # node now touched
-    graph.import_state({plan.canonical_key(): {"index": 0, "count": 50,
-                                               "sum": 0.0, "source": None}})
-    graph.publish(make_event("t", timestamp=11.0))
-    (_, out), = graph.log
-    assert out.value == 1  # the imported blob lost: node had local truth

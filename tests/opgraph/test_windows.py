@@ -1,8 +1,7 @@
 """Windowed-aggregate edge cases through the mediator (satellite suite).
 
-Empty windows, events exactly on window boundaries, unsubscribe mid-window
-(with and without a second subscription sharing the node), and window
-state surviving a shard rebalance handoff.
+Empty windows, events exactly on window boundaries, and unsubscribe
+mid-window (with and without a second subscription sharing the node).
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from repro.core.types import TypeSpec
 from repro.events import subscription as subscription_module
 from repro.events.event import ContextEvent
 from repro.events.mediator import EventMediator
-from repro.events.sharding import ShardedEventMediator
 from repro.net.transport import FixedLatency, Network, Process
 
 TYPE_SPEC = {"op": "type", "type": "temperature", "representation": None}
@@ -124,30 +122,3 @@ def test_unsubscribe_mid_window_keeps_shared_node_alive(rig):
     assert leaver.log == []
     # the shared window node kept its partial state across the detach
     assert [(v, ts) for _, v, ts in stayer.log] == [(2, 10.0)]
-
-
-def test_window_state_survives_rebalance_handoff():
-    subscription_module._subscription_ids = itertools.count(1)
-    net = Network(latency_model=FixedLatency(1.0), seed=5)
-    for host in ("w0", "w1", "w2"):
-        net.add_host(host)
-    guids = GuidFactory(seed=17)
-    mediator = ShardedEventMediator(
-        guids.mint(), "w0", net, range_name="win", shards=2,
-        shard_hosts=["w0", "w1", "w2"], guid_factory=guids)
-    sink = Sink(guids.mint(), "w2", net)
-    # pinned to (temperature, room-0): shard-homed, migrates on rebalance
-    query = {"op": "window", "agg": "count", "width": 10.0,
-             "source": {"op": "and", "parts": [
-                 TYPE_SPEC, {"op": "subject", "subject": "room-0"}]}}
-    mediator.add_subscription(sink.guid, None, query=query)
-    _publish(net, mediator, guids, 1.0)
-    _publish(net, mediator, guids, 2.0)
-    # force ownership churn mid-window: grow, then drain the original owner
-    mediator.add_shard()
-    mediator.remove_shard(min(mediator.shard_ids()))
-    net.run_until_idle()
-    _publish(net, mediator, guids, 3.0)
-    _publish(net, mediator, guids, 15.0)
-    # [0,10) = two pre-rebalance events + one post: no loss, no duplication
-    assert [(v, ts) for _, v, ts in sink.log] == [(3, 10.0)]

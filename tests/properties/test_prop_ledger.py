@@ -3,13 +3,13 @@
 Hypothesis draws arbitrary op traces — register / re-register / depart,
 profile patch (aimed at whoever is registered at that point), subscribe
 (any filter shape, one-time or not), unsubscribe, publish, resync — and runs
-them against live components (Registrar, the ProfileManager over it, a mediator
-at shard counts 1..3) wired to one ledger family. After EVERY op the
+them against live components (Registrar, the ProfileManager over it, an
+Event Mediator) wired to one ledger chain. After EVERY op the
 projection of the entries appended so far must equal the live books
 snapshot-for-snapshot. A tight retained cap keeps evictions in play,
 one-time subscriptions exercise the unsubscribe-then-publish order the
-mediator logs on its own, and a resync (proxied to the owner shard when
-there is one) replays the retained store under a single ``replay`` entry.
+mediator logs on its own, and a resync replays the retained store under a
+single ``replay`` entry.
 """
 
 import itertools
@@ -25,8 +25,7 @@ from repro.events.event import ContextEvent
 from repro.events.filters import (AndFilter, MatchAll, SubjectFilter,
                                   TypeFilter)
 from repro.events.mediator import EventMediator
-from repro.events.sharding import ShardedEventMediator
-from repro.ledger.ledger import ContextLedger, merge_entries
+from repro.ledger.ledger import ContextLedger
 from repro.ledger.replay import (ReplayProjector, projection_snapshot,
                                  snapshot_profiles, snapshot_registrar,
                                  snapshot_retained, snapshot_subscriptions)
@@ -79,30 +78,23 @@ def _live(registrar, profiles, mediator):
     }
 
 
-def _projected(mediator):
-    state = ReplayProjector.from_entries(
-        merge_entries(mediator.ledgers())).state
-    return projection_snapshot(state)
+def _projected(ledger):
+    return projection_snapshot(
+        ReplayProjector.from_entries(ledger.entries()).state)
 
 
 class TestProjectionEqualsLive:
     @settings(max_examples=30, deadline=None)
-    @given(ops=st.lists(operations(), min_size=1, max_size=25),
-           shards=st.integers(1, 3))
-    def test_every_prefix_projects_to_the_live_books(self, ops, shards):
+    @given(ops=st.lists(operations(), min_size=1, max_size=25))
+    def test_every_prefix_projects_to_the_live_books(self, ops):
         subscription_module._subscription_ids = itertools.count(1)
         net = Network(latency_model=FixedLatency(1.0), seed=5)
         net.add_host("h")
         guids = GuidFactory(seed=6)
         ledger = ContextLedger("cs:prop")
         sink = FunctionProcess(guids.mint(), "h", net, lambda _m: None)
-        if shards > 1:
-            mediator = ShardedEventMediator(
-                guids.mint(), "h", net, "prop", shards=shards,
-                guid_factory=guids, retained_cap=2, ledger=ledger)
-        else:
-            mediator = EventMediator(guids.mint(), "h", net, "prop",
-                                     retained_cap=2, ledger=ledger)
+        mediator = EventMediator(guids.mint(), "h", net, "prop",
+                                 retained_cap=2, ledger=ledger)
         registrar = Registrar(guids.mint(), "h", net, "prop",
                               context_server=sink.guid,
                               event_mediator=sink.guid, ledger=ledger)
@@ -163,12 +155,10 @@ class TestProjectionEqualsLive:
                                {"event": wire, "ack": False})
             # a bounded drain window, not run_until_idle: the registrar's
             # periodic lease sweep keeps the scheduler non-idle forever.
-            # publisher -> router -> shard -> subscriber is 3 hops at
-            # FixedLatency(1.0) and a proxied resync's ack is the 4th, so
-            # 5 units flushes every in-flight message
+            # publisher -> mediator -> subscriber is 2 hops at
+            # FixedLatency(1.0), so 5 units flushes every in-flight message
             net.scheduler.run_for(5.0)
             live = _live(registrar, profiles, mediator)
-            assert _projected(mediator) == live
+            assert _projected(ledger) == live
 
-        for chain in mediator.ledgers():
-            chain.verify()
+        ledger.verify()
