@@ -14,8 +14,14 @@ gate asserts:
 * **bounded recovery**: each CAA's stream resumes within a bounded gap of
   the provider crash (lease expiry + sweep + repair + next movement);
 * the retry machinery actually carried the load (``net.retry.attempts`` > 0
-  in the chaos run, with recoveries observed) and no reliable delivery
-  exhausted its budget;
+  in the chaos run, with recoveries observed), the mediators' unacked
+  windows among it (``net.retry.attempts{kind="event"}`` > 0), and no
+  reliable delivery exhausted its budget;
+* **cumulative acks**: a lossless burst to one subscriber is answered
+  with at most one ``event-ack`` per four ``event`` deliveries, so a
+  regression to an ack per delivery fails the gate (the scenario above
+  cannot pin this: its subscribers receive isolated events 5 sim-units
+  apart, and an event alone in its ack delay is acked alone);
 * **failure-detector convergence**: a SCINET node crashed silently is
   ejected by its neighbours' heartbeat detectors, leaving the survivors
   with the same membership and replicated directory an oracle ``fail()``
@@ -35,6 +41,9 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
 from repro import SCI  # noqa: E402
 from repro.core.api import SCIConfig  # noqa: E402
+from repro.core.types import TypeSpec  # noqa: E402
+from repro.events.event import ContextEvent  # noqa: E402
+from repro.events.filters import TypeFilter  # noqa: E402
 from repro.faults.monitor import StreamProbe  # noqa: E402
 from repro.net.transport import FixedLatency, Network  # noqa: E402
 from repro.overlay.scinet import SCINet  # noqa: E402
@@ -45,6 +54,9 @@ LOSS_RATE = 0.35
 LOSS_DURATION = 40.0
 #: recovery bound: lease (10) + sweep (5) + repair + the next walk leg
 MAX_RECOVERY = 60.0
+#: the batching check's burst: events, and sim-units between publishes
+BURST = 64
+BURST_GAP = 0.1
 
 
 def check(condition, label):
@@ -134,17 +146,46 @@ def chaos_vs_baseline():
                     f" after the crash (< {MAX_RECOVERY:.0f})")
 
     metrics = sci.network.obs.metrics
-    retries = metrics.counter("net.retry.attempts", labels=("kind",)).total()
+    attempts = metrics.counter("net.retry.attempts", labels=("kind",))
+    retries = attempts.total()
     recovered = metrics.counter("net.retry.recovered",
                                 labels=("kind",)).total()
     ok &= check(retries > 0, f"retransmissions carried the episode "
                              f"({retries:.0f} net.retry.attempts)")
+    ok &= check(attempts.value(kind="event") > 0,
+                f"the unacked windows retransmitted "
+                f"({attempts.value(kind='event'):.0f} of them kind=event)")
     ok &= check(recovered > 0, f"retried requests were answered "
                                f"({recovered:.0f} net.retry.recovered)")
     exhausted = sum(sci.range(name).mediator.deliveries_exhausted
                     for name in sci.ranges)
     ok &= check(exhausted == 0,
                 "no reliable delivery exhausted its retry budget")
+    return ok
+
+
+def ack_batching():
+    print(f"smoke-chaos: a lossless burst of {BURST} events to one app...")
+    sci = SCI(config=SCIConfig(seed=SEED, latency_model=FixedLatency(1.0)))
+    mediator = sci.create_range("livingstone", places=["livingstone"],
+                                hosts=["pc"]).mediator
+    app = sci.create_application("reader", host="pc")
+    sci.run(5)
+    mediator.add_subscription(app.guid, TypeFilter("tick"))
+    before = Counter(sci.network.stats.by_kind)
+    for n in range(BURST):
+        mediator.publish(ContextEvent(TypeSpec("tick", "raw", "burst"), n,
+                                      mediator.guid, sci.now))
+        sci.run(BURST_GAP)
+    sci.run(20)
+    sent = Counter(sci.network.stats.by_kind)
+    sent.subtract(before)
+    ok = check([e.value for e in app.events] == list(range(BURST)),
+               "the burst arrived once each, in order")
+    ok &= check(4 * sent["event-ack"] <= sent["event"],
+                f"acks are cumulative ({sent['event-ack']} event-ack for "
+                f"{sent['event']} event sent)")
+    ok &= check(mediator.unacked() == 0, "the unacked window drained")
     return ok
 
 
@@ -185,6 +226,7 @@ def fd_convergence():
 
 def main() -> int:
     ok = chaos_vs_baseline()
+    ok &= ack_batching()
     ok &= fd_convergence()
     if not ok:
         print("smoke-chaos: FAIL")

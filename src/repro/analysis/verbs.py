@@ -34,7 +34,15 @@ mediator declares ``subscribe``; tests and applications send it even though
 no library component does). Declared verbs are exempt from the dead-handler
 check and listed as "external api" in the generated ``PROTOCOL.md``.
 
-Checks: ``verbs.unhandled-send``, ``verbs.dead-handler`` and (CLI-level)
+*answers* — a literal ``reply(...)`` inside a ``_handle_<verb>`` function
+or inside the body of an ``if message.kind == "<verb>":`` branch answers
+``<verb>``. A reply only has a reader if the verb it answers is sent with
+``request(...)``, whose correlation waits on ``reply_to``.
+
+Checks: ``verbs.unhandled-send``, ``verbs.dead-handler``,
+``verbs.orphan-reply`` (a reply answering a verb that the tree only ever
+``send``s, never ``request``s: nobody waits for it, so it is delivered to a
+debug log or to a process that already left) and (CLI-level)
 ``verbs.protocol-drift`` when the committed ``PROTOCOL.md`` no longer
 matches the tree.
 """
@@ -51,6 +59,7 @@ from repro.analysis.source import SourceFile
 
 CHECK_UNHANDLED_SEND = "verbs.unhandled-send"
 CHECK_DEAD_HANDLER = "verbs.dead-handler"
+CHECK_ORPHAN_REPLY = "verbs.orphan-reply"
 CHECK_PROTOCOL_DRIFT = "verbs.protocol-drift"
 
 #: names a message variable is allowed to have in ``<name>.kind == ...``
@@ -82,6 +91,10 @@ class VerbModel:
     #: verbs sent to ``BROADCAST``; verbs some class ``listens_for``
     announces: Dict[str, List[Site]] = field(default_factory=dict)
     listeners: Dict[str, List[Site]] = field(default_factory=dict)
+    #: the subset of ``sends`` made through ``request(...)``
+    requested: Dict[str, List[Site]] = field(default_factory=dict)
+    #: (verb answered, reply verb, reply site) for every handler reply
+    answers: List[Tuple[str, str, Site]] = field(default_factory=list)
 
     def handled_by(self, verb: str) -> Dict[str, List[Site]]:
         return self.listeners if verb in self.announces else self.handlers
@@ -204,6 +217,8 @@ def _extract_from_source(source: SourceFile, model: VerbModel,
                     table = model.replies if node.func.attr == "reply" \
                         else model.sends
                     _add(table, verb, site(line))
+                    if node.func.attr == "request":
+                        _add(model.requested, verb, site(line))
                     if node.args and isinstance(node.args[0], ast.Name) \
                             and node.args[0].id == "BROADCAST":
                         _add(model.announces, verb, site(line))
@@ -214,6 +229,14 @@ def _extract_from_source(source: SourceFile, model: VerbModel,
                     _add(model.sends, verb, site(line))
         elif isinstance(node, ast.Compare):
             _extract_compare(node, model, site)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                node.name.startswith("_handle_"):
+            verb = node.name[len("_handle_"):].replace("_", "-")
+            _extract_answers(verb, node.body, model, site)
+        elif isinstance(node, ast.If):
+            verb = _branch_verb(node.test)
+            if verb:
+                _extract_answers(verb, node.body, model, site)
         elif isinstance(node, ast.Assign):
             _extract_handler_dict(node, model, site)
             if any(getattr(target, "id", "") == "listens_for"
@@ -246,6 +269,34 @@ def _extract_compare(node: ast.Compare, model: VerbModel, site) -> None:
                 if isinstance(element, ast.Constant) and \
                         isinstance(element.value, str):
                     _add(model.handlers, element.value, site(element.lineno))
+
+
+def _branch_verb(test: ast.expr) -> str:
+    """The verb of an ``if message.kind == "verb":`` test, else ''."""
+    if isinstance(test, ast.Compare) and len(test.ops) == 1 and \
+            isinstance(test.ops[0], ast.Eq) and \
+            isinstance(test.left, ast.Attribute) and \
+            test.left.attr == "kind" and \
+            isinstance(test.left.value, ast.Name) and \
+            test.left.value.id in _MESSAGE_NAMES:
+        comparator = test.comparators[0]
+        if isinstance(comparator, ast.Constant) and \
+                isinstance(comparator.value, str):
+            return comparator.value
+    return ""
+
+
+def _extract_answers(verb: str, body: List[ast.stmt], model: VerbModel,
+                     site) -> None:
+    """Record every literal ``reply(...)`` in ``body`` as answering ``verb``."""
+    for statement in body:
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Attribute) and \
+                    node.func.attr == "reply":
+                reply, line = _literal_verb(node)
+                if reply:
+                    model.answers.append((verb, reply, site(line)))
 
 
 def _extract_handler_dict(node: ast.Assign, model: VerbModel, site) -> None:
@@ -307,6 +358,15 @@ class VerbChecker:
                             f'tree sends it: delete the branch or declare '
                             f'the verb as external API in the module '
                             f'docstring'))
+        for verb, reply, s in model.answers:
+            if verb not in model.sends or verb in model.requested:
+                continue
+            findings.append(Finding(
+                check=CHECK_ORPHAN_REPLY, severity=Severity.ERROR,
+                path=s.path, line=s.line,
+                message=f'reply "{reply}" answers verb "{verb}", which is '
+                        f'only ever sent, never requested: nobody waits for '
+                        f'it — delete the reply or request the verb'))
         return findings
 
 

@@ -36,7 +36,8 @@ from repro.core.types import TypeSpec
 from repro.entities.advertisement import Advertisement
 from repro.entities.profile import Profile
 from repro.events.event import ContextEvent
-from repro.events.stream import StreamReassembler
+from repro.events.stream import (RESYNC_RETRIES, RESYNC_TIMEOUT, AckBatcher,
+                                 StreamReassembler)
 from repro.net.message import BROADCAST, Message
 from repro.net.rpc import RequestManager
 from repro.net.transport import Network, Process
@@ -44,9 +45,8 @@ from repro.net.transport import Network, Process
 logger = logging.getLogger(__name__)
 
 #: retransmission budgets for the component-side RPCs that must survive a
-#: lossy network
+#: lossy network (``resync``'s lives beside the reassembler)
 REGISTER_RETRIES = 2
-RESYNC_RETRIES = 2
 PUBLISH_RETRIES = 4
 PUBLISH_ACK_TIMEOUT = 5.0
 
@@ -77,6 +77,8 @@ class BaseComponent(Process):
             self.scheduler, self._deliver_event,
             request_resync=self._request_resync,
             metrics=network.obs.metrics)
+        #: answers each mediator with cumulative acks of that prefix
+        self.acks = AckBatcher(self, self.streams)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -95,6 +97,7 @@ class BaseComponent(Process):
     def crash(self) -> None:
         """Vanish without deregistering — the failure-injection path."""
         self.registered = False
+        self.acks.drop()
         self.streams.reset()
         self.requests.cancel_all()
         self.detach()
@@ -122,6 +125,9 @@ class BaseComponent(Process):
         self.context_server = None
         self.event_mediator = None
         self.range_name = None
+        # ack what arrived before the stream state is forgotten, so the old
+        # mediator does not retransmit it into the void
+        self.acks.flush()
         self.streams.reset()
         if self._lease_group is not None:
             self._lease_group.leave(self)
@@ -228,26 +234,31 @@ class BaseComponent(Process):
         elif message.kind == "deregistered":
             self._handle_deregistered(message)
         elif message.kind == "set-param":
+            # sent, not requested: nobody waits for an answer
             self.set_param(message.payload["name"], message.payload["value"])
-            self.reply(message, "set-param-ack", {"ok": True})
         else:
             self.handle_component_message(message)
 
     # -- event intake (ConsumeInterface plumbing) -------------------------------------
 
     def handle_event_message(self, message: Message) -> None:
-        """Ack (when sequenced), reassemble, then hand to the consume hook.
+        """Reassemble, hand to the consume hook, and (when sequenced) owe
+        the sender an ack.
 
-        Sequenced deliveries come from a reliable mediator expecting an
-        ``event-ack``; the reassembler restores publish order, drops the
-        duplicates a raced retransmission can produce, and requests a resync
-        for holes that outlive the mediator's retransmission budget.
+        Sequenced deliveries come from a reliable mediator holding them in
+        an unacked window; the reassembler restores publish order, drops
+        the duplicates a retransmission produces, and requests a resync for
+        holes that outlive the mediator's retransmission budget. The
+        delivery is then noted with :attr:`acks`, which sends the mediator
+        one cumulative ``event-ack`` of the in-order prefix per batch —
+        duplicates included, so a lost ack is answered again.
         """
         payload = message.payload
         seq = payload.get("seq")
+        sub_id = payload.get("sub_id")
+        self.streams.offer(sub_id, seq, payload)
         if seq is not None:
-            self.reply(message, "event-ack", {"sub_id": payload.get("sub_id")})
-        self.streams.offer(payload.get("sub_id"), seq, payload)
+            self.acks.note(message.sender, sub_id)
 
     def _deliver_event(self, payload: Dict[str, Any]) -> None:
         event = ContextEvent.from_wire(payload["event"])
@@ -262,18 +273,11 @@ class BaseComponent(Process):
             return
         self.requests.request(
             self.event_mediator, "resync", {"sub_id": sub_id},
-            on_reply=lambda reply: self._handle_resync_ack(sub_id, reply),
+            on_reply=lambda reply: self.streams.resync_answered(
+                sub_id, reply.payload),
             on_timeout=lambda: self.streams.resync_failed(sub_id),
-            timeout=10.0, retries=RESYNC_RETRIES,
+            timeout=RESYNC_TIMEOUT, retries=RESYNC_RETRIES,
         )
-
-    def _handle_resync_ack(self, sub_id: int, reply: Message) -> None:
-        if reply.payload.get("ok"):
-            self.streams.resync_done(sub_id, reply.payload.get("seq", 0))
-        else:
-            # the mediator no longer knows this subscription; its stream is
-            # dead and any buffered fragments with it
-            self.streams.forget(sub_id)
 
     # -- hooks ---------------------------------------------------------------------------
 

@@ -15,24 +15,34 @@ mediator exactly like local components do):
 ``bridge-add``         {"peer", "filter"} -> ``bridge-ack``
 ``bridge-remove``      {"bridge_id"} -> ``bridge-ack``
 ``resync``             {"sub_id"} -> ``resync-ack`` (reliable mode)
+``event-ack``          {"acks": [[sub_id, upto], ...]} (reliable mode; no reply)
 
 A malformed request — a missing field, a filter or query spec that does
 not compile, an id that does not parse — is answered with its ack carrying
 ``{"ok": False, "error": ...}`` (a ``publish`` sent with ``"ack": False``
 is dropped) and changes nothing: no subscription is stored and no ledger
-entry is written.
+entry is written. A malformed ``event-ack`` is dropped and changes nothing.
 
 Reliable mode (``reliable=True``): every delivery carries a
-per-subscription sequence number and is sent as an acknowledged request —
-the subscriber replies ``event-ack``, unanswered deliveries are
-retransmitted with backoff up to a bounded budget (transport-level dedup
-keeps observable delivery exactly-once; see
-:class:`repro.net.rpc.RequestManager`). Subscribers that still find a hole
-in the sequence (the budget ran dry) send ``resync``: the mediator replays
-the retained events matching that subscription under fresh sequence
-numbers and answers with the baseline seq to fast-forward past. The
-default stays unreliable fire-and-forget — identical wire behaviour to the
-seed — and the Context Server opts its range mediator in.
+per-subscription sequence number and is sent once, plainly; the mediator
+keeps it in its subscriber's **unacked window** until the subscriber's
+cumulative ``event-ack`` names an in-order prefix ``upto`` at or past its
+seq (see :class:`repro.events.stream.AckBatcher`). Each subscriber has one
+window across its subscriptions and one retransmit timer, armed when the
+window becomes non-empty and never moved by an ack. When it fires and the
+oldest entry has waited the current backoff (``ack_timeout ·
+1.5^attempts``, jittered once retransmitting), every unacked entry is
+sent again — go-back-N; the subscriber's reassembler drops what it already
+has by seq. An ack that makes progress resets ``attempts``; after
+``delivery_retries`` expiries without progress the whole window counts as
+exhausted and is dropped. A full window (:data:`WINDOW_CAP`) gives up its
+oldest entry. Either way the subscriber sees a hole in the sequence and
+sends ``resync``: the mediator replays the retained events matching that
+subscription under fresh sequence numbers and answers with the baseline
+seq to fast-forward past. A subscriber that leaves the range is owed
+nothing: its window goes with its subscriptions. The default stays
+unreliable fire-and-forget — identical wire behaviour to the seed — and
+the Context Server opts its range mediator in.
 
 Bridges republish matching events to a peer mediator in another range; a
 ``bridged`` marker stops an event from being re-bridged, so two mediators
@@ -60,9 +70,10 @@ hold the mediator to it.
 from __future__ import annotations
 
 import logging
-from collections import Counter
+import random
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.core.ids import GUID
 from repro.net.message import Message
@@ -87,9 +98,54 @@ DEFAULT_RETAINED_CAP = 4096
 DEFAULT_ACK_TIMEOUT = 6.0
 DEFAULT_DELIVERY_RETRIES = 6
 DELIVERY_BACKOFF = 1.5
+#: a retransmission wait is stretched by up to this fraction, drawn from a
+#: stream seeded by the mediator's GUID (as RequestManager draws its own)
+DELIVERY_JITTER = 0.25
+#: bound on one subscriber's unacked reliable deliveries; a full window
+#: sheds its oldest entry and the subscriber heals the hole by ``resync``
+WINDOW_CAP = 1024
 
 #: what parsing a request payload raises when the payload is malformed
 _MALFORMED = (KeyError, TypeError, ValueError, FilterError, OpSpecError)
+
+#: one unacked delivery: (seq, wire payload, delivery ordinal, first sent at)
+_Unacked = Tuple[int, Dict[str, Any], int, float]
+
+
+class _Window:
+    """One subscriber's unacked reliable deliveries and their one timer."""
+
+    __slots__ = ("streams", "size", "timer", "attempts", "wait",
+                 "resent_at", "resent_through")
+
+    def __init__(self, wait: float) -> None:
+        #: sub_id -> its unacked deliveries in seq order (never empty)
+        self.streams: Dict[int, Deque[_Unacked]] = {}
+        self.size = 0
+        self.timer = None
+        #: retransmission rounds since the last ack that made progress
+        self.attempts = 0
+        #: how long the oldest entry may wait before the next round
+        self.wait = wait
+        #: the last round's time, and the last delivery ordinal it covered
+        self.resent_at = float("-inf")
+        self.resent_through = 0
+
+    def oldest_head(self) -> Tuple[int, Deque[_Unacked]]:
+        """(sub_id, entries) of the subscription holding the oldest entry."""
+        return min(self.streams.items(), key=lambda item: item[1][0][2])
+
+
+def _parse_acks(payload: Dict[str, Any]) -> List[Tuple[Any, int]]:
+    """``[(sub_id, upto), ...]`` of an ``event-ack``, or a malformed error."""
+    acks = payload["acks"]
+    if not isinstance(acks, list):
+        raise TypeError(f"acks is a {type(acks).__name__}, not a list")
+    parsed = []
+    for sub_id, upto in acks:
+        hash(sub_id)  # an unhashable id names no subscription
+        parsed.append((sub_id, int(upto)))
+    return parsed
 
 
 @dataclass
@@ -124,9 +180,17 @@ class EventMediator(Process):
         #: delivering only ``send``s/``request``s)
         self._served: Optional[list] = None
         self.reliable = reliable
+        self.ack_timeout = ack_timeout
+        self.delivery_retries = delivery_retries
+        #: bridged forwards to peer mediators (reliable mode) await their
+        #: ``publish-ack`` here; subscriber deliveries use the windows
         self.requests = RequestManager(
             self, default_timeout=ack_timeout, max_retries=delivery_retries,
             backoff_factor=DELIVERY_BACKOFF)
+        #: subscriber -> its unacked reliable deliveries (reliable mode)
+        self._windows: Dict[GUID, _Window] = {}
+        #: the retransmission jitter stream; the first round creates it
+        self._jitter_rng: Optional[random.Random] = None
         self._subscriptions: Dict[int, Subscription] = {}
         self._bridges: Dict[int, Bridge] = {}
         self._next_bridge_id = 1
@@ -180,6 +244,23 @@ class EventMediator(Process):
             "mediator.seq.resync_replays",
             "retained events replayed to resync a gapped subscriber",
             labels=("range",))
+        self._window_shed_counter = metrics.counter(
+            "mediator.seq.window_shed",
+            "unacked deliveries given up because a subscriber's window was full",
+            labels=("range",))
+        # window retransmissions keep the request-layer counters' meaning,
+        # under kind "event"
+        self._retry_attempts_counter = metrics.counter(
+            "net.retry.attempts", "request retransmissions, by request kind",
+            labels=("kind",))
+        self._retry_exhausted_counter = metrics.counter(
+            "net.retry.exhausted",
+            "requests whose whole retry budget expired unanswered",
+            labels=("kind",))
+        self._retry_recovered_counter = metrics.counter(
+            "net.retry.recovered",
+            "requests answered only after at least one retransmission",
+            labels=("kind",))
         self.resyncs_served = 0
         self.deliveries_exhausted = 0
         self._opgraph = OperatorGraph(
@@ -307,7 +388,12 @@ class EventMediator(Process):
         return len(doomed)
 
     def remove_subscriber(self, subscriber: GUID) -> int:
-        """Drop all subscriptions delivering to ``subscriber`` (it departed)."""
+        """Drop all subscriptions delivering to ``subscriber`` (it departed),
+        and its unacked window with them: a departed subscriber is owed no
+        retransmission."""
+        window = self._windows.pop(subscriber, None)
+        if window is not None and window.timer is not None:
+            window.timer.cancel()
         bucket = self._subs_by_subscriber.get(subscriber)
         if bucket is None:
             return 0
@@ -469,28 +555,113 @@ class EventMediator(Process):
                            "sub_id": subscription.sub_id})
                 return
             seq = subscription.next_seq()
-            self.requests.request(
-                subscription.subscriber, "event",
-                {"event": event.to_wire(), "sub_id": subscription.sub_id,
-                 "seq": seq},
-                on_timeout=lambda: self._delivery_exhausted(subscription, seq))
+            payload = {"event": event.to_wire(),
+                       "sub_id": subscription.sub_id, "seq": seq}
+            self.send(subscription.subscriber, "event", payload)
+            self._hold(subscription.subscriber, subscription.sub_id,
+                       (seq, payload, self.deliveries, self.now))
 
-    def _delivery_exhausted(self, subscription: Subscription, seq: int) -> None:
-        """The retransmission budget for one delivery ran dry.
+    # -- reliable mode: the unacked windows ----------------------------------
 
-        Nothing more to do mediator-side: the subscriber sees the hole in
-        the sequence and drives recovery through ``resync``.
-        """
-        self.deliveries_exhausted += 1
-        self._ack_exhausted_counter.inc(range=self.range_name or "-")
-        logger.info("%s: delivery seq=%d to %s unacked after retries",
-                    self.name, seq, subscription.subscriber)
+    def _hold(self, subscriber: GUID, sub_id: int, entry: _Unacked) -> None:
+        """Keep a sent delivery until acked; arm the window's one timer."""
+        window = self._windows.get(subscriber)
+        if window is None:
+            window = self._windows[subscriber] = _Window(self.ack_timeout)
+        entries = window.streams.get(sub_id)
+        if entries is None:
+            entries = window.streams[sub_id] = deque()
+        entries.append(entry)
+        window.size += 1
+        if window.size > WINDOW_CAP:
+            self._shed_oldest(window)
+        if window.timer is None:
+            window.timer = self.scheduler.schedule(
+                window.wait, self._window_expired, subscriber)
+
+    def _shed_oldest(self, window: _Window) -> None:
+        """Give up the oldest unacked delivery of a full window; the
+        subscriber finds the hole and heals it through ``resync``."""
+        sub_id, entries = window.oldest_head()
+        entries.popleft()
+        if not entries:
+            del window.streams[sub_id]
+        window.size -= 1
+        self._window_shed_counter.inc(range=self.range_name or "-")
+
+    def _window_expired(self, subscriber: GUID) -> None:
+        """The window's timer: wait out the oldest entry, retransmit, or
+        give the whole window up once the budget is spent."""
+        window = self._windows.get(subscriber)
+        if window is None:  # the subscriber departed meanwhile
+            return
+        window.timer = None
+        if not window.size:
+            del self._windows[subscriber]
+            return
+        oldest = max(window.oldest_head()[1][0][3], window.resent_at)
+        due = oldest + window.wait
+        if due > self.now:
+            window.timer = self.scheduler.schedule_at(
+                due, self._window_expired, subscriber)
+            return
+        if window.attempts >= self.delivery_retries:
+            self._window_exhausted(subscriber, window)
+            return
+        window.attempts += 1
+        window.resent_at = self.now
+        window.resent_through = self.deliveries
+        for entries in window.streams.values():
+            for entry in entries:
+                self.send(subscriber, "event", entry[1])
+        self._retry_attempts_counter.inc(window.size, kind="event")
+        if self._jitter_rng is None:
+            # seeded from the GUID: deterministic per mediator, and
+            # independent of the network's latency/drop stream
+            self._jitter_rng = random.Random(self.guid.value & 0xFFFFFFFFFFFF)
+        window.wait = (self.ack_timeout * DELIVERY_BACKOFF ** window.attempts
+                       * (1.0 + DELIVERY_JITTER * self._jitter_rng.random()))
+        window.timer = self.scheduler.schedule(
+            window.wait, self._window_expired, subscriber)
+
+    def _window_exhausted(self, subscriber: GUID, window: _Window) -> None:
+        """The retransmission budget ran dry: every entry counts as
+        exhausted, once. Nothing more to do mediator-side: the subscriber
+        sees the holes and drives recovery through ``resync``."""
+        del self._windows[subscriber]
+        count = window.size
+        self.deliveries_exhausted += count
+        self._ack_exhausted_counter.inc(count, range=self.range_name or "-")
+        self._retry_exhausted_counter.inc(count, kind="event")
+        logger.info("%s: %d deliveries to %s unacked after %d retransmissions",
+                    self.name, count, subscriber, window.attempts)
+
+    def _ack(self, window: _Window, acks: List[Tuple[Any, int]]) -> None:
+        """Release every entry at or below each ``upto``."""
+        released = recovered = 0
+        for sub_id, upto in acks:
+            entries = window.streams.get(sub_id)
+            if entries is None:
+                continue
+            while entries and entries[0][0] <= upto:
+                if entries.popleft()[2] <= window.resent_through:
+                    recovered += 1
+                released += 1
+            if not entries:
+                del window.streams[sub_id]
+        if not released:
+            return
+        window.size -= released
+        window.attempts = 0
+        window.wait = self.ack_timeout
+        if recovered:
+            self._retry_recovered_counter.inc(recovered, kind="event")
 
     # -- message protocol -----------------------------------------------------
 
     def on_message(self, message: Message) -> None:
         if self.requests.dispatch_reply(message):
-            return  # an event-ack resolved a reliable delivery
+            return  # a peer's publish-ack resolved a bridged forward
         handler = getattr(self, f"_handle_{message.kind.replace('-', '_')}", None)
         if handler is None:
             logger.debug("%s ignoring %s", self.name, message)
@@ -575,6 +746,18 @@ class EventMediator(Process):
             return
         self.reply(message, "bridge-ack", {"removed": removed})
 
+    def _handle_event_ack(self, message: Message) -> None:
+        """A subscriber's cumulative ack: for each listed subscription,
+        every seq up to ``upto`` arrived. It gets no reply."""
+        try:
+            acks = _parse_acks(message.payload)
+        except _MALFORMED as exc:
+            logger.info("%s: malformed event-ack: %r", self.name, exc)
+            return
+        window = self._windows.get(message.sender)
+        if window is not None:
+            self._ack(window, acks)
+
     def _handle_resync(self, message: Message) -> None:
         """A subscriber found an unrecoverable hole in its sequence.
 
@@ -616,6 +799,13 @@ class EventMediator(Process):
     @property
     def retained_count(self) -> int:
         return len(self._retained)
+
+    def unacked(self, subscriber: Optional[GUID] = None) -> int:
+        """Reliable deliveries awaiting an ack (for one subscriber, or all)."""
+        if subscriber is not None:
+            window = self._windows.get(subscriber)
+            return window.size if window is not None else 0
+        return sum(window.size for window in self._windows.values())
 
     def index_stats(self) -> Dict[str, int]:
         """Sizes the smoke gate and benchmarks assert on.

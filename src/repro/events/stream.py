@@ -1,12 +1,12 @@
-"""Subscriber-side reassembly of reliable event streams.
+"""Subscriber-side reassembly and acknowledgement of reliable event streams.
 
 A reliable mediator (``EventMediator(reliable=True)``) stamps every delivery
 with a per-subscription sequence number. The :class:`StreamReassembler`
-sits between a component's transport and its event hook and restores the
+sits between a subscriber's transport and its event hook and restores the
 publish order the mediator produced:
 
 * ``seq == last + 1``  — deliver, then flush any buffered successors;
-* ``seq <= last``      — a duplicate (retransmission raced its ack): drop;
+* ``seq <= last``      — a duplicate (a retransmission raced the ack): drop;
 * ``seq >  last + 1``  — a hole. Buffer the arrival; if the hole is still
   open after ``resync_after`` (i.e. the mediator's own retransmissions did
   not fill it), ask the mediator to **resync**: it replays the retained
@@ -14,8 +14,17 @@ publish order the mediator produced:
   the baseline to fast-forward past, so a stream with genuinely lost events
   heals instead of staying silent forever.
 
+The :class:`AckBatcher` beside it answers the mediator. Acks are
+*cumulative*: one ``event-ack {"acks": [[sub_id, upto], ...]}`` per
+mediator names, for every subscription that received something, the
+reassembler's in-order prefix ``upto`` — every seq up to it has arrived.
+It is sent once :data:`EVENT_ACK_EVERY` sequenced deliveries from that
+mediator are pending, or :data:`EVENT_ACK_DELAY` after the first of them,
+whichever comes first. A duplicate counts as a delivery too, so a lost ack
+is repaired by the retransmission it provokes.
+
 Deliveries without a sequence number (an unreliable mediator, or raw test
-messages) bypass the machinery entirely.
+messages) bypass the machinery entirely: nothing is buffered or acked.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from __future__ import annotations
 import logging
 from typing import Any, Callable, Dict, Optional
 
+from repro.core.ids import GUID
 from repro.net.sim import Scheduler, Timer
 
 logger = logging.getLogger(__name__)
@@ -31,6 +41,18 @@ logger = logging.getLogger(__name__)
 #: above the mediator's full retransmit window so resync only fires once
 #: the mediator has given a delivery up for lost
 DEFAULT_RESYNC_AFTER = 60.0
+
+#: first-answer wait and retransmission budget of a ``resync`` request
+RESYNC_TIMEOUT = 10.0
+RESYNC_RETRIES = 2
+
+#: pending sequenced deliveries from one mediator that force an ack at once
+EVENT_ACK_EVERY = 32
+#: how long the first pending delivery waits for company before the ack
+#: goes out. This plus one round trip must stay under the mediator's
+#: ``DEFAULT_ACK_TIMEOUT`` (6.0), or a quiet stream is retransmitted once
+#: for every ack.
+EVENT_ACK_DELAY = 1.0
 
 
 class _SubStream:
@@ -124,6 +146,17 @@ class StreamReassembler:
         if stream is not None and stream.pending:
             self._arm(sub_id, stream)
 
+    def resync_answered(self, sub_id: int, payload: Dict[str, Any]) -> None:
+        """Apply a ``resync-ack``: fast-forward, or drop a dead stream.
+
+        A refusal means the mediator no longer knows the subscription; its
+        stream is dead and any buffered fragments with it.
+        """
+        if payload.get("ok"):
+            self.resync_done(sub_id, payload.get("seq", 0))
+        else:
+            self.forget(sub_id)
+
     def forget(self, sub_id: int) -> None:
         """Drop all state for a dead subscription."""
         stream = self._streams.pop(sub_id, None)
@@ -173,3 +206,64 @@ class StreamReassembler:
         logger.info("stream %s: hole outlived retransmission, resyncing",
                     sub_id)
         self._request_resync(sub_id)
+
+
+class _DueAcks:
+    """What one mediator is owed: subscriptions, deliveries, the flush."""
+
+    __slots__ = ("subs", "count", "timer")
+
+    def __init__(self, timer: Timer) -> None:
+        self.subs: Dict[Any, None] = {}
+        self.count = 0
+        self.timer = timer
+
+
+class AckBatcher:
+    """One cumulative ``event-ack`` per mediator per interval.
+
+    ``owner`` is the subscribing process (it sends the acks and owns the
+    flush timers); ``streams`` is its reassembler, whose in-order prefix is
+    read when the ack leaves, so the ack covers whatever arrived meanwhile.
+    """
+
+    def __init__(self, owner, streams: StreamReassembler):
+        self.owner = owner
+        self._streams = streams
+        #: mediator -> what it is owed; at most one flush timer each
+        self._due: Dict[GUID, _DueAcks] = {}
+
+    def note(self, mediator: GUID, sub_id: Any) -> None:
+        """A sequenced delivery for ``sub_id`` arrived from ``mediator``."""
+        due = self._due.get(mediator)
+        if due is None:
+            due = self._due[mediator] = _DueAcks(self.owner.scheduler.schedule(
+                EVENT_ACK_DELAY, self._flush, mediator))
+        due.subs[sub_id] = None
+        due.count += 1
+        if due.count >= EVENT_ACK_EVERY:
+            self._flush(mediator)
+
+    def flush(self) -> None:
+        """Send every pending ack now (the subscriber is leaving a range)."""
+        for mediator in list(self._due):
+            self._flush(mediator)
+
+    def drop(self) -> None:
+        """Forget every pending ack unsent (the subscriber crashed)."""
+        for due in self._due.values():
+            due.timer.cancel()
+        self._due.clear()
+
+    def _flush(self, mediator: GUID) -> None:
+        due = self._due.pop(mediator, None)
+        if due is None:
+            return
+        due.timer.cancel()
+        acks = []
+        for sub_id in due.subs:
+            upto = self._streams.last_seq(sub_id)
+            if upto:  # 0: nothing in order yet (or the stream was reset)
+                acks.append([sub_id, upto])
+        if acks:
+            self.owner.send(mediator, "event-ack", {"acks": acks})

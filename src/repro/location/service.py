@@ -20,10 +20,13 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import LocationError
 from repro.core.ids import GUID
+from repro.events.stream import (RESYNC_RETRIES, RESYNC_TIMEOUT, AckBatcher,
+                                 StreamReassembler)
 from repro.location.building import BuildingModel
 from repro.location.geometry import Point
 from repro.location.language import LocationExpr, parse_location
 from repro.net.message import Message
+from repro.net.rpc import RequestManager
 from repro.net.transport import Network, Process
 
 logger = logging.getLogger(__name__)
@@ -50,6 +53,16 @@ class LocationService(Process):
         #: callbacks fired on every fix: (fix, previous_room) — the Context
         #: Server listens here for the "enters(entity, place)" When triggers
         self.observers: List = []
+        # a reliable mediator's sequenced stream is consumed like any
+        # subscriber's: in order, once, acked cumulatively, resynced on loss
+        self.requests = RequestManager(self)
+        self.streams = StreamReassembler(
+            self.scheduler, self._ingest_event,
+            request_resync=self._request_resync,
+            metrics=network.obs.metrics)
+        self.acks = AckBatcher(self, self.streams)
+        #: the mediator whose sequenced stream arrives here
+        self._mediator: Optional[GUID] = None
 
     # -- tracking ---------------------------------------------------------------
 
@@ -167,6 +180,8 @@ class LocationService(Process):
     # -- message protocol --------------------------------------------------------------
 
     def on_message(self, message: Message) -> None:
+        if self.requests.dispatch_reply(message):
+            return  # a resync-ack
         if message.kind == "event":
             self._consume_location_event(message)
         elif message.kind == "locate":
@@ -188,14 +203,33 @@ class LocationService(Process):
         ``enters(entity, place)`` triggers and ``closest-to(me)`` policies
         without per-person tracking configurations.
 
-        Sequenced deliveries (reliable mediator) are acked; a fix older
-        than the one already tracked — a retransmission arriving after a
-        newer event — is ignored rather than rolling the entity back.
+        Sequenced deliveries (reliable mediator) pass through the same
+        reassembler and cumulative acks as a component's; unsequenced ones
+        are ingested at once.
         """
-        if "seq" in message.payload:
-            self.reply(message, "event-ack",
-                       {"sub_id": message.payload.get("sub_id")})
-        wire = message.payload["event"]
+        payload = message.payload
+        seq = payload.get("seq")
+        sub_id = payload.get("sub_id")
+        self.streams.offer(sub_id, seq, payload)
+        if seq is not None:
+            self._mediator = message.sender
+            self.acks.note(message.sender, sub_id)
+
+    def _request_resync(self, sub_id: int) -> None:
+        if self._mediator is None:
+            return
+        self.requests.request(
+            self._mediator, "resync", {"sub_id": sub_id},
+            on_reply=lambda reply: self.streams.resync_answered(
+                sub_id, reply.payload),
+            on_timeout=lambda: self.streams.resync_failed(sub_id),
+            timeout=RESYNC_TIMEOUT, retries=RESYNC_RETRIES)
+
+    def _ingest_event(self, payload: Dict) -> None:
+        """One in-order event: a fix older than the one already tracked (a
+        resync replaying retained state, a slower source) is ignored rather
+        than rolling the entity back."""
+        wire = payload["event"]
         if wire["type"] == "presence" and isinstance(wire["value"], dict):
             to_room = wire["value"].get("to")
             entity = wire["value"].get("entity")

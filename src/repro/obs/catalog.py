@@ -88,6 +88,9 @@ _declare("mediator.retained.evicted", "counter",
 _declare("mediator.seq.ack_exhausted", "counter",
          "reliable deliveries whose whole retransmission budget expired",
          labels=("range",))
+_declare("mediator.seq.window_shed", "counter",
+         "unacked deliveries given up because a subscriber's window was full",
+         labels=("range",))
 _declare("mediator.seq.resync_replays", "counter",
          "retained events replayed to resync a gapped subscriber",
          labels=("range",))

@@ -325,9 +325,10 @@ class Registrar(Process):
         self._announce(record, previous)
 
     def _handle_deregister(self, message: Message) -> None:
+        """A departing component says goodbye. It is leaving (or has left)
+        and waits for no answer, so none is sent."""
         entity_hex = message.payload.get("entity", message.sender.hex)
-        removed = self.remove(entity_hex, "deregistered", notify_entity=False)
-        self.reply(message, "deregister-ack", {"ok": removed})
+        self.remove(entity_hex, "deregistered", notify_entity=False)
 
     def _handle_heartbeat(self, message: Message) -> None:
         """A Range Service renews every lease it lists, at once.

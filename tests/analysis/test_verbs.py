@@ -9,6 +9,7 @@ from repro.analysis.verbs import (VerbChecker, build_model, protocol_drift,
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "verb_violations.py"
 ANNOUNCES = pathlib.Path(__file__).parent / "fixtures" / "verb_announces.py"
+ORPHANS = pathlib.Path(__file__).parent / "fixtures" / "verb_orphan_replies.py"
 
 
 def _sources():
@@ -76,3 +77,28 @@ def test_an_announce_is_handled_by_whoever_declares_it():
     module = "tests.analysis.fixtures.verb_announces"
     assert rows["vy-heard"].endswith(f"| {module} | {module} |")
     assert rows["vy-unheard"].endswith(f"| {module} | — |")
+
+
+def test_a_reply_to_a_verb_only_ever_sent_is_an_orphan():
+    sources, errors = load_sources([str(ORPHANS)])
+    assert errors == []
+    model = build_model(sources)
+    assert set(model.requested) == {"vz-asked", "vz-both"}
+    findings = sort_findings(VerbChecker().check(sources, model))
+    assert [(f.check, f.line) for f in findings] == [
+        ("verbs.orphan-reply", 26),   # vz-branch-told: kind == branch
+        ("verbs.orphan-reply", 31),   # vz-told: _handle_ method
+    ]
+    assert 'reply "vz-told-ack" answers verb "vz-told"' in findings[1].message
+
+
+def test_requested_and_external_verbs_may_be_answered():
+    sources, _ = load_sources([str(ORPHANS)])
+    model = build_model(sources)
+    answered = {verb for verb, _reply, _site in model.answers}
+    # every answer was found; only the two send-only verbs are findings
+    assert answered == {"vz-told", "vz-asked", "vz-both", "vz-branch-told",
+                        "vz-external"}
+    flagged = {f.message.split('"')[3]
+               for f in VerbChecker().check(sources, model)}
+    assert flagged == {"vz-told", "vz-branch-told"}

@@ -57,7 +57,9 @@ class TestReliableDelivery:
             publish(mediator, value)
         network.scheduler.run_until_idle()
         assert [e.value for e in app.events] == values
-        assert mediator.requests.retries >= 1
+        retransmits = network.obs.metrics.counter(
+            "net.retry.attempts", labels=("kind",)).value(kind="event")
+        assert retransmits >= 1
         assert mediator.deliveries_exhausted == 0
 
     def test_unreliable_mode_unchanged(self, network, guids, app):

@@ -20,7 +20,7 @@ from repro.composition.profile_index import ProfileIndex
 from repro.composition.resolver import QueryResolver
 from repro.core.types import TypeSpec
 from repro.events.event import ContextEvent
-from repro.events.mediator import EventMediator
+from repro.events.mediator import DEFAULT_ACK_TIMEOUT, EventMediator
 from repro.net.transport import Process
 from repro.server.context_server import ContextServer
 
@@ -58,9 +58,11 @@ class WireClient(Process):
         elif message.kind == "resync-ack":
             self.resync_acks.append(message.payload)
         elif message.kind == "event":
-            if "seq" in message.payload:  # reliable mode expects an ack
-                self.reply(message, "event-ack",
-                           {"sub_id": message.payload["sub_id"]})
+            if "seq" in message.payload:  # reliable mode expects a
+                # cumulative ack; one stream in order, so its seq is the prefix
+                self.send(message.sender, "event-ack",
+                          {"acks": [[message.payload["sub_id"],
+                                     message.payload["seq"]]]})
             wire = message.payload["event"]
             self.aggregates.append((wire["type"], wire["value"],
                                     wire["timestamp"]))
@@ -94,7 +96,10 @@ def test_default_range_mediator_delivers_window_query_over_the_wire():
     client.send(server.mediator.guid, "resync", {"sub_id": client.sub_id})
     sci.run(5)
     assert client.resync_acks == [{"ok": False, "sub_id": client.sub_id}]
-    assert len(client.aggregates) == 1
+    # the ack released the result: past the ack timeout nothing came twice
+    sci.run(3 * DEFAULT_ACK_TIMEOUT)
+    assert client.aggregates == [("opgraph-window-count", 3, 10.0)]
+    assert server.mediator.unacked() == 0
 
 
 #: constructor parameters that once selected an engine, an index or a

@@ -4,8 +4,10 @@ Two equivalences the reliability layer must hold under arbitrary seeded
 fault schedules:
 
 * a reliable mediator's subscribers observe the *same* event log under a
-  bounded loss episode as under a lossless network — retransmission plus
-  dedup masks the loss completely (exactly-once observable delivery);
+  bounded loss episode as under a lossless network — retransmission from
+  the unacked windows plus the reassemblers' dedup masks the loss
+  completely (exactly-once observable delivery), for several subscribers
+  with several subscriptions each, and every window drains;
 * heartbeat-driven overlay failure detection converges to the same
   membership and replicated directory as oracle ``fail()`` calls.
 """
@@ -85,6 +87,60 @@ class TestLossMasking:
         for type_name in TYPES:
             assert lossy[type_name] == [
                 (s, v) for t, s, v, _ in pubs if t == type_name]
+
+
+def run_two_subscribers(pubs, seed, loss_rate, loss_duration):
+    """One reliable mediator, two CAAs with two subscriptions each; every
+    app's log per subscription stream, and the mediator."""
+    network = Network(latency_model=FixedLatency(1.0), seed=seed)
+    network.add_host("host-a")
+    network.add_host("host-b")
+    network.add_host("host-c")
+    guids = GuidFactory(seed=seed ^ 0x99)
+    mediator = EventMediator(guids.mint(), "host-a", network, "prop",
+                             reliable=True, ack_timeout=4.0,
+                             delivery_retries=8)
+    apps = []
+    for name, host in (("left", "host-b"), ("right", "host-c")):
+        app = ContextAwareApplication(
+            Profile(guids.mint(), name, entity_class=EntityClass.SOFTWARE),
+            host, network)
+        app.attach_to_range(guids.mint(), mediator.guid, mediator.guid,
+                            "prop")
+        for type_name in TYPES:
+            mediator.add_subscription(app.guid, TypeFilter(type_name))
+        apps.append(app)
+    if loss_rate:
+        FaultInjector(network, seed=seed).loss_episode(loss_rate,
+                                                       loss_duration)
+    for type_name, subject, value, gap in pubs:
+        network.scheduler.run_for(gap)
+        mediator.publish(ContextEvent(TypeSpec(type_name, "raw", subject),
+                                      value, mediator.guid, mediator.now))
+    network.scheduler.run_until_idle()
+    logs = [{type_name: [(str(e.subject), e.value) for e in app.events
+                         if e.type_name == type_name]
+             for type_name in TYPES} for app in apps]
+    return logs, mediator
+
+
+class TestUnackedWindows:
+    @settings(max_examples=25, deadline=None)
+    @given(pubs=publications, seed=st.integers(0, 2**16),
+           loss_rate=st.floats(0.1, 0.6))
+    def test_two_subscribers_lossy_equals_lossless(self, pubs, seed,
+                                                   loss_rate):
+        """Per-subscriber windows and cumulative acks mask a loss episode
+        for every subscriber and subscription, and nothing is left unacked
+        once the run quiesces."""
+        lossless, _ = run_two_subscribers(pubs, seed, 0.0, 0.0)
+        lossy, mediator = run_two_subscribers(pubs, seed, loss_rate, 30.0)
+        assert lossy == lossless
+        expected = {type_name: [(s, v) for t, s, v, _ in pubs
+                                if t == type_name] for type_name in TYPES}
+        assert lossy == [expected, expected]
+        assert mediator.unacked() == 0
+        assert mediator.deliveries_exhausted == 0
 
 
 crash_plans = st.lists(st.integers(0, 7), min_size=0, max_size=3,
