@@ -23,7 +23,9 @@ then expires (the PR-4 failure-detection path). The gate asserts:
   projects to the same digest as the live books;
 * **time travel**: historical membership flips across the crash (the
   victim is registered before, gone after) and ``explain`` links an
-  executed query's bindings back to ``register`` entries by hash.
+  executed query's bindings back to ``register`` entries by hash;
+* **one entry per routing decision**: the explained query's trail is a
+  single step, and no ``query`` entry in the run is a bare routing step.
 
 Exits non-zero on any failure, so CI can gate on it. Usage::
 
@@ -40,7 +42,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
 from repro import SCI  # noqa: E402
 from repro.core.api import SCIConfig  # noqa: E402
-from repro.ledger.ledger import (ENTRY_KINDS, _canonical,  # noqa: E402
+from repro.ledger.ledger import (ENTRY_KINDS, entry_body,  # noqa: E402
                                  load_ledger_jsonl, write_ledger_jsonl)
 from repro.ledger.replay import (ReplayProjector, live_snapshot,  # noqa: E402
                                  projection_snapshot, snapshot_digest)
@@ -93,9 +95,8 @@ def print_kind_table(entries):
     counts, sizes = collections.Counter(), collections.Counter()
     for entry in entries:
         counts[entry.kind] += 1
-        sizes[entry.kind] += len(_canonical(
-            [entry.shard_rank, entry.seq, entry.sim_time, entry.kind,
-             entry.payload]))
+        sizes[entry.kind] += len(entry_body(entry.seq, entry.sim_time,
+                                            entry.kind, entry.payload))
     total = sum(sizes.values())
     print(f"smoke-ledger: {'kind':<15}{'entries':>8}{'bytes':>9}{'share':>7}")
     for kind in ENTRY_KINDS:
@@ -184,6 +185,13 @@ def main() -> int:
                         and b["register"]["hash"] in by_hash
                         for b in trail["bound"]),
                 "explain links every binding to a register entry by hash")
+    routed = sum(1 for entry in server.ledger_entries()
+                 if entry.kind == "query" and entry.payload["event"] == "routed")
+    ok &= check(trail is not None and len(trail["steps"]) == 1
+                and routed == 0,
+                f"one query entry per routing decision (the explained trail "
+                f"has {len(trail['steps']) if trail else 0} step, {routed} "
+                f"routing-only entries in the run)")
 
     if not ok:
         print("smoke-ledger: FAIL")

@@ -211,10 +211,6 @@ class EventMediator(Process):
         #: type_name -> ordered set of retained keys, so replay for a
         #: type-constrained subscription scans only that type's entries
         self._retained_by_type: Dict[str, Dict[tuple, None]] = {}
-        #: key -> seq of the event that *first* created the entry (kept
-        #: across in-place updates): the retention-order stamp a ``publish``
-        #: ledger entry carries as ``first_seq``
-        self._retained_first: Dict[tuple, int] = {}
         # hot-path counter handles, resolved once (registry lookup is not free)
         metrics = network.obs.metrics
         self._published_counter = metrics.counter(
@@ -368,7 +364,7 @@ class EventMediator(Process):
         Per-type insertion order equals the global insertion order
         restricted to that type, so narrowing by type never reorders.
         """
-        return [event for _, _, event in self.all_retained_entries(type_name)]
+        return [event for _, event in self.all_retained_entries(type_name)]
 
     def remove_subscription(self, sub_id: int) -> bool:
         subscription = self._subscriptions.get(sub_id)
@@ -471,9 +467,7 @@ class EventMediator(Process):
         # appended once it is complete (a sealed entry is never mutated)
         key = self._store_retained(event)
         if self._ledger is not None:
-            entry = {"key": list(key),
-                     "first_seq": self._retained_first[key],
-                     "event": event.to_wire()}
+            entry = {"key": list(key), "event": event.to_wire()}
         self._served = served = []
         try:
             delivered = self._opgraph.publish(event)
@@ -524,7 +518,6 @@ class EventMediator(Process):
         if key not in self._retained and len(self._retained) >= self.retained_cap:
             oldest_key = next(iter(self._retained))
             del self._retained[oldest_key]
-            self._retained_first.pop(oldest_key, None)
             by_type = self._retained_by_type.get(oldest_key[0])
             if by_type is not None:
                 by_type.pop(oldest_key, None)
@@ -537,7 +530,6 @@ class EventMediator(Process):
                                     {"key": list(oldest_key)})
         self._retained[key] = event
         self._retained_by_type.setdefault(event.type_name, {})[key] = None
-        self._retained_first.setdefault(key, event.seq)
         return key
 
     def _deliver(self, subscription: Subscription, event: ContextEvent) -> None:
@@ -836,12 +828,11 @@ class EventMediator(Process):
         return list(self._subscriptions.values())
 
     def all_retained_entries(self, type_name: Optional[str] = None) -> List[tuple]:
-        """``(first_retained_seq, key, event)`` tuples in store order (of one
-        type when ``type_name`` is given)."""
+        """``(key, event)`` pairs in store order (of one type when
+        ``type_name`` is given)."""
         keys = (list(self._retained) if type_name is None
                 else list(self._retained_by_type.get(type_name, ())))
-        return [(self._retained_first[key], key, self._retained[key])
-                for key in keys]
+        return [(key, self._retained[key]) for key in keys]
 
     def ledgers(self) -> List:
         """The context-ledger chain this mediator appends to, if any."""

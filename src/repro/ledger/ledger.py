@@ -8,13 +8,10 @@ contract *same inputs ⇒ identical projection*.
 One :class:`ContextLedger` is one chain. A Context Server keeps one per
 range, appended to by its Registrar, Profile Manager, Event Mediator and
 query lifecycle. Several chains (every range of a deployment, say) merge
-into one view ordered by ``(sim_time, shard_rank, seq)``; verification is
-always per-chain.
+into one view ordered by ``(sim_time, ledger_id, seq)``; verification is
+always per-chain, and a chain is named by its ledger id.
 
-The hashed body is ``[shard_rank, seq, sim_time, kind, payload]`` and each
-JSONL line carries a ``"shard"`` field. A Context Server's chain is rank 0;
-the rank stays in the format because dropping it would change every entry
-hash, and only a schema bump may do that.
+The hashed body is ``[seq, sim_time, kind, payload]``.
 
 Payloads must be JSON-serialisable: the hash is computed over the
 canonical JSON encoding, so the chain commits to exactly what the JSONL
@@ -33,10 +30,13 @@ from typing import Any, Deque, Dict, Iterable, List, Optional, Union
 #: artefact format marker; bump on incompatible changes (any other version is
 #: refused: /1 files carry lease renewals, /2 files a second, Profile Manager
 #: copy of every arrival and departure, and /3 files one entry per delivered
-#: recipient, kinds the projector has no rule for)
-LEDGER_SCHEMA = "sci.ledger/4"
+#: recipient, kinds the projector has no rule for; /4 files hash the rank
+#: of a since-deleted mediator shard into every body and name it on every
+#: line, stamp each ``publish`` with the seq that first retained its key,
+#: and log an immediate query as two entries, a routing step + its outcome)
+LEDGER_SCHEMA = "sci.ledger/5"
 
-#: the chain anchor every rank starts from
+#: the chain anchor every chain starts from
 GENESIS_HASH = "0" * 32
 
 #: every kind a ledger entry may carry (closed set; the validator and the
@@ -50,7 +50,7 @@ ENTRY_KINDS = (
     "publish",         # mediator: one fan-out: entry retained, subs served
     "replay",          # mediator: retained events replayed to one sub
     "retain-evict",    # mediator: retained entry dropped by the cap
-    "query",           # context server: query lifecycle step
+    "query",           # context server: a routing decision or its resolution
 )
 
 
@@ -64,16 +64,21 @@ class LedgerError(ValueError):
 _canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def entry_hash(prev_hash: str, shard_rank: int, seq: int, sim_time: float,
-               kind: str, payload: Dict[str, Any]) -> str:
-    """blake2b over the previous hash plus the entry's canonical body."""
+def entry_body(seq: int, sim_time: float, kind: str,
+               payload: Dict[str, Any]) -> str:
+    """The canonical bytes an entry hash commits to and an audit re-hashes."""
     try:
-        body = _canonical([shard_rank, seq, sim_time, kind, payload])
+        return _canonical([seq, sim_time, kind, payload])
     except (TypeError, ValueError) as exc:
-        raise LedgerError(f"{kind!r} entry {shard_rank}:{seq}: payload is "
+        raise LedgerError(f"{kind!r} entry {seq}: payload is "
                           f"not JSON ({exc})") from exc
-    return blake2b((prev_hash + body).encode("utf-8"),
-                   digest_size=16).hexdigest()
+
+
+def entry_hash(prev_hash: str, seq: int, sim_time: float, kind: str,
+               payload: Dict[str, Any]) -> str:
+    """blake2b over the previous hash plus the entry's canonical body."""
+    body = entry_body(seq, sim_time, kind, payload).encode("utf-8")
+    return blake2b(prev_hash.encode("utf-8") + body, digest_size=16).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,6 @@ class LedgerEntry:
     """One immutable, hash-chained record."""
 
     ledger_id: str
-    shard_rank: int
     seq: int
     sim_time: float
     kind: str
@@ -91,8 +95,8 @@ class LedgerEntry:
 
     @property
     def entry_id(self) -> str:
-        """Stable position within the ledger: ``rank:seq``."""
-        return f"{self.shard_rank}:{self.seq}"
+        """Stable position within the ledger: its seq."""
+        return str(self.seq)
 
     def ref(self) -> Dict[str, str]:
         """A hash-stable reference another document can safely hold."""
@@ -104,7 +108,6 @@ class LedgerEntry:
         return {
             "schema": LEDGER_SCHEMA,
             "ledger": self.ledger_id,
-            "shard": self.shard_rank,
             "seq": self.seq,
             "time": self.sim_time,
             "kind": self.kind,
@@ -125,10 +128,8 @@ class ContextLedger:
     work off the event-dispatch hot path.
     """
 
-    def __init__(self, ledger_id: str, shard_rank: int = 0,
-                 metrics=None, range_name: str = ""):
+    def __init__(self, ledger_id: str, metrics=None, range_name: str = ""):
         self.ledger_id = ledger_id
-        self.shard_rank = shard_rank
         self.range_name = range_name
         self._entries: List[LedgerEntry] = []
         #: appended but not yet hashed: (sim_time, kind, payload) bodies
@@ -168,14 +169,12 @@ class ContextLedger:
             seq = len(self._entries)
             entry = LedgerEntry(
                 ledger_id=self.ledger_id,
-                shard_rank=self.shard_rank,
                 seq=seq,
                 sim_time=sim_time,
                 kind=kind,
                 payload=payload,
                 prev_hash=prev,
-                entry_hash=entry_hash(prev, self.shard_rank, seq, sim_time,
-                                      kind, payload),
+                entry_hash=entry_hash(prev, seq, sim_time, kind, payload),
             )
             self._entries.append(entry)
             prev = entry.entry_hash
@@ -201,33 +200,30 @@ class ContextLedger:
         for index, entry in enumerate(self._entries):
             if entry.seq != index:
                 raise LedgerError(
-                    f"{self.ledger_id}[{self.shard_rank}]: entry {index} "
-                    f"carries seq {entry.seq}")
+                    f"{self.ledger_id}: entry {index} carries seq {entry.seq}")
             if entry.prev_hash != prev:
                 raise LedgerError(
-                    f"{self.ledger_id}[{self.shard_rank}]: entry {index} "
-                    f"prev-hash mismatch")
-            expected = entry_hash(prev, entry.shard_rank, entry.seq,
-                                  entry.sim_time, entry.kind, entry.payload)
+                    f"{self.ledger_id}: entry {index} prev-hash mismatch")
+            expected = entry_hash(prev, entry.seq, entry.sim_time,
+                                  entry.kind, entry.payload)
             if entry.entry_hash != expected:
-                raise LedgerError(
-                    f"{self.ledger_id}[{self.shard_rank}]: entry {index} "
-                    f"hash mismatch (tampered payload?)")
+                raise LedgerError(f"{self.ledger_id}: entry {index} "
+                                  f"hash mismatch (tampered payload?)")
             prev = entry.entry_hash
         return len(self._entries)
 
 
 def merge_entries(ledgers: Iterable[ContextLedger],
                   upto: Optional[float] = None) -> List[LedgerEntry]:
-    """The total order over several chains: ``(sim_time, rank, seq)``.
+    """The total order over several chains: ``(sim_time, ledger_id, seq)``.
 
     Chains are append-ordered in both time and seq, so this sort is a
-    stable k-way merge; ties at one sim-time are broken by rank, then seq.
+    stable k-way merge; ties at one sim-time break by ledger id, then seq.
     """
     merged: List[LedgerEntry] = []
     for ledger in ledgers:
         merged.extend(ledger.entries(upto))
-    merged.sort(key=lambda entry: (entry.sim_time, entry.shard_rank,
+    merged.sort(key=lambda entry: (entry.sim_time, entry.ledger_id,
                                    entry.seq))
     return merged
 
@@ -240,7 +236,11 @@ def write_ledger_jsonl(ledgers: Iterable[ContextLedger],
     """Write one or more chains as one validated JSONL artefact.
 
     One line per entry, in :func:`merge_entries` order. Returns the line count.
+    Two chains under one ledger id are refused: the id names the chain.
     """
+    ledgers = list(ledgers)
+    if len({ledger.ledger_id for ledger in ledgers}) != len(ledgers):
+        raise LedgerError("two chains share a ledger id")
     records = [entry.to_record() for entry in merge_entries(ledgers)]
     for index, record in enumerate(records):
         _validate_record(f"line {index + 1}", record)
@@ -280,10 +280,9 @@ def _validate_record(where: str, record: Any) -> None:
               f"got {record.get('schema')!r}")
     if not isinstance(record.get("ledger"), str) or not record["ledger"]:
         _fail(where, "missing non-empty 'ledger' id")
-    for field in ("shard", "seq"):
-        value = record.get(field)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            _fail(where, f"{field!r} must be a non-negative integer")
+    seq = record.get("seq")
+    if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0:
+        _fail(where, "'seq' must be a non-negative integer")
     if not isinstance(record.get("time"), (int, float)):
         _fail(where, "'time' must be a number")
     if record.get("kind") not in ENTRY_KINDS:
@@ -296,19 +295,18 @@ def _validate_record(where: str, record: Any) -> None:
 
 
 def _verify_record_chains(records: List[Dict[str, Any]]) -> None:
-    """Recompute every per-(ledger, shard) chain across exported lines."""
-    heads: Dict[tuple, tuple] = {}  # (ledger, shard) -> (next seq, head hash)
+    """Recompute every per-ledger chain across exported lines."""
+    heads: Dict[str, tuple] = {}  # ledger id -> (next seq, head hash)
     for record in records:
-        key = (record["ledger"], record["shard"])
+        key = record["ledger"]
         next_seq, head = heads.get(key, (0, GENESIS_HASH))
-        where = f"{key[0]}[{key[1]}] seq {record['seq']}"
+        where = f"{key} seq {record['seq']}"
         if record["seq"] != next_seq:
             _fail(where, f"non-contiguous seq (expected {next_seq})")
         if record["prev"] != head:
             _fail(where, "prev-hash does not match the chain head")
-        expected = entry_hash(head, record["shard"], record["seq"],
-                              record["time"], record["kind"],
-                              record["payload"])
+        expected = entry_hash(head, record["seq"], record["time"],
+                              record["kind"], record["payload"])
         if record["hash"] != expected:
             _fail(where, "entry hash does not recompute")
         heads[key] = (next_seq + 1, record["hash"])

@@ -21,15 +21,18 @@ Authority split — who rebuilds what:
 * ``subscribe`` / ``unsubscribe`` / ``publish`` / ``replay`` /
   ``retain-evict`` (mediator chains) rebuild subscriptions, per-
   subscription delivery counts and the retained store. A ``publish`` entry
-  is one fan-out: the retained entry it stored (``key``, ``first_seq`` and
-  ``event``) and the ``[sub_id, event_seq]`` pair of every subscription it
+  is one fan-out: the retained entry it stored (``key`` and ``event``) and
+  the ``[sub_id, event_seq]`` pair of every subscription it
   served, appended when the fan-out completed — so a one-time subscription
   it consumed has its ``unsubscribe`` *before* it, at the same sim-time,
   and a pair naming a subscription the books no longer hold is ignored.
   ``replay`` is the same list for deliveries made outside a publish
   (retained replay to a fresh subscription, ``resync``). The retained view
-  keys on ``(type, representation, subject)`` and orders by ``first_seq``,
-  the seq of the event that first created the entry.
+  keys on ``(type, representation, subject)`` in store order, as the
+  mediator's does: an update keeps its key's place and an evicted key that
+  comes back goes to the end, on both sides.
+* ``query`` entries collect per query id: one per routing decision, plus
+  one when a parked or scheduled query resolves.
 
 Crash recovery: :meth:`ReplayProjector.from_records` replays an exported
 JSONL artefact (``load_ledger_jsonl``), so a range whose server died can
@@ -54,7 +57,7 @@ class ProjectedState:
         self.records: Dict[str, Dict[str, Any]] = {}
         #: entity hex -> {"profile": wire, "advertisements": [wire, ...]}
         self.profiles: Dict[str, Dict[str, Any]] = {}
-        #: (type, representation, subject) -> {"first_seq", "event"}
+        #: (type, representation, subject) -> event wire, in store order
         self.retained: Dict[tuple, Dict[str, Any]] = {}
         #: sub_id -> subscription facts + live delivery count
         self.subscriptions: Dict[int, Dict[str, Any]] = {}
@@ -80,7 +83,7 @@ class ReplayProjector:
     def from_records(cls, records: Iterable[Dict[str, Any]]) -> "ReplayProjector":
         """Replay exported JSONL records (``load_ledger_jsonl`` output).
 
-        Records must already be in ``(time, shard, seq)`` order,
+        Records must already be in ``(time, ledger, seq)`` order,
         which is how :func:`~repro.ledger.ledger.write_ledger_jsonl` lays
         them out.
         """
@@ -142,11 +145,7 @@ class ReplayProjector:
         self.state.subscriptions.pop(payload["sub_id"], None)
 
     def _apply_publish(self, payload: Dict[str, Any]) -> None:
-        if "key" in payload:  # a /4 artefact may hold retention-less fan-outs
-            self.state.retained[tuple(payload["key"])] = {
-                "first_seq": payload["first_seq"],
-                "event": payload["event"],
-            }
+        self.state.retained[tuple(payload["key"])] = payload["event"]
         self._apply_replay(payload)
 
     def _apply_replay(self, payload: Dict[str, Any]) -> None:
@@ -208,11 +207,9 @@ def snapshot_profiles(profile_manager) -> Dict[str, Dict[str, Any]]:
 
 
 def snapshot_retained(mediator) -> List[List[Any]]:
-    """Retained store in first-retained order."""
-    entries = mediator.all_retained_entries()
-    entries.sort(key=lambda entry: entry[0])
-    return [[first_seq, list(key), event.to_wire()]
-            for first_seq, key, event in entries]
+    """Retained store in store order."""
+    return [[list(key), event.to_wire()]
+            for key, event in mediator.all_retained_entries()]
 
 
 def snapshot_subscriptions(mediator) -> Dict[str, Dict[str, Any]]:
@@ -243,16 +240,14 @@ def live_snapshot(server) -> Dict[str, Any]:
 
 def projection_snapshot(state: ProjectedState) -> Dict[str, Any]:
     """The projected state in the exact shape of :func:`live_snapshot`."""
-    retained = [[value["first_seq"], list(key), value["event"]]
-                for key, value in state.retained.items()]
-    retained.sort(key=lambda item: item[0])
     return {
         "records": {entity: dict(record)
                     for entity, record in state.records.items()},
         "profiles": {entity: {"profile": dict(stored["profile"]),
                               "advertisements": list(stored["advertisements"])}
                      for entity, stored in state.profiles.items()},
-        "retained": retained,
+        "retained": [[list(key), event]
+                     for key, event in state.retained.items()],
         "subscriptions": {str(sub_id): dict(facts)
                           for sub_id, facts in state.subscriptions.items()},
     }

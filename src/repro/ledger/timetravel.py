@@ -90,8 +90,7 @@ class AsOfView:
 
     def retained_event(self, type_name: str, representation: str,
                        subject: object) -> Optional[Dict[str, Any]]:
-        stored = self.state.retained.get((type_name, representation, subject))
-        return stored["event"] if stored is not None else None
+        return self.state.retained.get((type_name, representation, subject))
 
     # -- resolution -----------------------------------------------------------
 
@@ -129,22 +128,16 @@ def explain_query(entries: List[LedgerEntry],
     if not lifecycle:
         return None
 
-    # the outcome is the last *terminal* step: the "routed" bookkeeping
-    # entry is appended after a same-instant execution, so last-entry-wins
-    # would misreport an executed query as merely routed
-    status = lifecycle[-1].payload.get("event")
-    executed = None
-    for entry in lifecycle:
-        if entry.payload.get("event") in ("executed", "failed", "expired"):
-            status = entry.payload.get("event")
-        if entry.payload.get("event") == "executed":
-            executed = entry
+    # one entry per routing decision, one more when a parked or scheduled
+    # query resolves: the last step is the outcome
+    last = lifecycle[-1]
+    status = last.payload["event"]
     bound: List[Dict[str, Any]] = []
-    if executed is not None:
-        for entity_hex in executed.payload.get("bound", []):
+    if status == "executed":
+        for entity_hex in last.payload.get("bound", []):
             register_ref = None
             for entry in entries:
-                if entry.sim_time > executed.sim_time:
+                if entry.sim_time > last.sim_time:
                     break
                 if (entry.kind == "register"
                         and entry.payload.get("entity") == entity_hex):

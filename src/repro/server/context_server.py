@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.core.errors import NoProviderError, LocationError, QueryError, SCIError
+from repro.core.errors import LocationError, QueryError, SCIError
 from repro.core.ids import GUID, GuidFactory
 from repro.core.types import TypeRegistry
 from repro.composition.manager import Configuration, ConfigurationManager
@@ -49,6 +49,7 @@ from repro.location.building import BuildingModel
 from repro.location.language import LocationExpr, parse_location
 from repro.location.service import EntityFix, LocationService
 from repro.net.message import Message
+from repro.net.sim import Timer
 from repro.net.transport import Network, Process
 from repro.query.model import Query, QueryMode
 from repro.query.selection import Candidate
@@ -191,6 +192,8 @@ class ContextServer(Process):
         self.peer_lookup: Callable[[str], Optional[str]] = lambda place: None
 
         self._parked: List[ParkedQuery] = []
+        #: query id -> (query, timer) of a query waiting for a future When
+        self._scheduled: Dict[str, Tuple[Query, Timer]] = {}
         self.queries_received = 0
         self.queries_executed = 0
         self.queries_forwarded = 0
@@ -302,8 +305,17 @@ class ContextServer(Process):
 
     def _handle_cancel(self, message: Message) -> None:
         query_id = message.payload.get("query_id", "")
+        dropped = [parked.query for parked in self._parked
+                   if parked.query.query_id == query_id]
         self._parked = [parked for parked in self._parked
                         if parked.query.query_id != query_id]
+        scheduled = self._scheduled.pop(query_id, None)
+        if scheduled is not None:
+            query, timer = scheduled
+            timer.cancel()
+            dropped.append(query)
+        for query in dropped:
+            self._log_query(query, "cancelled")
         self.configurations.cancel_query(query_id)
 
     # ----------------------------------------------------------- query routing
@@ -311,20 +323,21 @@ class ContextServer(Process):
     def accept_query(self, query: Query, subscriber_hex: str):
         """Route one query: forward, park, schedule or execute.
 
-        Returns ``(status, error)`` with error None on success.
+        Returns ``(status, error)`` with error None on success. The decision
+        is one ``query`` ledger entry whose ``event`` is the status.
         """
-        status, error = self._route_query(query, subscriber_hex)
+        routing = {"when": str(query.when), "subscriber": subscriber_hex}
+        status, error = self._route_query(query, subscriber_hex, routing)
         self._routed_counter.inc(range=self.definition.name, status=status)
-        self._log_query(query.query_id, "routed", status=status,
-                        mode=query.mode.value, when=str(query.when),
-                        subscriber=subscriber_hex,
-                        **({"error": error} if error else {}))
         return status, error
 
-    def _route_query(self, query: Query, subscriber_hex: str):
+    def _route_query(self, query: Query, subscriber_hex: str,
+                     routing: Dict[str, str]):
         if query.when.expired(self.now):
             self.queries_failed += 1
-            return "expired", "query expired before execution"
+            error = "query expired before execution"
+            self._log_query(query, "expired", error=error, **routing)
+            return "expired", error
 
         foreign_place = self._foreign_place(query)
         if foreign_place is not None:
@@ -337,6 +350,7 @@ class ContextServer(Process):
                 self.queries_forwarded += 1
                 logger.info("%s forwarded %s (place %s)", self.name,
                             query.query_id, foreign_place)
+                self._log_query(query, "forwarded", **routing)
                 return "forwarded", None
             # No peer governs it; fall through and try locally.
 
@@ -348,25 +362,29 @@ class ContextServer(Process):
             self.queries_parked += 1
             logger.info("%s parked %s until %s", self.name,
                         query.query_id, query.when)
+            self._log_query(query, "parked", **routing)
             return "parked", None
 
         trigger = query.when.trigger_time(self.now)
         if trigger is not None and trigger > self.now:
-            self.scheduler.schedule_at(trigger, self._execute_later,
-                                       query, subscriber_hex,
-                                       tracer.current_context())
+            timer = self.scheduler.schedule_at(trigger, self._execute_later,
+                                               query, subscriber_hex,
+                                               tracer.current_context())
+            self._scheduled[query.query_id] = (query, timer)
+            self._log_query(query, "scheduled", **routing)
             return "scheduled", None
 
-        error = self.execute_query(query, subscriber_hex)
+        error = self.execute_query(query, subscriber_hex, **routing)
         return ("executed" if error is None else "failed"), error
 
     def _execute_later(self, query: Query, subscriber_hex: str,
                        trace_ctx: Optional[Dict[str, str]] = None) -> None:
+        self._scheduled.pop(query.query_id, None)
         # inclusive boundary: a trigger landing exactly on the expiry
         # instant never executes (see WhenClause.expired)
         if query.when.expired(self.now):
             self.queries_failed += 1
-            self._log_query(query.query_id, "expired")
+            self._log_query(query, "expired")
             return
         with self.network.obs.tracer.activate(trace_ctx):
             self.execute_query(query, subscriber_hex)
@@ -423,7 +441,7 @@ class ContextServer(Process):
     def _expire_parked(self, parked: ParkedQuery) -> None:
         """Fail one expired parked query (sweep and trigger paths agree)."""
         self.queries_failed += 1
-        self._log_query(parked.query.query_id, "expired")
+        self._log_query(parked.query, "expired")
         self.send(GUID.from_hex(parked.subscriber_hex), "query-result", {
             "query_id": parked.query.query_id,
             "ok": False,
@@ -432,17 +450,20 @@ class ContextServer(Process):
 
     # --------------------------------------------------------------- execution
 
-    def execute_query(self, query: Query, subscriber_hex: str) -> Optional[str]:
-        """Execute one query now; returns an error string or None."""
+    def execute_query(self, query: Query, subscriber_hex: str,
+                      **routing: str) -> Optional[str]:
+        """Execute one query now; returns an error string or None. The outcome
+        is one ledger entry, carrying ``routing`` when executed as routed."""
         with self.network.obs.tracer.span_if_active(
                 "cs.execute", range=self.definition.name,
                 query=query.query_id, mode=query.mode.value) as span:
-            error = self._execute(query, subscriber_hex)
+            error = self._execute(query, subscriber_hex, routing)
             if span is not None:
                 span.set(ok=error is None)
         return error
 
-    def _execute(self, query: Query, subscriber_hex: str) -> Optional[str]:
+    def _execute(self, query: Query, subscriber_hex: str,
+                 routing: Dict[str, str]) -> Optional[str]:
         try:
             if query.mode == QueryMode.PROFILE:
                 bound = self._execute_profile(query, subscriber_hex)
@@ -450,21 +471,13 @@ class ContextServer(Process):
                 bound = self._execute_advertisement(query, subscriber_hex)
             else:
                 bound = self._execute_subscription(query, subscriber_hex)
-        except NoProviderError as exc:
-            self.queries_failed += 1
-            self._send_failure(query, subscriber_hex, str(exc))
-            self._log_query(query.query_id, "failed",
-                            mode=query.mode.value, error=str(exc))
-            return str(exc)
         except SCIError as exc:
             self.queries_failed += 1
             self._send_failure(query, subscriber_hex, str(exc))
-            self._log_query(query.query_id, "failed",
-                            mode=query.mode.value, error=str(exc))
+            self._log_query(query, "failed", error=str(exc), **routing)
             return str(exc)
         self.queries_executed += 1
-        self._log_query(query.query_id, "executed",
-                        mode=query.mode.value, bound=bound)
+        self._log_query(query, "executed", bound=bound, **routing)
         return None
 
     def _send_result(self, query_id: str, subscriber_hex: str,
@@ -689,12 +702,13 @@ class ContextServer(Process):
 
     # ---------------------------------------------------------------- ledger
 
-    def _log_query(self, query_id: str, event: str, **fields) -> None:
-        """One query-lifecycle entry on the range's chain."""
+    def _log_query(self, query: Query, event: str, **fields) -> None:
+        """One query-lifecycle entry on the range's chain: ``event`` is a
+        routing outcome or how a parked or scheduled query resolved."""
         if self.ledger is not None:
-            self.ledger.append(self.now, "query",
-                               dict({"query_id": query_id, "event": event},
-                                    **fields))
+            self.ledger.append(self.now, "query", {
+                "query_id": query.query_id, "event": event,
+                "mode": query.mode.value, **fields})
 
     def ledgers(self) -> List[ContextLedger]:
         """This range's ledger chain, as a list (empty when disabled)."""

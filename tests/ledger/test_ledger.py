@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -9,8 +10,10 @@ from repro.ledger.ledger import (
     ContextLedger,
     GENESIS_HASH,
     LEDGER_SCHEMA,
+    LedgerEntry,
     LedgerError,
     load_ledger_jsonl,
+    entry_body,
     merge_entries,
     write_ledger_jsonl,
 )
@@ -33,7 +36,7 @@ class TestChain:
         assert entries[1].prev_hash == entries[0].entry_hash
         assert entries[2].prev_hash == entries[1].entry_hash
         assert ledger.head == entries[2].entry_hash
-        assert [e.entry_id for e in entries] == ["0:0", "0:1", "0:2"]
+        assert [e.entry_id for e in entries] == ["0", "1", "2"]
         assert len(ledger) == 3
 
     def test_verify_recomputes_clean_chain(self):
@@ -53,7 +56,7 @@ class TestChain:
 
     def test_ref_is_hash_stable(self):
         entry = build_chain().entry(1)
-        assert entry.ref() == {"ledger": "cs:test", "entry": "0:1",
+        assert entry.ref() == {"ledger": "cs:test", "entry": "1",
                                "hash": entry.entry_hash}
 
     def test_tampered_payload_detected(self):
@@ -87,22 +90,36 @@ class TestChain:
             assert len(ledger) == 4
             for _ in range(2):  # it stays unsealed: every read refuses
                 with pytest.raises(LedgerError,
-                                   match=r"'query' entry 0:3.*not JSON"):
+                                   match=r"'query' entry 3.*not JSON"):
                     ledger.head
             assert len(ledger._entries) == 3
 
     def test_canonical_encoding_is_pinned(self):
         # one shared encoder, no per-call JSONEncoder: sort_keys, compact
         # separators and float repr must stay byte-identical or every
-        # archived /4 chain stops verifying
+        # archived /5 chain stops verifying
         ledger = build_chain()
         ledger.append(3.5, "publish", {
-            "key": ["location", "topological", "bob"], "first_seq": 12,
+            "key": ["location", "topological", "bob"],
             "event": {"value": "L10.01", "timestamp": 0.1, "seq": 12},
             "deliveries": [[7, 12], [9, 12]]})
         ledger.append(4.0, "replay", {"deliveries": [[11, 12]]})
-        assert ledger.head == "02cb97ab8bb8b170c48c915cea10fd26"
-        assert ledger.verify() == 5
+        ledger.append(4.0, "query", {
+            "query_id": "q-1", "event": "executed", "mode": "profile",
+            "when": "now", "subscriber": "bb", "bound": ["aa"]})
+        assert ledger.head == "57794a71950e57b1d4ec7725f31dea51"
+        assert ledger.verify() == 6
+
+    def test_body_has_no_rank(self):
+        # the body is [seq, sim_time, kind, payload]: a chain is named by
+        # its ledger id, and nothing in an entry carries a shard rank
+        assert "shard_rank" not in {field.name for field in fields(LedgerEntry)}
+        entry = build_chain().entry(1)
+        assert json.loads(entry_body(entry.seq, entry.sim_time, entry.kind,
+                                     entry.payload)) == \
+            [1, 2.0, "profile-update",
+             {"entity": "aa", "attributes": {"room": "L10.01"}}]
+        assert "shard" not in entry.to_record()
 
     def test_upto_filters_by_time(self):
         assert [e.kind for e in build_chain().entries(upto=2.0)] == \
@@ -125,37 +142,29 @@ class TestChain:
 
 class TestFamilyMerge:
     def _family(self):
-        root = ContextLedger("cs:test")
-        shard = ContextLedger("cs:test", shard_rank=1)
-        root.append(1.0, "register", {"entity": "aa", "name": "A"})
-        shard.append(1.0, "publish",
-                     {"key": ["t", "raw", "s"], "first_seq": 1,
-                      "event": {"type": "t"}, "deliveries": []})
-        shard.append(1.5, "replay", {"deliveries": [[1, 1]]})
-        root.append(2.0, "depart", {"entity": "aa", "reason": "x"})
-        return root, shard
+        # two ranges' chains; listed in the order that the id tie-break
+        # must undo
+        upper = ContextLedger("cs:upper")
+        lower = ContextLedger("cs:lower")
+        upper.append(1.0, "register", {"entity": "aa", "name": "A"})
+        lower.append(1.0, "publish",
+                     {"key": ["t", "raw", "s"], "event": {"type": "t"},
+                      "deliveries": []})
+        lower.append(1.5, "replay", {"deliveries": [[1, 1]]})
+        upper.append(2.0, "depart", {"entity": "aa", "reason": "x"})
+        return upper, lower
 
-    def test_rank_is_part_of_the_chain(self):
-        """The rank is hashed: one body on two ranks makes two chains."""
-        root = ContextLedger("cs:test")
-        ranked = ContextLedger("cs:test", shard_rank=3)
-        assert ranked.head == GENESIS_HASH
-        for chain in (root, ranked):
-            chain.append(1.0, "register", {"entity": "aa", "name": "A"})
-        assert ranked.entry(0).entry_id == "3:0"
-        assert ranked.head != root.head
-        assert ranked.verify() == root.verify() == 1
-
-    def test_total_order_breaks_ties_by_rank(self):
-        root, shard = self._family()
-        merged = merge_entries([root, shard])
-        assert [(e.sim_time, e.shard_rank, e.seq) for e in merged] == \
-            [(1.0, 0, 0), (1.0, 1, 0), (1.5, 1, 1), (2.0, 0, 1)]
+    def test_total_order_breaks_ties_by_ledger_id(self):
+        upper, lower = self._family()
+        merged = merge_entries([upper, lower])
+        assert [(e.sim_time, e.ledger_id, e.seq) for e in merged] == \
+            [(1.0, "cs:lower", 0), (1.0, "cs:upper", 0),
+             (1.5, "cs:lower", 1), (2.0, "cs:upper", 1)]
 
     def test_upto_applies_to_the_family(self):
-        root, shard = self._family()
-        assert [e.kind for e in merge_entries([root, shard], upto=1.0)] == \
-            ["register", "publish"]
+        upper, lower = self._family()
+        assert [e.kind for e in merge_entries([upper, lower], upto=1.0)] == \
+            ["publish", "register"]
 
 
 class TestArtefact:
@@ -167,16 +176,27 @@ class TestArtefact:
             [e.to_record() for e in ledger.entries()]
 
     def test_family_lands_in_merge_order(self, tmp_path):
-        root = ContextLedger("cs:test")
-        shard = ContextLedger("cs:test", shard_rank=1)
-        root.append(1.0, "register", {"entity": "aa", "name": "A"})
-        shard.append(0.5, "publish", {"deliveries": [[1, 1]]})
+        upper = ContextLedger("cs:upper")
+        lower = ContextLedger("cs:lower")
+        upper.append(1.0, "register", {"entity": "aa", "name": "A"})
+        lower.append(0.5, "replay", {"deliveries": [[1, 1]]})
+        lower.append(1.0, "replay", {"deliveries": [[1, 2]]})
         path = tmp_path / "family.jsonl"
-        write_ledger_jsonl([root, shard], path)
+        write_ledger_jsonl([upper, lower], path)
         records = load_ledger_jsonl(path)
-        assert [(r["time"], r["shard"]) for r in records] == \
-            [(0.5, 1), (1.0, 0)]
-        assert all(r["schema"] == LEDGER_SCHEMA for r in records)
+        assert [(r["time"], r["ledger"], r["seq"]) for r in records] == \
+            [(0.5, "cs:lower", 0), (1.0, "cs:lower", 1), (1.0, "cs:upper", 0)]
+        assert all(r["schema"] == LEDGER_SCHEMA and "shard" not in r
+                   for r in records)
+
+    def test_duplicate_ledger_id_refused(self, tmp_path):
+        # nothing but the id tells two chains apart: two chains under one
+        # id would interleave into one unverifiable sequence
+        first, second = build_chain(), build_chain()
+        path = tmp_path / "twins.jsonl"
+        with pytest.raises(LedgerError, match="share a ledger id"):
+            write_ledger_jsonl([first, second], path)
+        assert not path.exists()
 
     def _rewrite(self, path, records):
         path.write_text(
@@ -210,20 +230,20 @@ class TestArtefact:
 
     def test_schema_marker_required(self, tmp_path):
         # /1 files carry lease-renew entries, /2 a second membership book,
-        # /3 an entry per delivered recipient; the projector has no rule
-        # for any of them: refused by version, never mis-projected
+        # /3 an entry per delivered recipient, /4 a shard rank in every
+        # hash: refused by version, never mis-projected or mis-verified
         path, records = self._exported(tmp_path)
-        for version in ("1", "2", "3"):
+        for version in ("1", "2", "3", "4"):
             records[0]["schema"] = f"sci.ledger/{version}"
             self._rewrite(path, records)
             with pytest.raises(LedgerError,
-                               match="schema must be 'sci.ledger/4'"):
+                               match="schema must be 'sci.ledger/5'"):
                 load_ledger_jsonl(path)
 
-    def test_bool_shard_rejected(self, tmp_path):
+    def test_bool_seq_rejected(self, tmp_path):
         # True == 1 in Python; the validator must still refuse it
         path, records = self._exported(tmp_path)
-        records[0]["shard"] = True
+        records[1]["seq"] = True
         self._rewrite(path, records)
         with pytest.raises(LedgerError, match="non-negative integer"):
             load_ledger_jsonl(path)

@@ -70,11 +70,9 @@ def test_k_matches_are_one_entry_with_k_pairs_in_delivery_order(rig):
     first, second = chain.entries()[mark:]
     assert first.kind == second.kind == "publish"
     assert first.payload == {
-        "key": ["location", "topological", "bob"], "first_seq": 41,
+        "key": ["location", "topological", "bob"],
         "event": event(mediator, 41).to_wire(),
         "deliveries": [[sub.sub_id, 41] for sub in subs]}
-    # an in-place update keeps the stamp of the event that created the entry
-    assert second.payload["first_seq"] == 41
     assert second.payload["event"]["seq"] == 42
     assert second.payload["deliveries"] == [[sub.sub_id, 42] for sub in subs]
     assert_projects_to_live(mediator)
@@ -90,7 +88,16 @@ def test_publish_at_the_cap_is_evict_then_publish(rig):
     evict, publish = chain.entries()[mark:]
     assert (evict.kind, evict.payload) == \
         ("retain-evict", {"key": ["location", "topological", "bob"]})
-    assert publish.kind == "publish" and publish.payload["first_seq"] == 3
+    assert publish.kind == "publish"
+    assert [key[2] for key, _ in mediator.all_retained_entries()] == \
+        ["ada", "eve"]
+    assert_projects_to_live(mediator)
+    # bob comes back at the end, after the key it pushed out
+    mark = len(chain)
+    mediator.publish(event(mediator, 4, "bob"))
+    assert kinds(chain, mark) == ["retain-evict", "publish"]
+    assert [key[2] for key, _ in mediator.all_retained_entries()] == \
+        ["eve", "bob"]
     assert_projects_to_live(mediator)
 
 

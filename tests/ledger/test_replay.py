@@ -32,12 +32,12 @@ def build_ledger():
                                                     "type": "location"},
         "one_time": False, "owner": "app", "query": "q-1"})
     ledger.append(6.0, "publish", {
-        "key": ["location", "topological", "bob"], "first_seq": 12,
+        "key": ["location", "topological", "bob"],
         "event": {"type": "location", "value": "L10.01"},
         "deliveries": [[7, 12]]})
     ledger.append(7.0, "replay", {"deliveries": [[7, 12], [7, 13]]})
-    ledger.append(8.0, "query", {"query_id": "q-1", "event": "routed",
-                                 "status": "executed"})
+    ledger.append(8.0, "query", {"query_id": "q-1", "event": "executed",
+                                 "mode": "profile", "bound": ["aa"]})
     return ledger
 
 
@@ -98,15 +98,6 @@ class TestProjection:
         assert state.subscriptions[7]["delivered"] == 3
         assert state.subscriptions[7]["owner"] == "app"
 
-    def test_router_publish_retains_nothing(self):
-        # a publish entry without a retained part (a fan-out that retained
-        # nothing, as the /4 format allows) only counts its deliveries
-        ledger = build_ledger()
-        ledger.append(9.0, "publish", {"deliveries": [[7, 14]]})
-        state = ReplayProjector.from_entries(ledger.entries()).state
-        assert state.subscriptions[7]["delivered"] == 4
-        assert list(state.retained) == [("location", "topological", "bob")]
-
     def test_consumed_one_time_subscription_precedes_its_publish(self):
         # the entry is appended when the fan-out completes, so a one-time
         # subscription it consumed is already unsubscribed, at the same
@@ -117,7 +108,7 @@ class TestProjection:
             "one_time": True, "owner": None, "query": None})
         ledger.append(10.0, "unsubscribe", {"sub_id": 8})
         ledger.append(10.0, "publish", {
-            "key": ["location", "topological", "ada"], "first_seq": 15,
+            "key": ["location", "topological", "ada"],
             "event": {"type": "location", "value": "L10.02"},
             "deliveries": [[8, 15], [7, 15]]})
         state = ReplayProjector.from_entries(ledger.entries()).state
@@ -128,11 +119,33 @@ class TestProjection:
     def test_retained_store(self):
         state = ReplayProjector.from_entries(build_ledger().entries()).state
         key = ("location", "topological", "bob")
-        assert state.retained[key]["first_seq"] == 12
+        assert state.retained[key] == {"type": "location", "value": "L10.01"}
+
+    def test_retained_store_order_is_insertion_order(self):
+        # an update keeps its key's place; an evicted key that comes back
+        # goes to the end, as in the mediator's store
+        ledger = build_ledger()
+        for time, subject, value in ((9.0, "ada", "L10.02"),
+                                     (10.0, "bob", "L10.03")):
+            ledger.append(time, "publish", {
+                "key": ["location", "topological", subject],
+                "event": {"value": value}, "deliveries": []})
+        subjects = lambda state: [key[2] for key in state.retained]
+        state = ReplayProjector.from_entries(ledger.entries()).state
+        assert subjects(state) == ["bob", "ada"]
+        ledger.append(11.0, "retain-evict",
+                      {"key": ["location", "topological", "bob"]})
+        ledger.append(12.0, "publish", {
+            "key": ["location", "topological", "bob"],
+            "event": {"value": "L10.04"}, "deliveries": []})
+        state = ReplayProjector.from_entries(ledger.entries()).state
+        assert subjects(state) == ["ada", "bob"]
+        assert projection_snapshot(state)["retained"][-1] == \
+            [["location", "topological", "bob"], {"value": "L10.04"}]
 
     def test_query_lifecycle_accumulates(self):
         state = ReplayProjector.from_entries(build_ledger().entries()).state
-        assert [step["event"] for step in state.queries["q-1"]] == ["routed"]
+        assert [step["event"] for step in state.queries["q-1"]] == ["executed"]
 
     def test_teardown_kinds(self):
         ledger = build_ledger()
@@ -153,7 +166,9 @@ class TestProjection:
         ledger = ContextLedger("cs:replay")
         ledger.append(1.0, "depart", {"entity": "zz",
                                       "reason": "lease-expired"})
-        ledger.append(2.0, "publish", {"deliveries": [[99, 1]]})
+        ledger.append(2.0, "publish", {"key": ["t", "raw", "s"],
+                                       "event": {"type": "t"},
+                                       "deliveries": [[99, 1]]})
         ledger.append(2.5, "replay", {"deliveries": [[99, 1]]})
         ledger.append(3.0, "profile-update", {"entity": "zz",
                                               "attributes": {"a": 1}})

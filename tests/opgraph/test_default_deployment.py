@@ -21,6 +21,7 @@ from repro.composition.resolver import QueryResolver
 from repro.core.types import TypeSpec
 from repro.events.event import ContextEvent
 from repro.events.mediator import DEFAULT_ACK_TIMEOUT, EventMediator
+from repro.ledger.ledger import ContextLedger
 from repro.net.transport import Process
 from repro.server.context_server import ContextServer
 
@@ -102,14 +103,15 @@ def test_default_range_mediator_delivers_window_query_over_the_wire():
     assert server.mediator.unacked() == 0
 
 
-#: constructor parameters that once selected an engine, an index or a
-#: shard count
+#: constructor parameters that once selected an engine, an index, a
+#: shard count or a shard's chain
 GONE_SWITCHES = {"engine", "indexed", "shards", "owns", "mediator_shards",
-                 "resolver_shards", "shard_hosts"}
+                 "resolver_shards", "shard_hosts", "shard_rank"}
 
 
 @pytest.mark.parametrize("constructor", [EventMediator, QueryResolver,
-                                         ProfileIndex, ContextServer])
+                                         ProfileIndex, ContextServer,
+                                         ContextLedger])
 def test_no_engine_switch_on_constructors(constructor):
     parameters = inspect.signature(constructor).parameters
     assert not GONE_SWITCHES & set(parameters)
