@@ -64,26 +64,13 @@ class SCIConfig:
     seed: int = 0
     lease_duration: float = 30.0
     latency_model: Optional[LatencyModel] = None
-    drop_rate: float = 0.0
-    boundary_scan_interval: float = 1.0
-    wlan_scan_interval: float = 5.0
     #: bound on re-compositions per configuration (future-work item 3);
     #: None = adapt forever
     max_repairs_per_config: Optional[int] = None
-    #: range mediators deliver events acknowledged/sequenced (False = the
-    #: fire-and-forget ablation)
-    reliable_events: bool = True
     #: record every CS state change to the append-only context ledger
     #: (replay, as-of reads, query explanation); False is the
     #: no-bookkeeping ablation
     ledger: bool = True
-    #: detect SCINET node failure from missed heartbeats instead of oracle
-    #: ``SCINet.fail`` calls. Opt-in: the periodic heartbeats keep the
-    #: scheduler busy, so ``run_until_idle``-style workloads must not
-    #: enable this.
-    overlay_failure_detection: bool = False
-    overlay_fd_interval: float = 5.0
-    overlay_fd_timeout: float = 15.0
 
 
 class SCI:
@@ -93,22 +80,14 @@ class SCI:
                  config: Optional[SCIConfig] = None):
         self.config = config or SCIConfig()
         self.building = building or livingstone_tower()
-        self.network = Network(
-            latency_model=self.config.latency_model,
-            drop_rate=self.config.drop_rate,
-            seed=self.config.seed,
-        )
+        self.network = Network(latency_model=self.config.latency_model,
+                               seed=self.config.seed)
         self.scheduler = self.network.scheduler
         self.guids = GuidFactory(seed=self.config.seed ^ 0xACE)
         self.registry: TypeRegistry = register_location_converters(
             standard_registry(), self.building)
         self.world = World(self.building, self.scheduler)
-        self.scinet = SCINet(
-            self.network,
-            failure_detection=self.config.overlay_failure_detection,
-            fd_interval=self.config.overlay_fd_interval,
-            fd_timeout=self.config.overlay_fd_timeout,
-        )
+        self.scinet = SCINet(self.network)
         self.injector = FaultInjector(self.network, seed=self.config.seed)
         self.ranges: Dict[str, ContextServer] = {}
         self.applications: Dict[str, ContextAwareApplication] = {}
@@ -143,7 +122,6 @@ class SCI:
             templates=templates or standard_templates(self.guids, self.building),
             lease_duration=self.config.lease_duration,
             max_repairs_per_config=self.config.max_repairs_per_config,
-            reliable_events=self.config.reliable_events,
             ledger=self.config.ledger,
         )
         announced = sorted(set(definition.rooms(self.building)) | set(places))
@@ -180,9 +158,7 @@ class SCI:
         server = self.range(range_name)
         return deploy_wlan_detector(
             self.building, server.host_id, self.network, self.guids,
-            device_positions=self.world.device_positions,
-            scan_interval=self.config.wlan_scan_interval,
-        )
+            device_positions=self.world.device_positions)
 
     def add_printers(self, range_name: str,
                      placements: Dict[str, str]) -> Dict[str, PrinterCE]:
@@ -197,9 +173,7 @@ class SCI:
         if self._monitor is None:
             self._monitor = BoundaryMonitor(
                 self.world, list(self.ranges.values()),
-                scan_interval=self.config.boundary_scan_interval,
-                handoff=self.handoff if with_handoff else None,
-            )
+                handoff=self.handoff if with_handoff else None)
         return self._monitor
 
     # -- people and applications ---------------------------------------------------------

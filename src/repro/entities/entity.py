@@ -261,7 +261,15 @@ class BaseComponent(Process):
             self.acks.note(message.sender, sub_id)
 
     def _deliver_event(self, payload: Dict[str, Any]) -> None:
-        event = ContextEvent.from_wire(payload["event"])
+        """The reassembler's in-order callback. A delivery whose event does
+        not parse is dropped here, after its seq was consumed, so the
+        stream moves on to the next one."""
+        try:
+            event = ContextEvent.from_wire(payload["event"])
+        except (KeyError, TypeError, ValueError) as exc:
+            logger.info("%s: dropping malformed event %r: %r",
+                        self.name, payload, exc)
+            return
         self._consume_event(event, payload.get("sub_id"))
 
     def _consume_event(self, event: ContextEvent, sub_id: Optional[int]) -> None:

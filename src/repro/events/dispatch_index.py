@@ -41,8 +41,8 @@ Analysis rules (documented in DESIGN.md):
   unknown filter classes — yields no constraints and falls to the residual
   list.
 
-Entries are keyed by a monotonically increasing integer id (operator-graph
-node or bridge id). Each id lives in exactly one bucket, so concatenating
+Entries are keyed by a monotonically increasing integer id (an
+operator-graph node id). Each id lives in exactly one bucket, so concatenating
 bucket hits and sorting by id reproduces the exact iteration order of the naive
 linear scan over an insertion-ordered dict — which is what lets the
 property suite assert byte-identical delivery order.
@@ -140,8 +140,8 @@ def analyse_filter(event_filter: EventFilter) -> FilterConstraints:
 class DispatchIndex:
     """Bucketed filter index with incremental add/remove.
 
-    Used twice per mediator: by its operator graph over the deduplicated
-    filter leaves, and by the mediator itself over bridges.
+    Used by each mediator's operator graph over its deduplicated filter
+    leaves.
     ``candidates(event)`` returns ids in ascending order, which — ids being
     minted by monotonically increasing counters — is exactly the insertion
     order a naive scan over the mediator's dict would visit.

@@ -5,15 +5,13 @@ removal of event subscriptions between Context Entities and Context Aware
 Applications". CEs publish typed events to their range's mediator; the
 mediator evaluates subscription filters and forwards matching events.
 
-Protocol verbs (all message-based, so remote Context Servers can drive a
-mediator exactly like local components do):
+Protocol verbs (the components of its range drive a mediator by message;
+the co-located Context Server calls the same operations directly):
 
 ``publish``            {"event": <wire event>}
 ``subscribe``          {"subscriber", "filter", "one_time", "owner"} -> ``subscribe-ack``
 ``unsubscribe``        {"sub_id"} -> ``unsubscribe-ack``
 ``unsubscribe-owner``  {"owner"} -> ``unsubscribe-owner-ack``
-``bridge-add``         {"peer", "filter"} -> ``bridge-ack``
-``bridge-remove``      {"bridge_id"} -> ``bridge-ack``
 ``resync``             {"sub_id"} -> ``resync-ack`` (reliable mode)
 ``event-ack``          {"acks": [[sub_id, upto], ...]} (reliable mode; no reply)
 
@@ -44,16 +42,11 @@ nothing: its window goes with its subscriptions. The default stays
 unreliable fire-and-forget — identical wire behaviour to the seed — and
 the Context Server opts its range mediator in.
 
-Bridges republish matching events to a peer mediator in another range; a
-``bridged`` marker stops an event from being re-bridged, so two mediators
-bridging each other do not loop.
-
 Dispatch has one engine: every subscription compiles into the mediator's
 shared incremental operator DAG (:mod:`repro.query.opgraph`), where
 structurally identical filters/queries share one node, so ten thousand
 look-alike subscriptions cost one predicate evaluation per publish plus
-fan-out. The graph finds its candidate filter roots, and the mediator its
-candidate bridges, through a
+fan-out. The graph finds its candidate filter roots through a
 :class:`~repro.events.dispatch_index.DispatchIndex`: filters carrying exact
 type/subject/source constraints live in dict buckets, everything else in a
 small residual list, so a publish costs O(matching + residual) instead of
@@ -72,15 +65,13 @@ from __future__ import annotations
 import logging
 import random
 from collections import Counter, deque
-from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.core.ids import GUID
 from repro.net.message import Message
-from repro.net.rpc import RequestManager
 from repro.net.transport import Network, Process
 from repro.events.event import ContextEvent
-from repro.events.dispatch_index import DispatchIndex, analyse_filter
+from repro.events.dispatch_index import analyse_filter
 from repro.events.filters import EventFilter, FilterError, filter_from_spec
 from repro.events.subscription import Subscription
 from repro.query.opgraph.compile import compile_query
@@ -148,16 +139,6 @@ def _parse_acks(payload: Dict[str, Any]) -> List[Tuple[Any, int]]:
     return parsed
 
 
-@dataclass
-class Bridge:
-    """Forwarding rule to a peer mediator in another range."""
-
-    bridge_id: int
-    peer: GUID
-    filter: EventFilter
-    forwarded: int = 0
-
-
 class EventMediator(Process):
     """Pub/sub hub for one range."""
 
@@ -177,24 +158,16 @@ class EventMediator(Process):
         self._ledger = ledger
         #: ``[sub_id, event_seq]`` of every delivery the fan-out or replay
         #: in progress has made; None between them (neither re-enters:
-        #: delivering only ``send``s/``request``s)
+        #: delivering only ``send``s)
         self._served: Optional[list] = None
         self.reliable = reliable
         self.ack_timeout = ack_timeout
         self.delivery_retries = delivery_retries
-        #: bridged forwards to peer mediators (reliable mode) await their
-        #: ``publish-ack`` here; subscriber deliveries use the windows
-        self.requests = RequestManager(
-            self, default_timeout=ack_timeout, max_retries=delivery_retries,
-            backoff_factor=DELIVERY_BACKOFF)
         #: subscriber -> its unacked reliable deliveries (reliable mode)
         self._windows: Dict[GUID, _Window] = {}
         #: the retransmission jitter stream; the first round creates it
         self._jitter_rng: Optional[random.Random] = None
         self._subscriptions: Dict[int, Subscription] = {}
-        self._bridges: Dict[int, Bridge] = {}
-        self._next_bridge_id = 1
-        self._bridge_index = DispatchIndex()
         #: reverse maps so teardown by owner/subscriber is O(own subs), not O(S)
         self._subs_by_owner: Dict[object, Dict[int, None]] = {}
         self._subs_by_subscriber: Dict[GUID, Dict[int, None]] = {}
@@ -435,34 +408,23 @@ class EventMediator(Process):
         if not bucket:
             del store[key]
 
-    def add_bridge(self, peer: GUID, event_filter: EventFilter) -> Bridge:
-        bridge = Bridge(self._next_bridge_id, peer, event_filter)
-        self._next_bridge_id += 1
-        self._bridges[bridge.bridge_id] = bridge
-        self._bridge_index.add(bridge.bridge_id, event_filter)
-        return bridge
-
-    def remove_bridge(self, bridge_id: int) -> bool:
-        self._bridge_index.remove(bridge_id)
-        return self._bridges.pop(bridge_id, None) is not None
-
-    def publish(self, event: ContextEvent, bridged: bool = False) -> int:
+    def publish(self, event: ContextEvent) -> int:
         """Distribute ``event``; returns the number of local deliveries."""
         self.published += 1
         self.by_type[event.type_name] += 1
         self._published_counter.inc(range=self.range_name or "-")
         # span only when this publication is part of a traced operation
-        # (query replay, bridged delivery...); background sensor chatter
-        # stays span-free so it cannot swamp the trace store
+        # (a query replay, say); background sensor chatter stays span-free
+        # so it cannot swamp the trace store
         with self.network.obs.tracer.span_if_active(
                 "mediator.publish", range=self.range_name,
-                type=event.type_name, bridged=bridged) as span:
-            delivered = self._fan_out(event, bridged)
+                type=event.type_name) as span:
+            delivered = self._fan_out(event)
             if span is not None:
                 span.set(delivered=delivered)
         return delivered
 
-    def _fan_out(self, event: ContextEvent, bridged: bool) -> int:
+    def _fan_out(self, event: ContextEvent) -> int:
         # the ledger records the publish, not each recipient: one entry,
         # appended once it is complete (a sealed entry is never mutated)
         key = self._store_retained(event)
@@ -476,22 +438,7 @@ class EventMediator(Process):
         if self._ledger is not None:
             entry["deliveries"] = served
             self._ledger.append(self.now, "publish", entry)
-        if not bridged:
-            self._forward_bridges(event)
         return delivered
-
-    def _forward_bridges(self, event: ContextEvent) -> None:
-        """Forward ``event`` to every bridge the bridge index turns up."""
-        bridge_ids, hits, residual = self._bridge_index.candidates(event)
-        for bridge_id in bridge_ids:
-            bridge = self._bridges.get(bridge_id)
-            if bridge is not None and bridge.filter.matches(event):
-                self._forward(bridge, event)
-        label = self.range_name or "-"
-        if hits:
-            self._index_hits_counter.inc(hits, range=label)
-        if residual:
-            self._index_residual_counter.inc(residual, range=label)
 
     def _graph_deliver(self, sub_id: int, event: ContextEvent) -> None:
         """Operator-graph sink callback: one result for one subscription."""
@@ -501,16 +448,6 @@ class EventMediator(Process):
         self._deliver(subscription, event)
         if not subscription.active:  # one-time: consumed by this delivery
             self._drop_subscription(subscription)
-
-    def _forward(self, bridge: Bridge, event: ContextEvent) -> None:
-        bridge.forwarded += 1
-        payload = {"event": event.to_wire(), "bridged": True}
-        if self.reliable:
-            # inter-range forwarding rides the same ack/retry machinery;
-            # the peer's publish-ack resolves the request
-            self.requests.request(bridge.peer, "publish", payload)
-        else:
-            self.send(bridge.peer, "publish", payload)
 
     def _store_retained(self, event: ContextEvent) -> tuple:
         """Store ``event`` under its key (evicting at the cap); the key."""
@@ -652,8 +589,6 @@ class EventMediator(Process):
     # -- message protocol -----------------------------------------------------
 
     def on_message(self, message: Message) -> None:
-        if self.requests.dispatch_reply(message):
-            return  # a peer's publish-ack resolved a bridged forward
         handler = getattr(self, f"_handle_{message.kind.replace('-', '_')}", None)
         if handler is None:
             logger.debug("%s ignoring %s", self.name, message)
@@ -678,7 +613,7 @@ class EventMediator(Process):
             if ack:
                 self._reject(message, "publish-ack", exc)
             return
-        delivered = self.publish(event, bridged=bool(message.payload.get("bridged")))
+        delivered = self.publish(event)
         if ack:
             self.reply(message, "publish-ack", {"delivered": delivered})
 
@@ -719,24 +654,6 @@ class EventMediator(Process):
             self._reject(message, "unsubscribe-owner-ack", exc)
             return
         self.reply(message, "unsubscribe-owner-ack", {"removed": count})
-
-    def _handle_bridge_add(self, message: Message) -> None:
-        try:
-            peer = GUID.from_hex(message.payload["peer"])
-            event_filter = filter_from_spec(message.payload["filter"])
-        except _MALFORMED as exc:
-            self._reject(message, "bridge-ack", exc)
-            return
-        bridge = self.add_bridge(peer, event_filter)
-        self.reply(message, "bridge-ack", {"bridge_id": bridge.bridge_id})
-
-    def _handle_bridge_remove(self, message: Message) -> None:
-        try:
-            removed = self.remove_bridge(message.payload["bridge_id"])
-        except _MALFORMED as exc:
-            self._reject(message, "bridge-ack", exc)
-            return
-        self.reply(message, "bridge-ack", {"removed": removed})
 
     def _handle_event_ack(self, message: Message) -> None:
         """A subscriber's cumulative ack: for each listed subscription,
@@ -809,8 +726,6 @@ class EventMediator(Process):
         return {
             "indexed_subscriptions": graph["indexed_roots"],
             "residual_subscriptions": graph["residual_roots"],
-            "indexed_bridges": self._bridge_index.indexed_size,
-            "residual_bridges": self._bridge_index.residual_size,
             "retained": len(self._retained),
             "retained_evictions": self.retained_evictions,
         }

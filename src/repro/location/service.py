@@ -7,9 +7,10 @@ the intermediate location language against candidate places, and (c) answers
 distance/path questions for Which policies ("closest to me") and for the
 Figure-3 path configuration.
 
-It is a :class:`~repro.net.transport.Process`, so remote Context Servers can
-interrogate it with ``locate`` / ``resolve-where`` / ``route`` messages, and
-it exposes the same operations as direct methods for its co-located server.
+It is a :class:`~repro.net.transport.Process` so that it can consume its
+range mediator's event stream (and ask for a resync when the stream has a
+hole); its co-located Context Server asks it questions through direct
+methods.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.events.stream import (RESYNC_RETRIES, RESYNC_TIMEOUT, AckBatcher,
                                  StreamReassembler)
 from repro.location.building import BuildingModel
 from repro.location.geometry import Point
-from repro.location.language import LocationExpr, parse_location
+from repro.location.language import LocationExpr
 from repro.net.message import Message
 from repro.net.rpc import RequestManager
 from repro.net.transport import Network, Process
@@ -184,12 +185,6 @@ class LocationService(Process):
             return  # a resync-ack
         if message.kind == "event":
             self._consume_location_event(message)
-        elif message.kind == "locate":
-            self._handle_locate(message)
-        elif message.kind == "resolve-where":
-            self._handle_resolve_where(message)
-        elif message.kind == "route":
-            self._handle_route(message)
         else:
             logger.debug("%s ignoring %s", self.name, message)
 
@@ -228,32 +223,37 @@ class LocationService(Process):
     def _ingest_event(self, payload: Dict) -> None:
         """One in-order event: a fix older than the one already tracked (a
         resync replaying retained state, a slower source) is ignored rather
-        than rolling the entity back."""
-        wire = payload["event"]
-        if wire["type"] == "presence" and isinstance(wire["value"], dict):
-            to_room = wire["value"].get("to")
-            entity = wire["value"].get("entity")
+        than rolling the entity back. A delivery whose event does not parse
+        is dropped here, after its seq was consumed."""
+        try:
+            wire = payload["event"]
+            type_name, value, timestamp = (wire["type"], wire["value"],
+                                           wire["timestamp"])
+            subject, representation = wire["subject"], wire["representation"]
+        except (KeyError, TypeError) as exc:
+            logger.info("%s: dropping malformed event %r: %r",
+                        self.name, payload, exc)
+            return
+        if type_name == "presence" and isinstance(value, dict):
+            to_room = value.get("to")
+            entity = value.get("entity")
             if to_room and entity:
                 try:
                     self._ingest(str(entity), room=to_room,
-                                 timestamp=wire["timestamp"])
+                                 timestamp=timestamp)
                 except LocationError as exc:
                     logger.warning("%s could not ingest presence %s: %s",
                                    self.name, wire, exc)
             return
-        if wire["type"] != "location" or wire["subject"] is None:
+        if type_name != "location" or subject is None:
             return
-        value = wire["value"]
-        representation = wire["representation"]
         try:
             if representation in ("topological", "symbolic"):
                 room = str(value).rsplit("/", 1)[-1]
-                self._ingest(str(wire["subject"]), room=room,
-                             timestamp=wire["timestamp"])
+                self._ingest(str(subject), room=room, timestamp=timestamp)
             elif representation == "geometric":
-                self._ingest(str(wire["subject"]),
-                             point=Point(value[0], value[1]),
-                             timestamp=wire["timestamp"])
+                self._ingest(str(subject), point=Point(value[0], value[1]),
+                             timestamp=timestamp)
         except LocationError as exc:
             logger.warning("%s could not ingest %s: %s", self.name, wire, exc)
 
@@ -269,40 +269,3 @@ class LocationService(Process):
             return None
         return self.update(entity_key, room=room, point=point,
                            timestamp=timestamp)
-
-    def _handle_locate(self, message: Message) -> None:
-        fix = self.locate(message.payload["entity"])
-        if fix is None:
-            self.reply(message, "location", {"found": False})
-        else:
-            self.reply(message, "location", {
-                "found": True,
-                "room": fix.room,
-                "point": fix.point.as_tuple(),
-                "timestamp": fix.timestamp,
-            })
-
-    def _handle_resolve_where(self, message: Message) -> None:
-        try:
-            expr = parse_location(message.payload["expr"])
-            rooms = self.resolve_rooms(expr, message.payload.get("owner"))
-            self.reply(message, "where-resolved", {"ok": True, "rooms": rooms})
-        except LocationError as exc:
-            self.reply(message, "where-resolved", {"ok": False, "error": str(exc)})
-
-    def _handle_route(self, message: Message) -> None:
-        try:
-            expr_a = parse_location(message.payload["from"])
-            expr_b = parse_location(message.payload["to"])
-            rooms, polyline = self.route_between(
-                expr_a, expr_b,
-                owner=message.payload.get("owner"),
-                entity_key=message.payload.get("entity_key"),
-            )
-            self.reply(message, "route-result", {
-                "ok": True,
-                "rooms": rooms,
-                "polyline": [p.as_tuple() for p in polyline],
-            })
-        except LocationError as exc:
-            self.reply(message, "route-result", {"ok": False, "error": str(exc)})

@@ -8,7 +8,7 @@ capability: it assigns callbacks to outgoing requests and routes replies (or
 timeouts) back to them.
 
 Reliability: the transport drops silently (UDP-style), so a request can be
-retransmitted up to a bounded budget (``max_retries``) with exponential
+retransmitted up to a bounded budget (``retries=``) with exponential
 backoff and deterministic jitter before ``on_timeout`` fires. Retransmitted
 copies carry the *original* ``msg_id`` — the receiver's ``(sender, msg_id)``
 dedup cache (see :meth:`repro.net.transport.Process.deliver`) suppresses the
@@ -28,6 +28,16 @@ from repro.core.ids import GUID
 from repro.net.message import Message
 from repro.net.sim import Timer
 from repro.net.transport import Process
+
+#: reply wait of a request that names no ``timeout=``
+DEFAULT_TIMEOUT = 50.0
+#: retransmissions of a request that names no ``retries=``
+DEFAULT_RETRIES = 0
+#: each retransmission's wait is the previous one's times this factor
+BACKOFF_FACTOR = 2.0
+#: a retransmission wait is stretched by up to this fraction, drawn from a
+#: stream seeded by the owner's GUID
+JITTER = 0.25
 
 
 @dataclass
@@ -62,20 +72,8 @@ class RequestManager:
             ...  # normal protocol handling
     """
 
-    def __init__(self, owner: Process, default_timeout: float = 50.0,
-                 max_retries: int = 0, backoff_factor: float = 2.0,
-                 jitter: float = 0.25):
-        if default_timeout <= 0:
-            raise ValueError(f"non-positive timeout: {default_timeout}")
-        if max_retries < 0:
-            raise ValueError(f"negative retry budget: {max_retries}")
-        if backoff_factor < 1.0:
-            raise ValueError(f"backoff factor must be >= 1: {backoff_factor}")
+    def __init__(self, owner: Process):
         self.owner = owner
-        self.default_timeout = default_timeout
-        self.max_retries = max_retries
-        self.backoff_factor = backoff_factor
-        self.jitter = jitter
         #: the jitter stream; the first retransmission creates it
         self._rng: Optional[random.Random] = None
         self._pending: Dict[int, PendingRequest] = {}
@@ -107,9 +105,18 @@ class RequestManager:
     ) -> PendingRequest:
         """Send ``kind``/``payload`` to ``recipient`` expecting a reply.
 
-        ``retries`` overrides the manager's ``max_retries`` budget for this
-        one request.
+        ``timeout`` is the first reply wait (:data:`DEFAULT_TIMEOUT` when
+        omitted) and ``retries`` the retransmission budget
+        (:data:`DEFAULT_RETRIES`).
         """
+        if timeout is None:
+            timeout = DEFAULT_TIMEOUT
+        elif timeout <= 0:
+            raise ValueError(f"non-positive timeout: {timeout}")
+        if retries is None:
+            retries = DEFAULT_RETRIES
+        elif retries < 0:
+            raise ValueError(f"negative retry budget: {retries}")
         message = self.owner.send(recipient, kind, payload)
         pending = PendingRequest(
             msg_id=message.msg_id,
@@ -117,9 +124,9 @@ class RequestManager:
             on_reply=on_reply or (lambda _reply: None),
             on_timeout=on_timeout,
             message=message,
-            max_retries=self.max_retries if retries is None else retries,
+            max_retries=retries,
+            base_timeout=timeout,
         )
-        pending.base_timeout = timeout if timeout is not None else self.default_timeout
         pending.timer = self.owner.scheduler.schedule(
             pending.base_timeout, self._expire, pending)
         self._pending[message.msg_id] = pending
@@ -186,13 +193,12 @@ class RequestManager:
         )
         clone.trace = original.trace
         self.owner.network.send(clone)
-        window = pending.base_timeout * (
-            self.backoff_factor ** (pending.attempts - 1))
-        if self.jitter:
-            if self._rng is None:
-                # seeded from the owner's GUID: deterministic per process,
-                # and independent of the network's latency/drop stream
-                self._rng = random.Random(self.owner.guid.value & 0xFFFFFFFFFFFF)
-            window *= 1.0 + self.jitter * self._rng.random()
+        if self._rng is None:
+            # seeded from the owner's GUID: deterministic per process,
+            # and independent of the network's latency/drop stream
+            self._rng = random.Random(self.owner.guid.value & 0xFFFFFFFFFFFF)
+        window = (pending.base_timeout
+                  * BACKOFF_FACTOR ** (pending.attempts - 1)
+                  * (1.0 + JITTER * self._rng.random()))
         pending.timer = self.owner.scheduler.schedule(
             window, self._expire, pending)

@@ -6,9 +6,8 @@ one node per **canonical key**, so the ten-thousandth "location of anyone
 on floor 3" subscription adds a sink entry to an existing node instead of
 a ten-thousandth predicate evaluation per publish. Each publish then costs
 one top-down incremental evaluation — candidate filter roots found through
-a :class:`~repro.events.dispatch_index.DispatchIndex` over *nodes*, the
-same structure the mediator keeps over its bridges — plus pure fan-out of
-results to sinks.
+a :class:`~repro.events.dispatch_index.DispatchIndex` over *nodes* — plus
+pure fan-out of results to sinks.
 
 Invariants the tests lean on:
 

@@ -60,6 +60,10 @@ from repro.server.registrar import RegistrationRecord, Registrar
 
 logger = logging.getLogger(__name__)
 
+#: what parsing a ``query`` payload raises when the payload is malformed: a
+#: clause that does not parse, a missing field, or a value of the wrong type
+_MALFORMED_QUERY = (SCIError, KeyError, TypeError, ValueError, AttributeError)
+
 
 @dataclass
 class ParkedQuery:
@@ -89,7 +93,6 @@ class ContextServer(Process):
         templates: Optional[TemplateRegistry] = None,
         lease_duration: float = 30.0,
         max_repairs_per_config: Optional[int] = None,
-        reliable_events: bool = True,
         ledger: bool = True,
     ):
         super().__init__(guid, host_id, network, name=f"cs:{definition.name}")
@@ -121,12 +124,9 @@ class ContextServer(Process):
             labels=("range", "status"))
 
         # -- Context Utilities (Section 3.1's core set) -----------------------
-        # the range mediator runs in reliable (ack/retry + sequenced) mode
-        # by default; ``reliable_events=False`` is the fire-and-forget
-        # ablation matching the seed behaviour.
+        # the range mediator delivers sequenced and acknowledged
         self.mediator = EventMediator(self.guids.mint(), host_id, network,
-                                      definition.name,
-                                      reliable=reliable_events,
+                                      definition.name, reliable=True,
                                       ledger=self.ledger)
         self.registrar = Registrar(self.guids.mint(), host_id, network,
                                    definition.name,
@@ -283,7 +283,7 @@ class ContextServer(Process):
         self.queries_received += 1
         try:
             query = Query.from_wire(message.payload["query"])
-        except (QueryError, KeyError) as exc:
+        except _MALFORMED_QUERY as exc:
             self.reply(message, "query-ack",
                        {"ok": False, "query_id": "", "error": str(exc)})
             return

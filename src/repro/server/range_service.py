@@ -6,9 +6,9 @@ the task of listening for CAAs or CEs starting up in order to inform them
 about the Range's Registrar."
 
 A starting component broadcasts ``component-up`` on its machine; the RS on
-that machine answers with ``range-offer`` naming the Registrar. The RS also
-re-offers on demand (``probe``), which the mobility layer uses when a device
-host physically enters the range.
+that machine answers with ``range-offer`` naming the Registrar. When a device
+host physically enters the range, the mobility layer has the RS offer to every
+component already on it (:meth:`RangeService.offer_to_host`).
 
 The daemon is also its machine's liveness. A component that registers through
 one of its offers joins its **lease group** (a same-machine call, not a
@@ -127,7 +127,7 @@ class RangeService(Process):
     def on_message(self, message: Message) -> None:
         if self.requests.dispatch_reply(message):
             return
-        if message.kind in ("component-up", "probe"):
+        if message.kind == "component-up":
             self.offer_to(message.sender)
         else:
             logger.debug("%s ignoring %s", self.name, message)

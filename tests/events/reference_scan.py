@@ -1,8 +1,7 @@
 """The linear-scan mediator, kept as the dispatch equivalence reference.
 
 Every publish evaluates every live subscription's filter, in subscription
-table (insertion) order, then every bridge's; retained replay scans the
-whole retained store. This was ``EventMediator(engine="classic")`` before
+table (insertion) order; retained replay scans the whole retained store. This was ``EventMediator(engine="classic")`` before
 the operator graph became the only dispatch engine in ``src/``; the
 differential suites (``tests/opgraph``, ``tests/parallel``) and the
 Hypothesis property (``tests/properties/test_prop_dispatch.py``)
@@ -28,7 +27,7 @@ from repro.events.mediator import EventMediator
 class ReferenceScanMediator(EventMediator):
     """:class:`EventMediator` with matching done by exhaustive scan."""
 
-    def _fan_out(self, event: ContextEvent, bridged: bool) -> int:
+    def _fan_out(self, event: ContextEvent) -> int:
         self._store_retained(event)
         delivered = 0
         for subscription in list(self._subscriptions.values()):
@@ -39,10 +38,6 @@ class ReferenceScanMediator(EventMediator):
                 delivered += 1
                 if not subscription.active:
                     self._drop_subscription(subscription)
-        if not bridged:
-            for bridge in list(self._bridges.values()):
-                if bridge.filter.matches(event):
-                    self._forward(bridge, event)
         return delivered
 
     def _replay_events(self, type_name: Optional[str]) -> List[ContextEvent]:

@@ -29,8 +29,6 @@ MALFORMED = [
     ("unsubscribe", {}, "unsubscribe-ack"),
     ("publish", {}, "publish-ack"),
     ("publish", {"event": {"x": 1}}, "publish-ack"),
-    ("bridge-add", {"peer": "zz", "filter": {"op": "all"}}, "bridge-ack"),
-    ("bridge-remove", {}, "bridge-ack"),
     ("unsubscribe-owner", {}, "unsubscribe-owner-ack"),
 ]
 

@@ -163,33 +163,19 @@ class TestMessageProtocol:
         network.scheduler.run_until_idle()
         assert acks[0].payload["removed"] is True
 
-
-class TestBridging:
-    def test_bridge_forwards_matching(self, network, guids):
-        local = EventMediator(guids.mint(), "host-a", network, "range-a")
-        remote = EventMediator(guids.mint(), "host-b", network, "range-b")
-        inbox = []
-        app = FunctionProcess(guids.mint(), "host-b", network, inbox.append)
-        remote.add_subscription(app.guid, TypeFilter("location"))
-        local.add_bridge(remote.guid, TypeFilter("location"))
-        publish(local)
+    def test_unsubscribe_owner_via_message(self, network, mediator, subscriber,
+                                           guids):
+        process, inbox = subscriber
+        mediator.add_subscription(process.guid, TypeFilter("location"),
+                                  owner="q-1")
+        mediator.add_subscription(process.guid, TypeFilter("presence"),
+                                  owner="q-1")
+        kept = mediator.add_subscription(process.guid, TypeFilter("location"),
+                                         owner="q-2")
+        acks = []
+        requester = FunctionProcess(guids.mint(), "host-b", network, acks.append)
+        requester.send(mediator.guid, "unsubscribe-owner", {"owner": "q-1"})
         network.scheduler.run_until_idle()
-        assert len(inbox) == 1
-
-    def test_mutual_bridges_do_not_loop(self, network, guids):
-        a = EventMediator(guids.mint(), "host-a", network, "range-a")
-        b = EventMediator(guids.mint(), "host-b", network, "range-b")
-        a.add_bridge(b.guid, TypeFilter("location"))
-        b.add_bridge(a.guid, TypeFilter("location"))
-        publish(a)
-        network.scheduler.run_until_idle()  # would livelock if looping
-        assert b.published == 1  # arrived once, not echoed back
-
-    def test_bridge_removal(self, network, guids):
-        a = EventMediator(guids.mint(), "host-a", network, "range-a")
-        b = EventMediator(guids.mint(), "host-b", network, "range-b")
-        bridge = a.add_bridge(b.guid, TypeFilter("location"))
-        assert a.remove_bridge(bridge.bridge_id)
-        publish(a)
-        network.scheduler.run_until_idle()
-        assert b.published == 0
+        assert [(ack.kind, ack.payload) for ack in acks] == \
+            [("unsubscribe-owner-ack", {"removed": 2})]
+        assert [sub.sub_id for sub in mediator.subscriptions()] == [kept.sub_id]

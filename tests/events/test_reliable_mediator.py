@@ -44,7 +44,7 @@ class TestReliableDelivery:
         network.scheduler.run_until_idle()
         assert [e.value for e in app.events] == ["L10.00", "L10.01", "L10.02"]
         # every delivery was acked: nothing left in flight, none exhausted
-        assert mediator.requests.outstanding == 0
+        assert mediator.unacked() == 0
         assert mediator.deliveries_exhausted == 0
 
     def test_exactly_once_under_loss(self, network, mediator, app):

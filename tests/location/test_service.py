@@ -148,45 +148,3 @@ class TestEventIngestion:
         sender.send(service.guid, "event", {"event": event.to_wire()})
         network.scheduler.run_until_idle()
         assert service.locate("bob").room == "L10.01"
-
-
-class TestMessageProtocol:
-    def test_locate_found(self, network, guids, service):
-        service.update("bob", room="L10.01")
-        replies = []
-        asker = FunctionProcess(guids.mint(), "host-b", network, replies.append)
-        asker.send(service.guid, "locate", {"entity": "bob"})
-        network.scheduler.run_until_idle()
-        assert replies[0].payload["found"] is True
-        assert replies[0].payload["room"] == "L10.01"
-
-    def test_locate_missing(self, network, guids, service):
-        replies = []
-        asker = FunctionProcess(guids.mint(), "host-b", network, replies.append)
-        asker.send(service.guid, "locate", {"entity": "ghost"})
-        network.scheduler.run_until_idle()
-        assert replies[0].payload["found"] is False
-
-    def test_resolve_where_remote(self, network, guids, service):
-        replies = []
-        asker = FunctionProcess(guids.mint(), "host-b", network, replies.append)
-        asker.send(service.guid, "resolve-where", {"expr": "within(room:L10)"})
-        network.scheduler.run_until_idle()
-        assert replies[0].payload["ok"] is True
-        assert "L10.01" in replies[0].payload["rooms"]
-
-    def test_route_remote(self, network, guids, service):
-        replies = []
-        asker = FunctionProcess(guids.mint(), "host-b", network, replies.append)
-        asker.send(service.guid, "route",
-                   {"from": "room:L10.01", "to": "room:L10.02"})
-        network.scheduler.run_until_idle()
-        assert replies[0].payload["ok"] is True
-        assert replies[0].payload["rooms"][0] == "L10.01"
-
-    def test_bad_where_reports_error(self, network, guids, service):
-        replies = []
-        asker = FunctionProcess(guids.mint(), "host-b", network, replies.append)
-        asker.send(service.guid, "resolve-where", {"expr": "garbage!!!"})
-        network.scheduler.run_until_idle()
-        assert replies[0].payload["ok"] is False

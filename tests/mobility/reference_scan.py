@@ -128,9 +128,7 @@ def run_script(script, monitor_class=BoundaryMonitor, seed: int = 3):
     sci.add_person("badge-only", room="corridor")  # no device: never looked at
     if monitor_class is not BoundaryMonitor:
         sci._monitor = monitor_class(
-            sci.world, list(sci.ranges.values()),
-            scan_interval=sci.config.boundary_scan_interval,
-            handoff=sci.handoff)
+            sci.world, list(sci.ranges.values()), handoff=sci.handoff)
     monitor = sci.start_boundary_monitor()
     log = record_transitions(monitor)
     for step in script:

@@ -32,12 +32,15 @@ class CountingEcho(Process):
 class RetryingAsker(Process):
     def __init__(self, guid, host_id, network, retries=5, timeout=2.0):
         super().__init__(guid, host_id, network)
-        self.requests = RequestManager(self, default_timeout=timeout,
-                                       max_retries=retries)
+        self.requests = RequestManager(self)
+        self.retries = retries
+        self.timeout = timeout
         self.replies = []
         self.timeouts = []
 
     def ask(self, recipient, payload=None, **kwargs):
+        kwargs.setdefault("timeout", self.timeout)
+        kwargs.setdefault("retries", self.retries)
         return self.requests.request(recipient, "ask", payload,
                                      on_reply=self.replies.append,
                                      on_timeout=lambda: self.timeouts.append(
@@ -143,8 +146,8 @@ class TestJitterStream:
         the seed the constructor used to use: three forced retransmissions
         keep the windows of an eagerly seeded ``random.Random``."""
         echo, asker = lossy_pair
-        asker.requests = RequestManager(asker, default_timeout=3.0,
-                                        max_retries=3)
+        asker.requests = RequestManager(asker)
+        asker.timeout, asker.retries = 3.0, 3
         assert asker.requests._rng is None
         asker.ask(echo.guid, {"q": 0})
         network.scheduler.run_until_idle()

@@ -18,10 +18,14 @@ class Echo(Process):
 class Asker(Process):
     def __init__(self, guid, host_id, network):
         super().__init__(guid, host_id, network)
-        self.requests = RequestManager(self, default_timeout=10.0)
+        self.requests = RequestManager(self)
         self.replies = []
         self.timeouts = []
         self.other = []
+
+    def ask(self, recipient, payload=None, timeout=10.0, **kwargs):
+        return self.requests.request(recipient, "ask", payload,
+                                     timeout=timeout, **kwargs)
 
     def on_message(self, message):
         if self.requests.dispatch_reply(message):
@@ -39,7 +43,7 @@ def pair(network, guids):
 class TestRoundTrip:
     def test_reply_invokes_callback(self, network, pair):
         echo, asker = pair
-        asker.requests.request(echo.guid, "ask", {"q": 1},
+        asker.ask(echo.guid, {"q": 1},
                                on_reply=asker.replies.append)
         network.scheduler.run_until_idle()
         assert len(asker.replies) == 1
@@ -48,13 +52,13 @@ class TestRoundTrip:
 
     def test_reply_not_passed_to_normal_handler(self, network, pair):
         echo, asker = pair
-        asker.requests.request(echo.guid, "ask", on_reply=asker.replies.append)
+        asker.ask(echo.guid, on_reply=asker.replies.append)
         network.scheduler.run_until_idle()
         assert asker.other == []
 
     def test_outstanding_tracks_in_flight(self, network, pair):
         echo, asker = pair
-        asker.requests.request(echo.guid, "ask")
+        asker.ask(echo.guid)
         assert asker.requests.outstanding == 1
         network.scheduler.run_until_idle()
         assert asker.requests.outstanding == 0
@@ -62,7 +66,7 @@ class TestRoundTrip:
     def test_multiple_concurrent_requests(self, network, pair):
         echo, asker = pair
         for index in range(5):
-            asker.requests.request(echo.guid, "ask", {"index": index},
+            asker.ask(echo.guid, {"index": index},
                                    on_reply=asker.replies.append)
         network.scheduler.run_until_idle()
         indices = sorted(reply.payload["echo"]["index"]
@@ -75,7 +79,7 @@ class TestTimeouts:
         asker = Asker(guids.mint(), "host-a", network)
         silent = FunctionProcess(guids.mint(), "host-b", network,
                                  lambda message: None)
-        asker.requests.request(silent.guid, "ask",
+        asker.ask(silent.guid,
                                on_timeout=lambda: asker.timeouts.append(1))
         network.scheduler.run_until_idle()
         assert asker.timeouts == [1]
@@ -85,7 +89,7 @@ class TestTimeouts:
         asker = Asker(guids.mint(), "host-a", network)
         silent = FunctionProcess(guids.mint(), "host-b", network,
                                  lambda message: None)
-        asker.requests.request(silent.guid, "ask", timeout=3.0,
+        asker.ask(silent.guid, timeout=3.0,
                                on_timeout=lambda: asker.timeouts.append(network.scheduler.now))
         network.scheduler.run_until_idle()
         assert asker.timeouts == [3.0]
@@ -102,7 +106,7 @@ class TestTimeouts:
         # Echo on a slow path: timeout shorter than round trip.
         echo = Echo(guids.mint(), "host-a", network)
         asker = Asker(guids.mint(), "host-b", network)
-        asker.requests.request(echo.guid, "ask", timeout=0.5,
+        asker.ask(echo.guid, timeout=0.5,
                                on_reply=asker.replies.append,
                                on_timeout=lambda: asker.timeouts.append(1))
         network.scheduler.run_until_idle()
@@ -118,10 +122,15 @@ class TestTimeouts:
         network.scheduler.run_until_idle()
         assert asker.replies == [] and asker.timeouts == []
 
-    def test_non_positive_timeout_rejected(self, network, guids):
-        process = Asker(guids.mint(), "host-a", network)
-        with pytest.raises(ValueError):
-            RequestManager(process, default_timeout=0.0)
+    def test_non_positive_timeout_rejected(self, network, pair):
+        """``request()`` validates its own ``timeout=`` and ``retries=``."""
+        echo, asker = pair
+        for bad in ({"timeout": 0.0}, {"timeout": -1.0}, {"retries": -1}):
+            with pytest.raises(ValueError):
+                asker.ask(echo.guid, **bad)
+        network.scheduler.run_until_idle()
+        assert asker.requests.outstanding == 0
+        assert network.stats.sent == 0  # rejected before anything is sent
 
 
 class TestDispatch:

@@ -4,8 +4,10 @@ Two guards on the engine and server collapses. A range mediator built with
 no dispatch argument at all — the only kind there is — takes a
 continuous-query subscription over the wire and delivers its aggregates.
 And the constructors that used to select an engine, an index or a shard
-count carry no such parameter, and the sharded modules are gone, so
-neither switch can quietly come back.
+count carry no such parameter, nor the options nothing set (the range
+mediator's ``reliable_events``, the request manager's timeout, retry and
+backoff defaults), and the sharded modules are gone, so none of them can
+quietly come back.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.core.types import TypeSpec
 from repro.events.event import ContextEvent
 from repro.events.mediator import DEFAULT_ACK_TIMEOUT, EventMediator
 from repro.ledger.ledger import ContextLedger
+from repro.net.rpc import RequestManager
 from repro.net.transport import Process
 from repro.server.context_server import ContextServer
 
@@ -106,15 +109,20 @@ def test_default_range_mediator_delivers_window_query_over_the_wire():
 #: constructor parameters that once selected an engine, an index, a
 #: shard count or a shard's chain
 GONE_SWITCHES = {"engine", "indexed", "shards", "owns", "mediator_shards",
-                 "resolver_shards", "shard_hosts", "shard_rank"}
+                 "resolver_shards", "shard_hosts", "shard_rank",
+                 "reliable_events", "default_timeout", "max_retries",
+                 "backoff_factor", "jitter"}
+#: constructors whose whole parameter list is pinned
+EXACT = {RequestManager: ["owner"]}
 
 
 @pytest.mark.parametrize("constructor", [EventMediator, QueryResolver,
                                          ProfileIndex, ContextServer,
-                                         ContextLedger])
+                                         ContextLedger, RequestManager])
 def test_no_engine_switch_on_constructors(constructor):
     parameters = inspect.signature(constructor).parameters
     assert not GONE_SWITCHES & set(parameters)
+    assert list(parameters) == EXACT.get(constructor, list(parameters))
 
 
 @pytest.mark.parametrize("module", ["repro.events.sharding",

@@ -40,15 +40,6 @@ class TestOffers:
         network.scheduler.run_for(5)
         assert inbox == []  # broadcast is machine-local; no RS on host-b
 
-    def test_probe_also_answered(self, network, guids, service):
-        rs, _ = service
-        inbox = []
-        component = FunctionProcess(guids.mint(), "host-a", network,
-                                    inbox.append)
-        component.send(rs.guid, "probe", {})
-        network.scheduler.run_for(5)
-        assert inbox[0].kind == "range-offer"
-
     def test_disabled_service_silent(self, network, guids, service):
         rs, _ = service
         rs.enabled = False
