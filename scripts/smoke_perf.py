@@ -14,7 +14,10 @@ structural properties a refactor could silently regress:
   churn the provider index is built exactly once (arrivals, departures and
   re-registrations arrive as deltas), and profile/advertisement queries
   answered from the Registrar's What index are digest-equal to the
-  test-side linear scan (``tests/server/reference_scan.py``);
+  test-side linear scan (``tests/server/reference_scan.py``); a
+  subject-bound subscription reads no more providers than its subject's
+  and the unbound sub-buckets hold, and an equal second subscription is
+  served by graph reuse;
 * a registration storm delivers each ``component-up`` to the Range Services
   listening on the announcer's machine and to nobody else: four deliveries
   per Figure-5 handshake however crowded the machine, and no announce
@@ -76,6 +79,10 @@ MIN_CACHE_HIT_RATIO = 2
 #: population and churn steps of the Context Server query-path row
 QUERY_PATH_PROFILES = 2_000
 QUERY_PATH_CHURN = 50
+#: location badges in the same range, each bound to its wearer; one in
+#: QUERY_PATH_UNBOUND_EVERY is an unbound tracker instead
+QUERY_PATH_BADGES = 300
+QUERY_PATH_UNBOUND_EVERY = 50
 #: machines of the registration storm's range, and components started on each
 STORM_MACHINES = 4
 STORM_PER_MACHINE = 24
@@ -88,12 +95,15 @@ def check(condition, label):
 
 
 def query_path_under_churn(profiles=QUERY_PATH_PROFILES,
-                           churn=QUERY_PATH_CHURN):
+                           churn=QUERY_PATH_CHURN, badges=QUERY_PATH_BADGES):
     """One range, ``profiles`` registrations, ``churn`` membership changes.
 
     Every change is followed by a resolve and by a profile and an
     advertisement query through ``execute_query``; the answers a client
-    receives are digested next to what the reference scan selects.
+    receives are digested next to what the reference scan selects. Then
+    two equal subscriptions for one badge wearer's location run through
+    ``execute_query``; the provider entries the first one's resolve reads
+    are counted at the index.
     """
     from hashlib import blake2b
     from repro.core.types import standard_registry
@@ -136,6 +146,15 @@ def query_path_under_churn(profiles=QUERY_PATH_PROFILES,
     for index in range(profiles):
         members.append(registrar.register_record(
             record(guids.mint(), index, "printer")))
+    for index in range(badges):
+        unbound = index % QUERY_PATH_UNBOUND_EVERY == 0
+        registrar.register_record(RegistrationRecord(
+            profile=Profile(
+                guids.mint(), f"badge-{index}", EntityClass.DEVICE,
+                outputs=[TypeSpec("location", "geometric") if unbound
+                         else TypeSpec("location", "symbolic",
+                                       f"person-{index}")]),
+            kind="ce"))
     wanted = TypeSpec("printer-status", "record")
     server.resolver.resolve(wanted)
     queries = [QueryBuilder("smoke").profiles_of_type("printer").build(),
@@ -169,11 +188,38 @@ def query_path_under_churn(profiles=QUERY_PATH_PROFILES,
             indexed.update(repr(got).encode())
             scanned.update(repr(expected).encode())
             answered += len(got)
+
+    index = server.resolver._provider_index
+    served = []
+    providers = index.providers
+
+    def counted(wanted, *args):
+        entries, rebuilt = providers(wanted, *args)
+        served.append(len(entries))
+        return entries, rebuilt
+
+    index.providers = counted
+    subject = "person-7"
+    offers = [spec for member in registrar.records()
+              for spec in member.profile.outputs
+              if server.registry.is_subtype(spec.type_name, "location")]
+    configurations = server.configurations
+    reuse_before = configurations.reuse_hits
+    for _ in range(2):
+        server.execute_query(QueryBuilder("smoke").subscribe(
+            "location", "symbolic", subject).build(), client.guid.hex)
+    index.providers = providers
     return {"rebuilds": server.resolver.index_rebuilds,
             "deltas": server.resolver.index_deltas,
             "answered": answered,
             "indexed_digest": indexed.hexdigest(),
-            "scanned_digest": scanned.hexdigest()}
+            "scanned_digest": scanned.hexdigest(),
+            "bound_read": served[0] if served else None,
+            "bound_held": sum(1 for spec in offers
+                              if spec.subject in (subject, None)),
+            "location_offers": len(offers),
+            "reuse_hits": configurations.reuse_hits - reuse_before,
+            "builds": configurations.builds}
 
 
 def registration_storm(machines=STORM_MACHINES, per_machine=STORM_PER_MACHINE):
@@ -275,6 +321,16 @@ def main() -> int:
                 f"What-index answers digest-equal to the reference scan "
                 f"({query_path['answered']} records answered, digest "
                 f"{query_path['indexed_digest'][:12]}…)")
+    ok &= check(query_path["bound_read"] is not None
+                and 0 < query_path["bound_read"] <= query_path["bound_held"],
+                f"subject-bound resolve read {query_path['bound_read']} "
+                f"provider entries (<= {query_path['bound_held']} in its "
+                f"subject's and the unbound sub-buckets, of "
+                f"{query_path['location_offers']} location offers)")
+    ok &= check(query_path["reuse_hits"] == 1 and query_path["builds"] == 1,
+                f"an equal second subscription reused the graph "
+                f"({query_path['reuse_hits']} reuse hits, "
+                f"{query_path['builds']} builds)")
 
     print(f"smoke-perf: registration storm, {STORM_MACHINES} machines x "
           f"{STORM_PER_MACHINE} components...")

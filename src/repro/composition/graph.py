@@ -10,10 +10,9 @@ and converter nodes and creating mediator subscriptions for every edge.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
 
 from repro.core.errors import CompositionError, CycleError
 from repro.core.types import Converter, TypeSpec
@@ -116,22 +115,48 @@ class ConfigurationPlan:
 
     # -- validation / introspection --------------------------------------------------
 
-    def to_digraph(self) -> "nx.DiGraph":
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.nodes)
+    def _longest_chains(self) -> Dict[str, int]:
+        """Node -> edges on the longest producer chain ending at it.
+
+        One Kahn pass over the edges (parallel edges counted once each);
+        raises :class:`CycleError` when some nodes never reach in-degree 0.
+        """
+        indegree = dict.fromkeys(self.nodes, 0)
+        consumers: Dict[str, List[str]] = {key: [] for key in self.nodes}
         for edge in self.edges:
-            graph.add_edge(edge.producer, edge.consumer)
-        return graph
+            indegree[edge.consumer] += 1
+            consumers[edge.producer].append(edge.consumer)
+        longest = dict.fromkeys(self.nodes, 0)
+        ready = deque(key for key, count in indegree.items() if count == 0)
+        ordered = 0
+        while ready:
+            key = ready.popleft()
+            ordered += 1
+            for consumer in consumers[key]:
+                longest[consumer] = max(longest[consumer], longest[key] + 1)
+                indegree[consumer] -= 1
+                if indegree[consumer] == 0:
+                    ready.append(consumer)
+        if ordered < len(self.nodes):
+            cyclic = sorted(key for key, count in indegree.items() if count)
+            raise CycleError(f"configuration contains a cycle through {cyclic}")
+        return longest
 
     def validate(self) -> None:
         """Check the plan is a rooted DAG with live data sources at the leaves."""
         if self.output_key is None or self.output_spec is None:
             raise CompositionError("plan has no output node")
-        graph = self.to_digraph()
-        if not nx.is_directed_acyclic_graph(graph):
-            cycle = nx.find_cycle(graph)
-            raise CycleError(f"configuration contains a cycle: {cycle}")
-        reachable = nx.ancestors(graph, self.output_key) | {self.output_key}
+        self._longest_chains()  # raises CycleError
+        producers: Dict[str, List[str]] = {key: [] for key in self.nodes}
+        for edge in self.edges:
+            producers[edge.consumer].append(edge.producer)
+        reachable = {self.output_key}
+        frontier = [self.output_key]
+        while frontier:
+            for producer in producers[frontier.pop()]:
+                if producer not in reachable:
+                    reachable.add(producer)
+                    frontier.append(producer)
         unreachable = set(self.nodes) - reachable
         if unreachable:
             raise CompositionError(
@@ -158,10 +183,9 @@ class ConfigurationPlan:
 
     def depth(self) -> int:
         """Longest producer chain feeding the output (1 = direct source)."""
-        graph = self.to_digraph()
         if not self.nodes:
             return 0
-        return nx.dag_longest_path_length(graph) + 1
+        return max(self._longest_chains().values()) + 1
 
     def node_count(self) -> int:
         return len(self.nodes)

@@ -118,6 +118,8 @@ class ConfigurationManager:
         #: re-composed before it is declared dead (None = unbounded)
         self.max_repairs_per_config = max_repairs_per_config
         self._configs: Dict[str, Configuration] = {}
+        #: wanted spec -> its configurations in creation order (graph reuse)
+        self._by_wanted: Dict[TypeSpec, List[Configuration]] = {}
         #: live-entity claim ledger: hex -> (bindings, reference count)
         self._claims: Dict[str, Tuple[Dict[str, object], int]] = {}
         self.reuse_hits = 0
@@ -180,6 +182,7 @@ class ConfigurationManager:
                 created_at=self.network.scheduler.now,
             )
             self._configs[config.config_id] = config
+            self._by_wanted.setdefault(wanted, []).append(config)
             self._instantiate(config)
             self._attach_output(config, subscriber_hex, one_time, query_id)
             self.builds += 1
@@ -189,8 +192,8 @@ class ConfigurationManager:
         return config
 
     def _reusable(self, wanted: TypeSpec) -> Optional[Configuration]:
-        for config in self._configs.values():
-            if config.state == ConfigState.ACTIVE and config.wanted == wanted:
+        for config in self._by_wanted.get(wanted, ()):
+            if config.state == ConfigState.ACTIVE:
                 return config
         return None
 
@@ -310,6 +313,10 @@ class ConfigurationManager:
         self._dismantle(config)
         config.state = ConfigState.TORN_DOWN
         del self._configs[config_id]
+        siblings = self._by_wanted[config.wanted]
+        siblings.remove(config)
+        if not siblings:
+            del self._by_wanted[config.wanted]
 
     def cancel_query(self, query_id: str) -> None:
         """Detach one query's deliveries; tear down configs nobody uses."""

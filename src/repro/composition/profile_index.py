@@ -8,8 +8,17 @@ stand in for its parent (``gps-position`` satisfies a wanted ``location``).
 A candidate query for ``wanted`` then reads exactly the ``wanted.type_name``
 bucket.
 
-Soundness: the bucket is a pre-filter only. Representation bridging, subject
-compatibility and converter search still run per entry via
+**Subject sub-buckets.** Every filed entry also goes under ``(type,
+subject)``, unbound offers under ``(type, None)``. A wanted spec with a
+subject reads only its own and the unbound sub-bucket, merged back into
+filing (entry-id) order: exactly the entries ``conversion_path``'s subject
+rule would keep (equal or unbound offered subject), in the order the full
+bucket holds them, so the first-match rule picks the same output. A
+subject-less want reads the whole type bucket. Subjects are hashable
+scalars (``Profile.from_wire`` refuses anything else).
+
+Soundness: the buckets are a pre-filter only. Representation bridging,
+subject compatibility and converter search still run per entry via
 ``conversion_path``, so results are identical to the full scan (the
 reference in ``tests/composition/reference_scan.py``). Outputs whose type
 the registry does not know cannot be filed under ancestors; they go to a
@@ -36,9 +45,11 @@ candidates by a total-order score.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.core.errors import SCIError
 from repro.core.types import TypeRegistry, TypeSpec
@@ -88,32 +99,49 @@ class ProfileIndex:
         self.token: object = NEVER_BUILT
         self._entry_ids = itertools.count(1)
         self._buckets: Dict[str, Dict[int, ProviderEntry]] = {}
+        #: (type name, offered subject) -> the type bucket's entries with
+        #: that subject; unbound offers under (type name, None)
+        self._subject_buckets: Dict[Tuple[str, Hashable],
+                                    Dict[int, ProviderEntry]] = {}
         self._residual: Dict[int, ProviderEntry] = {}
-        #: entity hex -> entry id -> bucket names filed under
-        #: (the _RESIDUAL marker stands for the residual list)
-        self._by_entity: Dict[str, Dict[int, List[Optional[str]]]] = {}
+        #: entity hex -> entry id -> (offered subject, bucket names filed
+        #: under; the _RESIDUAL marker stands for the residual list)
+        self._by_entity: Dict[str, Dict[int, Tuple[Hashable,
+                                                   List[Optional[str]]]]] = {}
 
     # -- queries --------------------------------------------------------------
 
-    def providers(self, type_name: str,
+    def providers(self, wanted: TypeSpec,
                   live_profiles: Callable[[], List[Profile]],
                   templates: TemplateRegistry,
                   token: object) -> Tuple[List[ProviderEntry], bool]:
-        """Entries whose offered output could satisfy ``type_name``.
+        """Entries whose offered output could satisfy ``wanted``.
 
         Rebuilds from the feed first when ``token`` is not the one the index
         stands at; returns ``(entries, rebuilt)`` so the resolver can count
-        builds. Bucketed entries first, then the residual list.
+        builds. Bucketed entries first, in filing order, then the residual
+        list.
         """
         rebuilt = self.token != token
         if rebuilt:
             self.rebuild(live_profiles(), templates)
             self.token = token
-        bucket = self._buckets.get(type_name)
-        found = list(bucket.values()) if bucket else []
+        if wanted.subject is None:
+            bucket = self._buckets.get(wanted.type_name)
+            found = list(bucket.values()) if bucket else []
+        else:
+            found = self._subject_providers(wanted.type_name, wanted.subject)
         if self._residual:
             found.extend(self._residual.values())
         return found, rebuilt
+
+    def _subject_providers(self, type_name: str,
+                           subject: Hashable) -> List[ProviderEntry]:
+        """The bound and the unbound sub-bucket, merged by entry id."""
+        bound = self._subject_buckets.get((type_name, subject), {})
+        unbound = self._subject_buckets.get((type_name, None), {})
+        return [entry for _, entry in heapq.merge(
+            bound.items(), unbound.items(), key=itemgetter(0))]
 
     # -- deltas ---------------------------------------------------------------
 
@@ -139,6 +167,7 @@ class ProfileIndex:
     def rebuild(self, live_profiles: List[Profile],
                 templates: TemplateRegistry) -> None:
         self._buckets = {}
+        self._subject_buckets = {}
         self._residual = {}
         self._by_entity = {}
         for profile in live_profiles:
@@ -157,6 +186,7 @@ class ProfileIndex:
             entry = ProviderEntry(profile, offered, position, origin,
                                   entity_hex, template_name)
             entry_id = next(self._entry_ids)
+            subject = offered.subject
             try:
                 filed: List[Optional[str]] = self.registry.ancestors(
                     offered.type_name)
@@ -166,21 +196,29 @@ class ProfileIndex:
             else:
                 for type_name in filed:
                     self._buckets.setdefault(type_name, {})[entry_id] = entry
+                    self._subject_buckets.setdefault(
+                        (type_name, subject), {})[entry_id] = entry
             if entity_hex is not None:
-                self._by_entity.setdefault(entity_hex, {})[entry_id] = filed
+                self._by_entity.setdefault(entity_hex, {})[entry_id] = (
+                    subject, filed)
 
     def remove_entity(self, entity_hex: str) -> None:
         """Unfile every entry of a departed entity."""
         entries = self._by_entity.pop(entity_hex, None)
         if not entries:
             return
-        for entry_id, filed in entries.items():
+        for entry_id, (subject, filed) in entries.items():
             for type_name in filed:
                 if type_name is _RESIDUAL:
                     self._residual.pop(entry_id, None)
                     continue
-                bucket = self._buckets.get(type_name)
-                if bucket is not None:
-                    bucket.pop(entry_id, None)
-                    if not bucket:
-                        del self._buckets[type_name]
+                _unfile(self._buckets, type_name, entry_id)
+                _unfile(self._subject_buckets, (type_name, subject), entry_id)
+
+
+def _unfile(buckets: Dict, key: Hashable, entry_id: int) -> None:
+    bucket = buckets.get(key)
+    if bucket is not None:
+        bucket.pop(entry_id, None)
+        if not bucket:
+            del buckets[key]

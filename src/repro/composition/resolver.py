@@ -72,7 +72,7 @@ class QueryResolver:
     so two queries cannot bind one CE to different subjects.
 
     Candidate search runs over a :class:`ProfileIndex` keyed by offered
-    output type.
+    output type and, for a subject-bound want, offered subject.
     ``feed_version`` is the invalidation signal: a callable returning a
     token that changes whenever the profile feed changes (registrations,
     departures, lease expiries, template additions — the Context Server
@@ -153,7 +153,8 @@ class QueryResolver:
                                     predicate=provider_predicate)
         plan.set_output(key, actual)
         plan.validate()
-        logger.debug("resolved %s ->\n%s", wanted, plan.describe())
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("resolved %s ->\n%s", wanted, plan.describe())
         return plan
 
     def note_profile_added(self, profile: Optional[Profile]) -> int:
@@ -257,7 +258,7 @@ class QueryResolver:
         predicate: Optional[Callable[[Profile], bool]],
     ) -> List[_Candidate]:
         entries, rebuilt = self._provider_index.providers(
-            wanted.type_name, self.live_profiles, self.templates,
+            wanted, self.live_profiles, self.templates,
             self._feed_token())
         if rebuilt:
             self.index_rebuilds += 1

@@ -140,6 +140,13 @@ class TypeRegistry:
         self._types: Dict[str, ContextType] = {}
         # (type_name, source_repr) -> list of converters out of that repr
         self._converters: Dict[Tuple[str, str], List[Converter]] = {}
+        # Memos of the subject-free answers, cleared by every register*:
+        # type -> is_a chain, and (offered type, offered repr, wanted type,
+        # wanted repr) -> cheapest converter chain or None. Lookups that
+        # raise (unknown type, is_a cycle) are never stored.
+        self._chains: Dict[str, Tuple[str, ...]] = {}
+        self._paths: Dict[Tuple[str, str, str, str],
+                          Optional[Tuple[Converter, ...]]] = {}
 
     # -- ontology -----------------------------------------------------------
 
@@ -147,6 +154,7 @@ class TypeRegistry:
         if ctype.parent is not None and ctype.parent not in self._types:
             raise TypeError_(f"unknown parent type: {ctype.parent!r}")
         self._types[ctype.name] = ctype
+        self._forget()
         return ctype
 
     def define(self, name: str, parent: Optional[str] = None, description: str = "") -> ContextType:
@@ -164,18 +172,28 @@ class TypeRegistry:
 
     def ancestors(self, name: str) -> List[str]:
         """Return ``name`` followed by its is_a ancestors, root last."""
-        chain = []
-        cursor: Optional[str] = name
-        while cursor is not None:
-            if cursor in chain:
-                raise TypeError_(f"is_a cycle at {cursor!r}")
-            chain.append(cursor)
-            cursor = self.get(cursor).parent
+        return list(self._chain(name))
+
+    def _chain(self, name: str) -> Tuple[str, ...]:
+        chain = self._chains.get(name)
+        if chain is None:
+            walked: List[str] = []
+            cursor: Optional[str] = name
+            while cursor is not None:
+                if cursor in walked:
+                    raise TypeError_(f"is_a cycle at {cursor!r}")
+                walked.append(cursor)
+                cursor = self.get(cursor).parent
+            chain = self._chains[name] = tuple(walked)
         return chain
 
     def is_subtype(self, candidate: str, of: str) -> bool:
         """True when ``candidate`` is ``of`` or one of its descendants."""
-        return of in self.ancestors(candidate)
+        return of in self._chain(candidate)
+
+    def _forget(self) -> None:
+        self._chains.clear()
+        self._paths.clear()
 
     # -- converters ---------------------------------------------------------
 
@@ -183,6 +201,7 @@ class TypeRegistry:
         self.get(converter.type_name)  # validates the type exists
         key = (converter.type_name, converter.source_representation)
         self._converters.setdefault(key, []).append(converter)
+        self._forget()
         return converter
 
     def add_converter(
@@ -218,27 +237,42 @@ class TypeRegistry:
         Converter chains are searched over the *wanted* (super)type's
         converter edges as well as the offered subtype's own, cheapest-first
         (uniform-cost search; converter graphs are tiny).
+
+        Everything but the subject rule depends on the two (type,
+        representation) pairs alone, so that part is memoised per pair until
+        the next :meth:`register` or :meth:`register_converter`; the subject
+        rule runs on every call.
         """
-        if not self.is_subtype(offered.type_name, wanted.type_name):
+        key = (offered.type_name, offered.representation,
+               wanted.type_name, wanted.representation)
+        try:
+            path = self._paths[key]
+        except KeyError:
+            path = self._paths[key] = self._search(*key)
+        if path is None:
             return None
         if wanted.subject is not ANY_SUBJECT and offered.subject is not ANY_SUBJECT:
             if wanted.subject != offered.subject:
                 return None
-        if "any" in (offered.representation, wanted.representation):
-            return []
-        if offered.representation == wanted.representation:
-            return []
+        return list(path)
+
+    def _search(self, offered_type: str, offered_repr: str, wanted_type: str,
+                wanted_repr: str) -> Optional[Tuple[Converter, ...]]:
+        if not self.is_subtype(offered_type, wanted_type):
+            return None
+        if "any" in (offered_repr, wanted_repr) or offered_repr == wanted_repr:
+            return ()
         # Uniform-cost search over representations reachable from the offer.
         # Converters registered against any ancestor type apply.
-        applicable_types = self.ancestors(offered.type_name)
-        frontier: List[Tuple[float, str, List[Converter]]] = [
-            (0.0, offered.representation, [])
+        applicable_types = self._chain(offered_type)
+        frontier: List[Tuple[float, str, Tuple[Converter, ...]]] = [
+            (0.0, offered_repr, ())
         ]
-        best_cost: Dict[str, float] = {offered.representation: 0.0}
+        best_cost: Dict[str, float] = {offered_repr: 0.0}
         while frontier:
             frontier.sort(key=lambda item: item[0])
             cost, representation, chain = frontier.pop(0)
-            if representation == wanted.representation:
+            if representation == wanted_repr:
                 return chain
             for type_name in applicable_types:
                 for converter in self.converters_from(type_name, representation):
@@ -246,7 +280,7 @@ class TypeRegistry:
                     target = converter.target_representation
                     if next_cost < best_cost.get(target, float("inf")):
                         best_cost[target] = next_cost
-                        frontier.append((next_cost, target, chain + [converter]))
+                        frontier.append((next_cost, target, chain + (converter,)))
         return None
 
     def satisfies(self, offered: TypeSpec, wanted: TypeSpec) -> bool:

@@ -103,10 +103,18 @@ def _spec_to_wire(spec: TypeSpec) -> Dict[str, Any]:
     }
 
 
+#: what a wire ``subject`` may be: providers are indexed by it
+_SCALAR_SUBJECTS = (str, int, float, bool, type(None))
+
+
 def _spec_from_wire(data: Dict[str, Any]) -> TypeSpec:
+    subject = data.get("subject")
+    if not isinstance(subject, _SCALAR_SUBJECTS):
+        raise ValueError(f"subject must be a string, number, boolean or "
+                         f"null, got {type(subject).__name__}")
     return TypeSpec(
         type_name=data["type"],
         representation=data.get("representation", "any"),
-        subject=data.get("subject"),
+        subject=subject,
         quality=tuple(tuple(item) for item in data.get("quality", ())),
     )

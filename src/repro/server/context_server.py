@@ -633,9 +633,10 @@ class ContextServer(Process):
             one_time=(query.mode == QueryMode.ONE_TIME),
             provider_predicate=predicate,
         )
-        logger.info("%s: %s -> %s (depth %d, %d nodes)", self.name,
-                    query.query_id, config.config_id,
-                    config.plan.depth(), config.plan.node_count())
+        if logger.isEnabledFor(logging.INFO):
+            logger.info("%s: %s -> %s (depth %d, %d nodes)", self.name,
+                        query.query_id, config.config_id,
+                        config.plan.depth(), config.plan.node_count())
         return sorted(config.node_guids.values())
 
     def _where_predicate(self, query: Query):

@@ -95,6 +95,48 @@ class TestReuse:
         assert first is not second
 
 
+class TestReuseIndex:
+    """Reuse is looked up by wanted spec, earliest ACTIVE configuration first."""
+
+    @staticmethod
+    def _two_configs(stack):
+        server, _, app = stack
+        manager = server.configurations
+        wanted = TypeSpec("location", "topological", "bob")
+        first = manager.deliver(wanted, app.guid.hex, "q1")
+        second = manager.deliver(wanted, app.guid.hex, "q2", reuse=False)
+        return manager, app, first, second
+
+    def test_equal_spec_picks_the_earliest_active(self, stack):
+        manager, app, first, _ = self._two_configs(stack)
+        equal = TypeSpec.of("location", "topological", "bob")
+        assert manager.deliver(equal, app.guid.hex, "q3") is first
+        assert manager.reuse_hits == 1
+
+    @pytest.mark.parametrize("state", [ConfigState.REPAIRING, ConfigState.DEAD])
+    def test_inactive_configurations_are_skipped(self, stack, state):
+        manager, app, first, second = self._two_configs(stack)
+        first.state = state
+        wanted = TypeSpec("location", "topological", "bob")
+        assert manager.deliver(wanted, app.guid.hex, "q3") is second
+        second.state = state
+        third = manager.deliver(wanted, app.guid.hex, "q4")
+        assert third not in (first, second)
+        assert manager.builds == 3
+
+    def test_teardown_and_cancel_leave_no_stale_entry(self, stack):
+        manager, app, first, second = self._two_configs(stack)
+        wanted = TypeSpec("location", "topological", "bob")
+        manager.teardown(first.config_id)
+        assert manager.deliver(wanted, app.guid.hex, "q3") is second
+        manager.cancel_query("q2")
+        manager.cancel_query("q3")
+        assert wanted not in manager._by_wanted
+        fresh = manager.deliver(wanted, app.guid.hex, "q4")
+        assert fresh not in (first, second)
+        assert manager._by_wanted == {wanted: [fresh]}
+
+
 class TestTeardown:
     def test_cancel_query_tears_down_unused(self, network, stack):
         server, sensors, app = stack

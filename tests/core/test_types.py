@@ -137,6 +137,69 @@ class TestMatching:
                                       TypeSpec("location", "any"))
 
 
+class TestMemo:
+    """Answers are memoised until the ontology or a converter changes."""
+
+    def test_cheaper_converter_replaces_a_cached_path(self, registry):
+        registry.add_converter("location", "a", "b", lambda v: v)
+        registry.add_converter("location", "b", "c", lambda v: v)
+        offered, wanted = TypeSpec("location", "a"), TypeSpec("location", "c")
+        assert len(registry.conversion_path(offered, wanted)) == 2
+        registry.add_converter("location", "a", "c", lambda v: v, cost=0.5)
+        path = registry.conversion_path(offered, wanted)
+        assert [(c.source_representation, c.target_representation)
+                for c in path] == [("a", "c")]
+
+    def test_cached_failure_forgotten_when_a_converter_arrives(self, registry):
+        offered, wanted = TypeSpec("location", "a"), TypeSpec("location", "b")
+        assert registry.conversion_path(offered, wanted) is None
+        registry.add_converter("location", "a", "b", lambda v: v)
+        assert len(registry.conversion_path(offered, wanted)) == 1
+
+    def test_subtype_defined_after_a_lookup_is_seen(self, registry):
+        offered = TypeSpec("beacon-fix", "geometric")
+        wanted = TypeSpec("location", "geometric")
+        with pytest.raises(TypeError_):
+            registry.conversion_path(offered, wanted)  # not defined yet
+        registry.define("beacon-fix")
+        assert registry.conversion_path(offered, wanted) is None
+        assert registry.ancestors("beacon-fix") == ["beacon-fix"]
+        registry.register(ContextType("beacon-fix", parent="location"))
+        assert registry.conversion_path(offered, wanted) == []
+        assert registry.ancestors("beacon-fix") == ["beacon-fix", "location"]
+
+    def test_cycle_after_re_registration_raises_on_every_call(self, registry):
+        registry.define("fix", parent="gps-position")
+        offered = TypeSpec("fix", "geometric")
+        wanted = TypeSpec("location", "geometric")
+        assert registry.conversion_path(offered, wanted) == []
+        registry.register(ContextType("location", parent="fix"))
+        for _ in range(2):
+            with pytest.raises(TypeError_, match="cycle"):
+                registry.ancestors("fix")
+            with pytest.raises(TypeError_, match="cycle"):
+                registry.conversion_path(offered, wanted)
+
+    def test_subject_rule_runs_on_every_call(self, registry):
+        bound = TypeSpec("location", "symbolic", "bob")
+        assert registry.conversion_path(bound, bound.bind("bob")) == []
+        assert registry.conversion_path(bound, bound.bind("john")) is None
+        assert registry.conversion_path(bound.bind(None),
+                                        bound.bind("john")) == []
+
+    def test_mutating_a_returned_chain_does_not_poison_the_memo(self, registry):
+        registry.add_converter("location", "a", "b", lambda v: v)
+        offered, wanted = TypeSpec("location", "a"), TypeSpec("location", "b")
+        path = registry.conversion_path(offered, wanted)
+        path.clear()
+        assert len(registry.conversion_path(offered, wanted)) == 1
+        registry.conversion_path(offered, offered).append("junk")
+        assert registry.conversion_path(offered, offered) == []
+        registry.ancestors("gps-position").reverse()
+        assert registry.ancestors("gps-position") == ["gps-position",
+                                                      "location"]
+
+
 class TestStandardRegistry:
     def test_core_types_present(self):
         reg = standard_registry()

@@ -43,15 +43,24 @@ REGISTRY = register_location_converters(standard_registry(), BUILDING)
 ENTITIES = 5
 LEASE = 10.0
 NAMES = ["a", "b", "c"]
+#: offers are unbound or bound to one of two subjects; a two-output variant
+#: can hold a bound and an unbound offer of one type in either order
 OUTPUTS = [TypeSpec("temperature", "celsius"),
            TypeSpec("temperature", "fahrenheit"),
+           TypeSpec("temperature", "celsius", "ann"),
+           TypeSpec("temperature", "fahrenheit", "bob"),
            TypeSpec("presence", "tag-read"),
            TypeSpec("occupancy", "count"),
-           TypeSpec("gps-position", "geometric")]
+           TypeSpec("gps-position", "geometric"),
+           TypeSpec("gps-position", "symbolic", "ann")]
 DEVICES = [None, "printer", "scanner", "device"]
 SERVICES = ["print-service", "scan", "printer"]
-WANTED = OUTPUTS + [TypeSpec("location", "geometric"),
-                    TypeSpec("temperature", "any")]
+WANTED = [spec for spec in OUTPUTS if spec.subject is None] + [
+    TypeSpec("location", "geometric"),
+    TypeSpec("location", "geometric", "ann"),
+    TypeSpec("temperature", "any"),
+    TypeSpec("temperature", "any", "ann"),
+    TypeSpec("temperature", "celsius", "bob")]
 WHATS = ([WhatClause.entity_type(tag) for tag in
           ("printer", "scanner", "device", "software", "print", "scan",
            "print-service", "fax")]
@@ -188,7 +197,8 @@ def _shape(resolver, wanted):
     except NoProviderError:
         return None
     # drop the globally unique "plan-N" id; namesakes are told apart by hex
-    return (plan.describe().split(":", 1)[1],
+    # and the output spec names the offer that matched
+    return (plan.describe().split(":", 1)[1], plan.output_spec,
             [(node.kind, node.entity_hex or node.template_name)
              for node in plan.nodes.values() if node.kind != "converter"])
 
@@ -200,11 +210,17 @@ _TWIN = {"name": "a", "entity_class": EntityClass.DEVICE,
          "outputs": [OUTPUTS[0]], "device": None, "services": []}
 _NAMESAKE_REPLACED = [("register", 0, _TWIN, "ce"), ("register", 1, _TWIN, "ce"),
                       ("register", 0, _TWIN, "ce")]
+#: an unbound offer filed before a bound one of the same type: a want for
+#: ann must take the first, as the full scan does
+_BADGE = {"name": "a", "entity_class": EntityClass.DEVICE,
+          "outputs": [OUTPUTS[1], OUTPUTS[2]], "device": None, "services": []}
+_UNBOUND_FILED_FIRST = [("register", 0, _BADGE, "ce")]
 
 
 class TestQueryIndexSequences:
     @given(st.lists(operations, min_size=1, max_size=14))
     @example(_NAMESAKE_REPLACED)
+    @example(_UNBOUND_FILED_FIRST)
     @settings(max_examples=120, deadline=None)
     def test_indexes_track_the_population(self, ops):
         world = _World()

@@ -1,6 +1,6 @@
 """Property-based resolver invariants over random profile pools."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import NoProviderError
@@ -12,6 +12,8 @@ from tests.composition.reference_scan import ReferenceScanResolver
 
 TYPE_NAMES = ["alpha", "beta", "gamma"]
 REPRESENTATIONS = ["r1", "r2", "r3"]
+#: offered and wanted subjects; None is an unbound offer / any-subject want
+SUBJECTS = [None, "ann", "bob", "cid"]
 
 
 def build_registry(converter_edges):
@@ -26,15 +28,31 @@ def build_registry(converter_edges):
 
 @st.composite
 def pools(draw):
-    """A random world: sensor profiles, optional derived profiles, converters."""
+    """A random world: sensor profiles, optional derived profiles, converters.
+
+    Offers are bound to a subject or unbound. A "badge" offers one type
+    twice, bound and unbound, in two representations and either order, so
+    the first-match rule decides which output serves a subject-bound want.
+    """
     guids = GuidFactory(seed=draw(st.integers(0, 1000)))
+    subjects = st.sampled_from(SUBJECTS)
     profiles = []
     for index in range(draw(st.integers(1, 8))):
         type_name = draw(st.sampled_from(TYPE_NAMES))
         representation = draw(st.sampled_from(REPRESENTATIONS))
         profiles.append(Profile(
             guids.mint(), f"sensor-{index}", EntityClass.DEVICE,
-            outputs=[TypeSpec(type_name, representation)]))
+            outputs=[TypeSpec(type_name, representation, draw(subjects))]))
+    for index in range(draw(st.integers(0, 2))):
+        type_name = draw(st.sampled_from(TYPE_NAMES))
+        first, second = draw(st.lists(st.sampled_from(REPRESENTATIONS),
+                                      min_size=2, max_size=2, unique=True))
+        outputs = [TypeSpec(type_name, first, draw(st.sampled_from(SUBJECTS[1:]))),
+                   TypeSpec(type_name, second)]
+        if draw(st.booleans()):
+            outputs.reverse()
+        profiles.append(Profile(guids.mint(), f"badge-{index}",
+                                EntityClass.DEVICE, outputs=outputs))
     for index in range(draw(st.integers(0, 3))):
         in_type = draw(st.sampled_from(TYPE_NAMES))
         out_type = draw(st.sampled_from(TYPE_NAMES))
@@ -42,8 +60,10 @@ def pools(draw):
             continue  # avoid trivial self-loops in the type graph
         profiles.append(Profile(
             guids.mint(), f"derived-{index}", EntityClass.SOFTWARE,
-            outputs=[TypeSpec(out_type, draw(st.sampled_from(REPRESENTATIONS)))],
-            inputs=[TypeSpec(in_type, draw(st.sampled_from(REPRESENTATIONS)))]))
+            outputs=[TypeSpec(out_type, draw(st.sampled_from(REPRESENTATIONS)),
+                              draw(subjects))],
+            inputs=[TypeSpec(in_type, draw(st.sampled_from(REPRESENTATIONS)),
+                             draw(subjects))]))
     edges = draw(st.lists(
         st.tuples(st.sampled_from(TYPE_NAMES),
                   st.sampled_from(REPRESENTATIONS),
@@ -55,7 +75,15 @@ def pools(draw):
 @st.composite
 def wanted_specs(draw):
     return TypeSpec(draw(st.sampled_from(TYPE_NAMES)),
-                    draw(st.sampled_from(REPRESENTATIONS + ["any"])))
+                    draw(st.sampled_from(REPRESENTATIONS + ["any"])),
+                    draw(st.sampled_from(SUBJECTS)))
+
+
+#: a badge whose unbound output comes first: a want for ann must take it,
+#: as the full scan does, not the later output bound to ann
+_BADGE_UNBOUND_FIRST = ([Profile(
+    GuidFactory(seed=5).mint(), "badge-0", EntityClass.DEVICE,
+    outputs=[TypeSpec("alpha", "r2"), TypeSpec("alpha", "r1", "ann")])], [])
 
 
 class TestResolverProperties:
@@ -98,6 +126,7 @@ class TestResolverProperties:
         assert structure() == structure()
 
     @given(pools(), wanted_specs())
+    @example(_BADGE_UNBOUND_FIRST, TypeSpec("alpha", "any", "ann"))
     @settings(max_examples=150, deadline=None)
     def test_indexed_plans_identical_to_full_scan(self, pool, wanted):
         """The profile index is a pure pre-filter: same plan, same failure."""
@@ -109,8 +138,9 @@ class TestResolverProperties:
                 plan = resolver.resolve(wanted)
             except NoProviderError:
                 return None
-            # drop the globally unique "plan-N" id; compare structure only
-            return plan.describe().split(":", 1)[1]
+            # drop the globally unique "plan-N" id; compare structure only,
+            # plus the output spec, which names the offer that matched
+            return plan.describe().split(":", 1)[1], plan.output_spec
 
         indexed = QueryResolver(registry, live_profiles=lambda: profiles)
         scan = ReferenceScanResolver(registry,
