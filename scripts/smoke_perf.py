@@ -4,6 +4,10 @@
 Runs the dispatch benchmark's workloads at a small scale and asserts the
 structural properties a refactor could silently regress:
 
+* counting takes one path: on a seeded default ``SCI()`` run at most
+  ``MAX_INCS_PER_DELIVERY`` validated ``Counter.inc`` calls per delivered
+  message (hot sites update series bound once), and the
+  ``net.delivery.latency`` count equals the delivered count;
 * the mediator's exact-match buckets serve candidates (``mediator.index.hits``
   non-zero) and the residual-scan fraction stays below a threshold — a change
   that de-indexes selective filters (e.g. by breaking filter analysis) fails
@@ -86,6 +90,10 @@ QUERY_PATH_UNBOUND_EVERY = 50
 #: machines of the registration storm's range, and components started on each
 STORM_MACHINES = 4
 STORM_PER_MACHINE = 24
+#: validated ``Counter.inc`` calls allowed per delivered message on the
+#: default deployment: hot sites update series bound once, so only rare
+#: labelled paths (request retries, unheard announces) are left
+MAX_INCS_PER_DELIVERY = 0.25
 
 
 def check(condition, label):
@@ -271,8 +279,57 @@ def registration_storm(machines=STORM_MACHINES, per_machine=STORM_PER_MACHINE):
             "unheard": net.obs.metrics.get("net.messages.unheard").total()}
 
 
+def counting_path():
+    """The quickstart's seeded default ``SCI()`` run with every validated
+    ``Counter.inc`` call counted: hot sites must record through series they
+    bound once, and every delivery's latency must land once in
+    ``net.delivery.latency``."""
+    from repro import SCI
+    from repro.obs.metrics import Counter
+
+    calls = [0]
+    validated = Counter.inc
+
+    def counted(self, *args, **labels):
+        calls[0] += 1
+        return validated(self, *args, **labels)
+
+    Counter.inc = counted
+    try:
+        sci = SCI()
+        sci.create_range("livingstone", places=["livingstone"],
+                         hosts=["lab-pc"])
+        sci.add_door_sensors("livingstone")
+        sci.add_person("bob", room="corridor")
+        app = sci.create_application("whereIsBob", host="lab-pc")
+        sci.run(5)
+        app.submit_query(sci.query("bob").subscribe(
+            "location", "topological", subject="bob").build())
+        sci.run(5)
+        for room in ("L10.01", "L10.03"):
+            sci.walk("bob", room)
+            sci.run(40)
+    finally:
+        Counter.inc = validated
+    latency = sci.network.obs.metrics.get("net.delivery.latency")
+    return {"incs": calls[0], "delivered": sci.network.stats.delivered,
+            "latency_count": latency.count}
+
+
 def main() -> int:
     ok = True
+
+    print("smoke-perf: counting path on the default deployment...")
+    counting = counting_path()
+    per_delivery = counting["incs"] / max(counting["delivered"], 1)
+    ok &= check(counting["delivered"] > 0
+                and per_delivery <= MAX_INCS_PER_DELIVERY,
+                f"{counting['incs']} validated Counter.inc calls for "
+                f"{counting['delivered']} deliveries ({per_delivery:.3f} per "
+                f"delivery, <= {MAX_INCS_PER_DELIVERY})")
+    ok &= check(counting["latency_count"] == counting["delivered"],
+                f"net.delivery.latency count equals delivered "
+                f"({counting['latency_count']} == {counting['delivered']})")
 
     print(f"smoke-perf: publish fan-out at {SCALE} subscriptions...")
     fanout = measure_publish(SCALE, publishes=PUBLISHES)
@@ -418,7 +475,7 @@ def main() -> int:
                 f"digest {reference['digest'][:12]}…)")
     ok &= check(production["delivered"] == reference["delivered"]
                 and production["by_kind"] == reference["by_kind"],
-                f"staged stats equal the reference totals "
+                f"stats equal the reference totals "
                 f"({reference['delivered']} delivered)")
 
     print("smoke-perf: operator-graph delivery equivalence...")

@@ -129,14 +129,14 @@ class ConfigurationManager:
         metrics = network.obs.metrics
         self._reuse_hits_counter = metrics.counter(
             "config.graph.reuse_hits", "queries served by an existing graph",
-            labels=("range",))
+            labels=("range",)).series(range=range_name)
         self._builds_counter = metrics.counter(
             "config.graph.builds", "configuration graphs instantiated",
-            labels=("range",))
+            labels=("range",)).series(range=range_name)
         self._repairs_counter = metrics.counter(
             "config.graph.repairs",
             "configurations re-composed after a failure",
-            labels=("range",))
+            labels=("range",)).series(range=range_name)
 
     # -- the resolver's view of the claim ledger --------------------------------------
 
@@ -163,7 +163,7 @@ class ConfigurationManager:
             existing = self._reusable(wanted)
             if existing is not None:
                 self.reuse_hits += 1
-                self._reuse_hits_counter.inc(range=self.range_name)
+                self._reuse_hits_counter.inc()
                 with obs.tracer.span_if_active(
                         "config.resolve", range=self.range_name,
                         wanted=str(wanted), reused=existing.config_id):
@@ -186,7 +186,7 @@ class ConfigurationManager:
             self._instantiate(config)
             self._attach_output(config, subscriber_hex, one_time, query_id)
             self.builds += 1
-            self._builds_counter.inc(range=self.range_name)
+            self._builds_counter.inc()
             if span is not None:
                 span.set(config=config.config_id, nodes=len(plan.nodes))
         return config
@@ -400,7 +400,7 @@ class ConfigurationManager:
         config.state = ConfigState.ACTIVE
         config.repairs += 1
         self.repairs += 1
-        self._repairs_counter.inc(range=self.range_name)
+        self._repairs_counter.inc()
         if span is not None:
             span.set(outcome="repaired", repair_number=config.repairs)
         logger.info("configuration %s repaired around %s (repair #%d)",

@@ -34,6 +34,7 @@ from repro.composition.graph import ConfigurationPlan, PlanNode
 from repro.composition.profile_index import ProfileIndex
 from repro.composition.templates import TemplateRegistry
 from repro.entities.profile import Profile
+from repro.obs.metrics import MetricsRegistry
 
 logger = logging.getLogger(__name__)
 
@@ -114,22 +115,20 @@ class QueryResolver:
         #: membership changes reported through ``note_profile_*``
         self.index_deltas = 0
         self._provider_index = ProfileIndex(registry)
-        self._range_label = range_name or "-"
-        self._hits_counter = self._rebuilds_counter = None
-        self._deltas_counter = None
-        if metrics is not None:
-            self._hits_counter = metrics.counter(
-                "resolver.index.hits",
-                "candidate lookups served from the profile index",
-                labels=("range",))
-            self._rebuilds_counter = metrics.counter(
-                "resolver.index.rebuilds",
-                "builds of the profile index from the feed",
-                labels=("range",))
-            self._deltas_counter = metrics.counter(
-                "resolver.index.deltas",
-                "membership changes applied to the profile index in place",
-                labels=("range",))
+        metrics = metrics or MetricsRegistry()
+        label = range_name or "-"
+        self._hits_counter = metrics.counter(
+            "resolver.index.hits",
+            "candidate lookups served from the profile index",
+            labels=("range",)).series(range=label)
+        self._rebuilds_counter = metrics.counter(
+            "resolver.index.rebuilds",
+            "builds of the profile index from the feed",
+            labels=("range",)).series(range=label)
+        self._deltas_counter = metrics.counter(
+            "resolver.index.deltas",
+            "membership changes applied to the profile index in place",
+            labels=("range",)).series(range=label)
 
     # -- public API ---------------------------------------------------------------
 
@@ -182,8 +181,7 @@ class QueryResolver:
         if self.feed_version is None:
             return 0  # no chain to advance: every resolve rebuilds anyway
         self.index_deltas += 1
-        if self._deltas_counter is not None:
-            self._deltas_counter.inc(range=self._range_label)
+        self._deltas_counter.inc()
         return int(self._provider_index.apply(self.feed_version(),
                                               added, removed))
 
@@ -262,11 +260,9 @@ class QueryResolver:
             self._feed_token())
         if rebuilt:
             self.index_rebuilds += 1
-            if self._rebuilds_counter is not None:
-                self._rebuilds_counter.inc(range=self._range_label)
+            self._rebuilds_counter.inc()
         self.index_hits += 1
-        if self._hits_counter is not None:
-            self._hits_counter.inc(range=self._range_label)
+        self._hits_counter.inc()
         found: List[_Candidate] = []
         taken: Set[Tuple[str, Optional[str]]] = set()
         for entry in entries:

@@ -184,74 +184,49 @@ class EventMediator(Process):
         #: type_name -> ordered set of retained keys, so replay for a
         #: type-constrained subscription scans only that type's entries
         self._retained_by_type: Dict[str, Dict[tuple, None]] = {}
-        # hot-path counter handles, resolved once (registry lookup is not free)
+        # hot-path series, bound once
         metrics = network.obs.metrics
+        label = range_name or "-"
         self._published_counter = metrics.counter(
             "mediator.events.published", "events published per range",
-            labels=("range",))
+            labels=("range",)).series(range=label)
         self._deliveries_counter = metrics.counter(
             "mediator.events.delivered",
             "matched events forwarded to subscribers",
-            labels=("range",))
-        self._index_hits_counter = metrics.counter(
-            "mediator.index.hits",
-            "dispatch candidates served from exact-match index buckets",
-            labels=("range",))
-        self._index_residual_counter = metrics.counter(
-            "mediator.index.residual_scans",
-            "dispatch candidates scanned from the non-indexable residual list",
-            labels=("range",))
+            labels=("range",)).series(range=label)
         self._retained_evicted_counter = metrics.counter(
             "mediator.retained.evicted",
             "retained events dropped by the oldest-first cap",
-            labels=("range",))
+            labels=("range",)).series(range=label)
         self._ack_exhausted_counter = metrics.counter(
             "mediator.seq.ack_exhausted",
             "reliable deliveries whose whole retransmission budget expired",
-            labels=("range",))
+            labels=("range",)).series(range=label)
         self._resync_replays_counter = metrics.counter(
             "mediator.seq.resync_replays",
             "retained events replayed to resync a gapped subscriber",
-            labels=("range",))
+            labels=("range",)).series(range=label)
         self._window_shed_counter = metrics.counter(
             "mediator.seq.window_shed",
             "unacked deliveries given up because a subscriber's window was full",
-            labels=("range",))
+            labels=("range",)).series(range=label)
         # window retransmissions keep the request-layer counters' meaning,
         # under kind "event"
         self._retry_attempts_counter = metrics.counter(
             "net.retry.attempts", "request retransmissions, by request kind",
-            labels=("kind",))
+            labels=("kind",)).series(kind="event")
         self._retry_exhausted_counter = metrics.counter(
             "net.retry.exhausted",
             "requests whose whole retry budget expired unanswered",
-            labels=("kind",))
+            labels=("kind",)).series(kind="event")
         self._retry_recovered_counter = metrics.counter(
             "net.retry.recovered",
             "requests answered only after at least one retransmission",
-            labels=("kind",))
+            labels=("kind",)).series(kind="event")
         self.resyncs_served = 0
         self.deliveries_exhausted = 0
-        self._opgraph = OperatorGraph(
-            self._graph_deliver, label=self.range_name or "-",
-            nodes_gauge=metrics.gauge(
-                "mediator.opgraph.nodes",
-                "live deduplicated operator-graph nodes",
-                labels=("range",)),
-            reuse_counter=metrics.counter(
-                "mediator.opgraph.reuse_hits",
-                "operator materialisations served by an existing node",
-                labels=("range",)),
-            evals_counter=metrics.counter(
-                "mediator.opgraph.evals",
-                "incremental operator evaluations on the publish path",
-                labels=("range",)),
-            fanout_counter=metrics.counter(
-                "mediator.opgraph.fanout",
-                "operator-graph result deliveries fanned out to sinks",
-                labels=("range",)),
-            index_hits_counter=self._index_hits_counter,
-            index_residual_counter=self._index_residual_counter)
+        self._opgraph = OperatorGraph(self._graph_deliver, label=label,
+                                      metrics=metrics)
 
     # -- direct API (used by co-located Context Server and by tests) ---------
 
@@ -318,9 +293,9 @@ class EventMediator(Process):
         """
         type_name = constraints.type_name
         events = self._replay_events(type_name)
-        counter = (self._index_residual_counter if type_name is None
-                   else self._index_hits_counter)
-        counter.inc(len(events), range=self.range_name or "-")
+        counter = (self._opgraph.residual_scans_series if type_name is None
+                   else self._opgraph.index_hits_series)
+        counter.inc(len(events))
         self._served = served = []
         try:
             for event in events:
@@ -412,7 +387,7 @@ class EventMediator(Process):
         """Distribute ``event``; returns the number of local deliveries."""
         self.published += 1
         self.by_type[event.type_name] += 1
-        self._published_counter.inc(range=self.range_name or "-")
+        self._published_counter.inc()
         # span only when this publication is part of a traced operation
         # (a query replay, say); background sensor chatter stays span-free
         # so it cannot swamp the trace store
@@ -461,7 +436,7 @@ class EventMediator(Process):
                 if not by_type:
                     del self._retained_by_type[oldest_key[0]]
             self.retained_evictions += 1
-            self._retained_evicted_counter.inc(range=self.range_name or "-")
+            self._retained_evicted_counter.inc()
             if self._ledger is not None:
                 self._ledger.append(self.now, "retain-evict",
                                     {"key": list(oldest_key)})
@@ -472,7 +447,7 @@ class EventMediator(Process):
     def _deliver(self, subscription: Subscription, event: ContextEvent) -> None:
         subscription.record_delivery()
         self.deliveries += 1
-        self._deliveries_counter.inc(range=self.range_name or "-")
+        self._deliveries_counter.inc()
         if self._served is not None:
             self._served.append([subscription.sub_id, event.seq])
         with self.network.obs.tracer.span_if_active(
@@ -516,7 +491,7 @@ class EventMediator(Process):
         if not entries:
             del window.streams[sub_id]
         window.size -= 1
-        self._window_shed_counter.inc(range=self.range_name or "-")
+        self._window_shed_counter.inc()
 
     def _window_expired(self, subscriber: GUID) -> None:
         """The window's timer: wait out the oldest entry, retransmit, or
@@ -543,7 +518,7 @@ class EventMediator(Process):
         for entries in window.streams.values():
             for entry in entries:
                 self.send(subscriber, "event", entry[1])
-        self._retry_attempts_counter.inc(window.size, kind="event")
+        self._retry_attempts_counter.inc(window.size)
         if self._jitter_rng is None:
             # seeded from the GUID: deterministic per mediator, and
             # independent of the network's latency/drop stream
@@ -560,8 +535,8 @@ class EventMediator(Process):
         del self._windows[subscriber]
         count = window.size
         self.deliveries_exhausted += count
-        self._ack_exhausted_counter.inc(count, range=self.range_name or "-")
-        self._retry_exhausted_counter.inc(count, kind="event")
+        self._ack_exhausted_counter.inc(count)
+        self._retry_exhausted_counter.inc(count)
         logger.info("%s: %d deliveries to %s unacked after %d retransmissions",
                     self.name, count, subscriber, window.attempts)
 
@@ -584,7 +559,7 @@ class EventMediator(Process):
         window.attempts = 0
         window.wait = self.ack_timeout
         if recovered:
-            self._retry_recovered_counter.inc(recovered, kind="event")
+            self._retry_recovered_counter.inc(recovered)
 
     # -- message protocol -----------------------------------------------------
 
@@ -692,8 +667,7 @@ class EventMediator(Process):
         before = self.deliveries
         self._replay_retained(subscription,
                               analyse_filter(subscription.filter))
-        self._resync_replays_counter.inc(self.deliveries - before,
-                                         range=self.range_name or "-")
+        self._resync_replays_counter.inc(self.deliveries - before)
         if not subscription.active:  # one-time sub consumed by the replay
             self._drop_subscription(subscription)
         self.reply(message, "resync-ack",

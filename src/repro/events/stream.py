@@ -34,6 +34,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.core.ids import GUID
 from repro.net.sim import Scheduler, Timer
+from repro.obs.metrics import MetricsRegistry
 
 logger = logging.getLogger(__name__)
 
@@ -84,17 +85,17 @@ class StreamReassembler:
         self.dup_dropped = 0
         self.gaps_detected = 0
         self.resyncs_requested = 0
-        self._gap_counter = self._dup_counter = self._resync_counter = None
-        if metrics is not None:
-            self._gap_counter = metrics.counter(
-                "mediator.seq.gaps",
-                "sequence holes opened in subscriber streams")
-            self._dup_counter = metrics.counter(
-                "mediator.seq.dup_dropped",
-                "stale or duplicate sequenced deliveries dropped")
-            self._resync_counter = metrics.counter(
-                "mediator.seq.resyncs",
-                "resync requests issued for holes that outlived retransmission")
+        metrics = metrics or MetricsRegistry()
+        self._gap_counter = metrics.counter(
+            "mediator.seq.gaps",
+            "sequence holes opened in subscriber streams").series()
+        self._dup_counter = metrics.counter(
+            "mediator.seq.dup_dropped",
+            "stale or duplicate sequenced deliveries dropped").series()
+        self._resync_counter = metrics.counter(
+            "mediator.seq.resyncs",
+            "resync requests issued for holes that outlived retransmission"
+        ).series()
 
     # -- ingest ---------------------------------------------------------------
 
@@ -107,8 +108,7 @@ class StreamReassembler:
         stream = self._streams.setdefault(sub_id, _SubStream())
         if seq <= stream.last or seq in stream.pending:
             self.dup_dropped += 1
-            if self._dup_counter is not None:
-                self._dup_counter.inc()
+            self._dup_counter.inc()
             return False
         if seq == stream.last + 1:
             stream.last = seq
@@ -117,8 +117,7 @@ class StreamReassembler:
             return True
         if not stream.pending:
             self.gaps_detected += 1
-            if self._gap_counter is not None:
-                self._gap_counter.inc()
+            self._gap_counter.inc()
         stream.pending[seq] = payload
         self._arm(sub_id, stream)
         return False
@@ -201,8 +200,7 @@ class StreamReassembler:
         if not stream.pending:
             return
         self.resyncs_requested += 1
-        if self._resync_counter is not None:
-            self._resync_counter.inc()
+        self._resync_counter.inc()
         logger.info("stream %s: hole outlived retransmission, resyncing",
                     sub_id)
         self._request_resync(sub_id)

@@ -27,6 +27,8 @@ from hashlib import blake2b
 from pathlib import Path
 from typing import Any, Deque, Dict, Iterable, List, Optional, Union
 
+from repro.obs.metrics import MetricsRegistry
+
 #: artefact format marker; bump on incompatible changes (any other version is
 #: refused: /1 files carry lease renewals, /2 files a second, Profile Manager
 #: copy of every arrival and departure, and /3 files one entry per delivered
@@ -134,12 +136,14 @@ class ContextLedger:
         self._entries: List[LedgerEntry] = []
         #: appended but not yet hashed: (sim_time, kind, payload) bodies
         self._unsealed: Deque[tuple] = deque()
-        self._appends_counter = None
-        if metrics is not None:
-            self._appends_counter = metrics.counter(
-                "cs.ledger.appends",
-                "ledger entries appended, by entry kind",
-                labels=("range", "kind"))
+        metrics = metrics or MetricsRegistry()
+        appends = metrics.counter(
+            "cs.ledger.appends", "ledger entries appended, by entry kind",
+            labels=("range", "kind"))
+        label = range_name or "-"
+        #: entry kind -> its appends series; a kind not here is refused
+        self._appends = {kind: appends.series(range=label, kind=kind)
+                         for kind in ENTRY_KINDS}
 
     # -- append path ----------------------------------------------------------
 
@@ -153,11 +157,11 @@ class ContextLedger:
 
     def append(self, sim_time: float, kind: str,
                payload: Dict[str, Any]) -> None:
-        if kind not in ENTRY_KINDS:
+        appends = self._appends.get(kind)
+        if appends is None:
             raise LedgerError(f"unknown entry kind {kind!r}")
         self._unsealed.append((sim_time, kind, payload))
-        if self._appends_counter is not None:
-            self._appends_counter.inc(range=self.range_name or "-", kind=kind)
+        appends.inc()
 
     def _seal(self) -> None:
         """Extend the hash chain over every body appended since last seal."""

@@ -23,7 +23,7 @@ from repro.net.transport import (
     CampusLatency,
 )
 from repro.net.rpc import RequestManager, PendingRequest
-from repro.net.stats import MessageStats, StatsBuffer, summarize
+from repro.net.stats import MessageStats
 
 __all__ = [
     "Scheduler",
@@ -41,6 +41,4 @@ __all__ = [
     "RequestManager",
     "PendingRequest",
     "MessageStats",
-    "StatsBuffer",
-    "summarize",
 ]

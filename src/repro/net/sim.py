@@ -168,7 +168,6 @@ class Scheduler:
         self._external_stack: List[Any] = []
         self._loop_stack: List[Any] = []
         self.events_processed = 0
-        self._quiesce_callbacks: List[Callable[[], None]] = []
         #: optional :class:`repro.obs.profiling.SchedulerProfiler` (duck-typed
         #: ``record(site, lag, wall)``); None keeps the hot loop hook-free
         self.profiler = None
@@ -176,9 +175,6 @@ class Scheduler:
         #: firings with a resolvable owner host are recorded as canonical
         #: observables (the transport records deliveries itself)
         self.event_log = None
-        #: the Network this scheduler is bound to (at most one; its stats
-        #: staging buffer flushes when this scheduler quiesces)
-        self.bound_network = None
 
     def register_host(self, host_id: str) -> int:
         """The dense origin rank of ``host_id`` (idempotent).
@@ -273,9 +269,7 @@ class Scheduler:
         """Fire queued events in canonical key order; returns the final time.
 
         ``max_time`` bounds how far the clock may advance (events beyond it
-        stay queued); ``max_events`` is a runaway guard. Quiesce callbacks
-        (the stats staging flush) run just before returning, so observers
-        see merged totals.
+        stay queued); ``max_events`` is a runaway guard.
         """
         heap = self._heap
         profiler = self.profiler
@@ -319,8 +313,6 @@ class Scheduler:
             self.events_processed += processed
         if max_time is not None and self.now < max_time:
             self.now = max_time  # time passes even when nothing is scheduled
-        for callback in self._quiesce_callbacks:
-            callback()
         return self.now
 
     def run_for(self, duration: float) -> float:
@@ -339,12 +331,6 @@ class Scheduler:
     def pending(self) -> int:
         """Live (non-cancelled) events queued, O(1)."""
         return self._live
-
-    def on_quiesce(self, callback: Callable[[], None]) -> None:
-        """Run ``callback`` at the end of every ``run_*`` drain (after the
-        last event, before returning). The transport uses this to fold its
-        stats staging buffer into the registry."""
-        self._quiesce_callbacks.append(callback)
 
     def ambient_stack(self) -> List[Any]:
         """The tracer frame stack for the current execution context: one

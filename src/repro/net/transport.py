@@ -27,7 +27,7 @@ from repro.core.ids import GUID, GuidFactory
 from repro.net.eventlog import EventLog
 from repro.net.message import BROADCAST, Message
 from repro.net.sim import Scheduler
-from repro.net.stats import MessageStats, StatsBuffer
+from repro.net.stats import MessageStats
 from repro.obs.hub import Observability
 
 logger = logging.getLogger(__name__)
@@ -153,10 +153,12 @@ class Process:
         metrics = network.obs.metrics
         self._dedup_suppressed_counter = metrics.counter(
             "net.dedup.suppressed",
-            "duplicate (sender, msg_id) arrivals dropped before the handler")
+            "duplicate (sender, msg_id) arrivals dropped before the handler"
+        ).series()
         self._dedup_replayed_counter = metrics.counter(
             "net.dedup.replayed_replies",
-            "cached replies re-sent in response to duplicate requests")
+            "cached replies re-sent in response to duplicate requests"
+        ).series()
         network.attach(self)
 
     # -- messaging helpers ---------------------------------------------------
@@ -278,11 +280,6 @@ class Network:
             raise ValueError(f"drop_rate out of range: {drop_rate}")
         self.latency_model = latency_model or CampusLatency()
         self.scheduler = scheduler = scheduler or Scheduler()
-        if scheduler.bound_network is not None:
-            raise TransportError(
-                "a Scheduler can drive only one Network "
-                "(it flushes that network's stats staging when it quiesces)")
-        scheduler.bound_network = self
         self.drop_rate = drop_rate
         self.seed = seed
         #: each source host draws latency/drop from its own stream, so the
@@ -292,14 +289,11 @@ class Network:
         self.guids = GuidFactory(seed=seed ^ 0x5C1)
         #: the deployment-wide observability bundle (metrics/tracer/profiler)
         self.obs = Observability(scheduler)
-        self.stats = MessageStats(registry=self.obs.metrics)
+        self.stats = MessageStats(self.obs.metrics)
         #: optional canonical observable log (see repro.net.eventlog)
         self.event_log = event_log
         if event_log is not None:
             scheduler.event_log = event_log
-        #: what callbacks record into; folded into ``stats`` at quiesce
-        self._staged = StatsBuffer()
-        scheduler.on_quiesce(self._flush_staged_stats)
         self._hosts: Dict[str, Host] = {}
         self._processes: Dict[GUID, Process] = {}
         #: host id -> processes living there, in attach order
@@ -390,19 +384,6 @@ class Network:
 
     # -- delivery ------------------------------------------------------------
 
-    def _stat(self):
-        """The stats sink for the current execution context.
-
-        Callbacks record into the staging buffer (cheap); external/setup
-        code records into the registry-backed stats directly, so a count
-        is readable without a ``run_*`` call in between.
-        """
-        return self._staged if self.scheduler.running else self.stats
-
-    def _flush_staged_stats(self) -> None:
-        if not self._staged.empty:
-            self.stats.merge_buffer(self._staged)
-
     def send(self, message: Message) -> None:
         """Queue a message for delivery (or loss) per the failure model."""
         message.sent_at = self.scheduler.now
@@ -410,7 +391,7 @@ class Network:
             # Stamp the sender's ambient span so downstream handling joins
             # the same trace (see repro.obs.tracing).
             message.trace = self.obs.tracer.current_context()
-        stats = self._stat()
+        stats = self.stats
         stats.record_send(message.kind)
         sender = self._processes.get(message.sender)
         if sender is None:
@@ -440,7 +421,7 @@ class Network:
         announcement heard by whoever declared it, not a copy per process.
         """
         if source_host is None:
-            self._stat().record_undeliverable()
+            self.stats.record_undeliverable()
             return
         heard = self._listeners.get((source_host.host_id, message.kind), {})
         recipients = [process for process in heard.values()
@@ -462,20 +443,20 @@ class Network:
     def _dispatch(self, message: Message, source_host: Optional[Host], recipient: Process) -> None:
         destination_host = self._hosts[recipient.host_id]
         if source_host is None:
-            self._stat().record_drop()
+            self.stats.record_drop()
             return
         if not source_host.up or not destination_host.up:
-            self._stat().record_drop()
+            self.stats.record_drop()
             return
         if self._partition_of.get(source_host.host_id, 0) != self._partition_of.get(
             destination_host.host_id, 0
         ):
-            self._stat().record_drop()
+            self.stats.record_drop()
             return
         rng = self._host_rngs[source_host.host_id]
         latency = self.latency_model.latency(source_host, destination_host, rng)
         if self.drop_rate and rng.random() < self.drop_rate:
-            self._stat().record_drop()
+            self.stats.record_drop()
             return
         self.scheduler.schedule_delivery(
             source_host.host_id, recipient.host_id, latency,
@@ -484,10 +465,10 @@ class Network:
     def _deliver(self, message: Message, recipient_guid: GUID) -> None:
         recipient = self._processes.get(recipient_guid)
         if recipient is None or not self._hosts[recipient.host_id].up:
-            self._stat().record_undeliverable()
+            self.stats.record_undeliverable()
             return
         now = self.scheduler.now
-        self._stat().record_delivery(recipient.host_id, now - message.sent_at)
+        self.stats.record_delivery(recipient.host_id, now - message.sent_at)
         log = self.event_log
         if log is not None:
             log.record_delivery(recipient.host_id, now, message.kind,

@@ -8,8 +8,10 @@ middleware records into:
 
 ``repro.obs.metrics``
     A metrics registry (counters, gauges, histograms with labels) with
-    isolated snapshots and JSON export. Backs — and subsumes — the
-    bench-specific :class:`repro.net.stats.MessageStats`.
+    isolated snapshots and JSON export. Hot sites bind a series once
+    (``Counter.series``/``Histogram.series``) and update it without
+    re-validating labels; :class:`repro.net.stats.MessageStats` is a
+    facade over the ``net.*`` series.
 ``repro.obs.tracing``
     Structured traces: spans with parent/child links and simulated-time
     durations, carried across processes on :class:`repro.net.message.Message`

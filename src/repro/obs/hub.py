@@ -10,8 +10,6 @@ into one coherent place.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import SchedulerProfiler
 from repro.obs.tracing import Tracer
@@ -20,16 +18,13 @@ from repro.obs.tracing import Tracer
 class Observability:
     """Metrics + tracing + scheduler profiling for one deployment."""
 
-    def __init__(self, scheduler, max_traces: int = 1024,
-                 registry: Optional[MetricsRegistry] = None,
-                 profile_scheduler: bool = True):
+    def __init__(self, scheduler):
         self.scheduler = scheduler
-        self.metrics = registry or MetricsRegistry()
-        self.tracer = Tracer(clock=lambda: scheduler.now,
-                             max_traces=max_traces)
+        self.metrics = MetricsRegistry()
+        self.tracer = Tracer(clock=lambda: scheduler.now)
         self.profiler = SchedulerProfiler()
         # Attach to the scheduler unless someone installed a profiler first.
-        if profile_scheduler and scheduler.profiler is None:
+        if scheduler.profiler is None:
             scheduler.profiler = self.profiler
         # One ambient stack for callbacks, one for code outside the run
         # loop, so trace context never leaks in from around a run call.

@@ -13,6 +13,9 @@ Design points, chosen for a deterministic simulation:
   (Vitter's algorithm R with a deterministic RNG seeded from the metric
   name), so long runs keep memory flat while quantiles stay representative.
   Count/sum/min/max are exact.
+* **Series bind once.** ``Counter.series`` and ``Histogram.series`` check
+  the labels and apply the cap when a series is bound; updating the
+  handle does neither, so a hot site binds at construction.
 * **Snapshots are isolated.** :meth:`MetricsRegistry.snapshot` deep-copies
   the current state; later updates never mutate an already-taken snapshot.
 """
@@ -112,31 +115,6 @@ class Reservoir:
             "p99": _nearest_rank(ordered, 0.99),
         }
 
-    def merge_summary(self, count: int, total: float, minimum: float,
-                      maximum: float, samples: Sequence[float]) -> None:
-        """Fold a pre-aggregated batch into this reservoir.
-
-        The batch's retained ``samples`` flow through algorithm R; any
-        unretained remainder (the batch saw more observations than it kept)
-        adjusts the exact aggregates only, slightly underweighting the
-        batch in the sample set but keeping count/sum/min/max exact. Used
-        by the transport's stats staging buffer.
-        """
-        if count <= 0:
-            return
-        sampled_sum = 0.0
-        for value in samples:
-            sampled_sum += value
-            self.observe(value)
-        extra = count - len(samples)
-        if extra > 0:
-            self.count += extra
-            self.total += total - sampled_sum
-        if minimum < self.min:
-            self.min = minimum
-        if maximum > self.max:
-            self.max = maximum
-
     def reset(self) -> None:
         self.count = 0
         self.total = 0.0
@@ -193,6 +171,21 @@ class _Metric:
         return dict(zip(self.label_names, key))
 
 
+class _Count:
+    """One counter series, as :meth:`Counter.series` hands it out."""
+
+    __slots__ = ("name", "value")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.value = 0.0
+
+    def inc(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise MetricError(f"{self.name}: counters only go up ({amount})")
+        self.value += amount
+
+
 class Counter(_Metric):
     """A monotonically increasing count, optionally split by labels."""
 
@@ -201,32 +194,45 @@ class Counter(_Metric):
     def __init__(self, name: str, help: str = "", labels: Sequence[str] = (),
                  max_series: int = DEFAULT_MAX_SERIES):
         super().__init__(name, help, labels, max_series)
-        self._values: Dict[Tuple[str, ...], float] = {}
+        self._series: Dict[Tuple[str, ...], _Count] = {}
+
+    def series(self, **labels: object) -> _Count:
+        """The series for a label set, minted (under the cap) on first use.
+
+        Labels are validated and the cap applied here, once: a hot site
+        binds its series at construction and its ``inc`` does neither. A
+        handle taken before :meth:`reset` is detached by it — it keeps
+        counting into a series the counter no longer holds — so whoever
+        resets binds again (:meth:`repro.net.stats.MessageStats.reset`).
+        """
+        key = self._key(labels, self._series)
+        series = self._series.get(key)
+        if series is None:
+            series = self._series[key] = _Count(self.name)
+        return series
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
-        if amount < 0:
-            raise MetricError(f"{self.name}: counters only go up ({amount})")
-        key = self._key(labels, self._values)
-        self._values[key] = self._values.get(key, 0.0) + amount
+        self.series(**labels).inc(amount)
 
     def value(self, **labels: object) -> float:
-        return self._values.get(self._label_key(labels), 0.0)
+        series = self._series.get(self._label_key(labels))
+        return series.value if series is not None else 0.0
 
     def total(self) -> float:
-        return sum(self._values.values())
+        return sum(series.value for series in self._series.values())
 
     def items(self) -> Dict[Tuple[str, ...], float]:
-        return dict(self._values)
+        return {key: series.value for key, series in self._series.items()}
 
     def by_label(self) -> Dict[str, float]:
         """Single-label convenience: label value -> count."""
         if len(self.label_names) != 1:
             raise MetricError(f"{self.name} has labels {self.label_names}, "
                               "by_label() needs exactly one")
-        return {key[0]: value for key, value in self._values.items()}
+        return {key[0]: series.value for key, series in self._series.items()}
 
     def reset(self) -> None:
-        self._values.clear()
+        self._series.clear()
         self.overflowed = 0
 
 
@@ -285,13 +291,6 @@ class Histogram(_Metric):
             seed = zlib.crc32(("/".join((self.name,) + key)).encode())
             reservoir = self._series[key] = Reservoir(self.reservoir_size, seed)
         return reservoir
-
-    def merge_summary(self, count: int, total: float, minimum: float,
-                      maximum: float, samples: Sequence[float],
-                      **labels: object) -> None:
-        """Bulk-fold a pre-aggregated batch (see Reservoir.merge_summary)."""
-        self.series(**labels).merge_summary(count, total, minimum, maximum,
-                                            samples)
 
     def items(self) -> Dict[Tuple[str, ...], Reservoir]:
         return dict(self._series)

@@ -169,10 +169,8 @@ class Tracer:
 
     def __init__(self, clock: Callable[[], float],
                  max_traces: int = 1024,
-                 max_spans_per_trace: int = 10_000,
-                 enabled: bool = True):
+                 max_spans_per_trace: int = 10_000):
         self.clock = clock
-        self.enabled = enabled
         self.max_traces = max_traces
         self.max_spans_per_trace = max_spans_per_trace
         self._trace_ids = itertools.count(1)
@@ -196,14 +194,8 @@ class Tracer:
 
     # -- span lifecycle -------------------------------------------------------
 
-    def start(self, name: str, **attributes: Any) -> Optional[Span]:
-        """Open a span under the current context and make it current.
-
-        Returns None when tracing is disabled (callers may pass that straight
-        to :meth:`finish`/:meth:`leave`, which tolerate it).
-        """
-        if not self.enabled:
-            return None
+    def start(self, name: str, **attributes: Any) -> Span:
+        """Open a span under the current context and make it current."""
         stack = self._ambient()
         parent = stack[-1] if stack else None
         if parent is None:
@@ -247,7 +239,7 @@ class Tracer:
                 return
 
     @contextmanager
-    def span(self, name: str, **attributes: Any) -> Iterator[Optional[Span]]:
+    def span(self, name: str, **attributes: Any) -> Iterator[Span]:
         """``with tracer.span("cs.query", query=qid) as span: ...``"""
         span = self.start(name, **attributes)
         try:
@@ -279,8 +271,6 @@ class Tracer:
 
     def current_context(self) -> Optional[Dict[str, str]]:
         """The context to stamp onto an outgoing message (None = untraced)."""
-        if not self.enabled:
-            return None
         stack = self._ambient()
         if not stack:
             return None
@@ -295,8 +285,7 @@ class Tracer:
         transport's delivery path calls it once per message, so the
         generator overhead is worth skipping.
         """
-        if (not self.enabled or not context
-                or TRACE_KEY not in context or SPAN_KEY not in context):
+        if not context or TRACE_KEY not in context or SPAN_KEY not in context:
             return None
         frame = _Frame(str(context[TRACE_KEY]), str(context[SPAN_KEY]), None)
         self._ambient().append(frame)

@@ -268,25 +268,33 @@ class OverlayNode(Process):
         self._load_counter = metrics.counter(
             "overlay.node.load", "route steps handled per overlay node",
             labels=("node",))
+        #: this node's load series, bound on its first route step: a node
+        #: that never routes has none, so Figure 1's mean load covers the
+        #: nodes that carried traffic (as the hierarchy's does)
+        self._load = None
         self._delivered_counter = metrics.counter(
             "overlay.route.delivered",
-            "routed payloads that reached their key owner")
+            "routed payloads that reached their key owner").series()
         self._hops_histogram = metrics.histogram(
-            "overlay.route.hops", "overlay hops per delivered route")
-        self._lookup_counter = metrics.counter(
+            "overlay.route.hops", "overlay hops per delivered route").series()
+        lookups = metrics.counter(
             "overlay.directory.lookups", "replicated range-directory reads",
             labels=("hit",))
+        #: found? -> its lookup series
+        self._lookups = {True: lookups.series(hit="true"),
+                         False: lookups.series(hit="false")}
         self._bcast_sent = metrics.counter(
             "overlay.bcast.sent", "broadcast messages forwarded, by mode",
-            labels=("mode",))
+            labels=("mode",)).series(mode="tree")
         self._bcast_dup = metrics.counter(
             "overlay.bcast.dup_suppressed",
-            "duplicate broadcast arrivals suppressed by the dedup set")
+            "duplicate broadcast arrivals suppressed by the dedup set").series()
         self._fd_heartbeats = metrics.counter(
-            "overlay.fd.heartbeats", "o-hb probes sent to leaf neighbours")
+            "overlay.fd.heartbeats",
+            "o-hb probes sent to leaf neighbours").series()
         self._fd_suspicions = metrics.counter(
             "overlay.fd.suspicions",
-            "leaf neighbours suspected after fd_timeout of silence")
+            "leaf neighbours suspected after fd_timeout of silence").series()
         # failure-detector state (inert until enable_failure_detector)
         self.fd_interval = 0.0
         self.fd_timeout = 0.0
@@ -338,7 +346,7 @@ class OverlayNode(Process):
             found = self.directory.get(place)
             if span is not None:
                 span.set(found=found is not None)
-        self._lookup_counter.inc(hit=str(found is not None).lower())
+        self._lookups[found is not None].inc()
         return found
 
     # -- failure detection -------------------------------------------------------------
@@ -394,8 +402,7 @@ class OverlayNode(Process):
             del self._fd_last[stale]
         for leaf in targets:
             self.send(leaf, "o-hb", {})
-        if targets:
-            self._fd_heartbeats.inc(len(targets))
+        self._fd_heartbeats.inc(len(targets))
         for leaf in targets:
             # first observation gets a full timeout of grace from now
             last = self._fd_last.setdefault(leaf, now)
@@ -411,7 +418,9 @@ class OverlayNode(Process):
 
     def _route_step(self, payload: Dict[str, Any]) -> None:
         self.routed += 1
-        self._load_counter.inc(node=self._node_label)
+        if self._load is None:
+            self._load = self._load_counter.series(node=self._node_label)
+        self._load.inc()
         key = GUID.from_hex(payload["key"])
         next_hop = self.table.next_hop(key)
         if next_hop is None:
@@ -493,7 +502,7 @@ class OverlayNode(Process):
             onward["hops"] = hops
             onward["until"] = bound
             self.send(node, "o-bcast", onward)
-        self._bcast_sent.inc(len(delegates), mode="tree")
+        self._bcast_sent.inc(len(delegates))
 
     # -- messages ----------------------------------------------------------------------------
 

@@ -40,6 +40,7 @@ from repro.core.ids import GUID
 from repro.core.types import TypeSpec
 from repro.events.dispatch_index import DispatchIndex, FilterConstraints
 from repro.events.event import ContextEvent
+from repro.obs.metrics import MetricsRegistry
 from repro.query.opgraph.compile import combine_constraints
 from repro.query.opgraph.specs import OpSpec
 
@@ -261,17 +262,35 @@ class OperatorGraph:
     """Deduplicated incremental DAG evaluated once per publish."""
 
     def __init__(self, deliver: DeliverFn, label: str = "-",
-                 nodes_gauge=None, reuse_counter=None, evals_counter=None,
-                 fanout_counter=None, index_hits_counter=None,
-                 index_residual_counter=None):
+                 metrics: Optional[MetricsRegistry] = None):
         self._deliver = deliver
         self._label = label
-        self._nodes_gauge = nodes_gauge
-        self._reuse_counter = reuse_counter
-        self._evals_counter = evals_counter
-        self._fanout_counter = fanout_counter
-        self._index_hits_counter = index_hits_counter
-        self._index_residual_counter = index_residual_counter
+        metrics = metrics or MetricsRegistry()
+        self._nodes_gauge = metrics.gauge(
+            "mediator.opgraph.nodes", "live deduplicated operator-graph nodes",
+            labels=("range",))
+        self._reuse_counter = metrics.counter(
+            "mediator.opgraph.reuse_hits",
+            "operator materialisations served by an existing node",
+            labels=("range",)).series(range=label)
+        self._evals_counter = metrics.counter(
+            "mediator.opgraph.evals",
+            "incremental operator evaluations on the publish path",
+            labels=("range",)).series(range=label)
+        self._fanout_counter = metrics.counter(
+            "mediator.opgraph.fanout",
+            "operator-graph result deliveries fanned out to sinks",
+            labels=("range",)).series(range=label)
+        #: dispatch candidates served from index buckets / scanned from the
+        #: residual list; the mediator's retained replay counts into them too
+        self.index_hits_series = metrics.counter(
+            "mediator.index.hits",
+            "dispatch candidates served from exact-match index buckets",
+            labels=("range",)).series(range=label)
+        self.residual_scans_series = metrics.counter(
+            "mediator.index.residual_scans",
+            "dispatch candidates scanned from the non-indexable residual list",
+            labels=("range",)).series(range=label)
         #: canonical key -> live node (the dedup table)
         self._nodes: Dict[str, _Node] = {}
         #: node_id -> filter leaf, for dispatch-index candidate lookups
@@ -282,8 +301,7 @@ class OperatorGraph:
         self._plans: Dict[int, OpSpec] = {}
         self._root_index = DispatchIndex()
         self._next_node_id = 1
-        # plain-int mirrors of the mediator.opgraph.* metrics, for callers
-        # without a registry (tests, benches) and for stats()
+        # plain-int mirrors of the mediator.opgraph.* metrics, for stats()
         self.nodes_created = 0
         self.reuse_hits = 0
         self.evals = 0
@@ -319,8 +337,7 @@ class OperatorGraph:
         return True
 
     def _node_count_changed(self) -> None:
-        if self._nodes_gauge is not None:
-            self._nodes_gauge.set(len(self._nodes), range=self._label)
+        self._nodes_gauge.set(len(self._nodes), range=self._label)
 
     def _materialise(self, spec: OpSpec) -> _Node:
         key = spec.canonical_key()
@@ -328,8 +345,7 @@ class OperatorGraph:
         if node is not None:
             node.refs += 1
             self.reuse_hits += 1
-            if self._reuse_counter is not None:
-                self._reuse_counter.inc(range=self._label)
+            self._reuse_counter.inc()
             # keep refcounts equal to walk counts: bump the whole subtree
             for child_spec in spec.inputs:
                 self._materialise(child_spec)
@@ -381,10 +397,8 @@ class OperatorGraph:
             for closed in window.roll(now):
                 self._emit(window, closed, batch)
         node_ids, hits, residual = self._root_index.candidates(event)
-        if hits and self._index_hits_counter is not None:
-            self._index_hits_counter.inc(hits, range=self._label)
-        if residual and self._index_residual_counter is not None:
-            self._index_residual_counter.inc(residual, range=self._label)
+        self.index_hits_series.inc(hits)
+        self.residual_scans_series.inc(residual)
         evals = 0
         for node_id in node_ids:
             root = self._roots.get(node_id)
@@ -394,15 +408,13 @@ class OperatorGraph:
             if root.spec.filter.matches(event):
                 self._emit(root, event, batch)
         self.evals += evals
-        if evals and self._evals_counter is not None:
-            self._evals_counter.inc(evals, range=self._label)
+        self._evals_counter.inc(evals)
         batch.sort(key=lambda entry: entry[0])  # stable: classic sub order
         for sub_id, out in batch:
             self._deliver(sub_id, out)
         count = len(batch)
         self.fanout += count
-        if count and self._fanout_counter is not None:
-            self._fanout_counter.inc(count, range=self._label)
+        self._fanout_counter.inc(count)
         return count
 
     def _emit(self, node: _Node, event: ContextEvent,
@@ -412,8 +424,7 @@ class OperatorGraph:
             batch.append((sub_id, event))
         for parent, port in node.parents:
             self.evals += 1
-            if self._evals_counter is not None:
-                self._evals_counter.inc(range=self._label)
+            self._evals_counter.inc()
             parent.process(event, port,
                            lambda out, parent=parent: self._emit(parent, out,
                                                                  batch))

@@ -119,9 +119,14 @@ class ContextServer(Process):
             "cs.ledger.asof_reads",
             "historical as-of views answered from the ledger",
             labels=("range",))
-        self._routed_counter = network.obs.metrics.counter(
+        routed = network.obs.metrics.counter(
             "cs.query.routed", "queries routed per range and outcome",
             labels=("range", "status"))
+        #: routing outcome -> its series (the statuses accept_query returns)
+        self._routed = {status: routed.series(range=definition.name,
+                                              status=status)
+                        for status in ("expired", "forwarded", "parked",
+                                       "scheduled", "executed", "failed")}
 
         # -- Context Utilities (Section 3.1's core set) -----------------------
         # the range mediator delivers sequenced and acknowledged
@@ -328,7 +333,7 @@ class ContextServer(Process):
         """
         routing = {"when": str(query.when), "subscriber": subscriber_hex}
         status, error = self._route_query(query, subscriber_hex, routing)
-        self._routed_counter.inc(range=self.definition.name, status=status)
+        self._routed[status].inc()
         return status, error
 
     def _route_query(self, query: Query, subscriber_hex: str,

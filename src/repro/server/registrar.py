@@ -126,18 +126,20 @@ class Registrar(Process):
         self.registrations = 0
         self.evictions = 0
         self.expiry_pops = 0
-        self._expiry_pops_counter = network.obs.metrics.counter(
+        metrics = network.obs.metrics
+        label = range_name or "-"
+        self._expiry_pops_counter = metrics.counter(
             "registrar.expiry.pops",
             "expiry-heap entries popped during lease sweeps",
-            labels=("range",))
-        self._renewals_counter = network.obs.metrics.counter(
+            labels=("range",)).series(range=label)
+        self._renewals_counter = metrics.counter(
             "registrar.lease.renewals",
             "leases renewed by Range Service heartbeats",
-            labels=("range",))
-        self._unknown_counter = network.obs.metrics.counter(
+            labels=("range",)).series(range=label)
+        self._unknown_counter = metrics.counter(
             "registrar.lease.unknown",
             "heartbeat-listed entities this Registrar does not hold",
-            labels=("range",))
+            labels=("range",)).series(range=label)
         self._sweeper = self.scheduler.schedule_periodic(sweep_interval,
                                                          self._sweep_leases)
 
@@ -352,9 +354,8 @@ class Registrar(Process):
                 record.lease_expiry = expiry
                 self._track_lease(record)
                 renewed += 1
-        self._renewals_counter.inc(renewed, range=self.range_name or "-")
-        if unknown:
-            self._unknown_counter.inc(unknown, range=self.range_name or "-")
+        self._renewals_counter.inc(renewed)
+        self._unknown_counter.inc(unknown)
         # the ack lets the sender retransmit a heartbeat the network ate
         # instead of losing a third of every lease on its machine (renewal
         # is idempotent and duplicates are suppressed transport-side anyway)
@@ -386,6 +387,5 @@ class Registrar(Process):
             logger.info("%s evicting %s (lease expired)", self.name,
                         record.profile.name)
             self.remove(record.entity_hex, "lease-expired")
-        if popped:
-            self.expiry_pops += popped
-            self._expiry_pops_counter.inc(popped, range=self.range_name or "-")
+        self.expiry_pops += popped
+        self._expiry_pops_counter.inc(popped)

@@ -2,17 +2,25 @@
 
 ``SCIConfig`` keeps only the options a caller sets; the mediator has no
 event bridges; the Location Service answers no remote query verbs, and the
-Range Service no ``probe``. Each of those was reached only by tests.
+Range Service no ``probe``. Each of those was reached only by tests. There
+is one counting path: no stats staging buffer, no scheduler quiesce hook,
+and none of the observability options no caller set.
 """
 
 import dataclasses
+import inspect
 
 import pytest
 
 from repro import SCIConfig
 from repro.events.mediator import EventMediator
 from repro.location.service import LocationService
+from repro.net import stats as stats_module
+from repro.net.sim import Scheduler
 from repro.net.transport import FunctionProcess
+from repro.obs.hub import Observability
+from repro.obs.tracing import Tracer
+from repro.query.opgraph.engine import OperatorGraph
 from repro.server.range_service import RangeService
 
 
@@ -43,6 +51,24 @@ def test_location_service_answers_no_remote_verb(network, guids, building,
     asker.send(service.guid, verb, {})  # a missing field raised, once
     network.scheduler.run_until_idle()
     assert replies == []
+
+
+def test_one_counting_path():
+    """Counts go straight into the registry: no staging buffer, no quiesce
+    hook, and no observability option a caller never set."""
+    def parameters(target):
+        return list(inspect.signature(target).parameters)
+
+    assert parameters(Observability) == ["scheduler"]
+    assert parameters(stats_module.MessageStats) == ["registry"]
+    assert "enabled" not in parameters(Tracer)
+    graph = parameters(OperatorGraph)
+    assert "metrics" in graph
+    assert not [name for name in graph
+                if name.endswith(("_counter", "_gauge"))]
+    assert not hasattr(stats_module, "StatsBuffer")
+    for name in ("on_quiesce", "bound_network"):
+        assert not hasattr(Scheduler(), name), name
 
 
 def test_range_service_ignores_probe(network, guids):

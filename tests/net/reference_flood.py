@@ -41,7 +41,7 @@ class FloodNetwork(Network):
 
     def _broadcast(self, message: Message, source_host: Optional[Host]) -> None:
         if source_host is None:
-            self._stat().record_undeliverable()
+            self.stats.record_undeliverable()
             return
         heard = self._listeners.get((source_host.host_id, message.kind), {})
         for process in self.processes_on(source_host.host_id):

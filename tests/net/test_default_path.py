@@ -50,7 +50,6 @@ def test_default_send_is_a_bare_heap_tuple():
     assert net.scheduler.pending == 1
     net.run_until_idle()
     assert [message.kind for message in got] == ["ping"]
-    # the callback's counts were staged and folded in at quiesce
     assert net.stats.sent == net.stats.delivered == 1
 
 

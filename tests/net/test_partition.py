@@ -12,7 +12,6 @@ sharded hosts over lanes; what is left are the mechanisms one heap needs.)
 import pytest
 
 from repro.net.sim import Scheduler
-from repro.net.transport import Network, TransportError
 
 POOL = tuple(f"host-{i}" for i in range(16))
 
@@ -33,12 +32,6 @@ def test_host_ranks_are_dense_and_registration_is_idempotent():
     # re-registration keeps the original rank
     assert sched.register_host(POOL[0]) == 0
     assert sched.register_host(POOL[7]) == 7
-
-
-def test_substrate_binds_to_at_most_one_network():
-    net = Network()
-    with pytest.raises(TransportError):
-        Network(scheduler=net.scheduler)
 
 
 # -- control events and the clock ---------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net.stats import MessageStats
 from repro.obs.metrics import (
     OVERFLOW_KEY,
     Counter,
@@ -83,8 +84,8 @@ class TestCardinality:
 
 
 class TestReadPathValidation:
-    """Reads and bulk merges validate labels and respect the cap exactly
-    like ``inc``/``observe`` — the merge path is what every quiesce runs."""
+    """Reads validate labels and respect the cap exactly like
+    ``inc``/``observe``."""
 
     def test_counter_value_wrong_label_is_metric_error(self):
         counter = Counter("c", labels=("kind",))
@@ -124,17 +125,62 @@ class TestReadPathValidation:
         assert hist.series(id="s5") is hist.items()[OVERFLOW_KEY]
         assert hist.series(id="s0") is hist.items()[("s0",)]
 
-    def test_merge_summary_validates_and_respects_the_cap(self):
-        hist = Histogram("h", labels=("id",), max_series=1, reservoir_size=8)
+
+class TestCounterSeries:
+    """``Counter.series`` binds once: labels are checked and the cap is
+    applied at bind time, so the handle's ``inc`` does neither."""
+
+    def test_wrong_labels_raise_at_bind_time(self):
+        counter = Counter("c", labels=("kind",))
+        for labels in ({}, {"host": "a"}, {"kind": "q", "host": "a"}):
+            with pytest.raises(MetricError):
+                counter.series(**labels)
+        assert counter.items() == {}
+
+    def test_binding_past_max_series_returns_the_overflow_series(self):
+        counter = Counter("c", labels=("id",), max_series=2)
+        first = counter.series(id="a")
+        counter.series(id="b")
+        spilled = counter.series(id="c")
+        assert counter.series(id="d") is spilled
+        assert counter.overflowed == 2
+        spilled.inc()
+        assert counter.items() == {("a",): 0.0, ("b",): 0.0,
+                                   OVERFLOW_KEY: 1.0}
+        assert counter.series(id="a") is first
+
+    def test_negative_inc_through_the_handle_raises(self):
+        handle = Counter("c").series()
         with pytest.raises(MetricError):
-            hist.merge_summary(2, 3.0, 1.0, 2.0, [1.0, 2.0])
-        with pytest.raises(MetricError):
-            hist.merge_summary(2, 3.0, 1.0, 2.0, [1.0, 2.0], host="a")
-        hist.merge_summary(2, 3.0, 1.0, 2.0, [1.0, 2.0], id="a")
-        hist.merge_summary(3, 9.0, 2.0, 4.0, [2.0, 3.0, 4.0], id="b")
-        assert hist.overflowed == 1
-        assert hist.count == 5 and hist.sum == 12.0
-        assert hist.items()[OVERFLOW_KEY].count == 3
+            handle.inc(-1)
+        assert handle.value == 0.0
+
+    def test_handle_and_labelled_inc_update_one_series(self):
+        counter = Counter("c", labels=("kind",))
+        handle = counter.series(kind="query")
+        handle.inc()
+        counter.inc(2, kind="query")
+        handle.inc(0.5)
+        assert counter.value(kind="query") == 3.5 == handle.value
+        assert counter.series(kind="query") is handle
+
+    def test_message_stats_counts_from_zero_after_reset(self):
+        """The reset between phases of ``bench_fig5_discovery``: a reset
+        detaches the handles taken before it, so ``MessageStats`` binds
+        again; stale handles would leave every later count at zero."""
+        stats = MessageStats(MetricsRegistry())
+        for _ in range(3):
+            stats.record_send("component-up")
+            stats.record_delivery("lab-pc", 1.0)
+        stats.record_drop()
+        stats.reset()
+        stats.record_send("component-up")
+        stats.record_delivery("lab-pc", 2.0)
+        stats.record_drop()
+        assert (stats.sent, stats.delivered, stats.dropped) == (1, 1, 1)
+        assert stats.by_kind == {"component-up": 1}
+        assert stats.host_load == {"lab-pc": 1}
+        assert stats.latency_count == 1 and stats.latencies == [2.0]
 
 
 class TestReservoir:

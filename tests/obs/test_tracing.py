@@ -75,15 +75,6 @@ class TestSpanLifecycle:
         span.set(b=2)
         assert span.attributes == {"a": 1, "b": 2}
 
-    def test_disabled_tracer_returns_none_everywhere(self, clock):
-        tracer = Tracer(clock, enabled=False)
-        span = tracer.start("work")
-        assert span is None
-        tracer.finish(span)  # tolerated
-        with tracer.span("x") as inner:
-            assert inner is None
-        assert tracer.current_context() is None
-
 
 class TestSpanIfActive:
     def test_yields_none_outside_any_trace(self, tracer):

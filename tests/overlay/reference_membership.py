@@ -40,7 +40,9 @@ class FloodNode(OverlayNode):
         for node in targets:
             self.send(node, "o-bcast", onward)
         if targets:
-            self._bcast_sent.inc(len(targets), mode="flood")
+            self.network.obs.metrics.counter(
+                "overlay.bcast.sent", labels=("mode",)).inc(
+                    len(targets), mode="flood")
 
 
 class ReferenceSCINet(SCINet):

@@ -9,8 +9,8 @@ events carried a canonical key; the differential suites plug it in through
 observables as the plain global order (under jittered latencies, where
 cross-origin same-time ties have measure zero).
 
-It speaks the transport-facing half of the scheduler API (``running``,
-``register_host``, ``on_quiesce``, ``ambient_stack``) with one trace stack.
+It speaks the transport-facing half of the scheduler API
+(``register_host``, ``ambient_stack``) with one trace stack.
 """
 
 import heapq
@@ -26,12 +26,9 @@ class SingleHeapScheduler:
         self._heap: List[tuple] = []
         self._sequence = itertools.count()
         self._live = 0
-        self.running = False
-        self._quiesce_callbacks: List[Callable[[], None]] = []
         self.events_processed = 0
         self.profiler = None
         self.event_log = None
-        self.bound_network = None
         self.trace_stack: list = []
 
     # -- scheduling ---------------------------------------------------------
@@ -86,7 +83,6 @@ class SingleHeapScheduler:
     def run_until_idle(self, max_time: Optional[float] = None,
                        max_events: int = 10_000_000) -> float:
         processed = 0
-        self.running = True
         try:
             while self._heap:
                 when, _seq, timer, bound = self._heap[0]
@@ -108,12 +104,9 @@ class SingleHeapScheduler:
                     raise RuntimeError(
                         f"scheduler exceeded {max_events} events; runaway loop?")
         finally:
-            self.running = False
             self.events_processed += processed
         if max_time is not None and self.now < max_time:
             self.now = max_time  # time passes even when nothing is scheduled
-        for callback in self._quiesce_callbacks:
-            callback()
         return self.now
 
     def run_for(self, duration: float) -> float:
@@ -132,9 +125,6 @@ class SingleHeapScheduler:
 
     def register_host(self, host_id: str) -> int:
         return 0
-
-    def on_quiesce(self, callback: Callable[[], None]) -> None:
-        self._quiesce_callbacks.append(callback)
 
     def ambient_stack(self) -> list:
         return self.trace_stack
