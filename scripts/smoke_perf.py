@@ -38,7 +38,8 @@ structural properties a refactor could silently regress:
   reference scan (``tests/events/reference_scan.py``), and look-alike
   subscriptions actually share nodes (reuse ratio gated) — a change that silently broke
   canonicalisation would instantiate one node per subscription and fail
-  here at smoke scale.
+  here at smoke scale; at ``OPGRAPH_SCALE_TRACKERS`` look-alikes the live
+  node count stays at the template pool plus the monitors.
 
 Exits non-zero on any failure, so CI can gate on it. Usage::
 
@@ -46,6 +47,7 @@ Exits non-zero on any failure, so CI can gate on it. Usage::
 """
 
 import pathlib
+import random
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
@@ -57,6 +59,7 @@ from benchmarks.bench_perf_dispatch import (  # noqa: E402
 )
 from repro.core.ids import GuidFactory  # noqa: E402
 from repro.core.types import TypeSpec  # noqa: E402
+from repro.events.mediator import EventMediator  # noqa: E402
 from repro.net.transport import FixedLatency, Network  # noqa: E402
 from repro.server.registrar import Registrar  # noqa: E402
 
@@ -71,13 +74,23 @@ MAX_SCAN_FRACTION = 0.25
 #: workload's filters are 99% exact-match conjunctions
 MAX_RESIDUAL_SUBSCRIPTIONS = 0.05
 OVERLAY_NODES = 64
+#: the look-alike pool: ``And(type, floor == k)`` templates over this many
+#: event types and floors, plus type-level monitors beside them
+OPGRAPH_TEMPLATES = 64
+OPGRAPH_TYPES = 16
+OPGRAPH_FLOORS = 64
+OPGRAPH_MONITORS = 4
+#: direct publishes of the look-alike rows, each a random (type, floor)
+OPGRAPH_PUBLISHES = 1_000
 #: look-alike trackers for the opgraph smoke run; with a 64-template pool
 #: nearly every materialisation must be served by an existing node
 OPGRAPH_TRACKERS = 2_000
 MIN_OPGRAPH_REUSE = 0.9
-#: trackers for the same workload's digest comparison against the linear
+#: trackers for the same workload's log comparison against the linear
 #: reference scan, which pays publishes x trackers filter evaluations
 SCAN_TRACKERS = 250
+#: look-alikes attached (no publishes) for the node-count scale row
+OPGRAPH_SCALE_TRACKERS = 20_000
 #: routing-table memo reads served per rebuild, summed over all nodes
 MIN_CACHE_HIT_RATIO = 2
 #: population and churn steps of the Context Server query-path row
@@ -277,6 +290,58 @@ def registration_storm(machines=STORM_MACHINES, per_machine=STORM_PER_MACHINE):
             "delivered": delivered,
             "delivered_total": net.stats.delivered,
             "unheard": net.obs.metrics.get("net.messages.unheard").total()}
+
+
+def lookalike_dispatch(trackers, mediator_class=EventMediator,
+                       publishes=OPGRAPH_PUBLISHES, seed=1):
+    """Look-alike trackers over one mediator, driven by direct publishes.
+
+    Each tracker is one of ``OPGRAPH_TEMPLATES`` seeded ``And(type,
+    floor == k)`` shapes; ``OPGRAPH_MONITORS`` type-level monitors ride
+    beside them. Subscriptions deliver round-robin to four
+    ``FunctionProcess`` sinks, each logging ``(subscription position,
+    event seq)`` in arrival order. ``publishes=0`` only attaches.
+    """
+    from repro.events.event import ContextEvent
+    from repro.events.filters import AndFilter, AttributeFilter, TypeFilter
+    from repro.net.transport import FunctionProcess
+
+    rng = random.Random(seed)
+    net = Network(latency_model=FixedLatency(1.0), seed=seed)
+    net.add_host("og")
+    guids = GuidFactory(seed=5)
+    mediator = mediator_class(guids.mint(), "og", net, range_name="og")
+    position = {}  # sub_id -> its place in subscription order
+    logs = [[] for _ in range(4)]
+    sinks = [FunctionProcess(guids.mint(), "og", net,
+                             lambda message, log=log: log.append(
+                                 (position[message.payload["sub_id"]],
+                                  message.payload["event"]["seq"])))
+             for log in logs]
+    combos = rng.sample(range(OPGRAPH_TYPES * OPGRAPH_FLOORS),
+                        OPGRAPH_TEMPLATES)
+    filters = [AndFilter([TypeFilter(f"og-type-{combo % OPGRAPH_TYPES}"),
+                          AttributeFilter("floor", "==",
+                                          combo // OPGRAPH_TYPES)])
+               for combo in combos]
+    filters += [TypeFilter(f"og-type-{index}")
+                for index in range(OPGRAPH_MONITORS)]
+    for index in range(trackers + OPGRAPH_MONITORS):
+        chosen = (rng.choice(filters[:OPGRAPH_TEMPLATES]) if index < trackers
+                  else filters[OPGRAPH_TEMPLATES + index - trackers])
+        subscription = mediator.add_subscription(
+            sinks[index % len(sinks)].guid, chosen, replay_retained=False)
+        position[subscription.sub_id] = index
+    source = guids.mint()
+    for seq in range(publishes):
+        type_index = rng.randrange(OPGRAPH_TYPES)
+        mediator.publish(ContextEvent(
+            TypeSpec(f"og-type-{type_index}", "raw", f"e{seq}"), seq, source,
+            net.scheduler.now, {"floor": rng.randrange(OPGRAPH_FLOORS)},
+            seq=seq))
+    net.run_until_idle()
+    return {"logs": logs, "delivered": sum(len(log) for log in logs),
+            "opgraph": mediator.opgraph_stats()}
 
 
 def counting_path():
@@ -487,22 +552,25 @@ def main() -> int:
                 f"scan ({scan_run['delivered']} deliveries over "
                 f"{len(scan_run['logs'])} subscriptions)")
 
-    print(f"smoke-perf: operator-graph reuse at {OPGRAPH_TRACKERS} "
-          "look-alike trackers...")
-    from benchmarks.bench_perf_opgraph import measure as measure_opgraph  # noqa: E402
+    print(f"smoke-perf: operator-graph look-alikes, {OPGRAPH_TEMPLATES} "
+          "templates...")
     from tests.events.reference_scan import ReferenceScanMediator  # noqa: E402
-    small_wl = measure_opgraph(SCAN_TRACKERS)
-    scan_wl = measure_opgraph(SCAN_TRACKERS, ReferenceScanMediator)
-    ok &= check(small_wl["delivery_digest"] == scan_wl["delivery_digest"],
-                f"workload delivery digest equals the reference scan's at "
-                f"{SCAN_TRACKERS} trackers ({small_wl['delivered']} "
-                f"deliveries, digest {small_wl['delivery_digest'][:12]}…)")
-    opg_wl = measure_opgraph(OPGRAPH_TRACKERS)
-    reuse = opg_wl["opgraph"]["reuse_ratio"]
+    small = lookalike_dispatch(SCAN_TRACKERS)
+    scan = lookalike_dispatch(SCAN_TRACKERS, ReferenceScanMediator)
+    ok &= check(small["delivered"] > 0 and small["logs"] == scan["logs"],
+                f"per-sink logs equal the reference scan's at "
+                f"{SCAN_TRACKERS} trackers ({small['delivered']} deliveries "
+                f"over {len(small['logs'])} sinks)")
+    reuse = lookalike_dispatch(OPGRAPH_TRACKERS)["opgraph"]["reuse_ratio"]
     ok &= check(reuse > MIN_OPGRAPH_REUSE,
-                f"node reuse ratio {reuse:.3f} under the template pool "
-                f"(> {MIN_OPGRAPH_REUSE}; "
-                f"{opg_wl['opgraph']['nodes']:.0f} live nodes)")
+                f"node reuse ratio {reuse:.3f} at {OPGRAPH_TRACKERS} "
+                f"trackers (> {MIN_OPGRAPH_REUSE})")
+    nodes = lookalike_dispatch(OPGRAPH_SCALE_TRACKERS,
+                               publishes=0)["opgraph"]["nodes"]
+    ok &= check(nodes <= OPGRAPH_TEMPLATES + OPGRAPH_MONITORS,
+                f"{nodes} live nodes at {OPGRAPH_SCALE_TRACKERS} look-alikes "
+                f"(<= {OPGRAPH_TEMPLATES} templates + {OPGRAPH_MONITORS} "
+                f"monitors)")
 
     if not ok:
         print("smoke-perf: FAIL")

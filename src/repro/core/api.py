@@ -67,10 +67,6 @@ class SCIConfig:
     #: bound on re-compositions per configuration (future-work item 3);
     #: None = adapt forever
     max_repairs_per_config: Optional[int] = None
-    #: record every CS state change to the append-only context ledger
-    #: (replay, as-of reads, query explanation); False is the
-    #: no-bookkeeping ablation
-    ledger: bool = True
 
 
 class SCI:
@@ -122,7 +118,6 @@ class SCI:
             templates=templates or standard_templates(self.guids, self.building),
             lease_duration=self.config.lease_duration,
             max_repairs_per_config=self.config.max_repairs_per_config,
-            ledger=self.config.ledger,
         )
         announced = sorted(set(definition.rooms(self.building)) | set(places))
         node = self.scinet.create_node(cs_host, range_name=name,

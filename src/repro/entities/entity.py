@@ -143,6 +143,12 @@ class BaseComponent(Process):
         range and take the offer — the old range's eviction notice may still
         be in flight.
         """
+        try:
+            registrar = GUID.from_hex(message.payload["registrar"])
+        except (KeyError, TypeError, ValueError) as exc:
+            logger.info("%s: dropping malformed range-offer: %r",
+                        self.name, exc)
+            return
         offered_range = message.payload.get("range")
         if self.registered:
             if offered_range == self.range_name:
@@ -150,7 +156,6 @@ class BaseComponent(Process):
             if self.registrar is not None:
                 self.send(self.registrar, "deregister", {"entity": self.guid.hex})
             self._teardown_registration()
-        registrar = GUID.from_hex(message.payload["registrar"])
         self._register_with(registrar, message.sender)
 
     def _register_with(self, registrar: GUID, range_service: GUID) -> None:
@@ -234,8 +239,14 @@ class BaseComponent(Process):
         elif message.kind == "deregistered":
             self._handle_deregistered(message)
         elif message.kind == "set-param":
-            # sent, not requested: nobody waits for an answer
-            self.set_param(message.payload["name"], message.payload["value"])
+            # sent, not requested: nobody waits, so a bad one is dropped
+            name = message.payload.get("name")
+            if (isinstance(name, str) and name in self.profile.params
+                    and "value" in message.payload):
+                self.set_param(name, message.payload["value"])
+            else:
+                logger.info("%s: dropping malformed set-param %r",
+                            self.name, message.payload)
         else:
             self.handle_component_message(message)
 
@@ -363,6 +374,10 @@ class ContextEntity(BaseComponent):
             if not any(ad.supports(operation) for ad in self.advertisements):
                 self.reply(message, "service-result",
                            {"ok": False, "error": f"unknown operation {operation!r}"})
+                return
+            if not isinstance(args, dict):
+                self.reply(message, "service-result",
+                           {"ok": False, "error": "args is not an object"})
                 return
             result = self.handle_service(operation, args)
             self.reply(message, "service-result", {"ok": True, "result": result})

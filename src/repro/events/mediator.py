@@ -17,9 +17,13 @@ the co-located Context Server calls the same operations directly):
 
 A malformed request — a missing field, a filter or query spec that does
 not compile, an id that does not parse — is answered with its ack carrying
-``{"ok": False, "error": ...}`` (a ``publish`` sent with ``"ack": False``
-is dropped) and changes nothing: no subscription is stored and no ledger
-entry is written. A malformed ``event-ack`` is dropped and changes nothing.
+``{"ok": False, "error": ...}`` and changes nothing: no subscription is
+stored and no ledger entry is written. A malformed ``event-ack`` is
+dropped and changes nothing.
+
+Every mediator appends to a context ledger — the chain it is given (a
+Context Server passes its range's) or a private one — from which
+:mod:`repro.ledger.replay` rebuilds its books.
 
 Reliable mode (``reliable=True``): every delivery carries a
 per-subscription sequence number and is sent once, plainly; the mediator
@@ -74,6 +78,7 @@ from repro.events.event import ContextEvent
 from repro.events.dispatch_index import analyse_filter
 from repro.events.filters import EventFilter, FilterError, filter_from_spec
 from repro.events.subscription import Subscription
+from repro.ledger.ledger import ContextLedger
 from repro.query.opgraph.compile import compile_query
 from repro.query.opgraph.engine import OperatorGraph
 from repro.query.opgraph.specs import OpSpecError, filter_op
@@ -148,14 +153,15 @@ class EventMediator(Process):
                  reliable: bool = False,
                  ack_timeout: float = DEFAULT_ACK_TIMEOUT,
                  delivery_retries: int = DEFAULT_DELIVERY_RETRIES,
-                 ledger=None):
+                 ledger: Optional[ContextLedger] = None):
         super().__init__(guid, host_id, network, name=f"mediator:{range_name or guid}")
         if retained_cap < 1:
             raise ValueError(f"retained_cap must be >= 1, got {retained_cap}")
         self.range_name = range_name
         self.retained_cap = retained_cap
-        #: context-ledger chain this mediator appends to; None disables
-        self._ledger = ledger
+        #: the chain this mediator appends to (an empty one is falsy)
+        self.ledger = (ledger if ledger is not None else ContextLedger(
+            self.name, metrics=network.obs.metrics, range_name=range_name))
         #: ``[sub_id, event_seq]`` of every delivery the fan-out or replay
         #: in progress has made; None between them (neither re-enters:
         #: delivering only ``send``s)
@@ -250,9 +256,10 @@ class EventMediator(Process):
         subscriptions receive derived results, so retained replay does not
         apply to them.
 
-        The plan is compiled before anything is stored: a filter or query
-        that does not compile raises :class:`FilterError` /
-        :class:`OpSpecError` with no subscription stored or ledgered.
+        The plan is compiled and ledgered before anything is stored: a
+        filter or query that does not compile raises :class:`FilterError` /
+        :class:`OpSpecError` with no subscription stored or ledgered. A
+        query subscription may carry no filter (``event_filter`` None).
         """
         plan = (compile_query(query) if query is not None
                 else filter_op(event_filter))
@@ -264,16 +271,15 @@ class EventMediator(Process):
             created_at=self.now,
             query=query,
         )
+        self.ledger.append(self.now, "subscribe", {
+            "sub_id": subscription.sub_id,
+            "subscriber": subscriber.hex,
+            "filter": None if event_filter is None else event_filter.to_spec(),
+            "one_time": one_time,
+            "owner": None if owner is None else str(owner),
+            "query": query,
+        })
         self._subscriptions[subscription.sub_id] = subscription
-        if self._ledger is not None:
-            self._ledger.append(self.now, "subscribe", {
-                "sub_id": subscription.sub_id,
-                "subscriber": subscriber.hex,
-                "filter": event_filter.to_spec(),
-                "one_time": one_time,
-                "owner": None if owner is None else str(owner),
-                "query": query,
-            })
         constraints = self._opgraph.attach(subscription.sub_id, plan)
         if owner is not None:
             self._reverse_add(self._subs_by_owner, owner, subscription.sub_id)
@@ -303,8 +309,8 @@ class EventMediator(Process):
                     self._deliver(subscription, event)
         finally:
             self._served = None
-        if served and self._ledger is not None:
-            self._ledger.append(self.now, "replay", {"deliveries": served})
+        if served:
+            self.ledger.append(self.now, "replay", {"deliveries": served})
 
     def _replay_events(self, type_name: Optional[str]) -> List[ContextEvent]:
         """Retained events of one type (``None``: all), in replay order.
@@ -348,9 +354,8 @@ class EventMediator(Process):
 
     def _drop_subscription(self, subscription: Subscription) -> None:
         """Remove one subscription from the store, index and reverse maps."""
-        if self._ledger is not None:
-            self._ledger.append(self.now, "unsubscribe",
-                                {"sub_id": subscription.sub_id})
+        self.ledger.append(self.now, "unsubscribe",
+                            {"sub_id": subscription.sub_id})
         self._subscriptions.pop(subscription.sub_id, None)
         self._opgraph.detach(subscription.sub_id)
         if subscription.owner is not None:
@@ -403,16 +408,14 @@ class EventMediator(Process):
         # the ledger records the publish, not each recipient: one entry,
         # appended once it is complete (a sealed entry is never mutated)
         key = self._store_retained(event)
-        if self._ledger is not None:
-            entry = {"key": list(key), "event": event.to_wire()}
+        entry = {"key": list(key), "event": event.to_wire()}
         self._served = served = []
         try:
             delivered = self._opgraph.publish(event)
         finally:
             self._served = None
-        if self._ledger is not None:
-            entry["deliveries"] = served
-            self._ledger.append(self.now, "publish", entry)
+        entry["deliveries"] = served
+        self.ledger.append(self.now, "publish", entry)
         return delivered
 
     def _graph_deliver(self, sub_id: int, event: ContextEvent) -> None:
@@ -437,9 +440,8 @@ class EventMediator(Process):
                     del self._retained_by_type[oldest_key[0]]
             self.retained_evictions += 1
             self._retained_evicted_counter.inc()
-            if self._ledger is not None:
-                self._ledger.append(self.now, "retain-evict",
-                                    {"key": list(oldest_key)})
+            self.ledger.append(self.now, "retain-evict",
+                                {"key": list(oldest_key)})
         self._retained[key] = event
         self._retained_by_type.setdefault(event.type_name, {})[key] = None
         return key
@@ -578,19 +580,13 @@ class EventMediator(Process):
         self.reply(message, ack_kind, {"ok": False, "error": str(error)})
 
     def _handle_publish(self, message: Message) -> None:
-        # publishers that request-with-retries consume the ack; open-loop
-        # fire-and-forget publishers opt out with ``"ack": False`` to halve
-        # their message footprint
-        ack = message.payload.get("ack", True)
         try:
             event = ContextEvent.from_wire(message.payload["event"])
         except _MALFORMED as exc:
-            if ack:
-                self._reject(message, "publish-ack", exc)
+            self._reject(message, "publish-ack", exc)
             return
         delivered = self.publish(event)
-        if ack:
-            self.reply(message, "publish-ack", {"delivered": delivered})
+        self.reply(message, "publish-ack", {"delivered": delivered})
 
     def _handle_subscribe(self, message: Message) -> None:
         payload = message.payload
@@ -722,10 +718,6 @@ class EventMediator(Process):
         keys = (list(self._retained) if type_name is None
                 else list(self._retained_by_type.get(type_name, ())))
         return [(key, self._retained[key]) for key in keys]
-
-    def ledgers(self) -> List:
-        """The context-ledger chain this mediator appends to, if any."""
-        return [self._ledger] if self._ledger is not None else []
 
     def has_subscription(self, sub_id: int) -> bool:
         return sub_id in self._subscriptions

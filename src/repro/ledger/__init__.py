@@ -1,20 +1,25 @@
-"""repro.ledger — the append-only context ledger (ROADMAP item 4).
+"""repro.ledger — the append-only context ledger.
 
-Every mutation of a Context Server's books — registrations, lease
-renewals, departures, profile changes, subscription changes, retained
-updates, event deliveries and query lifecycle steps — is recorded as a
-hash-chained :class:`~repro.ledger.ledger.LedgerEntry`. Context becomes a
+Every mutation of a Context Server's books — registrations, departures,
+profile changes, subscription changes, publishes and replays, retained
+evictions and query routing decisions — is recorded as a hash-chained
+:class:`~repro.ledger.ledger.LedgerEntry`. Recording is not optional: the
+range's Registrar, Profile Manager and Event Mediator each append to the
+chain they were given, or to a private one of their own. Context becomes a
 replayable projection of the entry stream (``context = reachable ∩
 live``) instead of opaque in-place state, which unlocks:
 
-* **audit / explain** — :func:`~repro.ledger.timetravel.explain_query`
+* **audit / explain** — :func:`repro.ledger.timetravel.explain_query`
   links a query's binding back to the exact entries that produced it;
 * **crash recovery by replay** —
   :class:`~repro.ledger.replay.ReplayProjector` rebuilds registrar,
   profile-manager and mediator-retained state from any prefix;
-* **historical queries** — :class:`~repro.ledger.timetravel.AsOfView`
+* **historical queries** — :class:`repro.ledger.timetravel.AsOfView`
   runs the resolver against the projected state at time T, giving the
   paper's Figure-6 **When** section past-tense semantics.
+
+The time-travel views are not re-exported: they import the composition
+layer, which the Event Mediator's import of this package must not pull in.
 """
 
 from repro.ledger.ledger import (
@@ -33,17 +38,14 @@ from repro.ledger.replay import (
     projection_snapshot,
     snapshot_digest,
 )
-from repro.ledger.timetravel import AsOfView, explain_query
 
 __all__ = [
-    "AsOfView",
     "ContextLedger",
     "LedgerEntry",
     "LedgerError",
     "LEDGER_SCHEMA",
     "ProjectedState",
     "ReplayProjector",
-    "explain_query",
     "live_snapshot",
     "load_ledger_jsonl",
     "merge_entries",

@@ -216,9 +216,10 @@ def snapshot_subscriptions(mediator) -> Dict[str, Dict[str, Any]]:
     """Every live subscription in the projection shape."""
     out: Dict[str, Dict[str, Any]] = {}
     for subscription in mediator.subscriptions():
+        event_filter = subscription.filter  # None on a filterless query
         out[str(subscription.sub_id)] = {
             "subscriber": subscription.subscriber.hex,
-            "filter": subscription.filter.to_spec(),
+            "filter": None if event_filter is None else event_filter.to_spec(),
             "one_time": subscription.one_time,
             "owner": (None if subscription.owner is None
                       else str(subscription.owner)),

@@ -180,15 +180,6 @@ _declare("resolver.index.deltas", "counter",
          "membership changes applied to the profile index in place",
          labels=("range",))
 
-# -- open-loop workload harness -----------------------------------------------
-
-_declare("workload.ops.generated", "counter",
-         "open-loop operations generated, by kind", labels=("kind",))
-_declare("workload.events.delivered", "counter",
-         "events received by workload sinks")
-_declare("workload.delivery.latency", "histogram",
-         "sim-time publish-to-delivery latency at workload sinks")
-
 # -- experiments --------------------------------------------------------------
 
 _declare("fig1.delivery.latency", "histogram",

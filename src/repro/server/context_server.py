@@ -93,7 +93,6 @@ class ContextServer(Process):
         templates: Optional[TemplateRegistry] = None,
         lease_duration: float = 30.0,
         max_repairs_per_config: Optional[int] = None,
-        ledger: bool = True,
     ):
         super().__init__(guid, host_id, network, name=f"cs:{definition.name}")
         self.definition = definition
@@ -105,12 +104,9 @@ class ContextServer(Process):
         # -- context ledger ---------------------------------------------------
         # one chain per range: registrar, profile manager, mediator and the
         # query lifecycle all append to it
-        self.ledger: Optional[ContextLedger] = None
-        if ledger:
-            self.ledger = ContextLedger(
-                f"cs:{definition.name}",
-                metrics=network.obs.metrics,
-                range_name=definition.name)
+        self.ledger = ContextLedger(f"cs:{definition.name}",
+                                    metrics=network.obs.metrics,
+                                    range_name=definition.name)
         self._ledger_replays_counter = network.obs.metrics.counter(
             "cs.ledger.replays",
             "replay projections rebuilt from a ledger prefix",
@@ -286,13 +282,14 @@ class ContextServer(Process):
 
     def _handle_query(self, message: Message) -> None:
         self.queries_received += 1
+        subscriber_hex = message.payload.get("subscriber", message.sender.hex)
         try:
             query = Query.from_wire(message.payload["query"])
+            GUID.from_hex(subscriber_hex)  # results are sent there
         except _MALFORMED_QUERY as exc:
             self.reply(message, "query-ack",
                        {"ok": False, "query_id": "", "error": str(exc)})
             return
-        subscriber_hex = message.payload.get("subscriber", message.sender.hex)
         # A query message is always worth a span: child of the CAA's submit
         # span when one is in flight, a fresh root otherwise.
         with self.network.obs.tracer.span(
@@ -711,14 +708,13 @@ class ContextServer(Process):
     def _log_query(self, query: Query, event: str, **fields) -> None:
         """One query-lifecycle entry on the range's chain: ``event`` is a
         routing outcome or how a parked or scheduled query resolved."""
-        if self.ledger is not None:
-            self.ledger.append(self.now, "query", {
-                "query_id": query.query_id, "event": event,
-                "mode": query.mode.value, **fields})
+        self.ledger.append(self.now, "query", {
+            "query_id": query.query_id, "event": event,
+            "mode": query.mode.value, **fields})
 
     def ledgers(self) -> List[ContextLedger]:
-        """This range's ledger chain, as a list (empty when disabled)."""
-        return [self.ledger] if self.ledger is not None else []
+        """This range's ledger chain, as a list."""
+        return [self.ledger]
 
     def ledger_entries(self, upto: Optional[float] = None) -> List[LedgerEntry]:
         """The range's entry stream (time <= ``upto`` if given)."""
@@ -731,8 +727,6 @@ class ContextServer(Process):
 
     def as_of(self, time: float) -> AsOfView:
         """A historical read path: the range's books as they stood at T."""
-        if self.ledger is None:
-            raise SCIError(f"{self.name}: ledger disabled, no as-of reads")
         self._ledger_asof_counter.inc(range=self.definition.name)
         projector = ReplayProjector.from_entries(self.ledger_entries(time))
         return AsOfView(projector.state, self.registry, time)

@@ -23,6 +23,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.core.ids import GUID
 from repro.entities.advertisement import Advertisement
 from repro.entities.profile import Profile
+from repro.ledger.ledger import ContextLedger
 from repro.net.message import Message
 from repro.net.transport import Network, Process
 from repro.server.registrar import Registrar
@@ -34,12 +35,14 @@ class ProfileManager(Process):
     """Profile and Advertisement access for one range's registrations."""
 
     def __init__(self, guid: GUID, host_id: str, network: Network,
-                 registrar: Registrar, range_name: str = "", ledger=None):
+                 registrar: Registrar, range_name: str = "",
+                 ledger: Optional[ContextLedger] = None):
         super().__init__(guid, host_id, network,
                          name=f"profiles:{range_name or guid}")
         self._registrar = registrar
-        #: the range's root context ledger (rank 0); None disables recording
-        self._ledger = ledger
+        #: the range's context-ledger chain, or a private one
+        self.ledger = (ledger if ledger is not None else ContextLedger(
+            self.name, metrics=network.obs.metrics, range_name=range_name))
         self.updates = 0
 
     # -- direct API ------------------------------------------------------------
@@ -78,11 +81,10 @@ class ProfileManager(Process):
             # the one attribute the Registrar's What index files on
             self._registrar.retag(entity_hex)
         self.updates += 1
-        if self._ledger is not None:
-            self._ledger.append(self.now, "profile-update", {
-                "entity": entity_hex,
-                "attributes": dict(attributes),
-            })
+        self.ledger.append(self.now, "profile-update", {
+            "entity": entity_hex,
+            "attributes": dict(attributes),
+        })
         return True
 
     def population(self) -> int:
@@ -95,8 +97,9 @@ class ProfileManager(Process):
             self._handle_profile_request(message)
         elif message.kind == "profile-update":
             attributes = message.payload.get("attributes", {})
-            ok = isinstance(attributes, dict) and self.update_attributes(
-                message.payload.get("entity", ""), attributes)
+            entity_hex = message.payload.get("entity", "")
+            ok = (isinstance(attributes, dict) and isinstance(entity_hex, str)
+                  and self.update_attributes(entity_hex, attributes))
             self.reply(message, "profile-update-ack", {"ok": ok})
         else:
             logger.debug("%s ignoring %s", self.name, message)
@@ -105,10 +108,13 @@ class ProfileManager(Process):
         entity_hex = message.payload.get("entity")
         name = message.payload.get("name")
         profile = None
-        if entity_hex:
-            profile = self.get(entity_hex)
-        elif name:
-            profile = self.by_name(name)
+        try:
+            if entity_hex:
+                profile = self.get(entity_hex)
+            elif name:
+                profile = self.by_name(name)
+        except TypeError:  # an unhashable entity id or name names nobody
+            profile = None
         if profile is None:
             self.reply(message, "profile-response", {"found": False})
             return

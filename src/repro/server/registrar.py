@@ -35,6 +35,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 from repro.core.ids import GUID
 from repro.entities.advertisement import Advertisement
 from repro.entities.profile import Profile
+from repro.ledger.ledger import ContextLedger
 from repro.net.message import Message
 from repro.net.transport import Network, Process
 from repro.query.model import WhatClause
@@ -90,7 +91,7 @@ class Registrar(Process):
                  context_server: GUID, event_mediator: GUID,
                  lease_duration: float = 30.0,
                  sweep_interval: float = 5.0,
-                 ledger=None):
+                 ledger: Optional[ContextLedger] = None):
         super().__init__(guid, host_id, network, name=f"registrar:{range_name}")
         if lease_duration <= 0 or sweep_interval <= 0:
             raise ValueError("lease and sweep intervals must be positive")
@@ -121,8 +122,9 @@ class Registrar(Process):
         self.on_replacement: Callable[
             [RegistrationRecord, RegistrationRecord], None] = (
                 lambda previous, record: None)
-        #: the range's root context ledger (rank 0); None disables recording
-        self._ledger = ledger
+        #: the range's context-ledger chain, or a private one
+        self.ledger = (ledger if ledger is not None else ContextLedger(
+            self.name, metrics=network.obs.metrics, range_name=range_name))
         self.registrations = 0
         self.evictions = 0
         self.expiry_pops = 0
@@ -194,9 +196,8 @@ class Registrar(Process):
         # any heap entries for this record become stale and are skipped on pop
         self._unfile(record)
         self.version += 1
-        if self._ledger is not None:
-            self._ledger.append(self.now, "depart",
-                                {"entity": entity_hex, "reason": reason})
+        self.ledger.append(self.now, "depart",
+                            {"entity": entity_hex, "reason": reason})
         if notify_entity:
             self.send(record.profile.entity_id, "deregistered", {"reason": reason})
         self.on_departure(record, reason)
@@ -271,9 +272,7 @@ class Registrar(Process):
 
     def _log_register(self, record: RegistrationRecord) -> None:
         """One ledger entry per (re-)registration, profile frozen at entry."""
-        if self._ledger is None:
-            return
-        self._ledger.append(self.now, "register", {
+        self.ledger.append(self.now, "register", {
             "entity": record.entity_hex,
             "name": record.profile.name,
             "kind": record.kind,
@@ -330,6 +329,10 @@ class Registrar(Process):
         """A departing component says goodbye. It is leaving (or has left)
         and waits for no answer, so none is sent."""
         entity_hex = message.payload.get("entity", message.sender.hex)
+        if not isinstance(entity_hex, str):
+            logger.info("%s: dropping malformed deregister %r", self.name,
+                        message.payload)
+            return
         self.remove(entity_hex, "deregistered", notify_entity=False)
 
     def _handle_heartbeat(self, message: Message) -> None:
@@ -338,10 +341,18 @@ class Registrar(Process):
         A listed entity this Registrar does not hold thinks it is registered
         (it received this range's ``register-ack``) but was evicted: tell it.
         """
+        entities = message.payload.get("entities", ())
+        if not isinstance(entities, (list, tuple)):
+            self.reply(message, "heartbeat-ack",
+                       {"ok": False, "error": "entities is not a list"})
+            return
         expiry = self.now + self.lease_duration
         renewed = unknown = 0
-        for entity_hex in message.payload.get("entities", ()):
-            record = self._records.get(entity_hex)
+        for entity_hex in entities:
+            try:
+                record = self._records.get(entity_hex)
+            except TypeError:  # an unhashable id names nobody
+                record = None
             if record is None:
                 unknown += 1
                 try:

@@ -4,16 +4,26 @@
 event bridges; the Location Service answers no remote query verbs, and the
 Range Service no ``probe``. Each of those was reached only by tests. There
 is one counting path: no stats staging buffer, no scheduler quiesce hook,
-and none of the observability options no caller set.
+and none of the observability options no caller set. The open-loop
+workload generator and its ``wl-start`` verb are gone, every ``publish``
+is answered, and recording to the context ledger cannot be switched off:
+a Context Utility built without a chain appends to a private one.
 """
 
 import dataclasses
+import importlib
 import inspect
 
 import pytest
 
+import repro.apps
 from repro import SCIConfig
+from repro.core.types import TypeSpec
+from repro.entities.profile import Profile
+from repro.events.event import ContextEvent
+from repro.events.filters import TypeFilter
 from repro.events.mediator import EventMediator
+from repro.ledger.ledger import ContextLedger
 from repro.location.service import LocationService
 from repro.net import stats as stats_module
 from repro.net.sim import Scheduler
@@ -21,13 +31,100 @@ from repro.net.transport import FunctionProcess
 from repro.obs.hub import Observability
 from repro.obs.tracing import Tracer
 from repro.query.opgraph.engine import OperatorGraph
+from repro.server.context_server import ContextServer
+from repro.server.profile_manager import ProfileManager
 from repro.server.range_service import RangeService
+from repro.server.registrar import RegistrationRecord, Registrar
+
+
+def parameters(target):
+    return list(inspect.signature(target).parameters)
 
 
 def test_sciconfig_fields_are_pinned():
     assert [field.name for field in dataclasses.fields(SCIConfig)] == [
-        "seed", "lease_duration", "latency_model", "max_repairs_per_config",
-        "ledger"]
+        "seed", "lease_duration", "latency_model", "max_repairs_per_config"]
+
+
+def test_context_server_always_ledgers():
+    assert "ledger" not in parameters(ContextServer)
+
+
+def test_apps_ship_no_workload_generator():
+    for name in ("OpenLoopWorkload", "ProviderFeed", "WorkloadConfig",
+                 "ZipfSampler"):
+        assert not hasattr(repro.apps, name), name
+    assert not [name for name in repro.apps.__all__
+                if "workload" in name.lower()]
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.apps.workload")
+
+
+def test_a_publish_asking_for_no_ack_is_answered(network, guids):
+    """``"ack": False`` is no longer an option: a malformed publish gets an
+    error ack and a good one its delivered count."""
+    mediator = EventMediator(guids.mint(), "host-a", network, "r")
+    replies = []
+    probe = FunctionProcess(guids.mint(), "host-b", network, replies.append)
+    good = ContextEvent(TypeSpec("temperature", "raw", "room-0"), 21.5,
+                        probe.guid, 0.0)
+    probe.send(mediator.guid, "publish", {"event": {"x": 1}, "ack": False})
+    probe.send(mediator.guid, "publish",
+               {"event": good.to_wire(), "ack": False})
+    network.scheduler.run_for(5)
+    assert [(reply.kind, reply.payload.get("ok", True))
+            for reply in replies] == [("publish-ack", False),
+                                      ("publish-ack", True)]
+    assert mediator.published == 1
+
+
+def _record(guids, name):
+    return RegistrationRecord(profile=Profile(guids.mint(), name), kind="ce")
+
+
+def _build_and_touch(kind, network, guids, ledger):
+    """One Context Utility built with ``ledger`` (None: none given), made
+    to record one fact; returns (its chain, the entry kind expected)."""
+    options = {} if ledger is None else {"ledger": ledger}
+    if kind == "mediator":
+        mediator = EventMediator(guids.mint(), "host-a", network, "r",
+                                 **options)
+        mediator.add_subscription(guids.mint(), TypeFilter("temperature"))
+        return mediator.ledger, "subscribe"
+    registrar = Registrar(guids.mint(), "host-a", network, "r",
+                          context_server=guids.mint(),
+                          event_mediator=guids.mint(),
+                          **(options if kind == "registrar" else {}))
+    record = registrar.register_record(_record(guids, "ce-0"), notify=False)
+    if kind == "registrar":
+        return registrar.ledger, "register"
+    profiles = ProfileManager(guids.mint(), "host-a", network, registrar,
+                              "r", **options)
+    assert profiles.update_attributes(record.entity_hex, {"floor": 10})
+    return profiles.ledger, "profile-update"
+
+
+UTILITIES = ("mediator", "registrar", "profile-manager")
+
+
+@pytest.mark.parametrize("kind", UTILITIES)
+def test_a_utility_built_without_a_ledger_still_records(network, guids,
+                                                        kind):
+    chain, entry_kind = _build_and_touch(kind, network, guids, None)
+    assert isinstance(chain, ContextLedger)
+    assert [entry.kind for entry in chain.entries()] == [entry_kind]
+
+
+@pytest.mark.parametrize("kind", UTILITIES)
+def test_a_utility_given_an_empty_ledger_appends_to_that_chain(network, guids,
+                                                               kind):
+    """An empty chain is falsy (``ContextLedger`` has a length), so
+    ``ledger or ContextLedger(...)`` would swap it for a private one."""
+    given = ContextLedger("given")
+    assert not given
+    chain, entry_kind = _build_and_touch(kind, network, guids, given)
+    assert chain is given
+    assert [entry.kind for entry in given.entries()] == [entry_kind]
 
 
 def test_mediator_has_no_bridges():
@@ -56,9 +153,6 @@ def test_location_service_answers_no_remote_verb(network, guids, building,
 def test_one_counting_path():
     """Counts go straight into the registry: no staging buffer, no quiesce
     hook, and no observability option a caller never set."""
-    def parameters(target):
-        return list(inspect.signature(target).parameters)
-
     assert parameters(Observability) == ["scheduler"]
     assert parameters(stats_module.MessageStats) == ["registry"]
     assert "enabled" not in parameters(Tracer)

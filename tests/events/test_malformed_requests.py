@@ -3,9 +3,9 @@
 Every verb parses its payload before the mediator changes anything: a
 missing field, a filter or query spec that does not compile, or an id that
 does not parse is answered with that verb's ack carrying
-``{"ok": False, "error": ...}`` (a ``publish`` sent with ``"ack": False``
-is dropped), the run goes on for every host, and the subscription table,
-the ledger and the projection digest are what they were.
+``{"ok": False, "error": ...}``, the run goes on for every host, and the
+subscription table, the ledger and the projection digest are what they
+were.
 """
 
 import pytest
@@ -72,16 +72,6 @@ def test_malformed_request_gets_an_error_ack_and_changes_nothing(
     assert [(reply.kind, reply.payload["ok"]) for reply in replies] == \
         [(ack_kind, False)]
     assert replies[0].payload["error"]
-    assert _books(server) == before
-
-
-def test_unacked_malformed_publish_is_dropped(deployment):
-    sci, server, probe, replies = deployment
-    before = _books(server)
-    probe.send(server.mediator.guid, "publish",
-               {"event": {"x": 1}, "ack": False})
-    sci.run(5)
-    assert replies == []
     assert _books(server) == before
 
 

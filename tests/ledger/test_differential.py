@@ -14,7 +14,6 @@ can land at the capture instant, so prefix-by-time is unambiguous.
 import pytest
 
 from repro.core.api import SCI, SCIConfig
-from repro.core.errors import SCIError
 from repro.ledger.ledger import LedgerError, load_ledger_jsonl, write_ledger_jsonl
 from repro.ledger.replay import (ReplayProjector, live_snapshot,
                                  projection_snapshot, snapshot_digest)
@@ -141,13 +140,34 @@ def test_explain_links_bindings_to_register_entries(scenario):
     assert server.explain("q-never-existed") is None
 
 
-def test_ledger_off_is_a_clean_ablation():
-    sci = SCI(config=SCIConfig(ledger=False))
+#: a continuous query over the door sensors' presence reads
+WINDOW_QUERY = {"op": "window", "agg": "count", "width": 10.0,
+                "source": {"op": "type", "type": "presence",
+                           "representation": None}}
+
+
+def test_a_filterless_query_subscription_is_ledgered():
+    """A query subscription may carry no filter. On a default deployment it
+    is stored, ledgered with ``"filter": None`` and attached to the graph,
+    and the projection still equals the live books."""
+    sci = SCI()
     server = sci.create_range("level10", places=["L10"], hosts=["lab-pc"])
     sci.add_door_sensors("level10")
+    sci.add_person("bob", room="corridor")
+    app = sci.create_application("windowApp", host="lab-pc")
     sci.run(10)
-    assert server.ledger is None
-    assert server.ledgers() == []
-    assert server.ledger_entries() == []
-    with pytest.raises(SCIError, match="ledger disabled"):
-        server.as_of(5.0)
+    mediator = server.mediator
+    before = mediator.subscription_count
+    nodes = mediator.opgraph_stats()["nodes"]
+    subscription = mediator.add_subscription(app.guid, None,
+                                             query=WINDOW_QUERY)
+    assert mediator.subscription_count == before + 1
+    assert mediator.opgraph_stats()["nodes"] > nodes
+    entry = server.ledger_entries()[-1]
+    assert (entry.kind, entry.payload["sub_id"], entry.payload["filter"],
+            entry.payload["query"]) == ("subscribe", subscription.sub_id,
+                                        None, WINDOW_QUERY)
+    sci.walk("bob", "L10.01")  # door sensors publish on the way
+    sci.run(30)
+    assert snapshot_digest(live_snapshot(server)) == snapshot_digest(
+        projection_snapshot(server.ledger_projection()))

@@ -52,7 +52,7 @@ def kinds(chain, since=0):
 
 def assert_projects_to_live(mediator):
     projected = projection_snapshot(ReplayProjector.from_entries(
-        mediator.ledgers()[0].entries()).state)
+        mediator.ledger.entries()).state)
     assert projected["subscriptions"] == snapshot_subscriptions(mediator)
     assert projected["retained"] == snapshot_retained(mediator)
 
@@ -60,7 +60,7 @@ def assert_projects_to_live(mediator):
 def test_k_matches_are_one_entry_with_k_pairs_in_delivery_order(rig):
     _, _, sink = rig
     mediator = plain(rig)
-    chain = mediator.ledgers()[0]
+    chain = mediator.ledger
     subs = [mediator.add_subscription(sink.guid, TypeFilter("location"))
             for _ in range(3)]
     mediator.add_subscription(sink.guid, TypeFilter("temperature"))
@@ -80,7 +80,7 @@ def test_k_matches_are_one_entry_with_k_pairs_in_delivery_order(rig):
 
 def test_publish_at_the_cap_is_evict_then_publish(rig):
     mediator = plain(rig, retained_cap=2)
-    chain = mediator.ledgers()[0]
+    chain = mediator.ledger
     for seq, subject in enumerate(("bob", "ada"), start=1):
         mediator.publish(event(mediator, seq, subject))
     mark = len(chain)
@@ -108,7 +108,7 @@ def test_consumed_one_time_subscription_projects_at_that_instant(rig):
     # and with all of them applied the projection is the live books
     _, _, sink = rig
     mediator = plain(rig)
-    chain = mediator.ledgers()[0]
+    chain = mediator.ledger
     once = mediator.add_subscription(sink.guid, TypeFilter("location"),
                                      one_time=True)
     kept = mediator.add_subscription(sink.guid, TypeFilter("location"))
@@ -130,7 +130,7 @@ def test_consumed_one_time_subscription_projects_at_that_instant(rig):
 def test_retained_replay_to_a_fresh_subscription_is_one_entry(rig):
     _, _, sink = rig
     mediator = plain(rig)
-    chain = mediator.ledgers()[0]
+    chain = mediator.ledger
     for seq, subject in enumerate(("bob", "ada", "eve"), start=1):
         mediator.publish(event(mediator, seq, subject))
     mediator.publish(event(mediator, 4, "bob", type_name="temperature"))
@@ -156,14 +156,13 @@ def test_retained_replay_to_a_fresh_subscription_is_one_entry(rig):
 def test_a_served_resync_is_one_replay_entry(rig):
     net, _, sink = rig
     mediator = plain(rig)
-    chain = mediator.ledgers()[0]
+    chain = mediator.ledger
     sub = mediator.add_subscription(sink.guid, SubjectFilter("bob"))
     exact = mediator.add_subscription(
         sink.guid, AndFilter([TypeFilter("location"), SubjectFilter("bob")]))
     for seq, type_name in enumerate(("location", "temperature"), start=1):
         sink.send(mediator.guid, "publish",
-                  {"event": event(mediator, seq, "bob", type_name).to_wire(),
-                   "ack": False})
+                  {"event": event(mediator, seq, "bob", type_name).to_wire()})
     net.scheduler.run_for(5.0)
     assert (sub.delivered, exact.delivered) == (2, 1)
     before = len(chain)

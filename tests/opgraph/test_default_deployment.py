@@ -54,7 +54,7 @@ class WireClient(Process):
         event = ContextEvent(TypeSpec("temperature", "raw", "room-0"), 21.5,
                              self.guid, timestamp)
         self.send(self.mediator_guid, "publish",
-                  {"event": event.to_wire(), "ack": False})
+                  {"event": event.to_wire()})
 
     def on_message(self, message) -> None:
         if message.kind == "subscribe-ack":

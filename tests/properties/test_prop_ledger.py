@@ -151,8 +151,7 @@ class TestProjectionEqualsLive:
                     TypeSpec(type_name, "topological", subject), value,
                     publisher.guid, net.scheduler.now,
                     seq=next(seqs)).to_wire()
-                publisher.send(mediator.guid, "publish",
-                               {"event": wire, "ack": False})
+                publisher.send(mediator.guid, "publish", {"event": wire})
             # a bounded drain window, not run_until_idle: the registrar's
             # periodic lease sweep keeps the scheduler non-idle forever.
             # publisher -> mediator -> subscriber is 2 hops at
