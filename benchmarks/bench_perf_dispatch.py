@@ -4,8 +4,8 @@ Two hot paths, each swept over a scale range:
 
 * **Publish fan-out** — a mediator holding N subscriptions with selective
   (type, subject) filters plus a small residual fraction of Or-filters.
-  The operator graph looks candidate filter roots up in dict buckets, so a
-  publish costs O(matching + residual), not O(N).
+  The shared filter table looks candidate filter nodes up in dict buckets,
+  so a publish costs O(matching + residual), not O(N).
 * **Query resolution** — a resolver over N source profiles spread across
   many offered types; each candidate step reads one type bucket from a
   profile index that is built once and then follows membership by delta.

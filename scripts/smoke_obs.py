@@ -3,8 +3,12 @@
 
 Runs a reduced Figure-1 workload (both routing systems, two sizes), writes
 the metrics artefact, reads it back through the schema validator and
-re-checks the hotspot and log-growth claims offline. Exits non-zero on any
-failure, so CI can gate on it. Usage::
+re-checks the hotspot and log-growth claims offline. It also resolves every
+path the end-to-end benchmark's tracer wraps (``benchmarks/e2e/trace.py``,
+loaded read-only): the tracer lists a path that no longer resolves as
+*absent* instead of failing, so a refactor of ``src/`` could otherwise
+silently push a layer's time out of the per-layer table. Exits non-zero on
+any failure, so CI can gate on it. Usage::
 
     PYTHONPATH=src python scripts/smoke_obs.py [output-dir]
 
@@ -12,10 +16,12 @@ The artefact carries wall times, so the default output directory is
 git-ignored: a smoke run leaves ``git status`` clean.
 """
 
+import importlib.util
 import pathlib
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from repro.obs.experiments import (  # noqa: E402
     check_hotspot_claim,
@@ -30,6 +36,35 @@ from repro.obs.export import (  # noqa: E402
 
 SIZES = (8, 32)
 MESSAGES = 120
+
+#: wrap paths allowed not to resolve, with why
+UNRESOLVED_ALLOWED = {
+    "repro.entities.entity.BaseComponent._send_heartbeat":
+        "components run no heartbeat timer: the Range Service renews leases",
+}
+
+
+def check_wrap_paths() -> bool:
+    """Every e2e tracer wrap path resolves, or is allowed not to."""
+    spec = importlib.util.spec_from_file_location(
+        "e2e_trace", ROOT / "benchmarks" / "e2e" / "trace.py")
+    trace = importlib.util.module_from_spec(spec)
+    writes_bytecode = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave the benchmark directory as it is
+    try:
+        spec.loader.exec_module(trace)
+    finally:
+        sys.dont_write_bytecode = writes_bytecode
+    unresolved = {row[1] for row in trace.WRAP_TABLE
+                  if trace.resolve(row[1]) is None}
+    unexpected = sorted(unresolved - set(UNRESOLVED_ALLOWED))
+    print(f"smoke-obs: e2e wrap paths: {len(trace.WRAP_TABLE)} listed, "
+          f"{len(unresolved)} unresolved (allowed: "
+          f"{len(unresolved & set(UNRESOLVED_ALLOWED))}) "
+          f"-> {'ok' if not unexpected else 'FAIL'}")
+    for path in unexpected:
+        print(f"smoke-obs: FAIL — wrap path no longer resolves: {path}")
+    return not unexpected
 
 
 def main() -> int:
@@ -61,6 +96,8 @@ def main() -> int:
 
     if not (hotspot["ok"] and growth["ok"]):
         print("smoke-obs: FAIL — claim shape not reproduced")
+        return 1
+    if not check_wrap_paths():
         return 1
     print("smoke-obs: PASS")
     return 0

@@ -82,8 +82,8 @@ OPGRAPH_FLOORS = 64
 OPGRAPH_MONITORS = 4
 #: direct publishes of the look-alike rows, each a random (type, floor)
 OPGRAPH_PUBLISHES = 1_000
-#: look-alike trackers for the opgraph smoke run; with a 64-template pool
-#: nearly every materialisation must be served by an existing node
+#: look-alike trackers for the filter-table smoke run; with a 64-template
+#: pool nearly every attach must be served by an existing node
 OPGRAPH_TRACKERS = 2_000
 MIN_OPGRAPH_REUSE = 0.9
 #: trackers for the same workload's log comparison against the linear
@@ -543,7 +543,7 @@ def main() -> int:
                 f"stats equal the reference totals "
                 f"({reference['delivered']} delivered)")
 
-    print("smoke-perf: operator-graph delivery equivalence...")
+    print("smoke-perf: filter-table delivery equivalence...")
     from tests.opgraph.scenarios import run_scenario as run_opgraph_scenario  # noqa: E402
     scan_run = run_opgraph_scenario(reference=True)
     opgraph_run = run_opgraph_scenario()
@@ -552,7 +552,7 @@ def main() -> int:
                 f"scan ({scan_run['delivered']} deliveries over "
                 f"{len(scan_run['logs'])} subscriptions)")
 
-    print(f"smoke-perf: operator-graph look-alikes, {OPGRAPH_TEMPLATES} "
+    print(f"smoke-perf: filter-table look-alikes, {OPGRAPH_TEMPLATES} "
           "templates...")
     from tests.events.reference_scan import ReferenceScanMediator  # noqa: E402
     small = lookalike_dispatch(SCAN_TRACKERS)

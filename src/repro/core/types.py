@@ -38,6 +38,10 @@ class TypeError_(SCIError):
 #: Wildcard subject: the spec applies to any entity.
 ANY_SUBJECT = None
 
+#: what a wire ``subject`` may be: providers are indexed by it and the
+#: mediator keys retained events on it, so it must be a hashable scalar
+SCALAR_SUBJECTS = (str, int, float, bool, type(None))
+
 
 @dataclass(frozen=True)
 class ContextType:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.core.ids import GUID
-from repro.core.types import TypeSpec
+from repro.core.types import SCALAR_SUBJECTS, TypeSpec
 
 
 class EntityClass(enum.Enum):
@@ -103,13 +103,9 @@ def _spec_to_wire(spec: TypeSpec) -> Dict[str, Any]:
     }
 
 
-#: what a wire ``subject`` may be: providers are indexed by it
-_SCALAR_SUBJECTS = (str, int, float, bool, type(None))
-
-
 def _spec_from_wire(data: Dict[str, Any]) -> TypeSpec:
     subject = data.get("subject")
-    if not isinstance(subject, _SCALAR_SUBJECTS):
+    if not isinstance(subject, SCALAR_SUBJECTS):
         raise ValueError(f"subject must be a string, number, boolean or "
                          f"null, got {type(subject).__name__}")
     return TypeSpec(

@@ -41,14 +41,14 @@ Analysis rules (documented in DESIGN.md):
   unknown filter classes — yields no constraints and falls to the residual
   list.
 
-Entries are keyed by a monotonically increasing integer id (an
-operator-graph node id). Each id lives in exactly one bucket, so concatenating
+Entries are keyed by a monotonically increasing integer id (a
+filter-table node id). Each id lives in exactly one bucket, so concatenating
 bucket hits and sorting by id reproduces the exact iteration order of the naive
 linear scan over an insertion-ordered dict — which is what lets the
 property suite assert byte-identical delivery order.
 
-The index keeps no memo of its analyses: the operator graph deduplicates
-spec-identical filters on their canonical key *before* filing a leaf here,
+The index keeps no memo of its analyses: the filter table deduplicates
+spec-identical filters on their canonical key *before* filing a node here,
 so each distinct filter shape reaches :meth:`DispatchIndex.add` once per
 node lifetime.
 """
@@ -140,8 +140,8 @@ def analyse_filter(event_filter: EventFilter) -> FilterConstraints:
 class DispatchIndex:
     """Bucketed filter index with incremental add/remove.
 
-    Used by each mediator's operator graph over its deduplicated filter
-    leaves.
+    Used by each mediator's filter table over its deduplicated filter
+    nodes.
     ``candidates(event)`` returns ids in ascending order, which — ids being
     minted by monotonically increasing counters — is exactly the insertion
     order a naive scan over the mediator's dict would visit.

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.core.ids import GUID
-from repro.core.types import TypeSpec
+from repro.core.types import SCALAR_SUBJECTS, TypeSpec
 
 _event_seq = itertools.count(1)
 
@@ -94,17 +94,32 @@ class ContextEvent:
 
     @classmethod
     def from_wire(cls, data: Dict[str, Any]) -> "ContextEvent":
+        """Rebuild an event, refusing one the mediator cannot hold: its
+        retained store keys on (type, representation, subject) and
+        consumers order fixes by timestamp. Raises ``TypeError``."""
+        type_name, representation = data["type"], data["representation"]
+        subject, timestamp = data["subject"], data["timestamp"]
+        if not (isinstance(type_name, str)
+                and isinstance(representation, str)):
+            raise TypeError("type and representation must be strings")
+        if not isinstance(subject, SCALAR_SUBJECTS):
+            raise TypeError(f"subject must be a string, number, boolean or "
+                            f"null, got {type(subject).__name__}")
+        if (not isinstance(timestamp, (int, float))
+                or isinstance(timestamp, bool)):
+            raise TypeError(f"timestamp must be a number, got "
+                            f"{type(timestamp).__name__}")
         spec = TypeSpec(
-            type_name=data["type"],
-            representation=data["representation"],
-            subject=data["subject"],
+            type_name=type_name,
+            representation=representation,
+            subject=subject,
             quality=tuple(tuple(item) for item in data.get("quality", ())),
         )
         return cls(
             spec=spec,
             value=data["value"],
             source=GUID.from_hex(data["source"]),
-            timestamp=data["timestamp"],
+            timestamp=timestamp,
             attributes=dict(data.get("attributes", {})),
             seq=data.get("seq", 0),
         )

@@ -13,9 +13,8 @@ duplicates dropped, and single-child conjunctions/disjunctions collapse to
 the child. Structural ``__eq__``/``__hash__`` compare canonical keys, so two
 spec-identical filters built in different construction orders — e.g.
 ``And([type, subject])`` vs ``And([subject, type])`` — hash and compare
-equal. The operator-graph compiler (:mod:`repro.query.opgraph`) dedups
-shared subgraphs on these keys, and the dispatch index memoises its filter
-analysis on them. Canonicalisation never changes ``matches`` semantics:
+equal. The mediator's filter table (:mod:`repro.query.opgraph`) shares one
+node per key. Canonicalisation never changes ``matches`` semantics:
 ``to_spec()`` (the wire form) and the evaluation order of ``parts`` keep
 construction order; only the canonical view is normalised (And/Or are
 commutative, associative and idempotent over pure predicates).

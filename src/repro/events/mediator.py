@@ -15,8 +15,8 @@ the co-located Context Server calls the same operations directly):
 ``resync``             {"sub_id"} -> ``resync-ack`` (reliable mode)
 ``event-ack``          {"acks": [[sub_id, upto], ...]} (reliable mode; no reply)
 
-A malformed request — a missing field, a filter or query spec that does
-not compile, an id that does not parse — is answered with its ack carrying
+A malformed request — a missing field, a filter spec that does not
+compile, an id that does not parse — is answered with its ack carrying
 ``{"ok": False, "error": ...}`` and changes nothing: no subscription is
 stored and no ledger entry is written. A malformed ``event-ack`` is
 dropped and changes nothing.
@@ -46,20 +46,18 @@ nothing: its window goes with its subscriptions. The default stays
 unreliable fire-and-forget — identical wire behaviour to the seed — and
 the Context Server opts its range mediator in.
 
-Dispatch has one engine: every subscription compiles into the mediator's
-shared incremental operator DAG (:mod:`repro.query.opgraph`), where
-structurally identical filters/queries share one node, so ten thousand
-look-alike subscriptions cost one predicate evaluation per publish plus
-fan-out. The graph finds its candidate filter roots through a
+Dispatch has one engine: every subscription's filter is a sink of one
+node of the mediator's shared filter table (:mod:`repro.query.opgraph`),
+where spec-identical filters share one node, so ten thousand look-alike
+subscriptions cost one predicate evaluation per publish plus fan-out. The
+table finds its candidate nodes through a
 :class:`~repro.events.dispatch_index.DispatchIndex`: filters carrying exact
 type/subject/source constraints live in dict buckets, everything else in a
 small residual list, so a publish costs O(matching + residual) instead of
-O(all subscriptions). Besides plain filters the graph accepts continuous
-*queries* (windowed aggregates, joins, qualitative selectors) through the
-``query`` entry of the subscribe payload; retained replay, one-time
-arbitration and ``reliable=True`` sequencing compose unchanged for plain
-filter subscriptions. Delivery order is entry-identical to a linear scan
-over the subscription table in insertion order — that scan lives in
+O(all subscriptions). Windowed, joined and selected context is built by
+derived Context Entities and the query's Which clause, not by the
+mediator. Delivery order is entry-identical to a linear scan over the
+subscription table in insertion order — that scan lives in
 ``tests/events/reference_scan.py`` and the differential and property suites
 hold the mediator to it.
 """
@@ -79,9 +77,7 @@ from repro.events.dispatch_index import analyse_filter
 from repro.events.filters import EventFilter, FilterError, filter_from_spec
 from repro.events.subscription import Subscription
 from repro.ledger.ledger import ContextLedger
-from repro.query.opgraph.compile import compile_query
 from repro.query.opgraph.engine import OperatorGraph
-from repro.query.opgraph.specs import OpSpecError, filter_op
 
 logger = logging.getLogger(__name__)
 
@@ -102,7 +98,7 @@ DELIVERY_JITTER = 0.25
 WINDOW_CAP = 1024
 
 #: what parsing a request payload raises when the payload is malformed
-_MALFORMED = (KeyError, TypeError, ValueError, FilterError, OpSpecError)
+_MALFORMED = (KeyError, TypeError, ValueError, FilterError)
 
 #: one unacked delivery: (seq, wire payload, delivery ordinal, first sent at)
 _Unacked = Tuple[int, Dict[str, Any], int, float]
@@ -243,49 +239,34 @@ class EventMediator(Process):
         one_time: bool = False,
         owner: Optional[object] = None,
         replay_retained: bool = True,
-        query: Optional[dict] = None,
     ) -> Subscription:
         """Establish a subscription; optionally replay the retained event.
 
         Replay gives a newly wired configuration its initial values (the
         paper's Figure-3 graph must produce a first path without waiting for
         Bob or John to move).
-
-        ``query`` attaches a continuous-query plan — windowed aggregates,
-        joins, qualitative selectors — instead of the plain filter; query
-        subscriptions receive derived results, so retained replay does not
-        apply to them.
-
-        The plan is compiled and ledgered before anything is stored: a
-        filter or query that does not compile raises :class:`FilterError` /
-        :class:`OpSpecError` with no subscription stored or ledgered. A
-        query subscription may carry no filter (``event_filter`` None).
         """
-        plan = (compile_query(query) if query is not None
-                else filter_op(event_filter))
         subscription = Subscription(
             subscriber=subscriber,
             filter=event_filter,
             one_time=one_time,
             owner=owner,
             created_at=self.now,
-            query=query,
         )
         self.ledger.append(self.now, "subscribe", {
             "sub_id": subscription.sub_id,
             "subscriber": subscriber.hex,
-            "filter": None if event_filter is None else event_filter.to_spec(),
+            "filter": event_filter.to_spec(),
             "one_time": one_time,
             "owner": None if owner is None else str(owner),
-            "query": query,
         })
         self._subscriptions[subscription.sub_id] = subscription
-        constraints = self._opgraph.attach(subscription.sub_id, plan)
+        constraints = self._opgraph.attach(subscription.sub_id, event_filter)
         if owner is not None:
             self._reverse_add(self._subs_by_owner, owner, subscription.sub_id)
         self._reverse_add(self._subs_by_subscriber, subscriber,
                           subscription.sub_id)
-        if replay_retained and query is None:
+        if replay_retained:
             self._replay_retained(subscription, constraints)
             if not subscription.active:
                 self._drop_subscription(subscription)
@@ -419,10 +400,9 @@ class EventMediator(Process):
         return delivered
 
     def _graph_deliver(self, sub_id: int, event: ContextEvent) -> None:
-        """Operator-graph sink callback: one result for one subscription."""
-        subscription = self._subscriptions.get(sub_id)
-        if subscription is None or not subscription.active:
-            return
+        """Filter-table sink callback; a publish serves each subscription
+        at most once, so every sink of its batch is still live here."""
+        subscription = self._subscriptions[sub_id]
         self._deliver(subscription, event)
         if not subscription.active:  # one-time: consumed by this delivery
             self._drop_subscription(subscription)
@@ -596,18 +576,13 @@ class EventMediator(Process):
         except _MALFORMED as exc:
             self._reject(message, "subscribe-ack", exc)
             return
-        try:
-            subscription = self.add_subscription(
-                subscriber=subscriber,
-                event_filter=event_filter,
-                one_time=bool(payload.get("one_time")),
-                owner=payload.get("owner"),
-                replay_retained=bool(payload.get("replay", True)),
-                query=payload.get("query"),
-            )
-        except (FilterError, OpSpecError) as exc:  # the query did not compile
-            self._reject(message, "subscribe-ack", exc)
-            return
+        subscription = self.add_subscription(
+            subscriber=subscriber,
+            event_filter=event_filter,
+            one_time=bool(payload.get("one_time")),
+            owner=payload.get("owner"),
+            replay_retained=bool(payload.get("replay", True)),
+        )
         self.reply(message, "subscribe-ack", {"sub_id": subscription.sub_id})
 
     def _handle_unsubscribe(self, message: Message) -> None:
@@ -652,10 +627,7 @@ class EventMediator(Process):
             subscription = self._subscriptions.get(sub_id)
         except TypeError:  # an unhashable id names no subscription
             subscription = None
-        # query subscriptions receive derived results: replaying raw retained
-        # events would mis-deliver, so resync cannot help them either
-        if (subscription is None or not subscription.active
-                or subscription.query is not None):
+        if subscription is None or not subscription.active:
             self.reply(message, "resync-ack", {"ok": False, "sub_id": sub_id})
             return
         baseline = subscription.seq
@@ -689,8 +661,8 @@ class EventMediator(Process):
     def index_stats(self) -> Dict[str, int]:
         """Sizes the smoke gate and benchmarks assert on.
 
-        The subscription entries count the graph's deduplicated filter
-        roots: look-alike subscriptions share one.
+        The subscription entries count the table's deduplicated filter
+        nodes: look-alike subscriptions share one.
         """
         graph = self._opgraph.stats()
         return {
@@ -701,7 +673,7 @@ class EventMediator(Process):
         }
 
     def opgraph_stats(self) -> Dict[str, float]:
-        """Operator-graph node/reuse/eval counters."""
+        """Filter-table node/reuse/eval counters."""
         return self._opgraph.stats()
 
     def subscriptions_for(self, subscriber: GUID) -> List[Subscription]:

@@ -36,9 +36,6 @@ class Subscription:
     #: last sequence number stamped on a reliable delivery for this
     #: subscription; subscribers detect silent loss as holes in the sequence
     seq: int = 0
-    #: wire-level continuous-query spec (the mediator compiles it into an
-    #: operator plan); None for plain filter subscriptions
-    query: Optional[dict] = None
 
     def record_delivery(self) -> None:
         self.delivered += 1

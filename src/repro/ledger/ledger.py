@@ -35,8 +35,10 @@ from repro.obs.metrics import MetricsRegistry
 #: recipient, kinds the projector has no rule for; /4 files hash the rank
 #: of a since-deleted mediator shard into every body and name it on every
 #: line, stamp each ``publish`` with the seq that first retained its key,
-#: and log an immediate query as two entries, a routing step + its outcome)
-LEDGER_SCHEMA = "sci.ledger/5"
+#: and log an immediate query as two entries, a routing step + its outcome;
+#: /5 ``subscribe`` entries carry a ``query`` key the projector no longer
+#: reads)
+LEDGER_SCHEMA = "sci.ledger/6"
 
 #: the chain anchor every chain starts from
 GENESIS_HASH = "0" * 32

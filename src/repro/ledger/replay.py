@@ -137,7 +137,6 @@ class ReplayProjector:
             "filter": payload["filter"],
             "one_time": payload["one_time"],
             "owner": payload["owner"],
-            "query": payload["query"],
             "delivered": 0,
         }
 
@@ -216,14 +215,12 @@ def snapshot_subscriptions(mediator) -> Dict[str, Dict[str, Any]]:
     """Every live subscription in the projection shape."""
     out: Dict[str, Dict[str, Any]] = {}
     for subscription in mediator.subscriptions():
-        event_filter = subscription.filter  # None on a filterless query
         out[str(subscription.sub_id)] = {
             "subscriber": subscription.subscriber.hex,
-            "filter": None if event_filter is None else event_filter.to_spec(),
+            "filter": subscription.filter.to_spec(),
             "one_time": subscription.one_time,
             "owner": (None if subscription.owner is None
                       else str(subscription.owner)),
-            "query": subscription.query,
             "delivered": subscription.delivered,
         }
     return out

@@ -101,16 +101,14 @@ _declare("mediator.seq.dup_dropped", "counter",
 _declare("mediator.seq.resyncs", "counter",
          "resync requests issued for holes that outlived retransmission")
 _declare("mediator.opgraph.nodes", "gauge",
-         "live deduplicated operator-graph nodes", labels=("range",))
+         "live deduplicated filter nodes", labels=("range",))
 _declare("mediator.opgraph.reuse_hits", "counter",
-         "operator materialisations served by an existing node",
+         "subscriptions served by an existing filter node",
          labels=("range",))
 _declare("mediator.opgraph.evals", "counter",
-         "incremental operator evaluations on the publish path",
-         labels=("range",))
+         "filter evaluations on the publish path", labels=("range",))
 _declare("mediator.opgraph.fanout", "counter",
-         "operator-graph result deliveries fanned out to sinks",
-         labels=("range",))
+         "filter-table deliveries fanned out to sinks", labels=("range",))
 
 # -- overlay: SCINET routing, broadcast, failure detection --------------------
 

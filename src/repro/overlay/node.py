@@ -43,6 +43,24 @@ def _ring_offset(origin: GUID, target: GUID) -> int:
     return (target.value - origin.value) % _RING
 
 
+#: the GUID fields each overlay verb's envelope carries as hex
+_HEX_FIELDS = {"o-route": ("key", "origin"), "o-bcast": ("until",),
+               "o-delivery": ()}
+
+
+def _check_envelope(kind: str, payload: Dict[str, Any]) -> None:
+    """Raise ``KeyError``/``TypeError``/``ValueError`` unless the fields
+    the node reads off an ``o-*`` message parse."""
+    if not isinstance(payload["kind"], str) or "body" not in payload:
+        raise TypeError("an overlay message needs a string kind and a body")
+    if not isinstance(payload["hops"], int):
+        raise TypeError(f"hops is a {type(payload['hops']).__name__}")
+    for name in _HEX_FIELDS[kind]:
+        GUID.from_hex(payload[name])
+    if kind == "o-bcast":
+        hash(payload["bcast_id"])
+
+
 class RoutingTable:
     """Pastry routing state: prefix table + exact ring-order leaf sets.
 
@@ -507,6 +525,14 @@ class OverlayNode(Process):
     # -- messages ----------------------------------------------------------------------------
 
     def on_message(self, message: Message) -> None:
+        if message.kind in _HEX_FIELDS:
+            # none of these verbs has a reply: a malformed one is dropped
+            try:
+                _check_envelope(message.kind, message.payload)
+            except (KeyError, TypeError, ValueError) as exc:
+                logger.info("%s: dropping malformed %s %r: %r", self.name,
+                            message.kind, message.payload, exc)
+                return
         if message.kind == "o-route":
             # one span per forwarding hop, chained under the origin's span
             with self.network.obs.tracer.span_if_active(

@@ -7,7 +7,10 @@ is one counting path: no stats staging buffer, no scheduler quiesce hook,
 and none of the observability options no caller set. The open-loop
 workload generator and its ``wl-start`` verb are gone, every ``publish``
 is answered, and recording to the context ledger cannot be switched off:
-a Context Utility built without a chain appends to a private one.
+a Context Utility built without a chain appends to a private one. A
+subscription is a filter and nothing else: the continuous-query plans
+(window, join, select), their compiler and the ``query`` subscribe field
+are gone, and the mediator's engine is a filter table.
 """
 
 import dataclasses
@@ -17,13 +20,15 @@ import inspect
 import pytest
 
 import repro.apps
-from repro import SCIConfig
+import repro.query.opgraph
+from repro import SCI, SCIConfig
 from repro.core.types import TypeSpec
 from repro.entities.profile import Profile
 from repro.events.event import ContextEvent
 from repro.events.filters import TypeFilter
 from repro.events.mediator import EventMediator
-from repro.ledger.ledger import ContextLedger
+from repro.events.subscription import Subscription
+from repro.ledger.ledger import LEDGER_SCHEMA, ContextLedger
 from repro.location.service import LocationService
 from repro.net import stats as stats_module
 from repro.net.sim import Scheduler
@@ -173,3 +178,31 @@ def test_range_service_ignores_probe(network, guids):
     asker.send(rs.guid, "probe", {})
     network.scheduler.run_until_idle()
     assert replies == []
+
+
+def test_opgraph_exports_only_the_filter_table():
+    assert repro.query.opgraph.__all__ == ["OperatorGraph"]
+    for module in ("repro.query.opgraph.compile", "repro.query.opgraph.specs"):
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+    # the frozen end-to-end tracer wraps these three by dotted path
+    for name in ("publish", "attach", "detach"):
+        assert callable(getattr(OperatorGraph, name)), name
+
+
+def test_a_subscription_is_a_filter_and_nothing_else():
+    assert "query" not in parameters(EventMediator.add_subscription)
+    assert "query" not in [field.name
+                           for field in dataclasses.fields(Subscription)]
+
+
+def test_subscribe_entries_carry_no_query_key():
+    assert LEDGER_SCHEMA == "sci.ledger/6"
+    sci = SCI(config=SCIConfig(seed=5))
+    server = sci.create_range("r", places=["L10"])
+    entries = [entry for entry in server.ledger_entries()
+               if entry.kind == "subscribe"]
+    assert entries
+    for entry in entries:
+        assert sorted(entry.payload) == sorted(
+            ["sub_id", "subscriber", "filter", "one_time", "owner"])

@@ -1,8 +1,9 @@
 """The linear-scan mediator, kept as the dispatch equivalence reference.
 
 Every publish evaluates every live subscription's filter, in subscription
-table (insertion) order; retained replay scans the whole retained store. This was ``EventMediator(engine="classic")`` before
-the operator graph became the only dispatch engine in ``src/``; the
+table (insertion) order; retained replay scans the whole retained store.
+This was ``EventMediator(engine="classic")`` before the shared filter
+table became the only dispatch engine in ``src/``; the
 differential suites (``tests/opgraph``, ``tests/parallel``) and the
 Hypothesis property (``tests/properties/test_prop_dispatch.py``)
 hold the production mediator to it entry for entry.
@@ -10,9 +11,7 @@ hold the production mediator to it entry for entry.
 Only *matching* is swapped. Subscription bookkeeping, delivery, reliable
 sequencing, one-time arbitration, the retained store and the wire protocol
 are the production mediator's own, so a divergence can only come from how
-candidates are found and ordered. Continuous queries have no scan
-equivalent: a ``query=`` subscription is filed like any other but never
-matched here. It keeps no ledger of its publishes: the ``publish`` entry is
+candidates are found and ordered. It keeps no ledger of its publishes: the ``publish`` entry is
 written by the production ``_fan_out`` this class replaces.
 """
 
@@ -31,7 +30,7 @@ class ReferenceScanMediator(EventMediator):
         self._store_retained(event)
         delivered = 0
         for subscription in list(self._subscriptions.values()):
-            if not subscription.active or subscription.query is not None:
+            if not subscription.active:
                 continue
             if subscription.filter.matches(event):
                 self._deliver(subscription, event)

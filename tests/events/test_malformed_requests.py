@@ -1,8 +1,8 @@
 """A malformed request to the Event Mediator is answered, never raised.
 
 Every verb parses its payload before the mediator changes anything: a
-missing field, a filter or query spec that does not compile, or an id that
-does not parse is answered with that verb's ack carrying
+missing field, a filter spec that does not compile, or an id that does not
+parse is answered with that verb's ack carrying
 ``{"ok": False, "error": ...}``, the run goes on for every host, and the
 subscription table, the ledger and the projection digest are what they
 were.
@@ -11,11 +11,9 @@ were.
 import pytest
 
 from repro import SCI, SCIConfig
-from repro.events.filters import MatchAll
 from repro.ledger.replay import (live_snapshot, projection_snapshot,
                                  snapshot_digest)
 from repro.net.transport import FunctionProcess
-from repro.query.opgraph.specs import OpSpecError
 
 PROBE = "probe-host"
 
@@ -24,8 +22,6 @@ MALFORMED = [
     ("subscribe", {"subscriber": "{subscriber}", "filter": {"op": "bogus"}},
      "subscribe-ack"),
     ("subscribe", {"filter": {"op": "all"}}, "subscribe-ack"),
-    ("subscribe", {"subscriber": "{subscriber}", "filter": {"op": "all"},
-                   "query": {"op": "window"}}, "subscribe-ack"),
     ("unsubscribe", {}, "unsubscribe-ack"),
     ("publish", {}, "publish-ack"),
     ("publish", {"event": {"x": 1}}, "publish-ack"),
@@ -75,18 +71,21 @@ def test_malformed_request_gets_an_error_ack_and_changes_nothing(
     assert _books(server) == before
 
 
-def test_a_bad_query_installs_nothing(deployment):
-    """The plan compiles before the subscription is stored or ledgered."""
-    sci, server, probe, _ = deployment
-    before = _books(server)
-    with pytest.raises(OpSpecError):
-        server.mediator.add_subscription(
-            probe.guid, MatchAll(), query={"op": "window", "agg": "avg"})
-    assert _books(server) == before
-    # and the range still takes a good one afterwards
-    server.mediator.add_subscription(
-        probe.guid, MatchAll(),
-        query={"op": "window", "agg": "avg", "width": 5.0,
-               "source": {"op": "type", "type": "presence",
-                          "representation": None}})
-    assert server.mediator.subscription_count == before[0] + 1
+def test_a_query_key_is_served_as_a_plain_filter_subscription(deployment):
+    """The mediator has one subscription form: a ``query`` key left in a
+    ``subscribe`` payload is ignored like any other undeclared key."""
+    sci, server, probe, replies = deployment
+    count = server.mediator.subscription_count
+    probe.send(server.mediator.guid, "subscribe",
+               {"subscriber": probe.guid.hex,
+                "filter": {"op": "type", "type": "presence",
+                           "representation": None},
+                "query": {"op": "window", "agg": "count", "width": 5.0}})
+    sci.run(5)
+    (ack,) = [reply for reply in replies if reply.kind == "subscribe-ack"]
+    subscription = next(sub for sub in server.mediator.subscriptions()
+                        if sub.sub_id == ack.payload["sub_id"])
+    assert subscription.filter.to_spec()["type"] == "presence"
+    assert server.mediator.subscription_count == count + 1
+    assert (snapshot_digest(live_snapshot(server)) ==
+            snapshot_digest(projection_snapshot(server.ledger_projection())))

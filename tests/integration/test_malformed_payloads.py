@@ -2,17 +2,32 @@
 
 One row per payload that used to raise out of the scheduler and end the
 run. A verb with a reply verb answers with ``ok``/``found`` False; a verb
-without one (``set-param``, ``range-offer``, ``deregister``) drops the
-message with a log line. Either way the run goes on, and the target's state
-is what it was.
+without one (``set-param``, ``range-offer``, ``deregister``, the SCINET
+``o-route``/``o-bcast``/``o-delivery``) drops the message with a log line.
+Either way the run goes on, and the target's state is what it was. A
+``publish`` whose event the mediator could not hold (an unhashable
+subject, a non-string type, a non-numeric timestamp) is refused before
+anything is counted, and the range goes on tracking well-formed fixes.
 """
 
 import pytest
 
 from repro import SCI, SCIConfig
+from repro.core.ids import GuidFactory
+from repro.core.types import TypeSpec
+from repro.events.event import ContextEvent
 from repro.net.transport import FunctionProcess
 
 PROBE = "probe-host"
+
+#: a well-formed location fix, as a publisher sends it
+FIX = ContextEvent(TypeSpec("location", "topological", "ghost"), "L10.01",
+                   GuidFactory(seed=7).mint(), 20.0).to_wire()
+
+
+def _fix(**fields):
+    """A ``publish`` payload carrying :data:`FIX` with ``fields`` replaced."""
+    return {"event": {**FIX, **fields}}
 
 
 @pytest.fixture
@@ -41,6 +56,8 @@ TARGETS = {
     "registrar": lambda sci: sci.range("r").registrar,
     "profiles": lambda sci: sci.range("r").profiles,
     "cs": lambda sci: sci.range("r"),
+    "mediator": lambda sci: sci.range("r").mediator,
+    "overlay": lambda sci: _overlay_node(sci),
 }
 
 #: (target, verb, payload, reply verb and the flag it must carry, or None)
@@ -62,15 +79,37 @@ CASES = [
      ("query-ack", "ok")),
     ("printer", "service-invoke", {"operation": "print", "args": 5},
      ("service-result", "ok")),
+    ("mediator", "publish", _fix(subject=[1]), ("publish-ack", "ok")),
+    ("mediator", "publish", _fix(subject={"a": 1}), ("publish-ack", "ok")),
+    ("mediator", "publish", _fix(type=[1]), ("publish-ack", "ok")),
+    ("mediator", "publish", _fix(representation=[1]), ("publish-ack", "ok")),
+    ("mediator", "publish", _fix(timestamp="x"), ("publish-ack", "ok")),
+    ("overlay", "o-route", {"kind": "dht-get", "body": {"name": "x"},
+                            "hops": 0, "origin": "{probe}"}, None),
+    ("overlay", "o-route", {"key": "zz", "kind": "dht-get",
+                            "body": {"name": "x"}, "hops": 0,
+                            "origin": "{probe}"}, None),
+    ("overlay", "o-bcast", {}, None),
+    ("overlay", "o-bcast", {"bcast_id": [1], "kind": "announce-range",
+                            "body": {}, "hops": 0, "until": "{probe}"}, None),
+    ("overlay", "o-delivery", {}, None),
 ]
+
+
+def _overlay_node(sci):
+    return next(node for node in sci.scinet.nodes() if node.range_name == "r")
 
 
 def _state(sci):
     server = sci.range("r")
+    node = _overlay_node(sci)
     return (server.registrar.population(),
             sci.applications["app"].registered,
             sci.printers["P1"].queue_length,
-            len(server.ledger))
+            len(server.ledger),
+            server.mediator.published,
+            sci.network.obs.metrics.get("mediator.events.published").total(),
+            node.routed, node.delivered, dict(node.directory))
 
 
 @pytest.mark.parametrize("target, verb, payload, answer", CASES,
@@ -80,7 +119,10 @@ def test_malformed_payload_is_answered_or_dropped(deployment, target, verb,
                                                   payload, answer):
     sci, probe, replies = deployment
     before = _state(sci)
-    payload = {key: (_query_wire(sci) if value == "{query}" else value)
+    fills = {"{query}": lambda: _query_wire(sci),
+             "{probe}": lambda: probe.guid.hex}
+    payload = {key: (fills[value]() if isinstance(value, str)
+                     and value in fills else value)
                for key, value in payload.items()}
     start = sci.network.scheduler.now
     probe.send(TARGETS[target](sci).guid, verb, payload)
@@ -93,3 +135,8 @@ def test_malformed_payload_is_answered_or_dropped(deployment, target, verb,
         assert [(reply.kind, reply.payload[flag]) for reply in replies] == \
             [(kind, False)]
     assert _state(sci) == before
+    if verb == "publish":
+        # the range still tracks the next well-formed fix for the subject
+        probe.send(TARGETS[target](sci).guid, "publish", {"event": FIX})
+        sci.run(5)
+        assert sci.range("r").location.locate("ghost").room == "L10.01"

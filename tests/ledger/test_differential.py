@@ -138,36 +138,3 @@ def test_explain_links_bindings_to_register_entries(scenario):
     for step in trail["steps"]:
         assert step["ref"]["ledger"] == server.ledger.ledger_id
     assert server.explain("q-never-existed") is None
-
-
-#: a continuous query over the door sensors' presence reads
-WINDOW_QUERY = {"op": "window", "agg": "count", "width": 10.0,
-                "source": {"op": "type", "type": "presence",
-                           "representation": None}}
-
-
-def test_a_filterless_query_subscription_is_ledgered():
-    """A query subscription may carry no filter. On a default deployment it
-    is stored, ledgered with ``"filter": None`` and attached to the graph,
-    and the projection still equals the live books."""
-    sci = SCI()
-    server = sci.create_range("level10", places=["L10"], hosts=["lab-pc"])
-    sci.add_door_sensors("level10")
-    sci.add_person("bob", room="corridor")
-    app = sci.create_application("windowApp", host="lab-pc")
-    sci.run(10)
-    mediator = server.mediator
-    before = mediator.subscription_count
-    nodes = mediator.opgraph_stats()["nodes"]
-    subscription = mediator.add_subscription(app.guid, None,
-                                             query=WINDOW_QUERY)
-    assert mediator.subscription_count == before + 1
-    assert mediator.opgraph_stats()["nodes"] > nodes
-    entry = server.ledger_entries()[-1]
-    assert (entry.kind, entry.payload["sub_id"], entry.payload["filter"],
-            entry.payload["query"]) == ("subscribe", subscription.sub_id,
-                                        None, WINDOW_QUERY)
-    sci.walk("bob", "L10.01")  # door sensors publish on the way
-    sci.run(30)
-    assert snapshot_digest(live_snapshot(server)) == snapshot_digest(
-        projection_snapshot(server.ledger_projection()))

@@ -30,7 +30,7 @@ def build_ledger():
     ledger.append(5.0, "subscribe", {
         "sub_id": 7, "subscriber": "bb", "filter": {"kind": "type",
                                                     "type": "location"},
-        "one_time": False, "owner": "app", "query": "q-1"})
+        "one_time": False, "owner": "app"})
     ledger.append(6.0, "publish", {
         "key": ["location", "topological", "bob"],
         "event": {"type": "location", "value": "L10.01"},
@@ -105,7 +105,7 @@ class TestProjection:
         ledger = build_ledger()
         ledger.append(9.0, "subscribe", {
             "sub_id": 8, "subscriber": "bb", "filter": {"kind": "all"},
-            "one_time": True, "owner": None, "query": None})
+            "one_time": True, "owner": None})
         ledger.append(10.0, "unsubscribe", {"sub_id": 8})
         ledger.append(10.0, "publish", {
             "key": ["location", "topological", "ada"],

@@ -1,18 +1,13 @@
-"""Fixed-seed workload for the operator-graph equivalence suite.
+"""Fixed-seed workload for the filter-table equivalence suite.
 
 One scenario run against the mediator and against the linear reference
 scan (:mod:`tests.events.reference_scan`), logging every delivery per
-subscription. The operator
-graph's contract is that per-subscription delivery logs are
-**entry-identical** — same events, same values, same order — to the
+subscription. The filter table's contract is that per-subscription
+delivery logs are **entry-identical** — same events, same values, same order — to the
 reference scan for every filter shape the mediator distinguishes,
 including heavy dedup pressure (many spec-identical filters built in
 different construction orders), one-time arbitration, retained replay,
 and churn.
-
-``queries=True`` additionally attaches continuous-query subscriptions
-(window / select / join) — the reference scan has no equivalent for those,
-so there only the plain-filter logs are compared.
 
 Global counters (``ContextEvent.seq``, ``Subscription.sub_id``) are reset
 or pre-minted so runs in one pytest process stay comparable.
@@ -21,7 +16,7 @@ or pre-minted so runs in one pytest process stay comparable.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.ids import GuidFactory
 from repro.core.types import TypeSpec
@@ -90,15 +85,14 @@ def _mint_events(source_guids: GuidFactory) -> List[List[dict]]:
     return storms
 
 
-def run_scenario(reference: bool = False, queries: bool = False,
+def run_scenario(reference: bool = False,
                  seed: int = 23) -> Dict[str, object]:
     """Run the scenario; returns per-subscription delivery logs.
 
     The mediator is a plain :class:`EventMediator` — or, with
-    ``reference=True``, the linear reference scan. Storm event
-    *timestamps* (0..89) are what window operators see; storms are
-    *scheduled* at STORMS offsets with drained gaps so control-plane
-    mutations land at legal points.
+    ``reference=True``, the linear reference scan. Storms are *scheduled*
+    at STORMS offsets with drained gaps so control-plane mutations land at
+    legal points.
     """
     subscription_module._subscription_ids = itertools.count(1)
     net = Network(latency_model=FixedLatency(1.0), seed=seed)
@@ -113,15 +107,14 @@ def run_scenario(reference: bool = False, queries: bool = False,
     subs: Dict[str, int] = {}
 
     def subscribe(label: str, event_filter, host: str,
-                  one_time: bool = False, replay: bool = False,
-                  query: Optional[dict] = None) -> None:
+                  one_time: bool = False, replay: bool = False) -> None:
         sink = sinks.get(label)
         if sink is None:
             sink = LoggingSink(guids.mint(), host, net, label)
             sinks[label] = sink
         subscription = mediator.add_subscription(
             sink.guid, event_filter, one_time=one_time, owner=label,
-            replay_retained=replay, query=query)
+            replay_retained=replay)
         subs[label] = subscription.sub_id
 
     # every filter shape the dispatch path distinguishes
@@ -146,31 +139,6 @@ def run_scenario(reference: bool = False, queries: bool = False,
               HOSTS[3], one_time=True)
     subscribe("once:routed", TypeFilter("presence"), HOSTS[0], one_time=True)
 
-    if queries:
-        t_room1 = {"op": "and",
-                   "parts": [{"op": "type", "type": "temperature",
-                              "representation": None},
-                             {"op": "subject", "subject": "room-1"}]}
-        subscribe("query:window:count", MatchAll(), HOSTS[1],
-                  query={"op": "window", "agg": "count", "width": 20.0,
-                         "source": t_room1})
-        subscribe("query:window:avg", MatchAll(), HOSTS[2],
-                  query={"op": "window", "agg": "avg", "width": 20.0,
-                         "key": "reading", "emit_empty": True,
-                         "source": t_room1})
-        subscribe("query:select:min", MatchAll(), HOSTS[3],
-                  query={"op": "select", "mode": "min", "key": "reading",
-                         "where": {"op": "attr", "key": "floor",
-                                   "cmp": "==", "constant": 0},
-                         "source": {"op": "type", "type": "co2",
-                                    "representation": None}})
-        subscribe("query:join", MatchAll(), HOSTS[0],
-                  query={"op": "join",
-                         "left": {"op": "type", "type": "temperature",
-                                  "representation": None},
-                         "right": {"op": "type", "type": "presence",
-                                   "representation": None}})
-
     source_guids = GuidFactory(seed=seed ^ 0xE7)
     storms = _mint_events(source_guids)
     schedule = net.scheduler.schedule_at
@@ -180,7 +148,7 @@ def run_scenario(reference: bool = False, queries: bool = False,
     source_hex = storms[0][0]["source"]
     subscribe("source:first", SourceFilter(source_hex), HOSTS[1])
 
-    # mid-storm exact-key churn, incl. one look-alike (refcounted detach
+    # mid-storm exact-key churn, incl. one look-alike (a detach
     # must not tear down the shared node other look-alikes still use)
     schedule(14.3, lambda: mediator.remove_subscription(
         subs["track:temperature:room-0"]))
@@ -200,7 +168,7 @@ def run_scenario(reference: bool = False, queries: bool = False,
                                      TypeFilter("presence"), HOSTS[1],
                                      replay=True))
 
-    # a final event past the last storm rolls every pending window closed
+    # a final event past the last storm
     extra = ContextEvent(
         TypeSpec("temperature", "raw", "room-1"), value=999,
         source=source_guids.mint(), timestamp=105.0, seq=9999).to_wire()

@@ -49,7 +49,7 @@ def test_classic_scheduler_matches_single_lane(reference):
 
 
 def test_reference_scan_mediator_matches_single_lane(reference):
-    """Dispatch by operator graph and by linear scan leave the same log."""
+    """Dispatch by filter table and by linear scan leave the same log."""
     _assert_equivalent(run_scenario(reference_scan=True), reference)
 
 

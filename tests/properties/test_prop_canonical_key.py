@@ -2,8 +2,8 @@
 
 ``EventFilter.canonical_key()`` of an And/Or/Not is assembled from the
 children's cached keys instead of rendering the whole canonical spec again.
-The keys name operator-graph nodes and memoise the dispatch index's filter
-analysis, so the composition must not move a single byte: for drawn
+The keys name the mediator's filter-table nodes, so the composition must
+not move a single byte: for drawn
 And/Or/Not trees — nested same-op trees that flatten, duplicated children
 that collapse, single-child junctions that disappear, ints beside equal
 floats — the composed key equals ``spec_key(canonical_spec())``, at the

@@ -1,12 +1,12 @@
 """Equivalence property: mediator dispatch == linear scan, exactly.
 
 The mediator deduplicates structurally identical filters into shared
-operator-graph nodes, finds candidate nodes through a dispatch index that
+filter-table nodes, finds candidate nodes through a dispatch index that
 is a pure pre-filter, and fans results out from a per-publish batch. For
 ANY random filter tree — including the non-analysable Or/Not/attribute
 shapes that fall to the index's residual list, one-time subscriptions,
 retained replay to late subscribers and interleaved unsubscribes that
-exercise refcounted node reclamation — it must hand the same events to the
+exercise node reclamation — it must hand the same events to the
 same subscriptions in the same order as the linear reference scan
 (``tests/events/reference_scan.py``). Duplicated filters are drawn
 deliberately often (a small closed pool of types/subjects/sources) so

@@ -95,7 +95,7 @@ def test_vocabulary_is_nine_kinds_and_older_artefacts_are_refused(tmp_path):
     assert len(ENTRY_KINDS) == 9
     assert not {"profile-add", "profile-remove", "retain",
                 "delivery"} & set(ENTRY_KINDS)
-    assert LEDGER_SCHEMA == "sci.ledger/5"
+    assert LEDGER_SCHEMA == "sci.ledger/6"
     with pytest.raises(LedgerError, match="unknown entry kind"):
         ContextLedger("cs:x").append(0.0, "profile-add", {"entity": "aa"})
 
@@ -105,11 +105,12 @@ def test_vocabulary_is_nine_kinds_and_older_artefacts_are_refused(tmp_path):
     write_ledger_jsonl([ledger], path)
     assert len(load_ledger_jsonl(path)) == 1
     record = json.loads(path.read_text())
-    for older in ("sci.ledger/2", "sci.ledger/3", "sci.ledger/4"):
+    for older in ("sci.ledger/2", "sci.ledger/3", "sci.ledger/4",
+                  "sci.ledger/5"):
         record["schema"] = older  # the chain itself is still intact
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(LedgerError,
-                           match="schema must be 'sci.ledger/5'"):
+                           match="schema must be 'sci.ledger/6'"):
             load_ledger_jsonl(path)
 
 
