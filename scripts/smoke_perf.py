@@ -35,8 +35,9 @@ structural properties a refactor could silently regress:
   canonical event log the single-heap reference does — what
   ``tests/parallel`` proves entry for entry;
 * the mediator delivers entry-identical logs to the test-side linear
-  reference scan (``tests/events/reference_scan.py``), and look-alike
-  subscriptions actually share nodes (reuse ratio gated) — a change that silently broke
+  reference scan (``tests/events/reference_scan.py``), one ``event``
+  message carries every look-alike subscription of a publish's sink, and
+  look-alike subscriptions actually share nodes (reuse ratio gated) — a change that silently broke
   canonicalisation would instantiate one node per subscription and fail
   here at smoke scale; at ``OPGRAPH_SCALE_TRACKERS`` look-alikes the live
   node count stays at the template pool plus the monitors.
@@ -300,7 +301,8 @@ def lookalike_dispatch(trackers, mediator_class=EventMediator,
     floor == k)`` shapes; ``OPGRAPH_MONITORS`` type-level monitors ride
     beside them. Subscriptions deliver round-robin to four
     ``FunctionProcess`` sinks, each logging ``(subscription position,
-    event seq)`` in arrival order. ``publishes=0`` only attaches.
+    event seq)`` in arrival order for every pair of an ``event``'s
+    ``subs``. ``publishes=0`` only attaches.
     """
     from repro.events.event import ContextEvent
     from repro.events.filters import AndFilter, AttributeFilter, TypeFilter
@@ -314,9 +316,10 @@ def lookalike_dispatch(trackers, mediator_class=EventMediator,
     position = {}  # sub_id -> its place in subscription order
     logs = [[] for _ in range(4)]
     sinks = [FunctionProcess(guids.mint(), "og", net,
-                             lambda message, log=log: log.append(
-                                 (position[message.payload["sub_id"]],
-                                  message.payload["event"]["seq"])))
+                             lambda message, log=log: log.extend(
+                                 (position[sub_id],
+                                  message.payload["event"]["seq"])
+                                 for sub_id, _ in message.payload["subs"]))
              for log in logs]
     combos = rng.sample(range(OPGRAPH_TYPES * OPGRAPH_FLOORS),
                         OPGRAPH_TEMPLATES)
@@ -341,6 +344,8 @@ def lookalike_dispatch(trackers, mediator_class=EventMediator,
             seq=seq))
     net.run_until_idle()
     return {"logs": logs, "delivered": sum(len(log) for log in logs),
+            "pairs": sum(len({seq for _, seq in log}) for log in logs),
+            "event_messages": net.stats.by_kind["event"],
             "opgraph": mediator.opgraph_stats()}
 
 
@@ -561,6 +566,10 @@ def main() -> int:
                 f"per-sink logs equal the reference scan's at "
                 f"{SCAN_TRACKERS} trackers ({small['delivered']} deliveries "
                 f"over {len(small['logs'])} sinks)")
+    ok &= check(small["event_messages"] == small["pairs"] < small["delivered"],
+                f"one event message per (publish, sink): "
+                f"{small['event_messages']} messages == {small['pairs']} "
+                f"pairs < {small['delivered']} deliveries")
     reuse = lookalike_dispatch(OPGRAPH_TRACKERS)["opgraph"]["reuse_ratio"]
     ok &= check(reuse > MIN_OPGRAPH_REUSE,
                 f"node reuse ratio {reuse:.3f} at {OPGRAPH_TRACKERS} "

@@ -37,7 +37,7 @@ from repro.entities.advertisement import Advertisement
 from repro.entities.profile import Profile
 from repro.events.event import ContextEvent
 from repro.events.stream import (RESYNC_RETRIES, RESYNC_TIMEOUT, AckBatcher,
-                                 StreamReassembler)
+                                 StreamReassembler, offer_event)
 from repro.net.message import BROADCAST, Message
 from repro.net.rpc import RequestManager
 from repro.net.transport import Network, Process
@@ -254,34 +254,25 @@ class BaseComponent(Process):
 
     def handle_event_message(self, message: Message) -> None:
         """Reassemble, hand to the consume hook, and (when sequenced) owe
-        the sender an ack.
+        the sender an ack, per pair of the message's ``subs``
+        (:func:`~repro.events.stream.offer_event`).
 
-        Sequenced deliveries come from a reliable mediator holding them in
-        an unacked window; the reassembler restores publish order, drops
+        Sequenced pairs come from a reliable mediator holding them in an
+        unacked window; the reassembler restores publish order, drops
         the duplicates a retransmission produces, and requests a resync for
         holes that outlive the mediator's retransmission budget. The
         delivery is then noted with :attr:`acks`, which sends the mediator
         one cumulative ``event-ack`` of the in-order prefix per batch —
         duplicates included, so a lost ack is answered again.
         """
-        payload = message.payload
-        seq = payload.get("seq")
-        sub_id = payload.get("sub_id")
-        self.streams.offer(sub_id, seq, payload)
-        if seq is not None:
-            self.acks.note(message.sender, sub_id)
+        offer_event(self, message, ContextEvent.from_wire)
 
-    def _deliver_event(self, payload: Dict[str, Any]) -> None:
-        """The reassembler's in-order callback. A delivery whose event does
-        not parse is dropped here, after its seq was consumed, so the
-        stream moves on to the next one."""
-        try:
-            event = ContextEvent.from_wire(payload["event"])
-        except (KeyError, TypeError, ValueError) as exc:
-            logger.info("%s: dropping malformed event %r: %r",
-                        self.name, payload, exc)
-            return
-        self._consume_event(event, payload.get("sub_id"))
+    def _deliver_event(self, sub_id: int,
+                       event: Optional[ContextEvent]) -> None:
+        """The reassembler's in-order callback (None: the event did not
+        parse and its seq is only consumed)."""
+        if event is not None:
+            self._consume_event(event, sub_id)
 
     def _consume_event(self, event: ContextEvent, sub_id: Optional[int]) -> None:
         """Subclass hook: an in-order, deduplicated event is ready."""

@@ -15,6 +15,10 @@ the co-located Context Server calls the same operations directly):
 ``resync``             {"sub_id"} -> ``resync-ack`` (reliable mode)
 ``event-ack``          {"acks": [[sub_id, upto], ...]} (reliable mode; no reply)
 
+and sends a subscriber one ``event {"event": <wire>, "subs": [[sub_id, seq],
+...]}`` per publish, listing each subscription it matched (``seq`` null when
+unreliable); they share one wire event, the ledger entry has its own copy.
+
 A malformed request — a missing field, a filter spec that does not
 compile, an id that does not parse — is answered with its ack carrying
 ``{"ok": False, "error": ...}`` and changes nothing: no subscription is
@@ -25,26 +29,29 @@ Every mediator appends to a context ledger — the chain it is given (a
 Context Server passes its range's) or a private one — from which
 :mod:`repro.ledger.replay` rebuilds its books.
 
-Reliable mode (``reliable=True``): every delivery carries a
-per-subscription sequence number and is sent once, plainly; the mediator
-keeps it in its subscriber's **unacked window** until the subscriber's
-cumulative ``event-ack`` names an in-order prefix ``upto`` at or past its
-seq (see :class:`repro.events.stream.AckBatcher`). Each subscriber has one
-window across its subscriptions and one retransmit timer, armed when the
-window becomes non-empty and never moved by an ack. When it fires and the
+Reliable mode (``reliable=True``): every delivery is a ``[sub_id, seq]``
+pair with a per-subscription sequence number, carried in the one message
+its publish sends that subscriber; the mediator keeps each pair,
+pointing at that shared message, in its subscriber's **unacked window**
+until the subscriber's cumulative ``event-ack`` names an in-order prefix
+``upto`` at or past its seq (see
+:class:`repro.events.stream.AckBatcher`). Each subscriber has one window
+across its subscriptions and one retransmit timer, armed when the window
+becomes non-empty and never moved by an ack. When it fires and the
 oldest entry has waited the current backoff (``ack_timeout ·
-1.5^attempts``, jittered once retransmitting), every unacked entry is
-sent again — go-back-N; the subscriber's reassembler drops what it already
-has by seq. An ack that makes progress resets ``attempts``; after
-``delivery_retries`` expiries without progress the whole window counts as
-exhausted and is dropped. A full window (:data:`WINDOW_CAP`) gives up its
-oldest entry. Either way the subscriber sees a hole in the sequence and
-sends ``resync``: the mediator replays the retained events matching that
-subscription under fresh sequence numbers and answers with the baseline
-seq to fast-forward past. A subscriber that leaves the range is owed
-nothing: its window goes with its subscriptions. The default stays
-unreliable fire-and-forget — identical wire behaviour to the seed — and
-the Context Server opts its range mediator in.
+1.5^attempts``, jittered once retransmitting), every message holding an
+unacked entry is sent again, once — go-back-N; the subscriber's
+reassembler drops what it already has by seq. An ack that makes progress
+resets ``attempts``; after ``delivery_retries`` expiries without
+progress the whole window counts as exhausted and is dropped. A full
+window (:data:`WINDOW_CAP`) gives up its oldest entry. Either way the
+subscriber sees a hole in the sequence and sends ``resync``: the
+mediator replays the retained events matching that subscription under
+fresh sequence numbers and answers with the baseline seq to fast-forward
+past. A subscriber that leaves the range is owed nothing: its window
+goes with its subscriptions. The default stays unreliable
+fire-and-forget — one message per (publish, subscriber) with ``seq``
+null — and the Context Server opts its range mediator in.
 
 Dispatch has one engine: every subscription's filter is a sink of one
 node of the mediator's shared filter table (:mod:`repro.query.opgraph`),
@@ -100,7 +107,7 @@ WINDOW_CAP = 1024
 #: what parsing a request payload raises when the payload is malformed
 _MALFORMED = (KeyError, TypeError, ValueError, FilterError)
 
-#: one unacked delivery: (seq, wire payload, delivery ordinal, first sent at)
+#: one unacked delivery: (seq, its shared payload, delivery ordinal, sent at)
 _Unacked = Tuple[int, Dict[str, Any], int, float]
 
 
@@ -287,7 +294,7 @@ class EventMediator(Process):
         try:
             for event in events:
                 if subscription.active and subscription.filter.matches(event):
-                    self._deliver(subscription, event)
+                    self._deliver([subscription], event)
         finally:
             self._served = None
         if served:
@@ -399,13 +406,14 @@ class EventMediator(Process):
         self.ledger.append(self.now, "publish", entry)
         return delivered
 
-    def _graph_deliver(self, sub_id: int, event: ContextEvent) -> None:
-        """Filter-table sink callback; a publish serves each subscription
-        at most once, so every sink of its batch is still live here."""
-        subscription = self._subscriptions[sub_id]
-        self._deliver(subscription, event)
-        if not subscription.active:  # one-time: consumed by this delivery
-            self._drop_subscription(subscription)
+    def _graph_deliver(self, sub_ids: List[int], event: ContextEvent) -> None:
+        """Filter-table callback with a publish's sorted matches; it serves
+        each subscription at most once, so every one is still live here."""
+        subscriptions = [self._subscriptions[sub_id] for sub_id in sub_ids]
+        self._deliver(subscriptions, event)
+        for subscription in subscriptions:
+            if not subscription.active:  # one-time: consumed by this delivery
+                self._drop_subscription(subscription)
 
     def _store_retained(self, event: ContextEvent) -> tuple:
         """Store ``event`` under its key (evicting at the cap); the key."""
@@ -426,26 +434,34 @@ class EventMediator(Process):
         self._retained_by_type.setdefault(event.type_name, {})[key] = None
         return key
 
-    def _deliver(self, subscription: Subscription, event: ContextEvent) -> None:
-        subscription.record_delivery()
-        self.deliveries += 1
-        self._deliveries_counter.inc()
-        if self._served is not None:
-            self._served.append([subscription.sub_id, event.seq])
-        with self.network.obs.tracer.span_if_active(
-                "mediator.deliver", range=self.range_name,
-                type=event.type_name, sub_id=subscription.sub_id):
-            if not self.reliable:
-                self.send(subscription.subscriber, "event",
-                          {"event": event.to_wire(),
-                           "sub_id": subscription.sub_id})
-                return
-            seq = subscription.next_seq()
-            payload = {"event": event.to_wire(),
-                       "sub_id": subscription.sub_id, "seq": seq}
-            self.send(subscription.subscriber, "event", payload)
-            self._hold(subscription.subscriber, subscription.sub_id,
-                       (seq, payload, self.deliveries, self.now))
+    def _deliver(self, subscriptions: List[Subscription],
+                 event: ContextEvent) -> None:
+        """Serve ``event`` to ``subscriptions`` (in ``sub_id`` order): one
+        wire form, one ``event`` per subscriber listing its pairs."""
+        wire = event.to_wire()
+        served, reliable = self._served, self.reliable
+        payloads: Dict[GUID, Dict[str, Any]] = {}
+        for subscription in subscriptions:
+            subscription.record_delivery()
+            if served is not None:
+                served.append([subscription.sub_id, event.seq])
+            payload = payloads.setdefault(subscription.subscriber,
+                                          {"event": wire, "subs": []})
+            payload["subs"].append([
+                subscription.sub_id,
+                subscription.next_seq() if reliable else None])
+        count = len(subscriptions)
+        self.deliveries += count
+        self._deliveries_counter.inc(count)
+        for subscriber, payload in payloads.items():
+            with self.network.obs.tracer.span_if_active(
+                    "mediator.deliver", range=self.range_name,
+                    type=event.type_name, subs=payload["subs"]):
+                self.send(subscriber, "event", payload)
+            if reliable:
+                for sub_id, seq in payload["subs"]:
+                    self._hold(subscriber, sub_id,
+                               (seq, payload, self.deliveries, self.now))
 
     # -- reliable mode: the unacked windows ----------------------------------
 
@@ -497,9 +513,10 @@ class EventMediator(Process):
         window.attempts += 1
         window.resent_at = self.now
         window.resent_through = self.deliveries
-        for entries in window.streams.values():
-            for entry in entries:
-                self.send(subscriber, "event", entry[1])
+        # the pairs of one message share its payload: resend it once
+        for payload in {id(entry[1]): entry[1] for entries in
+                        window.streams.values() for entry in entries}.values():
+            self.send(subscriber, "event", payload)
         self._retry_attempts_counter.inc(window.size)
         if self._jitter_rng is None:
             # seeded from the GUID: deterministic per mediator, and

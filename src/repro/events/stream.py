@@ -1,8 +1,10 @@
 """Subscriber-side reassembly and acknowledgement of reliable event streams.
 
-A reliable mediator (``EventMediator(reliable=True)``) stamps every delivery
-with a per-subscription sequence number. The :class:`StreamReassembler`
-sits between a subscriber's transport and its event hook and restores the
+A mediator sends a subscriber one ``event`` per publish, ``{"event": <wire
+event>, "subs": [[sub_id, seq], ...]}``: every subscription the event
+matched, an int ``sub_id`` with a non-bool int ``seq >= 1`` (``null`` from
+an unreliable mediator). :func:`offer_event` checks and parses it once and
+offers each pair to the :class:`StreamReassembler`, which restores the
 publish order the mediator produced:
 
 * ``seq == last + 1``  — deliver, then flush any buffered successors;
@@ -23,8 +25,8 @@ mediator are pending, or :data:`EVENT_ACK_DELAY` after the first of them,
 whichever comes first. A duplicate counts as a delivery too, so a lost ack
 is repaired by the retransmission it provokes.
 
-Deliveries without a sequence number (an unreliable mediator, or raw test
-messages) bypass the machinery entirely: nothing is buffered or acked.
+Pairs without a sequence number (an unreliable mediator) bypass the
+machinery entirely: nothing is buffered or acked.
 """
 
 from __future__ import annotations
@@ -56,6 +58,38 @@ EVENT_ACK_EVERY = 32
 EVENT_ACK_DELAY = 1.0
 
 
+def offer_event(owner, message, parse: Callable[[Any], Any]) -> bool:
+    """Offer each ``[sub_id, seq]`` of an ``event`` to ``owner.streams``
+    with the event ``parse``d once (None if it does not parse: its seqs are
+    still consumed), noting sequenced ones with ``owner.acks`` (True if
+    any). Any other ``subs`` drops the whole message with a log line."""
+    payload = message.payload
+    subs = payload.get("subs")
+    try:
+        if type(subs) is not list:
+            raise TypeError(f"subs is a {type(subs).__name__}, not a list")
+        for sub_id, seq in subs:  # raises unless each item is a pair
+            if type(sub_id) is not int or not (
+                    seq is None or (type(seq) is int and seq >= 1)):
+                raise ValueError(f"malformed pair {[sub_id, seq]!r}")
+    except (TypeError, ValueError) as exc:
+        logger.info("%s: dropping event: %r", owner.name, exc)
+        return False
+    try:
+        item = parse(payload["event"])
+    except (KeyError, TypeError, ValueError) as exc:
+        logger.info("%s: dropping malformed event %r: %r",
+                    owner.name, payload, exc)
+        item = None
+    sequenced = False
+    for sub_id, seq in subs:
+        owner.streams.offer(sub_id, seq, item)
+        if seq is not None:
+            owner.acks.note(message.sender, sub_id)
+            sequenced = True
+    return sequenced
+
+
 class _SubStream:
     """Per-subscription reorder state."""
 
@@ -71,7 +105,7 @@ class StreamReassembler:
     """In-order, exactly-once delivery over per-subscription seq numbers."""
 
     def __init__(self, scheduler: Scheduler,
-                 deliver: Callable[[Any], None],
+                 deliver: Callable[[int, Any], None],
                  request_resync: Optional[Callable[[int], None]] = None,
                  resync_after: float = DEFAULT_RESYNC_AFTER,
                  metrics=None):
@@ -99,11 +133,11 @@ class StreamReassembler:
 
     # -- ingest ---------------------------------------------------------------
 
-    def offer(self, sub_id: Optional[int], seq: Optional[int],
-              payload: Any) -> bool:
-        """Feed one arrival; returns True when delivered immediately."""
+    def offer(self, sub_id: int, seq: Optional[int], item: Any) -> bool:
+        """Feed one arrival for ``sub_id``; ``deliver(sub_id, item)`` runs
+        once it is in order. Returns True when delivered immediately."""
         if seq is None:
-            self._deliver(payload)
+            self._deliver(sub_id, item)
             return True
         stream = self._streams.setdefault(sub_id, _SubStream())
         if seq <= stream.last or seq in stream.pending:
@@ -112,13 +146,13 @@ class StreamReassembler:
             return False
         if seq == stream.last + 1:
             stream.last = seq
-            self._deliver(payload)
-            self._flush(stream)
+            self._deliver(sub_id, item)
+            self._flush(sub_id, stream)
             return True
         if not stream.pending:
             self.gaps_detected += 1
             self._gap_counter.inc()
-        stream.pending[seq] = payload
+        stream.pending[seq] = item
         self._arm(sub_id, stream)
         return False
 
@@ -132,10 +166,10 @@ class StreamReassembler:
         if stream is None:
             return
         for seq in sorted(s for s in stream.pending if s <= baseline):
-            self._deliver(stream.pending.pop(seq))
+            self._deliver(sub_id, stream.pending.pop(seq))
         if baseline > stream.last:
             stream.last = baseline
-        self._flush(stream)
+        self._flush(sub_id, stream)
         if stream.pending:
             self._arm(sub_id, stream)
 
@@ -178,10 +212,10 @@ class StreamReassembler:
 
     # -- internals ------------------------------------------------------------
 
-    def _flush(self, stream: _SubStream) -> None:
+    def _flush(self, sub_id: int, stream: _SubStream) -> None:
         while stream.last + 1 in stream.pending:
             stream.last += 1
-            self._deliver(stream.pending.pop(stream.last))
+            self._deliver(sub_id, stream.pending.pop(stream.last))
         if not stream.pending and stream.gap_timer is not None:
             stream.gap_timer.cancel()
             stream.gap_timer = None

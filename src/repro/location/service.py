@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import LocationError
 from repro.core.ids import GUID
 from repro.events.stream import (RESYNC_RETRIES, RESYNC_TIMEOUT, AckBatcher,
-                                 StreamReassembler)
+                                 StreamReassembler, offer_event)
 from repro.location.building import BuildingModel
 from repro.location.geometry import Point
 from repro.location.language import LocationExpr
@@ -31,6 +32,11 @@ from repro.net.rpc import RequestManager
 from repro.net.transport import Network, Process
 
 logger = logging.getLogger(__name__)
+
+
+#: a wire event's fields the service reads, as one tuple
+_event_fields = itemgetter("type", "value", "timestamp", "subject",
+                           "representation")
 
 
 @dataclass
@@ -202,13 +208,8 @@ class LocationService(Process):
         reassembler and cumulative acks as a component's; unsequenced ones
         are ingested at once.
         """
-        payload = message.payload
-        seq = payload.get("seq")
-        sub_id = payload.get("sub_id")
-        self.streams.offer(sub_id, seq, payload)
-        if seq is not None:
+        if offer_event(self, message, _event_fields):
             self._mediator = message.sender
-            self.acks.note(message.sender, sub_id)
 
     def _request_resync(self, sub_id: int) -> None:
         if self._mediator is None:
@@ -220,20 +221,14 @@ class LocationService(Process):
             on_timeout=lambda: self.streams.resync_failed(sub_id),
             timeout=RESYNC_TIMEOUT, retries=RESYNC_RETRIES)
 
-    def _ingest_event(self, payload: Dict) -> None:
-        """One in-order event: a fix older than the one already tracked (a
-        resync replaying retained state, a slower source) is ignored rather
-        than rolling the entity back. A delivery whose event does not parse
-        is dropped here, after its seq was consumed."""
-        try:
-            wire = payload["event"]
-            type_name, value, timestamp = (wire["type"], wire["value"],
-                                           wire["timestamp"])
-            subject, representation = wire["subject"], wire["representation"]
-        except (KeyError, TypeError) as exc:
-            logger.info("%s: dropping malformed event %r: %r",
-                        self.name, payload, exc)
+    def _ingest_event(self, sub_id: int, fields: Optional[tuple]) -> None:
+        """One in-order event's ``_event_fields``: a fix older than the
+        one already tracked (a resync replaying retained state, a slower
+        source) is ignored rather than rolling the entity back. None is an
+        event that did not parse, dropped here after its seq was consumed."""
+        if fields is None:
             return
+        type_name, value, timestamp, subject, representation = fields
         if type_name == "presence" and isinstance(value, dict):
             to_room = value.get("to")
             entity = value.get("entity")
@@ -243,7 +238,7 @@ class LocationService(Process):
                                  timestamp=timestamp)
                 except LocationError as exc:
                     logger.warning("%s could not ingest presence %s: %s",
-                                   self.name, wire, exc)
+                                   self.name, value, exc)
             return
         if type_name != "location" or subject is None:
             return
@@ -255,7 +250,7 @@ class LocationService(Process):
                 self._ingest(str(subject), point=Point(value[0], value[1]),
                              timestamp=timestamp)
         except LocationError as exc:
-            logger.warning("%s could not ingest %s: %s", self.name, wire, exc)
+            logger.warning("%s could not ingest %s: %s", self.name, fields, exc)
 
     def _ingest(self, entity_key: str, room: Optional[str] = None,
                 point: Optional[Point] = None,

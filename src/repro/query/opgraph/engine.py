@@ -16,9 +16,9 @@ Invariants the tests lean on:
   re-attaching a ``sub_id`` first detaches it.
 * **Delivery order matches a linear scan.** A subscription is a sink of
   exactly one node, so a publish yields at most one delivery per
-  subscription; they are sorted by ``sub_id`` before the deliver callback
-  runs, which is exactly the order a scan over the insertion-ordered
-  subscription table delivers in — the differential harness and the
+  subscription; they are sorted by ``sub_id`` and handed to the deliver
+  callback as one batch, which is exactly the order a scan over the
+  insertion-ordered subscription table delivers in — the differential harness and the
   Hypothesis property assert entry-identical logs against that scan
   (``tests/events/reference_scan.py``).
 """
@@ -32,8 +32,8 @@ from repro.events.event import ContextEvent
 from repro.events.filters import EventFilter
 from repro.obs.metrics import MetricsRegistry
 
-#: deliver callback: (sub_id, event) -> None
-DeliverFn = Callable[[int, ContextEvent], None]
+#: deliver callback, once per matched publish: (sorted sub_ids, event) -> None
+DeliverFn = Callable[[List[int], ContextEvent], None]
 
 
 class _Node:
@@ -153,10 +153,10 @@ class OperatorGraph:
         evals = len(node_ids)
         self.evals += evals
         self._evals_counter.inc(evals)
-        batch.sort()
-        for sub_id in batch:
-            self._deliver(sub_id, event)
         count = len(batch)
+        if count:
+            batch.sort()
+            self._deliver(batch, event)
         self.fanout += count
         self._fanout_counter.inc(count)
         return count

@@ -1,7 +1,8 @@
 """The linear-scan mediator, kept as the dispatch equivalence reference.
 
 Every publish evaluates every live subscription's filter, in subscription
-table (insertion) order; retained replay scans the whole retained store.
+table (insertion) order, and hands the matches to the production
+``_deliver`` as one batch; retained replay scans the whole retained store.
 This was ``EventMediator(engine="classic")`` before the shared filter
 table became the only dispatch engine in ``src/``; the
 differential suites (``tests/opgraph``, ``tests/parallel``) and the
@@ -28,16 +29,15 @@ class ReferenceScanMediator(EventMediator):
 
     def _fan_out(self, event: ContextEvent) -> int:
         self._store_retained(event)
-        delivered = 0
-        for subscription in list(self._subscriptions.values()):
+        matches = [subscription
+                   for subscription in self._subscriptions.values()
+                   if subscription.active and subscription.filter.matches(event)]
+        if matches:
+            self._deliver(matches, event)
+        for subscription in matches:
             if not subscription.active:
-                continue
-            if subscription.filter.matches(event):
-                self._deliver(subscription, event)
-                delivered += 1
-                if not subscription.active:
-                    self._drop_subscription(subscription)
-        return delivered
+                self._drop_subscription(subscription)
+        return len(matches)
 
     def _replay_events(self, type_name: Optional[str]) -> List[ContextEvent]:
         return list(self._retained.values())

@@ -7,9 +7,10 @@ from repro.core.types import TypeSpec
 from repro.entities.entity import ContextAwareApplication
 from repro.entities.profile import EntityClass, Profile
 from repro.events.event import ContextEvent
-from repro.events.filters import TypeFilter
+from repro.events.filters import SubjectFilter, TypeFilter
 from repro.events.mediator import EventMediator
 from repro.faults.injector import FaultInjector
+from repro.net.transport import FunctionProcess
 
 
 @pytest.fixture
@@ -72,6 +73,49 @@ class TestReliableDelivery:
         assert app.streams.last_seq(1) == 0 or not app.streams._streams
 
 
+class TestSharedMessages:
+    @pytest.mark.parametrize("reliable", [True, False])
+    def test_event_payload_is_event_and_subs(self, network, guids, reliable):
+        inbox = []
+        sink = FunctionProcess(guids.mint(), "host-b", network, inbox.append)
+        mediator = EventMediator(guids.mint(), "host-a", network, "shape",
+                                 reliable=reliable)
+        first = mediator.add_subscription(sink.guid, TypeFilter("location"))
+        second = mediator.add_subscription(sink.guid, SubjectFilter("bob"))
+        publish(mediator, "L1")                       # both subscriptions
+        publish(mediator, "L2", subject="john")       # the first only
+        mediator.add_subscription(sink.guid, TypeFilter("location"))  # replay
+        network.scheduler.run_for(1.5)
+        events = [m.payload for m in inbox if m.kind == "event"]
+        assert [set(payload) for payload in events] == [{"event", "subs"}] * 4
+        seqs = [1, 1, 2] if reliable else [None] * 3
+        assert [payload["subs"] for payload in events[:2]] == [
+            [[first.sub_id, seqs[0]], [second.sub_id, seqs[1]]],
+            [[first.sub_id, seqs[2]]]]
+        assert len(events[2]["subs"]) == len(events[3]["subs"]) == 1
+
+    def test_retransmission_sends_a_shared_payload_once(self, network,
+                                                        guids, mediator):
+        # a subscriber that never acks: every round resends its window
+        inbox = []
+        sink = FunctionProcess(guids.mint(), "host-b", network, inbox.append)
+        mediator.add_subscription(sink.guid, TypeFilter("location"))
+        mediator.add_subscription(sink.guid, TypeFilter("location"))
+        mediator.add_subscription(sink.guid, SubjectFilter("bob"))
+        publish(mediator, "L1")                       # three entries
+        publish(mediator, "L2", subject="john")       # two entries
+        attempts = network.obs.metrics.counter(
+            "net.retry.attempts", labels=("kind",))
+        network.scheduler.run_for(2.0)
+        assert network.stats.by_kind["event"] == 2
+        assert mediator.unacked(sink.guid) == 5
+        network.scheduler.run_for(mediator.ack_timeout)   # one round
+        assert network.stats.by_kind["event"] == 4
+        assert attempts.value(kind="event") == 5
+        resent = [m.payload for m in inbox[2:]]
+        assert [len(payload["subs"]) for payload in resent] == [3, 2]
+
+
 class TestResync:
     def test_resync_replays_retained(self, network, mediator, app):
         sub = mediator.add_subscription(app.guid, TypeFilter("location"),
@@ -81,8 +125,7 @@ class TestResync:
         assert [e.value for e in app.events] == ["L10.01"]
         # forge a hole: the app thinks seq 3 arrived but 2 never will
         # (as if the mediator's whole budget for seq 2 expired)
-        app.streams.offer(sub.sub_id, 3, {"event": app.events[0].to_wire(),
-                                          "sub_id": sub.sub_id, "seq": 3})
+        app.streams.offer(sub.sub_id, 3, app.events[0])
         network.scheduler.run_for(app.streams.resync_after + 30.0)
         assert mediator.resyncs_served == 1
         # the retained event was replayed under a fresh seq and consumed
@@ -90,7 +133,7 @@ class TestResync:
         assert app.streams.open_holes(sub.sub_id) == 0
 
     def test_resync_unknown_sub_forgets_stream(self, network, mediator, app):
-        app.streams.offer(999, 2, {"event": None, "sub_id": 999, "seq": 2})
+        app.streams.offer(999, 2, None)
         network.scheduler.run_for(app.streams.resync_after + 30.0)
         assert app.streams.open_holes(999) == 0
         assert app.streams.last_seq(999) == 0

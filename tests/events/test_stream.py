@@ -23,7 +23,8 @@ def resyncs():
 
 @pytest.fixture
 def stream(scheduler, delivered, resyncs):
-    return StreamReassembler(scheduler, delivered.append,
+    return StreamReassembler(scheduler,
+                             lambda sub_id, item: delivered.append(item),
                              request_resync=resyncs.append,
                              resync_after=10.0)
 
@@ -121,4 +122,5 @@ class TestResync:
 
     def test_non_positive_resync_after_rejected(self, scheduler):
         with pytest.raises(ValueError):
-            StreamReassembler(scheduler, lambda p: None, resync_after=0.0)
+            StreamReassembler(scheduler, lambda sub_id, item: None,
+                              resync_after=0.0)

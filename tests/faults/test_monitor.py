@@ -28,7 +28,7 @@ def push_event(network, app, at, type_name="location"):
                              "L10.01", app.guid, network.scheduler.now)
         app.handle_component_message(
             Message(sender=app.guid, recipient=app.guid, kind="event",
-                    payload={"event": event.to_wire(), "sub_id": 1}))
+                    payload={"event": event.to_wire(), "subs": [[1, None]]}))
 
     network.scheduler.schedule_at(at, deliver)
 

@@ -123,7 +123,8 @@ class TestEventIngestion:
         sender = FunctionProcess(guids.mint(), "host-a", network, lambda m: None)
         event = ContextEvent(TypeSpec("location", "topological", "bob"),
                              "L10.02", sender.guid, 1.0)
-        sender.send(service.guid, "event", {"event": event.to_wire()})
+        sender.send(service.guid, "event", {"event": event.to_wire(),
+                                            "subs": [[1, None]]})
         network.scheduler.run_until_idle()
         assert service.locate("bob").room == "L10.02"
 
@@ -135,7 +136,8 @@ class TestEventIngestion:
                              {"entity": "bob", "from": "corridor",
                               "to": "L10.03", "door": "d"},
                              sender.guid, 1.0)
-        sender.send(service.guid, "event", {"event": event.to_wire()})
+        sender.send(service.guid, "event", {"event": event.to_wire(),
+                                            "subs": [[1, None]]})
         network.scheduler.run_until_idle()
         assert service.locate("bob").room == "L10.03"
 
@@ -145,6 +147,7 @@ class TestEventIngestion:
         sender = FunctionProcess(guids.mint(), "host-a", network, lambda m: None)
         event = ContextEvent(TypeSpec("location", "geometric", "bob"),
                              (14.0, 7.0), sender.guid, 1.0)
-        sender.send(service.guid, "event", {"event": event.to_wire()})
+        sender.send(service.guid, "event", {"event": event.to_wire(),
+                                            "subs": [[1, None]]})
         network.scheduler.run_until_idle()
         assert service.locate("bob").room == "L10.01"

@@ -30,7 +30,8 @@ def make_event(type_name="temperature", subject="room-0", value=1,
 @pytest.fixture()
 def graph():
     log = []
-    g = OperatorGraph(lambda sub_id, event: log.append((sub_id, event)))
+    g = OperatorGraph(lambda sub_ids, event: log.extend(
+        (sub_id, event) for sub_id in sub_ids))
     g.log = log
     return g
 

@@ -102,11 +102,12 @@ def run_ops(op_list, mediator_class):
 
     original_deliver = mediator._deliver
 
-    def recording_deliver(subscription, event):
-        log.append((subscription.sub_id,
-                    (event.type_name, event.representation, event.subject,
-                     event.value, event.source.hex)))
-        original_deliver(subscription, event)
+    def recording_deliver(subscriptions, event):
+        for subscription in subscriptions:
+            log.append((subscription.sub_id,
+                        (event.type_name, event.representation,
+                         event.subject, event.value, event.source.hex)))
+        original_deliver(subscriptions, event)
 
     mediator._deliver = recording_deliver
 

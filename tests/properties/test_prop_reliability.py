@@ -7,7 +7,8 @@ fault schedules:
   bounded loss episode as under a lossless network — retransmission from
   the unacked windows plus the reassemblers' dedup masks the loss
   completely (exactly-once observable delivery), for several subscribers
-  with several subscriptions each, and every window drains;
+  with several overlapping subscriptions each — one message carrying
+  several of them — and every window drains;
 * heartbeat-driven overlay failure detection converges to the same
   membership and replicated directory as oracle ``fail()`` calls.
 """
@@ -20,7 +21,7 @@ from repro.core.types import TypeSpec
 from repro.entities.entity import ContextAwareApplication
 from repro.entities.profile import EntityClass, Profile
 from repro.events.event import ContextEvent
-from repro.events.filters import TypeFilter
+from repro.events.filters import SubjectFilter, TypeFilter
 from repro.events.mediator import EventMediator
 from repro.faults.injector import FaultInjector
 from repro.net.transport import FixedLatency, Network
@@ -34,6 +35,31 @@ publications = st.lists(
     st.tuples(st.sampled_from(TYPES), st.sampled_from(SUBJECTS),
               st.integers(0, 99), st.floats(0.0, 5.0)),
     min_size=1, max_size=15)
+
+#: the subscriptions an app holds beside one TypeFilter per type: a
+#: duplicate TypeFilter or a subject filter, so one publish can match
+#: several subscriptions of one subscriber
+extra_filters = st.lists(
+    st.one_of(st.sampled_from(TYPES).map(lambda t: ("type", t)),
+              st.sampled_from(SUBJECTS).map(lambda s: ("subject", s))),
+    min_size=1, max_size=3)
+
+
+class RecordingApp(ContextAwareApplication):
+    """Logs every delivery under the subscription it arrived on."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.by_sub = {}
+
+    def on_event(self, event, sub_id):
+        self.by_sub.setdefault(sub_id, []).append((str(event.subject),
+                                                   event.value))
+
+
+def matches(spec, type_name, subject):
+    kind, key = spec
+    return key == (type_name if kind == "type" else subject)
 
 
 def run_reliable_stream(pubs, seed, loss_rate, loss_duration):
@@ -89,9 +115,10 @@ class TestLossMasking:
                 (s, v) for t, s, v, _ in pubs if t == type_name]
 
 
-def run_two_subscribers(pubs, seed, loss_rate, loss_duration):
-    """One reliable mediator, two CAAs with two subscriptions each; every
-    app's log per subscription stream, and the mediator."""
+def run_two_subscribers(pubs, extras, seed, loss_rate, loss_duration):
+    """One reliable mediator, two apps with one TypeFilter per type plus
+    their ``extras`` each; every app's log per subscription (in
+    subscription order), the mediator and the network."""
     network = Network(latency_model=FixedLatency(1.0), seed=seed)
     network.add_host("host-a")
     network.add_host("host-b")
@@ -101,14 +128,17 @@ def run_two_subscribers(pubs, seed, loss_rate, loss_duration):
                              reliable=True, ack_timeout=4.0,
                              delivery_retries=8)
     apps = []
-    for name, host in (("left", "host-b"), ("right", "host-c")):
-        app = ContextAwareApplication(
+    for (name, host), extra in zip((("left", "host-b"), ("right", "host-c")),
+                                   extras):
+        app = RecordingApp(
             Profile(guids.mint(), name, entity_class=EntityClass.SOFTWARE),
             host, network)
         app.attach_to_range(guids.mint(), mediator.guid, mediator.guid,
                             "prop")
-        for type_name in TYPES:
-            mediator.add_subscription(app.guid, TypeFilter(type_name))
+        app.subs = [mediator.add_subscription(
+            app.guid, TypeFilter(key) if kind == "type" else
+            SubjectFilter(key)).sub_id
+            for kind, key in [("type", t) for t in TYPES] + extra]
         apps.append(app)
     if loss_rate:
         FaultInjector(network, seed=seed).loss_episode(loss_rate,
@@ -118,29 +148,36 @@ def run_two_subscribers(pubs, seed, loss_rate, loss_duration):
         mediator.publish(ContextEvent(TypeSpec(type_name, "raw", subject),
                                       value, mediator.guid, mediator.now))
     network.scheduler.run_until_idle()
-    logs = [{type_name: [(str(e.subject), e.value) for e in app.events
-                         if e.type_name == type_name]
-             for type_name in TYPES} for app in apps]
-    return logs, mediator
+    logs = [[app.by_sub.get(sub_id, []) for sub_id in app.subs]
+            for app in apps]
+    return logs, mediator, network
 
 
 class TestUnackedWindows:
     @settings(max_examples=25, deadline=None)
-    @given(pubs=publications, seed=st.integers(0, 2**16),
-           loss_rate=st.floats(0.1, 0.6))
-    def test_two_subscribers_lossy_equals_lossless(self, pubs, seed,
+    @given(pubs=publications, extras=st.tuples(extra_filters, extra_filters),
+           seed=st.integers(0, 2**16), loss_rate=st.floats(0.1, 0.6))
+    def test_two_subscribers_lossy_equals_lossless(self, pubs, extras, seed,
                                                    loss_rate):
         """Per-subscriber windows and cumulative acks mask a loss episode
-        for every subscriber and subscription, and nothing is left unacked
-        once the run quiesces."""
-        lossless, _ = run_two_subscribers(pubs, seed, 0.0, 0.0)
-        lossy, mediator = run_two_subscribers(pubs, seed, loss_rate, 30.0)
+        for every subscriber and subscription, also when one message
+        carries several subscriptions, and nothing is left unacked once
+        the run quiesces."""
+        lossless, _, network = run_two_subscribers(pubs, extras, seed,
+                                                    0.0, 0.0)
+        lossy, mediator, _ = run_two_subscribers(pubs, extras, seed,
+                                                 loss_rate, 30.0)
         assert lossy == lossless
-        expected = {type_name: [(s, v) for t, s, v, _ in pubs
-                                if t == type_name] for type_name in TYPES}
-        assert lossy == [expected, expected]
+        specs = [[("type", t) for t in TYPES] + extra for extra in extras]
+        expected = [[[(s, v) for t, s, v, _ in pubs if matches(spec, t, s)]
+                     for spec in app_specs] for app_specs in specs]
+        assert lossy == expected
         assert mediator.unacked() == 0
         assert mediator.deliveries_exhausted == 0
+        # one event message per (publish, subscriber) it matched
+        pairs = sum(any(matches(spec, t, s) for spec in app_specs)
+                    for t, s, _, _ in pubs for app_specs in specs)
+        assert network.stats.by_kind["event"] == pairs
 
 
 crash_plans = st.lists(st.integers(0, 7), min_size=0, max_size=3,
