@@ -11,10 +11,14 @@ then expires (the PR-4 failure-detection path). The gate asserts:
   checkpoint captured by a scheduler callback;
 * **chain integrity**: every range's hash chain verifies end-to-end
   and the per-chain totals add up to the merged stream;
+* **hash budget**: ``entry_hash`` calls are counted and printed per step.
+  ``verify``, the chain's first read, seals it in N calls for N entries,
+  the merged read after it makes none, and the export and the load make
+  N each (a ``verify`` that seals and then recomputes the chain makes 2N);
 * **one book**: one ``register`` entry per registration the Registrar
   counted, one ``depart`` per departure it announced, and no kind outside
-  ``ENTRY_KINDS``; entries and canonical bytes (what ``verify`` re-hashes)
-  are printed per kind;
+  ``ENTRY_KINDS``; entries and canonical bytes (what each ``verify``
+  hashes once) are printed per kind;
 * **one entry per publish**: no more ``publish`` entries than the mediator
   counted publishes, and the ``deliveries`` lists of the ``publish`` and
   ``replay`` entries add up to the deliveries it counted — an entry per
@@ -42,6 +46,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
 from repro import SCI  # noqa: E402
 from repro.core.api import SCIConfig  # noqa: E402
+from repro.ledger import ledger as ledger_module  # noqa: E402
 from repro.ledger.ledger import (ENTRY_KINDS, entry_body,  # noqa: E402
                                  load_ledger_jsonl, write_ledger_jsonl)
 from repro.ledger.replay import (ReplayProjector, live_snapshot,  # noqa: E402
@@ -90,8 +95,25 @@ def run_scenario():
     return sci, server, app, captured, victim.guid.hex, departures
 
 
+def counting_hashes(step):
+    """Run ``step()``; returns its result and the ``entry_hash`` calls made."""
+    real = ledger_module.entry_hash
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    ledger_module.entry_hash = counted
+    try:
+        return step(), calls
+    finally:
+        ledger_module.entry_hash = real
+
+
 def print_kind_table(entries):
-    """Entries and canonical bytes per kind: what every audit re-hashes."""
+    """Entries and canonical bytes per kind: what every audit hashes."""
     counts, sizes = collections.Counter(), collections.Counter()
     for entry in entries:
         counts[entry.kind] += 1
@@ -110,7 +132,10 @@ def main() -> int:
     ok = True
     print("smoke-ledger: seeded crash scenario with mid-run checkpoint...")
     sci, server, app, captured, victim_hex, departures = run_scenario()
-    entries = server.ledger_entries()
+    chains = server.ledgers()
+    verified, verify_calls = counting_hashes(
+        lambda: sum(chain.verify() for chain in chains))
+    entries, read_calls = counting_hashes(server.ledger_entries)
     kinds = {entry.kind for entry in entries}
     expired = any(entry.kind == "depart"
                   and entry.payload == {"entity": victim_hex,
@@ -150,20 +175,28 @@ def main() -> int:
     ok &= check(replayed == captured["live"],
                 f"as-of prefix oracle matches the t={CHECKPOINT} checkpoint")
 
-    chains = server.ledgers()
-    verified = sum(chain.verify() for chain in chains)
     ok &= check(verified == len(entries),
                 f"every chain verifies ({verified} entries across "
                 f"{len(chains)} chains)")
 
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "level10-ledger.jsonl"
-        count = write_ledger_jsonl(chains, path)
-        recovered = ReplayProjector.from_records(load_ledger_jsonl(path)).state
+        count, export_calls = counting_hashes(
+            lambda: write_ledger_jsonl(chains, path))
+        records, load_calls = counting_hashes(lambda: load_ledger_jsonl(path))
+        recovered = ReplayProjector.from_records(records).state
         ok &= check(count == len(entries)
                     and snapshot_digest(projection_snapshot(recovered))
                     == snapshot_digest(live),
                     f"JSONL artefact round-trips ({count} records)")
+    print(f"smoke-ledger: entry_hash calls: verify {verify_calls}, "
+          f"ledger_entries() {read_calls}, export {export_calls}, "
+          f"load {load_calls}")
+    total = len(entries)
+    ok &= check(verify_calls == export_calls == load_calls == total
+                and read_calls == 0,
+                f"hash budget: verify, export and load hash each of the "
+                f"{total} entries once, the read after verify none")
 
     before, after = CHECKPOINT, 54.25
     ok &= check(server.as_of(before).registered(victim_hex)

@@ -129,7 +129,8 @@ class ContextLedger:
     (:attr:`head`, :meth:`entries`, :meth:`verify`). The chain is a pure
     function of the body sequence, so where the sealing points fall never
     changes a single hash — it only keeps the canonical-JSON + blake2b
-    work off the event-dispatch hot path.
+    work off the event-dispatch hot path. :meth:`verify` hashes each entry
+    once per call and never extends a chain whose sealed prefix is broken.
     """
 
     def __init__(self, ledger_id: str, metrics=None, range_name: str = ""):
@@ -200,13 +201,18 @@ class ContextLedger:
         return self._entries[seq]
 
     def verify(self) -> int:
-        """Recompute the whole chain; returns its length, raises on break."""
-        self._seal()
+        """Re-check every sealed entry, then seal the tail; returns the length.
+
+        Each entry is hashed once per call: the sealed prefix is recomputed
+        from genesis, and the unsealed tail is hashed as it is sealed onto
+        the head just checked. A broken prefix raises before the tail is
+        sealed, so a broken chain is never extended.
+        """
         prev = GENESIS_HASH
         for index, entry in enumerate(self._entries):
-            if entry.seq != index:
-                raise LedgerError(
-                    f"{self.ledger_id}: entry {index} carries seq {entry.seq}")
+            if entry.seq != index or entry.ledger_id != self.ledger_id:
+                raise LedgerError(f"{self.ledger_id}: entry {index} carries "
+                                  f"seq {entry.seq} of {entry.ledger_id}")
             if entry.prev_hash != prev:
                 raise LedgerError(
                     f"{self.ledger_id}: entry {index} prev-hash mismatch")
@@ -216,6 +222,7 @@ class ContextLedger:
                 raise LedgerError(f"{self.ledger_id}: entry {index} "
                                   f"hash mismatch (tampered payload?)")
             prev = entry.entry_hash
+        self._seal()
         return len(self._entries)
 
 
@@ -243,14 +250,16 @@ def write_ledger_jsonl(ledgers: Iterable[ContextLedger],
 
     One line per entry, in :func:`merge_entries` order. Returns the line count.
     Two chains under one ledger id are refused: the id names the chain.
+    Every chain is checked through :meth:`ContextLedger.verify` first.
     """
     ledgers = list(ledgers)
     if len({ledger.ledger_id for ledger in ledgers}) != len(ledgers):
         raise LedgerError("two chains share a ledger id")
+    for ledger in ledgers:
+        ledger.verify()
     records = [entry.to_record() for entry in merge_entries(ledgers)]
     for index, record in enumerate(records):
         _validate_record(f"line {index + 1}", record)
-    _verify_record_chains(records)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
@@ -301,7 +310,7 @@ def _validate_record(where: str, record: Any) -> None:
 
 
 def _verify_record_chains(records: List[Dict[str, Any]]) -> None:
-    """Recompute every per-ledger chain across exported lines."""
+    """Recompute every per-ledger chain across loaded lines."""
     heads: Dict[str, tuple] = {}  # ledger id -> (next seq, head hash)
     for record in records:
         key = record["ledger"]

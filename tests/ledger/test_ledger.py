@@ -6,6 +6,7 @@ from dataclasses import fields
 
 import pytest
 
+from repro.ledger import ledger as ledger_module
 from repro.ledger.ledger import (
     ContextLedger,
     GENESIS_HASH,
@@ -28,6 +29,20 @@ def build_chain():
     return ledger
 
 
+@pytest.fixture
+def hash_calls(monkeypatch):
+    """The seq of every ``entry_hash`` call: one per entry sealed or checked."""
+    calls = []
+    real = ledger_module.entry_hash
+
+    def counted(prev_hash, seq, sim_time, kind, payload):
+        calls.append(seq)
+        return real(prev_hash, seq, sim_time, kind, payload)
+
+    monkeypatch.setattr(ledger_module, "entry_hash", counted)
+    return calls
+
+
 class TestChain:
     def test_links_and_ids(self):
         ledger = build_chain()
@@ -41,6 +56,34 @@ class TestChain:
 
     def test_verify_recomputes_clean_chain(self):
         assert build_chain().verify() == 3
+
+    def test_verify_hashes_an_unsealed_chain_once(self, hash_calls):
+        # verify seals the tail onto the prefix it has just checked: the
+        # tail is not hashed a second time
+        assert build_chain().verify() == 3
+        assert hash_calls == [0, 1, 2]
+
+    def test_verify_rechecks_the_sealed_prefix_and_hashes_the_tail_once(
+            self, hash_calls):
+        ledger = build_chain()
+        ledger.head
+        ledger.append(4.0, "register", {"entity": "bb", "name": "B"})
+        ledger.append(5.0, "depart", {"entity": "bb", "reason": "x"})
+        del hash_calls[:]
+        assert ledger.verify() == 5
+        assert hash_calls == [0, 1, 2, 3, 4]
+
+    def test_broken_prefix_is_never_extended(self):
+        ledger = build_chain()
+        ledger._entries[1] = dataclasses.replace(
+            ledger.entry(1), payload={"entity": "aa",
+                                      "attributes": {"room": "vault"}})
+        ledger.append(4.0, "register", {"entity": "bb", "name": "B"})
+        ledger.append(5.0, "depart", {"entity": "bb", "reason": "x"})
+        with pytest.raises(LedgerError, match="hash mismatch"):
+            ledger.verify()
+        assert len(ledger._entries) == 3
+        assert len(ledger) == 5
 
     def test_empty_chain(self):
         ledger = ContextLedger("cs:test")
@@ -97,7 +140,7 @@ class TestChain:
     def test_canonical_encoding_is_pinned(self):
         # one shared encoder, no per-call JSONEncoder: sort_keys, compact
         # separators and float repr must stay byte-identical or every
-        # archived /5 chain stops verifying
+        # archived /6 chain stops verifying
         ledger = build_chain()
         ledger.append(3.5, "publish", {
             "key": ["location", "topological", "bob"],
@@ -197,6 +240,28 @@ class TestArtefact:
         with pytest.raises(LedgerError, match="share a ledger id"):
             write_ledger_jsonl([first, second], path)
         assert not path.exists()
+
+    def test_tampered_chain_is_not_exported(self, tmp_path):
+        # the ledger id is not hashed: verify compares it with the chain's,
+        # so the writer still refuses an entry moved to another chain
+        for tamper in ({"payload": {"entity": "aa",
+                                    "attributes": {"room": "vault"}}},
+                       {"ledger_id": "cs:other"}):
+            ledger = build_chain()
+            ledger._entries[1] = dataclasses.replace(ledger.entry(1), **tamper)
+            path = tmp_path / "tampered.jsonl"
+            with pytest.raises(LedgerError):
+                write_ledger_jsonl([ledger], path)
+            assert not path.exists()
+
+    def test_export_and_load_hash_each_entry_once(self, tmp_path, hash_calls):
+        # the writer checks through verify, which seals the chain as it
+        # goes; only the loader, the one check a file gets, hashes again
+        path = tmp_path / "ledger.jsonl"
+        assert write_ledger_jsonl([build_chain()], path) == 3
+        assert len(hash_calls) == 3
+        assert len(load_ledger_jsonl(path)) == 3
+        assert len(hash_calls) == 6
 
     def _rewrite(self, path, records):
         path.write_text(

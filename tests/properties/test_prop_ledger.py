@@ -10,9 +10,14 @@ snapshot-for-snapshot. A tight retained cap keeps evictions in play,
 one-time subscriptions exercise the unsubscribe-then-publish order the
 mediator logs on its own, and a resync replays the retained store under a
 single ``replay`` entry.
+
+A second property interleaves appends with every seal point (``head``,
+``entries()``, ``verify()``) on one bare chain: the chain never depends on
+where the seals fall, and each ``verify()`` hashes each entry once.
 """
 
 import itertools
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +30,8 @@ from repro.events.event import ContextEvent
 from repro.events.filters import (AndFilter, MatchAll, SubjectFilter,
                                   TypeFilter)
 from repro.events.mediator import EventMediator
-from repro.ledger.ledger import ContextLedger
+from repro.ledger import ledger as ledger_module
+from repro.ledger.ledger import ENTRY_KINDS, ContextLedger
 from repro.ledger.replay import (ReplayProjector, projection_snapshot,
                                  snapshot_profiles, snapshot_registrar,
                                  snapshot_retained, snapshot_subscriptions)
@@ -161,3 +167,47 @@ class TestProjectionEqualsLive:
             assert _projected(ledger) == live
 
         ledger.verify()
+
+
+payloads = st.dictionaries(
+    st.sampled_from(["entity", "room", "seq", "bound"]),
+    st.one_of(st.none(), st.booleans(), st.integers(-5, 5),
+              st.text(max_size=3), st.lists(st.integers(0, 9), max_size=3)),
+    max_size=3)
+
+chain_ops = st.one_of(
+    st.tuples(st.just("append"), st.sampled_from(ENTRY_KINDS), payloads),
+    st.tuples(st.sampled_from(["head", "entries", "verify"])))
+
+
+class TestSealPoints:
+    @settings(max_examples=60, deadline=None)
+    @given(ops=st.lists(chain_ops, max_size=30))
+    def test_seal_points_never_change_the_chain(self, ops):
+        appended = [(float(i), op[1], op[2])
+                    for i, op in enumerate(o for o in ops if o[0] == "append")]
+        reference = ContextLedger("cs:prop")
+        for body in appended:
+            reference.append(*body)
+        reference.head
+
+        ledger = ContextLedger("cs:prop")
+        bodies = iter(appended)
+        sealed = expected_calls = 0
+        with mock.patch.object(ledger_module, "entry_hash",
+                               wraps=ledger_module.entry_hash) as hashed:
+            for op in ops:
+                if op[0] == "append":
+                    ledger.append(*next(bodies))
+                    continue
+                if op[0] == "head":
+                    ledger.head
+                elif op[0] == "entries":
+                    ledger.entries()
+                else:
+                    assert ledger.verify() == len(ledger)
+                    expected_calls += sealed
+                sealed = len(ledger)
+            final = ledger.entries()
+        assert final == reference.entries()
+        assert hashed.call_count == len(appended) + expected_calls
