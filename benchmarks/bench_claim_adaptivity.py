@@ -23,6 +23,7 @@ from repro.obs.export import (
     write_metrics_json,
     write_trace_jsonl,
 )
+from repro.obs.profiling import SchedulerProfiler
 from repro.query.model import QueryBuilder
 
 LEASE = 10.0
@@ -33,6 +34,7 @@ METRICS_PATH = RESULTS_DIR / "bench_claim_adaptivity.metrics.json"
 
 def deploy(seed=0):
     sci = SCI(config=SCIConfig(seed=seed, lease_duration=LEASE))
+    sci.network.scheduler.profiler = SchedulerProfiler()
     sci.create_range("livingstone", places=["livingstone"], hosts=["pc"])
     sensors = sci.add_door_sensors("livingstone")
     detector = sci.add_wlan_detector("livingstone")
@@ -116,7 +118,7 @@ class TestReportAdaptivity:
         write_metrics_json(obs.metrics, METRICS_PATH,
                            meta={"experiment": "c1-adaptivity",
                                  "lease": LEASE, "failure_at": failure_at},
-                           profile=obs.profiler.snapshot())
+                           profile=sci.network.scheduler.profiler.snapshot())
 
         records = load_trace_jsonl(TRACE_PATH)
         repairs = [r for r in records if r["name"] == "config.repair"]

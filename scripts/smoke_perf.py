@@ -26,6 +26,10 @@ structural properties a refactor could silently regress:
   listening on the announcer's machine and to nobody else: four deliveries
   per Figure-5 handshake however crowded the machine, and no announce
   unheard — a change that silently re-floods the machine fails here;
+* lease renewal is one-way: ``k`` machines of ``m`` members send exactly
+  ``k * floor(T / (lease/3))`` ``heartbeat`` messages in ``T`` sim-units,
+  nothing answers them (no ``heartbeat-ack``), and every member stays
+  registered;
 * the registrar sweeps leases through the expiry heap (pops observed, no
   full-scan fallback to reintroduce);
 * the overlay disseminates announcements over the distribution tree
@@ -104,6 +108,12 @@ QUERY_PATH_UNBOUND_EVERY = 50
 #: machines of the registration storm's range, and components started on each
 STORM_MACHINES = 4
 STORM_PER_MACHINE = 24
+#: machines and members of the renewal-traffic row, their lease and the
+#: window it counts over (a multiple of ``lease/3``, starting between ticks)
+RENEWAL_MACHINES = 3
+RENEWAL_PER_MACHINE = 8
+RENEWAL_LEASE = 9.0
+RENEWAL_SECONDS = 30.0
 #: validated ``Counter.inc`` calls allowed per delivered message on the
 #: default deployment: hot sites update series bound once, so only rare
 #: labelled paths (request retries, unheard announces) are left
@@ -293,6 +303,51 @@ def registration_storm(machines=STORM_MACHINES, per_machine=STORM_PER_MACHINE):
             "unheard": net.obs.metrics.get("net.messages.unheard").total()}
 
 
+def renewal_traffic(machines=RENEWAL_MACHINES, per_machine=RENEWAL_PER_MACHINE,
+                    lease=RENEWAL_LEASE, seconds=RENEWAL_SECONDS):
+    """One range over ``machines`` machines with ``per_machine`` components
+    on each; once every lease group has formed, count the renewal traffic
+    of ``seconds`` sim-units, by kind."""
+    from repro.core.types import standard_registry
+    from repro.entities.entity import ContextEntity
+    from repro.entities.profile import Profile
+    from repro.location.building import livingstone_tower
+    from repro.server.context_server import ContextServer
+    from repro.server.range import RangeDefinition
+
+    net = Network(latency_model=FixedLatency(0.5), seed=19)
+    hosts = [f"lease-{index}" for index in range(machines)]
+    for host in hosts:
+        net.add_host(host)
+    guids = GuidFactory(seed=53)
+    server = ContextServer(
+        guids.mint(), hosts[0], net,
+        definition=RangeDefinition("lease", places=["livingstone"],
+                                   hosts=hosts),
+        building=livingstone_tower(), registry=standard_registry(),
+        guid_factory=guids, lease_duration=lease)
+    components = []
+    for host in hosts:
+        for index in range(per_machine):
+            component = ContextEntity(
+                Profile(guids.mint(), f"ce-{index}@{host}"), host, net)
+            component.start()
+            components.append(component)
+    # the handshakes end at 2.0 and the ticks follow every lease/3 from
+    # there, so the window starts between two ticks
+    net.scheduler.run_for(lease / 3 + 1.0)
+    before = net.stats.by_kind
+    net.scheduler.run_for(seconds)
+    after = net.stats.by_kind
+    return {"heartbeat": after["heartbeat"] - before["heartbeat"],
+            "heartbeat-ack": after["heartbeat-ack"],
+            "expected": machines * int(seconds // (lease / 3)),
+            "members": len(components),
+            "registered": sum(c.registered
+                              and server.registrar.registered(c.guid.hex)
+                              for c in components)}
+
+
 def lookalike_dispatch(trackers, mediator_class=EventMediator,
                        publishes=OPGRAPH_PUBLISHES, seed=1):
     """Look-alike trackers over one mediator, driven by direct publishes.
@@ -475,6 +530,21 @@ def main() -> int:
                 f"four deliveries per handshake "
                 f"({storm['delivered_total']} / {storm['registered']} = "
                 f"{storm['delivered_total'] / max(storm['registered'], 1):.2f})")
+
+    print(f"smoke-perf: lease renewal, {RENEWAL_MACHINES} machines x "
+          f"{RENEWAL_PER_MACHINE} members for {RENEWAL_SECONDS:.0f} "
+          f"sim-units...")
+    renewal = renewal_traffic()
+    ok &= check(renewal["heartbeat"] == renewal["expected"],
+                f"one heartbeat per machine per lease/3 "
+                f"({renewal['heartbeat']} heartbeats == "
+                f"{renewal['expected']})")
+    ok &= check(renewal["heartbeat-ack"] == 0,
+                f"renewal is one-way ({renewal['heartbeat-ack']} "
+                f"heartbeat-acks)")
+    ok &= check(renewal["registered"] == renewal["members"],
+                f"every member still registered ({renewal['registered']} "
+                f"of {renewal['members']})")
 
     print("smoke-perf: registrar lease sweep...")
     net = Network(latency_model=FixedLatency(0.5), seed=7)

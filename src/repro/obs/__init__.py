@@ -19,13 +19,15 @@ middleware records into:
     resolver -> mediator delivery.
 ``repro.obs.profiling``
     Scheduler profiling: per-callback-site event counts, wall-clock cost and
-    scheduling lag, with a top-N report.
+    scheduling lag, with a top-N report. Off by default: a reader attaches
+    its own :class:`~repro.obs.profiling.SchedulerProfiler` to the
+    scheduler it profiles (``scheduler.profiler = SchedulerProfiler()``).
 ``repro.obs.export``
     JSON-lines span export, metrics JSON artefacts with a validating
     mini-schema, and plain-text summary tables.
 ``repro.obs.hub``
-    :class:`~repro.obs.hub.Observability` bundles one registry, one tracer
-    and one profiler per deployment; every :class:`~repro.net.transport.Network`
+    :class:`~repro.obs.hub.Observability` bundles one registry and one
+    tracer per deployment; every :class:`~repro.net.transport.Network`
     owns one as ``network.obs``.
 
 (:mod:`repro.obs.experiments` holds instrumented experiment runners shared

@@ -17,6 +17,7 @@ from typing import Any, Dict, Iterable, List, Optional
 from repro.core.ids import GUID
 from repro.net.transport import FixedLatency, Network
 from repro.obs.export import METRICS_SCHEMA
+from repro.obs.profiling import SchedulerProfiler
 from repro.overlay.hierarchy import HierarchyNetwork
 from repro.overlay.scinet import SCINet
 
@@ -33,7 +34,7 @@ FIG1_HOPS = "fig1.route.hops"
 def run_overlay_instrumented(n: int, messages: int = MESSAGES,
                              seed: int = 0) -> Dict[str, Any]:
     """Route a uniform workload over an N-range SCINET; return a run record."""
-    net = Network(latency_model=FixedLatency(1.0), seed=seed)
+    net = _profiled_network(seed)
     sci = SCINet(net)
     nodes = [sci.create_node(f"h{i}", range_name=f"r{i}") for i in range(n)]
     latency = net.obs.metrics.histogram(
@@ -61,7 +62,7 @@ def run_hierarchy_instrumented(n: int, messages: int = MESSAGES,
                                seed: int = 0,
                                service_time: float = SERVICE_TIME) -> Dict[str, Any]:
     """Route the same workload over a server tree; return a run record."""
-    net = Network(latency_model=FixedLatency(1.0), seed=seed)
+    net = _profiled_network(seed)
     tree = HierarchyNetwork(net, leaf_count=n, branching=4,
                             service_time=service_time)
     latency = net.obs.metrics.histogram(
@@ -86,6 +87,13 @@ def run_hierarchy_instrumented(n: int, messages: int = MESSAGES,
     return _run_record("hierarchy", n, messages, seed, net)
 
 
+def _profiled_network(seed: int) -> Network:
+    """A fixed-latency network whose scheduler feeds the record's profile."""
+    net = Network(latency_model=FixedLatency(1.0), seed=seed)
+    net.scheduler.profiler = SchedulerProfiler()
+    return net
+
+
 def _run_record(system: str, n: int, messages: int, seed: int,
                 net: Network) -> Dict[str, Any]:
     snapshot = net.obs.metrics.snapshot()
@@ -96,7 +104,7 @@ def _run_record(system: str, n: int, messages: int, seed: int,
         "seed": seed,
         "metrics": snapshot,
         "summary": run_summary(system, snapshot),
-        "profile": net.obs.profiler.snapshot() if net.obs.profiler else None,
+        "profile": net.scheduler.profiler.snapshot(),
     }
     return record
 

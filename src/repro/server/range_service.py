@@ -12,9 +12,10 @@ component already on it (:meth:`RangeService.offer_to_host`).
 
 The daemon is also its machine's liveness. A component that registers through
 one of its offers joins its **lease group** (a same-machine call, not a
-message), and every third of a lease the RS sends the Registrar one acked
+message), and every third of a lease the RS sends the Registrar one
 ``heartbeat`` listing the members still attached on this machine; components
-run no timer of their own. A member that crashed says nothing: it is gone
+run no timer of their own. Renewal is one-way: nothing answers a heartbeat,
+and one the network eats costs a third of every lease here, not a lease. A member that crashed says nothing: it is gone
 from the process table, stops being listed and its lease runs out. One that
 stops, is evicted or moves to another range leaves the group itself.
 """
@@ -26,15 +27,10 @@ from typing import Dict, Optional
 
 from repro.core.ids import GUID
 from repro.net.message import Message
-from repro.net.rpc import RequestManager
 from repro.net.sim import Timer
 from repro.net.transport import Network, Process
 
 logger = logging.getLogger(__name__)
-
-#: a renewal the network ate costs one retry, not a third of every lease here
-HEARTBEAT_RETRIES = 1
-
 
 class RangeService(Process):
     """One discovery daemon on one machine of a range's jurisdiction."""
@@ -49,16 +45,15 @@ class RangeService(Process):
         self.registrar = registrar
         self.offers_made = 0
         self._enabled = True
-        self.requests = RequestManager(self)
         #: the lease group: entity hex -> component registered via this daemon
         self._members: Dict[str, Process] = {}
-        self._interval = 0.0
         self._renewal: Optional[Timer] = None
 
     @property
     def enabled(self) -> bool:
         """Off (its machine left the range), the daemon hears and offers
-        nothing; it stays attached, so a heartbeat-ack in flight still lands."""
+        nothing; it stays attached, so re-entry switches the same daemon back
+        on and its lease group renews the members that have not left yet."""
         return self._enabled
 
     @enabled.setter
@@ -98,9 +93,8 @@ class RangeService(Process):
         the timer."""
         self._members[component.guid.hex] = component
         if self._renewal is None:
-            self._interval = lease / 3.0
             self._renewal = self.scheduler.schedule_periodic(
-                self._interval, self._renew_leases)
+                lease / 3.0, self._renew_leases)
 
     def leave(self, component: Process) -> None:
         self._members.pop(component.guid.hex, None)
@@ -108,9 +102,8 @@ class RangeService(Process):
     def _renew_leases(self) -> None:
         """One heartbeat for the whole machine; an empty one stops the timer.
 
-        The first-ack window stays well above a campus round trip but under
-        the renewal interval, so one transport-level loss costs a
-        retransmission, not a whole renewal period.
+        Nothing answers it: a heartbeat the network eats is covered by the
+        next one, a third of a lease later.
         """
         attached = self.network.process
         self._members = {entity_hex: member
@@ -120,13 +113,10 @@ class RangeService(Process):
             self._renewal.cancel()
             self._renewal = None
             return
-        self.requests.request(
-            self.registrar, "heartbeat", {"entities": list(self._members)},
-            timeout=max(self._interval * 0.45, 3.5), retries=HEARTBEAT_RETRIES)
+        self.send(self.registrar, "heartbeat",
+                  {"entities": list(self._members)})
 
     def on_message(self, message: Message) -> None:
-        if self.requests.dispatch_reply(message):
-            return
         if message.kind == "component-up":
             self.offer_to(message.sender)
         else:

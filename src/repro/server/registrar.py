@@ -338,13 +338,15 @@ class Registrar(Process):
     def _handle_heartbeat(self, message: Message) -> None:
         """A Range Service renews every lease it lists, at once.
 
+        Nothing is sent back: renewal is idempotent and the next heartbeat
+        comes a third of a lease later, so a lost one needs no retransmission.
         A listed entity this Registrar does not hold thinks it is registered
         (it received this range's ``register-ack``) but was evicted: tell it.
         """
         entities = message.payload.get("entities", ())
         if not isinstance(entities, (list, tuple)):
-            self.reply(message, "heartbeat-ack",
-                       {"ok": False, "error": "entities is not a list"})
+            logger.info("%s: dropping malformed heartbeat %r", self.name,
+                        message.payload)
             return
         expiry = self.now + self.lease_duration
         renewed = unknown = 0
@@ -367,10 +369,6 @@ class Registrar(Process):
                 renewed += 1
         self._renewals_counter.inc(renewed)
         self._unknown_counter.inc(unknown)
-        # the ack lets the sender retransmit a heartbeat the network ate
-        # instead of losing a third of every lease on its machine (renewal
-        # is idempotent and duplicates are suppressed transport-side anyway)
-        self.reply(message, "heartbeat-ack", {"ok": not unknown})
 
     # -- lease sweeping -----------------------------------------------------------------
 

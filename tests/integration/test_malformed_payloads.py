@@ -2,8 +2,9 @@
 
 One row per payload that used to raise out of the scheduler and end the
 run. A verb with a reply verb answers with ``ok``/``found`` False; a verb
-without one (``set-param``, ``range-offer``, ``deregister``, the SCINET
-``o-route``/``o-bcast``/``o-delivery``) drops the message with a log line.
+without one (``set-param``, ``range-offer``, ``deregister``, ``heartbeat``,
+the SCINET ``o-route``/``o-bcast``/``o-delivery``) drops the message with a
+log line.
 Either way the run goes on, and the target's state is what it was. A
 ``publish`` whose event the mediator could not hold (an unhashable
 subject, a non-string type, a non-numeric timestamp) is refused before
@@ -65,8 +66,8 @@ CASES = [
     ("printer", "set-param", {"name": "undeclared", "value": 1}, None),
     ("printer", "set-param", {"value": 1}, None),
     ("app", "range-offer", {"range": "elsewhere"}, None),
-    ("registrar", "heartbeat", {"entities": 5}, ("heartbeat-ack", "ok")),
-    ("registrar", "heartbeat", {"entities": [[1]]}, ("heartbeat-ack", "ok")),
+    ("registrar", "heartbeat", {"entities": 5}, None),
+    ("registrar", "heartbeat", {"entities": [[1]]}, None),
     ("registrar", "deregister", {"entity": [1]}, None),
     ("profiles", "profile-request", {"entity": [1]},
      ("profile-response", "found")),

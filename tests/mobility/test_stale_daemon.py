@@ -69,7 +69,7 @@ def test_only_the_current_ranges_daemon_listens(walked):
     sci = walked
     assert [daemon(sci, name).enabled for name in ROOMS] == [False, False, True]
     on_pda = {process.name for process in sci.network.processes_on("pda")}
-    # switched off, not detached: a heartbeat-ack in flight still lands
+    # switched off, not detached: re-entry switches the same daemon back on
     assert {f"range-service:{name}@pda" for name in ROOMS} <= on_pda
 
 

@@ -4,8 +4,8 @@
 send is a bare heap tuple (no ``Timer``, no closure) and every timer label
 is formatted on first read. These tests pin that the fast path is what a
 default deployment executes, that lazy labels equal the eager ones, that a
-default ``SCI()`` is deterministic, and that nothing selects another way
-to run.
+default ``SCI()`` is deterministic and profiles nothing unless asked, and
+that nothing selects another way to run.
 """
 
 import importlib
@@ -177,3 +177,33 @@ def test_default_sci_is_repeatable(monkeypatch):
     first = _sci_digest(monkeypatch)
     assert first[1] > 50
     assert _sci_digest(monkeypatch) == first
+
+
+# -- default SCI(): no scheduler profiler ----------------------------------------
+
+
+def test_default_sci_attaches_no_profiler():
+    sci = SCI()
+    assert sci.network.scheduler.profiler is None
+    assert not hasattr(sci.network.obs, "profiler")
+
+
+def test_default_run_loop_reads_no_clock(monkeypatch):
+    """A profile is opt-in: without one the loop times no callback."""
+    def no_clock():
+        raise AssertionError("the default run loop read perf_counter")
+
+    monkeypatch.setattr(sim_module, "perf_counter", no_clock)
+    sci = SCI()
+    sci.create_range("livingstone", places=["livingstone"], hosts=["lab-pc"])
+    sci.add_door_sensors("livingstone")
+    sci.add_person("bob", room="corridor")
+    app = sci.create_application("whereIsBob", host="lab-pc")
+    sci.run(5)
+    app.submit_query(sci.query("bob").subscribe(
+        "location", "topological", subject="bob").build())
+    sci.run(5)
+    sci.walk("bob", "L10.01")
+    sci.run(30)
+    assert app.last_event_value() == "L10.01"
+    assert sci.network.scheduler.events_processed > 50

@@ -34,6 +34,7 @@ from repro.events.mediator import EventMediator
 from repro.faults.injector import FaultInjector
 from repro.net.eventlog import EventLog
 from repro.net.transport import CampusLatency, Network, Process
+from repro.obs.profiling import SchedulerProfiler
 from repro.overlay.scinet import SCINet
 from tests.events.reference_scan import ReferenceScanMediator
 from tests.parallel.single_heap import SingleHeapScheduler
@@ -119,6 +120,7 @@ def run_scenario(reference_heap: bool = False, seed: int = 11,
         scheduler=SingleHeapScheduler() if reference_heap else None,
         latency_model=CampusLatency(local=0.05, remote=1.0, jitter=0.5),
         seed=seed, event_log=log)
+    profiler = net.scheduler.profiler = SchedulerProfiler()
     for host in HOSTS:
         net.add_host(host)
 
@@ -180,5 +182,5 @@ def run_scenario(reference_heap: bool = False, seed: int = 11,
         "routed": sci.total_routed(),
         "final_time": net.scheduler.now,
         "profile": {stats.site: stats.count
-                    for stats in net.obs.profiler.sites()},
+                    for stats in profiler.sites()},
     }

@@ -10,7 +10,7 @@ probability 0.2. Three things must hold for any step sequence and seed:
 * **no live component is evicted while its machine is connected**: a
   lease only runs out on a running, registered component when no renewal
   from its machine reached the Registrar for a whole lease (every one of
-  them, and its retransmission, was lost);
+  them was lost);
 * **membership converges**: once the loss ends, within a lease, a sweep
   and one retry window of the last step the Registrar holds exactly the
   running components that believe they are registered. A component whose
@@ -66,6 +66,8 @@ class Machines:
                 self.guids.mint(), host, network, "prop", self.registrar.guid)
             self._check_lists_of(service)
         self.members = []
+        #: heartbeats the list check inspected
+        self.inspected = 0
         #: (arrival time, sending daemon) of every heartbeat that got through
         self.arrivals = []
         handle = self.registrar._handle_heartbeat
@@ -81,9 +83,12 @@ class Machines:
         return self.network.process(member.guid) is member
 
     def _check_lists_of(self, service):
-        send = service.requests.request
+        send = service.send
 
         def checked(recipient, kind, payload, **kwargs):
+            if kind != "heartbeat":
+                return send(recipient, kind, payload, **kwargs)
+            self.inspected += 1
             expected = {m.guid.hex for m in self.members
                         if m.host_id == service.host_id and self.running(m)
                         and m.registered}
@@ -91,7 +96,7 @@ class Machines:
             assert len(payload["entities"]) == len(expected)
             return send(recipient, kind, payload, **kwargs)
 
-        service.requests.request = checked
+        service.send = checked
 
     def _check_departure(self, record, reason):
         member = next(m for m in self.members
@@ -139,3 +144,7 @@ def test_membership_follows_the_machines(plan, seed):
     believed = {m.name for m in settled
                 if machines.running(m) and m.registered}
     assert held == believed
+    # the list check saw every heartbeat that went on the wire, and a member
+    # held since before the last renewal interval was listed in at least one
+    assert machines.inspected == network.stats.by_kind["heartbeat"]
+    assert machines.inspected or not believed

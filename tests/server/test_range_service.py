@@ -107,6 +107,54 @@ class TestLeaseGroup:
         assert all(sender == rs.guid and listed == {ce.guid.hex for ce in ces}
                    for _, sender, listed in heartbeats)
 
+    def test_renewal_is_one_heartbeat_per_interval_and_nothing_back(
+            self, network, guids, machine):
+        registrar, rs, heartbeats, departures = machine
+        inbox, sent = [], []
+        on_message, send = rs.on_message, rs.send
+
+        def spy_on_message(message):
+            inbox.append(message)
+            on_message(message)
+
+        def spy_send(recipient, kind, payload=None, **kwargs):
+            sent.append((rs.now, kind))
+            return send(recipient, kind, payload, **kwargs)
+
+        rs.on_message, rs.send = spy_on_message, spy_send
+        ce = start_ce(network, guids, "only")
+        network.scheduler.run_for(10 * LEASE)
+        ticks = [at for at, kind in sent if kind == "heartbeat"]
+        assert [kind for _, kind in sent] == \
+            ["range-offer"] + ["heartbeat"] * len(ticks)
+        assert all(later - earlier == LEASE / 3
+                   for earlier, later in zip(ticks, ticks[1:]))
+        assert len(ticks) == \
+            (network.scheduler.now - ticks[0]) // (LEASE / 3) + 1
+        assert [m.kind for m in inbox] == ["component-up"]  # nothing back
+        assert network.stats.by_kind["heartbeat-ack"] == 0
+        assert ce.registered and not departures
+
+    def test_one_lost_heartbeat_evicts_nobody(self, network, guids, machine):
+        registrar, rs, heartbeats, departures = machine
+        ce = start_ce(network, guids, "only")
+        network.scheduler.run_for(LEASE)
+        # cut the machine off around the third renewal's send only: the
+        # network drops that one heartbeat and nothing else
+        lost_send = heartbeats[0][0] - 1.0 + 2 * LEASE / 3
+        network.scheduler.schedule_at(
+            lost_send - 0.5, network.set_partitions, [["host-b"]])
+        network.scheduler.schedule_at(lost_send + 0.5,
+                                      network.heal_partitions)
+        network.scheduler.run_for(3 * LEASE)
+        arrivals = [at for at, _, _ in heartbeats]
+        assert network.stats.dropped == 1
+        assert lost_send + 1.0 not in arrivals
+        assert max(later - earlier for earlier, later
+                   in zip(arrivals, arrivals[1:])) == 2 * LEASE / 3
+        assert ce.registered and registrar.registered(ce.guid.hex)
+        assert not departures and registrar.evictions == 0
+
     def test_crashed_member_alone_expires_within_a_lease(self, network, guids,
                                                          machine):
         registrar, rs, heartbeats, departures = machine
