@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Optional
 
 #: Number of bits in a GUID.
 GUID_BITS = 128
@@ -31,37 +32,46 @@ GUID_DIGITS = GUID_BITS // _BITS_PER_DIGIT
 _HEX_FORMAT = f"0{GUID_DIGITS}x"
 
 
-class _LazyHex:
-    """``GUID.hex``: rendered on first use, then read from the instance.
+#: exclusive upper bound of a GUID's value
+_LIMIT = 1 << GUID_BITS
 
-    A non-data descriptor, so the instance attribute it leaves behind
-    shadows it on every later access. It is not a dataclass field:
-    equality, ordering and hashing never see it. (``object.__setattr__``
-    because the dataclass is frozen, and rather than through ``__dict__``,
-    which would materialise a dict per GUID.)
-    """
-
-    def __get__(self, guid, owner=None):
-        if guid is None:
-            return self
-        text = format(guid.value, _HEX_FORMAT)
-        object.__setattr__(guid, "hex", text)
-        return text
+_set = object.__setattr__
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class GUID:
     """An immutable 128-bit identifier with hex-digit helpers.
 
     Instances are hashable and totally ordered by numeric value, so they can
     key dictionaries (routing tables, registrars) and sort deterministically.
+
+    The hash is computed once, at construction, and is exactly the hash the
+    generated dataclass method gave, ``hash((value,))``: sets of GUIDs keep
+    their iteration order (and the simulation its event order) with it.
+    ``hex`` is rendered on first use and kept in a slot; neither it nor the
+    hash takes part in equality or ordering.
     """
 
     value: int
+    _hash: int = field(init=False, repr=False, compare=False)
+    _hex: Optional[str] = field(init=False, repr=False, compare=False,
+                                default=None)
 
-    def __post_init__(self):
-        if not 0 <= self.value < (1 << GUID_BITS):
-            raise ValueError(f"GUID value out of range: {self.value!r}")
+    def __init__(self, value: int):
+        if not 0 <= value < _LIMIT:
+            raise ValueError(f"GUID value out of range: {value!r}")
+        # object.__setattr__ because the dataclass is frozen
+        _set(self, "value", value)
+        _set(self, "_hash", hash((value,)))
+        _set(self, "_hex", None)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.value == other.value  # type: ignore[attr-defined]
+        return NotImplemented
 
     @classmethod
     def from_hex(cls, text: str) -> "GUID":
@@ -93,8 +103,14 @@ class GUID:
         high = mix(acc ^ 0x9E3779B97F4A7C15)
         return cls((high << 64) | low)
 
-    #: canonical fixed-width lowercase hex rendering (a ``str``)
-    hex = _LazyHex()
+    @property
+    def hex(self) -> str:
+        """Canonical fixed-width lowercase hex rendering."""
+        text = self._hex
+        if text is None:
+            text = format(self.value, _HEX_FORMAT)
+            _set(self, "_hex", text)
+        return text
 
     def digit(self, index: int) -> int:
         """Return hex digit ``index`` (0 = most significant)."""

@@ -60,7 +60,7 @@ class ContextType:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeSpec:
     """A concrete (semantic type, representation) pair, possibly bound.
 

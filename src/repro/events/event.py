@@ -18,7 +18,7 @@ from repro.core.types import SCALAR_SUBJECTS, TypeSpec
 _event_seq = itertools.count(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContextEvent:
     """One piece of typed contextual information.
 
@@ -109,20 +109,12 @@ class ContextEvent:
                 or isinstance(timestamp, bool)):
             raise TypeError(f"timestamp must be a number, got "
                             f"{type(timestamp).__name__}")
-        spec = TypeSpec(
-            type_name=type_name,
-            representation=representation,
-            subject=subject,
-            quality=tuple(tuple(item) for item in data.get("quality", ())),
-        )
-        return cls(
-            spec=spec,
-            value=data["value"],
-            source=GUID.from_hex(data["source"]),
-            timestamp=timestamp,
-            attributes=dict(data.get("attributes", {})),
-            seq=data.get("seq", 0),
-        )
+        spec = TypeSpec(type_name, representation, subject,
+                        tuple(map(tuple, data.get("quality", ()))))
+        # positional, in field order: one event per delivery is rebuilt here
+        return cls(spec, data["value"], GUID.from_hex(data["source"]),
+                   timestamp, dict(data.get("attributes", {})),
+                   data.get("seq", 0))
 
     def __str__(self) -> str:
         return f"Event<{self.spec} = {self.value!r} @t={self.timestamp:.2f}>"

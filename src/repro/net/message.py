@@ -21,7 +21,7 @@ BROADCAST = GUID((1 << 128) - 1)
 _message_ids = itertools.count(1)
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One unit of communication between two :class:`~repro.net.transport.Process` objects."""
 

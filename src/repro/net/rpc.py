@@ -40,7 +40,7 @@ BACKOFF_FACTOR = 2.0
 JITTER = 0.25
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingRequest:
     """Book-keeping for one in-flight request."""
 

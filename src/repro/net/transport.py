@@ -130,8 +130,8 @@ class Process:
     host id) and unattached on failure/departure.
 
     Inbound delivery goes through :meth:`deliver`, which suppresses
-    duplicate arrivals keyed on ``(sender, msg_id)``: retransmitted requests
-    (see :class:`repro.net.rpc.RequestManager`) reach :meth:`on_message`
+    duplicate arrivals keyed on ``(sender.value, msg_id)``: retransmitted
+    requests (see :class:`repro.net.rpc.RequestManager`) reach :meth:`on_message`
     exactly once, and if this process already replied to the original, the
     cached reply is re-sent so a lost *reply* is regenerated without
     re-executing the handler. The cache is a bounded LRU.
@@ -147,9 +147,11 @@ class Process:
         self.host_id = host_id
         self.network = network
         self.name = name or f"proc-{guid}"
-        #: (sender, msg_id) -> cached reply Message (or None when the
-        #: handler produced no reply); insertion-ordered for LRU eviction
-        self._seen_messages: "OrderedDict[Tuple[GUID, int], Optional[Message]]" = OrderedDict()
+        #: (sender.value, msg_id) -> cached reply Message (or None when the
+        #: handler produced no reply); insertion-ordered for LRU eviction.
+        #: Two ints, not the GUID: a key of atomic items is one the garbage
+        #: collector stops tracking, and the cache holds up to DEDUP_CACHE.
+        self._seen_messages: "OrderedDict[Tuple[int, int], Optional[Message]]" = OrderedDict()
         metrics = network.obs.metrics
         self._dedup_suppressed_counter = metrics.counter(
             "net.dedup.suppressed",
@@ -187,7 +189,7 @@ class Process:
     def reply(self, original: Message, kind: str, payload: Optional[Dict[str, Any]] = None) -> Message:
         """Respond to ``original``, correlating via ``reply_to``."""
         message = original.response(self.guid, kind, payload)
-        key = (original.sender, original.msg_id)
+        key = (original.sender.value, original.msg_id)
         if key in self._seen_messages:
             # remember the reply so a retransmitted request regenerates it
             self._seen_messages[key] = message
@@ -195,13 +197,13 @@ class Process:
         return message
 
     def deliver(self, message: Message) -> None:
-        """Transport entry point: dedup by ``(sender, msg_id)``, then handle.
+        """Transport entry point: dedup by ``(sender.value, msg_id)``, then handle.
 
         A duplicate arrival never reaches :meth:`on_message`; if the first
         arrival produced a reply, a fresh copy of that reply is re-sent —
         the requester's own dedup then collapses double acks.
         """
-        key = (message.sender, message.msg_id)
+        key = (message.sender.value, message.msg_id)
         cached = self._seen_messages.get(key, _UNSEEN)
         if cached is not _UNSEEN:
             self._seen_messages.move_to_end(key)

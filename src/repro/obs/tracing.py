@@ -21,12 +21,17 @@ trace store should be too.
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from contextlib import contextmanager, nullcontext
+from typing import (Any, Callable, ContextManager, Dict, Iterator, List,
+                    Optional, Tuple)
 
 #: wire keys used on Message.trace
 TRACE_KEY = "trace"
 SPAN_KEY = "span"
+
+#: what :meth:`Tracer.span_if_active` returns outside a trace: it yields
+#: ``None`` and, holding no state, is shared by every call
+_IDLE: ContextManager[None] = nullcontext()
 
 
 class Span:
@@ -247,21 +252,18 @@ class Tracer:
         finally:
             self.finish(span)
 
-    @contextmanager
-    def span_if_active(self, name: str, **attributes: Any) -> Iterator[Optional[Span]]:
+    def span_if_active(self, name: str, **attributes: Any
+                       ) -> ContextManager[Optional[Span]]:
         """Open a span only when already inside a trace.
 
         High-frequency sites (event fan-out, per-message hooks) use this so
         untraced background chatter does not mint a root trace per call.
+        Outside a trace it returns one shared context that yields ``None``
+        and records nothing, so an idle call builds no generator.
         """
-        if not self.active:
-            yield None
-            return
-        span = self.start(name, **attributes)
-        try:
-            yield span
-        finally:
-            self.finish(span)
+        if not self._ambient():
+            return _IDLE
+        return self.span(name, **attributes)
 
     # -- ambient context ------------------------------------------------------
 

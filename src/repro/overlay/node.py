@@ -50,7 +50,8 @@ _HEX_FIELDS = {"o-route": ("key", "origin"), "o-bcast": ("until",),
 
 def _check_envelope(kind: str, payload: Dict[str, Any]) -> None:
     """Raise ``KeyError``/``TypeError``/``ValueError`` unless the fields
-    the node reads off an ``o-*`` message parse."""
+    the node reads off an ``o-*`` message parse, including the body of an
+    inner kind the node applies itself."""
     if not isinstance(payload["kind"], str) or "body" not in payload:
         raise TypeError("an overlay message needs a string kind and a body")
     if not isinstance(payload["hops"], int):
@@ -59,6 +60,32 @@ def _check_envelope(kind: str, payload: Dict[str, Any]) -> None:
         GUID.from_hex(payload[name])
     if kind == "o-bcast":
         hash(payload["bcast_id"])
+    if kind != "o-delivery":
+        _check_body(payload["kind"], payload["body"])
+
+
+def _check_body(kind: str, body: Any) -> None:
+    """Raise unless a DHT verb's or a directory broadcast's body carries
+    the fields :meth:`OverlayNode._deliver` / ``_apply_broadcast`` read:
+    a string ``name`` (and a ``value`` to put), a string ``cs`` and a list
+    of string ``places``. Other inner kinds are the callbacks' business."""
+    if kind not in ("dht-put", "dht-get", "announce-range", "retract-range"):
+        return
+    if not isinstance(body, dict):
+        raise TypeError(f"{kind} body is a {type(body).__name__}")
+    if kind.startswith("dht-"):
+        if not isinstance(body["name"], str):
+            raise TypeError(f"{kind} name is a {type(body['name']).__name__}")
+        if kind == "dht-put" and "value" not in body:
+            raise KeyError("value")
+        return
+    if not isinstance(body["cs"], str):
+        raise TypeError(f"{kind} cs is a {type(body['cs']).__name__}")
+    if kind == "announce-range":
+        places = body.get("places", [])
+        if not (isinstance(places, (list, tuple))
+                and all(isinstance(place, str) for place in places)):
+            raise TypeError("announce-range places must be a list of strings")
 
 
 class RoutingTable:

@@ -3,8 +3,8 @@
 One row per payload that used to raise out of the scheduler and end the
 run. A verb with a reply verb answers with ``ok``/``found`` False; a verb
 without one (``set-param``, ``range-offer``, ``deregister``, ``heartbeat``,
-the SCINET ``o-route``/``o-bcast``/``o-delivery``) drops the message with a
-log line.
+the SCINET ``o-route``/``o-bcast``/``o-delivery``, and the DHT and
+directory bodies inside them) drops the message with a log line.
 Either way the run goes on, and the target's state is what it was. A
 ``publish`` whose event the mediator could not hold (an unhashable
 subject, a non-string type, a non-numeric timestamp) is refused before
@@ -61,6 +61,19 @@ TARGETS = {
     "overlay": lambda sci: _overlay_node(sci),
 }
 
+def _bcast(kind, body):
+    """An ``o-bcast`` envelope that parses, around ``body``."""
+    return {"bcast_id": f"probe:1:{kind}", "kind": kind, "body": body,
+            "hops": 0, "until": "{probe}"}
+
+
+def _route(kind, body):
+    """An ``o-route`` envelope that parses, keyed to the probe, around
+    ``body``."""
+    return {"key": "{probe}", "kind": kind, "body": body, "hops": 0,
+            "origin": "{probe}"}
+
+
 #: (target, verb, payload, reply verb and the flag it must carry, or None)
 CASES = [
     ("printer", "set-param", {"name": "undeclared", "value": 1}, None),
@@ -94,6 +107,23 @@ CASES = [
     ("overlay", "o-bcast", {"bcast_id": [1], "kind": "announce-range",
                             "body": {}, "hops": 0, "until": "{probe}"}, None),
     ("overlay", "o-delivery", {}, None),
+    # the body inside a well-formed envelope: checked before it is applied
+    ("overlay", "o-bcast", _bcast("announce-range", "x"), None),
+    ("overlay", "o-bcast", _bcast("announce-range", {"cs": "cs-x",
+                                                     "places": 5}), None),
+    ("overlay", "o-bcast", _bcast("announce-range", {"cs": "cs-x",
+                                                     "places": [[1]]}), None),
+    ("overlay", "o-bcast", _bcast("announce-range", {"places": ["F9"]}), None),
+    ("overlay", "o-bcast", _bcast("announce-range", {"cs": "cs-x",
+                                                     "places": "F9"}), None),
+    ("overlay", "o-bcast", _bcast("retract-range", {}), None),
+    ("overlay", "o-route", _route("dht-put", "x"), None),
+    ("overlay", "o-route", _route("dht-put", {"value": 1}), None),
+    ("overlay", "o-route", _route("dht-put", {"name": [1], "value": 1}), None),
+    ("overlay", "o-route", _route("dht-get", "x"), None),
+    ("overlay", "o-route", _route("dht-get", {}), None),
+    ("overlay", "o-route", _route("dht-get", {"name": [1]}), None),
+    ("overlay", "o-route", _route("dht-put", {"name": "x"}), None),
 ]
 
 

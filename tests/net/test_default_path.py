@@ -4,10 +4,12 @@
 send is a bare heap tuple (no ``Timer``, no closure) and every timer label
 is formatted on first read. These tests pin that the fast path is what a
 default deployment executes, that lazy labels equal the eager ones, that a
-default ``SCI()`` is deterministic and profiles nothing unless asked, and
-that nothing selects another way to run.
+default ``SCI()`` is deterministic and profiles nothing unless asked, that
+an untraced hot path builds no span machinery and leaves no GC-tracked
+dedup keys behind, and that nothing selects another way to run.
 """
 
+import gc
 import importlib
 import inspect
 import itertools
@@ -22,11 +24,13 @@ from repro.core import api
 from repro.events import event as event_module
 from repro.events import subscription as subscription_module
 from repro.net import message as message_module
+from repro.net.message import Message
 from repro.net import sim as sim_module
 from repro.net.eventlog import EventLog
 from repro.net.sim import Scheduler, Timer, callsite
 from repro.net.transport import (FixedLatency, FunctionProcess, LatencyModel,
                                  Network)
+from repro.obs import tracing as tracing_module
 from repro.obs.experiments import run_overlay_instrumented
 from repro.overlay.node import OverlayNode
 from repro.overlay.scinet import SCINet
@@ -207,3 +211,57 @@ def test_default_run_loop_reads_no_clock(monkeypatch):
     sci.run(30)
     assert app.last_event_value() == "L10.01"
     assert sci.network.scheduler.events_processed > 50
+
+
+# -- untraced hot path: no span machinery, no tracked dedup keys -----------------
+
+
+def test_idle_span_if_active_is_one_shared_null_context():
+    net = Network()
+    tracer = net.obs.tracer
+    first = tracer.span_if_active("mediator.publish", event=1)
+    assert first is tracer.span_if_active("overlay.route", hops=0)
+    assert first is tracing_module._IDLE
+    with first as span:
+        assert span is None
+    assert tracer.traces() == [] and tracer.find_spans("mediator.publish") == []
+    with tracer.span("root") as root:
+        inner = tracer.span_if_active("mediator.publish")
+        assert inner is not tracing_module._IDLE
+        with inner as span:
+            assert span is not None and span.parent_id == root.span_id
+    assert [s.name for s in tracer.find_spans("mediator.publish")] == \
+        ["mediator.publish"]
+
+
+def test_dedup_keys_are_untracked_and_still_replay():
+    net = Network(latency_model=FixedLatency(1.0))
+    net.add_host("a")
+    net.add_host("b")
+    handled, replies = [], []
+
+    def echo(message):
+        handled.append(message)
+        server.reply(message, "pong", {"n": len(handled)})
+
+    server = FunctionProcess(net.guids.mint(), "a", net, echo)
+    client = FunctionProcess(net.guids.mint(), "b", net, replies.append)
+    request = client.send(server.guid, "ping", {})
+    net.run_until_idle()
+    gc.collect()
+    keys = list(server._seen_messages) + list(client._seen_messages)
+    assert keys and not any(gc.is_tracked(key) for key in keys)
+    assert (client.guid.value, request.msg_id) in server._seen_messages
+    # a retransmitted copy (same sender, same msg_id) is suppressed, and the
+    # cached reply is sent again without re-running the handler (the
+    # client's own dedup then collapses the second copy)
+    net.send(Message(client.guid, server.guid, "ping", {},
+                     msg_id=request.msg_id))
+    net.run_until_idle()
+    assert len(handled) == 1
+    assert net.stats.by_kind["pong"] == 2
+    metrics = net.obs.metrics
+    assert metrics.get("net.dedup.replayed_replies").total() == 1
+    assert metrics.get("net.dedup.suppressed").total() == 2
+    assert [(reply.kind, reply.payload) for reply in replies] == \
+        [("pong", {"n": 1})]
