@@ -23,7 +23,6 @@ from repro.obs.export import (
     write_metrics_json,
     write_trace_jsonl,
 )
-from repro.obs.profiling import SchedulerProfiler
 from repro.query.model import QueryBuilder
 
 LEASE = 10.0
@@ -34,7 +33,6 @@ METRICS_PATH = RESULTS_DIR / "bench_claim_adaptivity.metrics.json"
 
 def deploy(seed=0):
     sci = SCI(config=SCIConfig(seed=seed, lease_duration=LEASE))
-    sci.network.scheduler.profiler = SchedulerProfiler()
     sci.create_range("livingstone", places=["livingstone"], hosts=["pc"])
     sensors = sci.add_door_sensors("livingstone")
     detector = sci.add_wlan_detector("livingstone")
@@ -117,8 +115,7 @@ class TestReportAdaptivity:
         span_count = write_trace_jsonl(obs.tracer, TRACE_PATH)
         write_metrics_json(obs.metrics, METRICS_PATH,
                            meta={"experiment": "c1-adaptivity",
-                                 "lease": LEASE, "failure_at": failure_at},
-                           profile=sci.network.scheduler.profiler.snapshot())
+                                 "lease": LEASE, "failure_at": failure_at})
 
         records = load_trace_jsonl(TRACE_PATH)
         repairs = [r for r in records if r["name"] == "config.repair"]

@@ -8,10 +8,9 @@ hash-ordering decide the order messages hit the wire. Three checks:
 ``determinism.wall-clock``
     Calls into real time — ``time.time``/``monotonic``/``perf_counter``
     (and ``_ns`` variants), ``datetime.now``/``utcnow``/``today``. Simulated
-    components must use ``scheduler.now``. The real-time *instrumentation*
-    modules (:mod:`repro.net.sim` self-profiles its hot loop,
-    :mod:`repro.obs.profiling` measures host time by design) are allowlisted
-    wholesale via :data:`WALL_CLOCK_ALLOWED_MODULES`.
+    components must use ``scheduler.now``. No module is exempt, the run
+    loop in :mod:`repro.net.sim` included; a deliberate host-clock read
+    needs a line or file pragma.
 
 ``determinism.unseeded-random``
     Module-level ``random.*`` calls (the process-global, unseeded stream)
@@ -42,13 +41,6 @@ CHECK_WALL_CLOCK = "determinism.wall-clock"
 CHECK_UNSEEDED_RANDOM = "determinism.unseeded-random"
 CHECK_SET_ITERATION = "determinism.set-iteration"
 CHECK_POPITEM = "determinism.popitem"
-
-#: modules that measure *host* time on purpose (instrumentation, not logic):
-#: the one run loop self-profiles its callbacks.
-WALL_CLOCK_ALLOWED_MODULES = frozenset({
-    "repro.net.sim",
-    "repro.obs.profiling",
-})
 
 #: functions of the ``time`` module that read the host clock
 TIME_FUNCS = frozenset({
@@ -174,26 +166,14 @@ class DeterminismChecker:
 
     def check(self, source: SourceFile) -> List[Finding]:
         findings: List[Finding] = []
-        imports = _ImportMap(source.tree)
-        if source.module not in WALL_CLOCK_ALLOWED_MODULES:
-            findings.extend(self._clock_and_random(source, imports))
-        else:
-            findings.extend(self._random_only(source, imports))
+        findings.extend(self._scan_calls(source, _ImportMap(source.tree)))
         findings.extend(self._ordering_hazards(source))
         return findings
 
     # -- clocks and RNGs ------------------------------------------------------
 
-    def _clock_and_random(self, source: SourceFile,
-                          imports: _ImportMap) -> List[Finding]:
-        return self._scan_calls(source, imports, include_clock=True)
-
-    def _random_only(self, source: SourceFile,
-                     imports: _ImportMap) -> List[Finding]:
-        return self._scan_calls(source, imports, include_clock=False)
-
-    def _scan_calls(self, source: SourceFile, imports: _ImportMap,
-                    include_clock: bool) -> List[Finding]:
+    def _scan_calls(self, source: SourceFile,
+                    imports: _ImportMap) -> List[Finding]:
         findings: List[Finding] = []
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Call):
@@ -202,12 +182,12 @@ class DeterminismChecker:
             if target is None:
                 continue
             module, func = target
-            if module == "time" and func in TIME_FUNCS and include_clock:
+            if module == "time" and func in TIME_FUNCS:
                 findings.append(self._finding(
                     CHECK_WALL_CLOCK, source, node,
                     f"wall-clock read time.{func}(); simulated code must use "
                     f"scheduler.now"))
-            elif module == "datetime" and func in DATETIME_FUNCS and include_clock:
+            elif module == "datetime" and func in DATETIME_FUNCS:
                 findings.append(self._finding(
                     CHECK_WALL_CLOCK, source, node,
                     f"wall-clock read datetime {func}(); simulated code must "

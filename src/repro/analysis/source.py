@@ -4,8 +4,8 @@ Checkers never import the code they inspect — everything is AST-level, so
 the linter can run over a tree with unsatisfied dependencies, and inspecting
 a file can never execute it. A :class:`SourceFile` bundles the parse tree
 with the raw text (pragma scanning) and a best-effort dotted module name
-(allowlists are expressed against module paths like ``repro.net.sim``, not
-filesystem layouts).
+(checkers match module paths like ``repro.obs.catalog``, not filesystem
+layouts).
 """
 
 from __future__ import annotations

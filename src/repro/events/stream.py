@@ -179,16 +179,24 @@ class StreamReassembler:
         if stream is not None and stream.pending:
             self._arm(sub_id, stream)
 
-    def resync_answered(self, sub_id: int, payload: Dict[str, Any]) -> None:
+    def resync_answered(self, sub_id: int, payload: Any) -> None:
         """Apply a ``resync-ack``: fast-forward, or drop a dead stream.
 
         A refusal means the mediator no longer knows the subscription; its
-        stream is dead and any buffered fragments with it.
+        stream is dead and any buffered fragments with it. An ``ok`` reply
+        fast-forwards only past a non-bool int ``seq >= 0``; any other
+        reply is malformed and handled like an expired resync: re-armed.
         """
-        if payload.get("ok"):
-            self.resync_done(sub_id, payload.get("seq", 0))
-        else:
+        if isinstance(payload, dict) and not payload.get("ok"):
             self.forget(sub_id)
+            return
+        seq = payload.get("seq") if isinstance(payload, dict) else None
+        if type(seq) is int and seq >= 0:
+            self.resync_done(sub_id, seq)
+        else:
+            logger.info("stream %s: malformed resync-ack %r", sub_id,
+                        payload)
+            self.resync_failed(sub_id)
 
     def forget(self, sub_id: int) -> None:
         """Drop all state for a dead subscription."""

@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import heapq
 from functools import partial
-from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional
 
 
 def callsite(fn: Callable) -> str:
-    """A stable profiling label for a callback: ``Class.method`` or qualname."""
+    """A stable label for a callback: ``Class.method`` or qualname."""
     owner = getattr(fn, "__self__", None)
     if owner is not None:
         return f"{type(owner).__name__}.{getattr(fn, '__name__', 'call')}"
@@ -73,39 +72,19 @@ class Timer:
     popped, which is O(1) and keeps the heap simple. ``_scheduler`` is the
     scheduler whose heap holds the timer, set only while it is live there;
     it lets :meth:`cancel` keep the pending-event counter exact without
-    scanning the heap.
-
-    ``site`` and ``created_at`` feed the optional scheduler profiler: which
-    code scheduled this event, and how long it dwelt in the heap. The site
-    label is formatted from ``fn`` on first read — most timers (RPC
-    timeouts) are cancelled unfired and never need one. ``owner`` is the
-    host the callback belongs to (see :func:`timer_owner`); it is resolved
-    only when an event log is attached, and stays None otherwise.
+    scanning the heap. ``owner`` is the host the callback belongs to (see
+    :func:`timer_owner`); it is resolved only when an event log is
+    attached, and stays None otherwise.
     """
 
-    __slots__ = ("when", "fn", "cancelled", "_site", "created_at", "owner",
-                 "_scheduler")
+    __slots__ = ("when", "fn", "cancelled", "owner", "_scheduler")
 
-    def __init__(self, when: float, fn: Callable, site: Optional[str] = None,
-                 created_at: float = 0.0, scheduler: Any = None):
+    def __init__(self, when: float, fn: Callable, scheduler: Any = None):
         self.when = when
         self.fn = fn
         self.cancelled = False
-        self._site = site
-        self.created_at = created_at
         self.owner: Optional[str] = None
         self._scheduler = scheduler
-
-    @property
-    def site(self) -> str:
-        site = self._site
-        if site is None:
-            site = self._site = callsite(self.fn)
-        return site
-
-    @site.setter
-    def site(self, value: str) -> None:
-        self._site = value
 
     def cancel(self) -> None:
         if self.cancelled:
@@ -120,9 +99,6 @@ class Timer:
 #: chaos injector, test drivers). Sorts before every host rank, so control
 #: events win time ties.
 EXTERNAL_RANK = -1
-
-#: profiler site label for deliveries (no Timer handle to carry one)
-_DELIVERY_SITE = "Network._deliver"
 
 
 class Scheduler:
@@ -144,8 +120,7 @@ class Scheduler:
     the origin of whatever the callback schedules. Timers carry their
     callable and positional arguments in the entry (no closure);
     deliveries scheduled through :meth:`schedule_delivery` carry
-    ``timer=None`` as well — no handle, no callsite formatting — which is
-    the per-message fast path.
+    ``timer=None`` — no handle — which is the per-message fast path.
     """
 
     def __init__(self):
@@ -168,9 +143,6 @@ class Scheduler:
         self._external_stack: List[Any] = []
         self._loop_stack: List[Any] = []
         self.events_processed = 0
-        #: optional :class:`repro.obs.profiling.SchedulerProfiler` (duck-typed
-        #: ``record(site, lag, wall)``); None keeps the hot loop hook-free
-        self.profiler = None
         #: optional :class:`repro.net.eventlog.EventLog`; when set, timer
         #: firings with a resolvable owner host are recorded as canonical
         #: observables (the transport records deliveries itself)
@@ -214,9 +186,9 @@ class Scheduler:
         if when < self.now:
             raise ValueError(
                 f"cannot schedule in the past: {when} < {self.now}")
-        # the handle keeps the *original* callable: site and owner are
-        # attributed to it, not to the keyword-binding partial
-        timer = Timer(when, fn, created_at=self.now, scheduler=self)
+        # the handle keeps the *original* callable: the owner and the event
+        # log's site are attributed to it, not to the keyword-binding partial
+        timer = Timer(when, fn, scheduler=self)
         if self.event_log is not None:
             timer.owner = timer_owner(fn)
         rank = self._current_rank
@@ -234,15 +206,12 @@ class Scheduler:
         it takes the armed tick out of :attr:`pending` at once."""
         if interval <= 0:
             raise ValueError(f"non-positive interval: {interval}")
-        handle = Timer(self.now + interval, fn,
-                       site=f"{callsite(fn)}[periodic]", created_at=self.now,
-                       scheduler=self)
+        handle = Timer(self.now + interval, fn, scheduler=self)
         rank = self._current_rank
 
         def tick():
             fn()
             if not handle.cancelled:
-                handle.created_at = self.now
                 handle.when = self.now + interval
                 handle._scheduler = self
                 self._push(handle.when, rank, rank, handle, tick, ())
@@ -272,7 +241,6 @@ class Scheduler:
         stay queued); ``max_events`` is a runaway guard.
         """
         heap = self._heap
-        profiler = self.profiler
         log = self.event_log
         heappop = heapq.heappop
         stop = float("inf") if max_time is None else max_time
@@ -288,21 +256,12 @@ class Scheduler:
                     # decrement the live counter
                     timer._scheduler = None
                     if log is not None and timer.owner is not None:
-                        log.record_timer(timer.owner, when, timer.site)
+                        log.record_timer(timer.owner, when,
+                                         callsite(timer.fn))
                 self._live -= 1
                 self.now = when
                 self._current_rank = owner_rank
-                if profiler is None:
-                    fn(*args)
-                else:
-                    started = perf_counter()
-                    fn(*args)
-                    wall = perf_counter() - started
-                    if timer is None:
-                        profiler.record(_DELIVERY_SITE, 0.0, wall)
-                    else:
-                        profiler.record(timer.site,
-                                        when - timer.created_at, wall)
+                fn(*args)
                 processed += 1
                 if processed >= max_events:
                     raise RuntimeError(

@@ -3,8 +3,10 @@
 The paper's central claims are latency and load claims — overlay routing
 avoids hierarchy hotspots, re-composition is fast, discovery latency stays
 flat — so every subsystem that carries a query or an event needs to be
-measurable. This package provides the three instruments the rest of the
-middleware records into:
+measurable. This package provides the instruments the rest of the
+middleware records into. All of them read the simulated clock
+(``scheduler.now``), never the host's, so two runs with one seed record
+identical artefacts:
 
 ``repro.obs.metrics``
     A metrics registry (counters, gauges, histograms with labels) with
@@ -17,11 +19,6 @@ middleware records into:
     durations, carried across processes on :class:`repro.net.message.Message`
     metadata, so one query can be followed CS -> overlay hops -> remote
     resolver -> mediator delivery.
-``repro.obs.profiling``
-    Scheduler profiling: per-callback-site event counts, wall-clock cost and
-    scheduling lag, with a top-N report. Off by default: a reader attaches
-    its own :class:`~repro.obs.profiling.SchedulerProfiler` to the
-    scheduler it profiles (``scheduler.profiler = SchedulerProfiler()``).
 ``repro.obs.export``
     JSON-lines span export, metrics JSON artefacts with a validating
     mini-schema, and plain-text summary tables.
@@ -37,7 +34,6 @@ re-exported here, because it pulls in the overlay layers.)
 
 from repro.obs.hub import Observability
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, Reservoir
-from repro.obs.profiling import SchedulerProfiler
 from repro.obs.tracing import Span, Trace, Tracer
 
 __all__ = [
@@ -47,7 +43,6 @@ __all__ = [
     "MetricsRegistry",
     "Observability",
     "Reservoir",
-    "SchedulerProfiler",
     "Span",
     "Trace",
     "Tracer",

@@ -17,7 +17,6 @@ from typing import Any, Dict, Iterable, List, Optional
 from repro.core.ids import GUID
 from repro.net.transport import FixedLatency, Network
 from repro.obs.export import METRICS_SCHEMA
-from repro.obs.profiling import SchedulerProfiler
 from repro.overlay.hierarchy import HierarchyNetwork
 from repro.overlay.scinet import SCINet
 
@@ -34,7 +33,7 @@ FIG1_HOPS = "fig1.route.hops"
 def run_overlay_instrumented(n: int, messages: int = MESSAGES,
                              seed: int = 0) -> Dict[str, Any]:
     """Route a uniform workload over an N-range SCINET; return a run record."""
-    net = _profiled_network(seed)
+    net = Network(latency_model=FixedLatency(1.0), seed=seed)
     sci = SCINet(net)
     nodes = [sci.create_node(f"h{i}", range_name=f"r{i}") for i in range(n)]
     latency = net.obs.metrics.histogram(
@@ -62,7 +61,7 @@ def run_hierarchy_instrumented(n: int, messages: int = MESSAGES,
                                seed: int = 0,
                                service_time: float = SERVICE_TIME) -> Dict[str, Any]:
     """Route the same workload over a server tree; return a run record."""
-    net = _profiled_network(seed)
+    net = Network(latency_model=FixedLatency(1.0), seed=seed)
     tree = HierarchyNetwork(net, leaf_count=n, branching=4,
                             service_time=service_time)
     latency = net.obs.metrics.histogram(
@@ -87,26 +86,17 @@ def run_hierarchy_instrumented(n: int, messages: int = MESSAGES,
     return _run_record("hierarchy", n, messages, seed, net)
 
 
-def _profiled_network(seed: int) -> Network:
-    """A fixed-latency network whose scheduler feeds the record's profile."""
-    net = Network(latency_model=FixedLatency(1.0), seed=seed)
-    net.scheduler.profiler = SchedulerProfiler()
-    return net
-
-
 def _run_record(system: str, n: int, messages: int, seed: int,
                 net: Network) -> Dict[str, Any]:
     snapshot = net.obs.metrics.snapshot()
-    record = {
+    return {
         "system": system,
         "n": n,
         "messages": messages,
         "seed": seed,
         "metrics": snapshot,
         "summary": run_summary(system, snapshot),
-        "profile": net.scheduler.profiler.snapshot(),
     }
-    return record
 
 
 # -- reading run records (works on live snapshots AND loaded JSON) ------------

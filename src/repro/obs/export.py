@@ -35,25 +35,19 @@ class ArtifactError(ValueError):
 
 
 def metrics_artifact(registry: MetricsRegistry,
-                     meta: Optional[Dict[str, Any]] = None,
-                     profile: Optional[List[Dict[str, Any]]] = None) -> Dict[str, Any]:
+                     meta: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """Build the canonical metrics document from a registry snapshot."""
-    doc: Dict[str, Any] = {
+    return {
         "schema": METRICS_SCHEMA,
         "meta": dict(meta or {}),
         "metrics": registry.snapshot(),
     }
-    if profile is not None:
-        doc["profile"] = list(profile)
-    return doc
 
 
 def write_metrics_json(registry: MetricsRegistry, path: Union[str, Path],
-                       meta: Optional[Dict[str, Any]] = None,
-                       profile: Optional[List[Dict[str, Any]]] = None) -> Dict[str, Any]:
+                       meta: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """Write a validated metrics artefact; returns the document."""
-    return write_metrics_document(metrics_artifact(registry, meta, profile),
-                                  path)
+    return write_metrics_document(metrics_artifact(registry, meta), path)
 
 
 def write_metrics_document(doc: Dict[str, Any],
@@ -142,13 +136,6 @@ def validate_metrics_artifact(doc: Any) -> None:
             validate_metrics_snapshot(run.get("metrics"), f"{where}.metrics")
     else:
         _fail("document", "needs a 'metrics' snapshot or a 'runs' list")
-    if "profile" in doc:
-        profile = doc["profile"]
-        if not isinstance(profile, list):
-            _fail("document", "'profile' must be a list")
-        for index, site in enumerate(profile):
-            if not isinstance(site, dict) or "site" not in site:
-                _fail(f"profile[{index}]", "profile entry missing 'site'")
 
 
 def load_metrics_json(path: Union[str, Path]) -> Dict[str, Any]:

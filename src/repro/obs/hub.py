@@ -5,10 +5,7 @@ One :class:`Observability` instance rides on each
 registry and a tracer clocked by the network's scheduler. Components reach
 it through their process's network, so a whole deployment — Context
 Servers, overlay nodes, mediators, entities — records into one coherent
-place. Scheduler profiling is not part of it: a reader that wants a
-per-site profile attaches its own
-:class:`~repro.obs.profiling.SchedulerProfiler` (``scheduler.profiler``),
-so the default run loop reads no clock per event.
+place.
 """
 
 from __future__ import annotations

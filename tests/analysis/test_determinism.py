@@ -36,7 +36,9 @@ def test_seeded_rng_and_quiet_iteration_not_flagged():
     assert 41 not in lines  # set iteration off the message path
 
 
-def test_allowlisted_modules_skip_wall_clock_but_not_random():
+def test_instrumentation_modules_get_no_wall_clock_exemption():
+    """A module that once measured host time on purpose is checked like
+    any other: both the clock read and the global RNG draw are flagged."""
     text = (
         "import time\n"
         "import random\n"
@@ -45,14 +47,14 @@ def test_allowlisted_modules_skip_wall_clock_but_not_random():
         "    return t + random.random()\n"
     )
     source = SourceFile.from_text(text, "src/repro/obs/profiling.py")
-    checks = [f.check for f in DeterminismChecker().check(source)]
-    assert checks == ["determinism.unseeded-random"]
+    checks = sorted(f.check for f in DeterminismChecker().check(source))
+    assert checks == ["determinism.unseeded-random", "determinism.wall-clock"]
 
 
-def test_wall_clock_allowed_only_in_run_loop_module():
-    """The run loop in sim.py self-profiles with perf_counter; the
-    allowlist covers that module alone (RNG use is still flagged there),
-    not its neighbours in ``repro.net``."""
+def test_run_loop_module_is_flagged_like_its_neighbours():
+    """sim.py reads no host clock, so it has no allowlist entry: a
+    perf_counter read there is flagged exactly as in ``repro.net``'s
+    other modules."""
     text = (
         "import time\n"
         "import random\n"
@@ -64,9 +66,9 @@ def test_wall_clock_allowed_only_in_run_loop_module():
         source = SourceFile.from_text(text, module_path)
         return sorted(f.check for f in DeterminismChecker().check(source))
 
-    assert checks("src/repro/net/sim.py") == ["determinism.unseeded-random"]
-    assert checks("src/repro/net/transport.py") == [
-        "determinism.unseeded-random", "determinism.wall-clock"]
+    expected = ["determinism.unseeded-random", "determinism.wall-clock"]
+    assert checks("src/repro/net/sim.py") == expected
+    assert checks("src/repro/net/transport.py") == expected
 
 
 def test_from_import_aliases_are_tracked():

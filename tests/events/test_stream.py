@@ -106,6 +106,25 @@ class TestResync:
         scheduler.run_for(11.0)
         assert resyncs == [7, 7]        # retried after the RPC expired
 
+    @pytest.mark.parametrize("payload", [
+        {"ok": True, "seq": "7"},
+        {"ok": True, "seq": None},
+        [True, 4],
+        {"ok": True, "seq": 2.5},
+    ], ids=["str-seq", "null-seq", "list", "float-seq"])
+    def test_malformed_resync_ack_rearms(self, scheduler, stream, delivered,
+                                         resyncs, payload):
+        stream.offer(7, 1, "e1")
+        stream.offer(7, 3, "e3")        # hole at 2
+        scheduler.run_for(11.0)
+        assert resyncs == [7]
+        stream.resync_answered(7, payload)
+        assert stream.last_seq(7) == 1 and stream.open_holes(7) == 1
+        scheduler.run_for(11.0)
+        assert resyncs == [7, 7]        # handled like an expired resync
+        stream.offer(7, 2, "e2")
+        assert delivered == ["e1", "e2", "e3"]
+
     def test_forget_drops_state_and_timer(self, scheduler, stream, resyncs):
         stream.offer(7, 3, "e3")
         stream.forget(7)

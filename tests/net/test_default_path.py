@@ -1,23 +1,26 @@
 """The default deployment runs on the scheduler's per-message fast path.
 
 ``Network()`` with no arguments builds the one scheduler there is, so every
-send is a bare heap tuple (no ``Timer``, no closure) and every timer label
-is formatted on first read. These tests pin that the fast path is what a
-default deployment executes, that lazy labels equal the eager ones, that a
-default ``SCI()`` is deterministic and profiles nothing unless asked, that
-an untraced hot path builds no span machinery and leaves no GC-tracked
-dedup keys behind, and that nothing selects another way to run.
+send is a bare heap tuple (no ``Timer``, no closure). These tests pin that
+the fast path is what a default deployment executes, that a default
+``SCI()`` is deterministic and that no module under ``src/repro`` reads
+the host clock, that an untraced hot path builds no span machinery and
+leaves no GC-tracked dedup keys behind, and that nothing selects another
+way to run.
 """
 
 import gc
 import importlib
 import inspect
 import itertools
+import pathlib
 
 import pytest
 
 from repro import SCI
 from repro.analysis import runner as analysis_runner
+from repro.analysis.determinism import CHECK_WALL_CLOCK, DeterminismChecker
+from repro.analysis.source import SourceFile
 from repro.composition import graph as graph_module
 from repro.composition import manager as manager_module
 from repro.core import api
@@ -27,7 +30,7 @@ from repro.net import message as message_module
 from repro.net.message import Message
 from repro.net import sim as sim_module
 from repro.net.eventlog import EventLog
-from repro.net.sim import Scheduler, Timer, callsite
+from repro.net.sim import Scheduler, Timer
 from repro.net.transport import (FixedLatency, FunctionProcess, LatencyModel,
                                  Network)
 from repro.obs import tracing as tracing_module
@@ -86,49 +89,6 @@ def test_one_heap_no_lane_options():
             importlib.import_module(module)
 
 
-class _Worker:
-    def tick(self, *args, **kwargs):
-        pass
-
-
-def _plain(*args, **kwargs):
-    pass
-
-
-def test_timer_site_is_lazy_and_equals_callsite():
-    sched = Scheduler()
-    worker = _Worker()
-    cases = [
-        (sched.schedule(1.0, worker.tick), worker.tick),
-        (sched.schedule(1.0, _plain), _plain),
-        (sched.schedule(1.0, worker.tick, 1, flag=True), worker.tick),
-        (sched.schedule(1.0, _plain, flag=True), _plain),
-    ]
-    for timer, fn in cases:
-        assert timer._site is None, "label formatted before anyone read it"
-        assert timer.site == callsite(fn)
-        assert timer._site == callsite(fn)
-
-
-def test_periodic_rearm_keeps_its_label():
-    sched = Scheduler()
-    worker = _Worker()
-    recorded = []
-
-    class Recorder:
-        def record(self, site, lag, wall):
-            recorded.append(site)
-
-    sched.profiler = Recorder()
-    handle = sched.schedule_periodic(2.0, worker.tick)
-    assert handle.site == "_Worker.tick[periodic]"
-    sched.run_until(7.0)
-    assert recorded == ["_Worker.tick[periodic]"] * 3
-    handle.cancel()
-    sched.run_until_idle()
-    assert sched.pending == 0
-
-
 def test_timer_carries_arguments_without_a_closure():
     sched = Scheduler()
     seen = []
@@ -183,34 +143,32 @@ def test_default_sci_is_repeatable(monkeypatch):
     assert _sci_digest(monkeypatch) == first
 
 
-# -- default SCI(): no scheduler profiler ----------------------------------------
+# -- no host clock: no scheduler profiler, no wall-clock read in src/ -----------
 
 
 def test_default_sci_attaches_no_profiler():
     sci = SCI()
-    assert sci.network.scheduler.profiler is None
+    assert not hasattr(sci.network.scheduler, "profiler")
     assert not hasattr(sci.network.obs, "profiler")
+    for name in ("created_at", "site", "_site"):
+        assert not hasattr(Timer(1.0, print), name)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.obs.profiling")
 
 
-def test_default_run_loop_reads_no_clock(monkeypatch):
-    """A profile is opt-in: without one the loop times no callback."""
-    def no_clock():
-        raise AssertionError("the default run loop read perf_counter")
-
-    monkeypatch.setattr(sim_module, "perf_counter", no_clock)
-    sci = SCI()
-    sci.create_range("livingstone", places=["livingstone"], hosts=["lab-pc"])
-    sci.add_door_sensors("livingstone")
-    sci.add_person("bob", room="corridor")
-    app = sci.create_application("whereIsBob", host="lab-pc")
-    sci.run(5)
-    app.submit_query(sci.query("bob").subscribe(
-        "location", "topological", subject="bob").build())
-    sci.run(5)
-    sci.walk("bob", "L10.01")
-    sci.run(30)
-    assert app.last_event_value() == "L10.01"
-    assert sci.network.scheduler.events_processed > 50
+def test_no_module_in_src_reads_the_host_clock():
+    """Every module, the run loop included, is clocked by ``scheduler.now``:
+    the raw checker (before any pragma) finds no host-clock read."""
+    package = pathlib.Path(sim_module.__file__).resolve().parents[1]
+    paths = sorted(package.rglob("*.py"))
+    assert len(paths) > 50
+    checker = DeterminismChecker()
+    reads = [f"{finding.path}:{finding.line}"
+             for path in paths
+             for finding in checker.check(SourceFile.from_text(
+                 path.read_text(encoding="utf-8"), path.as_posix()))
+             if finding.check == CHECK_WALL_CLOCK]
+    assert reads == []
 
 
 # -- untraced hot path: no span machinery, no tracked dedup keys -----------------

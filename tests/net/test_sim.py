@@ -1,8 +1,29 @@
-"""Scheduler semantics: ordering, cancellation, bounded runs, periodics."""
+"""Scheduler semantics: ordering, cancellation, bounded runs, periodics,
+and the callback labels the event log records."""
 
 import pytest
 
-from repro.net.sim import Scheduler
+from repro.net.sim import Scheduler, callsite
+
+
+class _Worker:
+    def tick(self):
+        pass
+
+
+def _free_fn():
+    pass
+
+
+class TestCallsite:
+    def test_bound_method_site(self):
+        assert callsite(_Worker().tick) == "_Worker.tick"
+
+    def test_free_function_site(self):
+        assert callsite(_free_fn).endswith("_free_fn")
+
+    def test_lambda_site_is_usable(self):
+        assert "lambda" in callsite(lambda: None)
 
 
 class TestScheduling:

@@ -51,9 +51,15 @@ class TestMetricsArtifact:
         assert loaded["metrics"]["net.sent"]["series"][0]["value"] == 1
 
     def test_profile_section(self, registry, tmp_path):
+        """The writer records no profile; an older artefact that carries
+        one still loads, since the schema accepts unknown keys."""
+        assert "profile" not in metrics_artifact(registry)
+        with pytest.raises(TypeError):
+            write_metrics_json(registry, tmp_path / "x.json", profile=[])
+        doc = dict(metrics_artifact(registry),
+                   profile=[{"site": "X.tick", "count": 3}])
         path = tmp_path / "run.metrics.json"
-        write_metrics_json(registry, path,
-                           profile=[{"site": "X.tick", "count": 3}])
+        write_metrics_document(doc, path)
         assert load_metrics_json(path)["profile"][0]["site"] == "X.tick"
 
     def test_multi_run_document(self, registry, tmp_path):

