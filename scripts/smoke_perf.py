@@ -357,7 +357,9 @@ def lookalike_dispatch(trackers, mediator_class=EventMediator,
     beside them. Subscriptions deliver round-robin to four
     ``FunctionProcess`` sinks, each logging ``(subscription position,
     event seq)`` in arrival order for every pair of an ``event``'s
-    ``subs``. ``publishes=0`` only attaches.
+    ``subs`` and acking those pairs with one ``event-ack``, as a
+    subscriber does, so the mediator retransmits nothing.
+    ``publishes=0`` only attaches.
     """
     from repro.events.event import ContextEvent
     from repro.events.filters import AndFilter, AttributeFilter, TypeFilter
@@ -370,12 +372,17 @@ def lookalike_dispatch(trackers, mediator_class=EventMediator,
     mediator = mediator_class(guids.mint(), "og", net, range_name="og")
     position = {}  # sub_id -> its place in subscription order
     logs = [[] for _ in range(4)]
-    sinks = [FunctionProcess(guids.mint(), "og", net,
-                             lambda message, log=log: log.extend(
-                                 (position[sub_id],
-                                  message.payload["event"]["seq"])
-                                 for sub_id, _ in message.payload["subs"]))
-             for log in logs]
+
+    def sink(log):
+        def handle(message):
+            subs = message.payload["subs"]
+            log.extend((position[sub_id], message.payload["event"]["seq"])
+                       for sub_id, _ in subs)
+            process.send(message.sender, "event-ack", {"acks": subs})
+        process = FunctionProcess(guids.mint(), "og", net, handle)
+        return process
+
+    sinks = [sink(log) for log in logs]
     combos = rng.sample(range(OPGRAPH_TYPES * OPGRAPH_FLOORS),
                         OPGRAPH_TEMPLATES)
     filters = [AndFilter([TypeFilter(f"og-type-{combo % OPGRAPH_TYPES}"),

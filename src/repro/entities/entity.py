@@ -36,8 +36,8 @@ from repro.core.types import TypeSpec
 from repro.entities.advertisement import Advertisement
 from repro.entities.profile import Profile
 from repro.events.event import ContextEvent
-from repro.events.stream import (RESYNC_RETRIES, RESYNC_TIMEOUT, AckBatcher,
-                                 StreamReassembler, offer_event)
+from repro.events.stream import (AckBatcher, StreamReassembler, offer_event,
+                                 request_resync)
 from repro.net.message import BROADCAST, Message
 from repro.net.rpc import RequestManager
 from repro.net.transport import Network, Process
@@ -71,11 +71,13 @@ class BaseComponent(Process):
         #: the Range Service renewing this component's lease, while registered
         self._lease_group = None
         self._params: Dict[str, Any] = {}
-        #: restores publish order over sequenced (reliable-mediator) streams;
-        #: unsequenced deliveries pass straight through
+        #: restores publish order over the mediator's sequenced streams and
+        #: asks the range's mediator for a resync while registered
         self.streams = StreamReassembler(
             self.scheduler, self._deliver_event,
-            request_resync=self._request_resync,
+            lambda sub_id: request_resync(
+                self, self.event_mediator if self.registered else None,
+                sub_id),
             metrics=network.obs.metrics)
         #: answers each mediator with cumulative acks of that prefix
         self.acks = AckBatcher(self, self.streams)
@@ -253,14 +255,14 @@ class BaseComponent(Process):
     # -- event intake (ConsumeInterface plumbing) -------------------------------------
 
     def handle_event_message(self, message: Message) -> None:
-        """Reassemble, hand to the consume hook, and (when sequenced) owe
-        the sender an ack, per pair of the message's ``subs``
+        """Reassemble, hand to the consume hook, and owe the sender an ack,
+        per pair of the message's ``subs``
         (:func:`~repro.events.stream.offer_event`).
 
-        Sequenced pairs come from a reliable mediator holding them in an
-        unacked window; the reassembler restores publish order, drops
-        the duplicates a retransmission produces, and requests a resync for
-        holes that outlive the mediator's retransmission budget. The
+        The mediator holds each pair in an unacked window until acked; the
+        reassembler restores publish order, drops the duplicates a
+        retransmission produces, and requests a resync for holes that
+        outlive the mediator's retransmission budget. The
         delivery is then noted with :attr:`acks`, which sends the mediator
         one cumulative ``event-ack`` of the in-order prefix per batch —
         duplicates included, so a lost ack is answered again.
@@ -277,17 +279,6 @@ class BaseComponent(Process):
     def _consume_event(self, event: ContextEvent, sub_id: Optional[int]) -> None:
         """Subclass hook: an in-order, deduplicated event is ready."""
         self.on_event(event, sub_id)
-
-    def _request_resync(self, sub_id: int) -> None:
-        if not self.registered or self.event_mediator is None:
-            return
-        self.requests.request(
-            self.event_mediator, "resync", {"sub_id": sub_id},
-            on_reply=lambda reply: self.streams.resync_answered(
-                sub_id, reply.payload),
-            on_timeout=lambda: self.streams.resync_failed(sub_id),
-            timeout=RESYNC_TIMEOUT, retries=RESYNC_RETRIES,
-        )
 
     # -- hooks ---------------------------------------------------------------------------
 

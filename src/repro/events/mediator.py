@@ -12,12 +12,12 @@ the co-located Context Server calls the same operations directly):
 ``subscribe``          {"subscriber", "filter", "one_time", "owner"} -> ``subscribe-ack``
 ``unsubscribe``        {"sub_id"} -> ``unsubscribe-ack``
 ``unsubscribe-owner``  {"owner"} -> ``unsubscribe-owner-ack``
-``resync``             {"sub_id"} -> ``resync-ack`` (reliable mode)
-``event-ack``          {"acks": [[sub_id, upto], ...]} (reliable mode; no reply)
+``resync``             {"sub_id"} -> ``resync-ack``
+``event-ack``          {"acks": [[sub_id, upto], ...]} (no reply)
 
 and sends a subscriber one ``event {"event": <wire>, "subs": [[sub_id, seq],
-...]}`` per publish, listing each subscription it matched (``seq`` null when
-unreliable); they share one wire event, the ledger entry has its own copy.
+...]}`` per publish, listing each subscription it matched; they share one
+wire event, the ledger entry has its own copy.
 
 A malformed request — a missing field, a filter spec that does not
 compile, an id that does not parse — is answered with its ack carrying
@@ -29,29 +29,27 @@ Every mediator appends to a context ledger — the chain it is given (a
 Context Server passes its range's) or a private one — from which
 :mod:`repro.ledger.replay` rebuilds its books.
 
-Reliable mode (``reliable=True``): every delivery is a ``[sub_id, seq]``
-pair with a per-subscription sequence number, carried in the one message
-its publish sends that subscriber; the mediator keeps each pair,
-pointing at that shared message, in its subscriber's **unacked window**
-until the subscriber's cumulative ``event-ack`` names an in-order prefix
-``upto`` at or past its seq (see
+Delivery is acknowledged and retransmitted: every delivery is a
+``[sub_id, seq]`` pair with a per-subscription sequence number, carried in
+the one message its publish sends that subscriber; the mediator keeps each
+pair, pointing at that shared message, in its subscriber's **unacked
+window** until the subscriber's cumulative ``event-ack`` names an in-order
+prefix ``upto`` at or past its seq (see
 :class:`repro.events.stream.AckBatcher`). Each subscriber has one window
 across its subscriptions and one retransmit timer, armed when the window
 becomes non-empty and never moved by an ack. When it fires and the
-oldest entry has waited the current backoff (``ack_timeout ·
-1.5^attempts``, jittered once retransmitting), every message holding an
+oldest entry has waited the current backoff (:data:`DEFAULT_ACK_TIMEOUT`
+``· 1.5^attempts``, jittered once retransmitting), every message holding an
 unacked entry is sent again, once — go-back-N; the subscriber's
 reassembler drops what it already has by seq. An ack that makes progress
-resets ``attempts``; after ``delivery_retries`` expiries without
-progress the whole window counts as exhausted and is dropped. A full
-window (:data:`WINDOW_CAP`) gives up its oldest entry. Either way the
+resets ``attempts``; after :data:`DEFAULT_DELIVERY_RETRIES` expiries
+without progress the whole window counts as exhausted and is dropped. A
+full window (:data:`WINDOW_CAP`) gives up its oldest entry. Either way the
 subscriber sees a hole in the sequence and sends ``resync``: the
 mediator replays the retained events matching that subscription under
 fresh sequence numbers and answers with the baseline seq to fast-forward
 past. A subscriber that leaves the range is owed nothing: its window
-goes with its subscriptions. The default stays unreliable
-fire-and-forget — one message per (publish, subscriber) with ``seq``
-null — and the Context Server opts its range mediator in.
+goes with its subscriptions.
 
 Dispatch has one engine: every subscription's filter is a sink of one
 node of the mediator's shared filter table (:mod:`repro.query.opgraph`),
@@ -88,10 +86,10 @@ from repro.query.opgraph.engine import OperatorGraph
 
 logger = logging.getLogger(__name__)
 
-#: default bound on retained events per mediator; oldest-first eviction
+#: bound on retained events per mediator; oldest-first eviction
 DEFAULT_RETAINED_CAP = 4096
 
-#: reliable-mode delivery defaults: first ack wait, retransmission budget
+#: delivery timing: first ack wait, retransmission budget
 #: and backoff. Sized so the full retransmit window (~190 time units)
 #: comfortably outlives any bounded loss episode the chaos experiments run.
 DEFAULT_ACK_TIMEOUT = 6.0
@@ -100,7 +98,7 @@ DELIVERY_BACKOFF = 1.5
 #: a retransmission wait is stretched by up to this fraction, drawn from a
 #: stream seeded by the mediator's GUID (as RequestManager draws its own)
 DELIVERY_JITTER = 0.25
-#: bound on one subscriber's unacked reliable deliveries; a full window
+#: bound on one subscriber's unacked deliveries; a full window
 #: sheds its oldest entry and the subscriber heals the hole by ``resync``
 WINDOW_CAP = 1024
 
@@ -112,7 +110,7 @@ _Unacked = Tuple[int, Dict[str, Any], int, float]
 
 
 class _Window:
-    """One subscriber's unacked reliable deliveries and their one timer."""
+    """One subscriber's unacked deliveries and their one timer."""
 
     __slots__ = ("streams", "size", "timer", "attempts", "wait",
                  "resent_at", "resent_through")
@@ -151,17 +149,9 @@ class EventMediator(Process):
     """Pub/sub hub for one range."""
 
     def __init__(self, guid: GUID, host_id: str, network: Network,
-                 range_name: str = "",
-                 retained_cap: int = DEFAULT_RETAINED_CAP,
-                 reliable: bool = False,
-                 ack_timeout: float = DEFAULT_ACK_TIMEOUT,
-                 delivery_retries: int = DEFAULT_DELIVERY_RETRIES,
-                 ledger: Optional[ContextLedger] = None):
+                 range_name: str = "", ledger: Optional[ContextLedger] = None):
         super().__init__(guid, host_id, network, name=f"mediator:{range_name or guid}")
-        if retained_cap < 1:
-            raise ValueError(f"retained_cap must be >= 1, got {retained_cap}")
         self.range_name = range_name
-        self.retained_cap = retained_cap
         #: the chain this mediator appends to (an empty one is falsy)
         self.ledger = (ledger if ledger is not None else ContextLedger(
             self.name, metrics=network.obs.metrics, range_name=range_name))
@@ -169,10 +159,7 @@ class EventMediator(Process):
         #: in progress has made; None between them (neither re-enters:
         #: delivering only ``send``s)
         self._served: Optional[list] = None
-        self.reliable = reliable
-        self.ack_timeout = ack_timeout
-        self.delivery_retries = delivery_retries
-        #: subscriber -> its unacked reliable deliveries (reliable mode)
+        #: subscriber -> its unacked deliveries
         self._windows: Dict[GUID, _Window] = {}
         #: the retransmission jitter stream; the first round creates it
         self._jitter_rng: Optional[random.Random] = None
@@ -186,9 +173,9 @@ class EventMediator(Process):
         self.by_type: Counter = Counter()
         #: most recent event per (type, representation, subject) — served to
         #: late joiners so a new subscriber does not wait for the next change.
-        #: Insertion-ordered; bounded by ``retained_cap`` with oldest-first
-        #: (first-retained) eviction. Updates stay in place, preserving the
-        #: replay order the naive scan produced.
+        #: Insertion-ordered; bounded by :data:`DEFAULT_RETAINED_CAP` with
+        #: oldest-first (first-retained) eviction. Updates stay in place,
+        #: preserving the replay order the naive scan produced.
         self._retained: Dict[tuple, ContextEvent] = {}
         #: type_name -> ordered set of retained keys, so replay for a
         #: type-constrained subscription scans only that type's entries
@@ -418,7 +405,7 @@ class EventMediator(Process):
     def _store_retained(self, event: ContextEvent) -> tuple:
         """Store ``event`` under its key (evicting at the cap); the key."""
         key = (event.type_name, event.representation, event.subject)
-        if key not in self._retained and len(self._retained) >= self.retained_cap:
+        if key not in self._retained and len(self._retained) >= DEFAULT_RETAINED_CAP:
             oldest_key = next(iter(self._retained))
             del self._retained[oldest_key]
             by_type = self._retained_by_type.get(oldest_key[0])
@@ -439,7 +426,7 @@ class EventMediator(Process):
         """Serve ``event`` to ``subscriptions`` (in ``sub_id`` order): one
         wire form, one ``event`` per subscriber listing its pairs."""
         wire = event.to_wire()
-        served, reliable = self._served, self.reliable
+        served = self._served
         payloads: Dict[GUID, Dict[str, Any]] = {}
         for subscription in subscriptions:
             subscription.record_delivery()
@@ -447,9 +434,8 @@ class EventMediator(Process):
                 served.append([subscription.sub_id, event.seq])
             payload = payloads.setdefault(subscription.subscriber,
                                           {"event": wire, "subs": []})
-            payload["subs"].append([
-                subscription.sub_id,
-                subscription.next_seq() if reliable else None])
+            payload["subs"].append([subscription.sub_id,
+                                    subscription.next_seq()])
         count = len(subscriptions)
         self.deliveries += count
         self._deliveries_counter.inc(count)
@@ -458,18 +444,17 @@ class EventMediator(Process):
                     "mediator.deliver", range=self.range_name,
                     type=event.type_name, subs=payload["subs"]):
                 self.send(subscriber, "event", payload)
-            if reliable:
-                for sub_id, seq in payload["subs"]:
-                    self._hold(subscriber, sub_id,
-                               (seq, payload, self.deliveries, self.now))
+            for sub_id, seq in payload["subs"]:
+                self._hold(subscriber, sub_id,
+                           (seq, payload, self.deliveries, self.now))
 
-    # -- reliable mode: the unacked windows ----------------------------------
+    # -- the unacked windows --------------------------------------------------
 
     def _hold(self, subscriber: GUID, sub_id: int, entry: _Unacked) -> None:
         """Keep a sent delivery until acked; arm the window's one timer."""
         window = self._windows.get(subscriber)
         if window is None:
-            window = self._windows[subscriber] = _Window(self.ack_timeout)
+            window = self._windows[subscriber] = _Window(DEFAULT_ACK_TIMEOUT)
         entries = window.streams.get(sub_id)
         if entries is None:
             entries = window.streams[sub_id] = deque()
@@ -507,7 +492,7 @@ class EventMediator(Process):
             window.timer = self.scheduler.schedule_at(
                 due, self._window_expired, subscriber)
             return
-        if window.attempts >= self.delivery_retries:
+        if window.attempts >= DEFAULT_DELIVERY_RETRIES:
             self._window_exhausted(subscriber, window)
             return
         window.attempts += 1
@@ -522,7 +507,7 @@ class EventMediator(Process):
             # seeded from the GUID: deterministic per mediator, and
             # independent of the network's latency/drop stream
             self._jitter_rng = random.Random(self.guid.value & 0xFFFFFFFFFFFF)
-        window.wait = (self.ack_timeout * DELIVERY_BACKOFF ** window.attempts
+        window.wait = (DEFAULT_ACK_TIMEOUT * DELIVERY_BACKOFF ** window.attempts
                        * (1.0 + DELIVERY_JITTER * self._jitter_rng.random()))
         window.timer = self.scheduler.schedule(
             window.wait, self._window_expired, subscriber)
@@ -556,7 +541,7 @@ class EventMediator(Process):
             return
         window.size -= released
         window.attempts = 0
-        window.wait = self.ack_timeout
+        window.wait = DEFAULT_ACK_TIMEOUT
         if recovered:
             self._retry_recovered_counter.inc(recovered)
 
@@ -669,7 +654,7 @@ class EventMediator(Process):
         return len(self._retained)
 
     def unacked(self, subscriber: Optional[GUID] = None) -> int:
-        """Reliable deliveries awaiting an ack (for one subscriber, or all)."""
+        """Deliveries awaiting an ack (for one subscriber, or all)."""
         if subscriber is not None:
             window = self._windows.get(subscriber)
             return window.size if window is not None else 0

@@ -1,20 +1,21 @@
-"""Subscriber-side reassembly and acknowledgement of reliable event streams.
+"""Subscriber-side reassembly and acknowledgement of event streams.
 
 A mediator sends a subscriber one ``event`` per publish, ``{"event": <wire
 event>, "subs": [[sub_id, seq], ...]}``: every subscription the event
-matched, an int ``sub_id`` with a non-bool int ``seq >= 1`` (``null`` from
-an unreliable mediator). :func:`offer_event` checks and parses it once and
-offers each pair to the :class:`StreamReassembler`, which restores the
-publish order the mediator produced:
+matched, an int ``sub_id`` with a non-bool int ``seq >= 1``.
+:func:`offer_event` checks and parses it once and offers each pair to the
+:class:`StreamReassembler`, which restores the publish order the mediator
+produced:
 
 * ``seq == last + 1``  — deliver, then flush any buffered successors;
 * ``seq <= last``      — a duplicate (a retransmission raced the ack): drop;
 * ``seq >  last + 1``  — a hole. Buffer the arrival; if the hole is still
-  open after ``resync_after`` (i.e. the mediator's own retransmissions did
-  not fill it), ask the mediator to **resync**: it replays the retained
-  events matching the subscription under fresh sequence numbers and names
-  the baseline to fast-forward past, so a stream with genuinely lost events
-  heals instead of staying silent forever.
+  open after :data:`DEFAULT_RESYNC_AFTER` (i.e. the mediator's own
+  retransmissions did not fill it), ask the mediator to **resync**
+  (:func:`request_resync`): it replays the retained events matching the
+  subscription under fresh sequence numbers and names the baseline to
+  fast-forward past, so a stream with genuinely lost events heals instead
+  of staying silent forever.
 
 The :class:`AckBatcher` beside it answers the mediator. Acks are
 *cumulative*: one ``event-ack {"acks": [[sub_id, upto], ...]}`` per
@@ -24,9 +25,6 @@ It is sent once :data:`EVENT_ACK_EVERY` sequenced deliveries from that
 mediator are pending, or :data:`EVENT_ACK_DELAY` after the first of them,
 whichever comes first. A duplicate counts as a delivery too, so a lost ack
 is repaired by the retransmission it provokes.
-
-Pairs without a sequence number (an unreliable mediator) bypass the
-machinery entirely: nothing is buffered or acked.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from repro.obs.metrics import MetricsRegistry
 
 logger = logging.getLogger(__name__)
 
-#: default quiet time on an open hole before a resync is requested; sized
+#: quiet time on an open hole before a resync is requested; sized
 #: above the mediator's full retransmit window so resync only fires once
 #: the mediator has given a delivery up for lost
 DEFAULT_RESYNC_AFTER = 60.0
@@ -61,16 +59,16 @@ EVENT_ACK_DELAY = 1.0
 def offer_event(owner, message, parse: Callable[[Any], Any]) -> bool:
     """Offer each ``[sub_id, seq]`` of an ``event`` to ``owner.streams``
     with the event ``parse``d once (None if it does not parse: its seqs are
-    still consumed), noting sequenced ones with ``owner.acks`` (True if
-    any). Any other ``subs`` drops the whole message with a log line."""
+    still consumed), noting each with ``owner.acks``; True if any pair
+    was offered. Any other ``subs`` drops the whole message with a log
+    line."""
     payload = message.payload
     subs = payload.get("subs")
     try:
         if type(subs) is not list:
             raise TypeError(f"subs is a {type(subs).__name__}, not a list")
         for sub_id, seq in subs:  # raises unless each item is a pair
-            if type(sub_id) is not int or not (
-                    seq is None or (type(seq) is int and seq >= 1)):
+            if type(sub_id) is not int or type(seq) is not int or seq < 1:
                 raise ValueError(f"malformed pair {[sub_id, seq]!r}")
     except (TypeError, ValueError) as exc:
         logger.info("%s: dropping event: %r", owner.name, exc)
@@ -81,13 +79,23 @@ def offer_event(owner, message, parse: Callable[[Any], Any]) -> bool:
         logger.info("%s: dropping malformed event %r: %r",
                     owner.name, payload, exc)
         item = None
-    sequenced = False
     for sub_id, seq in subs:
         owner.streams.offer(sub_id, seq, item)
-        if seq is not None:
-            owner.acks.note(message.sender, sub_id)
-            sequenced = True
-    return sequenced
+        owner.acks.note(message.sender, sub_id)
+    return bool(subs)
+
+
+def request_resync(owner, mediator: Optional[GUID], sub_id: int) -> None:
+    """Ask ``mediator`` (None: nobody to ask) to resync ``sub_id`` through
+    ``owner.requests``, and hand the answer to ``owner.streams``."""
+    if mediator is None:
+        return
+    owner.requests.request(
+        mediator, "resync", {"sub_id": sub_id},
+        on_reply=lambda reply: owner.streams.resync_answered(
+            sub_id, reply.payload),
+        on_timeout=lambda: owner.streams.resync_failed(sub_id),
+        timeout=RESYNC_TIMEOUT, retries=RESYNC_RETRIES)
 
 
 class _SubStream:
@@ -106,15 +114,10 @@ class StreamReassembler:
 
     def __init__(self, scheduler: Scheduler,
                  deliver: Callable[[int, Any], None],
-                 request_resync: Optional[Callable[[int], None]] = None,
-                 resync_after: float = DEFAULT_RESYNC_AFTER,
-                 metrics=None):
-        if resync_after <= 0:
-            raise ValueError(f"non-positive resync_after: {resync_after}")
+                 request_resync: Callable[[int], None], metrics=None):
         self._scheduler = scheduler
         self._deliver = deliver
         self._request_resync = request_resync
-        self.resync_after = resync_after
         self._streams: Dict[int, _SubStream] = {}
         self.dup_dropped = 0
         self.gaps_detected = 0
@@ -133,12 +136,9 @@ class StreamReassembler:
 
     # -- ingest ---------------------------------------------------------------
 
-    def offer(self, sub_id: int, seq: Optional[int], item: Any) -> bool:
+    def offer(self, sub_id: int, seq: int, item: Any) -> bool:
         """Feed one arrival for ``sub_id``; ``deliver(sub_id, item)`` runs
         once it is in order. Returns True when delivered immediately."""
-        if seq is None:
-            self._deliver(sub_id, item)
-            return True
         stream = self._streams.setdefault(sub_id, _SubStream())
         if seq <= stream.last or seq in stream.pending:
             self.dup_dropped += 1
@@ -229,10 +229,9 @@ class StreamReassembler:
             stream.gap_timer = None
 
     def _arm(self, sub_id: int, stream: _SubStream) -> None:
-        if self._request_resync is None or stream.gap_timer is not None:
-            return
-        stream.gap_timer = self._scheduler.schedule(
-            self.resync_after, self._gap_expired, sub_id)
+        if stream.gap_timer is None:
+            stream.gap_timer = self._scheduler.schedule(
+                DEFAULT_RESYNC_AFTER, self._gap_expired, sub_id)
 
     def _gap_expired(self, sub_id: int) -> None:
         stream = self._streams.get(sub_id)
@@ -274,7 +273,7 @@ class AckBatcher:
         self._due: Dict[GUID, _DueAcks] = {}
 
     def note(self, mediator: GUID, sub_id: Any) -> None:
-        """A sequenced delivery for ``sub_id`` arrived from ``mediator``."""
+        """A delivery for ``sub_id`` arrived from ``mediator``."""
         due = self._due.get(mediator)
         if due is None:
             due = self._due[mediator] = _DueAcks(self.owner.scheduler.schedule(

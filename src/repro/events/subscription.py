@@ -33,7 +33,7 @@ class Subscription:
     sub_id: int = field(default_factory=lambda: next(_subscription_ids))
     delivered: int = 0
     active: bool = True
-    #: last sequence number stamped on a reliable delivery for this
+    #: last sequence number stamped on a delivery for this
     #: subscription; subscribers detect silent loss as holes in the sequence
     seq: int = 0
 

@@ -22,8 +22,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import LocationError
 from repro.core.ids import GUID
-from repro.events.stream import (RESYNC_RETRIES, RESYNC_TIMEOUT, AckBatcher,
-                                 StreamReassembler, offer_event)
+from repro.events.stream import (AckBatcher, StreamReassembler, offer_event,
+                                 request_resync)
 from repro.location.building import BuildingModel
 from repro.location.geometry import Point
 from repro.location.language import LocationExpr
@@ -60,12 +60,12 @@ class LocationService(Process):
         #: callbacks fired on every fix: (fix, previous_room) — the Context
         #: Server listens here for the "enters(entity, place)" When triggers
         self.observers: List = []
-        # a reliable mediator's sequenced stream is consumed like any
-        # subscriber's: in order, once, acked cumulatively, resynced on loss
+        # the mediator's sequenced stream is consumed like any subscriber's:
+        # in order, once, acked cumulatively, resynced on loss
         self.requests = RequestManager(self)
         self.streams = StreamReassembler(
             self.scheduler, self._ingest_event,
-            request_resync=self._request_resync,
+            lambda sub_id: request_resync(self, self._mediator, sub_id),
             metrics=network.obs.metrics)
         self.acks = AckBatcher(self, self.streams)
         #: the mediator whose sequenced stream arrives here
@@ -204,22 +204,11 @@ class LocationService(Process):
         ``enters(entity, place)`` triggers and ``closest-to(me)`` policies
         without per-person tracking configurations.
 
-        Sequenced deliveries (reliable mediator) pass through the same
-        reassembler and cumulative acks as a component's; unsequenced ones
-        are ingested at once.
+        Deliveries pass through the same reassembler and cumulative acks
+        as a component's.
         """
         if offer_event(self, message, _event_fields):
             self._mediator = message.sender
-
-    def _request_resync(self, sub_id: int) -> None:
-        if self._mediator is None:
-            return
-        self.requests.request(
-            self._mediator, "resync", {"sub_id": sub_id},
-            on_reply=lambda reply: self.streams.resync_answered(
-                sub_id, reply.payload),
-            on_timeout=lambda: self.streams.resync_failed(sub_id),
-            timeout=RESYNC_TIMEOUT, retries=RESYNC_RETRIES)
 
     def _ingest_event(self, sub_id: int, fields: Optional[tuple]) -> None:
         """One in-order event's ``_event_fields``: a fix older than the

@@ -37,10 +37,13 @@ from typing import Any, Callable, Dict, List, Optional
 
 
 def callsite(fn: Callable) -> str:
-    """A stable label for a callback: ``Class.method`` or qualname."""
-    owner = getattr(fn, "__self__", None)
-    if owner is not None:
-        return f"{type(owner).__name__}.{getattr(fn, '__name__', 'call')}"
+    """A stable label for a callback: the qualname of the code that runs.
+
+    A bound method is labelled by its function (``Class.method`` of the
+    class that defines it), not by the instance's class, so a subclass
+    that inherits a timer method logs the same row as its base.
+    """
+    fn = getattr(fn, "__func__", fn)
     name = getattr(fn, "__qualname__", None) or getattr(fn, "__name__", None)
     return name or repr(fn)
 

@@ -28,9 +28,11 @@ DELIVERED = "net.messages.delivered"
 DROPPED = "net.messages.dropped"
 UNDELIVERABLE = "net.messages.undeliverable"
 UNHEARD = "net.messages.unheard"
+MALFORMED = "net.messages.malformed"
 LATENCY = "net.delivery.latency"
 
-_NET_METRICS = (SENT, DELIVERED, DROPPED, UNDELIVERABLE, UNHEARD, LATENCY)
+_NET_METRICS = (SENT, DELIVERED, DROPPED, UNDELIVERABLE, UNHEARD, MALFORMED,
+                LATENCY)
 
 
 class MessageStats:
@@ -58,6 +60,9 @@ class MessageStats:
         self._unheard = registry.counter(
             UNHEARD, "link-local announcements no process on the machine "
             "listened for", labels=("kind",))
+        self._malformed = registry.counter(
+            MALFORMED, "arrivals dropped because their payload is not a JSON "
+            "object", labels=("kind",))
         self._latency = registry.histogram(
             LATENCY, "end-to-end delivery latency (simulated time units)")
         self._bind()
@@ -94,6 +99,9 @@ class MessageStats:
 
     def record_unheard(self, kind: str) -> None:  # rare: not bound
         self._unheard.inc(kind=kind)
+
+    def record_malformed(self, kind: str) -> None:  # rare: not bound
+        self._malformed.inc(kind=kind)
 
     def reset(self) -> None:
         """Zero the ``net.*`` series and bind the handles to the new ones."""

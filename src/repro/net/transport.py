@@ -199,10 +199,18 @@ class Process:
     def deliver(self, message: Message) -> None:
         """Transport entry point: dedup by ``(sender.value, msg_id)``, then handle.
 
-        A duplicate arrival never reaches :meth:`on_message`; if the first
-        arrival produced a reply, a fresh copy of that reply is re-sent —
-        the requester's own dedup then collapses double acks.
+        A payload that is not a JSON object never reaches :meth:`on_message`:
+        it is logged, counted in ``net.messages.malformed{kind}`` and dropped,
+        so no handler has to guard against a string, number or list. A
+        duplicate arrival never reaches :meth:`on_message` either; if the
+        first arrival produced a reply, a fresh copy of that reply is re-sent
+        — the requester's own dedup then collapses double acks.
         """
+        if not isinstance(message.payload, dict):
+            logger.info("%s: dropping %s whose payload is not an object: %r",
+                        self.name, message.kind, message.payload)
+            self.network.stats.record_malformed(message.kind)
+            return
         key = (message.sender.value, message.msg_id)
         cached = self._seen_messages.get(key, _UNSEEN)
         if cached is not _UNSEEN:

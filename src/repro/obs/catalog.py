@@ -56,6 +56,9 @@ _declare("net.messages.undeliverable", "counter",
 _declare("net.messages.unheard", "counter",
          "link-local announcements no process on the machine listened for",
          labels=("kind",))
+_declare("net.messages.malformed", "counter",
+         "arrivals dropped because their payload is not a JSON object",
+         labels=("kind",))
 _declare("net.delivery.latency", "histogram",
          "end-to-end delivery latency (simulated time units)")
 _declare("net.dedup.suppressed", "counter",

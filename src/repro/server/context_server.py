@@ -125,10 +125,8 @@ class ContextServer(Process):
                                        "scheduled", "executed", "failed")}
 
         # -- Context Utilities (Section 3.1's core set) -----------------------
-        # the range mediator delivers sequenced and acknowledged
         self.mediator = EventMediator(self.guids.mint(), host_id, network,
-                                      definition.name, reliable=True,
-                                      ledger=self.ledger)
+                                      definition.name, ledger=self.ledger)
         self.registrar = Registrar(self.guids.mint(), host_id, network,
                                    definition.name,
                                    context_server=self.guid,

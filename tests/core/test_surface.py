@@ -10,7 +10,9 @@ is answered, and recording to the context ledger cannot be switched off:
 a Context Utility built without a chain appends to a private one. A
 subscription is a filter and nothing else: the continuous-query plans
 (window, join, select), their compiler and the ``query`` subscribe field
-are gone, and the mediator's engine is a filter table.
+are gone, and the mediator's engine is a filter table. The mediator has
+one delivery mode, sequenced and acknowledged: no ``reliable`` switch and
+none of the delivery knobs only tests set.
 """
 
 import dataclasses
@@ -27,6 +29,7 @@ from repro.entities.profile import Profile
 from repro.events.event import ContextEvent
 from repro.events.filters import TypeFilter
 from repro.events.mediator import EventMediator
+from repro.events.stream import StreamReassembler
 from repro.events.subscription import Subscription
 from repro.ledger.ledger import LEDGER_SCHEMA, ContextLedger
 from repro.location.service import LocationService
@@ -49,6 +52,23 @@ def parameters(target):
 def test_sciconfig_fields_are_pinned():
     assert [field.name for field in dataclasses.fields(SCIConfig)] == [
         "seed", "lease_duration", "latency_model", "max_repairs_per_config"]
+
+
+def test_the_mediator_has_one_delivery_mode(network, guids):
+    assert parameters(EventMediator) == [
+        "guid", "host_id", "network", "range_name", "ledger"]
+    mediator = EventMediator(guids.mint(), "host-a", network, "r")
+    for knob in ("reliable", "ack_timeout", "delivery_retries",
+                 "retained_cap"):
+        assert not hasattr(mediator, knob), knob
+
+
+def test_a_reassembler_always_resyncs_after_the_same_wait():
+    assert parameters(StreamReassembler) == [
+        "scheduler", "deliver", "request_resync", "metrics"]
+    request_resync = inspect.signature(StreamReassembler).parameters[
+        "request_resync"]
+    assert request_resync.default is inspect.Parameter.empty
 
 
 def test_context_server_always_ledgers():

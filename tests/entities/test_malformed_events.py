@@ -6,8 +6,8 @@ parsed, after its seq was consumed, so the run goes on, the stream sees no
 hole, and the next well-formed seq on that subscription is delivered.
 
 A message whose ``subs`` is not a list of ``[int sub_id, seq]`` pairs
-(``seq`` a non-bool int >= 1 or null) is dropped whole: nothing of it is
-offered to the reassembler, acked, or counted as a gap.
+(``seq`` a non-bool int >= 1; a null seq too) is dropped whole: nothing of
+it is offered to the reassembler, acked, or counted as a gap.
 """
 
 import pytest
@@ -84,6 +84,7 @@ MALFORMED_SUBS = {
     "string-seq": [[SUB_ID, "x"]],
     "bool-seq": [[SUB_ID, True]],
     "zero-seq": [[SUB_ID, 0]],
+    "null-seq": [[SUB_ID, None]],
     "missing": None,
 }
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.types import TypeSpec
+from repro.events import mediator as mediator_module
 from repro.events.dispatch_index import DispatchIndex, analyse_filter
 from repro.events.event import ContextEvent
 from repro.events.filters import (
@@ -16,8 +17,8 @@ from repro.events.filters import (
     TypeFilter,
 )
 from repro.events.mediator import EventMediator
-from repro.net.transport import FunctionProcess
 from tests.events.reference_scan import ReferenceScanMediator
+from tests.events.sinks import acking_sink
 
 
 class TestFilterAnalysis:
@@ -120,9 +121,7 @@ def mediator(network, guids):
 
 
 def sink(network, guids):
-    inbox = []
-    process = FunctionProcess(guids.mint(), "host-b", network, inbox.append)
-    return process, inbox
+    return acking_sink(guids, network)
 
 
 def publish(mediator, type_name="location", subject="bob", value=1):
@@ -185,9 +184,10 @@ class TestMediatorIndexMaintenance:
         assert mediator.subscriptions_for(leaving.guid) == []
         assert len(mediator.subscriptions_for(staying.guid)) == 1
 
-    def test_retained_cap_evicts_oldest_first(self, network, guids):
-        med = EventMediator(guids.mint(), "host-a", network, "capped",
-                            retained_cap=2)
+    def test_retained_cap_evicts_oldest_first(self, network, guids,
+                                              monkeypatch):
+        monkeypatch.setattr(mediator_module, "DEFAULT_RETAINED_CAP", 2)
+        med = EventMediator(guids.mint(), "host-a", network, "capped")
         publish(med, subject="bob")
         publish(med, subject="john")
         publish(med, subject="ada")          # evicts bob's entry

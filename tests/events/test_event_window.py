@@ -1,6 +1,6 @@
-"""Reliable delivery through per-subscriber windows and cumulative acks.
+"""Acknowledged delivery through per-subscriber windows and cumulative acks.
 
-A reliable mediator sends each delivery once and keeps it in its
+A mediator sends each delivery once and keeps it in its
 subscriber's unacked window; the subscriber answers with one cumulative
 ``event-ack`` per batch. These tests pin the batching, loss masking, the
 budget, the bound and the teardown rules of that exchange.
@@ -32,11 +32,17 @@ ACK_TIMEOUT = 4.0
 RETRIES = 6
 
 
+@pytest.fixture(autouse=True)
+def _window_timing(monkeypatch):
+    """Every mediator of this module waits ACK_TIMEOUT for a first ack and
+    retransmits RETRIES rounds."""
+    monkeypatch.setattr(mediator_module, "DEFAULT_ACK_TIMEOUT", ACK_TIMEOUT)
+    monkeypatch.setattr(mediator_module, "DEFAULT_DELIVERY_RETRIES", RETRIES)
+
+
 @pytest.fixture
 def mediator(network, guids):
-    return EventMediator(guids.mint(), "host-a", network, "window-range",
-                         reliable=True, ack_timeout=ACK_TIMEOUT,
-                         delivery_retries=RETRIES)
+    return EventMediator(guids.mint(), "host-a", network, "window-range")
 
 
 def make_app(network, guids, mediator, name="app"):
@@ -129,9 +135,7 @@ def two_subscriber_run(loss_rate):
     network.add_host("host-a")
     network.add_host("host-b")
     ids = GuidFactory(seed=7)
-    mediator = EventMediator(ids.mint(), "host-a", network, "r",
-                             reliable=True, ack_timeout=ACK_TIMEOUT,
-                             delivery_retries=RETRIES)
+    mediator = EventMediator(ids.mint(), "host-a", network, "r")
     apps = [make_app(network, ids, mediator, name) for name in ("a", "b")]
     for app in apps:
         mediator.add_subscription(app.guid, TypeFilter("tick"))
@@ -333,13 +337,12 @@ class TestNoKnob:
     #: the constructors the window and the acks must not have widened
     PINNED = {
         EventMediator: ["guid", "host_id", "network", "range_name",
-                        "retained_cap", "reliable", "ack_timeout",
-                        "delivery_retries", "ledger"],
+                        "ledger"],
         BaseComponent: ["profile", "host_id", "network"],
         LocationService: ["guid", "host_id", "network", "building",
                           "range_name"],
         StreamReassembler: ["scheduler", "deliver", "request_resync",
-                            "resync_after", "metrics"],
+                            "metrics"],
     }
 
     @pytest.mark.parametrize("constructor", list(PINNED),

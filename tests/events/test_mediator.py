@@ -7,6 +7,7 @@ from repro.events.event import ContextEvent
 from repro.events.filters import SubjectFilter, TypeFilter
 from repro.events.mediator import EventMediator
 from repro.net.transport import FunctionProcess
+from tests.events.sinks import acking_sink
 
 
 @pytest.fixture
@@ -16,10 +17,7 @@ def mediator(network, guids):
 
 @pytest.fixture
 def subscriber(network, guids):
-    inbox = []
-    process = FunctionProcess(guids.mint(), "host-b", network, inbox.append,
-                              name="subscriber")
-    return process, inbox
+    return acking_sink(guids, network, name="subscriber")
 
 
 def publish(mediator, type_name="location", subject="bob", value="L10.01",
@@ -49,9 +47,7 @@ class TestSubscriptions:
     def test_multiple_subscribers_each_get_copy(self, network, mediator, guids):
         inboxes = []
         for _ in range(3):
-            inbox = []
-            process = FunctionProcess(guids.mint(), "host-b", network,
-                                      inbox.append)
+            process, inbox = acking_sink(guids, network)
             mediator.add_subscription(process.guid, TypeFilter("location"))
             inboxes.append(inbox)
         publish(mediator)

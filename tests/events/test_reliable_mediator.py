@@ -1,4 +1,4 @@
-"""Reliable mediator mode: sequenced acked delivery, retransmission, resync."""
+"""Mediator delivery: sequenced acked delivery, retransmission, resync."""
 
 import pytest
 
@@ -6,17 +6,19 @@ from repro.core.ids import GuidFactory
 from repro.core.types import TypeSpec
 from repro.entities.entity import ContextAwareApplication
 from repro.entities.profile import EntityClass, Profile
+from repro.events import mediator as mediator_module
 from repro.events.event import ContextEvent
 from repro.events.filters import SubjectFilter, TypeFilter
 from repro.events.mediator import EventMediator
+from repro.events.stream import DEFAULT_RESYNC_AFTER
 from repro.faults.injector import FaultInjector
 from repro.net.transport import FunctionProcess
 
 
 @pytest.fixture
-def mediator(network, guids):
-    return EventMediator(guids.mint(), "host-a", network, "test-range",
-                         reliable=True, ack_timeout=4.0, delivery_retries=6)
+def mediator(network, guids, monkeypatch):
+    monkeypatch.setattr(mediator_module, "DEFAULT_ACK_TIMEOUT", 4.0)
+    return EventMediator(guids.mint(), "host-a", network, "test-range")
 
 
 @pytest.fixture
@@ -63,23 +65,12 @@ class TestReliableDelivery:
         assert retransmits >= 1
         assert mediator.deliveries_exhausted == 0
 
-    def test_unreliable_mode_unchanged(self, network, guids, app):
-        plain = EventMediator(guids.mint(), "host-a", network, "plain")
-        plain.add_subscription(app.guid, TypeFilter("location"))
-        publish(plain, "L9")
-        network.scheduler.run_until_idle()
-        assert [e.value for e in app.events] == ["L9"]
-        # no sequencing: the app's reassembler passed it straight through
-        assert app.streams.last_seq(1) == 0 or not app.streams._streams
-
 
 class TestSharedMessages:
-    @pytest.mark.parametrize("reliable", [True, False])
-    def test_event_payload_is_event_and_subs(self, network, guids, reliable):
+    def test_event_payload_is_event_and_subs(self, network, guids):
         inbox = []
         sink = FunctionProcess(guids.mint(), "host-b", network, inbox.append)
-        mediator = EventMediator(guids.mint(), "host-a", network, "shape",
-                                 reliable=reliable)
+        mediator = EventMediator(guids.mint(), "host-a", network, "shape")
         first = mediator.add_subscription(sink.guid, TypeFilter("location"))
         second = mediator.add_subscription(sink.guid, SubjectFilter("bob"))
         publish(mediator, "L1")                       # both subscriptions
@@ -88,10 +79,9 @@ class TestSharedMessages:
         network.scheduler.run_for(1.5)
         events = [m.payload for m in inbox if m.kind == "event"]
         assert [set(payload) for payload in events] == [{"event", "subs"}] * 4
-        seqs = [1, 1, 2] if reliable else [None] * 3
         assert [payload["subs"] for payload in events[:2]] == [
-            [[first.sub_id, seqs[0]], [second.sub_id, seqs[1]]],
-            [[first.sub_id, seqs[2]]]]
+            [[first.sub_id, 1], [second.sub_id, 1]],
+            [[first.sub_id, 2]]]
         assert len(events[2]["subs"]) == len(events[3]["subs"]) == 1
 
     def test_retransmission_sends_a_shared_payload_once(self, network,
@@ -109,7 +99,7 @@ class TestSharedMessages:
         network.scheduler.run_for(2.0)
         assert network.stats.by_kind["event"] == 2
         assert mediator.unacked(sink.guid) == 5
-        network.scheduler.run_for(mediator.ack_timeout)   # one round
+        network.scheduler.run_for(mediator_module.DEFAULT_ACK_TIMEOUT)  # one round
         assert network.stats.by_kind["event"] == 4
         assert attempts.value(kind="event") == 5
         resent = [m.payload for m in inbox[2:]]
@@ -126,7 +116,7 @@ class TestResync:
         # forge a hole: the app thinks seq 3 arrived but 2 never will
         # (as if the mediator's whole budget for seq 2 expired)
         app.streams.offer(sub.sub_id, 3, app.events[0])
-        network.scheduler.run_for(app.streams.resync_after + 30.0)
+        network.scheduler.run_for(DEFAULT_RESYNC_AFTER + 30.0)
         assert mediator.resyncs_served == 1
         # the retained event was replayed under a fresh seq and consumed
         assert len(app.events) >= 2
@@ -134,7 +124,7 @@ class TestResync:
 
     def test_resync_unknown_sub_forgets_stream(self, network, mediator, app):
         app.streams.offer(999, 2, None)
-        network.scheduler.run_for(app.streams.resync_after + 30.0)
+        network.scheduler.run_for(DEFAULT_RESYNC_AFTER + 30.0)
         assert app.streams.open_holes(999) == 0
         assert app.streams.last_seq(999) == 0
 

@@ -53,7 +53,7 @@ def test_no_receiver_mutates_a_shared_payload(monkeypatch):
     sci.run(5)
 
     lookalike = EventMediator(sci.guids.mint(), "lab-pc", sci.network,
-                              "lookalike", reliable=True)
+                              "lookalike")
     subscribers = []
     for name in ("left", "right"):
         subscriber = ContextAwareApplication(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.events import stream as stream_module
 from repro.events.stream import StreamReassembler
 from repro.net.sim import Scheduler
 
@@ -22,11 +23,11 @@ def resyncs():
 
 
 @pytest.fixture
-def stream(scheduler, delivered, resyncs):
+def stream(scheduler, delivered, resyncs, monkeypatch):
+    monkeypatch.setattr(stream_module, "DEFAULT_RESYNC_AFTER", 10.0)
     return StreamReassembler(scheduler,
                              lambda sub_id, item: delivered.append(item),
-                             request_resync=resyncs.append,
-                             resync_after=10.0)
+                             request_resync=resyncs.append)
 
 
 class TestOrdering:
@@ -34,10 +35,6 @@ class TestOrdering:
         for seq in (1, 2, 3):
             assert stream.offer(7, seq, f"e{seq}") is True
         assert delivered == ["e1", "e2", "e3"]
-
-    def test_unsequenced_bypasses(self, stream, delivered):
-        assert stream.offer(None, None, "raw") is True
-        assert delivered == ["raw"]
 
     def test_duplicate_dropped(self, stream, delivered):
         stream.offer(7, 1, "e1")
@@ -138,8 +135,3 @@ class TestResync:
         stream.reset()
         scheduler.run_for(30.0)
         assert resyncs == []
-
-    def test_non_positive_resync_after_rejected(self, scheduler):
-        with pytest.raises(ValueError):
-            StreamReassembler(scheduler, lambda sub_id, item: None,
-                              resync_after=0.0)

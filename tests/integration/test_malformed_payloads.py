@@ -9,6 +9,10 @@ Either way the run goes on, and the target's state is what it was. A
 ``publish`` whose event the mediator could not hold (an unhashable
 subject, a non-string type, a non-numeric timestamp) is refused before
 anything is counted, and the range goes on tracking well-formed fixes.
+
+A payload that is not a JSON object at all (a string, a number, a list)
+never reaches a handler: the transport drops it, unanswered, and counts
+it in ``net.messages.malformed{kind}``.
 """
 
 import pytest
@@ -58,6 +62,7 @@ TARGETS = {
     "profiles": lambda sci: sci.range("r").profiles,
     "cs": lambda sci: sci.range("r"),
     "mediator": lambda sci: sci.range("r").mediator,
+    "location": lambda sci: sci.range("r").location,
     "overlay": lambda sci: _overlay_node(sci),
 }
 
@@ -171,3 +176,39 @@ def test_malformed_payload_is_answered_or_dropped(deployment, target, verb,
         probe.send(TARGETS[target](sci).guid, "publish", {"event": FIX})
         sci.run(5)
         assert sci.range("r").location.locate("ghost").room == "L10.01"
+
+
+#: (target, verb, payload): one row per handler that used to raise out of
+#: the scheduler on a payload that is not an object
+NON_OBJECT_CASES = [
+    ("app", "event", "x"),
+    ("printer", "event", 7),
+    ("location", "event", [[1, 2]]),
+    ("app", "query-result", "x"),
+    ("printer", "set-param", 7),
+    ("printer", "service-invoke", [[1, 2]]),
+    ("registrar", "deregister", "x"),
+    ("registrar", "heartbeat", 7),
+    ("profiles", "profile-request", [[1, 2]]),
+    ("profiles", "profile-update", "x"),
+    ("cs", "query", 7),
+    ("cs", "cancel-query", [[1, 2]]),
+    ("mediator", "resync", "x"),
+]
+
+
+@pytest.mark.parametrize("target, verb, payload", NON_OBJECT_CASES,
+                         ids=[f"{target}-{verb}" for target, verb, _
+                              in NON_OBJECT_CASES])
+def test_non_object_payload_is_dropped_before_the_handler(deployment, target,
+                                                          verb, payload):
+    sci, probe, replies = deployment
+    before = _state(sci)
+    start = sci.network.scheduler.now
+    probe.send(TARGETS[target](sci).guid, verb, payload)
+    sci.run(5)  # used to raise out of the scheduler and end the run
+    assert sci.network.scheduler.now >= start + 5
+    assert replies == []
+    assert _state(sci) == before
+    malformed = sci.network.obs.metrics.get("net.messages.malformed")
+    assert malformed.by_label() == {verb: 1}

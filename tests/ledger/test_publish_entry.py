@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.ids import GuidFactory
 from repro.core.types import TypeSpec
+from repro.events import mediator as mediator_module
 from repro.events import subscription as subscription_module
 from repro.events.event import ContextEvent
 from repro.events.filters import AndFilter, SubjectFilter, TypeFilter
@@ -25,8 +26,9 @@ from repro.net.transport import FixedLatency, FunctionProcess, Network
 
 
 @pytest.fixture
-def rig():
+def rig(monkeypatch):
     subscription_module._subscription_ids = itertools.count(1)
+    monkeypatch.setattr(mediator_module, "DEFAULT_RETAINED_CAP", 8)
     net = Network(latency_model=FixedLatency(1.0), seed=3)
     net.add_host("h")
     guids = GuidFactory(seed=4)
@@ -34,10 +36,9 @@ def rig():
     return net, guids, sink
 
 
-def plain(rig, retained_cap=8):
+def plain(rig):
     net, guids, _ = rig
     return EventMediator(guids.mint(), "h", net, "r",
-                         retained_cap=retained_cap,
                          ledger=ContextLedger("cs:fold"))
 
 
@@ -78,8 +79,9 @@ def test_k_matches_are_one_entry_with_k_pairs_in_delivery_order(rig):
     assert_projects_to_live(mediator)
 
 
-def test_publish_at_the_cap_is_evict_then_publish(rig):
-    mediator = plain(rig, retained_cap=2)
+def test_publish_at_the_cap_is_evict_then_publish(rig, monkeypatch):
+    monkeypatch.setattr(mediator_module, "DEFAULT_RETAINED_CAP", 2)
+    mediator = plain(rig)
     chain = mediator.ledger
     for seq, subject in enumerate(("bob", "ada"), start=1):
         mediator.publish(event(mediator, seq, subject))

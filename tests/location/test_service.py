@@ -124,7 +124,7 @@ class TestEventIngestion:
         event = ContextEvent(TypeSpec("location", "topological", "bob"),
                              "L10.02", sender.guid, 1.0)
         sender.send(service.guid, "event", {"event": event.to_wire(),
-                                            "subs": [[1, None]]})
+                                            "subs": [[1, 1]]})
         network.scheduler.run_until_idle()
         assert service.locate("bob").room == "L10.02"
 
@@ -137,7 +137,7 @@ class TestEventIngestion:
                               "to": "L10.03", "door": "d"},
                              sender.guid, 1.0)
         sender.send(service.guid, "event", {"event": event.to_wire(),
-                                            "subs": [[1, None]]})
+                                            "subs": [[1, 1]]})
         network.scheduler.run_until_idle()
         assert service.locate("bob").room == "L10.03"
 
@@ -148,6 +148,6 @@ class TestEventIngestion:
         event = ContextEvent(TypeSpec("location", "geometric", "bob"),
                              (14.0, 7.0), sender.guid, 1.0)
         sender.send(service.guid, "event", {"event": event.to_wire(),
-                                            "subs": [[1, None]]})
+                                            "subs": [[1, 1]]})
         network.scheduler.run_until_idle()
         assert service.locate("bob").room == "L10.01"

@@ -11,6 +11,10 @@ class _Worker:
         pass
 
 
+class _Inheritor(_Worker):
+    pass
+
+
 def _free_fn():
     pass
 
@@ -18,6 +22,10 @@ def _free_fn():
 class TestCallsite:
     def test_bound_method_site(self):
         assert callsite(_Worker().tick) == "_Worker.tick"
+
+    def test_inherited_method_site_names_the_defining_class(self):
+        # the code that runs is _Worker.tick, whichever instance runs it
+        assert callsite(_Inheritor().tick) == "_Worker.tick"
 
     def test_free_function_site(self):
         assert callsite(_free_fn).endswith("_free_fn")

@@ -52,7 +52,8 @@ class Publisher(Process):
 
 
 class LoggingSink(Process):
-    """One subscription endpoint; records deliveries in arrival order."""
+    """One subscription endpoint; records deliveries in arrival order and
+    acks each, as a subscriber does, so nothing is retransmitted."""
 
     def __init__(self, guid, host_id, network, label: str):
         super().__init__(guid, host_id, network, name=f"sink:{label}")
@@ -63,6 +64,8 @@ class LoggingSink(Process):
         if message.kind == "event":
             wire = message.payload["event"]
             self.log.append((wire["type"], wire["subject"], wire["value"]))
+            self.send(message.sender, "event-ack",
+                      {"acks": message.payload["subs"]})
 
 
 def _mint_events(source_guids: GuidFactory) -> List[List[dict]]:

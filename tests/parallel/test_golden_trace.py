@@ -22,19 +22,20 @@ from tests.parallel.scenarios import run_scenario
 
 #: blake2b-128 of the canonical per-host event log of
 #: ``run_scenario(seed=11)`` — production and the reference heap alike
-GOLDEN_DIGEST = "3ff7245e9cfb0f006f79b237c229fd45"
-GOLDEN_ENTRIES = 181
+GOLDEN_DIGEST = "99f85d729b567b107a2726cfee5fb1ef"
+GOLDEN_ENTRIES = 768
 
 #: the event log's timer rows of the same run, counted by callback site
 GOLDEN_TIMER_SITES = {
+    "EventMediator._window_expired": 42,
     "OverlayNode.route": 12,
     "StormPublisher.publish": 24,
-    "StormSubscriber._echo": 24,
+    "StormSubscriber._echo": 165,
 }
 #: the run's delivered and dropped message counts; the log records neither
 #: the chaos injector's control events nor undelivered messages
-GOLDEN_DELIVERED = 121
-GOLDEN_DROPPED = 21
+GOLDEN_DELIVERED = 525
+GOLDEN_DROPPED = 54
 
 
 def test_golden_trace():

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.core.ids import GUID, GuidFactory
 from repro.core.types import TypeSpec
 from repro.entities.profile import EntityClass, Profile
+from repro.events import mediator as mediator_module
 from repro.events import subscription as subscription_module
 from repro.events.event import ContextEvent
 from repro.events.filters import (AndFilter, MatchAll, SubjectFilter,
@@ -92,6 +93,7 @@ def _projected(ledger):
 class TestProjectionEqualsLive:
     @settings(max_examples=30, deadline=None)
     @given(ops=st.lists(operations(), min_size=1, max_size=25))
+    @mock.patch.object(mediator_module, "DEFAULT_RETAINED_CAP", 2)
     def test_every_prefix_projects_to_the_live_books(self, ops):
         subscription_module._subscription_ids = itertools.count(1)
         net = Network(latency_model=FixedLatency(1.0), seed=5)
@@ -100,7 +102,7 @@ class TestProjectionEqualsLive:
         ledger = ContextLedger("cs:prop")
         sink = FunctionProcess(guids.mint(), "h", net, lambda _m: None)
         mediator = EventMediator(guids.mint(), "h", net, "prop",
-                                 retained_cap=2, ledger=ledger)
+                                 ledger=ledger)
         registrar = Registrar(guids.mint(), "h", net, "prop",
                               context_server=sink.guid,
                               event_mediator=sink.guid, ledger=ledger)

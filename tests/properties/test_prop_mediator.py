@@ -16,7 +16,8 @@ from repro.events.filters import (
     filter_from_spec,
 )
 from repro.events.mediator import EventMediator
-from repro.net.transport import FixedLatency, FunctionProcess, Network
+from repro.net.transport import FixedLatency, Network
+from tests.events.sinks import acking_sink
 
 TYPES = ["location", "temperature", "presence"]
 SUBJECTS = ["bob", "john", "ada"]
@@ -53,8 +54,7 @@ def run_stream(event_list, event_filter, one_time=False):
     net.add_host("h")
     guids = GuidFactory(seed=2)
     mediator = EventMediator(guids.mint(), "h", net, "r")
-    inbox = []
-    subscriber = FunctionProcess(guids.mint(), "h", net, inbox.append)
+    subscriber, inbox = acking_sink(guids, net, host="h")
     mediator.add_subscription(subscriber.guid, event_filter,
                               one_time=one_time)
     events = []

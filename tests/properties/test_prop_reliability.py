@@ -3,7 +3,7 @@
 Two equivalences the reliability layer must hold under arbitrary seeded
 fault schedules:
 
-* a reliable mediator's subscribers observe the *same* event log under a
+* a mediator's subscribers observe the *same* event log under a
   bounded loss episode as under a lossless network — retransmission from
   the unacked windows plus the reassemblers' dedup masks the loss
   completely (exactly-once observable delivery), for several subscribers
@@ -13,6 +13,8 @@ fault schedules:
   membership and replicated directory as oracle ``fail()`` calls.
 """
 
+from unittest.mock import patch
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +22,7 @@ from repro.core.ids import GuidFactory
 from repro.core.types import TypeSpec
 from repro.entities.entity import ContextAwareApplication
 from repro.entities.profile import EntityClass, Profile
+from repro.events import mediator as mediator_module
 from repro.events.event import ContextEvent
 from repro.events.filters import SubjectFilter, TypeFilter
 from repro.events.mediator import EventMediator
@@ -62,15 +65,15 @@ def matches(spec, type_name, subject):
     return key == (type_name if kind == "type" else subject)
 
 
+@patch.object(mediator_module, "DEFAULT_ACK_TIMEOUT", 4.0)
+@patch.object(mediator_module, "DEFAULT_DELIVERY_RETRIES", 8)
 def run_reliable_stream(pubs, seed, loss_rate, loss_duration):
-    """One reliable mediator + one subscribed CAA; returns the app's log."""
+    """One mediator + one subscribed CAA; returns the app's log."""
     network = Network(latency_model=FixedLatency(1.0), seed=seed)
     network.add_host("host-a")
     network.add_host("host-b")
     guids = GuidFactory(seed=seed ^ 0x99)
-    mediator = EventMediator(guids.mint(), "host-a", network, "prop",
-                             reliable=True, ack_timeout=4.0,
-                             delivery_retries=8)
+    mediator = EventMediator(guids.mint(), "host-a", network, "prop")
     app = ContextAwareApplication(
         Profile(guids.mint(), "app", entity_class=EntityClass.SOFTWARE),
         "host-b", network)
@@ -115,8 +118,10 @@ class TestLossMasking:
                 (s, v) for t, s, v, _ in pubs if t == type_name]
 
 
+@patch.object(mediator_module, "DEFAULT_ACK_TIMEOUT", 4.0)
+@patch.object(mediator_module, "DEFAULT_DELIVERY_RETRIES", 8)
 def run_two_subscribers(pubs, extras, seed, loss_rate, loss_duration):
-    """One reliable mediator, two apps with one TypeFilter per type plus
+    """One mediator, two apps with one TypeFilter per type plus
     their ``extras`` each; every app's log per subscription (in
     subscription order), the mediator and the network."""
     network = Network(latency_model=FixedLatency(1.0), seed=seed)
@@ -124,9 +129,7 @@ def run_two_subscribers(pubs, extras, seed, loss_rate, loss_duration):
     network.add_host("host-b")
     network.add_host("host-c")
     guids = GuidFactory(seed=seed ^ 0x99)
-    mediator = EventMediator(guids.mint(), "host-a", network, "prop",
-                             reliable=True, ack_timeout=4.0,
-                             delivery_retries=8)
+    mediator = EventMediator(guids.mint(), "host-a", network, "prop")
     apps = []
     for (name, host), extra in zip((("left", "host-b"), ("right", "host-c")),
                                    extras):
