@@ -8,10 +8,11 @@ John has no access"), and paths are shortest routes that respect access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import count
 from typing import Dict, List, Optional, Set, Tuple
-
-import networkx as nx
 
 from repro.core.errors import LocationError
 
@@ -51,28 +52,37 @@ class Door:
 
 
 class Topology:
-    """An undirected multigraph of places and doors with path queries."""
+    """An undirected multigraph of places and doors with path queries.
+
+    Routing is the bidirectional Dijkstra search, with its tie-breaks kept
+    exactly (DESIGN.md "Topological routing"): walks, door crossings,
+    handoffs and Which-clause distances are all built on its routes, so a
+    different choice among equally short routes changes them.
+    """
 
     def __init__(self):
-        self._graph = nx.MultiGraph()
+        # place -> neighbour -> door id -> length, every level in insertion
+        # order; the two places of a door share one door dict
+        self._adjacency: Dict[str, Dict[str, Dict[str, float]]] = {}
         self._doors: Dict[str, Door] = {}
 
     # -- construction ---------------------------------------------------------
 
     def add_place(self, name: str) -> str:
-        self._graph.add_node(name)
+        self._adjacency.setdefault(name, {})
         return name
 
     def add_door(self, door: Door) -> Door:
         if door.door_id in self._doors:
             raise LocationError(f"duplicate door: {door.door_id!r}")
-        if door.length <= 0:
-            raise LocationError(f"non-positive door length: {door.length}")
+        if not (door.length > 0 and math.isfinite(door.length)):
+            raise LocationError(f"door length must be positive and finite: {door.length}")
         self.add_place(door.place_a)
         self.add_place(door.place_b)
         self._doors[door.door_id] = door
-        self._graph.add_edge(door.place_a, door.place_b,
-                             key=door.door_id, weight=door.length)
+        parallel = self._adjacency[door.place_a].setdefault(door.place_b, {})
+        parallel[door.door_id] = door.length
+        self._adjacency[door.place_b][door.place_a] = parallel
         return door
 
     def connect(self, place_a: str, place_b: str, door_id: Optional[str] = None,
@@ -99,19 +109,19 @@ class Topology:
                 if place in (door.place_a, door.place_b)]
 
     def places(self) -> List[str]:
-        return list(self._graph.nodes)
+        return list(self._adjacency)
 
     def known(self, place: str) -> bool:
-        return self._graph.has_node(place)
+        return place in self._adjacency
 
     def neighbours(self, place: str, entity_key: object = None) -> List[str]:
-        """Places reachable in one hop, respecting door access for ``entity_key``."""
+        """Places reachable in one hop, respecting door access for ``entity_key``.
+
+        Each place is listed once, in the order of its first door.
+        """
         self._require(place)
-        reachable = []
-        for door in self.doors_of(place):
-            if entity_key is None or door.allows(entity_key):
-                reachable.append(door.other_side(place))
-        return reachable
+        return [nxt for nxt, parallel in self._adjacency[place].items()
+                if self._cheapest(parallel, entity_key) is not None]
 
     def shortest_path(self, source: str, target: str,
                       entity_key: object = None) -> Tuple[List[str], float]:
@@ -122,14 +132,14 @@ class Topology:
         """
         self._require(source)
         self._require(target)
-        view = self._accessible_view(entity_key)
-        try:
-            path = nx.shortest_path(view, source, target, weight="weight")
-        except nx.NetworkXNoPath:
+        path = self._route(source, target, entity_key)
+        if path is None:
             raise LocationError(
-                f"no accessible route from {source!r} to {target!r}"
-            ) from None
-        return path, self._path_cost(view, path)
+                f"no accessible route from {source!r} to {target!r}")
+        cost = 0.0
+        for place, nxt in zip(path, path[1:]):
+            cost += self._cheapest(self._adjacency[place][nxt], entity_key)
+        return path, cost
 
     def distance(self, source: str, target: str, entity_key: object = None) -> float:
         """Shortest accessible route length; inf when unreachable."""
@@ -143,42 +153,97 @@ class Topology:
         return self.distance(source, target, entity_key) != float("inf")
 
     def path_doors(self, path: List[str], entity_key: object = None) -> List[Door]:
-        """The cheapest accessible door for each consecutive place pair."""
+        """The cheapest accessible door for each consecutive place pair.
+
+        Among equally cheap doors the first added wins.
+        """
         chosen: List[Door] = []
         for place, nxt in zip(path, path[1:]):
-            candidates = [
-                door for door in self.doors_of(place)
-                if door.other_side(place) == nxt
-                and (entity_key is None or door.allows(entity_key))
-            ]
+            self._require(place)
+            doors = (self._doors[door_id]
+                     for door_id in self._adjacency[place].get(nxt, ()))
+            candidates = [door for door in doors
+                          if entity_key is None or door.allows(entity_key)]
             if not candidates:
                 raise LocationError(f"no accessible door between {place!r} and {nxt!r}")
             chosen.append(min(candidates, key=lambda door: door.length))
         return chosen
 
-    def _accessible_view(self, entity_key: object):
+    def _cheapest(self, parallel: Dict[str, float],
+                  entity_key: object) -> Optional[float]:
+        """Length of the cheapest door in ``parallel`` that ``entity_key``
+        may pass (every door when it is None); None when all are locked."""
         if entity_key is None:
-            return self._graph
-        blocked = {
-            (door.place_a, door.place_b, door.door_id)
-            for door in self._doors.values()
-            if not door.allows(entity_key)
-        }
-        if not blocked:
-            return self._graph
-        return nx.restricted_view(self._graph, [], blocked)
+            return min(parallel.values())
+        return min((length for door_id, length in parallel.items()
+                    if self._doors[door_id].allows(entity_key)), default=None)
+
+    def _route(self, source: str, target: str,
+               entity_key: object) -> Optional[List[str]]:
+        """Bidirectional Dijkstra from ``source`` to ``target``; None when
+        no accessible route exists.
+
+        The searches alternate, forward first. Each heap is ordered by
+        (distance, push counter, place), the counter shared by both;
+        neighbours are relaxed in the order of their first door, and a
+        predecessor changes only on a strict improvement. The meeting place
+        is the one that first gives a strictly shorter joined route, and
+        the search stops when one place is settled in both directions.
+        """
+        if source == target:
+            return [source]
+        adjacency = self._adjacency
+        settled: Tuple[Dict[str, float], Dict[str, float]] = ({}, {})
+        seen: Tuple[Dict[str, float], Dict[str, float]] = ({source: 0}, {target: 0})
+        preds: Tuple[Dict[str, Optional[str]], ...] = ({source: None}, {target: None})
+        tick = count()
+        fringe: Tuple[list, list] = ([(0, next(tick), source)], [(0, next(tick), target)])
+        best: Optional[float] = None
+        meet: Optional[str] = None
+        direction = 1
+        while fringe[0] and fringe[1]:
+            direction = 1 - direction
+            dist, _, place = heappop(fringe[direction])
+            done = settled[direction]
+            if place in done:
+                continue
+            done[place] = dist
+            if place in settled[1 - direction]:
+                return self._join(preds, meet)
+            here, there = seen[direction], seen[1 - direction]
+            for nxt, parallel in adjacency[place].items():
+                cost = self._cheapest(parallel, entity_key)
+                if cost is None or nxt in done:
+                    continue
+                length = dist + cost
+                if nxt not in here or length < here[nxt]:
+                    here[nxt] = length
+                    heappush(fringe[direction], (length, next(tick), nxt))
+                    preds[direction][nxt] = place
+                    if nxt in there:
+                        joined = length + there[nxt]
+                        if best is None or best > joined:
+                            best, meet = joined, nxt
+        return None
 
     @staticmethod
-    def _path_cost(graph, path: List[str]) -> float:
-        total = 0.0
-        for place, nxt in zip(path, path[1:]):
-            edges = graph.get_edge_data(place, nxt)
-            total += min(data["weight"] for data in edges.values())
-        return total
+    def _join(preds, meet: str) -> List[str]:
+        """The route through ``meet``: source half reversed, then target half."""
+        path: List[str] = []
+        place: Optional[str] = meet
+        while place is not None:
+            path.append(place)
+            place = preds[0][place]
+        path.reverse()
+        place = preds[1][meet]
+        while place is not None:
+            path.append(place)
+            place = preds[1][place]
+        return path
 
     def _require(self, place: str) -> None:
-        if not self._graph.has_node(place):
+        if place not in self._adjacency:
             raise LocationError(f"unknown place: {place!r}")
 
     def __repr__(self) -> str:
-        return f"Topology(places={self._graph.number_of_nodes()}, doors={len(self._doors)})"
+        return f"Topology(places={len(self._adjacency)}, doors={len(self._doors)})"
