@@ -222,10 +222,9 @@ class TestReportDispatchPerf:
             publishes = max(50, min(2_000, 200_000 // scale))
             row = measure_publish(scale, publishes=publishes)
             assert row["delivered"] > 0
-            hits = row["metrics"].counter(
-                "mediator.index.hits", labels=("range",)).total()
+            hits = row["metrics"].counter("mediator.index.hits").total()
             residual = row["metrics"].counter(
-                "mediator.index.residual_scans", labels=("range",)).total()
+                "mediator.index.residual_scans").total()
             scan_fraction = (hits + residual) / (publishes * scale)
             report(f"{scale:>6} | {row['eps']:>9.0f} | {hits:>8.0f} "
                    f"{residual:>9.0f} {scan_fraction:>8.4f}")

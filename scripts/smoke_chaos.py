@@ -146,10 +146,9 @@ def chaos_vs_baseline():
                     f" after the crash (< {MAX_RECOVERY:.0f})")
 
     metrics = sci.network.obs.metrics
-    attempts = metrics.counter("net.retry.attempts", labels=("kind",))
+    attempts = metrics.counter("net.retry.attempts")
     retries = attempts.total()
-    recovered = metrics.counter("net.retry.recovered",
-                                labels=("kind",)).total()
+    recovered = metrics.counter("net.retry.recovered").total()
     ok &= check(retries > 0, f"retransmissions carried the episode "
                              f"({retries:.0f} net.retry.attempts)")
     ok &= check(attempts.value(kind="event") > 0,

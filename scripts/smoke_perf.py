@@ -6,8 +6,7 @@ structural properties a refactor could silently regress:
 
 * counting takes one path: on a seeded default ``SCI()`` run at most
   ``MAX_INCS_PER_DELIVERY`` validated ``Counter.inc`` calls per delivered
-  message (hot sites update series bound once), and the
-  ``net.delivery.latency`` count equals the delivered count;
+  message (hot sites update series bound once);
 * the mediator's exact-match buckets serve candidates (``mediator.index.hits``
   non-zero) and the residual-scan fraction stays below a threshold — a change
   that de-indexes selective filters (e.g. by breaking filter analysis) fails
@@ -414,8 +413,7 @@ def lookalike_dispatch(trackers, mediator_class=EventMediator,
 def counting_path():
     """The quickstart's seeded default ``SCI()`` run with every validated
     ``Counter.inc`` call counted: hot sites must record through series they
-    bound once, and every delivery's latency must land once in
-    ``net.delivery.latency``."""
+    bound once."""
     from repro import SCI
     from repro.obs.metrics import Counter
 
@@ -443,9 +441,7 @@ def counting_path():
             sci.run(40)
     finally:
         Counter.inc = validated
-    latency = sci.network.obs.metrics.get("net.delivery.latency")
-    return {"incs": calls[0], "delivered": sci.network.stats.delivered,
-            "latency_count": latency.count}
+    return {"incs": calls[0], "delivered": sci.network.stats.delivered}
 
 
 def main() -> int:
@@ -459,16 +455,12 @@ def main() -> int:
                 f"{counting['incs']} validated Counter.inc calls for "
                 f"{counting['delivered']} deliveries ({per_delivery:.3f} per "
                 f"delivery, <= {MAX_INCS_PER_DELIVERY})")
-    ok &= check(counting["latency_count"] == counting["delivered"],
-                f"net.delivery.latency count equals delivered "
-                f"({counting['latency_count']} == {counting['delivered']})")
 
     print(f"smoke-perf: publish fan-out at {SCALE} subscriptions...")
     fanout = measure_publish(SCALE, publishes=PUBLISHES)
-    hits = fanout["metrics"].counter(
-        "mediator.index.hits", labels=("range",)).total()
+    hits = fanout["metrics"].counter("mediator.index.hits").total()
     residual = fanout["metrics"].counter(
-        "mediator.index.residual_scans", labels=("range",)).total()
+        "mediator.index.residual_scans").total()
     linear_scans = PUBLISHES * SCALE  # a linear scan visits every filter
     scan_fraction = (hits + residual) / linear_scans
     ok &= check(fanout["delivered"] > 0,
@@ -570,7 +562,7 @@ def main() -> int:
             lease_expiry=net.scheduler.now + 10.0), notify=False)
     net.scheduler.run_for(30)
     pops = net.obs.metrics.counter(
-        "registrar.expiry.pops", labels=("range",)).value(range="smoke")
+        "registrar.expiry.pops").value(range="smoke")
     ok &= check(pops >= 20, f"expiry heap popped ({pops:.0f} pops)")
     ok &= check(registrar.evictions == 20,
                 f"all unrenewed leases evicted ({registrar.evictions})")
@@ -583,7 +575,7 @@ def main() -> int:
         sci.create_node(f"oh{i % 8}", range_name=f"r{i}",
                         owner_cs_hex=f"cs-{i}", places=[f"room-{i}"])
     onet.run_until_idle()
-    sent = onet.obs.metrics.counter("overlay.bcast.sent", labels=("mode",))
+    sent = onet.obs.metrics.counter("overlay.bcast.sent")
     dups = onet.obs.metrics.counter("overlay.bcast.dup_suppressed")
     ok &= check(sent.value(mode="tree") > 0,
                 f"join announces used the distribution tree "

@@ -1,17 +1,17 @@
 """Metrics-catalog lint: every emitted series is declared, once, correctly.
 
-:mod:`repro.obs.metrics` get-or-creates series at call sites, which is
-convenient and dangerous: a typo'd name silently forks a new series, a
-renamed counter leaves dashboards reading a dead one, and nothing records
-what a metric *means*. The catalog (:mod:`repro.obs.catalog`) is the single
-source of truth; this checker cross-references it against every
-``metrics.counter/gauge/histogram(...)`` call site.
+The catalog (:mod:`repro.obs.catalog`) is the single declaration of every
+metric: :class:`repro.obs.metrics.MetricsRegistry` builds a metric from its
+entry and refuses an undeclared name or another kind's method at run time.
+This checker finds the same mistakes before anything runs, by
+cross-referencing the catalog against every
+``metrics.counter/gauge/histogram(...)`` call site, and also finds what no
+run can: declarations nothing registers and names off the convention.
 
 Checks:
 
 ``catalog.undeclared``   call site registers a name missing from the catalog
 ``catalog.kind-mismatch``  call method differs from the declared kind
-``catalog.label-mismatch`` call labels differ from the declared label set
 ``catalog.naming``       name breaks ``<layer>.<subsystem>.<event>`` — three
                          or more dot segments of ``lower_snake`` words
 ``catalog.orphaned``     declared but never registered anywhere in the scan
@@ -23,7 +23,9 @@ attribute call whose receiver's last name contains ``metric`` or is
 ``registry``, with the metric name as the first argument — a string
 literal or a module-level string constant (the :mod:`repro.net.stats`
 pattern). Names built from arbitrary expressions are invisible to the
-checker and should not be introduced.
+checker and should not be introduced. A call site names the metric and
+nothing else — the registry builds it from its catalog entry, labels
+included — so there is no label set at a call site to cross-check.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from repro.analysis.source import SourceFile
 
 CHECK_UNDECLARED = "catalog.undeclared"
 CHECK_KIND_MISMATCH = "catalog.kind-mismatch"
-CHECK_LABEL_MISMATCH = "catalog.label-mismatch"
 CHECK_NAMING = "catalog.naming"
 CHECK_ORPHANED = "catalog.orphaned"
 CHECK_DUPLICATE = "catalog.duplicate"
@@ -56,7 +57,6 @@ CATALOG_MODULE = "repro.obs.catalog"
 class Declaration:
     name: str
     kind: str
-    labels: Tuple[str, ...]
     path: str
     line: int
 
@@ -65,22 +65,8 @@ class Declaration:
 class CallSite:
     name: str
     kind: str
-    labels: Optional[Tuple[str, ...]]  # None = not statically resolvable
     path: str
     line: int
-
-
-def _string_tuple(node: ast.AST) -> Optional[Tuple[str, ...]]:
-    if isinstance(node, (ast.Tuple, ast.List)):
-        values = []
-        for element in node.elts:
-            if isinstance(element, ast.Constant) and \
-                    isinstance(element.value, str):
-                values.append(element.value)
-            else:
-                return None
-        return tuple(values)
-    return None
 
 
 def extract_declarations(
@@ -99,12 +85,6 @@ def extract_declarations(
             continue
         name = node.args[0].value
         kind = node.args[1].value
-        labels: Tuple[str, ...] = ()
-        for kw in node.keywords:
-            if kw.arg == "labels":
-                labels = _string_tuple(kw.value) or ()
-        if len(node.args) >= 4:
-            labels = _string_tuple(node.args[3]) or labels
         if name in declarations:
             findings.append(Finding(
                 check=CHECK_DUPLICATE, severity=Severity.ERROR,
@@ -113,8 +93,7 @@ def extract_declarations(
                         f'{catalog.path}:{declarations[name].line}'))
             continue
         declarations[name] = Declaration(
-            name=name, kind=kind, labels=labels,
-            path=catalog.path, line=node.lineno)
+            name=name, kind=kind, path=catalog.path, line=node.lineno)
     return declarations, findings
 
 
@@ -166,11 +145,7 @@ def extract_call_sites(source: SourceFile) -> List[CallSite]:
             name = constants[head.id]
         else:
             continue  # dynamically built name: invisible, see module docstring
-        labels: Optional[Tuple[str, ...]] = ()
-        for kw in node.keywords:
-            if kw.arg == "labels":
-                labels = _string_tuple(kw.value)
-        sites.append(CallSite(name=name, kind=node.func.attr, labels=labels,
+        sites.append(CallSite(name=name, kind=node.func.attr,
                               path=source.path, line=node.lineno))
     return sites
 
@@ -249,11 +224,4 @@ class CatalogChecker:
                 message=f'metric "{site.name}" registered as {site.kind} '
                         f'but declared as {decl.kind} at '
                         f'{decl.path}:{decl.line}'))
-        if site.labels is not None and site.labels != decl.labels:
-            findings.append(Finding(
-                check=CHECK_LABEL_MISMATCH, severity=Severity.ERROR,
-                path=site.path, line=site.line,
-                message=f'metric "{site.name}" registered with labels '
-                        f'{site.labels!r} but declared with '
-                        f'{decl.labels!r} at {decl.path}:{decl.line}'))
         return findings

@@ -128,15 +128,11 @@ class ConfigurationManager:
         # handles resolved once (registry lookup is not free)
         metrics = network.obs.metrics
         self._reuse_hits_counter = metrics.counter(
-            "config.graph.reuse_hits", "queries served by an existing graph",
-            labels=("range",)).series(range=range_name)
+            "config.graph.reuse_hits").series(range=range_name)
         self._builds_counter = metrics.counter(
-            "config.graph.builds", "configuration graphs instantiated",
-            labels=("range",)).series(range=range_name)
+            "config.graph.builds").series(range=range_name)
         self._repairs_counter = metrics.counter(
-            "config.graph.repairs",
-            "configurations re-composed after a failure",
-            labels=("range",)).series(range=range_name)
+            "config.graph.repairs").series(range=range_name)
 
     # -- the resolver's view of the claim ledger --------------------------------------
 

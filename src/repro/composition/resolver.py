@@ -118,17 +118,11 @@ class QueryResolver:
         metrics = metrics or MetricsRegistry()
         label = range_name or "-"
         self._hits_counter = metrics.counter(
-            "resolver.index.hits",
-            "candidate lookups served from the profile index",
-            labels=("range",)).series(range=label)
+            "resolver.index.hits").series(range=label)
         self._rebuilds_counter = metrics.counter(
-            "resolver.index.rebuilds",
-            "builds of the profile index from the feed",
-            labels=("range",)).series(range=label)
+            "resolver.index.rebuilds").series(range=label)
         self._deltas_counter = metrics.counter(
-            "resolver.index.deltas",
-            "membership changes applied to the profile index in place",
-            labels=("range",)).series(range=label)
+            "resolver.index.deltas").series(range=label)
 
     # -- public API ---------------------------------------------------------------
 

@@ -184,41 +184,25 @@ class EventMediator(Process):
         metrics = network.obs.metrics
         label = range_name or "-"
         self._published_counter = metrics.counter(
-            "mediator.events.published", "events published per range",
-            labels=("range",)).series(range=label)
+            "mediator.events.published").series(range=label)
         self._deliveries_counter = metrics.counter(
-            "mediator.events.delivered",
-            "matched events forwarded to subscribers",
-            labels=("range",)).series(range=label)
+            "mediator.events.delivered").series(range=label)
         self._retained_evicted_counter = metrics.counter(
-            "mediator.retained.evicted",
-            "retained events dropped by the oldest-first cap",
-            labels=("range",)).series(range=label)
+            "mediator.retained.evicted").series(range=label)
         self._ack_exhausted_counter = metrics.counter(
-            "mediator.seq.ack_exhausted",
-            "reliable deliveries whose whole retransmission budget expired",
-            labels=("range",)).series(range=label)
+            "mediator.seq.ack_exhausted").series(range=label)
         self._resync_replays_counter = metrics.counter(
-            "mediator.seq.resync_replays",
-            "retained events replayed to resync a gapped subscriber",
-            labels=("range",)).series(range=label)
+            "mediator.seq.resync_replays").series(range=label)
         self._window_shed_counter = metrics.counter(
-            "mediator.seq.window_shed",
-            "unacked deliveries given up because a subscriber's window was full",
-            labels=("range",)).series(range=label)
+            "mediator.seq.window_shed").series(range=label)
         # window retransmissions keep the request-layer counters' meaning,
         # under kind "event"
         self._retry_attempts_counter = metrics.counter(
-            "net.retry.attempts", "request retransmissions, by request kind",
-            labels=("kind",)).series(kind="event")
+            "net.retry.attempts").series(kind="event")
         self._retry_exhausted_counter = metrics.counter(
-            "net.retry.exhausted",
-            "requests whose whole retry budget expired unanswered",
-            labels=("kind",)).series(kind="event")
+            "net.retry.exhausted").series(kind="event")
         self._retry_recovered_counter = metrics.counter(
-            "net.retry.recovered",
-            "requests answered only after at least one retransmission",
-            labels=("kind",)).series(kind="event")
+            "net.retry.recovered").series(kind="event")
         self.resyncs_served = 0
         self.deliveries_exhausted = 0
         self._opgraph = OperatorGraph(self._graph_deliver, label=label,

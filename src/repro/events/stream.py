@@ -123,16 +123,10 @@ class StreamReassembler:
         self.gaps_detected = 0
         self.resyncs_requested = 0
         metrics = metrics or MetricsRegistry()
-        self._gap_counter = metrics.counter(
-            "mediator.seq.gaps",
-            "sequence holes opened in subscriber streams").series()
+        self._gap_counter = metrics.counter("mediator.seq.gaps").series()
         self._dup_counter = metrics.counter(
-            "mediator.seq.dup_dropped",
-            "stale or duplicate sequenced deliveries dropped").series()
-        self._resync_counter = metrics.counter(
-            "mediator.seq.resyncs",
-            "resync requests issued for holes that outlived retransmission"
-        ).series()
+            "mediator.seq.dup_dropped").series()
+        self._resync_counter = metrics.counter("mediator.seq.resyncs").series()
 
     # -- ingest ---------------------------------------------------------------
 

@@ -140,9 +140,7 @@ class ContextLedger:
         #: appended but not yet hashed: (sim_time, kind, payload) bodies
         self._unsealed: Deque[tuple] = deque()
         metrics = metrics or MetricsRegistry()
-        appends = metrics.counter(
-            "cs.ledger.appends", "ledger entries appended, by entry kind",
-            labels=("range", "kind"))
+        appends = metrics.counter("cs.ledger.appends")
         label = range_name or "-"
         #: entry kind -> its appends series; a kind not here is refused
         self._appends = {kind: appends.series(range=label, kind=kind)

@@ -31,8 +31,6 @@ class Message:
     payload: Dict[str, Any] = field(default_factory=dict)
     msg_id: int = field(default_factory=lambda: next(_message_ids))
     reply_to: Optional[int] = None
-    #: Simulated time the message entered the network (set by the transport).
-    sent_at: float = 0.0
     #: Number of overlay hops taken so far (incremented by overlay nodes).
     hops: int = 0
     #: Trace-context metadata ({"trace": ..., "span": ...}): the transport

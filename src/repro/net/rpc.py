@@ -81,17 +81,9 @@ class RequestManager:
         self.completed = 0
         self.retries = 0
         metrics = owner.network.obs.metrics
-        self._retry_attempts_counter = metrics.counter(
-            "net.retry.attempts", "request retransmissions, by request kind",
-            labels=("kind",))
-        self._retry_exhausted_counter = metrics.counter(
-            "net.retry.exhausted",
-            "requests whose whole retry budget expired unanswered",
-            labels=("kind",))
-        self._retry_recovered_counter = metrics.counter(
-            "net.retry.recovered",
-            "requests answered only after at least one retransmission",
-            labels=("kind",))
+        self._retry_attempts_counter = metrics.counter("net.retry.attempts")
+        self._retry_exhausted_counter = metrics.counter("net.retry.exhausted")
+        self._retry_recovered_counter = metrics.counter("net.retry.recovered")
 
     def request(
         self,

@@ -154,13 +154,9 @@ class Process:
         self._seen_messages: "OrderedDict[Tuple[int, int], Optional[Message]]" = OrderedDict()
         metrics = network.obs.metrics
         self._dedup_suppressed_counter = metrics.counter(
-            "net.dedup.suppressed",
-            "duplicate (sender, msg_id) arrivals dropped before the handler"
-        ).series()
+            "net.dedup.suppressed").series()
         self._dedup_replayed_counter = metrics.counter(
-            "net.dedup.replayed_replies",
-            "cached replies re-sent in response to duplicate requests"
-        ).series()
+            "net.dedup.replayed_replies").series()
         network.attach(self)
 
     # -- messaging helpers ---------------------------------------------------
@@ -396,7 +392,6 @@ class Network:
 
     def send(self, message: Message) -> None:
         """Queue a message for delivery (or loss) per the failure model."""
-        message.sent_at = self.scheduler.now
         if message.trace is None:
             # Stamp the sender's ambient span so downstream handling joins
             # the same trace (see repro.obs.tracing).
@@ -446,7 +441,6 @@ class Network:
                 payload=dict(message.payload),
                 reply_to=message.reply_to,
             )
-            copy.sent_at = message.sent_at
             copy.trace = message.trace
             self._dispatch(copy, source_host, process)
 
@@ -477,12 +471,12 @@ class Network:
         if recipient is None or not self._hosts[recipient.host_id].up:
             self.stats.record_undeliverable()
             return
-        now = self.scheduler.now
-        self.stats.record_delivery(recipient.host_id, now - message.sent_at)
+        self.stats.record_delivery(recipient.host_id)
         log = self.event_log
         if log is not None:
-            log.record_delivery(recipient.host_id, now, message.kind,
-                                str(message.sender), message.payload)
+            log.record_delivery(recipient.host_id, self.scheduler.now,
+                                message.kind, str(message.sender),
+                                message.payload)
         trace = message.trace
         if trace is None:
             recipient.deliver(message)

@@ -1,11 +1,14 @@
 """The declared metrics catalog: every ``sci.*`` series the tree may emit.
 
-A metric that is not declared here does not exist — the static analysis
-suite (:mod:`repro.analysis.catalog_lint`) cross-checks every
-``metrics.counter/gauge/histogram(...)`` call site in ``src/`` against this
-table and fails CI on undeclared names, kind or label mismatches, orphaned
-declarations and names that break the ``<layer>.<subsystem>.<event>``
-convention (three or more dot segments, lower_snake words).
+A metric that is not declared here does not exist. This is the only place
+a metric's kind, help and label names are written:
+``MetricsRegistry.counter/gauge/histogram(name)`` builds the metric from its
+entry and raises on an undeclared name or another kind's method. The static
+analysis suite (:mod:`repro.analysis.catalog_lint`) cross-checks every such
+call site in ``src/`` against this table and fails CI on undeclared names,
+kind mismatches, orphaned declarations and names that break the
+``<layer>.<subsystem>.<event>`` convention (three or more dot segments,
+lower_snake words).
 
 Declarations are pure literals on purpose: the linter reads this file as an
 AST (it never imports analysed code), so every ``_declare(...)`` call below
@@ -59,8 +62,6 @@ _declare("net.messages.unheard", "counter",
 _declare("net.messages.malformed", "counter",
          "arrivals dropped because their payload is not a JSON object",
          labels=("kind",))
-_declare("net.delivery.latency", "histogram",
-         "end-to-end delivery latency (simulated time units)")
 _declare("net.dedup.suppressed", "counter",
          "duplicate (sender, msg_id) arrivals dropped before the handler")
 _declare("net.dedup.replayed_replies", "counter",

@@ -36,10 +36,8 @@ def run_overlay_instrumented(n: int, messages: int = MESSAGES,
     net = Network(latency_model=FixedLatency(1.0), seed=seed)
     sci = SCINet(net)
     nodes = [sci.create_node(f"h{i}", range_name=f"r{i}") for i in range(n)]
-    latency = net.obs.metrics.histogram(
-        FIG1_LATENCY, "end-to-end delivery time of the Figure-1 workload")
-    hops_hist = net.obs.metrics.histogram(
-        FIG1_HOPS, "hops per delivered Figure-1 message")
+    latency = net.obs.metrics.histogram(FIG1_LATENCY)
+    hops_hist = net.obs.metrics.histogram(FIG1_HOPS)
     rng = random.Random(seed)
     for _ in range(messages):
         key = GUID(rng.getrandbits(128))
@@ -64,10 +62,8 @@ def run_hierarchy_instrumented(n: int, messages: int = MESSAGES,
     net = Network(latency_model=FixedLatency(1.0), seed=seed)
     tree = HierarchyNetwork(net, leaf_count=n, branching=4,
                             service_time=service_time)
-    latency = net.obs.metrics.histogram(
-        FIG1_LATENCY, "end-to-end delivery time of the Figure-1 workload")
-    hops_hist = net.obs.metrics.histogram(
-        FIG1_HOPS, "hops per delivered Figure-1 message")
+    latency = net.obs.metrics.histogram(FIG1_LATENCY)
+    hops_hist = net.obs.metrics.histogram(FIG1_HOPS)
     rng = random.Random(seed)
     for _ in range(messages):
         source = rng.randrange(n)

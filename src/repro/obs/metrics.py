@@ -2,9 +2,12 @@
 
 Design points, chosen for a deterministic simulation:
 
-* **Label sets are explicit.** A metric declares its label names once; every
-  update supplies values for exactly those names. Unknown or missing labels
-  raise immediately — silent mislabelling is how dashboards lie.
+* **A metric is declared once, in the catalog.** Registry calls name the
+  metric and nothing else; its kind, help and label names come from its
+  :mod:`repro.obs.catalog` entry, and an undeclared name or another kind's
+  method raises. Every update supplies values for exactly the declared
+  label names. Unknown or missing labels raise immediately — silent
+  mislabelling is how dashboards lie.
 * **Cardinality is bounded.** Each metric accepts at most ``max_series``
   distinct label-value combinations; further combinations collapse into a
   single ``__overflow__`` series (and are counted), so a bug that labels by
@@ -27,6 +30,8 @@ import math
 import random
 import zlib
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+from repro.obs.catalog import CATALOG
 
 #: label-value tuple a metric files updates under once it is over budget
 OVERFLOW_KEY = ("__overflow__",)
@@ -325,8 +330,13 @@ class Histogram(_Metric):
         merged = Reservoir(max(1, self.reservoir_size))
         for value in self.samples:
             merged.observe(value)
+        # count/sum/min/max come from the series, which hold them exactly;
+        # the merged sample only answers the quantiles
+        series = self._series.values()
         merged.count = self.count
         merged.total = self.sum
+        merged.min = min((r.min for r in series), default=math.inf)
+        merged.max = max((r.max for r in series), default=-math.inf)
         return merged.summary()
 
     def reset(self) -> None:
@@ -335,50 +345,38 @@ class Histogram(_Metric):
 
 
 class MetricsRegistry:
-    """Owns every metric of one deployment; get-or-create by name."""
+    """Owns every metric of one deployment; get-or-create by catalog name."""
 
     def __init__(self, max_series: int = DEFAULT_MAX_SERIES):
         self.max_series = max_series
         self._metrics: Dict[str, _Metric] = {}
 
-    # -- declaration ----------------------------------------------------------
+    # -- get-or-create from the catalog ---------------------------------------
 
-    def counter(self, name: str, help: str = "",
-                labels: Sequence[str] = ()) -> Counter:
-        return self._declare(Counter, name, help, labels)
+    def counter(self, name: str) -> Counter:
+        return self._metric(Counter, name)
 
-    def gauge(self, name: str, help: str = "",
-              labels: Sequence[str] = ()) -> Gauge:
-        return self._declare(Gauge, name, help, labels)
+    def gauge(self, name: str) -> Gauge:
+        return self._metric(Gauge, name)
 
-    def histogram(self, name: str, help: str = "", labels: Sequence[str] = (),
-                  reservoir_size: int = DEFAULT_RESERVOIR) -> Histogram:
-        existing = self._metrics.get(name)
-        if existing is not None:
-            self._check_redeclare(existing, Histogram, labels)
-            return existing  # type: ignore[return-value]
-        metric = Histogram(name, help, labels, self.max_series, reservoir_size)
-        self._metrics[name] = metric
+    def histogram(self, name: str) -> Histogram:
+        return self._metric(Histogram, name)
+
+    def _metric(self, cls, name: str):
+        """The metric called ``name``, built from its catalog entry on first
+        use; an undeclared name or another kind's method raises."""
+        metric = self._metrics.get(name)
+        if metric is not None and metric.kind == cls.kind:
+            return metric
+        spec = CATALOG.get(name)
+        if spec is None:
+            raise MetricError(f"{name} is not declared in repro.obs.catalog")
+        if spec.kind != cls.kind:
+            raise MetricError(f"{name} is declared as a {spec.kind}, "
+                              f"not a {cls.kind}")
+        metric = self._metrics[name] = cls(name, spec.help, spec.labels,
+                                           self.max_series)
         return metric
-
-    def _declare(self, cls, name: str, help: str, labels: Sequence[str]):
-        existing = self._metrics.get(name)
-        if existing is not None:
-            self._check_redeclare(existing, cls, labels)
-            return existing
-        metric = cls(name, help, labels, self.max_series)
-        self._metrics[name] = metric
-        return metric
-
-    @staticmethod
-    def _check_redeclare(existing: _Metric, cls, labels: Sequence[str]) -> None:
-        if not isinstance(existing, cls):
-            raise MetricError(
-                f"{existing.name} already declared as {existing.kind}")
-        if existing.label_names != tuple(labels):
-            raise MetricError(
-                f"{existing.name} already declared with labels "
-                f"{existing.label_names}, not {tuple(labels)}")
 
     # -- access ---------------------------------------------------------------
 

@@ -83,11 +83,9 @@ class HierarchyNode(Process):
         self.max_queue_delay = max(self.max_queue_delay, queue_delay)
         self.handled += 1
         self.network.obs.metrics.counter(
-            "hierarchy.node.load", "messages handled per tree server",
-            labels=("node", "role")).inc(node=self.label, role=self.role)
+            "hierarchy.node.load").inc(node=self.label, role=self.role)
         self.network.obs.metrics.histogram(
-            "hierarchy.queue.delay",
-            "service-time queueing delay at tree servers").observe(queue_delay)
+            "hierarchy.queue.delay").observe(queue_delay)
         delay = (start + self.service_time) - now
         if delay > 0:
             self.scheduler.schedule(delay, self._forward, payload)

@@ -310,36 +310,24 @@ class OverlayNode(Process):
         # by name + label on every routed/delivered message
         metrics = network.obs.metrics
         self._node_label = range_name or guid.hex[:8]
-        self._load_counter = metrics.counter(
-            "overlay.node.load", "route steps handled per overlay node",
-            labels=("node",))
+        self._load_counter = metrics.counter("overlay.node.load")
         #: this node's load series, bound on its first route step: a node
         #: that never routes has none, so Figure 1's mean load covers the
         #: nodes that carried traffic (as the hierarchy's does)
         self._load = None
         self._delivered_counter = metrics.counter(
-            "overlay.route.delivered",
-            "routed payloads that reached their key owner").series()
-        self._hops_histogram = metrics.histogram(
-            "overlay.route.hops", "overlay hops per delivered route").series()
-        lookups = metrics.counter(
-            "overlay.directory.lookups", "replicated range-directory reads",
-            labels=("hit",))
+            "overlay.route.delivered").series()
+        self._hops_histogram = metrics.histogram("overlay.route.hops").series()
+        lookups = metrics.counter("overlay.directory.lookups")
         #: found? -> its lookup series
         self._lookups = {True: lookups.series(hit="true"),
                          False: lookups.series(hit="false")}
         self._bcast_sent = metrics.counter(
-            "overlay.bcast.sent", "broadcast messages forwarded, by mode",
-            labels=("mode",)).series(mode="tree")
+            "overlay.bcast.sent").series(mode="tree")
         self._bcast_dup = metrics.counter(
-            "overlay.bcast.dup_suppressed",
-            "duplicate broadcast arrivals suppressed by the dedup set").series()
-        self._fd_heartbeats = metrics.counter(
-            "overlay.fd.heartbeats",
-            "o-hb probes sent to leaf neighbours").series()
-        self._fd_suspicions = metrics.counter(
-            "overlay.fd.suspicions",
-            "leaf neighbours suspected after fd_timeout of silence").series()
+            "overlay.bcast.dup_suppressed").series()
+        self._fd_heartbeats = metrics.counter("overlay.fd.heartbeats").series()
+        self._fd_suspicions = metrics.counter("overlay.fd.suspicions").series()
         # failure-detector state (inert until enable_failure_detector)
         self.fd_interval = 0.0
         self.fd_timeout = 0.0

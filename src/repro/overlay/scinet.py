@@ -64,8 +64,7 @@ class SCINet:
         self._ring: List[GUID] = []
         self.fd_removals = 0
         self._fd_removals_counter = network.obs.metrics.counter(
-            "overlay.fd.removals",
-            "members ejected by heartbeat suspicion (vs oracle fail calls)")
+            "overlay.fd.removals")
 
     # -- membership -----------------------------------------------------------------
 

@@ -59,31 +59,19 @@ class OperatorGraph:
         self._deliver = deliver
         self._label = label
         metrics = metrics or MetricsRegistry()
-        self._nodes_gauge = metrics.gauge(
-            "mediator.opgraph.nodes", "live deduplicated filter nodes",
-            labels=("range",))
+        self._nodes_gauge = metrics.gauge("mediator.opgraph.nodes")
         self._reuse_counter = metrics.counter(
-            "mediator.opgraph.reuse_hits",
-            "subscriptions served by an existing filter node",
-            labels=("range",)).series(range=label)
+            "mediator.opgraph.reuse_hits").series(range=label)
         self._evals_counter = metrics.counter(
-            "mediator.opgraph.evals",
-            "filter evaluations on the publish path",
-            labels=("range",)).series(range=label)
+            "mediator.opgraph.evals").series(range=label)
         self._fanout_counter = metrics.counter(
-            "mediator.opgraph.fanout",
-            "filter-table deliveries fanned out to sinks",
-            labels=("range",)).series(range=label)
+            "mediator.opgraph.fanout").series(range=label)
         #: dispatch candidates served from index buckets / scanned from the
         #: residual list; the mediator's retained replay counts into them too
         self.index_hits_series = metrics.counter(
-            "mediator.index.hits",
-            "dispatch candidates served from exact-match index buckets",
-            labels=("range",)).series(range=label)
+            "mediator.index.hits").series(range=label)
         self.residual_scans_series = metrics.counter(
-            "mediator.index.residual_scans",
-            "dispatch candidates scanned from the non-indexable residual list",
-            labels=("range",)).series(range=label)
+            "mediator.index.residual_scans").series(range=label)
         #: canonical key -> live node (the dedup table)
         self._nodes: Dict[str, _Node] = {}
         #: node id -> node, for dispatch-index candidate lookups

@@ -108,16 +108,10 @@ class ContextServer(Process):
                                     metrics=network.obs.metrics,
                                     range_name=definition.name)
         self._ledger_replays_counter = network.obs.metrics.counter(
-            "cs.ledger.replays",
-            "replay projections rebuilt from a ledger prefix",
-            labels=("range",))
+            "cs.ledger.replays")
         self._ledger_asof_counter = network.obs.metrics.counter(
-            "cs.ledger.asof_reads",
-            "historical as-of views answered from the ledger",
-            labels=("range",))
-        routed = network.obs.metrics.counter(
-            "cs.query.routed", "queries routed per range and outcome",
-            labels=("range", "status"))
+            "cs.ledger.asof_reads")
+        routed = network.obs.metrics.counter("cs.query.routed")
         #: routing outcome -> its series (the statuses accept_query returns)
         self._routed = {status: routed.series(range=definition.name,
                                               status=status)

@@ -131,17 +131,11 @@ class Registrar(Process):
         metrics = network.obs.metrics
         label = range_name or "-"
         self._expiry_pops_counter = metrics.counter(
-            "registrar.expiry.pops",
-            "expiry-heap entries popped during lease sweeps",
-            labels=("range",)).series(range=label)
+            "registrar.expiry.pops").series(range=label)
         self._renewals_counter = metrics.counter(
-            "registrar.lease.renewals",
-            "leases renewed by Range Service heartbeats",
-            labels=("range",)).series(range=label)
+            "registrar.lease.renewals").series(range=label)
         self._unknown_counter = metrics.counter(
-            "registrar.lease.unknown",
-            "heartbeat-listed entities this Registrar does not hold",
-            labels=("range",)).series(range=label)
+            "registrar.lease.unknown").series(range=label)
         self._sweeper = self.scheduler.schedule_periodic(sweep_interval,
                                                          self._sweep_leases)
 

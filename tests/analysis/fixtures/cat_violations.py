@@ -7,10 +7,8 @@ GOOD_NAME = "app.good.counter"
 
 
 def wire_up(metrics):
-    metrics.counter(GOOD_NAME, "well declared", labels=("range",))
-    metrics.counter("app.undeclared.series", "nobody declared me")  # line 11
-    metrics.counter("app.kindful.series", "histogram, not counter")  # line 12
-    metrics.counter("app.good.counter", "wrong labels",
-                    labels=("host",))                                # line 13
-    metrics.histogram("bad.two", "naming violation")                 # line 15
-    ordinary.counter("not.a.metric.call", "receiver is not a registry")
+    metrics.counter(GOOD_NAME)
+    metrics.counter("app.undeclared.series")  # line 11
+    metrics.counter("app.kindful.series")     # line 12: histogram, not counter
+    metrics.histogram("bad.two")              # line 13: naming violation
+    ordinary.counter("not.a.metric.call")     # receiver is not a registry

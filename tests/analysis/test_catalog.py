@@ -36,9 +36,8 @@ def test_fixture_findings_exact():
         ("catalog.duplicate", "cat_catalog.py", 18),
         ("catalog.undeclared", "cat_violations.py", 11),  # app.undeclared.*
         ("catalog.kind-mismatch", "cat_violations.py", 12),
-        ("catalog.label-mismatch", "cat_violations.py", 13),
-        ("catalog.naming", "cat_violations.py", 15),      # bad.two
-        ("catalog.undeclared", "cat_violations.py", 15),
+        ("catalog.naming", "cat_violations.py", 13),      # bad.two
+        ("catalog.undeclared", "cat_violations.py", 13),
     ]
 
 
@@ -53,5 +52,5 @@ def test_module_constants_resolve_and_clean_sites_pass():
     # the GOOD_NAME constant call site (line 10) produced no finding
     assert not any(f.line == 10 and "cat_violations" in f.path
                    for f in findings)
-    # non-registry receivers are not metric call sites (line 16)
+    # non-registry receivers are not metric call sites (line 14)
     assert not any("not.a.metric.call" in f.message for f in findings)

@@ -61,7 +61,7 @@ class TestReliableDelivery:
         network.scheduler.run_until_idle()
         assert [e.value for e in app.events] == values
         retransmits = network.obs.metrics.counter(
-            "net.retry.attempts", labels=("kind",)).value(kind="event")
+            "net.retry.attempts").value(kind="event")
         assert retransmits >= 1
         assert mediator.deliveries_exhausted == 0
 
@@ -94,8 +94,7 @@ class TestSharedMessages:
         mediator.add_subscription(sink.guid, SubjectFilter("bob"))
         publish(mediator, "L1")                       # three entries
         publish(mediator, "L2", subject="john")       # two entries
-        attempts = network.obs.metrics.counter(
-            "net.retry.attempts", labels=("kind",))
+        attempts = network.obs.metrics.counter("net.retry.attempts")
         network.scheduler.run_for(2.0)
         assert network.stats.by_kind["event"] == 2
         assert mediator.unacked(sink.guid) == 5

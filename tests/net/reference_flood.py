@@ -54,7 +54,6 @@ class FloodNetwork(Network):
                 payload=dict(message.payload),
                 reply_to=message.reply_to,
             )
-            copy.sent_at = message.sent_at
             copy.trace = message.trace
             if process.guid not in heard:
                 self._dead_ids.add(copy.msg_id)

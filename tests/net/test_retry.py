@@ -71,8 +71,7 @@ class TestRetryRecovery:
         assert asker.timeouts == []
         assert asker.requests.retries >= 1
         assert echo.handled == 1
-        recovered = network.obs.metrics.counter("net.retry.recovered", "",
-                                                labels=("kind",))
+        recovered = network.obs.metrics.counter("net.retry.recovered")
         assert recovered.value(kind="ask") == 1
 
     def test_recovery_under_random_loss(self, network, lossy_pair):
@@ -101,8 +100,7 @@ class TestRetryRecovery:
         assert len(asker.timeouts) == 1
         assert asker.requests.timeouts == 1
         assert asker.requests.retries == 3
-        exhausted = network.obs.metrics.counter("net.retry.exhausted", "",
-                                                labels=("kind",))
+        exhausted = network.obs.metrics.counter("net.retry.exhausted")
         assert exhausted.value(kind="ask") == 1
 
     def test_late_reply_after_exhaustion_suppressed(self, network, lossy_pair):
@@ -184,7 +182,7 @@ class TestReceiverDedup:
         network.send(dup)
         network.scheduler.run_until_idle()
         assert echo.handled == 1
-        suppressed = network.obs.metrics.counter("net.dedup.suppressed", "")
+        suppressed = network.obs.metrics.counter("net.dedup.suppressed")
         assert suppressed.value() >= 1
 
     def test_duplicate_replays_cached_reply(self, network, guids):

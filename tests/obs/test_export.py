@@ -25,8 +25,8 @@ from repro.obs.tracing import Tracer
 @pytest.fixture
 def registry():
     registry = MetricsRegistry()
-    registry.counter("net.sent", "messages", labels=("kind",)).inc(kind="q")
-    registry.histogram("net.latency", "delivery").observe(1.5)
+    registry.counter("net.messages.sent").inc(kind="q")
+    registry.histogram("fig1.delivery.latency").observe(1.5)
     return registry
 
 
@@ -48,7 +48,7 @@ class TestMetricsArtifact:
         assert doc["schema"] == METRICS_SCHEMA
         loaded = load_metrics_json(path)
         assert loaded["meta"] == {"run": 1}
-        assert loaded["metrics"]["net.sent"]["series"][0]["value"] == 1
+        assert loaded["metrics"]["net.messages.sent"]["series"][0]["value"] == 1
 
     def test_profile_section(self, registry, tmp_path):
         """The writer records no profile; an older artefact that carries
@@ -76,10 +76,12 @@ class TestMetricsArtifact:
     @pytest.mark.parametrize("mutate, problem", [
         (lambda d: d.update(schema="nope"), "schema"),
         (lambda d: d.pop("metrics"), "metrics"),
-        (lambda d: d["metrics"]["net.sent"].update(type="timer"), "type"),
-        (lambda d: d["metrics"]["net.sent"]["series"][0].pop("value"), "value"),
-        (lambda d: d["metrics"]["net.latency"]["series"][0]["summary"].pop("p95"),
-         "p95"),
+        (lambda d: d["metrics"]["net.messages.sent"].update(type="timer"),
+         "type"),
+        (lambda d: d["metrics"]["net.messages.sent"]["series"][0].pop("value"),
+         "value"),
+        (lambda d: d["metrics"]["fig1.delivery.latency"]["series"][0]
+         ["summary"].pop("p95"), "p95"),
     ])
     def test_invalid_documents_rejected(self, registry, mutate, problem):
         doc = metrics_artifact(registry)
@@ -121,8 +123,11 @@ class TestTraceArtifact:
 class TestTables:
     def test_summary_table_filters_by_prefix(self, registry):
         table = summary_table(registry, prefix="net.")
-        assert "net.sent" in table and "net.latency" in table
-        assert "kind=q" in table
+        assert "net.messages.sent" in table and "kind=q" in table
+        assert "fig1.delivery.latency" not in table
+        table = summary_table(registry, prefix="fig1.")
+        assert "fig1.delivery.latency" in table
+        assert "net.messages.sent" not in table
 
     def test_trace_table_renders_tree(self, tracer):
         text = trace_table(tracer.traces()[0])

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net.stats import MessageStats
+from repro.obs.catalog import CATALOG
 from repro.obs.metrics import (
     OVERFLOW_KEY,
     Counter,
@@ -171,16 +172,15 @@ class TestCounterSeries:
         stats = MessageStats(MetricsRegistry())
         for _ in range(3):
             stats.record_send("component-up")
-            stats.record_delivery("lab-pc", 1.0)
+            stats.record_delivery("lab-pc")
         stats.record_drop()
         stats.reset()
         stats.record_send("component-up")
-        stats.record_delivery("lab-pc", 2.0)
+        stats.record_delivery("lab-pc")
         stats.record_drop()
         assert (stats.sent, stats.delivered, stats.dropped) == (1, 1, 1)
         assert stats.by_kind == {"component-up": 1}
         assert stats.host_load == {"lab-pc": 1}
-        assert stats.latency_count == 1 and stats.latencies == [2.0]
 
 
 class TestReservoir:
@@ -248,62 +248,104 @@ class TestHistogram:
         assert summary["count"] == 4
         assert summary["max"] == 10.0
 
+    def test_label_free_summary_keeps_exact_min_and_max(self):
+        """The merged summary of a labelled histogram takes min and max
+        from its series, not from the samples its reservoirs kept."""
+        hist = Histogram("h", labels=("host",), reservoir_size=2)
+        for value in (100.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0):
+            hist.observe(value, host="a")
+        hist.observe(0.5, host="b")
+        assert 100.0 not in hist.series(host="a").samples
+        summary = hist.summary()
+        assert summary["max"] == 100.0 == hist.series(host="a").max
+        assert summary["min"] == 0.5
+        assert summary["count"] == 11
+
 
 class TestRegistry:
     def test_get_or_create_returns_same_object(self):
         registry = MetricsRegistry()
-        first = registry.counter("c", labels=("k",))
-        second = registry.counter("c", labels=("k",))
+        first = registry.counter("net.messages.sent")
+        second = registry.counter("net.messages.sent")
         assert first is second
+
+    def test_undeclared_name_rejected(self):
+        registry = MetricsRegistry()
+        for method in (registry.counter, registry.gauge, registry.histogram):
+            with pytest.raises(MetricError, match="not declared"):
+                method("made.up.metric")
+        assert len(registry) == 0
+
+    def test_wrong_kind_rejected_before_first_use(self):
+        registry = MetricsRegistry()
+        with pytest.raises(MetricError, match="declared as a counter"):
+            registry.histogram("net.messages.sent")
+        assert "net.messages.sent" not in registry
 
     def test_redeclare_with_other_type_rejected(self):
         registry = MetricsRegistry()
-        registry.counter("m")
+        registry.counter("net.messages.dropped")
         with pytest.raises(MetricError):
-            registry.gauge("m")
+            registry.gauge("net.messages.dropped")
 
-    def test_redeclare_with_other_labels_rejected(self):
+    def test_labels_other_than_the_catalogs_rejected(self):
         registry = MetricsRegistry()
-        registry.counter("m", labels=("a",))
+        counter = registry.counter("net.retry.attempts")
+        assert counter.label_names == CATALOG["net.retry.attempts"].labels
         with pytest.raises(MetricError):
-            registry.counter("m", labels=("b",))
+            counter.inc(host="a")
+
+    def test_every_catalog_entry_builds_through_its_kind(self):
+        registry = MetricsRegistry()
+        for spec in CATALOG.values():
+            metric = getattr(registry, spec.kind)(spec.name)
+            assert metric.kind == spec.kind
+        snapshot = registry.snapshot()
+        assert sorted(snapshot) == sorted(CATALOG)
+        for name, entry in snapshot.items():
+            assert entry["type"] == CATALOG[name].kind
+            assert entry["help"] == CATALOG[name].help
+            assert tuple(entry["labels"]) == CATALOG[name].labels
 
     def test_snapshot_isolated_from_later_updates(self):
         registry = MetricsRegistry()
-        counter = registry.counter("c", labels=("k",))
-        counter.inc(k="x")
+        counter = registry.counter("net.messages.sent")
+        counter.inc(kind="x")
         snapshot = registry.snapshot()
-        counter.inc(k="x")
-        counter.inc(k="y")
-        assert snapshot["c"]["series"] == [{"labels": {"k": "x"}, "value": 1.0}]
+        counter.inc(kind="x")
+        counter.inc(kind="y")
+        assert snapshot["net.messages.sent"]["series"] == [
+            {"labels": {"kind": "x"}, "value": 1.0}]
         fresh = registry.snapshot()
-        assert len(fresh["c"]["series"]) == 2
+        assert len(fresh["net.messages.sent"]["series"]) == 2
 
     def test_snapshot_mutation_does_not_leak_back(self):
         registry = MetricsRegistry()
-        registry.counter("c").inc()
+        registry.counter("net.messages.dropped").inc()
         snapshot = registry.snapshot()
-        snapshot["c"]["series"][0]["value"] = 999
-        assert registry.snapshot()["c"]["series"][0]["value"] == 1.0
+        snapshot["net.messages.dropped"]["series"][0]["value"] = 999
+        series = registry.snapshot()["net.messages.dropped"]["series"]
+        assert series[0]["value"] == 1.0
 
     def test_snapshot_histogram_summary(self):
         registry = MetricsRegistry()
-        registry.histogram("h").observe(5.0)
-        entry = registry.snapshot()["h"]
+        registry.histogram("overlay.route.hops").observe(5.0)
+        entry = registry.snapshot()["overlay.route.hops"]
         assert entry["type"] == "histogram"
         assert entry["series"][0]["summary"]["count"] == 1
 
     def test_reset_named_metrics_only(self):
         registry = MetricsRegistry()
-        registry.counter("a").inc()
-        registry.counter("b").inc()
-        registry.reset(["a"])
-        assert registry.get("a").total() == 0
-        assert registry.get("b").total() == 1
+        registry.counter("net.messages.dropped").inc()
+        registry.counter("net.messages.undeliverable").inc()
+        registry.reset(["net.messages.dropped"])
+        assert registry.get("net.messages.dropped").total() == 0
+        assert registry.get("net.messages.undeliverable").total() == 1
 
     def test_to_json_round_trips(self):
         import json
         registry = MetricsRegistry()
-        registry.counter("c", labels=("k",)).inc(k="v")
+        registry.counter("net.messages.sent").inc(kind="v")
         parsed = json.loads(registry.to_json())
-        assert parsed["c"]["series"][0]["labels"] == {"k": "v"}
+        assert parsed["net.messages.sent"]["series"][0]["labels"] == {
+            "kind": "v"}

@@ -40,9 +40,8 @@ class FloodNode(OverlayNode):
         for node in targets:
             self.send(node, "o-bcast", onward)
         if targets:
-            self.network.obs.metrics.counter(
-                "overlay.bcast.sent", labels=("mode",)).inc(
-                    len(targets), mode="flood")
+            self.network.obs.metrics.counter("overlay.bcast.sent").inc(
+                len(targets), mode="flood")
 
 
 class ReferenceSCINet(SCINet):

@@ -34,9 +34,9 @@ class TestQuiescentInvariant:
         net.scheduler.run_for(40 * FD_INTERVAL)
         assert sci.size() == len(nodes)
         assert sci.fd_removals == 0
-        suspicions = net.obs.metrics.counter("overlay.fd.suspicions", "")
+        suspicions = net.obs.metrics.counter("overlay.fd.suspicions")
         assert suspicions.value() == 0
-        heartbeats = net.obs.metrics.counter("overlay.fd.heartbeats", "")
+        heartbeats = net.obs.metrics.counter("overlay.fd.heartbeats")
         assert heartbeats.value() > 0  # the detector was actually probing
 
     def test_detector_off_by_default(self):

@@ -189,8 +189,7 @@ class TestTreeBroadcast:
             sci.create_node(f"h{i % 4}", range_name=f"r{i}",
                             places=[f"place-{i}"])
         net.run_until_idle()
-        sent = net.obs.metrics.counter("overlay.bcast.sent",
-                                       labels=("mode",))
+        sent = net.obs.metrics.counter("overlay.bcast.sent")
         assert sent.value(mode="tree") > 0
         assert sent.value(mode="flood") == 0
 

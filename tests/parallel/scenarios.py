@@ -173,7 +173,6 @@ def run_scenario(reference_heap: bool = False, seed: int = 11,
         "dropped": net.stats.dropped,
         "by_kind": dict(net.stats.by_kind),
         "host_load": dict(net.stats.host_load),
-        "latency_count": net.stats.latency_count,
         "acks": publisher.acks,
         "probes": publisher.probes,
         "received": [sub.received for sub in subscribers],

@@ -147,10 +147,10 @@ class TestLeases:
                     for p in (held, other)}
         assert len(expiries) == 1 and expiries.pop() > 15.0
         metrics = network.obs.metrics
-        assert metrics.counter("registrar.lease.renewals", "",
-                               labels=("range",)).value(range="test-range") == 2
-        assert metrics.counter("registrar.lease.unknown", "",
-                               labels=("range",)).value(range="test-range") == 1
+        assert metrics.counter(
+            "registrar.lease.renewals").value(range="test-range") == 2
+        assert metrics.counter(
+            "registrar.lease.unknown").value(range="test-range") == 1
 
     def test_unparseable_id_in_a_heartbeat_is_counted_not_raised(
             self, network, guids, registrar):
@@ -166,8 +166,7 @@ class TestLeases:
         assert inbox == []
         assert registrar.record(held.entity_id.hex).lease_expiry > before
         assert network.obs.metrics.counter(
-            "registrar.lease.unknown", "",
-            labels=("range",)).value(range="test-range") == 2
+            "registrar.lease.unknown").value(range="test-range") == 2
 
     def test_infrastructure_records_have_no_lease(self, network, guids, registrar):
         profile = Profile(guids.mint(), "infra-ce")
@@ -219,7 +218,7 @@ class TestExpiryHeap:
         register(network, guids, registrar)
         network.scheduler.run_for(20)
         popped = network.obs.metrics.counter(
-            "registrar.expiry.pops", labels=("range",)).value(range="test-range")
+            "registrar.expiry.pops").value(range="test-range")
         assert popped >= 1
         assert registrar.evictions == 1
 
