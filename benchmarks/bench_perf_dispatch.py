@@ -103,7 +103,7 @@ def measure_publish(n_subscriptions, publishes):
         "publishes": publishes,
         "delivered": delivered,
         "eps": publishes / elapsed if elapsed else float("inf"),
-        "stats": mediator.index_stats(),
+        "stats": mediator.opgraph_stats(),
         "metrics": net.obs.metrics,
     }
 

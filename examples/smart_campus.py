@@ -27,14 +27,15 @@ def main() -> None:
     sci.add_wlan_detector("campus")
 
     # climate instrumentation: a thermometer per office + a smoothing stage;
-    # each office's baseline comes from its room number (hash() of a str is
-    # salted per interpreter, so it would change the output run to run)
+    # each office's baseline and noise seed come from its room number
+    # (hash() of a str is salted per interpreter, so it would change the
+    # output run to run)
     cs = sci.range("campus")
     for room in ("L10.01", "L10.02", "L10.03"):
         thermo = TemperatureSensorCE(sci.guids.mint(), "cs-campus",
                                      sci.network, room=room,
                                      baseline=20.0 + int(room[-1]) % 3,
-                                     interval=5.0, seed=len(room))
+                                     interval=5.0, seed=int(room[-2:]))
         thermo.start()
     smoother = WindowAggregatorCE(sci.guids.mint(), "cs-campus", sci.network,
                                   TypeSpec("temperature", "celsius"),

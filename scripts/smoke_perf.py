@@ -43,7 +43,12 @@ structural properties a refactor could silently regress:
   look-alike subscriptions actually share nodes (reuse ratio gated) — a change that silently broke
   canonicalisation would instantiate one node per subscription and fail
   here at smoke scale; at ``OPGRAPH_SCALE_TRACKERS`` look-alikes the live
-  node count stays at the template pool plus the monitors.
+  node count stays at the template pool plus the monitors;
+* the filter table's work counts (``mediator.opgraph.evals``,
+  ``mediator.index.hits``, ``mediator.index.residual_scans``) on the
+  seeded look-alike run and the equivalence scenario equal pinned values:
+  they are exact functions of the seed, so a change that evaluates one
+  more candidate, or files one filter in a different bucket, fails here.
 
 Exits non-zero on any failure, so CI can gate on it. Usage::
 
@@ -95,6 +100,16 @@ MIN_OPGRAPH_REUSE = 0.9
 SCAN_TRACKERS = 250
 #: look-alikes attached (no publishes) for the node-count scale row
 OPGRAPH_SCALE_TRACKERS = 20_000
+#: the filter table's work counts, exact functions of the seed: the
+#: look-alike run at ``SCAN_TRACKERS`` (every filter bucketed, so nothing
+#: is scanned from the residual list) and the equivalence scenario of
+#: ``tests/opgraph/scenarios.py`` (residual filters and retained replay)
+WORK_COUNTS = ("mediator.opgraph.evals", "mediator.index.hits",
+               "mediator.index.residual_scans")
+LOOKALIKE_WORK = {"mediator.opgraph.evals": 3981, "mediator.index.hits": 3981,
+                  "mediator.index.residual_scans": 0}
+EQUIVALENCE_WORK = {"mediator.opgraph.evals": 367, "mediator.index.hits": 195,
+                    "mediator.index.residual_scans": 182}
 #: routing-table memo reads served per rebuild, summed over all nodes
 MIN_CACHE_HIT_RATIO = 2
 #: population and churn steps of the Context Server query-path row
@@ -117,6 +132,11 @@ RENEWAL_SECONDS = 30.0
 #: default deployment: hot sites update series bound once, so only rare
 #: labelled paths (request retries, unheard announces) are left
 MAX_INCS_PER_DELIVERY = 0.25
+
+
+def work_counts(metrics):
+    """Totals of the filter table's ``WORK_COUNTS`` counters."""
+    return {name: metrics.counter(name).total() for name in WORK_COUNTS}
 
 
 def check(condition, label):
@@ -407,7 +427,8 @@ def lookalike_dispatch(trackers, mediator_class=EventMediator,
     return {"logs": logs, "delivered": sum(len(log) for log in logs),
             "pairs": sum(len({seq for _, seq in log}) for log in logs),
             "event_messages": net.stats.by_kind["event"],
-            "opgraph": mediator.opgraph_stats()}
+            "opgraph": mediator.opgraph_stats(),
+            "work": work_counts(net.obs.metrics)}
 
 
 def counting_path():
@@ -471,12 +492,12 @@ def main() -> int:
                 f"scanned {scan_fraction:.3f} of the linear-scan candidate set "
                 f"(<= {MAX_SCAN_FRACTION})")
     stats = fanout["stats"]
-    residual_share = stats["residual_subscriptions"] / SCALE
+    residual_share = stats["residual_nodes"] / SCALE
     ok &= check(residual_share <= MAX_RESIDUAL_SUBSCRIPTIONS,
-                f"residual filter roots {residual_share:.3f} of subscriptions "
+                f"residual filter nodes {residual_share:.3f} of subscriptions "
                 f"(<= {MAX_RESIDUAL_SUBSCRIPTIONS}; "
-                f"{stats['indexed_subscriptions']} indexed, "
-                f"{stats['residual_subscriptions']} residual)")
+                f"{stats['indexed_nodes']} indexed, "
+                f"{stats['residual_nodes']} residual)")
 
     print(f"smoke-perf: resolver index at {SCALE} profiles...")
     resolver, n_types = build_resolver(SCALE)
@@ -625,6 +646,10 @@ def main() -> int:
                 f"per-subscription logs entry-identical to the reference "
                 f"scan ({scan_run['delivered']} deliveries over "
                 f"{len(scan_run['logs'])} subscriptions)")
+    work = work_counts(opgraph_run["metrics"])
+    ok &= check(work == EQUIVALENCE_WORK,
+                f"equivalence scenario work counts {work} == "
+                f"{EQUIVALENCE_WORK}")
 
     print(f"smoke-perf: filter-table look-alikes, {OPGRAPH_TEMPLATES} "
           "templates...")
@@ -639,6 +664,8 @@ def main() -> int:
                 f"one event message per (publish, sink): "
                 f"{small['event_messages']} messages == {small['pairs']} "
                 f"pairs < {small['delivered']} deliveries")
+    ok &= check(small["work"] == LOOKALIKE_WORK,
+                f"look-alike work counts {small['work']} == {LOOKALIKE_WORK}")
     reuse = lookalike_dispatch(OPGRAPH_TRACKERS)["opgraph"]["reuse_ratio"]
     ok &= check(reuse > MIN_OPGRAPH_REUSE,
                 f"node reuse ratio {reuse:.3f} at {OPGRAPH_TRACKERS} "

@@ -177,22 +177,36 @@ class BaseComponent(Process):
         )
 
     def _handle_register_ack(self, reply: Message, range_service: GUID) -> None:
-        if not reply.payload.get("ok", False):
-            logger.warning("%s registration refused: %s", self.name,
-                           reply.payload.get("error"))
+        """Take the offered range, or log an ack that refuses or lacks an
+        address or a positive lease: that one changes nothing but
+        clearing the registrar of a component not yet registered."""
+        payload = reply.payload
+        try:
+            if not payload.get("ok", False):
+                raise RegistrationError(payload.get("error"))
+            context_server = GUID.from_hex(payload["context_server"])
+            event_mediator = GUID.from_hex(payload["event_mediator"])
+            lease = payload["lease"]
+            if (isinstance(lease, bool) or not isinstance(lease, (int, float))
+                    or not 0 < lease < float("inf")):
+                raise RegistrationError(f"bad lease {lease!r}")
+        except (RegistrationError, KeyError, TypeError, ValueError) as exc:
+            logger.warning("%s registration refused: %r", self.name, exc)
+            if not self.registered:
+                self.registrar = None
             return
         self.registered = True
         # two ranges may offer on one machine: the later ack wins whole
         self.registrar = reply.sender
-        self.context_server = GUID.from_hex(reply.payload["context_server"])
-        self.event_mediator = GUID.from_hex(reply.payload["event_mediator"])
-        self.range_name = reply.payload.get("range")
+        self.context_server = context_server
+        self.event_mediator = event_mediator
+        self.range_name = payload.get("range")
         # a same-machine call: the offering daemon is a process on this host
         if self._lease_group is not None:
             self._lease_group.leave(self)
         self._lease_group = self.network.process(range_service)
         if self._lease_group is not None:
-            self._lease_group.join(self, reply.payload["lease"])
+            self._lease_group.join(self, lease)
         logger.debug("%s registered in range %s", self.name, self.range_name)
         self.on_registered()
 

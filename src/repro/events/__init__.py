@@ -7,11 +7,6 @@ range's mediator.
 """
 
 from repro.events.event import ContextEvent
-from repro.events.dispatch_index import (
-    DispatchIndex,
-    FilterConstraints,
-    analyse_filter,
-)
 from repro.events.filters import (
     EventFilter,
     TypeFilter,
@@ -29,9 +24,6 @@ from repro.events.mediator import EventMediator
 
 __all__ = [
     "ContextEvent",
-    "DispatchIndex",
-    "FilterConstraints",
-    "analyse_filter",
     "EventFilter",
     "TypeFilter",
     "SubjectFilter",

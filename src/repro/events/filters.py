@@ -14,7 +14,10 @@ the child. Structural ``__eq__``/``__hash__`` compare canonical keys, so two
 spec-identical filters built in different construction orders — e.g.
 ``And([type, subject])`` vs ``And([subject, type])`` — hash and compare
 equal. The mediator's filter table (:mod:`repro.query.opgraph`) shares one
-node per key. Canonicalisation never changes ``matches`` semantics:
+node per key and files each node in a dispatch bucket by the equality
+constraints its ``TypeFilter``/``SubjectFilter``/``SourceFilter`` parts
+promise; it evaluates candidates in bucket order, so ``matches`` must
+stay pure. Canonicalisation never changes ``matches`` semantics:
 ``to_spec()`` (the wire form) and the evaluation order of ``parts`` keep
 construction order; only the canonical view is normalised (And/Or are
 commutative, associative and idempotent over pure predicates).

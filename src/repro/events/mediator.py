@@ -55,11 +55,10 @@ Dispatch has one engine: every subscription's filter is a sink of one
 node of the mediator's shared filter table (:mod:`repro.query.opgraph`),
 where spec-identical filters share one node, so ten thousand look-alike
 subscriptions cost one predicate evaluation per publish plus fan-out. The
-table finds its candidate nodes through a
-:class:`~repro.events.dispatch_index.DispatchIndex`: filters carrying exact
-type/subject/source constraints live in dict buckets, everything else in a
-small residual list, so a publish costs O(matching + residual) instead of
-O(all subscriptions). Windowed, joined and selected context is built by
+table files each node once: a filter carrying exact type/subject/source
+constraints in a dict bucket, everything else in a small residual list,
+so a publish costs O(matching + residual) instead of O(all
+subscriptions). Windowed, joined and selected context is built by
 derived Context Entities and the query's Which clause, not by the
 mediator. Delivery order is entry-identical to a linear scan over the
 subscription table in insertion order — that scan lives in
@@ -78,7 +77,6 @@ from repro.core.ids import GUID
 from repro.net.message import Message
 from repro.net.transport import Network, Process
 from repro.events.event import ContextEvent
-from repro.events.dispatch_index import analyse_filter
 from repro.events.filters import EventFilter, FilterError, filter_from_spec
 from repro.events.subscription import Subscription
 from repro.ledger.ledger import ContextLedger
@@ -239,24 +237,24 @@ class EventMediator(Process):
             "owner": None if owner is None else str(owner),
         })
         self._subscriptions[subscription.sub_id] = subscription
-        constraints = self._opgraph.attach(subscription.sub_id, event_filter)
+        type_name = self._opgraph.attach(subscription.sub_id, event_filter)
         if owner is not None:
             self._reverse_add(self._subs_by_owner, owner, subscription.sub_id)
         self._reverse_add(self._subs_by_subscriber, subscriber,
                           subscription.sub_id)
         if replay_retained:
-            self._replay_retained(subscription, constraints)
+            self._replay_retained(subscription, type_name)
             if not subscription.active:
                 self._drop_subscription(subscription)
         return subscription
 
-    def _replay_retained(self, subscription: Subscription, constraints) -> None:
+    def _replay_retained(self, subscription: Subscription,
+                         type_name: Optional[str]) -> None:
         """Deliver retained events matching a fresh subscription.
 
-        A type-constrained filter only ever matches events of that type, so
-        the per-type retained index bounds the scan.
+        A filter whose node carries a type constraint only ever matches
+        events of that type, so the per-type retained index bounds the scan.
         """
-        type_name = constraints.type_name
         events = self._replay_events(type_name)
         counter = (self._opgraph.residual_scans_series if type_name is None
                    else self._opgraph.index_hits_series)
@@ -619,8 +617,8 @@ class EventMediator(Process):
         baseline = subscription.seq
         self.resyncs_served += 1
         before = self.deliveries
-        self._replay_retained(subscription,
-                              analyse_filter(subscription.filter))
+        self._replay_retained(
+            subscription, self._opgraph.type_constraint(subscription.sub_id))
         self._resync_replays_counter.inc(self.deliveries - before)
         if not subscription.active:  # one-time sub consumed by the replay
             self._drop_subscription(subscription)
@@ -644,22 +642,10 @@ class EventMediator(Process):
             return window.size if window is not None else 0
         return sum(window.size for window in self._windows.values())
 
-    def index_stats(self) -> Dict[str, int]:
-        """Sizes the smoke gate and benchmarks assert on.
-
-        The subscription entries count the table's deduplicated filter
-        nodes: look-alike subscriptions share one.
-        """
-        graph = self._opgraph.stats()
-        return {
-            "indexed_subscriptions": graph["indexed_roots"],
-            "residual_subscriptions": graph["residual_roots"],
-            "retained": len(self._retained),
-            "retained_evictions": self.retained_evictions,
-        }
-
     def opgraph_stats(self) -> Dict[str, float]:
-        """Filter-table node/reuse/eval counters."""
+        """The filter table's sizes and counters: nodes (look-alike
+        subscriptions share one), how many sit in buckets and on the
+        residual list, reuse, evaluations and fan-out."""
         return self._opgraph.stats()
 
     def subscriptions_for(self, subscriber: GUID) -> List[Subscription]:

@@ -10,7 +10,8 @@ is answered, and recording to the context ledger cannot be switched off:
 a Context Utility built without a chain appends to a private one. A
 subscription is a filter and nothing else: the continuous-query plans
 (window, join, select), their compiler and the ``query`` subscribe field
-are gone, and the mediator's engine is a filter table. The mediator has
+are gone, and the mediator's engine is a filter table, with no dispatch index module
+beside it. The mediator has
 one delivery mode, sequenced and acknowledged: no ``reliable`` switch and
 none of the delivery knobs only tests set.
 """
@@ -22,6 +23,7 @@ import inspect
 import pytest
 
 import repro.apps
+import repro.events
 import repro.query.opgraph
 from repro import SCI, SCIConfig
 from repro.core.types import TypeSpec
@@ -208,6 +210,16 @@ def test_opgraph_exports_only_the_filter_table():
     # the frozen end-to-end tracer wraps these three by dotted path
     for name in ("publish", "attach", "detach"):
         assert callable(getattr(OperatorGraph, name)), name
+
+
+def test_dispatch_is_the_filter_table_alone():
+    """Filter analysis and the buckets live inside the filter table; no
+    second index module sits beside it."""
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.events.dispatch_index")
+    for name in ("DispatchIndex", "FilterConstraints", "analyse_filter"):
+        assert name not in repro.events.__all__, name
+        assert not hasattr(repro.events, name), name
 
 
 def test_a_subscription_is_a_filter_and_nothing_else():

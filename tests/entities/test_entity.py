@@ -6,6 +6,7 @@ from repro.core.errors import RegistrationError
 from repro.core.types import TypeSpec
 from repro.entities.entity import ContextAwareApplication, ContextEntity
 from repro.entities.profile import EntityClass, Profile
+from repro.net.transport import FunctionProcess
 from repro.query.model import QueryBuilder
 
 
@@ -77,6 +78,55 @@ class TestRegistrationHandshake:
                            server.mediator.guid, "livingstone")
         assert ce.registered
         assert ce.event_mediator == server.mediator.guid
+
+
+#: register-ack payloads a stub registrar answers with; each must leave the
+#: component unregistered instead of raising out of the scheduler
+BAD_ACKS = {
+    "refused": {"ok": False, "error": "no"},
+    "bare-ok": {"ok": True},
+    "no-lease": {"ok": True, "context_server": "{cs}",
+                 "event_mediator": "{em}", "range": "stub"},
+    "zero-lease": {"ok": True, "context_server": "{cs}",
+                   "event_mediator": "{em}", "lease": 0},
+    "negative-lease": {"ok": True, "context_server": "{cs}",
+                       "event_mediator": "{em}", "lease": -30.0},
+    "string-lease": {"ok": True, "context_server": "{cs}",
+                     "event_mediator": "{em}", "lease": "30"},
+    "bool-lease": {"ok": True, "context_server": "{cs}",
+                   "event_mediator": "{em}", "lease": True},
+    "bad-address": {"ok": True, "context_server": "zz",
+                    "event_mediator": "{em}", "lease": 30.0},
+    "null-address": {"ok": True, "context_server": "{cs}",
+                     "event_mediator": None, "lease": 30.0},
+}
+
+
+@pytest.mark.parametrize("ack", BAD_ACKS.values(), ids=BAD_ACKS.keys())
+def test_a_malformed_register_ack_leaves_the_component_unregistered(
+        network, guids, ack):
+    addresses = {"{cs}": guids.mint().hex, "{em}": guids.mint().hex}
+    payload = {key: addresses.get(value, value) if isinstance(value, str)
+               else value for key, value in ack.items()}
+    registers = []
+
+    def answer(message):
+        if message.kind == "register":
+            registers.append(message)
+            registrar.reply(message, "register-ack", payload)
+
+    registrar = FunctionProcess(guids.mint(), "host-a", network, answer)
+    range_service = FunctionProcess(guids.mint(), "host-b", network,
+                                    lambda message: None)
+    ce = make_ce(guids, network)
+    ce.start()
+    range_service.send(ce.guid, "range-offer",
+                       {"registrar": registrar.guid.hex, "range": "stub"})
+    network.scheduler.run_for(10)
+    assert len(registers) == 1
+    assert not ce.registered
+    assert ce.registrar is None
+    assert ce.context_server is None and ce.event_mediator is None
 
 
 class ReannouncingCE(ContextEntity):

@@ -1,10 +1,15 @@
-"""Dispatch index: filter analysis, bucket maintenance, mediator wiring."""
+"""The filter table's dispatch buckets: where a filter is filed, bucket
+maintenance, mediator wiring.
+
+Where a filter is filed shows through the table's ``stats()`` and the
+``evals`` a publish costs: a filed node is evaluated only by publishes
+carrying its constraint, a residual one by every publish.
+"""
 
 import pytest
 
 from repro.core.types import TypeSpec
 from repro.events import mediator as mediator_module
-from repro.events.dispatch_index import DispatchIndex, analyse_filter
 from repro.events.event import ContextEvent
 from repro.events.filters import (
     AndFilter,
@@ -17,34 +22,91 @@ from repro.events.filters import (
     TypeFilter,
 )
 from repro.events.mediator import EventMediator
+from repro.obs.metrics import MetricsRegistry
+from repro.query.opgraph import OperatorGraph
 from tests.events.reference_scan import ReferenceScanMediator
 from tests.events.sinks import acking_sink
 
 
+def event(guids, type_name="location", subject="bob", source=None,
+          representation="repr"):
+    return ContextEvent(TypeSpec(type_name, representation, subject), 1,
+                        source or guids.mint(), 0.0)
+
+
+def table():
+    """A filter table logging each delivered ``sub_id``."""
+    log = []
+    registry = MetricsRegistry()
+    graph = OperatorGraph(lambda sub_ids, _event: log.extend(sub_ids),
+                          metrics=registry)
+    graph.log, graph.registry = log, registry
+    return graph
+
+
+def evals(graph, published):
+    """How many nodes ``published`` made the table evaluate."""
+    before = graph.evals
+    graph.publish(published)
+    return graph.evals - before
+
+
+def filed(event_filter):
+    """A table holding one node, for ``event_filter``; returns the table
+    and the type constraint ``attach`` answered with."""
+    graph = table()
+    return graph, graph.attach(1, event_filter)
+
+
+def placement(graph):
+    stats = graph.stats()
+    return stats["indexed_nodes"], stats["residual_nodes"]
+
+
 class TestFilterAnalysis:
-    def test_type_filter_yields_type_constraint(self):
-        constraints = analyse_filter(TypeFilter("location"))
-        assert constraints.type_name == "location"
-        assert not constraints.has_subject
+    def test_type_filter_yields_type_constraint(self, guids):
+        graph, type_name = filed(TypeFilter("location"))
+        assert type_name == "location"
+        assert placement(graph) == (1, 0)
+        assert evals(graph, event(guids)) == 1
+        assert evals(graph, event(guids, type_name="presence")) == 0
+        assert graph.log == [1]
 
-    def test_representation_narrowing_still_indexes_by_type(self):
-        constraints = analyse_filter(TypeFilter("location", "symbolic"))
-        assert constraints.type_name == "location"
+    def test_representation_narrowing_still_indexes_by_type(self, guids):
+        graph, type_name = filed(TypeFilter("location", "symbolic"))
+        assert type_name == "location"
+        assert placement(graph) == (1, 0)
+        # a candidate for every location event, matched on representation
+        assert evals(graph, event(guids, representation="raw")) == 1
+        assert evals(graph, event(guids, representation="symbolic")) == 1
+        assert evals(graph, event(guids, type_name="presence")) == 0
+        assert graph.log == [1]
 
-    def test_subject_filter_yields_subject_constraint(self):
-        constraints = analyse_filter(SubjectFilter("bob"))
-        assert constraints.has_subject and constraints.subject == "bob"
+    def test_subject_filter_yields_subject_constraint(self, guids):
+        graph, type_name = filed(SubjectFilter("bob"))
+        assert type_name is None
+        assert placement(graph) == (1, 0)
+        assert evals(graph, event(guids, type_name="presence")) == 1
+        assert evals(graph, event(guids, subject="john")) == 0
 
-    def test_conjunction_unions_constraints(self):
-        constraints = analyse_filter(
+    def test_conjunction_unions_constraints(self, guids):
+        graph, type_name = filed(
             AndFilter([TypeFilter("location"), SubjectFilter("bob"),
                        AttributeFilter("value", "==", 3)]))
-        assert constraints.type_name == "location"
-        assert constraints.subject == "bob"
+        assert type_name == "location"
+        assert placement(graph) == (1, 0)
+        # filed under (type, subject): both must be carried
+        assert evals(graph, event(guids)) == 1
+        assert evals(graph, event(guids, subject="john")) == 0
+        assert evals(graph, event(guids, type_name="presence")) == 0
 
-    def test_source_filter_yields_source_constraint(self):
-        constraints = analyse_filter(SourceFilter("ab" * 16))
-        assert constraints.source_hex == "ab" * 16
+    def test_source_filter_yields_source_constraint(self, guids):
+        source = guids.mint()
+        graph, type_name = filed(SourceFilter(source.hex))
+        assert type_name is None
+        assert placement(graph) == (1, 0)
+        assert evals(graph, event(guids, source=source)) == 1
+        assert evals(graph, event(guids)) == 0
 
     @pytest.mark.parametrize("unanalysable", [
         MatchAll(),
@@ -52,67 +114,74 @@ class TestFilterAnalysis:
         OrFilter([TypeFilter("location"), TypeFilter("presence")]),
         AttributeFilter("value", ">", 2),
     ])
-    def test_non_exact_shapes_yield_no_constraints(self, unanalysable):
-        assert not analyse_filter(unanalysable).indexable
+    def test_non_exact_shapes_yield_no_constraints(self, guids, unanalysable):
+        graph, type_name = filed(unanalysable)
+        assert type_name is None
+        assert placement(graph) == (0, 1)
+        assert evals(graph, event(guids, type_name="other",
+                                  subject="nobody")) == 1
 
-    def test_or_inside_and_does_not_leak_constraints(self):
-        constraints = analyse_filter(
+    def test_or_inside_and_does_not_leak_constraints(self, guids):
+        graph, type_name = filed(
             AndFilter([OrFilter([TypeFilter("a"), TypeFilter("b")]),
                        SubjectFilter("bob")]))
-        assert constraints.type_name is None
-        assert constraints.subject == "bob"
+        assert type_name is None
+        assert placement(graph) == (1, 0)
+        # filed under the subject alone: any type reaches it
+        assert evals(graph, event(guids, type_name="c")) == 1
+        assert evals(graph, event(guids, type_name="a", subject="john")) == 0
 
-    def test_unhashable_subject_falls_to_residual(self):
-        constraints = analyse_filter(SubjectFilter(["not", "hashable"]))
-        assert not constraints.has_subject
+    def test_unhashable_subject_falls_to_residual(self, guids):
+        graph, type_name = filed(SubjectFilter(["not", "hashable"]))
+        assert type_name is None
+        assert placement(graph) == (0, 1)
+        assert evals(graph, event(guids)) == 1
 
 
-def event(guids, type_name="location", subject="bob", source=None):
-    return ContextEvent(TypeSpec(type_name, "repr", subject), 1,
-                        source or guids.mint(), 0.0)
+def index_counts(graph):
+    """``mediator.index.{hits,residual_scans}`` so far."""
+    return (graph.registry.counter("mediator.index.hits").total(),
+            graph.registry.counter("mediator.index.residual_scans").total())
 
 
 class TestDispatchIndex:
-    def test_candidates_sorted_and_bucketed(self, guids):
-        index = DispatchIndex()
-        index.add(3, TypeFilter("location"))
-        index.add(1, AndFilter([TypeFilter("location"), SubjectFilter("bob")]))
-        index.add(2, MatchAll())
-        ids, hits, residual = index.candidates(event(guids))
-        assert ids == [1, 2, 3]
-        assert hits == 2 and residual == 1
-
     def test_non_matching_buckets_skipped(self, guids):
-        index = DispatchIndex()
-        index.add(1, TypeFilter("presence"))
-        index.add(2, SubjectFilter("john"))
-        ids, hits, residual = index.candidates(event(guids))
-        assert ids == [] and hits == 0 and residual == 0
+        graph = table()
+        graph.attach(1, TypeFilter("presence"))
+        graph.attach(2, SubjectFilter("john"))
+        assert evals(graph, event(guids)) == 0
+        assert index_counts(graph) == (0, 0)
+        assert graph.log == []
 
     def test_remove_clears_empty_buckets(self, guids):
-        index = DispatchIndex()
-        index.add(1, TypeFilter("location"))
-        assert index.remove(1)
-        assert not index.remove(1)
-        assert len(index) == 0
-        ids, _, _ = index.candidates(event(guids))
-        assert ids == []
+        graph = table()
+        graph.attach(1, TypeFilter("location"))
+        graph.attach(2, TypeFilter("location", "symbolic"))
+        assert graph.detach(1)
+        assert graph._buckets  # the type bucket still holds sub 2's node
+        assert graph.detach(2)
+        assert not graph.detach(2)
+        assert graph.stats()["nodes"] == 0 and placement(graph) == (0, 0)
+        assert graph._buckets == {}  # reclaimed with its last node
+        assert evals(graph, event(guids)) == 0
 
     def test_source_bucket(self, guids):
         source = guids.mint()
-        index = DispatchIndex()
-        index.add(1, SourceFilter(source.hex))
-        index.add(2, SourceFilter(guids.mint().hex))
-        ids, hits, _ = index.candidates(event(guids, source=source))
-        assert ids == [1] and hits == 1
+        graph = table()
+        graph.attach(1, SourceFilter(source.hex))
+        graph.attach(2, SourceFilter(guids.mint().hex))
+        assert evals(graph, event(guids, source=source)) == 1
+        assert index_counts(graph) == (1, 0)
+        assert graph.log == [1]
 
     def test_re_add_moves_entry(self, guids):
-        index = DispatchIndex()
-        index.add(1, TypeFilter("location"))
-        index.add(1, TypeFilter("presence"))
-        assert len(index) == 1
-        ids, _, _ = index.candidates(event(guids, type_name="presence"))
-        assert ids == [1]
+        graph = table()
+        graph.attach(1, TypeFilter("location"))
+        graph.attach(1, TypeFilter("presence"))
+        assert graph.stats()["nodes"] == 1
+        assert evals(graph, event(guids)) == 0
+        assert evals(graph, event(guids, type_name="presence")) == 1
+        assert graph.log == [1]
 
 
 @pytest.fixture
@@ -157,8 +226,8 @@ class TestMediatorIndexMaintenance:
                                   one_time=True)
         assert publish(mediator) == 1
         assert mediator.subscription_count == 0
-        assert mediator.index_stats()["indexed_subscriptions"] == 0
-        assert mediator.opgraph_stats()["nodes"] == 0
+        stats = mediator.opgraph_stats()
+        assert (stats["nodes"], stats["indexed_nodes"]) == (0, 0)
         assert publish(mediator) == 0
 
     def test_remove_owner_uses_reverse_map(self, network, guids, mediator):
@@ -218,6 +287,6 @@ class TestMediatorIndexMaintenance:
         metrics = network.obs.metrics
         assert metrics.counter("mediator.index.hits").total() >= 1
         assert metrics.counter("mediator.index.residual_scans").total() >= 1
-        stats = mediator.index_stats()
-        assert stats["indexed_subscriptions"] == 1
-        assert stats["residual_subscriptions"] == 1
+        stats = mediator.opgraph_stats()
+        assert stats["indexed_nodes"] == 1
+        assert stats["residual_nodes"] == 1

@@ -184,6 +184,7 @@ def run_scenario(reference: bool = False,
         "acks": publisher.acks,
         "subscription_count": mediator.subscription_count,
         "opgraph": mediator.opgraph_stats(),
+        "metrics": net.obs.metrics,
     }
     close = getattr(net.scheduler, "close", None)
     if close is not None:

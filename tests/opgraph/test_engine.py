@@ -65,10 +65,10 @@ def test_refcounted_reclamation(graph):
     assert [sub_id for sub_id, _ in graph.log] == [3]
     graph.detach(3)
     stats = graph.stats()
-    assert (stats["nodes"], stats["indexed_roots"]) == (0, 0)
+    assert (stats["nodes"], stats["indexed_nodes"]) == (0, 0)
     graph.log.clear()
     graph.publish(make_event(floor=3))
-    assert graph.log == []  # reclaimed: dispatch-index entry gone too
+    assert graph.log == []  # reclaimed: bucket entry gone too
     assert graph.detach(3) is False
 
 
@@ -89,13 +89,13 @@ def test_fanout_orders_by_sub_id(graph):
     assert [sub_id for sub_id, _ in graph.log] == [2, 5, 9]
 
 
-def test_attach_returns_filter_constraints(graph):
-    exact = graph.attach(1, AndFilter([TypeFilter("t"),
-                                       SubjectFilter("room-1")]))
-    assert (exact.type_name, exact.has_subject, exact.subject) == \
-        ("t", True, "room-1")
-    shared = graph.attach(2, AndFilter([SubjectFilter("room-1"),
-                                        TypeFilter("t")]))
-    assert shared == exact  # the shared node's constraints
-    residual = graph.attach(3, AttributeFilter("floor", "==", 1))
-    assert not residual.indexable
+def test_attach_returns_type_constraint(graph):
+    exact = AndFilter([TypeFilter("t"), SubjectFilter("room-1")])
+    assert graph.attach(1, exact) == "t"
+    shared = AndFilter([SubjectFilter("room-1"), TypeFilter("t")])
+    assert graph.attach(2, shared) == "t"  # the shared node's constraint
+    assert graph.stats()["nodes"] == 1
+    assert graph.attach(3, SubjectFilter("room-1")) is None
+    assert graph.attach(4, AttributeFilter("floor", "==", 1)) is None
+    assert [graph.type_constraint(sub_id) for sub_id in (1, 2, 3, 4)] == \
+        ["t", "t", None, None]
