@@ -44,6 +44,8 @@ structural properties a refactor could silently regress:
   canonicalisation would instantiate one node per subscription and fail
   here at smoke scale; at ``OPGRAPH_SCALE_TRACKERS`` look-alikes the live
   node count stays at the template pool plus the monitors;
+* well-formed traffic never trips the wire table: ``net.messages.malformed``
+  totals 0 on every seeded run here;
 * the filter table's work counts (``mediator.opgraph.evals``,
   ``mediator.index.hits``, ``mediator.index.residual_scans``) on the
   seeded look-alike run and the equivalence scenario equal pinned values:
@@ -137,6 +139,11 @@ MAX_INCS_PER_DELIVERY = 0.25
 def work_counts(metrics):
     """Totals of the filter table's ``WORK_COUNTS`` counters."""
     return {name: metrics.counter(name).total() for name in WORK_COUNTS}
+
+
+def malformed(metrics):
+    """Refused arrivals (``net.messages.malformed``) of one run."""
+    return metrics.get("net.messages.malformed").total()
 
 
 def check(condition, label):
@@ -319,7 +326,8 @@ def registration_storm(machines=STORM_MACHINES, per_machine=STORM_PER_MACHINE):
             "expected_heard": expected_heard,
             "delivered": delivered,
             "delivered_total": net.stats.delivered,
-            "unheard": net.obs.metrics.get("net.messages.unheard").total()}
+            "unheard": net.obs.metrics.get("net.messages.unheard").total(),
+            "malformed": malformed(net.obs.metrics)}
 
 
 def renewal_traffic(machines=RENEWAL_MACHINES, per_machine=RENEWAL_PER_MACHINE,
@@ -364,7 +372,8 @@ def renewal_traffic(machines=RENEWAL_MACHINES, per_machine=RENEWAL_PER_MACHINE,
             "members": len(components),
             "registered": sum(c.registered
                               and server.registrar.registered(c.guid.hex)
-                              for c in components)}
+                              for c in components),
+            "malformed": malformed(net.obs.metrics)}
 
 
 def lookalike_dispatch(trackers, mediator_class=EventMediator,
@@ -428,7 +437,8 @@ def lookalike_dispatch(trackers, mediator_class=EventMediator,
             "pairs": sum(len({seq for _, seq in log}) for log in logs),
             "event_messages": net.stats.by_kind["event"],
             "opgraph": mediator.opgraph_stats(),
-            "work": work_counts(net.obs.metrics)}
+            "work": work_counts(net.obs.metrics),
+            "malformed": malformed(net.obs.metrics)}
 
 
 def counting_path():
@@ -462,7 +472,8 @@ def counting_path():
             sci.run(40)
     finally:
         Counter.inc = validated
-    return {"incs": calls[0], "delivered": sci.network.stats.delivered}
+    return {"incs": calls[0], "delivered": sci.network.stats.delivered,
+            "malformed": malformed(sci.network.obs.metrics)}
 
 
 def main() -> int:
@@ -676,6 +687,15 @@ def main() -> int:
                 f"{nodes} live nodes at {OPGRAPH_SCALE_TRACKERS} look-alikes "
                 f"(<= {OPGRAPH_TEMPLATES} templates + {OPGRAPH_MONITORS} "
                 f"monitors)")
+
+    refused = {"counting": counting["malformed"], "storm": storm["malformed"],
+               "renewal": renewal["malformed"],
+               "lease sweep": malformed(net.obs.metrics),
+               "overlay": malformed(onet.obs.metrics),
+               "look-alikes": small["malformed"]}
+    ok &= check(not any(refused.values()),
+                f"well-formed traffic trips no wire-table row "
+                f"(net.messages.malformed {refused})")
 
     if not ok:
         print("smoke-perf: FAIL")

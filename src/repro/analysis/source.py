@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 import pathlib
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from repro.analysis.pragmas import (
     collect_allows,
@@ -52,10 +52,6 @@ class SourceFile:
             file_allows=collect_file_allows(
                 text, _first_statement_line(tree, text)),
         )
-
-    @property
-    def docstring(self) -> str:
-        return ast.get_docstring(self.tree) or ""
 
     def allowed_at(self, line: int, check: str) -> bool:
         if self.file_allows and suppresses(self.file_allows, check):
@@ -164,10 +160,3 @@ def load_sources(paths: Iterable[str]) -> Tuple[List[SourceFile], List[Tuple[str
             except SyntaxError as exc:
                 errors.append((name, exc.lineno or 0, f"syntax error: {exc.msg}"))
     return sources, errors
-
-
-def find_source(sources: Iterable[SourceFile], module: str) -> Optional[SourceFile]:
-    for source in sources:
-        if source.module == module:
-            return source
-    return None

@@ -28,21 +28,21 @@ such as ``ReferenceScanMediator(EventMediator)`` counts because
 whose class names it in ``listens_for = ("verb", ...)``, so for such a verb
 those declarations, not ``kind`` comparisons, are its handlers.
 
-*declared endpoints* — a module may declare verbs it handles as external
-API by naming them in double backticks in its module docstring (e.g. the
-mediator declares ``subscribe``; tests and applications send it even though
-no library component does). Declared verbs are exempt from the dead-handler
-check and listed as "external api" in the generated ``PROTOCOL.md``.
+*external api* — a verb whose :data:`repro.net.wire.VERBS` row is flagged
+external (e.g. ``subscribe``: tests and applications send it even though
+no library component does) is exempt from the dead-handler check and
+listed as "external api" in the generated ``PROTOCOL.md``, whose fields
+column comes from the same row.
 
-*answers* — a literal ``reply(...)`` inside a ``_handle_<verb>`` function
-or inside the body of an ``if message.kind == "<verb>":`` branch answers
-``<verb>``. A reply only has a reader if the verb it answers is sent with
+*answers* — the verb a reply verb answers is the one whose wire row names
+it as its reply. A reply only has a reader if that verb is sent with
 ``request(...)``, whose correlation waits on ``reply_to``.
 
 Checks: ``verbs.unhandled-send``, ``verbs.dead-handler``,
-``verbs.orphan-reply`` (a reply answering a verb that the tree only ever
-``send``s, never ``request``s: nobody waits for it, so it is delivered to a
-debug log or to a process that already left) and (CLI-level)
+``verbs.orphan-reply`` (a reply that answers no verb in the wire table, or
+one that the tree only ever ``send``s, never ``request``s: nobody waits for
+it, so it is delivered to a debug log or to a process that already left)
+and (CLI-level)
 ``verbs.protocol-drift`` when the committed ``PROTOCOL.md`` no longer
 matches the tree.
 """
@@ -50,12 +50,12 @@ matches the tree.
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.source import SourceFile
+from repro.net.wire import BODIES, VERBS, Verb
 
 CHECK_UNHANDLED_SEND = "verbs.unhandled-send"
 CHECK_DEAD_HANDLER = "verbs.dead-handler"
@@ -64,11 +64,6 @@ CHECK_PROTOCOL_DRIFT = "verbs.protocol-drift"
 
 #: names a message variable is allowed to have in ``<name>.kind == ...``
 _MESSAGE_NAMES = frozenset({"message", "msg"})
-
-#: verbs are kebab-case words; filters docstring backtick tokens
-_VERB_RE = re.compile(r"^[a-z][a-z0-9]*(-[a-z0-9]+)*$")
-
-_BACKTICK_RE = re.compile(r"``([^`]+)``")
 
 
 @dataclass(frozen=True)
@@ -87,24 +82,18 @@ class VerbModel:
     sends: Dict[str, List[Site]] = field(default_factory=dict)
     replies: Dict[str, List[Site]] = field(default_factory=dict)
     handlers: Dict[str, List[Site]] = field(default_factory=dict)
-    declared: Dict[str, List[Site]] = field(default_factory=dict)
     #: verbs sent to ``BROADCAST``; verbs some class ``listens_for``
     announces: Dict[str, List[Site]] = field(default_factory=dict)
     listeners: Dict[str, List[Site]] = field(default_factory=dict)
     #: the subset of ``sends`` made through ``request(...)``
     requested: Dict[str, List[Site]] = field(default_factory=dict)
-    #: (verb answered, reply verb, reply site) for every handler reply
-    answers: List[Tuple[str, str, Site]] = field(default_factory=list)
 
     def handled_by(self, verb: str) -> Dict[str, List[Site]]:
         return self.listeners if verb in self.announces else self.handlers
 
     def verbs(self) -> List[str]:
-        """Verbs that exist on the wire: sent, replied or handled somewhere.
-
-        A docstring declaration alone creates no verb — module docstrings
-        backtick plenty of ordinary words; declarations only *classify*
-        verbs that some component actually handles."""
+        """Verbs that exist on the wire: sent, replied or handled somewhere
+        (a wire table row alone creates none)."""
         names: Set[str] = set()
         for table in (self.sends, self.replies, self.handlers):
             names.update(table)
@@ -119,9 +108,18 @@ class VerbModel:
             return "reply"
         if sent:
             return "request"
-        if verb in self.declared:
+        if _external(verb):
             return "external api"
         return "unreachable"
+
+
+#: reply verb -> the verb whose wire row names it as its reply
+_ANSWERED = {row.reply: verb for verb, row in VERBS.items() if row.reply}
+
+
+def _external(verb: str) -> bool:
+    row = VERBS.get(verb)
+    return row is not None and row.external
 
 
 def _add(table: Dict[str, List[Site]], verb: str, site: Site) -> None:
@@ -133,14 +131,6 @@ def _literal_verb(node: ast.Call) -> Tuple[str, int]:
     if len(node.args) >= 2 and isinstance(node.args[1], ast.Constant) and \
             isinstance(node.args[1].value, str):
         return node.args[1].value, node.args[1].lineno
-    for kw in node.keywords:
-        if kw.arg == "kind" and isinstance(kw.value, ast.Constant) and \
-                isinstance(kw.value.value, str):
-            return kw.value.value, kw.value.lineno
-    return "", 0
-
-
-def _message_kind_literal(node: ast.Call) -> Tuple[str, int]:
     for kw in node.keywords:
         if kw.arg == "kind" and isinstance(kw.value, ast.Constant) and \
                 isinstance(kw.value.value, str):
@@ -203,11 +193,6 @@ def _extract_from_source(source: SourceFile, model: VerbModel,
     def site(line: int) -> Site:
         return Site(path=source.path, line=line, module=module)
 
-    # docstring-declared external endpoints
-    for token in _BACKTICK_RE.findall(source.docstring):
-        if _VERB_RE.match(token):
-            _add(model.declared, token, site(1))
-
     for node in ast.walk(source.tree):
         if isinstance(node, ast.Call):
             if isinstance(node.func, ast.Attribute) and \
@@ -224,19 +209,11 @@ def _extract_from_source(source: SourceFile, model: VerbModel,
                         _add(model.announces, verb, site(line))
             elif isinstance(node.func, ast.Name) and \
                     node.func.id == "Message":
-                verb, line = _message_kind_literal(node)
+                verb, line = _literal_verb(node)  # a kind= keyword
                 if verb:
                     _add(model.sends, verb, site(line))
         elif isinstance(node, ast.Compare):
             _extract_compare(node, model, site)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
-                node.name.startswith("_handle_"):
-            verb = node.name[len("_handle_"):].replace("_", "-")
-            _extract_answers(verb, node.body, model, site)
-        elif isinstance(node, ast.If):
-            verb = _branch_verb(node.test)
-            if verb:
-                _extract_answers(verb, node.body, model, site)
         elif isinstance(node, ast.Assign):
             _extract_handler_dict(node, model, site)
             if any(getattr(target, "id", "") == "listens_for"
@@ -269,34 +246,6 @@ def _extract_compare(node: ast.Compare, model: VerbModel, site) -> None:
                 if isinstance(element, ast.Constant) and \
                         isinstance(element.value, str):
                     _add(model.handlers, element.value, site(element.lineno))
-
-
-def _branch_verb(test: ast.expr) -> str:
-    """The verb of an ``if message.kind == "verb":`` test, else ''."""
-    if isinstance(test, ast.Compare) and len(test.ops) == 1 and \
-            isinstance(test.ops[0], ast.Eq) and \
-            isinstance(test.left, ast.Attribute) and \
-            test.left.attr == "kind" and \
-            isinstance(test.left.value, ast.Name) and \
-            test.left.value.id in _MESSAGE_NAMES:
-        comparator = test.comparators[0]
-        if isinstance(comparator, ast.Constant) and \
-                isinstance(comparator.value, str):
-            return comparator.value
-    return ""
-
-
-def _extract_answers(verb: str, body: List[ast.stmt], model: VerbModel,
-                     site) -> None:
-    """Record every literal ``reply(...)`` in ``body`` as answering ``verb``."""
-    for statement in body:
-        for node in ast.walk(statement):
-            if isinstance(node, ast.Call) and \
-                    isinstance(node.func, ast.Attribute) and \
-                    node.func.attr == "reply":
-                reply, line = _literal_verb(node)
-                if reply:
-                    model.answers.append((verb, reply, site(line)))
 
 
 def _extract_handler_dict(node: ast.Assign, model: VerbModel, site) -> None:
@@ -337,36 +286,41 @@ class VerbChecker:
         findings: List[Finding] = []
         for verb, sites in sorted(model.sends.items()):
             if verb in model.handled_by(verb) or (
-                    verb in model.declared and verb not in model.announces):
+                    _external(verb) and verb not in model.announces):
                 continue
             for s in sites:
                 findings.append(Finding(
                     check=CHECK_UNHANDLED_SEND, severity=Severity.ERROR,
                     path=s.path, line=s.line,
                     message=f'verb "{verb}" is sent but no component handles '
-                            f'it: add a handler or declare it in a module '
-                            f'docstring as external API'))
-        consumed = set(model.sends) | set(model.replies) | set(model.declared)
+                            f'it: add a handler or flag its repro.net.wire '
+                            f'row as external API'))
+        consumed = set(model.sends) | set(model.replies)
         for verb, sites in sorted(model.handlers.items()):
-            if verb in consumed:
+            if verb in consumed or _external(verb):
                 continue
             for s in sites:
                 findings.append(Finding(
                     check=CHECK_DEAD_HANDLER, severity=Severity.ERROR,
                     path=s.path, line=s.line,
                     message=f'handler for verb "{verb}" but nothing in the '
-                            f'tree sends it: delete the branch or declare '
-                            f'the verb as external API in the module '
-                            f'docstring'))
-        for verb, reply, s in model.answers:
-            if verb not in model.sends or verb in model.requested:
+                            f'tree sends it: delete the branch or flag its '
+                            f'repro.net.wire row as external API'))
+        for reply, sites in sorted(model.replies.items()):
+            verb = _ANSWERED.get(reply)
+            if verb is None:
+                why = "no verb in repro.net.wire: name it as a row's reply"
+            elif verb in model.sends and verb not in model.requested:
+                why = (f'verb "{verb}", which is only ever sent, never '
+                       f'requested: nobody waits for it — delete the reply '
+                       f'or request the verb')
+            else:
                 continue
-            findings.append(Finding(
-                check=CHECK_ORPHAN_REPLY, severity=Severity.ERROR,
-                path=s.path, line=s.line,
-                message=f'reply "{reply}" answers verb "{verb}", which is '
-                        f'only ever sent, never requested: nobody waits for '
-                        f'it — delete the reply or request the verb'))
+            for s in sites:
+                findings.append(Finding(
+                    check=CHECK_ORPHAN_REPLY, severity=Severity.ERROR,
+                    path=s.path, line=s.line,
+                    message=f'reply "{reply}" answers {why}'))
         return findings
 
 
@@ -379,10 +333,14 @@ hand; CI checks this file against the tree (`--check-protocol`).
 
 Roles: a **request** verb needs a `kind`-handler at the receiver; a
 **reply** verb is consumed by RPC correlation (`reply_to`) and needs none;
-an **external api** verb is declared in its module's docstring and is sent
-by applications or tests rather than library components. A verb sent to
-`BROADCAST` is a link-local announcement: its handlers are the processes
+an **external api** verb is flagged so in its `repro.net.wire` row and is
+sent by applications or tests rather than library components. A verb sent
+to `BROADCAST` is a link-local announcement: its handlers are the processes
 that name it in `listens_for`, the only ones the transport delivers it to.
+
+Fields come from the same rows (`name?` is optional). A request is checked
+against them where it arrives; a reply is checked by the callback waiting
+for it. The bodies of the overlay's inner kinds follow the verb table.
 """
 
 
@@ -390,15 +348,26 @@ def _modules(sites: List[Site]) -> str:
     return ", ".join(sorted({s.module for s in sites})) or "—"
 
 
+def _fields(row: Optional[Verb]) -> str:
+    if row is None or not row.fields:
+        return "—"
+    return ", ".join(f"`{name}{'' if required else '?'}` {kind.name}"
+                     for name, kind, required in row.fields)
+
+
 def render_protocol(model: VerbModel) -> str:
     lines = [PROTOCOL_HEADER,
-             "| verb | role | senders | handlers |",
-             "| --- | --- | --- | --- |"]
+             "| verb | role | fields | senders | handlers |",
+             "| --- | --- | --- | --- | --- |"]
     for verb in model.verbs():
         senders = model.sends.get(verb, []) + model.replies.get(verb, [])
         handlers = model.handled_by(verb).get(verb, [])
         lines.append(f"| `{verb}` | {model.role(verb)} | "
+                     f"{_fields(VERBS.get(verb))} | "
                      f"{_modules(senders)} | {_modules(handlers)} |")
+    lines += ["", "| overlay body | fields |", "| --- | --- |"]
+    lines += [f"| `{kind}` | {_fields(row)} |"
+              for kind, row in sorted(BODIES.items())]
     return "\n".join(lines) + "\n"
 
 

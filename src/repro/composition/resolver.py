@@ -115,7 +115,7 @@ class QueryResolver:
         #: membership changes reported through ``note_profile_*``
         self.index_deltas = 0
         self._provider_index = ProfileIndex(registry)
-        metrics = metrics or MetricsRegistry()
+        metrics = MetricsRegistry() if metrics is None else metrics
         label = range_name or "-"
         self._hits_counter = metrics.counter(
             "resolver.index.hits").series(range=label)

@@ -34,7 +34,13 @@ class ObjectLocationCE(ContextEntity):
 
     def __init__(self, guid: GUID, host_id: str, network: Network,
                  name: str = "obj-location"):
-        profile = Profile(
+        super().__init__(self.make_profile(guid, name), host_id, network)
+        self.current_room: Optional[str] = None
+
+    @staticmethod
+    def make_profile(guid: GUID, name: str = "obj-location") -> Profile:
+        """The profile of an instance, and of its template's prototype."""
+        return Profile(
             entity_id=guid,
             name=name,
             entity_class=EntityClass.SOFTWARE,
@@ -45,8 +51,6 @@ class ObjectLocationCE(ContextEntity):
                     "initial_room": "optional seed location"},
             attributes={"binding": {"kind": "subject", "params": ["subject"]}},
         )
-        super().__init__(profile, host_id, network)
-        self.current_room: Optional[str] = None
 
     def on_param_set(self, name: str, value: Any) -> None:
         if name == "initial_room" and value:
@@ -87,7 +91,15 @@ class PathCE(ContextEntity):
 
     def __init__(self, guid: GUID, host_id: str, network: Network,
                  building: BuildingModel, name: str = "path-ce"):
-        profile = Profile(
+        super().__init__(self.make_profile(guid, name), host_id, network)
+        self.building = building
+        self._known_rooms: Dict[str, str] = {}
+        self.paths_published = 0
+
+    @staticmethod
+    def make_profile(guid: GUID, name: str = "path-ce") -> Profile:
+        """The profile of an instance, and of its template's prototype."""
+        return Profile(
             entity_id=guid,
             name=name,
             entity_class=EntityClass.SOFTWARE,
@@ -103,10 +115,6 @@ class PathCE(ContextEntity):
                 "bind_inputs": True,
             }},
         )
-        super().__init__(profile, host_id, network)
-        self.building = building
-        self._known_rooms: Dict[str, str] = {}
-        self.paths_published = 0
 
     def on_event(self, event: ContextEvent, sub_id: Optional[int]) -> None:
         if event.type_name != "location" or event.subject is None:
@@ -201,7 +209,15 @@ class OccupancyCE(ContextEntity):
 
     def __init__(self, guid: GUID, host_id: str, network: Network,
                  building: BuildingModel, name: str = "occupancy"):
-        profile = Profile(
+        super().__init__(self.make_profile(guid, name), host_id, network)
+        self.building = building
+        self._room_of: Dict[str, str] = {}
+        self._last_count: Optional[int] = None
+
+    @staticmethod
+    def make_profile(guid: GUID, name: str = "occupancy") -> Profile:
+        """The profile of an instance, and of its template's prototype."""
+        return Profile(
             entity_id=guid,
             name=name,
             entity_class=EntityClass.SOFTWARE,
@@ -210,10 +226,6 @@ class OccupancyCE(ContextEntity):
             params={"place": "the place whose occupancy is counted"},
             attributes={"binding": {"kind": "subject", "params": ["place"]}},
         )
-        super().__init__(profile, host_id, network)
-        self.building = building
-        self._room_of: Dict[str, str] = {}
-        self._last_count: Optional[int] = None
 
     def on_event(self, event: ContextEvent, sub_id: Optional[int]) -> None:
         if event.type_name != "location" or event.subject is None:

@@ -145,20 +145,13 @@ class BaseComponent(Process):
         range and take the offer — the old range's eviction notice may still
         be in flight.
         """
-        try:
-            registrar = GUID.from_hex(message.payload["registrar"])
-        except (KeyError, TypeError, ValueError) as exc:
-            logger.info("%s: dropping malformed range-offer: %r",
-                        self.name, exc)
-            return
-        offered_range = message.payload.get("range")
         if self.registered:
-            if offered_range == self.range_name:
+            if message.fields["range"] == self.range_name:
                 return
             if self.registrar is not None:
                 self.send(self.registrar, "deregister", {"entity": self.guid.hex})
             self._teardown_registration()
-        self._register_with(registrar, message.sender)
+        self._register_with(message.fields["registrar"], message.sender)
 
     def _register_with(self, registrar: GUID, range_service: GUID) -> None:
         self.registrar = registrar
@@ -227,7 +220,7 @@ class BaseComponent(Process):
         if not (self.registered and message.sender == self.registrar):
             return
         self._teardown_registration()
-        self.on_deregistered(message.payload.get("reason", ""))
+        self.on_deregistered(message.fields.get("reason", ""))
 
     # -- parameters ------------------------------------------------------------------
 
@@ -255,14 +248,14 @@ class BaseComponent(Process):
         elif message.kind == "deregistered":
             self._handle_deregistered(message)
         elif message.kind == "set-param":
-            # sent, not requested: nobody waits, so a bad one is dropped
-            name = message.payload.get("name")
-            if (isinstance(name, str) and name in self.profile.params
-                    and "value" in message.payload):
-                self.set_param(name, message.payload["value"])
+            # sent, not requested: nobody waits, so an undeclared name is
+            # dropped
+            name = message.fields["name"]
+            if name in self.profile.params:
+                self.set_param(name, message.fields["value"])
             else:
-                logger.info("%s: dropping malformed set-param %r",
-                            self.name, message.payload)
+                logger.info("%s: dropping set-param of undeclared %r",
+                            self.name, name)
         else:
             self.handle_component_message(message)
 
@@ -365,17 +358,13 @@ class ContextEntity(BaseComponent):
 
     def handle_component_message(self, message: Message) -> None:
         if message.kind == "service-invoke":
-            operation = message.payload.get("operation", "")
-            args = message.payload.get("args", {})
+            operation = message.fields["operation"]
             if not any(ad.supports(operation) for ad in self.advertisements):
                 self.reply(message, "service-result",
                            {"ok": False, "error": f"unknown operation {operation!r}"})
                 return
-            if not isinstance(args, dict):
-                self.reply(message, "service-result",
-                           {"ok": False, "error": "args is not an object"})
-                return
-            result = self.handle_service(operation, args)
+            result = self.handle_service(operation,
+                                         message.fields.get("args", {}))
             self.reply(message, "service-result", {"ok": True, "result": result})
         else:
             super().handle_component_message(message)
@@ -480,8 +469,7 @@ class ContextAwareApplication(BaseComponent):
     def handle_component_message(self, message: Message) -> None:
         if message.kind == "query-result":
             self.results.append(dict(message.payload))
-            self.on_query_result(message.payload.get("query_id", ""),
-                                 message.payload)
+            self.on_query_result(message.fields["query_id"], message.payload)
         else:
             super().handle_component_message(message)
 

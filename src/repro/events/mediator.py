@@ -5,25 +5,17 @@ removal of event subscriptions between Context Entities and Context Aware
 Applications". CEs publish typed events to their range's mediator; the
 mediator evaluates subscription filters and forwards matching events.
 
-Protocol verbs (the components of its range drive a mediator by message;
-the co-located Context Server calls the same operations directly):
-
-``publish``            {"event": <wire event>}
-``subscribe``          {"subscriber", "filter", "one_time", "owner"} -> ``subscribe-ack``
-``unsubscribe``        {"sub_id"} -> ``unsubscribe-ack``
-``unsubscribe-owner``  {"owner"} -> ``unsubscribe-owner-ack``
-``resync``             {"sub_id"} -> ``resync-ack``
-``event-ack``          {"acks": [[sub_id, upto], ...]} (no reply)
-
-and sends a subscriber one ``event {"event": <wire>, "subs": [[sub_id, seq],
-...]}`` per publish, listing each subscription it matched; they share one
-wire event, the ledger entry has its own copy.
-
-A malformed request — a missing field, a filter spec that does not
-compile, an id that does not parse — is answered with its ack carrying
-``{"ok": False, "error": ...}`` and changes nothing: no subscription is
-stored and no ledger entry is written. A malformed ``event-ack`` is
-dropped and changes nothing.
+Its verbs (PROTOCOL.md) are ``publish``, ``subscribe``, ``unsubscribe``,
+``unsubscribe-owner`` and ``resync``, each answered by its ack, and
+``event-ack``; the co-located Context Server calls the same operations
+directly. Their fields are declared in :data:`repro.net.wire.VERBS` and
+checked where a message arrives, so a handler reads them parsed from
+``message.fields`` (the publish's event, the subscribe's GUID and compiled
+filter); a malformed request is answered with its ack carrying ``{"ok":
+False, "error": ...}`` and changes nothing, a malformed ``event-ack`` is
+dropped. A subscriber gets one ``event {"event": <wire>, "subs": [[sub_id,
+seq], ...]}`` per publish, listing each subscription it matched; they share
+one wire event, the ledger entry has its own copy.
 
 Every mediator appends to a context ledger — the chain it is given (a
 Context Server passes its range's) or a private one — from which
@@ -77,7 +69,7 @@ from repro.core.ids import GUID
 from repro.net.message import Message
 from repro.net.transport import Network, Process
 from repro.events.event import ContextEvent
-from repro.events.filters import EventFilter, FilterError, filter_from_spec
+from repro.events.filters import EventFilter
 from repro.events.subscription import Subscription
 from repro.ledger.ledger import ContextLedger
 from repro.query.opgraph.engine import OperatorGraph
@@ -99,9 +91,6 @@ DELIVERY_JITTER = 0.25
 #: bound on one subscriber's unacked deliveries; a full window
 #: sheds its oldest entry and the subscriber heals the hole by ``resync``
 WINDOW_CAP = 1024
-
-#: what parsing a request payload raises when the payload is malformed
-_MALFORMED = (KeyError, TypeError, ValueError, FilterError)
 
 #: one unacked delivery: (seq, its shared payload, delivery ordinal, sent at)
 _Unacked = Tuple[int, Dict[str, Any], int, float]
@@ -129,18 +118,6 @@ class _Window:
     def oldest_head(self) -> Tuple[int, Deque[_Unacked]]:
         """(sub_id, entries) of the subscription holding the oldest entry."""
         return min(self.streams.items(), key=lambda item: item[1][0][2])
-
-
-def _parse_acks(payload: Dict[str, Any]) -> List[Tuple[Any, int]]:
-    """``[(sub_id, upto), ...]`` of an ``event-ack``, or a malformed error."""
-    acks = payload["acks"]
-    if not isinstance(acks, list):
-        raise TypeError(f"acks is a {type(acks).__name__}, not a list")
-    parsed = []
-    for sub_id, upto in acks:
-        hash(sub_id)  # an unhashable id names no subscription
-        parsed.append((sub_id, int(upto)))
-    return parsed
 
 
 class EventMediator(Process):
@@ -213,7 +190,7 @@ class EventMediator(Process):
         subscriber: GUID,
         event_filter: EventFilter,
         one_time: bool = False,
-        owner: Optional[object] = None,
+        owner: Optional[str] = None,
         replay_retained: bool = True,
     ) -> Subscription:
         """Establish a subscription; optionally replay the retained event.
@@ -236,12 +213,12 @@ class EventMediator(Process):
             "one_time": one_time,
             "owner": None if owner is None else str(owner),
         })
-        self._subscriptions[subscription.sub_id] = subscription
-        type_name = self._opgraph.attach(subscription.sub_id, event_filter)
+        sub_id = subscription.sub_id
+        self._subscriptions[sub_id] = subscription
+        type_name = self._opgraph.attach(sub_id, event_filter)
         if owner is not None:
-            self._reverse_add(self._subs_by_owner, owner, subscription.sub_id)
-        self._reverse_add(self._subs_by_subscriber, subscriber,
-                          subscription.sub_id)
+            self._subs_by_owner.setdefault(owner, {})[sub_id] = None
+        self._subs_by_subscriber.setdefault(subscriber, {})[sub_id] = None
         if replay_retained:
             self._replay_retained(subscription, type_name)
             if not subscription.active:
@@ -284,7 +261,7 @@ class EventMediator(Process):
         self._drop_subscription(subscription)
         return True
 
-    def remove_subscriptions_of(self, owner: object) -> int:
+    def remove_subscriptions_of(self, owner: str) -> int:
         """Tear down every subscription established for ``owner``."""
         bucket = self._subs_by_owner.get(owner)
         if bucket is None:
@@ -322,23 +299,9 @@ class EventMediator(Process):
                              subscription.sub_id)
 
     @staticmethod
-    def _reverse_add(store: Dict[object, Dict[int, None]], key: object,
-                     sub_id: int) -> None:
-        try:
-            store.setdefault(key, {})[sub_id] = None
-        except TypeError:
-            # unhashable owner: legal but unmappable; remove_subscriptions_of
-            # then simply finds no bucket (such owners cannot be looked up
-            # by equal-but-distinct keys anyway)
-            pass
-
-    @staticmethod
     def _reverse_remove(store: Dict[object, Dict[int, None]], key: object,
                         sub_id: int) -> None:
-        try:
-            bucket = store.get(key)
-        except TypeError:
-            return
+        bucket = store.get(key)
         if bucket is None:
             return
         bucket.pop(sub_id, None)
@@ -506,7 +469,7 @@ class EventMediator(Process):
         logger.info("%s: %d deliveries to %s unacked after %d retransmissions",
                     self.name, count, subscriber, window.attempts)
 
-    def _ack(self, window: _Window, acks: List[Tuple[Any, int]]) -> None:
+    def _ack(self, window: _Window, acks: List[List[int]]) -> None:
         """Release every entry at or below each ``upto``."""
         released = recovered = 0
         for sub_id, upto in acks:
@@ -536,66 +499,35 @@ class EventMediator(Process):
             return
         handler(message)
 
-    def _reject(self, message: Message, ack_kind: str,
-                error: Exception) -> None:
-        """Answer a malformed request with an error ack instead of raising
-        out of the scheduler (the Registrar's ``register-ack`` convention)."""
-        logger.info("%s: malformed %s: %r", self.name, message.kind, error)
-        self.reply(message, ack_kind, {"ok": False, "error": str(error)})
-
     def _handle_publish(self, message: Message) -> None:
-        try:
-            event = ContextEvent.from_wire(message.payload["event"])
-        except _MALFORMED as exc:
-            self._reject(message, "publish-ack", exc)
-            return
-        delivered = self.publish(event)
+        delivered = self.publish(message.fields["event"])
         self.reply(message, "publish-ack", {"delivered": delivered})
 
     def _handle_subscribe(self, message: Message) -> None:
-        payload = message.payload
-        try:
-            subscriber = GUID.from_hex(payload["subscriber"])
-            event_filter = filter_from_spec(payload["filter"])
-        except _MALFORMED as exc:
-            self._reject(message, "subscribe-ack", exc)
-            return
+        fields = message.fields
         subscription = self.add_subscription(
-            subscriber=subscriber,
-            event_filter=event_filter,
-            one_time=bool(payload.get("one_time")),
-            owner=payload.get("owner"),
-            replay_retained=bool(payload.get("replay", True)),
+            subscriber=fields["subscriber"],
+            event_filter=fields["filter"],
+            one_time=fields.get("one_time", False),
+            owner=fields.get("owner"),
+            replay_retained=fields.get("replay", True),
         )
         self.reply(message, "subscribe-ack", {"sub_id": subscription.sub_id})
 
     def _handle_unsubscribe(self, message: Message) -> None:
-        try:
-            removed = self.remove_subscription(message.payload["sub_id"])
-        except _MALFORMED as exc:
-            self._reject(message, "unsubscribe-ack", exc)
-            return
+        removed = self.remove_subscription(message.fields["sub_id"])
         self.reply(message, "unsubscribe-ack", {"removed": removed})
 
     def _handle_unsubscribe_owner(self, message: Message) -> None:
-        try:
-            count = self.remove_subscriptions_of(message.payload["owner"])
-        except _MALFORMED as exc:
-            self._reject(message, "unsubscribe-owner-ack", exc)
-            return
+        count = self.remove_subscriptions_of(message.fields["owner"])
         self.reply(message, "unsubscribe-owner-ack", {"removed": count})
 
     def _handle_event_ack(self, message: Message) -> None:
         """A subscriber's cumulative ack: for each listed subscription,
         every seq up to ``upto`` arrived. It gets no reply."""
-        try:
-            acks = _parse_acks(message.payload)
-        except _MALFORMED as exc:
-            logger.info("%s: malformed event-ack: %r", self.name, exc)
-            return
         window = self._windows.get(message.sender)
         if window is not None:
-            self._ack(window, acks)
+            self._ack(window, message.fields["acks"])
 
     def _handle_resync(self, message: Message) -> None:
         """A subscriber found an unrecoverable hole in its sequence.
@@ -606,11 +538,8 @@ class EventMediator(Process):
         restoring the current retained state without duplicating anything it
         already saw (stale seqs are dropped by its reassembler).
         """
-        sub_id = message.payload.get("sub_id")
-        try:
-            subscription = self._subscriptions.get(sub_id)
-        except TypeError:  # an unhashable id names no subscription
-            subscription = None
+        sub_id = message.fields["sub_id"]
+        subscription = self._subscriptions.get(sub_id)
         if subscription is None or not subscription.active:
             self.reply(message, "resync-ack", {"ok": False, "sub_id": sub_id})
             return

@@ -2,8 +2,9 @@
 
 A mediator sends a subscriber one ``event`` per publish, ``{"event": <wire
 event>, "subs": [[sub_id, seq], ...]}``: every subscription the event
-matched, an int ``sub_id`` with a non-bool int ``seq >= 1``.
-:func:`offer_event` checks and parses it once and offers each pair to the
+matched, an int ``sub_id`` with a non-bool int ``seq >= 1`` (checked where
+the message arrives, :mod:`repro.net.wire`).
+:func:`offer_event` parses the event once and offers each pair to the
 :class:`StreamReassembler`, which restores the publish order the mediator
 produced:
 
@@ -57,28 +58,17 @@ EVENT_ACK_DELAY = 1.0
 
 
 def offer_event(owner, message, parse: Callable[[Any], Any]) -> bool:
-    """Offer each ``[sub_id, seq]`` of an ``event`` to ``owner.streams``
-    with the event ``parse``d once (None if it does not parse: its seqs are
-    still consumed), noting each with ``owner.acks``; True if any pair
-    was offered. Any other ``subs`` drops the whole message with a log
-    line."""
-    payload = message.payload
-    subs = payload.get("subs")
+    """Offer each ``[sub_id, seq]`` of an ``event`` (its ``subs`` checked
+    on arrival) to ``owner.streams`` with the event ``parse``d once (None
+    if it does not parse: its seqs are still consumed), noting each with
+    ``owner.acks``; True if any pair was offered."""
     try:
-        if type(subs) is not list:
-            raise TypeError(f"subs is a {type(subs).__name__}, not a list")
-        for sub_id, seq in subs:  # raises unless each item is a pair
-            if type(sub_id) is not int or type(seq) is not int or seq < 1:
-                raise ValueError(f"malformed pair {[sub_id, seq]!r}")
-    except (TypeError, ValueError) as exc:
-        logger.info("%s: dropping event: %r", owner.name, exc)
-        return False
-    try:
-        item = parse(payload["event"])
+        item = parse(message.fields.get("event"))
     except (KeyError, TypeError, ValueError) as exc:
-        logger.info("%s: dropping malformed event %r: %r",
-                    owner.name, payload, exc)
+        logger.info("%s: dropping an event that does not parse %r: %r",
+                    owner.name, message.payload, exc)
         item = None
+    subs = message.fields["subs"]
     for sub_id, seq in subs:
         owner.streams.offer(sub_id, seq, item)
         owner.acks.note(message.sender, sub_id)
@@ -122,7 +112,7 @@ class StreamReassembler:
         self.dup_dropped = 0
         self.gaps_detected = 0
         self.resyncs_requested = 0
-        metrics = metrics or MetricsRegistry()
+        metrics = MetricsRegistry() if metrics is None else metrics
         self._gap_counter = metrics.counter("mediator.seq.gaps").series()
         self._dup_counter = metrics.counter(
             "mediator.seq.dup_dropped").series()

@@ -139,7 +139,7 @@ class ContextLedger:
         self._entries: List[LedgerEntry] = []
         #: appended but not yet hashed: (sim_time, kind, payload) bodies
         self._unsealed: Deque[tuple] = deque()
-        metrics = metrics or MetricsRegistry()
+        metrics = MetricsRegistry() if metrics is None else metrics
         appends = metrics.counter("cs.ledger.appends")
         label = range_name or "-"
         #: entry kind -> its appends series; a kind not here is refused

@@ -37,6 +37,9 @@ class Message:
     #: stamps the sender's ambient span here and re-activates it at delivery,
     #: so spans opened while handling this message become its children.
     trace: Optional[Dict[str, str]] = None
+    #: a request's declared fields, parsed on arrival by the receiver's
+    #: :meth:`~repro.net.transport.Process.deliver` (see repro.net.wire)
+    fields: Optional[Dict[str, Any]] = None
 
     def response(self, sender: GUID, kind: str, payload: Optional[Dict[str, Any]] = None) -> "Message":
         """Build a reply to this message, correlated via ``reply_to``."""

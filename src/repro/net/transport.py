@@ -4,8 +4,9 @@ A :class:`Network` owns a set of :class:`Host` machines and a registry of
 :class:`Process` endpoints (each addressed by GUID, each living on one host).
 ``Network.send`` computes a delivery latency from the configured latency
 model, applies loss and partition rules, and schedules
-``recipient.deliver`` (duplicate suppression, then ``on_message``) on the
-shared :class:`~repro.net.sim.Scheduler`.
+``recipient.deliver`` (duplicate suppression, the check of a payload
+against its verb's row in :mod:`repro.net.wire`, then ``on_message``) on
+the shared :class:`~repro.net.sim.Scheduler`.
 
 This is the substitution for the paper's Java/LAN prototype (see DESIGN.md):
 the protocol logic above it is identical to what a socket deployment would
@@ -28,6 +29,7 @@ from repro.net.eventlog import EventLog
 from repro.net.message import BROADCAST, Message
 from repro.net.sim import Scheduler
 from repro.net.stats import MessageStats
+from repro.net.wire import VERBS, Verb, WireError
 from repro.obs.hub import Observability
 
 logger = logging.getLogger(__name__)
@@ -121,6 +123,10 @@ class CampusLatency(LatencyModel):
 #: sentinel distinguishing "never seen" from "seen, no reply cached"
 _UNSEEN = object()
 
+#: the row of a kind the wire table does not declare (a test's own verb):
+#: its payload must be an object, and nothing else is checked
+_UNDECLARED = Verb()
+
 
 class Process:
     """Base class for every middleware component that sends/receives messages.
@@ -193,20 +199,17 @@ class Process:
         return message
 
     def deliver(self, message: Message) -> None:
-        """Transport entry point: dedup by ``(sender.value, msg_id)``, then handle.
+        """Transport entry point: dedup by ``(sender.value, msg_id)``, check
+        the payload against its verb's row, then handle.
 
-        A payload that is not a JSON object never reaches :meth:`on_message`:
-        it is logged, counted in ``net.messages.malformed{kind}`` and dropped,
-        so no handler has to guard against a string, number or list. A
-        duplicate arrival never reaches :meth:`on_message` either; if the
-        first arrival produced a reply, a fresh copy of that reply is re-sent
-        — the requester's own dedup then collapses double acks.
+        A duplicate arrival never reaches :meth:`on_message`; if the first
+        arrival produced a reply, a fresh copy of that reply is re-sent —
+        the requester's own dedup then collapses double acks. A payload that
+        does not match its row in :data:`repro.net.wire.VERBS` (one that is
+        not a JSON object, for every kind) never reaches it either: it is
+        refused (:meth:`refuse`). One that matches reaches the handler with
+        its parsed fields on ``message.fields``.
         """
-        if not isinstance(message.payload, dict):
-            logger.info("%s: dropping %s whose payload is not an object: %r",
-                        self.name, message.kind, message.payload)
-            self.network.stats.record_malformed(message.kind)
-            return
         key = (message.sender.value, message.msg_id)
         cached = self._seen_messages.get(key, _UNSEEN)
         if cached is not _UNSEEN:
@@ -228,7 +231,24 @@ class Process:
         self._seen_messages[key] = None
         while len(self._seen_messages) > self.DEDUP_CACHE:
             self._seen_messages.popitem(last=False)
+        try:
+            message.fields = VERBS.get(message.kind, _UNDECLARED).parse(
+                message.payload)
+        except WireError as exc:
+            self.refuse(message, exc)
+            return
         self.on_message(message)
+
+    def refuse(self, message: Message, error: Exception) -> None:
+        """Log and count an arrival that does not match its verb's row;
+        answer it with the verb's reply and failure flag if it has one and
+        the payload is an object at all (one that is not is dropped)."""
+        logger.info("%s: refusing %s: %s", self.name, message.kind, error)
+        self.network.stats.record_malformed(message.kind)
+        verb = VERBS.get(message.kind, _UNDECLARED)
+        if verb.reply is not None and type(message.payload) is dict:
+            self.reply(message, verb.reply,
+                       {verb.flag: False, "error": str(error)})
 
     def detach(self) -> None:
         """Remove this process from the network (crash or clean departure)."""

@@ -60,7 +60,8 @@ _declare("net.messages.unheard", "counter",
          "link-local announcements no process on the machine listened for",
          labels=("kind",))
 _declare("net.messages.malformed", "counter",
-         "arrivals dropped because their payload is not a JSON object",
+         "arrivals refused: a payload that is not a JSON object, or a "
+         "request that does not match its row in repro.net.wire",
          labels=("kind",))
 _declare("net.dedup.suppressed", "counter",
          "duplicate (sender, msg_id) arrivals dropped before the handler")

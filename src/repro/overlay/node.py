@@ -9,7 +9,11 @@ verifies.
 
 Nodes also answer DHT verbs (the range directory's storage), apply
 broadcast announcements (directory replication) and count per-node routed
-load for the hotspot analysis.
+load for the hotspot analysis. An ``o-*`` envelope is checked against its
+:data:`repro.net.wire.VERBS` row where it arrives (its GUIDs reach the node
+parsed), and the body of an inner kind the node applies itself against
+:data:`repro.net.wire.BODIES` before anything is routed or applied; a bad
+one is dropped and counted, since none of these verbs has a reply.
 
 Dissemination is a deterministic distribution tree: each forwarder owns a
 clockwise ring arc and delegates disjoint sub-arcs to the known nodes
@@ -28,6 +32,7 @@ from typing import Any, Callable, Dict, List, Optional, Set
 from repro.core.ids import GUID, GUID_DIGITS
 from repro.net.message import Message
 from repro.net.transport import Network, Process
+from repro.net.wire import BODIES, WireError
 
 logger = logging.getLogger(__name__)
 
@@ -41,51 +46,6 @@ _RING = 1 << 128
 def _ring_offset(origin: GUID, target: GUID) -> int:
     """Clockwise distance from ``origin`` to ``target`` on the GUID ring."""
     return (target.value - origin.value) % _RING
-
-
-#: the GUID fields each overlay verb's envelope carries as hex
-_HEX_FIELDS = {"o-route": ("key", "origin"), "o-bcast": ("until",),
-               "o-delivery": ()}
-
-
-def _check_envelope(kind: str, payload: Dict[str, Any]) -> None:
-    """Raise ``KeyError``/``TypeError``/``ValueError`` unless the fields
-    the node reads off an ``o-*`` message parse, including the body of an
-    inner kind the node applies itself."""
-    if not isinstance(payload["kind"], str) or "body" not in payload:
-        raise TypeError("an overlay message needs a string kind and a body")
-    if not isinstance(payload["hops"], int):
-        raise TypeError(f"hops is a {type(payload['hops']).__name__}")
-    for name in _HEX_FIELDS[kind]:
-        GUID.from_hex(payload[name])
-    if kind == "o-bcast":
-        hash(payload["bcast_id"])
-    if kind != "o-delivery":
-        _check_body(payload["kind"], payload["body"])
-
-
-def _check_body(kind: str, body: Any) -> None:
-    """Raise unless a DHT verb's or a directory broadcast's body carries
-    the fields :meth:`OverlayNode._deliver` / ``_apply_broadcast`` read:
-    a string ``name`` (and a ``value`` to put), a string ``cs`` and a list
-    of string ``places``. Other inner kinds are the callbacks' business."""
-    if kind not in ("dht-put", "dht-get", "announce-range", "retract-range"):
-        return
-    if not isinstance(body, dict):
-        raise TypeError(f"{kind} body is a {type(body).__name__}")
-    if kind.startswith("dht-"):
-        if not isinstance(body["name"], str):
-            raise TypeError(f"{kind} name is a {type(body['name']).__name__}")
-        if kind == "dht-put" and "value" not in body:
-            raise KeyError("value")
-        return
-    if not isinstance(body["cs"], str):
-        raise TypeError(f"{kind} cs is a {type(body['cs']).__name__}")
-    if kind == "announce-range":
-        places = body.get("places", [])
-        if not (isinstance(places, (list, tuple))
-                and all(isinstance(place, str) for place in places)):
-            raise TypeError("announce-range places must be a list of strings")
 
 
 class RoutingTable:
@@ -346,13 +306,14 @@ class OverlayNode(Process):
         # every forwarding hop hangs off it via the message context.
         with self.network.obs.tracer.span("overlay.route", node=self.name,
                                           kind=kind, origin=True):
+            origin = origin or self.guid
             self._route_step({
                 "key": key.hex,
                 "kind": kind,
                 "body": body or {},
-                "origin": (origin or self.guid).hex,
+                "origin": origin.hex,
                 "hops": 0,
-            })
+            }, key, origin)
 
     def broadcast(self, kind: str, body: Dict[str, Any]) -> None:
         """Announce over the overlay's distribution tree."""
@@ -363,7 +324,7 @@ class OverlayNode(Process):
         bcast_id = f"{self.guid.hex[:12]}:{self._bcast_seq}:{kind}"
         payload = {"bcast_id": bcast_id, "kind": kind, "body": body, "hops": 0}
         self._apply_broadcast(payload)
-        self._forward_tree(payload, self.guid.hex)
+        self._forward_tree(payload, self.guid)
 
     def dht_put(self, name: str, value: Any) -> None:
         self.route(GUID.from_name(name), "dht-put", {"name": name, "value": value})
@@ -449,15 +410,17 @@ class OverlayNode(Process):
 
     # -- routing machinery -------------------------------------------------------------
 
-    def _route_step(self, payload: Dict[str, Any]) -> None:
+    def _route_step(self, payload: Dict[str, Any], key: GUID,
+                    origin: GUID) -> None:
+        """One hop of ``payload``, whose ``key`` and ``origin`` are given
+        parsed."""
         self.routed += 1
         if self._load is None:
             self._load = self._load_counter.series(node=self._node_label)
         self._load.inc()
-        key = GUID.from_hex(payload["key"])
         next_hop = self.table.next_hop(key)
         if next_hop is None:
-            self._deliver(payload)
+            self._deliver(payload, origin)
             return
         if payload["hops"] >= GUID_DIGITS * 2:
             logger.warning("%s dropping over-hopped route to %s", self.name, key)
@@ -466,14 +429,13 @@ class OverlayNode(Process):
         payload["hops"] += 1
         self.send(next_hop, "o-route", payload)
 
-    def _deliver(self, payload: Dict[str, Any]) -> None:
+    def _deliver(self, payload: Dict[str, Any], origin: GUID) -> None:
         self.delivered += 1
         self._delivered_counter.inc()
         self._hops_histogram.observe(payload["hops"])
         kind = payload["kind"]
         body = payload["body"]
         hops = payload["hops"]
-        origin = GUID.from_hex(payload["origin"])
         if kind == "dht-put":
             self.store[body["name"]] = body["value"]
         elif kind == "dht-get":
@@ -504,7 +466,7 @@ class OverlayNode(Process):
         for callback in self.on_delivery:
             callback(kind, body, payload["hops"])
 
-    def _forward_tree(self, payload: Dict[str, Any], until_hex: str) -> None:
+    def _forward_tree(self, payload: Dict[str, Any], until: GUID) -> None:
         """Forward within this node's clockwise arc ``(self, until)``.
 
         Delegation rule: the known nodes inside the arc, in clockwise
@@ -516,7 +478,6 @@ class OverlayNode(Process):
         needs only the leaf-set invariant (each node knows its immediate
         ring successor); see DESIGN.md, "Overlay fast paths".
         """
-        until = GUID.from_hex(until_hex)
         span = _ring_offset(self.guid, until)
         if span == 0:
             span = _RING  # originator: the whole ring is this node's arc
@@ -529,44 +490,45 @@ class OverlayNode(Process):
             return
         hops = payload["hops"] + 1
         for index, node in enumerate(delegates):
-            bound = (delegates[index + 1].hex if index + 1 < len(delegates)
-                     else until_hex)
+            bound = (delegates[index + 1] if index + 1 < len(delegates)
+                     else until)
             onward = dict(payload)
             onward["hops"] = hops
-            onward["until"] = bound
+            onward["until"] = bound.hex
             self.send(node, "o-bcast", onward)
         self._bcast_sent.inc(len(delegates))
 
     # -- messages ----------------------------------------------------------------------------
 
     def on_message(self, message: Message) -> None:
-        if message.kind in _HEX_FIELDS:
-            # none of these verbs has a reply: a malformed one is dropped
-            try:
-                _check_envelope(message.kind, message.payload)
-            except (KeyError, TypeError, ValueError) as exc:
-                logger.info("%s: dropping malformed %s %r: %r", self.name,
-                            message.kind, message.payload, exc)
-                return
+        fields = message.fields
+        if message.kind in ("o-route", "o-bcast"):
+            # the body of an inner kind this node applies is checked before
+            # anything else happens; none of these verbs has a reply
+            body = BODIES.get(fields["kind"])
+            if body is not None:
+                try:
+                    body.parse(fields["body"])
+                except WireError as exc:
+                    self.refuse(message, exc)
+                    return
         if message.kind == "o-route":
             # one span per forwarding hop, chained under the origin's span
             with self.network.obs.tracer.span_if_active(
-                    "overlay.route", node=self.name,
-                    hops=message.payload.get("hops", 0)):
-                self._route_step(message.payload)
+                    "overlay.route", node=self.name, hops=fields["hops"]):
+                self._route_step(message.payload, fields["key"],
+                                 fields["origin"])
         elif message.kind == "o-bcast":
-            if message.payload["bcast_id"] in self._seen_broadcasts:
+            if fields["bcast_id"] in self._seen_broadcasts:
                 self._bcast_dup.inc()
                 return
             self._apply_broadcast(message.payload)
-            self._forward_tree(message.payload, message.payload["until"])
+            self._forward_tree(message.payload, fields["until"])
         elif message.kind == "o-delivery":
             with self.network.obs.tracer.span_if_active(
-                    "overlay.deliver", node=self.name,
-                    kind=message.payload["kind"]):
+                    "overlay.deliver", node=self.name, kind=fields["kind"]):
                 for callback in self.on_delivery:
-                    callback(message.payload["kind"], message.payload["body"],
-                             message.payload["hops"])
+                    callback(fields["kind"], fields["body"], fields["hops"])
         elif message.kind == "o-hb":
             self._fd_last[message.sender] = self.scheduler.now
         else:

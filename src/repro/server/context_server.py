@@ -60,11 +60,6 @@ from repro.server.registrar import RegistrationRecord, Registrar
 
 logger = logging.getLogger(__name__)
 
-#: what parsing a ``query`` payload raises when the payload is malformed: a
-#: clause that does not parse, a missing field, or a value of the wrong type
-_MALFORMED_QUERY = (SCIError, KeyError, TypeError, ValueError, AttributeError)
-
-
 @dataclass
 class ParkedQuery:
     """A query waiting for its When condition (Section 5: configuration X)."""
@@ -274,14 +269,9 @@ class ContextServer(Process):
 
     def _handle_query(self, message: Message) -> None:
         self.queries_received += 1
-        subscriber_hex = message.payload.get("subscriber", message.sender.hex)
-        try:
-            query = Query.from_wire(message.payload["query"])
-            GUID.from_hex(subscriber_hex)  # results are sent there
-        except _MALFORMED_QUERY as exc:
-            self.reply(message, "query-ack",
-                       {"ok": False, "query_id": "", "error": str(exc)})
-            return
+        query = message.fields["query"]
+        # results are sent to the named subscriber, else to the sender
+        subscriber_hex = message.fields.get("subscriber", message.sender).hex
         # A query message is always worth a span: child of the CAA's submit
         # span when one is in flight, a fresh root otherwise.
         with self.network.obs.tracer.span(
@@ -298,7 +288,7 @@ class ContextServer(Process):
             })
 
     def _handle_cancel(self, message: Message) -> None:
-        query_id = message.payload.get("query_id", "")
+        query_id = message.fields["query_id"]
         dropped = [parked.query for parked in self._parked
                    if parked.query.query_id == query_id]
         self._parked = [parked for parked in self._parked
@@ -588,13 +578,17 @@ class ContextServer(Process):
             return None
 
     def _availability_of(self, record: RegistrationRecord):
-        """Live availability from the entity's retained status event."""
+        """Live availability from the entity's retained status event; a
+        status whose ``queue_length`` is not a non-negative int counts as
+        no status."""
         event = self.mediator.retained_event("printer-status", "record",
                                              record.profile.name)
         if event is not None and isinstance(event.value, dict):
-            state = event.value.get("state", "idle")
-            queue_length = int(event.value.get("queue_length", 0))
-            return state == "idle", queue_length
+            queue_length = event.value.get("queue_length", 0)
+            if type(queue_length) is int and queue_length >= 0:
+                return event.value.get("state", "idle") == "idle", queue_length
+            logger.info("%s: ignoring %s's status with queue_length %r",
+                        self.name, record.profile.name, queue_length)
         return bool(record.profile.attributes.get("available", True)), 0
 
     def _distance_to(self, reference_room: Optional[str], room: Optional[str],

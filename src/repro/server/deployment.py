@@ -3,10 +3,11 @@
 A deployment equips each range with (a) sensor CEs wired to the physical
 model (door sensors on every sensed door, a W-LAN detector over the signal
 map) and (b) templates for the processing CEs the resolver may need to spawn
-(object location, path, occupancy). The prototype profiles here mirror the
-profiles the concrete classes build for themselves — the resolver matches on
-the prototype, then the factory creates an instance whose real profile
-agrees with it (asserted by tests/composition/test_templates.py).
+(object location, path, occupancy). A template's prototype profile is built
+by the same ``make_profile`` its class builds each instance's with — the
+resolver matches on the prototype, then the factory creates an instance
+whose real profile agrees with it (asserted by
+tests/composition/test_templates.py).
 """
 
 from __future__ import annotations
@@ -14,11 +15,9 @@ from __future__ import annotations
 from typing import Callable, Dict, List
 
 from repro.core.ids import GUID, GuidFactory
-from repro.core.types import TypeSpec
 from repro.composition.templates import CETemplate, TemplateRegistry
 from repro.entities.derived import ObjectLocationCE, OccupancyCE, PathCE
 from repro.entities.devices import PrinterCE
-from repro.entities.profile import EntityClass, Profile
 from repro.entities.sensors import DoorSensorCE, WLANDetectorCE
 from repro.location.building import BuildingModel
 from repro.net.transport import Network
@@ -26,19 +25,9 @@ from repro.net.transport import Network
 
 def object_location_template(prototype_guid: GUID) -> CETemplate:
     """Template for :class:`~repro.entities.derived.ObjectLocationCE`."""
-    prototype = Profile(
-        entity_id=prototype_guid,
-        name="obj-location",
-        entity_class=EntityClass.SOFTWARE,
-        outputs=[TypeSpec.of("location", "topological", quality={"accuracy": 2.0})],
-        inputs=[TypeSpec("presence", "tag-read")],
-        params={"subject": "entity ID whose location is tracked",
-                "initial_room": "optional seed location"},
-        attributes={"binding": {"kind": "subject", "params": ["subject"]}},
-    )
     return CETemplate(
         name="obj-location",
-        prototype=prototype,
+        prototype=ObjectLocationCE.make_profile(prototype_guid),
         factory=lambda guid, host_id, network: ObjectLocationCE(
             guid, host_id, network, name=f"obj-location#{guid}"),
     )
@@ -46,25 +35,9 @@ def object_location_template(prototype_guid: GUID) -> CETemplate:
 
 def path_template(prototype_guid: GUID, building: BuildingModel) -> CETemplate:
     """Template for :class:`~repro.entities.derived.PathCE`."""
-    prototype = Profile(
-        entity_id=prototype_guid,
-        name="path-ce",
-        entity_class=EntityClass.SOFTWARE,
-        outputs=[TypeSpec("path", "rooms")],
-        inputs=[TypeSpec("location", "topological"),
-                TypeSpec("location", "topological")],
-        params={"from_subject": "path origin entity",
-                "to_subject": "path destination entity"},
-        attributes={"binding": {
-            "kind": "pair",
-            "params": ["from_subject", "to_subject"],
-            "separator": "->",
-            "bind_inputs": True,
-        }},
-    )
     return CETemplate(
         name="path-ce",
-        prototype=prototype,
+        prototype=PathCE.make_profile(prototype_guid),
         factory=lambda guid, host_id, network: PathCE(
             guid, host_id, network, building, name=f"path-ce#{guid}"),
     )
@@ -72,18 +45,9 @@ def path_template(prototype_guid: GUID, building: BuildingModel) -> CETemplate:
 
 def occupancy_template(prototype_guid: GUID, building: BuildingModel) -> CETemplate:
     """Template for :class:`~repro.entities.derived.OccupancyCE`."""
-    prototype = Profile(
-        entity_id=prototype_guid,
-        name="occupancy",
-        entity_class=EntityClass.SOFTWARE,
-        outputs=[TypeSpec("occupancy", "count")],
-        inputs=[TypeSpec("location", "topological")],
-        params={"place": "the place whose occupancy is counted"},
-        attributes={"binding": {"kind": "subject", "params": ["place"]}},
-    )
     return CETemplate(
         name="occupancy",
-        prototype=prototype,
+        prototype=OccupancyCE.make_profile(prototype_guid),
         factory=lambda guid, host_id, network: OccupancyCE(
             guid, host_id, network, building, name=f"occupancy#{guid}"),
     )

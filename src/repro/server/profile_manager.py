@@ -96,25 +96,21 @@ class ProfileManager(Process):
         if message.kind == "profile-request":
             self._handle_profile_request(message)
         elif message.kind == "profile-update":
-            attributes = message.payload.get("attributes", {})
-            entity_hex = message.payload.get("entity", "")
-            ok = (isinstance(attributes, dict) and isinstance(entity_hex, str)
-                  and self.update_attributes(entity_hex, attributes))
+            fields = message.fields
+            ok = self.update_attributes(fields["entity"].hex,
+                                        fields.get("attributes", {}))
             self.reply(message, "profile-update-ack", {"ok": ok})
         else:
             logger.debug("%s ignoring %s", self.name, message)
 
     def _handle_profile_request(self, message: Message) -> None:
-        entity_hex = message.payload.get("entity")
-        name = message.payload.get("name")
+        entity = message.fields.get("entity")
+        name = message.fields.get("name")
         profile = None
-        try:
-            if entity_hex:
-                profile = self.get(entity_hex)
-            elif name:
-                profile = self.by_name(name)
-        except TypeError:  # an unhashable entity id or name names nobody
-            profile = None
+        if entity is not None:
+            profile = self.get(entity.hex)
+        elif name:
+            profile = self.by_name(name)
         if profile is None:
             self.reply(message, "profile-response", {"found": False})
             return

@@ -293,18 +293,12 @@ class Registrar(Process):
             logger.debug("%s ignoring %s", self.name, message)
 
     def _handle_register(self, message: Message) -> None:
-        try:
-            profile = Profile.from_wire(message.payload["profile"])
-            advertisements = [Advertisement.from_wire(item)
-                              for item in message.payload.get("advertisements", [])]
-        except (KeyError, TypeError, ValueError) as exc:
-            self.reply(message, "register-ack", {"ok": False, "error": str(exc)})
-            return
+        fields = message.fields
         sender = self.network.process(message.sender)
         record = RegistrationRecord(
-            profile=profile,
-            kind=message.payload.get("kind", "ce"),
-            advertisements=advertisements,
+            profile=fields["profile"],
+            kind=fields.get("kind", "ce"),
+            advertisements=fields.get("advertisements", []),
             host_id=sender.host_id if sender else "",
             registered_at=self.now,
             lease_expiry=self.now + self.lease_duration,
@@ -322,12 +316,8 @@ class Registrar(Process):
     def _handle_deregister(self, message: Message) -> None:
         """A departing component says goodbye. It is leaving (or has left)
         and waits for no answer, so none is sent."""
-        entity_hex = message.payload.get("entity", message.sender.hex)
-        if not isinstance(entity_hex, str):
-            logger.info("%s: dropping malformed deregister %r", self.name,
-                        message.payload)
-            return
-        self.remove(entity_hex, "deregistered", notify_entity=False)
+        entity = message.fields.get("entity", message.sender)
+        self.remove(entity.hex, "deregistered", notify_entity=False)
 
     def _handle_heartbeat(self, message: Message) -> None:
         """A Range Service renews every lease it lists, at once.
@@ -337,11 +327,7 @@ class Registrar(Process):
         A listed entity this Registrar does not hold thinks it is registered
         (it received this range's ``register-ack``) but was evicted: tell it.
         """
-        entities = message.payload.get("entities", ())
-        if not isinstance(entities, (list, tuple)):
-            logger.info("%s: dropping malformed heartbeat %r", self.name,
-                        message.payload)
-            return
+        entities = message.fields["entities"]
         expiry = self.now + self.lease_duration
         renewed = unknown = 0
         for entity_hex in entities:

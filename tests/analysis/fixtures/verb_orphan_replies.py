@@ -1,34 +1,34 @@
 """Verb fixture: replies that nobody waits for.
 
-Declares ``vz-external`` as an external API endpoint: applications request
-it from outside the tree. Never imported; AST only.
+A reply answers the verb whose repro.net.wire row names it; the fixture's
+verbs are real rows. Never imported; AST only.
 """
 
 
 class Client:
     def go(self, peer):
-        self.send(peer, "vz-told", {})                # fire-and-forget
-        self.send(peer, "vz-branch-told", {})         # fire-and-forget
-        self.requests.request(peer, "vz-asked", {})   # awaited
-        self.send(peer, "vz-both", {})
-        self.requests.request(peer, "vz-both", {})    # awaited somewhere
+        self.send(peer, "resync", {})                 # fire-and-forget
+        self.send(peer, "service-invoke", {})         # fire-and-forget
+        self.requests.request(peer, "query", {})      # awaited
+        self.send(peer, "publish", {})
+        self.requests.request(peer, "publish", {})    # awaited somewhere
 
 
 class Server:
     def on_message(self, message):
-        if message.kind == "vz-told":
-            self._handle_vz_told(message)
-        elif message.kind == "vz-asked":
-            self._handle_vz_asked(message)
-        elif message.kind == "vz-both":
-            self.reply(message, "vz-both-ack", {})
-        elif message.kind == "vz-branch-told":
-            self.reply(message, "vz-branch-ack", {})  # line 26: orphan-reply
-        elif message.kind == "vz-external":
-            self.reply(message, "vz-external-ack", {})
+        if message.kind == "resync":
+            self._handle_resync(message)
+        elif message.kind == "query":
+            self._handle_query(message)
+        elif message.kind == "publish":
+            self.reply(message, "publish-ack", {})
+        elif message.kind == "service-invoke":
+            self.reply(message, "service-result", {})  # line 26: orphan
+        elif message.kind == "unsubscribe-owner":
+            self.reply(message, "unsubscribe-owner-ack", {})  # external api
 
-    def _handle_vz_told(self, message):
-        self.reply(message, "vz-told-ack", {})        # line 31: orphan-reply
+    def _handle_resync(self, message):
+        self.reply(message, "resync-ack", {})         # line 31: orphan-reply
 
-    def _handle_vz_asked(self, message):
-        self.reply(message, "vz-asked-ack", {})
+    def _handle_query(self, message):
+        self.reply(message, "query-ack", {})

@@ -1,7 +1,7 @@
 """Verb fixture: a tiny protocol with deliberate holes.
 
-Declares ``vx-declared`` as an external API endpoint of this module, so its
-handler below must NOT count as dead. Never imported; AST only.
+Handles ``subscribe``, whose repro.net.wire row is flagged external API, so
+its handler below must NOT count as dead. Never imported; AST only.
 """
 
 
@@ -9,12 +9,12 @@ class Alpha:
     def poke(self, peer, message):
         self.send(peer, "vx-good", {})         # handled below: fine
         self.send(peer, "vx-orphan", {})       # line 11: unhandled-send
-        self.reply(message, "vx-ack", {})      # reply verb: needs no handler
+        self.reply(message, "subscribe-ack", {})  # a reply: no handler
 
     def on_message(self, message):
         if message.kind == "vx-good":
             return "ok"
-        if message.kind == "vx-declared":      # docstring-declared: fine
+        if message.kind == "subscribe":        # external api: fine
             return "declared"
         if message.kind == "vx-dead":          # line 19: dead-handler
             return "dead"

@@ -30,12 +30,11 @@ def test_fixture_findings_exact():
 
 def test_model_classifies_roles():
     model = build_model(_sources())
-    assert model.role("vx-ack") == "reply"         # reply(): no handler needed
+    assert model.role("subscribe-ack") == "reply"  # reply(): no handler
     assert model.role("vx-good") == "request"
-    assert model.role("vx-declared") == "external api"
-    assert "vx-declared" in model.declared         # from the module docstring
+    assert model.role("subscribe") == "external api"  # from its wire row
     # all three handler extraction mechanisms fired
-    assert {"vx-good", "vx-declared", "vx-dead", "vx-dict-dead",
+    assert {"vx-good", "subscribe", "vx-dead", "vx-dict-dead",
             "vx-dyn-dead"} <= set(model.handlers)
     # plain methods in dynamic-dispatch classes are not handlers
     assert "not-a-handler" not in model.handlers
@@ -44,8 +43,8 @@ def test_model_classifies_roles():
 def test_reply_and_declared_verbs_are_not_findings():
     findings = VerbChecker().check(_sources())
     verbs_flagged = {f.message.split('"')[1] for f in findings}
-    assert "vx-ack" not in verbs_flagged
-    assert "vx-declared" not in verbs_flagged
+    assert "subscribe-ack" not in verbs_flagged
+    assert "subscribe" not in verbs_flagged
     assert "vx-good" not in verbs_flagged
 
 
@@ -83,22 +82,37 @@ def test_a_reply_to_a_verb_only_ever_sent_is_an_orphan():
     sources, errors = load_sources([str(ORPHANS)])
     assert errors == []
     model = build_model(sources)
-    assert set(model.requested) == {"vz-asked", "vz-both"}
+    assert set(model.requested) == {"query", "publish"}
     findings = sort_findings(VerbChecker().check(sources, model))
     assert [(f.check, f.line) for f in findings] == [
-        ("verbs.orphan-reply", 26),   # vz-branch-told: kind == branch
-        ("verbs.orphan-reply", 31),   # vz-told: _handle_ method
+        ("verbs.orphan-reply", 26),   # service-invoke: kind == branch
+        ("verbs.orphan-reply", 31),   # resync: _handle_ method
     ]
-    assert 'reply "vz-told-ack" answers verb "vz-told"' in findings[1].message
+    assert 'reply "resync-ack" answers verb "resync"' in findings[1].message
 
 
 def test_requested_and_external_verbs_may_be_answered():
     sources, _ = load_sources([str(ORPHANS)])
     model = build_model(sources)
-    answered = {verb for verb, _reply, _site in model.answers}
-    # every answer was found; only the two send-only verbs are findings
-    assert answered == {"vz-told", "vz-asked", "vz-both", "vz-branch-told",
-                        "vz-external"}
+    # every reply was found; only the two send-only verbs' are findings
+    assert set(model.replies) == {"publish-ack", "service-result",
+                                  "unsubscribe-owner-ack", "resync-ack",
+                                  "query-ack"}
     flagged = {f.message.split('"')[3]
                for f in VerbChecker().check(sources, model)}
-    assert flagged == {"vz-told", "vz-branch-told"}
+    assert flagged == {"resync", "service-invoke"}
+
+
+def test_a_reply_no_wire_row_names_is_an_orphan(tmp_path):
+    source = tmp_path / "undeclared.py"
+    source.write_text(
+        "class Server:\n"
+        "    def on_message(self, message):\n"
+        "        if message.kind == \"query\":\n"
+        "            self.reply(message, \"query-receipt\", {})\n")
+    sources, errors = load_sources([str(source)])
+    assert errors == []
+    (finding,) = [finding for finding in VerbChecker().check(sources)
+                  if finding.check == "verbs.orphan-reply"]
+    assert finding.line == 4
+    assert 'reply "query-receipt" answers no verb' in finding.message

@@ -28,7 +28,7 @@ def push_event(network, app, at, type_name="location"):
                              "L10.01", app.guid, network.scheduler.now)
         # the next seq of subscription 1: every push arrives in order
         seq = app.streams.last_seq(1) + 1
-        app.handle_component_message(
+        app.deliver(
             Message(sender=app.guid, recipient=app.guid, kind="event",
                     payload={"event": event.to_wire(), "subs": [[1, seq]]}))
 

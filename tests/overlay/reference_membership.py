@@ -25,6 +25,7 @@ from __future__ import annotations
 import bisect
 from typing import Any, Dict, List, Optional
 
+from repro.core.ids import GUID
 from repro.overlay.node import OverlayNode
 from repro.overlay.scinet import SCINet
 
@@ -32,10 +33,10 @@ from repro.overlay.scinet import SCINet
 class FloodNode(OverlayNode):
     """:class:`OverlayNode` that forwards broadcasts to every known node."""
 
-    def _forward_tree(self, payload: Dict[str, Any], until_hex: str) -> None:
+    def _forward_tree(self, payload: Dict[str, Any], until: GUID) -> None:
         onward = dict(payload)
         onward["hops"] += 1
-        onward["until"] = until_hex  # carried for the wire format, unused
+        onward["until"] = until.hex  # carried for the wire format, unused
         targets = self.table.known_nodes()
         for node in targets:
             self.send(node, "o-bcast", onward)

@@ -1,11 +1,14 @@
 """Context Server: query routing and execution across all four modes."""
 
+import logging
+
 import pytest
 
 from repro.core.errors import NoProviderError
 from repro.core.types import TypeSpec
 from repro.entities.devices import PrinterCE
 from repro.entities.profile import EntityClass, Profile
+from repro.events.event import ContextEvent
 from repro.ledger.replay import (live_snapshot, projection_snapshot,
                                  snapshot_digest)
 from repro.net.transport import FunctionProcess
@@ -117,6 +120,34 @@ class TestAdvertisementMode:
         network.scheduler.run_for(10)
         # P3 is nearer but unreachable for john
         assert registered_app.results[-1]["selected"]["name"] == "P4"
+
+
+    @pytest.mark.parametrize("queue_length", [None, "abc", float("inf"),
+                                              [1]],
+                             ids=["none", "string", "inf", "list"])
+    def test_a_status_with_a_bad_queue_length_counts_as_no_status(
+            self, network, with_printers, registered_app, guids, caplog,
+            queue_length):
+        """The retained status is an event value, not a wire field: one
+        whose ``queue_length`` is not a non-negative int is logged and
+        ignored (the profile's availability, a queue of 0) instead of
+        raising out of every later advertisement query in the range."""
+        caplog.set_level(logging.INFO, logger="repro.server.context_server")
+        server, _, _ = with_printers
+        server.location.update("bob", room="L10.02")
+        server.mediator.publish(ContextEvent(
+            TypeSpec("printer-status", "record", "P1"),
+            {"state": "busy", "queue_length": queue_length}, guids.mint(),
+            network.scheduler.now))
+        query = (QueryBuilder("bob").advertisement("printer")
+                 .which("reachable; available; no-queue; closest-to(me)")
+                 .build())
+        registered_app.submit_query(query)
+        network.scheduler.run_for(10)  # used to raise out of the scheduler
+        result = registered_app.results[-1]
+        assert result["ok"] is True
+        assert result["selected"]["name"] == "P1"  # idle, by its profile
+        assert "queue_length" in caplog.text
 
 
 class TestSubscriptionModes:

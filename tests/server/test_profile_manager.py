@@ -114,6 +114,7 @@ class TestRemoteAccess:
         asker.send(pm.guid, "profile-update",
                    {"entity": printer.entity_id.hex, "attributes": "paper"})
         network.scheduler.run_for(5)
-        assert [(m.kind, m.payload) for m in replies] == \
-            [("profile-update-ack", {"ok": False})]
+        assert [(m.kind, m.payload["ok"]) for m in replies] == \
+            [("profile-update-ack", False)]
+        assert "attributes" in replies[0].payload["error"]
         assert "paper" not in printer.attributes and pm.updates == 0
