@@ -98,19 +98,6 @@ class _ImportMap:
                                 f"datetime.{alias.name}"
 
 
-def _call_name(node: ast.Call) -> Optional[str]:
-    """Dotted name of a call target when statically resolvable."""
-    func = node.func
-    parts: List[str] = []
-    while isinstance(func, ast.Attribute):
-        parts.append(func.attr)
-        func = func.value
-    if isinstance(func, ast.Name):
-        parts.append(func.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _is_set_expr(node: ast.AST) -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True

@@ -41,8 +41,10 @@ it as its reply. A reply only has a reader if that verb is sent with
 Checks: ``verbs.unhandled-send``, ``verbs.dead-handler``,
 ``verbs.orphan-reply`` (a reply that answers no verb in the wire table, or
 one that the tree only ever ``send``s, never ``request``s: nobody waits for
-it, so it is delivered to a debug log or to a process that already left)
-and (CLI-level)
+it, so it is delivered to a debug log or to a process that already left),
+``verbs.raw-payload`` (outside ``repro.net``/``repro.ledger``, a key read on
+the ``payload`` of a ``Message`` parameter or ``on_reply`` lambda's) and
+(CLI-level)
 ``verbs.protocol-drift`` when the committed ``PROTOCOL.md`` no longer
 matches the tree.
 """
@@ -61,6 +63,10 @@ CHECK_UNHANDLED_SEND = "verbs.unhandled-send"
 CHECK_DEAD_HANDLER = "verbs.dead-handler"
 CHECK_ORPHAN_REPLY = "verbs.orphan-reply"
 CHECK_PROTOCOL_DRIFT = "verbs.protocol-drift"
+CHECK_RAW_PAYLOAD = "verbs.raw-payload"
+
+#: the packages that own the wire format and may read payloads by key
+_PAYLOAD_OWNERS = ("repro.net.", "repro.ledger.")
 
 #: names a message variable is allowed to have in ``<name>.kind == ...``
 _MESSAGE_NAMES = frozenset({"message", "msg"})
@@ -276,6 +282,41 @@ def build_model(sources: Iterable[SourceFile]) -> VerbModel:
     return model
 
 
+def _is_message(annotation: Optional[ast.expr]) -> bool:
+    return annotation is not None and ast.unparse(annotation).strip(
+        "'\"").rpartition(".")[2] == "Message"
+
+
+def _raw_payload_reads(source: SourceFile) -> List[Finding]:
+    if f"{source.module}.".startswith(_PAYLOAD_OWNERS):
+        return []
+    scopes = []  # (function or on_reply lambda, its message parameters)
+    for node in ast.walk(source.tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scopes.append((node, {arg.arg for arg in node.args.args
+                                  if _is_message(arg.annotation)}))
+        elif isinstance(node, ast.keyword) and node.arg == "on_reply" \
+                and isinstance(node.value, ast.Lambda):
+            scopes.append((node.value,
+                           {arg.arg for arg in node.value.args.args}))
+    findings = []
+    for scope, names in scopes:
+        for node in ast.walk(scope):
+            read = node.value if isinstance(node, ast.Subscript) else (
+                node.func.value if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get" else None)
+            if isinstance(read, ast.Attribute) and read.attr == "payload" \
+                    and isinstance(read.value, ast.Name) \
+                    and read.value.id in names:
+                findings.append(Finding(
+                    check=CHECK_RAW_PAYLOAD, severity=Severity.ERROR,
+                    path=source.path, line=node.lineno,
+                    message=f"{read.value.id}.payload read by key: read "
+                            f"the fields its wire row checked"))
+    return findings
+
+
 class VerbChecker:
     """Cross-file checker: needs the whole model, not one source at a time."""
 
@@ -321,6 +362,8 @@ class VerbChecker:
                     check=CHECK_ORPHAN_REPLY, severity=Severity.ERROR,
                     path=s.path, line=s.line,
                     message=f'reply "{reply}" answers {why}'))
+        for source in sources:
+            findings.extend(_raw_payload_reads(source))
         return findings
 
 
@@ -338,9 +381,9 @@ sent by applications or tests rather than library components. A verb sent
 to `BROADCAST` is a link-local announcement: its handlers are the processes
 that name it in `listens_for`, the only ones the transport delivers it to.
 
-Fields come from the same rows (`name?` is optional). A request is checked
-against them where it arrives; a reply is checked by the callback waiting
-for it. The bodies of the overlay's inner kinds follow the verb table.
+Fields come from the same rows (`name?` is optional), checked where a
+request or reply arrives; a reply whose flag is false is a refusal, which
+needs only the flag. The overlay's inner bodies follow the verb table.
 """
 
 
@@ -351,8 +394,9 @@ def _modules(sites: List[Site]) -> str:
 def _fields(row: Optional[Verb]) -> str:
     if row is None or not row.fields:
         return "—"
-    return ", ".join(f"`{name}{'' if required else '?'}` {kind.name}"
-                     for name, kind, required in row.fields)
+    fields = ", ".join(f"`{name}{'' if required else '?'}` {kind.name}"
+                       for name, kind, required in row.fields)
+    return f"{fields}; flag `{row.flag}`" if row.flag else fields
 
 
 def render_protocol(model: VerbModel) -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.core.api import SCI, SCIConfig
 from repro.core.ids import GUID
@@ -65,25 +65,25 @@ class CAPAApp(ContextAwareApplication):
         request.submitted = self.registered
         return request
 
-    def print_requests(self) -> List[PrintRequest]:
-        return list(self._requests.values())
-
-    def print_request(self, query_id: str) -> Optional[PrintRequest]:
-        return self._requests.get(query_id)
-
     # -- infrastructure responses ------------------------------------------------------
 
-    def on_query_result(self, query_id: str, payload: Dict[str, Any]) -> None:
-        request = self._requests.get(query_id)
+    def handle_component_message(self, message: Message) -> None:
+        super().handle_component_message(message)
+        if message.kind == "query-result":
+            self._printer_selected(message.fields)
+
+    def _printer_selected(self, fields: Dict[str, Any]) -> None:
+        """Send the document to the printer a ``query-result`` chose."""
+        request = self._requests.get(fields["query_id"])
         if request is None:
             return
-        if not payload.get("ok"):
+        if not fields["ok"]:
             request.outcome = {"accepted": False,
-                               "reason": payload.get("error", "no printer")}
-            logger.warning("CAPA(%s): %s failed: %s", self.user, query_id,
-                           request.outcome["reason"])
+                               "reason": fields.get("error", "no printer")}
+            logger.warning("CAPA(%s): %s failed: %s", self.user,
+                           fields["query_id"], request.outcome["reason"])
             return
-        selected = payload.get("selected", {})
+        selected = fields.get("selected", {})
         request.selected_printer = selected.get("name")
         printer_hex = selected.get("entity")
         if printer_hex is None:
@@ -96,7 +96,7 @@ class CAPAApp(ContextAwareApplication):
 
     def _send_job(self, printer: GUID, request: PrintRequest) -> None:
         def on_reply(reply: Message) -> None:
-            result = reply.payload.get("result", {})
+            result = reply.fields.get("result", {})
             request.outcome = result
             logger.info("CAPA(%s): %r -> %s: %s", self.user, request.document,
                         request.selected_printer, result)

@@ -108,13 +108,3 @@ class Environment:
         found = [source for source in self._sources.values()
                  if source.matches_syntactically(type_name, representation, subject)]
         return sorted(found, key=lambda source: source.name)
-
-    def find_semantic(self, type_name: str,
-                      subject: Optional[str] = None) -> List[DataSource]:
-        """Live sources matching by semantic type regardless of representation."""
-        found = [
-            source for source in self._sources.values()
-            if source.alive and source.type_name == type_name
-            and (subject is None or source.subject in (None, subject))
-        ]
-        return sorted(found, key=lambda source: source.name)

@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.errors import SCIError
-from repro.baselines.common import DataSource, Environment
+from repro.baselines.common import Environment
 
 
 @dataclass(frozen=True)
@@ -146,21 +145,6 @@ class SolarApp:
         self._specs.append(spec)
         self.graphs_authored += 1
         self.platform.deploy(spec, self.received.append)
-
-    def live_leaf_sources(self) -> List[DataSource]:
-        found: List[DataSource] = []
-
-        def walk(spec: OperatorSpec) -> None:
-            if spec.source_name is not None:
-                source = self.platform.environment.source(spec.source_name)
-                if source.alive:
-                    found.append(source)
-            for child in spec.children:
-                walk(child)
-
-        for spec in self._specs:
-            walk(spec)
-        return found
 
     def satisfied(self) -> bool:
         """All leaves of all authored graphs still alive?"""

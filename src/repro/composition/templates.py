@@ -12,7 +12,6 @@ factory that builds a live CE.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 

@@ -56,15 +56,3 @@ class LocationError(SCIError):
 
 class TransportError(SCIError):
     """A message could not be delivered by the simulated transport."""
-
-
-class PartitionError(TransportError):
-    """Source and destination hosts are in different network partitions."""
-
-
-class EntityUnavailableError(SCIError):
-    """The target Context Entity has departed, crashed or never existed."""
-
-
-class LeaseExpiredError(RegistrationError):
-    """An entity's registration lease lapsed without renewal."""

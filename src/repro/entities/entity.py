@@ -165,47 +165,38 @@ class BaseComponent(Process):
             },
             on_reply=lambda reply: self._handle_register_ack(reply,
                                                              range_service),
-            on_timeout=self._handle_register_timeout,
+            on_timeout=lambda: self._register_failed("timed out"),
             retries=REGISTER_RETRIES,
         )
 
     def _handle_register_ack(self, reply: Message, range_service: GUID) -> None:
-        """Take the offered range, or log an ack that refuses or lacks an
-        address or a positive lease: that one changes nothing but
-        clearing the registrar of a component not yet registered."""
-        payload = reply.payload
-        try:
-            if not payload.get("ok", False):
-                raise RegistrationError(payload.get("error"))
-            context_server = GUID.from_hex(payload["context_server"])
-            event_mediator = GUID.from_hex(payload["event_mediator"])
-            lease = payload["lease"]
-            if (isinstance(lease, bool) or not isinstance(lease, (int, float))
-                    or not 0 < lease < float("inf")):
-                raise RegistrationError(f"bad lease {lease!r}")
-        except (RegistrationError, KeyError, TypeError, ValueError) as exc:
-            logger.warning("%s registration refused: %r", self.name, exc)
-            if not self.registered:
-                self.registrar = None
+        """Take the offered range, or fail on a refusal (an ack that fails
+        its wire row never gets here: the request times out)."""
+        fields = reply.fields
+        if not fields["ok"]:
+            self._register_failed(f"refused: {fields.get('error')}")
             return
         self.registered = True
         # two ranges may offer on one machine: the later ack wins whole
         self.registrar = reply.sender
-        self.context_server = context_server
-        self.event_mediator = event_mediator
-        self.range_name = payload.get("range")
+        self.context_server = fields["context_server"]
+        self.event_mediator = fields["event_mediator"]
+        self.range_name = fields.get("range")
         # a same-machine call: the offering daemon is a process on this host
         if self._lease_group is not None:
             self._lease_group.leave(self)
         self._lease_group = self.network.process(range_service)
         if self._lease_group is not None:
-            self._lease_group.join(self, lease)
+            self._lease_group.join(self, fields["lease"])
         logger.debug("%s registered in range %s", self.name, self.range_name)
         self.on_registered()
 
-    def _handle_register_timeout(self) -> None:
-        logger.warning("%s registration timed out", self.name)
-        self.registrar = None
+    def _register_failed(self, reason: str) -> None:
+        """Refused or timed out: a component not yet registered forgets the
+        registrar; one that is keeps the range an earlier ack gave it."""
+        logger.warning("%s registration %s", self.name, reason)
+        if not self.registered:
+            self.registrar = None
 
     def _handle_deregistered(self, message: Message) -> None:
         """The Registrar evicted us (lease expiry or range departure).
@@ -421,7 +412,8 @@ class ContextAwareApplication(BaseComponent):
                 self.context_server,
                 "query",
                 {"query": query.to_wire()},
-                on_reply=self._handle_query_ack,
+                on_reply=lambda reply: self._handle_query_ack(query.query_id,
+                                                              reply),
                 on_timeout=lambda: self._query_timed_out(query.query_id),
             )
         finally:
@@ -452,17 +444,15 @@ class ContextAwareApplication(BaseComponent):
         for item in pending:
             self.submit_query(item["query"])
 
-    def _handle_query_ack(self, reply: Message) -> None:
-        payload = reply.payload
-        query_id = payload.get("query_id", "")
-        self.query_acks[query_id] = payload
+    def _handle_query_ack(self, query_id: str, reply: Message) -> None:
+        fields = reply.fields
+        self.query_acks[query_id] = fields
         span = self._query_spans.pop(query_id, None)
         if span is not None:
-            span.set(outcome=payload.get("status", "acked"),
-                     ok=payload.get("ok", False))
+            span.set(outcome=fields.get("status", "acked"), ok=fields["ok"])
             self.network.obs.tracer.end(span)
-        if not payload.get("ok", False):
-            self.on_query_failed(query_id, payload.get("error", "refused"))
+        if not fields["ok"]:
+            self.on_query_failed(query_id, fields.get("error", "refused"))
 
     # -- receiving --------------------------------------------------------------------
 

@@ -16,7 +16,8 @@ produced:
   (:func:`request_resync`): it replays the retained events matching the
   subscription under fresh sequence numbers and names the baseline to
   fast-forward past, so a stream with genuinely lost events heals instead
-  of staying silent forever.
+  of staying silent forever (a ``resync-ack`` that fails its wire row is
+  lost: the resync expires and re-arms).
 
 The :class:`AckBatcher` beside it answers the mediator. Acks are
 *cumulative*: one ``event-ack {"acks": [[sub_id, upto], ...]}`` per
@@ -83,7 +84,7 @@ def request_resync(owner, mediator: Optional[GUID], sub_id: int) -> None:
     owner.requests.request(
         mediator, "resync", {"sub_id": sub_id},
         on_reply=lambda reply: owner.streams.resync_answered(
-            sub_id, reply.payload),
+            sub_id, reply.fields),
         on_timeout=lambda: owner.streams.resync_failed(sub_id),
         timeout=RESYNC_TIMEOUT, retries=RESYNC_RETRIES)
 
@@ -163,24 +164,14 @@ class StreamReassembler:
         if stream is not None and stream.pending:
             self._arm(sub_id, stream)
 
-    def resync_answered(self, sub_id: int, payload: Any) -> None:
-        """Apply a ``resync-ack``: fast-forward, or drop a dead stream.
-
-        A refusal means the mediator no longer knows the subscription; its
-        stream is dead and any buffered fragments with it. An ``ok`` reply
-        fast-forwards only past a non-bool int ``seq >= 0``; any other
-        reply is malformed and handled like an expired resync: re-armed.
-        """
-        if isinstance(payload, dict) and not payload.get("ok"):
-            self.forget(sub_id)
-            return
-        seq = payload.get("seq") if isinstance(payload, dict) else None
-        if type(seq) is int and seq >= 0:
-            self.resync_done(sub_id, seq)
+    def resync_answered(self, sub_id: int, fields: Dict[str, Any]) -> None:
+        """Apply a ``resync-ack``'s ``fields``: fast-forward past its
+        ``seq``, or, on a refusal (the mediator no longer knows the
+        subscription), drop the dead stream and its buffered fragments."""
+        if fields["ok"]:
+            self.resync_done(sub_id, fields["seq"])
         else:
-            logger.info("stream %s: malformed resync-ack %r", sub_id,
-                        payload)
-            self.resync_failed(sub_id)
+            self.forget(sub_id)
 
     def forget(self, sub_id: int) -> None:
         """Drop all state for a dead subscription."""

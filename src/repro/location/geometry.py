@@ -27,9 +27,6 @@ class Point:
     def midpoint(self, other: "Point") -> "Point":
         return Point((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
 
-    def translate(self, dx: float, dy: float) -> "Point":
-        return Point(self.x + dx, self.y + dy)
-
     def as_tuple(self) -> Tuple[float, float]:
         return (self.x, self.y)
 
@@ -99,11 +96,6 @@ class Polygon:
             doubled += a.x * b.y - b.x * a.y
         return abs(doubled) / 2.0
 
-    def bounding_box(self) -> Tuple[Point, Point]:
-        xs = [v.x for v in self.vertices]
-        ys = [v.y for v in self.vertices]
-        return Point(min(xs), min(ys)), Point(max(xs), max(ys))
-
     def distance_to_point(self, point: Point) -> float:
         """0 when inside; otherwise the distance to the nearest edge."""
         if self.contains(point):
@@ -140,6 +132,13 @@ class Rect(Polygon):
     def contains(self, point: Point) -> bool:
         return (self.x <= point.x <= self.x + self.width
                 and self.y <= point.y <= self.y + self.height)
+
+    def distance_to_point(self, point: Point) -> float:
+        """The gap on each axis against the bounds :meth:`contains` uses:
+        0 exactly when the rectangle contains ``point``."""
+        dx = max(self.x - point.x, 0.0, point.x - (self.x + self.width))
+        dy = max(self.y - point.y, 0.0, point.y - (self.y + self.height))
+        return math.hypot(dx, dy)
 
     def centroid(self) -> Point:
         return Point(self.x + self.width / 2.0, self.y + self.height / 2.0)

@@ -98,9 +98,6 @@ class LocationService(Process):
     def locate(self, entity_key: str) -> Optional[EntityFix]:
         return self._fixes.get(entity_key)
 
-    def tracked_entities(self) -> List[str]:
-        return list(self._fixes)
-
     def entities_in(self, place: str) -> List[str]:
         """Entities whose last fix lies in ``place`` (or beneath it)."""
         return [

@@ -114,9 +114,6 @@ class World:
                 for entity in self._entities.values()
                 if entity.device_host is not None}
 
-    def attach_door_sensor(self, sensor: DoorSensorCE) -> None:
-        self.door_sensors[sensor.door_id] = sensor
-
     def attach_door_sensors(self, sensors: Dict[str, DoorSensorCE]) -> None:
         self.door_sensors.update(sensors)
 

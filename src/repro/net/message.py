@@ -37,7 +37,7 @@ class Message:
     #: stamps the sender's ambient span here and re-activates it at delivery,
     #: so spans opened while handling this message become its children.
     trace: Optional[Dict[str, str]] = None
-    #: a request's declared fields, parsed on arrival by the receiver's
+    #: the declared fields, parsed on arrival by the receiver's
     #: :meth:`~repro.net.transport.Process.deliver` (see repro.net.wire)
     fields: Optional[Dict[str, Any]] = None
 

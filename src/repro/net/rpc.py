@@ -5,7 +5,9 @@ point communication". The point-to-point half needs request/reply semantics
 (register -> ack, query -> results, profile request -> profile). The
 :class:`RequestManager` gives a :class:`~repro.net.transport.Process` that
 capability: it assigns callbacks to outgoing requests and routes replies (or
-timeouts) back to them.
+timeouts) back to them. A callback reads ``reply.fields``, checked on
+arrival against the reply's :mod:`repro.net.wire` row; a reply that fails
+it is dropped there, a lost reply, so ``on_timeout`` fires instead.
 
 Reliability: the transport drops silently (UDP-style), so a request can be
 retransmitted up to a bounded budget (``retries=``) with exponential

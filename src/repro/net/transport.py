@@ -204,11 +204,11 @@ class Process:
 
         A duplicate arrival never reaches :meth:`on_message`; if the first
         arrival produced a reply, a fresh copy of that reply is re-sent —
-        the requester's own dedup then collapses double acks. A payload that
-        does not match its row in :data:`repro.net.wire.VERBS` (one that is
-        not a JSON object, for every kind) never reaches it either: it is
-        refused (:meth:`refuse`). One that matches reaches the handler with
-        its parsed fields on ``message.fields``.
+        the requester's own dedup then collapses double acks. A request or
+        reply that does not match its row in :data:`repro.net.wire.VERBS`
+        (for every kind, one that is not a JSON object) is refused
+        (:meth:`refuse`; a refused reply is a lost one). One that matches
+        reaches the handler with its parsed fields on ``message.fields``.
         """
         key = (message.sender.value, message.msg_id)
         cached = self._seen_messages.get(key, _UNSEEN)
@@ -241,14 +241,14 @@ class Process:
 
     def refuse(self, message: Message, error: Exception) -> None:
         """Log and count an arrival that does not match its verb's row;
-        answer it with the verb's reply and failure flag if it has one and
-        the payload is an object at all (one that is not is dropped)."""
+        answer it with the verb's reply, its flag ``False``, if it has one
+        and the payload is an object at all (one that is not is dropped)."""
         logger.info("%s: refusing %s: %s", self.name, message.kind, error)
         self.network.stats.record_malformed(message.kind)
-        verb = VERBS.get(message.kind, _UNDECLARED)
-        if verb.reply is not None and type(message.payload) is dict:
-            self.reply(message, verb.reply,
-                       {verb.flag: False, "error": str(error)})
+        reply = VERBS.get(message.kind, _UNDECLARED).reply
+        if reply is not None and type(message.payload) is dict:
+            self.reply(message, reply,
+                       {VERBS[reply].flag: False, "error": str(error)})
 
     def detach(self) -> None:
         """Remove this process from the network (crash or clean departure)."""

@@ -2,13 +2,13 @@
 schema").
 
 A :data:`REQUESTS` row gives a verb's fields (``name?``: optional), the
-reply that answers it with its failure flag, and whether it is external
-API; :data:`VERBS` adds a row per reply. A field's kind is a JSON type
-(matched exactly: a bool is never a number), ``guid``, or the parser that
-owns a nested format. :meth:`repro.net.transport.Process.deliver` checks
-each arriving request and hands the handler ``message.fields``, the
-parsed values; a reply is checked by the callback waiting for it (here,
-only that it is an object).
+reply that answers it, and whether it is external API; a :data:`REPLIES`
+row, an answer's fields and its flag (see :class:`Verb`). A field's kind is
+a JSON type (matched exactly: a bool is never a number), ``guid``, or the
+parser that owns a nested format. :meth:`repro.net.transport.Process.deliver`
+checks each arriving request and reply and hands the handler, or the
+callback waiting for the reply, ``message.fields``: the parsed values. A
+reply that fails its row is dropped there, a lost reply to its request.
 :data:`BODIES` declares the overlay's inner bodies. Parsers are imported
 on first use, as their modules import the transport.
 """
@@ -16,6 +16,7 @@ on first use, as their modules import the transport.
 from __future__ import annotations
 
 import importlib
+import math
 from typing import Any, Callable, Dict, NamedTuple, Optional
 
 from repro.core.errors import SCIError
@@ -55,6 +56,14 @@ def _guid(value: Any) -> GUID:
         return GUID.from_hex(value)
     except (TypeError, ValueError):
         raise WireError(f"{value!r} is not a guid") from None
+
+
+def _ranged(name: str, types: tuple, test: Callable[[Any], bool]) -> Kind:
+    def parse(value: Any) -> Any:
+        if type(value) in types and test(value):
+            return value
+        raise WireError(f"{value!r} is not {name}")
+    return Kind(name, parse)
 
 
 def _seq_pairs(value: Any) -> list:
@@ -98,23 +107,32 @@ QUERY = _parser("repro.query.model", "Query.from_wire")
 PROFILE = _parser("repro.entities.profile", "Profile.from_wire")
 ADVERTISEMENT = _parser("repro.entities.advertisement",
                         "Advertisement.from_wire")
+LEASE = _ranged("lease", (int, float), lambda value: 0 < value < math.inf)
+COUNT = _ranged("int >= 0", (int,), lambda value: value >= 0)
 #: ``[[sub_id, n >= 1], ...]``: an ``event``'s ``subs``, an ``event-ack``'s
 #: ``acks``
 SEQ_PAIRS = Kind("[[int, int]]", _seq_pairs)
 
 
 class Verb:
-    """One row: ``fields`` maps a name (``name?``: optional) to its kind."""
-    __slots__ = ("fields", "reply", "flag", "external")
+    """One row: ``fields`` maps a name (``name?``: optional) to its kind. A
+    request row names its ``reply``, a reply row its ``flag``: a reply whose
+    flag is ``False`` is a refusal, checked as ``{flag: bool, "error?":
+    str}`` (what ``Process.refuse`` sends) plus the row's other fields, all
+    optional."""
+    __slots__ = ("fields", "reply", "flag", "refusal", "external")
 
     def __init__(self, fields: Optional[Dict[str, Kind]] = None,
-                 reply: Optional[str] = None, flag: str = "ok",
+                 reply: Optional[str] = None, flag: Optional[str] = None,
                  external: bool = False):
         #: (name, kind, required) per field
         self.fields = tuple((name.rstrip("?"), kind, not name.endswith("?"))
                             for name, kind in (fields or {}).items())
         self.reply = reply
         self.flag = flag
+        self.refusal = ((flag, BOOL, True), ("error", STR, False)) + tuple(
+            (name, kind, False) for name, kind, _ in self.fields
+            if name not in (flag, "error")) if flag else ()
         self.external = external
 
     def parse(self, payload: Any) -> Dict[str, Any]:
@@ -123,8 +141,9 @@ class Verb:
         required field or a value of the wrong kind."""
         if type(payload) is not dict:
             raise WireError(f"a {type(payload).__name__} is not an object")
+        refused = self.flag in payload and payload[self.flag] is False
         fields = {}
-        for name, kind, required in self.fields:
+        for name, kind, required in self.refusal if refused else self.fields:
             if name in payload:
                 try:
                     fields[name] = kind.parse(payload[name])
@@ -134,6 +153,27 @@ class Verb:
                 raise WireError(f"missing field {name!r}")
         return fields
 
+
+#: each reply's fields, checked when its flag is not ``False``
+REPLIES: Dict[str, Verb] = {
+    "profile-response": Verb({"found": BOOL, "profile": PROFILE,
+                              "advertisements": _list_of(ADVERTISEMENT)},
+                             flag="found"),
+    "profile-update-ack": Verb({"ok": BOOL}, flag="ok"),
+    "publish-ack": Verb({"delivered": INT}, flag="ok"),
+    "query-ack": Verb({"ok": BOOL, "query_id": STR, "status": STR,
+                       "error?": STR}, flag="ok"),
+    "register-ack": Verb({"ok": BOOL, "range?": STR,
+                          "context_server": GUID_HEX,
+                          "event_mediator": GUID_HEX, "lease": LEASE},
+                         flag="ok"),
+    "resync-ack": Verb({"ok": BOOL, "sub_id": INT, "seq": COUNT}, flag="ok"),
+    "service-result": Verb({"ok": BOOL, "result?": ANY, "error?": STR},
+                           flag="ok"),
+    "subscribe-ack": Verb({"sub_id": INT}, flag="ok"),
+    "unsubscribe-ack": Verb({"removed": BOOL}, flag="ok"),
+    "unsubscribe-owner-ack": Verb({"removed": INT}, flag="ok"),
+}
 
 REQUESTS: Dict[str, Verb] = {
     "cancel-query": Verb({"query_id": STR}),
@@ -153,7 +193,7 @@ REQUESTS: Dict[str, Verb] = {
     "o-route": Verb({"key": GUID_HEX, "kind": STR, "body": ANY, "hops": INT,
                      "origin": GUID_HEX}),
     "profile-request": Verb({"entity?": GUID_HEX, "name?": STR},
-                            reply="profile-response", flag="found",
+                            reply="profile-response",
                             external=True),
     "profile-update": Verb({"entity": GUID_HEX, "attributes?": DICT},
                            reply="profile-update-ack", external=True),
@@ -179,10 +219,8 @@ REQUESTS: Dict[str, Verb] = {
                               external=True),
 }
 
-#: every verb on the wire: the requests and the replies that answer them (a
-#: reply's row checks only that its payload is an object)
-VERBS: Dict[str, Verb] = {**REQUESTS, **{
-    row.reply: Verb() for row in REQUESTS.values() if row.reply}}
+#: every verb on the wire: the requests and the replies that answer them
+VERBS: Dict[str, Verb] = {**REQUESTS, **REPLIES}
 
 #: the bodies of the overlay's inner kinds that the node applies itself
 BODIES: Dict[str, Verb] = {

@@ -148,10 +148,6 @@ class Trace:
         return (max(span.end for span in closed)
                 - min(span.start for span in closed))
 
-    def to_dicts(self) -> List[Dict[str, Any]]:
-        return [span.to_dict() for span in self.spans]
-
-
 class _Frame:
     """One stack entry: either a local span or a resumed remote context."""
 

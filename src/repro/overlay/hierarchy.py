@@ -174,9 +174,6 @@ class HierarchyNetwork:
     def leaves(self) -> List[HierarchyNode]:
         return [self._leaves[label] for label in sorted(self._leaves)]
 
-    def all_nodes(self) -> List[HierarchyNode]:
-        return list(self._all)
-
     def size(self) -> int:
         return len(self._all)
 

@@ -1,0 +1,20 @@
+"""Verb fixture: a key read on a message's raw payload is a finding; the
+fields checked against its wire row are not. Never imported; AST only.
+"""
+
+
+class Client:
+    def _handle_ack(self, reply: Message) -> None:
+        self.ok = reply.payload["ok"]                 # line 8: raw-payload
+
+    def _handle_result(self, reply: "Message") -> None:
+        self.ok = reply.fields["ok"]                  # checked: passes
+        self.keep(reply.payload)                      # not read by key
+
+    def ask(self, peer, kind):
+        self.requests.request(
+            peer, kind, {},
+            on_reply=lambda reply: reply.payload.get("ok"))  # line 17
+
+    def untyped(self, reply):
+        return reply.payload["ok"]                    # not a Message param

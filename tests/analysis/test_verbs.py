@@ -3,13 +3,14 @@
 import pathlib
 
 from repro.analysis.findings import sort_findings
-from repro.analysis.source import load_sources
+from repro.analysis.source import SourceFile, load_sources
 from repro.analysis.verbs import (VerbChecker, build_model, protocol_drift,
                                   render_protocol)
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "verb_violations.py"
 ANNOUNCES = pathlib.Path(__file__).parent / "fixtures" / "verb_announces.py"
 ORPHANS = pathlib.Path(__file__).parent / "fixtures" / "verb_orphan_replies.py"
+RAW = pathlib.Path(__file__).parent / "fixtures" / "verb_raw_payload.py"
 
 
 def _sources():
@@ -116,3 +117,25 @@ def test_a_reply_no_wire_row_names_is_an_orphan(tmp_path):
                   if finding.check == "verbs.orphan-reply"]
     assert finding.line == 4
     assert 'reply "query-receipt" answers no verb' in finding.message
+
+
+def test_a_key_read_on_a_message_payload_is_a_raw_payload_finding():
+    sources, errors = load_sources([str(RAW)])
+    assert errors == []
+    findings = sort_findings(VerbChecker().check(sources))
+    assert [(f.check, f.line) for f in findings] == [
+        ("verbs.raw-payload", 8),    # a parameter annotated Message
+        ("verbs.raw-payload", 17),   # an on_reply lambda's parameter
+    ]
+    assert "reply.payload read by key" in findings[0].message
+
+
+def test_the_wire_packages_may_read_payloads():
+    text = ("def peek(message: Message):\n"
+            "    return message.payload[\"kind\"]\n")
+    owned = [SourceFile.from_text(text, f"src/repro/{package}/peek.py")
+             for package in ("net", "ledger")]
+    assert VerbChecker().check(owned) == []
+    elsewhere = SourceFile.from_text(text, "src/repro/server/peek.py")
+    assert [f.check for f in VerbChecker().check([elsewhere])] == [
+        "verbs.raw-payload"]

@@ -4,8 +4,10 @@ import pytest
 
 from repro.core.errors import RegistrationError
 from repro.core.types import TypeSpec
-from repro.entities.entity import ContextAwareApplication, ContextEntity
+from repro.entities.entity import (REGISTER_RETRIES, ContextAwareApplication,
+                                   ContextEntity)
 from repro.entities.profile import EntityClass, Profile
+from repro.net import rpc
 from repro.net.transport import FunctionProcess
 from repro.query.model import QueryBuilder
 
@@ -81,7 +83,9 @@ class TestRegistrationHandshake:
 
 
 #: register-ack payloads a stub registrar answers with; each must leave the
-#: component unregistered instead of raising out of the scheduler
+#: component unregistered instead of raising out of the scheduler. A refusal
+#: takes effect at once; every other row fails its wire row, so it is a lost
+#: reply and the register request runs out its budget first
 BAD_ACKS = {
     "refused": {"ok": False, "error": "no"},
     "bare-ok": {"ok": True},
@@ -102,9 +106,17 @@ BAD_ACKS = {
 }
 
 
+#: the register request's waits: the first, then each retransmission's,
+#: stretched by the most jitter it can draw
+REGISTER_BUDGET = rpc.DEFAULT_TIMEOUT * sum(
+    (rpc.BACKOFF_FACTOR ** attempt) * (1 + rpc.JITTER * (attempt > 0))
+    for attempt in range(REGISTER_RETRIES + 1))
+
+
 @pytest.mark.parametrize("ack", BAD_ACKS.values(), ids=BAD_ACKS.keys())
 def test_a_malformed_register_ack_leaves_the_component_unregistered(
         network, guids, ack):
+    refused = ack["ok"] is False
     addresses = {"{cs}": guids.mint().hex, "{em}": guids.mint().hex}
     payload = {key: addresses.get(value, value) if isinstance(value, str)
                else value for key, value in ack.items()}
@@ -122,11 +134,58 @@ def test_a_malformed_register_ack_leaves_the_component_unregistered(
     ce.start()
     range_service.send(ce.guid, "range-offer",
                        {"registrar": registrar.guid.hex, "range": "stub"})
-    network.scheduler.run_for(10)
+    network.scheduler.run_for(10 if refused else REGISTER_BUDGET + 10)
+    malformed = network.obs.metrics.get("net.messages.malformed").by_label()
+    assert malformed == ({} if refused else {"register-ack": 1})
     assert len(registers) == 1
     assert not ce.registered
     assert ce.registrar is None
     assert ce.context_server is None and ce.event_mediator is None
+
+
+class StubRangeService(FunctionProcess):
+    """Sends offers and holds the lease group a registered component joins."""
+
+    def __init__(self, guid, host_id, network):
+        super().__init__(guid, host_id, network, lambda message: None)
+        self.members = []
+
+    def join(self, component, lease):
+        self.members.append(component)
+
+    def leave(self, component):
+        self.members.remove(component)
+
+
+def test_a_second_registration_that_times_out_keeps_the_first(network, guids):
+    """Two offers arrive before either ack; the first registrar acks and the
+    second never answers. Its timeout must not clear the live registrar:
+    ``stop()`` still says goodbye to the range the component is in."""
+    heard = []
+
+    def answer(message):
+        heard.append(message.kind)
+        if message.kind == "register":
+            first.reply(message, "register-ack", {
+                "ok": True, "range": "first", "lease": 30.0,
+                "context_server": guids.mint().hex,
+                "event_mediator": guids.mint().hex})
+
+    first = FunctionProcess(guids.mint(), "host-a", network, answer)
+    silent = FunctionProcess(guids.mint(), "host-a", network,
+                             lambda message: None)
+    range_service = StubRangeService(guids.mint(), "host-b", network)
+    ce = make_ce(guids, network)
+    for registrar, name in ((first, "first"), (silent, "second")):
+        range_service.send(ce.guid, "range-offer",
+                           {"registrar": registrar.guid.hex, "range": name})
+    network.scheduler.run_for(REGISTER_BUDGET + 10)
+    assert ce.registered and ce.range_name == "first"
+    assert ce.registrar == first.guid
+    assert range_service.members == [ce]
+    ce.stop()
+    network.scheduler.run_for(5)
+    assert heard == ["register", "deregister"]
 
 
 class ReannouncingCE(ContextEntity):
@@ -263,6 +322,32 @@ class TestCAA:
         network.scheduler.run_for(15)
         assert app.registered
         assert query.query_id in app.query_acks
+
+    def test_a_refused_query_is_filed_under_its_own_id(self, network, guids):
+        """A refusal carries no ``query_id`` (``Process.refuse`` sends
+        ``{"ok": False, "error"}``): the ack is filed, reported and its span
+        ended under the id of the query it answers."""
+        failures = []
+
+        class App(ContextAwareApplication):
+            def on_query_failed(self, query_id, error):
+                failures.append((query_id, error))
+
+        def refuse(message):
+            if message.kind == "query":
+                server.reply(message, "query-ack",
+                             {"ok": False, "error": "no"})
+
+        server = FunctionProcess(guids.mint(), "host-a", network, refuse)
+        app = App(Profile(guids.mint(), "app", EntityClass.SOFTWARE),
+                  "host-b", network)
+        app.attach_to_range(guids.mint(), server.guid, guids.mint(), "stub")
+        query = QueryBuilder("bob").profiles_of_type("device").build()
+        app.submit_query(query)
+        network.scheduler.run_for(5)
+        assert app.query_acks == {query.query_id: {"ok": False, "error": "no"}}
+        assert failures == [(query.query_id, "no")]
+        assert app._query_spans == {}
 
     def test_service_invoke_unknown_operation_refused(self, network, guids,
                                                       deployed_range):

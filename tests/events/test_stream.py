@@ -2,9 +2,20 @@
 
 import pytest
 
+from repro.entities.entity import ContextAwareApplication
+from repro.entities.profile import EntityClass, Profile
 from repro.events import stream as stream_module
 from repro.events.stream import StreamReassembler
+from repro.net import rpc
 from repro.net.sim import Scheduler
+from repro.net.transport import FunctionProcess
+
+#: the resync request's waits, first and retransmissions, at the least and
+#: the most jitter they can draw
+_WAITS = [stream_module.RESYNC_TIMEOUT * rpc.BACKOFF_FACTOR ** attempt
+          for attempt in range(stream_module.RESYNC_RETRIES + 1)]
+RESYNC_BUDGET_MIN = sum(_WAITS)
+RESYNC_BUDGET_MAX = _WAITS[0] + (1 + rpc.JITTER) * sum(_WAITS[1:])
 
 
 @pytest.fixture
@@ -104,23 +115,42 @@ class TestResync:
         assert resyncs == [7, 7]        # retried after the RPC expired
 
     @pytest.mark.parametrize("payload", [
-        {"ok": True, "seq": "7"},
-        {"ok": True, "seq": None},
+        {"ok": True, "sub_id": 7, "seq": "7"},
+        {"ok": True, "sub_id": 7, "seq": None},
         [True, 4],
-        {"ok": True, "seq": 2.5},
+        {"ok": True, "sub_id": 7, "seq": 2.5},
     ], ids=["str-seq", "null-seq", "list", "float-seq"])
-    def test_malformed_resync_ack_rearms(self, scheduler, stream, delivered,
-                                         resyncs, payload):
-        stream.offer(7, 1, "e1")
-        stream.offer(7, 3, "e3")        # hole at 2
-        scheduler.run_for(11.0)
+    def test_malformed_resync_ack_rearms(self, network, guids, monkeypatch,
+                                         payload):
+        """A ``resync-ack`` that fails its wire row is a lost reply: the
+        resync runs out its budget, then re-arms like any expired one."""
+        monkeypatch.setattr(stream_module, "DEFAULT_RESYNC_AFTER", 10.0)
+        resyncs = []
+
+        def answer(message):
+            if message.kind == "resync":
+                resyncs.append(message.fields["sub_id"])
+                mediator.reply(message, "resync-ack", payload)
+
+        mediator = FunctionProcess(guids.mint(), "host-a", network, answer)
+        app = ContextAwareApplication(
+            Profile(guids.mint(), "app", EntityClass.SOFTWARE), "host-b",
+            network)
+        app.attach_to_range(guids.mint(), guids.mint(), mediator.guid, "stub")
+        app.streams.offer(7, 1, "e1")
+        app.streams.offer(7, 3, "e3")   # hole at 2: a resync at t=10
+        network.scheduler.run_for(15.0)
         assert resyncs == [7]
-        stream.resync_answered(7, payload)
-        assert stream.last_seq(7) == 1 and stream.open_holes(7) == 1
-        scheduler.run_for(11.0)
+        malformed = network.obs.metrics.get("net.messages.malformed")
+        assert malformed.by_label() == {"resync-ack": 1}
+        assert app.streams.last_seq(7) == 1
+        assert app.streams.open_holes(7) == 1
+        network.scheduler.run_for(10.0 + RESYNC_BUDGET_MIN - 15.0)
+        assert resyncs == [7]           # still waiting out the budget
+        network.scheduler.run_for(RESYNC_BUDGET_MAX - RESYNC_BUDGET_MIN + 15.0)
         assert resyncs == [7, 7]        # handled like an expired resync
-        stream.offer(7, 2, "e2")
-        assert delivered == ["e1", "e2", "e3"]
+        app.streams.offer(7, 2, "e2")
+        assert app.events == ["e1", "e2", "e3"]
 
     def test_forget_drops_state_and_timer(self, scheduler, stream, resyncs):
         stream.offer(7, 3, "e3")

@@ -1,5 +1,5 @@
 """Rows generated from the wire table: a bad request is answered or
-counted, never raised, and changes nothing.
+counted, never raised, and changes nothing; a bad reply is a lost reply.
 
 For every request verb in :data:`repro.net.wire.REQUESTS` and every field
 it declares, a well-formed payload (:data:`VALID`) is sent with that field
@@ -8,10 +8,15 @@ payload that is not an object is sent once per verb. Each must reach its
 target without ending the run, be counted once in
 ``net.messages.malformed{verb}``, be answered with the verb's reply and
 failure flag when it has one (unanswered otherwise), and leave the
-target's state as it was. The protocol is closed: the table's verbs are
+target's state as it was. For every reply verb in
+:data:`repro.net.wire.REPLIES` the same wrong values and missing fields
+answer a pending request: each is counted once, never reaches the
+request's callback, and the request times out; a refusal ``{flag: False,
+"error": ...}`` reaches it. The protocol is closed: the table's verbs are
 the ones :mod:`repro.analysis.verbs` finds sent or handled in ``src/``.
 """
 
+import math
 import pathlib
 
 import pytest
@@ -19,8 +24,12 @@ import pytest
 import repro
 from repro.analysis.source import load_sources
 from repro.analysis.verbs import build_model
+from repro.core.ids import GuidFactory
+from repro.entities.profile import Profile
+from repro.net.rpc import RequestManager
+from repro.net.transport import FixedLatency, FunctionProcess, Network
 from repro.overlay.hierarchy import HierarchyNetwork
-from repro.net.wire import REQUESTS, VERBS
+from repro.net.wire import REPLIES, REQUESTS, VERBS
 from tests.integration.test_malformed_payloads import (  # noqa: F401
     FIX, TARGETS, _query_wire, _state, deployment)
 
@@ -76,10 +85,32 @@ TARGET_OF = {
     "unsubscribe": "mediator", "unsubscribe-owner": "mediator",
 }
 
+_GUIDS = GuidFactory(seed=11)
+
+#: a well-formed answer per reply verb, its flag not ``False``
+VALID_REPLIES = {
+    "profile-response": {"found": True, "advertisements": [],
+                         "profile": Profile(_GUIDS.mint(), "P1").to_wire()},
+    "profile-update-ack": {"ok": True},
+    "publish-ack": {"delivered": 0},
+    "query-ack": {"ok": True, "query_id": "q-1", "status": "executed",
+                  "error": ""},
+    "register-ack": {"ok": True, "range": "r", "lease": 30.0,
+                     "context_server": _GUIDS.mint().hex,
+                     "event_mediator": _GUIDS.mint().hex},
+    "resync-ack": {"ok": True, "sub_id": 1, "seq": 0},
+    "service-result": {"ok": True, "result": {}, "error": ""},
+    "subscribe-ack": {"sub_id": 1},
+    "unsubscribe-ack": {"removed": True},
+    "unsubscribe-owner-ack": {"removed": 0},
+}
+
 #: values of the wrong kind, by the name of the kind they break
 WRONG = {
     "str": [5], "int": ["7", True, 1.5], "bool": [1], "list": ["x"],
     "dict": [[1]], "guid": ["zz", 5],
+    "lease": [0, -30.0, "30", True, math.inf, math.nan],
+    "int >= 0": [-1, True, 2.5, None],
     "[[int, int]]": [5, [[1]], [[1, 0]], [[True, 1]], [(1, 1)]],
     "ContextEvent.from_wire": [5, {"type": "x"}],
     "filter_from_spec": [5, {"op": "bogus"}],
@@ -89,16 +120,16 @@ WRONG = {
 }
 
 
-def _rows():
+def _rows(table=REQUESTS, valid=VALID):
     rows = []
-    for verb, row in sorted(REQUESTS.items()):
+    for verb, row in sorted(table.items()):
         for name, kind, required in row.fields:
             for index, value in enumerate(WRONG.get(kind.name, ())):
                 rows.append(pytest.param(
-                    verb, {**VALID[verb], name: value},
+                    verb, {**valid[verb], name: value},
                     id=f"{verb}-{name}-{kind.name}-{index}"))
             if required:
-                payload = dict(VALID[verb])
+                payload = dict(valid[verb])
                 del payload[name]
                 rows.append(pytest.param(verb, payload,
                                          id=f"{verb}-{name}-missing"))
@@ -108,9 +139,18 @@ def _rows():
 def test_every_request_verb_has_a_valid_payload_and_a_target():
     assert set(VALID) == set(TARGET_OF) == set(REQUESTS)
     # every kind the table uses but ``any`` has wrong values to send
-    used = {kind.name for row in REQUESTS.values()
+    used = {kind.name for row in VERBS.values()
             for _, kind, _ in row.fields}
     assert used - {"any"} <= set(WRONG)
+
+
+def test_every_reply_named_by_a_request_has_a_row_and_the_reverse():
+    named = {row.reply for row in REQUESTS.values() if row.reply}
+    assert set(REPLIES) == named == set(VALID_REPLIES)
+    for verb, row in REPLIES.items():
+        assert row.fields and row.flag, verb
+        assert row.reply is None and not row.external
+        row.parse(VALID_REPLIES[verb])  # raises on a broken row
 
 
 def test_the_wire_table_is_the_protocol():
@@ -166,7 +206,8 @@ def test_a_bad_field_is_answered_or_counted(rig, verb, payload):
     if row.reply is None:
         assert replies == []
     else:
-        assert [(reply.kind, reply.payload[row.flag]) for reply in replies] \
+        flag = REPLIES[row.reply].flag
+        assert [(reply.kind, reply.fields[flag]) for reply in replies] \
             == [(row.reply, False)]
         assert replies[0].payload["error"]
 
@@ -191,3 +232,85 @@ def test_a_cancel_query_with_a_list_id_leaves_the_scheduled_query(rig):
     assert query.query_id in server._scheduled
     sci.run(200)  # the scheduled query still executes
     assert server.explain(query.query_id)["status"] == "executed"
+
+
+#: the request each reply verb answers
+ANSWERS = {row.reply: verb for verb, row in REQUESTS.items() if row.reply}
+
+
+@pytest.fixture
+def pair():
+    """``ask(reply_verb, payload)`` sends the request ``reply_verb`` answers
+    to an address nobody holds, and a stub answers it with ``payload``;
+    ``outcomes`` gets each reply that reaches the callback and each
+    timeout."""
+    network = Network(latency_model=FixedLatency(1.0), seed=5)
+    network.add_host("a")
+    network.add_host("b")
+    guids = GuidFactory(seed=13)
+    requester = FunctionProcess(guids.mint(), "a", network,
+                                lambda message: requests.dispatch_reply(
+                                    message))
+    requests = RequestManager(requester)
+    answerer = FunctionProcess(guids.mint(), "b", network, lambda m: None)
+    outcomes = []
+
+    def ask(reply_verb, payload):
+        pending = requests.request(
+            guids.mint(), ANSWERS[reply_verb], {},
+            on_reply=outcomes.append,
+            on_timeout=lambda: outcomes.append("timeout"),
+            timeout=10.0, retries=1)
+        answerer.reply(pending.message, reply_verb, payload)
+    return network, ask, outcomes
+
+
+def _malformed(network):
+    return network.obs.metrics.get("net.messages.malformed").by_label()
+
+
+@pytest.mark.parametrize("verb, payload",
+                         _rows(REPLIES, VALID_REPLIES)
+                         + [pytest.param(verb, [1], id=f"{verb}-not-object")
+                            for verb in sorted(REPLIES)])
+def test_a_reply_that_fails_its_row_is_a_lost_reply(pair, verb, payload):
+    network, ask, outcomes = pair
+    ask(verb, payload)
+    network.scheduler.run_for(5)
+    assert outcomes == []
+    assert _malformed(network) == {verb: 1}
+    network.scheduler.run_for(40)  # 10, then 20 with up to 25 % jitter
+    assert outcomes == ["timeout"]
+
+
+@pytest.mark.parametrize("verb", sorted(REPLIES))
+def test_a_refusal_reaches_the_callback(pair, verb):
+    network, ask, outcomes = pair
+    flag = REPLIES[verb].flag
+    ask(verb, {flag: False, "error": "no"})
+    network.scheduler.run_for(5)
+    assert [reply.fields for reply in outcomes] == [
+        {flag: False, "error": "no"}]
+    assert _malformed(network) == {}
+
+
+def test_a_refusal_that_carries_a_field_checks_its_kind(pair):
+    network, ask, outcomes = pair
+    ask("query-ack", {"ok": False, "query_id": "q-1", "status": 5})
+    network.scheduler.run_for(5)
+    assert outcomes == []
+    assert _malformed(network) == {"query-ack": 1}
+    ask("query-ack", {"ok": False, "query_id": "q-1", "status": "expired"})
+    network.scheduler.run_for(5)
+    assert [reply.fields for reply in outcomes] == [
+        {"ok": False, "query_id": "q-1", "status": "expired"}]
+
+
+@pytest.mark.parametrize("verb", sorted(REPLIES))
+def test_a_valid_answer_reaches_the_callback(pair, verb):
+    network, ask, outcomes = pair
+    ask(verb, VALID_REPLIES[verb])
+    network.scheduler.run_for(5)
+    assert [reply.kind for reply in outcomes] == [verb]
+    assert set(outcomes[0].fields) == set(VALID_REPLIES[verb])
+    assert _malformed(network) == {}

@@ -13,9 +13,6 @@ class TestPoint:
     def test_midpoint(self):
         assert Point(0, 0).midpoint(Point(2, 4)) == Point(1, 2)
 
-    def test_translate(self):
-        assert Point(1, 1).translate(2, -1) == Point(3, 0)
-
     def test_ordering_and_hash(self):
         assert Point(1, 2) == Point(1, 2)
         assert len({Point(1, 2), Point(1, 2)}) == 1
@@ -46,11 +43,6 @@ class TestPolygon:
     def test_centroid_inside(self, triangle):
         assert triangle.contains(triangle.centroid())
 
-    def test_bounding_box(self, triangle):
-        lo, hi = triangle.bounding_box()
-        assert lo == Point(0, 0)
-        assert hi == Point(4, 4)
-
     def test_distance_to_point_zero_inside(self, triangle):
         assert triangle.distance_to_point(Point(1, 1)) == 0.0
 
@@ -68,6 +60,16 @@ class TestRect:
 
     def test_centroid(self):
         assert Rect(2, 2, 4, 6).centroid() == Point(4, 5)
+
+    def test_distance_is_zero_exactly_where_it_contains(self):
+        rect = Rect(0, 0, 10, 5)
+        assert rect.distance_to_point(Point(10, 5)) == 0.0
+        assert rect.distance_to_point(Point(13, 9)) == 5.0
+        assert rect.distance_to_point(Point(-2, 3)) == 2.0
+        # a subnormal gap: not contained, so not at distance 0
+        tiny = Rect(0.0, 1.2754973954820963e-269, 1.0, 1.0)
+        assert not tiny.contains(Point(0, 0))
+        assert tiny.distance_to_point(Point(0, 0)) == 1.2754973954820963e-269
 
     def test_area(self):
         assert Rect(0, 0, 3, 4).area() == pytest.approx(12.0)
