@@ -111,11 +111,8 @@ def measure_publish(n_subscriptions, publishes):
 # -- query resolution ----------------------------------------------------------
 
 class _Population:
-    """N single-output source profiles across many types, as a live feed.
-
-    The feed token is the registrar-shaped ``(registrations, templates)``
-    pair, bumped once per arrival or departure, so reported deltas chain.
-    """
+    """N single-output source profiles across many types, as a live feed
+    that reports each arrival and departure to the resolver."""
 
     def __init__(self, n_profiles):
         self.registry = TypeRegistry()
@@ -124,7 +121,6 @@ class _Population:
             self.registry.define(f"sense-{i}")
         self._guids = GuidFactory(seed=31)
         self.profiles = [self._mint(i) for i in range(n_profiles)]
-        self.registrations = n_profiles
 
     def _mint(self, index):
         return Profile(self._guids.mint(), f"src-{index}", EntityClass.DEVICE,
@@ -134,32 +130,25 @@ class _Population:
     def wanted(self, index):
         return TypeSpec(f"sense-{index % self.n_types}", "raw", f"s{index}")
 
-    def version(self):
-        return (self.registrations, 0)
-
     def arrive(self, resolver, index):
         arrived = self._mint(index)
         self.profiles.append(arrived)
-        self.registrations += 1
         resolver.note_profile_added(arrived)
 
     def depart(self, resolver, position):
         departed = self.profiles.pop(position)
-        self.registrations += 1
         resolver.note_profile_removed(departed.entity_id.hex)
 
-    def resolver(self, feed_version):
+    def resolver(self):
         return QueryResolver(self.registry,
                              live_profiles=lambda: self.profiles,
-                             templates=TemplateRegistry(),
-                             feed_version=feed_version)
+                             templates=TemplateRegistry())
 
 
-def build_resolver(n_profiles, cached=True):
-    """A resolver over a fixed population (stable feed version)."""
+def build_resolver(n_profiles):
+    """A resolver over a fixed population."""
     population = _Population(n_profiles)
-    return (population.resolver((lambda: 0) if cached else None),
-            population.n_types)
+    return population.resolver(), population.n_types
 
 
 def _timed_resolve(resolver, wanted):
@@ -180,7 +169,7 @@ def _latency_row(resolver, latencies, **extra):
 
 def measure_resolve(n_profiles, resolves):
     population = _Population(n_profiles)
-    resolver = population.resolver(lambda: 0)
+    resolver = population.resolver()
     return _latency_row(resolver, [
         _timed_resolve(resolver, population.wanted(i % n_profiles))
         for i in range(resolves)])
@@ -195,7 +184,7 @@ def measure_resolve_churned(n_profiles, resolves):
     lower half, so every resolve has its provider.
     """
     population = _Population(n_profiles)
-    resolver = population.resolver(population.version)
+    resolver = population.resolver()
     build_ms = _timed_resolve(resolver, population.wanted(0))
     latencies = []
     for i in range(resolves):
@@ -258,7 +247,7 @@ class TestReportDispatchPerf:
                 "p50_ms": round(row["p50_ms"], 4),
                 "p95_ms": round(row["p95_ms"], 4),
             })
-            # a version-stable feed must build the index exactly once
+            # a resolver builds its index exactly once
             assert row["rebuilds"] == 1
         report("")
         report("PERF  resolve latency under churn (one arrival or departure "

@@ -11,16 +11,17 @@ structural properties a refactor could silently regress:
   non-zero) and the residual-scan fraction stays below a threshold — a change
   that de-indexes selective filters (e.g. by breaking filter analysis) fails
   here long before production-scale latencies would reveal it;
-* the resolver's profile index is built once under a stable feed version and
+* the resolver's profile index is built once across every resolve and
   serves every candidate lookup (``resolver.index.*`` via its counters);
 * a Context Server's query path scans no population: over registration
-  churn the provider index is built exactly once (arrivals, departures and
-  re-registrations arrive as deltas), and profile/advertisement queries
-  answered from the Registrar's What index are digest-equal to the
-  test-side linear scan (``tests/server/reference_scan.py``); a
-  subject-bound subscription reads no more providers than its subject's
-  and the unbound sub-buckets hold, and an equal second subscription is
-  served by graph reuse;
+  churn the provider index is built exactly once, each reported arrival,
+  departure or re-registration counts one delta, and no lookup files more
+  than the one profile each arrival or re-registration brings;
+  profile/advertisement queries answered from the Registrar's What index
+  are digest-equal to the test-side linear scan
+  (``tests/server/reference_scan.py``); a subject-bound subscription reads
+  no more providers than its subject's and the unbound sub-buckets hold,
+  and an equal second subscription is served by graph reuse;
 * a registration storm delivers each ``component-up`` to the Range Services
   listening on the announcer's machine and to nobody else: four deliveries
   per Figure-5 handshake however crowded the machine, and no announce
@@ -215,12 +216,23 @@ def query_path_under_churn(profiles=QUERY_PATH_PROFILES,
             kind="ce"))
     wanted = TypeSpec("printer-status", "record")
     server.resolver.resolve(wanted)
+    # every profile filed after the build, by a delta or a lookup
+    filings = []
+    index = server.resolver._provider_index
+    add_profile = index.add_profile
+
+    def counted_add(profile, *args):
+        filings.append(profile)
+        add_profile(profile, *args)
+
+    index.add_profile = counted_add
     queries = [QueryBuilder("smoke").profiles_of_type("printer").build(),
                QueryBuilder("smoke").profile_of("unit-8").build(),
                QueryBuilder("smoke").advertisement("print").build()]
     indexed, scanned = blake2b(digest_size=16), blake2b(digest_size=16)
-    answered = 0
+    answered = brought = 0
     for step in range(churn):
+        brought += step % 3 != 1  # an arrival or a re-registration
         if step % 3 == 0:
             members.append(registrar.register_record(
                 record(guids.mint(), 4 * step, "printer")))
@@ -247,14 +259,14 @@ def query_path_under_churn(profiles=QUERY_PATH_PROFILES,
             scanned.update(repr(expected).encode())
             answered += len(got)
 
-    index = server.resolver._provider_index
+    index.add_profile = add_profile
     served = []
     providers = index.providers
 
-    def counted(wanted, *args):
-        entries, rebuilt = providers(wanted, *args)
+    def counted(wanted):
+        entries = providers(wanted)
         served.append(len(entries))
-        return entries, rebuilt
+        return entries
 
     index.providers = counted
     subject = "person-7"
@@ -269,6 +281,9 @@ def query_path_under_churn(profiles=QUERY_PATH_PROFILES,
     index.providers = providers
     return {"rebuilds": server.resolver.index_rebuilds,
             "deltas": server.resolver.index_deltas,
+            "reported": profiles + badges + churn,
+            "filed": len(filings),
+            "brought": brought,
             "answered": answered,
             "indexed_digest": indexed.hexdigest(),
             "scanned_digest": scanned.hexdigest(),
@@ -515,7 +530,7 @@ def main() -> int:
     for i in range(10):
         resolver.resolve(TypeSpec(f"sense-{i % n_types}", "raw", f"s{i}"))
     ok &= check(resolver.index_rebuilds == 1,
-                f"profile index built once under a stable feed "
+                f"profile index built once across every resolve "
                 f"({resolver.index_rebuilds} rebuilds)")
     ok &= check(resolver.index_hits >= 10,
                 f"candidate lookups served from the index "
@@ -526,8 +541,15 @@ def main() -> int:
     query_path = query_path_under_churn()
     ok &= check(query_path["rebuilds"] == 1,
                 f"provider index built once over {QUERY_PATH_CHURN} "
-                f"membership changes ({query_path['rebuilds']} rebuilds, "
-                f"{query_path['deltas']} deltas reported)")
+                f"membership changes ({query_path['rebuilds']} rebuilds)")
+    ok &= check(query_path["deltas"] == query_path["reported"],
+                f"each reported arrival or departure is one delta "
+                f"({query_path['deltas']} deltas == "
+                f"{query_path['reported']} membership writes)")
+    ok &= check(query_path["filed"] == query_path["brought"],
+                f"no lookup refiles the population ({query_path['filed']} "
+                f"profiles filed after the build == "
+                f"{query_path['brought']} arrivals and re-registrations)")
     ok &= check(query_path["answered"] > 0
                 and query_path["indexed_digest"]
                 == query_path["scanned_digest"],
@@ -591,7 +613,7 @@ def main() -> int:
         profile = Profile(guids.mint(), f"ce-{i}")
         registrar.register_record(RegistrationRecord(
             profile=profile, kind="ce", registered_at=net.scheduler.now,
-            lease_expiry=net.scheduler.now + 10.0), notify=False)
+            lease_expiry=net.scheduler.now + 10.0))
     net.scheduler.run_for(30)
     pops = net.obs.metrics.counter(
         "registrar.expiry.pops").value(range="smoke")

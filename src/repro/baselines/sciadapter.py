@@ -31,7 +31,6 @@ class SCIComposition:
         self._guids = GuidFactory(seed=seed)
         self._profile_of: Dict[str, Profile] = {}
         self._source_of_hex: Dict[str, DataSource] = {}
-        self.resolver = QueryResolver(registry, live_profiles=self._live_profiles)
         #: wanted spec -> currently bound source (after converters)
         self.bindings: Dict[TypeSpec, Optional[DataSource]] = {}
         self.recompositions = 0
@@ -57,9 +56,15 @@ class SCIComposition:
     # -- the composition operations the C3 workload drives ------------------------
 
     def demand(self, wanted: TypeSpec) -> Optional[DataSource]:
-        """Bind a demand; returns the chosen root source (None on failure)."""
+        """Bind a demand; returns the chosen root source (None on failure).
+
+        The environment reports no arrivals or departures, so each demand
+        resolves over a resolver built on the sources live now.
+        """
+        resolver = QueryResolver(self.registry,
+                                 live_profiles=self._live_profiles)
         try:
-            plan = self.resolver.resolve(wanted)
+            plan = resolver.resolve(wanted)
         except NoProviderError:
             self.bindings[wanted] = None
             return None

@@ -22,19 +22,16 @@ subject compatibility and converter search still run per entry via
 ``conversion_path``, so results are identical to the full scan (the
 reference in ``tests/composition/reference_scan.py``). Outputs whose type
 the registry does not know cannot be filed under ancestors; they go to a
-residual list scanned on every query, which reproduces the scan's behaviour
-(``conversion_path`` raising for unknown types at query time) exactly.
+residual list scanned on every query. A residual offer whose type is still
+unknown is no candidate (both paths skip it), so one stray offer cannot fail
+every query in its range; once its type is defined it is matched like any
+other.
 
-**Kept by delta.** The index carries the feed token it was last made
-current for. A lookup under a different token rebuilds it from the feed; a
-single arrival or departure that the owner *reports* (:meth:`apply`)
-patches it in place instead, in O(outputs x ancestors). Delta soundness is
-the version-chain rule: the feed token is the pair ``(registrations_version,
-templates_version)`` and the registrar bumps the registrations component by
-exactly one per membership change, so a delta carrying token T applies only
-if the index stands at T's immediate predecessor. Any gap — a bump nobody
-reported, a template registration, never built — leaves the token stale and
-the next lookup rebuilds. Nothing can be silently stale.
+**Built once, then patched.** The index is built from the live profiles and
+the templates when it is made, and from then on its owner patches it for
+each arrival, departure or replacement (:meth:`add_profile`,
+:meth:`remove_entity`), in O(outputs x ancestors). The template registry is
+append-only, so a lookup files any template registered since the last one.
 
 Buckets are insertion-ordered dicts keyed by a monotone entry id, with a
 reverse map from entity hex to its entry ids. Delta adds append after whatever
@@ -49,7 +46,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.core.errors import SCIError
 from repro.core.types import TypeRegistry, TypeSpec
@@ -72,31 +69,16 @@ class ProviderEntry:
 #: reverse-map marker: the entry is filed on the residual list
 _RESIDUAL = None
 
-#: sentinel token: the index has never been built
-NEVER_BUILT = object()
-
-
-def _predecessor(token: object) -> object:
-    """The feed token immediately before ``token``.
-
-    Deltas need the ``(registrations_version, templates_version)`` token
-    shape; anything else cannot chain.
-    """
-    try:
-        registrations, templates_version = token
-        return (registrations - 1, templates_version)
-    except (TypeError, ValueError):
-        raise TypeError(
-            "provider-index deltas need a (registrations_version, "
-            f"templates_version) feed token, got {token!r}") from None
-
 
 class ProfileIndex:
-    """Type-keyed provider buckets, current for one feed token."""
+    """Type-keyed provider buckets over live profiles and templates."""
 
-    def __init__(self, registry: TypeRegistry):
+    def __init__(self, registry: TypeRegistry, live_profiles: List[Profile],
+                 templates: TemplateRegistry):
         self.registry = registry
-        self.token: object = NEVER_BUILT
+        self._templates = templates
+        #: how many of ``templates`` (in registration order) are filed
+        self._templates_filed = 0
         self._entry_ids = itertools.count(1)
         self._buckets: Dict[str, Dict[int, ProviderEntry]] = {}
         #: (type name, offered subject) -> the type bucket's entries with
@@ -108,32 +90,30 @@ class ProfileIndex:
         #: under; the _RESIDUAL marker stands for the residual list)
         self._by_entity: Dict[str, Dict[int, Tuple[Hashable,
                                                    List[Optional[str]]]]] = {}
+        for profile in live_profiles:
+            self.add_profile(profile)
+        self._file_new_templates()
 
     # -- queries --------------------------------------------------------------
 
-    def providers(self, wanted: TypeSpec,
-                  live_profiles: Callable[[], List[Profile]],
-                  templates: TemplateRegistry,
-                  token: object) -> Tuple[List[ProviderEntry], bool]:
+    def providers(self, wanted: TypeSpec) -> List[ProviderEntry]:
         """Entries whose offered output could satisfy ``wanted``.
 
-        Rebuilds from the feed first when ``token`` is not the one the index
-        stands at; returns ``(entries, rebuilt)`` so the resolver can count
-        builds. Bucketed entries first, in filing order, then the residual
-        list.
+        Bucketed entries first, in filing order, then the residual entries
+        whose type the registry now knows.
         """
-        rebuilt = self.token != token
-        if rebuilt:
-            self.rebuild(live_profiles(), templates)
-            self.token = token
+        if len(self._templates) > self._templates_filed:
+            self._file_new_templates()
         if wanted.subject is None:
             bucket = self._buckets.get(wanted.type_name)
             found = list(bucket.values()) if bucket else []
         else:
             found = self._subject_providers(wanted.type_name, wanted.subject)
         if self._residual:
-            found.extend(self._residual.values())
-        return found, rebuilt
+            known = self.registry.known
+            found.extend(entry for entry in self._residual.values()
+                         if known(entry.offered.type_name))
+        return found
 
     def _subject_providers(self, type_name: str,
                            subject: Hashable) -> List[ProviderEntry]:
@@ -143,37 +123,14 @@ class ProfileIndex:
         return [entry for _, entry in heapq.merge(
             bound.items(), unbound.items(), key=itemgetter(0))]
 
-    # -- deltas ---------------------------------------------------------------
+    # -- writes ---------------------------------------------------------------
 
-    def apply(self, token: object, added: Optional[Profile] = None,
-              removed: Optional[str] = None) -> bool:
-        """One reported membership change: unfile ``removed``, file ``added``.
-
-        Both may be None for changes that bump the feed version but leave
-        the provider table alone (context-aware applications) — the token
-        still advances so later deltas keep chaining. Returns False when the
-        index is not at ``token``'s predecessor; it then catches up by
-        rebuilding on the next lookup.
-        """
-        if self.token != _predecessor(token):
-            return False
-        if removed is not None:
-            self.remove_entity(removed)
-        if added is not None:
-            self.add_profile(added)
-        self.token = token
-        return True
-
-    def rebuild(self, live_profiles: List[Profile],
-                templates: TemplateRegistry) -> None:
-        self._buckets = {}
-        self._subject_buckets = {}
-        self._residual = {}
-        self._by_entity = {}
-        for profile in live_profiles:
-            self.add_profile(profile)
-        for template in templates.all_templates():
+    def _file_new_templates(self) -> None:
+        """File the templates registered since the last filing."""
+        templates = self._templates.all_templates()
+        for template in templates[self._templates_filed:]:
             self.add_profile(template.prototype, template.name)
+        self._templates_filed = len(templates)
 
     def add_profile(self, profile: Profile,
                     template_name: Optional[str] = None) -> None:
@@ -203,7 +160,7 @@ class ProfileIndex:
                     subject, filed)
 
     def remove_entity(self, entity_hex: str) -> None:
-        """Unfile every entry of a departed entity."""
+        """Unfile every entry of a departed entity (none if never filed)."""
         entries = self._by_entity.pop(entity_hex, None)
         if not entries:
             return

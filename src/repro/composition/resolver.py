@@ -73,18 +73,13 @@ class QueryResolver:
     so two queries cannot bind one CE to different subjects.
 
     Candidate search runs over a :class:`ProfileIndex` keyed by offered
-    output type and, for a subject-bound want, offered subject.
-    ``feed_version`` is the invalidation signal: a callable returning a
-    token that changes whenever the profile feed changes (registrations,
-    departures, lease expiries, template additions — the Context Server
-    wires ``(registrar.version, templates.version)`` here). While the token
-    is stable, queries reuse the built index; membership changes reported
-    through ``note_profile_*`` patch it in place and advance its token, and
-    any change nobody reported leaves the token stale, so the next lookup
-    rebuilds. Without a version feed the index is rebuilt once per
-    ``resolve`` call, which is still never worse than a full scan of the
-    profiles (that scan is the equivalence reference in
-    ``tests/composition/reference_scan.py``).
+    output type and, for a subject-bound want, offered subject. The first
+    lookup builds it from ``live_profiles()`` and the templates; from then
+    on the owner reports every membership change through ``note_profile_*``
+    and each report patches it in place. A change nobody reports is never
+    seen, so a caller whose profile list changes behind the resolver's back
+    builds a fresh resolver (the full scan it must agree with is the
+    equivalence reference in ``tests/composition/reference_scan.py``).
     """
 
     def __init__(
@@ -93,7 +88,6 @@ class QueryResolver:
         live_profiles: Callable[[], List[Profile]],
         templates: Optional[TemplateRegistry] = None,
         bindings_of: Optional[Callable[[str], Optional[Dict[str, object]]]] = None,
-        feed_version: Optional[Callable[[], object]] = None,
         metrics=None,
         range_name: str = "",
     ):
@@ -101,20 +95,16 @@ class QueryResolver:
         self.live_profiles = live_profiles
         self.templates = templates or TemplateRegistry()
         self.bindings_of = bindings_of or (lambda _hex: None)
-        self.feed_version = feed_version
-        #: without a version feed the resolution counter is the token, i.e.
-        #: one rebuild per top-level ``resolve`` — for callers handing in a
-        #: mutable profile list
-        self._feed_token = feed_version or (lambda: self.resolutions)
         self._converter_counter = itertools.count(1)
         self.resolutions = 0
         self.backtracks = 0
-        #: builds of the provider index actually performed
+        #: builds of the provider index: at most one per resolver
         self.index_rebuilds = 0
         self.index_hits = 0
         #: membership changes reported through ``note_profile_*``
         self.index_deltas = 0
-        self._provider_index = ProfileIndex(registry)
+        #: built at the first lookup
+        self._provider_index: Optional[ProfileIndex] = None
         metrics = MetricsRegistry() if metrics is None else metrics
         label = range_name or "-"
         self._hits_counter = metrics.counter(
@@ -150,34 +140,32 @@ class QueryResolver:
             logger.debug("resolved %s ->\n%s", wanted, plan.describe())
         return plan
 
-    def note_profile_added(self, profile: Optional[Profile]) -> int:
-        """Arrival delta: file ``profile`` instead of rebuilding.
+    def note_profile_added(self, profile: Profile) -> None:
+        """Arrival delta: file ``profile``'s outputs."""
+        self._note_delta(added=profile)
 
-        Call *after* the feed version has been bumped for this arrival.
-        ``profile`` is None for arrivals that contribute no providers
-        (context-aware applications) — the version chain still advances.
-        Returns 1 when the index was patched in place, 0 when it is not
-        current and will rebuild at the next lookup.
-        """
-        return self._note_delta(added=profile)
+    def note_profile_removed(self, entity_hex: str) -> None:
+        """Departure delta: unfile an entity's entries (none for an entity
+        that provides nothing)."""
+        self._note_delta(removed=entity_hex)
 
-    def note_profile_removed(self, entity_hex: Optional[str]) -> int:
-        """Departure delta: unfile an entity's entries."""
-        return self._note_delta(removed=entity_hex)
-
-    def note_profile_replaced(self, entity_hex: Optional[str],
-                              profile: Optional[Profile]) -> int:
-        """Re-registration delta: one version bump, old entries out, new in."""
-        return self._note_delta(added=profile, removed=entity_hex)
+    def note_profile_replaced(self, entity_hex: str,
+                              profile: Optional[Profile]) -> None:
+        """Re-registration delta: old entries out, ``profile``'s in (None
+        when the new registration provides nothing)."""
+        self._note_delta(added=profile, removed=entity_hex)
 
     def _note_delta(self, added: Optional[Profile] = None,
-                    removed: Optional[str] = None) -> int:
-        if self.feed_version is None:
-            return 0  # no chain to advance: every resolve rebuilds anyway
+                    removed: Optional[str] = None) -> None:
         self.index_deltas += 1
         self._deltas_counter.inc()
-        return int(self._provider_index.apply(self.feed_version(),
-                                              added, removed))
+        index = self._provider_index
+        if index is None:
+            return  # the first lookup builds from the feed, change included
+        if removed is not None:
+            index.remove_entity(removed)
+        if added is not None:
+            index.add_profile(added)
 
     # -- search --------------------------------------------------------------------
 
@@ -249,12 +237,13 @@ class QueryResolver:
         exclude: FrozenSet[str],
         predicate: Optional[Callable[[Profile], bool]],
     ) -> List[_Candidate]:
-        entries, rebuilt = self._provider_index.providers(
-            wanted, self.live_profiles, self.templates,
-            self._feed_token())
-        if rebuilt:
+        index = self._provider_index
+        if index is None:
+            index = self._provider_index = ProfileIndex(
+                self.registry, self.live_profiles(), self.templates)
             self.index_rebuilds += 1
             self._rebuilds_counter.inc()
+        entries = index.providers(wanted)
         self.index_hits += 1
         self._hits_counter.inc()
         found: List[_Candidate] = []

@@ -47,18 +47,20 @@ class CETemplate:
 
 
 class TemplateRegistry:
-    """The templates one Context Server can draw on."""
+    """The templates one Context Server can draw on.
+
+    Append-only: a template is never replaced or removed, so the count of
+    templates says which ones are new since a reader last looked (the
+    resolver's provider index files them that way).
+    """
 
     def __init__(self):
         self._templates: Dict[str, CETemplate] = {}
-        #: bumped on every registration; feeds resolver index invalidation
-        self.version = 0
 
     def register(self, template: CETemplate) -> CETemplate:
         if template.name in self._templates:
             raise CompositionError(f"duplicate template: {template.name!r}")
         self._templates[template.name] = template
-        self.version += 1
         return template
 
     def add(self, name: str, prototype: Profile, factory: CEFactory,

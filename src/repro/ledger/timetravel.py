@@ -123,7 +123,7 @@ def explain_query(entries: List[LedgerEntry],
     """
     lifecycle: List[LedgerEntry] = []
     for entry in entries:
-        if entry.kind == "query" and entry.payload.get("query_id") == query_id:
+        if entry.kind == "query" and entry.payload["query_id"] == query_id:
             lifecycle.append(entry)
     if not lifecycle:
         return None
@@ -134,16 +134,16 @@ def explain_query(entries: List[LedgerEntry],
     status = last.payload["event"]
     bound: List[Dict[str, Any]] = []
     if status == "executed":
-        for entity_hex in last.payload.get("bound", []):
+        for entity_hex in last.payload["bound"]:
             register_ref = None
             for entry in entries:
                 if entry.sim_time > last.sim_time:
                     break
                 if (entry.kind == "register"
-                        and entry.payload.get("entity") == entity_hex):
+                        and entry.payload["entity"] == entity_hex):
                     register_ref = entry.ref()
                 elif (entry.kind == "depart"
-                        and entry.payload.get("entity") == entity_hex):
+                        and entry.payload["entity"] == entity_hex):
                     register_ref = None
             bound.append({"entity": entity_hex, "register": register_ref})
 

@@ -98,7 +98,7 @@ def _parser(module: str, path: str) -> Kind:
 
 
 STR, INT, BOOL = _json("str", str), _json("int", int), _json("bool", bool)
-LIST, DICT = _json("list", list), _json("dict", dict)
+DICT = _json("dict", dict)
 ANY = Kind("any", lambda value: value)
 GUID_HEX = Kind("guid", _guid)
 EVENT = _parser("repro.events.event", "ContextEvent.from_wire")
@@ -185,7 +185,7 @@ REQUESTS: Dict[str, Verb] = {
     "event": Verb({"subs": SEQ_PAIRS, "event?": ANY}),
     "event-ack": Verb({"acks": SEQ_PAIRS}),
     "h-route": Verb({"target": STR, "kind": STR, "body": ANY, "hops": INT}),
-    "heartbeat": Verb({"entities": LIST}),
+    "heartbeat": Verb({"entities": _list_of(STR)}),
     "o-bcast": Verb({"bcast_id": STR, "kind": STR, "body": ANY, "hops": INT,
                      "until": GUID_HEX}),
     "o-delivery": Verb({"kind": STR, "body": ANY, "hops": INT}),

@@ -178,9 +178,10 @@ _declare("config.graph.reuse_hits", "counter",
 _declare("resolver.index.hits", "counter",
          "candidate lookups served from the profile index", labels=("range",))
 _declare("resolver.index.rebuilds", "counter",
-         "builds of the profile index from the feed", labels=("range",))
+         "builds of the profile index: at most one per resolver",
+         labels=("range",))
 _declare("resolver.index.deltas", "counter",
-         "membership changes applied to the profile index in place",
+         "membership changes reported to the profile index",
          labels=("range",))
 
 # -- experiments --------------------------------------------------------------

@@ -139,11 +139,6 @@ class ContextServer(Process):
             live_profiles=self._resolver_profiles,
             templates=self.templates,
             bindings_of=lambda entity_hex: self.configurations.bindings_of(entity_hex),
-            # the provider index follows membership by delta (the hooks
-            # below report every bump) and rebuilds on any other change of
-            # this token: a template registration, an unreported bump
-            feed_version=lambda: (self.registrar.version,
-                                  self.templates.version),
             metrics=network.obs.metrics,
             range_name=definition.name,
         )
@@ -207,24 +202,19 @@ class ContextServer(Process):
             registered_at=self.now,
             lease_expiry=None,
         )
-        self.registrar.register_record(record, notify=False)
-        # notify=False skips on_arrival, so patch the provider index here
-        # (the version was bumped by register_record)
-        self.resolver.note_profile_added(record.profile)
+        self.registrar.register_record(record)
 
     def _entity_arrived(self, record: RegistrationRecord) -> None:
-        # CAAs provide no context: a None delta advances the version chain
-        # of the provider index without filing anything
-        self.resolver.note_profile_added(
-            record.profile if _provides(record) else None)
+        # the registrar's hooks are the provider index's only write path
+        if _provides(record):
+            self.resolver.note_profile_added(record.profile)
         self._admit(record)
 
     def _entity_replaced(self, previous: RegistrationRecord,
                          record: RegistrationRecord) -> None:
         """A registered component registered again: swap its books."""
         self.resolver.note_profile_replaced(
-            previous.entity_hex if _provides(previous) else None,
-            record.profile if _provides(record) else None)
+            previous.entity_hex, record.profile if _provides(record) else None)
         if previous.profile.name != record.profile.name:
             self.location.forget(previous.profile.name)
         self._admit(record)
@@ -240,8 +230,7 @@ class ContextServer(Process):
 
     def _entity_departed(self, record: RegistrationRecord, reason: str) -> None:
         entity_hex = record.entity_hex
-        self.resolver.note_profile_removed(
-            entity_hex if _provides(record) else None)
+        self.resolver.note_profile_removed(entity_hex)
         self.location.forget(record.profile.name)
         self.mediator.remove_subscriber(record.profile.entity_id)
         affected = self.configurations.handle_entity_departure(entity_hex)
@@ -757,5 +746,5 @@ def _candidate_to_wire(candidate: Candidate) -> Dict[str, Any]:
         "reachable": candidate.reachable,
         "available": candidate.available,
         "queue_length": candidate.queue_length,
-        "advertisements": candidate.payload.get("advertisements", []),
+        "advertisements": candidate.payload["advertisements"],
     }

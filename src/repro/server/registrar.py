@@ -22,6 +22,11 @@ offered-type buckets that every write files into and every removal unfiles
 from, so profile and advertisement queries read their matches instead of
 testing every registration (that scan is the equivalence reference in
 ``tests/server/reference_scan.py``).
+
+Every registration, re-registration and removal fires exactly one hook
+(``on_arrival``, ``on_replacement``, ``on_departure``). The Context Server
+patches the Query Resolver's provider index from them, so no write can
+reach these books without reaching that index.
 """
 
 from __future__ import annotations
@@ -113,9 +118,8 @@ class Registrar(Process):
         #: is discarded when popped (its deadline no longer matches).
         self._expiry_heap: List[Tuple[float, int, str]] = []
         self._heap_seq = itertools.count()
-        #: bumped on every membership change; feeds resolver index invalidation
-        self.version = 0
-        #: hooks the Context Server installs
+        #: hooks the Context Server installs; every registration,
+        #: re-registration and removal fires exactly one of them
         self.on_arrival: Callable[[RegistrationRecord], None] = lambda record: None
         self.on_departure: Callable[[RegistrationRecord, str], None] = (
             lambda record, reason: None)
@@ -175,12 +179,9 @@ class Registrar(Process):
             found = self._by_offered_type.get(what.pattern.type_name, {})
         return sorted(found.values(), key=_name_then_order)
 
-    def register_record(self, record: RegistrationRecord,
-                        notify: bool = True) -> RegistrationRecord:
+    def register_record(self, record: RegistrationRecord) -> RegistrationRecord:
         """Insert a record directly (infrastructure-spawned CEs, handoffs)."""
-        previous = self._store(record)
-        if notify:
-            self._announce(record, previous)
+        self._announce(record, self._store(record))
         return record
 
     def remove(self, entity_hex: str, reason: str, notify_entity: bool = True) -> bool:
@@ -189,7 +190,6 @@ class Registrar(Process):
             return False
         # any heap entries for this record become stale and are skipped on pop
         self._unfile(record)
-        self.version += 1
         self.ledger.append(self.now, "depart",
                             {"entity": entity_hex, "reason": reason})
         if notify_entity:
@@ -209,8 +209,8 @@ class Registrar(Process):
     def _store(self, record: RegistrationRecord) -> Optional[RegistrationRecord]:
         """File a (re-)registration; returns the record it replaced, if any.
 
-        One version bump either way: a re-registration is a replace, and
-        whoever is told about it applies remove+add under that one bump.
+        A re-registration is a replace: :meth:`_announce` tells the
+        ``on_replacement`` hook, not ``on_arrival``.
         """
         previous = self._records.get(record.entity_hex)
         if previous is None:
@@ -221,7 +221,6 @@ class Registrar(Process):
         self._records[record.entity_hex] = record
         self._file(record)
         self.registrations += 1
-        self.version += 1
         self._track_lease(record)
         self._log_register(record)
         return previous
@@ -331,15 +330,12 @@ class Registrar(Process):
         expiry = self.now + self.lease_duration
         renewed = unknown = 0
         for entity_hex in entities:
-            try:
-                record = self._records.get(entity_hex)
-            except TypeError:  # an unhashable id names nobody
-                record = None
+            record = self._records.get(entity_hex)
             if record is None:
                 unknown += 1
                 try:
                     address = GUID.from_hex(entity_hex)
-                except (TypeError, ValueError):
+                except ValueError:
                     continue  # counted; an id that does not parse names nobody
                 self.send(address, "deregistered",
                           {"reason": "not-registered"})

@@ -6,7 +6,8 @@ only candidate path in ``src/``; ``test_resolver.py`` and the Hypothesis
 suite (``tests/properties/test_prop_resolver.py``) require the production
 resolver to build the same plans. Only candidate search is swapped —
 scoring, backtracking, binding and plan assembly are the production
-resolver's own.
+resolver's own. An offer whose type the registry does not know is skipped,
+as the index skips it.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ class ReferenceScanResolver(QueryResolver):
             if predicate is not None and not predicate(profile):
                 return
             for offered in profile.outputs:
+                if not self.registry.known(offered.type_name):
+                    continue  # an offer of an undefined type matches nothing
                 conversion = self.registry.conversion_path(offered, wanted)
                 if conversion is None:
                     continue

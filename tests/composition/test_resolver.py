@@ -215,41 +215,12 @@ class TestProfileIndex:
             with pytest.raises(NoProviderError):
                 resolver.resolve(TypeSpec("temperature", "fahrenheit", "L10.01"))
 
-    def test_without_feed_rebuilds_once_per_resolve(self, world):
+    def test_index_is_built_once_across_resolves(self, world):
         _, _, resolver, _ = world
-        resolver.resolve(TypeSpec("temperature", "celsius"))
-        assert resolver.index_rebuilds == 1
-        resolver.resolve(TypeSpec("temperature", "celsius"))
-        assert resolver.index_rebuilds == 2
-
-    def test_stable_feed_version_reuses_index(self, registry, world):
-        profiles, templates, _, bindings = world
-        version = [0]
-        resolver = QueryResolver(registry,
-                                 live_profiles=lambda: list(profiles),
-                                 templates=templates,
-                                 bindings_of=bindings.get,
-                                 feed_version=lambda: version[0])
         resolver.resolve(TypeSpec("temperature", "celsius"))
         resolver.resolve(TypeSpec("temperature", "celsius"))
         assert resolver.index_rebuilds == 1
         assert resolver.index_hits >= 2
-
-    def test_feed_change_invalidates_index(self, registry, world):
-        profiles, templates, _, bindings = world
-        version = [0]
-        resolver = QueryResolver(registry,
-                                 live_profiles=lambda: list(profiles),
-                                 templates=templates,
-                                 bindings_of=bindings.get,
-                                 feed_version=lambda: version[0])
-        with pytest.raises(NoProviderError):
-            resolver.resolve(TypeSpec("occupancy", "count"))
-        profiles.append(sensor_profile("counter", "occupancy", "count"))
-        version[0] += 1  # what the registrar does on registration
-        plan = resolver.resolve(TypeSpec("occupancy", "count"))
-        assert plan.nodes[plan.output_key].profile.name == "counter"
-        assert resolver.index_rebuilds == 2
 
     def test_subtype_offer_found_via_parent_bucket(self, registry, world):
         profiles, _, resolver, _ = world
@@ -261,26 +232,12 @@ class TestProfileIndex:
         assert any(node.profile.name in ("gps", "wlan")
                    for node in plan.nodes.values())
 
-    def test_without_feed_deltas_are_ignored(self, registry, guids, building):
-        """Without a feed every resolve rebuilds, so a delta has no chain to
-        advance: it is ignored and the next resolve still sees the arrival."""
-        feed = _Feed(guids, building)
-        resolver = QueryResolver(registry,
-                                 live_profiles=lambda: list(feed.profiles),
-                                 templates=feed.templates)
-        resolver.resolve(TypeSpec("temperature", "celsius"))
-        fresh = sensor_profile("counter", "occupancy", "count")
-        feed.register(fresh)
-        assert resolver.note_profile_added(fresh) == 0
-        plan = resolver.resolve(TypeSpec("occupancy", "count"))
-        assert plan.nodes[plan.output_key].profile.name == "counter"
-        assert resolver.index_rebuilds == 2
-
 
 class _Feed:
-    """A mutable profile feed with the CS's (registrations, templates) token."""
+    """A mutable profile feed that reports each change to its resolver, as
+    the Context Server's registrar hooks do."""
 
-    def __init__(self, guids, building):
+    def __init__(self, registry, guids, building):
         self.profiles = [
             sensor_profile("door-1"),
             sensor_profile("door-2"),
@@ -289,130 +246,96 @@ class _Feed:
                            subject="L10.01", room="L10.01"),
         ]
         self.templates = standard_templates(guids, building)
-        self.registrations = len(self.profiles)
-
-    def version(self):
-        return (self.registrations, self.templates.version)
-
-    def resolver(self, registry):
-        return QueryResolver(registry,
-                             live_profiles=lambda: list(self.profiles),
-                             templates=self.templates,
-                             feed_version=self.version)
+        self.resolver = QueryResolver(
+            registry, live_profiles=lambda: list(self.profiles),
+            templates=self.templates)
 
     def register(self, profile):
-        """What the registrar does: bump version, then notify."""
         self.profiles.append(profile)
-        self.registrations += 1
+        self.resolver.note_profile_added(profile)
 
     def deregister(self, profile):
         self.profiles.remove(profile)
-        self.registrations += 1
+        self.resolver.note_profile_removed(profile.entity_id.hex)
+
+    def replace(self, old, new):
+        self.profiles[self.profiles.index(old)] = new
+        self.resolver.note_profile_replaced(old.entity_id.hex, new)
+
+
+@pytest.fixture
+def feed(registry, guids, building):
+    return _Feed(registry, guids, building)
 
 
 class TestDeltaFastPath:
-    """The provider index is kept by delta along the feed's version chain."""
+    """The provider index is built once, then patched by reported changes."""
 
-    def test_arrival_patches_index_without_rebuild(self, registry, guids,
-                                                   building):
-        feed = _Feed(guids, building)
-        resolver = feed.resolver(registry)
+    def test_arrival_patches_index_without_rebuild(self, feed):
+        resolver = feed.resolver
         with pytest.raises(NoProviderError):
             resolver.resolve(TypeSpec("occupancy", "count"))
-        rebuilds = resolver.index_rebuilds
-        fresh = sensor_profile("counter", "occupancy", "count")
-        feed.register(fresh)
-        assert resolver.note_profile_added(fresh) == 1
+        feed.register(sensor_profile("counter", "occupancy", "count"))
         plan = resolver.resolve(TypeSpec("occupancy", "count"))
         assert plan.nodes[plan.output_key].profile.name == "counter"
-        assert resolver.index_rebuilds == rebuilds  # delta, not rebuild
+        assert resolver.index_rebuilds == 1  # delta, not rebuild
 
-    def test_departure_unfiles_without_rebuild(self, registry, guids,
-                                               building):
-        feed = _Feed(guids, building)
+    def test_departure_unfiles_without_rebuild(self, feed):
+        resolver = feed.resolver
         fresh = sensor_profile("counter", "occupancy", "count")
-        feed.profiles.append(fresh)
-        feed.registrations += 1
-        resolver = feed.resolver(registry)
+        feed.register(fresh)
         resolver.resolve(TypeSpec("occupancy", "count"))
-        rebuilds = resolver.index_rebuilds
         feed.deregister(fresh)
-        resolver.note_profile_removed(fresh.entity_id.hex)
         with pytest.raises(NoProviderError):
             resolver.resolve(TypeSpec("occupancy", "count"))
-        assert resolver.index_rebuilds == rebuilds
+        assert resolver.index_rebuilds == 1
 
-    def test_none_delta_advances_chain(self, registry, guids, building):
-        """A CAA arrival bumps the version but files nothing."""
-        feed = _Feed(guids, building)
-        resolver = feed.resolver(registry)
-        resolver.resolve(TypeSpec("temperature", "celsius"))
-        rebuilds = resolver.index_rebuilds
-        feed.registrations += 1  # a CAA registered
-        resolver.note_profile_added(None)
-        resolver.resolve(TypeSpec("temperature", "celsius"))
-        assert resolver.index_rebuilds == rebuilds
-
-    def test_missed_bump_forces_rebuild_not_staleness(self, registry, guids,
-                                                      building):
-        """A version change without a delta must never be masked."""
-        feed = _Feed(guids, building)
-        resolver = feed.resolver(registry)
-        with pytest.raises(NoProviderError):
-            resolver.resolve(TypeSpec("occupancy", "count"))
-        # the feed changes WITHOUT a delta call (e.g. a re-registration)...
-        fresh = sensor_profile("counter", "occupancy", "count")
-        feed.register(fresh)
-        # ...then a later delta arrives; it must not chain over the gap
-        other = sensor_profile("door-9")
-        feed.register(other)
-        resolver.note_profile_added(other)
-        # the rebuild path still surfaces the profile the delta skipped
-        rebuilds = resolver.index_rebuilds
-        plan = resolver.resolve(TypeSpec("occupancy", "count"))
-        assert plan.nodes[plan.output_key].profile.name == "counter"
-        assert resolver.index_rebuilds == rebuilds + 1
-
-    def test_replacement_is_one_bump(self, registry, guids, building):
-        """A re-registration unfiles the old outputs and files the new."""
-        feed = _Feed(guids, building)
+    def test_replacement_is_one_bump(self, feed):
+        """A re-registration is one report: the old outputs are unfiled and
+        the new filed."""
+        resolver = feed.resolver
         old = sensor_profile("counter", "occupancy", "count")
-        feed.profiles.append(old)
-        feed.registrations += 1
-        resolver = feed.resolver(registry)
+        feed.register(old)
         resolver.resolve(TypeSpec("occupancy", "count"))
         with pytest.raises(NoProviderError):
             resolver.resolve(TypeSpec("network-signal", "dbm"))
-        rebuilds = resolver.index_rebuilds
+        deltas = resolver.index_deltas
         new = Profile(old.entity_id, old.name, old.entity_class,
                       outputs=[TypeSpec("network-signal", "dbm")])
-        feed.profiles[feed.profiles.index(old)] = new
-        feed.registrations += 1
-        resolver.note_profile_replaced(old.entity_id.hex, new)
+        feed.replace(old, new)
+        assert resolver.index_deltas == deltas + 1
         plan = resolver.resolve(TypeSpec("network-signal", "dbm"))
         assert plan.nodes[plan.output_key].profile is new
         with pytest.raises(NoProviderError):
             resolver.resolve(TypeSpec("occupancy", "count"))
-        assert resolver.index_rebuilds == rebuilds
+        assert resolver.index_rebuilds == 1
 
-    def test_template_registration_is_a_gap(self, registry, guids, building):
-        """The templates component of the token moved: rebuild, not delta."""
-        feed = _Feed(guids, building)
-        resolver = feed.resolver(registry)
-        resolver.resolve(TypeSpec("temperature", "celsius"))
-        rebuilds = resolver.index_rebuilds
-        feed.templates.version += 1
-        other = sensor_profile("door-9")
-        feed.register(other)
-        assert resolver.note_profile_added(other) == 0
-        resolver.resolve(TypeSpec("temperature", "celsius"))
-        assert resolver.index_rebuilds == rebuilds + 1
+    def test_reports_before_the_first_build_are_folded_in(self, feed):
+        """The build reads the feed, which already holds what was reported
+        before it: each offer is filed once."""
+        resolver = feed.resolver
+        counter = sensor_profile("counter", "occupancy", "count")
+        feed.register(counter)
+        feed.register(sensor_profile("gone", "occupancy", "count"))
+        feed.deregister(feed.profiles[-1])
+        assert resolver.index_deltas == 3
+        plan = resolver.resolve(TypeSpec("occupancy", "count"))
+        assert plan.nodes[plan.output_key].profile is counter
+        assert resolver.index_rebuilds == 1
+        offers = resolver._provider_index.providers(
+            TypeSpec("occupancy", "count"))
+        assert [entry.profile for entry in offers
+                if entry.origin == "live"] == [counter]
 
-    def test_bad_token_shape_rejected(self, registry, guids, building):
-        feed = _Feed(guids, building)
-        resolver = QueryResolver(registry,
-                                 live_profiles=lambda: list(feed.profiles),
-                                 templates=feed.templates,
-                                 feed_version=lambda: 7)  # not a pair
-        with pytest.raises(TypeError):
-            resolver.note_profile_added(None)
+    def test_template_registered_after_the_build_is_a_candidate(
+            self, feed):
+        resolver = feed.resolver
+        with pytest.raises(NoProviderError):
+            resolver.resolve(TypeSpec("occupancy", "count"))
+        feed.templates.add("counter-ce", Profile(
+            GUIDS.mint(), "counter", EntityClass.SOFTWARE,
+            outputs=[TypeSpec("occupancy", "count")]), factory=None)
+        plan = resolver.resolve(TypeSpec("occupancy", "count"))
+        node = plan.nodes[plan.output_key]
+        assert (node.kind, node.template_name) == ("template", "counter-ce")
+        assert resolver.index_rebuilds == 1

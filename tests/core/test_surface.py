@@ -122,7 +122,7 @@ def _build_and_touch(kind, network, guids, ledger):
                           context_server=guids.mint(),
                           event_mediator=guids.mint(),
                           **(options if kind == "registrar" else {}))
-    record = registrar.register_record(_record(guids, "ce-0"), notify=False)
+    record = registrar.register_record(_record(guids, "ce-0"))
     if kind == "registrar":
         return registrar.ledger, "register"
     profiles = ProfileManager(guids.mint(), "host-a", network, registrar,

@@ -107,7 +107,7 @@ VALID_REPLIES = {
 
 #: values of the wrong kind, by the name of the kind they break
 WRONG = {
-    "str": [5], "int": ["7", True, 1.5], "bool": [1], "list": ["x"],
+    "str": [5], "int": ["7", True, 1.5], "bool": [1], "[str]": ["x", [5]],
     "dict": [[1]], "guid": ["zz", 5],
     "lease": [0, -30.0, "30", True, math.inf, math.nan],
     "int >= 0": [-1, True, 2.5, None],

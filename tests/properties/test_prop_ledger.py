@@ -127,7 +127,7 @@ class TestProjectionEqualsLive:
                 registrar.register_record(RegistrationRecord(
                     profile=profile, kind="ce", host_id="h",
                     registered_at=net.scheduler.now,
-                    lease_expiry=net.scheduler.now + 1e6), notify=False)
+                    lease_expiry=net.scheduler.now + 1e6))
             elif kind == "depart":
                 registrar.remove(entity_ids[op[1]].hex, "prop-op",
                                  notify_entity=False)

@@ -4,9 +4,11 @@ import logging
 
 import pytest
 
+from repro import SCI
 from repro.core.errors import NoProviderError
 from repro.core.types import TypeSpec
 from repro.entities.devices import PrinterCE
+from repro.entities.entity import ContextEntity
 from repro.entities.profile import EntityClass, Profile
 from repro.events.event import ContextEvent
 from repro.ledger.replay import (live_snapshot, projection_snapshot,
@@ -348,3 +350,42 @@ class TestReRegistration:
         assert server.profiles.get(component.guid.hex) is second.profile
         assert (snapshot_digest(projection_snapshot(server.ledger_projection()))
                 == snapshot_digest(live_snapshot(server)))
+
+
+class TestStrayOffer:
+    """An offer whose type the ontology does not define is no candidate:
+    it fails no query, and is matched once its type is defined."""
+
+    @staticmethod
+    def _range_with_stray():
+        sci = SCI()
+        server = sci.create_range("level10", places=["L10"])
+        sci.add_door_sensors("level10")
+        stray = ContextEntity(Profile(
+            sci.guids.mint(), "stray", EntityClass.DEVICE,
+            outputs=[TypeSpec("no-such-type", "raw")]),
+            server.host_id, sci.network)
+        stray.start()
+        return sci, server
+
+    def test_a_stray_offer_fails_no_subscription(self):
+        sci, server = self._range_with_stray()
+        app = sci.create_application("bob-app", host=server.host_id)
+        sci.run(5)
+        query = sci.query("bob-app").subscribe(
+            "location", "topological", "bob").build()
+        app.submit_query(query)
+        sci.run(5)
+        ack = app.query_acks[query.query_id]
+        assert (ack["ok"], ack["status"]) == (True, "executed")
+
+    def test_the_offer_is_a_candidate_once_its_type_is_defined(self):
+        sci, server = self._range_with_stray()
+        sci.run(5)
+        stray = TypeSpec("no-such-type", "raw")
+        with pytest.raises(NoProviderError):
+            server.resolver.resolve(stray)
+        sci.registry.define("no-such-type")
+        plan = server.resolver.resolve(stray)
+        assert plan.nodes[plan.output_key].profile.name == "stray"
+        assert server.resolver.index_rebuilds == 1

@@ -1,9 +1,10 @@
 """Guard: the query path keeps one index each and scans no population.
 
-The provider index is kept by delta and the What clause is answered from
-the Registrar's index; the code they replaced must not drift back into
-``src/`` (the scans live test-side, in ``tests/composition/
-reference_scan.py`` and ``tests/server/reference_scan.py``).
+The provider index is built once and patched from the Registrar's hooks,
+and the What clause is answered from the Registrar's index; the code they
+replaced must not drift back into ``src/`` (the scans live test-side, in
+``tests/composition/reference_scan.py`` and
+``tests/server/reference_scan.py``).
 """
 
 import pathlib
@@ -35,7 +36,7 @@ def test_context_server_selects_through_the_registrar():
     assert "_what_matches" not in source
     scans = [line.strip() for line in source.splitlines()
              if "registrar.records()" in line]
-    # the one remaining walk is the provider index's rebuild feed
+    # the one remaining walk is the provider index's build feed
     assert len(scans) == 1 and "record.profile for record" in scans[0]
 
 
@@ -62,7 +63,7 @@ def test_default_range_builds_its_provider_index_once():
                      WhatClause.named(f"P{step}")):
             assert (server.registrar.matching(what)
                     == scan_matching(server.registrar, what))
-    assert server.registrar.version >= 50
+    assert server.resolver.index_deltas >= 50
     assert server.resolver.index_rebuilds == 1
 
 
@@ -83,14 +84,15 @@ def test_subject_bound_resolve_reads_only_its_sub_buckets():
     for entity in badges + trackers:
         entity.start()
     sci.run(10)
+    server.resolver.resolve(TypeSpec("location", "geometric"))  # the build
     index = server.resolver._provider_index
     served = []
     providers = index.providers
 
-    def counted(wanted, *args):
-        entries, rebuilt = providers(wanted, *args)
+    def counted(wanted):
+        entries = providers(wanted)
         served.append(len(entries))
-        return entries, rebuilt
+        return entries
 
     index.providers = counted
     offers = [spec for profile in server._resolver_profiles()

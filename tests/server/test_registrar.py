@@ -161,12 +161,28 @@ class TestLeases:
         inbox = []
         daemon = FunctionProcess(guids.mint(), "host-b", network, inbox.append)
         daemon.send(registrar.guid, "heartbeat",
-                    {"entities": ["not-hex", 7, held.entity_id.hex]})
+                    {"entities": ["not-hex", held.entity_id.hex]})
         network.scheduler.run_for(3)
         assert inbox == []
         assert registrar.record(held.entity_id.hex).lease_expiry > before
         assert network.obs.metrics.counter(
-            "registrar.lease.unknown").value(range="test-range") == 2
+            "registrar.lease.unknown").value(range="test-range") == 1
+
+    def test_a_heartbeat_listing_a_non_string_id_is_refused_whole(
+            self, network, guids, registrar):
+        _, held, _ = register(network, guids, registrar, name="held")
+        before = registrar.record(held.entity_id.hex).lease_expiry
+        daemon = FunctionProcess(guids.mint(), "host-b", network,
+                                 lambda message: None)
+        daemon.send(registrar.guid, "heartbeat",
+                    {"entities": [7, held.entity_id.hex]})
+        network.scheduler.run_for(3)
+        assert registrar.record(held.entity_id.hex).lease_expiry == before
+        metrics = network.obs.metrics
+        assert metrics.get("net.messages.malformed").value(
+            kind="heartbeat") == 1
+        assert metrics.counter(
+            "registrar.lease.unknown").value(range="test-range") == 0
 
     def test_infrastructure_records_have_no_lease(self, network, guids, registrar):
         profile = Profile(guids.mint(), "infra-ce")
@@ -222,14 +238,32 @@ class TestExpiryHeap:
         assert popped >= 1
         assert registrar.evictions == 1
 
-    def test_version_bumps_on_membership_changes(self, network, guids, registrar):
-        before = registrar.version
+    def test_every_membership_change_fires_one_hook(self, network, guids,
+                                                    registrar):
+        """Registration, a direct insert, re-registration, deregistration
+        and eviction each fire exactly one hook: the provider index's only
+        write path."""
+        fired = []
+        registrar.on_arrival = lambda record: fired.append(
+            ("arrival", record.profile.name))
+        registrar.on_replacement = lambda previous, record: fired.append(
+            ("replacement", record.profile.name))
+        registrar.on_departure = lambda record, reason: fired.append(
+            ("departure", record.profile.name, reason))
         component, profile, _ = register(network, guids, registrar)
-        assert registrar.version == before + 1
+        registrar.register_record(RegistrationRecord(
+            profile=Profile(guids.mint(), "spawned"), kind="infrastructure"))
+        component.send(registrar.guid, "register",
+                       {"kind": "ce", "profile": profile.to_wire()})
+        network.scheduler.run_for(5)
+        _, leased, _ = register(network, guids, registrar, name="ce-2")
         component.send(registrar.guid, "deregister",
                        {"entity": profile.entity_id.hex})
-        network.scheduler.run_for(5)
-        assert registrar.version == before + 2
+        network.scheduler.run_for(40)  # ce-2 is never renewed
+        assert fired == [("arrival", "ce-1"), ("arrival", "spawned"),
+                         ("replacement", "ce-1"), ("arrival", "ce-2"),
+                         ("departure", "ce-1", "deregistered"),
+                         ("departure", "ce-2", "lease-expired")]
 
 
 def _record(guids, name, outputs=(), entity_class=EntityClass.DEVICE,
@@ -341,11 +375,9 @@ class TestWhatIndex:
         registrar.on_replacement = (
             lambda previous, record: replacements.append((previous, record)))
         component, profile, _ = register(network, guids, registrar)
-        before = registrar.version
         component.send(registrar.guid, "register",
                        {"kind": "ce", "profile": profile.to_wire()})
         network.scheduler.run_for(5)
-        assert registrar.version == before + 1  # one bump for the replace
         assert len(arrivals) == 1
         [(previous, record)] = replacements
         assert previous is arrivals[0]
