@@ -3,8 +3,9 @@
 Every verb a component sends must have a receiver that understands it, and
 every handler must correspond to a verb somebody can actually send — a
 handler nobody reaches is dead code, and a send nobody handles is a silent
-black hole (the transport delivers it, ``on_message`` ignores it, and the
-ack/retry layer burns retries until the request times out).
+black hole (the transport delivers it, the dispatcher finds no handler
+and counts it in ``net.messages.unhandled``, and the ack/retry layer burns
+retries until the request times out).
 
 The checker builds a whole-tree model from three extraction passes:
 
@@ -12,21 +13,18 @@ The checker builds a whole-tree model from three extraction passes:
 ``request(peer, "verb", ...)`` and ``Message(kind="verb")``. Verbs sent only
 via ``reply(original, "verb", ...)`` are *reply verbs*: they are consumed by
 RPC correlation on ``reply_to`` (:mod:`repro.net.rpc`), so they need no
-kind-handler.
+handler.
 
-*handlers* — ``message.kind == "verb"`` / ``message.kind in (...)``
-comparisons, string keys of handler dicts (an assignment to a name
-containing ``handler``), and ``_handle_<verb>`` methods of classes that
-dispatch dynamically via ``getattr(self, f"_handle_{{...}}")`` — including
-classes that *inherit* such a dispatcher (resolved by base-class name
-across the whole tree, transitively: a ``_handle_*`` method of a subclass
-such as ``ReferenceScanMediator(EventMediator)`` counts because
-``EventMediator.on_message`` dispatches). Plain
-``_handle_*`` helpers in other classes are ordinary methods, not handlers.
+*handlers* — every ``_handle_<verb>`` method of a class (the verb with
+``-`` written ``_``). That is the transport's one dispatch rule
+(``Process.on_message`` hands a non-reply arrival to the recipient's
+``_handle_<verb>``), so the name is the declaration: a ``kind``
+comparison or a dict of callables receives nothing and handles nothing.
 
 *announcements* — a verb sent to ``BROADCAST`` reaches only the processes
 whose class names it in ``listens_for = ("verb", ...)``, so for such a verb
-those declarations, not ``kind`` comparisons, are its handlers.
+those declarations, not ``_handle_`` methods, are its handlers (a
+listener still handles it with one).
 
 *external api* — a verb whose :data:`repro.net.wire.VERBS` row is flagged
 external (e.g. ``subscribe``: tests and applications send it even though
@@ -39,9 +37,11 @@ it as its reply. A reply only has a reader if that verb is sent with
 ``request(...)``, whose correlation waits on ``reply_to``.
 
 Checks: ``verbs.unhandled-send``, ``verbs.dead-handler``,
+``verbs.handler-signature`` (a ``_handle_`` method that does not take
+exactly ``(self, message)``, the one call the dispatcher makes),
 ``verbs.orphan-reply`` (a reply that answers no verb in the wire table, or
 one that the tree only ever ``send``s, never ``request``s: nobody waits for
-it, so it is delivered to a debug log or to a process that already left),
+it, so it is counted unhandled or reaches a process that already left),
 ``verbs.raw-payload`` (outside ``repro.net``/``repro.ledger``, a key read on
 the ``payload`` of a ``Message`` parameter or ``on_reply`` lambda's) and
 (CLI-level)
@@ -64,12 +64,13 @@ CHECK_DEAD_HANDLER = "verbs.dead-handler"
 CHECK_ORPHAN_REPLY = "verbs.orphan-reply"
 CHECK_PROTOCOL_DRIFT = "verbs.protocol-drift"
 CHECK_RAW_PAYLOAD = "verbs.raw-payload"
+CHECK_HANDLER_SIGNATURE = "verbs.handler-signature"
 
 #: the packages that own the wire format and may read payloads by key
 _PAYLOAD_OWNERS = ("repro.net.", "repro.ledger.")
 
-#: names a message variable is allowed to have in ``<name>.kind == ...``
-_MESSAGE_NAMES = frozenset({"message", "msg"})
+#: the method-name prefix the dispatcher maps a verb onto
+_HANDLE = "_handle_"
 
 
 @dataclass(frozen=True)
@@ -144,56 +145,17 @@ def _literal_verb(node: ast.Call) -> Tuple[str, int]:
     return "", 0
 
 
-def _uses_dynamic_dispatch(klass: ast.ClassDef) -> bool:
-    """Does the class getattr-dispatch onto ``_handle_<kind>`` methods?"""
-    for node in ast.walk(klass):
-        if not (isinstance(node, ast.Call) and
-                isinstance(node.func, ast.Name) and
-                node.func.id == "getattr" and node.args):
-            continue
-        for arg in node.args:
-            if isinstance(arg, ast.JoinedStr):
-                head = arg.values[0] if arg.values else None
-                if isinstance(head, ast.Constant) and \
-                        str(head.value).startswith("_handle_"):
-                    return True
-    return False
+def _handler_methods(tree: ast.AST) -> Iterable[ast.FunctionDef]:
+    """Every ``_handle_<verb>`` method of every class in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and item.name.startswith(_HANDLE):
+                    yield item
 
 
-def _base_names(klass: ast.ClassDef) -> Set[str]:
-    names: Set[str] = set()
-    for base in klass.bases:
-        if isinstance(base, ast.Name):
-            names.add(base.id)
-        elif isinstance(base, ast.Attribute):
-            names.add(base.attr)
-    return names
-
-
-def _dispatching_classes(sources: Iterable[SourceFile]) -> Set[str]:
-    """Names of classes that dispatch onto ``_handle_*``, directly or by
-    inheriting (transitively, resolved by base-class *name*) from a class
-    in the tree that does."""
-    dispatching: Set[str] = set()
-    bases: Dict[str, Set[str]] = {}
-    for source in sources:
-        for node in ast.walk(source.tree):
-            if isinstance(node, ast.ClassDef):
-                bases.setdefault(node.name, set()).update(_base_names(node))
-                if _uses_dynamic_dispatch(node):
-                    dispatching.add(node.name)
-    changed = True
-    while changed:
-        changed = False
-        for name, parents in bases.items():
-            if name not in dispatching and parents & dispatching:
-                dispatching.add(name)
-                changed = True
-    return dispatching
-
-
-def _extract_from_source(source: SourceFile, model: VerbModel,
-                         dispatching: Set[str]) -> None:
+def _extract_from_source(source: SourceFile, model: VerbModel) -> None:
     module = source.module
 
     def site(line: int) -> Site:
@@ -218,68 +180,41 @@ def _extract_from_source(source: SourceFile, model: VerbModel,
                 verb, line = _literal_verb(node)  # a kind= keyword
                 if verb:
                     _add(model.sends, verb, site(line))
-        elif isinstance(node, ast.Compare):
-            _extract_compare(node, model, site)
-        elif isinstance(node, ast.Assign):
-            _extract_handler_dict(node, model, site)
-            if any(getattr(target, "id", "") == "listens_for"
-                   for target in node.targets):
-                for element in getattr(node.value, "elts", ()):
-                    if isinstance(element, ast.Constant):
-                        _add(model.listeners, element.value, site(node.lineno))
-        elif isinstance(node, ast.ClassDef) and node.name in dispatching:
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                        and item.name.startswith("_handle_"):
-                    verb = item.name[len("_handle_"):].replace("_", "-")
-                    _add(model.handlers, verb, site(item.lineno))
-
-
-def _extract_compare(node: ast.Compare, model: VerbModel, site) -> None:
-    left = node.left
-    if not (isinstance(left, ast.Attribute) and left.attr == "kind" and
-            isinstance(left.value, ast.Name) and
-            left.value.id in _MESSAGE_NAMES):
-        return
-    for op, comparator in zip(node.ops, node.comparators):
-        if not isinstance(op, (ast.Eq, ast.In)):
-            continue
-        if isinstance(comparator, ast.Constant) and \
-                isinstance(comparator.value, str):
-            _add(model.handlers, comparator.value, site(comparator.lineno))
-        elif isinstance(comparator, (ast.Tuple, ast.List, ast.Set)):
-            for element in comparator.elts:
-                if isinstance(element, ast.Constant) and \
-                        isinstance(element.value, str):
-                    _add(model.handlers, element.value, site(element.lineno))
-
-
-def _extract_handler_dict(node: ast.Assign, model: VerbModel, site) -> None:
-    if not isinstance(node.value, ast.Dict):
-        return
-    named_handler = False
-    for target in node.targets:
-        name = None
-        if isinstance(target, ast.Name):
-            name = target.id
-        elif isinstance(target, ast.Attribute):
-            name = target.attr
-        if name and "handler" in name.lower():
-            named_handler = True
-    if not named_handler:
-        return
-    for key in node.value.keys:
-        if isinstance(key, ast.Constant) and isinstance(key.value, str):
-            _add(model.handlers, key.value, site(key.lineno))
+        elif isinstance(node, ast.Assign) and any(
+                getattr(target, "id", "") == "listens_for"
+                for target in node.targets):
+            for element in getattr(node.value, "elts", ()):
+                if isinstance(element, ast.Constant):
+                    _add(model.listeners, element.value, site(node.lineno))
+    for method in _handler_methods(source.tree):
+        verb = method.name[len(_HANDLE):].replace("_", "-")
+        _add(model.handlers, verb, site(method.lineno))
 
 
 def build_model(sources: Iterable[SourceFile]) -> VerbModel:
-    sources = list(sources)
     model = VerbModel()
-    dispatching = _dispatching_classes(sources)
     for source in sources:
-        _extract_from_source(source, model, dispatching)
+        _extract_from_source(source, model)
     return model
+
+
+def _handler_signatures(source: SourceFile) -> List[Finding]:
+    """A ``_handle_`` method the dispatcher cannot call as
+    ``handler(message)``: anything but two plain positional parameters."""
+    findings = []
+    for method in _handler_methods(source.tree):
+        args = method.args
+        if len(args.posonlyargs) + len(args.args) == 2 and not (
+                args.vararg or args.kwonlyargs or args.kwarg
+                or args.defaults):
+            continue
+        findings.append(Finding(
+            check=CHECK_HANDLER_SIGNATURE, severity=Severity.ERROR,
+            path=source.path, line=method.lineno,
+            message=f"{method.name} must take exactly (self, message): "
+                    f"the dispatcher calls it with the message alone; "
+                    f"rename a reply callback off the {_HANDLE} prefix"))
+    return findings
 
 
 def _is_message(annotation: Optional[ast.expr]) -> bool:
@@ -363,6 +298,7 @@ class VerbChecker:
                     path=s.path, line=s.line,
                     message=f'reply "{reply}" answers {why}'))
         for source in sources:
+            findings.extend(_handler_signatures(source))
             findings.extend(_raw_payload_reads(source))
         return findings
 
@@ -374,7 +310,7 @@ PROTOCOL_HEADER = """# Wire protocol
 Generated by `python -m repro.analysis --write-protocol` — do not edit by
 hand; CI checks this file against the tree (`--check-protocol`).
 
-Roles: a **request** verb needs a `kind`-handler at the receiver; a
+Roles: a **request** verb needs a `_handle_<verb>` method at the receiver; a
 **reply** verb is consumed by RPC correlation (`reply_to`) and needs none;
 an **external api** verb is flagged so in its `repro.net.wire` row and is
 sent by applications or tests rather than library components. A verb sent

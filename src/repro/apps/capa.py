@@ -67,10 +67,9 @@ class CAPAApp(ContextAwareApplication):
 
     # -- infrastructure responses ------------------------------------------------------
 
-    def handle_component_message(self, message: Message) -> None:
-        super().handle_component_message(message)
-        if message.kind == "query-result":
-            self._printer_selected(message.fields)
+    def _handle_query_result(self, message: Message) -> None:
+        super()._handle_query_result(message)
+        self._printer_selected(message.fields)
 
     def _printer_selected(self, fields: Dict[str, Any]) -> None:
         """Send the document to the printer a ``query-result`` chose."""

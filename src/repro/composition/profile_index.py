@@ -25,7 +25,8 @@ the registry does not know cannot be filed under ancestors; they go to a
 residual list scanned on every query. A residual offer whose type is still
 unknown is no candidate (both paths skip it), so one stray offer cannot fail
 every query in its range; once its type is defined it is matched like any
-other.
+other, merged into the bucket by entry id so its profile's first-match
+order holds.
 
 **Built once, then patched.** The index is built from the live profiles and
 the templates when it is made, and from then on its owner patches it for
@@ -97,31 +98,28 @@ class ProfileIndex:
     # -- queries --------------------------------------------------------------
 
     def providers(self, wanted: TypeSpec) -> List[ProviderEntry]:
-        """Entries whose offered output could satisfy ``wanted``.
-
-        Bucketed entries first, in filing order, then the residual entries
-        whose type the registry now knows.
-        """
+        """Entries whose offered output could satisfy ``wanted``, in filing
+        (entry-id) order: the type's bucket, or for a subject its bound and
+        unbound sub-buckets, merged with the residual entries whose type the
+        registry now knows — so a profile's outputs keep their order when
+        one of them was filed before its type was defined."""
         if len(self._templates) > self._templates_filed:
             self._file_new_templates()
+        type_name = wanted.type_name
         if wanted.subject is None:
-            bucket = self._buckets.get(wanted.type_name)
-            found = list(bucket.values()) if bucket else []
+            filed = [self._buckets.get(type_name, {})]
         else:
-            found = self._subject_providers(wanted.type_name, wanted.subject)
+            filed = [self._subject_buckets.get((type_name, wanted.subject), {}),
+                     self._subject_buckets.get((type_name, None), {})]
         if self._residual:
             known = self.registry.known
-            found.extend(entry for entry in self._residual.values()
-                         if known(entry.offered.type_name))
-        return found
-
-    def _subject_providers(self, type_name: str,
-                           subject: Hashable) -> List[ProviderEntry]:
-        """The bound and the unbound sub-bucket, merged by entry id."""
-        bound = self._subject_buckets.get((type_name, subject), {})
-        unbound = self._subject_buckets.get((type_name, None), {})
+            filed.append({entry_id: entry for entry_id, entry
+                          in self._residual.items()
+                          if known(entry.offered.type_name)})
+        if len(filed) == 1:
+            return list(filed[0].values())
         return [entry for _, entry in heapq.merge(
-            bound.items(), unbound.items(), key=itemgetter(0))]
+            *(bucket.items() for bucket in filed), key=itemgetter(0))]
 
     # -- writes ---------------------------------------------------------------
 

@@ -20,7 +20,12 @@ The registration handshake implements Figure 5:
    every member on its machine in one heartbeat, and leaves the group when
    it stops, is evicted or is handed to another range.
 
-Concrete subclasses override the hooks at the bottom of each class
+Each verb a component receives has one ``_handle_<verb>`` method (the
+``range-offer``, ``deregistered``, ``set-param`` and ``event`` handlers
+here, ``service-invoke`` on the CE, ``query-result`` on the CAA), which
+``Process.on_message`` dispatches onto; a reply goes to the callback of
+its request (``_register_acked``, ``_query_acked``). Concrete subclasses
+override the hooks at the bottom of each class
 (:meth:`ContextEntity.on_event`, :meth:`ContextEntity.handle_service`,
 :meth:`ContextAwareApplication.on_event`, ...) and never touch the protocol.
 """
@@ -163,13 +168,12 @@ class BaseComponent(Process):
                 "profile": self.profile.to_wire(),
                 "advertisements": [ad.to_wire() for ad in self.advertisements],
             },
-            on_reply=lambda reply: self._handle_register_ack(reply,
-                                                             range_service),
+            on_reply=lambda reply: self._register_acked(reply, range_service),
             on_timeout=lambda: self._register_failed("timed out"),
             retries=REGISTER_RETRIES,
         )
 
-    def _handle_register_ack(self, reply: Message, range_service: GUID) -> None:
+    def _register_acked(self, reply: Message, range_service: GUID) -> None:
         """Take the offered range, or fail on a refusal (an ack that fails
         its wire row never gets here: the request times out)."""
         fields = reply.fields
@@ -229,38 +233,27 @@ class BaseComponent(Process):
     def get_param(self, name: str, default: Any = None) -> Any:
         return self._params.get(name, default)
 
-    # -- message dispatch --------------------------------------------------------------
-
-    def on_message(self, message: Message) -> None:
-        if self.requests.dispatch_reply(message):
-            return
-        if message.kind == "range-offer":
-            self._handle_range_offer(message)
-        elif message.kind == "deregistered":
-            self._handle_deregistered(message)
-        elif message.kind == "set-param":
-            # sent, not requested: nobody waits, so an undeclared name is
-            # dropped
-            name = message.fields["name"]
-            if name in self.profile.params:
-                self.set_param(name, message.fields["value"])
-            else:
-                logger.info("%s: dropping set-param of undeclared %r",
-                            self.name, name)
+    def _handle_set_param(self, message: Message) -> None:
+        """The Configuration Manager binds a parameter. Sent, not requested:
+        nobody waits, so an undeclared name is dropped."""
+        name = message.fields["name"]
+        if name in self.profile.params:
+            self.set_param(name, message.fields["value"])
         else:
-            self.handle_component_message(message)
+            logger.info("%s: dropping set-param of undeclared %r",
+                        self.name, name)
 
     # -- event intake (ConsumeInterface plumbing) -------------------------------------
 
-    def handle_event_message(self, message: Message) -> None:
+    def _handle_event(self, message: Message) -> None:
         """Reassemble, hand to the consume hook, and owe the sender an ack,
         per pair of the message's ``subs``
         (:func:`~repro.events.stream.offer_event`).
 
         The mediator holds each pair in an unacked window until acked; the
         reassembler restores publish order, drops the duplicates a
-        retransmission produces, and requests a resync for holes that
-        outlive the mediator's retransmission budget. The
+        retransmission produces, and requests a resync for a hole still
+        open after :data:`~repro.events.stream.DEFAULT_RESYNC_AFTER`. The
         delivery is then noted with :attr:`acks`, which sends the mediator
         one cumulative ``event-ack`` of the in-order prefix per batch —
         duplicates included, so a lost ack is answered again.
@@ -291,13 +284,6 @@ class BaseComponent(Process):
 
     def on_event(self, event: ContextEvent, sub_id: Optional[int]) -> None:
         """A subscribed event arrived (in order, exactly once)."""
-
-    def handle_component_message(self, message: Message) -> None:
-        """Kind-specific traffic for subclasses; default handles events."""
-        if message.kind == "event":
-            self.handle_event_message(message)
-        else:
-            logger.debug("%s ignoring %s", self.name, message)
 
 
 class ContextEntity(BaseComponent):
@@ -347,18 +333,14 @@ class ContextEntity(BaseComponent):
 
     # -- consuming / serving ------------------------------------------------------
 
-    def handle_component_message(self, message: Message) -> None:
-        if message.kind == "service-invoke":
-            operation = message.fields["operation"]
-            if not any(ad.supports(operation) for ad in self.advertisements):
-                self.reply(message, "service-result",
-                           {"ok": False, "error": f"unknown operation {operation!r}"})
-                return
-            result = self.handle_service(operation,
-                                         message.fields.get("args", {}))
-            self.reply(message, "service-result", {"ok": True, "result": result})
-        else:
-            super().handle_component_message(message)
+    def _handle_service_invoke(self, message: Message) -> None:
+        operation = message.fields["operation"]
+        if not any(ad.supports(operation) for ad in self.advertisements):
+            self.reply(message, "service-result",
+                       {"ok": False, "error": f"unknown operation {operation!r}"})
+            return
+        result = self.handle_service(operation, message.fields.get("args", {}))
+        self.reply(message, "service-result", {"ok": True, "result": result})
 
     def _consume_event(self, event: ContextEvent, sub_id: Optional[int]) -> None:
         self.events_consumed += 1
@@ -412,8 +394,7 @@ class ContextAwareApplication(BaseComponent):
                 self.context_server,
                 "query",
                 {"query": query.to_wire()},
-                on_reply=lambda reply: self._handle_query_ack(query.query_id,
-                                                              reply),
+                on_reply=lambda reply: self._query_acked(query.query_id, reply),
                 on_timeout=lambda: self._query_timed_out(query.query_id),
             )
         finally:
@@ -444,7 +425,7 @@ class ContextAwareApplication(BaseComponent):
         for item in pending:
             self.submit_query(item["query"])
 
-    def _handle_query_ack(self, query_id: str, reply: Message) -> None:
+    def _query_acked(self, query_id: str, reply: Message) -> None:
         fields = reply.fields
         self.query_acks[query_id] = fields
         span = self._query_spans.pop(query_id, None)
@@ -456,12 +437,9 @@ class ContextAwareApplication(BaseComponent):
 
     # -- receiving --------------------------------------------------------------------
 
-    def handle_component_message(self, message: Message) -> None:
-        if message.kind == "query-result":
-            self.results.append(dict(message.payload))
-            self.on_query_result(message.fields["query_id"], message.payload)
-        else:
-            super().handle_component_message(message)
+    def _handle_query_result(self, message: Message) -> None:
+        self.results.append(dict(message.payload))
+        self.on_query_result(message.fields["query_id"], message.payload)
 
     def _consume_event(self, event: ContextEvent, sub_id: Optional[int]) -> None:
         self.events.append(event)

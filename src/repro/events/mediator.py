@@ -7,8 +7,9 @@ mediator evaluates subscription filters and forwards matching events.
 
 Its verbs (PROTOCOL.md) are ``publish``, ``subscribe``, ``unsubscribe``,
 ``unsubscribe-owner`` and ``resync``, each answered by its ack, and
-``event-ack``; the co-located Context Server calls the same operations
-directly. Their fields are declared in :data:`repro.net.wire.VERBS` and
+``event-ack``; each has a ``_handle_<verb>`` method, which
+``Process.on_message`` dispatches onto, and the co-located Context Server
+calls the same operations directly. Their fields are declared in :data:`repro.net.wire.VERBS` and
 checked where a message arrives, so a handler reads them parsed from
 ``message.fields`` (the publish's event, the subscribe's GUID and compiled
 filter); a malformed request is answered with its ack carrying ``{"ok":
@@ -62,7 +63,7 @@ from __future__ import annotations
 
 import logging
 import random
-from collections import Counter, deque
+from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.core.ids import GUID
@@ -145,7 +146,6 @@ class EventMediator(Process):
         self.published = 0
         self.deliveries = 0
         self.retained_evictions = 0
-        self.by_type: Counter = Counter()
         #: most recent event per (type, representation, subject) — served to
         #: late joiners so a new subscriber does not wait for the next change.
         #: Insertion-ordered; bounded by :data:`DEFAULT_RETAINED_CAP` with
@@ -311,7 +311,6 @@ class EventMediator(Process):
     def publish(self, event: ContextEvent) -> int:
         """Distribute ``event``; returns the number of local deliveries."""
         self.published += 1
-        self.by_type[event.type_name] += 1
         self._published_counter.inc()
         # span only when this publication is part of a traced operation
         # (a query replay, say); background sensor chatter stays span-free
@@ -491,13 +490,6 @@ class EventMediator(Process):
             self._retry_recovered_counter.inc(recovered)
 
     # -- message protocol -----------------------------------------------------
-
-    def on_message(self, message: Message) -> None:
-        handler = getattr(self, f"_handle_{message.kind.replace('-', '_')}", None)
-        if handler is None:
-            logger.debug("%s ignoring %s", self.name, message)
-            return
-        handler(message)
 
     def _handle_publish(self, message: Message) -> None:
         delivered = self.publish(message.fields["event"])

@@ -11,8 +11,9 @@ produced:
 * ``seq == last + 1``  — deliver, then flush any buffered successors;
 * ``seq <= last``      — a duplicate (a retransmission raced the ack): drop;
 * ``seq >  last + 1``  — a hole. Buffer the arrival; if the hole is still
-  open after :data:`DEFAULT_RESYNC_AFTER` (i.e. the mediator's own
-  retransmissions did not fill it), ask the mediator to **resync**
+  open after :data:`DEFAULT_RESYNC_AFTER` (four of the mediator's
+  retransmission rounds did not fill it; it may still send more), ask the
+  mediator to **resync**
   (:func:`request_resync`): it replays the retained events matching the
   subscription under fresh sequence numbers and names the baseline to
   fast-forward past, so a stream with genuinely lost events heals instead
@@ -40,9 +41,13 @@ from repro.obs.metrics import MetricsRegistry
 
 logger = logging.getLogger(__name__)
 
-#: quiet time on an open hole before a resync is requested; sized
-#: above the mediator's full retransmit window so resync only fires once
-#: the mediator has given a delivery up for lost
+#: quiet time on an open hole before a resync is requested. From
+#: repro.events.mediator's DEFAULT_ACK_TIMEOUT, DELIVERY_BACKOFF and
+#: DELIVERY_JITTER, a delivery's fourth retransmission round goes out at
+#: most 59.44 after its first send and the fifth at least 79.12 after it:
+#: 60 falls between them, well inside the mediator's whole window (~193 to
+#: ~240), so a hole four rounds did not fill is resynced while the
+#: mediator may still be retransmitting
 DEFAULT_RESYNC_AFTER = 60.0
 
 #: first-answer wait and retransmission budget of a ``resync`` request

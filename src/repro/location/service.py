@@ -183,15 +183,7 @@ class LocationService(Process):
 
     # -- message protocol --------------------------------------------------------------
 
-    def on_message(self, message: Message) -> None:
-        if self.requests.dispatch_reply(message):
-            return  # a resync-ack
-        if message.kind == "event":
-            self._consume_location_event(message)
-        else:
-            logger.debug("%s ignoring %s", self.name, message)
-
-    def _consume_location_event(self, message: Message) -> None:
+    def _handle_event(self, message: Message) -> None:
         """Fold a location or presence event into tracking.
 
         The service subscribes to both: ``location`` events from location

@@ -31,8 +31,6 @@ class Message:
     payload: Dict[str, Any] = field(default_factory=dict)
     msg_id: int = field(default_factory=lambda: next(_message_ids))
     reply_to: Optional[int] = None
-    #: Number of overlay hops taken so far (incremented by overlay nodes).
-    hops: int = 0
     #: Trace-context metadata ({"trace": ..., "span": ...}): the transport
     #: stamps the sender's ambient span here and re-activates it at delivery,
     #: so spans opened while handling this message become its children.

@@ -65,13 +65,14 @@ class PendingRequest:
 class RequestManager:
     """Correlates replies with requests for one owning process.
 
-    Usage: the owner calls :meth:`request` instead of ``Process.send`` and
-    gives its :meth:`dispatch_reply` first refusal on every inbound message::
+    Usage: the owner keeps one as its ``requests`` attribute and calls
+    :meth:`request` instead of ``Process.send``; ``Process.on_message`` then
+    hands every reply that arrives to :meth:`dispatch_reply` before any
+    ``_handle_<verb>`` method sees it::
 
-        def on_message(self, message):
-            if self.requests.dispatch_reply(message):
-                return
-            ...  # normal protocol handling
+        self.requests = RequestManager(self)
+        self.requests.request(peer, "query", payload,
+                              on_reply=self._query_acked)
     """
 
     def __init__(self, owner: Process):

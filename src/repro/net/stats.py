@@ -26,8 +26,10 @@ DROPPED = "net.messages.dropped"
 UNDELIVERABLE = "net.messages.undeliverable"
 UNHEARD = "net.messages.unheard"
 MALFORMED = "net.messages.malformed"
+UNHANDLED = "net.messages.unhandled"
 
-_NET_METRICS = (SENT, DELIVERED, DROPPED, UNDELIVERABLE, UNHEARD, MALFORMED)
+_NET_METRICS = (SENT, DELIVERED, DROPPED, UNDELIVERABLE, UNHEARD, MALFORMED,
+                UNHANDLED)
 
 
 class MessageStats:
@@ -47,6 +49,7 @@ class MessageStats:
         self._undeliverable = registry.counter(UNDELIVERABLE)
         self._unheard = registry.counter(UNHEARD)
         self._malformed = registry.counter(MALFORMED)
+        self._unhandled = registry.counter(UNHANDLED)
         self._bind()
 
     def _bind(self) -> None:
@@ -82,6 +85,9 @@ class MessageStats:
 
     def record_malformed(self, kind: str) -> None:  # rare: not bound
         self._malformed.inc(kind=kind)
+
+    def record_unhandled(self, kind: str) -> None:  # rare: not bound
+        self._unhandled.inc(kind=kind)
 
     def reset(self) -> None:
         """Zero the ``net.*`` series and bind the handles to the new ones."""

@@ -6,7 +6,9 @@ A :class:`Network` owns a set of :class:`Host` machines and a registry of
 model, applies loss and partition rules, and schedules
 ``recipient.deliver`` (duplicate suppression, the check of a payload
 against its verb's row in :mod:`repro.net.wire`, then ``on_message``) on
-the shared :class:`~repro.net.sim.Scheduler`.
+the shared :class:`~repro.net.sim.Scheduler`. ``Process.on_message`` is
+the one dispatcher: a reply goes to the callback of its request, any other
+arrival to the recipient's ``_handle_<verb>`` method.
 
 This is the substitution for the paper's Java/LAN prototype (see DESIGN.md):
 the protocol logic above it is identical to what a socket deployment would
@@ -21,7 +23,8 @@ import random
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
+                    Optional, Tuple)
 
 from repro.core.errors import TransportError
 from repro.core.ids import GUID, GuidFactory
@@ -31,6 +34,9 @@ from repro.net.sim import Scheduler
 from repro.net.stats import MessageStats
 from repro.net.wire import VERBS, Verb, WireError
 from repro.obs.hub import Observability
+
+if TYPE_CHECKING:
+    from repro.net.rpc import RequestManager
 
 logger = logging.getLogger(__name__)
 
@@ -131,9 +137,11 @@ _UNDECLARED = Verb()
 class Process:
     """Base class for every middleware component that sends/receives messages.
 
-    Subclasses implement :meth:`on_message`. A process is attached to a
-    network (which assigns nothing — the process carries its own GUID and
-    host id) and unattached on failure/departure.
+    Subclasses handle a verb by defining ``_handle_<verb>(self, message)``
+    (the verb with ``-`` written ``_``); :meth:`on_message` dispatches onto
+    them. A process is attached to a network (which assigns nothing — the
+    process carries its own GUID and host id) and unattached on
+    failure/departure.
 
     Inbound delivery goes through :meth:`deliver`, which suppresses
     duplicate arrivals keyed on ``(sender.value, msg_id)``: retransmitted
@@ -147,6 +155,15 @@ class Process:
     DEDUP_CACHE = 1024
     #: the link-local announcement kinds (sent to ``BROADCAST``) it hears
     listens_for: Tuple[str, ...] = ()
+    #: the correlator of this process's outgoing requests, if it makes any
+    requests: Optional["RequestManager"] = None
+    #: verb -> the name of its ``_handle_<verb>`` method; one table per class
+    _handlers: Dict[str, str] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._handlers = {name[len("_handle_"):].replace("_", "-"): name
+                         for name in dir(cls) if name.startswith("_handle_")}
 
     def __init__(self, guid: GUID, host_id: str, network: "Network", name: str = ""):
         self.guid = guid
@@ -254,17 +271,29 @@ class Process:
         """Remove this process from the network (crash or clean departure)."""
         self.network.detach(self.guid)
 
-    # -- to override ---------------------------------------------------------
-
     def on_message(self, message: Message) -> None:
-        raise NotImplementedError
+        """The one dispatch rule: a reply goes to the callback of the request
+        it answers (:attr:`requests`), anything else to the
+        ``_handle_<verb>`` method of its kind, fetched on the instance. A
+        kind with no handler (a reply nobody waits for any more included)
+        is logged and counted in ``net.messages.unhandled{kind}``."""
+        if message.reply_to is not None and self.requests is not None \
+                and self.requests.dispatch_reply(message):
+            return
+        name = self._handlers.get(message.kind)
+        if name is None:
+            logger.debug("%s: no handler for %s", self.name, message)
+            self.network.stats.record_unhandled(message.kind)
+            return
+        getattr(self, name)(message)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name} on {self.host_id}>"
 
 
 class FunctionProcess(Process):
-    """A process whose behaviour is a plain callable — handy in tests."""
+    """A process whose behaviour is a plain callable — handy in tests; it
+    takes every arrival in place of the dispatch rule."""
 
     def __init__(self, guid: GUID, host_id: str, network: "Network",
                  handler: Callable[[Message], None], name: str = ""):

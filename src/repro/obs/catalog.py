@@ -63,6 +63,10 @@ _declare("net.messages.malformed", "counter",
          "arrivals refused: a payload that is not a JSON object, or a "
          "request that does not match its row in repro.net.wire",
          labels=("kind",))
+_declare("net.messages.unhandled", "counter",
+         "arrivals the recipient has no _handle_<kind> method for, a reply "
+         "no request waits for any more included",
+         labels=("kind",))
 _declare("net.dedup.suppressed", "counter",
          "duplicate (sender, msg_id) arrivals dropped before the handler")
 _declare("net.dedup.replayed_replies", "counter",

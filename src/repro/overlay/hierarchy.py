@@ -107,11 +107,8 @@ class HierarchyNode(Process):
         onward["hops"] += 1
         self.send(next_node.guid, "h-route", onward)
 
-    def on_message(self, message: Message) -> None:
-        if message.kind == "h-route":
-            self._route_step(message.payload)
-        else:
-            logger.debug("%s ignoring %s", self.name, message)
+    def _handle_h_route(self, message: Message) -> None:
+        self._route_step(message.payload)
 
 
 class HierarchyNetwork:

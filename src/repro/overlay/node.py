@@ -500,36 +500,44 @@ class OverlayNode(Process):
 
     # -- messages ----------------------------------------------------------------------------
 
-    def on_message(self, message: Message) -> None:
-        fields = message.fields
-        if message.kind in ("o-route", "o-bcast"):
-            # the body of an inner kind this node applies is checked before
-            # anything else happens; none of these verbs has a reply
-            body = BODIES.get(fields["kind"])
+    def _body_refused(self, message: Message) -> bool:
+        """Check the inner body of a kind this node applies against its
+        :data:`BODIES` row before anything else happens; refuse (none of
+        these verbs has a reply) and say so when it fails."""
+        body = BODIES.get(message.fields["kind"])
+        try:
             if body is not None:
-                try:
-                    body.parse(fields["body"])
-                except WireError as exc:
-                    self.refuse(message, exc)
-                    return
-        if message.kind == "o-route":
-            # one span per forwarding hop, chained under the origin's span
-            with self.network.obs.tracer.span_if_active(
-                    "overlay.route", node=self.name, hops=fields["hops"]):
-                self._route_step(message.payload, fields["key"],
-                                 fields["origin"])
-        elif message.kind == "o-bcast":
-            if fields["bcast_id"] in self._seen_broadcasts:
-                self._bcast_dup.inc()
-                return
-            self._apply_broadcast(message.payload)
-            self._forward_tree(message.payload, fields["until"])
-        elif message.kind == "o-delivery":
-            with self.network.obs.tracer.span_if_active(
-                    "overlay.deliver", node=self.name, kind=fields["kind"]):
-                for callback in self.on_delivery:
-                    callback(fields["kind"], fields["body"], fields["hops"])
-        elif message.kind == "o-hb":
-            self._fd_last[message.sender] = self.scheduler.now
-        else:
-            logger.debug("%s ignoring %s", self.name, message)
+                body.parse(message.fields["body"])
+        except WireError as exc:
+            self.refuse(message, exc)
+            return True
+        return False
+
+    def _handle_o_route(self, message: Message) -> None:
+        if self._body_refused(message):
+            return
+        fields = message.fields
+        # one span per forwarding hop, chained under the origin's span
+        with self.network.obs.tracer.span_if_active(
+                "overlay.route", node=self.name, hops=fields["hops"]):
+            self._route_step(message.payload, fields["key"], fields["origin"])
+
+    def _handle_o_bcast(self, message: Message) -> None:
+        if self._body_refused(message):
+            return
+        fields = message.fields
+        if fields["bcast_id"] in self._seen_broadcasts:
+            self._bcast_dup.inc()
+            return
+        self._apply_broadcast(message.payload)
+        self._forward_tree(message.payload, fields["until"])
+
+    def _handle_o_delivery(self, message: Message) -> None:
+        fields = message.fields
+        with self.network.obs.tracer.span_if_active(
+                "overlay.deliver", node=self.name, kind=fields["kind"]):
+            for callback in self.on_delivery:
+                callback(fields["kind"], fields["body"], fields["hops"])
+
+    def _handle_o_hb(self, message: Message) -> None:
+        self._fd_last[message.sender] = self.scheduler.now

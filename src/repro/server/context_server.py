@@ -248,19 +248,16 @@ class ContextServer(Process):
 
     # ---------------------------------------------------------------- messages
 
-    def on_message(self, message: Message) -> None:
-        if message.kind == "query":
-            self._handle_query(message)
-        elif message.kind == "cancel-query":
-            self._handle_cancel(message)
-        else:
-            logger.debug("%s ignoring %s", self.name, message)
-
     def _handle_query(self, message: Message) -> None:
+        """Route a query and ack it to its sender. A peer's forward names
+        the subscriber instead: the forwarding server has acked it already,
+        so nothing is acked here and an ``expired`` refusal goes to the
+        subscriber as a failed ``query-result`` (a ``failed`` one already
+        does)."""
         self.queries_received += 1
         query = message.fields["query"]
-        # results are sent to the named subscriber, else to the sender
-        subscriber_hex = message.fields.get("subscriber", message.sender).hex
+        forwarded_for = message.fields.get("subscriber")
+        subscriber_hex = (forwarded_for or message.sender).hex
         # A query message is always worth a span: child of the CAA's submit
         # span when one is in flight, a fresh root otherwise.
         with self.network.obs.tracer.span(
@@ -269,14 +266,17 @@ class ContextServer(Process):
             status, error = self.accept_query(query, subscriber_hex)
             if span is not None:
                 span.set(status=status, ok=error is None)
-            self.reply(message, "query-ack", {
-                "ok": error is None,
-                "query_id": query.query_id,
-                "status": status,
-                **({"error": error} if error else {}),
-            })
+            if forwarded_for is None:
+                self.reply(message, "query-ack", {
+                    "ok": error is None,
+                    "query_id": query.query_id,
+                    "status": status,
+                    **({"error": error} if error else {}),
+                })
+            elif status == "expired":
+                self._send_failure(query, subscriber_hex, error)
 
-    def _handle_cancel(self, message: Message) -> None:
+    def _handle_cancel_query(self, message: Message) -> None:
         query_id = message.fields["query_id"]
         dropped = [parked.query for parked in self._parked
                    if parked.query.query_id == query_id]

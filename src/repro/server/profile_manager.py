@@ -17,7 +17,6 @@ module, and the attribute patch is the one fact it writes to the ledger.
 
 from __future__ import annotations
 
-import logging
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.ids import GUID
@@ -27,8 +26,6 @@ from repro.ledger.ledger import ContextLedger
 from repro.net.message import Message
 from repro.net.transport import Network, Process
 from repro.server.registrar import Registrar
-
-logger = logging.getLogger(__name__)
 
 
 class ProfileManager(Process):
@@ -92,16 +89,11 @@ class ProfileManager(Process):
 
     # -- message protocol ----------------------------------------------------------
 
-    def on_message(self, message: Message) -> None:
-        if message.kind == "profile-request":
-            self._handle_profile_request(message)
-        elif message.kind == "profile-update":
-            fields = message.fields
-            ok = self.update_attributes(fields["entity"].hex,
-                                        fields.get("attributes", {}))
-            self.reply(message, "profile-update-ack", {"ok": ok})
-        else:
-            logger.debug("%s ignoring %s", self.name, message)
+    def _handle_profile_update(self, message: Message) -> None:
+        fields = message.fields
+        ok = self.update_attributes(fields["entity"].hex,
+                                    fields.get("attributes", {}))
+        self.reply(message, "profile-update-ack", {"ok": ok})
 
     def _handle_profile_request(self, message: Message) -> None:
         entity = message.fields.get("entity")

@@ -22,7 +22,6 @@ stops, is evicted or moves to another range leaves the group itself.
 
 from __future__ import annotations
 
-import logging
 from typing import Dict, Optional
 
 from repro.core.ids import GUID
@@ -30,7 +29,6 @@ from repro.net.message import Message
 from repro.net.sim import Timer
 from repro.net.transport import Network, Process
 
-logger = logging.getLogger(__name__)
 
 class RangeService(Process):
     """One discovery daemon on one machine of a range's jurisdiction."""
@@ -116,8 +114,5 @@ class RangeService(Process):
         self.send(self.registrar, "heartbeat",
                   {"entities": list(self._members)})
 
-    def on_message(self, message: Message) -> None:
-        if message.kind == "component-up":
-            self.offer_to(message.sender)
-        else:
-            logger.debug("%s ignoring %s", self.name, message)
+    def _handle_component_up(self, message: Message) -> None:
+        self.offer_to(message.sender)

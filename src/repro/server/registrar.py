@@ -281,16 +281,6 @@ class Registrar(Process):
 
     # -- message protocol --------------------------------------------------------------
 
-    def on_message(self, message: Message) -> None:
-        if message.kind == "register":
-            self._handle_register(message)
-        elif message.kind == "deregister":
-            self._handle_deregister(message)
-        elif message.kind == "heartbeat":
-            self._handle_heartbeat(message)
-        else:
-            logger.debug("%s ignoring %s", self.name, message)
-
     def _handle_register(self, message: Message) -> None:
         fields = message.fields
         sender = self.network.process(message.sender)

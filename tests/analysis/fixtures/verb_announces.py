@@ -1,7 +1,7 @@
 """Verb fixture: link-local announcements are handled by declaration.
 
 A verb sent to ``BROADCAST`` reaches only the processes whose class names it
-in ``listens_for`` — a ``kind ==`` branch somewhere does not receive it.
+in ``listens_for`` — a ``_handle_`` method somewhere does not receive it.
 Never imported; AST only.
 """
 
@@ -20,14 +20,13 @@ class Announcer:
 class Daemon:
     listens_for = ("vy-heard",)
 
-    def on_message(self, message):
-        if message.kind == "vy-heard":
-            return "offer"
-        if message.kind == "vy-direct":
-            return "direct"
+    def _handle_vy_heard(self, message):
+        return "offer"
+
+    def _handle_vy_direct(self, message):
+        return "direct"
 
 
 class Bystander:
-    def on_message(self, message):
-        if message.kind == "vy-unheard":           # never delivered here
-            return "would have"
+    def _handle_vy_unheard(self, message):         # never delivered here
+        return "would have"

@@ -15,20 +15,17 @@ class Client:
 
 
 class Server:
-    def on_message(self, message):
-        if message.kind == "resync":
-            self._handle_resync(message)
-        elif message.kind == "query":
-            self._handle_query(message)
-        elif message.kind == "publish":
-            self.reply(message, "publish-ack", {})
-        elif message.kind == "service-invoke":
-            self.reply(message, "service-result", {})  # line 26: orphan
-        elif message.kind == "unsubscribe-owner":
-            self.reply(message, "unsubscribe-owner-ack", {})  # external api
-
     def _handle_resync(self, message):
-        self.reply(message, "resync-ack", {})         # line 31: orphan-reply
+        self.reply(message, "resync-ack", {})         # line 19: orphan-reply
 
     def _handle_query(self, message):
         self.reply(message, "query-ack", {})
+
+    def _handle_publish(self, message):
+        self.reply(message, "publish-ack", {})
+
+    def _handle_service_invoke(self, message):
+        self.reply(message, "service-result", {})     # line 28: orphan-reply
+
+    def _handle_unsubscribe_owner(self, message):
+        self.reply(message, "unsubscribe-owner-ack", {})  # external api

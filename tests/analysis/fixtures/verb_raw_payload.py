@@ -4,10 +4,10 @@ fields checked against its wire row are not. Never imported; AST only.
 
 
 class Client:
-    def _handle_ack(self, reply: Message) -> None:
+    def _on_ack(self, reply: Message) -> None:
         self.ok = reply.payload["ok"]                 # line 8: raw-payload
 
-    def _handle_result(self, reply: "Message") -> None:
+    def _on_result(self, reply: "Message") -> None:
         self.ok = reply.fields["ok"]                  # checked: passes
         self.keep(reply.payload)                      # not read by key
 

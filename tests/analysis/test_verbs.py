@@ -22,11 +22,14 @@ def _sources():
 def test_fixture_findings_exact():
     findings = sort_findings(VerbChecker().check(_sources()))
     assert [(f.check, f.line) for f in findings] == [
-        ("verbs.unhandled-send", 11),  # vx-orphan
-        ("verbs.dead-handler", 19),    # vx-dead (kind == branch)
-        ("verbs.dead-handler", 27),    # vx-dict-dead (handler dict key)
-        ("verbs.dead-handler", 44),    # vx-dyn-dead (_handle_ method)
+        ("verbs.unhandled-send", 12),     # vx-orphan
+        ("verbs.unhandled-send", 13),     # vx-branch: a kind == branch only
+        ("verbs.dead-handler", 23),       # vx-dead
+        ("verbs.handler-signature", 26),  # a parameter after the message
+        ("verbs.handler-signature", 41),  # a reply callback's shape
     ]
+    assert "_handle_vx_good must take exactly (self, message)" in \
+        findings[-1].message
 
 
 def test_model_classifies_roles():
@@ -34,16 +37,16 @@ def test_model_classifies_roles():
     assert model.role("subscribe-ack") == "reply"  # reply(): no handler
     assert model.role("vx-good") == "request"
     assert model.role("subscribe") == "external api"  # from its wire row
-    # all three handler extraction mechanisms fired
-    assert {"vx-good", "subscribe", "vx-dead", "vx-dict-dead",
-            "vx-dyn-dead"} <= set(model.handlers)
-    # plain methods in dynamic-dispatch classes are not handlers
-    assert "not-a-handler" not in model.handlers
+    # every _handle_<verb> method, in any class, and nothing else
+    assert set(model.handlers) == {"vx-good", "subscribe", "vx-dead",
+                                   "vx-wide"}
+    assert len(model.handlers["vx-good"]) == 2
 
 
 def test_reply_and_declared_verbs_are_not_findings():
     findings = VerbChecker().check(_sources())
-    verbs_flagged = {f.message.split('"')[1] for f in findings}
+    verbs_flagged = {f.message.split('"')[1] for f in findings
+                     if f.check != "verbs.handler-signature"}
     assert "subscribe-ack" not in verbs_flagged
     assert "subscribe" not in verbs_flagged
     assert "vx-good" not in verbs_flagged
@@ -67,7 +70,7 @@ def test_an_announce_is_handled_by_whoever_declares_it():
     model = build_model(sources)
     assert set(model.announces) == {"vy-heard", "vy-unheard"}
     assert set(model.listeners) == {"vy-heard"}
-    # a kind == branch does not receive a link-local announcement
+    # a _handle_ method does not receive a link-local announcement
     assert "vy-unheard" in model.handlers
     findings = VerbChecker().check(sources, model)
     assert [(f.check, f.line) for f in findings] == [
@@ -86,10 +89,10 @@ def test_a_reply_to_a_verb_only_ever_sent_is_an_orphan():
     assert set(model.requested) == {"query", "publish"}
     findings = sort_findings(VerbChecker().check(sources, model))
     assert [(f.check, f.line) for f in findings] == [
-        ("verbs.orphan-reply", 26),   # service-invoke: kind == branch
-        ("verbs.orphan-reply", 31),   # resync: _handle_ method
+        ("verbs.orphan-reply", 19),   # resync
+        ("verbs.orphan-reply", 28),   # service-invoke
     ]
-    assert 'reply "resync-ack" answers verb "resync"' in findings[1].message
+    assert 'reply "resync-ack" answers verb "resync"' in findings[0].message
 
 
 def test_requested_and_external_verbs_may_be_answered():
@@ -108,14 +111,13 @@ def test_a_reply_no_wire_row_names_is_an_orphan(tmp_path):
     source = tmp_path / "undeclared.py"
     source.write_text(
         "class Server:\n"
-        "    def on_message(self, message):\n"
-        "        if message.kind == \"query\":\n"
-        "            self.reply(message, \"query-receipt\", {})\n")
+        "    def _handle_query(self, message):\n"
+        "        self.reply(message, \"query-receipt\", {})\n")
     sources, errors = load_sources([str(source)])
     assert errors == []
     (finding,) = [finding for finding in VerbChecker().check(sources)
                   if finding.check == "verbs.orphan-reply"]
-    assert finding.line == 4
+    assert finding.line == 3
     assert 'reply "query-receipt" answers no verb' in finding.message
 
 

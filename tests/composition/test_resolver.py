@@ -233,6 +233,24 @@ class TestProfileIndex:
                    for node in plan.nodes.values())
 
 
+    def test_a_late_type_definition_keeps_the_first_match_rule(
+            self, registry, guids, building):
+        """An output filed while its type was unknown stays ahead of its
+        profile's later outputs once the type is defined, as in the scan."""
+        profiles = [Profile(GUIDS.mint(), "late", EntityClass.DEVICE,
+                            outputs=[TypeSpec("late-type", "r1"),
+                                     TypeSpec("location", "geometric")])]
+        resolvers = [cls(registry, live_profiles=lambda: list(profiles),
+                         templates=standard_templates(guids, building))
+                     for cls in (QueryResolver, ReferenceScanResolver)]
+        wanted = TypeSpec("location", "any")
+        for resolver in resolvers:
+            resolver.resolve(wanted)  # the index is built here
+        registry.define("late-type", parent="location")
+        assert [str(resolver.resolve(wanted).output_spec)
+                for resolver in resolvers] == ["late-type[r1]"] * 2
+
+
 class _Feed:
     """A mutable profile feed that reports each change to its resolver, as
     the Context Server's registrar hooks do."""

@@ -354,5 +354,5 @@ class TestNoKnob:
     def test_event_path_makes_no_rpc(self, network, mediator, app):
         mediator.add_subscription(app.guid, TypeFilter("tick"))
         publish(mediator, 1)
-        assert not hasattr(mediator, "requests")  # nothing to make one with
+        assert mediator.requests is None  # no RequestManager to make one with
         assert mediator.unacked() == 1

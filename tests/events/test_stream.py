@@ -4,6 +4,7 @@ import pytest
 
 from repro.entities.entity import ContextAwareApplication
 from repro.entities.profile import EntityClass, Profile
+from repro.events import mediator as mediator_module
 from repro.events import stream as stream_module
 from repro.events.stream import StreamReassembler
 from repro.net import rpc
@@ -16,6 +17,19 @@ _WAITS = [stream_module.RESYNC_TIMEOUT * rpc.BACKOFF_FACTOR ** attempt
           for attempt in range(stream_module.RESYNC_RETRIES + 1)]
 RESYNC_BUDGET_MIN = sum(_WAITS)
 RESYNC_BUDGET_MAX = _WAITS[0] + (1 + rpc.JITTER) * sum(_WAITS[1:])
+
+
+def test_resync_after_falls_between_the_fourth_and_fifth_round():
+    """``DEFAULT_RESYNC_AFTER``'s comment, computed from the mediator's
+    constants: retuning either module moves these bounds."""
+    waits = [mediator_module.DEFAULT_ACK_TIMEOUT
+             * mediator_module.DELIVERY_BACKOFF ** attempt
+             for attempt in range(5)]
+    stretch = 1 + mediator_module.DELIVERY_JITTER  # the first wait has none
+    fourth_latest = waits[0] + stretch * sum(waits[1:4])
+    fifth_earliest = sum(waits)
+    assert (fourth_latest, fifth_earliest) == pytest.approx((59.4375, 79.125))
+    assert fourth_latest < stream_module.DEFAULT_RESYNC_AFTER < fifth_earliest
 
 
 @pytest.fixture

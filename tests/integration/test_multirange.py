@@ -4,6 +4,7 @@ import pytest
 
 from repro import SCI
 from repro.core.api import SCIConfig
+from repro.net.transport import FixedLatency
 from repro.query.model import QueryBuilder
 
 
@@ -85,6 +86,50 @@ class TestForwarding:
         sci.run(30)
         values = [e.value for e in app.events_of_type("location")]
         assert "L10.01" in values
+
+
+class TestForwardedQueryAnswers:
+    """A forwarded query names its subscriber: the peer acks nothing (the
+    forwarding server did) and tells the subscriber of a refusal."""
+
+    @pytest.fixture
+    def rig(self):
+        sci = SCI(config=SCIConfig(seed=9, latency_model=FixedLatency(1.0)))
+        lobby = sci.create_range("lobby", places=["lobby", "L1"])
+        level10 = sci.create_range("level10", places=["L10"])
+        sci.add_printers("level10", {"P1": "L10.03"})
+        app = sci.create_application("app", host="cs-lobby")
+        sci.run(10)
+        assert app.range_name == "lobby"
+        return sci, lobby, level10, app
+
+    def test_a_forwarded_query_leaves_nothing_unhandled(self, rig):
+        sci, lobby, level10, app = rig
+        query = (QueryBuilder("visitor").profiles_of_type("printer")
+                 .where("room:L10.03").build())
+        app.submit_query(query)
+        sci.run(10)
+        assert lobby.queries_forwarded == 1
+        assert [p["name"] for p in app.results[-1]["profiles"]] == ["P1"]
+        assert sci.network.obs.metrics.get(
+            "net.messages.unhandled").total() == 0
+        assert sci.network.stats.by_kind["query-ack"] == 1
+
+    def test_a_query_expiring_between_the_servers_fails_at_the_app(
+            self, rig):
+        sci, lobby, level10, app = rig
+        # one unit to the lobby's server, one more to level10's: the
+        # deadline falls between the two arrivals
+        query = (QueryBuilder("visitor").profiles_of_type("printer")
+                 .where("room:L10.03").when(f"now until({sci.now + 1.5})")
+                 .build())
+        app.submit_query(query)
+        sci.run(10)
+        assert app.query_acks[query.query_id]["status"] == "forwarded"
+        assert [entry.payload["event"] for entry in level10.ledger_entries()
+                if entry.kind == "query"] == ["expired"]
+        assert [(result["query_id"], result["ok"]) for result in app.results
+                ] == [(query.query_id, False)]
 
 
 class TestGrouping:
