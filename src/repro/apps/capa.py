@@ -14,7 +14,7 @@ Figure-7 benchmark to drive.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.core.api import SCI, SCIConfig

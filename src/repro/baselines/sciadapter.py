@@ -11,7 +11,7 @@ benchmark.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.errors import NoProviderError
 from repro.core.ids import GuidFactory

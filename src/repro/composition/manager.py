@@ -24,7 +24,7 @@ import enum
 import itertools
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.errors import CompositionError, NoProviderError
 from repro.core.ids import GUID, GuidFactory
@@ -239,19 +239,12 @@ class ConfigurationManager:
         return entity
 
     def _apply_params(self, entity_hex: str, bindings: Dict[str, object]) -> None:
-        if not bindings:
-            return
+        """Bind parameters in process, before any subscription replay, so
+        instantiation is race-free; a detached entity is not bound."""
         process = self.network.process(GUID.from_hex(entity_hex))
-        if process is not None and hasattr(process, "set_param"):
-            # Local fast path: binding before any subscription replay keeps
-            # instantiation race-free. A fully remote deployment would use
-            # the set-param message below instead.
+        if hasattr(process, "set_param"):
             for name, value in sorted(bindings.items()):
                 process.set_param(name, value)
-        else:
-            for name, value in sorted(bindings.items()):
-                self.mediator.send(GUID.from_hex(entity_hex), "set-param",
-                                   {"name": name, "value": value})
 
     @staticmethod
     def _edge_filter(producer_hex: str, spec: TypeSpec) -> EventFilter:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.errors import CompositionError, NoProviderError
 from repro.core.types import Converter, TypeRegistry, TypeSpec

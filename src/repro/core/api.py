@@ -25,7 +25,7 @@ only deal with queries and events::
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.errors import SCIError

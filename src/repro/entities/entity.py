@@ -21,7 +21,7 @@ The registration handshake implements Figure 5:
    it stops, is evicted or is handed to another range.
 
 Each verb a component receives has one ``_handle_<verb>`` method (the
-``range-offer``, ``deregistered``, ``set-param`` and ``event`` handlers
+``range-offer``, ``deregistered`` and ``event`` handlers
 here, ``service-invoke`` on the CE, ``query-result`` on the CAA), which
 ``Process.on_message`` dispatches onto; a reply goes to the callback of
 its request (``_register_acked``, ``_query_acked``). Concrete subclasses
@@ -232,16 +232,6 @@ class BaseComponent(Process):
 
     def get_param(self, name: str, default: Any = None) -> Any:
         return self._params.get(name, default)
-
-    def _handle_set_param(self, message: Message) -> None:
-        """The Configuration Manager binds a parameter. Sent, not requested:
-        nobody waits, so an undeclared name is dropped."""
-        name = message.fields["name"]
-        if name in self.profile.params:
-            self.set_param(name, message.fields["value"])
-        else:
-            logger.info("%s: dropping set-param of undeclared %r",
-                        self.name, name)
 
     # -- event intake (ConsumeInterface plumbing) -------------------------------------
 

@@ -44,7 +44,7 @@ server is up.
 from __future__ import annotations
 
 from hashlib import blake2b
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List
 
 from repro.ledger.ledger import LedgerEntry, _canonical
 

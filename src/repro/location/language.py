@@ -22,7 +22,7 @@ inverses, which is property-tested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.core.errors import LocationError

@@ -8,7 +8,7 @@ or by their unique leaf name (``"L10.01"``) when unambiguous. This is the
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.errors import LocationError
 

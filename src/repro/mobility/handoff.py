@@ -16,7 +16,6 @@ there (retrying briefly, since re-registration takes a round-trip).
 from __future__ import annotations
 
 import logging
-from typing import Dict
 
 from repro.server.context_server import ContextServer
 from repro.server.registrar import RegistrationRecord

@@ -16,7 +16,7 @@ and every write fires ``on_move``: that is what lets the boundary monitor
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.core.errors import LocationError, SCIError

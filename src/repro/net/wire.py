@@ -209,7 +209,6 @@ REQUESTS: Dict[str, Verb] = {
     "resync": Verb({"sub_id": INT}, reply="resync-ack"),
     "service-invoke": Verb({"operation": STR, "args?": DICT},
                            reply="service-result"),
-    "set-param": Verb({"name": STR, "value": ANY}),
     "subscribe": Verb({"subscriber": GUID_HEX, "filter": FILTER,
                        "one_time?": BOOL, "owner?": STR, "replay?": BOOL},
                       reply="subscribe-ack", external=True),

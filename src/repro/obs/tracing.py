@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager, nullcontext
 from typing import (Any, Callable, ContextManager, Dict, Iterator, List,
-                    Optional, Tuple)
+                    Optional)
 
 #: wire keys used on Message.trace
 TRACE_KEY = "trace"

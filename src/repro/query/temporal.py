@@ -13,11 +13,11 @@ Supported conditions:
 ``after(D)``                 execute D time units after submission
 ``enters(entity, place)``    execute when ``entity`` enters ``place``
 
-Any condition may carry ``until(T)``: the query expires (is dropped) if not
-triggered *before* absolute time T. The boundary is inclusive — a trigger
-landing exactly at T never executes — so the expiry sweep and a
-same-instant trigger agree on the outcome regardless of which runs first
-(see ``ContextServer._sweep_expired_queries``).
+Any condition may carry ``until(T)``: the query expires (is answered with
+a failure) if not triggered *before* absolute time T. The boundary is
+inclusive — a trigger landing exactly at T never executes — so the
+query's expiry timer, armed at T, and a same-instant trigger agree on the
+outcome regardless of which runs first (see ``ContextServer._release``).
 
 Textual form examples: ``"now"``, ``"after(30)"``,
 ``"enters(bob, L10.01) until(600)"``.
@@ -103,8 +103,8 @@ class WhenClause:
     def expired(self, now: float) -> bool:
         """Inclusive boundary: at ``now == expires`` the query is expired.
 
-        Pinned this way so an ``enters`` trigger and the periodic expiry
-        sweep landing at the same sim-time resolve identically — both see
+        Pinned this way so an ``enters`` trigger and the query's expiry
+        timer landing at the same sim-time resolve identically — both see
         the query as dead — instead of racing on execution order.
         """
         return self.expires is not None and now >= self.expires

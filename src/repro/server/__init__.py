@@ -13,7 +13,7 @@ from repro.server.range import RangeDefinition
 from repro.server.registrar import Registrar, RegistrationRecord
 from repro.server.range_service import RangeService
 from repro.server.profile_manager import ProfileManager
-from repro.server.context_server import ContextServer, ParkedQuery
+from repro.server.context_server import ContextServer
 
 __all__ = [
     "RangeDefinition",
@@ -22,5 +22,4 @@ __all__ = [
     "RangeService",
     "ProfileManager",
     "ContextServer",
-    "ParkedQuery",
 ]

@@ -20,7 +20,11 @@ Query lifecycle (Section 4.3 + the CAPA walk-through of Section 5):
   range directory);
 * time-based When clauses are **scheduled**; ``enters(entity, place)``
   clauses are **parked** — the CS "stores it until its temporal constraints
-  are satisfied" and "listens" for the entity entering the place;
+  are satisfied" and "listens" for the entity entering the place. Both wait
+  in one book, each with at most one timer, armed at the earlier of its
+  trigger and its ``until``; the timer or a matching location fix releases
+  the query, which then executes, or expires with a failed ``query-result``
+  if its ``until`` has come;
 * execution dispatches on mode: profile request, advertisement request
   (Which-based candidate selection), or event/one-time subscription
   (configuration build + instantiation through the Configuration Manager).
@@ -29,7 +33,6 @@ Query lifecycle (Section 4.3 + the CAPA walk-through of Section 5):
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.errors import LocationError, QueryError, SCIError
@@ -60,17 +63,9 @@ from repro.server.registrar import RegistrationRecord, Registrar
 
 logger = logging.getLogger(__name__)
 
-@dataclass
-class ParkedQuery:
-    """A query waiting for its When condition (Section 5: configuration X)."""
-
-    query: Query
-    subscriber_hex: str
-    parked_at: float
-    origin_range: Optional[str] = None
-    #: trace context captured at park time, re-activated when the When
-    #: condition fires — so the eventual execution joins the submit trace
-    trace_ctx: Optional[Dict[str, str]] = None
+#: a query waiting for its When: (query, subscriber hex, the trace context
+#: captured when it started waiting, its timer or None)
+Waiting = Tuple[Query, str, Optional[Dict[str, str]], Optional[Timer]]
 
 
 class ContextServer(Process):
@@ -174,16 +169,13 @@ class ContextServer(Process):
         #: place -> peer CS hex; installed by the SCINET layer
         self.peer_lookup: Callable[[str], Optional[str]] = lambda place: None
 
-        self._parked: List[ParkedQuery] = []
-        #: query id -> (query, timer) of a query waiting for a future When
-        self._scheduled: Dict[str, Tuple[Query, Timer]] = {}
+        #: query id -> the parked and scheduled queries, in arrival order
+        self._waiting: Dict[str, Waiting] = {}
         self.queries_received = 0
         self.queries_executed = 0
         self.queries_forwarded = 0
         self.queries_parked = 0
         self.queries_failed = 0
-        self._expiry_sweeper = self.scheduler.schedule_periodic(
-            10.0, self._sweep_expired_queries)
 
     # ------------------------------------------------------------------ wiring
 
@@ -278,16 +270,11 @@ class ContextServer(Process):
 
     def _handle_cancel_query(self, message: Message) -> None:
         query_id = message.fields["query_id"]
-        dropped = [parked.query for parked in self._parked
-                   if parked.query.query_id == query_id]
-        self._parked = [parked for parked in self._parked
-                        if parked.query.query_id != query_id]
-        scheduled = self._scheduled.pop(query_id, None)
-        if scheduled is not None:
-            query, timer = scheduled
-            timer.cancel()
-            dropped.append(query)
-        for query in dropped:
+        waiting = self._waiting.pop(query_id, None)
+        if waiting is not None:
+            query, _, _, timer = waiting
+            if timer is not None:
+                timer.cancel()
             self._log_query(query, "cancelled")
         self.configurations.cancel_query(query_id)
 
@@ -327,37 +314,56 @@ class ContextServer(Process):
                 return "forwarded", None
             # No peer governs it; fall through and try locally.
 
-        tracer = self.network.obs.tracer
-        if query.when.kind == "enters":
-            self._parked.append(ParkedQuery(
-                query, subscriber_hex, self.now,
-                trace_ctx=tracer.current_context()))
-            self.queries_parked += 1
-            logger.info("%s parked %s until %s", self.name,
-                        query.query_id, query.when)
-            self._log_query(query, "parked", **routing)
-            return "parked", None
-
-        trigger = query.when.trigger_time(self.now)
-        if trigger is not None and trigger > self.now:
-            timer = self.scheduler.schedule_at(trigger, self._execute_later,
-                                               query, subscriber_hex,
-                                               tracer.current_context())
-            self._scheduled[query.query_id] = (query, timer)
-            self._log_query(query, "scheduled", **routing)
-            return "scheduled", None
-
+        when = query.when
+        trigger = when.trigger_time(self.now)
+        if when.kind == "enters" or trigger > self.now:
+            return self._wait(query, subscriber_hex, trigger, routing)
         error = self.execute_query(query, subscriber_hex, **routing)
         return ("executed" if error is None else "failed"), error
 
-    def _execute_later(self, query: Query, subscriber_hex: str,
-                       trace_ctx: Optional[Dict[str, str]] = None) -> None:
-        self._scheduled.pop(query.query_id, None)
+    def _wait(self, query: Query, subscriber_hex: str,
+              trigger: Optional[float], routing: Dict[str, str]):
+        """Book a parked or scheduled query and arm its one timer, at the
+        earlier of its trigger and its ``until`` (none for an ``enters``
+        query that never expires)."""
+        if query.query_id in self._waiting:
+            # the book holds one query per id: a second would be released
+            # by the first one's timer
+            self.queries_failed += 1
+            error = f"query {query.query_id} is already waiting"
+            self._send_failure(query, subscriber_hex, error)
+            self._log_query(query, "failed", error=error, **routing)
+            return "failed", error
+        deadline = min((time for time in (trigger, query.when.expires)
+                        if time is not None), default=None)
+        timer = (None if deadline is None else
+                 self.scheduler.schedule_at(deadline, self._release,
+                                            query.query_id))
+        self._waiting[query.query_id] = (
+            query, subscriber_hex,
+            self.network.obs.tracer.current_context(), timer)
+        if trigger is not None:
+            self._log_query(query, "scheduled", **routing)
+            return "scheduled", None
+        self.queries_parked += 1
+        logger.info("%s parked %s until %s", self.name,
+                    query.query_id, query.when)
+        self._log_query(query, "parked", **routing)
+        return "parked", None
+
+    def _release(self, query_id: str) -> None:
+        """A waiting query's timer fired or its entry fix came: it leaves
+        the book, then expires or executes under its captured trace."""
+        query, subscriber_hex, trace_ctx, timer = self._waiting.pop(query_id)
+        if timer is not None:
+            timer.cancel()
         # inclusive boundary: a trigger landing exactly on the expiry
         # instant never executes (see WhenClause.expired)
         if query.when.expired(self.now):
             self.queries_failed += 1
             self._log_query(query, "expired")
+            self._send_failure(query, subscriber_hex,
+                               "query expired while waiting")
             return
         with self.network.obs.tracer.activate(trace_ctx):
             self.execute_query(query, subscriber_hex)
@@ -375,51 +381,19 @@ class ContextServer(Process):
         return None
 
     def _on_location_fix(self, fix: EntityFix, previous_room: Optional[str]) -> None:
-        """Check parked queries whenever an entity enters a new room."""
+        """Release the parked queries an entity entering a room triggers."""
         if fix.room == previous_room:
             return
-        triggered = [parked for parked in self._parked
-                     if parked.query.when.matches_entry(fix.entity_key, fix.room)]
-        if not triggered:
-            return
-        self._parked = [parked for parked in self._parked
-                        if parked not in triggered]
-        for parked in triggered:
-            # An entry event landing on the expiry instant must resolve the
-            # same way whether the trigger or the 10-unit sweep runs first
-            # (at equal sim-times who goes first is the scheduler's tie
-            # rule, not the model's).
-            # With inclusive expiry the answer is always "expired": the
-            # trigger path refuses exactly where the sweep would drop it.
-            if parked.query.when.expired(self.now):
-                self._expire_parked(parked)
-                continue
+        triggered = [query_id for query_id, (query, *_) in self._waiting.items()
+                     if query.when.matches_entry(fix.entity_key, fix.room)]
+        for query_id in triggered:
+            # An entry landing on the expiry instant rivals the query's own
+            # timer at the same sim-time; which runs first is the
+            # scheduler's tie rule, not the model's. With inclusive expiry
+            # both release it as expired, so the order cannot matter.
             logger.info("%s: parked query %s triggered by %s entering %s",
-                        self.name, parked.query.query_id,
-                        fix.entity_key, fix.room)
-            with self.network.obs.tracer.activate(parked.trace_ctx):
-                self.execute_query(parked.query, parked.subscriber_hex)
-
-    def _sweep_expired_queries(self) -> None:
-        now = self.now
-        expired = [parked for parked in self._parked
-                   if parked.query.when.expired(now)]
-        if not expired:
-            return
-        self._parked = [parked for parked in self._parked
-                        if parked not in expired]
-        for parked in expired:
-            self._expire_parked(parked)
-
-    def _expire_parked(self, parked: ParkedQuery) -> None:
-        """Fail one expired parked query (sweep and trigger paths agree)."""
-        self.queries_failed += 1
-        self._log_query(parked.query, "expired")
-        self.send(GUID.from_hex(parked.subscriber_hex), "query-result", {
-            "query_id": parked.query.query_id,
-            "ok": False,
-            "error": "query expired while parked",
-        })
+                        self.name, query_id, fix.entity_key, fix.room)
+            self._release(query_id)
 
     # --------------------------------------------------------------- execution
 
@@ -675,8 +649,10 @@ class ContextServer(Process):
         """Deregister an entity that physically left the range."""
         return self.registrar.remove(entity_hex, reason)
 
-    def parked_queries(self) -> List[ParkedQuery]:
-        return list(self._parked)
+    def parked_queries(self) -> List[Query]:
+        """The ``enters`` queries waiting for their entry, in arrival order."""
+        return [query for query, *_ in self._waiting.values()
+                if query.when.kind == "enters"]
 
     # ---------------------------------------------------------------- ledger
 
@@ -711,7 +687,9 @@ class ContextServer(Process):
         return explain_query(self.ledger_entries(), query_id)
 
     def shutdown(self) -> None:
-        self._expiry_sweeper.cancel()
+        for *_, timer in self._waiting.values():
+            if timer is not None:
+                timer.cancel()
         self.registrar.shutdown()
         for process in (self.mediator, self.profiles, self.location,
                         *self.range_services.values()):

@@ -12,7 +12,7 @@ can instead be defined by base-station coverage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List
 
 from repro.location.building import BuildingModel
 from repro.location.geometry import Point

@@ -272,16 +272,6 @@ class TestParams:
         with pytest.raises(RegistrationError):
             ce.set_param("nope", 1)
 
-    def test_set_param_via_message(self, network, guids, deployed_range):
-        server, _ = deployed_range
-        ce = make_ce(guids, network, params={"subject": "who"})
-        ce.start()
-        network.scheduler.run_for(10)
-        server.mediator.send(ce.guid, "set-param",
-                             {"name": "subject", "value": "bob"})
-        network.scheduler.run_for(5)
-        assert ce.get_param("subject") == "bob"
-
 
 class TestPublishing:
     def test_publish_before_registration_dropped(self, network, guids):

@@ -2,7 +2,7 @@
 
 One row per payload that used to raise out of the scheduler and end the
 run. A verb with a reply verb answers with ``ok``/``found`` False; a verb
-without one (``set-param``, ``range-offer``, ``deregister``, ``heartbeat``,
+without one (``deregistered``, ``range-offer``, ``deregister``, ``heartbeat``,
 the SCINET ``o-route``/``o-bcast``/``o-delivery``, and the DHT and
 directory bodies inside them) drops the message with a log line.
 Either way the run goes on, and the target's state is what it was. A
@@ -81,8 +81,8 @@ def _route(kind, body):
 
 #: (target, verb, payload, reply verb and the flag it must carry, or None)
 CASES = [
-    ("printer", "set-param", {"name": "undeclared", "value": 1}, None),
-    ("printer", "set-param", {"value": 1}, None),
+    ("app", "deregistered", {"reason": 5}, None),
+    ("app", "deregistered", {"reason": ["spoofed"]}, None),
     ("app", "range-offer", {"range": "elsewhere"}, None),
     ("registrar", "heartbeat", {"entities": 5}, None),
     ("registrar", "heartbeat", {"entities": [[1]]}, None),
@@ -185,7 +185,6 @@ NON_OBJECT_CASES = [
     ("printer", "event", 7),
     ("location", "event", [[1, 2]]),
     ("app", "query-result", "x"),
-    ("printer", "set-param", 7),
     ("printer", "service-invoke", [[1, 2]]),
     ("registrar", "deregister", "x"),
     ("registrar", "heartbeat", 7),

@@ -64,7 +64,6 @@ VALID = {
                  "advertisements": []},
     "resync": {"sub_id": 99},
     "service-invoke": {"operation": "print", "args": {}},
-    "set-param": {"name": "room", "value": 1},
     "subscribe": {"subscriber": "{probe}", "filter": {"op": "all"},
                   "one_time": False, "owner": "probe", "replay": False},
     "unsubscribe": {"sub_id": 99},
@@ -81,8 +80,8 @@ TARGET_OF = {
     "profile-update": "profiles", "publish": "mediator", "query": "cs",
     "query-result": "app", "range-offer": "app", "register": "registrar",
     "resync": "mediator", "service-invoke": "printer",
-    "set-param": "printer", "subscribe": "mediator",
-    "unsubscribe": "mediator", "unsubscribe-owner": "mediator",
+    "subscribe": "mediator", "unsubscribe": "mediator",
+    "unsubscribe-owner": "mediator",
 }
 
 _GUIDS = GuidFactory(seed=11)
@@ -229,7 +228,7 @@ def test_a_cancel_query_with_a_list_id_leaves_the_scheduled_query(rig):
     assert app.query_acks[query.query_id]["status"] == "scheduled"
     _send_and_check(rig, "cancel-query", {"query_id": [1]})
     assert replies == []
-    assert query.query_id in server._scheduled
+    assert query.query_id in server._waiting
     sci.run(200)  # the scheduled query still executes
     assert server.explain(query.query_id)["status"] == "executed"
 

@@ -1,15 +1,15 @@
-"""The enters-trigger vs expiry-sweep race, pinned across schedulers.
+"""The enters-trigger vs expiry-timer race, pinned across schedulers.
 
-A parked ``enters(...) until(T)`` query has two ways to leave the parked
-list: the triggering entry event, or the Context Server's 10-unit expiry
-sweep. When the entry lands exactly at ``T`` — which is also a sweep tick
-here — the two are same-sim-time work items, and which runs first is the
+A parked ``enters(...) until(T)`` query has two ways to leave the
+Context Server's book of waiting queries: the triggering entry event, or
+its own expiry timer, armed at ``T``. When the entry lands exactly at
+``T`` the two are same-sim-time work items, and which runs first is the
 scheduler's tie rule (the canonical key and the reference heap's
 insertion order need not agree). The When boundary is inclusive
 precisely so the order cannot matter: at ``now == T`` the trigger path
-refuses exactly where the sweep would drop, so the production scheduler
-and the single-heap reference report the same single "query expired while
-parked" failure and zero executions.
+refuses exactly where the timer would expire it, so the production
+scheduler and the single-heap reference report the same single "query
+expired while waiting" failure and zero executions.
 """
 
 import itertools
@@ -30,8 +30,8 @@ from repro.server.deployment import standard_templates
 from repro.server.range import RangeDefinition
 from tests.parallel.single_heap import SingleHeapScheduler
 
-#: the until() instant — deliberately a multiple of the 10-unit sweep
-#: period, so the sweep timer and the entry fix collide at equal sim-time
+#: the until() instant: the query's expiry timer and an entry fix
+#: scheduled at it collide at equal sim-time
 EXPIRY = 30.0
 
 
@@ -65,8 +65,8 @@ def run_boundary_scenario(reference_heap=False, fix_time=EXPIRY, seed=11):
     app.submit_query(query)
     net.scheduler.run_until(25)
     parked_before = len(server.parked_queries())
-    # the entry fix lands as a timer at the chosen instant, same as the
-    # sweep does — at fix_time == EXPIRY they are same-sim-time rivals
+    # the entry fix lands as a timer at the chosen instant, as the expiry
+    # does: at fix_time == EXPIRY they are same-sim-time rivals
     net.scheduler.schedule_at(fix_time, server.location.update,
                               "bob", "L10.01")
     net.scheduler.run_until(EXPIRY + 10)
@@ -92,7 +92,7 @@ def test_boundary_expires_instead_of_executing(reference):
     assert reference["parked_after"] == 0
     assert reference["executed"] == 0
     assert reference["failed"] == 1
-    assert (False, "query expired while parked") in reference["results"]
+    assert (False, "query expired while waiting") in reference["results"]
     assert all(ok is not True for ok, _ in reference["results"])
 
 
@@ -102,7 +102,7 @@ def test_classic_scheduler_matches_single_lane(reference):
 
 def test_trigger_before_expiry_still_wins():
     """Off the boundary the race disappears: the entry fix at T-0.5
-    executes the query before any sweep can see it as expired."""
+    executes the query before its expiry timer fires."""
     outcome = run_boundary_scenario(fix_time=EXPIRY - 0.5)
     assert outcome["failed"] == 0
     assert outcome["executed"] == 1

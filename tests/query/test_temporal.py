@@ -61,7 +61,7 @@ class TestExpiry:
     def test_expiry_boundary_is_inclusive(self):
         """At exactly ``expires`` the query is dead: a trigger landing on
         the boundary instant must lose to the expiry, matching what the
-        10-unit sweep would decide at the same sim-time."""
+        query's own expiry timer decides at the same sim-time."""
         when = WhenClause.when_enters("bob", "x", expires=100.0)
         assert when.expired(100.0)
 

@@ -257,8 +257,9 @@ class TestTemporalRouting:
                                                registered_app):
         # Regression: WhenClause.expired used a strict now > expires, so an
         # enters event landing exactly at the until() boundary raced the
-        # periodic sweep — trigger-first executed, sweep-first dropped. The
-        # boundary is now inclusive: at now == expires both paths expire.
+        # expiry — trigger-first executed, expiry-first dropped. The
+        # boundary is now inclusive: at now == expires the fix and the
+        # query's own expiry timer both expire it.
         server, _ = deployed_range
         expiry = network.scheduler.now + 5
         query = (QueryBuilder("bob").profiles_of_type("device")
@@ -272,7 +273,7 @@ class TestTemporalRouting:
         assert server.parked_queries() == []
         network.scheduler.run_for(5)
         failures = [r for r in registered_app.results if not r.get("ok", True)]
-        assert failures and failures[0]["error"] == "query expired while parked"
+        assert failures and failures[0]["error"] == "query expired while waiting"
         assert all(not r.get("ok", False) for r in registered_app.results)
 
     def test_trigger_just_before_expiry_executes(self, network, deployed_range,

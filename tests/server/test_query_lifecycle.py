@@ -80,7 +80,7 @@ def parked_then_executed(rig):
     return server, query_id
 
 
-def parked_then_swept(rig):
+def parked_then_timed_out(rig):
     server, query_id = _parked(rig, until=rig.network.scheduler.now + 5)
     rig.network.scheduler.run_for(30)
     return server, query_id
@@ -130,7 +130,7 @@ LIFECYCLES = [
     (expired_at_routing, ["expired"], "expired"),
     (forwarded, ["forwarded"], "forwarded"),
     (parked_then_executed, ["parked", "executed"], "executed"),
-    (parked_then_swept, ["parked", "expired"], "expired"),
+    (parked_then_timed_out, ["parked", "expired"], "expired"),
     (parked_then_expired_on_trigger, ["parked", "expired"], "expired"),
     (scheduled_then_executed, ["scheduled", "executed"], "executed"),
     (scheduled_then_expired, ["scheduled", "expired"], "expired"),
