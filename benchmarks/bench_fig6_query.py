@@ -18,6 +18,7 @@ SAMPLE = (QueryBuilder("john")
           .where("within(room:L10)")
           .when("enters(bob, L10.01) until(600)")
           .which("reachable; available; no-queue; closest-to(me)")
+          .with_id("john:1")
           .build())
 
 

@@ -226,9 +226,12 @@ def query_path_under_churn(profiles=QUERY_PATH_PROFILES,
         add_profile(profile, *args)
 
     index.add_profile = counted_add
-    queries = [QueryBuilder("smoke").profiles_of_type("printer").build(),
-               QueryBuilder("smoke").profile_of("unit-8").build(),
-               QueryBuilder("smoke").advertisement("print").build()]
+    queries = [QueryBuilder("smoke").profiles_of_type("printer")
+               .with_id("smoke:1").build(),
+               QueryBuilder("smoke").profile_of("unit-8")
+               .with_id("smoke:2").build(),
+               QueryBuilder("smoke").advertisement("print")
+               .with_id("smoke:3").build()]
     indexed, scanned = blake2b(digest_size=16), blake2b(digest_size=16)
     answered = brought = 0
     for step in range(churn):
@@ -275,9 +278,10 @@ def query_path_under_churn(profiles=QUERY_PATH_PROFILES,
               if server.registry.is_subtype(spec.type_name, "location")]
     configurations = server.configurations
     reuse_before = configurations.reuse_hits
-    for _ in range(2):
+    for number in (4, 5):
         server.execute_query(QueryBuilder("smoke").subscribe(
-            "location", "symbolic", subject).build(), client.guid.hex)
+            "location", "symbolic", subject).with_id(f"smoke:{number}")
+            .build(), client.guid.hex)
     index.providers = providers
     return {"rebuilds": server.resolver.index_rebuilds,
             "deltas": server.resolver.index_deltas,
@@ -399,7 +403,7 @@ def lookalike_dispatch(trackers, mediator_class=EventMediator,
     floor == k)`` shapes; ``OPGRAPH_MONITORS`` type-level monitors ride
     beside them. Subscriptions deliver round-robin to four
     ``FunctionProcess`` sinks, each logging ``(subscription position,
-    event seq)`` in arrival order for every pair of an ``event``'s
+    event value)`` in arrival order for every pair of an ``event``'s
     ``subs`` and acking those pairs with one ``event-ack``, as a
     subscriber does, so the mediator retransmits nothing.
     ``publishes=0`` only attaches.
@@ -419,7 +423,7 @@ def lookalike_dispatch(trackers, mediator_class=EventMediator,
     def sink(log):
         def handle(message):
             subs = message.payload["subs"]
-            log.extend((position[sub_id], message.payload["event"]["seq"])
+            log.extend((position[sub_id], message.payload["event"]["value"])
                        for sub_id, _ in subs)
             process.send(message.sender, "event-ack", {"acks": subs})
         process = FunctionProcess(guids.mint(), "og", net, handle)
@@ -441,15 +445,14 @@ def lookalike_dispatch(trackers, mediator_class=EventMediator,
             sinks[index % len(sinks)].guid, chosen, replay_retained=False)
         position[subscription.sub_id] = index
     source = guids.mint()
-    for seq in range(publishes):
+    for n in range(publishes):  # each event's value tells it apart
         type_index = rng.randrange(OPGRAPH_TYPES)
         mediator.publish(ContextEvent(
-            TypeSpec(f"og-type-{type_index}", "raw", f"e{seq}"), seq, source,
-            net.scheduler.now, {"floor": rng.randrange(OPGRAPH_FLOORS)},
-            seq=seq))
+            TypeSpec(f"og-type-{type_index}", "raw", f"e{n}"), n, source,
+            net.scheduler.now, {"floor": rng.randrange(OPGRAPH_FLOORS)}))
     net.run_until_idle()
     return {"logs": logs, "delivered": sum(len(log) for log in logs),
-            "pairs": sum(len({seq for _, seq in log}) for log in logs),
+            "pairs": sum(len({value for _, value in log}) for log in logs),
             "event_messages": net.stats.by_kind["event"],
             "opgraph": mediator.opgraph_stats(),
             "work": work_counts(net.obs.metrics),

@@ -60,8 +60,8 @@ class CAPAApp(ContextAwareApplication):
                  .which(which)
                  .build())
         request = PrintRequest(document=document, pages=pages, query=query)
-        self._requests[query.query_id] = request
         self.queue_query(query)   # submits now if registered, else at next range
+        self._requests[query.query_id] = request   # named by queue_query
         request.submitted = self.registered
         return request
 

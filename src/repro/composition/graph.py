@@ -9,7 +9,6 @@ and converter nodes and creating mediator subscriptions for every edge.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -17,8 +16,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.errors import CompositionError, CycleError
 from repro.core.types import Converter, TypeSpec
 from repro.entities.profile import Profile
-
-_plan_ids = itertools.count(1)
 
 
 @dataclass
@@ -77,7 +74,6 @@ class ConfigurationPlan:
     """A validated DAG of providers for one resolved type spec."""
 
     def __init__(self, wanted: TypeSpec):
-        self.plan_id = f"plan-{next(_plan_ids)}"
         self.wanted = wanted
         self.nodes: Dict[str, PlanNode] = {}
         self.edges: List[PlanEdge] = []
@@ -196,7 +192,7 @@ class ConfigurationPlan:
 
     def describe(self) -> str:
         """Human-readable rendering for logs and EXPERIMENTS.md."""
-        lines = [f"{self.plan_id}: wanted={self.wanted} depth={self.depth()}"]
+        lines = [f"wanted={self.wanted} depth={self.depth()}"]
         for edge in self.edges:
             lines.append(f"  {self.nodes[edge.producer]} --{edge.spec}--> "
                          f"{self.nodes[edge.consumer]}")
@@ -205,5 +201,5 @@ class ConfigurationPlan:
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return (f"ConfigurationPlan({self.plan_id}, nodes={len(self.nodes)}, "
+        return (f"ConfigurationPlan(nodes={len(self.nodes)}, "
                 f"edges={len(self.edges)}, wanted={self.wanted})")

@@ -46,8 +46,6 @@ from repro.net.transport import Network
 
 logger = logging.getLogger(__name__)
 
-_config_ids = itertools.count(1)
-
 
 class ConfigState(enum.Enum):
     ACTIVE = "active"
@@ -118,6 +116,8 @@ class ConfigurationManager:
         #: re-composed before it is declared dead (None = unbounded)
         self.max_repairs_per_config = max_repairs_per_config
         self._configs: Dict[str, Configuration] = {}
+        #: the number in each configuration's id, ``cfg-<n>``, from 1
+        self._config_numbers = itertools.count(1)
         #: wanted spec -> its configurations in creation order (graph reuse)
         self._by_wanted: Dict[TypeSpec, List[Configuration]] = {}
         #: live-entity claim ledger: hex -> (bindings, reference count)
@@ -172,7 +172,7 @@ class ConfigurationManager:
             plan = self.resolver.resolve(wanted,
                                          provider_predicate=provider_predicate)
             config = Configuration(
-                config_id=f"cfg-{next(_config_ids)}",
+                config_id=f"cfg-{next(self._config_numbers)}",
                 wanted=wanted,
                 plan=plan,
                 created_at=self.network.scheduler.now,

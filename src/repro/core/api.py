@@ -163,12 +163,11 @@ class SCI:
         self.printers.update(printers)
         return printers
 
-    def start_boundary_monitor(self, with_handoff: bool = True) -> BoundaryMonitor:
-        """Turn on Section-3.4 arrival/departure detection."""
+    def start_boundary_monitor(self) -> BoundaryMonitor:
+        """Turn on Section-3.4 arrival/departure detection and handoff."""
         if self._monitor is None:
             self._monitor = BoundaryMonitor(
-                self.world, list(self.ranges.values()),
-                handoff=self.handoff if with_handoff else None)
+                self.world, list(self.ranges.values()), self.handoff)
         return self._monitor
 
     # -- people and applications ---------------------------------------------------------
@@ -195,6 +194,8 @@ class SCI:
                            owner: Optional[str] = None,
                            **kwargs) -> ContextAwareApplication:
         """Create and start a CAA on ``host`` (it registers via Figure 5)."""
+        if name in self.applications:  # its queries are named after it
+            raise SCIError(f"duplicate application: {name!r}")
         self.network.ensure_host(host)
         profile = Profile(
             entity_id=self.guids.mint(),

@@ -32,6 +32,7 @@ override the hooks at the bottom of each class
 
 from __future__ import annotations
 
+import itertools
 import logging
 from typing import Any, Dict, List, Optional
 
@@ -41,8 +42,8 @@ from repro.core.types import TypeSpec
 from repro.entities.advertisement import Advertisement
 from repro.entities.profile import Profile
 from repro.events.event import ContextEvent
-from repro.events.stream import (AckBatcher, StreamReassembler, offer_event,
-                                 request_resync)
+from repro.events.stream import (AckBatcher, StreamKey, StreamReassembler,
+                                 offer_event, request_resync)
 from repro.net.message import BROADCAST, Message
 from repro.net.rpc import RequestManager
 from repro.net.transport import Network, Process
@@ -76,13 +77,10 @@ class BaseComponent(Process):
         #: the Range Service renewing this component's lease, while registered
         self._lease_group = None
         self._params: Dict[str, Any] = {}
-        #: restores publish order over the mediator's sequenced streams and
-        #: asks the range's mediator for a resync while registered
+        #: restores publish order over each mediator's sequenced streams and
+        #: asks the stream's own mediator for a resync while registered
         self.streams = StreamReassembler(
-            self.scheduler, self._deliver_event,
-            lambda sub_id: request_resync(
-                self, self.event_mediator if self.registered else None,
-                sub_id),
+            self.scheduler, self._deliver_event, self._resync,
             metrics=network.obs.metrics)
         #: answers each mediator with cumulative acks of that prefix
         self.acks = AckBatcher(self, self.streams)
@@ -250,12 +248,16 @@ class BaseComponent(Process):
         """
         offer_event(self, message, ContextEvent.from_wire)
 
-    def _deliver_event(self, sub_id: int,
+    def _deliver_event(self, key: StreamKey,
                        event: Optional[ContextEvent]) -> None:
         """The reassembler's in-order callback (None: the event did not
         parse and its seq is only consumed)."""
         if event is not None:
-            self._consume_event(event, sub_id)
+            self._consume_event(event, key[1])
+
+    def _resync(self, key: StreamKey) -> None:
+        if self.registered:
+            request_resync(self, key)
 
     def _consume_event(self, event: ContextEvent, sub_id: Optional[int]) -> None:
         """Subclass hook: an in-order, deduplicated event is ready."""
@@ -353,7 +355,8 @@ class ContextAwareApplication(BaseComponent):
     Section 3.1: "A CAA communicates with the CS by way of a Query". The
     class supports offline operation (Section 5: CAPA stores Bob's query
     while he is on the train): queries queued with :meth:`queue_query` are
-    submitted automatically once registration completes.
+    submitted automatically once registration completes. An unnamed query
+    is named ``f"{name}:{n}"`` (``n`` from 1) when submitted or queued.
     """
 
     component_kind = "caa"
@@ -366,13 +369,20 @@ class ContextAwareApplication(BaseComponent):
         self.events: List[ContextEvent] = []
         #: query id -> open ``query.submit`` root span, closed at ack/timeout
         self._query_spans: Dict[str, Any] = {}
+        #: the number of each query this application names
+        self._query_numbers = itertools.count(1)
 
     # -- querying ---------------------------------------------------------------
+
+    def _name(self, query) -> None:
+        if query.query_id is None:
+            query.query_id = f"{self.name}:{next(self._query_numbers)}"
 
     def submit_query(self, query) -> None:
         """Send a query to the range's Context Server (requires registration)."""
         if not self.registered or self.context_server is None:
             raise RegistrationError(f"{self.name} is not in a range; queue the query instead")
+        self._name(query)
         tracer = self.network.obs.tracer
         # Root span of the whole query trace. The request below is stamped
         # with it while it is current; we then leave (not close) it so it
@@ -401,6 +411,7 @@ class ContextAwareApplication(BaseComponent):
 
     def queue_query(self, query) -> None:
         """Store a query for submission at next registration (offline mode)."""
+        self._name(query)
         if self.registered:
             self.submit_query(query)
         else:

@@ -8,14 +8,11 @@ value itself, provenance and freshness metadata.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.core.ids import GUID
 from repro.core.types import SCALAR_SUBJECTS, TypeSpec
-
-_event_seq = itertools.count(1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,7 +38,6 @@ class ContextEvent:
     source: GUID
     timestamp: float
     attributes: Dict[str, Any] = field(default_factory=dict)
-    seq: int = field(default_factory=lambda: next(_event_seq))
 
     @property
     def type_name(self) -> str:
@@ -89,7 +85,6 @@ class ContextEvent:
             "source": self.source.hex,
             "timestamp": self.timestamp,
             "attributes": dict(self.attributes),
-            "seq": self.seq,
         }
 
     @classmethod
@@ -113,8 +108,7 @@ class ContextEvent:
                         tuple(map(tuple, data.get("quality", ()))))
         # positional, in field order: one event per delivery is rebuilt here
         return cls(spec, data["value"], GUID.from_hex(data["source"]),
-                   timestamp, dict(data.get("attributes", {})),
-                   data.get("seq", 0))
+                   timestamp, dict(data.get("attributes", {})))
 
     def __str__(self) -> str:
         return f"Event<{self.spec} = {self.value!r} @t={self.timestamp:.2f}>"

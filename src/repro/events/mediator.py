@@ -22,6 +22,9 @@ Every mediator appends to a context ledger — the chain it is given (a
 Context Server passes its range's) or a private one — from which
 :mod:`repro.ledger.replay` rebuilds its books.
 
+A mediator numbers its subscriptions from 1 (the fan-out sorts by that
+number); a subscriber keys each stream ``(mediator, sub_id)``.
+
 Delivery is acknowledged and retransmitted: every delivery is a
 ``[sub_id, seq]`` pair with a per-subscription sequence number, carried in
 the one message its publish sends that subscriber; the mediator keeps each
@@ -61,6 +64,7 @@ hold the mediator to it.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import random
 from collections import deque
@@ -131,7 +135,7 @@ class EventMediator(Process):
         #: the chain this mediator appends to (an empty one is falsy)
         self.ledger = (ledger if ledger is not None else ContextLedger(
             self.name, metrics=network.obs.metrics, range_name=range_name))
-        #: ``[sub_id, event_seq]`` of every delivery the fan-out or replay
+        #: ``[sub_id, seq]`` of every delivery the fan-out or replay
         #: in progress has made; None between them (neither re-enters:
         #: delivering only ``send``s)
         self._served: Optional[list] = None
@@ -139,6 +143,8 @@ class EventMediator(Process):
         self._windows: Dict[GUID, _Window] = {}
         #: the retransmission jitter stream; the first round creates it
         self._jitter_rng: Optional[random.Random] = None
+        #: the sub_id of each subscription, in creation order
+        self._sub_ids = itertools.count(1)
         self._subscriptions: Dict[int, Subscription] = {}
         #: reverse maps so teardown by owner/subscriber is O(own subs), not O(S)
         self._subs_by_owner: Dict[object, Dict[int, None]] = {}
@@ -200,6 +206,7 @@ class EventMediator(Process):
         Bob or John to move).
         """
         subscription = Subscription(
+            sub_id=next(self._sub_ids),
             subscriber=subscriber,
             filter=event_filter,
             one_time=one_time,
@@ -374,12 +381,11 @@ class EventMediator(Process):
         payloads: Dict[GUID, Dict[str, Any]] = {}
         for subscription in subscriptions:
             subscription.record_delivery()
-            if served is not None:
-                served.append([subscription.sub_id, event.seq])
-            payload = payloads.setdefault(subscription.subscriber,
-                                          {"event": wire, "subs": []})
-            payload["subs"].append([subscription.sub_id,
-                                    subscription.next_seq()])
+            sub_id, seq = subscription.sub_id, subscription.next_seq()
+            if served is not None:  # the ledger's own copy of the pair
+                served.append([sub_id, seq])
+            payloads.setdefault(subscription.subscriber, {
+                "event": wire, "subs": []})["subs"].append([sub_id, seq])
         count = len(subscriptions)
         self.deliveries += count
         self._deliveries_counter.inc(count)

@@ -3,7 +3,8 @@
 A mediator sends a subscriber one ``event`` per publish, ``{"event": <wire
 event>, "subs": [[sub_id, seq], ...]}``: every subscription the event
 matched, an int ``sub_id`` with a non-bool int ``seq >= 1`` (checked where
-the message arrives, :mod:`repro.net.wire`).
+the message arrives, :mod:`repro.net.wire`). Each mediator numbers its own
+subscriptions, so a stream's key is ``(mediator, sub_id)``.
 :func:`offer_event` parses the event once and offers each pair to the
 :class:`StreamReassembler`, which restores the publish order the mediator
 produced:
@@ -13,7 +14,7 @@ produced:
 * ``seq >  last + 1``  — a hole. Buffer the arrival; if the hole is still
   open after :data:`DEFAULT_RESYNC_AFTER` (four of the mediator's
   retransmission rounds did not fill it; it may still send more), ask the
-  mediator to **resync**
+  mediator that sent the stream to **resync**
   (:func:`request_resync`): it replays the retained events matching the
   subscription under fresh sequence numbers and names the baseline to
   fast-forward past, so a stream with genuinely lost events heals instead
@@ -33,7 +34,7 @@ is repaired by the retransmission it provokes.
 from __future__ import annotations
 
 import logging
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.ids import GUID
 from repro.net.sim import Scheduler, Timer
@@ -62,35 +63,39 @@ EVENT_ACK_EVERY = 32
 #: for every ack.
 EVENT_ACK_DELAY = 1.0
 
+#: a stream's key: the ``value`` of the mediator GUID that sends it and its
+#: sub_id there (two ints, as in ``Process._seen_messages``)
+StreamKey = Tuple[int, int]
+
 
 def offer_event(owner, message, parse: Callable[[Any], Any]) -> bool:
     """Offer each ``[sub_id, seq]`` of an ``event`` (its ``subs`` checked
-    on arrival) to ``owner.streams`` with the event ``parse``d once (None
-    if it does not parse: its seqs are still consumed), noting each with
-    ``owner.acks``; True if any pair was offered."""
+    on arrival) to ``owner.streams`` as stream ``(sender.value, sub_id)``,
+    with the event ``parse``d once (None if it does not parse: its seqs
+    are still consumed), noting each with ``owner.acks``; True if any pair
+    was offered."""
     try:
         item = parse(message.fields.get("event"))
     except (KeyError, TypeError, ValueError) as exc:
         logger.info("%s: dropping an event that does not parse %r: %r",
                     owner.name, message.payload, exc)
         item = None
+    mediator = message.sender
     subs = message.fields["subs"]
     for sub_id, seq in subs:
-        owner.streams.offer(sub_id, seq, item)
-        owner.acks.note(message.sender, sub_id)
+        owner.streams.offer((mediator.value, sub_id), seq, item)
+        owner.acks.note(mediator, sub_id)
     return bool(subs)
 
 
-def request_resync(owner, mediator: Optional[GUID], sub_id: int) -> None:
-    """Ask ``mediator`` (None: nobody to ask) to resync ``sub_id`` through
+def request_resync(owner, key: StreamKey) -> None:
+    """Ask the mediator of stream ``key`` to resync it through
     ``owner.requests``, and hand the answer to ``owner.streams``."""
-    if mediator is None:
-        return
     owner.requests.request(
-        mediator, "resync", {"sub_id": sub_id},
+        GUID(key[0]), "resync", {"sub_id": key[1]},
         on_reply=lambda reply: owner.streams.resync_answered(
-            sub_id, reply.fields),
-        on_timeout=lambda: owner.streams.resync_failed(sub_id),
+            key, reply.fields),
+        on_timeout=lambda: owner.streams.resync_failed(key),
         timeout=RESYNC_TIMEOUT, retries=RESYNC_RETRIES)
 
 
@@ -106,15 +111,16 @@ class _SubStream:
 
 
 class StreamReassembler:
-    """In-order, exactly-once delivery over per-subscription seq numbers."""
+    """In-order, exactly-once delivery over per-stream seq numbers; a
+    stream is named by its :data:`StreamKey`."""
 
     def __init__(self, scheduler: Scheduler,
-                 deliver: Callable[[int, Any], None],
-                 request_resync: Callable[[int], None], metrics=None):
+                 deliver: Callable[[StreamKey, Any], None],
+                 request_resync: Callable[[StreamKey], None], metrics=None):
         self._scheduler = scheduler
         self._deliver = deliver
         self._request_resync = request_resync
-        self._streams: Dict[int, _SubStream] = {}
+        self._streams: Dict[StreamKey, _SubStream] = {}
         self.dup_dropped = 0
         self.gaps_detected = 0
         self.resyncs_requested = 0
@@ -126,95 +132,95 @@ class StreamReassembler:
 
     # -- ingest ---------------------------------------------------------------
 
-    def offer(self, sub_id: int, seq: int, item: Any) -> bool:
-        """Feed one arrival for ``sub_id``; ``deliver(sub_id, item)`` runs
+    def offer(self, key: StreamKey, seq: int, item: Any) -> bool:
+        """Feed one arrival for ``key``; ``deliver(key, item)`` runs
         once it is in order. Returns True when delivered immediately."""
-        stream = self._streams.setdefault(sub_id, _SubStream())
+        stream = self._streams.setdefault(key, _SubStream())
         if seq <= stream.last or seq in stream.pending:
             self.dup_dropped += 1
             self._dup_counter.inc()
             return False
         if seq == stream.last + 1:
             stream.last = seq
-            self._deliver(sub_id, item)
-            self._flush(sub_id, stream)
+            self._deliver(key, item)
+            self._flush(key, stream)
             return True
         if not stream.pending:
             self.gaps_detected += 1
             self._gap_counter.inc()
         stream.pending[seq] = item
-        self._arm(sub_id, stream)
+        self._arm(key, stream)
         return False
 
-    def resync_done(self, sub_id: int, baseline: int) -> None:
+    def resync_done(self, key: StreamKey, baseline: int) -> None:
         """The mediator replayed retained state under seqs > ``baseline``.
 
         Whatever buffered arrivals predate the baseline drain in order; the
         stream then fast-forwards past the unrecoverable hole.
         """
-        stream = self._streams.get(sub_id)
+        stream = self._streams.get(key)
         if stream is None:
             return
         for seq in sorted(s for s in stream.pending if s <= baseline):
-            self._deliver(sub_id, stream.pending.pop(seq))
+            self._deliver(key, stream.pending.pop(seq))
         if baseline > stream.last:
             stream.last = baseline
-        self._flush(sub_id, stream)
+        self._flush(key, stream)
         if stream.pending:
-            self._arm(sub_id, stream)
+            self._arm(key, stream)
 
-    def resync_failed(self, sub_id: int) -> None:
+    def resync_failed(self, key: StreamKey) -> None:
         """The resync RPC itself expired; re-arm so the stream retries."""
-        stream = self._streams.get(sub_id)
+        stream = self._streams.get(key)
         if stream is not None and stream.pending:
-            self._arm(sub_id, stream)
+            self._arm(key, stream)
 
-    def resync_answered(self, sub_id: int, fields: Dict[str, Any]) -> None:
+    def resync_answered(self, key: StreamKey, fields: Dict[str, Any]) -> None:
         """Apply a ``resync-ack``'s ``fields``: fast-forward past its
         ``seq``, or, on a refusal (the mediator no longer knows the
         subscription), drop the dead stream and its buffered fragments."""
         if fields["ok"]:
-            self.resync_done(sub_id, fields["seq"])
+            self.resync_done(key, fields["seq"])
         else:
-            self.forget(sub_id)
+            self.forget(key)
 
-    def forget(self, sub_id: int) -> None:
+    def forget(self, key: StreamKey) -> None:
         """Drop all state for a dead subscription."""
-        stream = self._streams.pop(sub_id, None)
+        stream = self._streams.pop(key, None)
         if stream is not None and stream.gap_timer is not None:
             stream.gap_timer.cancel()
 
     def reset(self) -> None:
-        for sub_id in list(self._streams):
-            self.forget(sub_id)
+        for key in list(self._streams):
+            self.forget(key)
 
     # -- introspection --------------------------------------------------------
 
-    def last_seq(self, sub_id: int) -> int:
-        stream = self._streams.get(sub_id)
+    def last_seq(self, key: StreamKey) -> int:
+        stream = self._streams.get(key)
         return stream.last if stream is not None else 0
 
-    def open_holes(self, sub_id: int) -> int:
-        stream = self._streams.get(sub_id)
+    def open_holes(self, key: StreamKey) -> int:
+        stream = self._streams.get(key)
         return len(stream.pending) if stream is not None else 0
 
     # -- internals ------------------------------------------------------------
 
-    def _flush(self, sub_id: int, stream: _SubStream) -> None:
+    def _flush(self, key: StreamKey, stream: _SubStream) -> None:
         while stream.last + 1 in stream.pending:
             stream.last += 1
-            self._deliver(sub_id, stream.pending.pop(stream.last))
+            self._deliver(key, stream.pending.pop(stream.last))
         if not stream.pending and stream.gap_timer is not None:
             stream.gap_timer.cancel()
             stream.gap_timer = None
 
-    def _arm(self, sub_id: int, stream: _SubStream) -> None:
+    def _arm(self, key: StreamKey, stream: _SubStream) -> None:
         if stream.gap_timer is None:
             stream.gap_timer = self._scheduler.schedule(
-                DEFAULT_RESYNC_AFTER, self._gap_expired, sub_id)
+                DEFAULT_RESYNC_AFTER, self._gap_expired, key)
 
-    def _gap_expired(self, sub_id: int) -> None:
-        stream = self._streams.get(sub_id)
+    def _gap_expired(self, key: StreamKey) -> None:
+        stream = self._streams.get(key)
         if stream is None:
             return
         stream.gap_timer = None
@@ -223,8 +229,8 @@ class StreamReassembler:
         self.resyncs_requested += 1
         self._resync_counter.inc()
         logger.info("stream %s: hole outlived retransmission, resyncing",
-                    sub_id)
-        self._request_resync(sub_id)
+                    key)
+        self._request_resync(key)
 
 
 class _DueAcks:
@@ -233,7 +239,7 @@ class _DueAcks:
     __slots__ = ("subs", "count", "timer")
 
     def __init__(self, timer: Timer) -> None:
-        self.subs: Dict[Any, None] = {}
+        self.subs: Dict[int, None] = {}
         self.count = 0
         self.timer = timer
 
@@ -252,8 +258,8 @@ class AckBatcher:
         #: mediator -> what it is owed; at most one flush timer each
         self._due: Dict[GUID, _DueAcks] = {}
 
-    def note(self, mediator: GUID, sub_id: Any) -> None:
-        """A delivery for ``sub_id`` arrived from ``mediator``."""
+    def note(self, mediator: GUID, sub_id: int) -> None:
+        """A delivery for ``mediator``'s ``sub_id`` arrived from it."""
         due = self._due.get(mediator)
         if due is None:
             due = self._due[mediator] = _DueAcks(self.owner.scheduler.schedule(
@@ -281,7 +287,7 @@ class AckBatcher:
         due.timer.cancel()
         acks = []
         for sub_id in due.subs:
-            upto = self._streams.last_seq(sub_id)
+            upto = self._streams.last_seq((mediator.value, sub_id))
             if upto:  # 0: nothing in order yet (or the stream was reset)
                 acks.append([sub_id, upto])
         if acks:

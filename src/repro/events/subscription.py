@@ -1,15 +1,12 @@
-"""Subscription records held by an Event Mediator."""
+"""Subscription records held by an Event Mediator, which numbers them."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.ids import GUID
 from repro.events.filters import EventFilter, MatchAll
-
-_subscription_ids = itertools.count(1)
 
 
 @dataclass
@@ -23,14 +20,17 @@ class Subscription:
     ``owner`` identifies who established the subscription (usually the
     Context Server on behalf of a configuration) so all subscriptions
     belonging to a torn-down configuration can be removed together.
+
+    ``sub_id`` is the mediator's number for it, unique within that mediator
+    only: a subscriber names a stream by ``(mediator, sub_id)``.
     """
 
+    sub_id: int
     subscriber: GUID
     filter: EventFilter = field(default_factory=MatchAll)
     one_time: bool = False
     owner: Optional[object] = None
     created_at: float = 0.0
-    sub_id: int = field(default_factory=lambda: next(_subscription_ids))
     delivered: int = 0
     active: bool = True
     #: last sequence number stamped on a delivery for this

@@ -15,7 +15,8 @@ The hashed body is ``[seq, sim_time, kind, payload]``.
 
 Payloads must be JSON-serialisable: the hash is computed over the
 canonical JSON encoding, so the chain commits to exactly what the JSONL
-export round-trips.
+export round-trips. Every id in a payload is minted by its owner inside
+the deployment, so one plan run twice in one process ends on one head.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ from repro.obs.metrics import MetricsRegistry
 #: line, stamp each ``publish`` with the seq that first retained its key,
 #: and log an immediate query as two entries, a routing step + its outcome;
 #: /5 ``subscribe`` entries carry a ``query`` key the projector no longer
-#: reads)
-LEDGER_SCHEMA = "sci.ledger/6"
+#: reads; /6 ``publish``/``replay`` pairs carry a process-global event seq
+#: the event wire no longer has, /7 the subscription's seq of the delivery)
+LEDGER_SCHEMA = "sci.ledger/7"
 
 #: the chain anchor every chain starts from
 GENESIS_HASH = "0" * 32

@@ -22,10 +22,10 @@ Authority split — who rebuilds what:
   ``retain-evict`` (mediator chains) rebuild subscriptions, per-
   subscription delivery counts and the retained store. A ``publish`` entry
   is one fan-out: the retained entry it stored (``key`` and ``event``) and
-  the ``[sub_id, event_seq]`` pair of every subscription it
-  served, appended when the fan-out completed — so a one-time subscription
-  it consumed has its ``unsubscribe`` *before* it, at the same sim-time,
-  and a pair naming a subscription the books no longer hold is ignored.
+  the ``[sub_id, seq]`` pair (as in the ``event``'s ``subs``) of every
+  subscription it served, appended when the fan-out completed — so a
+  one-time subscription it consumed has its ``unsubscribe`` *before* it,
+  at the same sim-time, and a pair naming a subscription the books no longer hold is ignored.
   ``replay`` is the same list for deliveries made outside a publish
   (retained replay to a fresh subscription, ``resync``). The retained view
   keys on ``(type, representation, subject)`` in store order, as the
@@ -149,7 +149,7 @@ class ReplayProjector:
 
     def _apply_replay(self, payload: Dict[str, Any]) -> None:
         subscriptions = self.state.subscriptions
-        for sub_id, _event_seq in payload["deliveries"]:
+        for sub_id, _seq in payload["deliveries"]:
             subscription = subscriptions.get(sub_id)
             if subscription is not None:  # consumed one-time: already gone
                 subscription["delivered"] += 1

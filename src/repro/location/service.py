@@ -22,8 +22,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import LocationError
 from repro.core.ids import GUID
-from repro.events.stream import (AckBatcher, StreamReassembler, offer_event,
-                                 request_resync)
+from repro.events.stream import (AckBatcher, StreamKey, StreamReassembler,
+                                 offer_event, request_resync)
 from repro.location.building import BuildingModel
 from repro.location.geometry import Point
 from repro.location.language import LocationExpr
@@ -65,11 +65,9 @@ class LocationService(Process):
         self.requests = RequestManager(self)
         self.streams = StreamReassembler(
             self.scheduler, self._ingest_event,
-            lambda sub_id: request_resync(self, self._mediator, sub_id),
+            lambda key: request_resync(self, key),
             metrics=network.obs.metrics)
         self.acks = AckBatcher(self, self.streams)
-        #: the mediator whose sequenced stream arrives here
-        self._mediator: Optional[GUID] = None
 
     # -- tracking ---------------------------------------------------------------
 
@@ -194,12 +192,12 @@ class LocationService(Process):
         without per-person tracking configurations.
 
         Deliveries pass through the same reassembler and cumulative acks
-        as a component's.
+        as a component's; a hole is resynced with the mediator that sent
+        the stream.
         """
-        if offer_event(self, message, _event_fields):
-            self._mediator = message.sender
+        offer_event(self, message, _event_fields)
 
-    def _ingest_event(self, sub_id: int, fields: Optional[tuple]) -> None:
+    def _ingest_event(self, key: StreamKey, fields: Optional[tuple]) -> None:
         """One in-order event's ``_event_fields``: a fix older than the
         one already tracked (a resync replaying retained state, a slower
         source) is ignored rather than rolling the entity back. None is an

@@ -19,7 +19,7 @@ this replaced is ``tests/mobility/reference_scan.py``. On a transition it:
   (its Range Service offers registration to the components on the machine —
   the CAPA lobby scenario), and
 * asks the old range's Context Server to **expel** the components that
-  registered from that host (plus runs handoff, if configured) and to
+  registered from that host (after handing them off) and to
   **release** the host: the Range Service it deployed there is switched off.
 """
 
@@ -39,8 +39,8 @@ logger = logging.getLogger(__name__)
 class BoundaryMonitor:
     """Watches world positions and drives range admission/expulsion."""
 
-    def __init__(self, world: World, ranges: List[ContextServer],
-                 scan_interval: float = 1.0, handoff=None):
+    def __init__(self, world: World, ranges: List[ContextServer], handoff,
+                 scan_interval: float = 1.0):
         if scan_interval <= 0:
             raise ValueError(f"non-positive scan interval: {scan_interval}")
         self.world = world
@@ -139,7 +139,7 @@ class BoundaryMonitor:
         if previous is not None:
             departing = [record for record in previous.registrar.records()
                          if record.host_id == entity.device_host]
-            if self.handoff is not None and current is not None:
+            if current is not None:
                 for record in departing:
                     self.handoff.carry(record, previous, current)
             for record in departing:

@@ -3,13 +3,14 @@
 Every interaction in the reproduction — registration, discovery, event
 publication, query submission, overlay routing — is a :class:`Message`. The
 ``kind`` string is the protocol verb ("register", "publish", "query", ...),
-``payload`` the verb-specific body. ``reply_to`` correlates responses with
-requests (see :mod:`repro.net.rpc`).
+``payload`` the verb-specific body. ``msg_id`` is the sending process's
+number for it (receivers dedup on ``(sender, msg_id)``; a copy keeps its
+original's id), and ``reply_to`` correlates responses with requests (see
+:mod:`repro.net.rpc`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -17,8 +18,6 @@ from repro.core.ids import GUID
 
 #: Sentinel recipient: the processes on the sender's host that listen for the kind.
 BROADCAST = GUID((1 << 128) - 1)
-
-_message_ids = itertools.count(1)
 
 
 @dataclass(slots=True)
@@ -29,7 +28,7 @@ class Message:
     recipient: GUID
     kind: str
     payload: Dict[str, Any] = field(default_factory=dict)
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
+    msg_id: int = field(kw_only=True)
     reply_to: Optional[int] = None
     #: Trace-context metadata ({"trace": ..., "span": ...}): the transport
     #: stamps the sender's ambient span here and re-activates it at delivery,
@@ -38,16 +37,6 @@ class Message:
     #: the declared fields, parsed on arrival by the receiver's
     #: :meth:`~repro.net.transport.Process.deliver` (see repro.net.wire)
     fields: Optional[Dict[str, Any]] = None
-
-    def response(self, sender: GUID, kind: str, payload: Optional[Dict[str, Any]] = None) -> "Message":
-        """Build a reply to this message, correlated via ``reply_to``."""
-        return Message(
-            sender=sender,
-            recipient=self.sender,
-            kind=kind,
-            payload=payload or {},
-            reply_to=self.msg_id,
-        )
 
     def __str__(self) -> str:
         arrow = f"{self.sender} -> {self.recipient}"

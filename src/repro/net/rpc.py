@@ -23,7 +23,7 @@ callers that implement their own policy.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Optional
 
 from repro.core.ids import GUID
@@ -177,17 +177,7 @@ class RequestManager:
         pending.attempts += 1
         self.retries += 1
         self._retry_attempts_counter.inc(kind=pending.kind)
-        original = pending.message
-        clone = Message(
-            sender=original.sender,
-            recipient=original.recipient,
-            kind=original.kind,
-            payload=original.payload,
-            msg_id=original.msg_id,
-            reply_to=original.reply_to,
-        )
-        clone.trace = original.trace
-        self.owner.network.send(clone)
+        self.owner.network.send(replace(pending.message))
         if self._rng is None:
             # seeded from the owner's GUID: deterministic per process,
             # and independent of the network's latency/drop stream

@@ -17,12 +17,13 @@ run, but time is simulated and every run is deterministic.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import random
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
                     Optional, Tuple)
 
@@ -143,8 +144,10 @@ class Process:
     process carries its own GUID and host id) and unattached on
     failure/departure.
 
-    Inbound delivery goes through :meth:`deliver`, which suppresses
-    duplicate arrivals keyed on ``(sender.value, msg_id)``: retransmitted
+    A process numbers the messages it sends (and the replies it makes)
+    from 1; that number is the ``msg_id``. Inbound delivery goes through
+    :meth:`deliver`, which suppresses duplicate arrivals keyed on
+    ``(sender.value, msg_id)``: retransmitted
     requests (see :class:`repro.net.rpc.RequestManager`) reach :meth:`on_message`
     exactly once, and if this process already replied to the original, the
     cached reply is re-sent so a lost *reply* is regenerated without
@@ -175,6 +178,8 @@ class Process:
         #: Two ints, not the GUID: a key of atomic items is one the garbage
         #: collector stops tracking, and the cache holds up to DEDUP_CACHE.
         self._seen_messages: "OrderedDict[Tuple[int, int], Optional[Message]]" = OrderedDict()
+        #: the msg_id of each message this process sends, in order
+        self._msg_ids = itertools.count(1)
         metrics = network.obs.metrics
         self._dedup_suppressed_counter = metrics.counter(
             "net.dedup.suppressed").series()
@@ -200,6 +205,7 @@ class Process:
             recipient=recipient,
             kind=kind,
             payload=payload or {},
+            msg_id=next(self._msg_ids),
             reply_to=reply_to,
         )
         self.network.send(message)
@@ -207,12 +213,12 @@ class Process:
 
     def reply(self, original: Message, kind: str, payload: Optional[Dict[str, Any]] = None) -> Message:
         """Respond to ``original``, correlating via ``reply_to``."""
-        message = original.response(self.guid, kind, payload)
+        message = self.send(original.sender, kind, payload,
+                            reply_to=original.msg_id)
         key = (original.sender.value, original.msg_id)
         if key in self._seen_messages:
             # remember the reply so a retransmitted request regenerates it
             self._seen_messages[key] = message
-        self.network.send(message)
         return message
 
     def deliver(self, message: Message) -> None:
@@ -234,16 +240,7 @@ class Process:
             self._dedup_suppressed_counter.inc()
             if cached is not None:
                 self._dedup_replayed_counter.inc()
-                resend = Message(
-                    sender=cached.sender,
-                    recipient=cached.recipient,
-                    kind=cached.kind,
-                    payload=cached.payload,
-                    msg_id=cached.msg_id,
-                    reply_to=cached.reply_to,
-                )
-                resend.trace = cached.trace
-                self.network.send(resend)
+                self.network.send(replace(cached))
             return
         self._seen_messages[key] = None
         while len(self._seen_messages) > self.DEDUP_CACHE:
@@ -483,14 +480,8 @@ class Network:
         if not recipients:
             self.stats.record_unheard(message.kind)
         for process in recipients:
-            copy = Message(
-                sender=message.sender,
-                recipient=process.guid,
-                kind=message.kind,
-                payload=dict(message.payload),
-                reply_to=message.reply_to,
-            )
-            copy.trace = message.trace
+            copy = replace(message, recipient=process.guid,
+                           payload=dict(message.payload))
             self._dispatch(copy, source_host, process)
 
     def _dispatch(self, message: Message, source_host: Optional[Host], recipient: Process) -> None:

@@ -69,8 +69,7 @@ class SCINet:
     # -- membership -----------------------------------------------------------------
 
     def join(self, node: OverlayNode,
-             places: Optional[List[str]] = None,
-             announce: bool = True) -> OverlayNode:
+             places: Optional[List[str]] = None) -> OverlayNode:
         """Add ``node`` to the overlay and announce its range's places."""
         if node.guid.hex in self._nodes:
             raise RoutingError(f"node already in {self.group_name}: {node.guid}")
@@ -78,7 +77,7 @@ class SCINet:
         if self.failure_detection:
             node.enable_failure_detector(self.fd_interval, self.fd_timeout,
                                          self._node_suspected)
-        if announce and places:
+        if places:
             node.broadcast("announce-range", {
                 "range": node.range_name,
                 "cs": node.owner_cs_hex or node.guid.hex,

@@ -10,12 +10,15 @@ paper:
 * **One-time subscription**: "As above, but the subscription is cancelled
   after the CAA receives an event."
 * **Advertisement request**: "The interface to communicate with a service."
+
+Figure 6 puts ``query_id`` in the client's query: the client names it
+(:meth:`QueryBuilder.with_id`, or the submitting application), and an
+unnamed query has no wire form.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
@@ -25,8 +28,6 @@ from repro.core.types import TypeSpec
 from repro.location.language import LocationExpr, parse_location
 from repro.query.selection import WhichClause
 from repro.query.temporal import WhenClause
-
-_query_counter = itertools.count(1)
 
 _PATTERN_RE = re.compile(
     r"^(?P<type>[A-Za-z0-9_.-]+)"
@@ -119,11 +120,15 @@ class Query:
     when: WhenClause = field(default_factory=WhenClause.now)
     which: WhichClause = field(default_factory=WhichClause.any)
     mode: QueryMode = QueryMode.SUBSCRIPTION
-    query_id: str = field(default_factory=lambda: f"q-{next(_query_counter)}")
+    #: the client's name for it; None until the client names it
+    query_id: Optional[str] = None
 
     # -- wire form ----------------------------------------------------------------
 
     def to_wire(self) -> Dict[str, Any]:
+        """The wire form; raises :class:`QueryError` for an unnamed query."""
+        if not self.query_id:
+            raise QueryError("an unnamed query has no wire form")
         return {
             "query_id": self.query_id,
             "owner_id": self.owner_id,
@@ -136,6 +141,11 @@ class Query:
 
     @classmethod
     def from_wire(cls, data: Dict[str, Any]) -> "Query":
+        """Rebuild a query; raises :class:`QueryError` for one that is
+        unnamed (no non-empty string ``query_id``) or lacks a field."""
+        query_id = data.get("query_id")
+        if not (isinstance(query_id, str) and query_id):
+            raise QueryError(f"query wire form names no query_id: {query_id!r}")
         try:
             return cls(
                 owner_id=data["owner_id"],
@@ -144,7 +154,7 @@ class Query:
                 when=WhenClause.parse(data.get("when", "now")),
                 which=WhichClause.parse(data.get("which", "any")),
                 mode=QueryMode(data.get("mode", "subscribe")),
-                query_id=data.get("query_id") or f"q-{next(_query_counter)}",
+                query_id=query_id,
             )
         except KeyError as exc:
             raise QueryError(f"query wire form missing field: {exc}") from None
@@ -223,14 +233,6 @@ class QueryBuilder:
     def build(self) -> Query:
         if self._what is None:
             raise QueryError("a query needs a What clause")
-        kwargs = {
-            "owner_id": self._owner_id,
-            "what": self._what,
-            "where": self._where,
-            "when": self._when,
-            "which": self._which,
-            "mode": self._mode,
-        }
-        if self._query_id is not None:
-            kwargs["query_id"] = self._query_id
-        return Query(**kwargs)
+        return Query(owner_id=self._owner_id, what=self._what,
+                     where=self._where, when=self._when, which=self._which,
+                     mode=self._mode, query_id=self._query_id)

@@ -286,6 +286,7 @@ class ContextServer(Process):
         Returns ``(status, error)`` with error None on success. The decision
         is one ``query`` ledger entry whose ``event`` is the status.
         """
+        _require_id(query)
         routing = {"when": str(query.when), "subscriber": subscriber_hex}
         status, error = self._route_query(query, subscriber_hex, routing)
         self._routed[status].inc()
@@ -401,6 +402,7 @@ class ContextServer(Process):
                       **routing: str) -> Optional[str]:
         """Execute one query now; returns an error string or None. The outcome
         is one ledger entry, carrying ``routing`` when executed as routed."""
+        _require_id(query)
         with self.network.obs.tracer.span_if_active(
                 "cs.execute", range=self.definition.name,
                 query=query.query_id, mode=query.mode.value) as span:
@@ -687,9 +689,15 @@ class ContextServer(Process):
         return explain_query(self.ledger_entries(), query_id)
 
     def shutdown(self) -> None:
-        for *_, timer in self._waiting.values():
+        """Leave the network: every parked or scheduled query is answered
+        first, with a failed ``query-result`` and a ``failed`` entry."""
+        waiting, self._waiting = self._waiting, {}
+        for query, subscriber_hex, _trace, timer in waiting.values():
             if timer is not None:
                 timer.cancel()
+            self.queries_failed += 1
+            self._log_query(query, "failed", error="range shut down")
+            self._send_failure(query, subscriber_hex, "range shut down")
         self.registrar.shutdown()
         for process in (self.mediator, self.profiles, self.location,
                         *self.range_services.values()):
@@ -702,6 +710,12 @@ class ContextServer(Process):
 def _provides(record: RegistrationRecord) -> bool:
     """Whether a registration can provide context (CAAs only consume it)."""
     return record.kind in ("ce", "infrastructure")
+
+
+def _require_id(query: Query) -> None:
+    """Refuse an unnamed query: its answer, book entry and trail need one."""
+    if not query.query_id:
+        raise QueryError("a query needs an id (Query.with_id) to be answered")
 
 
 def _places_in(expr: LocationExpr) -> List[str]:

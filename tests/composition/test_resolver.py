@@ -200,16 +200,12 @@ class TestProfileIndex:
             registry, live_profiles=lambda: list(profiles),
             templates=standard_templates(guids, building),
             bindings_of=bindings.get)
-        def shape(plan):
-            # drop the globally unique "plan-N" id; compare structure only
-            return plan.describe().split(":", 1)[1]
-
         for wanted in (TypeSpec("temperature", "celsius"),
                        TypeSpec("temperature", "any", "L10.02"),
                        TypeSpec("location", "topological", "bob"),
                        TypeSpec("path", "rooms", "bob->john")):
-            assert (shape(indexed_resolver.resolve(wanted))
-                    == shape(naive.resolve(wanted)))
+            assert (indexed_resolver.resolve(wanted).describe()
+                    == naive.resolve(wanted).describe())
         # and unsatisfiable specs fail identically
         for resolver in (indexed_resolver, naive):
             with pytest.raises(NoProviderError):

@@ -229,7 +229,7 @@ def test_a_subscription_is_a_filter_and_nothing_else():
 
 
 def test_subscribe_entries_carry_no_query_key():
-    assert LEDGER_SCHEMA == "sci.ledger/6"
+    assert LEDGER_SCHEMA == "sci.ledger/7"
     sci = SCI(config=SCIConfig(seed=5))
     server = sci.create_range("r", places=["L10"])
     entries = [entry for entry in server.ledger_entries()

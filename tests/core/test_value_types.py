@@ -38,7 +38,7 @@ def _values():
         "GUID": guid,
         "TypeSpec": _spec(),
         "ContextEvent": ContextEvent(_spec(), "L10.01", guid, 1.0),
-        "Message": Message(guid, guid, "ping"),
+        "Message": Message(guid, guid, "ping", msg_id=1),
         "PendingRequest": PendingRequest(1, "ping", lambda reply: None),
     }
 

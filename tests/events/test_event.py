@@ -57,11 +57,6 @@ class TestSemantics:
         assert event.age(15.0) == 5.0
         assert event.age(5.0) == 0.0  # never negative
 
-    def test_seq_monotonic(self, source_guid):
-        first = make_event(source_guid)
-        second = make_event(source_guid)
-        assert second.seq > first.seq
-
     def test_derive_inherits_attributes(self, source_guid):
         upstream = make_event(source_guid, attributes={"accuracy": 2.0})
         derived = upstream.derive(

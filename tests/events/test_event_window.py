@@ -239,7 +239,9 @@ class TestWindowBound:
         # retained store, the shed event among it
         assert mediator.resyncs_served == 1
         assert "lost" in [e.value for e in app.events]
-        assert app.streams.open_holes(sub.sub_id) == 0
+        key = (mediator.guid.value, sub.sub_id)
+        assert app.streams.last_seq(key) > 0  # the stream is known
+        assert app.streams.open_holes(key) == 0
         assert mediator.unacked() == 0
         assert mediator.deliveries_exhausted == 0
 
@@ -272,7 +274,7 @@ class TestTeardown:
         sci.create_range("level10", places=["L10"])
         sci.add_person("bob", room=None, device_host="bob-pda")
         app = sci.create_application("app:bob", host="bob-pda", owner="bob")
-        sci.start_boundary_monitor(with_handoff=True)
+        sci.start_boundary_monitor()
         sci.run(5)
         sci.teleport("bob", "lobby")
         sci.run(10)

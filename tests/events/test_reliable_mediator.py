@@ -114,23 +114,23 @@ class TestResync:
         assert [e.value for e in app.events] == ["L10.01"]
         # forge a hole: the app thinks seq 3 arrived but 2 never will
         # (as if the mediator's whole budget for seq 2 expired)
-        app.streams.offer(sub.sub_id, 3, app.events[0])
+        app.streams.offer((mediator.guid.value, sub.sub_id), 3, app.events[0])
         network.scheduler.run_for(DEFAULT_RESYNC_AFTER + 30.0)
         assert mediator.resyncs_served == 1
         # the retained event was replayed under a fresh seq and consumed
         assert len(app.events) >= 2
-        assert app.streams.open_holes(sub.sub_id) == 0
+        assert app.streams.open_holes((mediator.guid.value, sub.sub_id)) == 0
 
     def test_resync_unknown_sub_forgets_stream(self, network, mediator, app):
-        app.streams.offer(999, 2, None)
+        app.streams.offer((mediator.guid.value, 999), 2, None)
         network.scheduler.run_for(DEFAULT_RESYNC_AFTER + 30.0)
-        assert app.streams.open_holes(999) == 0
-        assert app.streams.last_seq(999) == 0
+        assert app.streams.open_holes((mediator.guid.value, 999)) == 0
+        assert app.streams.last_seq((mediator.guid.value, 999)) == 0
 
     def test_crash_resets_streams(self, network, mediator, app):
         sub = mediator.add_subscription(app.guid, TypeFilter("location"))
         publish(mediator, "L1")
         network.scheduler.run_until_idle()
-        assert app.streams.last_seq(sub.sub_id) == 1
+        assert app.streams.last_seq((mediator.guid.value, sub.sub_id)) == 1
         app.crash()
-        assert app.streams.last_seq(sub.sub_id) == 0
+        assert app.streams.last_seq((mediator.guid.value, sub.sub_id)) == 0

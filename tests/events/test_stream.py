@@ -18,6 +18,10 @@ _WAITS = [stream_module.RESYNC_TIMEOUT * rpc.BACKOFF_FACTOR ** attempt
 RESYNC_BUDGET_MIN = sum(_WAITS)
 RESYNC_BUDGET_MAX = _WAITS[0] + (1 + rpc.JITTER) * sum(_WAITS[1:])
 
+#: stream keys, ``(mediator, sub_id)``: one stream, then two of one mediator
+KEY = (1, 7)
+KEY_A, KEY_B = (1, 1), (1, 2)
+
 
 def test_resync_after_falls_between_the_fourth_and_fifth_round():
     """``DEFAULT_RESYNC_AFTER``'s comment, computed from the mediator's
@@ -51,82 +55,82 @@ def resyncs():
 def stream(scheduler, delivered, resyncs, monkeypatch):
     monkeypatch.setattr(stream_module, "DEFAULT_RESYNC_AFTER", 10.0)
     return StreamReassembler(scheduler,
-                             lambda sub_id, item: delivered.append(item),
+                             lambda key, item: delivered.append(item),
                              request_resync=resyncs.append)
 
 
 class TestOrdering:
     def test_in_order_passthrough(self, stream, delivered):
         for seq in (1, 2, 3):
-            assert stream.offer(7, seq, f"e{seq}") is True
+            assert stream.offer(KEY, seq, f"e{seq}") is True
         assert delivered == ["e1", "e2", "e3"]
 
     def test_duplicate_dropped(self, stream, delivered):
-        stream.offer(7, 1, "e1")
-        assert stream.offer(7, 1, "dup") is False
-        assert stream.offer(7, 1, "dup") is False
+        stream.offer(KEY, 1, "e1")
+        assert stream.offer(KEY, 1, "dup") is False
+        assert stream.offer(KEY, 1, "dup") is False
         assert delivered == ["e1"]
         assert stream.dup_dropped == 2
 
     def test_stale_seq_dropped_after_fast_forward(self, stream, delivered):
-        stream.offer(7, 1, "e1")
-        stream.offer(7, 2, "e2")
-        assert stream.offer(7, 1, "retransmit") is False
+        stream.offer(KEY, 1, "e1")
+        stream.offer(KEY, 2, "e2")
+        assert stream.offer(KEY, 1, "retransmit") is False
         assert delivered == ["e1", "e2"]
 
     def test_hole_buffers_until_filled(self, stream, delivered):
-        stream.offer(7, 1, "e1")
-        assert stream.offer(7, 3, "e3") is False   # hole at 2
+        stream.offer(KEY, 1, "e1")
+        assert stream.offer(KEY, 3, "e3") is False  # hole at 2
         assert delivered == ["e1"]
-        assert stream.open_holes(7) == 1
-        stream.offer(7, 2, "e2")                   # fill -> flush
+        assert stream.open_holes(KEY) == 1
+        stream.offer(KEY, 2, "e2")                  # fill -> flush
         assert delivered == ["e1", "e2", "e3"]
-        assert stream.open_holes(7) == 0
+        assert stream.open_holes(KEY) == 0
 
     def test_streams_are_independent(self, stream, delivered):
-        stream.offer(1, 1, "a1")
-        stream.offer(2, 1, "b1")
-        stream.offer(1, 2, "a2")
+        stream.offer(KEY_A, 1, "a1")
+        stream.offer(KEY_B, 1, "b1")
+        stream.offer(KEY_A, 2, "a2")
         assert delivered == ["a1", "b1", "a2"]
-        assert stream.last_seq(1) == 2 and stream.last_seq(2) == 1
+        assert stream.last_seq(KEY_A) == 2 and stream.last_seq(KEY_B) == 1
 
 
 class TestResync:
     def test_open_hole_requests_resync(self, scheduler, stream, resyncs):
-        stream.offer(7, 1, "e1")
-        stream.offer(7, 3, "e3")
+        stream.offer(KEY, 1, "e1")
+        stream.offer(KEY, 3, "e3")
         scheduler.run_for(9.0)
         assert resyncs == []            # retransmission window still open
         scheduler.run_for(2.0)
-        assert resyncs == [7]
+        assert resyncs == [KEY]
         assert stream.resyncs_requested == 1
 
     def test_filled_hole_cancels_resync(self, scheduler, stream, resyncs):
-        stream.offer(7, 1, "e1")
-        stream.offer(7, 3, "e3")
+        stream.offer(KEY, 1, "e1")
+        stream.offer(KEY, 3, "e3")
         scheduler.run_for(5.0)
-        stream.offer(7, 2, "e2")
+        stream.offer(KEY, 2, "e2")
         scheduler.run_for(20.0)
         assert resyncs == []
 
     def test_resync_done_fast_forwards(self, scheduler, stream, delivered):
-        stream.offer(7, 1, "e1")
-        stream.offer(7, 4, "e4")        # 2 and 3 lost for good
+        stream.offer(KEY, 1, "e1")
+        stream.offer(KEY, 4, "e4")      # 2 and 3 lost for good
         # the mediator replays retained state as seqs 5.. and names
         # baseline 4: drain the buffered arrival, skip the dead hole
-        stream.resync_done(7, baseline=4)
+        stream.resync_done(KEY, baseline=4)
         assert delivered == ["e1", "e4"]
-        assert stream.last_seq(7) == 4
-        stream.offer(7, 5, "replayed")
+        assert stream.last_seq(KEY) == 4
+        stream.offer(KEY, 5, "replayed")
         assert delivered == ["e1", "e4", "replayed"]
 
     def test_resync_failed_rearms(self, scheduler, stream, resyncs):
-        stream.offer(7, 2, "e2")        # hole at 1
+        stream.offer(KEY, 2, "e2")      # hole at 1
         scheduler.run_for(11.0)
-        assert resyncs == [7]
-        stream.resync_failed(7)
+        assert resyncs == [KEY]
+        stream.resync_failed(KEY)
         scheduler.run_for(11.0)
-        assert resyncs == [7, 7]        # retried after the RPC expired
+        assert resyncs == [KEY, KEY]    # retried after the RPC expired
 
     @pytest.mark.parametrize("payload", [
         {"ok": True, "sub_id": 7, "seq": "7"},
@@ -151,31 +155,32 @@ class TestResync:
             Profile(guids.mint(), "app", EntityClass.SOFTWARE), "host-b",
             network)
         app.attach_to_range(guids.mint(), guids.mint(), mediator.guid, "stub")
-        app.streams.offer(7, 1, "e1")
-        app.streams.offer(7, 3, "e3")   # hole at 2: a resync at t=10
+        key = (mediator.guid.value, 7)  # the stream: (mediator, sub_id)
+        app.streams.offer(key, 1, "e1")
+        app.streams.offer(key, 3, "e3")   # hole at 2: a resync at t=10
         network.scheduler.run_for(15.0)
         assert resyncs == [7]
         malformed = network.obs.metrics.get("net.messages.malformed")
         assert malformed.by_label() == {"resync-ack": 1}
-        assert app.streams.last_seq(7) == 1
-        assert app.streams.open_holes(7) == 1
+        assert app.streams.last_seq(key) == 1
+        assert app.streams.open_holes(key) == 1
         network.scheduler.run_for(10.0 + RESYNC_BUDGET_MIN - 15.0)
         assert resyncs == [7]           # still waiting out the budget
         network.scheduler.run_for(RESYNC_BUDGET_MAX - RESYNC_BUDGET_MIN + 15.0)
         assert resyncs == [7, 7]        # handled like an expired resync
-        app.streams.offer(7, 2, "e2")
+        app.streams.offer(key, 2, "e2")
         assert app.events == ["e1", "e2", "e3"]
 
     def test_forget_drops_state_and_timer(self, scheduler, stream, resyncs):
-        stream.offer(7, 3, "e3")
-        stream.forget(7)
+        stream.offer(KEY, 3, "e3")
+        stream.forget(KEY)
         scheduler.run_for(20.0)
         assert resyncs == []
-        assert stream.last_seq(7) == 0
+        assert stream.last_seq(KEY) == 0
 
     def test_reset_clears_everything(self, scheduler, stream, resyncs):
-        stream.offer(1, 2, "x")
-        stream.offer(2, 5, "y")
+        stream.offer(KEY_A, 2, "x")
+        stream.offer(KEY_B, 5, "y")
         stream.reset()
         scheduler.run_for(30.0)
         assert resyncs == []

@@ -26,11 +26,13 @@ def push_event(network, app, at, type_name="location"):
     def deliver():
         event = ContextEvent(TypeSpec(type_name, "topological", "bob"),
                              "L10.01", app.guid, network.scheduler.now)
-        # the next seq of subscription 1: every push arrives in order
-        seq = app.streams.last_seq(1) + 1
+        # the next seq of the sender's subscription 1: every push arrives
+        # in order, and its seq also numbers the message
+        seq = app.streams.last_seq((app.guid.value, 1)) + 1
         app.deliver(
             Message(sender=app.guid, recipient=app.guid, kind="event",
-                    payload={"event": event.to_wire(), "subs": [[1, seq]]}))
+                    payload={"event": event.to_wire(), "subs": [[1, seq]]},
+                    msg_id=seq))
 
     network.scheduler.schedule_at(at, deliver)
 

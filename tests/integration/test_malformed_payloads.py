@@ -51,7 +51,8 @@ def deployment():
 
 
 def _query_wire(sci):
-    return sci.query("app").profiles_of_type("device").build().to_wire()
+    return (sci.query("app").profiles_of_type("device").with_id("probe:1")
+            .build().to_wire())
 
 
 #: the component each row sends to

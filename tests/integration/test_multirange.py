@@ -132,6 +132,57 @@ class TestForwardedQueryAnswers:
                 ] == [(query.query_id, False)]
 
 
+class TestForwardedStreamResync:
+    """A forwarded subscription's stream comes from the peer range's
+    mediator, which numbers its own subscriptions: the app keys the stream
+    by ``(mediator, sub_id)`` and asks that mediator, not its home range's,
+    to resync a hole its retransmissions did not fill."""
+
+    DROP_FOR = 200.0
+
+    def test_a_lost_event_is_resynced_with_the_peer(self):
+        sci = SCI(config=SCIConfig(seed=9))
+        lobby = sci.create_range("lobby", places=["lobby", "L1"],
+                                 stations=["ap-lobby"])
+        level10 = sci.create_range("level10", places=["L10"])
+        sci.add_door_sensors(
+            "level10", rooms=level10.definition.rooms(sci.building) + ["lobby"])
+        sci.add_person("bob", room="corridor")
+        sci.run(5)
+        app = sci.create_application("app", host="cs-lobby")
+        sci.run(5)
+        app.submit_query(sci.query("app").subscribe(
+            "location", "topological", subject="bob")
+            .where("within(room:L10)").build())
+        sci.run(10)
+        assert app.query_acks["app:1"]["status"] == "forwarded"
+        # the peer's event carrying the app's seq 2, and every
+        # retransmission of it, is lost for DROP_FOR units
+        network, peer = sci.network, level10.mediator.guid
+        drop_until = sci.now + self.DROP_FOR
+        dispatch = network._dispatch
+
+        def lossy(message, source_host, recipient):
+            if not (message.kind == "event" and message.sender == peer
+                    and recipient is app and sci.now < drop_until
+                    and any(seq == 2 for _, seq in message.payload["subs"])):
+                dispatch(message, source_host, recipient)
+
+        network._dispatch = lossy
+        rooms = ["L10.01", "corridor", "L10.02", "corridor"]
+        while sci.now < drop_until:
+            for room in rooms:
+                sci.walk("bob", room)
+                sci.run(40)
+        assert level10.mediator.resyncs_served >= 1
+        assert lobby.mediator.resyncs_served == 0
+        later = rooms * 2
+        for room in later:
+            sci.walk("bob", room)
+            sci.run(40)
+        assert [event.value for event in app.events[-len(later):]] == later
+
+
 class TestGrouping:
     def test_third_range_joins_group(self, two_ranges):
         sci, lobby, level10 = two_ranges

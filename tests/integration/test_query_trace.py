@@ -96,7 +96,7 @@ class TestConnectedQueryTrace:
         sci.run(30)
         assert "L10.01" in [e.value for e in app.events_of_type("location")]
 
-    def test_query_counter_matches_outcomes(self, two_ranges):
+    def test_routed_counter_matches_outcomes(self, two_ranges):
         sci, lobby, level10 = two_ranges
         app = sci.create_application("app4", host="cs-lobby")
         sci.run(5)

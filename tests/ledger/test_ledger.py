@@ -296,14 +296,15 @@ class TestArtefact:
     def test_schema_marker_required(self, tmp_path):
         # /1 files carry lease-renew entries, /2 a second membership book,
         # /3 an entry per delivered recipient, /4 a shard rank in every
-        # hash, /5 a query key on every subscribe: refused by version,
-        # never mis-projected or mis-verified
+        # hash, /5 a query key on every subscribe, /6 a process-global
+        # event seq in every delivery pair: refused by version, never
+        # mis-projected or mis-verified
         path, records = self._exported(tmp_path)
-        for version in ("1", "2", "3", "4", "5"):
+        for version in ("1", "2", "3", "4", "5", "6"):
             records[0]["schema"] = f"sci.ledger/{version}"
             self._rewrite(path, records)
             with pytest.raises(LedgerError,
-                               match="schema must be 'sci.ledger/6'"):
+                               match="schema must be 'sci.ledger/7'"):
                 load_ledger_jsonl(path)
 
     def test_bool_seq_rejected(self, tmp_path):

@@ -1,21 +1,19 @@
 """The ledger records the publish, not each recipient.
 
 One fan-out is one ``publish`` entry — what it retained and the
-``[sub_id, event_seq]`` pair of everybody it served, appended when the
+``[sub_id, seq]`` pair of everybody it served (the seq that subscription's
+delivery got), appended when the
 fan-out completes; deliveries made outside a publish (retained replay to
 a fresh subscription, a served ``resync``) are one ``replay`` entry per
 replay. A change that silently goes back to an entry per recipient, or
 that appends the entry before the fan-out is over, fails here.
 """
 
-import itertools
-
 import pytest
 
 from repro.core.ids import GuidFactory
 from repro.core.types import TypeSpec
 from repro.events import mediator as mediator_module
-from repro.events import subscription as subscription_module
 from repro.events.event import ContextEvent
 from repro.events.filters import AndFilter, SubjectFilter, TypeFilter
 from repro.events.mediator import EventMediator
@@ -27,7 +25,6 @@ from repro.net.transport import FixedLatency, FunctionProcess, Network
 
 @pytest.fixture
 def rig(monkeypatch):
-    subscription_module._subscription_ids = itertools.count(1)
     monkeypatch.setattr(mediator_module, "DEFAULT_RETAINED_CAP", 8)
     net = Network(latency_model=FixedLatency(1.0), seed=3)
     net.add_host("h")
@@ -42,9 +39,9 @@ def plain(rig):
                          ledger=ContextLedger("cs:fold"))
 
 
-def event(mediator, seq, subject="bob", type_name="location"):
+def event(mediator, n, subject="bob", type_name="location"):
     return ContextEvent(TypeSpec(type_name, "topological", subject),
-                        f"room-{seq}", mediator.guid, 0.0, seq=seq)
+                        f"room-{n}", mediator.guid, 0.0)
 
 
 def kinds(chain, since=0):
@@ -73,9 +70,9 @@ def test_k_matches_are_one_entry_with_k_pairs_in_delivery_order(rig):
     assert first.payload == {
         "key": ["location", "topological", "bob"],
         "event": event(mediator, 41).to_wire(),
-        "deliveries": [[sub.sub_id, 41] for sub in subs]}
-    assert second.payload["event"]["seq"] == 42
-    assert second.payload["deliveries"] == [[sub.sub_id, 42] for sub in subs]
+        "deliveries": [[sub.sub_id, 1] for sub in subs]}
+    assert "seq" not in second.payload["event"]
+    assert second.payload["deliveries"] == [[sub.sub_id, 2] for sub in subs]
     assert_projects_to_live(mediator)
 
 
@@ -83,8 +80,8 @@ def test_publish_at_the_cap_is_evict_then_publish(rig, monkeypatch):
     monkeypatch.setattr(mediator_module, "DEFAULT_RETAINED_CAP", 2)
     mediator = plain(rig)
     chain = mediator.ledger
-    for seq, subject in enumerate(("bob", "ada"), start=1):
-        mediator.publish(event(mediator, seq, subject))
+    for n, subject in enumerate(("bob", "ada"), start=1):
+        mediator.publish(event(mediator, n, subject))
     mark = len(chain)
     mediator.publish(event(mediator, 3, "eve"))
     evict, publish = chain.entries()[mark:]
@@ -121,7 +118,7 @@ def test_consumed_one_time_subscription_projects_at_that_instant(rig):
     assert len({entry.sim_time for entry in instant}) == 1
     assert instant[0].payload == {"sub_id": once.sub_id}
     assert instant[1].payload["deliveries"] == \
-        [[once.sub_id, 7], [kept.sub_id, 7]]
+        [[once.sub_id, 1], [kept.sub_id, 1]]
     assert not mediator.has_subscription(once.sub_id)
     assert_projects_to_live(mediator)
     assert projection_snapshot(ReplayProjector.from_entries(
@@ -133,8 +130,8 @@ def test_retained_replay_to_a_fresh_subscription_is_one_entry(rig):
     _, _, sink = rig
     mediator = plain(rig)
     chain = mediator.ledger
-    for seq, subject in enumerate(("bob", "ada", "eve"), start=1):
-        mediator.publish(event(mediator, seq, subject))
+    for n, subject in enumerate(("bob", "ada", "eve"), start=1):
+        mediator.publish(event(mediator, n, subject))
     mediator.publish(event(mediator, 4, "bob", type_name="temperature"))
     mark = len(chain)
     late = mediator.add_subscription(sink.guid, TypeFilter("location"))
@@ -162,9 +159,9 @@ def test_a_served_resync_is_one_replay_entry(rig):
     sub = mediator.add_subscription(sink.guid, SubjectFilter("bob"))
     exact = mediator.add_subscription(
         sink.guid, AndFilter([TypeFilter("location"), SubjectFilter("bob")]))
-    for seq, type_name in enumerate(("location", "temperature"), start=1):
+    for n, type_name in enumerate(("location", "temperature"), start=1):
         sink.send(mediator.guid, "publish",
-                  {"event": event(mediator, seq, "bob", type_name).to_wire()})
+                  {"event": event(mediator, n, "bob", type_name).to_wire()})
     net.scheduler.run_for(5.0)
     assert (sub.delivered, exact.delivered) == (2, 1)
     before = len(chain)
@@ -174,6 +171,6 @@ def test_a_served_resync_is_one_replay_entry(rig):
     assert (sub.delivered, exact.delivered) == (4, 2)
     assert [(entry.kind, entry.payload["deliveries"])
             for entry in chain.entries()[before:]] == [
-        ("replay", [[sub.sub_id, 1], [sub.sub_id, 2]]),
-        ("replay", [[exact.sub_id, 1]])]
+        ("replay", [[sub.sub_id, 3], [sub.sub_id, 4]]),
+        ("replay", [[exact.sub_id, 2]])]
     assert_projects_to_live(mediator)

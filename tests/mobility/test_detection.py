@@ -156,4 +156,4 @@ class TestScanValidation:
         from repro.net.sim import Scheduler
         world = World(building, Scheduler())
         with pytest.raises(ValueError):
-            BoundaryMonitor(world, [], scan_interval=0)
+            BoundaryMonitor(world, [], handoff=None, scan_interval=0)

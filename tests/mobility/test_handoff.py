@@ -15,7 +15,7 @@ def deployment():
     sci.create_range("level10", places=["L10"])
     sci.add_person("bob", room=None, device_host="bob-pda")
     app = sci.create_application("app:bob", host="bob-pda", owner="bob")
-    sci.start_boundary_monitor(with_handoff=True)
+    sci.start_boundary_monitor()
     sci.run(5)
     return sci, app
 

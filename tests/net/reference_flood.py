@@ -17,7 +17,8 @@ exactly the reference's event log minus its dead letters.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from dataclasses import replace
+from typing import List, Optional, Set, Tuple
 
 from repro.core.ids import GUID
 from repro.net.eventlog import Entry
@@ -34,8 +35,9 @@ class FloodNetwork(Network):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        #: msg_ids of the copies addressed to non-listeners
-        self._dead_ids: Set[int] = set()
+        #: (sender, msg_id, recipient) of the copies addressed to
+        #: non-listeners (every copy keeps its original's msg_id)
+        self._dead: Set[Tuple[GUID, int, GUID]] = set()
         #: event-log positions of the dead letters that were delivered
         self.dead_letters: List[int] = []
 
@@ -47,21 +49,16 @@ class FloodNetwork(Network):
         for process in self.processes_on(source_host.host_id):
             if process.guid == message.sender:
                 continue
-            copy = Message(
-                sender=message.sender,
-                recipient=process.guid,
-                kind=message.kind,
-                payload=dict(message.payload),
-                reply_to=message.reply_to,
-            )
-            copy.trace = message.trace
+            copy = replace(message, recipient=process.guid,
+                           payload=dict(message.payload))
             if process.guid not in heard:
-                self._dead_ids.add(copy.msg_id)
+                self._dead.add((copy.sender, copy.msg_id, process.guid))
             self._dispatch(copy, source_host, process)
 
     def _deliver(self, message: Message, recipient_guid: GUID) -> None:
-        if message.msg_id in self._dead_ids:
-            self._dead_ids.discard(message.msg_id)
+        key = (message.sender, message.msg_id, recipient_guid)
+        if key in self._dead:
+            self._dead.discard(key)
             recipient = self.process(recipient_guid)
             if recipient is not None and self.host(recipient.host_id).up:
                 # the entry super() is about to append

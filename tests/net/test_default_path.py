@@ -12,7 +12,6 @@ way to run.
 import gc
 import importlib
 import inspect
-import itertools
 import pathlib
 
 import pytest
@@ -21,12 +20,7 @@ from repro import SCI
 from repro.analysis import runner as analysis_runner
 from repro.analysis.determinism import CHECK_WALL_CLOCK, DeterminismChecker
 from repro.analysis.source import SourceFile
-from repro.composition import graph as graph_module
-from repro.composition import manager as manager_module
 from repro.core import api
-from repro.events import event as event_module
-from repro.events import subscription as subscription_module
-from repro.net import message as message_module
 from repro.net.message import Message
 from repro.net import sim as sim_module
 from repro.net.eventlog import EventLog
@@ -37,7 +31,6 @@ from repro.obs import tracing as tracing_module
 from repro.obs.experiments import run_overlay_instrumented
 from repro.overlay.node import OverlayNode
 from repro.overlay.scinet import SCINet
-from repro.query import model as query_module
 
 
 def test_default_send_is_a_bare_heap_tuple():
@@ -103,21 +96,9 @@ def test_timer_carries_arguments_without_a_closure():
 
 # -- default SCI(): deterministic ----------------------------------------------
 
-_COUNTERS = [
-    (event_module, "_event_seq"),
-    (subscription_module, "_subscription_ids"),
-    (query_module, "_query_counter"),
-    (manager_module, "_config_ids"),
-    (graph_module, "_plan_ids"),
-    (message_module, "_message_ids"),
-]
-
-
 def _sci_digest(monkeypatch):
-    """Event-log digest of a small facade-driven run. The process-global id
-    counters ride inside payloads, so each run starts them afresh."""
-    for module, name in _COUNTERS:
-        monkeypatch.setattr(module, name, itertools.count(1))
+    """Event-log digest of a small facade-driven run. Every id a payload
+    carries is minted inside the run, so two runs in one process match."""
     log = EventLog()
     monkeypatch.setattr(
         api, "Network", lambda **kwargs: Network(event_log=log, **kwargs))

@@ -9,7 +9,6 @@ observable to be equal once the reference's dead letters are set aside; the
 unit tests pin the table itself.
 """
 
-import itertools
 import random
 
 import pytest
@@ -18,8 +17,6 @@ from repro.core.ids import GuidFactory
 from repro.core.types import TypeSpec, standard_registry
 from repro.entities.entity import ContextAwareApplication, ContextEntity
 from repro.entities.profile import EntityClass, Profile
-from repro.events import event as event_module
-from repro.events import subscription as subscription_module
 from repro.events.filters import TypeFilter
 from repro.location.building import livingstone_tower
 from repro.location.converters import register_location_converters
@@ -55,8 +52,6 @@ def unheard(network):
 
 
 def run_deployment(network_class, seed=5):
-    event_module._event_seq = itertools.count(1)
-    subscription_module._subscription_ids = itertools.count(1)
     net = network_class(latency_model=CampusLatency(), seed=seed,
                         event_log=EventLog())
     guids = GuidFactory(seed=seed)

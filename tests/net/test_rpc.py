@@ -136,11 +136,12 @@ class TestTimeouts:
 class TestDispatch:
     def test_unrelated_message_not_consumed(self, network, pair):
         echo, asker = pair
-        plain = Message(sender=echo.guid, recipient=asker.guid, kind="info")
+        plain = Message(sender=echo.guid, recipient=asker.guid, kind="info",
+                        msg_id=1)
         assert asker.requests.dispatch_reply(plain) is False
 
     def test_unknown_reply_not_consumed(self, network, pair):
         echo, asker = pair
         stray = Message(sender=echo.guid, recipient=asker.guid,
-                        kind="answer", reply_to=999999)
+                        kind="answer", msg_id=1, reply_to=999999)
         assert asker.requests.dispatch_reply(stray) is False

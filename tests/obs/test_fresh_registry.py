@@ -38,8 +38,8 @@ def test_the_ledger_records_into_a_fresh_registry():
 
 def test_the_reassembler_records_into_a_fresh_registry():
     metrics = MetricsRegistry()
-    streams = StreamReassembler(Scheduler(), lambda sub_id, item: None,
-                                lambda sub_id: None, metrics=metrics)
-    streams.offer(1, 1, "a")
-    streams.offer(1, 1, "a")  # a duplicate
+    streams = StreamReassembler(Scheduler(), lambda key, item: None,
+                                lambda key: None, metrics=metrics)
+    streams.offer((1, 1), 1, "a")
+    streams.offer((1, 1), 1, "a")  # a duplicate
     assert metrics.counter("mediator.seq.dup_dropped").total() == 1

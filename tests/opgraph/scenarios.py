@@ -8,19 +8,14 @@ reference scan for every filter shape the mediator distinguishes,
 including heavy dedup pressure (many spec-identical filters built in
 different construction orders), one-time arbitration, retained replay,
 and churn.
-
-Global counters (``ContextEvent.seq``, ``Subscription.sub_id``) are reset
-or pre-minted so runs in one pytest process stay comparable.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List
 
 from repro.core.ids import GuidFactory
 from repro.core.types import TypeSpec
-from repro.events import subscription as subscription_module
 from repro.events.event import ContextEvent
 from repro.events.filters import (AndFilter, AttributeFilter, MatchAll,
                                   SourceFilter, SubjectFilter, TypeFilter)
@@ -69,8 +64,7 @@ class LoggingSink(Process):
 
 
 def _mint_events(source_guids: GuidFactory) -> List[List[dict]]:
-    """Pre-mint every storm's events with explicit ``seq`` values."""
-    seq = itertools.count(5000)
+    """Pre-mint every storm's events."""
     sources = [source_guids.mint() for _ in range(4)]
     storms = []
     for storm_index in range(len(STORMS)):
@@ -82,8 +76,7 @@ def _mint_events(source_guids: GuidFactory) -> List[List[dict]]:
             attributes = {"floor": n % 2, "reading": float(n % 11)}
             storm.append(ContextEvent(
                 spec, value=n, source=sources[n % len(sources)],
-                timestamp=float(n), seq=next(seq),
-                attributes=attributes).to_wire())
+                timestamp=float(n), attributes=attributes).to_wire())
         storms.append(storm)
     return storms
 
@@ -97,7 +90,6 @@ def run_scenario(reference: bool = False,
     at STORMS offsets with drained gaps so control-plane mutations land at
     legal points.
     """
-    subscription_module._subscription_ids = itertools.count(1)
     net = Network(latency_model=FixedLatency(1.0), seed=seed)
     for host in HOSTS:
         net.add_host(host)
@@ -174,7 +166,7 @@ def run_scenario(reference: bool = False,
     # a final event past the last storm
     extra = ContextEvent(
         TypeSpec("temperature", "raw", "room-1"), value=999,
-        source=source_guids.mint(), timestamp=105.0, seq=9999).to_wire()
+        source=source_guids.mint(), timestamp=105.0).to_wire()
     schedule(95.0, lambda: publisher.publish(extra))
 
     net.run_until_idle()

@@ -12,22 +12,19 @@ origin_seq)`` order may legitimately differ — have measure zero, and the
 single-heap reference (:mod:`tests.parallel.single_heap`) must leave the
 same log as the production scheduler.
 
-Two global counters would otherwise leak process history into payload
-digests when several configurations run in one pytest process:
-``ContextEvent.seq`` (events are pre-minted at setup with explicit ``seq``)
-and ``Subscription.sub_id`` (reset per run — the ids ride inside ``event``
-delivery payloads).
+Every id in a payload is minted by its owner inside the run (the mediator
+numbers its subscriptions, each process its messages), and each storm
+event is told apart by the value its publisher set, so several runs in one
+pytest process leave identical digests.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Dict, List
 
 from repro.core.ids import GUID
 from repro.core.types import TypeSpec
-from repro.events import subscription as subscription_module
 from repro.events.event import ContextEvent
 from repro.events.filters import MatchAll, SubjectFilter, TypeFilter
 from repro.events.mediator import EventMediator
@@ -87,8 +84,7 @@ class StormSubscriber(Process):
 
 
 def _mint_events(guids) -> List[dict]:
-    """Pre-mint the storm's events at setup, with explicit ``seq`` values so
-    the global event counter's process history cannot reach the wire."""
+    """Pre-mint the storm's events at setup, each with its own value."""
     events = []
     for i in range(EVENTS):
         spec = TypeSpec(
@@ -98,7 +94,7 @@ def _mint_events(guids) -> List[dict]:
         )
         events.append(ContextEvent(
             spec=spec, value=i * 10, source=guids.mint(),
-            timestamp=float(i), seq=1000 + i,
+            timestamp=float(i),
         ).to_wire())
     return events
 
@@ -113,7 +109,6 @@ def run_scenario(reference_heap: bool = False, seed: int = 11,
     (:mod:`tests.events.reference_scan`). The event log must not be able
     to tell either reference from production.
     """
-    subscription_module._subscription_ids = itertools.count(1)
     log = EventLog()
     net = Network(
         scheduler=SingleHeapScheduler() if reference_heap else None,

@@ -22,7 +22,7 @@ from tests.parallel.scenarios import run_scenario
 
 #: blake2b-128 of the canonical per-host event log of
 #: ``run_scenario(seed=11)`` — production and the reference heap alike
-GOLDEN_DIGEST = "99f85d729b567b107a2726cfee5fb1ef"
+GOLDEN_DIGEST = "26e438e441790d5a57e6b999fff12137"
 GOLDEN_ENTRIES = 768
 
 #: the event log's timer rows of the same run, counted by callback site

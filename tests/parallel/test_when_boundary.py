@@ -12,7 +12,6 @@ scheduler and the single-heap reference report the same single "query
 expired while waiting" failure and zero executions.
 """
 
-import itertools
 
 import pytest
 
@@ -20,7 +19,6 @@ from repro.core.ids import GuidFactory
 from repro.core.types import standard_registry
 from repro.entities.entity import ContextAwareApplication
 from repro.entities.profile import EntityClass, Profile
-from repro.events import subscription as subscription_module
 from repro.location.building import livingstone_tower
 from repro.location.converters import register_location_converters
 from repro.net.transport import FixedLatency, Network
@@ -37,7 +35,6 @@ EXPIRY = 30.0
 
 def run_boundary_scenario(reference_heap=False, fix_time=EXPIRY, seed=11):
     """One mini deployment; returns the observable outcome of the race."""
-    subscription_module._subscription_ids = itertools.count(1)
     net = Network(scheduler=SingleHeapScheduler() if reference_heap else None,
                   latency_model=FixedLatency(1.0), seed=seed)
     net.add_host("host-a")

@@ -104,9 +104,11 @@ def queries(draw):
             WhatClause.entity_type(draw(simple_names))]))
     else:
         what = WhatClause.entity_type(draw(simple_names))
-    return Query(owner_id=draw(simple_names), what=what,
+    owner = draw(simple_names)
+    return Query(owner_id=owner, what=what,
                  where=draw(location_exprs()), when=draw(when_clauses()),
-                 which=draw(which_clauses()), mode=mode)
+                 which=draw(which_clauses()), mode=mode,
+                 query_id=f"{owner}:{draw(st.integers(1, 10**6))}")
 
 
 class TestQueryXML:

@@ -26,7 +26,6 @@ from repro.core.ids import GUID, GuidFactory
 from repro.core.types import TypeSpec
 from repro.entities.profile import EntityClass, Profile
 from repro.events import mediator as mediator_module
-from repro.events import subscription as subscription_module
 from repro.events.event import ContextEvent
 from repro.events.filters import (AndFilter, MatchAll, SubjectFilter,
                                   TypeFilter)
@@ -95,7 +94,6 @@ class TestProjectionEqualsLive:
     @given(ops=st.lists(operations(), min_size=1, max_size=25))
     @mock.patch.object(mediator_module, "DEFAULT_RETAINED_CAP", 2)
     def test_every_prefix_projects_to_the_live_books(self, ops):
-        subscription_module._subscription_ids = itertools.count(1)
         net = Network(latency_model=FixedLatency(1.0), seed=5)
         net.add_host("h")
         guids = GuidFactory(seed=6)
@@ -111,7 +109,6 @@ class TestProjectionEqualsLive:
         publisher = FunctionProcess(guids.mint(), "h", net, lambda _m: None)
         subscriber = FunctionProcess(guids.mint(), "h", net, lambda _m: None)
         entity_ids = [GUID((i + 1) << 64) for i in range(ENTITIES)]
-        seqs = itertools.count(1000)
         generations = itertools.count()
         sub_ids = []
 
@@ -157,8 +154,7 @@ class TestProjectionEqualsLive:
                 _, type_name, subject, value = op
                 wire = ContextEvent(
                     TypeSpec(type_name, "topological", subject), value,
-                    publisher.guid, net.scheduler.now,
-                    seq=next(seqs)).to_wire()
+                    publisher.guid, net.scheduler.now).to_wire()
                 publisher.send(mediator.guid, "publish", {"event": wire})
             # a bounded drain window, not run_until_idle: the registrar's
             # periodic lease sweep keeps the scheduler non-idle forever.

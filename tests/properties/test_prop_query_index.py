@@ -197,9 +197,9 @@ def _shape(resolver, wanted):
         plan = resolver.resolve(wanted)
     except NoProviderError:
         return None
-    # drop the globally unique "plan-N" id; namesakes are told apart by hex
-    # and the output spec names the offer that matched
-    return (plan.describe().split(":", 1)[1], plan.output_spec,
+    # namesakes are told apart by hex and the output spec names the offer
+    # that matched
+    return (plan.describe(), plan.output_spec,
             [(node.kind, node.entity_hex or node.template_name)
              for node in plan.nodes.values() if node.kind != "converter"])
 

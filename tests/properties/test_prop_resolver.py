@@ -138,9 +138,9 @@ class TestResolverProperties:
                 plan = resolver.resolve(wanted)
             except NoProviderError:
                 return None
-            # drop the globally unique "plan-N" id; compare structure only,
-            # plus the output spec, which names the offer that matched
-            return plan.describe().split(":", 1)[1], plan.output_spec
+            # the structure, plus the output spec, which names the offer
+            # that matched
+            return plan.describe(), plan.output_spec
 
         indexed = QueryResolver(registry, live_profiles=lambda: profiles)
         scan = ReferenceScanResolver(registry,

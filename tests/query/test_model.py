@@ -55,24 +55,35 @@ class TestQueryWire:
                  .where("within(room:L10)")
                  .when("enters(bob, L10.01) until(600)")
                  .which("reachable; no-queue; closest-to(me)")
+                 .with_id("john:1")
                  .build())
         restored = Query.from_wire(query.to_wire())
         assert restored.to_wire() == query.to_wire()
 
     def test_defaults_fill_missing(self):
-        query = Query.from_wire({"owner_id": "bob", "what": "named:john"})
+        query = Query.from_wire({"query_id": "bob:1", "owner_id": "bob",
+                                 "what": "named:john"})
         assert query.where.is_constraint_free
         assert query.when.immediate
         assert query.mode == QueryMode.SUBSCRIPTION
 
     def test_missing_required_field(self):
         with pytest.raises(QueryError):
-            Query.from_wire({"owner_id": "bob"})
+            Query.from_wire({"query_id": "bob:1", "owner_id": "bob"})
 
-    def test_query_ids_unique(self):
-        first = QueryBuilder("a").profiles_of_type("device").build()
-        second = QueryBuilder("a").profiles_of_type("device").build()
-        assert first.query_id != second.query_id
+    @pytest.mark.parametrize("query_id", [None, "", 7])
+    def test_an_unnamed_query_has_no_wire_form(self, query_id):
+        """The client files its query-ack under the id: the builder names
+        nothing, and neither wire direction takes an unnamed query."""
+        query = QueryBuilder("a").profiles_of_type("device").build()
+        assert query.query_id is None
+        with pytest.raises(QueryError):
+            query.to_wire()
+        wire = QueryBuilder("a").profiles_of_type("device").with_id(
+            "a:1").build().to_wire()
+        wire["query_id"] = query_id
+        with pytest.raises(QueryError):
+            Query.from_wire(wire)
 
 
 class TestBuilder:

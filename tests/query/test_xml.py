@@ -14,6 +14,7 @@ def query():
             .where("within(room:L10)")
             .when("enters(bob, L10.01) until(600)")
             .which("reachable; closest-to(me)")
+            .with_id("q-1")
             .build())
 
 
@@ -36,8 +37,8 @@ class TestSerialisation:
             QueryBuilder("o").once("temperature"),
             QueryBuilder("o").advertisement("printer"),
         ]
-        for builder in builders:
-            original = builder.build()
+        for number, builder in enumerate(builders, start=1):
+            original = builder.with_id(f"o:{number}").build()
             restored = query_from_xml(query_to_xml(original))
             assert restored.mode == original.mode
             assert restored.to_wire() == original.to_wire()

@@ -95,7 +95,7 @@ def test_vocabulary_is_nine_kinds_and_older_artefacts_are_refused(tmp_path):
     assert len(ENTRY_KINDS) == 9
     assert not {"profile-add", "profile-remove", "retain",
                 "delivery"} & set(ENTRY_KINDS)
-    assert LEDGER_SCHEMA == "sci.ledger/6"
+    assert LEDGER_SCHEMA == "sci.ledger/7"
     with pytest.raises(LedgerError, match="unknown entry kind"):
         ContextLedger("cs:x").append(0.0, "profile-add", {"entity": "aa"})
 
@@ -106,11 +106,11 @@ def test_vocabulary_is_nine_kinds_and_older_artefacts_are_refused(tmp_path):
     assert len(load_ledger_jsonl(path)) == 1
     record = json.loads(path.read_text())
     for older in ("sci.ledger/2", "sci.ledger/3", "sci.ledger/4",
-                  "sci.ledger/5"):
+                  "sci.ledger/5", "sci.ledger/6"):
         record["schema"] = older  # the chain itself is still intact
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(LedgerError,
-                           match="schema must be 'sci.ledger/6'"):
+                           match="schema must be 'sci.ledger/7'"):
             load_ledger_jsonl(path)
 
 

@@ -111,6 +111,27 @@ def test_shutdown_disarms_every_waiting_timer(network, deployed_range,
     assert _server_timers(network, server) == []
 
 
+def test_shutdown_answers_every_waiting_query(network, deployed_range,
+                                              registered_app):
+    """A range that leaves fails what it holds: each parked or scheduled
+    query gets a failed ``query-result`` and a ``failed`` ledger entry
+    before the server detaches."""
+    server, _ = deployed_range
+    scheduled = _submit(network, registered_app, "after(50)")
+    parked = _submit(network, registered_app, "enters(bob, L10.01) until(500)")
+    server.shutdown()
+    assert server.parked_queries() == []
+    for query_id, waited in ((scheduled, "scheduled"), (parked, "parked")):
+        assert [step["event"] for step in server.explain(query_id)["steps"]] \
+            == [waited, "failed"]
+    network.scheduler.run_for(HOP + 1)
+    assert [_results(registered_app, query_id)
+            for query_id in (scheduled, parked)] == [
+        [{"query_id": query_id, "ok": False, "error": "range shut down"}]
+        for query_id in (scheduled, parked)]
+    assert server.queries_failed == 2
+
+
 def test_cancel_disarms_the_timer(network, deployed_range, registered_app):
     server, _ = deployed_range
     query_id = _submit(network, registered_app,
