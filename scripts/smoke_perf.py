@@ -45,6 +45,11 @@ structural properties a refactor could silently regress:
   canonicalisation would instantiate one node per subscription and fail
   here at smoke scale; at ``OPGRAPH_SCALE_TRACKERS`` look-alikes the live
   node count stays at the template pool plus the monitors;
+* each distinct query clause text is parsed once: with the clause memo
+  (``repro.core.memo``) emptied, a seeded stream of queries built from text
+  clauses and sent to a Context Server misses exactly once per distinct
+  text of each clause and hits on every other parse (parses counted from
+  the stream: one per builder call, one per clause per arrival);
 * well-formed traffic never trips the wire table: ``net.messages.malformed``
   totals 0 on every seeded run here;
 * the filter table's work counts (``mediator.opgraph.evals``,
@@ -131,6 +136,16 @@ RENEWAL_MACHINES = 3
 RENEWAL_PER_MACHINE = 8
 RENEWAL_LEASE = 9.0
 RENEWAL_SECONDS = 30.0
+#: queries in the seeded clause-text stream, and its clause pools; every
+#: text is canonical (``str(parse(text)) == text``)
+CLAUSE_QUERIES = 300
+CLAUSE_WHERE = ("anywhere", "within(room:L10)", "within(room:L10.01)",
+                "room:L10.03", "near(room:L10.01, 5.0)")
+CLAUSE_WHEN = ("now", "after(0.25)", "now until(1000000.5)")
+CLAUSE_WHICH = ("any", "reachable; available", "no-queue; min-queue",
+                "quality(rating>=0.5); best-quality(rating)")
+CLAUSE_TYPES = ("printer", "device", "sensor", "door-sensor")
+CLAUSE_NAMES = tuple(f"P{n}" for n in range(1, 9))
 #: validated ``Counter.inc`` calls allowed per delivered message on the
 #: default deployment: hot sites update series bound once, so only rare
 #: labelled paths (request retries, unheard announces) are left
@@ -494,6 +509,52 @@ def counting_path():
             "malformed": malformed(sci.network.obs.metrics)}
 
 
+def clause_text_stream(queries=CLAUSE_QUERIES):
+    """A seeded stream of queries whose Where/When/Which are given as text,
+    submitted to one Context Server with the clause memo emptied first.
+    Each clause is parsed once per builder call that takes its text and
+    once per arrival at the server (``Query.from_wire``)."""
+    from repro import SCI, SCIConfig
+    from repro.query import CLAUSE_PARSERS
+
+    sci = SCI(config=SCIConfig(seed=29))
+    sci.create_range("r", places=["L10"], hosts=["lab-pc"])
+    sci.add_door_sensors("r")
+    sci.add_printers("r", {"P1": "L10.03", "P2": "L10.01"})
+    app = sci.create_application("app", host="lab-pc")
+    sci.run(10)
+    for parser in CLAUSE_PARSERS.values():
+        parser.cache_clear()
+    rng = random.Random(29)
+    parses = dict.fromkeys(CLAUSE_PARSERS, 0)
+    texts = {clause: set() for clause in CLAUSE_PARSERS}
+    for _ in range(queries):
+        builder = sci.query("app")
+        if rng.random() < 0.5:
+            builder.profiles_of_type(rng.choice(CLAUSE_TYPES))
+        else:
+            builder.profile_of(rng.choice(CLAUSE_NAMES))
+        chosen = {"where": rng.choice(CLAUSE_WHERE),
+                  "when": rng.choice(CLAUSE_WHEN),
+                  "which": rng.choice(CLAUSE_WHICH)}
+        query = (builder.where(chosen["where"]).when(chosen["when"])
+                 .which(chosen["which"]).build())
+        app.submit_query(query)
+        wire = query.to_wire()
+        for clause in CLAUSE_PARSERS:
+            parses[clause] += 1 + (clause in chosen)
+            texts[clause].add(wire[clause])
+            texts[clause].add(chosen.get(clause, wire[clause]))
+        sci.run(0.5)
+    sci.run(10)
+    return {"memo": {clause: parser.cache_info()
+                     for clause, parser in CLAUSE_PARSERS.items()},
+            "parses": parses,
+            "distinct": {clause: len(seen) for clause, seen in texts.items()},
+            "received": sci.range("r").queries_received,
+            "malformed": malformed(sci.network.obs.metrics)}
+
+
 def main() -> int:
     ok = True
 
@@ -713,11 +774,26 @@ def main() -> int:
                 f"(<= {OPGRAPH_TEMPLATES} templates + {OPGRAPH_MONITORS} "
                 f"monitors)")
 
+    print(f"smoke-perf: clause memo over {CLAUSE_QUERIES} text-built "
+          "queries...")
+    stream = clause_text_stream()
+    ok &= check(stream["received"] == CLAUSE_QUERIES,
+                f"every query reached the server once "
+                f"({stream['received']} == {CLAUSE_QUERIES})")
+    for clause, info in stream["memo"].items():
+        distinct, parses = stream["distinct"][clause], stream["parses"][clause]
+        ok &= check(info.misses == distinct
+                    and info.hits == parses - distinct,
+                    f"{clause}: {info.misses} misses == {distinct} distinct "
+                    f"texts, {info.hits} hits == {parses} parses - "
+                    f"{distinct}")
+
     refused = {"counting": counting["malformed"], "storm": storm["malformed"],
                "renewal": renewal["malformed"],
                "lease sweep": malformed(net.obs.metrics),
                "overlay": malformed(onet.obs.metrics),
-               "look-alikes": small["malformed"]}
+               "look-alikes": small["malformed"],
+               "clause texts": stream["malformed"]}
     ok &= check(not any(refused.values()),
                 f"well-formed traffic trips no wire-table row "
                 f"(net.messages.malformed {refused})")

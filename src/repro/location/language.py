@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.core.errors import LocationError
+from repro.core.memo import clause_memo
 
 #: The expression kinds understood by the language.
 KINDS = ("anywhere", "me", "room", "point", "entity", "within", "near")
@@ -110,8 +111,12 @@ class LocationExpr:
         raise LocationError(f"unrenderable kind: {self.kind!r}")  # pragma: no cover
 
 
+@clause_memo
 def parse_location(text: str) -> LocationExpr:
     """Parse the textual form back into a :class:`LocationExpr`.
+
+    Memoised by text (:mod:`repro.core.memo`): the parse is pure and a
+    ``LocationExpr`` is frozen, so every caller may share one result.
 
     >>> parse_location("near(entity:bob, 5)")
     LocationExpr(kind='near', ..., radius=5.0)

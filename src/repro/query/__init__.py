@@ -16,8 +16,19 @@ from repro.query.model import Query, QueryMode, WhatClause, QueryBuilder
 from repro.query.temporal import WhenClause
 from repro.query.selection import WhichClause, Criterion, Candidate
 from repro.query.language import query_to_xml, query_from_xml
+from repro.location.language import parse_location
+
+#: the four memoised clause parsers (:mod:`repro.core.memo`), by clause;
+#: each has ``cache_info()`` and ``cache_clear()``
+CLAUSE_PARSERS = {
+    "what": WhatClause.parse,
+    "where": parse_location,
+    "when": WhenClause.parse,
+    "which": WhichClause.parse,
+}
 
 __all__ = [
+    "CLAUSE_PARSERS",
     "Query",
     "QueryMode",
     "WhatClause",

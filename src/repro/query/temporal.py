@@ -25,11 +25,13 @@ Textual form examples: ``"now"``, ``"after(30)"``,
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.errors import QueryError
+from repro.core.memo import clause_memo
 
 KINDS = ("now", "at", "after", "enters")
 
@@ -56,6 +58,10 @@ class WhenClause:
             raise QueryError(f"When {self.kind!r} needs a time operand")
         if self.kind == "enters" and (self.entity is None or self.place is None):
             raise QueryError("When 'enters' needs entity and place operands")
+        # a non-finite time would render as inf/nan, which has no wire form
+        for operand in (self.time, self.expires):
+            if operand is not None and not math.isfinite(operand):
+                raise QueryError(f"non-finite When time: {operand!r}")
 
     # -- constructors ------------------------------------------------------------
 
@@ -115,22 +121,25 @@ class WhenClause:
         if self.kind == "now":
             body = "now"
         elif self.kind == "at":
-            body = f"at({self.time:g})"
+            body = f"at({_time_text(self.time)})"
         elif self.kind == "after":
-            body = f"after({self.time:g})"
+            body = f"after({_time_text(self.time)})"
         else:
             body = f"enters({self.entity}, {self.place})"
         if self.expires is not None:
-            body += f" until({self.expires:g})"
+            body += f" until({_time_text(self.expires)})"
         return body
 
     @classmethod
+    @clause_memo
     def parse(cls, text: str) -> "WhenClause":
+        """Memoised by text (:mod:`repro.core.memo`): the parse is pure and
+        the clause is frozen, so callers share one."""
         text = text.strip()
         expires = None
         until = _UNTIL_RE.search(text)
         if until:
-            expires = float(until.group(1))
+            expires = _number(until.group(1))
             text = text[: until.start()].strip()
         if not text:
             # a bare "until(600)" (or "") has no condition to expire; do
@@ -140,11 +149,28 @@ class WhenClause:
             return cls("now", expires=expires)
         match = _AT_RE.match(text)
         if match:
-            return cls.at(float(match.group(1)), expires)
+            return cls.at(_number(match.group(1)), expires)
         match = _AFTER_RE.match(text)
         if match:
-            return cls.after(float(match.group(1)), expires)
+            return cls.after(_number(match.group(1)), expires)
         match = _ENTERS_RE.match(text)
         if match:
             return cls.when_enters(match.group(1), match.group(2), expires)
         raise QueryError(f"unparseable When clause: {text!r}")
+
+
+def _time_text(value: float) -> str:
+    """Text that parses back to exactly ``value``: ``:g`` where its six
+    digits suffice (``at(50)``), else ``repr``, which round-trips every
+    float (``:g`` alone sends ``at(12345.678)`` as ``at(12345.7)``)."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
+def _number(token: str) -> float:
+    """A time operand; a token the number pattern admits but ``float``
+    does not (``.``, ``1e``, ``+-1``) is a :class:`QueryError`."""
+    try:
+        return float(token)
+    except ValueError:
+        raise QueryError(f"malformed When time: {token!r}") from None

@@ -172,8 +172,11 @@ class TestResync:
         assert app.events == ["e1", "e2", "e3"]
 
     def test_forget_drops_state_and_timer(self, scheduler, stream, resyncs):
+        pending = scheduler.pending
         stream.offer(KEY, 3, "e3")
+        assert scheduler.pending == pending + 1  # the gap timer
         stream.forget(KEY)
+        assert scheduler.pending == pending
         scheduler.run_for(20.0)
         assert resyncs == []
         assert stream.last_seq(KEY) == 0

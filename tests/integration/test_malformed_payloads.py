@@ -80,56 +80,74 @@ def _route(kind, body):
             "origin": "{probe}"}
 
 
-#: (target, verb, payload, reply verb and the flag it must carry, or None)
+#: (target, verb, payload, reply verb and the flag it must carry or None,
+#: id). The id is the row's own, so adding or removing a row renames no
+#: other case; these rows keep the ids their positions once gave them.
 CASES = [
-    ("app", "deregistered", {"reason": 5}, None),
-    ("app", "deregistered", {"reason": ["spoofed"]}, None),
-    ("app", "range-offer", {"range": "elsewhere"}, None),
-    ("registrar", "heartbeat", {"entities": 5}, None),
-    ("registrar", "heartbeat", {"entities": [[1]]}, None),
-    ("registrar", "deregister", {"entity": [1]}, None),
+    ("app", "deregistered", {"reason": 5}, None, "deregistered-0"),
+    ("app", "deregistered", {"reason": ["spoofed"]}, None, "deregistered-1"),
+    ("app", "range-offer", {"range": "elsewhere"}, None, "range-offer-2"),
+    ("registrar", "heartbeat", {"entities": 5}, None, "heartbeat-3"),
+    ("registrar", "heartbeat", {"entities": [[1]]}, None, "heartbeat-4"),
+    ("registrar", "deregister", {"entity": [1]}, None, "deregister-5"),
     ("profiles", "profile-request", {"entity": [1]},
-     ("profile-response", "found")),
+     ("profile-response", "found"), "profile-request-6"),
     ("profiles", "profile-update", {"entity": [1], "attributes": {}},
-     ("profile-update-ack", "ok")),
-    ("cs", "query", {"query": "{query}", "subscriber": 5}, ("query-ack", "ok")),
+     ("profile-update-ack", "ok"), "profile-update-7"),
+    ("cs", "query", {"query": "{query}", "subscriber": 5}, ("query-ack", "ok"),
+     "query-8"),
     ("cs", "query", {"query": "{query}", "subscriber": "zz"},
-     ("query-ack", "ok")),
+     ("query-ack", "ok"), "query-9"),
     ("cs", "query", {"query": "{query}", "subscriber": None},
-     ("query-ack", "ok")),
+     ("query-ack", "ok"), "query-10"),
     ("printer", "service-invoke", {"operation": "print", "args": 5},
-     ("service-result", "ok")),
-    ("mediator", "publish", _fix(subject=[1]), ("publish-ack", "ok")),
-    ("mediator", "publish", _fix(subject={"a": 1}), ("publish-ack", "ok")),
-    ("mediator", "publish", _fix(type=[1]), ("publish-ack", "ok")),
-    ("mediator", "publish", _fix(representation=[1]), ("publish-ack", "ok")),
-    ("mediator", "publish", _fix(timestamp="x"), ("publish-ack", "ok")),
+     ("service-result", "ok"), "service-invoke-11"),
+    ("mediator", "publish", _fix(subject=[1]), ("publish-ack", "ok"),
+     "publish-12"),
+    ("mediator", "publish", _fix(subject={"a": 1}), ("publish-ack", "ok"),
+     "publish-13"),
+    ("mediator", "publish", _fix(type=[1]), ("publish-ack", "ok"),
+     "publish-14"),
+    ("mediator", "publish", _fix(representation=[1]), ("publish-ack", "ok"),
+     "publish-15"),
+    ("mediator", "publish", _fix(timestamp="x"), ("publish-ack", "ok"),
+     "publish-16"),
     ("overlay", "o-route", {"kind": "dht-get", "body": {"name": "x"},
-                            "hops": 0, "origin": "{probe}"}, None),
+                            "hops": 0, "origin": "{probe}"}, None,
+     "o-route-17"),
     ("overlay", "o-route", {"key": "zz", "kind": "dht-get",
                             "body": {"name": "x"}, "hops": 0,
-                            "origin": "{probe}"}, None),
-    ("overlay", "o-bcast", {}, None),
+                            "origin": "{probe}"}, None, "o-route-18"),
+    ("overlay", "o-bcast", {}, None, "o-bcast-19"),
     ("overlay", "o-bcast", {"bcast_id": [1], "kind": "announce-range",
-                            "body": {}, "hops": 0, "until": "{probe}"}, None),
-    ("overlay", "o-delivery", {}, None),
+                            "body": {}, "hops": 0, "until": "{probe}"}, None,
+     "o-bcast-20"),
+    ("overlay", "o-delivery", {}, None, "o-delivery-21"),
     # the body inside a well-formed envelope: checked before it is applied
-    ("overlay", "o-bcast", _bcast("announce-range", "x"), None),
+    ("overlay", "o-bcast", _bcast("announce-range", "x"), None, "o-bcast-22"),
     ("overlay", "o-bcast", _bcast("announce-range", {"cs": "cs-x",
-                                                     "places": 5}), None),
+                                                     "places": 5}), None,
+     "o-bcast-23"),
     ("overlay", "o-bcast", _bcast("announce-range", {"cs": "cs-x",
-                                                     "places": [[1]]}), None),
-    ("overlay", "o-bcast", _bcast("announce-range", {"places": ["F9"]}), None),
+                                                     "places": [[1]]}), None,
+     "o-bcast-24"),
+    ("overlay", "o-bcast", _bcast("announce-range", {"places": ["F9"]}), None,
+     "o-bcast-25"),
     ("overlay", "o-bcast", _bcast("announce-range", {"cs": "cs-x",
-                                                     "places": "F9"}), None),
-    ("overlay", "o-bcast", _bcast("retract-range", {}), None),
-    ("overlay", "o-route", _route("dht-put", "x"), None),
-    ("overlay", "o-route", _route("dht-put", {"value": 1}), None),
-    ("overlay", "o-route", _route("dht-put", {"name": [1], "value": 1}), None),
-    ("overlay", "o-route", _route("dht-get", "x"), None),
-    ("overlay", "o-route", _route("dht-get", {}), None),
-    ("overlay", "o-route", _route("dht-get", {"name": [1]}), None),
-    ("overlay", "o-route", _route("dht-put", {"name": "x"}), None),
+                                                     "places": "F9"}), None,
+     "o-bcast-26"),
+    ("overlay", "o-bcast", _bcast("retract-range", {}), None, "o-bcast-27"),
+    ("overlay", "o-route", _route("dht-put", "x"), None, "o-route-28"),
+    ("overlay", "o-route", _route("dht-put", {"value": 1}), None,
+     "o-route-29"),
+    ("overlay", "o-route", _route("dht-put", {"name": [1], "value": 1}), None,
+     "o-route-30"),
+    ("overlay", "o-route", _route("dht-get", "x"), None, "o-route-31"),
+    ("overlay", "o-route", _route("dht-get", {}), None, "o-route-32"),
+    ("overlay", "o-route", _route("dht-get", {"name": [1]}), None,
+     "o-route-33"),
+    ("overlay", "o-route", _route("dht-put", {"name": "x"}), None,
+     "o-route-34"),
 ]
 
 
@@ -149,9 +167,9 @@ def _state(sci):
             node.routed, node.delivered, dict(node.directory))
 
 
-@pytest.mark.parametrize("target, verb, payload, answer", CASES,
-                         ids=[f"{verb}-{index}" for index, (_, verb, _, _)
-                              in enumerate(CASES)])
+@pytest.mark.parametrize("target, verb, payload, answer",
+                         [row[:-1] for row in CASES],
+                         ids=[row[-1] for row in CASES])
 def test_malformed_payload_is_answered_or_dropped(deployment, target, verb,
                                                   payload, answer):
     sci, probe, replies = deployment

@@ -94,3 +94,22 @@ def test_a_reply_goes_to_its_callback_and_a_late_one_is_unhandled(
     network.run_until_idle()
     assert (len(replies), timeouts) == (1, [1])
     assert unhandled(network) == {"answer": 1.0}
+
+
+@pytest.mark.parametrize("payload, answers", [
+    (7, []), ("x", []), ([[1, 2]], []),
+    ({"query": 5}, [("query-ack", False)]),
+], ids=["int", "str", "list", "object"])
+def test_a_refused_request_is_answered_only_when_it_is_an_object(
+        network, guids, payload, answers):
+    """``query`` has a reply verb: a payload that fails its row is answered
+    with the flag False when it is an object, and dropped when it is not."""
+    inbox = []
+    asker = FunctionProcess(guids.mint(), "host-a", network, inbox.append)
+    server = Server(guids.mint(), "host-b", network)
+    asker.send(server.guid, "query", payload)
+    network.run_until_idle()
+    assert [(reply.kind, reply.payload["ok"]) for reply in inbox] == answers
+    assert server.seen == []
+    malformed = network.obs.metrics.get("net.messages.malformed").by_label()
+    assert malformed == {"query": 1.0}

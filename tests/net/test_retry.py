@@ -207,4 +207,4 @@ class TestReceiverDedup:
         for _ in range(echo.DEDUP_CACHE + 50):
             sender.send(echo.guid, "ask", {})
         network.scheduler.run_until_idle()
-        assert len(echo._seen_messages) <= echo.DEDUP_CACHE
+        assert len(echo._seen_messages) == echo.DEDUP_CACHE

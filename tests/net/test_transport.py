@@ -14,6 +14,7 @@ from repro.net.transport import (
     Network,
     UniformLatency,
 )
+from repro.obs.tracing import SPAN_KEY, TRACE_KEY
 
 
 def make_pair(net, guids, host_a="host-a", host_b="host-b"):
@@ -83,6 +84,22 @@ class TestDelivery:
         assert len(local) == 1
         assert bystander == []  # same machine, declared nothing
         assert remote == []
+
+    def test_send_stamps_an_unstamped_message_with_the_senders_span(
+            self, network, guids):
+        a, b, _, inbox_b = make_pair(network, guids)
+        tracer = network.obs.tracer
+        a.send(b.guid, "untraced")
+        own = {TRACE_KEY: "t-own", SPAN_KEY: "s-own"}
+        with tracer.span("outer"):
+            a.send(b.guid, "stamped")
+            ambient = tracer.current_context()
+            network.send(Message(a.guid, b.guid, "kept", msg_id=99,
+                                 trace=dict(own)))
+        network.scheduler.run_until_idle()
+        assert ambient is not None
+        assert [(m.kind, m.trace) for m in inbox_b] == [
+            ("untraced", None), ("stamped", ambient), ("kept", own)]
 
     def test_stats_by_kind(self, network, guids):
         a, b, _, _ = make_pair(network, guids)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.errors import QueryError
+from repro.query.model import Query, WhatClause
 from repro.query.temporal import WhenClause
 
 
@@ -96,7 +97,29 @@ class TestTextForm:
             WhenClause.parse("until(600)")
 
     @pytest.mark.parametrize("bad", ["later", "at()", "enters(bob)",
-                                     "after(x)", "  until(5) "])
+                                     "after(x)", "  until(5) ",
+                                     # the number pattern admits these,
+                                     # float does not
+                                     "at(.)", "after(1e)", "now until(+-1)",
+                                     # non-finite: at(inf) has no wire form
+                                     "at(1e999)", "now until(-1e999)"])
     def test_malformed_rejected(self, bad):
         with pytest.raises(QueryError):
             WhenClause.parse(bad)
+
+    @pytest.mark.parametrize("when", [
+        WhenClause.at(12345.678), WhenClause.after(5.123456789),
+        WhenClause("now", expires=1234567.5),
+    ], ids=["at", "after", "until"])
+    def test_times_survive_the_wire(self, when):
+        query = Query(owner_id="bob", what=WhatClause.entity_type("printer"),
+                      when=when, query_id="bob:1")
+        assert Query.from_wire(query.to_wire()).when == when
+
+    @pytest.mark.parametrize("time", [float("inf"), float("-inf"),
+                                      float("nan")])
+    def test_non_finite_times_refused(self, time):
+        with pytest.raises(QueryError):
+            WhenClause.at(time)
+        with pytest.raises(QueryError):
+            WhenClause("now", expires=time)
