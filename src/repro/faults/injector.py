@@ -52,8 +52,8 @@ class FaultInjector:
     def crash(self, component: BaseComponent) -> None:
         """Fail-stop one component: it vanishes without deregistering.
 
-        The range notices through lease expiry (the Registrar's sweep), which
-        is what triggers configuration repair.
+        The range notices through lease expiry (the Registrar's lease
+        timer), which is what triggers configuration repair.
         """
         logger.info("fault: crashing %s at t=%.2f", component.name,
                     self.network.scheduler.now)

@@ -149,8 +149,6 @@ _declare("hierarchy.queue.delay", "histogram",
 
 # -- server: registrar and context server -------------------------------------
 
-_declare("registrar.expiry.pops", "counter",
-         "expiry-heap entries popped during lease sweeps", labels=("range",))
 _declare("registrar.lease.renewals", "counter",
          "leases renewed by Range Service heartbeats", labels=("range",))
 _declare("registrar.lease.unknown", "counter",

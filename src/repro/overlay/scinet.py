@@ -151,11 +151,8 @@ class SCINet:
         outcome the heartbeat detector converges to.
         """
         node = self._nodes.get(node_hex)
-        if node is None:
-            return
-        self._remove_member(node)
-        node.crash()
-        self._retract_on_behalf(node)
+        if node is not None:
+            self._eject(node)
 
     def _node_suspected(self, suspect: GUID, reporter: GUID) -> None:
         """A member's failure detector reported ``suspect`` silent.
@@ -175,17 +172,17 @@ class SCINet:
                     node.range_name or suspect, reporter)
         self.fd_removals += 1
         self._fd_removals_counter.inc()
-        self._remove_member(node)
-        node.crash()
-        self._retract_on_behalf(node)
+        self._eject(node)
 
-    def _retract_on_behalf(self, dead: OverlayNode) -> None:
-        """Have any survivor broadcast the dead node's directory retraction.
+    def _eject(self, dead: OverlayNode) -> None:
+        """Remove and crash ``dead``; any survivor broadcasts its retraction.
 
         The survivor must still be attached: under a multi-node crash a
         member can be dead but not yet suspected, and a retraction
         "broadcast" from a detached process silently reaches nobody.
         """
+        self._remove_member(dead)
+        dead.crash()
         survivor = next((n for n in self._nodes.values()
                          if self.network.process(n.guid) is n), None)
         if survivor is not None:

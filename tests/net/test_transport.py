@@ -203,6 +203,21 @@ class TestLatencyModels:
         with pytest.raises(ValueError):
             FixedLatency(-1.0)
 
+    def test_fixed_accepts_zero_and_refuses_just_below(self):
+        assert FixedLatency(0).latency(Host("x"), Host("y"), None) == 0
+        with pytest.raises(ValueError):
+            FixedLatency(-0.1)
+
+    @pytest.mark.parametrize("low, high", [(1.0, 1.0), (0, 1.0), (0, 0)])
+    def test_uniform_accepts_closed_bounds(self, low, high):
+        model = UniformLatency(low, high)
+        assert (model.low, model.high) == (low, high)
+
+    @pytest.mark.parametrize("low, high", [(2.0, 1.0), (-0.5, 1.0)])
+    def test_uniform_refuses_inverted_or_negative_bounds(self, low, high):
+        with pytest.raises(ValueError):
+            UniformLatency(low, high)
+
     def test_uniform_within_bounds(self):
         import random
         model = UniformLatency(1.0, 2.0)

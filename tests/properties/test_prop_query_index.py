@@ -146,7 +146,7 @@ class _World:
             self.components[0].send(registrar.guid, "heartbeat", {
                 "entities": [self.components[index].guid.hex
                              for index in sorted(op[1])]})
-            self.run(LEASE)  # the others' leases lapse and a sweep runs
+            self.run(LEASE)  # the others' leases lapse and are evicted
         elif kind == "spawn":
             server._record_spawned(ContextEntity(
                 build_profile(self.guids.mint(), op[1]), "host-a",

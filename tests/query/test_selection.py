@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.errors import QueryError
+from repro.query import selection
 from repro.query.selection import Candidate, Criterion, WhichClause
 
 
@@ -48,6 +49,24 @@ class TestCriteria:
     def test_unknown_kind_rejected(self):
         with pytest.raises(QueryError):
             Criterion("fastest")
+
+    def test_a_quality_contract_is_parsed_once(self, monkeypatch):
+        parses = []
+        parse = selection._parse_quality_contract
+        monkeypatch.setattr(selection, "_parse_quality_contract",
+                            lambda argument: parses.append(argument)
+                            or parse(argument))
+        contract = Criterion("quality", "accuracy<=5")
+        for accuracy in (1.0, 5.0, 9.0) * 10:
+            contract.quality_satisfied({"accuracy": accuracy})
+        assert [contract.keep(candidate("x", quality={"accuracy": accuracy}))
+                for accuracy in (1.0, 5.0, 9.0)] == [True, True, False]
+        assert not contract.quality_satisfied({})
+        assert parses == ["accuracy<=5"]
+        # the parsed triple is no part of the value: equal, hashable, frozen
+        assert contract == Criterion("quality", "accuracy<=5")
+        assert hash(contract) == hash(Criterion("quality", "accuracy<=5"))
+        assert "_contract" not in repr(contract)
 
 
 class TestWhichClause:
