@@ -51,6 +51,11 @@ structural properties a refactor could silently regress:
   clauses and sent to a Context Server misses exactly once per distinct
   text of each clause and hits on every other parse (parses counted from
   the stream: one per builder call, one per clause per arrival);
+* each arrival is decoded once: with the GUID and spec memos emptied, a
+  seeded deployment run misses the GUID memo once per distinct hex text and
+  the spec memo once per distinct spec key, hits on every other decode,
+  and calls each arrival's compiled wire row exactly once (arrivals
+  counted by kind from an event log); the totals equal pinned values;
 * well-formed traffic never trips the wire table: ``net.messages.malformed``
   totals 0 on every seeded run here;
 * the filter table's work counts (``mediator.opgraph.evals``,
@@ -137,6 +142,13 @@ RENEWAL_MACHINES = 3
 RENEWAL_PER_MACHINE = 8
 RENEWAL_LEASE = 9.0
 RENEWAL_SECONDS = 30.0
+#: the seed of the decode-memo run, and what it decodes: arrivals (each
+#: one compiled-row call), hex texts and spec keys handed to the memos, and
+#: the distinct ones among them (each one memo miss). Exact functions of the
+#: seed: a change that decodes one more id or spec fails here.
+DECODE_SEED = 31
+DECODE_WORK = {"arrivals": 267, "texts": 157, "distinct texts": 14,
+               "keys": 100, "distinct keys": 8}
 #: queries in the seeded clause-text stream, and its clause pools; every
 #: text is canonical (``str(parse(text)) == text``)
 CLAUSE_QUERIES = 300
@@ -556,6 +568,77 @@ def clause_text_stream(queries=CLAUSE_QUERIES):
             "malformed": malformed(sci.network.obs.metrics)}
 
 
+def decoded_arrivals():
+    """A seeded one-range run (door sensors, two printers, two walkers
+    tracked by an application, one profile query) with the GUID and spec
+    memos (``repro.core.memo``) emptied first: every text handed to
+    ``GUID.from_hex`` and every key handed to the spec memo is recorded,
+    every compiled row counts its calls, and an event log records each
+    arrival by kind (the stream)."""
+    from collections import Counter
+    from repro import SCI, SCIConfig
+    from repro.core import ids, types
+    from repro.net.eventlog import EventLog
+    from repro.net.wire import VERBS
+
+    texts, keys, rows = [], [], Counter()
+    from_hex, spec_memo = ids.GUID.from_hex, types.shared_spec
+    parses = {verb: row.parse for verb, row in VERBS.items()}
+
+    def counted(verb, parse):
+        def count(payload):
+            rows[verb] += 1
+            return parse(payload)
+        return count
+
+    def record_text(text):
+        texts.append(text)
+        return from_hex(text)
+
+    def record_key(*key):
+        keys.append(key)
+        return spec_memo(*key)
+
+    from_hex.cache_clear()
+    spec_memo.cache_clear()
+    ids.GUID.from_hex = staticmethod(record_text)
+    types.shared_spec = record_key
+    for verb, row in VERBS.items():
+        row.parse = counted(verb, row.parse)
+    try:
+        sci = SCI(config=SCIConfig(seed=DECODE_SEED))
+        sci.network.event_log = log = EventLog()
+        sci.create_range("r", places=["L10"], hosts=["lab-pc"])
+        sci.add_door_sensors("r")
+        sci.add_printers("r", {"P1": "L10.03", "P2": "L10.01"})
+        app = sci.create_application("app", host="lab-pc")
+        sci.run(10)
+        for person in ("bob", "alice"):
+            sci.add_person(person, room="corridor")
+            app.submit_query(sci.query("app").subscribe(
+                "location", "topological", subject=person).build())
+        app.submit_query(sci.query("app").profiles_of_type("printer")
+                         .build())
+        sci.run(5)
+        for room in ("L10.01", "L10.03", "L10.02", "L10.01", "L10.03"):
+            sci.walk("bob", room)
+            sci.walk("alice", room)
+            sci.run(20)
+    finally:
+        ids.GUID.from_hex = staticmethod(from_hex)
+        types.shared_spec = spec_memo
+        for verb, row in VERBS.items():
+            row.parse = parses[verb]
+    return {"guid": from_hex.cache_info(), "texts": len(texts),
+            "distinct texts": len(set(texts)),
+            "spec": spec_memo.cache_info(), "keys": len(keys),
+            "distinct keys": len(set(keys)), "rows": rows,
+            "arrivals": Counter(entry[3] for entry in log.entries()),
+            "suppressed": sci.network.obs.metrics.get(
+                "net.dedup.suppressed").total(),
+            "malformed": malformed(sci.network.obs.metrics)}
+
+
 def main() -> int:
     ok = True
 
@@ -797,12 +880,34 @@ def main() -> int:
                     f"texts, {info.hits} hits == {parses} parses - "
                     f"{distinct}")
 
+    print("smoke-perf: decoded ids and specs, compiled rows...")
+    decoded = decoded_arrivals()
+    arrivals = decoded["arrivals"]
+    work = {"arrivals": sum(arrivals.values()),
+            **{name: decoded[name] for name in ("texts", "distinct texts",
+                                                "keys", "distinct keys")}}
+    ok &= check(work == DECODE_WORK,
+                f"decode work {work} == pinned {DECODE_WORK}")
+    ok &= check(decoded["rows"] == arrivals and not decoded["suppressed"],
+                f"each arrival called its compiled row once "
+                f"({sum(decoded['rows'].values())} row calls, "
+                f"{work['arrivals']} arrivals over {len(arrivals)} kinds)")
+    for memo, calls, distinct in (("guid", "texts", "distinct texts"),
+                                  ("spec", "keys", "distinct keys")):
+        info = decoded[memo]
+        ok &= check(info.misses == decoded[distinct]
+                    and info.hits == decoded[calls] - decoded[distinct],
+                    f"{memo} memo: {info.misses} misses == "
+                    f"{decoded[distinct]} {distinct}, {info.hits} hits == "
+                    f"{decoded[calls]} - {decoded[distinct]}")
+
     refused = {"counting": counting["malformed"], "storm": storm["malformed"],
                "renewal": renewal["malformed"],
                "lease book": malformed(net.obs.metrics),
                "overlay": malformed(onet.obs.metrics),
                "look-alikes": small["malformed"],
-               "clause texts": stream["malformed"]}
+               "clause texts": stream["malformed"],
+               "decoding": decoded["malformed"]}
     ok &= check(not any(refused.values()),
                 f"well-formed traffic trips no wire-table row "
                 f"(net.messages.malformed {refused})")

@@ -20,6 +20,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.memo import decode_memo
+
 #: Number of bits in a GUID.
 GUID_BITS = 128
 
@@ -73,10 +75,15 @@ class GUID:
             return self.value == other.value  # type: ignore[attr-defined]
         return NotImplemented
 
-    @classmethod
-    def from_hex(cls, text: str) -> "GUID":
-        """Parse a GUID from its canonical hex rendering."""
-        return cls(int(text, 16))
+    @staticmethod
+    @decode_memo
+    def from_hex(text: str) -> "GUID":
+        """Parse a GUID from its canonical hex rendering (``ValueError`` for
+        any other text), memoised: a repeated text is the same GUID."""
+        guid = GUID(int(text, 16))
+        if guid.hex != text:  # "0x1F", " 1f", "1_f" name a GUID to int()
+            raise ValueError(f"not a canonical GUID: {text!r}")
+        return guid
 
     @classmethod
     def from_name(cls, name: str) -> "GUID":

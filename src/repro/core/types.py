@@ -26,9 +26,11 @@ into the configuration when needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from itertools import chain
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.errors import SCIError
+from repro.core.memo import decode_memo
 
 
 class TypeError_(SCIError):
@@ -104,6 +106,38 @@ class TypeSpec:
     def __str__(self) -> str:
         subject = f"@{self.subject}" if self.subject is not ANY_SUBJECT else ""
         return f"{self.type_name}[{self.representation}]{subject}"
+
+
+def spec_from_wire(data: Mapping[str, Any]) -> TypeSpec:
+    """An event's or a profile's wire spec, one shared ``TypeSpec`` per
+    distinct spec (:mod:`repro.core.memo`). Raises ``KeyError`` or
+    ``TypeError`` for one that could not key a provider index or a retained
+    store. The key tells apart scalars Python calls equal but JSON writes
+    differently (``1``, ``1.0``, ``True``; ``0.0``, ``-0.0``), so a shared
+    spec re-encodes to the JSON its sender wrote."""
+    type_name, representation = data["type"], data["representation"]
+    subject = data["subject"]
+    if not (isinstance(type_name, str) and isinstance(representation, str)):
+        raise TypeError("type and representation must be strings")
+    if not isinstance(subject, SCALAR_SUBJECTS):
+        raise TypeError(f"subject must be a string, number, boolean or "
+                        f"null, got {type(subject).__name__}")
+    quality = tuple(map(tuple, data.get("quality", ())))
+    return shared_spec(type_name, representation, subject, _exact(subject),
+                       quality, tuple(map(_exact, chain.from_iterable(
+                           quality))) if quality else ())
+
+
+def _exact(scalar: object) -> object:
+    return repr(scalar) if type(scalar) is float else type(scalar)
+
+
+@decode_memo
+def shared_spec(type_name: str, representation: str, subject: object,
+                _subject_key: object, quality: tuple,
+                _quality_key: tuple) -> TypeSpec:
+    """The memo behind :func:`spec_from_wire`: one spec per exact key."""
+    return TypeSpec(type_name, representation, subject, quality)
 
 
 @dataclass(frozen=True)

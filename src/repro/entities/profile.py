@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.core.ids import GUID
-from repro.core.types import SCALAR_SUBJECTS, TypeSpec
+from repro.core.types import TypeSpec, spec_from_wire
 
 
 class EntityClass(enum.Enum):
@@ -81,8 +81,8 @@ class Profile:
             entity_id=GUID.from_hex(data["entity_id"]),
             name=data["name"],
             entity_class=EntityClass(data["entity_class"]),
-            outputs=[_spec_from_wire(item) for item in data.get("outputs", [])],
-            inputs=[_spec_from_wire(item) for item in data.get("inputs", [])],
+            outputs=[spec_from_wire(item) for item in data.get("outputs", [])],
+            inputs=[spec_from_wire(item) for item in data.get("inputs", [])],
             params=dict(data.get("params", {})),
             attributes=dict(data.get("attributes", {})),
             quality=dict(data.get("quality", {})),
@@ -102,15 +102,3 @@ def _spec_to_wire(spec: TypeSpec) -> Dict[str, Any]:
         "quality": list(spec.quality),
     }
 
-
-def _spec_from_wire(data: Dict[str, Any]) -> TypeSpec:
-    subject = data.get("subject")
-    if not isinstance(subject, SCALAR_SUBJECTS):
-        raise ValueError(f"subject must be a string, number, boolean or "
-                         f"null, got {type(subject).__name__}")
-    return TypeSpec(
-        type_name=data["type"],
-        representation=data.get("representation", "any"),
-        subject=subject,
-        quality=tuple(tuple(item) for item in data.get("quality", ())),
-    )

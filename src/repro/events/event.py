@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.core.ids import GUID
-from repro.core.types import SCALAR_SUBJECTS, TypeSpec
+from repro.core.types import TypeSpec, spec_from_wire
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,22 +90,14 @@ class ContextEvent:
     @classmethod
     def from_wire(cls, data: Dict[str, Any]) -> "ContextEvent":
         """Rebuild an event, refusing one the mediator cannot hold: its
-        retained store keys on (type, representation, subject) and
-        consumers order fixes by timestamp. Raises ``TypeError``."""
-        type_name, representation = data["type"], data["representation"]
-        subject, timestamp = data["subject"], data["timestamp"]
-        if not (isinstance(type_name, str)
-                and isinstance(representation, str)):
-            raise TypeError("type and representation must be strings")
-        if not isinstance(subject, SCALAR_SUBJECTS):
-            raise TypeError(f"subject must be a string, number, boolean or "
-                            f"null, got {type(subject).__name__}")
+        retained store keys on (type, representation, subject)
+        (:func:`~repro.core.types.spec_from_wire`) and consumers order fixes
+        by timestamp. Raises ``KeyError`` or ``TypeError``."""
+        spec, timestamp = spec_from_wire(data), data["timestamp"]
         if (not isinstance(timestamp, (int, float))
                 or isinstance(timestamp, bool)):
             raise TypeError(f"timestamp must be a number, got "
                             f"{type(timestamp).__name__}")
-        spec = TypeSpec(type_name, representation, subject,
-                        tuple(map(tuple, data.get("quality", ()))))
         # positional, in field order: one event per delivery is rebuilt here
         return cls(spec, data["value"], GUID.from_hex(data["source"]),
                    timestamp, dict(data.get("attributes", {})))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.core.errors import LocationError
-from repro.core.memo import clause_memo
+from repro.core.memo import decode_memo
 
 #: The expression kinds understood by the language.
 KINDS = ("anywhere", "me", "room", "point", "entity", "within", "near")
@@ -111,7 +111,7 @@ class LocationExpr:
         raise LocationError(f"unrenderable kind: {self.kind!r}")  # pragma: no cover
 
 
-@clause_memo
+@decode_memo
 def parse_location(text: str) -> LocationExpr:
     """Parse the textual form back into a :class:`LocationExpr`.
 

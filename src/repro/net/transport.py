@@ -122,7 +122,8 @@ class CampusLatency(LatencyModel):
     def latency(self, source: Host, destination: Host, rng: random.Random) -> float:
         if source.host_id == destination.host_id:
             return self.local
-        return self.remote + rng.uniform(0.0, self.jitter)
+        # what rng.uniform(0.0, jitter) computes, bit for bit, in one call
+        return self.remote + self.jitter * rng.random()
 
 
 # -- processes ---------------------------------------------------------------
@@ -438,9 +439,9 @@ class Network:
 
     def send(self, message: Message) -> None:
         """Queue a message for delivery (or loss) per the failure model."""
-        if message.trace is None:
+        if message.trace is None and self.scheduler.ambient_stack():
             # Stamp the sender's ambient span so downstream handling joins
-            # the same trace (see repro.obs.tracing).
+            # the same trace (see repro.obs.tracing; its stacks are these).
             message.trace = self.obs.tracer.current_context()
         stats = self.stats
         stats.record_send(message.kind)
@@ -452,7 +453,7 @@ class Network:
             return
         source_host = self._hosts.get(sender.host_id)
 
-        if message.recipient == BROADCAST:
+        if message.recipient.value == BROADCAST.value:  # no __eq__ call
             self._broadcast(message, source_host)
             return
 
@@ -492,9 +493,9 @@ class Network:
         if not source_host.up or not destination_host.up:
             self.stats.record_drop()
             return
-        if self._partition_of.get(source_host.host_id, 0) != self._partition_of.get(
-            destination_host.host_id, 0
-        ):
+        partition_of = self._partition_of
+        if partition_of and partition_of.get(source_host.host_id, 0) != \
+                partition_of.get(destination_host.host_id, 0):
             self.stats.record_drop()
             return
         rng = self._host_rngs[source_host.host_id]

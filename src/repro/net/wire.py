@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import importlib
 import math
-from typing import Any, Callable, Dict, NamedTuple, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro.core.errors import SCIError
 from repro.core.ids import GUID
@@ -99,6 +99,8 @@ def _parser(module: str, path: str) -> Kind:
 
 STR, INT, BOOL = _json("str", str), _json("int", int), _json("bool", bool)
 DICT = _json("dict", dict)
+#: the plain JSON kinds, whose exact type a compiled row tests inline
+_EXACT = {STR: str, INT: int, BOOL: bool, DICT: dict}
 ANY = Kind("any", lambda value: value)
 GUID_HEX = Kind("guid", _guid)
 EVENT = _parser("repro.events.event", "ContextEvent.from_wire")
@@ -119,8 +121,8 @@ class Verb:
     request row names its ``reply``, a reply row its ``flag``: a reply whose
     flag is ``False`` is a refusal, checked as ``{flag: bool, "error?":
     str}`` (what ``Process.refuse`` sends) plus the row's other fields, all
-    optional."""
-    __slots__ = ("fields", "reply", "flag", "refusal", "external")
+    optional. ``parse(payload)`` is the row compiled (:func:`_compile`)."""
+    __slots__ = ("fields", "reply", "flag", "external", "parse")
 
     def __init__(self, fields: Optional[Dict[str, Kind]] = None,
                  reply: Optional[str] = None, flag: Optional[str] = None,
@@ -130,28 +132,53 @@ class Verb:
                             for name, kind in (fields or {}).items())
         self.reply = reply
         self.flag = flag
-        self.refusal = ((flag, BOOL, True), ("error", STR, False)) + tuple(
-            (name, kind, False) for name, kind, _ in self.fields
-            if name not in (flag, "error")) if flag else ()
         self.external = external
+        self.parse = _compile(self.fields, flag)
 
-    def parse(self, payload: Any) -> Dict[str, Any]:
-        """Each declared field ``payload`` carries, parsed; raises
-        :class:`WireError` on a payload that is not an object, a missing
-        required field or a value of the wrong kind."""
-        if type(payload) is not dict:
-            raise WireError(f"a {type(payload).__name__} is not an object")
-        refused = self.flag in payload and payload[self.flag] is False
-        fields = {}
-        for name, kind, required in self.refusal if refused else self.fields:
-            if name in payload:
-                try:
-                    fields[name] = kind.parse(payload[name])
-                except WireError as exc:
-                    raise WireError(f"{name}: {exc}") from None
-            elif required:
-                raise WireError(f"missing field {name!r}")
-        return fields
+
+def _compile(fields: tuple, flag: Optional[str]) -> Callable[[Any], dict]:
+    """A row's check as one function: each declared field ``payload``
+    carries, parsed, or :class:`WireError` for a payload that is not an
+    object, a missing required field or a value of the wrong kind (the
+    first in the row's order). It is generated as source so the checks are
+    inline: one lookup of ``flag`` picks the refusal row, a missing name and
+    a plain JSON kind's exact type are tested in place, an ``any`` value is
+    only copied, and any other kind's ``parse`` is called."""
+    env: Dict[str, Any] = {"WireError": WireError}
+    lines = ["def parse(payload):", "    if type(payload) is not dict:",
+             "        raise WireError(f'a {type(payload).__name__} is not an "
+             "object')"]
+    if flag:
+        lines.append(f"    if payload.get({flag!r}) is False:")
+        lines += _checks(((flag, BOOL, True), ("error", STR, False)) + tuple(
+            (name, kind, False) for name, kind, _ in fields
+            if name not in (flag, "error")), env, " " * 8)
+    exec("\n".join(lines + _checks(fields, env, " " * 4)), env)
+    return env["parse"]
+
+
+def _checks(fields: tuple, env: Dict[str, Any], pad: str) -> List[str]:
+    lines = [f"{pad}fields = {{}}"]
+    for name, kind, required in fields:
+        lines += [f"{pad}if {name!r} in payload:",
+                  f"{pad}    value = payload[{name!r}]"]
+        check = f"_{len(env)}"  # a fresh global for the exact type or parse
+        if kind in _EXACT:
+            env[check] = _EXACT[kind]
+            lines += [f"{pad}    if type(value) is not {check}:",
+                      f"{pad}        raise WireError({f'{name}: a '!r} + "
+                      f"type(value).__name__ + {f' is not {kind.name}'!r})"]
+        elif kind is not ANY:
+            env[check] = kind.parse
+            lines += [f"{pad}    try:", f"{pad}        value = {check}(value)",
+                      f"{pad}    except WireError as exc:",
+                      f"{pad}        raise WireError({f'{name}: '!r} + "
+                      "str(exc)) from None"]
+        lines.append(f"{pad}    fields[{name!r}] = value")
+        if required:
+            lines += [f"{pad}else:", f"{pad}    raise WireError("
+                      f"{f'missing field {name!r}'!r})"]
+    return lines + [f"{pad}return fields"]
 
 
 #: each reply's fields, checked when its flag is not ``False``

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.core.errors import QueryError
-from repro.core.memo import clause_memo
+from repro.core.memo import decode_memo
 from repro.core.types import TypeSpec
 from repro.location.language import LocationExpr, parse_location
 from repro.query.selection import WhichClause
@@ -92,7 +92,7 @@ class WhatClause:
         return f"pattern:{text}"
 
     @classmethod
-    @clause_memo
+    @decode_memo
     def parse(cls, text: str) -> "WhatClause":
         """Memoised by text (:mod:`repro.core.memo`): the parse is pure and
         the clause and its ``TypeSpec`` are frozen, so callers share one."""

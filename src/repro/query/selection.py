@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.errors import QueryError
-from repro.core.memo import clause_memo
+from repro.core.memo import decode_memo
 
 FILTER_KINDS = ("reachable", "available", "no-queue", "any", "quality")
 RANK_KINDS = ("closest-to", "min-queue", "best-quality")
@@ -198,7 +198,7 @@ class WhichClause:
         return "; ".join(str(criterion) for criterion in self.criteria)
 
     @classmethod
-    @clause_memo
+    @decode_memo
     def parse(cls, text: str) -> "WhichClause":
         """Memoised by text (:mod:`repro.core.memo`): the parse is pure and
         the clause is a tuple of frozen criteria, so callers share one."""

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.errors import QueryError
-from repro.core.memo import clause_memo
+from repro.core.memo import decode_memo
 
 KINDS = ("now", "at", "after", "enters")
 
@@ -131,7 +131,7 @@ class WhenClause:
         return body
 
     @classmethod
-    @clause_memo
+    @decode_memo
     def parse(cls, text: str) -> "WhenClause":
         """Memoised by text (:mod:`repro.core.memo`): the parse is pure and
         the clause is frozen, so callers share one."""

@@ -71,6 +71,35 @@ class TestGUID:
         assert GUID.from_name("a") != GUID.from_name("b")
 
 
+#: a canonical text, letters included
+HEX = "0123456789abcdef" * 2
+
+#: texts ``int(text, 16)`` reads as a GUID that are not its rendering
+NON_CANONICAL = {
+    "prefixed": "0x" + HEX[2:], "upper-case": HEX.upper(),
+    "mixed-case": HEX[:16] + HEX[16:].upper(), "padded": f" {HEX} ",
+    "newline": f"{HEX}\n", "underscored": f"{HEX[:16]}_{HEX[16:]}",
+    "signed": "+" + HEX[1:], "short": HEX[1:], "two digits": "1f",
+    "long": "0" + HEX, "all of it": " 0X1_f ", "other digits": "\u0663" * 32,
+}
+
+
+@pytest.mark.parametrize("text", NON_CANONICAL.values(), ids=NON_CANONICAL)
+def test_from_hex_refuses_a_text_that_is_not_the_rendering(text):
+    int(text, 16)  # each is some number to Python
+    with pytest.raises(ValueError):
+        GUID.from_hex(text)
+    assert GUID.from_hex(HEX).hex == HEX
+
+
+@pytest.mark.parametrize("value, error", [(31, TypeError), (None, TypeError),
+                                          (b"1f", ValueError),
+                                          (["1f"], TypeError)])
+def test_from_hex_refuses_what_is_not_a_string(value, error):
+    with pytest.raises(error):
+        GUID.from_hex(value)
+
+
 class TestGuidFactory:
     def test_same_seed_same_stream(self):
         first = GuidFactory(seed=9).mint_many(10)

@@ -62,7 +62,7 @@ def test_guid_equality_and_order_ignore_the_cached_fields():
     parsed = GUID.from_hex(GUID(0xBEEF).hex)
     fresh = GUID(0xBEEF)
     assert parsed == fresh and hash(parsed) == hash(fresh)
-    assert parsed.hex == fresh.hex  # one rendered, one not yet
+    assert parsed.hex == fresh.hex  # one rendered while decoded, one not yet
     assert GUID(1) < GUID(2) and GUID(2) >= GUID(2)
     assert GUID(1) != 1 and GUID(1) != (1,)
     assert repr(fresh) == f"GUID({fresh.hex[:12]}..)"

@@ -20,6 +20,7 @@ import pytest
 from repro import SCI, SCIConfig
 from repro.core.ids import GuidFactory
 from repro.core.types import TypeSpec
+from repro.entities.profile import EntityClass, Profile
 from repro.events.event import ContextEvent
 from repro.net.transport import FunctionProcess
 
@@ -33,6 +34,19 @@ FIX = ContextEvent(TypeSpec("location", "topological", "ghost"), "L10.01",
 def _fix(**fields):
     """A ``publish`` payload carrying :data:`FIX` with ``fields`` replaced."""
     return {"event": {**FIX, **fields}}
+
+
+#: a well-formed profile of an entity not yet registered
+PROFILE = Profile(GuidFactory(seed=9).mint(), "odd-badge", EntityClass.DEVICE,
+                  outputs=[TypeSpec("location", "symbolic")],
+                  inputs=[TypeSpec("presence", "tag-read")]).to_wire()
+
+
+def _register(side, **fields):
+    """A ``register`` payload carrying :data:`PROFILE` with ``fields``
+    replaced in its first ``side`` spec."""
+    return {"kind": "ce", "profile": {
+        **PROFILE, side: [{**PROFILE[side][0], **fields}]}}
 
 
 @pytest.fixture
@@ -148,6 +162,17 @@ CASES = [
      "o-route-33"),
     ("overlay", "o-route", _route("dht-put", {"name": "x"}), None,
      "o-route-34"),
+    ("mediator", "publish", _fix(quality=[["accuracy", [1]]]),
+     ("publish-ack", "ok"), "publish-quality-unhashable"),
+    # a profile's specs pass the checks an event's spec does
+    ("registrar", "register", _register("outputs", type=5),
+     ("register-ack", "ok"), "register-output-type-int"),
+    ("registrar", "register", _register("outputs", type=["location"]),
+     ("register-ack", "ok"), "register-output-type-list"),
+    ("registrar", "register", _register("outputs", representation=None),
+     ("register-ack", "ok"), "register-output-representation-null"),
+    ("registrar", "register", _register("inputs", representation=7),
+     ("register-ack", "ok"), "register-input-representation-int"),
 ]
 
 

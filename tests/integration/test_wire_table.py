@@ -104,10 +104,17 @@ VALID_REPLIES = {
     "unsubscribe-owner-ack": {"removed": 0},
 }
 
-#: values of the wrong kind, by the name of the kind they break
+#: a canonical GUID text, its letters included
+HEX = "0123456789abcdef" * 2
+
+#: values of the wrong kind, by the name of the kind they break. ``int(text,
+#: 16)`` reads every ``guid`` text after the first two as some GUID; only
+#: the canonical rendering names one.
 WRONG = {
     "str": [5], "int": ["7", True, 1.5], "bool": [1], "[str]": ["x", [5]],
-    "dict": [[1]], "guid": ["zz", 5],
+    "dict": [[1]],
+    "guid": ["zz", 5, " 0X1_f ", "0x" + HEX[2:], HEX.upper(), f" {HEX}",
+             f"{HEX}\n", f"{HEX[:16]}_{HEX[16:]}", HEX[1:], "1f"],
     "lease": [0, -30.0, "30", True, math.inf, math.nan],
     "int >= 0": [-1, True, 2.5, None],
     "[[int, int]]": [5, [[1]], [[1, 0]], [[True, 1]], [(1, 1)]],

@@ -6,7 +6,7 @@ The four clause parsers (What, Where, When, Which) sit behind one bounded
 result with the unmemoised parser (``__wrapped__``), on hand-picked texts
 and on every clause text the four benchmark workloads send; check that a
 bad text raises on every call and is never stored; that the memo holds at
-most ``CLAUSE_MEMO`` texts; and that a wire query whose clause is not a
+most ``DECODE_MEMO`` texts; and that a wire query whose clause is not a
 string is still refused at arrival.
 """
 
@@ -20,7 +20,7 @@ import pytest
 
 from repro import SCI, SCIConfig
 from repro.core.errors import LocationError, QueryError
-from repro.core.memo import CLAUSE_MEMO
+from repro.core.memo import DECODE_MEMO
 from repro.net.transport import FunctionProcess
 from repro.query import CLAUSE_PARSERS, QueryBuilder
 
@@ -108,7 +108,7 @@ def test_every_workload_clause_text_parses_as_fresh(workload):
         for text in texts:
             assert parser(text) == fresh(text)
         distinct = len(set(texts))
-        assert distinct < CLAUSE_MEMO
+        assert distinct < DECODE_MEMO
         info = parser.cache_info()
         assert (info.misses, info.hits) == (distinct, len(texts) - distinct)
 
@@ -128,13 +128,13 @@ def test_a_bad_text_raises_every_time_and_is_never_memoised(clause):
 @pytest.mark.parametrize("clause", CLAUSES)
 def test_the_memo_holds_at_most_its_bound(clause):
     parser, text = CLAUSE_PARSERS[clause], NUMBERED[clause]
-    for number in range(CLAUSE_MEMO + 100):
+    for number in range(DECODE_MEMO + 100):
         parser(text.format(number))
     info = parser.cache_info()
-    assert (info.currsize, info.maxsize) == (CLAUSE_MEMO, CLAUSE_MEMO)
+    assert (info.currsize, info.maxsize) == (DECODE_MEMO, DECODE_MEMO)
     # least recently used first out: the newest text is held, the oldest
     # is parsed again
-    parser(text.format(CLAUSE_MEMO + 99))
+    parser(text.format(DECODE_MEMO + 99))
     assert parser.cache_info().hits == info.hits + 1
     parser(text.format(0))
     assert parser.cache_info().misses == info.misses + 1
