@@ -17,6 +17,7 @@ import pytest
 
 from repro import SCI
 from repro.core.api import SCIConfig
+from repro.entities.entity import ContextAwareApplication
 from repro.faults.monitor import StreamProbe
 from repro.obs.export import (
     load_trace_jsonl,
@@ -31,13 +32,25 @@ TRACE_PATH = RESULTS_DIR / "bench_claim_adaptivity.trace.jsonl"
 METRICS_PATH = RESULTS_DIR / "bench_claim_adaptivity.metrics.json"
 
 
+class Monitor(ContextAwareApplication):
+    """Keeps the last location update it consumed."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.last_location = None
+
+    def on_event(self, event, sub_id):
+        if event.type_name == "location":
+            self.last_location = event
+
+
 def deploy(seed=0):
     sci = SCI(config=SCIConfig(seed=seed, lease_duration=LEASE))
     sci.create_range("livingstone", places=["livingstone"], hosts=["pc"])
     sensors = sci.add_door_sensors("livingstone")
     detector = sci.add_wlan_detector("livingstone")
     sci.add_person("bob", room="corridor", device_host="bob-dev")
-    app = sci.create_application("monitor", host="pc")
+    app = sci.create_application("monitor", host="pc", app_class=Monitor)
     sci.run(5)
     app.submit_query(QueryBuilder("ops")
                      .subscribe("location", "topological", subject="bob")
@@ -62,7 +75,7 @@ def crash_and_measure(kill_count, seed=0):
     sci.run(30)
     cs = sci.range("livingstone")
     recovery = probe.recovery_time(failure_at)
-    last = app.events_of_type("location")[-1] if app.events_of_type("location") else None
+    last = app.last_location
     return {
         "repairs": cs.configurations.repairs,
         "recovery": recovery,
@@ -139,7 +152,7 @@ class TestReportAdaptivity:
         sci.walk("bob", "L10.03")
         sci.run(60)
         assert len(app.query_acks) == queries_before  # no re-query
-        assert app.events_of_type("location")
+        assert app.last_location is not None
         report("zero application-side actions during recovery "
                f"(still {queries_before} submitted query)")
 

@@ -12,7 +12,17 @@ import pytest
 from repro import SCI
 from repro.core.api import SCIConfig
 from repro.composition.manager import ConfigState
+from repro.entities.entity import ContextAwareApplication
 from repro.query.model import QueryBuilder
+
+
+class Watcher(ContextAwareApplication):
+    """Notes whether a query-result ever reported a failure."""
+
+    notified = False
+
+    def on_query_result(self, query_id, fields):
+        self.notified |= not fields["ok"]
 
 
 def run_with_budget(max_repairs, kill_count=3, seed=17):
@@ -22,7 +32,7 @@ def run_with_budget(max_repairs, kill_count=3, seed=17):
     sensors = sci.add_door_sensors("r")
     sci.add_wlan_detector("r")
     sci.add_person("bob", room="corridor", device_host="d")
-    app = sci.create_application("app", host="pc")
+    app = sci.create_application("app", host="pc", app_class=Watcher)
     sci.run(5)
     app.submit_query(QueryBuilder("ops")
                      .subscribe("location", "topological", subject="bob")
@@ -36,7 +46,7 @@ def run_with_budget(max_repairs, kill_count=3, seed=17):
     return {
         "state": config.state.value,
         "repairs": config.repairs,
-        "notified": any(not r.get("ok", True) for r in app.results),
+        "notified": app.notified,
     }
 
 

@@ -12,6 +12,7 @@ import pytest
 from repro.core.ids import GuidFactory
 from repro.core.types import TypeSpec, standard_registry
 from repro.composition.resolver import QueryResolver
+from repro.entities.entity import ContextAwareApplication
 from repro.entities.profile import EntityClass, Profile
 from repro.location.building import livingstone_tower
 from repro.location.converters import register_location_converters
@@ -20,6 +21,18 @@ from repro.server.deployment import standard_templates
 from repro import SCI
 from repro.core.api import SCIConfig
 from repro.query.model import QueryBuilder
+
+
+class PathRecorder(ContextAwareApplication):
+    """Keeps the path events it consumed."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.paths = []
+
+    def on_event(self, event, sub_id):
+        if event.type_name == "path":
+            self.paths.append(event)
 
 
 def make_resolver(sensor_count, seed=0):
@@ -55,7 +68,8 @@ class TestReportFigure3:
         sci = SCI(config=SCIConfig(seed=3))
         sci.create_range("livingstone", places=["livingstone"], hosts=["pda"])
         sensors = sci.add_door_sensors("livingstone")
-        app = sci.create_application("pathApp", host="pda")
+        app = sci.create_application("pathApp", host="pda",
+                                     app_class=PathRecorder)
         sci.run(5)
         app.submit_query(QueryBuilder("bob")
                          .subscribe("path", "rooms", subject="bob->john")
@@ -64,11 +78,11 @@ class TestReportFigure3:
         # seed john's position, then time one bob update end to end
         sensors["door:corridor--L10.02"].detect("john", "corridor", "L10.02")
         sci.run(10)
-        before = len(app.events_of_type("path"))
+        before = len(app.paths)
         fired_at = sci.now
         sensors["door:corridor--L10.01"].detect("bob", "corridor", "L10.01")
         sci.run(20)
-        events = app.events_of_type("path")
+        events = app.paths
         assert len(events) > before
         latency = events[-1].timestamp - fired_at  # publication chain time
         delivery = sci.now  # bounded by the run window

@@ -9,6 +9,7 @@ import pytest
 
 from repro import SCI
 from repro.core.api import SCIConfig
+from repro.entities.entity import ContextAwareApplication
 from repro.query.language import query_from_xml, query_to_xml
 from repro.query.model import QueryBuilder
 
@@ -22,6 +23,22 @@ SAMPLE = (QueryBuilder("john")
           .build())
 
 
+class Recorder(ContextAwareApplication):
+    """Keeps the query results and location values it consumed."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.results = []
+        self.locations = []
+
+    def on_query_result(self, query_id, fields):
+        self.results.append(fields)
+
+    def on_event(self, event, sub_id):
+        if event.type_name == "location":
+            self.locations.append(event.value)
+
+
 @pytest.fixture(scope="module")
 def deployment():
     sci = SCI(config=SCIConfig(seed=6))
@@ -29,7 +46,7 @@ def deployment():
     sci.add_door_sensors("livingstone")
     sci.add_printers("livingstone", {"P1": "L10.03"})
     sci.add_person("bob", room="corridor")
-    app = sci.create_application("app", host="pc")
+    app = sci.create_application("app", host="pc", app_class=Recorder)
     sci.run(5)
     return sci, app
 
@@ -64,13 +81,13 @@ class TestReportFigure6:
         sci.run(30)
         sci.walk("bob", "corridor")
         sci.run(30)
-        stream = [e.value for e in app.events_of_type("location")]
+        stream = list(app.locations)
         report(f"  event subscription   -> {len(stream)} update(s): {stream}")
         assert len(stream) >= 2
 
         app.cancel_query(sub_q.query_id)  # retire the durable stream first
         sci.run(5)
-        app.events.clear()
+        app.locations.clear()
         once_q = (QueryBuilder("ops")
                   .once("location", "topological", subject="bob").build())
         app.submit_query(once_q)
@@ -79,7 +96,7 @@ class TestReportFigure6:
         sci.run(30)
         sci.walk("bob", "corridor")
         sci.run(30)
-        once_stream = [e.value for e in app.events_of_type("location")]
+        once_stream = app.locations
         report(f"  one-time subscription-> {len(once_stream)} update(s): "
                f"{once_stream}")
         assert len(once_stream) == 1

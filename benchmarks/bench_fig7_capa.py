@@ -10,9 +10,24 @@ import pytest
 from repro.apps.capa import build_capa_scenario
 
 
+def record_answers(app):
+    """Keep the fields of each query-result ``app`` is handed, by query id,
+    around its own hook."""
+    answers = {}
+    hook = app.on_query_result
+
+    def record(query_id, fields):
+        answers[query_id] = fields
+        hook(query_id, fields)
+
+    app.on_query_result = record
+    return answers
+
+
 def run_scenario(seed=1):
     scenario = build_capa_scenario(seed=seed)
     sci = scenario.sci
+    scenario.john_answers = record_answers(scenario.john_capa)
     bob_request = scenario.bob_capa.request_print(
         "quarterly-report.pdf", pages=20,
         when="enters(bob, L10.01)",
@@ -35,9 +50,7 @@ def run_scenario(seed=1):
 class TestReportFigure7:
     def test_report_selection_table(self, report):
         scenario, bob_request, john_request, elapsed = run_scenario()
-        john_result = next(
-            r for r in scenario.john_capa.results
-            if r["query_id"] == john_request.query.query_id)
+        john_result = scenario.john_answers[john_request.query.query_id]
         report("")
         report("F7  CAPA printer selection (states at John's query time)")
         report(f"{'printer':>8} | {'room':>10} | {'available':>9} | "

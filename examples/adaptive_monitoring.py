@@ -14,7 +14,20 @@ Run:  python examples/adaptive_monitoring.py
 
 from repro import SCI
 from repro.core.api import SCIConfig
+from repro.entities.entity import ContextAwareApplication
 from repro.faults.monitor import StreamProbe
+
+
+class Monitor(ContextAwareApplication):
+    """Keeps the latest location fix it received."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.last_location = None
+
+    def on_event(self, event, sub_id):
+        if event.type_name == "location":
+            self.last_location = event
 
 
 def main() -> None:
@@ -26,7 +39,7 @@ def main() -> None:
     # Bob carries a W-LAN device, so both location modalities can see him.
     sci.add_person("bob", room="corridor", device_host="bob-pda")
 
-    app = sci.create_application("monitor", host="lab-pc")
+    app = sci.create_application("monitor", host="lab-pc", app_class=Monitor)
     probe = StreamProbe(app, "location")
     sci.run(5)
     query = sci.query("ops").subscribe("location", "topological",
@@ -56,7 +69,7 @@ def main() -> None:
     print(f"stream recovered {recovery:.1f}s after the failure "
           f"(lease detection + re-composition)")
     print(f"updates after failure: {probe.count() - before}")
-    last = app.events_of_type("location")[-1]
+    last = app.last_location
     print(f"latest fix: bob is in {last.value} "
           f"(via {last.attributes.get('converted_by', 'native chain')})")
     assert cs.configurations.repairs >= 1

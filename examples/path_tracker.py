@@ -41,7 +41,7 @@ def main() -> None:
     sci.run(60)
     print(display.render())
 
-    print(f"\nconfiguration delivered {display.updates_seen()} live updates;")
+    print(f"\nconfiguration delivered {display.updates_seen} live updates;")
     print("the application never re-queried — Figure 3's dynamic "
           "subscription graph did the work.")
     assert display.current_path is not None

@@ -11,6 +11,20 @@ Run:  python examples/quickstart.py
 """
 
 from repro import SCI
+from repro.entities.entity import ContextAwareApplication
+
+
+class WhereIsBob(ContextAwareApplication):
+    """Keeps the location updates it receives: an application records what
+    it needs in its ``on_event`` hook."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.locations = []
+
+    def on_event(self, event, sub_id):
+        if event.type_name == "location":
+            self.locations.append(event)
 
 
 def main() -> None:
@@ -27,7 +41,8 @@ def main() -> None:
 
     # An application on the lab machine; it discovers the range and
     # registers via the Figure-5 handshake when started.
-    app = sci.create_application("whereIsBob", host="lab-pc")
+    app = sci.create_application("whereIsBob", host="lab-pc",
+                                 app_class=WhereIsBob)
     sci.run(5)  # let registration settle
     assert app.registered, "the app should have joined the range"
     print(f"app registered in range {app.range_name!r}")
@@ -48,10 +63,10 @@ def main() -> None:
     sci.run(40)
 
     print("location updates received:")
-    for event in app.events_of_type("location"):
+    for event in app.locations:
         print(f"  t={event.timestamp:7.2f}  bob is in {event.value}")
-    assert app.last_event_value() == "L10.03"
-    print("final answer:", app.last_event_value())
+    assert app.locations[-1].value == "L10.03"
+    print("final answer:", app.locations[-1].value)
 
 
 if __name__ == "__main__":

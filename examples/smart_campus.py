@@ -17,7 +17,19 @@ from repro import SCI
 from repro.core.api import SCIConfig
 from repro.core.types import TypeSpec
 from repro.entities.derived import WindowAggregatorCE
+from repro.entities.entity import ContextAwareApplication
 from repro.entities.sensors import TemperatureSensorCE
+
+
+class Dashboard(ContextAwareApplication):
+    """Keeps each feed it subscribes to: the events received, by type."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.feeds = {}
+
+    def on_event(self, event, sub_id):
+        self.feeds.setdefault(event.type_name, []).append(event)
 
 
 def main() -> None:
@@ -47,7 +59,8 @@ def main() -> None:
                          ("ada", "lobby")):
         sci.add_person(person, room=room)
 
-    dashboard = sci.create_application("dashboard", host="ops-pc")
+    dashboard = sci.create_application("dashboard", host="ops-pc",
+                                       app_class=Dashboard)
     sci.run(5)
 
     # one query per context need — the infrastructure does the wiring.
@@ -82,16 +95,16 @@ def main() -> None:
     sci.walk("ada", "L10.03")
     sci.run(60)
 
-    occupancy = [e.value for e in dashboard.events_of_type("occupancy")]
+    occupancy = [e.value for e in dashboard.feeds["occupancy"]]
     print(f"L10 occupancy trace: {occupancy}")
     assert occupancy[-1] == 3, "all three people are on Level 10"
 
-    temperatures = [e.value for e in dashboard.events_of_type("temperature")]
+    temperatures = [e.value for e in dashboard.feeds["temperature"]]
     print(f"smoothed temperature readings: {len(temperatures)} "
           f"(latest {temperatures[-1]:.1f} C)")
     assert temperatures, "the climate stream must flow"
 
-    bob_feed = [e.value for e in dashboard.events_of_type("location")
+    bob_feed = [e.value for e in dashboard.feeds["location"]
                 if e.subject == "bob"]
     print(f"bob location feed (accuracy<=3m contract): {bob_feed}")
     assert bob_feed[-1] == "L10.01"
@@ -104,7 +117,7 @@ def main() -> None:
     print("\n== lunchtime ==")
     sci.walk("bob", "lobby")
     sci.run(60)
-    occupancy = [e.value for e in dashboard.events_of_type("occupancy")]
+    occupancy = [e.value for e in dashboard.feeds["occupancy"]]
     print(f"L10 occupancy trace: {occupancy}")
     assert occupancy[-1] == 2
 

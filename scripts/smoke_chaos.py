@@ -42,6 +42,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 from repro import SCI  # noqa: E402
 from repro.core.api import SCIConfig  # noqa: E402
 from repro.core.types import TypeSpec  # noqa: E402
+from repro.entities.entity import ContextAwareApplication  # noqa: E402
 from repro.events.event import ContextEvent  # noqa: E402
 from repro.events.filters import TypeFilter  # noqa: E402
 from repro.faults.monitor import StreamProbe  # noqa: E402
@@ -63,6 +64,17 @@ def check(condition, label):
     status = "ok" if condition else "FAIL"
     print(f"smoke-chaos: {status} — {label}")
     return bool(condition)
+
+
+class Recorder(ContextAwareApplication):
+    """Keeps every event it consumes, for the checks to read."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.events = []
+
+    def on_event(self, event, sub_id):
+        self.events.append(event)
 
 
 def event_log(app):
@@ -91,7 +103,7 @@ def run_scenario(with_loss):
     sensors = sci.add_door_sensors("livingstone")
     sci.add_wlan_detector("livingstone")
     sci.add_person("bob", room="corridor", device_host="bob-dev")
-    apps = [sci.create_application(name, host="pc")
+    apps = [sci.create_application(name, host="pc", app_class=Recorder)
             for name in ("monitor", "dashboard")]
     sci.run(5)
     for index, app in enumerate(apps):
@@ -168,7 +180,7 @@ def ack_batching():
     sci = SCI(config=SCIConfig(seed=SEED, latency_model=FixedLatency(1.0)))
     mediator = sci.create_range("livingstone", places=["livingstone"],
                                 hosts=["pc"]).mediator
-    app = sci.create_application("reader", host="pc")
+    app = sci.create_application("reader", host="pc", app_class=Recorder)
     sci.run(5)
     mediator.add_subscription(app.guid, TypeFilter("tick"))
     before = Counter(sci.network.stats.by_kind)

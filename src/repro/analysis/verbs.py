@@ -43,7 +43,8 @@ exactly ``(self, message)``, the one call the dispatcher makes),
 one that the tree only ever ``send``s, never ``request``s: nobody waits for
 it, so it is counted unhandled or reaches a process that already left),
 ``verbs.raw-payload`` (outside ``repro.net``/``repro.ledger``, a key read on
-the ``payload`` of a ``Message`` parameter or ``on_reply`` lambda's) and
+the ``payload`` of a ``Message`` parameter or ``on_reply`` lambda's, or that
+``payload`` handed to an ``on_*`` hook) and
 (CLI-level)
 ``verbs.protocol-drift`` when the committed ``PROTOCOL.md`` no longer
 matches the tree.
@@ -235,20 +236,29 @@ def _raw_payload_reads(source: SourceFile) -> List[Finding]:
             scopes.append((node.value,
                            {arg.arg for arg in node.value.args.args}))
     findings = []
+
+    def raw(node: Optional[ast.expr], why: str) -> None:
+        if isinstance(node, ast.Attribute) and node.attr == "payload" \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in names:
+            findings.append(Finding(
+                check=CHECK_RAW_PAYLOAD, severity=Severity.ERROR,
+                path=source.path, line=node.lineno,
+                message=f"{node.value.id}.payload {why} the fields its wire "
+                        f"row checked"))
+
     for scope, names in scopes:
         for node in ast.walk(scope):
-            read = node.value if isinstance(node, ast.Subscript) else (
-                node.func.value if isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "get" else None)
-            if isinstance(read, ast.Attribute) and read.attr == "payload" \
-                    and isinstance(read.value, ast.Name) \
-                    and read.value.id in names:
-                findings.append(Finding(
-                    check=CHECK_RAW_PAYLOAD, severity=Severity.ERROR,
-                    path=source.path, line=node.lineno,
-                    message=f"{read.value.id}.payload read by key: read "
-                            f"the fields its wire row checked"))
+            if isinstance(node, ast.Subscript):
+                raw(node.value, "read by key: read")
+            elif isinstance(node, ast.Call):
+                callee = node.func
+                name = getattr(callee, "attr", getattr(callee, "id", ""))
+                if name == "get" and isinstance(callee, ast.Attribute):
+                    raw(callee.value, "read by key: read")
+                elif name.startswith("on_"):
+                    for arg in node.args + [k.value for k in node.keywords]:
+                        raw(arg, f"handed to the {name} hook: hand it")
     return findings
 
 

@@ -67,20 +67,16 @@ class CAPAApp(ContextAwareApplication):
 
     # -- infrastructure responses ------------------------------------------------------
 
-    def _handle_query_result(self, message: Message) -> None:
-        super()._handle_query_result(message)
-        self._printer_selected(message.fields)
-
-    def _printer_selected(self, fields: Dict[str, Any]) -> None:
+    def on_query_result(self, query_id: str, fields: Dict[str, Any]) -> None:
         """Send the document to the printer a ``query-result`` chose."""
-        request = self._requests.get(fields["query_id"])
+        request = self._requests.get(query_id)
         if request is None:
             return
         if not fields["ok"]:
             request.outcome = {"accepted": False,
                                "reason": fields.get("error", "no printer")}
             logger.warning("CAPA(%s): %s failed: %s", self.user,
-                           fields["query_id"], request.outcome["reason"])
+                           query_id, request.outcome["reason"])
             return
         selected = fields.get("selected", {})
         request.selected_printer = selected.get("name")

@@ -13,7 +13,7 @@ actual device would draw.
 from __future__ import annotations
 
 import logging
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.entities.entity import ContextAwareApplication
 from repro.events.event import ContextEvent
@@ -31,7 +31,8 @@ class PathDisplayApp(ContextAwareApplication):
         self.from_entity = from_entity
         self.to_entity = to_entity
         self.current_path: Optional[Dict[str, Any]] = None
-        self.path_history: List[Dict[str, Any]] = []
+        #: path events displayed so far
+        self.updates_seen = 0
         self.query: Optional[Query] = None
 
     def track(self, from_entity: Optional[str] = None,
@@ -56,7 +57,7 @@ class PathDisplayApp(ContextAwareApplication):
         if event.type_name != "path":
             return
         self.current_path = dict(event.value)
-        self.path_history.append(self.current_path)
+        self.updates_seen += 1
         logger.info("%s: path now %s (%.1fm)", self.name,
                     " -> ".join(self.current_path["rooms"]),
                     self.current_path["cost"])
@@ -70,6 +71,3 @@ class PathDisplayApp(ContextAwareApplication):
         rooms = " -> ".join(self.current_path["rooms"])
         return (f"[{self.name}] {self.from_entity} to {self.to_entity}: "
                 f"{rooms}  ({self.current_path['cost']:.1f} m)")
-
-    def updates_seen(self) -> int:
-        return len(self.path_history)

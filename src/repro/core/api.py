@@ -6,20 +6,25 @@ Servers. It wires together everything the paper describes so applications
 only deal with queries and events::
 
     from repro import SCI
+    from repro.entities.entity import ContextAwareApplication
+
+    class WhereIsBob(ContextAwareApplication):
+        def on_event(self, event, sub_id):   # the ConsumeInterface
+            print(event.value)
 
     sci = SCI()                               # synthetic Livingstone Tower
     level10 = sci.create_range("level10", places=["L10"], hosts=["lab-pc"])
     sci.add_door_sensors("level10")
     sci.add_person("bob", room="corridor")
 
-    app = sci.create_application("pathApp", host="lab-pc")
+    app = sci.create_application("pathApp", host="lab-pc",
+                                 app_class=WhereIsBob)
     sci.run(5)                                # let registration settle
     query = sci.query("bob").subscribe("location", "topological",
                                        subject="bob").build()
     app.submit_query(query)
     sci.walk("bob", "L10.01")
-    sci.run(60)
-    print(app.last_event_value())             # "L10.01"
+    sci.run(60)                               # prints "L10.01"
 """
 
 from __future__ import annotations

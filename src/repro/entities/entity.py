@@ -28,6 +28,11 @@ its request (``_register_acked``, ``_query_acked``). Concrete subclasses
 override the hooks at the bottom of each class
 (:meth:`ContextEntity.on_event`, :meth:`ContextEntity.handle_service`,
 :meth:`ContextAwareApplication.on_event`, ...) and never touch the protocol.
+
+The hooks are the whole ConsumeInterface: an in-order event goes straight
+to ``on_event``, and ``on_query_result`` gets the parsed fields of the
+``query-result`` row. A component keeps no history of what it consumed;
+an application that needs one records it in its hooks.
 """
 
 from __future__ import annotations
@@ -253,15 +258,11 @@ class BaseComponent(Process):
         """The reassembler's in-order callback (None: the event did not
         parse and its seq is only consumed)."""
         if event is not None:
-            self._consume_event(event, key[1])
+            self.on_event(event, key[1])
 
     def _resync(self, key: StreamKey) -> None:
         if self.registered:
             request_resync(self, key)
-
-    def _consume_event(self, event: ContextEvent, sub_id: Optional[int]) -> None:
-        """Subclass hook: an in-order, deduplicated event is ready."""
-        self.on_event(event, sub_id)
 
     # -- hooks ---------------------------------------------------------------------------
 
@@ -293,7 +294,6 @@ class ContextEntity(BaseComponent):
         super().__init__(profile, host_id, network)
         self.advertisements = list(advertisements or [])
         self.events_published = 0
-        self.events_consumed = 0
 
     # -- producing -------------------------------------------------------------
 
@@ -334,10 +334,6 @@ class ContextEntity(BaseComponent):
         result = self.handle_service(operation, message.fields.get("args", {}))
         self.reply(message, "service-result", {"ok": True, "result": result})
 
-    def _consume_event(self, event: ContextEvent, sub_id: Optional[int]) -> None:
-        self.events_consumed += 1
-        self.on_event(event, sub_id)
-
     # -- hooks ----------------------------------------------------------------------
 
     def on_event(self, event: ContextEvent, sub_id: Optional[int]) -> None:
@@ -365,8 +361,6 @@ class ContextAwareApplication(BaseComponent):
         super().__init__(profile, host_id, network)
         self._offline_queue: List[Dict[str, Any]] = []
         self.query_acks: Dict[str, Dict[str, Any]] = {}
-        self.results: List[Dict[str, Any]] = []
-        self.events: List[ContextEvent] = []
         #: query id -> open ``query.submit`` root span, closed at ack/timeout
         self._query_spans: Dict[str, Any] = {}
         #: the number of each query this application names
@@ -439,29 +433,18 @@ class ContextAwareApplication(BaseComponent):
     # -- receiving --------------------------------------------------------------------
 
     def _handle_query_result(self, message: Message) -> None:
-        self.results.append(dict(message.payload))
-        self.on_query_result(message.fields["query_id"], message.payload)
-
-    def _consume_event(self, event: ContextEvent, sub_id: Optional[int]) -> None:
-        self.events.append(event)
-        self.on_event(event, sub_id)
+        self.on_query_result(message.fields["query_id"], message.fields)
 
     # -- hooks ---------------------------------------------------------------------------
 
     def on_event(self, event: ContextEvent, sub_id: Optional[int]) -> None:
         """A subscribed event arrived (ConsumeInterface)."""
 
-    def on_query_result(self, query_id: str, payload: Dict[str, Any]) -> None:
-        """A one-shot query answer arrived."""
+    def on_query_result(self, query_id: str, fields: Dict[str, Any]) -> None:
+        """A one-shot query answer arrived: the parsed fields of its
+        ``query-result`` (``ok``, and ``error``, ``mode``, ``profiles``,
+        ``candidates`` or ``selected`` as the answer carries them)."""
 
     def on_query_failed(self, query_id: str, error: str) -> None:
         """A query was refused or timed out."""
         logger.warning("%s query %s failed: %s", self.name, query_id, error)
-
-    # -- conveniences for tests/examples ------------------------------------------------
-
-    def last_event_value(self) -> Any:
-        return self.events[-1].value if self.events else None
-
-    def events_of_type(self, type_name: str) -> List[ContextEvent]:
-        return [event for event in self.events if event.type_name == type_name]

@@ -145,6 +145,12 @@ class Scheduler:
         self._origin_seq: List[int] = [0]
         self._external_stack: List[Any] = []
         self._loop_stack: List[Any] = []
+        #: the tracer frame stack of the current execution context: one for
+        #: callbacks, one for code outside the run loop, so a span left open
+        #: around a ``run_*`` call never becomes the parent of what the
+        #: callbacks trace (read by :class:`repro.obs.tracing.Tracer` and
+        #: ``Network.send``)
+        self.ambient: List[Any] = self._external_stack
         self.events_processed = 0
         #: optional :class:`repro.net.eventlog.EventLog`; when set, timer
         #: firings with a resolvable owner host are recorded as canonical
@@ -249,6 +255,7 @@ class Scheduler:
         stop = float("inf") if max_time is None else max_time
         processed = 0
         self.running = True
+        outer, self.ambient = self.ambient, self._loop_stack
         try:
             while heap and heap[0][0] <= stop:
                 when, _, _, owner_rank, timer, fn, args = heappop(heap)
@@ -271,6 +278,7 @@ class Scheduler:
                         f"scheduler exceeded {max_events} events; runaway loop?")
         finally:
             self.running = False
+            self.ambient = outer
             self._current_rank = EXTERNAL_RANK
             self.events_processed += processed
         if max_time is not None and self.now < max_time:
@@ -293,14 +301,6 @@ class Scheduler:
     def pending(self) -> int:
         """Live (non-cancelled) events queued, O(1)."""
         return self._live
-
-    def ambient_stack(self) -> List[Any]:
-        """The tracer frame stack for the current execution context: one
-        for callbacks, one for code outside the run loop, so a span left
-        open around a ``run_*`` call never becomes the parent of what the
-        callbacks trace (see
-        :attr:`repro.obs.tracing.Tracer.stack_provider`)."""
-        return self._loop_stack if self.running else self._external_stack
 
     def __repr__(self) -> str:
         return f"Scheduler(now={self.now:.3f}, pending={self.pending})"

@@ -439,7 +439,7 @@ class Network:
 
     def send(self, message: Message) -> None:
         """Queue a message for delivery (or loss) per the failure model."""
-        if message.trace is None and self.scheduler.ambient_stack():
+        if message.trace is None and self.scheduler.ambient:
             # Stamp the sender's ambient span so downstream handling joins
             # the same trace (see repro.obs.tracing; its stacks are these).
             message.trace = self.obs.tracer.current_context()

@@ -228,6 +228,8 @@ REQUESTS: Dict[str, Verb] = {
     "query": Verb({"query": QUERY, "subscriber?": GUID_HEX},
                   reply="query-ack"),
     "query-result": Verb({"query_id": STR, "ok": BOOL, "error?": STR,
+                          "mode?": STR, "profiles?": _list_of(DICT),
+                          "candidates?": _list_of(DICT),
                           "selected?": DICT}),
     "range-offer": Verb({"range": STR, "registrar": GUID_HEX}),
     "register": Verb({"profile": PROFILE, "kind?": STR,

@@ -23,7 +23,7 @@ class Observability:
         self.tracer = Tracer(clock=lambda: scheduler.now)
         # One ambient stack for callbacks, one for code outside the run
         # loop, so trace context never leaks in from around a run call.
-        self.tracer.stack_provider = scheduler.ambient_stack
+        self.tracer.home = scheduler
 
     def __repr__(self) -> str:
         return (f"Observability(metrics={len(self.metrics)}, "

@@ -176,28 +176,23 @@ class Tracer:
         self.max_spans_per_trace = max_spans_per_trace
         self._trace_ids = itertools.count(1)
         self._span_ids = itertools.count(1)
-        self._stack: List[_Frame] = []
-        #: optional callable returning the ambient frame stack for the
-        #: current execution context. A Network's Observability sets this
-        #: (to the scheduler's in-loop/external stacks) so context around
-        #: a run call never leaks into the callbacks; None keeps the single
-        #: built-in stack.
-        self.stack_provider: Optional[Callable[[], List[_Frame]]] = None
+        #: the context stack of a tracer no scheduler drives
+        self.ambient: List[_Frame] = []
+        #: what holds the current context stack as its ``ambient``: this
+        #: tracer, or the scheduler a Network's Observability points it at,
+        #: which swaps its in-loop and external stacks so context around a
+        #: run call never leaks into the callbacks
+        self.home: Any = self
         #: trace id -> spans, in insertion order (dicts preserve it)
         self._traces: Dict[str, List[Span]] = {}
         self.dropped_spans = 0
         self.evicted_traces = 0
 
-    def _ambient(self) -> List[_Frame]:
-        """The context stack for the current execution context."""
-        provider = self.stack_provider
-        return self._stack if provider is None else provider()
-
     # -- span lifecycle -------------------------------------------------------
 
     def start(self, name: str, **attributes: Any) -> Span:
         """Open a span under the current context and make it current."""
-        stack = self._ambient()
+        stack = self.home.ambient
         parent = stack[-1] if stack else None
         if parent is None:
             trace_id = f"t{next(self._trace_ids):06d}"
@@ -233,7 +228,7 @@ class Tracer:
     def _pop(self, span: Optional[Span]) -> None:
         if span is None:
             return
-        stack = self._ambient()
+        stack = self.home.ambient
         for index in range(len(stack) - 1, -1, -1):
             if stack[index].span is span:
                 del stack[index]
@@ -257,7 +252,7 @@ class Tracer:
         Outside a trace it returns one shared context that yields ``None``
         and records nothing, so an idle call builds no generator.
         """
-        if not self._ambient():
+        if not self.home.ambient:
             return _IDLE
         return self.span(name, **attributes)
 
@@ -265,11 +260,11 @@ class Tracer:
 
     @property
     def active(self) -> bool:
-        return bool(self._ambient())
+        return bool(self.home.ambient)
 
     def current_context(self) -> Optional[Dict[str, str]]:
         """The context to stamp onto an outgoing message (None = untraced)."""
-        stack = self._ambient()
+        stack = self.home.ambient
         if not stack:
             return None
         top = stack[-1]
@@ -286,14 +281,14 @@ class Tracer:
         if not context or TRACE_KEY not in context or SPAN_KEY not in context:
             return None
         frame = _Frame(str(context[TRACE_KEY]), str(context[SPAN_KEY]), None)
-        self._ambient().append(frame)
+        self.home.ambient.append(frame)
         return frame
 
     def pop_remote(self, frame: Optional[_Frame]) -> None:
         """Undo :meth:`push_remote` (tolerates None and unbalanced stacks)."""
         if frame is None:
             return
-        stack = self._ambient()
+        stack = self.home.ambient
         if stack and stack[-1] is frame:
             stack.pop()
         elif frame in stack:
@@ -341,8 +336,8 @@ class Tracer:
 
     def clear(self) -> None:
         self._traces.clear()
-        self._ambient().clear()
+        self.home.ambient.clear()
 
     def __repr__(self) -> str:
         return (f"Tracer(traces={len(self._traces)}, "
-                f"active_depth={len(self._ambient())})")
+                f"active_depth={len(self.home.ambient)})")

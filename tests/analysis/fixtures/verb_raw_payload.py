@@ -1,6 +1,6 @@
-"""Verb fixture: a key read on a message's raw payload is a finding; the
-fields checked against its wire row are not. Never imported; AST only.
-"""
+"""Verb fixture: a key read on a message's raw payload or that payload handed
+to an ``on_*`` hook is a finding; the fields checked against its wire row
+are not. Never imported; AST only."""
 
 
 class Client:
@@ -18,3 +18,9 @@ class Client:
 
     def untyped(self, reply):
         return reply.payload["ok"]                    # not a Message param
+
+    def _answered(self, message: Message) -> None:
+        self.on_answer(message.payload)               # line 23: raw-payload
+        self.on_answer(fields=message.payload)        # line 24: raw-payload
+        self.on_answer(message.fields)                # the parsed fields
+        self.log(message.payload)                     # not a hook

@@ -128,8 +128,12 @@ def test_a_key_read_on_a_message_payload_is_a_raw_payload_finding():
     assert [(f.check, f.line) for f in findings] == [
         ("verbs.raw-payload", 8),    # a parameter annotated Message
         ("verbs.raw-payload", 17),   # an on_reply lambda's parameter
+        ("verbs.raw-payload", 23),   # handed to a hook positionally
+        ("verbs.raw-payload", 24),   # and by keyword
     ]
     assert "reply.payload read by key" in findings[0].message
+    assert "message.payload handed to the on_answer hook" in \
+        findings[2].message
 
 
 def test_the_wire_packages_may_read_payloads():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps.capa import build_capa_scenario
 from repro.entities.devices import PrinterState
+from tests.recording import record_answers
 
 
 @pytest.fixture(scope="module")
@@ -12,6 +13,7 @@ def scenario():
     scenario is deterministic and read-only assertions share it)."""
     sc = build_capa_scenario(seed=1)
     sci = sc.sci
+    sc.john_answers = record_answers(sc.john_capa)
     sc.bob_request = sc.bob_capa.request_print(
         "quarterly-report.pdf", pages=20,
         when="enters(bob, L10.01)",
@@ -73,14 +75,12 @@ class TestJohnsPrintout:
         assert scenario.john_request.outcome["accepted"] is True
 
     def test_p3_was_reported_unreachable(self, scenario):
-        result = next(r for r in scenario.john_capa.results
-                      if r["query_id"] == scenario.john_request.query.query_id)
+        result = scenario.john_answers[scenario.john_request.query.query_id]
         p3 = next(c for c in result["candidates"] if c["name"] == "P3")
         assert p3["reachable"] is False
 
     def test_p2_was_reported_unavailable(self, scenario):
-        result = next(r for r in scenario.john_capa.results
-                      if r["query_id"] == scenario.john_request.query.query_id)
+        result = scenario.john_answers[scenario.john_request.query.query_id]
         p2 = next(c for c in result["candidates"] if c["name"] == "P2")
         assert p2["available"] is False
 

@@ -50,10 +50,10 @@ class TestTracking:
         sci.walk("bob", "L10.01")
         sci.walk("john", "L10.02")
         sci.run(40)
-        updates_before = display.updates_seen()
+        updates_before = display.updates_seen
         sci.walk("john", "open-area")
         sci.run(60)
-        assert display.updates_seen() > updates_before
+        assert display.updates_seen > updates_before
         assert display.current_path["rooms"][-1] == "open-area"
 
     def test_retrack_cancels_previous_query(self, deployment):

@@ -8,14 +8,14 @@ configuration's objLocation and silently re-bind it to a different subject.
 import pytest
 
 from repro.core.types import TypeSpec
-from repro.entities.entity import ContextAwareApplication
 from repro.entities.profile import EntityClass, Profile
+from tests.recording import RecordingApp
 
 
 @pytest.fixture
 def stack(network, guids, deployed_range):
     server, sensors = deployed_range
-    app = ContextAwareApplication(
+    app = RecordingApp(
         Profile(guids.mint(), "app", EntityClass.SOFTWARE), "host-b", network)
     app.start()
     network.scheduler.run_for(10)

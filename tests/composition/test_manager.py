@@ -8,13 +8,14 @@ from repro.composition.manager import ConfigState
 from repro.entities.entity import ContextAwareApplication
 from repro.entities.profile import EntityClass, Profile
 from repro.query.model import QueryBuilder
+from tests.recording import RecordingApp
 
 
 @pytest.fixture
 def stack(network, guids, deployed_range):
     """(server, sensors, app) — registered and settled."""
     server, sensors = deployed_range
-    app = ContextAwareApplication(
+    app = RecordingApp(
         Profile(guids.mint(), "app", EntityClass.SOFTWARE), "host-b", network)
     app.start()
     network.scheduler.run_for(10)
@@ -73,7 +74,7 @@ class TestReuse:
 
     def test_reuse_delivers_to_both(self, network, guids, stack):
         server, sensors, app = stack
-        other = ContextAwareApplication(
+        other = RecordingApp(
             Profile(guids.mint(), "app2", EntityClass.SOFTWARE),
             "host-b", network)
         other.start()

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.ids import GuidFactory
 from repro.core.types import standard_registry
-from repro.entities.entity import ContextAwareApplication
 from repro.entities.profile import EntityClass, Profile
 from repro.location.building import livingstone_tower
 from repro.location.converters import register_location_converters
@@ -12,6 +11,7 @@ from repro.net.transport import FixedLatency, Network
 from repro.server.context_server import ContextServer
 from repro.server.deployment import deploy_door_sensors, standard_templates
 from repro.server.range import RangeDefinition
+from tests.recording import RecordingApp
 
 
 @pytest.fixture
@@ -61,8 +61,8 @@ def deployed_range(network, guids, building, registry):
 
 @pytest.fixture
 def registered_app(network, guids, deployed_range):
-    """A CAA registered in the deployed range."""
-    app = ContextAwareApplication(
+    """A recording CAA registered in the deployed range."""
+    app = RecordingApp(
         Profile(guids.mint(), "test-app", EntityClass.SOFTWARE),
         "host-b", network)
     app.start()

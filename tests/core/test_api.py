@@ -4,6 +4,7 @@ import pytest
 
 from repro import SCI, SCIConfig
 from repro.core.errors import SCIError
+from tests.recording import RecordingApp
 
 
 @pytest.fixture
@@ -84,7 +85,8 @@ class TestPeopleAndTime:
             sci.create_range("r", places=["livingstone"], hosts=["pc"])
             sci.add_door_sensors("r")
             sci.add_person("bob", room="corridor")
-            app = sci.create_application("app", host="pc")
+            app = sci.create_application("app", host="pc",
+                                         app_class=RecordingApp)
             sci.run(5)
             app.submit_query(sci.query("ops")
                              .subscribe("location", "topological",

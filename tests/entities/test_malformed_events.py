@@ -13,11 +13,11 @@ it is offered to the reassembler, acked, or counted as a gap.
 import pytest
 
 from repro.core.types import TypeSpec
-from repro.entities.entity import ContextAwareApplication
 from repro.entities.profile import EntityClass, Profile
 from repro.events.event import ContextEvent
 from repro.location.service import LocationService
 from repro.net.transport import FunctionProcess
+from tests.recording import RecordingApp
 
 SUB_ID = 2
 
@@ -47,7 +47,7 @@ def _stream(network, sender, target, bad):
 
 @pytest.mark.parametrize("bad", MALFORMED.values(), ids=MALFORMED.keys())
 def test_caa_drops_a_malformed_event(network, guids, monkeypatch, bad):
-    app = ContextAwareApplication(
+    app = RecordingApp(
         Profile(entity_id=guids.mint(), name="app",
                 entity_class=EntityClass.SOFTWARE), "host-a", network)
     sender = FunctionProcess(guids.mint(), "host-b", network, lambda m: None)
@@ -121,7 +121,7 @@ def _bad_subs_stream(network, sender, target, subs, monkeypatch):
                          ids=MALFORMED_SUBS.keys())
 def test_caa_drops_an_event_with_malformed_subs(network, guids, monkeypatch,
                                                 subs):
-    app = ContextAwareApplication(
+    app = RecordingApp(
         Profile(entity_id=guids.mint(), name="app",
                 entity_class=EntityClass.SOFTWARE), "host-a", network)
     sender = FunctionProcess(guids.mint(), "host-b", network, lambda m: None)

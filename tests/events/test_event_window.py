@@ -15,7 +15,7 @@ from repro import SCI
 from repro.core.api import SCIConfig
 from repro.core.ids import GuidFactory
 from repro.core.types import TypeSpec
-from repro.entities.entity import BaseComponent, ContextAwareApplication
+from repro.entities.entity import BaseComponent
 from repro.entities.profile import EntityClass, Profile
 from repro.events import mediator as mediator_module
 from repro.events.event import ContextEvent
@@ -27,6 +27,7 @@ from repro.events.stream import (EVENT_ACK_DELAY, EVENT_ACK_EVERY,
 from repro.faults.injector import FaultInjector
 from repro.location.service import LocationService
 from repro.net.transport import FixedLatency, FunctionProcess, Network
+from tests.recording import RecordingApp
 
 ACK_TIMEOUT = 4.0
 RETRIES = 6
@@ -46,7 +47,7 @@ def mediator(network, guids):
 
 
 def make_app(network, guids, mediator, name="app"):
-    app = ContextAwareApplication(
+    app = RecordingApp(
         Profile(guids.mint(), name, entity_class=EntityClass.SOFTWARE),
         "host-b", network)
     # the dummy registrar GUID names nobody: a deregister goes nowhere
@@ -273,7 +274,8 @@ class TestTeardown:
         sci.create_range("lobby", places=["lobby"], stations=["ap-lobby"])
         sci.create_range("level10", places=["L10"])
         sci.add_person("bob", room=None, device_host="bob-pda")
-        app = sci.create_application("app:bob", host="bob-pda", owner="bob")
+        app = sci.create_application("app:bob", host="bob-pda", owner="bob",
+                                     app_class=RecordingApp)
         sci.start_boundary_monitor()
         sci.run(5)
         sci.teleport("bob", "lobby")

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.ids import GuidFactory
 from repro.core.types import TypeSpec
-from repro.entities.entity import ContextAwareApplication
 from repro.entities.profile import EntityClass, Profile
 from repro.events import mediator as mediator_module
 from repro.events.event import ContextEvent
@@ -13,6 +12,7 @@ from repro.events.mediator import EventMediator
 from repro.events.stream import DEFAULT_RESYNC_AFTER
 from repro.faults.injector import FaultInjector
 from repro.net.transport import FunctionProcess
+from tests.recording import RecordingApp
 
 
 @pytest.fixture
@@ -23,7 +23,7 @@ def mediator(network, guids, monkeypatch):
 
 @pytest.fixture
 def app(network, guids, mediator):
-    caa = ContextAwareApplication(
+    caa = RecordingApp(
         Profile(guids.mint(), "app", entity_class=EntityClass.SOFTWARE),
         "host-b", network)
     # join the range without the Figure-5 handshake; the dummy registrar

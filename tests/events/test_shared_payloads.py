@@ -15,7 +15,6 @@ import json
 
 from repro import SCI
 from repro.core.types import TypeSpec
-from repro.entities.entity import ContextAwareApplication
 from repro.entities.profile import EntityClass, Profile
 from repro.events.event import ContextEvent
 from repro.events.filters import AndFilter, AttributeFilter, TypeFilter
@@ -23,6 +22,7 @@ from repro.events.mediator import EventMediator
 from repro.ledger.replay import (live_snapshot, projection_snapshot,
                                  snapshot_digest)
 from repro.net.transport import Network
+from tests.recording import RecordingApp
 
 canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
@@ -46,7 +46,8 @@ def test_no_receiver_mutates_a_shared_payload(monkeypatch):
                               hosts=["lab-pc"])
     sci.add_door_sensors("livingstone")
     sci.add_person("bob", room="corridor")
-    app = sci.create_application("whereIsBob", host="lab-pc")
+    app = sci.create_application("whereIsBob", host="lab-pc",
+                                 app_class=RecordingApp)
     sci.run(5)
     app.submit_query(sci.query("bob").subscribe(
         "location", "topological", subject="bob").build())
@@ -56,7 +57,7 @@ def test_no_receiver_mutates_a_shared_payload(monkeypatch):
                               "lookalike")
     subscribers = []
     for name in ("left", "right"):
-        subscriber = ContextAwareApplication(
+        subscriber = RecordingApp(
             Profile(sci.guids.mint(), name, entity_class=EntityClass.SOFTWARE),
             "lab-pc", sci.network)
         subscriber.attach_to_range(sci.guids.mint(), lookalike.guid,

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.entities.entity import ContextAwareApplication
 from repro.entities.profile import EntityClass, Profile
 from repro.events import mediator as mediator_module
 from repro.events import stream as stream_module
@@ -10,6 +9,7 @@ from repro.events.stream import StreamReassembler
 from repro.net import rpc
 from repro.net.sim import Scheduler
 from repro.net.transport import FunctionProcess
+from tests.recording import RecordingApp
 
 #: the resync request's waits, first and retransmissions, at the least and
 #: the most jitter they can draw
@@ -151,7 +151,7 @@ class TestResync:
                 mediator.reply(message, "resync-ack", payload)
 
         mediator = FunctionProcess(guids.mint(), "host-a", network, answer)
-        app = ContextAwareApplication(
+        app = RecordingApp(
             Profile(guids.mint(), "app", EntityClass.SOFTWARE), "host-b",
             network)
         app.attach_to_range(guids.mint(), guids.mint(), mediator.guid, "stub")

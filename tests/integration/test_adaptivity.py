@@ -7,6 +7,7 @@ from repro import SCI
 from repro.core.api import SCIConfig
 from repro.faults.monitor import StreamProbe
 from repro.query.model import QueryBuilder
+from tests.recording import RecordingApp
 
 
 @pytest.fixture
@@ -16,7 +17,7 @@ def deployment():
     sensors = sci.add_door_sensors("livingstone")
     detector = sci.add_wlan_detector("livingstone")
     sci.add_person("bob", room="corridor", device_host="bob-dev")
-    app = sci.create_application("monitor", host="pc")
+    app = sci.create_application("monitor", host="pc", app_class=RecordingApp)
     sci.run(5)
     app.submit_query(QueryBuilder("ops")
                      .subscribe("location", "topological", subject="bob")

@@ -9,6 +9,7 @@ from repro.core.types import TypeSpec
 from repro.entities.derived import WindowAggregatorCE
 from repro.entities.sensors import TemperatureSensorCE
 from repro.query.model import QueryBuilder
+from tests.recording import RecordingApp
 
 
 @pytest.fixture
@@ -25,7 +26,7 @@ def deployment():
                                   TypeSpec("temperature", "celsius"),
                                   operation="mean", window=4)
     smoother.start()
-    app = sci.create_application("app", host="pc")
+    app = sci.create_application("app", host="pc", app_class=RecordingApp)
     sci.run(5)
     return sci, app
 

@@ -9,6 +9,7 @@ from repro.composition.manager import ConfigState
 from repro.core.errors import QueryError
 from repro.query.model import QueryBuilder
 from repro.query.selection import Candidate, Criterion, WhichClause
+from tests.recording import RecordingApp
 
 
 class TestAdaptationBounds:
@@ -24,7 +25,7 @@ class TestAdaptationBounds:
         sensors = sci.add_door_sensors("r")
         sci.add_wlan_detector("r")
         sci.add_person("bob", room="corridor", device_host="d")
-        app = sci.create_application("app", host="pc")
+        app = sci.create_application("app", host="pc", app_class=RecordingApp)
         sci.run(5)
         app.submit_query(QueryBuilder("ops")
                          .subscribe("location", "topological", subject="bob")

@@ -10,6 +10,7 @@ import pytest
 from repro import SCI
 from repro.core.api import SCIConfig
 from repro.query.model import QueryBuilder
+from tests.recording import RecordingApp
 
 
 @pytest.fixture
@@ -19,7 +20,7 @@ def deployment():
     sci.add_door_sensors("r")
     sci.add_printers("r", {"P1": "L10.03"})
     sci.add_person("bob", room="corridor")
-    app = sci.create_application("app", host="pc-b")
+    app = sci.create_application("app", host="pc-b", app_class=RecordingApp)
     sci.run(5)
     return sci, app
 

@@ -6,6 +6,7 @@ from repro import SCI
 from repro.core.api import SCIConfig
 from repro.net.transport import FixedLatency
 from repro.query.model import QueryBuilder
+from tests.recording import RecordingApp
 
 
 @pytest.fixture
@@ -35,7 +36,8 @@ class TestDirectory:
 class TestForwarding:
     def test_where_clause_forwarded(self, two_ranges):
         sci, lobby, level10 = two_ranges
-        app = sci.create_application("app", host="cs-lobby")
+        app = sci.create_application("app", host="cs-lobby",
+                                     app_class=RecordingApp)
         sci.run(5)
         assert app.range_name == "lobby"
         query = (QueryBuilder("visitor").profiles_of_type("printer")
@@ -60,7 +62,8 @@ class TestForwarding:
 
     def test_local_query_not_forwarded(self, two_ranges):
         sci, lobby, level10 = two_ranges
-        app = sci.create_application("app3", host="cs-level10")
+        app = sci.create_application("app3", host="cs-level10",
+                                     app_class=RecordingApp)
         sci.run(5)
         query = (QueryBuilder("x").profiles_of_type("printer")
                  .where("room:L10.03").build())
@@ -73,7 +76,8 @@ class TestForwarding:
         """Section 5: results and events flow straight to the CAA even when
         another range's CS executed the query."""
         sci, lobby, level10 = two_ranges
-        app = sci.create_application("app4", host="cs-lobby")
+        app = sci.create_application("app4", host="cs-lobby",
+                                     app_class=RecordingApp)
         sci.run(5)
         query = (QueryBuilder("ops")
                  .subscribe("location", "topological", subject="bob")
@@ -98,7 +102,8 @@ class TestForwardedQueryAnswers:
         lobby = sci.create_range("lobby", places=["lobby", "L1"])
         level10 = sci.create_range("level10", places=["L10"])
         sci.add_printers("level10", {"P1": "L10.03"})
-        app = sci.create_application("app", host="cs-lobby")
+        app = sci.create_application("app", host="cs-lobby",
+                                     app_class=RecordingApp)
         sci.run(10)
         assert app.range_name == "lobby"
         return sci, lobby, level10, app
@@ -149,7 +154,8 @@ class TestForwardedStreamResync:
             "level10", rooms=level10.definition.rooms(sci.building) + ["lobby"])
         sci.add_person("bob", room="corridor")
         sci.run(5)
-        app = sci.create_application("app", host="cs-lobby")
+        app = sci.create_application("app", host="cs-lobby",
+                                     app_class=RecordingApp)
         sci.run(5)
         app.submit_query(sci.query("app").subscribe(
             "location", "topological", subject="bob")

@@ -13,6 +13,7 @@ from repro import SCI
 from repro.core.api import SCIConfig
 from repro.core.errors import QueryError, SCIError
 from repro.obs.export import span_lines
+from tests.recording import RecordingApp
 
 
 def _run():
@@ -22,7 +23,8 @@ def _run():
     sci.add_door_sensors("level10")
     sci.add_printers("level10", {"P1": "L10.03"})
     sci.add_person("bob", room="corridor")
-    app = sci.create_application("tracker", host="cs-level10")
+    app = sci.create_application("tracker", host="cs-level10",
+                                 app_class=RecordingApp)
     visitor = sci.create_application("visitor", host="cs-lobby")
     sci.run(5)
     app.submit_query(sci.query("bob").subscribe(

@@ -11,6 +11,7 @@ import pytest
 from repro import SCI
 from repro.core.api import SCIConfig
 from repro.query.model import QueryBuilder
+from tests.recording import RecordingApp
 
 
 @pytest.fixture
@@ -69,7 +70,8 @@ class TestConnectedQueryTrace:
 
     def test_local_profile_query_trace(self, two_ranges):
         sci, lobby, level10 = two_ranges
-        app = sci.create_application("app2", host="cs-level10")
+        app = sci.create_application("app2", host="cs-level10",
+                                     app_class=RecordingApp)
         sci.run(5)
         query = (QueryBuilder("x").profiles_of_type("printer")
                  .where("room:L10.03").build())
@@ -84,7 +86,8 @@ class TestConnectedQueryTrace:
         """Events delivered to the app later still hang off the query trace
         (via the configuration's replayed subscription)."""
         sci, lobby, level10 = two_ranges
-        app = sci.create_application("app3", host="cs-lobby")
+        app = sci.create_application("app3", host="cs-lobby",
+                                     app_class=RecordingApp)
         sci.run(5)
         query = (QueryBuilder("ops")
                  .subscribe("location", "topological", subject="bob")

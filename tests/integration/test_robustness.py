@@ -11,6 +11,7 @@ import pytest
 from repro import SCI
 from repro.core.api import SCIConfig
 from repro.query.model import QueryBuilder
+from tests.recording import RecordingApp
 
 
 def deploy(seed, **config_kwargs):
@@ -19,7 +20,7 @@ def deploy(seed, **config_kwargs):
     sci.create_range("r", places=["livingstone"], hosts=["pc"])
     sci.add_door_sensors("r")
     sci.add_person("bob", room="corridor")
-    app = sci.create_application("app", host="pc")
+    app = sci.create_application("app", host="pc", app_class=RecordingApp)
     sci.run(5)
     return sci, app
 

@@ -58,7 +58,8 @@ VALID = {
     "publish": {"event": FIX},
     "query": {"query": "{query}", "subscriber": "{probe}"},
     "query-result": {"query_id": "q-none", "ok": True, "error": "",
-                     "selected": {}},
+                     "mode": "advertisement", "profiles": [{}],
+                     "candidates": [{}], "selected": {}},
     "range-offer": {"range": "r", "registrar": "{probe}"},
     "register": {"profile": "{profile}", "kind": "ce",
                  "advertisements": []},
@@ -112,7 +113,7 @@ HEX = "0123456789abcdef" * 2
 #: the canonical rendering names one.
 WRONG = {
     "str": [5], "int": ["7", True, 1.5], "bool": [1], "[str]": ["x", [5]],
-    "dict": [[1]],
+    "dict": [[1]], "[dict]": [{}, [5], [[1]]],
     "guid": ["zz", 5, " 0X1_f ", "0x" + HEX[2:], HEX.upper(), f" {HEX}",
              f"{HEX}\n", f"{HEX[:16]}_{HEX[16:]}", HEX[1:], "1f"],
     "lease": [0, -30.0, "30", True, math.inf, math.nan],

@@ -14,6 +14,7 @@ can land at the capture instant, so prefix-by-time is unambiguous.
 import pytest
 
 from repro.core.api import SCI, SCIConfig
+from repro.core.types import TypeSpec
 from repro.ledger.ledger import LedgerError, load_ledger_jsonl, write_ledger_jsonl
 from repro.ledger.replay import (ReplayProjector, live_snapshot,
                                  projection_snapshot, snapshot_digest)
@@ -98,6 +99,34 @@ def test_as_of_view_answers_historical_membership(scenario):
     # output "presence" tag reads)
     assert victim in server.as_of(before).providers_of("presence")
     assert victim not in server.as_of(after).providers_of("presence")
+
+
+def test_as_of_view_resolves_over_then_live_providers(scenario):
+    # the crashed door sensor fed Bob's location chain before its lease
+    # expired, and the historical resolver no longer binds it after
+    server, victim = scenario["server"], scenario["victim_hex"]
+    wanted = TypeSpec("location", "topological", "bob")
+    before = server.as_of(20.0).resolve(wanted)
+    after = server.as_of(54.0).resolve(wanted)
+    assert victim in before.live_entity_hexes()
+    assert victim not in after.live_entity_hexes()
+    assert (before.node_count(), after.node_count()) == (7, 6)
+
+
+def test_as_of_view_reads_records_and_retained_events_as_live(scenario):
+    server = scenario["server"]
+    for now, live, _ in scenario["captures"]:
+        view = server.as_of(now)
+        for entity_hex, record in live["records"].items():
+            assert view.record(entity_hex) == record, f"t={now}"
+        for key, event in live["retained"]:
+            assert view.retained_event(*key) == event, f"t={now}"
+    last = scenario["captures"][-1][1]
+    assert last["retained"], "nothing retained to read back"
+    assert server.as_of(CHECKPOINTS[-1]).record(
+        scenario["victim_hex"]) is None
+    assert server.as_of(CHECKPOINTS[-1]).retained_event(
+        "location", "topological", "nobody") is None
 
 
 def test_every_chain_verifies(scenario):

@@ -26,7 +26,8 @@ _GUIDS = GuidFactory(seed=17)
 #: a valid value per kind name
 VALID = {
     "str": "x", "int": 7, "bool": True, "dict": {"k": [1]},
-    "any": {"k": [1]}, "[str]": ["a", "b"], "guid": _GUIDS.mint().hex,
+    "any": {"k": [1]}, "[str]": ["a", "b"], "[dict]": [{"k": 1}, {}],
+    "guid": _GUIDS.mint().hex,
     "lease": 30.0, "int >= 0": 0, "[[int, int]]": [[1, 1], [2, 5]],
     "ContextEvent.from_wire": FIX,
     "filter_from_spec": {"op": "type", "type": "location",

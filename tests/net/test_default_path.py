@@ -31,6 +31,7 @@ from repro.obs import tracing as tracing_module
 from repro.obs.experiments import run_overlay_instrumented
 from repro.overlay.node import OverlayNode
 from repro.overlay.scinet import SCINet
+from tests.recording import RecordingApp
 
 
 def test_default_send_is_a_bare_heap_tuple():
@@ -106,7 +107,8 @@ def _sci_digest(monkeypatch):
     sci.create_range("livingstone", places=["livingstone"], hosts=["lab-pc"])
     sci.add_door_sensors("livingstone")
     sci.add_person("bob", room="corridor")
-    app = sci.create_application("whereIsBob", host="lab-pc")
+    app = sci.create_application("whereIsBob", host="lab-pc",
+                                 app_class=RecordingApp)
     sci.run(5)
     query = sci.query("bob").subscribe("location", "topological",
                                        subject="bob").build()

@@ -26,6 +26,7 @@ from repro.net.transport import CampusLatency, FunctionProcess, Network
 from repro.server.context_server import ContextServer
 from repro.server.range import RangeDefinition
 from tests.net.reference_flood import FloodNetwork
+from tests.recording import RecordingApp
 
 MACHINES = ("m0", "m1", "m2")
 PER_MACHINE = 8
@@ -81,7 +82,7 @@ def run_deployment(network_class, seed=5):
             ce = entity(f"ce{index}@{machine}", machine)
             entities.append(ce)
             at(rng.uniform(1.0, 20.0), ce.start)
-        app = ContextAwareApplication(
+        app = RecordingApp(
             Profile(guids.mint(), f"app@{machine}", EntityClass.SOFTWARE),
             machine, net)
         apps[machine] = app

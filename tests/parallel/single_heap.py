@@ -10,7 +10,7 @@ observables as the plain global order (under jittered latencies, where
 cross-origin same-time ties have measure zero).
 
 It speaks the transport-facing half of the scheduler API
-(``register_host``, ``ambient_stack``) with one trace stack.
+(``register_host``, ``ambient``) with one trace stack.
 """
 
 import heapq
@@ -28,7 +28,8 @@ class SingleHeapScheduler:
         self._live = 0
         self.events_processed = 0
         self.event_log = None
-        self.trace_stack: list = []
+        #: the one trace stack, in and outside the run loop
+        self.ambient: list = []
 
     # -- scheduling ---------------------------------------------------------
 
@@ -124,6 +125,3 @@ class SingleHeapScheduler:
 
     def register_host(self, host_id: str) -> int:
         return 0
-
-    def ambient_stack(self) -> list:
-        return self.trace_stack

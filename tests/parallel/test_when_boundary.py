@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.ids import GuidFactory
 from repro.core.types import standard_registry
-from repro.entities.entity import ContextAwareApplication
 from repro.entities.profile import EntityClass, Profile
 from repro.location.building import livingstone_tower
 from repro.location.converters import register_location_converters
@@ -27,6 +26,7 @@ from repro.server.context_server import ContextServer
 from repro.server.deployment import standard_templates
 from repro.server.range import RangeDefinition
 from tests.parallel.single_heap import SingleHeapScheduler
+from tests.recording import RecordingApp
 
 #: the until() instant: the query's expiry timer and an entry fix
 #: scheduled at it collide at equal sim-time
@@ -51,7 +51,7 @@ def run_boundary_scenario(reference_heap=False, fix_time=EXPIRY, seed=11):
         templates=standard_templates(guids, building),
         lease_duration=30.0,
     )
-    app = ContextAwareApplication(
+    app = RecordingApp(
         Profile(guids.mint(), "boundary-app", EntityClass.SOFTWARE),
         "host-b", net)
     app.start()

@@ -29,6 +29,7 @@ from repro.events.mediator import EventMediator
 from repro.faults.injector import FaultInjector
 from repro.net.transport import FixedLatency, Network
 from repro.overlay.scinet import SCINet
+from tests import recording
 
 TYPES = ["location", "temperature"]
 SUBJECTS = ["bob", "john"]
@@ -74,7 +75,7 @@ def run_reliable_stream(pubs, seed, loss_rate, loss_duration):
     network.add_host("host-b")
     guids = GuidFactory(seed=seed ^ 0x99)
     mediator = EventMediator(guids.mint(), "host-a", network, "prop")
-    app = ContextAwareApplication(
+    app = recording.RecordingApp(
         Profile(guids.mint(), "app", entity_class=EntityClass.SOFTWARE),
         "host-b", network)
     app.attach_to_range(guids.mint(), mediator.guid, mediator.guid, "prop")
