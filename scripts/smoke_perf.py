@@ -336,12 +336,12 @@ def registration_storm(machines=STORM_MACHINES, per_machine=STORM_PER_MACHINE):
     from repro.entities.entity import ContextEntity
     from repro.entities.profile import Profile
     from repro.location.building import livingstone_tower
-    from repro.net.eventlog import EventLog
     from repro.server.context_server import ContextServer
     from repro.server.range import RangeDefinition
+    from tests.net.eventlog import attach
 
-    log = EventLog()
-    net = Network(latency_model=FixedLatency(0.5), seed=17, event_log=log)
+    net = Network(latency_model=FixedLatency(0.5), seed=17)
+    log = attach(net)
     hosts = [f"storm-{index}" for index in range(machines)]
     for host in hosts:
         net.add_host(host)
@@ -573,13 +573,13 @@ def decoded_arrivals():
     tracked by an application, one profile query) with the GUID and spec
     memos (``repro.core.memo``) emptied first: every text handed to
     ``GUID.from_hex`` and every key handed to the spec memo is recorded,
-    every compiled row counts its calls, and an event log records each
-    arrival by kind (the stream)."""
+    every compiled row counts its calls, and an attached event log's
+    ``deliver`` rows count each arrival by kind (the stream)."""
     from collections import Counter
     from repro import SCI, SCIConfig
     from repro.core import ids, types
-    from repro.net.eventlog import EventLog
     from repro.net.wire import VERBS
+    from tests.net.eventlog import attach
 
     texts, keys, rows = [], [], Counter()
     from_hex, spec_memo = ids.GUID.from_hex, types.shared_spec
@@ -607,7 +607,7 @@ def decoded_arrivals():
         row.parse = counted(verb, row.parse)
     try:
         sci = SCI(config=SCIConfig(seed=DECODE_SEED))
-        sci.network.event_log = log = EventLog()
+        log = attach(sci.network)
         sci.create_range("r", places=["L10"], hosts=["lab-pc"])
         sci.add_door_sensors("r")
         sci.add_printers("r", {"P1": "L10.03", "P2": "L10.01"})
@@ -633,7 +633,8 @@ def decoded_arrivals():
             "distinct texts": len(set(texts)),
             "spec": spec_memo.cache_info(), "keys": len(keys),
             "distinct keys": len(set(keys)), "rows": rows,
-            "arrivals": Counter(entry[3] for entry in log.entries()),
+            "arrivals": Counter(entry[3] for entry in log.entries()
+                                if entry[2] == "deliver"),
             "suppressed": sci.network.obs.metrics.get(
                 "net.dedup.suppressed").total(),
             "malformed": malformed(sci.network.obs.metrics)}

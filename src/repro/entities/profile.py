@@ -24,6 +24,12 @@ from repro.core.ids import GUID
 from repro.core.types import TypeSpec, spec_from_wire
 
 
+def provides_context(kind: str) -> bool:
+    """Whether a registration of ``kind`` (``RegistrationRecord.kind``) can
+    provide context: CEs and infrastructure do, CAAs only consume it."""
+    return kind in ("ce", "infrastructure")
+
+
 class EntityClass(enum.Enum):
     """The five entity kinds of Section 3 / Figure 1."""
 

@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional
 from repro.composition.resolver import QueryResolver
 from repro.composition.templates import TemplateRegistry
 from repro.core.types import TypeSpec
-from repro.entities.profile import Profile
+from repro.entities.profile import Profile, provides_context
 from repro.ledger.ledger import LedgerEntry
 from repro.ledger.replay import ProjectedState
 
@@ -71,15 +71,12 @@ class AsOfView:
         return None
 
     def _live_profiles(self) -> List[Profile]:
-        """Profiles of context-providing entities live at this instant.
-
-        Mirrors ``ContextServer._resolver_profiles``: CAAs provide no
-        context, so only ``ce`` / ``infrastructure`` records qualify (every
-        projected record has its profile: ``register`` fills both views).
-        """
+        """Profiles of context-providing entities live at this instant,
+        chosen by the server's own rule (:func:`provides_context`; every
+        projected record has its profile: ``register`` fills both views)."""
         return [Profile.from_wire(self.state.profiles[entity_hex]["profile"])
                 for entity_hex, record in self.state.records.items()
-                if record["kind"] in ("ce", "infrastructure")]
+                if provides_context(record["kind"])]
 
     def providers_of(self, type_name: str) -> List[str]:
         """Entity hexes that offered ``type_name`` at this instant."""

@@ -6,12 +6,12 @@ reproduce that over a simulated network so every experiment is deterministic:
 components are :class:`Process` objects attached to :class:`Host` machines,
 all interaction is message passing through a :class:`Network`, and time is
 driven by a :class:`Scheduler` — one heap popped in a canonical key order,
-so the observable event log (:class:`EventLog`) is bit-identical from run
-to run.
+so what each host observes (deliveries and timer firings) is bit-identical
+from run to run. The recorder that checks it is test-side: ``attach`` in
+the event-log module under ``tests/net/`` wraps a live network.
 """
 
 from repro.net.sim import Scheduler, Timer
-from repro.net.eventlog import EventLog
 from repro.net.message import Message, BROADCAST
 from repro.net.transport import (
     Host,
@@ -28,7 +28,6 @@ from repro.net.stats import MessageStats
 __all__ = [
     "Scheduler",
     "Timer",
-    "EventLog",
     "Message",
     "BROADCAST",
     "Host",

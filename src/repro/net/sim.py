@@ -32,40 +32,9 @@ behalf) is seen by all of them, and what it schedules is control again.
 from __future__ import annotations
 
 import heapq
+import math
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional
-
-
-def callsite(fn: Callable) -> str:
-    """A stable label for a callback: the qualname of the code that runs.
-
-    A bound method is labelled by its function (``Class.method`` of the
-    class that defines it), not by the instance's class, so a subclass
-    that inherits a timer method logs the same row as its base.
-    """
-    fn = getattr(fn, "__func__", fn)
-    name = getattr(fn, "__qualname__", None) or getattr(fn, "__name__", None)
-    return name or repr(fn)
-
-
-def timer_owner(fn: Callable) -> Optional[str]:
-    """The host a timer callback is attributable to, or None.
-
-    Resolved through the callback's bound instance: a ``host_id`` attribute
-    directly (processes, components), or one level down via ``.owner`` (the
-    :class:`repro.net.rpc.RequestManager` pattern). Only owner-resolvable
-    timers appear in the canonical event log — anonymous closures and
-    infrastructure callbacks are not per-host observables.
-    """
-    owner = getattr(fn, "__self__", None)
-    if owner is None:
-        return None
-    host = getattr(owner, "host_id", None)
-    if isinstance(host, str):
-        return host
-    inner = getattr(owner, "owner", None)
-    host = getattr(inner, "host_id", None)
-    return host if isinstance(host, str) else None
 
 
 class Timer:
@@ -75,18 +44,16 @@ class Timer:
     popped, which is O(1) and keeps the heap simple. ``_scheduler`` is the
     scheduler whose heap holds the timer, set only while it is live there;
     it lets :meth:`cancel` keep the pending-event counter exact without
-    scanning the heap. ``owner`` is the host the callback belongs to (see
-    :func:`timer_owner`); it is resolved only when an event log is
-    attached, and stays None otherwise.
+    scanning the heap. The callback is not on the handle: the heap entry
+    carries it. The test-side recorder (``attach`` in the event-log module
+    under ``tests/net/``) sees timers by wrapping ``schedule_at``.
     """
 
-    __slots__ = ("when", "fn", "cancelled", "owner", "_scheduler")
+    __slots__ = ("when", "cancelled", "_scheduler")
 
-    def __init__(self, when: float, fn: Callable, scheduler: Any = None):
+    def __init__(self, when: float, scheduler: Any = None):
         self.when = when
-        self.fn = fn
         self.cancelled = False
-        self.owner: Optional[str] = None
         self._scheduler = scheduler
 
     def cancel(self) -> None:
@@ -152,10 +119,6 @@ class Scheduler:
         #: ``Network.send``)
         self.ambient: List[Any] = self._external_stack
         self.events_processed = 0
-        #: optional :class:`repro.net.eventlog.EventLog`; when set, timer
-        #: firings with a resolvable owner host are recorded as canonical
-        #: observables (the transport records deliveries itself)
-        self.event_log = None
 
     def register_host(self, host_id: str) -> int:
         """The dense origin rank of ``host_id`` (idempotent).
@@ -191,15 +154,14 @@ class Scheduler:
 
         From inside a host callback the timer is keyed by (and runs as)
         that host; from control or external context it is a control event.
+        A NaN or infinite ``when`` is refused: it would never fire, and at
+        the head of the heap it would hold back every event behind it.
         """
-        if when < self.now:
+        if not self.now <= when < math.inf:
             raise ValueError(
-                f"cannot schedule in the past: {when} < {self.now}")
-        # the handle keeps the *original* callable: the owner and the event
-        # log's site are attributed to it, not to the keyword-binding partial
-        timer = Timer(when, fn, scheduler=self)
-        if self.event_log is not None:
-            timer.owner = timer_owner(fn)
+                f"cannot schedule in the past: {when} < {self.now}"
+                if when < self.now else f"not a finite time: {when}")
+        timer = Timer(when, scheduler=self)
         rank = self._current_rank
         self._push(when, rank, rank, timer,
                    partial(fn, **kwargs) if kwargs else fn, args)
@@ -213,9 +175,9 @@ class Scheduler:
         """Run ``fn()`` every ``interval`` units until the returned timer is
         cancelled. The one handle is re-queued for every tick, so cancelling
         it takes the armed tick out of :attr:`pending` at once."""
-        if interval <= 0:
-            raise ValueError(f"non-positive interval: {interval}")
-        handle = Timer(self.now + interval, fn, scheduler=self)
+        if not 0 < interval < math.inf:
+            raise ValueError(f"not a positive finite interval: {interval}")
+        handle = Timer(self.now + interval, scheduler=self)
         rank = self._current_rank
 
         def tick():
@@ -250,7 +212,6 @@ class Scheduler:
         stay queued); ``max_events`` is a runaway guard.
         """
         heap = self._heap
-        log = self.event_log
         heappop = heapq.heappop
         stop = float("inf") if max_time is None else max_time
         processed = 0
@@ -265,9 +226,6 @@ class Scheduler:
                     # it fires now: a late cancel() on the handle must not
                     # decrement the live counter
                     timer._scheduler = None
-                    if log is not None and timer.owner is not None:
-                        log.record_timer(timer.owner, when,
-                                         callsite(timer.fn))
                 self._live -= 1
                 self.now = when
                 self._current_rank = owner_rank

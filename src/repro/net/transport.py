@@ -29,7 +29,6 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
 
 from repro.core.errors import TransportError
 from repro.core.ids import GUID, GuidFactory
-from repro.net.eventlog import EventLog
 from repro.net.message import BROADCAST, Message
 from repro.net.sim import Scheduler
 from repro.net.stats import MessageStats
@@ -59,6 +58,14 @@ class Host:
 # -- latency models ----------------------------------------------------------
 
 
+def _latency(name: str, value: float) -> float:
+    """``value`` if non-negative and finite: ``schedule_delivery`` checks
+    nothing per message, so a model refuses a bad term once, here."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"bad latency {name}: {value}")
+    return value
+
+
 class LatencyModel:
     """Strategy interface: delivery latency for one message between hosts."""
 
@@ -70,9 +77,7 @@ class FixedLatency(LatencyModel):
     """Constant latency; the ablation baseline (latency model "off")."""
 
     def __init__(self, value: float = 1.0):
-        if value < 0:
-            raise ValueError(f"negative latency: {value}")
-        self.value = value
+        self.value = _latency("value", value)
 
     def latency(self, source: Host, destination: Host, rng: random.Random) -> float:
         return self.value
@@ -82,10 +87,10 @@ class UniformLatency(LatencyModel):
     """Latency drawn uniformly from [low, high) — jittery LAN."""
 
     def __init__(self, low: float = 0.5, high: float = 2.0):
-        if not 0 <= low <= high:
+        self.low = _latency("low", low)
+        self.high = _latency("high", high)
+        if low > high:
             raise ValueError(f"bad latency range: [{low}, {high})")
-        self.low = low
-        self.high = high
 
     def latency(self, source: Host, destination: Host, rng: random.Random) -> float:
         return rng.uniform(self.low, self.high)
@@ -95,8 +100,8 @@ class DistanceLatency(LatencyModel):
     """Base latency plus a per-metre term from host positions."""
 
     def __init__(self, base: float = 0.5, per_unit: float = 0.01):
-        self.base = base
-        self.per_unit = per_unit
+        self.base = _latency("base", base)
+        self.per_unit = _latency("per_unit", per_unit)
 
     def latency(self, source: Host, destination: Host, rng: random.Random) -> float:
         if source.position is None or destination.position is None:
@@ -115,9 +120,9 @@ class CampusLatency(LatencyModel):
     """
 
     def __init__(self, local: float = 0.05, remote: float = 1.0, jitter: float = 0.5):
-        self.local = local
-        self.remote = remote
-        self.jitter = jitter
+        self.local = _latency("local", local)
+        self.remote = _latency("remote", remote)
+        self.jitter = _latency("jitter", jitter)
 
     def latency(self, source: Host, destination: Host, rng: random.Random) -> float:
         if source.host_id == destination.host_id:
@@ -327,7 +332,6 @@ class Network:
         latency_model: Optional[LatencyModel] = None,
         drop_rate: float = 0.0,
         seed: int = 0,
-        event_log: Optional[EventLog] = None,
     ):
         if not 0.0 <= drop_rate < 1.0:
             raise ValueError(f"drop_rate out of range: {drop_rate}")
@@ -340,13 +344,9 @@ class Network:
         #: how other hosts' sends interleave with it
         self._host_rngs: Dict[str, random.Random] = {}
         self.guids = GuidFactory(seed=seed ^ 0x5C1)
-        #: the deployment-wide observability bundle (metrics/tracer/profiler)
+        #: the deployment-wide observability bundle (metrics and tracer)
         self.obs = Observability(scheduler)
         self.stats = MessageStats(self.obs.metrics)
-        #: optional canonical observable log (see repro.net.eventlog)
-        self.event_log = event_log
-        if event_log is not None:
-            scheduler.event_log = event_log
         self._hosts: Dict[str, Host] = {}
         self._processes: Dict[GUID, Process] = {}
         #: host id -> processes living there, in attach order
@@ -513,11 +513,6 @@ class Network:
             self.stats.record_undeliverable()
             return
         self.stats.record_delivery(recipient.host_id)
-        log = self.event_log
-        if log is not None:
-            log.record_delivery(recipient.host_id, self.scheduler.now,
-                                message.kind, str(message.sender),
-                                message.payload)
         trace = message.trace
         if trace is None:
             recipient.deliver(message)

@@ -42,7 +42,7 @@ from repro.composition.manager import Configuration, ConfigurationManager
 from repro.composition.resolver import QueryResolver
 from repro.composition.templates import TemplateRegistry
 from repro.entities.entity import ContextEntity
-from repro.entities.profile import EntityClass, Profile
+from repro.entities.profile import EntityClass, Profile, provides_context
 from repro.events.filters import TypeFilter
 from repro.events.mediator import EventMediator
 from repro.ledger.ledger import ContextLedger, LedgerEntry, merge_entries
@@ -182,7 +182,7 @@ class ContextServer(Process):
     def _resolver_profiles(self) -> List[Profile]:
         """Profiles of live CEs only (CAAs do not provide context)."""
         return [record.profile for record in self.registrar.records()
-                if _provides(record)]
+                if provides_context(record.kind)]
 
     def _record_spawned(self, entity: ContextEntity) -> None:
         """A manager-spawned CE joins the range's books (no lease)."""
@@ -198,7 +198,7 @@ class ContextServer(Process):
 
     def _entity_arrived(self, record: RegistrationRecord) -> None:
         # the registrar's hooks are the provider index's only write path
-        if _provides(record):
+        if provides_context(record.kind):
             self.resolver.note_profile_added(record.profile)
         self._admit(record)
 
@@ -206,7 +206,8 @@ class ContextServer(Process):
                          record: RegistrationRecord) -> None:
         """A registered component registered again: swap its books."""
         self.resolver.note_profile_replaced(
-            previous.entity_hex, record.profile if _provides(record) else None)
+            previous.entity_hex,
+            record.profile if provides_context(record.kind) else None)
         if previous.profile.name != record.profile.name:
             self.location.forget(previous.profile.name)
         self._admit(record)
@@ -706,11 +707,6 @@ class ContextServer(Process):
 
 
 # ---------------------------------------------------------------------- helpers
-
-def _provides(record: RegistrationRecord) -> bool:
-    """Whether a registration can provide context (CAAs only consume it)."""
-    return record.kind in ("ce", "infrastructure")
-
 
 def _require_id(query: Query) -> None:
     """Refuse an unnamed query: its answer, book entry and trail need one."""

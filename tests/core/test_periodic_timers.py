@@ -5,7 +5,10 @@ that waits for a deadline arms one timer at that deadline instead (the
 Registrar's lease book, the Context Server's waiting queries, a request's
 timeout). The ``schedule_periodic`` call sites that remain are listed
 below, each with the reason it has to tick; a new one fails this test
-until it is argued here.
+until it is argued here. A function that passes itself to ``schedule`` or
+``schedule_at`` re-arms itself, which is a poll when the delay is a
+constant: those are listed too, each with why it is a deadline or why it
+has to poll.
 """
 
 import ast
@@ -27,6 +30,17 @@ ALLOWED = {
         "the overlay failure detector probes its neighbours",
     ("repro.mobility.detection", "BoundaryMonitor.scan"):
         "boundary detection's sensing period (parked in ROADMAP)",
+}
+
+#: (module, function) -> why it re-arms itself
+REARMED = {
+    ("repro.events.mediator", "EventMediator._window_expired"):
+        "re-armed at the next deadline, not a period: the oldest unacked "
+        "delivery's ack timeout, or the backed-off retransmission's",
+    ("repro.mobility.handoff", "HandoffCoordinator.carry.replay"):
+        "handoff replay polls the target range every REPLAY_INTERVAL until "
+        "the component has registered there, for REPLAY_WINDOW at most "
+        "(parked in ROADMAP: wait on the Registrar's on_arrival hook)",
 }
 
 
@@ -51,13 +65,52 @@ def periodic_call_sites(source, module):
     return sites
 
 
-def test_every_periodic_timer_is_on_the_allow_list():
-    sites = []
+def rearm_sites(source, module):
+    """``(module, qualname)`` of every function that passes itself as the
+    callback of a ``schedule``/``schedule_at`` call in its own body."""
+    sites = set()
+
+    def visit(node, scope, function):
+        if isinstance(node, ast.ClassDef):
+            scope += (node.name,)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope += (node.name,)
+            function = node.name
+        elif (function is not None and isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("schedule", "schedule_at")
+                and len(node.args) > 1):
+            callback = node.args[1]
+            if getattr(callback, "attr", getattr(callback, "id", None)) \
+                    == function:
+                sites.add((module, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, function)
+
+    visit(ast.parse(source), (), None)
+    return sorted(sites)
+
+
+def _modules():
+    """``(module, source)`` of every file under ``src/repro``."""
     for path in sorted(SRC.rglob("*.py")):
         parts = path.relative_to(SRC.parent).with_suffix("").parts
         module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
-        sites += periodic_call_sites(path.read_text("utf-8"), module)
+        yield module, path.read_text("utf-8")
+
+
+def test_every_periodic_timer_is_on_the_allow_list():
+    sites = []
+    for module, source in _modules():
+        sites += periodic_call_sites(source, module)
     assert sorted(sites) == sorted(ALLOWED)
+
+
+def test_every_self_rearming_timer_is_on_the_allow_list():
+    sites = []
+    for module, source in _modules():
+        sites += rearm_sites(source, module)
+    assert sites == sorted(REARMED)
 
 
 def test_the_scan_names_the_class_and_callback():
@@ -70,3 +123,22 @@ def test_the_scan_names_the_class_and_callback():
     )
     assert periodic_call_sites(source, "m") == [
         ("m", "Poller._tick"), ("m", "<module>.fn")]
+
+
+def test_the_rearm_scan_names_the_function_that_rearms():
+    source = (
+        "class Poller:\n"
+        "    def _tick(self):\n"
+        "        self.scheduler.schedule(5.0, self._tick)\n"
+        "        self.scheduler.schedule_at(9.0, self._tick)\n"
+        "    def _once(self):\n"
+        "        self.scheduler.schedule(5.0, self._other)\n"
+        "    def _every(self):\n"
+        "        self.scheduler.schedule_periodic(5.0, self._every)\n"
+        "def carry(scheduler):\n"
+        "    def replay():\n"
+        "        scheduler.schedule(2.0, replay)\n"
+        "    scheduler.schedule(2.0, replay)\n"
+    )
+    assert rearm_sites(source, "m") == [
+        ("m", "Poller._tick"), ("m", "carry.replay")]

@@ -20,13 +20,18 @@ divergence.
 Records append to one list in execution order. :meth:`per_host` buckets
 by host and stable-sorts by time — same-instant entries for one host keep
 their execution order, which the scheduler's canonical key fixes.
+
+Nothing in the program reads the log, so the program carries no hook for
+it: :func:`attach` wraps one live network's ``scheduler.schedule_at`` and
+``_deliver``, whichever scheduler (production or a reference) it runs on
+and whoever built it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 Entry = Tuple[Any, ...]
 
@@ -36,6 +41,38 @@ def payload_digest(payload: Any) -> str:
     blob = json.dumps(payload, sort_keys=True, default=str,
                       separators=(",", ":"))
     return hashlib.blake2b(blob.encode("utf-8"), digest_size=8).hexdigest()
+
+
+def callsite(fn: Callable) -> str:
+    """A stable label for a callback: the qualname of the code that runs.
+
+    A bound method is labelled by its function (``Class.method`` of the
+    class that defines it), not by the instance's class, so a subclass
+    that inherits a timer method logs the same row as its base.
+    """
+    fn = getattr(fn, "__func__", fn)
+    name = getattr(fn, "__qualname__", None) or getattr(fn, "__name__", None)
+    return name or repr(fn)
+
+
+def timer_owner(fn: Callable) -> Optional[str]:
+    """The host a timer callback is attributable to, or None.
+
+    Resolved through the callback's bound instance: a ``host_id`` attribute
+    directly (processes, components), or one level down via ``.owner`` (the
+    :class:`repro.net.rpc.RequestManager` pattern). Only owner-resolvable
+    timers appear in the canonical event log — anonymous closures and
+    infrastructure callbacks are not per-host observables.
+    """
+    owner = getattr(fn, "__self__", None)
+    if owner is None:
+        return None
+    host = getattr(owner, "host_id", None)
+    if isinstance(host, str):
+        return host
+    inner = getattr(owner, "owner", None)
+    host = getattr(inner, "host_id", None)
+    return host if isinstance(host, str) else None
 
 
 class EventLog:
@@ -92,3 +129,45 @@ class EventLog:
 
     def __repr__(self) -> str:
         return f"EventLog(entries={len(self)})"
+
+
+def attach(network, log: Optional[EventLog] = None) -> EventLog:
+    """Record ``network``'s observables into ``log`` (a new one if None).
+
+    Wraps the instance's ``scheduler.schedule_at`` and ``_deliver``, so
+    what was scheduled or sent before the call is not recorded. A timer
+    whose callback has an owner host (:func:`timer_owner`) is recorded as
+    its callback starts, after the loop has skipped it if cancelled and
+    set the clock to its time; ``schedule``/``call_soon`` go through
+    ``schedule_at`` and are recorded too, periodic ticks and deliveries
+    are not timers. A delivery is recorded when its recipient is attached
+    and its host up, before the recipient sees it.
+    """
+    log = EventLog() if log is None else log
+    scheduler = network.scheduler
+    schedule_at = scheduler.schedule_at
+    deliver = network._deliver
+
+    def recording_schedule_at(when, fn, *args, **kwargs):
+        owner = timer_owner(fn)
+        if owner is None:
+            return schedule_at(when, fn, *args, **kwargs)
+        site = callsite(fn)
+
+        def fire(*args, **kwargs):
+            log.record_timer(owner, scheduler.now, site)
+            return fn(*args, **kwargs)
+
+        return schedule_at(when, fire, *args, **kwargs)
+
+    def recording_deliver(message, recipient_guid):
+        recipient = network.process(recipient_guid)
+        if recipient is not None and network.host(recipient.host_id).up:
+            log.record_delivery(recipient.host_id, scheduler.now,
+                                message.kind, str(message.sender),
+                                message.payload)
+        deliver(message, recipient_guid)
+
+    scheduler.schedule_at = recording_schedule_at
+    network._deliver = recording_deliver
+    return log

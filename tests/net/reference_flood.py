@@ -10,9 +10,10 @@ dropped it in a debug log. :class:`FloodNetwork` is that transport: only
 
 A copy addressed to a process the production table would *not* have reached
 (it declared nothing, or it is a daemon that was switched off) is a **dead
-letter**. The reference remembers which deliveries those were, so
-``test_link_local.py`` can require that the production transport leaves
-exactly the reference's event log minus its dead letters.
+letter**. The reference records itself (:func:`tests.net.eventlog.attach`)
+and remembers which deliveries those were, so ``test_link_local.py`` can
+require that the production transport leaves exactly the reference's event
+log minus its dead letters.
 """
 
 from __future__ import annotations
@@ -21,16 +22,16 @@ from dataclasses import replace
 from typing import List, Optional, Set, Tuple
 
 from repro.core.ids import GUID
-from repro.net.eventlog import Entry
 from repro.net.message import Message
 from repro.net.transport import Host, Network
+from tests.net.eventlog import Entry, attach
 
 
 class FloodNetwork(Network):
     """:class:`Network` whose broadcast reaches every co-hosted process.
 
-    Needs an ``event_log``: dead letters are identified by their position
-    in it.
+    Records itself into ``event_log``: dead letters are identified by
+    their position in it.
     """
 
     def __init__(self, *args, **kwargs):
@@ -40,6 +41,7 @@ class FloodNetwork(Network):
         self._dead: Set[Tuple[GUID, int, GUID]] = set()
         #: event-log positions of the dead letters that were delivered
         self.dead_letters: List[int] = []
+        self.event_log = attach(self)
 
     def _broadcast(self, message: Message, source_host: Optional[Host]) -> None:
         if source_host is None:
@@ -61,8 +63,8 @@ class FloodNetwork(Network):
             self._dead.discard(key)
             recipient = self.process(recipient_guid)
             if recipient is not None and self.host(recipient.host_id).up:
-                # the entry super() is about to append
-                self.dead_letters.append(len(self.event_log))
+                # the entry the recorder appended just before this call
+                self.dead_letters.append(len(self.event_log) - 1)
         super()._deliver(message, recipient_guid)
 
     def heard_entries(self) -> List[Entry]:

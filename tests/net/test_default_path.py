@@ -20,10 +20,8 @@ from repro import SCI
 from repro.analysis import runner as analysis_runner
 from repro.analysis.determinism import CHECK_WALL_CLOCK, DeterminismChecker
 from repro.analysis.source import SourceFile
-from repro.core import api
 from repro.net.message import Message
 from repro.net import sim as sim_module
-from repro.net.eventlog import EventLog
 from repro.net.sim import Scheduler, Timer
 from repro.net.transport import (FixedLatency, FunctionProcess, LatencyModel,
                                  Network)
@@ -31,6 +29,7 @@ from repro.obs import tracing as tracing_module
 from repro.obs.experiments import run_overlay_instrumented
 from repro.overlay.node import OverlayNode
 from repro.overlay.scinet import SCINet
+from tests.net.eventlog import attach
 from tests.recording import RecordingApp
 
 
@@ -97,13 +96,11 @@ def test_timer_carries_arguments_without_a_closure():
 
 # -- default SCI(): deterministic ----------------------------------------------
 
-def _sci_digest(monkeypatch):
+def _sci_digest():
     """Event-log digest of a small facade-driven run. Every id a payload
     carries is minted inside the run, so two runs in one process match."""
-    log = EventLog()
-    monkeypatch.setattr(
-        api, "Network", lambda **kwargs: Network(event_log=log, **kwargs))
     sci = SCI()
+    log = attach(sci.network)
     sci.create_range("livingstone", places=["livingstone"], hosts=["lab-pc"])
     sci.add_door_sensors("livingstone")
     sci.add_person("bob", room="corridor")
@@ -120,10 +117,10 @@ def _sci_digest(monkeypatch):
     return log.digest(), len(log)
 
 
-def test_default_sci_is_repeatable(monkeypatch):
-    first = _sci_digest(monkeypatch)
+def test_default_sci_is_repeatable():
+    first = _sci_digest()
     assert first[1] > 50
-    assert _sci_digest(monkeypatch) == first
+    assert _sci_digest() == first
 
 
 # -- no host clock: no scheduler profiler, no wall-clock read in src/ -----------
@@ -134,7 +131,7 @@ def test_default_sci_attaches_no_profiler():
     assert not hasattr(sci.network.scheduler, "profiler")
     assert not hasattr(sci.network.obs, "profiler")
     for name in ("created_at", "site", "_site"):
-        assert not hasattr(Timer(1.0, print), name)
+        assert not hasattr(Timer(1.0), name)
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.obs.profiling")
 

@@ -20,11 +20,11 @@ from repro.entities.profile import EntityClass, Profile
 from repro.events.filters import TypeFilter
 from repro.location.building import livingstone_tower
 from repro.location.converters import register_location_converters
-from repro.net.eventlog import EventLog
 from repro.net.message import BROADCAST
 from repro.net.transport import CampusLatency, FunctionProcess, Network
 from repro.server.context_server import ContextServer
 from repro.server.range import RangeDefinition
+from tests.net.eventlog import attach
 from tests.net.reference_flood import FloodNetwork
 from tests.recording import RecordingApp
 
@@ -53,8 +53,8 @@ def unheard(network):
 
 
 def run_deployment(network_class, seed=5):
-    net = network_class(latency_model=CampusLatency(), seed=seed,
-                        event_log=EventLog())
+    net = network_class(latency_model=CampusLatency(), seed=seed)
+    log = net.event_log if network_class is FloodNetwork else attach(net)
     guids = GuidFactory(seed=seed)
     building = livingstone_tower()
     registry = register_location_converters(standard_registry(), building)
@@ -107,6 +107,7 @@ def run_deployment(network_class, seed=5):
 
     return {
         "net": net,
+        "log": log,
         "late_registered": late.registered,
         "registrations": {
             name: sorted((record.entity_hex, record.host_id)
@@ -157,7 +158,7 @@ class TestDifferential:
         flood = reference["net"]
         assert flood.dead_letters, "the reference delivered no dead letter"
         heard = flood.heard_entries()
-        assert production["net"].event_log.entries() == heard
+        assert production["log"].entries() == heard
         assert all(flood.event_log.entries()[position][3] == "component-up"
                    for position in flood.dead_letters)
 

@@ -1,9 +1,12 @@
 """Scheduler semantics: ordering, cancellation, bounded runs, periodics,
 and the callback labels the event log records."""
 
+import math
+
 import pytest
 
-from repro.net.sim import Scheduler, callsite
+from repro.net.sim import Scheduler
+from tests.net.eventlog import callsite
 
 
 class _Worker:
@@ -88,6 +91,40 @@ class TestScheduling:
         sched.schedule(1.0, seen.update, x=1)
         sched.run_until_idle()
         assert seen == {"x": 1}
+
+
+class TestNonFiniteTimes:
+    """A NaN or infinite time is refused: it would never fire, and a NaN at
+    the head of the heap compares False with every bound, so a bounded run
+    would fire nothing behind it."""
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf])
+    def test_schedule_refuses(self, delay):
+        with pytest.raises(ValueError):
+            Scheduler().schedule(delay, lambda: None)
+
+    @pytest.mark.parametrize("when", [math.nan, math.inf])
+    def test_schedule_at_refuses(self, when):
+        with pytest.raises(ValueError):
+            Scheduler().schedule_at(when, lambda: None)
+
+    @pytest.mark.parametrize("interval", [math.nan, math.inf])
+    def test_schedule_periodic_refuses(self, interval):
+        sched = Scheduler()
+        with pytest.raises(ValueError):
+            sched.schedule_periodic(interval, lambda: None)
+        assert sched.pending == 0
+
+    def test_due_timers_fire_after_a_refused_nan(self):
+        sched = Scheduler()
+        fired = []
+        for when in (1.0, 2.0):
+            sched.schedule_at(when, fired.append, when)
+        with pytest.raises(ValueError):
+            sched.schedule(math.nan, fired.append, "never")
+        assert sched.run_until_idle(max_time=5) == 5
+        assert fired == [1.0, 2.0]
+        assert sched.pending == 0
 
 
 class TestCancellation:

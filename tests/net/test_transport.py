@@ -1,5 +1,8 @@
 """Transport semantics: delivery, latency models, loss, partitions, hosts."""
 
+import math
+import random
+
 import pytest
 
 from repro.core.errors import TransportError
@@ -194,7 +197,42 @@ class TestHosts:
         assert network.processes_on("host-a") == []
 
 
+#: one row per model and bad term: ``schedule_delivery`` checks nothing, so
+#: the model must refuse a term that would deliver into the past (negative),
+#: move the clock to infinity, or never deliver (NaN)
+BAD_LATENCY_TERMS = [
+    (FixedLatency, {"value": math.nan}),
+    (FixedLatency, {"value": math.inf}),
+    (UniformLatency, {"low": 0, "high": math.inf}),
+    (UniformLatency, {"low": math.inf, "high": math.inf}),
+    (DistanceLatency, {"base": -1}),
+    (DistanceLatency, {"base": math.nan}),
+    (DistanceLatency, {"per_unit": -0.01}),
+    (DistanceLatency, {"per_unit": math.inf}),
+    (CampusLatency, {"local": -0.05}),
+    (CampusLatency, {"local": math.inf}),
+    (CampusLatency, {"remote": -5}),
+    (CampusLatency, {"remote": math.nan}),
+    (CampusLatency, {"jitter": -0.5}),
+    (CampusLatency, {"jitter": math.inf}),
+]
+
+
 class TestLatencyModels:
+    @pytest.mark.parametrize(
+        "model, terms", BAD_LATENCY_TERMS,
+        ids=[f"{model.__name__}-{terms}" for model, terms in BAD_LATENCY_TERMS])
+    def test_refuses_a_negative_or_non_finite_term(self, model, terms):
+        with pytest.raises(ValueError):
+            model(**terms)
+
+    def test_zero_terms_are_usable(self):
+        assert FixedLatency(0).value == 0
+        assert (DistanceLatency(0, 0).latency(Host("a", (0, 0)),
+                                              Host("b", (3, 4)), None) == 0)
+        assert CampusLatency(0, 0, 0).latency(Host("a"), Host("b"),
+                                              random.Random(0)) == 0
+
     def test_fixed(self):
         model = FixedLatency(2.5)
         assert model.latency(Host("x"), Host("y"), None) == 2.5

@@ -29,10 +29,10 @@ from repro.events.event import ContextEvent
 from repro.events.filters import MatchAll, SubjectFilter, TypeFilter
 from repro.events.mediator import EventMediator
 from repro.faults.injector import FaultInjector
-from repro.net.eventlog import EventLog
 from repro.net.transport import CampusLatency, Network, Process
 from repro.overlay.scinet import SCINet
 from tests.events.reference_scan import ReferenceScanMediator
+from tests.net.eventlog import attach
 from tests.parallel.single_heap import SingleHeapScheduler
 
 HOSTS = tuple(f"h{i}" for i in range(8))
@@ -109,11 +109,11 @@ def run_scenario(reference_heap: bool = False, seed: int = 11,
     (:mod:`tests.events.reference_scan`). The event log must not be able
     to tell either reference from production.
     """
-    log = EventLog()
     net = Network(
         scheduler=SingleHeapScheduler() if reference_heap else None,
         latency_model=CampusLatency(local=0.05, remote=1.0, jitter=0.5),
-        seed=seed, event_log=log)
+        seed=seed)
+    log = attach(net)
     for host in HOSTS:
         net.add_host(host)
 

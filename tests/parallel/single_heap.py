@@ -10,14 +10,16 @@ observables as the plain global order (under jittered latencies, where
 cross-origin same-time ties have measure zero).
 
 It speaks the transport-facing half of the scheduler API
-(``register_host``, ``ambient``) with one trace stack.
+(``register_host``, ``ambient``) with one trace stack, and records nothing
+itself: :func:`tests.net.eventlog.attach` wraps its ``schedule_at`` as it
+wraps the production scheduler's.
 """
 
 import heapq
 import itertools
 from typing import Callable, List, Optional
 
-from repro.net.sim import Timer, callsite, timer_owner
+from repro.net.sim import Timer
 
 
 class SingleHeapScheduler:
@@ -27,7 +29,6 @@ class SingleHeapScheduler:
         self._sequence = itertools.count()
         self._live = 0
         self.events_processed = 0
-        self.event_log = None
         #: the one trace stack, in and outside the run loop
         self.ambient: list = []
 
@@ -41,9 +42,7 @@ class SingleHeapScheduler:
     def schedule_at(self, when: float, fn: Callable, *args, **kwargs) -> Timer:
         if when < self.now:
             raise ValueError(f"cannot schedule in the past: {when} < {self.now}")
-        timer = Timer(when, fn, scheduler=self)
-        if self.event_log is not None:
-            timer.owner = timer_owner(fn)
+        timer = Timer(when, scheduler=self)
         bound = (lambda: fn(*args, **kwargs)) if args or kwargs else fn
         heapq.heappush(self._heap, (when, next(self._sequence), timer, bound))
         self._live += 1
@@ -55,7 +54,7 @@ class SingleHeapScheduler:
     def schedule_periodic(self, interval: float, fn: Callable) -> Timer:
         if interval <= 0:
             raise ValueError(f"non-positive interval: {interval}")
-        handle = Timer(self.now + interval, fn)
+        handle = Timer(self.now + interval)
 
         def arm():
             handle.when = self.now + interval
@@ -93,9 +92,6 @@ class SingleHeapScheduler:
                     if timer.cancelled:
                         continue
                     timer._scheduler = None
-                    if self.event_log is not None and timer.owner is not None:
-                        self.event_log.record_timer(timer.owner, when,
-                                                    callsite(timer.fn))
                 self._live -= 1
                 self.now = when
                 bound()

@@ -17,8 +17,8 @@ from typing import Dict, List
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.eventlog import EventLog
 from repro.net.transport import Network, Process, UniformLatency
+from tests.net.eventlog import attach
 from tests.parallel.single_heap import SingleHeapScheduler
 
 HOST_POOL = tuple(f"m{i}" for i in range(6))
@@ -65,12 +65,12 @@ class RelayProcess(Process):
 
 
 def run_workload(workload: dict, reference_heap: bool) -> Dict[str, object]:
-    log = EventLog()
     net = Network(
         scheduler=SingleHeapScheduler() if reference_heap else None,
         latency_model=UniformLatency(
             workload["lat_low"], workload["lat_low"] + workload["lat_spread"]),
-        seed=workload["seed"], event_log=log)
+        seed=workload["seed"])
+    log = attach(net)
     hosts = HOST_POOL[:workload["n_hosts"]]
     for host in hosts:
         net.add_host(host)

@@ -20,7 +20,7 @@ def _server_timers(network, server):
     """The live timers whose callback is one of ``server``'s methods."""
     return [entry[4] for entry in network.scheduler._heap
             if entry[4] is not None and not entry[4].cancelled
-            and getattr(entry[4].fn, "__self__", None) is server]
+            and getattr(entry[5], "__self__", None) is server]
 
 
 def _submit(network, app, when):
