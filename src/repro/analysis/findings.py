@@ -33,10 +33,6 @@ class Finding:
     line: int
     message: str
 
-    @property
-    def family(self) -> str:
-        return self.check.split(".", 1)[0]
-
     def format(self) -> str:
         return (f"{self.path}:{self.line}: "
                 f"{self.severity.value}[{self.check}] {self.message}")

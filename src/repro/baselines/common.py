@@ -85,9 +85,6 @@ class Environment:
         except KeyError:
             raise SCIError(f"unknown source: {name!r}") from None
 
-    def sources(self) -> List[DataSource]:
-        return list(self._sources.values())
-
     def live_sources(self) -> List[DataSource]:
         return [source for source in self._sources.values() if source.alive]
 

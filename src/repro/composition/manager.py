@@ -400,9 +400,6 @@ class ConfigurationManager:
     def configurations(self) -> List[Configuration]:
         return list(self._configs.values())
 
-    def config(self, config_id: str) -> Optional[Configuration]:
-        return self._configs.get(config_id)
-
     def active_count(self) -> int:
         return sum(1 for c in self._configs.values()
                    if c.state == ConfigState.ACTIVE)

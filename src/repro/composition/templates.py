@@ -63,11 +63,6 @@ class TemplateRegistry:
         self._templates[template.name] = template
         return template
 
-    def add(self, name: str, prototype: Profile, factory: CEFactory,
-            max_instances: Optional[int] = None) -> CETemplate:
-        """Shorthand for :meth:`register`."""
-        return self.register(CETemplate(name, prototype, factory, max_instances))
-
     def get(self, name: str) -> CETemplate:
         try:
             return self._templates[name]

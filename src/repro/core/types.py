@@ -321,10 +321,6 @@ class TypeRegistry:
                         frontier.append((next_cost, target, chain + (converter,)))
         return None
 
-    def satisfies(self, offered: TypeSpec, wanted: TypeSpec) -> bool:
-        """True when ``offered`` can satisfy ``wanted`` (possibly via converters)."""
-        return self.conversion_path(offered, wanted) is not None
-
 
 def standard_registry() -> TypeRegistry:
     """The ontology used throughout the paper's scenarios.

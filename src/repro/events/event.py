@@ -51,29 +51,6 @@ class ContextEvent:
     def subject(self) -> Optional[object]:
         return self.spec.subject
 
-    def age(self, now: float) -> float:
-        """Freshness: how old this event is at simulated time ``now``."""
-        return max(0.0, now - self.timestamp)
-
-    def derive(
-        self,
-        spec: TypeSpec,
-        value: Any,
-        source: GUID,
-        timestamp: float,
-        attributes: Optional[Dict[str, Any]] = None,
-    ) -> "ContextEvent":
-        """Build a downstream event that inherits this event's attributes.
-
-        Derived events (objLocation from doorSensor, path from locations)
-        keep upstream quality annotations unless explicitly overridden, so
-        quality degradation is traceable through a configuration.
-        """
-        merged = dict(self.attributes)
-        merged.update(attributes or {})
-        return ContextEvent(spec=spec, value=value, source=source,
-                            timestamp=timestamp, attributes=merged)
-
     def to_wire(self) -> Dict[str, Any]:
         """Flatten for inclusion in a message payload."""
         return {

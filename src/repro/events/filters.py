@@ -68,16 +68,6 @@ class EventFilter:
     def matches(self, event: ContextEvent) -> bool:
         raise NotImplementedError
 
-    # composition sugar
-    def __and__(self, other: "EventFilter") -> "AndFilter":
-        return AndFilter([self, other])
-
-    def __or__(self, other: "EventFilter") -> "OrFilter":
-        return OrFilter([self, other])
-
-    def __invert__(self) -> "NotFilter":
-        return NotFilter(self)
-
     def to_spec(self) -> Dict[str, Any]:
         raise NotImplementedError
 
@@ -106,10 +96,6 @@ class EventFilter:
         if not isinstance(other, EventFilter):
             return NotImplemented
         return self.canonical_key() == other.canonical_key()
-
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
 
     def __hash__(self) -> int:
         return hash(self.canonical_key())

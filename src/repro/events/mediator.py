@@ -380,8 +380,7 @@ class EventMediator(Process):
         served = self._served
         payloads: Dict[GUID, Dict[str, Any]] = {}
         for subscription in subscriptions:
-            subscription.record_delivery()
-            sub_id, seq = subscription.sub_id, subscription.next_seq()
+            sub_id, seq = subscription.sub_id, subscription.record_delivery()
             if served is not None:  # the ledger's own copy of the pair
                 served.append([sub_id, seq])
             payloads.setdefault(subscription.subscriber, {

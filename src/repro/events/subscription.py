@@ -31,18 +31,17 @@ class Subscription:
     one_time: bool = False
     owner: Optional[object] = None
     created_at: float = 0.0
-    delivered: int = 0
     active: bool = True
-    #: last sequence number stamped on a delivery for this
-    #: subscription; subscribers detect silent loss as holes in the sequence
+    #: last sequence number stamped on a delivery for this subscription,
+    #: so also its delivery count; subscribers detect silent loss as holes
+    #: in the sequence
     seq: int = 0
 
-    def record_delivery(self) -> None:
-        self.delivered += 1
+    def record_delivery(self) -> int:
+        """Stamp one delivery: its sequence number. It spends a one-time
+        subscription."""
         if self.one_time:
             self.active = False
-
-    def next_seq(self) -> int:
         self.seq += 1
         return self.seq
 

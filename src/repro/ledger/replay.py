@@ -221,7 +221,8 @@ def snapshot_subscriptions(mediator) -> Dict[str, Dict[str, Any]]:
             "one_time": subscription.one_time,
             "owner": (None if subscription.owner is None
                       else str(subscription.owner)),
-            "delivered": subscription.delivered,
+            # every delivery stamps the next seq: the count is the last seq
+            "delivered": subscription.seq,
         }
     return out
 

@@ -8,7 +8,7 @@ be necessary to develop an intermediate location language."
 
 Four models coexist here:
 
-* **geometric** (:mod:`repro.location.geometry`) — 2-D points and polygons;
+* **geometric** (:mod:`repro.location.geometry`) — 2-D points and rectangular rooms;
 * **symbolic** (:mod:`repro.location.symbolic`) — the campus/building/floor/
   room hierarchy;
 * **topological** (:mod:`repro.location.topology`) — places joined by doors,
@@ -23,7 +23,7 @@ location language; :mod:`repro.location.service` is the Location Service
 Context Utility.
 """
 
-from repro.location.geometry import Point, Polygon, Rect
+from repro.location.geometry import Point, Rect
 from repro.location.symbolic import SymbolicHierarchy
 from repro.location.topology import Topology, Door
 from repro.location.signalmap import BaseStation, SignalMap, SignalObservation
@@ -34,7 +34,6 @@ from repro.location.service import LocationService
 
 __all__ = [
     "Point",
-    "Polygon",
     "Rect",
     "SymbolicHierarchy",
     "Topology",

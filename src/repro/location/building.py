@@ -2,7 +2,7 @@
 
 The paper grounds its scenarios in the Livingstone Tower (lift lobby, Level
 10, room L10.01, printers P1..P4). :class:`BuildingModel` holds, for one
-deployment: room geometry (polygons), the symbolic hierarchy, the door
+deployment: room geometry (rectangles), the symbolic hierarchy, the door
 topology and the W-LAN signal map — and the cross-model lookups the
 converters and the Location Service need. :func:`livingstone_tower` builds
 the synthetic instance used by examples, tests and benchmarks.
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import LocationError
-from repro.location.geometry import Point, Polygon, Rect, path_length
+from repro.location.geometry import Point, Rect, path_length
 from repro.location.signalmap import BaseStation, SignalMap
 from repro.location.symbolic import SymbolicHierarchy
 from repro.location.topology import Door, Topology
@@ -25,7 +25,7 @@ class RoomSpec:
     """One room: symbolic name + footprint + the floor it belongs to."""
 
     name: str
-    shape: Polygon
+    shape: Rect
     floor: str
 
 
@@ -48,7 +48,7 @@ class BuildingModel:
         self.hierarchy.add_place(floor_name, self.building_name)
         return floor_name
 
-    def add_room(self, name: str, shape: Polygon, floor: str) -> RoomSpec:
+    def add_room(self, name: str, shape: Rect, floor: str) -> RoomSpec:
         if name in self._rooms:
             raise LocationError(f"duplicate room: {name!r}")
         if floor not in self.hierarchy:

@@ -3,9 +3,10 @@
 Section 3.1: "Location Service: Handles the resolution of location related
 tasks." Concretely it (a) tracks the last-known location of every entity in
 the range by consuming location events, (b) evaluates Where expressions of
-the intermediate location language against candidate places, and (c) answers
-distance/path questions for Which policies ("closest to me") and for the
-Figure-3 path configuration.
+the intermediate location language against candidate places, and (c)
+collapses an expression to a point for Which policies ("closest to me").
+Distances and routes are the building's: the Context Server and the
+Figure-3 path configuration ask :class:`BuildingModel` directly.
 
 It is a :class:`~repro.net.transport.Process` so that it can consume its
 range mediator's event stream (and ask for a resync when the stream has a
@@ -18,7 +19,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.errors import LocationError
 from repro.core.ids import GUID
@@ -96,13 +97,6 @@ class LocationService(Process):
     def locate(self, entity_key: str) -> Optional[EntityFix]:
         return self._fixes.get(entity_key)
 
-    def entities_in(self, place: str) -> List[str]:
-        """Entities whose last fix lies in ``place`` (or beneath it)."""
-        return [
-            key for key, fix in self._fixes.items()
-            if self.building.hierarchy.contains(place, fix.room)
-        ]
-
     # -- Where-expression evaluation ----------------------------------------------
 
     def resolve_point(self, expr: LocationExpr, owner: Optional[str] = None) -> Point:
@@ -146,33 +140,6 @@ class LocationService(Process):
             return [name for name in self.building.room_names()
                     if name in within]
         return self.resolve_rooms(inner, owner)
-
-    def place_matches(self, expr: LocationExpr, room: str,
-                      owner: Optional[str] = None) -> bool:
-        """Does candidate ``room`` satisfy the Where expression?"""
-        if expr.kind == "anywhere":
-            return True
-        return room in self.resolve_rooms(expr, owner)
-
-    # -- distance / routing ---------------------------------------------------------
-
-    def distance_between(self, expr_a: LocationExpr, expr_b: LocationExpr,
-                         owner: Optional[str] = None,
-                         entity_key: object = None) -> float:
-        """Walking distance between two expressions (inf if unreachable)."""
-        room_a = self.building.nearest_room(self.resolve_point(expr_a, owner))
-        room_b = self.building.nearest_room(self.resolve_point(expr_b, owner))
-        return self.building.walking_distance(room_a, room_b, entity_key)
-
-    def route_between(self, expr_a: LocationExpr, expr_b: LocationExpr,
-                      owner: Optional[str] = None,
-                      entity_key: object = None) -> Tuple[List[str], List[Point]]:
-        """Room sequence plus geometric polyline between two expressions."""
-        room_a = self.building.nearest_room(self.resolve_point(expr_a, owner))
-        room_b = self.building.nearest_room(self.resolve_point(expr_b, owner))
-        rooms, _ = self.building.route(room_a, room_b, entity_key)
-        polyline = self.building.route_polyline(room_a, room_b, entity_key)
-        return rooms, polyline
 
     def _validated_room(self, name: str) -> str:
         if not self.building.hierarchy.known(name):

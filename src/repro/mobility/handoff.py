@@ -8,23 +8,16 @@ counters, annotations — would be lost. Section 3.1 motivates keeping them:
 previous behaviour or preferences in order to provide a more useful
 service."
 
-The coordinator buffers the departing record's attributes and replays them
-onto the new range's Profile Manager once the component has re-registered
-there (retrying briefly, since re-registration takes a round-trip).
+The coordinator hands the departing record's attributes to the new range's
+Context Server, which applies them when the component registers there
+(:meth:`~repro.server.context_server.ContextServer.carry_attributes`):
+nothing polls for the re-registration.
 """
 
 from __future__ import annotations
 
-import logging
-
 from repro.server.context_server import ContextServer
 from repro.server.registrar import RegistrationRecord
-
-logger = logging.getLogger(__name__)
-
-#: how long to keep retrying attribute replay after a transition
-REPLAY_WINDOW = 30.0
-REPLAY_INTERVAL = 2.0
 
 
 class HandoffCoordinator:
@@ -32,33 +25,12 @@ class HandoffCoordinator:
 
     def __init__(self):
         self.handoffs = 0
-        self.replays = 0
 
     def carry(self, record: RegistrationRecord,
               source: ContextServer, target: ContextServer) -> None:
-        """Schedule attribute replay for one departing component."""
+        """Hand one departing component's attributes to ``target``."""
         attributes = dict(record.profile.attributes)
         if not attributes:
             return
         self.handoffs += 1
-        entity_hex = record.entity_hex
-        deadline = target.scheduler.now + REPLAY_WINDOW
-
-        def replay() -> None:
-            profile = target.profiles.get(entity_hex)
-            if profile is not None:
-                # fresh values win; the rest goes through the Profile
-                # Manager so the ledger and the What index see it
-                carried = {key: value for key, value in attributes.items()
-                           if key not in profile.attributes}
-                if carried:
-                    target.profiles.update_attributes(entity_hex, carried)
-                self.replays += 1
-                logger.debug("handoff: replayed %d attribute(s) for %s into %s",
-                             len(carried), profile.name,
-                             target.definition.name)
-                return
-            if target.scheduler.now < deadline:
-                target.scheduler.schedule(REPLAY_INTERVAL, replay)
-
-        target.scheduler.schedule(REPLAY_INTERVAL, replay)
+        target.carry_attributes(record.entity_hex, attributes)

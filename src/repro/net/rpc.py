@@ -51,9 +51,6 @@ class PendingRequest:
     on_reply: Callable[[Message], None]
     on_timeout: Optional[Callable[[], None]] = None
     timer: Optional[Timer] = None
-    #: set when resolved either way; late replies to a timed-out request are
-    #: dropped rather than invoking the callback twice.
-    resolved: bool = False
     #: the original wire message, kept so retransmissions reuse its msg_id
     message: Optional[Message] = None
     #: transmissions so far (the initial send counts as 1)
@@ -134,10 +131,12 @@ class RequestManager:
         """
         if message.reply_to is None:
             return False
+        # a request leaves the book when it is answered, times out or is
+        # cancelled, and its timer is cancelled with it: a late reply finds
+        # nothing here and is dropped, never answered twice
         pending = self._pending.pop(message.reply_to, None)
-        if pending is None or pending.resolved:
+        if pending is None:
             return False
-        pending.resolved = True
         if pending.timer is not None:
             pending.timer.cancel()
         self.completed += 1
@@ -149,7 +148,6 @@ class RequestManager:
     def cancel_all(self) -> None:
         """Drop every in-flight request without firing callbacks (shutdown)."""
         for pending in self._pending.values():
-            pending.resolved = True
             if pending.timer is not None:
                 pending.timer.cancel()
         self._pending.clear()
@@ -159,12 +157,9 @@ class RequestManager:
         return len(self._pending)
 
     def _expire(self, pending: PendingRequest) -> None:
-        if pending.resolved:
-            return
         if pending.attempts <= pending.max_retries:
             self._retransmit(pending)
             return
-        pending.resolved = True
         self._pending.pop(pending.msg_id, None)
         self.timeouts += 1
         if pending.max_retries:

@@ -208,12 +208,21 @@ class Scheduler:
                        max_events: int = 10_000_000) -> float:
         """Fire queued events in canonical key order; returns the final time.
 
-        ``max_time`` bounds how far the clock may advance (events beyond it
-        stay queued); ``max_events`` is a runaway guard.
+        ``max_time`` bounds how far the clock may advance: events beyond it
+        stay queued and the clock ends at ``max_time``. An infinite bound is
+        no bound, as ``None`` is: the clock stops at the last event fired. A
+        NaN bound is refused, as :meth:`schedule_at` refuses a NaN time: it
+        compares False with every event, so the run would fire nothing.
+        ``max_events`` is a runaway guard. :meth:`run_for` and
+        :meth:`run_until` are bounded runs, checked here.
         """
+        if max_time is not None and not max_time < math.inf:
+            if max_time != math.inf:
+                raise ValueError(f"not a time bound: {max_time}")
+            max_time = None
         heap = self._heap
         heappop = heapq.heappop
-        stop = float("inf") if max_time is None else max_time
+        stop = math.inf if max_time is None else max_time
         processed = 0
         self.running = True
         outer, self.ambient = self.ambient, self._loop_stack

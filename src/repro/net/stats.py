@@ -122,20 +122,3 @@ class MessageStats:
         """Messages handled per host — the hotspot metric for Figure 1."""
         return Counter({host: int(count)
                         for host, count in self._delivered.by_label().items()})
-
-    @property
-    def max_host_load(self) -> int:
-        loads = self._delivered.by_label()
-        return int(max(loads.values())) if loads else 0
-
-    @property
-    def mean_host_load(self) -> float:
-        loads = self._delivered.by_label()
-        if not loads:
-            return 0.0
-        return sum(loads.values()) / len(loads)
-
-    def hotspot_ratio(self) -> float:
-        """max/mean host load: ~1 means balanced, large means a bottleneck."""
-        mean = self.mean_host_load
-        return self.max_host_load / mean if mean else 0.0

@@ -120,13 +120,6 @@ class Reservoir:
             "p99": _nearest_rank(ordered, 0.99),
         }
 
-    def reset(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self._samples.clear()
-
     def __len__(self) -> int:
         return len(self._samples)
 
@@ -168,6 +161,11 @@ class _Metric:
             self.overflowed += 1
             return OVERFLOW_KEY
         return key
+
+    def reset(self) -> None:
+        """Drop every series; the declaration stays."""
+        self._series.clear()
+        self.overflowed = 0
 
     def _label_map(self, key: Tuple[str, ...]) -> Dict[str, str]:
         if key == OVERFLOW_KEY:
@@ -236,10 +234,6 @@ class Counter(_Metric):
                               "by_label() needs exactly one")
         return {key[0]: series.value for key, series in self._series.items()}
 
-    def reset(self) -> None:
-        self._series.clear()
-        self.overflowed = 0
-
 
 class Gauge(_Metric):
     """A value that can go up and down (queue depth, live entities...)."""
@@ -249,27 +243,23 @@ class Gauge(_Metric):
     def __init__(self, name: str, help: str = "", labels: Sequence[str] = (),
                  max_series: int = DEFAULT_MAX_SERIES):
         super().__init__(name, help, labels, max_series)
-        self._values: Dict[Tuple[str, ...], float] = {}
+        self._series: Dict[Tuple[str, ...], float] = {}
 
     def set(self, value: float, **labels: object) -> None:
-        self._values[self._key(labels, self._values)] = value
+        self._series[self._key(labels, self._series)] = value
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
-        key = self._key(labels, self._values)
-        self._values[key] = self._values.get(key, 0.0) + amount
+        key = self._key(labels, self._series)
+        self._series[key] = self._series.get(key, 0.0) + amount
 
     def dec(self, amount: float = 1.0, **labels: object) -> None:
         self.inc(-amount, **labels)
 
     def value(self, **labels: object) -> float:
-        return self._values.get(self._label_key(labels), 0.0)
+        return self._series.get(self._label_key(labels), 0.0)
 
     def items(self) -> Dict[Tuple[str, ...], float]:
-        return dict(self._values)
-
-    def reset(self) -> None:
-        self._values.clear()
-        self.overflowed = 0
+        return dict(self._series)
 
 
 class Histogram(_Metric):
@@ -321,9 +311,6 @@ class Histogram(_Metric):
         count = self.count
         return self.sum / count if count else 0.0
 
-    def quantile(self, fraction: float) -> float:
-        return _nearest_rank(sorted(self.samples), fraction)
-
     def summary(self, **labels: object) -> Dict[str, float]:
         if labels or not self.label_names:
             return self.series(**labels).summary()
@@ -338,10 +325,6 @@ class Histogram(_Metric):
         merged.min = min((r.min for r in series), default=math.inf)
         merged.max = max((r.max for r in series), default=-math.inf)
         return merged.summary()
-
-    def reset(self) -> None:
-        self._series.clear()
-        self.overflowed = 0
 
 
 class MetricsRegistry:
@@ -382,9 +365,6 @@ class MetricsRegistry:
 
     def get(self, name: str) -> Optional[_Metric]:
         return self._metrics.get(name)
-
-    def names(self) -> List[str]:
-        return sorted(self._metrics)
 
     def __contains__(self, name: str) -> bool:
         return name in self._metrics

@@ -99,9 +99,6 @@ class Trace:
     def __iter__(self) -> Iterator[Span]:
         return iter(self.spans)
 
-    def span(self, span_id: str) -> Optional[Span]:
-        return self._by_id.get(span_id)
-
     def roots(self) -> List[Span]:
         """Spans with no parent *within this trace* (normally exactly one)."""
         return [span for span in self.spans
@@ -333,10 +330,6 @@ class Tracer:
 
     def trace_of(self, span: Span) -> Optional[Trace]:
         return self.trace(span.trace_id)
-
-    def clear(self) -> None:
-        self._traces.clear()
-        self.home.ambient.clear()
 
     def __repr__(self) -> str:
         return (f"Tracer(traces={len(self._traces)}, "

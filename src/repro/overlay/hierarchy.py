@@ -168,9 +168,6 @@ class HierarchyNetwork:
     def leaf(self, index: int) -> HierarchyNode:
         return self._leaves[f"leaf-{index}"]
 
-    def leaves(self) -> List[HierarchyNode]:
-        return [self._leaves[label] for label in sorted(self._leaves)]
-
     def size(self) -> int:
         return len(self._all)
 

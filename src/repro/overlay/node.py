@@ -87,7 +87,7 @@ class RoutingTable:
     # -- maintenance ----------------------------------------------------------
 
     def add(self, node: GUID) -> None:
-        """Add a prefix-table entry (leaf sets are set via set_leaves)."""
+        """Add a prefix-table entry (leaf sets are set via set_leaf_lists)."""
         if node == self.owner:
             return
         row = self.owner.shared_prefix_len(node)
@@ -120,18 +120,11 @@ class RoutingTable:
         elif changed:
             self._invalidate()
 
-    def set_leaves(self, members: List[GUID]) -> None:
-        """Recompute exact leaf sets from the full membership."""
-        others = [node for node in members if node != self.owner]
-        by_clockwise = sorted(others, key=lambda node: _ring_offset(self.owner, node))
-        self._right = by_clockwise[:LEAF_HALF]
-        self._left = list(reversed(by_clockwise))[:LEAF_HALF]
-        self._leaves_changed()
-
     def set_leaf_lists(self, right: List[GUID], left: List[GUID]) -> None:
         """Install exact leaf lists (nearest first) computed by the
-        management plane's sorted ring — the incremental counterpart of
-        :meth:`set_leaves`."""
+        management plane's sorted ring. The from-scratch computation they
+        must equal is ``set_leaves`` in the overlay's test-side reference
+        membership module."""
         self._right = list(right)
         self._left = list(left)
         self._leaves_changed()

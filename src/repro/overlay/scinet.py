@@ -238,6 +238,3 @@ class SCINet:
 
     def total_routed(self) -> int:
         return sum(node.routed for node in self._nodes.values())
-
-    def load_by_node(self) -> Dict[str, int]:
-        return {node.name: node.routed for node in self._nodes.values()}

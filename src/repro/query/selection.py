@@ -146,10 +146,6 @@ class WhichClause:
     criteria: Tuple[Criterion, ...] = ()
 
     @classmethod
-    def of(cls, *criteria: Criterion) -> "WhichClause":
-        return cls(tuple(criteria))
-
-    @classmethod
     def any(cls) -> "WhichClause":
         return cls((Criterion("any"),))
 

@@ -171,6 +171,9 @@ class ContextServer(Process):
 
         #: query id -> the parked and scheduled queries, in arrival order
         self._waiting: Dict[str, Waiting] = {}
+        #: entity hex -> attributes its previous range held (handoff), kept
+        #: until the entity is registered here
+        self._carried: Dict[str, Dict[str, Any]] = {}
         self.queries_received = 0
         self.queries_executed = 0
         self.queries_forwarded = 0
@@ -219,7 +222,30 @@ class ContextServer(Process):
                 self.location.update(record.profile.name, room=home)
             except LocationError:
                 pass
+        self._apply_carried(record)
         logger.debug("%s: %s arrived", self.name, record.profile.name)
+
+    def carry_attributes(self, entity_hex: str,
+                         attributes: Dict[str, Any]) -> None:
+        """Server-side attributes a component's previous range held
+        (handoff). They are applied when the component is registered here:
+        at once if it already is, else at its arrival or re-registration.
+        One entry per entity: a later handoff replaces an earlier one."""
+        self._carried[entity_hex] = attributes
+        record = self.registrar.record(entity_hex)
+        if record is not None:
+            self._apply_carried(record)
+
+    def _apply_carried(self, record: RegistrationRecord) -> None:
+        attributes = self._carried.pop(record.entity_hex, None)
+        if attributes is None:
+            return
+        # fresh values win; the rest goes through the Profile Manager so the
+        # ledger and the What index see it
+        carried = {key: value for key, value in attributes.items()
+                   if key not in record.profile.attributes}
+        if carried:
+            self.profiles.update_attributes(record.entity_hex, carried)
 
     def _entity_departed(self, record: RegistrationRecord, reason: str) -> None:
         entity_hex = record.entity_hex

@@ -17,7 +17,7 @@ module, and the attribute patch is the one fact it writes to the ledger.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.ids import GUID
 from repro.entities.advertisement import Advertisement
@@ -59,15 +59,6 @@ class ProfileManager(Process):
 
     def all_profiles(self) -> List[Profile]:
         return [record.profile for record in self._registrar.records()]
-
-    def find(self, predicate: Callable[[Profile], bool]) -> List[Profile]:
-        return [profile for profile in self.all_profiles()
-                if predicate(profile)]
-
-    def with_advertisements(self) -> List[Tuple[Profile, List[Advertisement]]]:
-        return [(record.profile, record.advertisements)
-                for record in self._registrar.records()
-                if record.advertisements]
 
     def update_attributes(self, entity_hex: str, attributes: Dict) -> bool:
         profile = self.get(entity_hex)

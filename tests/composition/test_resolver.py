@@ -6,7 +6,7 @@ from repro.core.errors import NoProviderError
 from repro.core.ids import GuidFactory
 from repro.core.types import TypeSpec
 from repro.composition.resolver import QueryResolver
-from repro.composition.templates import TemplateRegistry
+from repro.composition.templates import CETemplate, TemplateRegistry
 from repro.entities.profile import EntityClass, Profile
 from repro.server.deployment import standard_templates
 from tests.composition.reference_scan import ReferenceScanResolver
@@ -346,9 +346,9 @@ class TestDeltaFastPath:
         resolver = feed.resolver
         with pytest.raises(NoProviderError):
             resolver.resolve(TypeSpec("occupancy", "count"))
-        feed.templates.add("counter-ce", Profile(
+        feed.templates.register(CETemplate("counter-ce", Profile(
             GUIDS.mint(), "counter", EntityClass.SOFTWARE,
-            outputs=[TypeSpec("occupancy", "count")]), factory=None)
+            outputs=[TypeSpec("occupancy", "count")]), factory=None))
         plan = resolver.resolve(TypeSpec("occupancy", "count"))
         node = plan.nodes[plan.output_key]
         assert (node.kind, node.template_name) == ("template", "counter-ce")

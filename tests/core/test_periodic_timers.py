@@ -37,10 +37,6 @@ REARMED = {
     ("repro.events.mediator", "EventMediator._window_expired"):
         "re-armed at the next deadline, not a period: the oldest unacked "
         "delivery's ack timeout, or the backed-off retransmission's",
-    ("repro.mobility.handoff", "HandoffCoordinator.carry.replay"):
-        "handoff replay polls the target range every REPLAY_INTERVAL until "
-        "the component has registered there, for REPLAY_WINDOW at most "
-        "(parked in ROADMAP: wait on the Registrar's on_arrival hook)",
 }
 
 

@@ -130,11 +130,11 @@ class TestMatching:
             TypeSpec("gps-position", "geometric"), TypeSpec("location", "symbolic"))
         assert path is not None and len(path) == 1
 
-    def test_satisfies_wrapper(self, registry):
-        assert registry.satisfies(TypeSpec("location", "x"),
-                                  TypeSpec("location", "any"))
-        assert not registry.satisfies(TypeSpec("temperature", "x"),
-                                      TypeSpec("location", "any"))
+    def test_any_representation_is_satisfied(self, registry):
+        assert registry.conversion_path(
+            TypeSpec("location", "x"), TypeSpec("location", "any")) == []
+        assert registry.conversion_path(
+            TypeSpec("temperature", "x"), TypeSpec("location", "any")) is None
 
 
 class TestMemo:

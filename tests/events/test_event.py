@@ -51,22 +51,3 @@ class TestSemantics:
         assert event.type_name == "location"
         assert event.representation == "topological"
         assert event.subject == "bob"
-
-    def test_age(self, source_guid):
-        event = make_event(source_guid, timestamp=10.0)
-        assert event.age(15.0) == 5.0
-        assert event.age(5.0) == 0.0  # never negative
-
-    def test_derive_inherits_attributes(self, source_guid):
-        upstream = make_event(source_guid, attributes={"accuracy": 2.0})
-        derived = upstream.derive(
-            TypeSpec("path", "rooms"), {"rooms": []}, source_guid, 12.0,
-            attributes={"stage": "path"})
-        assert derived.attributes["accuracy"] == 2.0
-        assert derived.attributes["stage"] == "path"
-
-    def test_derive_override_wins(self, source_guid):
-        upstream = make_event(source_guid, attributes={"accuracy": 2.0})
-        derived = upstream.derive(TypeSpec("path", "rooms"), {}, source_guid,
-                                  12.0, attributes={"accuracy": 9.0})
-        assert derived.attributes["accuracy"] == 9.0

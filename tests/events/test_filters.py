@@ -76,17 +76,17 @@ class TestPrimitives:
 
 class TestComposition:
     def test_and(self):
-        both = TypeFilter("location") & SubjectFilter("bob")
+        both = AndFilter([TypeFilter("location"), SubjectFilter("bob")])
         assert both.matches(event())
         assert not both.matches(event(subject="john"))
 
     def test_or(self):
-        either = SubjectFilter("bob") | SubjectFilter("john")
+        either = OrFilter([SubjectFilter("bob"), SubjectFilter("john")])
         assert either.matches(event(subject="john"))
         assert not either.matches(event(subject="eve"))
 
     def test_not(self):
-        negated = ~SubjectFilter("bob")
+        negated = NotFilter(SubjectFilter("bob"))
         assert not negated.matches(event())
         assert negated.matches(event(subject="john"))
 
@@ -104,7 +104,8 @@ class TestSpecRoundTrip:
         lambda: SubjectFilter("bob"),
         lambda: SourceFilter(GUID.hex),
         lambda: AttributeFilter("value", ">=", 5),
-        lambda: (TypeFilter("location") & SubjectFilter("bob")) | ~SourceFilter("ff"),
+        lambda: OrFilter([AndFilter([TypeFilter("location"), SubjectFilter("bob")]),
+                         NotFilter(SourceFilter("ff"))]),
     ])
     def test_round_trip_preserves_matching(self, build):
         original = build()

@@ -27,13 +27,13 @@ class TestSubscription:
         for _ in range(5):
             sub.record_delivery()
         assert sub.active
-        assert sub.delivered == 5
+        assert sub.seq == 5
 
     def test_one_time_deactivates_after_first(self):
         sub = Subscription(1, GUIDS.mint(), one_time=True)
         sub.record_delivery()
         assert not sub.active
-        assert sub.delivered == 1
+        assert sub.seq == 1
 
     def test_default_filter_matches_all(self):
         assert isinstance(Subscription(1, GUIDS.mint()).filter, MatchAll)

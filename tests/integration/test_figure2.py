@@ -53,7 +53,9 @@ class TestUtilitiesInConcert:
         fix = cs.location.locate("bob")
         assert fix is not None and fix.room == "L10.01"
         # the printer's position was seeded from its profile on arrival
-        assert set(cs.location.entities_in("L10")) == {"bob", "P1"}
+        printer = cs.location.locate("P1")
+        assert printer is not None
+        assert cs.location.building.hierarchy.contains("L10", printer.room)
 
     def test_mediator_retains_latest_state(self, deployment):
         sci, app = deployment

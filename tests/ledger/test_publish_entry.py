@@ -135,7 +135,7 @@ def test_retained_replay_to_a_fresh_subscription_is_one_entry(rig):
     mediator.publish(event(mediator, 4, "bob", type_name="temperature"))
     mark = len(chain)
     late = mediator.add_subscription(sink.guid, TypeFilter("location"))
-    assert late.delivered == 3
+    assert late.seq == 3
     assert kinds(chain, mark) == ["subscribe", "replay"]
     assert chain.entries()[-1].payload == \
         {"deliveries": [[late.sub_id, seq] for seq in (1, 2, 3)]}
@@ -163,12 +163,12 @@ def test_a_served_resync_is_one_replay_entry(rig):
         sink.send(mediator.guid, "publish",
                   {"event": event(mediator, n, "bob", type_name).to_wire()})
     net.scheduler.run_for(5.0)
-    assert (sub.delivered, exact.delivered) == (2, 1)
+    assert (sub.seq, exact.seq) == (2, 1)
     before = len(chain)
     for sub_id in (sub.sub_id, exact.sub_id, 999):  # the last: refused
         sink.send(mediator.guid, "resync", {"sub_id": sub_id})
     net.scheduler.run_for(5.0)
-    assert (sub.delivered, exact.delivered) == (4, 2)
+    assert (sub.seq, exact.seq) == (4, 2)
     assert [(entry.kind, entry.payload["deliveries"])
             for entry in chain.entries()[before:]] == [
         ("replay", [[sub.sub_id, 3], [sub.sub_id, 4]]),

@@ -1,9 +1,9 @@
-"""Geometric model: points, polygons, rectangles, distances."""
+"""Geometric model: points, rectangles, distances."""
 
 import pytest
 
 from repro.core.errors import LocationError
-from repro.location.geometry import Point, Polygon, Rect, path_length
+from repro.location.geometry import Point, Rect, path_length
 
 
 class TestPoint:
@@ -16,38 +16,6 @@ class TestPoint:
     def test_ordering_and_hash(self):
         assert Point(1, 2) == Point(1, 2)
         assert len({Point(1, 2), Point(1, 2)}) == 1
-
-
-class TestPolygon:
-    @pytest.fixture
-    def triangle(self):
-        return Polygon([Point(0, 0), Point(4, 0), Point(0, 4)])
-
-    def test_needs_three_vertices(self):
-        with pytest.raises(LocationError):
-            Polygon([Point(0, 0), Point(1, 1)])
-
-    def test_contains_interior(self, triangle):
-        assert triangle.contains(Point(1, 1))
-
-    def test_excludes_exterior(self, triangle):
-        assert not triangle.contains(Point(3, 3))
-
-    def test_boundary_counts_as_inside(self, triangle):
-        assert triangle.contains(Point(2, 0))
-        assert triangle.contains(Point(0, 0))
-
-    def test_area(self, triangle):
-        assert triangle.area() == pytest.approx(8.0)
-
-    def test_centroid_inside(self, triangle):
-        assert triangle.contains(triangle.centroid())
-
-    def test_distance_to_point_zero_inside(self, triangle):
-        assert triangle.distance_to_point(Point(1, 1)) == 0.0
-
-    def test_distance_to_point_outside(self, triangle):
-        assert triangle.distance_to_point(Point(-3, 0)) == pytest.approx(3.0)
 
 
 class TestRect:
@@ -70,9 +38,6 @@ class TestRect:
         tiny = Rect(0.0, 1.2754973954820963e-269, 1.0, 1.0)
         assert not tiny.contains(Point(0, 0))
         assert tiny.distance_to_point(Point(0, 0)) == 1.2754973954820963e-269
-
-    def test_area(self):
-        assert Rect(0, 0, 3, 4).area() == pytest.approx(12.0)
 
     def test_degenerate_rejected(self):
         with pytest.raises(LocationError):

@@ -1,4 +1,4 @@
-"""Location Service: tracking, Where evaluation, routing, observers."""
+"""Location Service: tracking, Where evaluation, observers, event ingestion."""
 
 import pytest
 
@@ -33,12 +33,6 @@ class TestTracking:
         service.update("bob", room="lobby")
         service.forget("bob")
         assert service.locate("bob") is None
-
-    def test_entities_in_place_hierarchy(self, service):
-        service.update("bob", room="L10.01")
-        service.update("john", room="L10.02")
-        service.update("eve", room="lobby")
-        assert set(service.entities_in("L10")) == {"bob", "john"}
 
     def test_observer_fired_with_previous_room(self, service):
         seen = []
@@ -93,27 +87,6 @@ class TestWhereEvaluation:
         rooms = service.resolve_rooms(parse_location("near(room:L10.01, 1)"))
         assert "L10.01" in rooms
         assert "L10.05" not in rooms
-
-    def test_place_matches(self, service):
-        expr = parse_location("within(room:L10)")
-        assert service.place_matches(expr, "L10.02")
-        assert not service.place_matches(expr, "lobby")
-
-
-class TestRouting:
-    def test_route_between_entities(self, service):
-        service.update("bob", room="L10.01")
-        service.update("john", room="L10.02")
-        rooms, polyline = service.route_between(parse_location("entity:bob"),
-                                                parse_location("entity:john"))
-        assert rooms == ["L10.01", "corridor", "L10.02"]
-        assert len(polyline) >= 3
-
-    def test_distance_between(self, service):
-        service.update("bob", room="L10.01")
-        distance = service.distance_between(parse_location("entity:bob"),
-                                            parse_location("room:L10.02"))
-        assert 0 < distance < float("inf")
 
 
 class TestEventIngestion:

@@ -4,8 +4,10 @@ import pytest
 
 from repro import SCI
 from repro.core.api import SCIConfig
+from repro.entities.profile import Profile
 from repro.ledger.replay import (live_snapshot, projection_snapshot,
                                  snapshot_digest)
+from repro.server.registrar import RegistrationRecord
 
 
 @pytest.fixture
@@ -36,7 +38,6 @@ class TestHandoff:
         assert profile is not None
         assert profile.attributes.get("preferred_printer") == "P1"
         assert sci.handoff.handoffs >= 1
-        assert sci.handoff.replays >= 1
 
     def test_replay_goes_through_the_profile_manager(self, deployment):
         """Carried attributes are ledgered like any other profile update."""
@@ -67,6 +68,38 @@ class TestHandoff:
         # the component re-registered with owner=bob; handoff must not
         # clobber the fresh registration value
         assert profile.attributes["owner"] == "bob"
+
+    def test_carry_arms_no_timer_and_lands_on_registration(self, deployment):
+        """The target range waits on the arrival itself, not on a poll."""
+        sci, app = deployment
+        level10 = sci.range("level10")
+        assert level10.profiles.get(app.guid.hex) is None
+        departed = RegistrationRecord(profile=Profile(
+            app.guid, app.profile.name,
+            attributes={"preferred_printer": "P1"}), kind="caa")
+        scheduler = sci.network.scheduler
+        pending = scheduler.pending
+        sci.handoff.carry(departed, source=None, target=level10)
+        assert scheduler.pending == pending
+        sci.teleport("bob", "L10.01")
+        sci.run(15)
+        profile = level10.profiles.get(app.guid.hex)
+        assert profile.attributes["preferred_printer"] == "P1"
+
+    def test_carry_to_a_registered_component_applies_at_once(self, deployment):
+        sci, app = deployment
+        sci.teleport("bob", "L10.01")
+        sci.run(15)
+        level10 = sci.range("level10")
+        updates = level10.profiles.updates
+        departed = RegistrationRecord(profile=Profile(
+            app.guid, app.profile.name,
+            attributes={"visits": 3, "owner": "someone-else"}), kind="caa")
+        sci.handoff.carry(departed, source=None, target=level10)
+        profile = level10.profiles.get(app.guid.hex)
+        assert (profile.attributes["visits"], profile.attributes["owner"]) \
+            == (3, "bob")
+        assert level10.profiles.updates == updates + 1
 
     def test_no_attributes_no_handoff_entry(self, building):
         from repro.mobility.handoff import HandoffCoordinator

@@ -127,6 +127,38 @@ class TestNonFiniteTimes:
         assert sched.pending == 0
 
 
+class TestNonFiniteRunBounds:
+    """A run bound is checked once, where every bounded run ends up: NaN is
+    refused with the clock and the heap untouched, and an infinite bound is
+    no bound, so the clock stops at the last event and stays usable."""
+
+    RUNS = {
+        "run_until_idle": lambda sched, bound: sched.run_until_idle(max_time=bound),
+        "run_for": lambda sched, bound: sched.run_for(bound),
+        "run_until": lambda sched, bound: sched.run_until(bound),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(RUNS))
+    def test_nan_bound_is_refused(self, entry):
+        sched = Scheduler()
+        fired = []
+        sched.schedule_at(1.0, fired.append, "due")
+        with pytest.raises(ValueError):
+            self.RUNS[entry](sched, math.nan)
+        assert (sched.now, sched.pending, fired) == (0.0, 1, [])
+
+    @pytest.mark.parametrize("entry", sorted(RUNS))
+    def test_infinite_bound_runs_until_idle(self, entry):
+        sched = Scheduler()
+        fired = []
+        sched.schedule_at(1.0, fired.append, "due")
+        assert self.RUNS[entry](sched, math.inf) == 1.0
+        assert (sched.now, sched.pending, fired) == (1.0, 0, ["due"])
+        sched.schedule(1.0, fired.append, "after")
+        sched.run_until_idle()
+        assert (sched.now, fired) == (2.0, ["due", "after"])
+
+
 class TestCancellation:
     def test_cancelled_timer_does_not_fire(self):
         sched = Scheduler()

@@ -1,7 +1,5 @@
 """Traffic statistics: the registry-backed :class:`MessageStats` facade."""
 
-import pytest
-
 from repro.net.stats import MessageStats
 from repro.net.transport import FixedLatency, FunctionProcess, Network
 from repro.obs.metrics import MetricsRegistry
@@ -22,19 +20,6 @@ def endpoints(net):
 
 
 class TestMessageStats:
-    def test_hotspot_ratio_balanced(self):
-        stats = fresh_stats()
-        for host in ("a", "b", "c"):
-            stats.record_delivery(host)
-        assert stats.hotspot_ratio() == pytest.approx(1.0)
-
-    def test_hotspot_ratio_skewed(self):
-        stats = fresh_stats()
-        for _ in range(9):
-            stats.record_delivery("root")
-        stats.record_delivery("leaf")
-        assert stats.hotspot_ratio() == pytest.approx(9 / 5)
-
     def test_reset_clears_everything(self):
         stats = fresh_stats()
         stats.record_send("x")
@@ -43,11 +28,6 @@ class TestMessageStats:
         stats.reset()
         assert stats.sent == stats.delivered == stats.dropped == 0
         assert not stats.host_load
-
-    def test_empty_ratios_are_zero(self):
-        stats = fresh_stats()
-        assert stats.hotspot_ratio() == 0.0
-        assert stats.mean_host_load == 0.0
 
 
 class TestBoundedLatencyMemory:

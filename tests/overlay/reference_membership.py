@@ -6,8 +6,7 @@ distribution tree became the only overlay paths in ``src/``:
 
 * **Full refresh** — a join seeds the newcomer's table with every member
   (full mesh) and every membership change re-sorts the whole membership
-  for every node through :meth:`RoutingTable.set_leaves`, O(N log N) *per
-  node*. It is the from-scratch ground truth the incremental ring repair
+  for every node through :func:`set_leaves`, O(N log N) *per node*. It is the from-scratch ground truth the incremental ring repair
   must equal.
 * **Dedup flood** — every node forwards a broadcast to every node it knows;
   the per-node dedup set (still in ``src/``, as a safety net) suppresses
@@ -26,8 +25,17 @@ import bisect
 from typing import Any, Dict, List, Optional
 
 from repro.core.ids import GUID
-from repro.overlay.node import OverlayNode
+from repro.overlay.node import LEAF_HALF, OverlayNode, RoutingTable, _ring_offset
 from repro.overlay.scinet import SCINet
+
+
+def set_leaves(table: RoutingTable, members: List[GUID]) -> None:
+    """Exact leaf sets of ``table``'s owner, recomputed from the full
+    membership: the ground truth the incremental ring repair must equal."""
+    others = [node for node in members if node != table.owner]
+    by_clockwise = sorted(others, key=lambda node: _ring_offset(table.owner, node))
+    table.set_leaf_lists(by_clockwise[:LEAF_HALF],
+                         list(reversed(by_clockwise))[:LEAF_HALF])
 
 
 class FloodNode(OverlayNode):
@@ -95,4 +103,4 @@ class ReferenceSCINet(SCINet):
     def _refresh_leaf_sets(self) -> None:
         members = [node.guid for node in self._nodes.values()]
         for node in self._nodes.values():
-            node.table.set_leaves(members)
+            set_leaves(node.table, members)

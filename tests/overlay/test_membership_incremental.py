@@ -3,7 +3,7 @@
 The incremental join/leave/fail path repairs only a bounded ring
 neighbourhood; these tests pin it to the from-scratch ground truth: after
 *any* membership sequence, every node's leaf lists must equal what a fresh
-``RoutingTable.set_leaves(full_membership)`` would produce — including the
+``set_leaves(table, full_membership)`` would produce — including the
 wrap-around regimes where N <= 2*LEAF_HALF and both sides overlap.
 """
 
@@ -15,7 +15,7 @@ from repro.core.ids import GUID
 from repro.net.transport import FixedLatency, Network
 from repro.overlay.node import LEAF_HALF, RoutingTable
 from repro.overlay.scinet import SCINet
-from tests.overlay.reference_membership import ReferenceSCINet
+from tests.overlay.reference_membership import ReferenceSCINet, set_leaves
 
 
 def fresh_scinet(seed=5, scinet=SCINet):
@@ -24,11 +24,11 @@ def fresh_scinet(seed=5, scinet=SCINet):
 
 
 def assert_leaves_match_ground_truth(sci):
-    """Every node's incremental leaf lists == from-scratch set_leaves()."""
+    """Every node's incremental leaf lists == from-scratch set_leaves."""
     members = [node.guid for node in sci.nodes()]
     for node in sci.nodes():
         expected = RoutingTable(node.guid)
-        expected.set_leaves(members)
+        set_leaves(expected, members)
         assert node.table._right == expected._right, (
             f"right leaves diverged on {node.guid} with {len(members)} members")
         assert node.table._left == expected._left, (
@@ -115,7 +115,7 @@ class TestKnownNodesCache:
                 doomed = present.pop(rng.randrange(len(present)))
                 table.remove(doomed)
             if step % 7 == 6:
-                table.set_leaves([owner] + present)
+                set_leaves(table, [owner] + present)
             by_value, clockwise, nodes = self.expected_views(table)
             assert table.known_nodes() == by_value
             assert table.nodes_clockwise() == clockwise

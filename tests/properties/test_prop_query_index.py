@@ -28,7 +28,7 @@ from repro.entities.entity import ContextEntity
 from repro.entities.profile import EntityClass, Profile
 from repro.location.building import livingstone_tower
 from repro.location.converters import register_location_converters
-from repro.mobility.handoff import REPLAY_INTERVAL, HandoffCoordinator
+from repro.mobility.handoff import HandoffCoordinator
 from repro.net.transport import FixedLatency, FunctionProcess, Network
 from repro.query.model import WhatClause
 from repro.server.context_server import ContextServer
@@ -159,7 +159,6 @@ class _World:
                 self.components[op[1]].guid, "carried",
                 attributes={"device": op[2], "visits": 3}), kind="ce")
             HandoffCoordinator().carry(departed, source=None, target=server)
-            self.run(REPLAY_INTERVAL)
         elif kind == "template":
             self.templates_added += 1
             server.templates.register(CETemplate(

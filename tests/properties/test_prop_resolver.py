@@ -98,7 +98,7 @@ class TestResolverProperties:
         except NoProviderError:
             return
         plan.validate()  # DAG, rooted, sources at leaves
-        assert registry.satisfies(plan.output_spec, wanted)
+        assert registry.conversion_path(plan.output_spec, wanted) is not None
         # every source node is a sensor-level profile (no event inputs)
         for key in plan.source_keys():
             node = plan.nodes[key]

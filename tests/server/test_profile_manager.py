@@ -56,17 +56,6 @@ class TestStorage:
         pm, _, _ = manager
         assert pm.population() == 2
 
-    def test_find_predicate(self, manager):
-        pm, _, _ = manager
-        devices = pm.find(lambda p: p.attributes.get("device") == "printer")
-        assert [p.name for p in devices] == ["P1"]
-
-    def test_with_advertisements(self, manager):
-        pm, printer, _ = manager
-        advertised = pm.with_advertisements()
-        assert len(advertised) == 1
-        assert advertised[0][0] is printer
-
     def test_update_attributes(self, manager):
         pm, printer, _ = manager
         assert pm.update_attributes(printer.entity_id.hex, {"color": True})
