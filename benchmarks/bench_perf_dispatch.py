@@ -30,8 +30,6 @@ import json
 import pathlib
 import time
 
-import pytest
-
 from repro.core.ids import GuidFactory
 from repro.core.types import TypeRegistry, TypeSpec
 from repro.composition.resolver import QueryResolver
@@ -301,11 +299,18 @@ def _save_baseline(document):
 
 
 # -- microbenchmarks (pytest-benchmark, optional) ------------------------------
+# pytest is imported here, not at the top: scripts/smoke_perf.py imports the
+# builders above, and must run where only the runtime is installed.
 
-@pytest.mark.parametrize("scale", [1_000, 10_000])
-def test_bench_publish(benchmark, scale):
-    net, mediator, n_types, n_subjects = build_mediator(scale)
-    source = GuidFactory(seed=23).mint()
-    event = ContextEvent(TypeSpec("t1", "raw", "s1"), 1, source, 0.0)
-    benchmark(mediator.publish, event)
-    net.scheduler.run_until_idle()
+try:
+    import pytest
+except ImportError:
+    pass
+else:
+    @pytest.mark.parametrize("scale", [1_000, 10_000])
+    def test_bench_publish(benchmark, scale):
+        net, mediator, n_types, n_subjects = build_mediator(scale)
+        source = GuidFactory(seed=23).mint()
+        event = ContextEvent(TypeSpec("t1", "raw", "s1"), 1, source, 0.0)
+        benchmark(mediator.publish, event)
+        net.scheduler.run_until_idle()

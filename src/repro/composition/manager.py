@@ -61,6 +61,9 @@ class _OutputDelivery:
     subscriber_hex: str
     one_time: bool
     query_id: str
+    #: the mediator subscription that serves it (a one-time one is dropped
+    #: by the mediator once it fired)
+    sub_id: int
 
 
 @dataclass
@@ -260,13 +263,14 @@ class ConfigurationManager:
     def _attach_output(self, config: Configuration, subscriber_hex: str,
                        one_time: bool, query_id: str) -> None:
         output_hex = config.node_guids[config.plan.output_key]
-        self.mediator.add_subscription(
+        subscription = self.mediator.add_subscription(
             subscriber=GUID.from_hex(subscriber_hex),
             event_filter=self._edge_filter(output_hex, config.plan.output_spec),
             one_time=one_time,
             owner=config.config_id,
         )
-        config.deliveries.append(_OutputDelivery(subscriber_hex, one_time, query_id))
+        config.deliveries.append(_OutputDelivery(
+            subscriber_hex, one_time, query_id, subscription.sub_id))
 
     # -- claims ------------------------------------------------------------------------------
 
@@ -368,7 +372,11 @@ class ConfigurationManager:
         # deregistration propagates; exclude them so re-resolution cannot
         # wire a freshly-killed instance back in
         config.excluded.update(guid.hex for guid in config.spawned)
-        deliveries = list(config.deliveries)
+        # a one-time output whose subscription is gone was answered already:
+        # the repaired graph must not answer it again
+        deliveries = [delivery for delivery in config.deliveries
+                      if not delivery.one_time
+                      or self.mediator.has_subscription(delivery.sub_id)]
         self._dismantle(config)
         try:
             config.plan = self.resolver.resolve(

@@ -369,7 +369,10 @@ class EventMediator(Process):
             self.ledger.append(self.now, "retain-evict",
                                 {"key": list(oldest_key)})
         self._retained[key] = event
-        self._retained_by_type.setdefault(event.type_name, {})[key] = None
+        by_type = self._retained_by_type.get(event.type_name)
+        if by_type is None:
+            by_type = self._retained_by_type[event.type_name] = {}
+        by_type[key] = None
         return key
 
     def _deliver(self, subscriptions: List[Subscription],
@@ -383,8 +386,11 @@ class EventMediator(Process):
             sub_id, seq = subscription.sub_id, subscription.record_delivery()
             if served is not None:  # the ledger's own copy of the pair
                 served.append([sub_id, seq])
-            payloads.setdefault(subscription.subscriber, {
-                "event": wire, "subs": []})["subs"].append([sub_id, seq])
+            payload = payloads.get(subscription.subscriber)
+            if payload is None:
+                payload = payloads[subscription.subscriber] = {
+                    "event": wire, "subs": []}
+            payload["subs"].append([sub_id, seq])
         count = len(subscriptions)
         self.deliveries += count
         self._deliveries_counter.inc(count)

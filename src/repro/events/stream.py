@@ -135,7 +135,9 @@ class StreamReassembler:
     def offer(self, key: StreamKey, seq: int, item: Any) -> bool:
         """Feed one arrival for ``key``; ``deliver(key, item)`` runs
         once it is in order. Returns True when delivered immediately."""
-        stream = self._streams.setdefault(key, _SubStream())
+        stream = self._streams.get(key)
+        if stream is None:
+            stream = self._streams[key] = _SubStream()
         if seq <= stream.last or seq in stream.pending:
             self.dup_dropped += 1
             self._dup_counter.inc()

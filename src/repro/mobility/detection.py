@@ -141,7 +141,7 @@ class BoundaryMonitor:
                          if record.host_id == entity.device_host]
             if current is not None:
                 for record in departing:
-                    self.handoff.carry(record, previous, current)
+                    self.handoff.carry(record, current)
             for record in departing:
                 previous.expel_entity(record.entity_hex, reason="left-range")
             previous.retire_host(entity.device_host)

@@ -27,7 +27,7 @@ class HandoffCoordinator:
         self.handoffs = 0
 
     def carry(self, record: RegistrationRecord,
-              source: ContextServer, target: ContextServer) -> None:
+              target: ContextServer) -> None:
         """Hand one departing component's attributes to ``target``."""
         attributes = dict(record.profile.attributes)
         if not attributes:

@@ -190,17 +190,22 @@ class Scheduler:
         self._push(handle.when, rank, rank, handle, tick, ())
         return handle
 
-    def schedule_delivery(self, source_host: str, target_host: str,
+    def schedule_delivery(self, source_rank: int, target_rank: int,
                           delay: float, fn: Callable, *args) -> None:
         """Transport fast path: run ``fn(*args)`` as the target host.
 
-        The canonical key uses the *sender's* rank and counter — both
-        functions of the sender's own execution history. No Timer handle
-        is minted (deliveries are never cancelled), so the entry is a bare
-        heap tuple.
+        Both hosts are given by their :meth:`register_host` rank. The
+        canonical key uses the *sender's* rank and counter — both functions
+        of the sender's own execution history. No Timer handle is minted
+        (deliveries are never cancelled), so the entry is a bare heap
+        tuple, pushed here without a further call.
         """
-        self._push(self.now + delay, self._host_rank[source_host],
-                   self._host_rank[target_host], None, fn, args)
+        origin_seq = self._origin_seq
+        seq = origin_seq[source_rank + 1]
+        origin_seq[source_rank + 1] = seq + 1
+        heapq.heappush(self._heap, (self.now + delay, source_rank, seq,
+                                    target_rank, None, fn, args))
+        self._live += 1
 
     # -- running -------------------------------------------------------------
 

@@ -136,6 +136,9 @@ class CampusLatency(LatencyModel):
 #: sentinel distinguishing "never seen" from "seen, no reply cached"
 _UNSEEN = object()
 
+#: ``BROADCAST.value``: the transport compares ints, not GUIDs
+_BROADCAST_VALUE = BROADCAST.value
+
 #: the row of a kind the wire table does not declare (a test's own verb):
 #: its payload must be an object, and nothing else is checked
 _UNDECLARED = Verb()
@@ -168,6 +171,9 @@ class Process:
     requests: Optional["RequestManager"] = None
     #: verb -> the name of its ``_handle_<verb>`` method; one table per class
     _handlers: Dict[str, str] = {}
+    #: its host and that host's scheduler rank, cached by ``Network.attach``
+    _host: Host
+    _rank: int
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
@@ -186,11 +192,6 @@ class Process:
         self._seen_messages: "OrderedDict[Tuple[int, int], Optional[Message]]" = OrderedDict()
         #: the msg_id of each message this process sends, in order
         self._msg_ids = itertools.count(1)
-        metrics = network.obs.metrics
-        self._dedup_suppressed_counter = metrics.counter(
-            "net.dedup.suppressed").series()
-        self._dedup_replayed_counter = metrics.counter(
-            "net.dedup.replayed_replies").series()
         network.attach(self)
 
     # -- messaging helpers ---------------------------------------------------
@@ -240,17 +241,17 @@ class Process:
         reaches the handler with its parsed fields on ``message.fields``.
         """
         key = (message.sender.value, message.msg_id)
-        cached = self._seen_messages.get(key, _UNSEEN)
+        seen = self._seen_messages
+        cached = seen.get(key, _UNSEEN)
         if cached is not _UNSEEN:
-            self._seen_messages.move_to_end(key)
-            self._dedup_suppressed_counter.inc()
+            seen.move_to_end(key)
+            self.network.stats.record_duplicate(replayed=cached is not None)
             if cached is not None:
-                self._dedup_replayed_counter.inc()
                 self.network.send(replace(cached))
             return
-        self._seen_messages[key] = None
-        while len(self._seen_messages) > self.DEDUP_CACHE:
-            self._seen_messages.popitem(last=False)
+        seen[key] = None
+        if len(seen) > self.DEDUP_CACHE:  # it grows by one per arrival
+            seen.popitem(last=False)
         try:
             message.fields = VERBS.get(message.kind, _UNDECLARED).parse(
                 message.payload)
@@ -348,12 +349,14 @@ class Network:
         self.obs = Observability(scheduler)
         self.stats = MessageStats(self.obs.metrics)
         self._hosts: Dict[str, Host] = {}
-        self._processes: Dict[GUID, Process] = {}
+        #: every table of processes is keyed by ``guid.value``: an int
+        #: hashes and compares in C, a GUID through its Python methods
+        self._processes: Dict[int, Process] = {}
         #: host id -> processes living there, in attach order
-        self._processes_by_host: Dict[str, Dict[GUID, Process]] = {}
+        self._processes_by_host: Dict[str, Dict[int, Process]] = {}
         #: (host id, announcement kind) -> the processes there that declared
         #: it, in attach order: the only recipients a broadcast has
-        self._listeners: Dict[Tuple[str, str], Dict[GUID, Process]] = {}
+        self._listeners: Dict[Tuple[str, str], Dict[int, Process]] = {}
         self._partition_of: Dict[str, int] = {}
 
     # -- topology ------------------------------------------------------------
@@ -403,19 +406,24 @@ class Network:
     # -- endpoints -----------------------------------------------------------
 
     def attach(self, process: Process) -> None:
-        if process.guid in self._processes:
+        """File ``process`` under its GUID's value and cache, on the
+        process, its host and that host's scheduler rank: the per-message
+        path reads both and looks neither up."""
+        value = process.guid.value
+        if value in self._processes:
             raise TransportError(f"duplicate process GUID: {process.guid}")
-        self.host(process.host_id)  # must exist
-        self._processes[process.guid] = process
-        self._processes_by_host.setdefault(process.host_id, {})[process.guid] = process
+        process._host = self.host(process.host_id)  # must exist
+        process._rank = self.scheduler.register_host(process.host_id)
+        self._processes[value] = process
+        self._processes_by_host.setdefault(process.host_id, {})[value] = process
         self.listen(process)
 
     def detach(self, guid: GUID) -> None:
-        process = self._processes.pop(guid, None)
+        process = self._processes.pop(guid.value, None)
         if process is not None:
             on_host = self._processes_by_host.get(process.host_id)
             if on_host is not None:
-                on_host.pop(guid, None)
+                on_host.pop(guid.value, None)
             self.listen(process, False)
 
     def listen(self, process: Process, on: bool = True) -> None:
@@ -426,11 +434,11 @@ class Network:
         for kind in process.listens_for:
             heard = self._listeners.get((process.host_id, kind), {})
             self._listeners[process.host_id, kind] = {
-                guid: other for guid, other in on_host.items()
-                if (on if other is process else guid in heard)}
+                value: other for value, other in on_host.items()
+                if (on if other is process else value in heard)}
 
     def process(self, guid: GUID) -> Optional[Process]:
-        return self._processes.get(guid)
+        return self._processes.get(guid.value)
 
     def processes_on(self, host_id: str) -> List[Process]:
         return list(self._processes_by_host.get(host_id, {}).values())
@@ -438,81 +446,79 @@ class Network:
     # -- delivery ------------------------------------------------------------
 
     def send(self, message: Message) -> None:
-        """Queue a message for delivery (or loss) per the failure model."""
-        if message.trace is None and self.scheduler.ambient:
+        """Queue a message for delivery (or loss) per the failure model.
+
+        A unicast is counted, checked, drawn and queued here, in this one
+        frame, with one scheduler call (``schedule_delivery``); a
+        broadcast's copies (:meth:`_broadcast`) take the same checks in
+        the same loop.
+        """
+        scheduler = self.scheduler
+        if message.trace is None and scheduler.ambient:
             # Stamp the sender's ambient span so downstream handling joins
             # the same trace (see repro.obs.tracing; its stacks are these).
             message.trace = self.obs.tracer.current_context()
         stats = self.stats
-        stats.record_send(message.kind)
-        sender = self._processes.get(message.sender)
+        stats.sent_series[message.kind].value += 1
+        processes = self._processes
+        sender = processes.get(message.sender.value)
         if sender is None:
             # A detached (crashed/stopped) process cannot transmit.
             stats.record_drop()
             logger.debug("dropping send from detached process: %s", message)
             return
-        source_host = self._hosts.get(sender.host_id)
+        if message.recipient.value == _BROADCAST_VALUE:
+            copies = self._broadcast(message, sender)
+        else:
+            recipient = processes.get(message.recipient.value)
+            if recipient is None:
+                stats.record_undeliverable()
+                logger.debug("undeliverable %s", message)
+                return
+            copies = ((message, recipient),)
+        source = sender._host
+        partition_of = self._partition_of
+        rng = self._host_rngs[source.host_id]
+        for copy, recipient in copies:
+            target = recipient._host
+            if not (source.up and target.up) or (
+                    partition_of and partition_of.get(source.host_id, 0)
+                    != partition_of.get(target.host_id, 0)):
+                stats.record_drop()
+                continue
+            latency = self.latency_model.latency(source, target, rng)
+            if self.drop_rate and rng.random() < self.drop_rate:
+                stats.record_drop()
+                continue
+            scheduler.schedule_delivery(sender._rank, recipient._rank,
+                                        latency, self._deliver, copy,
+                                        recipient.guid)
 
-        if message.recipient.value == BROADCAST.value:  # no __eq__ call
-            self._broadcast(message, source_host)
-            return
-
-        recipient = self._processes.get(message.recipient)
-        if recipient is None:
-            stats.record_undeliverable()
-            logger.debug("undeliverable %s", message)
-            return
-        self._dispatch(message, source_host, recipient)
-
-    def _broadcast(self, message: Message, source_host: Optional[Host]) -> None:
-        """Deliver to the processes on the sender's host that listen for
-        this kind, the sender excepted.
+    def _broadcast(self, message: Message,
+                   sender: Process) -> List[Tuple[Message, Process]]:
+        """One copy of ``message`` per process on the sender's host that
+        listens for this kind, the sender excepted, each with its
+        recipient.
 
         This models the paper's Figure-5 bootstrap: the Range Service
         "listens for CAAs or CEs starting up" on its machine — a link-local
         announcement heard by whoever declared it, not a copy per process.
         """
-        if source_host is None:
-            self.stats.record_undeliverable()
-            return
-        heard = self._listeners.get((source_host.host_id, message.kind), {})
-        recipients = [process for process in heard.values()
-                      if process.guid != message.sender]
-        if not recipients:
+        heard = self._listeners.get((sender.host_id, message.kind), {})
+        sender_value = message.sender.value
+        copies = [(replace(message, recipient=process.guid,
+                           payload=dict(message.payload)), process)
+                  for value, process in heard.items() if value != sender_value]
+        if not copies:
             self.stats.record_unheard(message.kind)
-        for process in recipients:
-            copy = replace(message, recipient=process.guid,
-                           payload=dict(message.payload))
-            self._dispatch(copy, source_host, process)
-
-    def _dispatch(self, message: Message, source_host: Optional[Host], recipient: Process) -> None:
-        destination_host = self._hosts[recipient.host_id]
-        if source_host is None:
-            self.stats.record_drop()
-            return
-        if not source_host.up or not destination_host.up:
-            self.stats.record_drop()
-            return
-        partition_of = self._partition_of
-        if partition_of and partition_of.get(source_host.host_id, 0) != \
-                partition_of.get(destination_host.host_id, 0):
-            self.stats.record_drop()
-            return
-        rng = self._host_rngs[source_host.host_id]
-        latency = self.latency_model.latency(source_host, destination_host, rng)
-        if self.drop_rate and rng.random() < self.drop_rate:
-            self.stats.record_drop()
-            return
-        self.scheduler.schedule_delivery(
-            source_host.host_id, recipient.host_id, latency,
-            self._deliver, message, recipient.guid)
+        return copies
 
     def _deliver(self, message: Message, recipient_guid: GUID) -> None:
-        recipient = self._processes.get(recipient_guid)
-        if recipient is None or not self._hosts[recipient.host_id].up:
+        recipient = self._processes.get(recipient_guid.value)
+        if recipient is None or not recipient._host.up:
             self.stats.record_undeliverable()
             return
-        self.stats.record_delivery(recipient.host_id)
+        self.stats.delivered_series[recipient.host_id].value += 1
         trace = message.trace
         if trace is None:
             recipient.deliver(message)

@@ -58,12 +58,14 @@ class RoutingTable:
     the management plane (:meth:`repro.overlay.scinet.SCINet.join`), which
     is what a converged Pastry maintenance protocol produces.
 
-    The derived views — :meth:`known_nodes`, :meth:`nodes_clockwise`, the
-    membership set behind ``in``/``size`` and the leaf-span extents — are
-    memoised and invalidated on mutation, so the per-hop fallback scan,
-    broadcast fan-out and span checks never rebuild a sorted set per call.
-    ``cache_hits``/``cache_builds`` expose the memo's effectiveness to the
-    perf smoke gate.
+    The derived views — :meth:`known_nodes`, the clockwise order with each
+    node's ring offset behind :meth:`nodes_within`, the membership map
+    behind ``in``/``size`` and the leaf-span extents — are memoised and
+    invalidated on mutation, so the per-hop fallback scan, broadcast
+    fan-out and span checks never rebuild a sorted set per call. The views
+    are built from GUID values (ints hash, compare and sort in C; a GUID
+    does so through its Python methods). ``cache_hits``/``cache_builds``
+    expose the memo's effectiveness to the perf smoke gate.
     """
 
     def __init__(self, owner: GUID):
@@ -78,8 +80,11 @@ class RoutingTable:
         self._left_span = 0
         # memoised views (None = stale, rebuilt on next read)
         self._known_sorted: Optional[List[GUID]] = None
-        self._known_set: Optional[Set[GUID]] = None
+        #: value -> node, for every node in the table
+        self._known: Optional[Dict[int, GUID]] = None
         self._clockwise: Optional[List[GUID]] = None
+        #: each clockwise node's clockwise offset from the owner (ascending)
+        self._offsets: Optional[List[int]] = None
         #: cache effectiveness counters (read by scripts/smoke_perf.py)
         self.cache_hits = 0
         self.cache_builds = 0
@@ -88,11 +93,13 @@ class RoutingTable:
 
     def add(self, node: GUID) -> None:
         """Add a prefix-table entry (leaf sets are set via set_leaf_lists)."""
-        if node == self.owner:
+        if node.value == self.owner.value:
             return
         row = self.owner.shared_prefix_len(node)
         digit = node.digit(row)
-        slot = self._rows.setdefault(row, {})
+        slot = self._rows.get(row)
+        if slot is None:
+            slot = self._rows[row] = {}
         incumbent = slot.get(digit)
         if incumbent is None or node.distance(self.owner) < incumbent.distance(self.owner):
             slot[digit] = node
@@ -138,20 +145,24 @@ class RoutingTable:
 
     def _invalidate(self) -> None:
         self._known_sorted = None
-        self._known_set = None
+        self._known = None
         self._clockwise = None
+        self._offsets = None
 
     def _rebuild(self) -> None:
-        nodes: Set[GUID] = set(self._right)
-        nodes.update(self._left)
+        nodes = self._right + self._left
         for slot in self._rows.values():
-            nodes.update(slot.values())
-        self._known_set = nodes
-        self._known_sorted = sorted(nodes)
+            nodes.extend(slot.values())
+        self._known = known = {node.value: node for node in nodes}
+        values = sorted(known)
+        self._known_sorted = [known[value] for value in values]
         # the owner is never in the table, so bisect yields the rotation
         # point that turns value order into clockwise ring order
-        pivot = bisect.bisect_right(self._known_sorted, self.owner)
-        self._clockwise = self._known_sorted[pivot:] + self._known_sorted[:pivot]
+        pivot = bisect.bisect_right(values, self.owner.value)
+        values = values[pivot:] + values[:pivot]
+        self._clockwise = [known[value] for value in values]
+        origin = self.owner.value
+        self._offsets = [(value - origin) % _RING for value in values]
         self.cache_builds += 1
 
     # -- lookup ----------------------------------------------------------------
@@ -213,31 +224,31 @@ class RoutingTable:
             self.cache_hits += 1
         return self._known_sorted
 
-    def nodes_clockwise(self) -> List[GUID]:
-        """Known nodes ordered by clockwise ring offset from the owner
-        (cached; treat as read-only)."""
+    def nodes_within(self, span: int) -> List[GUID]:
+        """Known nodes less than ``span`` clockwise from the owner, in
+        clockwise order: one bisect over the memoised ring offsets."""
         if self._clockwise is None:
             self._rebuild()
         else:
             self.cache_hits += 1
-        return self._clockwise
+        return self._clockwise[:bisect.bisect_left(self._offsets, span)]
 
     def leaves(self) -> List[GUID]:
         return list(self._right) + list(self._left)
 
     def size(self) -> int:
-        if self._known_set is None:
+        if self._known is None:
             self._rebuild()
         else:
             self.cache_hits += 1
-        return len(self._known_set)
+        return len(self._known)
 
     def __contains__(self, node: GUID) -> bool:
-        if self._known_set is None:
+        if self._known is None:
             self._rebuild()
         else:
             self.cache_hits += 1
-        return node in self._known_set
+        return node.value in self._known
 
 
 class OverlayNode(Process):
@@ -471,24 +482,17 @@ class OverlayNode(Process):
         needs only the leaf-set invariant (each node knows its immediate
         ring successor); see DESIGN.md, "Overlay fast paths".
         """
-        span = _ring_offset(self.guid, until)
-        if span == 0:
-            span = _RING  # originator: the whole ring is this node's arc
-        delegates: List[GUID] = []
-        for node in self.table.nodes_clockwise():
-            if _ring_offset(self.guid, node) >= span:
-                break  # clockwise order: everything further is outside
-            delegates.append(node)
+        # the originator (until == self) owns the whole ring
+        delegates = self.table.nodes_within(
+            (until.value - self.guid.value) % _RING or _RING)
         if not delegates:
             return
         hops = payload["hops"] + 1
-        for index, node in enumerate(delegates):
-            bound = (delegates[index + 1] if index + 1 < len(delegates)
-                     else until)
-            onward = dict(payload)
-            onward["hops"] = hops
-            onward["until"] = bound.hex
-            self.send(node, "o-bcast", onward)
+        bounds = delegates[1:]
+        bounds.append(until)
+        for node, bound in zip(delegates, bounds):
+            self.send(node, "o-bcast",
+                      {**payload, "hops": hops, "until": bound.hex})
         self._bcast_sent.inc(len(delegates))
 
     # -- messages ----------------------------------------------------------------------------

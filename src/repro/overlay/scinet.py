@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import bisect
 import logging
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.errors import RoutingError
@@ -41,6 +42,9 @@ from repro.net.transport import Network
 from repro.overlay.node import LEAF_HALF, OverlayNode
 
 logger = logging.getLogger(__name__)
+
+#: the ring is ordered by GUID value: bisect compares ints, not GUIDs
+_value = attrgetter("value")
 
 
 class SCINet:
@@ -92,7 +96,7 @@ class SCINet:
         """Pastry-style join: seed from the ring flankers, announce to the
         learned set, repair leaf sets only around the insertion point."""
         guid = node.guid
-        index = bisect.bisect_left(self._ring, guid)
+        index = bisect.bisect_left(self._ring, guid.value, key=_value)
         members = len(self._ring)
         if members:
             flankers = {self._ring[index % members],
@@ -102,7 +106,7 @@ class SCINet:
                 node.table.add(flanker)
                 # every copied entry self-files under the correct row/digit
                 for known in member.table.known_nodes():
-                    if known != guid:
+                    if known.value != guid.value:
                         node.table.add(known)
                 # directory transfer from the replicated cache — any single
                 # quiesced member carries the full directory, so a newcomer
@@ -191,7 +195,7 @@ class SCINet:
 
     def _remove_member(self, node: OverlayNode) -> None:
         del self._nodes[node.guid.hex]
-        index = bisect.bisect_left(self._ring, node.guid)
+        index = bisect.bisect_left(self._ring, node.guid.value, key=_value)
         self._ring.pop(index)
         for member in self._nodes.values():
             member.table.remove(node.guid)

@@ -56,9 +56,17 @@ class RangeDefinition:
         return False
 
     def rooms(self, building: BuildingModel) -> List[str]:
-        """All concrete rooms this range governs."""
-        return [room for room in building.room_names()
-                if self.governs_place(building, room)]
+        """All concrete rooms this range governs, in the building's order:
+        the rooms at or beneath a governed place (what
+        :meth:`governs_place` asks of one room), each governed subtree
+        walked once."""
+        hierarchy = building.hierarchy
+        beneath = set()
+        for place in self.places:
+            if hierarchy.known(place):
+                beneath.add(place)
+                beneath.update(hierarchy.descendants(place))
+        return [room for room in building.room_names() if room in beneath]
 
     def __str__(self) -> str:
         return f"Range({self.name}: places={self.places})"

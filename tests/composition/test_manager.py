@@ -186,6 +186,40 @@ class TestRepair:
         network.scheduler.run_for(10)
         assert app.last_event_value() == "L10.02"
 
+    def test_repair_skips_a_consumed_one_time_output(self, network, stack):
+        """A one-time output the mediator consumed and dropped is answered;
+        repairing its configuration must not attach it a second time."""
+        server, sensors, app = stack
+        manager = server.configurations
+        config = manager.deliver(TypeSpec("location", "topological", "bob"),
+                                 app.guid.hex, "q1", one_time=True)
+        sensors["door:corridor--L10.01"].detect("bob", "corridor", "L10.01")
+        network.scheduler.run_for(10)
+        assert len(app.events_of_type("location")) == 1
+        victim = sensors["door:corridor--L10.01"]
+        assert manager.handle_entity_departure(victim.guid.hex) == [config]
+        assert config.state == ConfigState.ACTIVE
+        sensors["door:corridor--L10.02"].detect("bob", "corridor", "L10.02")
+        network.scheduler.run_for(10)
+        assert len(app.events_of_type("location")) == 1
+        assert config.deliveries == []
+
+    def test_repair_keeps_an_unconsumed_one_time_output(self, network, stack):
+        """A one-time output that has not fired yet survives the repair and
+        fires once, from the repaired graph."""
+        server, sensors, app = stack
+        manager = server.configurations
+        config = manager.deliver(TypeSpec("location", "topological", "bob"),
+                                 app.guid.hex, "q1", one_time=True)
+        victim = sensors["door:corridor--L10.01"]
+        manager.handle_entity_departure(victim.guid.hex)
+        assert [d.query_id for d in config.deliveries] == ["q1"]
+        sensors["door:corridor--L10.02"].detect("bob", "corridor", "L10.02")
+        sensors["door:corridor--L10.02"].detect("bob", "L10.02", "corridor")
+        network.scheduler.run_for(10)
+        assert [event.value for event in app.events_of_type("location")] \
+            == ["L10.02"]
+
     def test_unrepairable_goes_dead_and_notifies(self, network, stack):
         server, sensors, app = stack
         manager = server.configurations

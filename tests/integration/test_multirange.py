@@ -164,17 +164,18 @@ class TestForwardedStreamResync:
         assert app.query_acks["app:1"]["status"] == "forwarded"
         # the peer's event carrying the app's seq 2, and every
         # retransmission of it, is lost for DROP_FOR units
-        network, peer = sci.network, level10.mediator.guid
+        scheduler, peer = sci.network.scheduler, level10.mediator.guid
         drop_until = sci.now + self.DROP_FOR
-        dispatch = network._dispatch
+        schedule_delivery = scheduler.schedule_delivery
 
-        def lossy(message, source_host, recipient):
+        def lossy(source_rank, target_rank, delay, fn, message, recipient):
             if not (message.kind == "event" and message.sender == peer
-                    and recipient is app and sci.now < drop_until
+                    and recipient == app.guid and sci.now < drop_until
                     and any(seq == 2 for _, seq in message.payload["subs"])):
-                dispatch(message, source_host, recipient)
+                schedule_delivery(source_rank, target_rank, delay, fn,
+                                  message, recipient)
 
-        network._dispatch = lossy
+        scheduler.schedule_delivery = lossy
         rooms = ["L10.01", "corridor", "L10.02", "corridor"]
         while sci.now < drop_until:
             for room in rooms:

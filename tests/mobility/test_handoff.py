@@ -79,7 +79,7 @@ class TestHandoff:
             attributes={"preferred_printer": "P1"}), kind="caa")
         scheduler = sci.network.scheduler
         pending = scheduler.pending
-        sci.handoff.carry(departed, source=None, target=level10)
+        sci.handoff.carry(departed, target=level10)
         assert scheduler.pending == pending
         sci.teleport("bob", "L10.01")
         sci.run(15)
@@ -95,7 +95,7 @@ class TestHandoff:
         departed = RegistrationRecord(profile=Profile(
             app.guid, app.profile.name,
             attributes={"visits": 3, "owner": "someone-else"}), kind="caa")
-        sci.handoff.carry(departed, source=None, target=level10)
+        sci.handoff.carry(departed, target=level10)
         profile = level10.profiles.get(app.guid.hex)
         assert (profile.attributes["visits"], profile.attributes["owner"]) \
             == (3, "bob")
@@ -109,5 +109,5 @@ class TestHandoff:
         coordinator = HandoffCoordinator()
         record = RegistrationRecord(
             profile=Profile(GuidFactory(1).mint(), "bare"), kind="caa")
-        coordinator.carry(record, source=None, target=None)  # no attrs: no-op
+        coordinator.carry(record, target=None)  # no attrs: no-op
         assert coordinator.handoffs == 0

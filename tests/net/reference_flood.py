@@ -5,8 +5,9 @@ sent to ``BROADCAST`` was copied to *every other process on the sender's
 machine* — one ``Message``, one heap entry, one delivery, one dedup-cache
 slot and one ``on_message`` each — and every recipient that did not care
 dropped it in a debug log. :class:`FloodNetwork` is that transport: only
-``_broadcast`` is swapped, everything downstream of it (``_dispatch``,
-``_deliver``, the recipients' own handlers) is the production code.
+``_broadcast`` (which picks the copies) is swapped, everything downstream
+of it (the checks and latency draw in ``send``, ``_deliver``, the
+recipients' own handlers) is the production code.
 
 A copy addressed to a process the production table would *not* have reached
 (it declared nothing, or it is a daemon that was switched off) is a **dead
@@ -19,11 +20,11 @@ log minus its dead letters.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.core.ids import GUID
 from repro.net.message import Message
-from repro.net.transport import Host, Network
+from repro.net.transport import Network, Process
 from tests.net.eventlog import Entry, attach
 
 
@@ -43,19 +44,19 @@ class FloodNetwork(Network):
         self.dead_letters: List[int] = []
         self.event_log = attach(self)
 
-    def _broadcast(self, message: Message, source_host: Optional[Host]) -> None:
-        if source_host is None:
-            self.stats.record_undeliverable()
-            return
-        heard = self._listeners.get((source_host.host_id, message.kind), {})
-        for process in self.processes_on(source_host.host_id):
+    def _broadcast(self, message: Message,
+                   sender: Process) -> List[Tuple[Message, Process]]:
+        heard = self._listeners.get((sender.host_id, message.kind), {})
+        copies = []
+        for process in self.processes_on(sender.host_id):
             if process.guid == message.sender:
                 continue
             copy = replace(message, recipient=process.guid,
                            payload=dict(message.payload))
-            if process.guid not in heard:
+            if process.guid.value not in heard:
                 self._dead.add((copy.sender, copy.msg_id, process.guid))
-            self._dispatch(copy, source_host, process)
+            copies.append((copy, process))
+        return copies
 
     def _deliver(self, message: Message, recipient_guid: GUID) -> None:
         key = (message.sender, message.msg_id, recipient_guid)

@@ -14,6 +14,8 @@ import pytest
 from repro.net.sim import Scheduler
 
 POOL = tuple(f"host-{i}" for i in range(16))
+#: the scheduler rank of each host in POOL, once make_sched registered it
+RANKS = tuple(range(len(POOL)))
 
 
 def make_sched():
@@ -40,7 +42,7 @@ def test_host_ranks_are_dense_and_registration_is_idempotent():
 def test_external_and_control_context_may_send_for_any_host():
     sched = make_sched()
     got = []
-    source, target = POOL[0], POOL[1]
+    source, target = RANKS[0], RANKS[1]
     # external (setup) context: nothing is executing, no restriction
     sched.schedule_delivery(source, target, 1.0, got.append, "setup")
     # control context: a control callback drives a host send
@@ -58,13 +60,13 @@ def test_control_events_run_first_at_ties():
     state = {"flag": False}
     seen = {}
     times = (1.0, 2.0, 3.0)
-    for i, host in enumerate(POOL):
+    for i, host in enumerate(RANKS):
         sched.schedule_delivery(
             host, host, times[i % 3],
             lambda h=host: seen.__setitem__(h, state["flag"]))
     sched.schedule(2.0, lambda: state.__setitem__("flag", True))
     sched.run_until_idle()
-    for i, host in enumerate(POOL):
+    for i, host in enumerate(RANKS):
         assert seen[host] is (times[i % 3] >= 2.0)
 
 
@@ -73,7 +75,7 @@ def test_what_a_control_event_schedules_is_control_again():
     a later instant still beats that instant's host events."""
     sched = make_sched()
     order = []
-    host = POOL[0]
+    host = RANKS[0]
     sched.schedule_delivery(host, host, 3.0, order.append, "host")
     sched.schedule(1.0, lambda: sched.schedule(2.0, order.append, "control"))
     sched.run_until_idle()
@@ -85,7 +87,7 @@ def test_now_is_lane_local_inside_callbacks():
     time of the last event fired."""
     sched = make_sched()
     observed = []
-    for i, host in enumerate(POOL[:4]):
+    for i, host in enumerate(RANKS[:4]):
         when = 1.0 + i
         sched.schedule_delivery(host, host, when,
                                 lambda w=when: observed.append(
@@ -110,7 +112,7 @@ def test_run_for_and_run_until_advance_time_when_idle():
 def test_events_beyond_max_time_stay_queued():
     sched = make_sched()
     fired = []
-    host = POOL[0]
+    host = RANKS[0]
     sched.schedule_delivery(host, host, 1.0, fired.append, "early")
     sched.schedule_delivery(host, host, 10.0, fired.append, "late")
     sched.run_for(5.0)
@@ -136,7 +138,7 @@ def test_pending_sums_all_lanes():
     """``pending`` counts host deliveries and control timers alike, and a
     cancelled timer leaves it at once."""
     sched = make_sched()
-    for host in POOL[:8]:
+    for host in RANKS[:8]:
         sched.schedule_delivery(host, host, 1.0, lambda: None)
     timer = sched.schedule(2.0, lambda: None)  # a control event
     assert sched.pending == 9

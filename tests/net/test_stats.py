@@ -22,8 +22,8 @@ def endpoints(net):
 class TestMessageStats:
     def test_reset_clears_everything(self):
         stats = fresh_stats()
-        stats.record_send("x")
-        stats.record_delivery("a")
+        stats.sent_series["x"].inc()
+        stats.delivered_series["a"].inc()
         stats.record_drop()
         stats.reset()
         assert stats.sent == stats.delivered == stats.dropped == 0
@@ -37,8 +37,8 @@ class TestBoundedLatencyMemory:
     def test_shared_registry_series_are_visible(self):
         registry = MetricsRegistry()
         stats = MessageStats(registry)
-        stats.record_send("query")
-        stats.record_delivery("host-a")
+        stats.sent_series["query"].inc()
+        stats.delivered_series["host-a"].inc()
         assert registry.get("net.messages.sent").value(kind="query") == 1
         delivered = registry.get("net.messages.delivered")
         assert delivered.value(host="host-a") == 1

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.core.errors import TransportError
-from repro.core.ids import GuidFactory
+from repro.core.ids import GUID, GuidFactory
 from repro.net.message import BROADCAST, Message
 from repro.net.transport import (
     CampusLatency,
@@ -182,6 +182,54 @@ class TestHosts:
         FunctionProcess(guid, "host-a", network, lambda m: None)
         with pytest.raises(TransportError):
             FunctionProcess(guid, "host-a", network, lambda m: None)
+
+    def test_an_equal_guid_is_the_same_address(self, network, guids):
+        """The process table is keyed by value: a distinct GUID object of
+        the same value finds the process, detaches it and is refused as a
+        duplicate exactly as the minted one is."""
+        minted = guids.mint()
+        twin = GUID(minted.value)
+        assert twin is not minted
+        process = FunctionProcess(minted, "host-a", network, lambda m: None)
+        assert network.process(twin) is process
+        with pytest.raises(TransportError):
+            FunctionProcess(twin, "host-b", network, lambda m: None)
+        assert network.process(minted) is process
+        assert network.processes_on("host-b") == []
+        network.detach(twin)
+        assert network.process(minted) is None
+        assert network.processes_on("host-a") == []
+        again = FunctionProcess(twin, "host-a", network, lambda m: None)
+        assert network.process(minted) is again
+        with pytest.raises(TransportError):
+            FunctionProcess(minted, "host-a", network, lambda m: None)
+
+    def test_an_equal_guid_reaches_the_process(self, network, guids):
+        """A message addressed with an equal-valued GUID object, and one
+        sent from one, travels as the minted address does."""
+        a, b, inbox_a, inbox_b = make_pair(network, guids)
+        a.send(GUID(b.guid.value), "ping")
+        network.send(Message(GUID(b.guid.value), GUID(a.guid.value), "pong",
+                             msg_id=1))
+        network.scheduler.run_until_idle()
+        assert [message.kind for message in inbox_b] == ["ping"]
+        assert [message.kind for message in inbox_a] == ["pong"]
+        assert network.stats.dropped == network.stats.undeliverable == 0
+
+    def test_reattached_recipient_receives_what_is_in_flight(self, network,
+                                                             guids):
+        """A delivery is addressed by value when it lands: a process
+        detached and re-attached under the same value before then, on
+        another host, receives it."""
+        a, b, _, inbox_b = make_pair(network, guids)
+        a.send(b.guid, "ping", {"n": 1})
+        b.detach()
+        inbox = []
+        FunctionProcess(GUID(b.guid.value), "host-a", network, inbox.append)
+        network.scheduler.run_until_idle()
+        assert inbox_b == []
+        assert [message.payload for message in inbox] == [{"n": 1}]
+        assert network.stats.host_load == {"host-a": 1}
 
     def test_processes_on_host(self, network, guids):
         a = FunctionProcess(guids.mint(), "host-a", network, lambda m: None)

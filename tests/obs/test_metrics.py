@@ -171,12 +171,12 @@ class TestCounterSeries:
         again; stale handles would leave every later count at zero."""
         stats = MessageStats(MetricsRegistry())
         for _ in range(3):
-            stats.record_send("component-up")
-            stats.record_delivery("lab-pc")
+            stats.sent_series["component-up"].inc()
+            stats.delivered_series["lab-pc"].inc()
         stats.record_drop()
         stats.reset()
-        stats.record_send("component-up")
-        stats.record_delivery("lab-pc")
+        stats.sent_series["component-up"].inc()
+        stats.delivered_series["lab-pc"].inc()
         stats.record_drop()
         assert (stats.sent, stats.delivered, stats.dropped) == (1, 1, 1)
         assert stats.by_kind == {"component-up": 1}

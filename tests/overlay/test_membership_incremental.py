@@ -118,7 +118,7 @@ class TestKnownNodesCache:
                 set_leaves(table, [owner] + present)
             by_value, clockwise, nodes = self.expected_views(table)
             assert table.known_nodes() == by_value
-            assert table.nodes_clockwise() == clockwise
+            assert table.nodes_within(1 << 128) == clockwise
             assert table.size() == len(nodes)
             assert all(n in table for n in nodes)
             assert owner not in table
@@ -132,7 +132,7 @@ class TestKnownNodesCache:
         builds = table.cache_builds
         for _ in range(50):
             table.known_nodes()
-            table.nodes_clockwise()
+            table.nodes_within(1 << 128)
             table.size()
         assert table.cache_builds == builds
         assert table.cache_hits >= 150

@@ -153,3 +153,81 @@ class TestNodeDelivery:
             nodes[rng.randrange(len(nodes))].route(key, "probe", {})
         net.scheduler.run_for(120)
         assert sci.total_routed() >= 50
+
+
+RING = 1 << 128
+
+
+def scan_delegates(node, until):
+    """The delegates of ``node``'s arc ``(node, until)`` by a linear scan:
+    every known node strictly inside the arc, nearest clockwise first."""
+    span = (until.value - node.guid.value) % RING or RING
+    inside = [known for known in node.table.known_nodes()
+              if (known.value - node.guid.value) % RING < span]
+    return sorted(inside, key=lambda known: (known.value - node.guid.value)
+                  % RING)
+
+
+class TestForwardTree:
+    """``_forward_tree`` picks its delegates with one bisect over memoised
+    ring offsets; they must be the linear scan's, each with the next one
+    as its bound and the last with the forwarder's own."""
+
+    @staticmethod
+    def ring(seed, size):
+        net = Network(latency_model=FixedLatency(1.0), seed=seed)
+        sci = SCINet(net)
+        for index in range(size):
+            sci.create_node(f"h{index % 3}")
+        net.run_until_idle()
+        return sci.nodes()
+
+    @staticmethod
+    def forwarded(node, until):
+        """(delegate, its bound) of each o-bcast ``node`` sends for the arc
+        ``(node, until)``."""
+        sent = []
+        node.send = lambda recipient, kind, payload: sent.append(
+            (recipient, GUID.from_hex(payload["until"])))
+        try:
+            node._forward_tree({"bcast_id": "b", "kind": "k", "body": {},
+                                "hops": 0}, until)
+        finally:
+            del node.send
+        return sent
+
+    def check(self, node, until):
+        delegates = scan_delegates(node, until)
+        bounds = delegates[1:] + [until]
+        assert self.forwarded(node, until) == list(zip(delegates, bounds))
+        return delegates
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_random_rings(self, seed):
+        nodes = self.ring(seed, 12 + 7 * seed)
+        rng = random.Random(seed)
+        wrapped = 0
+        for node in nodes:
+            self.check(node, node.guid)  # the originator: the whole ring
+            for _ in range(4):
+                until = rng.choice(nodes).guid
+                self.check(node, until)
+                wrapped += until.value < node.guid.value
+            # bounds that are no member: just past the owner, just before
+            # it (the longest arc that is not the whole ring) and across 0
+            for value in (node.guid.value + 1, node.guid.value - 1,
+                          rng.randrange(node.guid.value)
+                          if node.guid.value else 0):
+                self.check(node, GUID(value % RING))
+        assert wrapped  # some arcs ran past the top of the ring
+
+    def test_arc_across_zero_is_split_at_the_wrap(self):
+        """The forwarder at the top of the ring, whose arc ends past the
+        bottom node, delegates across 0 to that node."""
+        nodes = self.ring(9, 24)
+        top = max(nodes, key=lambda node: node.guid.value)
+        bottom = min(nodes, key=lambda node: node.guid.value)
+        beyond = [guid for guid in top.table.known_nodes()
+                  if guid.value > bottom.guid.value]
+        until = beyond[0] if beyond else top.guid
+        assert bottom.guid in self.check(top, until)

@@ -71,7 +71,7 @@ class SingleHeapScheduler:
         arm()
         return handle
 
-    def schedule_delivery(self, source_host: str, target_host: str,
+    def schedule_delivery(self, source_rank: int, target_rank: int,
                           delay: float, fn: Callable, *args) -> None:
         heapq.heappush(self._heap, (self.now + delay, next(self._sequence),
                                     None, lambda: fn(*args)))

@@ -158,7 +158,7 @@ class _World:
             departed = RegistrationRecord(profile=Profile(
                 self.components[op[1]].guid, "carried",
                 attributes={"device": op[2], "visits": 3}), kind="ce")
-            HandoffCoordinator().carry(departed, source=None, target=server)
+            HandoffCoordinator().carry(departed, target=server)
         elif kind == "template":
             self.templates_added += 1
             server.templates.register(CETemplate(
