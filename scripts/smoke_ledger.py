@@ -19,6 +19,9 @@ then expires (the PR-4 failure-detection path). The gate asserts:
   counted, one ``depart`` per departure it announced, and no kind outside
   ``ENTRY_KINDS``; entries and canonical bytes (what each ``verify``
   hashes once) are printed per kind;
+* **canonical bytes**: every entry's body, as the ledger's shared encoder
+  renders it, equals the stdlib ``json.dumps`` with sorted keys and
+  compact separators;
 * **one entry per publish**: no more ``publish`` entries than the mediator
   counted publishes, and the ``deliveries`` lists of the ``publish`` and
   ``replay`` entries add up to the deliveries it counted — an entry per
@@ -37,6 +40,7 @@ Exits non-zero on any failure, so CI can gate on it. Usage::
 """
 
 import collections
+import json
 import pathlib
 import sys
 import tempfile
@@ -113,19 +117,26 @@ def counting_hashes(step):
 
 
 def print_kind_table(entries):
-    """Entries and canonical bytes per kind: what every audit hashes."""
+    """Entries and canonical bytes per kind: what every audit hashes.
+
+    Returns the counts per kind and how many bodies the ledger's shared
+    encoder rendered otherwise than the stdlib's ``json.dumps``."""
     counts, sizes = collections.Counter(), collections.Counter()
+    differ = 0
     for entry in entries:
+        body = entry_body(entry.seq, entry.sim_time, entry.kind, entry.payload)
+        differ += body != json.dumps(
+            [entry.seq, entry.sim_time, entry.kind, entry.payload],
+            sort_keys=True, separators=(",", ":"))
         counts[entry.kind] += 1
-        sizes[entry.kind] += len(entry_body(entry.seq, entry.sim_time,
-                                            entry.kind, entry.payload))
+        sizes[entry.kind] += len(body)
     total = sum(sizes.values())
     print(f"smoke-ledger: {'kind':<15}{'entries':>8}{'bytes':>9}{'share':>7}")
     for kind in ENTRY_KINDS:
         print(f"smoke-ledger: {kind:<15}{counts[kind]:>8}{sizes[kind]:>9}"
               f"{sizes[kind] / total:>7.1%}")
     print(f"smoke-ledger: {'total':<15}{len(entries):>8}{total:>9}")
-    return counts
+    return counts, differ
 
 
 def main() -> int:
@@ -146,7 +157,11 @@ def main() -> int:
                 f"{len(kinds)} kinds, the crash recorded as a lease-expired "
                 f"depart)")
 
-    counts = print_kind_table(entries)
+    counts, differ = print_kind_table(entries)
+    ok &= check(differ == 0,
+                f"canonical bytes: the shared encoder renders all "
+                f"{len(entries)} bodies as json.dumps(sort_keys=True, "
+                f"separators=(',', ':')) does ({differ} differ)")
     ok &= check(counts["register"] == server.registrar.registrations
                 and counts["depart"] == len(departures) > 0
                 and set(counts) <= set(ENTRY_KINDS),

@@ -139,8 +139,8 @@ class EventMediator(Process):
         #: in progress has made; None between them (neither re-enters:
         #: delivering only ``send``s)
         self._served: Optional[list] = None
-        #: subscriber -> its unacked deliveries
-        self._windows: Dict[GUID, _Window] = {}
+        #: subscriber's ``guid.value`` -> its unacked deliveries
+        self._windows: Dict[int, _Window] = {}
         #: the retransmission jitter stream; the first round creates it
         self._jitter_rng: Optional[random.Random] = None
         #: the sub_id of each subscription, in creation order
@@ -148,7 +148,7 @@ class EventMediator(Process):
         self._subscriptions: Dict[int, Subscription] = {}
         #: reverse maps so teardown by owner/subscriber is O(own subs), not O(S)
         self._subs_by_owner: Dict[object, Dict[int, None]] = {}
-        self._subs_by_subscriber: Dict[GUID, Dict[int, None]] = {}
+        self._subs_by_subscriber: Dict[int, Dict[int, None]] = {}
         self.published = 0
         self.deliveries = 0
         self.retained_evictions = 0
@@ -225,7 +225,7 @@ class EventMediator(Process):
         type_name = self._opgraph.attach(sub_id, event_filter)
         if owner is not None:
             self._subs_by_owner.setdefault(owner, {})[sub_id] = None
-        self._subs_by_subscriber.setdefault(subscriber, {})[sub_id] = None
+        self._subs_by_subscriber.setdefault(subscriber.value, {})[sub_id] = None
         if replay_retained:
             self._replay_retained(subscription, type_name)
             if not subscription.active:
@@ -282,10 +282,10 @@ class EventMediator(Process):
         """Drop all subscriptions delivering to ``subscriber`` (it departed),
         and its unacked window with them: a departed subscriber is owed no
         retransmission."""
-        window = self._windows.pop(subscriber, None)
+        window = self._windows.pop(subscriber.value, None)
         if window is not None and window.timer is not None:
             window.timer.cancel()
-        bucket = self._subs_by_subscriber.get(subscriber)
+        bucket = self._subs_by_subscriber.get(subscriber.value)
         if bucket is None:
             return 0
         doomed = [self._subscriptions[sub_id] for sub_id in list(bucket)]
@@ -302,8 +302,8 @@ class EventMediator(Process):
         if subscription.owner is not None:
             self._reverse_remove(self._subs_by_owner, subscription.owner,
                                  subscription.sub_id)
-        self._reverse_remove(self._subs_by_subscriber, subscription.subscriber,
-                             subscription.sub_id)
+        self._reverse_remove(self._subs_by_subscriber,
+                             subscription.subscriber.value, subscription.sub_id)
 
     @staticmethod
     def _reverse_remove(store: Dict[object, Dict[int, None]], key: object,
@@ -381,20 +381,22 @@ class EventMediator(Process):
         wire form, one ``event`` per subscriber listing its pairs."""
         wire = event.to_wire()
         served = self._served
-        payloads: Dict[GUID, Dict[str, Any]] = {}
+        # subscriber's ``guid.value`` -> (subscriber, its payload)
+        payloads: Dict[int, Tuple[GUID, Dict[str, Any]]] = {}
         for subscription in subscriptions:
             sub_id, seq = subscription.sub_id, subscription.record_delivery()
             if served is not None:  # the ledger's own copy of the pair
                 served.append([sub_id, seq])
-            payload = payloads.get(subscription.subscriber)
-            if payload is None:
-                payload = payloads[subscription.subscriber] = {
-                    "event": wire, "subs": []}
-            payload["subs"].append([sub_id, seq])
+            subscriber = subscription.subscriber
+            pending = payloads.get(subscriber.value)
+            if pending is None:
+                pending = payloads[subscriber.value] = (
+                    subscriber, {"event": wire, "subs": []})
+            pending[1]["subs"].append([sub_id, seq])
         count = len(subscriptions)
         self.deliveries += count
         self._deliveries_counter.inc(count)
-        for subscriber, payload in payloads.items():
+        for subscriber, payload in payloads.values():
             with self.network.obs.tracer.span_if_active(
                     "mediator.deliver", range=self.range_name,
                     type=event.type_name, subs=payload["subs"]):
@@ -407,9 +409,10 @@ class EventMediator(Process):
 
     def _hold(self, subscriber: GUID, sub_id: int, entry: _Unacked) -> None:
         """Keep a sent delivery until acked; arm the window's one timer."""
-        window = self._windows.get(subscriber)
+        window = self._windows.get(subscriber.value)
         if window is None:
-            window = self._windows[subscriber] = _Window(DEFAULT_ACK_TIMEOUT)
+            window = self._windows[subscriber.value] = _Window(
+                DEFAULT_ACK_TIMEOUT)
         entries = window.streams.get(sub_id)
         if entries is None:
             entries = window.streams[sub_id] = deque()
@@ -434,12 +437,12 @@ class EventMediator(Process):
     def _window_expired(self, subscriber: GUID) -> None:
         """The window's timer: wait out the oldest entry, retransmit, or
         give the whole window up once the budget is spent."""
-        window = self._windows.get(subscriber)
+        window = self._windows.get(subscriber.value)
         if window is None:  # the subscriber departed meanwhile
             return
         window.timer = None
         if not window.size:
-            del self._windows[subscriber]
+            del self._windows[subscriber.value]
             return
         oldest = max(window.oldest_head()[1][0][3], window.resent_at)
         due = oldest + window.wait
@@ -471,7 +474,7 @@ class EventMediator(Process):
         """The retransmission budget ran dry: every entry counts as
         exhausted, once. Nothing more to do mediator-side: the subscriber
         sees the holes and drives recovery through ``resync``."""
-        del self._windows[subscriber]
+        del self._windows[subscriber.value]
         count = window.size
         self.deliveries_exhausted += count
         self._ack_exhausted_counter.inc(count)
@@ -528,7 +531,7 @@ class EventMediator(Process):
     def _handle_event_ack(self, message: Message) -> None:
         """A subscriber's cumulative ack: for each listed subscription,
         every seq up to ``upto`` arrived. It gets no reply."""
-        window = self._windows.get(message.sender)
+        window = self._windows.get(message.sender.value)
         if window is not None:
             self._ack(window, message.fields["acks"])
 
@@ -570,7 +573,7 @@ class EventMediator(Process):
     def unacked(self, subscriber: Optional[GUID] = None) -> int:
         """Deliveries awaiting an ack (for one subscriber, or all)."""
         if subscriber is not None:
-            window = self._windows.get(subscriber)
+            window = self._windows.get(subscriber.value)
             return window.size if window is not None else 0
         return sum(window.size for window in self._windows.values())
 
@@ -581,7 +584,7 @@ class EventMediator(Process):
         return self._opgraph.stats()
 
     def subscriptions_for(self, subscriber: GUID) -> List[Subscription]:
-        bucket = self._subs_by_subscriber.get(subscriber, {})
+        bucket = self._subs_by_subscriber.get(subscriber.value, {})
         return [self._subscriptions[sub_id] for sub_id in bucket]
 
     def subscriptions(self) -> List[Subscription]:

@@ -238,9 +238,10 @@ class StreamReassembler:
 class _DueAcks:
     """What one mediator is owed: subscriptions, deliveries, the flush."""
 
-    __slots__ = ("subs", "count", "timer")
+    __slots__ = ("mediator", "subs", "count", "timer")
 
-    def __init__(self, timer: Timer) -> None:
+    def __init__(self, mediator: GUID, timer: Timer) -> None:
+        self.mediator = mediator
         self.subs: Dict[int, None] = {}
         self.count = 0
         self.timer = timer
@@ -257,15 +258,17 @@ class AckBatcher:
     def __init__(self, owner, streams: StreamReassembler):
         self.owner = owner
         self._streams = streams
-        #: mediator -> what it is owed; at most one flush timer each
-        self._due: Dict[GUID, _DueAcks] = {}
+        #: mediator's ``guid.value`` -> what it is owed; at most one flush
+        #: timer each
+        self._due: Dict[int, _DueAcks] = {}
 
     def note(self, mediator: GUID, sub_id: int) -> None:
         """A delivery for ``mediator``'s ``sub_id`` arrived from it."""
-        due = self._due.get(mediator)
+        due = self._due.get(mediator.value)
         if due is None:
-            due = self._due[mediator] = _DueAcks(self.owner.scheduler.schedule(
-                EVENT_ACK_DELAY, self._flush, mediator))
+            due = self._due[mediator.value] = _DueAcks(
+                mediator, self.owner.scheduler.schedule(
+                    EVENT_ACK_DELAY, self._flush, mediator))
         due.subs[sub_id] = None
         due.count += 1
         if due.count >= EVENT_ACK_EVERY:
@@ -273,8 +276,8 @@ class AckBatcher:
 
     def flush(self) -> None:
         """Send every pending ack now (the subscriber is leaving a range)."""
-        for mediator in list(self._due):
-            self._flush(mediator)
+        for due in list(self._due.values()):
+            self._flush(due.mediator)
 
     def drop(self) -> None:
         """Forget every pending ack unsent (the subscriber crashed)."""
@@ -283,7 +286,7 @@ class AckBatcher:
         self._due.clear()
 
     def _flush(self, mediator: GUID) -> None:
-        due = self._due.pop(mediator, None)
+        due = self._due.pop(mediator.value, None)
         if due is None:
             return
         due.timer.cancel()

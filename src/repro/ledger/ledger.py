@@ -22,11 +22,12 @@ the deployment, so one plan run twice in one process ends on one head.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from hashlib import blake2b
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from math import isfinite
 from pathlib import Path
-from typing import Any, Deque, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -64,10 +65,38 @@ class LedgerError(ValueError):
     """A broken chain, an invalid entry, or a malformed JSONL artefact."""
 
 
-#: the canonical JSON encoding the hash commits to. No ``default``: a value
-#: without a JSON form cannot be carried by the artefact, and hashing its
-#: ``repr`` would tie the chain to one process's set order and addresses
-_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+#: the canonical JSON encoding the hash commits to:
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))``, byte for
+#: byte. No ``default`` beyond the stdlib one, which refuses: a value without
+#: a JSON form cannot be carried by the artefact, and hashing its ``repr``
+#: would tie the chain to one process's set order and addresses
+_STDLIB = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+if c_make_encoder is None:  # no C accelerator: the stdlib's own encode,
+    # which builds its pure-Python encoder and markers afresh per call
+    _canonical = _STDLIB.encode
+else:
+    #: ids of the containers the encode in progress is inside (its cycle
+    #: check). Shared by every encode: the kernel removes each id on the way
+    #: out, so it is empty between calls, except after a failed encode,
+    #: which clears it. The simulation runs on one thread; an encode is not
+    #: re-entered
+    _markers: Dict[int, Any] = {}
+    #: the C encoder ``_STDLIB.encode`` would build afresh on every call,
+    #: built once with the arguments it passes
+    _kernel = c_make_encoder(
+        _markers, _STDLIB.default, encode_basestring_ascii, _STDLIB.indent,
+        _STDLIB.key_separator, _STDLIB.item_separator, _STDLIB.sort_keys,
+        _STDLIB.skipkeys, _STDLIB.allow_nan)
+
+    def _canonical(value: Any) -> str:
+        """The canonical JSON text of ``value``; ``TypeError`` for a value
+        without a JSON form, ``ValueError`` for a cyclic one."""
+        try:
+            return "".join(_kernel(value, 0))
+        except BaseException:
+            _markers.clear()  # a failed encode may leave its open containers
+            raise
 
 
 def entry_body(seq: int, sim_time: float, kind: str,
@@ -83,13 +112,21 @@ def entry_body(seq: int, sim_time: float, kind: str,
 def entry_hash(prev_hash: str, seq: int, sim_time: float, kind: str,
                payload: Dict[str, Any]) -> str:
     """blake2b over the previous hash plus the entry's canonical body."""
-    body = entry_body(seq, sim_time, kind, payload).encode("utf-8")
-    return blake2b(prev_hash.encode("utf-8") + body, digest_size=16).hexdigest()
+    body = prev_hash + entry_body(seq, sim_time, kind, payload)
+    return blake2b(body.encode("utf-8"), digest_size=16).hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LedgerEntry:
-    """One immutable, hash-chained record."""
+    """One hash-chained record.
+
+    Slotted, not frozen, and built positionally: a seal builds one per
+    entry, and this form costs about a fifth of the frozen one's
+    construction. Nothing in the package writes an entry after it is
+    sealed, and :meth:`ContextLedger.verify` re-checks the ``seq``,
+    ``ledger_id``, ``prev_hash`` and ``entry_hash`` of every entry, so an
+    entry changed afterwards is caught like a tampered payload.
+    """
 
     ledger_id: str
     seq: int
@@ -140,7 +177,10 @@ class ContextLedger:
         self.range_name = range_name
         self._entries: List[LedgerEntry] = []
         #: appended but not yet hashed: (sim_time, kind, payload) bodies
-        self._unsealed: Deque[tuple] = deque()
+        self._unsealed: List[tuple] = []
+        #: the last appended time: a chain is in time order (merge_entries
+        #: returns one chain unsorted)
+        self._time = float("-inf")
         metrics = MetricsRegistry() if metrics is None else metrics
         appends = metrics.counter("cs.ledger.appends")
         label = range_name or "-"
@@ -163,29 +203,36 @@ class ContextLedger:
         appends = self._appends.get(kind)
         if appends is None:
             raise LedgerError(f"unknown entry kind {kind!r}")
+        if not _is_time(sim_time):
+            raise LedgerError(f"{kind!r} entry: time must be a finite "
+                              f"number, got {sim_time!r}")
+        if sim_time < self._time:
+            raise LedgerError(f"{kind!r} entry: time {sim_time!r} is before "
+                              f"the chain's last, {self._time!r}")
+        self._time = sim_time
         self._unsealed.append((sim_time, kind, payload))
         appends.inc()
 
     def _seal(self) -> None:
         """Extend the hash chain over every body appended since last seal."""
-        prev = self._entries[-1].entry_hash if self._entries else GENESIS_HASH
-        while self._unsealed:
-            # popped only once hashed: a body that cannot be stays at the
-            # front and fails this read and every later one
-            sim_time, kind, payload = self._unsealed[0]
-            seq = len(self._entries)
-            entry = LedgerEntry(
-                ledger_id=self.ledger_id,
-                seq=seq,
-                sim_time=sim_time,
-                kind=kind,
-                payload=payload,
-                prev_hash=prev,
-                entry_hash=entry_hash(prev, seq, sim_time, kind, payload),
-            )
-            self._entries.append(entry)
-            prev = entry.entry_hash
-            self._unsealed.popleft()
+        unsealed = self._unsealed
+        if not unsealed:
+            return
+        entries = self._entries
+        ledger_id, hash_of, add = self.ledger_id, entry_hash, entries.append
+        prev = entries[-1].entry_hash if entries else GENESIS_HASH
+        start = seq = len(entries)
+        try:
+            for sim_time, kind, payload in unsealed:
+                digest = hash_of(prev, seq, sim_time, kind, payload)
+                add(LedgerEntry(ledger_id, seq, sim_time, kind, payload,
+                                prev, digest))
+                prev = digest
+                seq += 1
+        finally:
+            # only what was hashed leaves: a body that cannot be stays at
+            # the front and fails this read and every later one
+            del unsealed[:seq - start]
 
     # -- read path ------------------------------------------------------------
 
@@ -208,31 +255,44 @@ class ContextLedger:
         the head just checked. A broken prefix raises before the tail is
         sealed, so a broken chain is never extended.
         """
+        ledger_id, hash_of = self.ledger_id, entry_hash
         prev = GENESIS_HASH
         for index, entry in enumerate(self._entries):
-            if entry.seq != index or entry.ledger_id != self.ledger_id:
-                raise LedgerError(f"{self.ledger_id}: entry {index} carries "
+            if entry.seq != index or entry.ledger_id != ledger_id:
+                raise LedgerError(f"{ledger_id}: entry {index} carries "
                                   f"seq {entry.seq} of {entry.ledger_id}")
             if entry.prev_hash != prev:
                 raise LedgerError(
-                    f"{self.ledger_id}: entry {index} prev-hash mismatch")
-            expected = entry_hash(prev, entry.seq, entry.sim_time,
-                                  entry.kind, entry.payload)
-            if entry.entry_hash != expected:
-                raise LedgerError(f"{self.ledger_id}: entry {index} "
+                    f"{ledger_id}: entry {index} prev-hash mismatch")
+            digest = entry.entry_hash
+            if digest != hash_of(prev, index, entry.sim_time, entry.kind,
+                                 entry.payload):
+                raise LedgerError(f"{ledger_id}: entry {index} "
                                   f"hash mismatch (tampered payload?)")
-            prev = entry.entry_hash
+            prev = digest
         self._seal()
         return len(self._entries)
+
+
+def _is_time(value: Any) -> bool:
+    """A finite int or float, and not a bool: a NaN time would hash, but no
+    order can place it."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and isfinite(value))
 
 
 def merge_entries(ledgers: Iterable[ContextLedger],
                   upto: Optional[float] = None) -> List[LedgerEntry]:
     """The total order over several chains: ``(sim_time, ledger_id, seq)``.
 
-    Chains are append-ordered in both time and seq, so this sort is a
-    stable k-way merge; ties at one sim-time break by ledger id, then seq.
+    Chains are append-ordered in both time and seq (``append`` refuses a
+    time before the chain's last), so this sort is a stable k-way merge;
+    ties at one sim-time break by ledger id, then seq. One chain is already
+    in that order: its entries come back unsorted.
     """
+    ledgers = list(ledgers)
+    if len(ledgers) == 1:
+        return ledgers[0].entries(upto)
     merged: List[LedgerEntry] = []
     for ledger in ledgers:
         merged.extend(ledger.entries(upto))
@@ -298,8 +358,8 @@ def _validate_record(where: str, record: Any) -> None:
     seq = record.get("seq")
     if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0:
         _fail(where, "'seq' must be a non-negative integer")
-    if not isinstance(record.get("time"), (int, float)):
-        _fail(where, "'time' must be a number")
+    if not _is_time(record.get("time")):
+        _fail(where, "'time' must be a finite number")
     if record.get("kind") not in ENTRY_KINDS:
         _fail(where, f"unknown entry kind {record.get('kind')!r}")
     if not isinstance(record.get("payload"), dict):

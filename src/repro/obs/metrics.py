@@ -198,21 +198,44 @@ class Counter(_Metric):
                  max_series: int = DEFAULT_MAX_SERIES):
         super().__init__(name, help, labels, max_series)
         self._series: Dict[Tuple[str, ...], _Count] = {}
+        #: ``tuple(labels.items())`` of a label set asked for again after it
+        #: bound its series -> that series, so a third call validates
+        #: nothing. Not on the first call: most sets are bound once, by the
+        #: component that owns the series, and memoising those costs more
+        #: than it saves
+        self._bound: Dict[tuple, _Count] = {}
 
     def series(self, **labels: object) -> _Count:
         """The series for a label set, minted (under the cap) on first use.
 
-        Labels are validated and the cap applied here, once: a hot site
-        binds its series at construction and its ``inc`` does neither. A
-        handle taken before :meth:`reset` is detached by it — it keeps
-        counting into a series the counter no longer holds — so whoever
-        resets binds again (:meth:`repro.net.stats.MessageStats.reset`).
+        Labels are validated and the cap applied here: a hot site binds its
+        series at construction and its ``inc`` does neither. A handle taken
+        before :meth:`reset` is detached by it — it keeps counting into a
+        series the counter no longer holds — so whoever resets binds again
+        (:meth:`repro.net.stats.MessageStats.reset`).
         """
+        items = tuple(labels.items())
+        try:
+            series = self._bound.get(items)
+        except TypeError:  # an unhashable label value: never memoised
+            series = items = None
+        if series is not None:
+            return series
         key = self._key(labels, self._series)
         series = self._series.get(key)
         if series is None:
             series = self._series[key] = _Count(self.name)
+        elif (items is not None and key != OVERFLOW_KEY
+              and key == tuple(labels.values())):
+            # in declared order and every value a string: the text key is
+            # the values themselves (1, 1.0 and True hash alike but bind
+            # "1", "1.0" and "True", so they are looked up the long way)
+            self._bound[items] = series
         return series
+
+    def reset(self) -> None:
+        super().reset()
+        self._bound.clear()
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         self.series(**labels).inc(amount)

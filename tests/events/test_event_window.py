@@ -13,7 +13,7 @@ import pytest
 
 from repro import SCI
 from repro.core.api import SCIConfig
-from repro.core.ids import GuidFactory
+from repro.core.ids import GUID, GuidFactory
 from repro.core.types import TypeSpec
 from repro.entities.entity import BaseComponent
 from repro.entities.profile import EntityClass, Profile
@@ -127,6 +127,35 @@ class TestBatching:
         assert acks_sent(network) == 5
         assert counter(network, "net.retry.attempts", kind="event") == 0
         assert EVENT_ACK_DELAY + 2 * 1.0 < ACK_TIMEOUT
+
+
+class TestKeys:
+    def test_a_delivery_round_hashes_no_guid(self, network, guids, mediator,
+                                             monkeypatch):
+        """Windows, reverse maps, the per-publish payload map and the
+        subscriber's due acks are keyed by ``guid.value``: a round of
+        publishes, deliveries and acks calls no ``GUID.__hash__``."""
+        apps = [make_app(network, guids, mediator, name) for name in "ab"]
+        subscriptions = [mediator.add_subscription(app.guid, TypeFilter("tick"))
+                         for app in apps for _ in range(2)]
+        network.scheduler.run_until_idle()
+        hashed = []
+        real = GUID.__hash__
+        monkeypatch.setattr(GUID, "__hash__",
+                            lambda guid: hashed.append(guid) or real(guid))
+        for value in range(EVENT_ACK_EVERY + 3):
+            publish(mediator, value)
+        assert mediator.unacked(GUID(apps[0].guid.value)) == \
+            2 * (EVENT_ACK_EVERY + 3)
+        network.scheduler.run_until_idle()
+        assert hashed == []
+        assert [len(app.events) for app in apps] == \
+            [2 * (EVENT_ACK_EVERY + 3)] * 2
+        assert mediator.unacked() == 0
+        assert [s.sub_id for s in mediator.subscriptions_for(
+            GUID(apps[1].guid.value))] == [s.sub_id for s in subscriptions[2:]]
+        assert mediator.remove_subscriber(apps[0].guid) == 2
+        assert mediator.subscription_count == 2
 
 
 def two_subscriber_run(loss_rate):

@@ -1,8 +1,11 @@
 """Ledger chain mechanics, family merge order and the JSONL artefact."""
 
 import dataclasses
+import importlib.util
 import json
+import sys
 from dataclasses import fields
+from hashlib import blake2b
 
 import pytest
 
@@ -18,6 +21,7 @@ from repro.ledger.ledger import (
     merge_entries,
     write_ledger_jsonl,
 )
+from repro.ledger.replay import snapshot_digest
 
 
 def build_chain():
@@ -137,6 +141,33 @@ class TestChain:
                     ledger.head
             assert len(ledger._entries) == 3
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf"), True, False, "1.0",
+                                     None])
+    def test_time_must_be_a_finite_number(self, bad):
+        # NaN and the infinities would hash and verify, and NaN, which
+        # compares false with everything, has no place in the merge order
+        ledger = build_chain()
+        with pytest.raises(LedgerError, match="time must be a finite"):
+            ledger.append(bad, "register", {"entity": "bb", "name": "B"})
+        assert len(ledger) == 3
+        assert ledger.verify() == 3
+
+    def test_int_time_is_a_time(self):
+        ledger = ContextLedger("cs:test")
+        ledger.append(0, "register", {"entity": "aa", "name": "A"})
+        assert ledger.entry(0).sim_time == 0 and ledger.verify() == 1
+
+    def test_time_never_runs_backwards(self):
+        # a chain is in time order, so merge_entries hands one chain back
+        # unsorted; an earlier time would put it out of that order
+        ledger = build_chain()
+        last = ledger.entries()[-1].sim_time
+        with pytest.raises(LedgerError, match="before the chain's last"):
+            ledger.append(last - 0.5, "register", {"entity": "bb", "name": "B"})
+        ledger.append(last, "register", {"entity": "bb", "name": "B"})
+        assert len(ledger) == 4 and ledger.verify() == 4
+
     def test_canonical_encoding_is_pinned(self):
         # one shared encoder, no per-call JSONEncoder: sort_keys, compact
         # separators and float repr must stay byte-identical or every
@@ -183,6 +214,92 @@ class TestChain:
         assert staged.verify() == 3
 
 
+class TestCanonicalEncoder:
+    """One encoder, built once, shared by every body and digest: a failed
+    encode must not leave anything behind for the next one."""
+
+    VALUES = [
+        [0, 1.5, "register", {"b": 1, "a": [True, None, "x"]}],
+        {"\u00e9t\u00e9": "caf\u00e9 \u2603", "z": {"y": [], "x": {}}},
+        [-0.0, 1e300, -1e-300, 2 ** 70, float("nan"), float("inf"),
+         float("-inf"), 0.1],
+        ("tuple", ("nested",), []),
+    ]
+
+    @staticmethod
+    def stdlib(value):
+        return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+    @pytest.mark.parametrize("value", VALUES)
+    def test_matches_the_stdlib(self, value):
+        assert ledger_module._canonical(value) == self.stdlib(value)
+
+    def test_without_the_c_accelerator_the_stdlib_encodes(self, monkeypatch):
+        # a second copy of the module, loaded as if ``_json`` were missing
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        spec = importlib.util.spec_from_file_location(
+            "ledger_without_c", ledger_module.__file__)
+        pure = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, pure)  # for @dataclass
+        spec.loader.exec_module(pure)
+        assert not hasattr(pure, "_kernel")
+        for value in self.VALUES:
+            assert pure._canonical(value) == self.stdlib(value)
+        with pytest.raises(pure.LedgerError, match="not JSON"):
+            pure.entry_body(1, 1.0, "register", {"box": {object()}})
+
+    def test_body_and_digest_use_the_one_encoder(self):
+        payload = {"entity": "aa", "attrs": {"room": "L10.01", "n": -0.0}}
+        assert entry_body(4, 2.5, "register", payload) == \
+            self.stdlib([4, 2.5, "register", payload])
+        assert snapshot_digest({"b": [1], "a": "\u2603"}) == blake2b(
+            self.stdlib({"b": [1], "a": "\u2603"}).encode("utf-8"),
+            digest_size=16).hexdigest()
+
+    def test_non_json_leaf_raises_ledger_error(self):
+        with pytest.raises(LedgerError, match=r"'query' entry 3.*not JSON"
+                           r".*Object of type set is not JSON serializable"):
+            entry_body(3, 1.0, "query", {"bound": {"aa"}})
+
+    def test_cyclic_payload_raises_ledger_error(self):
+        cycle = {"entity": "aa"}
+        cycle["self"] = cycle
+        with pytest.raises(LedgerError, match="Circular reference"):
+            entry_body(3, 1.0, "register", cycle)
+
+    def test_the_next_encode_after_a_failure_is_clean(self):
+        # each failure leaves the containers it was inside; made good, the
+        # same containers must encode, not read as a cycle
+        box = [object()]
+        payload = {"entity": "aa", "box": box}
+        with pytest.raises(LedgerError, match="not JSON"):
+            entry_body(1, 1.0, "register", payload)
+        box[0] = 1
+        assert entry_body(1, 1.0, "register", payload) == \
+            self.stdlib([1, 1.0, "register", payload])
+
+        cycle = []
+        cycle.append(cycle)
+        payload = {"entity": "aa", "ring": cycle}
+        with pytest.raises(LedgerError, match="Circular reference"):
+            entry_body(2, 1.0, "register", payload)
+        cycle[0] = "cut"
+        assert entry_body(2, 1.0, "register", payload) == \
+            self.stdlib([2, 1.0, "register", payload])
+
+    def test_a_failed_seal_leaves_the_chain_sealable(self):
+        ledger = build_chain()
+        bad = {"query_id": "q", "bound": [object()]}
+        ledger.append(4.0, "query", bad)
+        with pytest.raises(LedgerError, match="not JSON"):
+            ledger.head
+        bad["bound"][0] = "aa"
+        assert ledger.verify() == 4
+        clean = build_chain()
+        clean.append(4.0, "query", {"query_id": "q", "bound": ["aa"]})
+        assert ledger.head == clean.head
+
+
 class TestFamilyMerge:
     def _family(self):
         # two ranges' chains; listed in the order that the id tie-break
@@ -203,6 +320,13 @@ class TestFamilyMerge:
         assert [(e.sim_time, e.ledger_id, e.seq) for e in merged] == \
             [(1.0, "cs:lower", 0), (1.0, "cs:upper", 0),
              (1.5, "cs:lower", 1), (2.0, "cs:upper", 1)]
+
+    def test_one_chain_comes_back_in_seq_order(self):
+        ledger = build_chain()
+        merged = merge_entries([ledger])
+        assert merged == ledger.entries() and merged is not ledger._entries
+        assert [e.kind for e in merge_entries([ledger], upto=2.0)] == \
+            ["register", "profile-update"]
 
     def test_upto_applies_to_the_family(self):
         upper, lower = self._family()
@@ -313,6 +437,20 @@ class TestArtefact:
         records[1]["seq"] = True
         self._rewrite(path, records)
         with pytest.raises(LedgerError, match="non-negative integer"):
+            load_ledger_jsonl(path)
+
+    @pytest.mark.parametrize("bad", [True, "NaN", "Infinity", "2.0", None])
+    def test_time_must_be_a_finite_number(self, tmp_path, bad):
+        # a bool is an int to isinstance; json reads NaN and Infinity
+        # tokens as floats
+        path, records = self._exported(tmp_path)
+        records[1]["time"] = bad
+        text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        if bad in ("NaN", "Infinity"):
+            text = text.replace(f'"time": "{bad}"', f'"time": {bad}')
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(LedgerError, match="line 2: 'time' must be a "
+                                              "finite number"):
             load_ledger_jsonl(path)
 
     def test_unknown_kind_rejected(self, tmp_path):

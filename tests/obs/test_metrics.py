@@ -150,6 +150,56 @@ class TestCounterSeries:
                                    OVERFLOW_KEY: 1.0}
         assert counter.series(id="a") is first
 
+    def test_a_label_set_asked_for_again_is_memoised(self, monkeypatch):
+        counter = Counter("c", labels=("range", "kind"))
+        checks = []
+        real = counter._label_key
+        monkeypatch.setattr(counter, "_label_key",
+                            lambda labels: checks.append(labels) or real(labels))
+        first = counter.series(range="r", kind="publish")
+        assert counter.series(range="r", kind="publish") is first
+        assert len(checks) == 2  # bound, then validated once more
+        for _ in range(3):
+            assert counter.series(range="r", kind="publish") is first
+        assert len(checks) == 2
+        # the other order of the same names finds the one series, the long
+        # way every time
+        for _ in range(3):
+            assert counter.series(kind="publish", range="r") is first
+        assert len(checks) == 5 and len(counter.items()) == 1
+
+    def test_wrong_labels_still_raise_after_the_right_set_is_bound(self):
+        counter = Counter("c", labels=("kind",))
+        bound = counter.series(kind="query")
+        assert counter.series(kind="query") is bound  # now memoised
+        for labels in ({}, {"host": "query"}, {"kind": "query", "host": "a"}):
+            with pytest.raises(MetricError):
+                counter.series(**labels)
+        assert counter.series(kind="query") is bound
+        assert counter.items() == {("query",): 0.0}
+
+    def test_a_non_string_value_binds_its_text(self):
+        # 1, 1.0 and True hash alike but render "1", "1.0" and "True":
+        # each is its own series, however often each is asked for
+        counter = Counter("c", labels=("shard",))
+        for _ in range(3):
+            counter.series(shard=1).inc()
+            counter.series(shard=True).inc(2)
+            counter.series(shard=1.0).inc(4)
+            counter.series(shard="1").inc(8)
+        assert counter.items() == {("1",): 27.0, ("True",): 6.0,
+                                   ("1.0",): 12.0}
+
+    def test_reset_forgets_the_bound_sets(self):
+        counter = Counter("c", labels=("kind",))
+        stale = counter.series(kind="query")
+        assert counter.series(kind="query") is stale  # now memoised
+        counter.reset()
+        fresh = counter.series(kind="query")
+        assert fresh is not stale
+        fresh.inc()
+        assert counter.value(kind="query") == 1.0
+
     def test_negative_inc_through_the_handle_raises(self):
         handle = Counter("c").series()
         with pytest.raises(MetricError):
