@@ -26,6 +26,10 @@ then expires (the PR-4 failure-detection path). The gate asserts:
   counted publishes, and the ``deliveries`` lists of the ``publish`` and
   ``replay`` entries add up to the deliveries it counted — an entry per
   recipient cannot come back unnoticed;
+* **streamed digest**: ``snapshot_digest``, which hashes the snapshot's
+  text a piece at a time, equals ``blake2b`` of the whole
+  ``json.dumps(sort_keys=True, separators=(",", ":"))`` text, for the live
+  and the projected books, at the default batch and at one item a piece;
 * **artefact round-trip**: the exported JSONL validates, reloads, and
   projects to the same digest as the live books;
 * **time travel**: historical membership flips across the crash (the
@@ -41,6 +45,7 @@ Exits non-zero on any failure, so CI can gate on it. Usage::
 
 import collections
 import json
+from hashlib import blake2b
 import pathlib
 import sys
 import tempfile
@@ -51,6 +56,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 from repro import SCI  # noqa: E402
 from repro.core.api import SCIConfig  # noqa: E402
 from repro.ledger import ledger as ledger_module  # noqa: E402
+from repro.ledger import replay as replay_module  # noqa: E402
 from repro.ledger.ledger import (ENTRY_KINDS, entry_body,  # noqa: E402
                                  load_ledger_jsonl, write_ledger_jsonl)
 from repro.ledger.replay import (ReplayProjector, live_snapshot,  # noqa: E402
@@ -185,6 +191,23 @@ def main() -> int:
     projected = projection_snapshot(server.ledger_projection())
     ok &= check(snapshot_digest(projected) == snapshot_digest(live),
                 "full replay projects to the live books")
+    items = sum(len(section) for section in live.values())
+    default, streamed = replay_module._DIGEST_BATCH, {}
+    try:
+        for batch in (default, 1):  # and one piece per section item
+            replay_module._DIGEST_BATCH = batch
+            streamed[batch] = (snapshot_digest(live),
+                               snapshot_digest(projected))
+    finally:
+        replay_module._DIGEST_BATCH = default
+    stdlib = tuple(blake2b(json.dumps(
+        snapshot, sort_keys=True, separators=(",", ":")).encode("utf-8"),
+        digest_size=16).hexdigest() for snapshot in (live, projected))
+    ok &= check(all(pair == stdlib for pair in streamed.values()),
+                f"streamed digests of the live and projected books "
+                f"({items} section items, batches of "
+                f"{' and '.join(map(str, streamed))}) equal the json.dumps "
+                f"text's ({stdlib[0][:12]}…)")
 
     replayed = projection_snapshot(server.ledger_projection(upto=CHECKPOINT))
     ok &= check(replayed == captured["live"],

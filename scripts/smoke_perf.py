@@ -7,6 +7,9 @@ structural properties a refactor could silently regress:
 * counting takes one path: on a seeded default ``SCI()`` run at most
   ``MAX_INCS_PER_DELIVERY`` validated ``Counter.inc`` calls per delivered
   message (hot sites update series bound once);
+* the dedup window holds exchanges only: after that run the processes'
+  ``_seen_messages`` hold one entry per request/reply arrival, a pinned
+  ``EXCHANGE_ARRIVALS``, and none for the one-way arrivals;
 * the mediator's exact-match buckets serve candidates (``mediator.index.hits``
   non-zero) and the residual-scan fraction stays below a threshold — a change
   that de-indexes selective filters (e.g. by breaking filter analysis) fails
@@ -163,6 +166,9 @@ CLAUSE_NAMES = tuple(f"P{n}" for n in range(1, 9))
 #: default deployment: hot sites update series bound once, so only rare
 #: labelled paths (request retries, unheard announces) are left
 MAX_INCS_PER_DELIVERY = 0.25
+#: request/reply arrivals on that run (no duplicates), each one dedup
+#: window entry: an exact function of the default seed
+EXCHANGE_ARRIVALS = 28
 
 
 def work_counts(metrics):
@@ -490,9 +496,13 @@ def lookalike_dispatch(trackers, mediator_class=EventMediator,
 def counting_path():
     """The quickstart's seeded default ``SCI()`` run with every validated
     ``Counter.inc`` call counted: hot sites must record through series they
-    bound once."""
+    bound once. An attached event log counts the arrivals by kind, split
+    into request/reply exchanges (the kinds the dedup window holds) and
+    one-way verbs, beside the windows' summed sizes at the end."""
     from repro import SCI
+    from repro.net.wire import VERBS
     from repro.obs.metrics import Counter
+    from tests.net.eventlog import attach
 
     calls = [0]
     validated = Counter.inc
@@ -504,6 +514,7 @@ def counting_path():
     Counter.inc = counted
     try:
         sci = SCI()
+        log = attach(sci.network)
         sci.create_range("livingstone", places=["livingstone"],
                          hosts=["lab-pc"])
         sci.add_door_sensors("livingstone")
@@ -518,8 +529,19 @@ def counting_path():
             sci.run(40)
     finally:
         Counter.inc = validated
+    arrivals = {"exchange": 0, "one-way": 0}
+    for entry in log.entries():
+        if entry[2] == "deliver":
+            row = VERBS.get(entry[3])
+            arrivals["exchange" if row is None or row.reply or row.flag
+                     else "one-way"] += 1
+    metrics = sci.network.obs.metrics
     return {"incs": calls[0], "delivered": sci.network.stats.delivered,
-            "malformed": malformed(sci.network.obs.metrics)}
+            "window": sum(len(process._seen_messages)
+                          for process in sci.network._processes.values()),
+            "arrivals": arrivals,
+            "suppressed": metrics.get("net.dedup.suppressed").total(),
+            "malformed": malformed(metrics)}
 
 
 def clause_text_stream(queries=CLAUSE_QUERIES):
@@ -651,6 +673,14 @@ def main() -> int:
                 f"{counting['incs']} validated Counter.inc calls for "
                 f"{counting['delivered']} deliveries ({per_delivery:.3f} per "
                 f"delivery, <= {MAX_INCS_PER_DELIVERY})")
+    arrivals = counting["arrivals"]
+    ok &= check(counting["window"] == arrivals["exchange"]
+                == EXCHANGE_ARRIVALS and arrivals["one-way"] > 0
+                and not counting["suppressed"],
+                f"the dedup windows hold the {arrivals['exchange']} "
+                f"request/reply arrivals (pinned {EXCHANGE_ARRIVALS}) and "
+                f"none of the {arrivals['one-way']} one-way ones "
+                f"({counting['window']} entries in all)")
 
     print(f"smoke-perf: publish fan-out at {SCALE} subscriptions...")
     fanout = measure_publish(SCALE, publishes=PUBLISHES)

@@ -44,9 +44,9 @@ server is up.
 from __future__ import annotations
 
 from hashlib import blake2b
-from typing import Any, Dict, Iterable, List
+from typing import Any, Callable, Dict, Iterable, List
 
-from repro.ledger.ledger import LedgerEntry, _canonical
+from repro.ledger.ledger import LedgerEntry, LedgerError, _canonical
 
 
 class ProjectedState:
@@ -252,7 +252,65 @@ def projection_snapshot(state: ProjectedState) -> Dict[str, Any]:
     }
 
 
+#: items a streamed digest encodes at a time: enough to pay for the call,
+#: few enough that the text in hand stays a small piece
+_DIGEST_BATCH = 64
+
+
 def snapshot_digest(snapshot: Dict[str, Any]) -> str:
-    """A stable digest of one snapshot — the smoke gate's equality check."""
-    return blake2b(_canonical(snapshot).encode("utf-8"),
-                   digest_size=16).hexdigest()
+    """A stable digest of one snapshot — the smoke gate's equality check.
+
+    It is ``blake2b(_canonical(snapshot))``, byte for byte, but the text is
+    fed to the hash a piece at a time (:func:`_feed`, opening the top level
+    and each section), so what is held at once is the text of one batch of
+    a section's items, not the snapshot's. A value without a JSON form
+    raises :class:`LedgerError`."""
+    digest = blake2b(digest_size=16)
+    try:
+        _feed(digest.update, snapshot, 2)
+    except (TypeError, ValueError) as exc:
+        raise LedgerError(f"snapshot is not JSON ({exc})") from exc
+    return digest.hexdigest()
+
+
+def _feed(update: Callable[[bytes], None], value: Any, depth: int) -> None:
+    """Feed ``_canonical(value)`` to ``update``. A dict or list holding more
+    than :data:`_DIGEST_BATCH` items ``depth`` levels down is opened: at
+    depth 1 its members or items are encoded a batch at a time, deeper each
+    one is fed a level down. Members go in the order the encoder sorts a
+    dict's items, and the encoder writes each key, so a non-str key is
+    converted or refused as it is in the whole text."""
+    if not depth or _items(value, depth) <= _DIGEST_BATCH:
+        update(_canonical(value).encode())
+        return
+    kind = type(value)
+    items = sorted(value.items()) if kind is dict else value
+    update(b"{" if kind is dict else b"[")
+    if depth == 1:
+        for start in range(0, len(items), _DIGEST_BATCH):
+            if start:
+                update(b",")
+            batch = items[start:start + _DIGEST_BATCH]
+            update(_canonical(dict(batch) if kind is dict else batch)[1:-1]
+                   .encode())
+    else:
+        for index, item in enumerate(items):
+            if index:
+                update(b",")
+            if kind is dict:
+                key, item = item
+                update(_canonical({key: 0})[1:-2].encode())  # '"key":'
+            _feed(update, item, depth - 1)
+    update(b"}" if kind is dict else b"]")
+
+
+def _items(value: Any, depth: int) -> int:
+    """The items ``value`` holds ``depth`` (>= 1) levels down; a value that
+    is not a dict or list counts one."""
+    kind = type(value)
+    if kind is not dict and kind is not list:
+        return 1
+    if depth == 1:
+        return len(value)
+    return sum(_items(item, depth - 1)
+               for item in (value.values() if kind is dict else value))

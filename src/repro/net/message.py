@@ -4,9 +4,10 @@ Every interaction in the reproduction — registration, discovery, event
 publication, query submission, overlay routing — is a :class:`Message`. The
 ``kind`` string is the protocol verb ("register", "publish", "query", ...),
 ``payload`` the verb-specific body. ``msg_id`` is the sending process's
-number for it (receivers dedup on ``(sender, msg_id)``; a copy keeps its
-original's id), and ``reply_to`` correlates responses with requests (see
-:mod:`repro.net.rpc`).
+number for it (a copy keeps its original's id: a retransmitted request and
+a re-sent cached reply, which receivers dedup on ``(sender, msg_id)``; no
+one-way verb is sent twice under one id), and ``reply_to`` correlates
+responses with requests (see :mod:`repro.net.rpc`).
 """
 
 from __future__ import annotations

@@ -13,9 +13,10 @@ Reliability: the transport drops silently (UDP-style), so a request can be
 retransmitted up to a bounded budget (``retries=``) with exponential
 backoff and deterministic jitter before ``on_timeout`` fires. Retransmitted
 copies carry the *original* ``msg_id`` — the receiver's ``(sender, msg_id)``
-dedup cache (see :meth:`repro.net.transport.Process.deliver`) suppresses the
-duplicates and replays the cached reply, so at-least-once retransmission
-plus receiver dedup yields exactly-once observable delivery. The default
+dedup window (see :meth:`repro.net.transport.Process.deliver`), which holds
+request/reply exchanges and no one-way verb, suppresses the duplicates and
+replays the cached reply, so at-least-once retransmission plus receiver
+dedup yields exactly-once observable delivery. The default
 budget is zero retries, preserving plain fire-and-expire semantics for
 callers that implement their own policy.
 """

@@ -4,9 +4,10 @@ A :class:`Network` owns a set of :class:`Host` machines and a registry of
 :class:`Process` endpoints (each addressed by GUID, each living on one host).
 ``Network.send`` computes a delivery latency from the configured latency
 model, applies loss and partition rules, and schedules
-``recipient.deliver`` (duplicate suppression, the check of a payload
-against its verb's row in :mod:`repro.net.wire`, then ``on_message``) on
-the shared :class:`~repro.net.sim.Scheduler`. ``Process.on_message`` is
+``recipient.deliver`` (duplicate suppression for request/reply
+exchanges, the check of a payload against its verb's row in
+:mod:`repro.net.wire`, then ``on_message``) on the shared
+:class:`~repro.net.sim.Scheduler`. ``Process.on_message`` is
 the one dispatcher: a reply goes to the callback of its request, any other
 arrival to the recipient's ``_handle_<verb>`` method.
 
@@ -140,7 +141,8 @@ _UNSEEN = object()
 _BROADCAST_VALUE = BROADCAST.value
 
 #: the row of a kind the wire table does not declare (a test's own verb):
-#: its payload must be an object, and nothing else is checked
+#: its payload must be an object, and nothing else is checked; nothing says
+#: it is one-way, so the dedup window holds it
 _UNDECLARED = Verb()
 
 
@@ -155,15 +157,19 @@ class Process:
 
     A process numbers the messages it sends (and the replies it makes)
     from 1; that number is the ``msg_id``. Inbound delivery goes through
-    :meth:`deliver`, which suppresses duplicate arrivals keyed on
-    ``(sender.value, msg_id)``: retransmitted
-    requests (see :class:`repro.net.rpc.RequestManager`) reach :meth:`on_message`
+    :meth:`deliver`, which suppresses duplicate request/reply arrivals
+    keyed on ``(sender.value, msg_id)``: retransmitted requests (see
+    :class:`repro.net.rpc.RequestManager`) reach :meth:`on_message`
     exactly once, and if this process already replied to the original, the
     cached reply is re-sent so a lost *reply* is regenerated without
-    re-executing the handler. The cache is a bounded LRU.
+    re-executing the handler; the requester drops that reply's second
+    copy. Those are the only two sends that reuse a ``msg_id``, so a
+    one-way verb (a row with neither ``reply`` nor ``flag``: ``event``,
+    ``heartbeat``, ``o-bcast``, ...) is never remembered. The window is a
+    bounded LRU.
     """
 
-    #: bound on remembered (sender, msg_id) arrivals per process
+    #: bound on remembered (sender, msg_id) exchange arrivals per process
     DEDUP_CACHE = 1024
     #: the link-local announcement kinds (sent to ``BROADCAST``) it hears
     listens_for: Tuple[str, ...] = ()
@@ -185,8 +191,9 @@ class Process:
         self.host_id = host_id
         self.network = network
         self.name = name or f"proc-{guid}"
-        #: (sender.value, msg_id) -> cached reply Message (or None when the
-        #: handler produced no reply); insertion-ordered for LRU eviction.
+        #: (sender.value, msg_id) of each exchange that arrived (see
+        #: deliver) -> cached reply Message (or None when the handler
+        #: produced no reply); insertion-ordered for LRU eviction.
         #: Two ints, not the GUID: a key of atomic items is one the garbage
         #: collector stops tracking, and the cache holds up to DEDUP_CACHE.
         self._seen_messages: "OrderedDict[Tuple[int, int], Optional[Message]]" = OrderedDict()
@@ -229,9 +236,14 @@ class Process:
         return message
 
     def deliver(self, message: Message) -> None:
-        """Transport entry point: dedup by ``(sender.value, msg_id)``, check
-        the payload against its verb's row, then handle.
+        """Transport entry point: dedup an exchange by ``(sender.value,
+        msg_id)``, check the payload against its verb's row, then handle.
 
+        The window holds the arrivals that can come again under their id: a
+        request whose row names a ``reply`` (retransmitted by the
+        requester's :class:`~repro.net.rpc.RequestManager`), a reply (a row
+        with a ``flag``: re-sent from the cache below) and a kind the table
+        does not declare. A one-way verb is handled without touching it.
         A duplicate arrival never reaches :meth:`on_message`; if the first
         arrival produced a reply, a fresh copy of that reply is re-sent —
         the requester's own dedup then collapses double acks. A request or
@@ -240,21 +252,23 @@ class Process:
         (:meth:`refuse`; a refused reply is a lost one). One that matches
         reaches the handler with its parsed fields on ``message.fields``.
         """
-        key = (message.sender.value, message.msg_id)
-        seen = self._seen_messages
-        cached = seen.get(key, _UNSEEN)
-        if cached is not _UNSEEN:
-            seen.move_to_end(key)
-            self.network.stats.record_duplicate(replayed=cached is not None)
-            if cached is not None:
-                self.network.send(replace(cached))
-            return
-        seen[key] = None
-        if len(seen) > self.DEDUP_CACHE:  # it grows by one per arrival
-            seen.popitem(last=False)
+        row = VERBS.get(message.kind, _UNDECLARED)
+        if row.reply or row.flag or row is _UNDECLARED:
+            key = (message.sender.value, message.msg_id)
+            seen = self._seen_messages
+            cached = seen.get(key, _UNSEEN)
+            if cached is not _UNSEEN:
+                seen.move_to_end(key)
+                self.network.stats.record_duplicate(
+                    replayed=cached is not None)
+                if cached is not None:
+                    self.network.send(replace(cached))
+                return
+            seen[key] = None
+            if len(seen) > self.DEDUP_CACHE:  # one more per exchange arrival
+                seen.popitem(last=False)
         try:
-            message.fields = VERBS.get(message.kind, _UNDECLARED).parse(
-                message.payload)
+            message.fields = row.parse(message.payload)
         except WireError as exc:
             self.refuse(message, exc)
             return
